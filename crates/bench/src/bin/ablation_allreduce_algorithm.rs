@@ -1,11 +1,11 @@
 //! Experiment TXT-ALLREDUCE: cost-driven allreduce algorithm selection.
 //!
-//! Sweeps rank count × state size over the five allreduce schedules the
-//! runtime knows — reduce+bcast (the old hardcoded path), recursive
-//! doubling, reduce-scatter+allgather (Rabenseifner's composition,
-//! available when the operator state is splittable and commutative), the
-//! segment-pipelined ring, and the fused segment-pipelined tree (both
-//! splittable states, any operator order) — and reports the modeled time
+//! Sweeps rank count × state size over the four allreduce schedules the
+//! runtime knows — reduce+bcast (the tree at S = 1, the old hardcoded
+//! path), recursive doubling, reduce-scatter+allgather (Rabenseifner's
+//! composition, available when the operator state is splittable and
+//! commutative), and the fused segment-pipelined tree (splittable
+//! states, any operator order) — and reports the modeled time
 //! of each alongside the schedule the selector would pick from the α–β
 //! estimates. The table demonstrates the crossover the selector
 //! exploits: latency-bound small states want recursive doubling,
@@ -40,21 +40,6 @@ fn measure(p: usize, bytes: usize, algo: AllreduceAlgorithm) -> f64 {
             AllreduceAlgorithm::ReduceScatterAllgather => {
                 c.allreduce_reduce_scatter(
                     state.clone(),
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                );
-            }
-            AllreduceAlgorithm::PipelinedRing => {
-                let segments = AllreduceAlgorithm::ring_segments(
-                    &CostModel::default(),
-                    c.size(),
-                    state.len() * 8,
-                );
-                c.allreduce_pipelined_ring(
-                    state.clone(),
-                    segments,
                     split_vec_segments,
                     unsplit_vec_segments,
                     wire,
@@ -98,14 +83,13 @@ fn main() {
     if csv {
         println!(
             "procs,bytes,reduce_bcast_seconds,recursive_doubling_seconds,\
-             reduce_scatter_allgather_seconds,pipelined_ring_seconds,\
-             pipelined_tree_seconds,selected"
+             reduce_scatter_allgather_seconds,pipelined_tree_seconds,selected"
         );
     } else {
         println!("TXT-ALLREDUCE — allreduce schedules, modeled time (splittable Vec<u64> state)\n");
         println!(
-            "  {:>5} | {:>7} | {:>13} | {:>13} | {:>13} | {:>13} | {:>13} | selected",
-            "p", "size", "reduce+bcast", "rec-doubling", "rs+ag", "pipe-ring", "pipe-tree"
+            "  {:>5} | {:>7} | {:>13} | {:>13} | {:>13} | {:>13} | selected",
+            "p", "size", "reduce+bcast", "rec-doubling", "rs+ag", "pipe-tree"
         );
     }
     for &p in &procs {
@@ -113,7 +97,6 @@ fn main() {
             let t_rb = measure(p, bytes, AllreduceAlgorithm::ReduceBroadcast);
             let t_rd = measure(p, bytes, AllreduceAlgorithm::RecursiveDoubling);
             let t_rs = measure(p, bytes, AllreduceAlgorithm::ReduceScatterAllgather);
-            let t_pr = measure(p, bytes, AllreduceAlgorithm::PipelinedRing);
             let t_pt = measure(p, bytes, AllreduceAlgorithm::PipelinedTree);
             // What the selector would pick for this (p, size) cell, given
             // a commutative splittable operator (same default cost model
@@ -122,18 +105,17 @@ fn main() {
             let picked = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
             if csv {
                 println!(
-                    "{p},{bytes},{t_rb:.9},{t_rd:.9},{t_rs:.9},{t_pr:.9},{t_pt:.9},{}",
+                    "{p},{bytes},{t_rb:.9},{t_rd:.9},{t_rs:.9},{t_pt:.9},{}",
                     picked.name()
                 );
             } else {
                 println!(
-                    "  {:>5} | {:>7} | {:>10.1} µs | {:>10.1} µs | {:>10.1} µs | {:>10.1} µs | {:>10.1} µs | {}",
+                    "  {:>5} | {:>7} | {:>10.1} µs | {:>10.1} µs | {:>10.1} µs | {:>10.1} µs | {}",
                     p,
                     fmt_size(bytes),
                     t_rb * 1e6,
                     t_rd * 1e6,
                     t_rs * 1e6,
-                    t_pr * 1e6,
                     t_pt * 1e6,
                     picked.name()
                 );

@@ -1,21 +1,16 @@
 //! Experiment TXT-SELECTOR-TUNING: selector accuracy off powers of two.
 //!
 //! Sweeps non-power-of-two-heavy rank counts (6, 8, 12, 16, 24) × state
-//! size over the four fixed allreduce schedules the runtime knows —
-//! reduce+bcast, recursive doubling, the circulant reduce-scatter +
-//! allgather (the default RSAG family), and the ring RSAG baseline —
-//! and reports each modeled time alongside the selector-routed run, the
-//! fixed-model pick, and the pick a measured α–β–γ calibration would
-//! make (`CostSource::Measured` after `calibrate_cost_model`).
+//! size over three fixed allreduce schedules — reduce+bcast, recursive
+//! doubling, and the circulant reduce-scatter + allgather — and reports
+//! each modeled time alongside the selector-routed run, the fixed-model
+//! pick, and the pick a measured α–β–γ calibration would make
+//! (`CostSource::Measured` after `calibrate_cost_model`).
 //!
-//! Two verdict lines check the acceptance criteria of the cost-model
-//! bugfix this experiment records:
-//!
-//! * `selector-within-5pct` — the selector-routed run is within 5% of
-//!   the best fixed schedule at every swept point;
-//! * `circulant-beats-ring` — the ⌈log₂p⌉-round circulant schedule beats
-//!   the (p−1)-round ring off powers of two (p = 6, 12) for states of
-//!   64 KiB and up.
+//! One verdict line checks the acceptance criterion of the cost-model
+//! bugfix this experiment records: `selector-within-5pct` — the
+//! selector-routed run is within 5% of the best fixed schedule at every
+//! swept point.
 //!
 //! The measured picks come from host wall-clock probes, so they may
 //! legitimately differ from the fixed picks (the host is not the paper's
@@ -35,14 +30,12 @@ enum Schedule {
     ReduceBcast,
     RecursiveDoubling,
     Circulant,
-    Ring,
 }
 
-const FIXED: [Schedule; 4] = [
+const FIXED: [Schedule; 3] = [
     Schedule::ReduceBcast,
     Schedule::RecursiveDoubling,
     Schedule::Circulant,
-    Schedule::Ring,
 ];
 
 fn measure(p: usize, bytes: usize, schedule: Schedule) -> f64 {
@@ -74,15 +67,6 @@ fn measure(p: usize, bytes: usize, schedule: Schedule) -> f64 {
             }
             Schedule::Circulant => {
                 c.allreduce_reduce_scatter(
-                    state.clone(),
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                );
-            }
-            Schedule::Ring => {
-                c.allreduce_reduce_scatter_ring(
                     state.clone(),
                     split_vec_segments,
                     unsplit_vec_segments,
@@ -145,20 +129,19 @@ fn main() {
     if csv {
         println!(
             "procs,bytes,selector_seconds,reduce_bcast_seconds,recursive_doubling_seconds,\
-             circulant_seconds,ring_seconds,fixed_pick,measured_pick"
+             circulant_seconds,fixed_pick,measured_pick"
         );
     } else {
         println!("TXT-SELECTOR-TUNING — allreduce selector off powers of two, modeled time\n");
         println!(
-            "  {:>5} | {:>7} | {:>12} | {:>12} | {:>12} | {:>12} | {:>12} | {:<13} | measured",
-            "p", "size", "selector", "reduce+bcast", "rec-doubling", "circulant", "ring", "fixed pick"
+            "  {:>5} | {:>7} | {:>12} | {:>12} | {:>12} | {:>12} | {:<13} | measured",
+            "p", "size", "selector", "reduce+bcast", "rec-doubling", "circulant", "fixed pick"
         );
     }
 
     // Worst selector-vs-best ratio over the sweep, and where it happened.
     let mut worst_ratio = f64::NEG_INFINITY;
     let mut worst_at = (0usize, 0usize);
-    let mut circulant_ok = true;
     let mut snapshots = Vec::new();
 
     for &p in &procs {
@@ -167,34 +150,30 @@ fn main() {
         for (i, &bytes) in sizes.iter().enumerate() {
             let t_sel = measure(p, bytes, Schedule::Selector);
             let fixed: Vec<f64> = FIXED.iter().map(|&s| measure(p, bytes, s)).collect();
-            let (t_rb, t_rd, t_circ, t_ring) = (fixed[0], fixed[1], fixed[2], fixed[3]);
+            let (t_rb, t_rd, t_circ) = (fixed[0], fixed[1], fixed[2]);
             let best = fixed.iter().cloned().fold(f64::INFINITY, f64::min);
             let ratio = t_sel / best;
             if ratio > worst_ratio {
                 worst_ratio = ratio;
                 worst_at = (p, bytes);
             }
-            if !p.is_power_of_two() && bytes >= 64 << 10 && t_circ >= t_ring {
-                circulant_ok = false;
-            }
             let cost = CostModel::default();
             let fixed_pick = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
             if csv {
                 println!(
-                    "{p},{bytes},{t_sel:.9},{t_rb:.9},{t_rd:.9},{t_circ:.9},{t_ring:.9},{},{}",
+                    "{p},{bytes},{t_sel:.9},{t_rb:.9},{t_rd:.9},{t_circ:.9},{},{}",
                     fixed_pick.name(),
                     picks[i].name()
                 );
             } else {
                 println!(
-                    "  {:>5} | {:>7} | {:>9.1} µs | {:>9.1} µs | {:>9.1} µs | {:>9.1} µs | {:>9.1} µs | {:<13} | {}",
+                    "  {:>5} | {:>7} | {:>9.1} µs | {:>9.1} µs | {:>9.1} µs | {:>9.1} µs | {:<13} | {}",
                     p,
                     fmt_size(bytes),
                     t_sel * 1e6,
                     t_rb * 1e6,
                     t_rd * 1e6,
                     t_circ * 1e6,
-                    t_ring * 1e6,
                     fixed_pick.name(),
                     picks[i].name()
                 );
@@ -229,9 +208,5 @@ fn main() {
         worst_ratio,
         worst_at.0,
         fmt_size(worst_at.1)
-    );
-    println!(
-        "VERDICT circulant-beats-ring (p∉2^k, ≥64 KiB): {}",
-        if circulant_ok { "PASS" } else { "FAIL" }
     );
 }

@@ -1,16 +1,14 @@
-//! Experiment TXT-PIPELINE: segment-pipelined schedules vs their
-//! monolithic counterparts, schedule × state size × rank count.
+//! Experiment TXT-PIPELINE: the segmented tree at the cost model's S vs
+//! its whole-state (S = 1) self, schedule × state size × rank count.
 //!
-//! Four comparisons, all on a splittable `Vec<u64>` state:
+//! Three comparisons, all on a splittable `Vec<u64>` state:
 //!
-//!   * `bcast`       — whole-state binomial tree vs the segment-pipelined
-//!                     tree (`bcast_pipelined`, S from the cost model);
-//!   * `reduce`      — whole-state binomial reduce vs the pipelined tree;
-//!   * `allred-ring` — recursive doubling (the best fixed non-pipelined
-//!                     schedule for a non-commutative operator) vs the
-//!                     segment-pipelined ring;
-//!   * `allred-tree` — recursive doubling vs the fused pipelined tree
-//!                     allreduce (reduce up, broadcast down, overlapped).
+//! * `bcast` — the tree broadcast at S = 1 vs at the cost model's S
+//!   (`bcast_pipelined`);
+//! * `reduce` — the tree reduce at S = 1 vs at the cost model's S;
+//! * `allred-tree` — recursive doubling (the best fixed whole-state
+//!   schedule for a non-commutative operator) vs the fused tree
+//!   allreduce (reduce up, broadcast down, overlapped).
 //!
 //! Each cell reports the modeled parallel time of both schedules, the
 //! segment count the cost model chose, and the speedup. The table also
@@ -18,9 +16,7 @@
 //! through the cost-driven `*_splittable` entry point and asserts the
 //! selected schedule is within 5% of the best fixed schedule measured —
 //! the "selector never loses badly" acceptance bound. The ≥2× headline
-//! bound applies to `bcast` and `allred-tree` at ≥256 KiB, p ≥ 8; the
-//! ring's 2(p−1)-hop trip cannot hold 2× at p=16/256 KiB, which is
-//! exactly why the selector prefers the tree there.
+//! bound applies to `bcast` and `allred-tree` at ≥256 KiB, p ≥ 8.
 //!
 //! Modeled times come from the deterministic virtual clock, so the table
 //! is bit-reproducible and recorded in `results/pipeline_microbench.txt`.
@@ -33,7 +29,7 @@
 
 use gv_bench::table::{has_flag, parallel_time, parse_procs, timed_phase};
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
-use gv_msgpass::{AllreduceAlgorithm, BcastAlgorithm, CostModel, Runtime};
+use gv_msgpass::{BcastAlgorithm, CostModel, Runtime};
 
 /// State sizes swept, in bytes (the state is a Vec<u64> of size/8 slots).
 const SIZES: [usize; 4] = [4 << 10, 64 << 10, 256 << 10, 1 << 20];
@@ -145,13 +141,9 @@ fn measure_reduce(p: usize, bytes: usize) -> Cell {
     }
 }
 
-fn measure_allreduce(p: usize, bytes: usize, tree: bool) -> Cell {
+fn measure_allreduce(p: usize, bytes: usize) -> Cell {
     let elems = bytes / 8;
-    let segments = if tree {
-        BcastAlgorithm::tree_segments(&CostModel::default(), p, bytes)
-    } else {
-        AllreduceAlgorithm::ring_segments(&CostModel::default(), p, bytes)
-    };
+    let segments = BcastAlgorithm::tree_segments(&CostModel::default(), p, bytes);
     let mono = Runtime::new(p).run(move |comm| {
         let state = vec![1u64; elems];
         timed_phase(comm, |c| c.allreduce_recursive_doubling(state, wire, add)).1
@@ -159,32 +151,21 @@ fn measure_allreduce(p: usize, bytes: usize, tree: bool) -> Cell {
     let piped = Runtime::new(p).run(move |comm| {
         let state = vec![1u64; elems];
         timed_phase(comm, |c| {
-            if tree {
-                c.allreduce_pipelined_tree(
-                    state,
-                    segments,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                )
-            } else {
-                c.allreduce_pipelined_ring(
-                    state,
-                    segments,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                )
-            }
+            c.allreduce_pipelined_tree(
+                state,
+                segments,
+                split_vec_segments,
+                unsplit_vec_segments,
+                wire,
+                add,
+            )
         })
         .1
     });
-    // Selector routed with a *non-commutative* declaration: the pipelined
-    // ring, the pipelined tree, and recursive doubling are the eligible
-    // schedules, so this cell checks exactly the crossover the pipelined
-    // allreduces were added for.
+    // Selector routed with a *non-commutative* declaration: the
+    // segmented tree and recursive doubling are the eligible schedules,
+    // so this cell checks exactly the crossover the tree allreduce was
+    // added for.
     let selected = Runtime::new(p).run(move |comm| {
         let state = vec![1u64; elems];
         timed_phase(comm, |c| {
@@ -267,17 +248,10 @@ fn main() {
         );
     }
 
-    fn measure_allreduce_ring(p: usize, bytes: usize) -> Cell {
-        measure_allreduce(p, bytes, false)
-    }
-    fn measure_allreduce_tree(p: usize, bytes: usize) -> Cell {
-        measure_allreduce(p, bytes, true)
-    }
-    let schedules: [(&str, fn(usize, usize) -> Cell); 4] = [
+    let schedules: [(&str, fn(usize, usize) -> Cell); 3] = [
         ("bcast", measure_bcast),
         ("reduce", measure_reduce),
-        ("allred-ring", measure_allreduce_ring),
-        ("allred-tree", measure_allreduce_tree),
+        ("allred-tree", measure_allreduce),
     ];
     for (name, measure) in schedules {
         for &p in &procs {
@@ -313,9 +287,7 @@ fn main() {
                     best
                 );
                 // Headline acceptance: ≥2× on bcast/allreduce for states
-                // ≥256 KiB at p ≥ 8. The tree is the allreduce schedule
-                // the selector routes there; the ring row is informative
-                // (its 2(p−1) hops dip to ~1.9× at p=16/256 KiB).
+                // ≥256 KiB at p ≥ 8.
                 if (name == "bcast" || name == "allred-tree") && bytes >= 256 << 10 && p >= 8 {
                     assert!(
                         speedup >= 2.0,

@@ -1,9 +1,8 @@
 //! An in-tree unbounded MPMC channel (Mutex + Condvar).
 //!
-//! This replaces the external `crossbeam::channel` dependency for the two
-//! places the workspace needs a channel: the pool's job injector (many
-//! producers, many consumers) and the message-passing mailboxes (many
-//! producers, one consumer, with `recv_timeout` for abort polling).
+//! This replaces the external `crossbeam::channel` dependency for the
+//! place the workspace needs a channel: the pool's job injector (many
+//! producers, many consumers).
 //!
 //! Semantics match the crossbeam subset previously used:
 //!
@@ -22,8 +21,7 @@
 //! traffic, where every matched receive paid a lock handoff on the
 //! latency-critical path; that role moved to the per-peer SPSC lanes in
 //! [`crate::lane`] (see DESIGN.md, "Rank-to-rank transport"). This
-//! channel remains the pool injector and the fallback
-//! `Transport::SharedMailbox` baseline.
+//! channel remains the pool injector.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

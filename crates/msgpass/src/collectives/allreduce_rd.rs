@@ -11,13 +11,14 @@
 //! covers the adjacent block — so ordering the combine by block position
 //! (`lower rank first`) preserves set order for any associative operator.
 
+use super::launch::{Blocking, Nonblocking};
+use super::tree::whole;
 use super::TAG_ALLREDUCE_RD as TAG_RD;
 use crate::comm::Comm;
 use crate::cost::AllreduceAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::{Request, Schedule};
-use crate::stats::CallKind;
 
 enum RdPhase {
     /// Folded-away even rank: fold send issued, waiting for the unfold.
@@ -192,18 +193,16 @@ impl Comm {
     pub fn allreduce_recursive_doubling<T: Clone + Send + 'static>(
         &self,
         value: T,
-        bytes_of: impl Fn(&T) -> usize,
+        bytes_of: impl Fn(&T) -> usize + Clone,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.stats().record_call(CallKind::Allreduce);
-        self.stats()
-            .record_allreduce_algorithm(AllreduceAlgorithm::RecursiveDoubling);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            AllreduceRdSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-        };
-        crate::request::drive(self, schedule)
+        self.start_allreduce::<Blocking, _>(
+            (AllreduceAlgorithm::RecursiveDoubling, 1),
+            value,
+            whole(),
+            bytes_of,
+            combine,
+        )
     }
 
     /// Non-blocking recursive-doubling allreduce, bypassing the selector
@@ -211,18 +210,16 @@ impl Comm {
     pub fn iallreduce_recursive_doubling<T: Clone + Send + 'static>(
         &self,
         value: T,
-        bytes_of: impl Fn(&T) -> usize + 'static,
+        bytes_of: impl Fn(&T) -> usize + Clone + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        self.stats().record_call(CallKind::Allreduce);
-        self.stats()
-            .record_allreduce_algorithm(AllreduceAlgorithm::RecursiveDoubling);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            AllreduceRdSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-        };
-        Request::register(self, schedule)
+        self.start_allreduce::<Nonblocking, _>(
+            (AllreduceAlgorithm::RecursiveDoubling, 1),
+            value,
+            whole(),
+            bytes_of,
+            combine,
+        )
     }
 }
 

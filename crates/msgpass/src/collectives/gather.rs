@@ -1,5 +1,7 @@
 //! Binomial gather and allgather.
 
+use super::launch::Blocking;
+use super::tree::{vec_bytes, whole, TreeBcast};
 use super::TAG_GATHER;
 use crate::comm::Comm;
 use crate::stats::CallKind;
@@ -16,12 +18,13 @@ impl Comm {
     /// Gathers one value per rank and delivers the full rank-ordered
     /// vector to every rank.
     pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        self.stats().record_call(CallKind::Allgather);
-        let salt = self.next_collective_salt();
-        let _guard = self.enter_collective();
-        let gathered = self.gather_impl(0, value);
-        self.bcast_impl(0, gathered, salt, |v: &Vec<T>| {
-            v.len() * std::mem::size_of::<T>()
+        // One collective, one call record: the gather runs inside the
+        // launch (under the collective guard), the broadcast of its
+        // result is the schedule the launch then drives.
+        self.launch::<Blocking, _>(CallKind::Allgather, |comm, salt| {
+            let gathered = comm.gather_impl(0, value);
+            let (split, unsplit) = whole();
+            TreeBcast::new(comm, 0, gathered, 1, split, salt, vec_bytes, unsplit)
         })
     }
 

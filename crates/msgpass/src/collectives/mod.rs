@@ -5,21 +5,29 @@
 //!
 //! * [`barrier`](crate::comm::Comm::barrier) — dissemination barrier,
 //!   ⌈log₂ p⌉ rounds;
-//! * [`bcast`](crate::comm::Comm::bcast) — binomial tree;
+//! * [`bcast`](crate::comm::Comm::bcast), [`reduce`](crate::comm::Comm::reduce)
+//!   and the tree allreduce — one segmented binomial tree (`tree.rs`),
+//!   whose `S = 1` case is the whole-state binomial tree, with
+//!   rank-order combines at every segment count;
 //! * [`gather`](crate::comm::Comm::gather) / allgather — binomial gather
 //!   (+ broadcast);
-//! * [`reduce`](crate::comm::Comm::reduce) — binomial tree for the binary
-//!   case, contiguous-block k-ary trees for larger branching factors, with
-//!   distinct combining schedules for commutative vs. non-commutative
-//!   operators (paper §1);
+//! * [`reduce_with_branching`](crate::comm::Comm::reduce_with_branching) —
+//!   contiguous-block k-ary trees with distinct combining schedules for
+//!   commutative vs. non-commutative operators (paper §1);
+//! * [`allreduce`](crate::comm::Comm::allreduce) — cost-driven selection
+//!   among recursive doubling, the tree, and (commutative splittable
+//!   states) the circulant reduce-scatter + allgather;
 //! * [`scan_inclusive`](crate::comm::Comm::scan_inclusive) /
 //!   [`scan_exclusive`](crate::comm::Comm::scan_exclusive) — cost-driven
 //!   selection among a shifted Hillis–Steele parallel prefix, a
 //!   work-efficient binomial up/down-sweep, and (for splittable states) a
-//!   pipelined chain; all valid for any (also non-power-of-two) rank
+//!   segmented chain; all valid for any (also non-power-of-two) rank
 //!   count and any associative, possibly non-commutative operator;
 //! * [`alltoallv`](crate::comm::Comm::alltoallv) — rotated pairwise
 //!   exchange.
+//!
+//! Every schedule-based collective takes the one launch path in
+//! `launch.rs`, so a blocking call and its `i*` twin run the same code.
 //!
 //! Every collective must be called by all ranks of the communicator in the
 //! same order (MPI's usual rule). Combine closures always receive
@@ -28,9 +36,8 @@
 pub mod allreduce_rd;
 pub mod alltoall;
 pub mod barrier;
-pub mod bcast;
 pub mod gather;
-pub mod pipeline;
+pub(crate) mod launch;
 pub mod reduce;
 pub mod reduce_scatter;
 pub mod scan;
@@ -39,34 +46,28 @@ pub mod scan_chain;
 pub mod scatter;
 pub mod select;
 pub mod shift;
+pub mod tree;
 
 use crate::message::{Tag, RESERVED_TAG_BASE};
 
+// The salt occupies bits 12–23, so two bases may share a 0x?00 block as
+// long as they stay distinct below it.
 pub(crate) const TAG_BARRIER: Tag = RESERVED_TAG_BASE;
 pub(crate) const TAG_BCAST: Tag = RESERVED_TAG_BASE + 0x100;
-// The salt occupies bits 12–23, so two bases may share a 0x?00 block as
-// long as they stay distinct below it (see TAG_ALLGATHER_CIRC).
-pub(crate) const TAG_BCAST_PIPE: Tag = RESERVED_TAG_BASE + 0x180;
-pub(crate) const TAG_REDUCE_PIPE: Tag = RESERVED_TAG_BASE + 0x380;
-pub(crate) const TAG_ALLREDUCE_RING: Tag = RESERVED_TAG_BASE + 0x880;
-pub(crate) const TAG_ALLREDUCE_TREE_UP: Tag = RESERVED_TAG_BASE + 0x680;
-pub(crate) const TAG_ALLREDUCE_TREE_DOWN: Tag = RESERVED_TAG_BASE + 0x780;
 pub(crate) const TAG_GATHER: Tag = RESERVED_TAG_BASE + 0x200;
 pub(crate) const TAG_REDUCE: Tag = RESERVED_TAG_BASE + 0x300;
 pub(crate) const TAG_SCAN: Tag = RESERVED_TAG_BASE + 0x400;
 pub(crate) const TAG_ALLTOALL: Tag = RESERVED_TAG_BASE + 0x500;
 pub(crate) const TAG_SHIFT: Tag = RESERVED_TAG_BASE + 0x600;
+pub(crate) const TAG_ALLREDUCE_TREE_UP: Tag = RESERVED_TAG_BASE + 0x680;
 pub(crate) const TAG_SCATTER: Tag = RESERVED_TAG_BASE + 0x700;
+pub(crate) const TAG_ALLREDUCE_TREE_DOWN: Tag = RESERVED_TAG_BASE + 0x780;
 pub(crate) const TAG_ALLREDUCE_RD: Tag = RESERVED_TAG_BASE + 0x800;
-pub(crate) const TAG_REDUCE_SCATTER: Tag = RESERVED_TAG_BASE + 0x900;
-pub(crate) const TAG_ALLGATHER_RING: Tag = RESERVED_TAG_BASE + 0xA00;
 pub(crate) const TAG_SCAN_UP: Tag = RESERVED_TAG_BASE + 0xB00;
 pub(crate) const TAG_SCAN_DOWN: Tag = RESERVED_TAG_BASE + 0xC00;
 pub(crate) const TAG_SCAN_CHAIN: Tag = RESERVED_TAG_BASE + 0xD00;
 pub(crate) const TAG_CALIBRATE: Tag = RESERVED_TAG_BASE + 0xE00;
 pub(crate) const TAG_REDUCE_SCATTER_CIRC: Tag = RESERVED_TAG_BASE + 0xF00;
-// The salt occupies bits 12–23, so two bases may share the 0xF00 block as
-// long as they stay distinct below it.
 pub(crate) const TAG_ALLGATHER_CIRC: Tag = RESERVED_TAG_BASE + 0xF80;
 
 /// Names the protocol a tag belongs to, for failure diagnostics: `"p2p"`
@@ -80,23 +81,18 @@ pub(crate) fn describe_tag(tag: Tag) -> &'static str {
     match tag & 0xFFF {
         0x000 => "barrier",
         0x100 => "bcast",
-        0x180 => "bcast (pipelined)",
         0x200 => "gather",
         0x300 => "reduce",
-        0x380 => "reduce (pipelined)",
         0x400 => "scan",
         0x500 => "alltoall",
         0x600 => "shift",
-        0x680 => "allreduce (pipelined tree up)",
+        0x680 => "allreduce (tree up)",
         0x700 => "scatter",
-        0x780 => "allreduce (pipelined tree down)",
+        0x780 => "allreduce (tree down)",
         0x800 => "allreduce (recursive doubling)",
-        0x880 => "allreduce (pipelined ring)",
-        0x900 => "reduce-scatter",
-        0xA00 => "allgather (ring)",
         0xB00 => "scan (binomial up-sweep)",
         0xC00 => "scan (binomial down-sweep)",
-        0xD00 => "scan (pipelined chain)",
+        0xD00 => "scan (chain)",
         0xE00 => "calibration probe",
         0xF00 => "reduce-scatter (circulant)",
         0xF80 => "allgather (circulant)",
@@ -110,13 +106,11 @@ mod tests {
 
     /// Every reserved tag base the collectives use, in one place. A new
     /// schedule's base must be added here so the pins below cover it.
-    const ALL_BASES: [Tag; 22] = [
+    const ALL_BASES: [Tag; 17] = [
         TAG_BARRIER,
         TAG_BCAST,
-        TAG_BCAST_PIPE,
         TAG_GATHER,
         TAG_REDUCE,
-        TAG_REDUCE_PIPE,
         TAG_SCAN,
         TAG_ALLTOALL,
         TAG_SHIFT,
@@ -124,9 +118,6 @@ mod tests {
         TAG_SCATTER,
         TAG_ALLREDUCE_TREE_DOWN,
         TAG_ALLREDUCE_RD,
-        TAG_ALLREDUCE_RING,
-        TAG_REDUCE_SCATTER,
-        TAG_ALLGATHER_RING,
         TAG_SCAN_UP,
         TAG_SCAN_DOWN,
         TAG_SCAN_CHAIN,

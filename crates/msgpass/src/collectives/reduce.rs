@@ -1,4 +1,4 @@
-//! Reduction collectives.
+//! The k-ary rooted reduce behind the TXT-COMM ablation.
 //!
 //! The combine closure always receives `(earlier, later)` in rank (set)
 //! order when the operator is declared non-commutative. For commutative
@@ -9,20 +9,16 @@
 //! a predefined order", which is also why the commutative/non-commutative
 //! distinction only matters when the branching factor exceeds two.
 //!
-//! The binomial (branching = 2) schedules are resumable state machines
-//! ([`crate::request::Schedule`]): the blocking entry points drive them on
-//! the stack, [`Comm::ireduce`] and [`Comm::iallreduce`] box them into the
-//! progress engine. The k-ary trees (branching > 2) keep their blocking
+//! The binomial (branching = 2) reduce is the resumable tree schedule in
+//! `tree.rs`. The k-ary trees (branching > 2) keep a blocking
 //! implementation: their availability-order combining uses deferred-clock
 //! receives that have no incremental equivalent, and they are an ablation
 //! knob, not a selector candidate.
 
-use super::{bcast::BcastSchedule, TAG_REDUCE};
+use super::TAG_REDUCE;
 use crate::comm::Comm;
-use crate::cost::AllreduceAlgorithm;
-use crate::mailbox::{ShutdownError, Source};
+use crate::mailbox::Source;
 use crate::message::Tag;
-use crate::request::{Request, Schedule};
 use crate::stats::CallKind;
 
 /// Splits `lo..hi` into at most `parts` balanced contiguous blocks.
@@ -41,249 +37,7 @@ fn split_blocks(lo: usize, hi: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Resumable binomial reduction to rank 0: at step `2^k`, ranks with bit
-/// `k` set send their partial to `rank − 2^k`; the receiver combines
-/// `(own ⊕ received)`, which is rank order because the sender's partial
-/// covers exactly the ranks just above the receiver's. Output is
-/// `Some(total)` at rank 0, `None` elsewhere.
-pub(crate) struct ReduceBinomialSchedule<T, B, F> {
-    comm: Comm,
-    tag: Tag,
-    bytes_of: B,
-    combine: F,
-    acc: Option<T>,
-    mask: usize,
-    done: bool,
-}
-
-impl<T, B, F> ReduceBinomialSchedule<T, B, F>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    pub(crate) fn new(comm: Comm, value: T, salt: Tag, bytes_of: B, combine: F) -> Self {
-        ReduceBinomialSchedule {
-            comm,
-            tag: TAG_REDUCE + salt,
-            bytes_of,
-            combine,
-            acc: Some(value),
-            mask: 1,
-            done: false,
-        }
-    }
-}
-
-impl<T, B, F> Schedule for ReduceBinomialSchedule<T, B, F>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    type Output = Option<T>;
-
-    fn poll(&mut self) -> Result<Option<Option<T>>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        while !self.done {
-            if self.mask >= p {
-                self.done = true;
-                break;
-            }
-            if r & self.mask != 0 {
-                let acc = self.acc.take().expect("partial is live until sent");
-                let bytes = (self.bytes_of)(&acc);
-                self.comm.send_with_bytes(r - self.mask, self.tag, acc, bytes);
-                self.done = true;
-                break;
-            }
-            if r + self.mask < p {
-                let Some(later) = self.comm.try_recv_schedule::<T>(r + self.mask, self.tag)?
-                else {
-                    return Ok(None);
-                };
-                let acc = self.acc.take().expect("partial is live until sent");
-                self.acc = Some((self.combine)(acc, later));
-            }
-            self.mask <<= 1;
-        }
-        Ok(Some(self.acc.take()))
-    }
-}
-
-enum RootedPhase {
-    Tree,
-    AwaitShip,
-}
-
-/// Binomial reduction delivered at an arbitrary `root`: the tree always
-/// lands on rank 0 (rotating a non-commutative tree would permute the
-/// combine order), then rank 0 ships the total to `root`.
-pub(crate) struct ReduceSchedule<T, B, F> {
-    comm: Comm,
-    tree: ReduceBinomialSchedule<T, B, F>,
-    root: usize,
-    phase: RootedPhase,
-}
-
-impl<T, B, F> ReduceSchedule<T, B, F>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    pub(crate) fn new(comm: Comm, root: usize, value: T, salt: Tag, bytes_of: B, combine: F) -> Self {
-        assert!(root < comm.size(), "reduce root {root} out of range");
-        ReduceSchedule {
-            comm: comm.clone_handle(),
-            tree: ReduceBinomialSchedule::new(comm, value, salt, bytes_of, combine),
-            root,
-            phase: RootedPhase::Tree,
-        }
-    }
-}
-
-impl<T, B, F> Schedule for ReduceSchedule<T, B, F>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    type Output = Option<T>;
-
-    fn poll(&mut self) -> Result<Option<Option<T>>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        if let RootedPhase::Tree = self.phase {
-            let Some(at_zero) = self.tree.poll()? else { return Ok(None) };
-            if self.root == 0 {
-                return Ok(Some(at_zero));
-            }
-            if self.comm.rank() == 0 {
-                let result = at_zero.expect("rank 0 holds the reduction result");
-                let bytes = (self.tree.bytes_of)(&result);
-                self.comm
-                    .send_with_bytes(self.root, self.tree.tag, result, bytes);
-                return Ok(Some(None));
-            }
-            if self.comm.rank() != self.root {
-                return Ok(Some(None));
-            }
-            self.phase = RootedPhase::AwaitShip;
-        }
-        let Some(result) = self.comm.try_recv_schedule::<T>(0, self.tree.tag)? else {
-            return Ok(None);
-        };
-        Ok(Some(Some(result)))
-    }
-}
-
-enum RbPhase<T, B, F> {
-    Reduce(ReduceBinomialSchedule<T, B, F>),
-    Bcast(BcastSchedule<T, B>),
-}
-
-/// Allreduce as binomial reduce to rank 0 followed by binomial broadcast
-/// — the baseline composite. Both phases share the collective's tag salt;
-/// their distinct base tags keep the phases apart.
-pub(crate) struct AllreduceRbSchedule<T, B, F> {
-    comm: Comm,
-    salt: Tag,
-    bytes_of: B,
-    phase: RbPhase<T, B, F>,
-}
-
-impl<T, B, F> AllreduceRbSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize + Clone,
-    F: FnMut(T, T) -> T,
-{
-    pub(crate) fn new(comm: Comm, value: T, salt: Tag, bytes_of: B, combine: F) -> Self {
-        let tree = ReduceBinomialSchedule::new(
-            comm.clone_handle(),
-            value,
-            salt,
-            bytes_of.clone(),
-            combine,
-        );
-        AllreduceRbSchedule {
-            comm,
-            salt,
-            bytes_of,
-            phase: RbPhase::Reduce(tree),
-        }
-    }
-}
-
-impl<T, B, F> Schedule for AllreduceRbSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize + Clone,
-    F: FnMut(T, T) -> T,
-{
-    type Output = T;
-
-    fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        if let RbPhase::Reduce(tree) = &mut self.phase {
-            let Some(at_zero) = tree.poll()? else { return Ok(None) };
-            self.phase = RbPhase::Bcast(BcastSchedule::new(
-                self.comm.clone_handle(),
-                0,
-                at_zero,
-                self.salt,
-                self.bytes_of.clone(),
-            ));
-        }
-        match &mut self.phase {
-            RbPhase::Bcast(bcast) => bcast.poll(),
-            RbPhase::Reduce(_) => unreachable!("reduce phase handled above"),
-        }
-    }
-}
-
 impl Comm {
-    /// Reduces one value per rank to `root` along a binomial (binary)
-    /// tree; `Some(result)` at the root, `None` elsewhere.
-    ///
-    /// Safe for non-commutative operators: every combine respects rank
-    /// order.
-    pub fn reduce<T: Send + 'static>(
-        &self,
-        root: usize,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> Option<T> {
-        self.stats().record_call(CallKind::Reduce);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            ReduceSchedule::new(self.clone_handle(), root, value, salt, bytes_of, combine)
-        };
-        crate::request::drive(self, schedule)
-    }
-
-    /// Non-blocking [`reduce`](Self::reduce): returns a request resolving
-    /// to `Some(result)` at the root and `None` elsewhere.
-    pub fn ireduce<T: Send + 'static>(
-        &self,
-        root: usize,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<Option<T>> {
-        self.stats().record_call(CallKind::Reduce);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            ReduceSchedule::new(self.clone_handle(), root, value, salt, bytes_of, combine)
-        };
-        Request::register(self, schedule)
-    }
-
     /// Reduce with an explicit branching factor and commutativity flag —
     /// the knob behind the TXT-COMM ablation. `branching == 2` uses the
     /// binomial schedule; larger values use contiguous-block k-ary trees
@@ -299,45 +53,13 @@ impl Comm {
         combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
         assert!(branching >= 2, "reduce needs a branching factor >= 2");
+        if branching == 2 {
+            return self.reduce(root, value, bytes_of, combine);
+        }
         self.stats().record_call(CallKind::Reduce);
         let salt = self.next_collective_salt();
-        if branching == 2 {
-            let schedule = {
-                let _guard = self.enter_collective();
-                ReduceSchedule::new(self.clone_handle(), root, value, salt, bytes_of, combine)
-            };
-            return crate::request::drive(self, schedule);
-        }
         let _guard = self.enter_collective();
         self.reduce_kary_rooted(root, value, commutative, branching, salt, bytes_of, combine)
-    }
-
-    /// Allreduce by binomial reduce to rank 0 followed by binomial
-    /// broadcast — the baseline schedule. `commutative` is accepted for
-    /// signature symmetry with the other allreduce entry points; the
-    /// binomial tree combines in rank order either way, so the flag does
-    /// not change the schedule (it only matters for branching factors
-    /// above two, which this composite never uses).
-    ///
-    /// Prefer [`allreduce`](Comm::allreduce), which picks the cheapest
-    /// schedule per call.
-    pub fn allreduce_reduce_bcast<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        commutative: bool,
-        bytes_of: impl Fn(&T) -> usize + Clone,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        let _ = commutative;
-        self.stats().record_call(CallKind::Allreduce);
-        self.stats()
-            .record_allreduce_algorithm(AllreduceAlgorithm::ReduceBroadcast);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            AllreduceRbSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-        };
-        crate::request::drive(self, schedule)
     }
 
     /// The k-ary (branching > 2) rooted reduction, blocking: tree to rank
@@ -430,43 +152,21 @@ impl Comm {
         if commutative {
             // Combine whichever partial is available first (paper §1).
             arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut acc = sub;
-            for (avail, _, v) in arrivals {
-                self.bump_clock_to(avail);
-                acc = combine(acc, v);
-            }
-            Some(acc)
-        } else {
-            // Must combine in block (rank) order, idling until each
-            // in-order partial is available.
-            let mut acc = sub;
-            for (avail, _, v) in arrivals {
-                self.bump_clock_to(avail);
-                acc = combine(acc, v);
-            }
-            Some(acc)
         }
+        // Otherwise combine in block (rank) order, idling until each
+        // in-order partial is available.
+        let mut acc = sub;
+        for (avail, _, v) in arrivals {
+            self.bump_clock_to(avail);
+            acc = combine(acc, v);
+        }
+        Some(acc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::runtime::Runtime;
-
-    #[test]
-    fn reduce_sums_to_every_root() {
-        for p in [1usize, 2, 3, 5, 8, 13] {
-            for root in [0, p - 1] {
-                let outcome = Runtime::new(p).run(move |comm| {
-                    comm.reduce(root, comm.rank() as u64 + 1, |_| 8, |a, b| a + b)
-                });
-                let expected = (p * (p + 1) / 2) as u64;
-                for (rank, res) in outcome.results.into_iter().enumerate() {
-                    assert_eq!(res, (rank == root).then_some(expected), "p={p} root={root}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn reduce_preserves_rank_order_for_noncommutative() {
@@ -517,32 +217,6 @@ mod tests {
             comm.allreduce(comm.rank() as i64, true, |_| 8, |a, b| a.max(b))
         });
         assert_eq!(outcome.results, vec![6; 7]);
-    }
-
-    #[test]
-    fn allreduce_reduce_bcast_delivers_everywhere() {
-        for commutative in [true, false] {
-            let outcome = Runtime::new(7).run(move |comm| {
-                comm.allreduce_reduce_bcast(comm.rank() as i64, commutative, |_| 8, |a, b| {
-                    a.max(b)
-                })
-            });
-            assert_eq!(outcome.results, vec![6; 7]);
-        }
-    }
-
-    #[test]
-    fn ireduce_matches_blocking_reduce() {
-        for p in [1usize, 2, 5, 8] {
-            let outcome = Runtime::new(p).run(|comm| {
-                let mut req = comm.ireduce(0, comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
-                req.wait().unwrap()
-            });
-            let expected = (p * (p + 1) / 2) as u64;
-            for (rank, res) in outcome.results.into_iter().enumerate() {
-                assert_eq!(res, (rank == 0).then_some(expected), "p={p} rank={rank}");
-            }
-        }
     }
 
     #[test]

@@ -1,34 +1,25 @@
 //! Reduce-scatter, allgather, and their composition into the
 //! Rabenseifner-style bandwidth-optimal allreduce.
 //!
-//! Two schedule families live here:
+//! The schedules are circulant (after Träff, *Optimal, Non-pipelined
+//! Reduce-scatter and Allreduce Algorithms*): `q = ⌈log₂p⌉` rounds for
+//! *any* p. In reduce-scatter round `k` (counting `q−1` down to `0`),
+//! rank `r` ships its partials of the `min(2^{k+1}, p) − 2^k` blocks
+//! `{(r + 2^k + i) mod p}` to rank `(r + 2^k) mod p` and combines the
+//! matching blocks `{(r + i) mod p}` arriving from `(r − 2^k) mod p`;
+//! summed over the rounds each rank ships its `p − 1` foreign blocks
+//! exactly once, so a phase costs `q·α + (p−1)·β·s` — round-optimal at
+//! every `p`, with no degradation off powers of two. The allgather is
+//! the same round structure time-reversed (a Bruck dissemination).
 //!
-//! * **Circulant** (the default, after Träff, *Optimal, Non-pipelined
-//!   Reduce-scatter and Allreduce Algorithms*): `q = ⌈log₂p⌉` rounds for
-//!   *any* p. In reduce-scatter round `k` (counting `q−1` down to `0`),
-//!   rank `r` ships its partials of the `min(2^{k+1}, p) − 2^k` blocks
-//!   `{(r + 2^k + i) mod p}` to rank `(r + 2^k) mod p` and combines the
-//!   matching blocks `{(r + i) mod p}` arriving from `(r − 2^k) mod p`;
-//!   summed over the rounds each rank ships its `p − 1` foreign blocks
-//!   exactly once, so a phase costs `q·α + (p−1)·β·s` — strictly fewer
-//!   latencies than the ring's `p − 1` whenever `p > 2`, and no
-//!   degradation off powers of two. The allgather is the same round
-//!   structure time-reversed (a Bruck dissemination).
-//! * **Ring**: `p − 1` neighbor steps of one block each, `(p−1)·(α+βs)`
-//!   per phase. Kept as the explicit baseline
-//!   ([`Comm::allreduce_reduce_scatter_ring`], [`Comm::allgather_ring`])
-//!   that the `ablation_selector_tuning` harness measures the circulant
-//!   schedule against.
+//! The composed allreduce moves `2(p−1)·n/p` bytes per rank — the
+//! large-state winner under the α–β model versus the `≈ 2⌈log₂p⌉·n` of
+//! whole-state schedules.
 //!
-//! The composed allreduce moves `2(p−1)·n/p` bytes per rank either way —
-//! the large-state winner under the α–β model versus the `≈ 2⌈log₂p⌉·n`
-//! of whole-state schedules.
-//!
-//! The price is a correctness precondition: both families combine each
-//! block in a data-dependent rank order (rotated ring order for the ring,
-//! power-of-two strides for the circulant rounds), so the operator
-//! **must be commutative**, and the caller must be able to split its
-//! state into `p` independently combinable segments
+//! The price is a correctness precondition: blocks combine in
+//! power-of-two stride order, not rank order, so the operator **must be
+//! commutative**, and the caller must be able to split its state into
+//! `p` independently combinable segments
 //! (`gv_core::split::SplittableState`). The selection policy in
 //! [`super::select`] enforces both.
 //!
@@ -36,190 +27,14 @@
 //! previous round's combine, and the matching receive is the only
 //! suspension point.
 
-use super::{
-    TAG_ALLGATHER_CIRC, TAG_ALLGATHER_RING, TAG_REDUCE_SCATTER, TAG_REDUCE_SCATTER_CIRC,
-};
+use super::launch::{Blocking, Nonblocking};
+use super::{TAG_ALLGATHER_CIRC, TAG_REDUCE_SCATTER_CIRC};
 use crate::comm::Comm;
 use crate::cost::AllreduceAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::{Request, Schedule};
 use crate::stats::CallKind;
-
-/// Resumable ring reduce-scatter. Step `s ∈ 1..p`: rank `r` sends its
-/// partial of segment `(r − s) mod p` to the right neighbor and receives
-/// the partial of segment `(r − s − 1) mod p` from the left, combining it
-/// with its own copy. After `p − 1` steps the partial that stops at rank
-/// `r` is segment `r`, combined over all ranks.
-pub(crate) struct ReduceScatterRingSchedule<T, B, F> {
-    comm: Comm,
-    tag: Tag,
-    bytes_of: B,
-    combine: F,
-    slots: Vec<Option<T>>,
-    outgoing: Option<T>,
-    step: usize,
-}
-
-impl<T, B, F> ReduceScatterRingSchedule<T, B, F>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    /// # Panics
-    /// Panics unless `segments.len() == comm.size()`.
-    pub(crate) fn new(comm: Comm, segments: Vec<T>, salt: Tag, bytes_of: B, combine: F) -> Self {
-        let p = comm.size();
-        let r = comm.rank();
-        assert_eq!(
-            segments.len(),
-            p,
-            "reduce_scatter_block needs exactly one segment per rank"
-        );
-        let slots: Vec<Option<T>> = segments.into_iter().map(Some).collect();
-        let mut schedule = ReduceScatterRingSchedule {
-            comm,
-            tag: TAG_REDUCE_SCATTER + salt,
-            bytes_of,
-            combine,
-            slots,
-            outgoing: None,
-            step: 1,
-        };
-        if p == 1 {
-            schedule.outgoing = Some(schedule.slots[0].take().expect("one segment at p=1"));
-            return schedule;
-        }
-        let left = (r + p - 1) % p;
-        schedule.outgoing = Some(schedule.slots[left].take().expect("segments are distinct"));
-        schedule.send_outgoing();
-        schedule
-    }
-
-    /// Moves the current outgoing partial onto the wire (`T` need not be
-    /// `Clone`; the next combine refills it).
-    fn send_outgoing(&mut self) {
-        let right = (self.comm.rank() + 1) % self.comm.size();
-        let outgoing = self.outgoing.take().expect("outgoing partial is live");
-        let bytes = (self.bytes_of)(&outgoing);
-        self.comm.send_with_bytes(right, self.tag, outgoing, bytes);
-    }
-
-    fn poll_steps(&mut self) -> Result<bool, ShutdownError> {
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        let left = (r + p - 1) % p;
-        while self.step < p {
-            let Some(incoming) = self.comm.try_recv_schedule::<T>(left, self.tag)? else {
-                return Ok(false);
-            };
-            let own = self.slots[(r + p - 1 - self.step) % p]
-                .take()
-                .expect("each slot taken once");
-            self.outgoing = Some((self.combine)(incoming, own));
-            self.step += 1;
-            if self.step < p {
-                self.send_outgoing();
-            }
-        }
-        debug_assert!(self.slots.iter().all(Option::is_none));
-        Ok(true)
-    }
-}
-
-impl<T, B, F> Schedule for ReduceScatterRingSchedule<T, B, F>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    type Output = T;
-
-    fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        if self.comm.size() > 1 && !self.poll_steps()? {
-            return Ok(None);
-        }
-        Ok(Some(self.outgoing.take().expect("result ready exactly once")))
-    }
-}
-
-/// Resumable ring allgather. Step `s ∈ 1..p`: forward the value received
-/// last step (initially your own) to the right, receive rank
-/// `(r − s) mod p`'s value from the left.
-///
-/// Memory discipline: each forwarding hop clones at most once (the
-/// keep-and-forward copy); the final arrival, which is only kept, moves
-/// straight into its slot.
-pub(crate) struct AllgatherRingSchedule<T, B> {
-    comm: Comm,
-    tag: Tag,
-    bytes_of: B,
-    slots: Vec<Option<T>>,
-    step: usize,
-}
-
-impl<T, B> AllgatherRingSchedule<T, B>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-{
-    pub(crate) fn new(comm: Comm, value: T, salt: Tag, bytes_of: B) -> Self {
-        let p = comm.size();
-        let r = comm.rank();
-        let mut schedule = AllgatherRingSchedule {
-            comm,
-            tag: TAG_ALLGATHER_RING + salt,
-            bytes_of,
-            slots: (0..p).map(|_| None).collect(),
-            step: 1,
-        };
-        if p > 1 {
-            schedule.send_value(value.clone());
-        }
-        schedule.slots[r] = Some(value);
-        schedule
-    }
-
-    fn send_value(&self, value: T) {
-        let right = (self.comm.rank() + 1) % self.comm.size();
-        let bytes = (self.bytes_of)(&value);
-        self.comm.send_with_bytes(right, self.tag, value, bytes);
-    }
-}
-
-impl<T, B> Schedule for AllgatherRingSchedule<T, B>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-{
-    type Output = Vec<T>;
-
-    fn poll(&mut self) -> Result<Option<Vec<T>>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        let left = (r + p - 1) % p;
-        while self.step < p {
-            let Some(incoming) = self.comm.try_recv_schedule::<T>(left, self.tag)? else {
-                return Ok(None);
-            };
-            let slot = (r + p - self.step) % p;
-            self.step += 1;
-            if self.step < p {
-                self.send_value(incoming.clone());
-            }
-            self.slots[slot] = Some(incoming);
-        }
-        Ok(Some(
-            self.slots
-                .iter_mut()
-                .map(|slot| slot.take().expect("every slot filled after p-1 steps"))
-                .collect(),
-        ))
-    }
-}
 
 /// Rounds of the circulant schedules: `⌈log₂p⌉`.
 fn circulant_rounds(p: usize) -> u32 {
@@ -449,17 +264,12 @@ where
 enum RsagPhase<T, B, F> {
     ReduceScatter(ReduceScatterCirculantSchedule<T, B, F>),
     Allgather(AllgatherCirculantSchedule<T, B>),
-    RingReduceScatter(ReduceScatterRingSchedule<T, B, F>),
-    RingAllgather(AllgatherRingSchedule<T, B>),
-    /// `p == 1`: the value passes through untouched.
-    Trivial(Option<T>),
 }
 
-/// Allreduce as reduce-scatter followed by allgather, plus the caller's
-/// local `split`/`unsplit`. Circulant phases by default
-/// ([`new`](Self::new)); ring phases as the measurable baseline
-/// ([`new_ring`](Self::new_ring)). The two phases share the collective's
-/// tag salt; their distinct base tags keep them apart.
+/// Allreduce as circulant reduce-scatter followed by circulant
+/// allgather, plus the caller's local `split`/`unsplit`. The two phases
+/// share the collective's tag salt; their distinct base tags keep them
+/// apart.
 pub(crate) struct AllreduceRsagSchedule<T, B, F, U> {
     comm: Comm,
     salt: Tag,
@@ -484,48 +294,13 @@ where
         bytes_of: B,
         combine: F,
     ) -> Self {
-        let p = comm.size();
-        let phase = if p == 1 {
-            RsagPhase::Trivial(Some(value))
-        } else {
-            RsagPhase::ReduceScatter(ReduceScatterCirculantSchedule::new(
-                comm.clone_handle(),
-                split(value, p),
-                salt,
-                bytes_of.clone(),
-                combine,
-            ))
-        };
-        AllreduceRsagSchedule {
-            comm,
+        let phase = RsagPhase::ReduceScatter(ReduceScatterCirculantSchedule::new(
+            comm.clone_handle(),
+            split(value, comm.size()),
             salt,
-            bytes_of,
-            unsplit: Some(unsplit),
-            phase,
-        }
-    }
-
-    pub(crate) fn new_ring(
-        comm: Comm,
-        value: T,
-        salt: Tag,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: U,
-        bytes_of: B,
-        combine: F,
-    ) -> Self {
-        let p = comm.size();
-        let phase = if p == 1 {
-            RsagPhase::Trivial(Some(value))
-        } else {
-            RsagPhase::RingReduceScatter(ReduceScatterRingSchedule::new(
-                comm.clone_handle(),
-                split(value, p),
-                salt,
-                bytes_of.clone(),
-                combine,
-            ))
-        };
+            bytes_of.clone(),
+            combine,
+        ));
         AllreduceRsagSchedule {
             comm,
             salt,
@@ -547,41 +322,19 @@ where
 
     fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
         let _guard = self.comm.enter_collective();
-        match &mut self.phase {
-            RsagPhase::Trivial(value) => {
-                return Ok(Some(value.take().expect("result ready exactly once")));
-            }
-            RsagPhase::ReduceScatter(rs) => {
-                let Some(own) = rs.poll()? else { return Ok(None) };
-                self.phase = RsagPhase::Allgather(AllgatherCirculantSchedule::new(
-                    self.comm.clone_handle(),
-                    own,
-                    self.salt,
-                    self.bytes_of.clone(),
-                ));
-            }
-            RsagPhase::RingReduceScatter(rs) => {
-                let Some(own) = rs.poll()? else { return Ok(None) };
-                self.phase = RsagPhase::RingAllgather(AllgatherRingSchedule::new(
-                    self.comm.clone_handle(),
-                    own,
-                    self.salt,
-                    self.bytes_of.clone(),
-                ));
-            }
-            _ => {}
+        if let RsagPhase::ReduceScatter(rs) = &mut self.phase {
+            let Some(own) = rs.poll()? else { return Ok(None) };
+            self.phase = RsagPhase::Allgather(AllgatherCirculantSchedule::new(
+                self.comm.clone_handle(),
+                own,
+                self.salt,
+                self.bytes_of.clone(),
+            ));
         }
-        let all = match &mut self.phase {
-            RsagPhase::Allgather(ag) => {
-                let Some(all) = ag.poll()? else { return Ok(None) };
-                all
-            }
-            RsagPhase::RingAllgather(ag) => {
-                let Some(all) = ag.poll()? else { return Ok(None) };
-                all
-            }
-            _ => unreachable!("earlier phases handled above"),
+        let RsagPhase::Allgather(ag) = &mut self.phase else {
+            unreachable!("the reduce-scatter phase was replaced above")
         };
+        let Some(all) = ag.poll()? else { return Ok(None) };
         let unsplit = self.unsplit.take().expect("unsplit runs exactly once");
         Ok(Some(unsplit(all)))
     }
@@ -604,19 +357,9 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.stats().record_call(CallKind::ReduceScatter);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            ReduceScatterCirculantSchedule::new(
-                self.clone_handle(),
-                segments,
-                salt,
-                bytes_of,
-                combine,
-            )
-        };
-        crate::request::drive(self, schedule)
+        self.launch::<Blocking, _>(CallKind::ReduceScatter, |comm, salt| {
+            ReduceScatterCirculantSchedule::new(comm, segments, salt, bytes_of, combine)
+        })
     }
 
     /// Non-blocking [`reduce_scatter_block`](Self::reduce_scatter_block).
@@ -626,36 +369,9 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        self.stats().record_call(CallKind::ReduceScatter);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            ReduceScatterCirculantSchedule::new(
-                self.clone_handle(),
-                segments,
-                salt,
-                bytes_of,
-                combine,
-            )
-        };
-        Request::register(self, schedule)
-    }
-
-    /// Allgather over a ring: `p − 1` neighbor steps instead of the
-    /// binomial gather+bcast of [`allgather`](Comm::allgather). Returns
-    /// every rank's value in rank order.
-    pub fn allgather_ring<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize,
-    ) -> Vec<T> {
-        self.stats().record_call(CallKind::Allgather);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            AllgatherRingSchedule::new(self.clone_handle(), value, salt, bytes_of)
-        };
-        crate::request::drive(self, schedule)
+        self.launch::<Nonblocking, _>(CallKind::ReduceScatter, |comm, salt| {
+            ReduceScatterCirculantSchedule::new(comm, segments, salt, bytes_of, combine)
+        })
     }
 
     /// Allreduce by circulant reduce-scatter + allgather. The caller
@@ -675,55 +391,13 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.stats().record_call(CallKind::Allreduce);
-        self.stats()
-            .record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            AllreduceRsagSchedule::new(
-                self.clone_handle(),
-                value,
-                salt,
-                split,
-                unsplit,
-                bytes_of,
-                combine,
-            )
-        };
-        crate::request::drive(self, schedule)
-    }
-
-    /// [`allreduce_reduce_scatter`](Self::allreduce_reduce_scatter) over
-    /// the legacy ring phases — `p − 1` neighbor steps per phase instead
-    /// of the circulant `⌈log₂p⌉` rounds. Not selected by any policy;
-    /// kept as the baseline the `ablation_selector_tuning` harness
-    /// measures the circulant schedule against.
-    pub fn allreduce_reduce_scatter_ring<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize + Clone,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        self.stats().record_call(CallKind::Allreduce);
-        self.stats()
-            .record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            AllreduceRsagSchedule::new_ring(
-                self.clone_handle(),
-                value,
-                salt,
-                split,
-                unsplit,
-                bytes_of,
-                combine,
-            )
-        };
-        crate::request::drive(self, schedule)
+        self.start_allreduce::<Blocking, _>(
+            (AllreduceAlgorithm::ReduceScatterAllgather, 1),
+            value,
+            (split, unsplit),
+            bytes_of,
+            combine,
+        )
     }
 }
 
@@ -761,23 +435,6 @@ mod tests {
             for (rank, got) in outcome.results.into_iter().enumerate() {
                 let expected: u64 = (0..p as u64).map(|r| r * 100 + rank as u64).sum();
                 assert_eq!(got, expected, "p={p} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_ring_matches_binomial_allgather() {
-        for p in [1usize, 2, 5, 8] {
-            let outcome = Runtime::new(p).run(|comm| {
-                let mine = format!("r{}", comm.rank());
-                let ring = comm.allgather_ring(mine.clone(), |s: &String| s.len());
-                let binomial = comm.allgather(mine);
-                (ring, binomial)
-            });
-            let expected: Vec<String> = (0..p).map(|r| format!("r{r}")).collect();
-            for (ring, binomial) in outcome.results {
-                assert_eq!(ring, expected, "p={p}");
-                assert_eq!(binomial, expected, "p={p}");
             }
         }
     }
@@ -845,90 +502,9 @@ mod tests {
     }
 
     #[test]
-    fn circulant_and_ring_allreduce_agree_at_any_rank_count() {
-        for p in [1usize, 2, 3, 5, 6, 8, 12] {
-            let outcome = Runtime::new(p).run(move |comm| {
-                let r = comm.rank() as u64;
-                let mine: Vec<u64> = (0..17).map(|i| r * 1000 + i).collect();
-                let add = |mut a: Vec<u64>, b: Vec<u64>| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                };
-                let circulant = comm.allreduce_reduce_scatter(
-                    mine.clone(),
-                    gv_core::split::split_vec_segments,
-                    gv_core::split::unsplit_vec_segments,
-                    |v: &Vec<u64>| v.len() * 8,
-                    add,
-                );
-                let ring = comm.allreduce_reduce_scatter_ring(
-                    mine,
-                    gv_core::split::split_vec_segments,
-                    gv_core::split::unsplit_vec_segments,
-                    |v: &Vec<u64>| v.len() * 8,
-                    add,
-                );
-                (circulant, ring)
-            });
-            for (rank, (circulant, ring)) in outcome.results.into_iter().enumerate() {
-                assert_eq!(circulant, ring, "p={p} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn circulant_beats_ring_off_powers_of_two_for_large_states() {
-        // The acceptance bar of this schedule: at p = 6 and 12 with a
-        // 64 KiB state the circulant rounds (⌈log₂p⌉ latencies per phase)
-        // must model faster than the ring's p − 1 — the exact regime where
-        // the old fallback degraded.
-        for p in [6usize, 12] {
-            let time = |ring: bool| {
-                Runtime::new(p)
-                    .run(move |comm| {
-                        let state = vec![0u64; 8 << 10]; // 64 KiB
-                        let wire = |v: &Vec<u64>| v.len() * 8;
-                        let add = |mut a: Vec<u64>, b: Vec<u64>| {
-                            for (x, y) in a.iter_mut().zip(b) {
-                                *x += y;
-                            }
-                            a
-                        };
-                        if ring {
-                            comm.allreduce_reduce_scatter_ring(
-                                state,
-                                gv_core::split::split_vec_segments,
-                                gv_core::split::unsplit_vec_segments,
-                                wire,
-                                add,
-                            );
-                        } else {
-                            comm.allreduce_reduce_scatter(
-                                state,
-                                gv_core::split::split_vec_segments,
-                                gv_core::split::unsplit_vec_segments,
-                                wire,
-                                add,
-                            );
-                        }
-                    })
-                    .modeled_seconds
-            };
-            let t_circulant = time(false);
-            let t_ring = time(true);
-            assert!(
-                t_circulant < t_ring,
-                "p={p}: circulant={t_circulant} ring={t_ring}"
-            );
-        }
-    }
-
-    #[test]
-    fn ring_allreduce_is_cheaper_than_reduce_bcast_for_large_states() {
+    fn rsag_allreduce_is_cheaper_than_reduce_bcast_for_large_states() {
         // 64 KiB state at p = 8: bandwidth dominates, segments are 8 KiB.
-        let time = |ring: bool| {
+        let time = |rsag: bool| {
             Runtime::new(8)
                 .run(move |comm| {
                     let state = vec![0u64; 8 << 10]; // 64 KiB
@@ -939,7 +515,7 @@ mod tests {
                         }
                         a
                     };
-                    if ring {
+                    if rsag {
                         comm.allreduce_reduce_scatter(
                             state,
                             gv_core::split::split_vec_segments,
@@ -953,8 +529,8 @@ mod tests {
                 })
                 .modeled_seconds
         };
-        let t_ring = time(true);
+        let t_rsag = time(true);
         let t_rb = time(false);
-        assert!(t_ring < t_rb, "ring={t_ring} reduce+bcast={t_rb}");
+        assert!(t_rsag < t_rb, "rsag={t_rsag} reduce+bcast={t_rb}");
     }
 }

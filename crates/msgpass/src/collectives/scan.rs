@@ -18,16 +18,17 @@
 //! ([`scan_inclusive`](Comm::scan_inclusive) and friends, in
 //! `collectives/select.rs`) may instead pick the work-efficient binomial
 //! sweep (`scan_binomial.rs`) or, for splittable states, the pipelined
-//! chain (`scan_chain.rs`). All three are resumable schedules; this
-//! module also keeps the O(p) linear chain as the ablation baseline.
+//! chain (`scan_chain.rs`). All three are resumable schedules.
 
+use super::launch::Blocking;
+use super::select::both;
+use super::tree::whole;
 use super::TAG_SCAN;
 use crate::comm::Comm;
 use crate::cost::ScanAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::Schedule;
-use crate::stats::CallKind;
 
 /// Resumable shifted recursive-doubling scan. `need_exclusive` /
 /// `need_inclusive` say which results the caller will consume; they gate
@@ -158,106 +159,24 @@ where
     }
 }
 
-/// Resumable linear-chain inclusive scan: rank `r` waits for rank `r−1`'s
-/// prefix, combines, and forwards — O(p) sequential hops. The ablation
-/// baseline behind [`Comm::scan_inclusive_linear`].
-pub(crate) struct ScanLinearSchedule<T, B, F> {
-    comm: Comm,
-    tag: Tag,
-    bytes_of: B,
-    combine: F,
-    acc: Option<T>,
-}
-
-impl<T, B, F> ScanLinearSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    pub(crate) fn new(comm: Comm, value: T, salt: Tag, bytes_of: B, combine: F) -> Self {
-        ScanLinearSchedule {
-            comm,
-            tag: TAG_SCAN + salt,
-            bytes_of,
-            combine,
-            acc: Some(value),
-        }
-    }
-}
-
-impl<T, B, F> Schedule for ScanLinearSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    type Output = T;
-
-    fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        if r > 0 {
-            let Some(earlier) = self.comm.try_recv_schedule::<T>(r - 1, self.tag)? else {
-                return Ok(None);
-            };
-            let acc = self.acc.take().expect("value present until combined");
-            self.acc = Some((self.combine)(earlier, acc));
-        }
-        let acc = self.acc.take().expect("result ready exactly once");
-        if r + 1 < p {
-            let bytes = (self.bytes_of)(&acc);
-            self.comm.send_with_bytes(r + 1, self.tag, acc.clone(), bytes);
-        }
-        Ok(Some(acc))
-    }
-}
-
 impl Comm {
     /// Both scans by the shifted recursive-doubling schedule, bypassing
     /// the cost-driven selector. Accounting follows the `scan_both`
-    /// convention: one schedule, one [`CallKind::Scan`].
+    /// convention: one schedule, one [`CallKind::Scan`](crate::stats::CallKind::Scan).
     pub fn scan_both_recursive_doubling<T: Clone + Send + 'static>(
         &self,
         value: T,
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
-        self.stats().record_call(CallKind::Scan);
-        self.stats()
-            .record_scan_algorithm(ScanAlgorithm::RecursiveDoubling);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            ScanRdSchedule::new(self.clone_handle(), value, salt, bytes_of, combine, true, true)
-        };
-        let (ex, inc) = crate::request::drive(self, schedule);
-        (ex, inc.expect("inclusive result was requested"))
-    }
-
-    /// Inclusive scan by a **linear chain**: rank `r` waits for rank
-    /// `r−1`'s prefix, combines, and forwards — O(p) sequential hops.
-    ///
-    /// This is the baseline the parallel-prefix algorithms (Ladner–
-    /// Fischer, the paper's foundation citation) replace; it exists for
-    /// the `ablation_scan_algorithm` harness and for tests. Production
-    /// code should use [`scan_inclusive`](Self::scan_inclusive). (The
-    /// selector's pipelined chain in `scan_chain.rs` is this schedule's
-    /// segmented descendant, and strictly better for splittable states.)
-    pub fn scan_inclusive_linear<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        self.stats().record_call(CallKind::Scan);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            ScanLinearSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-        };
-        crate::request::drive(self, schedule)
+        self.start_scan::<Blocking, _, _>(
+            (ScanAlgorithm::RecursiveDoubling, 1),
+            value,
+            whole(),
+            bytes_of,
+            combine,
+            both(),
+        )
     }
 }
 

@@ -25,13 +25,15 @@
 //! always run `(earlier, later)` in rank order, so non-commutative
 //! operators are safe.
 
+use super::launch::Blocking;
+use super::select::both;
+use super::tree::whole;
 use super::{TAG_SCAN_DOWN, TAG_SCAN_UP};
 use crate::comm::Comm;
 use crate::cost::ScanAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::Schedule;
-use crate::stats::CallKind;
 
 /// The binomial recursion over `[0, p)`, in post-order (children before
 /// their parent). A node is recorded as `(lo, mid, hi)` with
@@ -210,21 +212,21 @@ impl Comm {
     /// cost-driven selector (the selector-routed entry points are
     /// [`scan_both`](Self::scan_both) and friends). Accounting follows
     /// the `scan_both` convention: one schedule, one
-    /// [`CallKind::Scan`].
+    /// [`CallKind::Scan`](crate::stats::CallKind::Scan).
     pub fn scan_both_binomial<T: Clone + Send + 'static>(
         &self,
         value: T,
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
-        self.stats().record_call(CallKind::Scan);
-        self.stats().record_scan_algorithm(ScanAlgorithm::Binomial);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            ScanBinomialSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-        };
-        crate::request::drive(self, schedule)
+        self.start_scan::<Blocking, _, _>(
+            (ScanAlgorithm::Binomial, 1),
+            value,
+            whole(),
+            bytes_of,
+            combine,
+            both(),
+        )
     }
 }
 

@@ -19,13 +19,15 @@
 //! from `(cost model, p, bytes)` alone, so every rank derives the same
 //! schedule.
 
+use super::launch::Blocking;
+use super::select::{both, inclusive};
+use super::tree::{split_into, whole};
 use super::TAG_SCAN_CHAIN;
 use crate::comm::Comm;
 use crate::cost::ScanAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::Schedule;
-use crate::stats::CallKind;
 
 /// Resumable pipelined-chain scan. The segment iterator is the program
 /// counter: each segment's step is recv-prefix (the only suspension
@@ -72,32 +74,17 @@ where
         need_exclusive: bool,
     ) -> Self {
         let s = segments.max(1);
-        let segs = if comm.size() < 2 {
-            // Trivial comm: the single rank's value is both its own
-            // inclusive scan and needs no segmentation round trip.
-            vec![value]
-        } else {
-            let segs = split(value, s);
-            assert_eq!(
-                segs.len(),
-                s,
-                "split must return exactly the requested number of segments"
-            );
-            segs
-        };
-        let trivial = comm.size() < 2;
-        let incl = Vec::with_capacity(segs.len());
-        let excl = Vec::with_capacity(if need_exclusive { segs.len() } else { 0 });
+        let segs = split_into(value, s, split);
         ScanChainSchedule {
             comm,
             tag: TAG_SCAN_CHAIN + salt,
             bytes_of,
             combine,
             unsplit,
-            need_exclusive: need_exclusive && !trivial,
+            need_exclusive,
             remaining: segs.into_iter(),
-            incl,
-            excl,
+            incl: Vec::with_capacity(s),
+            excl: Vec::with_capacity(if need_exclusive { s } else { 0 }),
         }
     }
 }
@@ -115,10 +102,6 @@ where
         let _guard = self.comm.enter_collective();
         let p = self.comm.size();
         let r = self.comm.rank();
-        if p < 2 {
-            let value = self.remaining.next().expect("trivial result taken once");
-            return Ok(Some((None, value)));
-        }
         while self.remaining.len() > 0 {
             // Per-segment chain step; the prefix receive suspends
             // *before* the head segment is consumed.
@@ -157,7 +140,7 @@ impl Comm {
     /// [`scan_both_splittable`](Self::scan_both_splittable) and
     /// friends). `split`/`unsplit` must satisfy the `SplittableState`
     /// laws. Accounting follows the `scan_both` convention: one
-    /// schedule, one [`CallKind::Scan`].
+    /// schedule, one [`CallKind::Scan`](crate::stats::CallKind::Scan).
     pub fn scan_both_pipelined_chain<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -167,24 +150,38 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
-        self.stats().record_call(CallKind::Scan);
-        self.stats().record_scan_algorithm(ScanAlgorithm::PipelinedChain);
-        let salt = self.next_collective_salt();
-        let schedule = {
-            let _guard = self.enter_collective();
-            ScanChainSchedule::new(
-                self.clone_handle(),
-                value,
-                segments,
-                split,
-                salt,
-                bytes_of,
-                combine,
-                unsplit,
-                true,
-            )
-        };
-        crate::request::drive(self, schedule)
+        self.start_scan::<Blocking, _, _>(
+            (ScanAlgorithm::PipelinedChain, segments),
+            value,
+            (split, unsplit),
+            bytes_of,
+            combine,
+            both(),
+        )
+    }
+
+    /// Inclusive scan by a **linear chain** — the chain at `S = 1`: rank
+    /// `r` waits for rank `r−1`'s whole prefix, combines, and forwards,
+    /// O(p) sequential hops.
+    ///
+    /// This is the baseline the parallel-prefix algorithms (Ladner–
+    /// Fischer, the paper's foundation citation) replace; it exists for
+    /// the `ablation_scan_algorithm` harness and for tests. Production
+    /// code should use [`scan_inclusive`](Self::scan_inclusive).
+    pub fn scan_inclusive_linear<T: Clone + Send + 'static>(
+        &self,
+        value: T,
+        bytes_of: impl Fn(&T) -> usize,
+        combine: impl FnMut(T, T) -> T,
+    ) -> T {
+        self.start_scan::<Blocking, _, _>(
+            (ScanAlgorithm::PipelinedChain, 1),
+            value,
+            whole(),
+            bytes_of,
+            combine,
+            inclusive(),
+        )
     }
 }
 

@@ -1,40 +1,41 @@
-//! Cost-driven collective algorithm selection.
+//! Cost-driven schedule selection, and the one place each collective
+//! family turns a selection into a schedule.
 //!
-//! The runtime has four allreduce schedules, three scan schedules, and
-//! two schedules each for broadcast and rooted reduce, with different
-//! α–β profiles and different correctness preconditions (see
-//! [`AllreduceAlgorithm`], [`ScanAlgorithm`], [`BcastAlgorithm`],
-//! [`ReduceAlgorithm`]); these entry points pick the cheapest
-//! *eligible* one per call from the communicator's cost model, the
-//! call's wire size, and the operator's declared properties — the
-//! paper's point that the operator abstraction is what lets the
+//! The runtime keeps a few general schedules — the segmented binomial
+//! tree (`tree.rs`), recursive doubling, the circulant reduce-scatter +
+//! allgather, and for scans recursive doubling, the binomial sweep and
+//! the segmented chain — with different α–β profiles and different
+//! correctness preconditions (see [`AllreduceAlgorithm`],
+//! [`ScanAlgorithm`], [`BcastAlgorithm`]). The entry points here pick
+//! the cheapest *eligible* one per call from the communicator's cost
+//! model, the call's wire size, and the operator's declared properties —
+//! the paper's point that the operator abstraction is what lets the
 //! runtime choose better combine schedules.
 //!
 //! For allreduce the discriminating declarations are commutativity and
-//! splittability: [`Comm::allreduce`] is the scalar-state entry point
-//! (nothing to split, so neither reduce-scatter nor the pipelined ring
-//! is eligible); [`Comm::allreduce_splittable`] is the full four-way
-//! selector, where reduce-scatter + allgather additionally needs a
-//! commutative operator but the pipelined ring (combining in strict
-//! rank order) does not.
+//! splittability: [`Comm::allreduce`] is the whole-state entry point
+//! (nothing to split, so recursive doubling it is);
+//! [`Comm::allreduce_splittable`] is the full selector, where
+//! reduce-scatter + allgather additionally needs a commutative operator
+//! but the segmented tree (combining in strict rank order) does not.
 //!
-//! For broadcast and rooted reduce only splittability discriminates:
-//! [`Comm::bcast_splittable`] / [`Comm::reduce_splittable`] choose
-//! between the whole-state binomial tree and its segment-pipelined
-//! variant from `collectives::pipeline`.
+//! For broadcast and rooted reduce the schedule is always the tree and
+//! the selection is its segment count: `S = 1` unless the state is
+//! splittable and the priced `S > 1` estimate is strictly lower
+//! ([`BcastAlgorithm::select_segments`]).
 //!
 //! For scans every candidate schedule combines in rank order, so only
 //! *splittability* discriminates: [`Comm::scan_inclusive`] /
 //! [`Comm::scan_exclusive`] / [`Comm::scan_both`] choose between
 //! recursive doubling and the binomial sweep, and the `_splittable`
-//! variants additionally admit the pipelined chain.
+//! variants additionally admit the segmented chain.
 //!
-//! Every selected schedule is a resumable state machine, so each entry
-//! point has a non-blocking twin ([`Comm::iallreduce`],
-//! [`Comm::iscan_inclusive`], [`Comm::iscan_exclusive`], …) that
-//! registers the *same* schedule with the progress engine instead of
-//! driving it in place — algorithm choice and request semantics are
-//! orthogonal.
+//! Every schedule is a resumable state machine, so each entry point has
+//! a non-blocking twin ([`Comm::iallreduce`], [`Comm::iscan_inclusive`],
+//! …) that differs only in the launch [`Mode`]: the four `start_*`
+//! family constructors below are generic over it, and every entry point
+//! in `collectives/` — selector-routed or fixed-schedule — goes through
+//! them.
 //!
 //! Selection uses this rank's local `bytes_of(&value)` as the wire size.
 //! Under the SPMD convention that all ranks pass equal-shaped states
@@ -43,17 +44,59 @@
 //! same latency-optimal default.
 
 use super::allreduce_rd::AllreduceRdSchedule;
-use super::bcast::BcastSchedule;
-use super::pipeline::{RingAllreduceSchedule, TreeAllreduceSchedule};
-use super::reduce::AllreduceRbSchedule;
+use super::launch::{Blocking, Mode, Nonblocking};
 use super::reduce_scatter::AllreduceRsagSchedule;
 use super::scan::ScanRdSchedule;
 use super::scan_binomial::ScanBinomialSchedule;
 use super::scan_chain::ScanChainSchedule;
+use super::tree::{whole, TreeAllreduce, TreeBcast, TreeReduce};
 use crate::comm::Comm;
-use crate::cost::{AllreduceAlgorithm, BcastAlgorithm, ReduceAlgorithm, ScanAlgorithm};
+use crate::cost::{AllreduceAlgorithm, BcastAlgorithm, ScanAlgorithm};
 use crate::request::{Map, Request};
 use crate::stats::CallKind;
+
+/// A scan schedule's normalized output: `(exclusive, inclusive)`, the
+/// exclusive half `None` on rank 0 and either half `None` when unwanted.
+type ScanHalves<T> = (Option<T>, Option<T>);
+
+/// What a scan entry point consumes: which halves (this gates only local
+/// clones and combines, never the message schedule) and how the
+/// normalized pair becomes the entry point's return value.
+pub(crate) struct ScanShape<F> {
+    exclusive: bool,
+    inclusive: bool,
+    finish: F,
+}
+
+pub(crate) fn inclusive<T>() -> ScanShape<impl FnOnce(ScanHalves<T>) -> T> {
+    let finish = |(_, inc): ScanHalves<T>| inc.expect("inclusive result was requested");
+    ScanShape {
+        exclusive: false,
+        inclusive: true,
+        finish,
+    }
+}
+
+/// Rank 0 has no exclusive prefix and receives `ident()`.
+pub(crate) fn exclusive<T>(
+    ident: impl FnOnce() -> T,
+) -> ScanShape<impl FnOnce(ScanHalves<T>) -> T> {
+    let finish = |(ex, _): ScanHalves<T>| ex.unwrap_or_else(ident);
+    ScanShape {
+        exclusive: true,
+        inclusive: false,
+        finish,
+    }
+}
+
+pub(crate) fn both<T>() -> ScanShape<impl FnOnce(ScanHalves<T>) -> (Option<T>, T)> {
+    let finish = |(ex, inc): ScanHalves<T>| (ex, inc.expect("inclusive result was requested"));
+    ScanShape {
+        exclusive: true,
+        inclusive: true,
+        finish,
+    }
+}
 
 impl Comm {
     /// Picks the cheapest eligible allreduce schedule for a state of
@@ -61,8 +104,9 @@ impl Comm {
     /// model ([`Comm::selection_cost_model`] — the fixed clock model by
     /// default, the measured calibration under
     /// [`CostSource::Measured`](crate::measured::CostSource::Measured)).
-    /// `splittable` says whether the caller could run reduce-scatter +
-    /// allgather at all (it also needs `commutative`).
+    /// `splittable` says whether the caller could run a segmented
+    /// schedule at all (reduce-scatter + allgather also needs
+    /// `commutative`).
     pub fn select_allreduce_algorithm(
         &self,
         wire_bytes: usize,
@@ -78,11 +122,64 @@ impl Comm {
         )
     }
 
+    /// The selector's pick plus the tree segment count it was priced at
+    /// — the same deterministic model on every rank, so schedule and
+    /// estimate always agree.
+    fn plan_allreduce(
+        &self,
+        bytes: usize,
+        commutative: bool,
+        splittable: bool,
+    ) -> (AllreduceAlgorithm, usize) {
+        let algo = self.select_allreduce_algorithm(bytes, commutative, splittable);
+        let segments = match algo {
+            AllreduceAlgorithm::PipelinedTree => {
+                BcastAlgorithm::tree_segments(&self.selection_cost_model(bytes), self.size(), bytes)
+            }
+            _ => 1,
+        };
+        (algo, segments)
+    }
+
+    /// The allreduce family's one constructor: records the schedule and
+    /// launches it. `plan` is `(algorithm, tree segment count)`; the
+    /// segment count only matters to the tree arms (reduce+bcast *is*
+    /// the tree at `S = 1`).
+    pub(crate) fn start_allreduce<'a, M: Mode<'a>, T: Clone + Send + 'static>(
+        &self,
+        (algo, segments): (AllreduceAlgorithm, usize),
+        value: T,
+        (split, unsplit): (
+            impl FnOnce(T, usize) -> Vec<T>,
+            impl FnOnce(Vec<T>) -> T + 'a,
+        ),
+        bytes_of: impl Fn(&T) -> usize + Clone + 'a,
+        combine: impl FnMut(T, T) -> T + 'a,
+    ) -> M::Handle<T> {
+        self.stats().record_allreduce_algorithm(algo);
+        match algo {
+            AllreduceAlgorithm::RecursiveDoubling => self
+                .launch::<M, _>(CallKind::Allreduce, |comm, salt| {
+                    AllreduceRdSchedule::new(comm, value, salt, bytes_of, combine)
+                }),
+            AllreduceAlgorithm::ReduceScatterAllgather => {
+                self.launch::<M, _>(CallKind::Allreduce, |comm, salt| {
+                    AllreduceRsagSchedule::new(comm, value, salt, split, unsplit, bytes_of, combine)
+                })
+            }
+            AllreduceAlgorithm::ReduceBroadcast | AllreduceAlgorithm::PipelinedTree => self
+                .launch::<M, _>(CallKind::Allreduce, |comm, salt| {
+                    TreeAllreduce::new(
+                        comm, value, segments, split, salt, bytes_of, combine, unsplit,
+                    )
+                }),
+        }
+    }
+
     /// Allreduce with cost-driven schedule selection for whole (scalar,
-    /// unsplittable) states: recursive doubling vs. reduce+broadcast.
-    /// `commutative` is the operator's flag; both candidate schedules are
-    /// rank-order safe, so a non-commutative operator only restricts the
-    /// combine order, never correctness.
+    /// unsplittable) states. `commutative` is the operator's flag; every
+    /// whole-state schedule is rank-order safe, so a non-commutative
+    /// operator only restricts the combine order, never correctness.
     pub fn allreduce<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -90,12 +187,8 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        match self.select_allreduce_algorithm(bytes_of(&value), commutative, false) {
-            AllreduceAlgorithm::ReduceBroadcast => {
-                self.allreduce_reduce_bcast(value, commutative, bytes_of, combine)
-            }
-            _ => self.allreduce_recursive_doubling(value, bytes_of, combine),
-        }
+        let plan = self.plan_allreduce(bytes_of(&value), commutative, false);
+        self.start_allreduce::<Blocking, _>(plan, value, whole(), bytes_of, combine)
     }
 
     /// Non-blocking [`allreduce`](Self::allreduce): the same cost-driven
@@ -108,36 +201,14 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        let algo = self.select_allreduce_algorithm(bytes_of(&value), commutative, false);
-        self.stats().record_call(CallKind::Allreduce);
-        let salt = self.next_collective_salt();
-        match algo {
-            AllreduceAlgorithm::ReduceBroadcast => {
-                self.stats()
-                    .record_allreduce_algorithm(AllreduceAlgorithm::ReduceBroadcast);
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    AllreduceRbSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-                };
-                Request::register(self, schedule)
-            }
-            _ => {
-                self.stats()
-                    .record_allreduce_algorithm(AllreduceAlgorithm::RecursiveDoubling);
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    AllreduceRdSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-                };
-                Request::register(self, schedule)
-            }
-        }
+        let plan = self.plan_allreduce(bytes_of(&value), commutative, false);
+        self.start_allreduce::<Nonblocking, _>(plan, value, whole(), bytes_of, combine)
     }
 
-    /// Allreduce with the full three-way schedule selection for states
-    /// the caller can split into per-rank segments. `split(state, parts)`
-    /// must return exactly `parts` segments and `unsplit` must invert it
-    /// (the `SplittableState` laws in `gv-core`); both run locally and
-    /// are only called when reduce-scatter + allgather wins.
+    /// Allreduce with the full schedule selection for states the caller
+    /// can split into segments. `split(state, parts)` must return exactly
+    /// `parts` segments and `unsplit` must invert it (the
+    /// `SplittableState` laws in `gv-core`); both run locally.
     pub fn allreduce_splittable<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -147,36 +218,8 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let bytes = bytes_of(&value);
-        match self.select_allreduce_algorithm(bytes, commutative, true) {
-            AllreduceAlgorithm::ReduceScatterAllgather => {
-                self.allreduce_reduce_scatter(value, split, unsplit, bytes_of, combine)
-            }
-            AllreduceAlgorithm::PipelinedRing => {
-                // Same deterministic model the selector priced from, so
-                // schedule and estimate always agree.
-                let segments = AllreduceAlgorithm::ring_segments(
-                    &self.selection_cost_model(bytes),
-                    self.size(),
-                    bytes,
-                );
-                self.allreduce_pipelined_ring(value, segments, split, unsplit, bytes_of, combine)
-            }
-            AllreduceAlgorithm::PipelinedTree => {
-                let segments = BcastAlgorithm::tree_segments(
-                    &self.selection_cost_model(bytes),
-                    self.size(),
-                    bytes,
-                );
-                self.allreduce_pipelined_tree(value, segments, split, unsplit, bytes_of, combine)
-            }
-            AllreduceAlgorithm::ReduceBroadcast => {
-                self.allreduce_reduce_bcast(value, commutative, bytes_of, combine)
-            }
-            AllreduceAlgorithm::RecursiveDoubling => {
-                self.allreduce_recursive_doubling(value, bytes_of, combine)
-            }
-        }
+        let plan = self.plan_allreduce(bytes_of(&value), commutative, true);
+        self.start_allreduce::<Blocking, _>(plan, value, (split, unsplit), bytes_of, combine)
     }
 
     /// Non-blocking [`allreduce_splittable`](Self::allreduce_splittable).
@@ -184,105 +227,51 @@ impl Comm {
         &self,
         value: T,
         commutative: bool,
-        split: impl FnOnce(T, usize) -> Vec<T> + 'static,
+        split: impl FnOnce(T, usize) -> Vec<T>,
         unsplit: impl FnOnce(Vec<T>) -> T + 'static,
         bytes_of: impl Fn(&T) -> usize + Clone + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        let bytes = bytes_of(&value);
-        match self.select_allreduce_algorithm(bytes, commutative, true) {
-            AllreduceAlgorithm::ReduceScatterAllgather => {
-                self.stats().record_call(CallKind::Allreduce);
-                self.stats()
-                    .record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
-                let salt = self.next_collective_salt();
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    AllreduceRsagSchedule::new(
-                        self.clone_handle(),
-                        value,
-                        salt,
-                        split,
-                        unsplit,
-                        bytes_of,
-                        combine,
-                    )
-                };
-                Request::register(self, schedule)
-            }
-            AllreduceAlgorithm::PipelinedRing => {
-                self.stats().record_call(CallKind::Allreduce);
-                self.stats()
-                    .record_allreduce_algorithm(AllreduceAlgorithm::PipelinedRing);
-                let segments = AllreduceAlgorithm::ring_segments(
-                    &self.selection_cost_model(bytes),
-                    self.size(),
-                    bytes,
-                );
-                let salt = self.next_collective_salt();
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    RingAllreduceSchedule::new(
-                        self.clone_handle(),
-                        value,
-                        segments,
-                        split,
-                        salt,
-                        bytes_of,
-                        combine,
-                        unsplit,
-                    )
-                };
-                Request::register(self, schedule)
-            }
-            AllreduceAlgorithm::PipelinedTree => {
-                self.stats().record_call(CallKind::Allreduce);
-                self.stats()
-                    .record_allreduce_algorithm(AllreduceAlgorithm::PipelinedTree);
-                let segments = BcastAlgorithm::tree_segments(
-                    &self.selection_cost_model(bytes),
-                    self.size(),
-                    bytes,
-                );
-                let salt = self.next_collective_salt();
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    TreeAllreduceSchedule::new(
-                        self.clone_handle(),
-                        value,
-                        segments,
-                        split,
-                        salt,
-                        bytes_of,
-                        combine,
-                        unsplit,
-                    )
-                };
-                Request::register(self, schedule)
-            }
-            _ => self.iallreduce(value, commutative, bytes_of, combine),
-        }
+        let plan = self.plan_allreduce(bytes_of(&value), commutative, true);
+        self.start_allreduce::<Nonblocking, _>(plan, value, (split, unsplit), bytes_of, combine)
     }
 
-    /// Picks the cheapest eligible broadcast schedule for a state of
-    /// `wire_bytes` bytes under this communicator's selection cost
-    /// model. `splittable` says whether the caller could run the
-    /// segment-pipelined tree at all.
-    pub fn select_bcast_algorithm(&self, wire_bytes: usize, splittable: bool) -> BcastAlgorithm {
-        BcastAlgorithm::select(
-            &self.selection_cost_model(wire_bytes),
-            self.size(),
-            wire_bytes,
-            splittable,
-        )
+    /// Segment count the tree runs a splittable `bytes`-byte broadcast
+    /// or rooted reduce with (the up-tree mirrors the down-tree, so one
+    /// chooser prices both).
+    fn plan_tree(&self, bytes: usize) -> usize {
+        BcastAlgorithm::select_segments(&self.selection_cost_model(bytes), self.size(), bytes, true)
     }
 
-    /// Broadcast with cost-driven schedule selection for splittable
-    /// states: whole-state binomial tree vs. the segment-pipelined tree.
-    /// `wire_bytes` is passed explicitly because only the root owns the
-    /// value — every rank must feed the selector the same size (the SPMD
-    /// convention), so the caller supplies it rather than this rank
-    /// measuring a value it may not have.
+    /// The broadcast family's one constructor. `S = 1` is recorded as
+    /// [`BcastAlgorithm::Binomial`], anything above as
+    /// [`BcastAlgorithm::Pipelined`].
+    pub(crate) fn start_bcast<'a, M: Mode<'a>, T: Clone + Send + 'static>(
+        &self,
+        segments: usize,
+        root: usize,
+        value: Option<T>,
+        (split, unsplit): (
+            impl FnOnce(T, usize) -> Vec<T>,
+            impl FnOnce(Vec<T>) -> T + 'a,
+        ),
+        bytes_of: impl Fn(&T) -> usize + 'a,
+    ) -> M::Handle<T> {
+        self.stats().record_bcast_algorithm(if segments > 1 {
+            BcastAlgorithm::Pipelined
+        } else {
+            BcastAlgorithm::Binomial
+        });
+        self.launch::<M, _>(CallKind::Bcast, |comm, salt| {
+            TreeBcast::new(comm, root, value, segments, split, salt, bytes_of, unsplit)
+        })
+    }
+
+    /// Broadcast with cost-driven segment selection for splittable
+    /// states. `wire_bytes` is passed explicitly because only the root
+    /// owns the value — every rank must feed the selector the same size
+    /// (the SPMD convention), so the caller supplies it rather than this
+    /// rank measuring a value it may not have.
     pub fn bcast_splittable<T: Clone + Send + 'static>(
         &self,
         root: usize,
@@ -292,22 +281,8 @@ impl Comm {
         unsplit: impl FnOnce(Vec<T>) -> T,
         bytes_of: impl Fn(&T) -> usize,
     ) -> T {
-        match self.select_bcast_algorithm(wire_bytes, true) {
-            BcastAlgorithm::Pipelined => {
-                let segments = BcastAlgorithm::tree_segments(
-                    &self.selection_cost_model(wire_bytes),
-                    self.size(),
-                    wire_bytes,
-                );
-                self.bcast_pipelined(root, value, segments, split, unsplit, bytes_of)
-            }
-            BcastAlgorithm::Binomial => {
-                self.stats().record_call(CallKind::Bcast);
-                self.stats().record_bcast_algorithm(BcastAlgorithm::Binomial);
-                let salt = self.next_collective_salt();
-                self.bcast_impl(root, value, salt, bytes_of)
-            }
-        }
+        let segments = self.plan_tree(wire_bytes);
+        self.start_bcast::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of)
     }
 
     /// Non-blocking [`bcast_splittable`](Self::bcast_splittable).
@@ -320,44 +295,34 @@ impl Comm {
         unsplit: impl FnOnce(Vec<T>) -> T + 'static,
         bytes_of: impl Fn(&T) -> usize + 'static,
     ) -> Request<T> {
-        match self.select_bcast_algorithm(wire_bytes, true) {
-            BcastAlgorithm::Pipelined => {
-                let segments = BcastAlgorithm::tree_segments(
-                    &self.selection_cost_model(wire_bytes),
-                    self.size(),
-                    wire_bytes,
-                );
-                self.ibcast_pipelined(root, value, segments, split, unsplit, bytes_of)
-            }
-            BcastAlgorithm::Binomial => {
-                self.stats().record_call(CallKind::Bcast);
-                self.stats().record_bcast_algorithm(BcastAlgorithm::Binomial);
-                let salt = self.next_collective_salt();
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    BcastSchedule::new(self.clone_handle(), root, value, salt, bytes_of)
-                };
-                Request::register(self, schedule)
-            }
-        }
+        let segments = self.plan_tree(wire_bytes);
+        self.start_bcast::<Nonblocking, _>(segments, root, value, (split, unsplit), bytes_of)
     }
 
-    /// Picks the cheapest eligible rooted-reduce schedule for a state of
-    /// `wire_bytes` bytes under this communicator's selection cost
-    /// model. Both candidates combine in rank order, so — as for scans —
+    /// The rooted-reduce family's one constructor.
+    pub(crate) fn start_reduce<'a, M: Mode<'a>, T: Send + 'static>(
+        &self,
+        segments: usize,
+        root: usize,
+        value: T,
+        (split, unsplit): (
+            impl FnOnce(T, usize) -> Vec<T>,
+            impl FnOnce(Vec<T>) -> T + 'a,
+        ),
+        bytes_of: impl Fn(&T) -> usize + 'a,
+        combine: impl FnMut(T, T) -> T + 'a,
+    ) -> M::Handle<Option<T>> {
+        self.launch::<M, _>(CallKind::Reduce, |comm, salt| {
+            TreeReduce::new(
+                comm, root, value, segments, split, salt, bytes_of, combine, unsplit,
+            )
+        })
+    }
+
+    /// Rooted reduce with cost-driven segment selection for splittable
+    /// states. Returns `Some(result)` at the root, `None` elsewhere. The
+    /// tree combines in rank order at every `S`, so — as for scans —
     /// only splittability discriminates, never commutativity.
-    pub fn select_reduce_algorithm(&self, wire_bytes: usize, splittable: bool) -> ReduceAlgorithm {
-        ReduceAlgorithm::select(
-            &self.selection_cost_model(wire_bytes),
-            self.size(),
-            wire_bytes,
-            splittable,
-        )
-    }
-
-    /// Rooted reduce with cost-driven schedule selection for splittable
-    /// states: whole-state binomial tree vs. the segment-pipelined tree.
-    /// Returns `Some(result)` at the root, `None` elsewhere.
     pub fn reduce_splittable<T: Send + 'static>(
         &self,
         root: usize,
@@ -367,18 +332,8 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
-        let bytes = bytes_of(&value);
-        match self.select_reduce_algorithm(bytes, true) {
-            ReduceAlgorithm::Pipelined => {
-                let segments = BcastAlgorithm::tree_segments(
-                    &self.selection_cost_model(bytes),
-                    self.size(),
-                    bytes,
-                );
-                self.reduce_pipelined(root, value, segments, split, unsplit, bytes_of, combine)
-            }
-            ReduceAlgorithm::Binomial => self.reduce(root, value, bytes_of, combine),
-        }
+        let segments = self.plan_tree(bytes_of(&value));
+        self.start_reduce::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of, combine)
     }
 
     /// Non-blocking [`reduce_splittable`](Self::reduce_splittable).
@@ -391,23 +346,20 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<Option<T>> {
-        let bytes = bytes_of(&value);
-        match self.select_reduce_algorithm(bytes, true) {
-            ReduceAlgorithm::Pipelined => {
-                let segments = BcastAlgorithm::tree_segments(
-                    &self.selection_cost_model(bytes),
-                    self.size(),
-                    bytes,
-                );
-                self.ireduce_pipelined(root, value, segments, split, unsplit, bytes_of, combine)
-            }
-            ReduceAlgorithm::Binomial => self.ireduce(root, value, bytes_of, combine),
-        }
+        let segments = self.plan_tree(bytes_of(&value));
+        self.start_reduce::<Nonblocking, _>(
+            segments,
+            root,
+            value,
+            (split, unsplit),
+            bytes_of,
+            combine,
+        )
     }
 
     /// Picks the cheapest eligible scan schedule for a state of
     /// `wire_bytes` bytes under this communicator's cost model.
-    /// `splittable` says whether the caller could run the pipelined
+    /// `splittable` says whether the caller could run the segmented
     /// chain at all. There is no commutativity parameter: every scan
     /// schedule combines in rank order (see [`ScanAlgorithm::select`]).
     pub fn select_scan_algorithm(&self, wire_bytes: usize, splittable: bool) -> ScanAlgorithm {
@@ -419,6 +371,62 @@ impl Comm {
         )
     }
 
+    /// The selector's pick plus the chain segment count it was priced
+    /// at.
+    fn plan_scan(&self, bytes: usize, splittable: bool) -> (ScanAlgorithm, usize) {
+        let algo = self.select_scan_algorithm(bytes, splittable);
+        let segments = match algo {
+            ScanAlgorithm::PipelinedChain => {
+                ScanAlgorithm::chain_segments(&self.selection_cost_model(bytes), self.size(), bytes)
+            }
+            _ => 1,
+        };
+        (algo, segments)
+    }
+
+    /// The scan family's one constructor. `plan` is `(algorithm, chain
+    /// segment count)`. A dedicated exclusive scan is recorded as
+    /// [`CallKind::Exscan`], everything else as [`CallKind::Scan`] (the
+    /// `scan_both` convention).
+    pub(crate) fn start_scan<'a, M: Mode<'a>, T: Clone + Send + 'static, R: 'a>(
+        &self,
+        (algo, segments): (ScanAlgorithm, usize),
+        value: T,
+        (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T + 'a),
+        bytes_of: impl Fn(&T) -> usize + 'a,
+        combine: impl FnMut(T, T) -> T + 'a,
+        shape: ScanShape<impl FnOnce(ScanHalves<T>) -> R + 'a>,
+    ) -> M::Handle<R> {
+        self.stats().record_scan_algorithm(algo);
+        let ScanShape {
+            exclusive,
+            inclusive,
+            finish,
+        } = shape;
+        let kind = if inclusive {
+            CallKind::Scan
+        } else {
+            CallKind::Exscan
+        };
+        match algo {
+            ScanAlgorithm::RecursiveDoubling => self.launch::<M, _>(kind, |comm, salt| {
+                let schedule =
+                    ScanRdSchedule::new(comm, value, salt, bytes_of, combine, exclusive, inclusive);
+                Map::new(schedule, finish)
+            }),
+            ScanAlgorithm::Binomial => self.launch::<M, _>(kind, |comm, salt| {
+                let schedule = ScanBinomialSchedule::new(comm, value, salt, bytes_of, combine);
+                Map::new(schedule, |(ex, inc)| finish((ex, Some(inc))))
+            }),
+            ScanAlgorithm::PipelinedChain => self.launch::<M, _>(kind, |comm, salt| {
+                let schedule = ScanChainSchedule::new(
+                    comm, value, segments, split, salt, bytes_of, combine, unsplit, exclusive,
+                );
+                Map::new(schedule, |(ex, inc)| finish((ex, Some(inc))))
+            }),
+        }
+    }
+
     /// Inclusive scan with cost-driven schedule selection: rank `r`
     /// receives `v₀ ⊕ v₁ ⊕ ⋯ ⊕ v_r`.
     pub fn scan_inclusive<T: Clone + Send + 'static>(
@@ -427,9 +435,8 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.stats().record_call(CallKind::Scan);
-        let (_, inc) = self.scan_dispatch(value, bytes_of, combine, false, true);
-        inc.expect("inclusive result was requested")
+        let plan = self.plan_scan(bytes_of(&value), false);
+        self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, inclusive())
     }
 
     /// Non-blocking [`scan_inclusive`](Self::scan_inclusive).
@@ -439,39 +446,8 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        self.stats().record_call(CallKind::Scan);
-        let algo = self.select_scan_algorithm(bytes_of(&value), false);
-        self.stats().record_scan_algorithm(algo);
-        let salt = self.next_collective_salt();
-        match algo {
-            ScanAlgorithm::Binomial => {
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanBinomialSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-                };
-                Request::register(self, Map::new(schedule, |(_, inc)| inc))
-            }
-            _ => {
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanRdSchedule::new(
-                        self.clone_handle(),
-                        value,
-                        salt,
-                        bytes_of,
-                        combine,
-                        false,
-                        true,
-                    )
-                };
-                Request::register(
-                    self,
-                    Map::new(schedule, |(_, inc): (Option<T>, Option<T>)| {
-                        inc.expect("inclusive result was requested")
-                    }),
-                )
-            }
-        }
+        let plan = self.plan_scan(bytes_of(&value), false);
+        self.start_scan::<Nonblocking, _, _>(plan, value, whole(), bytes_of, combine, inclusive())
     }
 
     /// Exclusive scan with cost-driven schedule selection: rank `r`
@@ -483,10 +459,8 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.stats().record_call(CallKind::Exscan);
-        self.scan_dispatch(value, bytes_of, combine, true, false)
-            .0
-            .unwrap_or_else(ident)
+        let plan = self.plan_scan(bytes_of(&value), false);
+        self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, exclusive(ident))
     }
 
     /// Non-blocking [`scan_exclusive`](Self::scan_exclusive); `ident`
@@ -498,42 +472,15 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        self.stats().record_call(CallKind::Exscan);
-        let algo = self.select_scan_algorithm(bytes_of(&value), false);
-        self.stats().record_scan_algorithm(algo);
-        let salt = self.next_collective_salt();
-        match algo {
-            ScanAlgorithm::Binomial => {
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanBinomialSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-                };
-                Request::register(
-                    self,
-                    Map::new(schedule, |(ex, _): (Option<T>, T)| ex.unwrap_or_else(ident)),
-                )
-            }
-            _ => {
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanRdSchedule::new(
-                        self.clone_handle(),
-                        value,
-                        salt,
-                        bytes_of,
-                        combine,
-                        true,
-                        false,
-                    )
-                };
-                Request::register(
-                    self,
-                    Map::new(schedule, |(ex, _): (Option<T>, Option<T>)| {
-                        ex.unwrap_or_else(ident)
-                    }),
-                )
-            }
-        }
+        let plan = self.plan_scan(bytes_of(&value), false);
+        self.start_scan::<Nonblocking, _, _>(
+            plan,
+            value,
+            whole(),
+            bytes_of,
+            combine,
+            exclusive(ident),
+        )
     }
 
     /// Both scans at once (one communication schedule): `(exclusive,
@@ -553,14 +500,13 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
-        self.stats().record_call(CallKind::Scan);
-        let (ex, inc) = self.scan_dispatch(value, bytes_of, combine, true, true);
-        (ex, inc.expect("inclusive result was requested"))
+        let plan = self.plan_scan(bytes_of(&value), false);
+        self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, both())
     }
 
     /// Inclusive scan over a splittable state: like
     /// [`scan_inclusive`](Self::scan_inclusive), but the selector may
-    /// additionally pick the pipelined chain. `split`/`unsplit` must
+    /// additionally pick the segmented chain. `split`/`unsplit` must
     /// satisfy the `SplittableState` laws from `gv-core` and only run
     /// when the chain wins.
     pub fn scan_inclusive_splittable<T: Clone + Send + 'static>(
@@ -571,10 +517,15 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.stats().record_call(CallKind::Scan);
-        let (_, inc) =
-            self.scan_splittable_dispatch(value, split, unsplit, bytes_of, combine, false, true);
-        inc.expect("inclusive result was requested")
+        let plan = self.plan_scan(bytes_of(&value), true);
+        self.start_scan::<Blocking, _, _>(
+            plan,
+            value,
+            (split, unsplit),
+            bytes_of,
+            combine,
+            inclusive(),
+        )
     }
 
     /// Exclusive scan over a splittable state; rank 0 receives
@@ -588,10 +539,15 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.stats().record_call(CallKind::Exscan);
-        self.scan_splittable_dispatch(value, split, unsplit, bytes_of, combine, true, false)
-            .0
-            .unwrap_or_else(ident)
+        let plan = self.plan_scan(bytes_of(&value), true);
+        self.start_scan::<Blocking, _, _>(
+            plan,
+            value,
+            (split, unsplit),
+            bytes_of,
+            combine,
+            exclusive(ident),
+        )
     }
 
     /// Both scans over a splittable state in one schedule, under the
@@ -604,119 +560,8 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
-        self.stats().record_call(CallKind::Scan);
-        let (ex, inc) =
-            self.scan_splittable_dispatch(value, split, unsplit, bytes_of, combine, true, true);
-        (ex, inc.expect("inclusive result was requested"))
-    }
-
-    /// Two-way dispatch (recursive doubling vs. binomial) for whole
-    /// states. The caller has already recorded its [`CallKind`]; this
-    /// records the schedule, constructs it under the collective guard,
-    /// and drives it to completion on the caller's stack.
-    fn scan_dispatch<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-        need_exclusive: bool,
-        need_inclusive: bool,
-    ) -> (Option<T>, Option<T>) {
-        let algo = self.select_scan_algorithm(bytes_of(&value), false);
-        self.stats().record_scan_algorithm(algo);
-        let salt = self.next_collective_salt();
-        match algo {
-            ScanAlgorithm::Binomial => {
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanBinomialSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-                };
-                let (ex, inc) = crate::request::drive(self, schedule);
-                (ex, Some(inc))
-            }
-            _ => {
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanRdSchedule::new(
-                        self.clone_handle(),
-                        value,
-                        salt,
-                        bytes_of,
-                        combine,
-                        need_exclusive,
-                        need_inclusive,
-                    )
-                };
-                crate::request::drive(self, schedule)
-            }
-        }
-    }
-
-    /// Three-way dispatch for splittable states; the chain's segment
-    /// count comes from the same deterministic cost function every rank
-    /// evaluates, so schedule and estimate always agree.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_splittable_dispatch<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl Fn(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-        need_exclusive: bool,
-        need_inclusive: bool,
-    ) -> (Option<T>, Option<T>) {
-        let bytes = bytes_of(&value);
-        let algo = self.select_scan_algorithm(bytes, true);
-        self.stats().record_scan_algorithm(algo);
-        let salt = self.next_collective_salt();
-        match algo {
-            ScanAlgorithm::PipelinedChain => {
-                // Same (deterministic, published) model the selector just
-                // priced from, so schedule and estimate always agree.
-                let segments =
-                    ScanAlgorithm::chain_segments(&self.selection_cost_model(bytes), self.size(), bytes);
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanChainSchedule::new(
-                        self.clone_handle(),
-                        value,
-                        segments,
-                        split,
-                        salt,
-                        bytes_of,
-                        combine,
-                        unsplit,
-                        need_exclusive,
-                    )
-                };
-                let (ex, inc) = crate::request::drive(self, schedule);
-                (ex, Some(inc))
-            }
-            ScanAlgorithm::Binomial => {
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanBinomialSchedule::new(self.clone_handle(), value, salt, bytes_of, combine)
-                };
-                let (ex, inc) = crate::request::drive(self, schedule);
-                (ex, Some(inc))
-            }
-            ScanAlgorithm::RecursiveDoubling => {
-                let schedule = {
-                    let _guard = self.enter_collective();
-                    ScanRdSchedule::new(
-                        self.clone_handle(),
-                        value,
-                        salt,
-                        bytes_of,
-                        combine,
-                        need_exclusive,
-                        need_inclusive,
-                    )
-                };
-                crate::request::drive(self, schedule)
-            }
-        }
+        let plan = self.plan_scan(bytes_of(&value), true);
+        self.start_scan::<Blocking, _, _>(plan, value, (split, unsplit), bytes_of, combine, both())
     }
 }
 
@@ -779,7 +624,7 @@ mod tests {
     #[test]
     fn splittable_selector_falls_back_when_not_commutative() {
         // Declared non-commutative: the circulant reduce-scatter is
-        // ineligible at any size. At 8 KiB the pipelined ring is eligible
+        // ineligible at any size. At 8 KiB the segmented tree is eligible
         // but loses to recursive doubling on latency, so the selector
         // falls back to full-state rounds.
         let outcome = Runtime::new(8).run(|comm| {
@@ -887,10 +732,9 @@ mod tests {
     #[test]
     fn splittable_selector_pipelines_large_non_commutative_states() {
         // 256 KiB, declared non-commutative: RS+AG is ineligible, but the
-        // rank-order pipelined schedules are — and at this size and rank
-        // count the fused tree beats both recursive doubling's full-state
-        // rounds and the ring's 2(p−1)-hop trip, so large non-commutative
-        // states pipeline instead of falling back.
+        // rank-order segmented tree is — and at this size and rank count
+        // it beats recursive doubling's full-state rounds, so large
+        // non-commutative states pipeline instead of falling back.
         let outcome = Runtime::new(8).run(|comm| {
             let state = vec![comm.rank() as u64; 32 << 10]; // 256 KiB
             comm.allreduce_splittable(
@@ -912,9 +756,7 @@ mod tests {
             8
         );
         assert_eq!(outcome.stats.calls(CallKind::Allreduce), 8);
-        // At p=2 the tree and ring estimates tie exactly (same two-hop
-        // pipeline) and the tie goes to the ring — the earlier candidate —
-        // which keeps the ring arm of the selector exercised end to end.
+        // At p=2 the tree is a two-hop pipeline and still wins.
         let pair = Runtime::new(2).run(|comm| {
             let state = vec![comm.rank() as u64 + 1; 8 << 10]; // 64 KiB
             comm.allreduce_splittable(
@@ -931,7 +773,7 @@ mod tests {
         }
         assert_eq!(
             pair.stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedRing),
+                .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedTree),
             2
         );
     }
@@ -1004,8 +846,8 @@ mod tests {
             8
         );
         assert_eq!(large.stats.calls(CallKind::Bcast), 8);
-        // Small payload at the same entry point: ties go to binomial, so
-        // the existing schedule keeps running bit-for-bit.
+        // Small payload at the same entry point: the chooser returns
+        // S = 1, so the whole-state tree keeps running bit-for-bit.
         let small = Runtime::new(8).run(|comm| {
             let value = (comm.rank() == 0).then(|| vec![9u64; 4]);
             comm.bcast_splittable(
@@ -1032,8 +874,8 @@ mod tests {
     fn plain_bcast_never_routes_to_pipelined_schedules() {
         use crate::cost::BcastAlgorithm;
         // The non-splittable entry points must record Binomial regardless
-        // of size: without a split function the pipelined tree is
-        // ineligible, full stop.
+        // of size: without a split function S > 1 is ineligible, full
+        // stop.
         let outcome = Runtime::new(4).run(|comm| {
             let value = (comm.rank() == 2).then(|| vec![1u8; 1 << 20]);
             comm.bcast_vec(2, value)

@@ -74,8 +74,8 @@ pub(crate) struct RankCore {
     pub(crate) calibration: Arc<Calibration>,
     pub(crate) stats: Arc<Stats>,
     pub(crate) registry: Arc<SplitRegistry>,
-    /// Eager/queued protocol threshold in modeled wire bytes (lane
-    /// transport only), shared by every communicator of this rank.
+    /// Eager/queued protocol threshold in modeled wire bytes, shared by
+    /// every communicator of this rank.
     pub(crate) eager_threshold: Cell<usize>,
     /// Collective nesting depth: wire sends issued inside a collective are
     /// not *user* send calls (an MPI trace would not show them either), so
@@ -456,7 +456,7 @@ impl Comm {
     }
 
     /// Sets the eager/queued threshold for this rank (all communicators
-    /// of the rank share it; no effect on the legacy shared transport).
+    /// of the rank share it).
     pub fn set_eager_threshold(&self, bytes: usize) {
         self.core.eager_threshold.set(bytes);
     }
@@ -521,10 +521,9 @@ impl Comm {
             hold_until,
             payload: Box::new(value),
         };
-        // Delivery cannot block (rings spill to an overflow queue, the
-        // shared channel is unbounded); a dead destination means that
-        // thread is gone, which the abort flag turns into a clean panic
-        // at the blocked receivers instead.
+        // Delivery cannot block (rings spill to an overflow queue); a
+        // dead destination means that thread is gone, which the abort
+        // flag turns into a clean panic at the blocked receivers instead.
         self.core.peers[self.members[dst]].send(
             packet,
             self.core.eager_threshold.get(),

@@ -1,7 +1,7 @@
 //! The virtual-clock communication cost model.
 //!
-//! This container has a single CPU, so rank threads cannot exhibit real
-//! parallel speedup; the paper's Figures 2–3, however, plot speedup on up
+//! This container has two CPUs, so rank threads cannot exhibit the
+//! paper's parallel speedup; its Figures 2–3, however, plot speedup on up
 //! to 736 processors. The substitution (documented in DESIGN.md) is a
 //! classic α–β/LogP-style model evaluated *during* real execution:
 //!
@@ -34,12 +34,12 @@ impl CostModel {
     /// ~1 ns per scalar operation.
     ///
     /// These constants model the *paper's network*, not this process:
-    /// they deliberately did not change when the in-process transport
-    /// moved from the shared mailbox to per-peer lanes (the real α of the
-    /// host transport dropped from ~2.1 µs to ~1.2 µs per ping-pong hop —
-    /// see `results/transport_microbench.txt` — but modeled figures must
-    /// stay comparable across recordings, and the virtual clock is
-    /// advanced by schedule shape alone, never by host wall time).
+    /// they deliberately do not track the in-process transport (whose
+    /// real α is about a microsecond per ping-pong hop — the
+    /// `msgpass.comm.pingpong_*` probes under `benchmark/` measure it):
+    /// modeled figures must stay comparable across recordings, and the
+    /// virtual clock is advanced by schedule shape alone, never by host
+    /// wall time.
     pub const fn cluster_2006() -> Self {
         CostModel {
             alpha: 5.0e-6,
@@ -100,10 +100,9 @@ pub fn max_segment_bytes(bytes: usize, parts: usize) -> usize {
 /// at `S* = √(depth·βn/α)`, clamped to `[1, 64]` and to segments of at
 /// least 512 bytes. Depends only on `(cost, depth, bytes)`, so every rank
 /// computes the same schedule and the estimate prices the schedule
-/// actually run. The chain scan (`depth = p−1`), the pipelined binomial
-/// tree (effective `depth = 2`, see
-/// [`BcastAlgorithm::tree_segments`]), and the pipelined ring allreduce
-/// (`depth = 2(p−1)`) all share this chooser.
+/// actually run. The chain scan (`depth = p−1`) and the segmented
+/// binomial tree (effective `depth = 2`, see
+/// [`BcastAlgorithm::tree_segments`]) share this chooser.
 pub fn pipeline_segments(cost: &CostModel, depth: usize, bytes: usize) -> usize {
     if depth == 0 || bytes == 0 {
         return 1;
@@ -123,16 +122,17 @@ pub fn pipeline_segments(cost: &CostModel, depth: usize, bytes: usize) -> usize 
 /// Selection is cost-driven: [`AllreduceAlgorithm::select`] evaluates the
 /// α–β estimate of each *eligible* algorithm for the call's rank count and
 /// wire size and picks the cheapest. Eligibility is a correctness matter,
-/// not a cost one: the ring reduce-scatter combines segments in rotated
-/// ring order, so it needs a commutative operator *and* a splittable
-/// state; recursive doubling and reduce+broadcast preserve rank order and
-/// work for any operator.
+/// not a cost one: the circulant reduce-scatter combines blocks in
+/// power-of-two stride order, so it needs a commutative operator *and* a
+/// splittable state; recursive doubling and the tree preserve rank order
+/// and work for any operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum AllreduceAlgorithm {
-    /// Binomial reduce to rank 0, then binomial broadcast:
-    /// `2⌈log₂p⌉(α + βn)`. Never the α–β winner — it exists as the
-    /// compatibility baseline (and as the only rooted-reduce reuse path).
+    /// Binomial reduce to rank 0, then binomial broadcast — the tree at
+    /// `S = 1`: `2⌈log₂p⌉(α + βn)`. Never the α–β winner (recursive
+    /// doubling needs at most as many hops at every p); it exists as the
+    /// whole-state baseline the ablations measure against.
     ReduceBroadcast,
     /// Recursive doubling with a fold/unfold step for non-powers of two:
     /// `(⌊log₂p⌋ + 2·[p not a power of two])(α + βn)`. The schedule folds
@@ -148,18 +148,6 @@ pub enum AllreduceAlgorithm {
     /// for large states at *any* p; requires commutativity and a
     /// splittable state.
     ReduceScatterAllgather,
-    /// Segment-pipelined ring: a reduce ring (rank 0 → p−1) followed by a
-    /// broadcast ring, with segment `j` one hop behind segment `j−1`:
-    /// `2(p−1)(α + β·n/S) + (S−1)·α`, plus a saturation term once the
-    /// broadcast wave catches the still-draining reduce ring (see
-    /// `ring_cost`). The first term is the first segment's full trip;
-    /// later segments drain one per `α` behind it (each rank's
-    /// per-segment occupancy is one receive plus one send at `α/2`
-    /// apiece, while the `β` terms of in-flight segments overlap on the
-    /// wire). Combines strictly in rank order, so — unlike
-    /// reduce-scatter+allgather — it serves *non-commutative* operators;
-    /// it only needs a splittable state.
-    PipelinedRing,
     /// Fused segment-pipelined binomial tree: each segment is reduced up
     /// the tree to rank 0 (children combined in increasing-mask order —
     /// rank-order safe) and relayed straight down the same tree the
@@ -168,19 +156,18 @@ pub enum AllreduceAlgorithm {
     /// `2⌈log₂p⌉(α + β·n/S) + (S−1)⌈log₂p⌉·α`. The first term is one
     /// segment's round trip; the drain spacing is rank 0's per-segment
     /// occupancy — up to `⌈log₂p⌉` receives on the way up plus as many
-    /// child sends on the way down, at `α/2` apiece. Trades the ring's
-    /// `2(p−1)` latency hops for `2⌈log₂p⌉`, so it overtakes the ring as
-    /// `p` grows; requires only a splittable state.
+    /// child sends on the way down, at `α/2` apiece. Requires only a
+    /// splittable state — the large-state schedule for non-commutative
+    /// operators.
     PipelinedTree,
 }
 
 impl AllreduceAlgorithm {
     /// All algorithms, for iteration and display.
-    pub const ALL: [AllreduceAlgorithm; 5] = [
+    pub const ALL: [AllreduceAlgorithm; 4] = [
         AllreduceAlgorithm::ReduceBroadcast,
         AllreduceAlgorithm::RecursiveDoubling,
         AllreduceAlgorithm::ReduceScatterAllgather,
-        AllreduceAlgorithm::PipelinedRing,
         AllreduceAlgorithm::PipelinedTree,
     ];
 
@@ -190,58 +177,7 @@ impl AllreduceAlgorithm {
             AllreduceAlgorithm::ReduceBroadcast => "reduce+bcast",
             AllreduceAlgorithm::RecursiveDoubling => "recursive-doubling",
             AllreduceAlgorithm::ReduceScatterAllgather => "reduce-scatter+allgather",
-            AllreduceAlgorithm::PipelinedRing => "pipelined-ring",
             AllreduceAlgorithm::PipelinedTree => "pipelined-tree",
-        }
-    }
-
-    /// Segment count the pipelined ring uses for a `bytes`-byte state
-    /// over `ranks` ranks: the argmin of [`Self::ring_cost`] over the
-    /// same `[1, min(64, bytes/512)]` range the closed-form chooser
-    /// scans. A closed form exists for the unsaturated cost (`S* =
-    /// √(2(p−1)βn/α)`), but the saturation term bends the optimum back
-    /// toward the knee, so the chooser scans — 64 evaluations of an
-    /// arithmetic formula, deterministic on every rank.
-    pub fn ring_segments(cost: &CostModel, ranks: usize, bytes: usize) -> usize {
-        Self::ring_plan(cost, ranks, bytes).0
-    }
-
-    /// `(argmin segments, min cost)` of the ring's corrected estimate.
-    fn ring_plan(cost: &CostModel, ranks: usize, bytes: usize) -> (usize, f64) {
-        if ranks <= 1 {
-            return (1, 0.0);
-        }
-        let cap = 64.min((bytes / 512).max(1));
-        let mut best = (1, Self::ring_cost(cost, ranks, bytes, 1));
-        for s in 2..=cap {
-            let c = Self::ring_cost(cost, ranks, bytes, s);
-            if c < best.1 {
-                best = (s, c);
-            }
-        }
-        best
-    }
-
-    /// α–β cost of the pipelined ring at an explicit segment count:
-    /// `2(p−1)(α + β·n/S) + (S−1)·α`, plus a saturation term once the
-    /// broadcast ring's wave catches the still-draining reduce ring.
-    /// From there every intermediate rank serves a hop of *both* phases
-    /// per segment — `2α` of occupancy against the `α` drain spacing —
-    /// so each overlapped segment costs one extra `α`:
-    /// `max(0, S·α − (p−1)(α + β·n/S))`. At p=2 no rank forwards finals
-    /// (the broadcast hop is the reduce hop's return leg), so the term
-    /// does not apply. Measured drains confirm both regimes; the model
-    /// is exact below the knee and a few percent conservative above it.
-    fn ring_cost(cost: &CostModel, ranks: usize, bytes: usize, segments: usize) -> f64 {
-        let p = ranks as f64;
-        let s = segments.max(1);
-        let seg = max_segment_bytes(bytes, s);
-        let base = 2.0 * (p - 1.0) * cost.transit(seg) + (s as f64 - 1.0) * cost.alpha;
-        if ranks >= 3 {
-            let overlap = s as f64 * cost.alpha - (p - 1.0) * cost.transit(seg);
-            base + overlap.max(0.0)
-        } else {
-            base
         }
     }
 
@@ -274,16 +210,6 @@ impl AllreduceAlgorithm {
                 let seg = max_segment_bytes(bytes, ranks);
                 2.0 * (q * cost.alpha + (p - 1.0) * seg as f64 * cost.beta)
             }
-            AllreduceAlgorithm::PipelinedRing => {
-                // First segment pays the full 2(p−1)-hop trip; each later
-                // segment drains one α behind it (per-rank occupancy:
-                // receive + send at α/2 each, β overlapped on the wire),
-                // plus the phase-overlap saturation priced in
-                // [`Self::ring_cost`]. The estimate is the cost at the
-                // chooser's own segment count, so schedule and price
-                // always agree.
-                Self::ring_plan(cost, ranks, bytes).1
-            }
             AllreduceAlgorithm::PipelinedTree => {
                 // One segment's tree round trip, then a drain tail of rank
                 // 0's per-segment occupancy: ⌈log₂p⌉ receives up plus
@@ -315,7 +241,6 @@ impl AllreduceAlgorithm {
         let candidates = [
             AllreduceAlgorithm::RecursiveDoubling,
             AllreduceAlgorithm::ReduceScatterAllgather,
-            AllreduceAlgorithm::PipelinedRing,
             AllreduceAlgorithm::PipelinedTree,
             AllreduceAlgorithm::ReduceBroadcast,
         ];
@@ -327,9 +252,7 @@ impl AllreduceAlgorithm {
                     commutative && splittable && ranks >= 2
                 }
                 // Rank-order combines: splittability is the only gate.
-                AllreduceAlgorithm::PipelinedRing | AllreduceAlgorithm::PipelinedTree => {
-                    splittable && ranks >= 2
-                }
+                AllreduceAlgorithm::PipelinedTree => splittable && ranks >= 2,
                 _ => true,
             };
             if !eligible {
@@ -345,11 +268,14 @@ impl AllreduceAlgorithm {
     }
 }
 
-/// The broadcast schedules the runtime can choose between.
+/// The two regimes of the segmented binomial tree, as selected and as
+/// recorded in the stats: whole-state (`S = 1`) and segmented (`S > 1`).
+/// Broadcast and rooted reduce both run this tree — the up-tree mirrors
+/// the down-tree, so one estimate prices both.
 ///
-/// Broadcast moves one rank's state to every rank, so there is no
-/// operator and no commutativity question — only *splittability* gates
-/// the pipelined schedule, exactly as for the chain scan.
+/// The tree combines in rank order at every `S`, so there is no
+/// commutativity question — only *splittability* gates `S > 1`, exactly
+/// as for the chain scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum BcastAlgorithm {
@@ -411,81 +337,30 @@ impl BcastAlgorithm {
         }
     }
 
-    /// Picks the cheapest eligible broadcast schedule. Ties go to the
-    /// earlier entry (the whole-state binomial), so small states — where
-    /// the segment chooser returns S = 1 and the two estimates coincide —
-    /// keep the existing schedule bit-for-bit.
+    /// Segment count the tree runs with: 1 unless the state is
+    /// splittable and the priced `S > 1` estimate is strictly lower. At
+    /// small states the chooser itself returns `S = 1` and the two
+    /// estimates coincide, so the whole-state tree keeps running.
+    pub fn select_segments(cost: &CostModel, ranks: usize, bytes: usize, splittable: bool) -> usize {
+        let s = Self::tree_segments(cost, ranks, bytes);
+        let segmented_wins = splittable
+            && s > 1
+            && BcastAlgorithm::Pipelined.estimated_seconds(cost, ranks, bytes)
+                < BcastAlgorithm::Binomial.estimated_seconds(cost, ranks, bytes);
+        if segmented_wins {
+            s
+        } else {
+            1
+        }
+    }
+
+    /// [`select_segments`](Self::select_segments), as the regime it
+    /// lands in.
     pub fn select(cost: &CostModel, ranks: usize, bytes: usize, splittable: bool) -> BcastAlgorithm {
-        let mut best = BcastAlgorithm::Binomial;
-        let mut best_cost = f64::INFINITY;
-        for algo in BcastAlgorithm::ALL {
-            if algo == BcastAlgorithm::Pipelined && !(splittable && ranks >= 2) {
-                continue;
-            }
-            let estimate = algo.estimated_seconds(cost, ranks, bytes);
-            if estimate < best_cost {
-                best = algo;
-                best_cost = estimate;
-            }
-        }
-        best
-    }
-}
-
-/// The rooted-reduce schedules the runtime can choose between.
-///
-/// Both candidates combine in rank order (the binomial tree receives
-/// children in increasing-mask order; the pipelined variant preserves the
-/// same association per segment), so commutativity never gates the
-/// choice — only splittability does, as for broadcast and scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum ReduceAlgorithm {
-    /// Whole-state binomial tree to the root: `⌈log₂p⌉(α + βn)`.
-    Binomial,
-    /// Segment-pipelined binomial tree, priced exactly like
-    /// [`BcastAlgorithm::Pipelined`] (the up-tree mirrors the down-tree):
-    /// `⌈log₂p⌉(α + β·n/S) + (S−1)⌈log₂p⌉·α/2` — the first segment's
-    /// ascent plus the pipeline tail from the root's fan-in occupancy.
-    /// Requires a splittable state.
-    Pipelined,
-}
-
-impl ReduceAlgorithm {
-    /// All algorithms, for iteration and display.
-    pub const ALL: [ReduceAlgorithm; 2] = [ReduceAlgorithm::Binomial, ReduceAlgorithm::Pipelined];
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReduceAlgorithm::Binomial => "binomial",
-            ReduceAlgorithm::Pipelined => "pipelined-binomial",
-        }
-    }
-
-    /// α–β estimate of one rooted reduce of a `bytes`-byte state over
-    /// `ranks` ranks (critical-path transit time only; the tree depth
-    /// matches broadcast's, so the formulas mirror [`BcastAlgorithm`]).
-    pub fn estimated_seconds(self, cost: &CostModel, ranks: usize, bytes: usize) -> f64 {
-        if ranks <= 1 {
-            return 0.0;
-        }
-        match self {
-            ReduceAlgorithm::Binomial => {
-                BcastAlgorithm::Binomial.estimated_seconds(cost, ranks, bytes)
-            }
-            ReduceAlgorithm::Pipelined => {
-                BcastAlgorithm::Pipelined.estimated_seconds(cost, ranks, bytes)
-            }
-        }
-    }
-
-    /// Picks the cheapest eligible reduce schedule; ties go to the
-    /// whole-state binomial, exactly as for [`BcastAlgorithm::select`].
-    pub fn select(cost: &CostModel, ranks: usize, bytes: usize, splittable: bool) -> ReduceAlgorithm {
-        match BcastAlgorithm::select(cost, ranks, bytes, splittable) {
-            BcastAlgorithm::Binomial => ReduceAlgorithm::Binomial,
-            BcastAlgorithm::Pipelined => ReduceAlgorithm::Pipelined,
+        if Self::select_segments(cost, ranks, bytes, splittable) > 1 {
+            BcastAlgorithm::Pipelined
+        } else {
+            BcastAlgorithm::Binomial
         }
     }
 }
@@ -679,8 +554,7 @@ mod tests {
             AllreduceAlgorithm::ReduceScatterAllgather
         );
         // Same size but non-commutative: the circulant is ineligible and
-        // the rank-order pipelined tree picks up the win instead (its
-        // 2⌈log₂p⌉ hops beat the ring's 2(p−1) at p=8).
+        // the rank-order segmented tree picks up the win instead.
         assert_eq!(
             AllreduceAlgorithm::select(&m, 8, 64 << 10, false, true),
             AllreduceAlgorithm::PipelinedTree
@@ -849,50 +723,30 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_ring_serves_large_non_commutative_splittable_states() {
+    fn segmented_tree_serves_large_non_commutative_splittable_states() {
         let m = CostModel::cluster_2006();
         // 256 KiB at p=8, non-commutative: RS+AG is ineligible, and the
-        // tree's pipelining beats both recursive doubling's full-state
-        // rounds and the ring's 2(p−1)-hop trip.
+        // tree's pipelining beats recursive doubling's full-state rounds.
         assert_eq!(
             AllreduceAlgorithm::select(&m, 8, 256 << 10, false, true),
             AllreduceAlgorithm::PipelinedTree
         );
-        // At p=2 the tree and the ring are the same two-hop pipeline and
-        // their estimates tie exactly; the tie goes to the ring (earlier
-        // in the preference order), and both beat recursive doubling's
-        // single full-state exchange.
+        // At p=2 the tree is a two-hop pipeline and still beats
+        // recursive doubling's single full-state exchange.
         assert_eq!(
             AllreduceAlgorithm::select(&m, 2, 64 << 10, false, true),
-            AllreduceAlgorithm::PipelinedRing
+            AllreduceAlgorithm::PipelinedTree
         );
-        // Commutative at 64 KiB: RS+AG still wins — the pipelined
-        // schedules must not displace the existing large-state pick.
+        // Commutative at 64 KiB: RS+AG still wins — the segmented tree
+        // must not displace the existing large-state pick.
         assert_eq!(
             AllreduceAlgorithm::select(&m, 8, 64 << 10, true, true),
             AllreduceAlgorithm::ReduceScatterAllgather
         );
-        // Unsplittable: neither pipelined schedule is eligible at any size.
+        // Unsplittable: the segmented tree is ineligible at any size.
         assert_eq!(
             AllreduceAlgorithm::select(&m, 8, 1 << 20, false, false),
             AllreduceAlgorithm::RecursiveDoubling
-        );
-    }
-
-    #[test]
-    fn ring_segments_are_deterministic_and_clamped() {
-        let m = CostModel::cluster_2006();
-        assert_eq!(AllreduceAlgorithm::ring_segments(&m, 1, 1 << 20), 1);
-        assert_eq!(AllreduceAlgorithm::ring_segments(&m, 8, 8), 1);
-        assert_eq!(AllreduceAlgorithm::ring_segments(&m, 8, 0), 1);
-        // 64 KiB at p=8: the unsaturated optimum √(14·β·n/α) ≈ 13.5, and
-        // the saturation term tips the argmin to the lower neighbour.
-        assert_eq!(AllreduceAlgorithm::ring_segments(&m, 8, 64 << 10), 13);
-        // Huge states hit the 64-segment cap.
-        assert_eq!(AllreduceAlgorithm::ring_segments(&m, 64, 64 << 20), 64);
-        assert_eq!(
-            AllreduceAlgorithm::ring_segments(&CostModel::free(), 8, 1 << 20),
-            1
         );
     }
 
@@ -951,30 +805,28 @@ mod tests {
     }
 
     #[test]
-    fn reduce_selector_mirrors_bcast_selection() {
+    fn select_segments_is_one_unless_the_segmented_estimate_is_strictly_lower() {
         let m = CostModel::cluster_2006();
-        for p in [2usize, 5, 8, 16] {
+        for p in [1usize, 2, 5, 8, 16] {
             for bytes in [8usize, 4 << 10, 64 << 10, 1 << 20] {
-                for splittable in [false, true] {
-                    let b = BcastAlgorithm::select(&m, p, bytes, splittable);
-                    let r = ReduceAlgorithm::select(&m, p, bytes, splittable);
-                    let expected = match b {
-                        BcastAlgorithm::Binomial => ReduceAlgorithm::Binomial,
-                        BcastAlgorithm::Pipelined => ReduceAlgorithm::Pipelined,
-                    };
-                    assert_eq!(r, expected, "p={p} bytes={bytes} splittable={splittable}");
+                assert_eq!(BcastAlgorithm::select_segments(&m, p, bytes, false), 1);
+                let s = BcastAlgorithm::select_segments(&m, p, bytes, true);
+                let whole = BcastAlgorithm::Binomial.estimated_seconds(&m, p, bytes);
+                let segmented = BcastAlgorithm::Pipelined.estimated_seconds(&m, p, bytes);
+                if s > 1 {
+                    assert_eq!(s, BcastAlgorithm::tree_segments(&m, p, bytes));
+                    assert!(segmented < whole, "p={p} bytes={bytes}");
+                } else {
+                    assert!(segmented >= whole, "p={p} bytes={bytes}");
                 }
             }
         }
     }
 
     #[test]
-    fn single_rank_bcast_and_reduce_are_free() {
+    fn single_rank_tree_is_free() {
         let m = CostModel::cluster_2006();
         for algo in BcastAlgorithm::ALL {
-            assert_eq!(algo.estimated_seconds(&m, 1, 1 << 20), 0.0);
-        }
-        for algo in ReduceAlgorithm::ALL {
             assert_eq!(algo.estimated_seconds(&m, 1, 1 << 20), 0.0);
         }
     }

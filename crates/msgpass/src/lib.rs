@@ -42,7 +42,7 @@ pub mod watchdog;
 pub use comm::{Comm, DEFAULT_EAGER_THRESHOLD};
 pub use cost::{
     max_segment_bytes, pipeline_segments, AllreduceAlgorithm, BcastAlgorithm, CostModel,
-    ReduceAlgorithm, ScanAlgorithm,
+    ScanAlgorithm,
 };
 pub use fault::{FaultOp, FaultPlan, FaultSummary, InjectedKill};
 pub use measured::{Calibration, CalibrationSnapshot, ClassSnapshot, CostSource, PairClass};
@@ -50,7 +50,7 @@ pub use mailbox::{ShutdownError, ShutdownKind, Source};
 pub use message::{Tag, RESERVED_TAG_BASE};
 pub use request::{test_any, wait_all, Request, RequestError};
 pub use runtime::{
-    FailureReport, RunError, RunOutcome, Runtime, Transport, DEFAULT_PARK_TIMEOUT,
+    FailureReport, RunError, RunOutcome, Runtime, DEFAULT_PARK_TIMEOUT,
 };
 pub use stats::{CallKind, KernelSnapshot, Stats, StatsSnapshot, TransportSnapshot};
 pub use watchdog::{BlockedOn, RankStall, RankState, StallReport};

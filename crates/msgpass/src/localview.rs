@@ -15,6 +15,7 @@
 //! results in **one** message per tree edge — "saving the overhead of many
 //! smaller messages".
 
+use crate::collectives::tree::vec_bytes;
 use crate::comm::Comm;
 
 /// `LOCAL_REDUCE`: reduction of one value per rank; `Some(result)` on
@@ -131,11 +132,6 @@ fn combine_elementwise_monoid<M: gv_core::monoid::Monoid>(
         }
         earlier
     }
-}
-
-#[allow(clippy::ptr_arg)] // passed where Fn(&Vec<T>) -> usize is expected
-fn vec_bytes<T>(v: &Vec<T>) -> usize {
-    v.len() * std::mem::size_of::<T>()
 }
 
 /// Balanced contiguous chunking (first `len % parts` chunks get one extra

@@ -1,25 +1,20 @@
 //! Per-rank receive side with MPI-style `(communicator, source, tag)`
-//! matching, over one of two transports.
+//! matching, over per-peer lanes.
 //!
-//! The default transport gives rank `r` **one SPSC lane per source rank**
-//! (`gv_executor::lane`): a matched receive from a known source — the
-//! collective fast path — polls exactly one lock-free ring and never
-//! touches any other rank's traffic. Arrivals that do not match the
-//! posted `(comm, tag)` are stashed *per lane, keyed by `(comm, tag)`*,
-//! so the slow path (`Source::Any`, tag mismatches) costs a hash lookup
-//! per candidate lane instead of a walk over everything pending. Within
-//! one `(comm, source, tag)` triple, ring order plus per-key FIFO stashes
+//! Rank `r` has **one SPSC lane per source rank** (`gv_executor::lane`):
+//! a matched receive from a known source — the collective fast path —
+//! polls exactly one lock-free ring and never touches any other rank's
+//! traffic. Arrivals that do not match the posted `(comm, tag)` are
+//! stashed *per lane, keyed by `(comm, tag)`*, so the slow path
+//! (`Source::Any`, tag mismatches) costs a hash lookup per candidate lane
+//! instead of a walk over everything pending. Within one
+//! `(comm, source, tag)` triple, ring order plus per-key FIFO stashes
 //! preserve arrival order — MPI's non-overtaking guarantee.
-//!
-//! The legacy transport (`Transport::SharedMailbox`) is the original
-//! single Mutex+Condvar MPSC channel per rank, kept selectable so the
-//! `transport_microbench` harness can measure the lanes against it; its
-//! pending queue is likewise indexed by `(comm, source, tag)` now.
 //!
 //! A receive that can never complete (peer threads exited, or the runtime
 //! raised the abort flag after a peer panicked) surfaces as a
 //! [`ShutdownError`] rather than a bare panic, so callers can attach
-//! context before unwinding. A parked lane receive observes shutdown two
+//! context before unwinding. A parked receive observes shutdown two
 //! ways: lane closure and runtime aborts explicitly unpark it, and the
 //! park itself always carries a timeout (configurable via
 //! `Runtime::park_timeout`, 50 ms by default), so even a lost wakeup
@@ -38,9 +33,8 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use gv_executor::channel::{Receiver, RecvTimeoutError, Sender};
 use gv_executor::lane::{lane, LaneDeposit, LaneReceiver, LaneSender, Parker};
 
 use crate::message::{LaneMsg, Packet, Tag};
@@ -52,13 +46,6 @@ use crate::watchdog::RankMonitor;
 /// spill to the lane's overflow queue without blocking or loss. Kept
 /// modest because a `p`-rank runtime allocates `p²` lanes.
 const LANE_CAPACITY: usize = 32;
-
-/// Upper bound on one blocking wait on the *shared* transport. The shared
-/// channel has no abort-side wakeup (only message arrivals signal its
-/// condvar), so the timed re-poll IS its abort detection; the configured
-/// park timeout is clamped to this so a large `Runtime::park_timeout`
-/// cannot defer shutdown indefinitely on the legacy transport.
-const SHARED_ABORT_POLL: Duration = Duration::from_millis(50);
 
 /// Scheduler yields between spinning and parking. A yield hands the CPU
 /// to a runnable producer without the futex sleep/wake a park costs —
@@ -233,41 +220,29 @@ impl PacketPool {
     }
 }
 
-/// The sending endpoint for one destination rank, matching the transport
-/// its mailbox was built with.
-pub(crate) enum PeerSender {
-    /// A dedicated source→destination lane (this rank is the source);
-    /// the pool is shared with the lane's receive side.
-    Lane {
-        tx: LaneSender<LaneMsg>,
-        pool: Arc<PacketPool>,
-    },
-    /// A clone of the destination's shared MPSC channel sender.
-    Shared(Sender<Packet>),
+/// The sending endpoint for one destination rank: a dedicated
+/// source→destination lane (this rank is the source), plus the envelope
+/// pool shared with the lane's receive side.
+pub(crate) struct PeerSender {
+    tx: LaneSender<LaneMsg>,
+    pool: Arc<PacketPool>,
 }
 
 impl PeerSender {
     /// Delivers `packet`, choosing the eager or queued protocol by the
-    /// packet's modeled wire size vs. `eager_threshold` (lane transport
-    /// only). Delivery to a dead receiver is silently dropped — the
-    /// runtime's abort machinery handles the peer's disappearance.
+    /// packet's modeled wire size vs. `eager_threshold`. Delivery to a
+    /// dead receiver is silently dropped — the runtime's abort machinery
+    /// handles the peer's disappearance.
     pub(crate) fn send(&self, packet: Packet, eager_threshold: usize, stats: &Stats) {
-        match self {
-            PeerSender::Lane { tx, pool } => {
-                let deposit = if packet.bytes <= eager_threshold {
-                    stats.transport.record_eager_send();
-                    tx.send(LaneMsg::Eager(packet))
-                } else {
-                    stats.transport.record_queued_send();
-                    tx.send(LaneMsg::Queued(pool.acquire(packet, stats)))
-                };
-                if let Ok(LaneDeposit::Overflow) = deposit {
-                    stats.transport.record_overflow_send();
-                }
-            }
-            PeerSender::Shared(tx) => {
-                let _ = tx.send(packet);
-            }
+        let deposit = if packet.bytes <= eager_threshold {
+            stats.transport.record_eager_send();
+            self.tx.send(LaneMsg::Eager(packet))
+        } else {
+            stats.transport.record_queued_send();
+            self.tx.send(LaneMsg::Queued(self.pool.acquire(packet, stats)))
+        };
+        if let Ok(LaneDeposit::Overflow) = deposit {
+            stats.transport.record_overflow_send();
         }
     }
 }
@@ -326,8 +301,8 @@ impl LaneState {
     }
 }
 
-/// Per-peer-lane receive side of one rank.
-pub(crate) struct LaneMailbox {
+/// The receive side of one rank: one lane per source.
+pub(crate) struct Mailbox {
     /// One lane per source, indexed by the source's **world** rank.
     lanes: Vec<LaneState>,
     /// Shared by all lanes feeding this rank; any producer wakes us.
@@ -341,7 +316,7 @@ pub(crate) struct LaneMailbox {
     held_stashed: usize,
 }
 
-impl LaneMailbox {
+impl Mailbox {
     /// Takes the earliest stashed packet matching `(comm_id, tag)` among
     /// the candidate lanes, if any. A lane whose front packet for the key
     /// is embargoed contributes nothing — delivering anything behind the
@@ -425,9 +400,10 @@ impl LaneMailbox {
         None
     }
 
-    /// One non-blocking matching pass: stash, then a ring drain, then the
-    /// shutdown checks. `Ok(None)` means "nothing yet, transport alive".
-    fn try_recv(
+    /// One non-blocking matching pass over `lanes`: stash, then a ring
+    /// drain, then the shutdown checks. `Ok(None)` means "nothing yet,
+    /// transport alive".
+    fn try_recv_on(
         &mut self,
         comm_id: u64,
         src: Source,
@@ -476,17 +452,15 @@ impl LaneMailbox {
         Ok(None)
     }
 
-    /// One backoff step while nothing was receivable: spin, then yield,
-    /// then take a wake ticket, re-check the watched lanes, and park
-    /// (bounded by the monitor's park timeout). `lanes` narrows the
-    /// pre-park readiness check to a posted receive's candidates; `None`
-    /// watches everything, for callers progressing several schedules
-    /// with different matching triples.
-    fn wait_step(
-        &self,
+    /// One backoff step for a caller whose last full sweep of polls made
+    /// no progress: spin, then yield, then take a wake ticket, re-check
+    /// every lane (the caller may be progressing several schedules with
+    /// different matching triples), and park. Bounded by the monitor's
+    /// park timeout, woken early by any producer, lane closure, or a
+    /// runtime abort's unpark.
+    pub(crate) fn wait_for_activity(
+        &mut self,
         state: &mut WaitState,
-        lanes: Option<&[usize]>,
-        posted: Option<(u64, Source, Tag)>,
         monitor: &RankMonitor,
         stats: &Stats,
     ) {
@@ -501,27 +475,23 @@ impl LaneMailbox {
             return;
         }
         let ticket = self.parker.ticket();
-        let ready = match lanes {
-            Some(ls) => ls.iter().any(|&w| self.lanes[w].rx.ready()),
-            None => self.lanes.iter().any(|lane| lane.rx.ready()),
-        };
-        if ready {
+        if self.lanes.iter().any(|lane| lane.rx.ready()) {
             state.reset();
             return;
         }
-        monitor.note_parked(posted);
+        monitor.note_parked(None);
         stats.transport.record_park();
         self.parker.park_timeout(ticket, monitor.park_timeout());
         state.reset();
     }
 
-    /// Blocking receive, specialized so the hot loop touches the stash
-    /// hash only once at entry: after that, every iteration is a ring
-    /// drain plus the shutdown checks, and the stash re-check (an
+    /// Blocking receive over `lanes`, specialized so the hot loop touches
+    /// the stash hash only once at entry: after that, every iteration is
+    /// a ring drain plus the shutdown checks, and the stash re-check (an
     /// embargoed match drained earlier parks in the stash until its hold
     /// expires) is gated on `held_stashed` — one integer compare, never
     /// taken without chaos injection.
-    fn recv_or_abort(
+    fn recv_or_abort_on(
         &mut self,
         comm_id: u64,
         src: Source,
@@ -598,311 +568,13 @@ impl LaneMailbox {
     }
 }
 
-/// The legacy transport: one MPSC Mutex+Condvar channel per rank, every
-/// peer holding a sender clone. Pending (mismatched) arrivals are indexed
-/// by the full `(comm, source, tag)` key, so even this path no longer
-/// re-walks a flat queue per receive.
-pub(crate) struct SharedMailbox {
-    incoming: Receiver<Packet>,
-    pending: HashMap<(u64, usize, Tag), StashQueue>,
-    pending_len: usize,
-    /// Pending packets carrying a chaos embargo (counted until taken,
-    /// even after their holds expire). Zero on every non-injected run,
-    /// which lets arrivals match directly without consulting the pending
-    /// index beyond one integer compare.
-    held_pending: usize,
-    next_seq: u64,
-}
-
-impl SharedMailbox {
-    fn new(incoming: Receiver<Packet>) -> Self {
-        SharedMailbox {
-            incoming,
-            pending: HashMap::new(),
-            pending_len: 0,
-            held_pending: 0,
-            next_seq: 0,
-        }
-    }
-
-    fn stash(&mut self, packet: Packet) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if packet.hold_until.is_some() {
-            self.held_pending += 1;
-        }
-        self.pending
-            .entry((packet.comm_id, packet.src as usize, packet.tag))
-            .or_default()
-            .push_back((seq, packet));
-        self.pending_len += 1;
-    }
-
-    fn matches(packet: &Packet, comm_id: u64, src: Source, tag: Tag) -> bool {
-        packet.comm_id == comm_id
-            && packet.tag == tag
-            && match src {
-                Source::Rank(r) => packet.src as usize == r,
-                Source::Any => true,
-            }
-    }
-
-    /// True when the pending index already queues packets under the
-    /// arriving packet's own `(comm, src, tag)` key — in which case it
-    /// must queue behind them (per-triple FIFO), even if it matches the
-    /// posted receive. The callers exhaust `take_pending` before draining
-    /// the channel, so a same-key pending packet can only exist behind a
-    /// chaos embargo — gating on `held_pending` (zero without injection)
-    /// is exact, and keeps this a single integer compare on the hot path.
-    fn pending_holds(&self, packet: &Packet) -> bool {
-        self.held_pending > 0
-            && self
-                .pending
-                .contains_key(&(packet.comm_id, packet.src as usize, packet.tag))
-    }
-
-    fn take_pending(&mut self, comm_id: u64, src: Source, tag: Tag) -> Option<Packet> {
-        if self.pending_len == 0 {
-            return None;
-        }
-        let key = match src {
-            Source::Rank(r) => {
-                // An embargoed front blocks its whole key: nothing behind
-                // it may overtake.
-                let front = self.pending.get(&(comm_id, r, tag)).and_then(|q| q.front());
-                match front {
-                    Some((_, packet)) if !embargoed(packet) => (comm_id, r, tag),
-                    _ => return None,
-                }
-            }
-            Source::Any => {
-                // Earliest deliverable arrival across sources: scan the
-                // (comm, tag) keys — O(distinct keys), not O(packets).
-                let best = self
-                    .pending
-                    .iter()
-                    .filter(|((c, _, t), _)| *c == comm_id && *t == tag)
-                    .filter_map(|(key, q)| {
-                        q.front()
-                            .filter(|(_, packet)| !embargoed(packet))
-                            .map(|&(seq, _)| (seq, *key))
-                    })
-                    .min_by_key(|&(seq, _)| seq);
-                best?.1
-            }
-        };
-        let queue = self.pending.get_mut(&key)?;
-        let (_, packet) = queue.pop_front()?;
-        if queue.is_empty() {
-            self.pending.remove(&key);
-        }
-        self.pending_len -= 1;
-        if packet.hold_until.is_some() {
-            self.held_pending -= 1;
-        }
-        Some(packet)
-    }
-
-    /// True when the pending index holds *any* packet (embargoed or not)
-    /// a receive for `(comm_id, src, tag)` could eventually match.
-    fn has_pending_match(&self, comm_id: u64, src: Source, tag: Tag) -> bool {
-        if self.pending_len == 0 {
-            return false;
-        }
-        match src {
-            Source::Rank(r) => self.pending.contains_key(&(comm_id, r, tag)),
-            Source::Any => self
-                .pending
-                .keys()
-                .any(|&(c, _, t)| c == comm_id && t == tag),
-        }
-    }
-
-    /// One non-blocking matching pass over the pending index and the
-    /// incoming channel. `Ok(None)` means "nothing yet, transport alive".
-    fn try_recv(
-        &mut self,
-        comm_id: u64,
-        src: Source,
-        tag: Tag,
-        monitor: &RankMonitor,
-        stats: &Stats,
-    ) -> Result<Option<Packet>, ShutdownError> {
-        if let Some(packet) = self.take_pending(comm_id, src, tag) {
-            monitor.note_match();
-            stats.transport.record_stash_recv();
-            return Ok(Some(packet));
-        }
-        while let Some(packet) = self.incoming.try_recv() {
-            if Self::matches(&packet, comm_id, src, tag)
-                && !self.pending_holds(&packet)
-                && !embargoed(&packet)
-            {
-                monitor.note_match();
-                stats.transport.record_ring_recv();
-                return Ok(Some(packet));
-            }
-            if packet.hold_until.is_some() {
-                stats.transport.record_embargo_defer();
-            }
-            self.stash(packet);
-            stats.transport.record_restash();
-        }
-        if monitor.is_aborted() {
-            return Err(monitor.shutdown_error(comm_id, src, tag, ShutdownKind::Aborted));
-        }
-        if self.incoming.is_disconnected() {
-            // Disconnection was observed after the drain above; one more
-            // pass catches a send that raced with the last sender's exit.
-            while let Some(packet) = self.incoming.try_recv() {
-                if Self::matches(&packet, comm_id, src, tag)
-                    && !self.pending_holds(&packet)
-                    && !embargoed(&packet)
-                {
-                    monitor.note_match();
-                    stats.transport.record_ring_recv();
-                    return Ok(Some(packet));
-                }
-                self.stash(packet);
-                stats.transport.record_restash();
-            }
-            if let Some(packet) = self.take_pending(comm_id, src, tag) {
-                monitor.note_match();
-                stats.transport.record_stash_recv();
-                return Ok(Some(packet));
-            }
-            // Embargoed pending matches still deliver once their holds
-            // expire — not yet a disconnect.
-            if self.has_pending_match(comm_id, src, tag) {
-                monitor.note_miss(comm_id, src, tag);
-                return Ok(None);
-            }
-            let kind = if monitor.is_aborted() {
-                ShutdownKind::Aborted
-            } else {
-                ShutdownKind::Disconnected
-            };
-            return Err(monitor.shutdown_error(comm_id, src, tag, kind));
-        }
-        monitor.note_miss(comm_id, src, tag);
-        Ok(None)
-    }
-
-    /// One backoff step: a timed blocking wait on the shared channel. An
-    /// arrival is stashed into the pending index (a later
-    /// [`try_recv`](Self::try_recv) finds it there), so this never loses
-    /// a message to the wait itself.
-    fn wait_step(
-        &mut self,
-        posted: Option<(u64, Source, Tag)>,
-        monitor: &RankMonitor,
-        stats: &Stats,
-    ) {
-        monitor.note_parked(posted);
-        let timeout = monitor.park_timeout().min(SHARED_ABORT_POLL);
-        match self.incoming.recv_timeout(timeout) {
-            Ok(packet) => self.stash(packet),
-            Err(RecvTimeoutError::Timeout) => stats.transport.record_park(),
-            // Disconnection is the *caller's* signal to stop waiting; the
-            // next try_recv pass reports it as a typed shutdown (or keeps
-            // waiting on an embargoed pending match — yield so that loop
-            // is not a hot spin).
-            Err(RecvTimeoutError::Disconnected) => {
-                stats.transport.record_park();
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Blocking receive, specialized so the steady state pays exactly one
-    /// channel pass per message: the pending index is consulted once at
-    /// entry, then the loop blocks in `recv_timeout` and returns a
-    /// matching arrival *directly* — no stash round-trip (hash insert
-    /// plus re-scan), no extra non-blocking drain. The chaos-only pending
-    /// re-check is gated on `held_pending` (an embargoed match stashed
-    /// during the wait becomes deliverable once its hold expires), and
-    /// the FIFO guard (`pending_holds`) stays exact: a same-key pending
-    /// packet can only exist behind an embargo.
-    fn recv_or_abort(
-        &mut self,
-        comm_id: u64,
-        src: Source,
-        tag: Tag,
-        monitor: &RankMonitor,
-        stats: &Stats,
-    ) -> Result<Packet, ShutdownError> {
-        if let Some(packet) = self.take_pending(comm_id, src, tag) {
-            monitor.note_match();
-            stats.transport.record_stash_recv();
-            return Ok(packet);
-        }
-        loop {
-            if self.held_pending > 0 {
-                if let Some(packet) = self.take_pending(comm_id, src, tag) {
-                    monitor.note_match();
-                    stats.transport.record_stash_recv();
-                    return Ok(packet);
-                }
-            }
-            monitor.note_parked(Some((comm_id, src, tag)));
-            let timeout = monitor.park_timeout().min(SHARED_ABORT_POLL);
-            match self.incoming.recv_timeout(timeout) {
-                Ok(packet) => {
-                    if Self::matches(&packet, comm_id, src, tag)
-                        && !self.pending_holds(&packet)
-                        && !embargoed(&packet)
-                    {
-                        monitor.note_match();
-                        stats.transport.record_ring_recv();
-                        return Ok(packet);
-                    }
-                    if packet.hold_until.is_some() {
-                        stats.transport.record_embargo_defer();
-                    }
-                    self.stash(packet);
-                    stats.transport.record_restash();
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    stats.transport.record_park();
-                    if monitor.is_aborted() {
-                        return Err(monitor.shutdown_error(
-                            comm_id,
-                            src,
-                            tag,
-                            ShutdownKind::Aborted,
-                        ));
-                    }
-                }
-                // Disconnection: delegate classification (and the
-                // close-race drain) to the full matching pass, which
-                // reports a typed shutdown — or keeps waiting on an
-                // embargoed pending match (yield so that loop is not a
-                // hot spin).
-                Err(RecvTimeoutError::Disconnected) => {
-                    stats.transport.record_park();
-                    if let Some(packet) = self.try_recv(comm_id, src, tag, monitor, stats)? {
-                        return Ok(packet);
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// A rank's receive side, whichever transport the runtime selected.
-pub(crate) enum Mailbox {
-    Lanes(LaneMailbox),
-    Shared(SharedMailbox),
-}
-
 impl Mailbox {
     /// Blocks until a packet matching `(comm_id, src, tag)` is available,
     /// periodically checking the runtime abort flag through `monitor`.
     ///
     /// `members` maps the posting communicator's ranks to **world** ranks
-    /// (`members[q]` = world rank of comm rank `q`); the lane transport
-    /// uses it to watch exactly the right lanes. Fails with
+    /// (`members[q]` = world rank of comm rank `q`), which is how the
+    /// receive watches exactly the right lanes. Fails with
     /// [`ShutdownKind::Disconnected`] when every matchable peer is gone,
     /// or [`ShutdownKind::Aborted`] when the runtime abort flag is up.
     pub(crate) fn recv_or_abort(
@@ -914,15 +586,11 @@ impl Mailbox {
         monitor: &RankMonitor,
         stats: &Stats,
     ) -> Result<Packet, ShutdownError> {
-        match self {
-            Mailbox::Lanes(lanes) => match src {
-                Source::Rank(q) => {
-                    let lane = [members[q]];
-                    lanes.recv_or_abort(comm_id, src, tag, &lane, monitor, stats)
-                }
-                Source::Any => lanes.recv_or_abort(comm_id, src, tag, members, monitor, stats),
-            },
-            Mailbox::Shared(shared) => shared.recv_or_abort(comm_id, src, tag, monitor, stats),
+        match src {
+            Source::Rank(q) => {
+                self.recv_or_abort_on(comm_id, src, tag, &[members[q]], monitor, stats)
+            }
+            Source::Any => self.recv_or_abort_on(comm_id, src, tag, members, monitor, stats),
         }
     }
 
@@ -938,35 +606,14 @@ impl Mailbox {
         monitor: &RankMonitor,
         stats: &Stats,
     ) -> Result<Option<Packet>, ShutdownError> {
-        match self {
-            Mailbox::Lanes(lanes) => match src {
-                Source::Rank(q) => {
-                    let lane = [members[q]];
-                    lanes.try_recv(comm_id, src, tag, &lane, monitor, stats)
-                }
-                Source::Any => lanes.try_recv(comm_id, src, tag, members, monitor, stats),
-            },
-            Mailbox::Shared(shared) => shared.try_recv(comm_id, src, tag, monitor, stats),
-        }
-    }
-
-    /// One backoff step for a caller whose last full sweep of polls made
-    /// no progress. Bounded by the monitor's park timeout, woken early by
-    /// any producer, lane closure, or a runtime abort's unpark.
-    pub(crate) fn wait_for_activity(
-        &mut self,
-        state: &mut WaitState,
-        monitor: &RankMonitor,
-        stats: &Stats,
-    ) {
-        match self {
-            Mailbox::Lanes(lanes) => lanes.wait_step(state, None, None, monitor, stats),
-            Mailbox::Shared(shared) => shared.wait_step(None, monitor, stats),
+        match src {
+            Source::Rank(q) => self.try_recv_on(comm_id, src, tag, &[members[q]], monitor, stats),
+            Source::Any => self.try_recv_on(comm_id, src, tag, members, monitor, stats),
         }
     }
 }
 
-/// Builds the per-peer-lane transport for `p` ranks: `p` mailboxes of
+/// Builds the transport for `p` ranks: `p` mailboxes of
 /// `p` lanes each, the sender matrix grouped by **source** rank
 /// (`senders[s][d]` sends s→d), and each rank's parker (the runtime
 /// unparks them all when raising the abort flag). `pooling` enables the
@@ -988,46 +635,24 @@ pub(crate) fn build_lane_transport(
             let (tx, rx) = lane::<LaneMsg>(LANE_CAPACITY, Arc::clone(&parker));
             let pool = Arc::new(PacketPool::new(pool_cap));
             lanes.push(LaneState::new(rx, Arc::clone(&pool)));
-            row.push(PeerSender::Lane { tx, pool });
+            row.push(PeerSender { tx, pool });
         }
-        mailboxes.push(Mailbox::Lanes(LaneMailbox {
+        mailboxes.push(Mailbox {
             lanes,
             parker: Arc::clone(&parker),
             spin_limit,
             held_stashed: 0,
-        }));
+        });
         parkers.push(parker);
     }
     (mailboxes, tx_rows, parkers)
-}
-
-/// Builds the legacy shared-channel transport: one MPSC channel per rank,
-/// each source rank holding a sender clone per destination.
-pub(crate) fn build_shared_transport(p: usize) -> (Vec<Mailbox>, Vec<Vec<PeerSender>>) {
-    let mut mailboxes = Vec::with_capacity(p);
-    let mut dest_senders = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = gv_executor::channel::unbounded();
-        mailboxes.push(Mailbox::Shared(SharedMailbox::new(rx)));
-        dest_senders.push(tx);
-    }
-    let senders = (0..p)
-        .map(|_s| {
-            dest_senders
-                .iter()
-                .map(|tx| PeerSender::Shared(tx.clone()))
-                .collect()
-        })
-        .collect();
-    // `dest_senders` (the originals) drop here, so disconnection tracks
-    // exactly the p per-rank clones.
-    (mailboxes, senders)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     fn packet(comm_id: u64, src: usize, tag: Tag, value: i32) -> Packet {
         Packet {
@@ -1068,25 +693,12 @@ mod tests {
             }
         }
 
-        fn shared(p: usize) -> Self {
-            let (mailboxes, senders) = build_shared_transport(p);
-            let aborted = Arc::new(AtomicBool::new(false));
-            Harness {
-                mailboxes,
-                senders,
-                stats: Stats::new(),
-                monitor: RankMonitor::detached(Arc::clone(&aborted)),
-                aborted,
-                members: (0..p).collect(),
-            }
-        }
-
         fn send(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32) {
             self.senders[s][d].send(packet(comm, s, tag, value), usize::MAX, &self.stats);
         }
 
         /// Sends with a zero eager threshold, forcing the queued (boxed)
-        /// protocol on the lane transport.
+        /// protocol.
         fn send_queued(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32) {
             self.senders[s][d].send(packet(comm, s, tag, value), 0, &self.stats);
         }
@@ -1105,37 +717,21 @@ mod tests {
         }
     }
 
-    fn both_transports(p: usize) -> [Harness; 2] {
-        [Harness::lanes(p), Harness::shared(p)]
-    }
-
     #[test]
     fn matching_by_source_and_tag() {
-        for mut h in both_transports(3) {
-            h.send(1, 0, 0, 7, 10);
-            h.send(2, 0, 0, 7, 20);
-            h.send(1, 0, 0, 9, 30);
-            assert_eq!(h.recv(0, 0, Source::Rank(2), 7), Ok(20));
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 9), Ok(30));
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(10));
-        }
+        let mut h = Harness::lanes(3);
+        h.send(1, 0, 0, 7, 10);
+        h.send(2, 0, 0, 7, 20);
+        h.send(1, 0, 0, 9, 30);
+        assert_eq!(h.recv(0, 0, Source::Rank(2), 7), Ok(20));
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 9), Ok(30));
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(10));
     }
 
     #[test]
-    fn any_source_takes_earliest_pending_per_transport() {
-        // Shared transport: a strict arrival order exists; earliest wins.
-        let mut h = Harness::shared(5);
-        h.send(3, 0, 0, 1, 33);
-        h.send(4, 0, 0, 1, 44);
-        // Force both into the pending stash by first receiving on another
-        // tag (mismatch → stash), then matching via Any.
-        h.send(2, 0, 0, 9, 99);
-        assert_eq!(h.recv(0, 0, Source::Rank(2), 9), Ok(99));
-        assert_eq!(h.recv(0, 0, Source::Any, 1), Ok(33));
-        assert_eq!(h.recv(0, 0, Source::Any, 1), Ok(44));
-
-        // Lane transport: both arrivals are delivered, each lane in order
-        // (cross-source order is unordered by design).
+    fn any_source_delivers_every_pending_arrival() {
+        // Both arrivals are delivered, each lane in order (cross-source
+        // order is unordered by design).
         let mut h = Harness::lanes(5);
         h.send(3, 0, 0, 1, 33);
         h.send(4, 0, 0, 1, 44);
@@ -1148,76 +744,71 @@ mod tests {
 
     #[test]
     fn non_overtaking_within_same_triple() {
-        for mut h in both_transports(2) {
-            for v in 0..5 {
-                h.send(1, 0, 0, 7, v);
-            }
-            for v in 0..5 {
-                assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
-            }
+        let mut h = Harness::lanes(2);
+        for v in 0..5 {
+            h.send(1, 0, 0, 7, v);
+        }
+        for v in 0..5 {
+            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
         }
     }
 
     #[test]
     fn non_overtaking_survives_stashing() {
-        for mut h in both_transports(2) {
-            // Interleave two tags from one source; receive tag 8 first so
-            // every tag-7 message goes through the stash, then check the
-            // tag-7 order survived.
-            for v in 0..4 {
-                h.send(1, 0, 0, 7, v);
-                h.send(1, 0, 0, 8, 100 + v);
-            }
-            for v in 0..4 {
-                assert_eq!(h.recv(0, 0, Source::Rank(1), 8), Ok(100 + v));
-            }
-            for v in 0..4 {
-                assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
-            }
+        let mut h = Harness::lanes(2);
+        // Interleave two tags from one source; receive tag 8 first so
+        // every tag-7 message goes through the stash, then check the
+        // tag-7 order survived.
+        for v in 0..4 {
+            h.send(1, 0, 0, 7, v);
+            h.send(1, 0, 0, 8, 100 + v);
+        }
+        for v in 0..4 {
+            assert_eq!(h.recv(0, 0, Source::Rank(1), 8), Ok(100 + v));
+        }
+        for v in 0..4 {
+            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
         }
     }
 
     #[test]
     fn communicator_ids_do_not_cross_talk() {
-        for mut h in both_transports(2) {
-            h.send(1, 0, 5, 7, 50);
-            h.send(1, 0, 6, 7, 60);
-            assert_eq!(h.recv(0, 6, Source::Rank(1), 7), Ok(60));
-            assert_eq!(h.recv(0, 5, Source::Rank(1), 7), Ok(50));
-        }
+        let mut h = Harness::lanes(2);
+        h.send(1, 0, 5, 7, 50);
+        h.send(1, 0, 6, 7, 60);
+        assert_eq!(h.recv(0, 6, Source::Rank(1), 7), Ok(60));
+        assert_eq!(h.recv(0, 5, Source::Rank(1), 7), Ok(50));
     }
 
     #[test]
     fn disconnect_surfaces_as_shutdown_error_not_a_lost_message() {
-        for mut h in both_transports(2) {
-            h.send(1, 0, 0, 7, 10);
-            h.senders.clear(); // every sending endpoint drops
-            // The queued message is still delivered…
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(10));
-            // …then the dead transport reports a typed shutdown.
-            let err = h.recv(0, 0, Source::Rank(1), 7).unwrap_err();
-            assert_eq!(err.kind, ShutdownKind::Disconnected);
-            assert_eq!(err.comm, 0);
-            assert_eq!(err.tag, 7);
-            assert_eq!(err.rank, 0);
-            assert_eq!(err.culprit, None);
-            assert!(err.to_string().contains("shut down"), "{err}");
-            assert!(err.to_string().contains("p2p"), "{err}");
-        }
+        let mut h = Harness::lanes(2);
+        h.send(1, 0, 0, 7, 10);
+        h.senders.clear(); // every sending endpoint drops
+        // The queued message is still delivered…
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(10));
+        // …then the dead transport reports a typed shutdown.
+        let err = h.recv(0, 0, Source::Rank(1), 7).unwrap_err();
+        assert_eq!(err.kind, ShutdownKind::Disconnected);
+        assert_eq!(err.comm, 0);
+        assert_eq!(err.tag, 7);
+        assert_eq!(err.rank, 0);
+        assert_eq!(err.culprit, None);
+        assert!(err.to_string().contains("shut down"), "{err}");
+        assert!(err.to_string().contains("p2p"), "{err}");
     }
 
     #[test]
     fn abort_flag_surfaces_as_shutdown_error() {
-        for mut h in both_transports(2) {
-            h.aborted.store(true, Ordering::Relaxed);
-            let err = h.recv(0, 0, Source::Any, 3).unwrap_err();
-            assert_eq!(err.kind, ShutdownKind::Aborted);
-        }
+        let mut h = Harness::lanes(2);
+        h.aborted.store(true, Ordering::Relaxed);
+        let err = h.recv(0, 0, Source::Any, 3).unwrap_err();
+        assert_eq!(err.kind, ShutdownKind::Aborted);
     }
 
     #[test]
     fn lane_disconnect_is_per_source() {
-        // Only the awaited source's exit matters on the lane transport:
+        // Only the awaited source's exit matters:
         // rank 2 stays alive, rank 1 exits → recv(1) disconnects.
         let mut h = Harness::lanes(3);
         let rank1_endpoints = h.senders.remove(1);
@@ -1304,57 +895,53 @@ mod tests {
 
     #[test]
     fn embargoed_packet_waits_out_its_hold() {
-        for mut h in both_transports(2) {
-            let started = Instant::now();
-            h.send_held(1, 0, 0, 7, 42, Duration::from_millis(40));
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(42));
-            assert!(
-                started.elapsed() >= Duration::from_millis(40),
-                "embargo was not honored: {:?}",
-                started.elapsed()
-            );
-            assert!(h.stats.snapshot().transport.embargo_defers > 0);
-        }
+        let mut h = Harness::lanes(2);
+        let started = Instant::now();
+        h.send_held(1, 0, 0, 7, 42, Duration::from_millis(40));
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(42));
+        assert!(
+            started.elapsed() >= Duration::from_millis(40),
+            "embargo was not honored: {:?}",
+            started.elapsed()
+        );
+        assert!(h.stats.snapshot().transport.embargo_defers > 0);
     }
 
     #[test]
     fn embargo_preserves_fifo_within_triple() {
-        for mut h in both_transports(2) {
-            // A held head must not be overtaken by unheld packets behind
-            // it on the same (comm, src, tag) triple.
-            h.send_held(1, 0, 0, 7, 1, Duration::from_millis(30));
-            h.send(1, 0, 0, 7, 2);
-            h.send(1, 0, 0, 7, 3);
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(1));
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(2));
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(3));
-        }
+        let mut h = Harness::lanes(2);
+        // A held head must not be overtaken by unheld packets behind
+        // it on the same (comm, src, tag) triple.
+        h.send_held(1, 0, 0, 7, 1, Duration::from_millis(30));
+        h.send(1, 0, 0, 7, 2);
+        h.send(1, 0, 0, 7, 3);
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(1));
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(2));
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(3));
     }
 
     #[test]
     fn embargoed_packet_survives_sender_exit() {
         // A held message from a sender that exits immediately afterwards
         // must still be delivered (not reported as a disconnect).
-        for mut h in both_transports(2) {
-            h.send_held(1, 0, 0, 7, 9, Duration::from_millis(30));
-            h.senders.clear();
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(9));
-            let err = h.recv(0, 0, Source::Rank(1), 7).unwrap_err();
-            assert_eq!(err.kind, ShutdownKind::Disconnected);
-        }
+        let mut h = Harness::lanes(2);
+        h.send_held(1, 0, 0, 7, 9, Duration::from_millis(30));
+        h.senders.clear();
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(9));
+        let err = h.recv(0, 0, Source::Rank(1), 7).unwrap_err();
+        assert_eq!(err.kind, ShutdownKind::Disconnected);
     }
 
     #[test]
     fn embargo_does_not_block_other_triples() {
-        for mut h in both_transports(3) {
-            h.send_held(1, 0, 0, 7, 1, Duration::from_secs(30));
-            h.send(2, 0, 0, 7, 2);
-            // Same tag, different source: deliverable immediately.
-            assert_eq!(h.recv(0, 0, Source::Rank(2), 7), Ok(2));
-            // Different tag from the held source: also deliverable.
-            h.send(1, 0, 0, 9, 3);
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 9), Ok(3));
-        }
+        let mut h = Harness::lanes(3);
+        h.send_held(1, 0, 0, 7, 1, Duration::from_secs(30));
+        h.send(2, 0, 0, 7, 2);
+        // Same tag, different source: deliverable immediately.
+        assert_eq!(h.recv(0, 0, Source::Rank(2), 7), Ok(2));
+        // Different tag from the held source: also deliverable.
+        h.send(1, 0, 0, 9, 3);
+        assert_eq!(h.recv(0, 0, Source::Rank(1), 9), Ok(3));
     }
 
     #[test]

@@ -33,27 +33,13 @@ use gv_executor::lane::Parker;
 use crate::comm::{Comm, SplitRegistry, DEFAULT_EAGER_THRESHOLD};
 use crate::cost::CostModel;
 use crate::fault::{FaultCounters, FaultPlan, FaultSummary, InjectedKill};
-use crate::mailbox::{build_lane_transport, build_shared_transport, ShutdownError};
+use crate::mailbox::{build_lane_transport, ShutdownError};
 use crate::measured::{Calibration, CalibrationSnapshot, CostSource, DEFAULT_WARMUP};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::watchdog::{FailureCells, ProgressBoard, RankMonitor, StallReport};
 
 /// Default upper bound on one parked wait (see [`Runtime::park_timeout`]).
 pub const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_millis(50);
-
-/// Which rank-to-rank transport a runtime wires up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Per-peer SPSC lanes with spin-then-park wakeup (the default): a
-    /// matched receive from a known source polls one lock-free ring and
-    /// never takes a lock.
-    #[default]
-    PerPeerLanes,
-    /// The original single Mutex+Condvar MPSC channel per rank. Kept
-    /// selectable so `transport_microbench` can measure the lanes
-    /// against it; semantics are identical.
-    SharedMailbox,
-}
 
 /// Configures and launches an SPMD run.
 ///
@@ -69,7 +55,6 @@ pub enum Transport {
 pub struct Runtime {
     ranks: usize,
     cost: CostModel,
-    transport: Transport,
     eager_threshold: usize,
     packet_pooling: bool,
     cost_source: Option<CostSource>,
@@ -207,7 +192,6 @@ impl Runtime {
         Runtime {
             ranks,
             cost: CostModel::default(),
-            transport: Transport::default(),
             eager_threshold: DEFAULT_EAGER_THRESHOLD,
             packet_pooling: true,
             cost_source: None,
@@ -223,13 +207,6 @@ impl Runtime {
         self
     }
 
-    /// Selects the rank-to-rank transport (default:
-    /// [`Transport::PerPeerLanes`]).
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Sets the initial eager/queued protocol threshold in modeled wire
     /// bytes (see [`Comm::set_eager_threshold`]).
     pub fn eager_threshold(mut self, bytes: usize) -> Self {
@@ -239,7 +216,7 @@ impl Runtime {
 
     /// Enables or disables the per-lane queued-path envelope freelist
     /// (default **on**). Pooling is a pure allocation optimization on the
-    /// lane transport's queued protocol: message order, matching, and
+    /// transport's queued protocol: message order, matching, and
     /// every modeled figure are identical either way — only the
     /// `pool_hits`/`pool_misses` observability counters (and the host's
     /// allocator traffic) change. Turning it off makes every queued send
@@ -268,10 +245,8 @@ impl Runtime {
     /// The timeout is a *backstop*, not the wakeup mechanism: producers,
     /// lane closures, aborts, and the watchdog all unpark receivers
     /// explicitly, so raising this does not slow the normal paths — it
-    /// only stretches how long a genuinely lost wakeup could linger. On
-    /// the legacy shared transport (whose waits have no abort-side
-    /// wakeup) the effective bound is additionally clamped to 50 ms, and
-    /// an active fault plan with delivery delays clamps it to 1 ms so
+    /// only stretches how long a genuinely lost wakeup could linger. An
+    /// active fault plan with delivery delays clamps it to 1 ms so
     /// embargo expiries are noticed promptly.
     pub fn park_timeout(mut self, timeout: Duration) -> Self {
         self.park_timeout = timeout;
@@ -351,14 +326,8 @@ impl Runtime {
         F: Fn(&Comm) -> R + Sync,
     {
         let p = self.ranks;
-        let (mailboxes, senders, parkers) = match self.transport {
-            Transport::PerPeerLanes => build_lane_transport(p, self.packet_pooling),
-            Transport::SharedMailbox => {
-                let (mailboxes, senders) = build_shared_transport(p);
-                (mailboxes, senders, Vec::new())
-            }
-        };
-        // Parked lane receivers are woken explicitly on abort (the park
+        let (mailboxes, senders, parkers) = build_lane_transport(p, self.packet_pooling);
+        // Parked receivers are woken explicitly on abort (the park
         // timeout remains as a backstop, not the mechanism).
         let parkers = Arc::new(parkers);
         let stats = Arc::new(Stats::new());
@@ -595,35 +564,28 @@ mod tests {
 
     #[test]
     fn point_to_point_ring() {
-        for transport in [Transport::PerPeerLanes, Transport::SharedMailbox] {
-            let outcome = Runtime::new(4).transport(transport).run(|comm| {
-                let next = (comm.rank() + 1) % comm.size();
-                let prev = (comm.rank() + comm.size() - 1) % comm.size();
-                comm.send(next, 1, comm.rank() as u32);
-                comm.recv::<u32>(prev, 1)
-            });
-            assert_eq!(outcome.results, vec![3, 0, 1, 2]);
-        }
+        let outcome = Runtime::new(4).run(|comm| {
+            let next = (comm.rank() + 1) % comm.size();
+            let prev = (comm.rank() + comm.size() - 1) % comm.size();
+            comm.send(next, 1, comm.rank() as u32);
+            comm.recv::<u32>(prev, 1)
+        });
+        assert_eq!(outcome.results, vec![3, 0, 1, 2]);
     }
 
     #[test]
-    fn both_transports_agree_on_collectives() {
-        let run = |transport| {
-            Runtime::new(5)
-                .transport(transport)
-                .run(|comm| {
-                    let sum = comm.allreduce(comm.rank() as u64 + 1, true, |_| 8, |a, b| a + b);
-                    let prefix =
-                        comm.scan_inclusive(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
-                    (sum, prefix)
-                })
-        };
-        let lanes = run(Transport::PerPeerLanes);
-        let shared = run(Transport::SharedMailbox);
-        assert_eq!(lanes.results, shared.results);
-        // Transport choice must not change schedule-level accounting.
-        assert_eq!(lanes.stats.messages, shared.stats.messages);
-        assert_eq!(lanes.stats.bytes, shared.stats.bytes);
+    fn collectives_agree_with_their_oracles_and_message_counts() {
+        let outcome = Runtime::new(5).run(|comm| {
+            let sum = comm.allreduce(comm.rank() as u64 + 1, true, |_| 8, |a, b| a + b);
+            let prefix = comm.scan_inclusive(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
+            (sum, prefix)
+        });
+        assert_eq!(outcome.results, vec![(15, 1), (15, 3), (15, 6), (15, 10), (15, 15)]);
+        // Schedule-level accounting: recursive doubling at p=5 folds one
+        // pair (2 messages) around 2 rounds × 4 survivors; the shifted
+        // scan sends p−d messages in each of its rounds d = 1, 2, 4.
+        assert_eq!(outcome.stats.messages, (2 + 8) + (4 + 3 + 1));
+        assert_eq!(outcome.stats.bytes, 8 * 18);
     }
 
     #[test]
@@ -660,40 +622,35 @@ mod tests {
 
     #[test]
     fn rank_panic_propagates_without_deadlock() {
-        for transport in [Transport::PerPeerLanes, Transport::SharedMailbox] {
-            let result = std::panic::catch_unwind(|| {
-                Runtime::new(3).transport(transport).run(|comm| {
-                    if comm.rank() == 1 {
-                        panic!("rank 1 exploded");
-                    }
-                    // Other ranks block on a message that will never come.
-                    let _: u8 = comm.recv(1, 5);
-                })
-            });
-            assert!(result.is_err());
-        }
+        let result = std::panic::catch_unwind(|| {
+            Runtime::new(3).run(|comm| {
+                if comm.rank() == 1 {
+                    panic!("rank 1 exploded");
+                }
+                // Other ranks block on a message that will never come.
+                let _: u8 = comm.recv(1, 5);
+            })
+        });
+        assert!(result.is_err());
     }
 
     #[test]
     fn try_run_reports_the_root_cause_rank() {
-        for transport in [Transport::PerPeerLanes, Transport::SharedMailbox] {
-            let err = Runtime::new(3)
-                .transport(transport)
-                .try_run(|comm| {
-                    if comm.rank() == 1 {
-                        panic!("rank 1 exploded");
-                    }
-                    let _: u8 = comm.recv(1, 5);
-                })
-                .unwrap_err();
-            match err {
-                RunError::Failed(report) => {
-                    assert_eq!(report.rank, 1);
-                    assert!(report.message.contains("exploded"), "{}", report.message);
-                    assert!(report.injected.is_none());
+        let err = Runtime::new(3)
+            .try_run(|comm| {
+                if comm.rank() == 1 {
+                    panic!("rank 1 exploded");
                 }
-                other => panic!("expected Failed, got {other:?}"),
+                let _: u8 = comm.recv(1, 5);
+            })
+            .unwrap_err();
+        match err {
+            RunError::Failed(report) => {
+                assert_eq!(report.rank, 1);
+                assert!(report.message.contains("exploded"), "{}", report.message);
+                assert!(report.injected.is_none());
             }
+            other => panic!("expected Failed, got {other:?}"),
         }
     }
 
@@ -708,27 +665,24 @@ mod tests {
 
     #[test]
     fn injected_spawn_failure_cleans_up_spawned_ranks() {
-        for transport in [Transport::PerPeerLanes, Transport::SharedMailbox] {
-            let started = Instant::now();
-            let err = Runtime::new(4)
-                .transport(transport)
-                .fault_plan(FaultPlan::new(5).fail_spawn(2))
-                .try_run(|comm| {
-                    // Ranks 0 and 1 spawn first and block on a barrier the
-                    // missing ranks can never join.
-                    comm.barrier();
-                })
-                .unwrap_err();
-            match err {
-                RunError::Spawn { rank, message } => {
-                    assert_eq!(rank, 2);
-                    assert!(message.contains("injected"), "{message}");
-                }
-                other => panic!("expected Spawn, got {other:?}"),
+        let started = Instant::now();
+        let err = Runtime::new(4)
+            .fault_plan(FaultPlan::new(5).fail_spawn(2))
+            .try_run(|comm| {
+                // Ranks 0 and 1 spawn first and block on a barrier the
+                // missing ranks can never join.
+                comm.barrier();
+            })
+            .unwrap_err();
+        match err {
+            RunError::Spawn { rank, message } => {
+                assert_eq!(rank, 2);
+                assert!(message.contains("injected"), "{message}");
             }
-            // Clean abort, not a hang until some timeout.
-            assert!(started.elapsed() < Duration::from_secs(10));
+            other => panic!("expected Spawn, got {other:?}"),
         }
+        // Clean abort, not a hang until some timeout.
+        assert!(started.elapsed() < Duration::from_secs(10));
     }
 
     #[test]
@@ -789,38 +743,35 @@ mod tests {
         // Rank 0 waits for a message nobody sends — a real deadlock. The
         // watchdog must abort the run with a populated report instead of
         // letting the test hang.
-        for transport in [Transport::PerPeerLanes, Transport::SharedMailbox] {
-            let err = Runtime::new(3)
-                .transport(transport)
-                .watchdog(Duration::from_millis(150))
-                .try_run(|comm| {
-                    if comm.rank() == 0 {
-                        let _: u8 = comm.recv(1, 77);
-                    }
-                    // Ranks 1 and 2 exit immediately; with rank 0 parked
-                    // on rank 1's lane... actually their exit closes
-                    // lanes, so block them on a receive too to force a
-                    // true three-way stall.
-                    if comm.rank() != 0 {
-                        let _: u8 = comm.recv(0, 78);
-                    }
-                })
-                .unwrap_err();
-            match err {
-                RunError::Stalled(report) => {
-                    assert_eq!(report.ranks.len(), 3);
-                    assert!(report.waited >= Duration::from_millis(150));
-                    let r0 = &report.ranks[0];
-                    let on = r0.blocked_on.expect("rank 0 recorded its wait");
-                    assert_eq!(on.src, Some(1));
-                    assert_eq!(on.tag, 77);
-                    assert_eq!(on.op, "p2p");
-                    let rendered = report.to_string();
-                    assert!(rendered.contains("rank 0"), "{rendered}");
-                    assert!(rendered.contains("tag=0x4d"), "{rendered}");
+        let err = Runtime::new(3)
+            .watchdog(Duration::from_millis(150))
+            .try_run(|comm| {
+                if comm.rank() == 0 {
+                    let _: u8 = comm.recv(1, 77);
                 }
-                other => panic!("expected Stalled, got {other:?}"),
+                // Ranks 1 and 2 exit immediately; with rank 0 parked
+                // on rank 1's lane... actually their exit closes
+                // lanes, so block them on a receive too to force a
+                // true three-way stall.
+                if comm.rank() != 0 {
+                    let _: u8 = comm.recv(0, 78);
+                }
+            })
+            .unwrap_err();
+        match err {
+            RunError::Stalled(report) => {
+                assert_eq!(report.ranks.len(), 3);
+                assert!(report.waited >= Duration::from_millis(150));
+                let r0 = &report.ranks[0];
+                let on = r0.blocked_on.expect("rank 0 recorded its wait");
+                assert_eq!(on.src, Some(1));
+                assert_eq!(on.tag, 77);
+                assert_eq!(on.op, "p2p");
+                let rendered = report.to_string();
+                assert!(rendered.contains("rank 0"), "{rendered}");
+                assert!(rendered.contains("tag=0x4d"), "{rendered}");
             }
+            other => panic!("expected Stalled, got {other:?}"),
         }
     }
 

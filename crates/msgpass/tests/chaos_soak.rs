@@ -1,5 +1,5 @@
-//! Chaos soak: pinned fault seeds across both transports and a blocking +
-//! non-blocking collective matrix.
+//! Chaos soak: pinned fault seeds across a blocking + non-blocking
+//! collective matrix.
 //!
 //! The contract this suite pins (DESIGN.md "Failure semantics"):
 //!
@@ -19,9 +19,9 @@
 
 use std::time::Duration;
 
-use gv_msgpass::{Comm, FaultOp, FaultPlan, FaultSummary, RunError, Runtime, Transport};
+use gv_msgpass::{Comm, FaultOp, FaultPlan, FaultSummary, RunError, Runtime};
 
-/// Pinned seeds — 24 of them, covering every (transport, scenario, ranks)
+/// Pinned seeds — 24 of them, covering every (scenario, ranks, wait path)
 /// combination the derivation below cycles through. A CI failure prints
 /// the seed; replaying it locally reproduces the run exactly.
 const SEEDS: [u64; 24] = [
@@ -46,13 +46,12 @@ enum Scenario {
 }
 
 /// One soak case, derived deterministically from the seed's position so
-/// the matrix covers both transports, all three scenarios, and world
+/// the matrix covers all three scenarios, both wait paths, and world
 /// sizes 2..=6 (including non-powers-of-two, which exercise the
 /// non-power-of-two collective schedules under chaos).
 struct Case {
     seed: u64,
     ranks: usize,
-    transport: Transport,
     scenario: Scenario,
     /// Odd cases harvest the non-blocking allreduce through
     /// `wait_timeout`, even ones through `wait` — both wait paths soak.
@@ -63,11 +62,6 @@ fn case(index: usize, seed: u64) -> Case {
     Case {
         seed,
         ranks: 2 + (index % 5),
-        transport: if index % 2 == 0 {
-            Transport::PerPeerLanes
-        } else {
-            Transport::SharedMailbox
-        },
         scenario: match index % 3 {
             0 => Scenario::DelayOnly,
             1 => Scenario::DelayAndStall,
@@ -144,7 +138,6 @@ fn run_case(case: &Case) -> Result<(SoakResults, FaultSummary), RunError> {
     let plan = plan_for(case);
     let use_wait_timeout = case.use_wait_timeout;
     Runtime::new(case.ranks)
-        .transport(case.transport)
         .watchdog(WATCHDOG)
         .fault_plan(plan)
         .try_run(|comm| workload(comm, use_wait_timeout))
@@ -158,8 +151,8 @@ fn soak_all_pinned_seeds() {
     for (index, &seed) in SEEDS.iter().enumerate() {
         let case = case(index, seed);
         let label = format!(
-            "seed {seed:#x} (index {index}, p={}, {:?}, {:?})",
-            case.ranks, case.transport, case.scenario
+            "seed {seed:#x} (index {index}, p={}, {:?})",
+            case.ranks, case.scenario
         );
         match case.scenario {
             Scenario::DelayOnly | Scenario::DelayAndStall => {

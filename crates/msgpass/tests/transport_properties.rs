@@ -2,7 +2,7 @@
 //!
 //! A random SPMD "plan" — per-rank send lists plus per-rank receive
 //! posts, including `Source::Any` posts and mixed eager/queued payload
-//! sizes — is executed on real rank threads under both transports, and
+//! sizes — is executed on real rank threads, and
 //! every delivered message is checked against MPI's ordering contract:
 //!
 //! * **non-overtaking**: within one `(comm, source, tag)` triple,
@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use gv_msgpass::{Runtime, Transport};
+use gv_msgpass::Runtime;
 use gv_testkit::prop::{check, Config, Strategy};
 use gv_testkit::rng::TestRng;
 
@@ -131,12 +131,11 @@ impl Strategy for PlanStrategy {
     }
 }
 
-fn run_plan(plan: &Plan, transport: Transport) -> Result<(), String> {
+fn run_plan(plan: &Plan) -> Result<(), String> {
     let posts = plan.derive_posts();
     let failure: Mutex<Option<String>> = Mutex::new(None);
     let outcome = std::panic::catch_unwind(|| {
         Runtime::new(plan.p)
-            .transport(transport)
             .eager_threshold(plan.eager_threshold)
             .run(|comm| {
                 let r = comm.rank();
@@ -179,7 +178,7 @@ fn run_plan(plan: &Plan, transport: Transport) -> Result<(), String> {
             })
     });
     if let Some(msg) = failure.into_inner().unwrap() {
-        return Err(format!("{transport:?}: {msg}"));
+        return Err(msg);
     }
     match outcome {
         Ok(_) => Ok(()),
@@ -189,7 +188,7 @@ fn run_plan(plan: &Plan, transport: Transport) -> Result<(), String> {
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "non-string panic".to_string());
-            Err(format!("{transport:?}: rank panicked: {msg}"))
+            Err(format!("rank panicked: {msg}"))
         }
     }
 }
@@ -201,10 +200,7 @@ fn random_interleavings_never_overtake_within_a_triple() {
         "random_interleavings_never_overtake_within_a_triple",
         &config,
         &PlanStrategy,
-        |plan| {
-            run_plan(plan, Transport::PerPeerLanes)?;
-            run_plan(plan, Transport::SharedMailbox)
-        },
+        run_plan,
     );
 }
 
@@ -213,26 +209,24 @@ fn any_source_receives_drain_multiple_senders() {
     // Deterministic cross-source-freedom check: every rank fires at rank
     // 0 on one tag; rank 0 drains them all with `Source::Any` and must
     // see each source's stream in order, whatever the arrival order.
-    for transport in [Transport::PerPeerLanes, Transport::SharedMailbox] {
-        let outcome = Runtime::new(6).transport(transport).run(|comm| {
-            const PER_RANK: u64 = 5;
-            if comm.rank() == 0 {
-                let mut next: HashMap<usize, u64> = HashMap::new();
-                for _ in 0..(comm.size() as u64 - 1) * PER_RANK {
-                    let ((src, seq), from) = comm.recv_any::<(usize, u64)>(2);
-                    assert_eq!(src, from);
-                    let want = next.entry(from).or_insert(0);
-                    assert_eq!(seq, *want, "overtaking from rank {from}");
-                    *want += 1;
-                }
-                next.len()
-            } else {
-                for seq in 0..PER_RANK {
-                    comm.send(0, 2, (comm.rank(), seq));
-                }
-                0
+    let outcome = Runtime::new(6).run(|comm| {
+        const PER_RANK: u64 = 5;
+        if comm.rank() == 0 {
+            let mut next: HashMap<usize, u64> = HashMap::new();
+            for _ in 0..(comm.size() as u64 - 1) * PER_RANK {
+                let ((src, seq), from) = comm.recv_any::<(usize, u64)>(2);
+                assert_eq!(src, from);
+                let want = next.entry(from).or_insert(0);
+                assert_eq!(seq, *want, "overtaking from rank {from}");
+                *want += 1;
             }
-        });
-        assert_eq!(outcome.results[0], 5, "{transport:?}: sources seen");
-    }
+            next.len()
+        } else {
+            for seq in 0..PER_RANK {
+                comm.send(0, 2, (comm.rank(), seq));
+            }
+            0
+        }
+    });
+    assert_eq!(outcome.results[0], 5, "sources seen");
 }

@@ -8,18 +8,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use gv_msgpass::{Runtime, ShutdownError, ShutdownKind, Source, Transport};
-
-const TRANSPORTS: [Transport; 2] = [Transport::PerPeerLanes, Transport::SharedMailbox];
+use gv_msgpass::{Runtime, ShutdownError, ShutdownKind, Source};
 
 /// Runs `recv` on rank 1 and returns the ShutdownError it unwound with.
-fn observe_shutdown(
-    transport: Transport,
-    peer: impl Fn() + Sync,
-) -> (ShutdownError, Duration, u64) {
+fn observe_shutdown(peer: impl Fn() + Sync) -> (ShutdownError, Duration, u64) {
     let observed: Mutex<Option<(ShutdownError, Duration)>> = Mutex::new(None);
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Runtime::new(2).transport(transport).run(|comm| {
+        Runtime::new(2).run(|comm| {
             if comm.rank() == 0 {
                 // Give rank 1 time to pass its spin budget and park
                 // before the shutdown condition appears.
@@ -53,12 +48,9 @@ fn observe_shutdown(
 
 #[test]
 fn peer_exit_while_parked_is_disconnected() {
-    // Lane transport only: each lane closes when its *single* producer
-    // exits, so a receiver learns its awaited peer is gone. The shared
-    // transport cannot detect this — every rank holds a sender clone to
-    // its own channel, so the channel never disconnects while its owner
-    // is still blocked on it (a pre-existing limitation the lanes fix).
-    let (err, waited, parks) = observe_shutdown(Transport::PerPeerLanes, || {});
+    // Each lane closes when its *single* producer exits, so a receiver
+    // learns its awaited peer is gone.
+    let (err, waited, parks) = observe_shutdown(|| {});
     assert_eq!(err.kind, ShutdownKind::Disconnected);
     assert_eq!(err.comm, 0);
     assert_eq!(err.src, Source::Rank(0));
@@ -74,29 +66,25 @@ fn peer_exit_while_parked_is_disconnected() {
 
 #[test]
 fn peer_panic_while_parked_is_aborted() {
-    for transport in TRANSPORTS {
-        let panicked = AtomicBool::new(false);
-        let (err, waited, _) = observe_shutdown(transport, || {
-            panicked.store(true, Ordering::Relaxed);
-            panic!("peer rank exploded");
-        });
-        assert!(panicked.load(Ordering::Relaxed));
-        assert_eq!(err.kind, ShutdownKind::Aborted, "{transport:?}");
-        assert_eq!(err.src, Source::Rank(0));
-        // Abort raises the flag and unparks every rank explicitly; the
-        // 50 ms park timeout is only a backstop.
-        assert!(waited < Duration::from_secs(2), "{transport:?}: {waited:?}");
-    }
+    let panicked = AtomicBool::new(false);
+    let (err, waited, _) = observe_shutdown(|| {
+        panicked.store(true, Ordering::Relaxed);
+        panic!("peer rank exploded");
+    });
+    assert!(panicked.load(Ordering::Relaxed));
+    assert_eq!(err.kind, ShutdownKind::Aborted);
+    assert_eq!(err.src, Source::Rank(0));
+    // Abort raises the flag and unparks every rank explicitly; the
+    // 50 ms park timeout is only a backstop.
+    assert!(waited < Duration::from_secs(2), "{waited:?}");
 }
 
 #[test]
 fn in_flight_message_beats_sender_exit() {
     // A message already delivered to the transport survives its sender's
     // exit: the receiver gets the value first, and only the *next*
-    // receive reports Disconnected (lane transport — see
-    // `peer_exit_while_parked_is_disconnected` for why the shared
-    // transport cannot observe peer exit).
-    let outcome = Runtime::new(2).transport(Transport::PerPeerLanes).run(|comm| {
+    // receive reports Disconnected.
+    let outcome = Runtime::new(2).run(|comm| {
         if comm.rank() == 0 {
             comm.send(1, 4, 77u8);
             0u8 // exits immediately; the lane closes behind the send
@@ -118,55 +106,35 @@ fn in_flight_message_beats_sender_exit() {
 }
 
 #[test]
-fn sender_exit_does_not_strand_the_shared_transport_messages() {
-    // The shared transport keeps delivered messages available after the
-    // sender exits too; it just cannot report Disconnected afterwards
-    // (the abort flag covers the panic case, which is the one the
-    // runtime actually produces).
-    let outcome = Runtime::new(2).transport(Transport::SharedMailbox).run(|comm| {
-        if comm.rank() == 0 {
-            comm.send(1, 4, 77u8);
-            0u8
-        } else {
-            std::thread::sleep(Duration::from_millis(20));
-            comm.recv::<u8>(0, 4)
-        }
-    });
-    assert_eq!(outcome.results[1], 77);
-}
-
-#[test]
 fn abort_reaches_any_source_receives() {
     // `Source::Any` watches every lane; a panic anywhere must still
     // unwind it as Aborted rather than leaving it waiting on the
     // survivors.
-    for transport in TRANSPORTS {
-        let kinds: Mutex<Vec<ShutdownKind>> = Mutex::new(Vec::new());
-        let run = std::panic::catch_unwind(|| {
-            Runtime::new(4).transport(transport).run(|comm| {
-                if comm.rank() == 0 {
-                    std::thread::sleep(Duration::from_millis(30));
-                    panic!("rank 0 exploded");
+    let kinds: Mutex<Vec<ShutdownKind>> = Mutex::new(Vec::new());
+    let run = std::panic::catch_unwind(|| {
+        Runtime::new(4).run(|comm| {
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(30));
+                panic!("rank 0 exploded");
+            }
+            let blocked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                comm.recv_any::<u8>(6)
+            }));
+            if let Err(payload) = blocked {
+                if let Ok(err) = payload.downcast::<ShutdownError>() {
+                    assert_eq!(err.src, Source::Any);
+                    kinds.lock().unwrap().push(err.kind);
                 }
-                let blocked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    comm.recv_any::<u8>(6)
-                }));
-                if let Err(payload) = blocked {
-                    if let Ok(err) = payload.downcast::<ShutdownError>() {
-                        assert_eq!(err.src, Source::Any);
-                        kinds.lock().unwrap().push(err.kind);
-                    }
-                }
-            })
-        });
-        assert!(run.is_err(), "{transport:?}: the panic must propagate");
-        let kinds = kinds.into_inner().unwrap();
-        assert_eq!(kinds.len(), 3, "{transport:?}: all blocked ranks unwound");
-        assert!(
-            kinds.iter().all(|&k| k == ShutdownKind::Aborted),
-            "{transport:?}: {kinds:?}"
-        );
-    }
+            }
+        })
+    });
+    assert!(run.is_err(), "the panic must propagate");
+    let kinds = kinds.into_inner().unwrap();
+    assert_eq!(kinds.len(), 3, "all blocked ranks unwound");
+    assert!(
+        kinds.iter().all(|&k| k == ShutdownKind::Aborted),
+        "{kinds:?}"
+    );
 }
 
 #[test]
@@ -174,10 +142,8 @@ fn peer_exit_while_parked_in_wait_all_is_a_typed_request_error() {
     // The request layer's shutdown contract: rank 0 exits without ever
     // joining the collectives, so rank 1 — parked inside `wait_all` with
     // two requests in flight — must observe the closing lane as
-    // `RequestError::Shutdown(Disconnected)` rather than deadlocking
-    // (lane transport, for the same reason as
-    // `peer_exit_while_parked_is_disconnected`).
-    let outcome = Runtime::new(2).transport(Transport::PerPeerLanes).run(|comm| {
+    // `RequestError::Shutdown(Disconnected)` rather than deadlocking.
+    let outcome = Runtime::new(2).run(|comm| {
         if comm.rank() == 0 {
             // Give rank 1 time to issue, sweep once, and park.
             std::thread::sleep(Duration::from_millis(30));
@@ -214,35 +180,33 @@ fn peer_exit_while_parked_in_wait_all_is_a_typed_request_error() {
 fn abort_surfaces_through_a_test_any_poll_loop() {
     // A rank polling `test_any` (never blocking in the transport) must
     // still observe a peer panic as a typed shutdown from the poll
-    // itself, on both transports.
-    for transport in TRANSPORTS {
-        let kinds: Mutex<Vec<ShutdownKind>> = Mutex::new(Vec::new());
-        let run = std::panic::catch_unwind(|| {
-            Runtime::new(2).transport(transport).run(|comm| {
-                if comm.rank() == 0 {
-                    std::thread::sleep(Duration::from_millis(30));
-                    panic!("rank 0 exploded");
-                }
-                let mut reqs: Vec<_> = (0..2u64)
-                    .map(|i| comm.iallreduce_recursive_doubling(i, |_| 8, |a, b| a + b))
-                    .collect();
-                loop {
-                    match gv_msgpass::test_any(&mut reqs) {
-                        Ok(Some(_)) => panic!("requests cannot complete without rank 0"),
-                        Ok(None) => std::thread::yield_now(),
-                        Err(gv_msgpass::RequestError::Shutdown(err)) => {
-                            kinds.lock().unwrap().push(err.kind);
-                            break;
-                        }
-                        Err(other) => panic!("unexpected request error: {other:?}"),
+    // itself.
+    let kinds: Mutex<Vec<ShutdownKind>> = Mutex::new(Vec::new());
+    let run = std::panic::catch_unwind(|| {
+        Runtime::new(2).run(|comm| {
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(30));
+                panic!("rank 0 exploded");
+            }
+            let mut reqs: Vec<_> = (0..2u64)
+                .map(|i| comm.iallreduce_recursive_doubling(i, |_| 8, |a, b| a + b))
+                .collect();
+            loop {
+                match gv_msgpass::test_any(&mut reqs) {
+                    Ok(Some(_)) => panic!("requests cannot complete without rank 0"),
+                    Ok(None) => std::thread::yield_now(),
+                    Err(gv_msgpass::RequestError::Shutdown(err)) => {
+                        kinds.lock().unwrap().push(err.kind);
+                        break;
                     }
+                    Err(other) => panic!("unexpected request error: {other:?}"),
                 }
-            })
-        });
-        assert!(run.is_err(), "{transport:?}: the panic must propagate");
-        let kinds = kinds.into_inner().unwrap();
-        assert_eq!(kinds, vec![ShutdownKind::Aborted], "{transport:?}");
-    }
+            }
+        })
+    });
+    assert!(run.is_err(), "the panic must propagate");
+    let kinds = kinds.into_inner().unwrap();
+    assert_eq!(kinds, vec![ShutdownKind::Aborted]);
 }
 
 #[test]
@@ -250,52 +214,48 @@ fn request_dropped_during_abort_neither_hangs_nor_double_panics() {
     // Dropping an in-flight request after the runtime aborted must just
     // detach it — no hang waiting for a peer that is gone, no secondary
     // panic out of the drop glue.
-    for transport in TRANSPORTS {
-        let started = Instant::now();
-        let run = std::panic::catch_unwind(|| {
-            Runtime::new(2).transport(transport).run(|comm| {
-                if comm.rank() == 0 {
-                    std::thread::sleep(Duration::from_millis(10));
-                    panic!("rank 0 exploded");
-                }
-                let req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
-                // Linger until the abort has certainly been raised, then
-                // drop the request without ever waiting on it.
-                std::thread::sleep(Duration::from_millis(60));
-                drop(req);
-            })
-        });
-        assert!(run.is_err(), "{transport:?}: rank 0's panic must propagate");
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "{transport:?}: dropping the request stalled the shutdown"
-        );
-    }
+    let started = Instant::now();
+    let run = std::panic::catch_unwind(|| {
+        Runtime::new(2).run(|comm| {
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(10));
+                panic!("rank 0 exploded");
+            }
+            let req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+            // Linger until the abort has certainly been raised, then
+            // drop the request without ever waiting on it.
+            std::thread::sleep(Duration::from_millis(60));
+            drop(req);
+        })
+    });
+    assert!(run.is_err(), "rank 0's panic must propagate");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "dropping the request stalled the shutdown"
+    );
 }
 
 #[test]
 fn wait_timeout_times_out_then_completes() {
     // `wait_timeout` returning Ok(None) is a resumable state: the request
     // stays live and a later wait harvests the result normally.
-    for transport in TRANSPORTS {
-        let outcome = Runtime::new(2).transport(transport).run(|comm| {
-            if comm.rank() == 0 {
-                // Join late so rank 1's first wait genuinely times out.
-                std::thread::sleep(Duration::from_millis(120));
-            }
-            let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
-            if comm.rank() == 1 {
-                let early = req
-                    .wait_timeout(Duration::from_millis(15))
-                    .expect("timeout is not an error");
-                assert!(early.is_none(), "{transport:?}: peer had not joined yet");
-            }
-            req.wait_timeout(Duration::from_secs(30))
-                .expect("collective completes")
-                .expect("30 s is not a real deadline here")
-        });
-        assert_eq!(outcome.results, vec![2, 2], "{transport:?}");
-    }
+    let outcome = Runtime::new(2).run(|comm| {
+        if comm.rank() == 0 {
+            // Join late so rank 1's first wait genuinely times out.
+            std::thread::sleep(Duration::from_millis(120));
+        }
+        let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+        if comm.rank() == 1 {
+            let early = req
+                .wait_timeout(Duration::from_millis(15))
+                .expect("timeout is not an error");
+            assert!(early.is_none(), "peer had not joined yet");
+        }
+        req.wait_timeout(Duration::from_secs(30))
+            .expect("collective completes")
+            .expect("30 s is not a real deadline here")
+    });
+    assert_eq!(outcome.results, vec![2, 2]);
 }
 
 #[test]
@@ -303,34 +263,32 @@ fn shutdown_under_wait_timeout_is_typed_and_prompt() {
     // A peer panic must fail a pending `wait_timeout` with the typed
     // shutdown error well before the caller's deadline — the timeout is
     // for lost progress, not the error path.
-    for transport in TRANSPORTS {
-        let kinds: Mutex<Vec<(ShutdownKind, Duration)>> = Mutex::new(Vec::new());
-        let run = std::panic::catch_unwind(|| {
-            Runtime::new(2).transport(transport).run(|comm| {
-                if comm.rank() == 0 {
-                    std::thread::sleep(Duration::from_millis(30));
-                    panic!("rank 0 exploded");
+    let kinds: Mutex<Vec<(ShutdownKind, Duration)>> = Mutex::new(Vec::new());
+    let run = std::panic::catch_unwind(|| {
+        Runtime::new(2).run(|comm| {
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(30));
+                panic!("rank 0 exploded");
+            }
+            let started = Instant::now();
+            let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+            match req.wait_timeout(Duration::from_secs(30)) {
+                Err(gv_msgpass::RequestError::Shutdown(err)) => {
+                    kinds.lock().unwrap().push((err.kind, started.elapsed()));
                 }
-                let started = Instant::now();
-                let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
-                match req.wait_timeout(Duration::from_secs(30)) {
-                    Err(gv_msgpass::RequestError::Shutdown(err)) => {
-                        kinds.lock().unwrap().push((err.kind, started.elapsed()));
-                    }
-                    other => panic!("expected a typed shutdown, got {other:?}"),
-                }
-            })
-        });
-        assert!(run.is_err(), "{transport:?}: the panic must propagate");
-        let kinds = kinds.into_inner().unwrap();
-        assert_eq!(kinds.len(), 1, "{transport:?}");
-        let (kind, waited) = kinds[0];
-        assert_eq!(kind, ShutdownKind::Aborted, "{transport:?}");
-        assert!(
-            waited < Duration::from_secs(5),
-            "{transport:?}: shutdown took {waited:?}, deadline-bound not event-bound"
-        );
-    }
+                other => panic!("expected a typed shutdown, got {other:?}"),
+            }
+        })
+    });
+    assert!(run.is_err(), "the panic must propagate");
+    let kinds = kinds.into_inner().unwrap();
+    assert_eq!(kinds.len(), 1);
+    let (kind, waited) = kinds[0];
+    assert_eq!(kind, ShutdownKind::Aborted);
+    assert!(
+        waited < Duration::from_secs(5),
+        "shutdown took {waited:?}, deadline-bound not event-bound"
+    );
 }
 
 #[test]
@@ -342,7 +300,6 @@ fn abort_wakeup_is_the_explicit_unpark_not_the_park_timeout() {
     let observed: Mutex<Option<(ShutdownError, Duration)>> = Mutex::new(None);
     let run = std::panic::catch_unwind(|| {
         Runtime::new(2)
-            .transport(Transport::PerPeerLanes)
             .park_timeout(Duration::from_secs(30))
             .run(|comm| {
                 if comm.rank() == 0 {
@@ -378,27 +335,25 @@ fn abort_wakeup_is_the_explicit_unpark_not_the_park_timeout() {
 #[test]
 fn peer_panic_fails_a_parked_wait_as_aborted() {
     // A peer panic (runtime abort) must unwind a parked single-request
-    // `wait` with `RequestError::Shutdown(Aborted)` on both transports.
-    for transport in TRANSPORTS {
-        let kinds: Mutex<Vec<ShutdownKind>> = Mutex::new(Vec::new());
-        let run = std::panic::catch_unwind(|| {
-            Runtime::new(2).transport(transport).run(|comm| {
-                if comm.rank() == 0 {
-                    std::thread::sleep(Duration::from_millis(30));
-                    panic!("rank 0 exploded");
-                }
-                let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
-                if let Err(gv_msgpass::RequestError::Shutdown(err)) = req.wait() {
-                    kinds.lock().unwrap().push(err.kind);
-                }
-            })
-        });
-        assert!(run.is_err(), "{transport:?}: the panic must propagate");
-        let kinds = kinds.into_inner().unwrap();
-        assert_eq!(
-            kinds,
-            vec![ShutdownKind::Aborted],
-            "{transport:?}: rank 1's wait must fail typed"
-        );
-    }
+    // `wait` with `RequestError::Shutdown(Aborted)`.
+    let kinds: Mutex<Vec<ShutdownKind>> = Mutex::new(Vec::new());
+    let run = std::panic::catch_unwind(|| {
+        Runtime::new(2).run(|comm| {
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(30));
+                panic!("rank 0 exploded");
+            }
+            let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+            if let Err(gv_msgpass::RequestError::Shutdown(err)) = req.wait() {
+                kinds.lock().unwrap().push(err.kind);
+            }
+        })
+    });
+    assert!(run.is_err(), "the panic must propagate");
+    let kinds = kinds.into_inner().unwrap();
+    assert_eq!(
+        kinds,
+        vec![ShutdownKind::Aborted],
+        "rank 1's wait must fail typed"
+    );
 }

@@ -22,13 +22,12 @@ GV_WATCHDOG_MS=30000 cargo test -q --offline --workspace
 
 # Smoke-run the figure/ablation harnesses with shrunk iteration counts:
 # catches bins that build but panic at runtime (bad arg parsing, schedule
-# assertion failures, transports disagreeing on message accounting).
+# assertion failures).
 export GV_BENCH_QUICK=1
 for bin in fig2_is_verify fig3_mg_zran3 mpi_call_stats \
            ablation_commutative ablation_aggregation \
            ablation_scan_algorithm ablation_allreduce_algorithm \
-           ablation_selector_tuning \
-           transport_microbench k_independent_allreduces \
+           ablation_selector_tuning k_independent_allreduces \
            kernel_microbench pipeline_microbench nas_cg; do
     echo "smoke: $bin"
     ./target/release/"$bin" > /dev/null
@@ -44,3 +43,13 @@ echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"
 # plumbing stays alive (counters go to stderr, not the recorded table).
 echo "smoke: pipeline_microbench --pool"
 ./target/release/pipeline_microbench --pool > /dev/null 2> /dev/null
+
+# `benchmark/` is a package of its own (own workspace and lockfile) that
+# reaches the library only through `benchmark/src/api.rs`, and a PR that
+# is not a benchmark PR may not edit it. Build, test and quick-run it
+# here so a deleted or re-signed public item the adapter needs fails CI
+# rather than the perf driver's gate.
+echo "benchmark: cargo test"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+echo "benchmark: run.sh --quick"
+bash benchmark/run.sh --quick > /dev/null

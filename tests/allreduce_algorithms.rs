@@ -113,7 +113,7 @@ fn splittable_schedules_agree_on_vector_states() {
                     wire,
                     add,
                 );
-                let ring = comm.allreduce_reduce_scatter(
+                let rsag = comm.allreduce_reduce_scatter(
                     mine.clone(),
                     split_vec_segments,
                     unsplit_vec_segments,
@@ -121,11 +121,11 @@ fn splittable_schedules_agree_on_vector_states() {
                     add,
                 );
                 let rd = comm.allreduce_recursive_doubling(mine, wire, add);
-                (selected, ring, rd)
+                (selected, rsag, rd)
             });
-            for (selected, ring, rd) in outcome.results {
+            for (selected, rsag, rd) in outcome.results {
                 prop_assert_eq!(&selected, &expected);
-                prop_assert_eq!(&ring, &expected);
+                prop_assert_eq!(&rsag, &expected);
                 prop_assert_eq!(&rd, &expected);
             }
             Ok(())
@@ -203,17 +203,13 @@ fn selector_only_picks_eligible_schedules() {
                         && !(commutative && splittable)
                     {
                         return Err(format!(
-                            "ring selected for commutative={commutative} \
+                            "rs+ag selected for commutative={commutative} \
                              splittable={splittable} p={p} bytes={bytes}"
                         ));
                     }
-                    if matches!(
-                        picked,
-                        AllreduceAlgorithm::PipelinedRing | AllreduceAlgorithm::PipelinedTree
-                    ) && !splittable
-                    {
+                    if picked == AllreduceAlgorithm::PipelinedTree && !splittable {
                         return Err(format!(
-                            "pipelined schedule selected for non-splittable \
+                            "segmented tree selected for non-splittable \
                              state p={p} bytes={bytes}"
                         ));
                     }
@@ -225,12 +221,7 @@ fn selector_only_picks_eligible_schedules() {
                         {
                             continue;
                         }
-                        if matches!(
-                            other,
-                            AllreduceAlgorithm::PipelinedRing
-                                | AllreduceAlgorithm::PipelinedTree
-                        ) && !splittable
-                        {
+                        if other == AllreduceAlgorithm::PipelinedTree && !splittable {
                             continue;
                         }
                         let t_picked = picked.estimated_seconds(&cost, *p, bytes);
@@ -260,7 +251,7 @@ fn crossover_ring_beats_reduce_bcast_at_64kib_p8() {
     let rb = AllreduceAlgorithm::ReduceBroadcast.estimated_seconds(&cost, 8, 64 << 10);
     assert!(rsag < rb, "estimate: rsag={rsag} rb={rb}");
 
-    let measured = |ring: bool| {
+    let measured = |rsag: bool| {
         Runtime::new(8)
             .run(move |comm| {
                 let state = vec![1u64; 8 << 10]; // 64 KiB of u64s
@@ -271,7 +262,7 @@ fn crossover_ring_beats_reduce_bcast_at_64kib_p8() {
                     }
                     a
                 };
-                if ring {
+                if rsag {
                     comm.allreduce_reduce_scatter(
                         state,
                         split_vec_segments,
@@ -285,9 +276,9 @@ fn crossover_ring_beats_reduce_bcast_at_64kib_p8() {
             })
             .modeled_seconds
     };
-    let t_ring = measured(true);
+    let t_rsag = measured(true);
     let t_rb = measured(false);
-    assert!(t_ring < t_rb, "measured: ring={t_ring} reduce+bcast={t_rb}");
+    assert!(t_rsag < t_rb, "measured: rsag={t_rsag} reduce+bcast={t_rb}");
 }
 
 #[test]

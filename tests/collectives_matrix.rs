@@ -11,11 +11,16 @@
 //! three-way splittable selector over vector payloads, including
 //! shorter-than-p vectors that force empty segments.
 //!
+//! A third pins the whole-state (`S = 1`) tree and chain — `bcast`,
+//! `reduce`, `allreduce_reduce_bcast`, `scan_inclusive_linear` — to the
+//! closed forms of the textbook schedules for p = 1..17 and every root:
+//! message and byte totals, and every rank's modeled clock.
+//!
 //! A final test pins down that the virtual-clock cost model and the
 //! call/byte statistics are bit-for-bit deterministic across repeated
 //! runs of the same workload.
 
-use gv_msgpass::Runtime;
+use gv_msgpass::{CostModel, Runtime};
 
 /// Runs one communicator through every reduction/scan-shaped collective
 /// and asserts each result against the rank-order sequential oracle.
@@ -164,6 +169,188 @@ fn splittable_selector_matches_oracle_for_p_1_through_9() {
                     assert_eq!(got, expected, "p={p} len={len} commutative={commutative}");
                 });
             }
+        }
+    }
+}
+
+/// The α–β clock, replayed by hand: a send charges the sender `α/2` and
+/// stamps the message; a receive charges `α/2` and then waits for the
+/// message's availability, `α/2 + β·bytes` after the stamp.
+struct ClockModel {
+    cost: CostModel,
+    bytes: usize,
+    clocks: Vec<f64>,
+}
+
+impl ClockModel {
+    fn send(&mut self, from: usize) -> f64 {
+        self.clocks[from] += self.cost.alpha / 2.0;
+        self.clocks[from]
+    }
+
+    fn recv(&mut self, at: usize, sent_at: f64) {
+        let available = sent_at + self.cost.alpha / 2.0 + self.cost.beta * self.bytes as f64;
+        self.clocks[at] += self.cost.alpha / 2.0;
+        if available > self.clocks[at] {
+            self.clocks[at] = available;
+        }
+    }
+
+    /// Binomial broadcast on the tree rotated to `root`: every rank, once
+    /// it holds the value, sends to its children largest subtree first.
+    fn bcast(&mut self, root: usize) {
+        let p = self.clocks.len();
+        // A child's virtual rank exceeds its parent's, so increasing
+        // order visits every rank after the message reached it.
+        for v in 0..p {
+            let mut mask = 1;
+            while mask < p && v & mask == 0 {
+                mask <<= 1;
+            }
+            let mut m = mask >> 1;
+            while m > 0 {
+                if v + m < p {
+                    let sent_at = self.send((v + root) % p);
+                    self.recv((v + m + root) % p, sent_at);
+                }
+                m >>= 1;
+            }
+        }
+    }
+
+    /// Binomial reduce to rank 0 (children received in increasing-mask
+    /// order), then one more hop to a non-zero root.
+    fn reduce(&mut self, root: usize) {
+        let p = self.clocks.len();
+        let mut sent_at = vec![0.0; p];
+        // Children have higher ranks than their parents: decreasing
+        // order sees every child's send before the parent's receive.
+        for r in (0..p).rev() {
+            let mut mask = 1;
+            while mask < p {
+                if r & mask != 0 {
+                    sent_at[r] = self.send(r);
+                    break;
+                }
+                if r + mask < p {
+                    self.recv(r, sent_at[r + mask]);
+                }
+                mask <<= 1;
+            }
+        }
+        if root != 0 {
+            let shipped = self.send(0);
+            self.recv(root, shipped);
+        }
+    }
+
+    /// Linear chain: wait for the predecessor's prefix, forward.
+    fn chain(&mut self) {
+        let p = self.clocks.len();
+        let mut sent_at = 0.0;
+        for r in 0..p {
+            if r > 0 {
+                self.recv(r, sent_at);
+            }
+            if r + 1 < p {
+                sent_at = self.send(r);
+            }
+        }
+    }
+}
+
+#[test]
+fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
+    // Affine maps x ↦ a·x + b under composition: associative, not
+    // commutative, and a fixed 16 bytes on the wire — so byte totals and
+    // clocks have closed forms while any out-of-order combine still
+    // shows in the value.
+    type Affine = (u64, u64);
+    const BYTES: usize = 16;
+    fn contrib(r: usize) -> Affine {
+        (r as u64 + 2, 2 * r as u64 + 1)
+    }
+    fn then(f: Affine, g: Affine) -> Affine {
+        (f.0.wrapping_mul(g.0), f.1.wrapping_mul(g.0).wrapping_add(g.1))
+    }
+    let cost = CostModel::cluster_2006();
+    let hop = cost.alpha + cost.beta * BYTES as f64;
+    let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+    let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.max(1e-30);
+
+    for p in 1..=17usize {
+        let prefix = |hi: usize| (0..hi).map(contrib).reduce(then);
+        let total = prefix(p).expect("p >= 1");
+        let depth = p.next_power_of_two().trailing_zeros() as f64;
+        let model = |run: &dyn Fn(&mut ClockModel)| {
+            let mut model = ClockModel { cost, bytes: BYTES, clocks: vec![0.0; p] };
+            run(&mut model);
+            model.clocks
+        };
+        let edges = p as u64 - 1;
+
+        for root in 0..p {
+            // bcast: p−1 tree edges, one whole state each.
+            let got = Runtime::new(p).run(move |comm| {
+                comm.bcast(root, (comm.rank() == root).then(|| contrib(root)))
+            });
+            assert_eq!(got.results, vec![contrib(root); p], "bcast p={p} root={root}");
+            assert_eq!(got.stats.messages, edges, "bcast messages p={p} root={root}");
+            assert_eq!(got.stats.bytes, edges * BYTES as u64, "bcast bytes p={p} root={root}");
+            assert_eq!(
+                bits(&got.rank_clocks),
+                bits(&model(&|m| m.bcast(root))),
+                "bcast clocks p={p} root={root}"
+            );
+
+            // reduce: p−1 tree edges to rank 0, plus the ship to root.
+            let got = Runtime::new(p)
+                .run(move |comm| comm.reduce(root, contrib(comm.rank()), |_| BYTES, then));
+            for (r, res) in got.results.iter().enumerate() {
+                assert_eq!(*res, (r == root).then_some(total), "reduce p={p} root={root} r={r}");
+            }
+            let msgs = edges + u64::from(root != 0);
+            assert_eq!(got.stats.messages, msgs, "reduce messages p={p} root={root}");
+            assert_eq!(got.stats.bytes, msgs * BYTES as u64, "reduce bytes p={p} root={root}");
+            assert_eq!(
+                bits(&got.rank_clocks),
+                bits(&model(&|m| m.reduce(root))),
+                "reduce clocks p={p} root={root}"
+            );
+        }
+
+        // reduce+bcast: the tree up to rank 0 and straight back down.
+        let got = Runtime::new(p)
+            .run(|comm| comm.allreduce_reduce_bcast(contrib(comm.rank()), false, |_| BYTES, then));
+        assert_eq!(got.results, vec![total; p], "reduce+bcast p={p}");
+        assert_eq!(got.stats.messages, 2 * edges, "reduce+bcast messages p={p}");
+        assert_eq!(got.stats.bytes, 2 * edges * BYTES as u64, "reduce+bcast bytes p={p}");
+        let rb = model(&|m| {
+            m.reduce(0);
+            m.bcast(0);
+        });
+        assert_eq!(bits(&got.rank_clocks), bits(&rb), "reduce+bcast clocks p={p}");
+
+        // linear scan: p−1 chain hops.
+        let got = Runtime::new(p)
+            .run(|comm| comm.scan_inclusive_linear(contrib(comm.rank()), |_| BYTES, then));
+        for (r, res) in got.results.iter().enumerate() {
+            assert_eq!(Some(*res), prefix(r + 1), "linear scan p={p} r={r}");
+        }
+        assert_eq!(got.stats.messages, edges, "linear scan messages p={p}");
+        assert_eq!(got.stats.bytes, edges * BYTES as u64, "linear scan bytes p={p}");
+        let chain = model(&|m| m.chain());
+        assert_eq!(bits(&got.rank_clocks), bits(&chain), "linear scan clocks p={p}");
+
+        // The critical paths in closed form: p−1 hops of α + βn down the
+        // chain at any p; ⌈log₂p⌉ hops per tree sweep when the tree is
+        // full (off powers of two the last level is partly missing).
+        assert!(close(chain[p - 1], edges as f64 * hop), "chain depth p={p}");
+        if p.is_power_of_two() {
+            let deepest = |clocks: &[f64]| clocks.iter().cloned().fold(0.0, f64::max);
+            assert!(close(deepest(&model(&|m| m.bcast(0))), depth * hop), "bcast depth p={p}");
+            assert!(close(model(&|m| m.reduce(0))[0], depth * hop), "reduce depth p={p}");
+            assert!(close(deepest(&rb), 2.0 * depth * hop), "reduce+bcast depth p={p}");
         }
     }
 }

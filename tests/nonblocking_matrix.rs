@@ -5,7 +5,7 @@
 //! `ireduce` at every root with all `p` requests in flight, `ibcast`
 //! from every root in flight at once, the cost-driven `iallreduce`
 //! selector plus the named recursive-doubling schedule, both scans,
-//! ring `ireduce_scatter_block`, and the three-way splittable selector)
+//! circulant `ireduce_scatter_block`, and the splittable selector)
 //! × a commutative payload (u64 sum) and a non-commutative one (string
 //! concatenation) — all checked against the same sequential oracle the
 //! blocking matrix uses, but with multiple requests deliberately in
@@ -23,7 +23,7 @@ use gv_msgpass::{wait_all, Request, RequestError, Runtime};
 /// sequential oracle.
 ///
 /// `seg_contrib(rank, segment)` feeds `ireduce_scatter_block`, which
-/// combines in rotated ring order and is therefore only exercised when
+/// combines in stride order, not rank order, and is therefore only exercised when
 /// `commutative` holds.
 fn exercise_nonblocking<T>(
     p: usize,
@@ -113,7 +113,7 @@ fn exercise_nonblocking<T>(
             "iscan_inclusive, p={p}, rank={r}"
         );
 
-        // Ring reduce-scatter combines in rotated order: commutative only.
+        // The circulant reduce-scatter combines in stride order: commutative only.
         if commutative {
             let segments: Vec<T> = (0..p).map(|j| seg_contrib(r, j)).collect();
             let mut rs = comm.ireduce_scatter_block(segments, wire, combine);
