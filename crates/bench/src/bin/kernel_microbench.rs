@@ -16,6 +16,14 @@
 //! floats is the *pinned-regrouping reference*, property-tested in
 //! `tests/op_laws.rs`).
 //!
+//! After the kernel table come the `split`/`unsplit` rows: segmenting a
+//! 131072-element `Vec<u64>` state (1 MiB, the `large_state` size) into
+//! `S` parts and reassembling it. Reported, not gated; what to look for is
+//! that the cost is flat in `S` — every segmented collective pays it on
+//! every rank before its first message. Under glibc's default thresholds
+//! fresh-page faults swamp the copy (the recording pins them as
+//! `benchmark/README.md`, "Noise" item 1, does, and prints the setting).
+//!
 //! Usage: kernel_microbench [--csv]
 //! Env:   GV_BENCH_QUICK=1 shrinks iteration counts for a CI smoke run.
 
@@ -30,6 +38,7 @@ use gv_core::op::{
 use gv_core::ops::builtin::{bxor, max, min, prod, sum};
 use gv_core::ops::counts::Counts;
 use gv_core::ops::histogram::Histogram;
+use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 
 /// Best-of-`reps` nanoseconds per element for `iters` runs of `f`.
 fn time_ns(n: usize, iters: u32, reps: u32, mut f: impl FnMut()) -> f64 {
@@ -164,6 +173,28 @@ where
     Cell { name: format!("scan/{name}"), n, scalar_ns, kernel_ns, gated }
 }
 
+/// Segment counts of the `split`/`unsplit` rows: whole, halves, the tree
+/// chooser's pick for 1 MiB, and its cap.
+const SEGMENT_COUNTS: [usize; 4] = [1, 2, 20, 64];
+
+/// Best-of-`reps` `(split, unsplit)` nanoseconds per element for an
+/// `n`-element `Vec<u64>` cut into `parts`; building the input is untimed.
+fn segmenting_ns(n: usize, parts: usize, reps: u32) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let state = black_box(vec![1u64; n]);
+        let started = Instant::now();
+        let segments = black_box(split_vec_segments(state, parts));
+        let split = started.elapsed().as_secs_f64();
+        let started = Instant::now();
+        let whole = black_box(unsplit_vec_segments(segments));
+        let unsplit = started.elapsed().as_secs_f64();
+        assert_eq!(whole.len(), n);
+        best = (best.0.min(split), best.1.min(unsplit));
+    }
+    (best.0 / n as f64 * 1e9, best.1 / n as f64 * 1e9)
+}
+
 fn data_i64(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| (i.wrapping_mul(2654435761)) % 1_000_003 - 500_000).collect()
 }
@@ -229,6 +260,13 @@ fn main() {
     let gate = geomean(cells.iter().filter(|c| c.gated).map(Cell::speedup));
     let pass = gate >= TARGET;
 
+    let state_len = 131_072usize;
+    let segmenting_reps = if quick { 5 } else { 200 };
+    let segmenting: Vec<(usize, (f64, f64))> = SEGMENT_COUNTS
+        .iter()
+        .map(|&parts| (parts, segmenting_ns(state_len, parts, segmenting_reps)))
+        .collect();
+
     if csv {
         println!("cell,n,scalar_ns_per_elem,kernel_ns_per_elem,speedup,gated");
         for c in &cells {
@@ -236,6 +274,10 @@ fn main() {
                 "{},{},{:.4},{:.4},{:.3},{}",
                 c.name, c.n, c.scalar_ns, c.kernel_ns, c.speedup(), c.gated
             );
+        }
+        for (parts, (split, unsplit)) in &segmenting {
+            println!("split_u64/S{parts},{state_len},,{split:.4},,false");
+            println!("unsplit_u64/S{parts},{state_len},,{unsplit:.4},,false");
         }
         println!("geomean_gated,,,,{gate:.3},");
         println!("verdict,,,,{},", if pass { "PASS" } else { "FAIL" });
@@ -259,6 +301,25 @@ fn main() {
                 c.kernel_ns,
                 c.speedup(),
                 if c.gated { "*" } else { "" }
+            );
+        }
+        println!(
+            "\n  segmenting a {state_len}-element Vec<u64> state (ns per element, best of runs; \
+             not gated — linear means flat in S)"
+        );
+        // These rows allocate megabytes per run, so glibc's moving mmap
+        // and trim thresholds can dominate them; say which regime this is.
+        let pin = |name| std::env::var(name).unwrap_or_else(|_| "default".into());
+        println!(
+            "  (MALLOC_MMAP_THRESHOLD_ = {}, MALLOC_TRIM_THRESHOLD_ = {})",
+            pin("MALLOC_MMAP_THRESHOLD_"),
+            pin("MALLOC_TRIM_THRESHOLD_")
+        );
+        println!("  {:<24} {:>8} {:>12} {:>12}", "cell", "S", "split", "unsplit");
+        for (parts, (split, unsplit)) in &segmenting {
+            println!(
+                "  {:<24} {:>8} {:>9.2} ns {:>9.2} ns",
+                "segments/vec_u64", parts, split, unsplit
             );
         }
         println!(

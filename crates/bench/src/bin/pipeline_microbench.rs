@@ -22,14 +22,18 @@
 //! is bit-reproducible and recorded in `results/pipeline_microbench.txt`.
 //! Allocation-pool counters are *observed* mechanics (hit/miss depends on
 //! thread interleaving), so they are printed only under `--pool` and are
-//! excluded from the recorded artifact.
+//! excluded from the recorded artifact. So is `--wall`: the same three
+//! columns on the host clock at p = 2, where a rank's local copying shows
+//! that the modeled clock does not price.
 //!
-//! Usage: pipeline_microbench [--procs 2,4,8,16] [--csv] [--pool]
+//! Usage: pipeline_microbench [--procs 2,4,8,16] [--csv] [--pool] [--wall]
 //! Env:   GV_BENCH_QUICK=1 shrinks the sweep for CI smoke runs.
 
+use std::time::Instant;
+
 use gv_bench::table::{has_flag, parallel_time, parse_procs, timed_phase};
-use gv_core::split::{split_vec_segments, unsplit_vec_segments};
-use gv_msgpass::{BcastAlgorithm, CostModel, Runtime};
+use gv_core::split::{split_vec_segments as split, unsplit_vec_segments as unsplit};
+use gv_msgpass::{BcastAlgorithm, Comm, CostModel, Runtime};
 
 /// State sizes swept, in bytes (the state is a Vec<u64> of size/8 slots).
 const SIZES: [usize; 4] = [4 << 10, 64 << 10, 256 << 10, 1 << 20];
@@ -45,8 +49,82 @@ fn add(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
     a
 }
 
-/// One schedule comparison: (monolithic seconds, pipelined seconds,
-/// selector-routed seconds, segment count used by the pipelined run).
+/// One collective call on a `Vec<u64>` state of `elems` slots; the
+/// second argument is the tree's segment count, for the column that
+/// takes one.
+type Call = fn(&Comm, usize, usize);
+
+/// The three columns of one comparison.
+struct Comparison {
+    name: &'static str,
+    /// The whole-state baseline.
+    mono: Call,
+    /// The tree at the cost model's `S`.
+    piped: Call,
+    /// The cost-driven `*_splittable` entry point.
+    selected: Call,
+}
+
+const COMPARISONS: [Comparison; 3] = [
+    Comparison {
+        name: "bcast",
+        mono: |c, elems, _| {
+            c.bcast_vec(0, root_value(c, elems));
+        },
+        piped: |c, elems, s| {
+            let value = root_value(c, elems);
+            c.bcast_pipelined(0, value, s, split, unsplit, wire);
+        },
+        selected: |c, elems, _| {
+            let value = root_value(c, elems);
+            c.bcast_splittable(0, value, elems * 8, split, unsplit, wire);
+        },
+    },
+    Comparison {
+        name: "reduce",
+        mono: |c, elems, _| {
+            c.reduce(0, vec![1u64; elems], wire, add);
+        },
+        piped: |c, elems, s| {
+            let state = vec![1u64; elems];
+            c.reduce_pipelined(0, state, s, split, unsplit, wire, add);
+        },
+        selected: |c, elems, _| {
+            let state = vec![1u64; elems];
+            c.reduce_splittable(0, state, split, unsplit, wire, add);
+        },
+    },
+    // Recursive doubling (the best fixed whole-state schedule for a
+    // non-commutative operator) vs the fused tree. The selector is routed
+    // with a *non-commutative* declaration: the segmented tree and
+    // recursive doubling are the eligible schedules, so this cell checks
+    // exactly the crossover the tree allreduce was added for.
+    Comparison {
+        name: "allred-tree",
+        mono: |c, elems, _| {
+            c.allreduce_recursive_doubling(vec![1u64; elems], wire, add);
+        },
+        piped: |c, elems, s| {
+            let state = vec![1u64; elems];
+            c.allreduce_pipelined_tree(state, s, split, unsplit, wire, add);
+        },
+        selected: |c, elems, _| {
+            let state = vec![1u64; elems];
+            c.allreduce_splittable(state, false, split, unsplit, wire, add);
+        },
+    },
+];
+
+fn root_value(comm: &Comm, elems: usize) -> Option<Vec<u64>> {
+    (comm.rank() == 0).then(|| vec![1u64; elems])
+}
+
+fn tree_segments(p: usize, bytes: usize) -> usize {
+    BcastAlgorithm::tree_segments(&CostModel::default(), p, bytes)
+}
+
+/// One schedule comparison in modeled seconds, and the segment count the
+/// pipelined run used.
 struct Cell {
     mono: f64,
     piped: f64,
@@ -54,137 +132,74 @@ struct Cell {
     segments: usize,
 }
 
-fn measure_bcast(p: usize, bytes: usize) -> Cell {
-    let elems = bytes / 8;
-    let segments = BcastAlgorithm::tree_segments(&CostModel::default(), p, bytes);
-    let mono = Runtime::new(p).run(move |comm| {
-        let value = (comm.rank() == 0).then(|| vec![1u64; elems]);
-        timed_phase(comm, |c| c.bcast_vec(0, value)).1
-    });
-    let piped = Runtime::new(p).run(move |comm| {
-        let value = (comm.rank() == 0).then(|| vec![1u64; elems]);
-        timed_phase(comm, |c| {
-            c.bcast_pipelined(
-                0,
-                value,
-                segments,
-                split_vec_segments,
-                unsplit_vec_segments,
-                wire,
-            )
-        })
-        .1
-    });
-    let selected = Runtime::new(p).run(move |comm| {
-        let value = (comm.rank() == 0).then(|| vec![1u64; elems]);
-        timed_phase(comm, |c| {
-            c.bcast_splittable(
-                0,
-                value,
-                elems * 8,
-                split_vec_segments,
-                unsplit_vec_segments,
-                wire,
-            )
-        })
-        .1
-    });
+fn measure(schedule: &Comparison, p: usize, bytes: usize) -> Cell {
+    let segments = tree_segments(p, bytes);
+    let modeled = |call: Call| {
+        let outcome =
+            Runtime::new(p).run(move |comm| timed_phase(comm, |c| call(c, bytes / 8, segments)).1);
+        parallel_time(&outcome.results)
+    };
     Cell {
-        mono: parallel_time(&mono.results),
-        piped: parallel_time(&piped.results),
-        selected: parallel_time(&selected.results),
+        mono: modeled(schedule.mono),
+        piped: modeled(schedule.piped),
+        selected: modeled(schedule.selected),
         segments,
     }
 }
 
-fn measure_reduce(p: usize, bytes: usize) -> Cell {
-    let elems = bytes / 8;
-    let segments = BcastAlgorithm::tree_segments(&CostModel::default(), p, bytes);
-    let mono = Runtime::new(p).run(move |comm| {
-        let state = vec![1u64; elems];
-        timed_phase(comm, |c| c.reduce(0, state, wire, add)).1
-    });
-    let piped = Runtime::new(p).run(move |comm| {
-        let state = vec![1u64; elems];
-        timed_phase(comm, |c| {
-            c.reduce_pipelined(
-                0,
-                state,
-                segments,
-                split_vec_segments,
-                unsplit_vec_segments,
-                wire,
-                add,
-            )
-        })
-        .1
-    });
-    let selected = Runtime::new(p).run(move |comm| {
-        let state = vec![1u64; elems];
-        timed_phase(comm, |c| {
-            c.reduce_splittable(
-                0,
-                state,
-                split_vec_segments,
-                unsplit_vec_segments,
-                wire,
-                add,
-            )
-        })
-        .1
-    });
-    Cell {
-        mono: parallel_time(&mono.results),
-        piped: parallel_time(&piped.results),
-        selected: parallel_time(&selected.results),
-        segments,
-    }
-}
+/// Untimed reps at the head of every `--wall` run (thread placement,
+/// allocator and envelope-pool warm-up).
+const WALL_WARM_UP: usize = 5;
 
-fn measure_allreduce(p: usize, bytes: usize) -> Cell {
-    let elems = bytes / 8;
-    let segments = BcastAlgorithm::tree_segments(&CostModel::default(), p, bytes);
-    let mono = Runtime::new(p).run(move |comm| {
-        let state = vec![1u64; elems];
-        timed_phase(comm, |c| c.allreduce_recursive_doubling(state, wire, add)).1
-    });
-    let piped = Runtime::new(p).run(move |comm| {
-        let state = vec![1u64; elems];
-        timed_phase(comm, |c| {
-            c.allreduce_pipelined_tree(
-                state,
+/// Host wall-clock of the same three columns at p = 2 — what a caller
+/// waits, which the modeled table above cannot show (it prices messages,
+/// not the copying a rank does between them). Each rep is timed from a
+/// barrier to the slower rank's return, state construction included (it
+/// is the same in every column). Timing-dependent, hence printed outside
+/// the recorded table.
+fn wall_report(reps: usize) {
+    let p = 2;
+    eprintln!(
+        "  {:>11} | {:>7} | {:>3} | {:>18} | {:>18} | {:>18}",
+        "schedule", "size", "S", "whole-state", "tree at S", "selected"
+    );
+    for schedule in &COMPARISONS {
+        for &bytes in &SIZES[1..] {
+            let segments = tree_segments(p, bytes);
+            let wall = |call: Call| {
+                let outcome = Runtime::new(p).run(move |comm| {
+                    (0..reps + WALL_WARM_UP)
+                        .map(|_| {
+                            comm.barrier();
+                            let started = Instant::now();
+                            call(comm, bytes / 8, segments);
+                            started.elapsed().as_secs_f64()
+                        })
+                        .collect::<Vec<f64>>()
+                });
+                let mut slower: Vec<f64> = outcome.results[0]
+                    .iter()
+                    .zip(&outcome.results[1])
+                    .skip(WALL_WARM_UP)
+                    .map(|(a, b)| a.max(*b))
+                    .collect();
+                slower.sort_by(f64::total_cmp);
+                format!(
+                    "{:>6.1} / {:>6.1} µs",
+                    slower[reps / 10] * 1e6,
+                    slower[reps / 2] * 1e6
+                )
+            };
+            eprintln!(
+                "  {:>11} | {:>7} | {:>3} | {} | {} | {}",
+                schedule.name,
+                fmt_size(bytes),
                 segments,
-                split_vec_segments,
-                unsplit_vec_segments,
-                wire,
-                add,
-            )
-        })
-        .1
-    });
-    // Selector routed with a *non-commutative* declaration: the
-    // segmented tree and recursive doubling are the eligible schedules,
-    // so this cell checks exactly the crossover the tree allreduce was
-    // added for.
-    let selected = Runtime::new(p).run(move |comm| {
-        let state = vec![1u64; elems];
-        timed_phase(comm, |c| {
-            c.allreduce_splittable(
-                state,
-                false,
-                split_vec_segments,
-                unsplit_vec_segments,
-                wire,
-                add,
-            )
-        })
-        .1
-    });
-    Cell {
-        mono: parallel_time(&mono.results),
-        piped: parallel_time(&piped.results),
-        selected: parallel_time(&selected.results),
-        segments,
+                wall(schedule.mono),
+                wall(schedule.piped),
+                wall(schedule.selected),
+            );
+        }
     }
 }
 
@@ -248,15 +263,11 @@ fn main() {
         );
     }
 
-    let schedules: [(&str, fn(usize, usize) -> Cell); 3] = [
-        ("bcast", measure_bcast),
-        ("reduce", measure_reduce),
-        ("allred-tree", measure_allreduce),
-    ];
-    for (name, measure) in schedules {
+    for schedule in &COMPARISONS {
+        let name = schedule.name;
         for &p in &procs {
             for &bytes in sizes {
-                let cell = measure(p, bytes);
+                let cell = measure(schedule, p, bytes);
                 let speedup = cell.mono / cell.piped;
                 if csv {
                     println!(
@@ -302,5 +313,9 @@ fn main() {
     if has_flag(&args, "--pool") {
         eprintln!("\n  observed packet-pool counters (timing-dependent, not recorded):");
         pool_report(if quick { 50 } else { 500 });
+    }
+    if has_flag(&args, "--wall") {
+        eprintln!("\n  host wall clock at p = 2, p10 / median (timing-dependent, not recorded):");
+        wall_report(if quick { 20 } else { 200 });
     }
 }

@@ -80,15 +80,21 @@ pub fn segment_views<T>(v: &[T], parts: usize) -> Vec<&[T]> {
 /// `len % parts` chunks get one extra element; chunks beyond `len` are
 /// empty). The chunking follows [`segment_ranges`], so equal-length
 /// states split identically on every rank.
-pub fn split_vec_segments<T>(mut v: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    let ranges: Vec<_> = segment_ranges(v.len(), parts).collect();
-    let mut out = Vec::with_capacity(parts);
-    for range in ranges {
-        let rest = v.split_off(range.len());
-        out.push(std::mem::replace(&mut v, rest));
+///
+/// Linear in `len` whatever `parts` is: every element moves exactly once,
+/// into a segment allocated at its own size, and the input allocation is
+/// freed on return — so the segments hold `len` elements of capacity
+/// between them, however many there are. One part is the input itself,
+/// moved, not copied.
+pub fn split_vec_segments<T>(v: Vec<T>, parts: usize) -> Vec<Vec<T>> {
+    if parts == 1 {
+        return vec![v];
     }
-    debug_assert!(v.is_empty());
-    out
+    let ranges = segment_ranges(v.len(), parts);
+    let mut rest = v.into_iter();
+    ranges
+        .map(|range| rest.by_ref().take(range.len()).collect())
+        .collect()
 }
 
 /// Concatenates segments back into one vector — the inverse of
@@ -105,6 +111,8 @@ pub fn unsplit_vec_segments<T>(segments: Vec<Vec<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gv_testkit::prop::{check, usizes, Config};
+    use gv_testkit::{prop_assert, prop_assert_eq};
 
     #[test]
     fn split_is_balanced_and_ordered() {
@@ -159,6 +167,62 @@ mod tests {
             for (view, chunk) in views.iter().zip(&owned) {
                 assert_eq!(*view, chunk.as_slice(), "parts={parts}");
             }
+        }
+    }
+
+    #[test]
+    fn one_part_is_the_input_allocation() {
+        let mut v: Vec<u64> = Vec::with_capacity(100);
+        v.extend(0..40);
+        let (ptr, capacity) = (v.as_ptr(), v.capacity());
+        let chunks = split_vec_segments(v, 1);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].as_ptr(), ptr);
+        assert_eq!(chunks[0].capacity(), capacity);
+        assert_eq!(chunks[0], (0..40).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn segment_capacity_is_linear_in_len_whatever_parts() {
+        // (len, parts) up to 600 × 96: parts > len, len == 0 and
+        // parts == 1 all occur. The slack is the allocator's rounding.
+        check(
+            "segment_capacity_is_linear_in_len_whatever_parts",
+            &Config::new(300),
+            &(usizes(0..600), usizes(1..96)),
+            |&(len, parts)| {
+                let v: Vec<u64> = (0..len as u64).collect();
+                let chunks = split_vec_segments(v.clone(), parts);
+                prop_assert_eq!(chunks.len(), parts);
+                let held: usize = chunks.iter().map(Vec::capacity).sum();
+                prop_assert!(
+                    held <= 2 * len + 8 * parts,
+                    "len={len} parts={parts}: segments hold capacity {held}"
+                );
+                for (view, chunk) in segment_views(&v, parts).iter().zip(&chunks) {
+                    prop_assert_eq!(*view, chunk.as_slice());
+                }
+                prop_assert_eq!(unsplit_vec_segments(chunks), v);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn non_clone_and_zero_sized_elements_round_trip() {
+        #[derive(Debug, PartialEq)]
+        struct Token(u32);
+        for parts in [1usize, 2, 3, 7, 16] {
+            let tokens = || (0..13).map(Token).collect::<Vec<_>>();
+            let chunks = split_vec_segments(tokens(), parts);
+            assert_eq!(chunks.len(), parts);
+            assert_eq!(unsplit_vec_segments(chunks), tokens());
+
+            let units = split_vec_segments(vec![(); 13], parts);
+            let lens: Vec<usize> = units.iter().map(Vec::len).collect();
+            let expect: Vec<usize> = segment_ranges(13, parts).map(|r| r.len()).collect();
+            assert_eq!(lens, expect);
+            assert_eq!(unsplit_vec_segments(units).len(), 13);
         }
     }
 }

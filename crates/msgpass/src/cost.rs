@@ -95,12 +95,17 @@ pub fn max_segment_bytes(bytes: usize, parts: usize) -> usize {
     (elems.div_ceil(parts) * ELEM).min(bytes)
 }
 
+/// The most segments [`pipeline_segments`] ever chooses, and so the
+/// longest burst of messages one segmented collective puts on a lane —
+/// which is what the lane's envelope freelist is sized from.
+pub(crate) const MAX_PIPELINE_SEGMENTS: usize = 64;
+
 /// Deterministic segment count for a pipelined schedule whose critical
 /// path is `depth` hops: minimizes the stage term `(depth+S−1)(α + βn/S)`
-/// at `S* = √(depth·βn/α)`, clamped to `[1, 64]` and to segments of at
-/// least 512 bytes. Depends only on `(cost, depth, bytes)`, so every rank
-/// computes the same schedule and the estimate prices the schedule
-/// actually run. The chain scan (`depth = p−1`) and the segmented
+/// at `S* = √(depth·βn/α)`, clamped to `[1, MAX_PIPELINE_SEGMENTS]` and to
+/// segments of at least 512 bytes. Depends only on `(cost, depth, bytes)`,
+/// so every rank computes the same schedule and the estimate prices the
+/// schedule actually run. The chain scan (`depth = p−1`) and the segmented
 /// binomial tree (effective `depth = 2`, see
 /// [`BcastAlgorithm::tree_segments`]) share this chooser.
 pub fn pipeline_segments(cost: &CostModel, depth: usize, bytes: usize) -> usize {
@@ -108,7 +113,7 @@ pub fn pipeline_segments(cost: &CostModel, depth: usize, bytes: usize) -> usize 
         return 1;
     }
     let ideal = (depth as f64 * cost.beta * bytes as f64 / cost.alpha).sqrt();
-    let cap = 64.0_f64.min((bytes / 512).max(1) as f64);
+    let cap = MAX_PIPELINE_SEGMENTS.min((bytes / 512).max(1)) as f64;
     if ideal.is_nan() {
         // α = β = 0 (the free model): segmentation is cost-neutral.
         1

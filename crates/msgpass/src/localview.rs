@@ -17,6 +17,7 @@
 
 use crate::collectives::tree::vec_bytes;
 use crate::comm::Comm;
+use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 
 /// `LOCAL_REDUCE`: reduction of one value per rank; `Some(result)` on
 /// `root`, `None` elsewhere. The tree is binomial, so the combine order
@@ -132,30 +133,6 @@ fn combine_elementwise_monoid<M: gv_core::monoid::Monoid>(
         }
         earlier
     }
-}
-
-/// Balanced contiguous chunking (first `len % parts` chunks get one extra
-/// element), the split half of the aggregate scans' splittable-state pair.
-/// Depends only on `(len, parts)`, so equal-width aggregates split
-/// identically on every rank.
-fn split_vec_segments<T>(mut v: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    assert!(parts >= 1, "cannot split into zero segments");
-    let n = v.len();
-    let (base, extra) = (n / parts, n % parts);
-    let mut out = Vec::with_capacity(parts);
-    for i in 0..parts {
-        let rest = v.split_off(base + usize::from(i < extra));
-        out.push(std::mem::replace(&mut v, rest));
-    }
-    out
-}
-
-fn unsplit_vec_segments<T>(segments: Vec<Vec<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(segments.iter().map(Vec::len).sum());
-    for seg in segments {
-        out.extend(seg);
-    }
-    out
 }
 
 /// Aggregated `LOCAL_REDUCE`: element-wise reduction of `values` across

@@ -156,11 +156,11 @@ impl fmt::Display for ShutdownError {
 impl std::error::Error for ShutdownError {}
 
 /// How many recycled queued-path envelope boxes one lane's freelist may
-/// hold. A lane's ring admits [`LANE_CAPACITY`] messages, but in steady
-/// state only a handful of queued envelopes are in flight per lane at
-/// once; a small cap bounds idle memory while still absorbing the
-/// common burst.
-const PACKET_POOL_CAP: usize = 8;
+/// hold: the longest burst a segmented collective sends down one lane
+/// before its receiver returns the first box (one message per segment),
+/// so a repeated collective finds every box it needs. The boxes are a
+/// few words each; the cap bounds idle memory, not the burst.
+const PACKET_POOL_CAP: usize = crate::cost::MAX_PIPELINE_SEGMENTS;
 
 /// Per-lane freelist of queued-path envelope boxes, shared between the
 /// lane's [`PeerSender`] (which pops a recycled box per queued send) and

@@ -40,9 +40,11 @@ echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"
 
 # The pipeline microbench embeds the selector-within-5% and ≥2× speedup
 # acceptance asserts; run its pool-counter path too so the freelist
-# plumbing stays alive (counters go to stderr, not the recorded table).
-echo "smoke: pipeline_microbench --pool"
-./target/release/pipeline_microbench --pool > /dev/null 2> /dev/null
+# plumbing stays alive, and its host-clock table, the only place the
+# segmented schedules are timed rather than modeled (both go to stderr,
+# not the recorded table).
+echo "smoke: pipeline_microbench --pool --wall"
+./target/release/pipeline_microbench --pool --wall > /dev/null 2> /dev/null
 
 # `benchmark/` is a package of its own (own workspace and lockfile) that
 # reaches the library only through `benchmark/src/api.rs`, and a PR that

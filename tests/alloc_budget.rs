@@ -1,0 +1,151 @@
+//! Allocation budget of the segmented collectives: the bytes a rank
+//! allocates in one call are a small constant times the state size `n`
+//! and do not grow with the segment count `S`.
+//!
+//! Per byte of state the schedules pay: split ≤ 1 move, combine in
+//! place, 1 clone per tree child (or chain successor), unsplit 1 move.
+//! A split that peels segments off the front of a `Vec` breaks this
+//! silently — it allocates ≈ S/2 · n on every rank and every result stays
+//! equal — so the budget is pinned here with a counting allocator rather
+//! than a timer. Counts are per thread, so each rank reads exactly what it
+//! allocated itself and parallel tests do not disturb each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use gv_core::split::{split_vec_segments as split, unsplit_vec_segments as unsplit};
+use gv_msgpass::{Comm, Runtime};
+
+struct CountingAllocator;
+
+thread_local! {
+    /// Bytes this thread has requested so far (frees are not subtracted).
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: a thread may still allocate while it is being torn down.
+    let _ = ALLOCATED.try_with(|total| total.set(total.get() + bytes));
+}
+
+fn allocated() -> usize {
+    ALLOCATED.with(Cell::get)
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell<usize>` without a destructor, so touching it neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size.saturating_sub(layout.size()));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// State size: 1 MiB of `u64`.
+const N: usize = 1 << 20;
+const LEN: usize = N / 8;
+
+#[allow(clippy::ptr_arg)] // passed where Fn(&Vec<u64>) -> usize is expected
+fn wire(v: &Vec<u64>) -> usize {
+    v.len() * 8
+}
+
+fn add(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
+    }
+    a
+}
+
+/// Bytes each rank allocates inside `call`, its input state excluded.
+fn allocated_per_rank(p: usize, call: impl Fn(&Comm, Vec<u64>) + Sync) -> Vec<usize> {
+    Runtime::new(p)
+        .run(|comm| {
+            let state = vec![comm.rank() as u64 + 1; LEN];
+            let before = allocated();
+            call(comm, state);
+            allocated() - before
+        })
+        .results
+}
+
+/// A collective with an explicit segment count.
+type Segmented = fn(&Comm, Vec<u64>, usize);
+
+const SEGMENTED: [(&str, Segmented); 4] = [
+    ("bcast_pipelined", |comm, state, s| {
+        let value = (comm.rank() == 0).then_some(state);
+        comm.bcast_pipelined(0, value, s, split, unsplit, wire);
+    }),
+    ("reduce_pipelined", |comm, state, s| {
+        comm.reduce_pipelined(0, state, s, split, unsplit, wire, add);
+    }),
+    ("allreduce_pipelined_tree", |comm, state, s| {
+        comm.allreduce_pipelined_tree(state, s, split, unsplit, wire, add);
+    }),
+    ("scan_both_pipelined_chain", |comm, state, s| {
+        comm.scan_both_pipelined_chain(state, s, split, unsplit, wire, add);
+    }),
+];
+
+#[test]
+fn a_rank_allocates_a_few_n_whatever_the_segment_count() {
+    for p in [2usize, 4] {
+        for (name, call) in SEGMENTED {
+            let few = allocated_per_rank(p, |comm, state| call(comm, state, 2));
+            let many = allocated_per_rank(p, |comm, state| call(comm, state, 64));
+            for (rank, (&few, &many)) in few.iter().zip(&many).enumerate() {
+                assert!(
+                    many as f64 <= 1.25 * few as f64,
+                    "{name} p={p} rank {rank}: {many} B at S=64 vs {few} B at S=2"
+                );
+                // Split, one clone per child or successor (≤ 2 at p = 4),
+                // the exclusive half's clone, two unsplits: ≤ 6 moves.
+                assert!(
+                    many <= 6 * N,
+                    "{name} p={p} rank {rank}: {many} B at S=64 for a {N} B state"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn selector_routed_calls_stay_within_eight_n_over_both_ranks() {
+    let allreduce: usize = allocated_per_rank(2, |comm, state| {
+        comm.allreduce_splittable(state, true, split, unsplit, wire, add);
+    })
+    .iter()
+    .sum();
+    assert!(
+        allreduce <= 8 * N,
+        "allreduce_splittable allocated {allreduce} B"
+    );
+
+    let bcast: usize = allocated_per_rank(2, |comm, state| {
+        let value = (comm.rank() == 0).then_some(state);
+        comm.bcast_splittable(0, value, N, split, unsplit, wire);
+    })
+    .iter()
+    .sum();
+    assert!(bcast <= 8 * N, "bcast_splittable allocated {bcast} B");
+}
