@@ -9,12 +9,14 @@
 //!
 //! Each gated cell (Sum/Min/Max × i64/f64, reduce and scan) contributes
 //! to a geometric-mean speedup with a 4× PASS/FAIL target; extra rows
-//! (prod, bitwise, bucketed Counts/Histogram) are reported but not
-//! gated. Before timing, every integer cell asserts the kernel result is
-//! bit-identical to the scalar loop, and every float cell asserts two
-//! kernel runs are bit-identical (determinism; the scalar comparison for
-//! floats is the *pinned-regrouping reference*, property-tested in
-//! `tests/op_laws.rs`).
+//! (prod, bitwise, bucketed Counts/Histogram, the filtered
+//! `TopBottomK(10)` over a slice of `(f64, u64)` pairs and — the `_iter`
+//! row — over a generated `(v, i)` stream through `reduce_iter`, ZRAN3's
+//! shape) are reported but not gated. Before timing, every integer cell
+//! asserts the kernel result is bit-identical to the scalar loop, and
+//! every float cell asserts two kernel runs are bit-identical
+//! (determinism; the scalar comparison for floats is the
+//! *pinned-regrouping reference*, property-tested in `tests/op_laws.rs`).
 //!
 //! After the kernel table come the `split`/`unsplit` rows: segmenting a
 //! 131072-element `Vec<u64>` state (1 MiB, the `large_state` size) into
@@ -31,6 +33,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use gv_bench::table::has_flag;
+use gv_core::iter::reduce_iter;
 use gv_core::op::{
     accumulate_block, accumulate_block_scalar, rescan_block, rescan_block_scalar, ReduceScanOp,
     ScanKind,
@@ -38,6 +41,7 @@ use gv_core::op::{
 use gv_core::ops::builtin::{bxor, max, min, prod, sum};
 use gv_core::ops::counts::Counts;
 use gv_core::ops::histogram::Histogram;
+use gv_core::ops::topk::TopBottomK;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 
 /// Best-of-`reps` nanoseconds per element for `iters` runs of `f`.
@@ -127,6 +131,38 @@ where
         black_box(reduce_value(op, black_box(data), false));
     });
     Cell { name: format!("reduce/{name}"), n, scalar_ns, kernel_ns, gated }
+}
+
+/// `(v, i)` pairs generated from `values`: ZRAN3's stream shape.
+fn stream(values: &[f64]) -> impl Iterator<Item = (f64, u64)> + '_ {
+    values.iter().copied().zip(0u64..)
+}
+
+/// Times `TopBottomK(10)` over the [`stream`] of `values`, never
+/// materialized: the per-element `accum` loop over the stream against
+/// `reduce_iter`, which stages it through the block kernel.
+fn streamed_topbottomk_cell(values: &[f64], iters: u32, reps: u32) -> Cell {
+    let op = TopBottomK::<f64, u64>::new(10);
+    let per_element = |values: &[f64]| {
+        let mut s = op.ident();
+        for x in stream(values) {
+            op.accum(&mut s, &x);
+        }
+        op.red_gen(s)
+    };
+    assert_eq!(
+        reduce_iter(&op, stream(values)),
+        per_element(values),
+        "topbottomk10_iter: staged reduce must be bit-identical to the per-element loop"
+    );
+    let n = values.len();
+    let scalar_ns = time_ns(n, iters, reps, || {
+        black_box(per_element(black_box(values)));
+    });
+    let kernel_ns = time_ns(n, iters, reps, || {
+        black_box(reduce_iter(&op, stream(black_box(values))));
+    });
+    Cell { name: "reduce/topbottomk10_iter".into(), n, scalar_ns, kernel_ns, gated: false }
 }
 
 /// Times one inclusive-scan cell, verifying dispatch agreement first.
@@ -255,6 +291,10 @@ fn main() {
             iters,
             reps,
         ));
+        let pairs: Vec<(f64, u64)> = stream(&floats).collect();
+        let topbottom = TopBottomK::<f64, u64>::new(10);
+        cells.push(reduce_cell("topbottomk10_f64", &topbottom, &pairs, true, false, iters, reps));
+        cells.push(streamed_topbottomk_cell(&floats, iters, reps));
     }
 
     let gate = geomean(cells.iter().filter(|c| c.gated).map(Cell::speedup));

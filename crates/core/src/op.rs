@@ -274,15 +274,28 @@ pub fn accumulate_block<Op: ReduceScanOp + ?Sized>(
 ) {
     if let (Some(first), Some(last)) = (block.first(), block.last()) {
         op.pre_accum(state, first);
-        if op.accum_block(state, block) {
-            crate::kernel::note_kernel_block();
-        } else {
-            crate::kernel::note_scalar_block();
-            for x in block {
-                op.accum(state, x);
-            }
-        }
+        accumulate_run(op, state, block);
         op.post_accum(state, last);
+    }
+}
+
+/// The hook-free inner loop of the accumulate phase: one run of elements
+/// through the operator's [`ReduceScanOp::accum_block`] kernel, or the
+/// per-element `accum` loop when it has none, recorded in the
+/// [`crate::kernel`] counters. [`accumulate_block`] wraps the hooks around
+/// one run; [`crate::iter::accumulate_iter`] around a stream of them.
+pub(crate) fn accumulate_run<Op: ReduceScanOp + ?Sized>(
+    op: &Op,
+    state: &mut Op::State,
+    run: &[Op::In],
+) {
+    if op.accum_block(state, run) {
+        crate::kernel::note_kernel_block();
+    } else {
+        crate::kernel::note_scalar_block();
+        for x in run {
+            op.accum(state, x);
+        }
     }
 }
 

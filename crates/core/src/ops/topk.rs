@@ -96,6 +96,26 @@ fn insert_best_first<T: Copy, L: Copy>(
     list.insert(position, x);
 }
 
+/// Elements the [`TopBottomK`] block kernel tests per pre-filter pass: wide
+/// enough that the compare loop unrolls into vector lanes, narrow enough
+/// that a hit replays few elements through the exact insert.
+const FILTER_CHUNK: usize = 16;
+
+/// Whether any element of `chunk` could enter a full `top` list whose worst
+/// value is `hi` or a full `bottom` list whose worst value is `lo`.
+/// Non-strict on purpose: a value equal to the worst may still win its
+/// location tie-break, which only the exact insert decides. Branch-free;
+/// an unordered value (NaN) compares false both ways, exactly as it does in
+/// [`top_precedes`]/[`bottom_precedes`].
+#[inline]
+fn chunk_may_insert<T: Copy + PartialOrd, L>(chunk: &[Entry<T, L>], hi: T, lo: T) -> bool {
+    let mut hit = false;
+    for x in chunk {
+        hit |= (x.0 >= hi) | (x.0 <= lo);
+    }
+    hit
+}
+
 impl<T, L> ReduceScanOp for TopBottomK<T, L>
 where
     T: Copy + PartialOrd + std::fmt::Debug,
@@ -115,6 +135,33 @@ where
     fn accum(&self, state: &mut Self::State, x: &(T, L)) {
         insert_best_first(&mut state.top, self.k, *x, top_precedes);
         insert_best_first(&mut state.bottom, self.k, *x, bottom_precedes);
+    }
+
+    /// Filtered block accumulate, bit-identical to the per-element loop
+    /// for every input. Once both lists hold `k` entries an element changes
+    /// the state only if it beats a list's worst entry, so a chunk in which
+    /// no value reaches either worst *value* is skipped whole; any other
+    /// chunk replays through [`accum`](Self::accum) unchanged.
+    fn accum_block(&self, state: &mut Self::State, block: &[(T, L)]) -> bool {
+        let mut rest = block;
+        while state.top.len() != self.k || state.bottom.len() != self.k {
+            let Some((x, tail)) = rest.split_first() else {
+                return true;
+            };
+            self.accum(state, x);
+            rest = tail;
+        }
+        for chunk in rest.chunks(FILTER_CHUNK) {
+            // Re-read per chunk: each replayed chunk can only tighten them.
+            let hi = state.top[self.k - 1].0;
+            let lo = state.bottom[self.k - 1].0;
+            if chunk_may_insert(chunk, hi, lo) {
+                for x in chunk {
+                    self.accum(state, x);
+                }
+            }
+        }
+        true
     }
 
     fn combine(&self, earlier: &mut Self::State, later: Self::State) {

@@ -69,15 +69,11 @@ impl Slab {
         self.data.fill(0.0);
     }
 
-    /// Iterates `(x, y, z_local, value)` over owned cells.
-    pub fn iter_cells(&self) -> impl Iterator<Item = (usize, usize, usize, f64)> + '_ {
-        let n = self.n;
-        self.data.iter().enumerate().map(move |(i, &v)| {
-            let x = i % n;
-            let y = (i / n) % n;
-            let z = i / (n * n);
-            (x, y, z, v)
-        })
+    /// Streams `(value, global_index)` over owned cells in storage order.
+    /// Owned cells are contiguous in the conceptual `n³` array too, so
+    /// cell `i` sits at `global_index(0, 0, 0) + i` — no per-cell division.
+    pub fn indexed_cells(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.data.iter().copied().zip(self.global_index(0, 0, 0)..)
     }
 }
 
@@ -177,11 +173,22 @@ mod tests {
     }
 
     #[test]
-    fn iter_cells_visits_every_cell_once() {
-        let s = Slab::for_rank(4, 1, 2);
-        let visited: Vec<_> = s.iter_cells().collect();
-        assert_eq!(visited.len(), s.cells());
-        assert_eq!(visited[0].0, 0);
-        assert_eq!(visited[4].1, 1);
+    fn indexed_cells_pairs_every_cell_with_its_global_index() {
+        for (rank, p) in [(0, 1), (1, 2), (2, 3)] {
+            let mut s = Slab::for_rank(5, rank, p);
+            for (i, v) in s.data.iter_mut().enumerate() {
+                *v = i as f64;
+            }
+            let mut streamed = s.indexed_cells();
+            for z in 0..s.z_len {
+                for y in 0..s.n {
+                    for x in 0..s.n {
+                        let expected = (s.data[s.idx(x, y, z)], s.global_index(x, y, z));
+                        assert_eq!(streamed.next(), Some(expected), "rank {rank}/{p} at ({x},{y},{z})");
+                    }
+                }
+            }
+            assert_eq!(streamed.next(), None);
+        }
     }
 }

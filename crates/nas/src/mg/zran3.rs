@@ -20,6 +20,7 @@
 //! Both return identical results (ties broken toward the smaller global
 //! index); the Figure 3 harness compares their modeled times.
 
+use gv_core::iter::accumulate_iter;
 use gv_core::op::ReduceScanOp;
 use gv_core::ops::topk::{TopBottom, TopBottomK};
 use gv_msgpass::localview::local_allreduce;
@@ -54,14 +55,14 @@ pub fn fill_random(comm: &Comm, slab: &mut Slab, seed: u64) {
 type Candidates = Vec<(f64, u64)>;
 
 /// One walk over the slab collecting the local `k` largest and `k`
-/// smallest cells with their global indices (both lists best-first).
+/// smallest cells with their global indices (both lists best-first): the
+/// accumulate phase of [`extrema_rsmpi`]'s reduction, same stream, same
+/// engine, same charge — the two Figure 3 series differ only in how the
+/// candidates then cross ranks.
 fn local_candidates(comm: &Comm, slab: &Slab, k: usize) -> (Candidates, Candidates) {
     let op = TopBottomK::<f64, u64>::new(k);
-    let mut state = op.ident();
-    for (x, y, z, v) in slab.iter_cells() {
-        op.accum(&mut state, &(v, slab.global_index(x, y, z)));
-    }
-    comm.advance(slab.cells() as u64);
+    let (state, cells) = accumulate_iter(&op, slab.indexed_cells());
+    comm.advance(cells * op.accum_ops());
     (state.top, state.bottom)
 }
 
@@ -109,12 +110,7 @@ pub fn extrema_mpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
 /// warrant it — still one `Allreduce` call per rank either way.
 pub fn extrema_rsmpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
     let op = TopBottomK::<f64, u64>::new(k);
-    gv_rsmpi::reduce::reduce_all_from_iter_splittable(
-        comm,
-        &op,
-        slab.iter_cells()
-            .map(|(x, y, z, v)| (v, slab.global_index(x, y, z))),
-    )
+    gv_rsmpi::reduce::reduce_all_from_iter_splittable(comm, &op, slab.indexed_cells())
 }
 
 /// Rewrites the slab per the ZRAN3 contract: +1 at the `k` largest

@@ -19,6 +19,7 @@
 
 use std::rc::Rc;
 
+use gv_core::iter::accumulate_iter;
 use gv_core::op::{accumulate_block, ReduceScanOp};
 use gv_core::split::SplittableState;
 use gv_msgpass::{Comm, Request, RequestError};
@@ -49,28 +50,15 @@ pub(crate) fn combining<'a, Op: ReduceScanOp>(
     }
 }
 
-/// Runs the accumulate phase over a streamed iterator of inputs and
-/// charges its modeled compute cost.
+/// Runs the accumulate phase over a streamed iterator of inputs
+/// ([`accumulate_iter`]: staged through the block kernels, never
+/// materialized) and charges its modeled compute cost.
 pub(crate) fn accumulate_local_from_iter<Op, I>(comm: &Comm, op: &Op, values: I) -> Op::State
 where
     Op: ReduceScanOp,
     I: IntoIterator<Item = Op::In>,
 {
-    let mut state = op.ident();
-    let mut iter = values.into_iter().peekable();
-    if let Some(first) = iter.peek() {
-        op.pre_accum(&mut state, first);
-    }
-    let mut count = 0u64;
-    let mut last: Option<Op::In> = None;
-    for x in iter {
-        op.accum(&mut state, &x);
-        count += 1;
-        last = Some(x);
-    }
-    if let Some(l) = &last {
-        op.post_accum(&mut state, l);
-    }
+    let (state, count) = accumulate_iter(op, values);
     comm.advance(count * op.accum_ops());
     state
 }
@@ -140,7 +128,8 @@ where
 /// accumulates ("the programmer first defines an iterator to describe the
 /// values passed to the accumulate function"), so large conceptual arrays
 /// — e.g. `(value, global_index)` pairs over a grid — never need to be
-/// materialized.
+/// materialized: a rank holds one staging block of the stream at a time
+/// (`tests/alloc_budget.rs` counts it).
 pub fn reduce_all_from_iter<Op, I>(comm: &Comm, op: &Op, values: I) -> Op::Out
 where
     Op: ReduceScanOp,

@@ -9,6 +9,10 @@
 //! equal — so the budget is pinned here with a counting allocator rather
 //! than a timer. Counts are per thread, so each rank reads exactly what it
 //! allocated itself and parallel tests do not disturb each other.
+//!
+//! The streamed reductions get the same treatment at the bottom: what a
+//! rank allocates is one staging block and the operator's state, whatever
+//! the length of the stream.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -148,4 +152,43 @@ fn selector_routed_calls_stay_within_eight_n_over_both_ranks() {
     .iter()
     .sum();
     assert!(bcast <= 8 * N, "bcast_splittable allocated {bcast} B");
+}
+
+#[test]
+fn a_streamed_reduction_allocates_one_staging_block_whatever_the_stream_length() {
+    use gv_core::ops::topk::TopBottomK;
+
+    /// `reduce_all_from_iter_splittable(TopBottomK(10))` over `len`
+    /// generated pairs per rank: bytes each rank allocated in the call.
+    fn streamed(p: usize, len: u64) -> Vec<usize> {
+        Runtime::new(p)
+            .run(move |comm| {
+                let op = TopBottomK::<f64, u64>::new(10);
+                let base = comm.rank() as u64 * len;
+                let pairs = (base..base + len)
+                    .map(|g| ((g.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64, g));
+                let before = allocated();
+                let extrema = gv_rsmpi::reduce_all_from_iter_splittable(comm, &op, pairs);
+                let spent = allocated() - before;
+                assert_eq!(extrema.largest.len(), 10);
+                spent
+            })
+            .results
+    }
+
+    for p in [1usize, 2] {
+        // Both streams span several staging blocks; one is 256× the other.
+        let short = streamed(p, 1 << 12);
+        let long = streamed(p, 1 << 20);
+        for (rank, (&short, &long)) in short.iter().zip(&long).enumerate() {
+            // A staging buffer that grew with its input would add 16 MiB.
+            assert!(
+                long <= short + 1024,
+                "p={p} rank {rank}: {long} B for 1 Mi pairs vs {short} B for 4 Ki"
+            );
+            // One ≤ 1024-pair block (16 KiB, twice that if it had to grow
+            // by doubling) plus a handful of 20-entry states.
+            assert!(long <= 64 << 10, "p={p} rank {rank}: {long} B");
+        }
+    }
 }

@@ -334,8 +334,11 @@ fn sortedness_combine_order_is_observable() {
 
 mod kernel_laws {
     use super::*;
+    use gv_core::iter::reduce_iter;
     use gv_core::kernel::{self, LANES};
     use gv_core::op::{accumulate_block_scalar, rescan_block, rescan_block_scalar};
+    use gv_testkit::prop::{check, from_fn, Config};
+    use gv_testkit::{prop_assert, prop_assert_eq};
 
     /// Every length from empty through four full lane blocks plus a
     /// ragged tail: covers the serial short-block path, the exact lane
@@ -397,6 +400,163 @@ mod kernel_laws {
         // Wrapping overflow must regroup exactly too.
         let big: Vec<i64> = (0..n).map(|_| rng.i64_in(i64::MAX / 2..i64::MAX)).collect();
         assert_dispatch_exact("sum<i64> wrapping", &sum::<i64>(), &big);
+    }
+
+    /// One generated `TopBottomK` kernel case: the inputs that pre-fill the
+    /// incoming state, then the block handed to `accum_block`.
+    #[derive(Debug, Clone)]
+    struct TopkCase<T, L> {
+        k: usize,
+        prefill: Vec<(T, L)>,
+        block: Vec<(T, L)>,
+    }
+
+    /// Draws a case whose block is hostile to a filtered kernel. Values
+    /// come from a 41-value range, so ties with list entries are routine;
+    /// on top of that, at a dozen positions spread over the fill phase and
+    /// every later filter chunk, the element is overwritten with either a
+    /// duplicate of the *current* worst `top`/`bottom` value carrying a
+    /// smaller or a larger location than the entry it ties with, or one of
+    /// `specials` (NaN, ±0.0, ±∞ for floats; the type's bounds for ints).
+    fn topk_case<T, L>(rng: &mut TestRng, specials: &[T]) -> TopkCase<T, L>
+    where
+        T: Copy + PartialOrd + std::fmt::Debug + From<i32>,
+        L: Copy + Ord + std::fmt::Debug + From<u8>,
+    {
+        let k = [1usize, 3, 10][rng.usize_in(0..3)];
+        let op = TopBottomK::<T, L>::new(k);
+        let draw = |rng: &mut TestRng| {
+            let value = if rng.below(16) == 0 {
+                specials[rng.usize_in(0..specials.len())]
+            } else {
+                T::from(rng.i64_in(-20..21) as i32)
+            };
+            (value, L::from(rng.i64_in(64..192) as u8))
+        };
+        // From an identity state up to one whose lists are already full.
+        let prefill: Vec<(T, L)> = (0..rng.usize_in(0..2 * k + 2)).map(|_| draw(rng)).collect();
+        let mut block: Vec<(T, L)> = (0..4 * LANES + 3).map(|_| draw(rng)).collect();
+        let mut plant_at: Vec<usize> = (0..12).map(|_| rng.usize_in(0..block.len())).collect();
+        plant_at.extend([0, k - 1, k, k + 1]);
+        plant_at.sort_unstable();
+        for at in plant_at {
+            // Planting in ascending order keeps every earlier prefix, and
+            // so every earlier "current worst", as it was when planted.
+            let mut seen = op.ident();
+            accumulate_block_scalar(&op, &mut seen, &prefill);
+            accumulate_block_scalar(&op, &mut seen, &block[..at]);
+            let worst = if rng.bool() { seen.top.last() } else { seen.bottom.last() };
+            block[at] = match (rng.below(3), worst) {
+                (0, Some(&(value, _))) => (value, L::from(rng.i64_in(0..64) as u8)),
+                (1, Some(&(value, _))) => (value, L::from(rng.i64_in(192..256) as u8)),
+                _ => (specials[rng.usize_in(0..specials.len())], block[at].1),
+            };
+        }
+        TopkCase { k, prefill, block }
+    }
+
+    /// `accum_block` must leave exactly the state the per-element loop
+    /// leaves — compared through `bits`, so NaN payloads and the sign of
+    /// zero count — on every prefix of the case's block: below, at and
+    /// above `k`, and from zero to four filter chunks with every ragged
+    /// tail.
+    fn topk_kernel_matches_scalar<T, L>(
+        case: &TopkCase<T, L>,
+        bits: fn(T) -> u64,
+    ) -> Result<(), String>
+    where
+        T: Copy + PartialOrd + std::fmt::Debug,
+        L: Copy + Ord + std::fmt::Debug,
+    {
+        let op = TopBottomK::<T, L>::new(case.k);
+        let exact = |list: &[(T, L)]| -> Vec<(u64, L)> {
+            list.iter().map(|&(value, loc)| (bits(value), loc)).collect()
+        };
+        let mut incoming = op.ident();
+        accumulate_block_scalar(&op, &mut incoming, &case.prefill);
+        for n in 0..=case.block.len() {
+            let block = &case.block[..n];
+            let mut kernel = incoming.clone();
+            prop_assert!(op.accum_block(&mut kernel, block), "TopBottomK has a block kernel");
+            let mut scalar = incoming.clone();
+            accumulate_block_scalar(&op, &mut scalar, block);
+            prop_assert_eq!(exact(&kernel.top), exact(&scalar.top), "top at n={n}");
+            prop_assert_eq!(exact(&kernel.bottom), exact(&scalar.bottom), "bottom at n={n}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn topbottomk_f64_kernel_is_bit_identical_to_scalar() {
+        let specials = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+        check(
+            "topbottomk_f64_kernel_is_bit_identical_to_scalar",
+            &Config::new(48),
+            &from_fn(|rng: &mut TestRng| topk_case::<f64, u64>(rng, &specials)),
+            |case| topk_kernel_matches_scalar(case, f64::to_bits),
+        );
+    }
+
+    #[test]
+    fn topbottomk_i64_kernel_is_bit_identical_to_scalar() {
+        let specials = [i64::MIN, i64::MAX, 0];
+        check(
+            "topbottomk_i64_kernel_is_bit_identical_to_scalar",
+            &Config::new(48),
+            &from_fn(|rng: &mut TestRng| topk_case::<i64, u32>(rng, &specials)),
+            |case| topk_kernel_matches_scalar(case, |value| value as u64),
+        );
+    }
+
+    /// The streamed engine stages its input in blocks of a private size;
+    /// these lengths sit on and either side of every power of two up to
+    /// 4096 (and at twice it), so they straddle the staging seam whichever
+    /// power of two that size is.
+    fn seam_lengths() -> impl Iterator<Item = usize> {
+        let around = (5..=12).flat_map(|j| [(1usize << j) - 1, 1 << j, (1 << j) + 1]);
+        [0, 1].into_iter().chain(around).chain([1 << 13])
+    }
+
+    /// `reduce_iter` over a stream must equal `seq::reduce` over the same
+    /// elements as a slice, hooks and kernels included.
+    fn assert_streamed_matches_slice<Op>(name: &str, op: &Op, data: &[Op::In])
+    where
+        Op: ReduceScanOp,
+        Op::In: Clone,
+        Op::Out: PartialEq + std::fmt::Debug,
+    {
+        for n in seam_lengths() {
+            assert_eq!(
+                reduce_iter(op, data[..n].iter().cloned()),
+                seq::reduce(op, &data[..n]),
+                "{name}: streamed != slice at n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_reductions_match_the_slice_engine_across_staging_seams() {
+        let mut rng = TestRng::new(66);
+        let n = 1 << 13;
+        // Hook-carrying operators: `pre_accum`/`post_accum` must see the
+        // stream's first and last element, not each staged block's. One
+        // descent sits past every seam, so a run or a sortedness verdict
+        // that a seam cut in two would come out different.
+        let mut ramp: Vec<i64> = (0..n as i64).map(|i| i / 3).collect();
+        assert_streamed_matches_slice("Sorted (sorted)", &Sorted::new(), &ramp);
+        assert_streamed_matches_slice("LongestRun (ramp)", &LongestRun::new(), &ramp);
+        ramp[n - 2] = -1;
+        assert_streamed_matches_slice("Sorted (late descent)", &Sorted::new(), &ramp);
+        let runs: Vec<i64> = (0..n).map(|_| rng.i64_in(0..2)).collect();
+        assert_streamed_matches_slice("LongestRun (coin flips)", &LongestRun::new(), &runs);
+        // Kernel-backed (sum, Counts, TopBottomK) and kernel-less (MinK).
+        let i64s: Vec<i64> = (0..n).map(|_| rng.i64_in(-1000..1000)).collect();
+        assert_streamed_matches_slice("sum<i64>", &sum::<i64>(), &i64s);
+        assert_streamed_matches_slice("MinK(5)", &MinK::<i64>::new(5), &i64s);
+        let buckets: Vec<usize> = (0..n).map(|_| rng.usize_in(0..8)).collect();
+        assert_streamed_matches_slice("Counts(8)", &Counts::new(8), &buckets);
+        let pairs: Vec<(i64, u32)> = i64s.iter().map(|&v| (v, rng.next_u32() % 64)).collect();
+        assert_streamed_matches_slice("TopBottomK(10)", &TopBottomK::new(10), &pairs);
     }
 
     #[test]
