@@ -26,6 +26,12 @@
 //! fresh-page faults swamp the copy (the recording pins them as
 //! `benchmark/README.md`, "Noise" item 1, does, and prints the setting).
 //!
+//! Last come the `count_into` rows at the table widths NAS IS ranks with:
+//! one rank's class A keys at p = 2 counted into a 2¹⁸-entry table (its
+//! own span there) and a 2¹⁹-entry one (the whole range, p = 1). Both are
+//! above the kernel's replicated-table bound, so this is its plain
+//! increment loop, latency-bound on the table; reported, not gated.
+//!
 //! Usage: kernel_microbench [--csv]
 //! Env:   GV_BENCH_QUICK=1 shrinks iteration counts for a CI smoke run.
 
@@ -43,6 +49,8 @@ use gv_core::ops::counts::Counts;
 use gv_core::ops::histogram::Histogram;
 use gv_core::ops::topk::TopBottomK;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
+use gv_nas::is::generate_keys;
+use gv_nas::IsClass;
 
 /// Best-of-`reps` nanoseconds per element for `iters` runs of `f`.
 fn time_ns(n: usize, iters: u32, reps: u32, mut f: impl FnMut()) -> f64 {
@@ -231,6 +239,23 @@ fn segmenting_ns(n: usize, parts: usize, reps: u32) -> (f64, f64) {
     (best.0 / n as f64 * 1e9, best.1 / n as f64 * 1e9)
 }
 
+/// Table widths of the `count_into` rows: NAS IS class A's span per rank
+/// at p = 2, and its whole key range.
+const COUNT_TABLES: [usize; 2] = [1 << 18, 1 << 19];
+
+/// Best-of-`reps` nanoseconds per key for `count_into` over `keys` folded
+/// (by a mask: `k` is a power of two) into a `k`-entry table that is
+/// allocated and zeroed untimed.
+fn counting_ns(keys: &[u32], k: usize, reps: u32) -> f64 {
+    assert!(k.is_power_of_two());
+    let mut table = vec![0u64; k];
+    let ns = time_ns(keys.len(), 1, reps, || {
+        gv_core::kernel::count_into(&mut table, black_box(keys), |&key| key as usize & (k - 1));
+    });
+    assert_eq!(table.iter().sum::<u64>(), keys.len() as u64 * u64::from(reps));
+    ns
+}
+
 fn data_i64(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| (i.wrapping_mul(2654435761)) % 1_000_003 - 500_000).collect()
 }
@@ -307,6 +332,14 @@ fn main() {
         .map(|&parts| (parts, segmenting_ns(state_len, parts, segmenting_reps)))
         .collect();
 
+    // One rank's keys of 2 (of 128 in quick mode: 2¹⁶ keys, not 2²²).
+    let is_keys = generate_keys(IsClass::A, 0, if quick { 128 } else { 2 });
+    let counting_reps = if quick { 2 } else { 10 };
+    let counting: Vec<(usize, f64)> = COUNT_TABLES
+        .iter()
+        .map(|&k| (k, counting_ns(&is_keys, k, counting_reps)))
+        .collect();
+
     if csv {
         println!("cell,n,scalar_ns_per_elem,kernel_ns_per_elem,speedup,gated");
         for c in &cells {
@@ -318,6 +351,9 @@ fn main() {
         for (parts, (split, unsplit)) in &segmenting {
             println!("split_u64/S{parts},{state_len},,{split:.4},,false");
             println!("unsplit_u64/S{parts},{state_len},,{unsplit:.4},,false");
+        }
+        for (k, ns) in &counting {
+            println!("count_into/k{k},{},,{ns:.4},,false", is_keys.len());
         }
         println!("geomean_gated,,,,{gate:.3},");
         println!("verdict,,,,{},", if pass { "PASS" } else { "FAIL" });
@@ -361,6 +397,15 @@ fn main() {
                 "  {:<24} {:>8} {:>9.2} ns {:>9.2} ns",
                 "segments/vec_u64", parts, split, unsplit
             );
+        }
+        println!(
+            "\n  counting {} NAS IS class A keys into a k-entry u64 table (ns per key, best of \
+             runs; not gated — the plain loop `count_into` runs above its replicated-table bound)",
+            is_keys.len()
+        );
+        println!("  {:<24} {:>8} {:>12}", "cell", "k", "count_into");
+        for (k, ns) in &counting {
+            println!("  {:<24} {:>8} {:>9.2} ns", "count_into/is_keys", k, ns);
         }
         println!(
             "\ngeomean over gated (*) cells: {gate:.2}x (target {TARGET:.0}x) => {}",

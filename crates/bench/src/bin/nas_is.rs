@@ -2,12 +2,80 @@
 //! with per-phase modeled timing — the benchmark the paper's §4.1 case
 //! study lives inside.
 //!
-//! Usage: nas_is [--class S|W|A|B|C|A/32|B/32|C/32] [--procs 8] [--variant rsmpi|nas|opt]
+//! `--wall` adds, on stderr, the host-clock time of each phase of the
+//! ranking (timing-dependent, so never part of a recorded table).
+//!
+//! Usage: nas_is [--class S|W|A|B|C|A/32|B/32|C/32] [--procs 8] [--variant rsmpi|nas|opt] [--wall]
+//! Env:   GV_BENCH_QUICK=1 shrinks the `--wall` rep count for a CI smoke run.
 
-use gv_bench::table::{arg_value, fmt_seconds, parallel_time, timed_phase};
+use std::time::{Duration, Instant};
+
+use gv_bench::table::{arg_value, fmt_seconds, has_flag, parallel_time, timed_phase};
+use gv_msgpass::localview::local_allreduce;
 use gv_msgpass::Runtime;
 use gv_nas::is::{distributed_sort, generate_keys, key_ranks, VerifyVariant};
 use gv_nas::IsClass;
+
+/// The source `distributed_sort` runs, compiled in a second time: its
+/// phases are private to `gv_nas`, and timing them takes its `lap` hook.
+#[path = "../../../nas/src/is/rank/phases.rs"]
+mod phases;
+
+/// Row labels of the `--wall` table, indexed by `phases::Phase as usize`.
+const PHASES: [&str; 5] = ["bucket", "exchange", "count", "emit", "offset scan"];
+
+/// Untimed sorts at the head of the `--wall` run, for as long as this:
+/// the guest scheduler leaves the rank threads on one core for about the
+/// first second of a runtime (the benchmark binds them; this harness does
+/// not), and a phase of a 40 ms sort would read twice its time.
+const WALL_WARM_UP: Duration = Duration::from_millis(1500);
+
+/// Host wall-clock of each ranking phase over `reps` sorts of the same
+/// keys: per rep the slower rank's time, then p10 / median over reps. A
+/// rep starts at a barrier; a phase ends when [`phases::sort_block`] says
+/// so. Compare commits only under the malloc pins `benchmark/` uses.
+fn wall_report(class: IsClass, p: usize, reps: usize, warm_up: Duration) {
+    let outcome = Runtime::new(p).run(move |comm| {
+        let keys = generate_keys(class, comm.rank(), comm.size());
+        let sort = |lap: &mut dyn FnMut(phases::Phase)| {
+            let (block, _) = phases::sort_block(comm, &keys, class.max_key(), lap);
+            assert!(block.is_sorted());
+        };
+        let started = Instant::now();
+        // Every rank leaves the warm-up after the same sort.
+        while local_allreduce(comm, started.elapsed() < warm_up, |a, b| a | b) {
+            sort(&mut |_| {});
+        }
+        (0..reps)
+            .map(|_| {
+                comm.barrier();
+                let mut last = Instant::now();
+                let mut laps = [0.0f64; PHASES.len()];
+                sort(&mut |phase| {
+                    let now = Instant::now();
+                    laps[phase as usize] = (now - last).as_secs_f64();
+                    last = now;
+                });
+                laps
+            })
+            .collect::<Vec<_>>()
+    });
+    eprintln!(
+        "\n  host wall clock of the ranking, slower rank, p10 / median over {reps} reps \
+         (timing-dependent, not recorded):"
+    );
+    for (phase, name) in PHASES.iter().enumerate() {
+        let mut slower: Vec<f64> = (0..reps)
+            .map(|rep| outcome.results.iter().map(|laps| laps[rep][phase]).fold(0.0, f64::max))
+            .collect();
+        slower.sort_by(f64::total_cmp);
+        eprintln!(
+            "  {name:<12} {:>12} / {:>12}",
+            fmt_seconds(slower[reps / 10]),
+            fmt_seconds(slower[reps / 2])
+        );
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,4 +127,13 @@ fn main() {
     println!("  wire messages: {}, bytes: {}", outcome.stats.messages, outcome.stats.bytes);
     println!("  VERIFICATION {}", if verified { "SUCCESSFUL" } else { "FAILED" });
     assert!(verified);
+
+    if has_flag(&args, "--wall") {
+        let quick = std::env::var("GV_BENCH_QUICK").is_ok_and(|v| v != "0");
+        if quick {
+            wall_report(class, p, 3, Duration::ZERO);
+        } else {
+            wall_report(class, p, 20, WALL_WARM_UP);
+        }
+    }
 }

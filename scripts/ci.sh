@@ -46,6 +46,11 @@ echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"
 echo "smoke: pipeline_microbench --pool --wall"
 ./target/release/pipeline_microbench --pool --wall > /dev/null 2> /dev/null
 
+# The NAS IS harness times the ranking's phases on the host clock (to
+# stderr, not a recorded table); keep the flag and its asserts alive.
+echo "smoke: nas_is --class S --wall"
+./target/release/nas_is --class S --wall > /dev/null 2> /dev/null
+
 # `benchmark/` is a package of its own (own workspace and lockfile) that
 # reaches the library only through `benchmark/src/api.rs`, and a PR that
 # is not a benchmark PR may not edit it. Build, test and quick-run it

@@ -12,7 +12,8 @@
 //!
 //! The streamed reductions get the same treatment at the bottom: what a
 //! rank allocates is one staging block and the operator's state, whatever
-//! the length of the stream.
+//! the length of the stream. And the NAS IS ranking: the keys it sends, the
+//! block it returns and one count table — no second copy of either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -189,6 +190,40 @@ fn a_streamed_reduction_allocates_one_staging_block_whatever_the_stream_length()
             // One ≤ 1024-pair block (16 KiB, twice that if it had to grow
             // by doubling) plus a handful of 20-entry states.
             assert!(long <= 64 << 10, "p={p} rank {rank}: {long} B");
+        }
+    }
+}
+
+#[test]
+fn an_is_sort_moves_each_key_once_before_the_exchange_and_once_after() {
+    use gv_nas::is::{distributed_sort, generate_keys};
+    use gv_nas::IsClass;
+
+    // Class S only at p = 1: cut further its spans are ≤ 1024 values, where
+    // `count_into` replicates the table and allocates three scratch copies
+    // per received piece — the kernel's budget, not the sort's.
+    for (class, p) in [(IsClass::S, 1usize), (IsClass::W, 2), (IsClass::W, 4)] {
+        let ranks = Runtime::new(p)
+            .run(move |comm| {
+                let keys = generate_keys(class, comm.rank(), p);
+                let before = allocated();
+                let block = distributed_sort(comm, &keys, class.max_key());
+                let spent = allocated() - before;
+                let span = (class.max_key() as usize).div_ceil(p);
+                let own = comm.rank() * span..(comm.rank() + 1) * span;
+                let sent = keys.iter().filter(|&&k| !own.contains(&(k as usize))).count();
+                (spent, 4 * sent, 4 * block.keys.len(), 8 * span)
+            })
+            .results;
+        for (rank, (spent, sent, received, table)) in ranks.into_iter().enumerate() {
+            // Push-doubled buckets and a flattened copy of the received
+            // pieces, as before the counting sort, come to about twice this.
+            assert!(
+                spent <= sent + received + table + 4096,
+                "class {} p={p} rank {rank}: {spent} B for {sent} B sent, {received} B received \
+                 and a {table} B table",
+                class.name
+            );
         }
     }
 }
