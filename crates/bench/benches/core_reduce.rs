@@ -1,12 +1,21 @@
 //! BENCH-CORE (reductions): wall-clock throughput of the built-in and
 //! user-defined operators through the sequential and shared-memory
-//! engines.
+//! engines, and — `reduce/accum_kernels` — of the accumulate phase alone
+//! per operator: the forced per-element loop, the operator's own
+//! `accum_block` dispatch, and the derived `kernel::accum_runs`, for the
+//! operators that opted into it and the ones that measured below the bar
+//! (`kernel_microbench` records the same pairs as a table).
 
 use gv_testkit::bench::{black_box, Bench, BenchmarkId, Throughput};
 use gv_testkit::{bench_group, bench_main};
 
+use gv_core::op::{accumulate_block, accumulate_block_scalar, ReduceScanOp};
 use gv_core::ops::builtin::sum;
+use gv_core::ops::kadane::MaxSubarray;
 use gv_core::ops::mink::MinK;
+use gv_core::ops::minloc::MinI;
+use gv_core::ops::minmax::MinMax;
+use gv_core::ops::runs::LongestRun;
 use gv_core::ops::sorted::Sorted;
 use gv_core::ops::stats::MeanVar;
 use gv_core::ops::topk::TopBottomK;
@@ -55,6 +64,59 @@ fn bench_user_ops(c: &mut Bench) {
     group.finish();
 }
 
+/// Three rows for one operator's accumulate phase over `data`: `scalar`
+/// (forced per-element loop), `dispatch` (whatever its `accum_block` does)
+/// and `runs` (the derived kernel, whether or not the operator opted in).
+fn accum_rows<Op: ReduceScanOp>(
+    group: &mut gv_testkit::bench::Group<'_>,
+    name: &str,
+    op: &Op,
+    data: &[Op::In],
+) {
+    group.bench_function(format!("{name}/scalar"), |b| {
+        b.iter(|| {
+            let mut s = op.ident();
+            accumulate_block_scalar(op, &mut s, black_box(data));
+            s
+        })
+    });
+    group.bench_function(format!("{name}/dispatch"), |b| {
+        b.iter(|| {
+            let mut s = op.ident();
+            accumulate_block(op, &mut s, black_box(data));
+            s
+        })
+    });
+    group.bench_function(format!("{name}/runs"), |b| {
+        b.iter(|| {
+            let mut s = op.ident();
+            gv_bench::accumulate_through_runs(op, &mut s, black_box(data));
+            s
+        })
+    });
+}
+
+fn bench_accum_kernels(c: &mut Bench) {
+    let mut group = c.benchmark_group("reduce/accum_kernels");
+    let n = 100_000usize;
+    let ints = data_i64(n);
+    let floats: Vec<f64> = ints.iter().map(|&x| x as f64 / 7.0).collect();
+    let pairs: Vec<(i64, u64)> = ints.iter().copied().zip(0u64..).collect();
+    group.throughput(Throughput::Elements(n as u64));
+    // Hand kernels.
+    accum_rows(&mut group, "meanvar", &MeanVar, &floats);
+    accum_rows(&mut group, "mink_k10", &MinK::<i64>::new(10), &ints);
+    // Opted into `accum_runs`.
+    accum_rows(&mut group, "minmax_f64", &MinMax::<f64>::new(), &floats);
+    accum_rows(&mut group, "minmax_i64", &MinMax::<i64>::new(), &ints);
+    // Tried and rejected: `dispatch` is their scalar loop.
+    accum_rows(&mut group, "mini_i64", &MinI::<i64, u64>::new(), &pairs);
+    accum_rows(&mut group, "max_subarray", &MaxSubarray, &ints);
+    accum_rows(&mut group, "longest_run", &LongestRun::<i64>::new(), &ints);
+    accum_rows(&mut group, "sorted", &Sorted::<i64>::new(), &ints);
+    group.finish();
+}
+
 fn bench_mink_k_sweep(c: &mut Bench) {
     // The combine cost grows with k while accumulate stays ~O(1) amortized
     // — the asymmetry §3 calls out.
@@ -75,6 +137,6 @@ fn configured() -> Bench {
 bench_group! {
     name = benches;
     config = configured();
-    targets = bench_builtin_sum, bench_user_ops, bench_mink_k_sweep
+    targets = bench_builtin_sum, bench_user_ops, bench_accum_kernels, bench_mink_k_sweep
 }
 bench_main!(benches);

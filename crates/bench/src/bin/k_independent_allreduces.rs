@@ -39,6 +39,8 @@ const K: usize = 8;
 /// State sizes swept, in bytes (the state is a Vec<u64> of size/8 slots).
 const SIZES: [usize; 3] = [1 << 10, 8 << 10, 64 << 10];
 
+// The collectives take `Fn(&S) -> usize` with `S = Vec<u64>`.
+#[allow(clippy::ptr_arg)]
 fn wire(v: &Vec<u64>) -> usize {
     v.len() * 8
 }

@@ -26,6 +26,17 @@
 //! fresh-page faults swamp the copy (the recording pins them as
 //! `benchmark/README.md`, "Noise" item 1, does, and prints the setting).
 //!
+//! The two `accum_*` rows of the kernel table are the user-style operators
+//! on the benchmark's path: `MeanVar` (two-pass per 1024-element block and
+//! a Chan merge, against the Welford divide chain) and `MinK(10)` (a
+//! filtered replay, bit-identical). Below the table, the `accum_runs` rows
+//! put the *derived* kernel — `gv_core::kernel::accum_runs`, four identity
+//! states per block combined in order — against the scalar loop for every
+//! operator it was tried on, at 4 Mi elements (one `local_heavy` rank's
+//! share). It is not a universal win, so each row says whether the
+//! operator opted in (bar: 1.25×), was rejected, or has a hand kernel that
+//! is faster still; DESIGN.md's opt-in table quotes these.
+//!
 //! Last come the `count_into` rows at the table widths NAS IS ranks with:
 //! one rank's class A keys at p = 2 counted into a 2¹⁸-entry table (its
 //! own span there) and a 2¹⁹-entry one (the whole range, p = 1). Both are
@@ -47,6 +58,13 @@ use gv_core::op::{
 use gv_core::ops::builtin::{bxor, max, min, prod, sum};
 use gv_core::ops::counts::Counts;
 use gv_core::ops::histogram::Histogram;
+use gv_core::ops::kadane::MaxSubarray;
+use gv_core::ops::mink::MinK;
+use gv_core::ops::minloc::MinI;
+use gv_core::ops::minmax::MinMax;
+use gv_core::ops::runs::LongestRun;
+use gv_core::ops::sorted::Sorted;
+use gv_core::ops::stats::MeanVar;
 use gv_core::ops::topk::TopBottomK;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_nas::is::generate_keys;
@@ -217,6 +235,65 @@ where
     Cell { name: format!("scan/{name}"), n, scalar_ns, kernel_ns, gated }
 }
 
+gv_core::operator! {
+    /// A float sum written as a user would write it, with no kernel of its
+    /// own: what `accum_runs` does for an operator the library never saw.
+    pub UserSum {
+        input: f64;
+        output: f64;
+        state UserSumState { total: f64 = 0.0 }
+        accum(s, x) { s.total += *x; }
+        combine(a, b) { a.total += b.total; }
+        generate(s) -> f64 { s.total }
+    }
+}
+
+/// Verdicts of the `accum_runs` rows: what became of each operator tried.
+const OPTED_IN: &str = "opted in";
+const REJECTED: &str = "rejected";
+const HAND_KERNEL: &str = "rejected: hand kernel";
+const USER_DEFINED: &str = "user-defined";
+
+/// `op` over `data` through the derived kernel.
+fn reduce_runs<Op: ReduceScanOp>(op: &Op, data: &[Op::In]) -> Op::Out {
+    let mut s = op.ident();
+    gv_bench::accumulate_through_runs(op, &mut s, data);
+    op.red_gen(s)
+}
+
+/// Times the scalar loop against [`reduce_runs`] (the cell's `kernel_ns`),
+/// rep by rep in turn so that a slow phase of the host lands on both
+/// sides: a verdict hangs on the ratio. `exact` cells assert the two
+/// agree; float-regrouping cells assert the derived kernel is
+/// deterministic.
+fn runs_cell<Op>(
+    name: &str,
+    op: &Op,
+    data: &[Op::In],
+    exact: bool,
+    verdict: &'static str,
+    iters: u32,
+    reps: u32,
+) -> (Cell, &'static str)
+where
+    Op: ReduceScanOp,
+    Op::Out: PartialEq + std::fmt::Debug,
+{
+    let expected = if exact { reduce_value(op, data, true) } else { reduce_runs(op, data) };
+    assert_eq!(reduce_runs(op, data), expected, "{name}: accum_runs disagrees");
+    let n = data.len();
+    let (mut scalar_ns, mut kernel_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        scalar_ns = scalar_ns.min(time_ns(n, iters, 1, || {
+            black_box(reduce_value(op, black_box(data), true));
+        }));
+        kernel_ns = kernel_ns.min(time_ns(n, iters, 1, || {
+            black_box(reduce_runs(op, black_box(data)));
+        }));
+    }
+    (Cell { name: format!("accum_runs/{name}"), n, scalar_ns, kernel_ns, gated: false }, verdict)
+}
+
 /// Segment counts of the `split`/`unsplit` rows: whole, halves, the tree
 /// chooser's pick for 1 MiB, and its cap.
 const SEGMENT_COUNTS: [usize; 4] = [1, 2, 20, 64];
@@ -320,7 +397,37 @@ fn main() {
         let topbottom = TopBottomK::<f64, u64>::new(10);
         cells.push(reduce_cell("topbottomk10_f64", &topbottom, &pairs, true, false, iters, reps));
         cells.push(streamed_topbottomk_cell(&floats, iters, reps));
+        // The user-style operators on the benchmark's path.
+        cells.push(Cell {
+            name: "accum_meanvar".into(),
+            ..reduce_cell("meanvar", &MeanVar, &floats, false, false, iters, reps)
+        });
+        cells.push(Cell {
+            name: "accum_mink10".into(),
+            ..reduce_cell("mink10", &MinK::<i64>::new(10), &ints, true, false, iters, reps)
+        });
     }
+
+    // The derived kernel, operator by operator, at one local_heavy rank's
+    // share (2^16 in quick mode).
+    let runs_n = if quick { 1usize << 16 } else { 1 << 22 };
+    let runs_iters = (work / runs_n as u64).max(1) as u32;
+    let runs_reps = 2 * reps;
+    let ints = data_i64(runs_n);
+    let floats = data_f64(runs_n);
+    let int_pairs: Vec<(i64, u64)> = ints.iter().copied().zip(0u64..).collect();
+    let sorted: Vec<i64> = (0..runs_n as i64).collect();
+    let derived = [
+        runs_cell("meanvar", &MeanVar, &floats, false, HAND_KERNEL, runs_iters, runs_reps),
+        runs_cell("user_sum_f64", &UserSum, &floats, false, USER_DEFINED, runs_iters, runs_reps),
+        runs_cell("minmax_f64", &MinMax::<f64>::new(), &floats, true, OPTED_IN, runs_iters, runs_reps),
+        runs_cell("minmax_i64", &MinMax::<i64>::new(), &ints, true, OPTED_IN, runs_iters, runs_reps),
+        runs_cell("mini_i64", &MinI::<i64, u64>::new(), &int_pairs, true, REJECTED, runs_iters, runs_reps),
+        runs_cell("max_subarray", &MaxSubarray, &ints, true, REJECTED, runs_iters, runs_reps),
+        runs_cell("longest_run", &LongestRun::<i64>::new(), &ints, true, REJECTED, runs_iters, runs_reps),
+        runs_cell("sorted_i64", &Sorted::<i64>::new(), &sorted, true, REJECTED, runs_iters, runs_reps),
+        runs_cell("mink10_i64", &MinK::<i64>::new(10), &ints, true, HAND_KERNEL, runs_iters, runs_reps),
+    ];
 
     let gate = geomean(cells.iter().filter(|c| c.gated).map(Cell::speedup));
     let pass = gate >= TARGET;
@@ -348,6 +455,12 @@ fn main() {
                 c.name, c.n, c.scalar_ns, c.kernel_ns, c.speedup(), c.gated
             );
         }
+        for (c, verdict) in &derived {
+            println!(
+                "{},{},{:.4},{:.4},{:.3},{}",
+                c.name, c.n, c.scalar_ns, c.kernel_ns, c.speedup(), verdict
+            );
+        }
         for (parts, (split, unsplit)) in &segmenting {
             println!("split_u64/S{parts},{state_len},,{split:.4},,false");
             println!("unsplit_u64/S{parts},{state_len},,{unsplit:.4},,false");
@@ -365,8 +478,8 @@ fn main() {
             gv_core::kernel::isa_tier().name()
         );
         println!(
-            "  {:<24} {:>8} {:>12} {:>12} {:>9}  {}",
-            "cell", "n", "scalar", "kernel", "speedup", "gate"
+            "  {:<24} {:>8} {:>12} {:>12} {:>9}  gate",
+            "cell", "n", "scalar", "kernel", "speedup"
         );
         for c in &cells {
             println!(
@@ -377,6 +490,30 @@ fn main() {
                 c.kernel_ns,
                 c.speedup(),
                 if c.gated { "*" } else { "" }
+            );
+        }
+        println!(
+            "\n  derived kernel `accum_runs` ({} identity states per {}-element block, combined in \
+             order) against the scalar loop\n  (ns per element, best of {} alternating rep(s); not \
+             gated — \
+             an operator opts in at 1.25x or better)",
+            gv_core::kernel::RUNS,
+            gv_core::kernel::BLOCK,
+            runs_reps
+        );
+        println!(
+            "  {:<24} {:>8} {:>12} {:>12} {:>9}  verdict",
+            "cell", "n", "scalar", "runs", "speedup"
+        );
+        for (c, verdict) in &derived {
+            println!(
+                "  {:<24} {:>8} {:>9.2} ns {:>9.2} ns {:>8.2}x  {}",
+                c.name,
+                c.n,
+                c.scalar_ns,
+                c.kernel_ns,
+                c.speedup(),
+                verdict
             );
         }
         println!(

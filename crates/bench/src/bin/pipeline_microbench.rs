@@ -38,6 +38,8 @@ use gv_msgpass::{BcastAlgorithm, Comm, CostModel, Runtime};
 /// State sizes swept, in bytes (the state is a Vec<u64> of size/8 slots).
 const SIZES: [usize; 4] = [4 << 10, 64 << 10, 256 << 10, 1 << 20];
 
+// The collectives take `Fn(&S) -> usize` with `S = Vec<u64>`.
+#[allow(clippy::ptr_arg)]
 fn wire(v: &Vec<u64>) -> usize {
     v.len() * 8
 }

@@ -20,3 +20,18 @@
 //! the paper's reported results.
 
 pub mod table;
+
+use gv_core::op::ReduceScanOp;
+
+/// The accumulate phase over `data` through the derived kernel
+/// [`gv_core::kernel::accum_runs`], with the `pre_accum`/`post_accum`
+/// hooks around it as `accumulate_block` applies them around an operator's
+/// own `accum_block` — for timing the derived kernel on operators that did
+/// not opt into it (`kernel_microbench`, `core_reduce`).
+pub fn accumulate_through_runs<Op: ReduceScanOp>(op: &Op, state: &mut Op::State, data: &[Op::In]) {
+    if let (Some(first), Some(last)) = (data.first(), data.last()) {
+        op.pre_accum(state, first);
+        gv_core::kernel::accum_runs(op, state, data);
+        op.post_accum(state, last);
+    }
+}

@@ -11,16 +11,15 @@
 //! `BLOCK` elements and hands each full buffer to the operator's
 //! `accum_block` kernel, exactly as the slice engines hand it a chunk. An
 //! operator whose kernel regroups floats (`sum::<f64>`) therefore folds a
-//! stream in `BLOCK`-element groups — pinned by the constant, like
+//! stream in `BLOCK`-element groups — [`crate::kernel::BLOCK`], pinned like
 //! [`crate::kernel::LANES`] — while every regrouping-invariant operator
-//! gives the per-element loop's result bit for bit.
+//! gives the per-element loop's result bit for bit. The kernels that
+//! regroup block by block on their own (`MeanVar`'s, `accum_runs`) cut a
+//! slice at the same `BLOCK`, so for them a stream and a slice agree bit
+//! for bit as well.
 
+use crate::kernel::BLOCK;
 use crate::op::{accumulate_run, ReduceScanOp, ScanKind};
-
-/// Elements staged per kernel call by [`accumulate_iter`]: 16 KiB of
-/// `(f64, u64)` pairs, so the staged block is still in L1 when the kernel
-/// reads it back.
-const BLOCK: usize = 1024;
 
 /// The accumulate phase of paper Listing 2 over a streamed block: returns
 /// the accumulated state and the number of elements consumed (what the

@@ -25,13 +25,21 @@
 //! * [`scan_block_network`] runs a [`SCAN_GROUP`]-wide Hillis–Steele
 //!   prefix network per group with a serial carry between groups
 //!   ([`scan_block_network_reference`] is the spelled-out oracle).
+//! * [`accum_runs`] cuts each [`BLOCK`]-element block of a run into
+//!   [`RUNS`] contiguous pieces, accumulates each into an identity state of
+//!   its own and combines the pieces in order; `MeanVar`'s hand kernel
+//!   (`ops::stats`) reduces each [`BLOCK`]-element block with two
+//!   [`fold_block`] passes and merges block onto block. Blocks are counted from the start of the run,
+//!   and the streamed engine ([`crate::iter`]) stages [`BLOCK`] elements at
+//!   a time, so a stream and a slice of the same elements regroup alike.
 //!
-//! The lane count and group width are compile-time constants, the dispatch
-//! variants are monomorphizations of one body, and no variant enables FMA
-//! contraction — so the same input produces the same float result on every
-//! run, every thread count, and every ISA tier. Changing [`LANES`] or
-//! [`SCAN_GROUP`] *is* a semantic change for floats and must be treated
-//! like one (recordings re-checked).
+//! The lane count, group width, block length and run count are
+//! compile-time constants, the dispatch variants are monomorphizations of
+//! one body, and no variant enables FMA contraction — so the same input
+//! produces the same float result on every run, every thread count, and
+//! every ISA tier. Changing [`LANES`], [`SCAN_GROUP`], [`BLOCK`] or
+//! [`RUNS`] *is* a semantic change for floats and must be treated like one
+//! (recordings re-checked).
 //!
 //! NaN caveat (same as MPI's `MPI_MIN`/`MPI_MAX`): comparison-based folds
 //! and scans are only regrouping-invariant for totally-ordered float data,
@@ -50,7 +58,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::op::ScanKind;
+use crate::op::{ReduceScanOp, ScanKind};
 
 /// Accumulator lanes in a [`fold_block`] group. Pinned: part of the float
 /// results' definition, not a tuning knob (32 × 8-byte lanes = four
@@ -61,6 +69,18 @@ pub const LANES: usize = 32;
 /// Width of the [`scan_block_network`] prefix network. Pinned for the same
 /// reason as [`LANES`].
 pub const SCAN_GROUP: usize = 8;
+
+/// Elements per block of the accumulate-phase kernels that regroup
+/// ([`accum_runs`], `MeanVar`'s), and what [`crate::iter::accumulate_iter`]
+/// stages per kernel call: 16 KiB of `(f64, u64)` pairs, so a block is
+/// still in L1 when a second pass or the kernel after the staging reads it
+/// back. Pinned like [`LANES`].
+pub const BLOCK: usize = 1024;
+
+/// Independent states [`accum_runs`] keeps per block. Pinned like
+/// [`LANES`]; four is where `MinMax<f64>`, the op that gains most, peaks
+/// (EXPERIMENTS.md, TXT-OPKERNEL: 3–4× at four, 1.9× at eight).
+pub const RUNS: usize = 4;
 
 static KERNEL_BLOCKS: AtomicU64 = AtomicU64::new(0);
 static SCALAR_BLOCKS: AtomicU64 = AtomicU64::new(0);
@@ -137,12 +157,18 @@ pub fn isa_tier() -> IsaTier {
 
 /// The one lane-fold body. Every ISA variant is a monomorphization of this
 /// exact code, so the value computed is ISA-independent by construction.
+/// Folds `map(x)` for each element `x`; the plain folds pass the identity.
 #[inline(always)]
-fn fold_block_body<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy) -> T {
+fn fold_block_body<T: Copy>(
+    ident: T,
+    block: &[T],
+    map: impl Fn(T) -> T + Copy,
+    f: impl Fn(T, T) -> T + Copy,
+) -> T {
     if block.len() < LANES {
         let mut total = ident;
         for &x in block {
-            total = f(total, x);
+            total = f(total, map(x));
         }
         return total;
     }
@@ -155,17 +181,17 @@ fn fold_block_body<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy)
     while i + 4 * LANES <= n {
         let c = &block[i..i + 4 * LANES];
         for (l, a) in acc.iter_mut().enumerate() {
-            let t = f(*a, c[l]);
-            let t = f(t, c[LANES + l]);
-            let t = f(t, c[2 * LANES + l]);
-            *a = f(t, c[3 * LANES + l]);
+            let t = f(*a, map(c[l]));
+            let t = f(t, map(c[LANES + l]));
+            let t = f(t, map(c[2 * LANES + l]));
+            *a = f(t, map(c[3 * LANES + l]));
         }
         i += 4 * LANES;
     }
     while i + LANES <= n {
         let c = &block[i..i + LANES];
         for (a, &x) in acc.iter_mut().zip(c) {
-            *a = f(*a, x);
+            *a = f(*a, map(x));
         }
         i += LANES;
     }
@@ -174,7 +200,7 @@ fn fold_block_body<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy)
         total = f(total, a);
     }
     for &x in &block[i..] {
-        total = f(total, x);
+        total = f(total, map(x));
     }
     total
 }
@@ -182,7 +208,7 @@ fn fold_block_body<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy)
 /// The pinned-regrouping oracle for [`fold_block`]: same body, no runtime
 /// dispatch. Property tests compare the dispatched kernel against this.
 pub fn fold_block_reference<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy) -> T {
-    fold_block_body(ident, block, f)
+    fold_block_body(ident, block, |x| x, f)
 }
 
 /// Folds `block` into a single value over [`LANES`] independent
@@ -196,27 +222,108 @@ pub fn fold_block_reference<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> 
 /// `ident` must be a true identity of `f` — it pads the lane array.
 #[inline]
 pub fn fold_block<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy) -> T {
+    fold_block_map(ident, block, |x| x, f)
+}
+
+/// [`fold_block`] over `map(x)` for each element `x` of `block`, mapped as
+/// it is loaded: one pass, same lanes, same pinned regrouping — a sum of
+/// squared deviations costs what a sum costs.
+#[inline]
+pub fn fold_block_map<T: Copy>(
+    ident: T,
+    block: &[T],
+    map: impl Fn(T) -> T + Copy,
+    f: impl Fn(T, T) -> T + Copy,
+) -> T {
     #[cfg(target_arch = "x86_64")]
     match isa_tier() {
         // SAFETY: the matching features were just detected at runtime.
-        IsaTier::Avx512 => return unsafe { fold_block_avx512(ident, block, f) },
+        IsaTier::Avx512 => return unsafe { fold_block_avx512(ident, block, map, f) },
         // SAFETY: AVX2 was just detected at runtime.
-        IsaTier::Avx2 => return unsafe { fold_block_avx2(ident, block, f) },
+        IsaTier::Avx2 => return unsafe { fold_block_avx2(ident, block, map, f) },
         IsaTier::Portable => {}
     }
-    fold_block_body(ident, block, f)
+    fold_block_body(ident, block, map, f)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fold_block_avx2<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy) -> T {
-    fold_block_body(ident, block, f)
+fn fold_block_avx2<T: Copy>(
+    ident: T,
+    block: &[T],
+    map: impl Fn(T) -> T + Copy,
+    f: impl Fn(T, T) -> T + Copy,
+) -> T {
+    fold_block_body(ident, block, map, f)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512dq", enable = "avx512bw", enable = "avx512vl")]
-fn fold_block_avx512<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy) -> T {
-    fold_block_body(ident, block, f)
+fn fold_block_avx512<T: Copy>(
+    ident: T,
+    block: &[T],
+    map: impl Fn(T) -> T + Copy,
+    f: impl Fn(T, T) -> T + Copy,
+) -> T {
+    fold_block_body(ident, block, map, f)
+}
+
+// ---------------------------------------------------------------------------
+// Derived accumulate kernel (any associative operator)
+// ---------------------------------------------------------------------------
+
+/// The accumulate kernel an operator gets without writing one: breaks the
+/// `accum` dependence chain with the operator's own three functions.
+///
+/// Each [`BLOCK`]-element block of `block` is cut into [`RUNS`] contiguous
+/// runs (the last takes the remainder). Every run is accumulated into an
+/// `ident()` state of its own exactly as a virtual processor would — the
+/// `pre_accum`/`post_accum` hooks see the run's first and last element —
+/// with the runs' `accum` calls interleaved so the CPU works on `RUNS`
+/// independent chains at once; the run states are then `combine`d onto
+/// `state` in run order. By the accumulate/combine coherence law that is
+/// the per-element loop's state for every associative operator,
+/// commutative or not, up to the regrouping of float arithmetic.
+///
+/// This is **not** a universal win: it pays where `accum` is a true
+/// latency chain on a small state (`MinMax`: every element goes through two
+/// compare-and-keep chains) and loses where the scalar loop is already a
+/// well-predicted branch (`MinI`/`MaxI`, `Sorted`), the state is large
+/// (`MinK`) or `combine` is costly (`MaxSubarray`, `LongestRun`); table in
+/// DESIGN.md. So it is never a default: an operator opts in by calling it
+/// from [`ReduceScanOp::accum_block`], after measuring.
+pub fn accum_runs<Op: ReduceScanOp + ?Sized>(op: &Op, state: &mut Op::State, block: &[Op::In]) {
+    for chunk in block.chunks(BLOCK) {
+        let len = chunk.len() / RUNS;
+        if len == 0 {
+            for x in chunk {
+                op.accum(state, x);
+            }
+            continue;
+        }
+        // Equal-length heads; what is left over extends the last run.
+        let (heads, tail) = chunk.split_at(RUNS * len);
+        let runs: [&[Op::In]; RUNS] = std::array::from_fn(|r| &heads[r * len..][..len]);
+        let mut states: [Op::State; RUNS] = std::array::from_fn(|_| op.ident());
+        for (s, run) in states.iter_mut().zip(&runs) {
+            op.pre_accum(s, &run[0]);
+        }
+        for i in 0..len {
+            for (s, run) in states.iter_mut().zip(&runs) {
+                op.accum(s, &run[i]);
+            }
+        }
+        for x in tail {
+            op.accum(&mut states[RUNS - 1], x);
+        }
+        for (r, s) in states.iter_mut().enumerate() {
+            let last = if r + 1 == RUNS { chunk.len() } else { (r + 1) * len };
+            op.post_accum(s, &chunk[last - 1]);
+        }
+        for s in states {
+            op.combine(state, s);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +387,7 @@ fn combine_elementwise_avx512<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) ->
 /// The combine order is *identical* to the engines' per-element loop, so
 /// the outputs are bit-identical to the scalar path for every type and
 /// every input (NaNs included) — the win comes purely from loop hygiene
-/// (preallocated writes instead of per-element `push`, no per-element
+/// (one reservation instead of per-element `push`, no per-element
 /// `ScanKind` match). This is the right scan kernel for latency-1
 /// dependent chains (integer sums, bitwise, integer min/max), which
 /// already run at ~1 element/cycle; high-latency float chains use
@@ -292,25 +399,30 @@ pub fn scan_block_serial<T: Copy>(
     f: impl Fn(T, T) -> T + Copy,
     kind: ScanKind,
 ) {
-    let start = out.len();
-    out.resize(start + block.len(), *carry);
-    let dst = &mut out[start..];
+    // A slice map is `TrustedLen`: `extend` reserves once and writes each
+    // output straight into spare capacity, with no pre-fill to overwrite.
+    // The closures own their running value (a captured `&mut` would be
+    // reloaded around every store); the carry is read back off the output.
+    let mut c = *carry;
     match kind {
         ScanKind::Inclusive => {
-            let mut c = *carry;
-            for (o, &x) in dst.iter_mut().zip(block) {
+            out.extend(block.iter().map(move |&x| {
                 c = f(c, x);
-                *o = c;
+                c
+            }));
+            if !block.is_empty() {
+                *carry = out[out.len() - 1];
             }
-            *carry = c;
         }
         ScanKind::Exclusive => {
-            let mut c = *carry;
-            for (o, &x) in dst.iter_mut().zip(block) {
-                *o = c;
+            out.extend(block.iter().map(move |&x| {
+                let before = c;
                 c = f(c, x);
+                before
+            }));
+            if let Some(&last) = block.last() {
+                *carry = f(out[out.len() - 1], last);
             }
-            *carry = c;
         }
     }
 }
@@ -668,8 +780,8 @@ mod tests {
         note_kernel_block();
         note_scalar_block();
         let (k1, s1) = dispatch_counts();
-        assert!(k1 >= k0 + 1);
-        assert!(s1 >= s0 + 1);
+        assert!(k1 > k0);
+        assert!(s1 > s0);
     }
 
     #[test]

@@ -156,7 +156,10 @@ pub trait ReduceScanOp {
     /// leave `state` exactly as the kernel's documented regrouping
     /// specifies (see [`crate::kernel`] for the pinned float contract;
     /// regrouping-invariant operators must match the scalar loop
-    /// bit-for-bit).
+    /// bit-for-bit). An operator whose `accum` is a latency chain on a
+    /// small state need not write a kernel: [`crate::kernel::accum_runs`]
+    /// derives one from `ident`/`accum`/`combine`, to be called from here
+    /// once it measures ahead of the scalar loop (it often does not).
     fn accum_block(&self, _state: &mut Self::State, _block: &[Self::In]) -> bool {
         false
     }

@@ -8,6 +8,7 @@
 //! bubble insertion; `combine` accumulates the other state's elements, the
 //! same trick as Listing 4 line 15–17.
 
+use crate::kernel::{fold_block, BLOCK};
 use crate::op::ReduceScanOp;
 use crate::ops::num::Bounded;
 
@@ -87,6 +88,32 @@ fn bubble_insert<T: Copy>(v: &mut [T], x: T, better: impl Fn(&T, &T) -> bool) {
     }
 }
 
+/// Filtered block accumulate shared by both directions, bit-identical to
+/// the per-element loop for every input: an element changes the state only
+/// if it is strictly better than the worst retained value `v[0]`, so a
+/// [`BLOCK`] whose best element is not is skipped whole; any other replays
+/// through [`bubble_insert`] unchanged. The best element comes from the
+/// vector lane fold ([`fold_block`]; any regrouping picks an equally good
+/// one), which is why the granule is a whole [`BLOCK`]: it amortizes the
+/// fold's set-up, and hits are rare — about `k·ln(n/k)` in `n` unordered
+/// elements. It is `TopBottomK`'s pre-filter made strict — there is no
+/// location tie-break here to leave to the insert — so a run of values
+/// equal to the worst costs nothing; an unordered value (NaN) is never
+/// better, in the fold as in the insert.
+#[inline]
+fn accum_filtered<T: Copy>(v: &mut [T], run: &[T], better: impl Fn(&T, &T) -> bool + Copy) {
+    for block in run.chunks(BLOCK) {
+        // Re-read per block: a replayed block can only tighten it.
+        let worst = v[0];
+        let best = fold_block(worst, block, |a, b| if better(&b, &a) { b } else { a });
+        if better(&best, &worst) {
+            for &x in block {
+                bubble_insert(v, x, better);
+            }
+        }
+    }
+}
+
 impl<T: Bounded> ReduceScanOp for MinK<T>
 where
     T: Copy + PartialOrd,
@@ -103,6 +130,11 @@ where
 
     fn accum(&self, state: &mut KBest<T>, x: &T) {
         bubble_insert(&mut state.values, *x, |a, b| a < b);
+    }
+
+    fn accum_block(&self, state: &mut KBest<T>, block: &[T]) -> bool {
+        accum_filtered(&mut state.values, block, |a, b| a < b);
+        true
     }
 
     fn combine(&self, earlier: &mut KBest<T>, later: KBest<T>) {
@@ -145,6 +177,11 @@ where
 
     fn accum(&self, state: &mut KBest<T>, x: &T) {
         bubble_insert(&mut state.values, *x, |a, b| a > b);
+    }
+
+    fn accum_block(&self, state: &mut KBest<T>, block: &[T]) -> bool {
+        accum_filtered(&mut state.values, block, |a, b| a > b);
+        true
     }
 
     fn combine(&self, earlier: &mut KBest<T>, later: KBest<T>) {

@@ -48,6 +48,16 @@ where
         }
     }
 
+    /// The derived kernel: `accum` is two compare-and-keep chains on one
+    /// small state, which four independent states hide (1.9× on `i64`,
+    /// 3.9× on `f64`; DESIGN.md's opt-in table). Bit-identical to the
+    /// scalar loop on totally ordered data (the [`crate::kernel`] NaN
+    /// caveat applies).
+    fn accum_block(&self, state: &mut Self::State, block: &[T]) -> bool {
+        crate::kernel::accum_runs(self, state, block);
+        true
+    }
+
     fn combine(&self, earlier: &mut Self::State, later: Self::State) {
         if let Some((lo2, hi2)) = later {
             match earlier {

@@ -11,7 +11,11 @@
 //! the cost is one identity construction plus one full state combine per
 //! element — for `mink`, O(k) per element where direct accumulation is
 //! O(1) in the common case. The `ablation_translate` bench (experiment
-//! TXT-TRANSLATE) measures exactly this gap.
+//! TXT-TRANSLATE) measures exactly this gap. For that reason [`Translated`]
+//! deliberately does *not* forward the wrapped operator's `accum_block`
+//! kernel: it stays on the per-element loop, so the ablation keeps
+//! comparing one accumulate against one translate-and-combine rather than
+//! a block kernel against itself.
 
 use crate::op::{ReduceScanOp, ScanKind};
 
@@ -139,6 +143,19 @@ mod tests {
         let data: Vec<i32> = (0..400).map(|i| (i * 53) % 389).collect();
         let op = MinK::<i32>::new(8);
         assert_eq!(reduce_translated(&op, &data), seq::reduce(&op, &data));
+    }
+
+    #[test]
+    fn translated_stays_on_the_per_element_loop() {
+        // `MinK` has a block kernel; its translate form must not inherit
+        // it, or TXT-TRANSLATE would stop measuring translation.
+        let op = MinK::<i32>::new(4);
+        let data: Vec<i32> = (0..64).rev().collect();
+        let mut direct = op.ident();
+        assert!(op.accum_block(&mut direct, &data));
+        let mut translated = op.ident();
+        assert!(!Translated(op).accum_block(&mut translated, &data));
+        assert_eq!(translated, op.ident(), "a declined block must leave the state alone");
     }
 
     #[test]

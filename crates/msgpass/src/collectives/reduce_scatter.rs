@@ -447,7 +447,7 @@ mod tests {
                 let mine: Vec<u64> = (0..13).map(|i| r * 1000 + i).collect();
                 let rs = comm.allreduce_reduce_scatter(
                     mine.clone(),
-                    |v, parts| gv_core::split::split_vec_segments(v, parts),
+                    gv_core::split::split_vec_segments,
                     gv_core::split::unsplit_vec_segments,
                     |v: &Vec<u64>| v.len() * 8,
                     |mut a, b| {

@@ -578,6 +578,8 @@ mod tests {
         a
     }
 
+    // The collectives take `Fn(&S) -> usize` with `S = Vec<u64>`.
+    #[allow(clippy::ptr_arg)]
     fn wire(v: &Vec<u64>) -> usize {
         v.len() * 8
     }

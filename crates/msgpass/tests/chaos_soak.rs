@@ -107,7 +107,7 @@ fn workload(comm: &Comm, use_wait_timeout: bool) -> (u64, u64, u64, u64, u64) {
     let shifted = comm.shift_up_periodic(r);
     let sum = comm.allreduce(r + 1, true, |_| 8, |a, b| a + b);
     let scan = comm.scan_inclusive(r + 1, |_| 8, |a, b| a + b);
-    let word = comm.bcast(0, (comm.rank() == 0).then_some(0xC0FF_EEu64));
+    let word = comm.bcast(0, (comm.rank() == 0).then_some(0x00C0_FFEEu64));
     let mut req = comm.iallreduce_recursive_doubling(r + 1, |_| 8, |a, b| a + b);
     let isum = if use_wait_timeout {
         match req.wait_timeout(Duration::from_secs(30)) {
@@ -129,7 +129,7 @@ fn oracle(ranks: usize, rank: usize) -> (u64, u64, u64, u64, u64) {
     let p = ranks as u64;
     let r = rank as u64;
     let total = p * (p + 1) / 2;
-    ((r + p - 1) % p, total, (r + 1) * (r + 2) / 2, 0xC0FF_EE, total)
+    ((r + p - 1) % p, total, (r + 1) * (r + 2) / 2, 0x00C0_FFEE, total)
 }
 
 type SoakResults = Vec<(u64, u64, u64, u64, u64)>;

@@ -51,6 +51,8 @@ fn stamp(rank: usize, i: usize) -> u64 {
     (rank as u64) * 1009 + (i as u64) * 7 + 1
 }
 
+// The collectives take `Fn(&S) -> usize` with `S = Vec<u64>`.
+#[allow(clippy::ptr_arg)]
 fn wire(v: &Vec<u64>) -> usize {
     v.len() * 8
 }

@@ -49,7 +49,7 @@ impl Plan {
     fn derive_posts(&self) -> Vec<Vec<Post>> {
         let mut rng = TestRng::new(self.post_seed);
         let mut posts: Vec<Vec<Post>> = vec![Vec::new(); self.p];
-        for d in 0..self.p {
+        for (d, posts_to_d) in posts.iter_mut().enumerate() {
             // Group size per (src, tag) destined to d.
             let mut groups: HashMap<(usize, u32), usize> = HashMap::new();
             for (s, sends) in self.sends.iter().enumerate() {
@@ -79,7 +79,7 @@ impl Plan {
             for i in (1..list.len()).rev() {
                 list.swap(i, rng.usize_in(0..i + 1));
             }
-            posts[d] = list;
+            *posts_to_d = list;
         }
         posts
     }

@@ -10,7 +10,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace --benches
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Run the whole test suite under a stall watchdog (see DESIGN.md,
 # "Failure semantics and chaos harness"): any hang regression surfaces as

@@ -557,6 +557,300 @@ mod kernel_laws {
         assert_streamed_matches_slice("Counts(8)", &Counts::new(8), &buckets);
         let pairs: Vec<(i64, u32)> = i64s.iter().map(|&v| (v, rng.next_u32() % 64)).collect();
         assert_streamed_matches_slice("TopBottomK(10)", &TopBottomK::new(10), &pairs);
+        // Kernels that regroup floats block by block: a slice is cut at the
+        // staging block's length, so even these agree bit for bit.
+        let f64s: Vec<f64> = (0..n).map(|_| rng.f64_in(-1.0..3.0)).collect();
+        assert_streamed_matches_slice("MeanVar", &MeanVar, &f64s);
+        assert_streamed_matches_slice("MinMax<f64>", &minmax::<f64>(), &f64s);
+    }
+
+    /// Lengths on and either side of the seams of the kernels that cut a
+    /// run into `kernel::BLOCK`-element blocks.
+    const BLOCK_SEAMS: [usize; 4] =
+        [kernel::BLOCK - 1, kernel::BLOCK, kernel::BLOCK + 1, 2 * kernel::BLOCK + 1];
+
+    /// `MeanVar`'s state after `block`, through its kernel or forced scalar.
+    fn moments(block: &[f64], scalar: bool) -> gv_core::ops::Moments {
+        let mut s = MeanVar.ident();
+        if scalar {
+            accumulate_block_scalar(&MeanVar, &mut s, block);
+        } else {
+            assert!(MeanVar.accum_block(&mut s, block), "MeanVar has a block kernel");
+        }
+        MeanVar.red_gen(s)
+    }
+
+    #[test]
+    fn meanvar_kernel_matches_welford_within_rounding() {
+        // Two-pass per block + Chan merge against the Welford loop: the
+        // count is exact, mean and variance agree to 1e-12 relative, at
+        // every length through the lane seams and at the block seams.
+        let mut rng = TestRng::new(67);
+        let data: Vec<f64> = (0..2 * kernel::BLOCK + 1).map(|_| rng.f64_in(-1.0..3.0)).collect();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        for n in lengths().chain(BLOCK_SEAMS) {
+            let (kernel, welford) = (moments(&data[..n], false), moments(&data[..n], true));
+            assert_eq!(kernel.count, welford.count, "count at n={n}");
+            assert!(close(kernel.mean, welford.mean), "mean at n={n}: {kernel:?} vs {welford:?}");
+            assert!(
+                close(kernel.variance, welford.variance),
+                "variance at n={n}: {kernel:?} vs {welford:?}"
+            );
+        }
+    }
+
+    /// The exact population variance of `offset + unit·k` over the integers
+    /// `ks`, from integer sums: `(n·Σk² − (Σk)²) / n² · unit²`.
+    fn exact_variance(ks: &[i64], unit: f64) -> f64 {
+        let n = ks.len() as i128;
+        let sum: i128 = ks.iter().map(|&k| k as i128).sum();
+        let squares: i128 = ks.iter().map(|&k| (k as i128) * (k as i128)).sum();
+        (n * squares - sum * sum) as f64 / (n * n) as f64 * unit * unit
+    }
+
+    #[test]
+    fn meanvar_kernel_is_no_further_from_the_truth_than_welford_under_cancellation() {
+        // A mean of 1e9 against a spread of 1: the regime where a variance
+        // algorithm loses digits. Both inputs are `1e9 + unit·k` for
+        // integers `k`, so the true variance is an integer computation.
+        let mut rng = TestRng::new(68);
+        let n = 10_000;
+        // (a) integer-valued samples.
+        let whole: Vec<i64> = (0..n).map(|_| rng.i64_in(-1000..1001)).collect();
+        // (b) `1e9 + U(−1, 1)`: a double near 1e9 is a multiple of 2⁻²³,
+        // and subtracting 1e9 from it is exact.
+        let unit = (2.0f64).powi(-23);
+        let fine: Vec<i64> = (0..n)
+            .map(|_| ((1e9 + rng.f64_in(-1.0..1.0) - 1e9) / unit) as i64)
+            .collect();
+        for (name, ks, unit) in [("integers", &whole, 1.0), ("1e9 + U(-1, 1)", &fine, unit)] {
+            let data: Vec<f64> = ks.iter().map(|&k| 1e9 + unit * k as f64).collect();
+            assert!(
+                data.iter().zip(ks).all(|(x, &k)| x - 1e9 == unit * k as f64),
+                "{name}: samples must be exact"
+            );
+            let truth = exact_variance(ks, unit);
+            let (kernel, welford) = (moments(&data, false), moments(&data, true));
+            let (kernel_error, welford_error) =
+                ((kernel.variance - truth).abs(), (welford.variance - truth).abs());
+            assert!(
+                kernel_error <= welford_error,
+                "{name}: kernel variance off by {kernel_error:e}, Welford by {welford_error:e}"
+            );
+            // Block means near 1e9 are only representable to 1.2e-7, which
+            // is what the merge across blocks can lose.
+            assert!(kernel_error <= 1e-8 * truth, "{name}: kernel variance off by {kernel_error:e}");
+            let mean_truth = 1e9 + unit * ks.iter().sum::<i64>() as f64 / n as f64;
+            assert!((kernel.mean - mean_truth).abs() <= 2.0 * f64::EPSILON * 1e9, "{name}: mean");
+        }
+    }
+
+    #[test]
+    fn meanvar_kernel_propagates_nan_and_infinities_as_the_scalar_loop_does() {
+        // A block with a non-finite sum is handed to the scalar loop, so
+        // the outcome is the scalar loop's bit for bit — whichever lane,
+        // block or ragged tail the special value lands in.
+        let mut rng = TestRng::new(69);
+        let finite: Vec<f64> = (0..2 * kernel::BLOCK + 100).map(|_| rng.f64_in(-1.0..3.0)).collect();
+        let plants: [&[f64]; 4] = [
+            &[f64::NAN],
+            &[f64::INFINITY],
+            &[f64::NEG_INFINITY],
+            &[f64::INFINITY, f64::NEG_INFINITY],
+        ];
+        for plant in plants {
+            for at in [0, 5, 8, kernel::BLOCK - 1, kernel::BLOCK, kernel::BLOCK + 9, finite.len() - 5] {
+                let mut data = finite.clone();
+                data[at..at + plant.len()].copy_from_slice(plant);
+                let (kernel, welford) = (moments(&data, false), moments(&data, true));
+                // The planted block is the scalar loop's; the blocks around
+                // it regroup, so finite results agree to rounding only.
+                let same = |a: f64, b: f64| {
+                    a.to_bits() == b.to_bits()
+                        || (a.is_nan() && b.is_nan())
+                        || (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+                };
+                assert_eq!(kernel.count, welford.count);
+                assert!(same(kernel.mean, welford.mean), "{plant:?} at {at}: {kernel:?} vs {welford:?}");
+                assert!(
+                    same(kernel.variance, welford.variance),
+                    "{plant:?} at {at}: {kernel:?} vs {welford:?}"
+                );
+            }
+        }
+    }
+
+    /// `MinK`/`MaxK` kernel against the scalar loop on prefixes of `block`
+    /// — every length through the lane seams, then the filter's block
+    /// seams — starting from the state `prefill` leaves; `bits` makes NaN
+    /// payloads and the sign of zero count.
+    fn assert_kbest_kernel_exact<T>(name: &str, k: usize, prefill: &[T], block: &[T], bits: fn(T) -> u64)
+    where
+        T: gv_core::ops::num::Bounded + Copy + PartialOrd + std::fmt::Debug,
+    {
+        fn check<Op, T>(name: &str, op: &Op, prefill: &[T], block: &[T], bits: fn(T) -> u64)
+        where
+            Op: ReduceScanOp<In = T, State = gv_core::ops::KBest<T>>,
+            T: Copy + std::fmt::Debug,
+        {
+            let mut incoming = op.ident();
+            accumulate_block_scalar(op, &mut incoming, prefill);
+            for n in lengths().chain(BLOCK_SEAMS) {
+                let mut kernel = incoming.clone();
+                assert!(op.accum_block(&mut kernel, &block[..n]), "{name} has a block kernel");
+                let mut scalar = incoming.clone();
+                accumulate_block_scalar(op, &mut scalar, &block[..n]);
+                let exact = |s: &gv_core::ops::KBest<T>| -> Vec<u64> {
+                    s.worst_first().iter().map(|&v| bits(v)).collect()
+                };
+                assert_eq!(exact(&kernel), exact(&scalar), "{name}: kernel != scalar at n={n}");
+            }
+        }
+        check(&format!("MinK({k}) {name}"), &MinK::<T>::new(k), prefill, block, bits);
+        check(&format!("MaxK({k}) {name}"), &MaxK::<T>::new(k), prefill, block, bits);
+    }
+
+    #[test]
+    fn mink_maxk_kernels_are_bit_identical_to_scalar() {
+        let mut rng = TestRng::new(70);
+        let n = 2 * kernel::BLOCK + 1;
+        // Wide values, then five distinct values: duplicates everywhere
+        // and, once the state holds one value k times, every element a tie
+        // with the worst retained value.
+        let wide: Vec<i64> = (0..n).map(|_| rng.i64_in(-1000..1000)).collect();
+        let narrow: Vec<i64> = (0..n).map(|_| rng.i64_in(0..5)).collect();
+        // Floats with the special values planted throughout.
+        let specials = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MAX, f64::MIN];
+        let floats: Vec<f64> = (0..n)
+            .map(|i| match i % 5 {
+                0 => specials[rng.usize_in(0..specials.len())],
+                _ => rng.i64_in(-20..21) as f64,
+            })
+            .collect();
+        // k = 1 through k > n for every prefix up to four lane groups
+        // (slots that stay at the identity).
+        for k in [1, 3, 10, 200] {
+            for prefill in [0, 1, k.min(40)] {
+                assert_kbest_kernel_exact("wide", k, &wide[..prefill], &wide, |v| v as u64);
+                assert_kbest_kernel_exact("narrow", k, &narrow[..prefill], &narrow, |v| v as u64);
+                assert_kbest_kernel_exact("floats", k, &floats[..prefill], &floats, f64::to_bits);
+            }
+        }
+    }
+
+    /// The state `accum_runs` leaves, hooks applied as `accumulate_block`
+    /// applies them around an `accum_block` kernel.
+    fn state_through_runs<Op: ReduceScanOp>(op: &Op, block: &[Op::In]) -> Op::State {
+        let mut s = op.ident();
+        if let (Some(first), Some(last)) = (block.first(), block.last()) {
+            op.pre_accum(&mut s, first);
+            kernel::accum_runs(op, &mut s, block);
+            op.post_accum(&mut s, last);
+        }
+        s
+    }
+
+    /// The state the forced per-element loop leaves.
+    fn state_through_scalar<Op: ReduceScanOp>(op: &Op, block: &[Op::In]) -> Op::State {
+        let mut s = op.ident();
+        accumulate_block_scalar(op, &mut s, block);
+        s
+    }
+
+    /// Lengths around every seam of `accum_runs`: fewer elements than runs,
+    /// the first lengths at which each run holds 1, 2, … elements, and the
+    /// block seams, where a short last block follows full ones.
+    fn run_seam_lengths() -> impl Iterator<Item = usize> {
+        (0..=4 * kernel::RUNS + 3).chain(BLOCK_SEAMS).chain([3 * kernel::BLOCK + kernel::RUNS - 1])
+    }
+
+    /// Order-revealing test operator: the state is the input itself, so any
+    /// run combined out of order, dropped or doubled shows in the result.
+    struct Concat;
+    impl ReduceScanOp for Concat {
+        type In = char;
+        type State = String;
+        type Out = String;
+        const COMMUTATIVE: bool = false;
+        fn ident(&self) -> String {
+            String::new()
+        }
+        fn accum(&self, s: &mut String, x: &char) {
+            s.push(*x);
+        }
+        fn combine(&self, a: &mut String, b: String) {
+            a.push_str(&b);
+        }
+        fn red_gen(&self, s: String) -> String {
+            s
+        }
+        fn scan_gen(&self, s: &String, _x: &char) -> String {
+            s.clone()
+        }
+    }
+
+    #[test]
+    fn derived_kernel_matches_scalar_for_non_commutative_operators() {
+        let longest = 3 * kernel::BLOCK + kernel::RUNS;
+        let text: Vec<char> = (0..longest).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+        let ramp: Vec<i64> = (0..longest as i64).map(|i| i / 2).collect();
+        for n in run_seam_lengths() {
+            assert_eq!(
+                state_through_runs(&Concat, &text[..n]),
+                text[..n].iter().collect::<String>(),
+                "Concat at n={n}"
+            );
+            // Sorted input, then one descent planted at each position in
+            // turn around every run boundary: inside a run `accum` must see
+            // it, across two runs `combine` must.
+            let run = (n.min(kernel::BLOCK) / kernel::RUNS).max(1);
+            let descents = (0..=kernel::RUNS).flat_map(|r| [r * run, r * run + 1]).chain([n - n.min(1)]);
+            for at in std::iter::once(None).chain(descents.filter(|&at| 0 < at && at < n).map(Some)) {
+                let mut data = ramp[..n].to_vec();
+                if let Some(at) = at {
+                    data[at] = data[at - 1] - 1;
+                }
+                assert_eq!(
+                    state_through_runs(&Sorted::new(), &data),
+                    state_through_scalar(&Sorted::new(), &data),
+                    "Sorted at n={n}, descent at {at:?}"
+                );
+                assert_eq!(
+                    state_through_runs(&SortedPaperExact::new(), &data),
+                    state_through_scalar(&SortedPaperExact::new(), &data),
+                    "SortedPaperExact at n={n}, descent at {at:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn opted_in_operators_match_scalar_through_the_derived_kernel() {
+        // `MinMax` is the library's one `accum_runs` client (DESIGN.md has
+        // the table of the rejected ones): bit-identical to the scalar loop
+        // at every length, from an empty and from a running state.
+        fn assert_exact<T>(name: &str, data: &[T])
+        where
+            T: Copy + PartialOrd + std::fmt::Debug,
+        {
+            let op = minmax::<T>();
+            for n in lengths().chain(run_seam_lengths()) {
+                for prefix in [0, 3] {
+                    let mut kernel = op.ident();
+                    accumulate_block_scalar(&op, &mut kernel, &data[..prefix]);
+                    let mut scalar = kernel;
+                    assert!(op.accum_block(&mut kernel, &data[prefix..prefix + n]));
+                    accumulate_block_scalar(&op, &mut scalar, &data[prefix..prefix + n]);
+                    assert_eq!(kernel, scalar, "{name}: kernel != scalar at n={n} from {prefix}");
+                }
+            }
+        }
+        let mut rng = TestRng::new(71);
+        let n = 3 * kernel::BLOCK + 16;
+        let ints: Vec<i64> = (0..n).map(|_| rng.i64_in(-1000..1000)).collect();
+        assert_exact("MinMax<i64>", &ints);
+        let floats: Vec<f64> = (0..n).map(|_| rng.f64_in(-1e9..1e9)).collect();
+        assert_exact("MinMax<f64>", &floats);
     }
 
     #[test]
