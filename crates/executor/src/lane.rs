@@ -1,18 +1,32 @@
 //! Bounded SPSC "lanes" with spin-then-park wakeup — the low-contention
 //! transport primitive behind `gv-msgpass`'s per-peer mailbox lanes.
 //!
-//! A [`Lane`] connects exactly one producer thread to exactly one consumer
-//! thread through a cache-line-padded bounded ring of slots. The fast path
-//! takes **no lock in either direction**: the producer publishes a slot
-//! with a release store of its sequence counter, the consumer claims it
-//! with an acquire load — two atomics per message instead of the
-//! lock/unlock pairs of the Mutex+Condvar [`channel`](crate::channel).
+//! A lane connects exactly one producer thread to exactly one consumer
+//! thread through a bounded ring in which **the slot is the message**:
+//! each slot is one 128-byte-aligned block holding a lap stamp and the
+//! value side by side (Vyukov's bounded-queue slot in its SPSC form), and
+//! the two cursors are private to their endpoints. The fast path takes no
+//! lock and shares no counter: the producer writes the value and
+//! publishes it with a release store of the slot's stamp, the consumer
+//! claims it with an acquire load of the same stamp — a message moves one
+//! slot across the core boundary and touches nothing else the peer owns.
 //! When the ring is full the producer falls back to an overflow queue
 //! (`Mutex<VecDeque>`), so a lane is never blocking and never lossy; ring
 //! items are always older than overflow items, preserving FIFO order.
 //!
+//! # Stamp protocol
+//!
+//! Slot `i` serves positions `i`, `i + capacity`, `i + 2·capacity`, ….
+//! For position `pos` its stamp reads `pos` while the slot is free for the
+//! producer, `pos + 1` once the producer has published the value, and the
+//! consumer restamps `pos + capacity` after moving the value out — which
+//! is "free" for the slot's next lap. Capacity is at least 2, so the three
+//! readings never coincide. Each stamp value is stored by exactly one
+//! side, and only that store hands the slot's value cell to the other
+//! side, so the cell always has a single owner.
+//!
 //! Blocking receives use a [`Parker`]: the consumer spins briefly on the
-//! ring's sequence counter (bounded — see [`suggested_spin_limit`]), then
+//! next slot's stamp (bounded — see [`suggested_spin_limit`]), then
 //! parks on a Mutex+Condvar *eventcount*. One parker is shared by all
 //! lanes feeding a consumer, so a receiver waiting on "any of my p lanes"
 //! parks once and is woken by whichever producer delivers next. Parking
@@ -27,17 +41,23 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
-use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Pads and aligns a value to a cache line so the producer's and
-/// consumer's hot counters never share one (avoiding false sharing, the
-/// classic SPSC-ring pitfall). 128 bytes covers adjacent-line prefetching
-/// on current x86 parts as well.
-#[repr(align(128))]
-struct CachePadded<T>(T);
+/// One ring slot: the lap stamp and the value it guards, together in a
+/// block of their own. 128-byte alignment gives every slot its own pair
+/// of cache lines (adjacent-line prefetching on current x86 parts moves
+/// lines in pairs), so neighbouring slots never false-share and a message
+/// is one block for the peer to fetch.
+#[repr(C, align(128))]
+struct Slot<T> {
+    /// See the module docs, "Stamp protocol".
+    stamp: AtomicUsize,
+    /// Initialised exactly while the stamp reads "published".
+    value: UnsafeCell<MaybeUninit<T>>,
+}
 
 /// Where [`LaneSender::send`] deposited a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,14 +151,9 @@ impl Parker {
 }
 
 struct Shared<T> {
-    /// Ring storage; slot `i & mask` is written by the producer and taken
-    /// by the consumer under the head/tail protocol below.
-    slots: Box<[UnsafeCell<Option<T>>]>,
+    /// Ring storage; position `pos` lives in slot `pos & mask`.
+    slots: Box<[Slot<T>]>,
     mask: usize,
-    /// Next slot the consumer will take. Written only by the consumer.
-    head: CachePadded<AtomicUsize>,
-    /// Next slot the producer will fill. Written only by the producer.
-    tail: CachePadded<AtomicUsize>,
     /// FIFO spill for ring-full bursts. `overflow_len` mirrors the queue
     /// length so both sides can skip the lock when it is empty; only the
     /// producer can make it non-zero, only the consumer zero again.
@@ -151,26 +166,47 @@ struct Shared<T> {
     parker: Arc<Parker>,
 }
 
-// SAFETY: the unsynchronized slot accesses follow the SPSC ring protocol —
-// the producer writes slot (tail & mask) before its release store of
-// tail+1, the consumer reads it only after an acquire load observes that
-// store, and each side is a single thread because the endpoints are
-// neither Clone nor Sync. `Option<T>` slots mean drop of leftover
-// messages is handled by the Box itself.
+// SAFETY: everything but the slots' value cells is `Sync` by itself
+// (atomics, a `Mutex`, an `Arc<Parker>`). A value cell is accessed only by
+// the side its slot's stamp currently names (module docs, "Stamp
+// protocol"): the producer after an acquire load reads "free", the
+// consumer after an acquire load reads "published", each handing it over
+// with a release store; and each side is a single thread because the
+// endpoints are neither `Clone` nor `Sync`. Values cross threads, hence
+// `T: Send`; no `&T` is ever shared, so `T: Sync` is not needed.
 unsafe impl<T: Send> Sync for Shared<T> {}
+
+impl<T> Drop for Shared<T> {
+    fn drop(&mut self) {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            // A stamp of `pos + 1` for a `pos` this slot serves means the
+            // value was published and never taken; `pos` or
+            // `pos + capacity` (both ≡ i) mean the cell is empty.
+            if slot.stamp.get_mut().wrapping_sub(1) & self.mask == i {
+                // SAFETY: `&mut self` — both endpoints are gone, so the
+                // stamps are final, and "published" is exactly the state
+                // in which the producer's `write` is the cell's last
+                // access: the value is initialised and dropped only here.
+                unsafe { slot.value.get_mut().assume_init_drop() };
+            }
+        }
+    }
+}
 
 /// The producing half of a lane. `Send` but deliberately neither `Clone`
 /// nor `Sync`: exactly one thread may produce.
 pub struct LaneSender<T> {
     shared: Arc<Shared<T>>,
-    /// `Cell` is `!Sync`, which keeps the whole endpoint `!Sync`.
-    _single: PhantomData<Cell<()>>,
+    /// Next position to fill. Private to the producer; the `Cell` also
+    /// keeps the endpoint `!Sync`.
+    pos: Cell<usize>,
 }
 
 /// The consuming half of a lane. `Send` but neither `Clone` nor `Sync`.
 pub struct LaneReceiver<T> {
     shared: Arc<Shared<T>>,
-    _single: PhantomData<Cell<()>>,
+    /// Next position to take. Private to the consumer.
+    pos: Cell<usize>,
 }
 
 /// Creates a lane with at least `capacity` ring slots (rounded up to a
@@ -180,13 +216,15 @@ pub struct LaneReceiver<T> {
 /// lanes passes the same `Arc` to each so any producer can wake it.
 pub fn lane<T: Send>(capacity: usize, parker: Arc<Parker>) -> (LaneSender<T>, LaneReceiver<T>) {
     let cap = capacity.max(2).next_power_of_two();
-    let mut slots = Vec::with_capacity(cap);
-    slots.resize_with(cap, || UnsafeCell::new(None));
+    let slots = (0..cap)
+        .map(|i| Slot {
+            stamp: AtomicUsize::new(i),
+            value: UnsafeCell::new(MaybeUninit::uninit()),
+        })
+        .collect();
     let shared = Arc::new(Shared {
-        slots: slots.into_boxed_slice(),
+        slots,
         mask: cap - 1,
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
         overflow: Mutex::new(VecDeque::new()),
         overflow_len: AtomicUsize::new(0),
         closed: AtomicBool::new(false),
@@ -194,8 +232,14 @@ pub fn lane<T: Send>(capacity: usize, parker: Arc<Parker>) -> (LaneSender<T>, La
         parker,
     });
     (
-        LaneSender { shared: Arc::clone(&shared), _single: PhantomData },
-        LaneReceiver { shared, _single: PhantomData },
+        LaneSender {
+            shared: Arc::clone(&shared),
+            pos: Cell::new(0),
+        },
+        LaneReceiver {
+            shared,
+            pos: Cell::new(0),
+        },
     )
 }
 
@@ -208,35 +252,31 @@ impl<T: Send> LaneSender<T> {
         if !s.rx_alive.load(Ordering::Acquire) {
             return Err(LaneSendError(value));
         }
+        let pos = self.pos.get();
+        let slot = &s.slots[pos & s.mask];
         // The ring may only be used while the overflow is empty — ring
         // items must stay older than overflow items. Only this thread
         // pushes to the overflow, so a zero read here cannot go stale.
-        let deposit = if s.overflow_len.load(Ordering::Acquire) == 0 {
-            let tail = s.tail.0.load(Ordering::Relaxed);
-            let head = s.head.0.load(Ordering::Acquire);
-            if tail.wrapping_sub(head) <= s.mask {
-                // SAFETY: `head ≤ tail − cap` is impossible (checked
-                // above), so the consumer cannot be touching this slot;
-                // we are the only producer.
-                unsafe { *s.slots[tail & s.mask].get() = Some(value) };
-                s.tail.0.store(tail.wrapping_add(1), Ordering::Release);
-                LaneDeposit::Ring
-            } else {
-                self.push_overflow(value)
-            }
+        let deposit = if s.overflow_len.load(Ordering::Acquire) == 0
+            && slot.stamp.load(Ordering::Acquire) == pos
+        {
+            // SAFETY: the stamp reads "free for `pos`", stored either at
+            // construction or by the consumer's release restamp after it
+            // moved the previous lap's value out, so the cell is empty
+            // and the consumer will not touch it again before it sees
+            // `pos + 1`; we are the only producer.
+            unsafe { (*slot.value.get()).write(value) };
+            slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
+            self.pos.set(pos.wrapping_add(1));
+            LaneDeposit::Ring
         } else {
-            self.push_overflow(value)
+            let mut q = s.overflow.lock().unwrap_or_else(|e| e.into_inner());
+            q.push_back(value);
+            s.overflow_len.store(q.len(), Ordering::Release);
+            LaneDeposit::Overflow
         };
         s.parker.unpark();
         Ok(deposit)
-    }
-
-    fn push_overflow(&self, value: T) -> LaneDeposit {
-        let s = &*self.shared;
-        let mut q = s.overflow.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back(value);
-        s.overflow_len.store(q.len(), Ordering::Release);
-        LaneDeposit::Overflow
     }
 }
 
@@ -250,18 +290,44 @@ impl<T> Drop for LaneSender<T> {
 impl<T: Send> LaneReceiver<T> {
     /// Takes the oldest available message, if any. Never blocks.
     pub fn try_recv(&mut self) -> Option<T> {
+        let spilled = self.overflow_pending();
+        self.take(spilled)
+    }
+
+    /// First step of [`try_recv`](Self::try_recv): whether the overflow
+    /// queue held anything *before* the ring is looked at.
+    ///
+    /// The order is what keeps FIFO. The producer uses the ring only
+    /// while the overflow is empty and only the consumer empties it, so
+    /// overflow items seen here are younger than every ring item and
+    /// older than anything the ring can receive until they are popped: if
+    /// the ring check that follows finds nothing, nothing older exists.
+    /// Loaded the other way round, a producer that fills the ring and
+    /// spills between the two loads gets its overflow item delivered
+    /// ahead of a whole ring of older ones.
+    fn overflow_pending(&self) -> bool {
+        self.shared.overflow_len.load(Ordering::Acquire) > 0
+    }
+
+    /// Second step: the ring slot at the cursor if it is published,
+    /// otherwise the overflow front if step one saw one.
+    fn take(&mut self, spilled: bool) -> Option<T> {
         let s = &*self.shared;
-        let head = s.head.0.load(Ordering::Relaxed);
-        if head != s.tail.0.load(Ordering::Acquire) {
-            // SAFETY: the producer's release store of `tail` made this
-            // slot's write visible; it will not rewrite the slot until we
-            // publish head+1. We are the only consumer.
-            let value = unsafe { (*s.slots[head & s.mask].get()).take() };
-            s.head.0.store(head.wrapping_add(1), Ordering::Release);
-            debug_assert!(value.is_some(), "published ring slot was empty");
-            return value;
+        let pos = self.pos.get();
+        let slot = &s.slots[pos & s.mask];
+        if slot.stamp.load(Ordering::Acquire) == pos.wrapping_add(1) {
+            // SAFETY: the stamp reads "published for `pos`": the
+            // producer's release store made its `write` visible, and it
+            // will not touch the cell again until it sees the restamp
+            // below. We are the only consumer and move the value out
+            // exactly once, before handing the empty cell back.
+            let value = unsafe { (*slot.value.get()).assume_init_read() };
+            slot.stamp
+                .store(pos.wrapping_add(s.slots.len()), Ordering::Release);
+            self.pos.set(pos.wrapping_add(1));
+            return Some(value);
         }
-        if s.overflow_len.load(Ordering::Acquire) > 0 {
+        if spilled {
             let mut q = s.overflow.lock().unwrap_or_else(|e| e.into_inner());
             let value = q.pop_front();
             s.overflow_len.store(q.len(), Ordering::Release);
@@ -273,7 +339,8 @@ impl<T: Send> LaneReceiver<T> {
     /// Whether a message is ready (ring or overflow), without taking it.
     pub fn ready(&self) -> bool {
         let s = &*self.shared;
-        s.head.0.load(Ordering::Relaxed) != s.tail.0.load(Ordering::Acquire)
+        let pos = self.pos.get();
+        s.slots[pos & s.mask].stamp.load(Ordering::Acquire) == pos.wrapping_add(1)
             || s.overflow_len.load(Ordering::Acquire) > 0
     }
 
@@ -370,10 +437,16 @@ mod tests {
 
     #[test]
     fn cross_thread_stream_spin_then_park() {
+        // Capacity 2 and a million messages: every slot is reused half a
+        // million times, the ring fills and the overflow takes over (and
+        // drains) continually, and the consumer parks whenever it gets
+        // ahead — the stamp hand-over under every interleaving the
+        // scheduler offers.
+        const MESSAGES: u64 = 1_000_000;
         let parker = Arc::new(Parker::new());
-        let (tx, mut rx) = lane::<u64>(4, Arc::clone(&parker));
+        let (tx, mut rx) = lane::<u64>(2, Arc::clone(&parker));
         let producer = std::thread::spawn(move || {
-            for i in 0..10_000 {
+            for i in 0..MESSAGES {
                 tx.send(i).unwrap();
                 if i % 1000 == 0 {
                     std::thread::yield_now();
@@ -381,7 +454,7 @@ mod tests {
             }
         });
         let mut expected = 0u64;
-        while expected < 10_000 {
+        while expected < MESSAGES {
             match rx.try_recv() {
                 Some(v) => {
                     assert_eq!(v, expected);
@@ -432,16 +505,103 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(15));
     }
 
+    /// Counts its own drops, so a test can tell "dropped exactly once"
+    /// from a leak (0) and from a double drop (2).
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn dropping_receiver_drops_undelivered_messages() {
-        // Box payloads: miri-style leak check is out of scope, but this at
-        // least exercises the Drop path for occupied slots + overflow.
-        let parker = Arc::new(Parker::new());
-        let (tx, rx) = lane::<Box<u64>>(2, parker);
-        tx.send(Box::new(1)).unwrap();
-        tx.send(Box::new(2)).unwrap();
-        tx.send(Box::new(3)).unwrap(); // overflow
+        // Two values left in ring slots and one in the overflow queue:
+        // nobody takes them, so the lane's own drop must — once each.
+        let drops = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = lane::<Counted>(2, Arc::new(Parker::new()));
+        assert!(matches!(
+            tx.send(Counted(Arc::clone(&drops))),
+            Ok(LaneDeposit::Ring)
+        ));
+        assert!(matches!(
+            tx.send(Counted(Arc::clone(&drops))),
+            Ok(LaneDeposit::Ring)
+        ));
+        assert!(matches!(
+            tx.send(Counted(Arc::clone(&drops))),
+            Ok(LaneDeposit::Overflow)
+        ));
         drop(rx);
+        assert_eq!(drops.load(Ordering::Relaxed), 0, "still owned by the lane");
         drop(tx);
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn every_value_is_dropped_exactly_once_through_wrap_around() {
+        // Several laps of every slot, with the ring left at every fill
+        // level in turn: a taken value is dropped by its taker, a value
+        // left behind by the lane, none twice and none never. A stamp
+        // misread as "published" on an empty slot would double-drop here;
+        // one misread as "free" would leak.
+        for cap in [2usize, 32] {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let mut sent = 0usize;
+            let mut taken = 0usize;
+            for left_behind in 0..=cap {
+                let (tx, mut rx) = lane::<Counted>(cap, Arc::new(Parker::new()));
+                for lap in 0..3 * cap + 1 {
+                    // Uneven bursts move the cursors through every
+                    // offset of the ring.
+                    let burst = 1 + lap % cap;
+                    for _ in 0..burst {
+                        assert!(matches!(
+                            tx.send(Counted(Arc::clone(&drops))),
+                            Ok(LaneDeposit::Ring)
+                        ));
+                        sent += 1;
+                    }
+                    for _ in 0..burst {
+                        drop(rx.try_recv().expect("a sent value is receivable"));
+                        taken += 1;
+                        assert_eq!(drops.load(Ordering::Relaxed), taken);
+                    }
+                    assert!(rx.try_recv().is_none());
+                }
+                for _ in 0..left_behind {
+                    tx.send(Counted(Arc::clone(&drops))).unwrap();
+                    sent += 1;
+                }
+                drop(tx);
+                drop(rx);
+                taken += left_behind;
+                assert_eq!(drops.load(Ordering::Relaxed), taken, "cap {cap}");
+            }
+            assert_eq!(sent, taken);
+        }
+    }
+
+    #[test]
+    fn a_burst_between_the_two_receive_steps_keeps_fifo() {
+        // The interleaving a descheduled consumer meets: it has done the
+        // first step of `try_recv` (overflow empty), then the producer
+        // fills the ring and spills one more, then the consumer resumes.
+        // With the overflow looked at *after* an empty ring check instead,
+        // the spilled item — the youngest of all — would come out first.
+        for cap in [2usize, 32] {
+            let (tx, mut rx) = pair(cap);
+            let spilled = rx.overflow_pending();
+            for i in 0..cap as u64 {
+                assert_eq!(tx.send(i), Ok(LaneDeposit::Ring));
+            }
+            assert_eq!(tx.send(cap as u64), Ok(LaneDeposit::Overflow));
+            assert_eq!(rx.take(spilled), Some(0));
+            for i in 1..=cap as u64 {
+                assert_eq!(rx.try_recv(), Some(i));
+            }
+            assert_eq!(rx.try_recv(), None);
+        }
     }
 }

@@ -20,7 +20,7 @@ impl Comm {
             p,
             "alltoallv needs exactly one outgoing vector per rank"
         );
-        self.stats().record_call(CallKind::Alltoallv);
+        self.counters().record_call(CallKind::Alltoallv);
         let _guard = self.enter_collective();
         let mut incoming: Vec<Vec<T>> = Vec::with_capacity(p);
         incoming.resize_with(p, Vec::new);

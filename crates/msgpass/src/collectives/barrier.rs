@@ -9,7 +9,7 @@ impl Comm {
     /// barrier. ⌈log₂ p⌉ rounds; in round `k` rank `r` signals
     /// `(r + 2^k) mod p` and waits for `(r − 2^k) mod p`.
     pub fn barrier(&self) {
-        self.stats().record_call(CallKind::Barrier);
+        self.counters().record_call(CallKind::Barrier);
         let _guard = self.enter_collective();
         let p = self.size();
         let r = self.rank();

@@ -10,7 +10,7 @@ impl Comm {
     /// Gathers one value per rank to `root`, which receives them in rank
     /// order; other ranks receive `None`.
     pub fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
-        self.stats().record_call(CallKind::Gather);
+        self.counters().record_call(CallKind::Gather);
         let _guard = self.enter_collective();
         self.gather_impl(root, value)
     }

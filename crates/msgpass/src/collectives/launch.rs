@@ -72,7 +72,7 @@ impl Comm {
         S: Schedule + 'a,
         S::Output: 'a,
     {
-        self.stats().record_call(kind);
+        self.counters().record_call(kind);
         let salt = self.next_collective_salt();
         let schedule = {
             let _guard = self.enter_collective();

@@ -56,7 +56,7 @@ impl Comm {
         if branching == 2 {
             return self.reduce(root, value, bytes_of, combine);
         }
-        self.stats().record_call(CallKind::Reduce);
+        self.counters().record_call(CallKind::Reduce);
         let salt = self.next_collective_salt();
         let _guard = self.enter_collective();
         self.reduce_kary_rooted(root, value, commutative, branching, salt, bytes_of, combine)

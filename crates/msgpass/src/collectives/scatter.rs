@@ -13,7 +13,7 @@ impl Comm {
     /// the contiguous relative sub-range its subtree owns, halving per
     /// level — O(log p) depth, each value travels once per tree level.
     pub fn scatter<T: Send + 'static>(&self, root: usize, values: Option<Vec<T>>) -> T {
-        self.stats().record_call(CallKind::Scatter);
+        self.counters().record_call(CallKind::Scatter);
         let _guard = self.enter_collective();
         let p = self.size();
         let r = self.rank();

@@ -156,7 +156,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone + 'a,
         combine: impl FnMut(T, T) -> T + 'a,
     ) -> M::Handle<T> {
-        self.stats().record_allreduce_algorithm(algo);
+        self.counters().record_allreduce_algorithm(algo);
         match algo {
             AllreduceAlgorithm::RecursiveDoubling => self
                 .launch::<M, _>(CallKind::Allreduce, |comm, salt| {
@@ -257,7 +257,7 @@ impl Comm {
         ),
         bytes_of: impl Fn(&T) -> usize + 'a,
     ) -> M::Handle<T> {
-        self.stats().record_bcast_algorithm(if segments > 1 {
+        self.counters().record_bcast_algorithm(if segments > 1 {
             BcastAlgorithm::Pipelined
         } else {
             BcastAlgorithm::Binomial
@@ -397,7 +397,7 @@ impl Comm {
         combine: impl FnMut(T, T) -> T + 'a,
         shape: ScanShape<impl FnOnce(ScanHalves<T>) -> R + 'a>,
     ) -> M::Handle<R> {
-        self.stats().record_scan_algorithm(algo);
+        self.counters().record_scan_algorithm(algo);
         let ScanShape {
             exclusive,
             inclusive,

@@ -1,7 +1,6 @@
 //! The communicator: rank identity, point-to-point messaging, the virtual
 //! clock, and communicator management (`split`/`dup`).
 
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -12,9 +11,9 @@ use crate::cost::CostModel;
 use crate::fault::RankFaults;
 use crate::mailbox::{Mailbox, PeerSender, ShutdownError, Source, WaitState};
 use crate::measured::{Calibration, CalibrationSnapshot, CostSource, PairClass};
-use crate::message::{Packet, Tag};
+use crate::message::{Packet, Payload, Tag};
 use crate::request::Engine;
-use crate::stats::{CallKind, Stats};
+use crate::stats::{CallKind, RankStats, Stats};
 use crate::watchdog::RankMonitor;
 
 /// Identifier of the world communicator.
@@ -72,7 +71,11 @@ pub(crate) struct RankCore {
     pub(crate) cost_source: CostSource,
     /// Shared online α–β–γ estimates behind [`CostSource::Measured`].
     pub(crate) calibration: Arc<Calibration>,
-    pub(crate) stats: Arc<Stats>,
+    /// The runtime's counters; this rank records into its own block of
+    /// them only (see [`Comm::counters`]).
+    stats: Arc<Stats>,
+    /// This rank's world rank.
+    world_rank: usize,
     pub(crate) registry: Arc<SplitRegistry>,
     /// Eager/queued protocol threshold in modeled wire bytes, shared by
     /// every communicator of this rank.
@@ -87,12 +90,15 @@ pub(crate) struct RankCore {
     /// receives — the drive loops' progress signal (a sweep that moved
     /// this counter resets the backoff instead of parking).
     pub(crate) progress: Cell<u64>,
-    /// Per-communicator collective sequence numbers, for tag salting.
-    /// Collectives are called in the same order on every member of a
-    /// communicator (the MPI rule), so each rank's counter agrees without
-    /// communication; salting the reserved tags by it keeps concurrent
-    /// schedules on one communicator from matching each other's traffic.
-    pub(crate) coll_seq: RefCell<HashMap<u64, u64>>,
+    /// Per-communicator collective sequence counters, for tag salting,
+    /// by communicator id. Collectives are called in the same order on
+    /// every member of a communicator (the MPI rule), so each rank's
+    /// counter agrees without communication; salting the reserved tags by
+    /// it keeps concurrent schedules on one communicator from matching
+    /// each other's traffic. Consulted only when a communicator is
+    /// created: every handle holds its counter directly, so a collective
+    /// call hashes nothing.
+    coll_seq: RefCell<HashMap<u64, Rc<Cell<u64>>>>,
     /// This rank's handle onto the runtime's failure machinery: the abort
     /// flag, the progress board the stall watchdog reads, and the park
     /// timeout every wait loop bounds itself by. Declared last (with
@@ -102,6 +108,14 @@ pub(crate) struct RankCore {
     /// Chaos-injection state when the runtime carries a fault plan;
     /// `None` (the default) costs one discriminant check per hook.
     pub(crate) faults: Option<RankFaults>,
+}
+
+impl RankCore {
+    /// The collective sequence counter of communicator `id`, shared by
+    /// every handle of it on this rank (created at zero on first use).
+    fn coll_seq_of(&self, id: u64) -> Rc<Cell<u64>> {
+        Rc::clone(self.coll_seq.borrow_mut().entry(id).or_default())
+    }
 }
 
 /// RAII marker for "this rank is inside a collective". Owns its `Rc` to
@@ -125,7 +139,13 @@ pub struct Comm {
     rank: usize,
     /// World rank of every member, indexed by rank *within this
     /// communicator* (`members[rank()] ==` this rank's world rank).
-    members: Vec<usize>,
+    /// Shared by the handles of one communicator, so that
+    /// [`clone_handle`](Self::clone_handle) — every collective launch
+    /// makes one — allocates nothing.
+    members: Rc<[usize]>,
+    /// This communicator's collective sequence counter (see
+    /// `RankCore::coll_seq`), likewise shared by its handles.
+    coll_seq: Rc<Cell<u64>>,
     core: Rc<RankCore>,
     /// Number of `dup`s performed on this communicator (for id agreement).
     dups: Cell<u64>,
@@ -149,27 +169,30 @@ pub(crate) struct WorldInit {
 impl Comm {
     pub(crate) fn new_world(init: WorldInit) -> Self {
         let members = (0..init.peers.len()).collect();
+        let core = Rc::new(RankCore {
+            mailbox: RefCell::new(init.mailbox),
+            peers: init.peers,
+            clock: Cell::new(0.0),
+            cost: init.cost,
+            cost_source: init.cost_source,
+            calibration: init.calibration,
+            stats: init.stats,
+            world_rank: init.rank,
+            registry: init.registry,
+            monitor: init.monitor,
+            faults: init.faults,
+            eager_threshold: Cell::new(init.eager_threshold),
+            collective_depth: Cell::new(0),
+            engine: RefCell::new(Engine::default()),
+            progress: Cell::new(0),
+            coll_seq: RefCell::new(HashMap::new()),
+        });
         Comm {
             id: WORLD_ID,
             rank: init.rank,
             members,
-            core: Rc::new(RankCore {
-                mailbox: RefCell::new(init.mailbox),
-                peers: init.peers,
-                clock: Cell::new(0.0),
-                cost: init.cost,
-                cost_source: init.cost_source,
-                calibration: init.calibration,
-                stats: init.stats,
-                registry: init.registry,
-                monitor: init.monitor,
-                faults: init.faults,
-                eager_threshold: Cell::new(init.eager_threshold),
-                collective_depth: Cell::new(0),
-                engine: RefCell::new(Engine::default()),
-                progress: Cell::new(0),
-                coll_seq: RefCell::new(HashMap::new()),
-            }),
+            coll_seq: core.coll_seq_of(WORLD_ID),
+            core,
             dups: Cell::new(0),
         }
     }
@@ -190,10 +213,18 @@ impl Comm {
         Comm {
             id: self.id,
             rank: self.rank,
-            members: self.members.clone(),
+            members: Rc::clone(&self.members),
+            coll_seq: Rc::clone(&self.coll_seq),
             core: Rc::clone(&self.core),
             dups: Cell::new(0),
         }
+    }
+
+    /// The block of the runtime's counters that this rank — and, a
+    /// `Comm` being `!Send`, only this rank's thread — records into.
+    #[inline]
+    pub(crate) fn counters(&self) -> &RankStats {
+        self.core.stats.rank(self.core.world_rank)
     }
 
     /// The rank's progress engine.
@@ -211,7 +242,7 @@ impl Comm {
         self.core
             .mailbox
             .borrow_mut()
-            .wait_for_activity(state, &self.core.monitor, &self.core.stats);
+            .wait_for_activity(state, &self.core.monitor, self.counters());
     }
 
     /// Tells the watchdog this rank left a wait loop (called by the
@@ -244,11 +275,9 @@ impl Comm {
     /// so salted tags never collide across 4096 consecutive in-flight
     /// collectives on one communicator.
     pub(crate) fn next_collective_salt(&self) -> Tag {
-        let mut seqs = self.core.coll_seq.borrow_mut();
-        let seq = seqs.entry(self.id).or_insert(0);
-        let salt = ((*seq % 0x1000) as Tag) << 12;
-        *seq += 1;
-        salt
+        let seq = self.coll_seq.get();
+        self.coll_seq.set(seq + 1);
+        ((seq % 0x1000) as Tag) << 12
     }
 
     /// Marks this rank as inside a collective until the guard drops.
@@ -372,7 +401,7 @@ impl Comm {
                 .record_gamma(started.elapsed().as_secs_f64() / GAMMA_OPS as f64);
 
             for (small, large) in class_sizes {
-                // The transport counters are runtime-global, so bracket
+                // The transport counters are read runtime-wide, so bracket
                 // each class burst with a barrier: inside the window the
                 // only traffic is this burst's class, on every pair, and
                 // the delta attributes cleanly.
@@ -390,7 +419,7 @@ impl Comm {
                 // window, while an eager window contains no queued
                 // traffic at all (stray barrier wakeups are eager), so
                 // the absolute queued count separates the classes even
-                // when other pairs' traffic shares the global counters.
+                // when other pairs' traffic shares the summed counters.
                 let class = if delta.queued_sends as usize >= 2 * BURST {
                     PairClass::Queued
                 } else {
@@ -441,7 +470,8 @@ impl Comm {
         best
     }
 
-    /// The shared statistics counters.
+    /// The runtime's statistics counters, summed over all ranks by
+    /// [`Stats::snapshot`].
     pub fn stats(&self) -> &Stats {
         &self.core.stats
     }
@@ -502,10 +532,11 @@ impl Comm {
     pub fn send_with_bytes<T: Send + 'static>(&self, dst: usize, tag: Tag, value: T, bytes: usize) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         self.charge_overhead();
+        let counters = self.counters();
         if self.core.collective_depth.get() == 0 {
-            self.core.stats.record_call(CallKind::Send);
+            counters.record_call(CallKind::Send);
         }
-        self.core.stats.record_message(bytes);
+        counters.record_message(bytes);
         // Chaos hook: counts the send (possibly firing a stall or kill
         // trigger) and rolls the delivery-delay embargo.
         let hold_until = match &self.core.faults {
@@ -519,16 +550,13 @@ impl Comm {
             sent_at: self.now(),
             bytes,
             hold_until,
-            payload: Box::new(value),
+            payload: Payload::new(value),
         };
         // Delivery cannot block (rings spill to an overflow queue); a
         // dead destination means that thread is gone, which the abort
         // flag turns into a clean panic at the blocked receivers instead.
-        self.core.peers[self.members[dst]].send(
-            packet,
-            self.core.eager_threshold.get(),
-            &self.core.stats,
-        );
+        let peer = &self.core.peers[self.members[dst]];
+        peer.send(packet, self.core.eager_threshold.get(), counters);
     }
 
     /// Sends `value` to `dst` with `tag`; wire size is `size_of::<T>()`.
@@ -595,7 +623,7 @@ impl Comm {
             tag,
             &self.members,
             &self.core.monitor,
-            &self.core.stats,
+            self.counters(),
         )?;
         let Some(packet) = packet else { return Ok(None) };
         self.core.progress.set(self.core.progress.get() + 1);
@@ -634,7 +662,7 @@ impl Comm {
                     tag,
                     &self.members,
                     &self.core.monitor,
-                    &self.core.stats,
+                    self.counters(),
                 )
                 .unwrap_or_else(|err: ShutdownError| std::panic::panic_any(err));
         }
@@ -646,7 +674,7 @@ impl Comm {
                 tag,
                 &self.members,
                 &self.core.monitor,
-                &self.core.stats,
+                self.counters(),
             );
             match attempt {
                 Ok(Some(packet)) => return packet,
@@ -659,7 +687,7 @@ impl Comm {
                 self.core.mailbox.borrow_mut().wait_for_activity(
                     &mut wait,
                     &self.core.monitor,
-                    &self.core.stats,
+                    self.counters(),
                 );
             } else {
                 wait.reset();
@@ -699,10 +727,12 @@ impl Comm {
             .iter()
             .map(|&(_, r)| self.members[r])
             .collect();
+        let id = self.core.registry.id_for(self.id, color);
         Comm {
-            id: self.core.registry.id_for(self.id, color),
+            id,
             rank: new_rank,
             members,
+            coll_seq: self.core.coll_seq_of(id),
             core: Rc::clone(&self.core),
             dups: Cell::new(0),
         }
@@ -720,21 +750,17 @@ impl Comm {
         Comm {
             id,
             rank: self.rank,
-            members: self.members.clone(),
+            members: Rc::clone(&self.members),
+            coll_seq: self.core.coll_seq_of(id),
             core: Rc::clone(&self.core),
             dups: Cell::new(0),
         }
     }
 }
 
-fn downcast_payload<T: 'static>(
-    payload: Box<dyn Any + Send>,
-    comm: u64,
-    src: usize,
-    tag: Tag,
-) -> T {
-    match payload.downcast::<T>() {
-        Ok(v) => *v,
+fn downcast_payload<T: 'static>(payload: Payload, comm: u64, src: usize, tag: Tag) -> T {
+    match payload.take::<T>() {
+        Ok(value) => value,
         Err(_) => panic!(
             "type mismatch receiving on comm {comm} from rank {src} tag {tag}: \
              expected {}",

@@ -38,7 +38,7 @@ use std::time::Instant;
 use gv_executor::lane::{lane, LaneDeposit, LaneReceiver, LaneSender, Parker};
 
 use crate::message::{LaneMsg, Packet, Tag};
-use crate::stats::Stats;
+use crate::stats::RankStats;
 use crate::watchdog::RankMonitor;
 
 /// Ring slots per lane. Collective schedules keep at most a handful of
@@ -195,7 +195,7 @@ impl PacketPool {
 
     /// Wraps `packet` in a recycled box (pool hit) or a fresh allocation
     /// (pool miss).
-    fn acquire(&self, packet: Packet, stats: &Stats) -> Box<Option<Packet>> {
+    fn acquire(&self, packet: Packet, stats: &RankStats) -> Box<Option<Packet>> {
         let recycled = self.slots.lock().expect("packet pool poisoned").pop();
         match recycled {
             Some(mut slot) => {
@@ -233,7 +233,7 @@ impl PeerSender {
     /// packet's modeled wire size vs. `eager_threshold`. Delivery to a
     /// dead receiver is silently dropped — the runtime's abort machinery
     /// handles the peer's disappearance.
-    pub(crate) fn send(&self, packet: Packet, eager_threshold: usize, stats: &Stats) {
+    pub(crate) fn send(&self, packet: Packet, eager_threshold: usize, stats: &RankStats) {
         let deposit = if packet.bytes <= eager_threshold {
             stats.transport.record_eager_send();
             self.tx.send(LaneMsg::Eager(packet))
@@ -375,7 +375,7 @@ impl Mailbox {
         comm_id: u64,
         tag: Tag,
         lanes: &[usize],
-        stats: &Stats,
+        stats: &RankStats,
     ) -> Option<Packet> {
         for &w in lanes {
             let lane = &mut self.lanes[w];
@@ -410,7 +410,7 @@ impl Mailbox {
         tag: Tag,
         lanes: &[usize],
         monitor: &RankMonitor,
-        stats: &Stats,
+        stats: &RankStats,
     ) -> Result<Option<Packet>, ShutdownError> {
         if let Some(packet) = self.take_stashed(comm_id, tag, lanes) {
             monitor.note_match();
@@ -462,7 +462,7 @@ impl Mailbox {
         &mut self,
         state: &mut WaitState,
         monitor: &RankMonitor,
-        stats: &Stats,
+        stats: &RankStats,
     ) {
         if state.spins < self.spin_limit {
             state.spins += 1;
@@ -498,7 +498,7 @@ impl Mailbox {
         tag: Tag,
         lanes: &[usize],
         monitor: &RankMonitor,
-        stats: &Stats,
+        stats: &RankStats,
     ) -> Result<Packet, ShutdownError> {
         if let Some(packet) = self.take_stashed(comm_id, tag, lanes) {
             monitor.note_match();
@@ -584,7 +584,7 @@ impl Mailbox {
         tag: Tag,
         members: &[usize],
         monitor: &RankMonitor,
-        stats: &Stats,
+        stats: &RankStats,
     ) -> Result<Packet, ShutdownError> {
         match src {
             Source::Rank(q) => {
@@ -604,7 +604,7 @@ impl Mailbox {
         tag: Tag,
         members: &[usize],
         monitor: &RankMonitor,
-        stats: &Stats,
+        stats: &RankStats,
     ) -> Result<Option<Packet>, ShutdownError> {
         match src {
             Source::Rank(q) => self.try_recv_on(comm_id, src, tag, &[members[q]], monitor, stats),
@@ -651,6 +651,8 @@ pub(crate) fn build_lane_transport(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Payload;
+    use crate::stats::Stats;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
@@ -662,12 +664,12 @@ mod tests {
             sent_at: 0.0,
             bytes: 4,
             hold_until: None,
-            payload: Box::new(value),
+            payload: Payload::new(value),
         }
     }
 
     fn value_of(p: Packet) -> i32 {
-        *p.payload.downcast::<i32>().unwrap()
+        p.payload.take::<i32>().ok().expect("an i32 payload")
     }
 
     struct Harness {
@@ -686,7 +688,7 @@ mod tests {
             Harness {
                 mailboxes,
                 senders,
-                stats: Stats::new(),
+                stats: Stats::new(1),
                 monitor: RankMonitor::detached(Arc::clone(&aborted)),
                 aborted,
                 members: (0..p).collect(),
@@ -694,25 +696,25 @@ mod tests {
         }
 
         fn send(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32) {
-            self.senders[s][d].send(packet(comm, s, tag, value), usize::MAX, &self.stats);
+            self.senders[s][d].send(packet(comm, s, tag, value), usize::MAX, self.stats.rank(0));
         }
 
         /// Sends with a zero eager threshold, forcing the queued (boxed)
         /// protocol.
         fn send_queued(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32) {
-            self.senders[s][d].send(packet(comm, s, tag, value), 0, &self.stats);
+            self.senders[s][d].send(packet(comm, s, tag, value), 0, self.stats.rank(0));
         }
 
         fn send_held(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32, hold: Duration) {
             let mut p = packet(comm, s, tag, value);
             p.hold_until = Some(Box::new(Instant::now() + hold));
-            self.senders[s][d].send(p, usize::MAX, &self.stats);
+            self.senders[s][d].send(p, usize::MAX, self.stats.rank(0));
         }
 
         fn recv(&mut self, d: usize, comm: u64, src: Source, tag: Tag) -> Result<i32, ShutdownError> {
             let members = self.members.clone();
             self.mailboxes[d]
-                .recv_or_abort(comm, src, tag, &members, &self.monitor, &self.stats)
+                .recv_or_abort(comm, src, tag, &members, &self.monitor, self.stats.rank(0))
                 .map(value_of)
         }
     }
@@ -817,7 +819,7 @@ mod tests {
         assert_eq!(err.kind, ShutdownKind::Disconnected);
         // A receive from the still-alive rank 2 completes (after the
         // remove(1) above, index 1 holds old rank 2's endpoints).
-        h.senders[1][0].send(packet(0, 2, 7, 5), usize::MAX, &h.stats);
+        h.senders[1][0].send(packet(0, 2, 7, 5), usize::MAX, h.stats.rank(0));
         assert_eq!(h.recv(0, 0, Source::Rank(2), 7), Ok(5));
     }
 
@@ -826,7 +828,7 @@ mod tests {
         // Satellite: peer exit while the receiver is parked in the
         // spin-then-park slow path.
         let (mut mailboxes, mut senders, _parkers) = build_lane_transport(2, true);
-        let stats = Stats::new();
+        let stats = Stats::new(1);
         let monitor = RankMonitor::detached(Arc::new(AtomicBool::new(false)));
         let peer = senders.remove(1); // rank 1's endpoints
         let holder = std::thread::spawn(move || {
@@ -834,7 +836,7 @@ mod tests {
             drop(peer); // rank 1 exits without sending
         });
         let err = mailboxes[0]
-            .recv_or_abort(0, Source::Rank(1), 7, &[0, 1], &monitor, &stats)
+            .recv_or_abort(0, Source::Rank(1), 7, &[0, 1], &monitor, stats.rank(0))
             .unwrap_err();
         assert_eq!(err.kind, ShutdownKind::Disconnected);
         assert!(stats.snapshot().transport.parks > 0, "receiver never parked");
@@ -846,7 +848,7 @@ mod tests {
         // Satellite: peer panic → abort flag raised while the receiver is
         // parked; the runtime also unparks, here simulated explicitly.
         let (mut mailboxes, senders, parkers) = build_lane_transport(2, true);
-        let stats = Stats::new();
+        let stats = Stats::new(1);
         let aborted = Arc::new(AtomicBool::new(false));
         let monitor = RankMonitor::detached(Arc::clone(&aborted));
         let parker = Arc::clone(&parkers[0]);
@@ -857,7 +859,7 @@ mod tests {
         });
         let started = std::time::Instant::now();
         let err = mailboxes[0]
-            .recv_or_abort(0, Source::Rank(1), 7, &[0, 1], &monitor, &stats)
+            .recv_or_abort(0, Source::Rank(1), 7, &[0, 1], &monitor, stats.rank(0))
             .unwrap_err();
         assert_eq!(err.kind, ShutdownKind::Aborted);
         // The explicit unpark makes this prompt (well under the 50 ms
@@ -886,8 +888,8 @@ mod tests {
     fn eager_queued_split_follows_threshold() {
         let h = Harness::lanes(2);
         // bytes=4 packets: threshold 8 → eager; threshold 2 → queued.
-        h.senders[1][0].send(packet(0, 1, 7, 1), 8, &h.stats);
-        h.senders[1][0].send(packet(0, 1, 7, 2), 2, &h.stats);
+        h.senders[1][0].send(packet(0, 1, 7, 1), 8, h.stats.rank(0));
+        h.senders[1][0].send(packet(0, 1, 7, 2), 2, h.stats.rank(0));
         let snap = h.stats.snapshot().transport;
         assert_eq!(snap.eager_sends, 1);
         assert_eq!(snap.queued_sends, 1);
@@ -985,7 +987,7 @@ mod tests {
         let mut h = Harness {
             mailboxes,
             senders,
-            stats: Stats::new(),
+            stats: Stats::new(1),
             monitor: RankMonitor::detached(Arc::clone(&aborted)),
             aborted,
             members: vec![0, 1],

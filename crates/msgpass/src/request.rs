@@ -294,7 +294,7 @@ fn poll_slot(comm: &Comm, id: u64) {
     let mut engine = comm.engine().borrow_mut();
     match result {
         Ok(Some(output)) => {
-            comm.stats().record_request_completed();
+            comm.counters().record_request_completed();
             engine.complete(id, output);
         }
         Ok(None) => engine.reinstall(id, schedule),
@@ -309,13 +309,13 @@ fn poll_slot(comm: &Comm, id: u64) {
 /// progress. Transport shutdown unwinds the rank with the typed
 /// [`ShutdownError`] payload, exactly like a blocking receive.
 pub(crate) fn drive<S: Schedule>(comm: &Comm, mut schedule: S) -> S::Output {
-    comm.stats().record_request_started();
+    comm.counters().record_request_started();
     let mut wait = WaitState::new();
     loop {
         let before = comm.progress_count();
         match schedule.poll() {
             Ok(Some(out)) => {
-                comm.stats().record_request_completed();
+                comm.counters().record_request_completed();
                 comm.note_unblocked();
                 return out;
             }
@@ -355,7 +355,7 @@ impl<T: 'static> Request<T> {
     where
         S: Schedule<Output = T> + 'static,
     {
-        comm.stats().record_request_started();
+        comm.counters().record_request_started();
         let id = comm.engine().borrow_mut().register(Box::new(schedule));
         poll_slot(comm, id);
         Request {

@@ -330,7 +330,7 @@ impl Runtime {
         // Parked receivers are woken explicitly on abort (the park
         // timeout remains as a backstop, not the mechanism).
         let parkers = Arc::new(parkers);
-        let stats = Arc::new(Stats::new());
+        let stats = Arc::new(Stats::new(p));
         let registry = Arc::new(SplitRegistry::new());
         let cells = FailureCells::new();
         let board = Arc::new(ProgressBoard::new(p, self.watchdog.is_some()));

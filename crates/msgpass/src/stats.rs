@@ -1,4 +1,4 @@
-//! Traffic and call statistics, shared by all ranks of a runtime.
+//! Traffic and call statistics: counted per rank, reported as one sum.
 //!
 //! These counters back two of the reproduced results: the `mpi_call_stats`
 //! harness (experiment TXT-NPB: what fraction of communication calls are
@@ -95,24 +95,63 @@ const ALGOS: usize = AllreduceAlgorithm::ALL.len();
 const SCAN_ALGOS: usize = ScanAlgorithm::ALL.len();
 const BCAST_ALGOS: usize = BcastAlgorithm::ALL.len();
 
-/// Lock-free counters shared by every rank of a runtime.
+/// One monotone counter with a single writer.
+///
+/// The owning rank adds with a relaxed load and a relaxed store — no
+/// `lock`-prefixed read-modify-write, since nobody else ever stores to
+/// it; any thread may read it. A reader sees some value the writer
+/// stored, and never a smaller one than it saw before.
 #[derive(Debug, Default)]
+struct Counter(AtomicU64);
+
+impl Counter {
+    #[inline]
+    fn add(&self, n: u64) {
+        self.0.store(
+            self.0.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// The counters of a runtime: one [`RankStats`] block per rank, summed by
+/// [`snapshot`](Self::snapshot).
+///
+/// A collective call bumps eight or so counters on each rank. Kept in one
+/// struct shared by every rank, those were atomic read-modify-writes on
+/// three or four cache lines that all cores wrote at once, and each one
+/// stalled on fetching its line back from the peer. A rank now writes
+/// only its own block.
+#[derive(Debug)]
 pub struct Stats {
-    calls: [AtomicU64; KINDS],
-    allreduce_algorithms: [AtomicU64; ALGOS],
-    scan_algorithms: [AtomicU64; SCAN_ALGOS],
-    bcast_algorithms: [AtomicU64; BCAST_ALGOS],
-    messages: AtomicU64,
-    bytes: AtomicU64,
+    ranks: Box<[RankStats]>,
+}
+
+/// One rank's counters, in a block no other rank's counters share a
+/// cache line (or an adjacent-line pair) with. Written only by the thread
+/// of the rank that owns it, through `Comm::counters`.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct RankStats {
+    calls: [Counter; KINDS],
+    allreduce_algorithms: [Counter; ALGOS],
+    scan_algorithms: [Counter; SCAN_ALGOS],
+    bcast_algorithms: [Counter; BCAST_ALGOS],
+    messages: Counter,
+    bytes: Counter,
     /// Collective schedule runs started (blocking drives and `i*`
     /// registrations both count — a blocking collective is a request that
     /// completes inline). Schedule-level and deterministic, unlike the
     /// transport counters below.
-    requests_started: AtomicU64,
+    requests_started: Counter,
     /// Schedule runs that delivered a result. `started − completed` is
     /// the in-flight count: requests cancelled by a drop-without-wait or
     /// killed by a transport shutdown never complete.
-    requests_completed: AtomicU64,
+    requests_completed: Counter,
     /// Transport-path counters (eager/queued, ring/stash, parks). These
     /// observe *how* packets moved, never *how many* — `messages`/`bytes`
     /// stay the schedule-level ground truth the figures are checked
@@ -125,72 +164,71 @@ pub struct Stats {
 /// mechanics without touching message/byte accounting.
 #[derive(Debug, Default)]
 pub(crate) struct TransportStats {
-    eager_sends: AtomicU64,
-    queued_sends: AtomicU64,
-    overflow_sends: AtomicU64,
-    ring_recvs: AtomicU64,
-    stash_recvs: AtomicU64,
-    restashes: AtomicU64,
-    parks: AtomicU64,
-    embargo_defers: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
+    eager_sends: Counter,
+    queued_sends: Counter,
+    overflow_sends: Counter,
+    ring_recvs: Counter,
+    stash_recvs: Counter,
+    restashes: Counter,
+    parks: Counter,
+    embargo_defers: Counter,
+    pool_hits: Counter,
+    pool_misses: Counter,
 }
 
 impl TransportStats {
     pub(crate) fn record_eager_send(&self) {
-        self.eager_sends.fetch_add(1, Ordering::Relaxed);
+        self.eager_sends.add(1);
     }
 
     pub(crate) fn record_queued_send(&self) {
-        self.queued_sends.fetch_add(1, Ordering::Relaxed);
+        self.queued_sends.add(1);
     }
 
     pub(crate) fn record_overflow_send(&self) {
-        self.overflow_sends.fetch_add(1, Ordering::Relaxed);
+        self.overflow_sends.add(1);
     }
 
     pub(crate) fn record_ring_recv(&self) {
-        self.ring_recvs.fetch_add(1, Ordering::Relaxed);
+        self.ring_recvs.add(1);
     }
 
     pub(crate) fn record_stash_recv(&self) {
-        self.stash_recvs.fetch_add(1, Ordering::Relaxed);
+        self.stash_recvs.add(1);
     }
 
     pub(crate) fn record_restash(&self) {
-        self.restashes.fetch_add(1, Ordering::Relaxed);
+        self.restashes.add(1);
     }
 
     pub(crate) fn record_park(&self) {
-        self.parks.fetch_add(1, Ordering::Relaxed);
+        self.parks.add(1);
     }
 
     pub(crate) fn record_embargo_defer(&self) {
-        self.embargo_defers.fetch_add(1, Ordering::Relaxed);
+        self.embargo_defers.add(1);
     }
 
     pub(crate) fn record_pool_hit(&self) {
-        self.pool_hits.fetch_add(1, Ordering::Relaxed);
+        self.pool_hits.add(1);
     }
 
     pub(crate) fn record_pool_miss(&self) {
-        self.pool_misses.fetch_add(1, Ordering::Relaxed);
+        self.pool_misses.add(1);
     }
 
-    fn snapshot(&self) -> TransportSnapshot {
-        TransportSnapshot {
-            eager_sends: self.eager_sends.load(Ordering::Relaxed),
-            queued_sends: self.queued_sends.load(Ordering::Relaxed),
-            overflow_sends: self.overflow_sends.load(Ordering::Relaxed),
-            ring_recvs: self.ring_recvs.load(Ordering::Relaxed),
-            stash_recvs: self.stash_recvs.load(Ordering::Relaxed),
-            restashes: self.restashes.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            embargo_defers: self.embargo_defers.load(Ordering::Relaxed),
-            pool_hits: self.pool_hits.load(Ordering::Relaxed),
-            pool_misses: self.pool_misses.load(Ordering::Relaxed),
-        }
+    /// Adds this rank's transport counters into `total`.
+    fn add_into(&self, total: &mut TransportSnapshot) {
+        total.eager_sends += self.eager_sends.get();
+        total.queued_sends += self.queued_sends.get();
+        total.overflow_sends += self.overflow_sends.get();
+        total.ring_recvs += self.ring_recvs.get();
+        total.stash_recvs += self.stash_recvs.get();
+        total.restashes += self.restashes.get();
+        total.parks += self.parks.get();
+        total.embargo_defers += self.embargo_defers.get();
+        total.pool_hits += self.pool_hits.get();
+        total.pool_misses += self.pool_misses.get();
     }
 }
 
@@ -291,90 +329,107 @@ impl TransportSnapshot {
     }
 }
 
-impl Stats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl RankStats {
     /// Records one call of `kind` (collectives are counted once per rank
     /// per call, like an MPI trace would).
-    pub fn record_call(&self, kind: CallKind) {
-        self.calls[kind as usize].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_call(&self, kind: CallKind) {
+        self.calls[kind as usize].add(1);
     }
 
     /// Records which schedule one allreduce call used (once per rank per
     /// call, alongside its [`CallKind::Allreduce`] record).
-    pub fn record_allreduce_algorithm(&self, algo: AllreduceAlgorithm) {
-        self.allreduce_algorithms[algo as usize].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_allreduce_algorithm(&self, algo: AllreduceAlgorithm) {
+        self.allreduce_algorithms[algo as usize].add(1);
     }
 
     /// Records which schedule one scan call used (once per rank per
     /// schedule run, alongside its [`CallKind::Scan`] or
     /// [`CallKind::Exscan`] record).
-    pub fn record_scan_algorithm(&self, algo: ScanAlgorithm) {
-        self.scan_algorithms[algo as usize].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_scan_algorithm(&self, algo: ScanAlgorithm) {
+        self.scan_algorithms[algo as usize].add(1);
     }
 
     /// Records which schedule one broadcast call used (once per rank per
     /// call, alongside its [`CallKind::Bcast`] record).
-    pub fn record_bcast_algorithm(&self, algo: BcastAlgorithm) {
-        self.bcast_algorithms[algo as usize].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_bcast_algorithm(&self, algo: BcastAlgorithm) {
+        self.bcast_algorithms[algo as usize].add(1);
     }
 
     /// Records one wire message of `bytes` bytes.
-    pub fn record_message(&self, bytes: usize) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    pub(crate) fn record_message(&self, bytes: usize) {
+        self.messages.add(1);
+        self.bytes.add(bytes as u64);
     }
 
     /// Records one collective schedule run starting (a blocking drive or
     /// an `i*` registration).
-    pub fn record_request_started(&self) {
-        self.requests_started.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_request_started(&self) {
+        self.requests_started.add(1);
     }
 
     /// Records one schedule run delivering its result.
-    pub fn record_request_completed(&self) {
-        self.requests_completed.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_request_completed(&self) {
+        self.requests_completed.add(1);
+    }
+}
+
+impl Stats {
+    /// Zeroed counters for `ranks` ranks.
+    pub(crate) fn new(ranks: usize) -> Self {
+        Stats {
+            ranks: (0..ranks).map(|_| RankStats::default()).collect(),
+        }
     }
 
-    /// Takes a consistent-enough snapshot (counters are monotone).
+    /// The block only world rank `rank`'s thread may record into.
+    pub(crate) fn rank(&self, rank: usize) -> &RankStats {
+        &self.ranks[rank]
+    }
+
+    /// The counters summed over all ranks.
+    ///
+    /// Taken after a run, or while every rank is known to be outside the
+    /// library (behind a barrier of the caller's own), the sums are
+    /// exact. Taken while ranks are running, every counter is still
+    /// monotone from one snapshot to the next, but the snapshot is not
+    /// one instant: a message's `messages` increment may be in and its
+    /// `bytes` increment not yet, and one rank's half of a collective may
+    /// be counted without its peer's.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut calls = [0u64; KINDS];
-        for (slot, counter) in calls.iter_mut().zip(&self.calls) {
-            *slot = counter.load(Ordering::Relaxed);
+        let mut total = StatsSnapshot::default();
+        for rank in self.ranks.iter() {
+            for (sum, counter) in total.calls.iter_mut().zip(&rank.calls) {
+                *sum += counter.get();
+            }
+            for (sum, counter) in total
+                .allreduce_algorithms
+                .iter_mut()
+                .zip(&rank.allreduce_algorithms)
+            {
+                *sum += counter.get();
+            }
+            for (sum, counter) in total.scan_algorithms.iter_mut().zip(&rank.scan_algorithms) {
+                *sum += counter.get();
+            }
+            for (sum, counter) in total
+                .bcast_algorithms
+                .iter_mut()
+                .zip(&rank.bcast_algorithms)
+            {
+                *sum += counter.get();
+            }
+            total.messages += rank.messages.get();
+            total.bytes += rank.bytes.get();
+            total.requests_started += rank.requests_started.get();
+            total.requests_completed += rank.requests_completed.get();
+            rank.transport.add_into(&mut total.transport);
         }
-        let mut allreduce_algorithms = [0u64; ALGOS];
-        for (slot, counter) in allreduce_algorithms.iter_mut().zip(&self.allreduce_algorithms) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        let mut scan_algorithms = [0u64; SCAN_ALGOS];
-        for (slot, counter) in scan_algorithms.iter_mut().zip(&self.scan_algorithms) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        let mut bcast_algorithms = [0u64; BCAST_ALGOS];
-        for (slot, counter) in bcast_algorithms.iter_mut().zip(&self.bcast_algorithms) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        StatsSnapshot {
-            calls,
-            allreduce_algorithms,
-            scan_algorithms,
-            bcast_algorithms,
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            requests_started: self.requests_started.load(Ordering::Relaxed),
-            requests_completed: self.requests_completed.load(Ordering::Relaxed),
-            transport: self.transport.snapshot(),
-            kernel: {
-                let (kernel_blocks, scalar_blocks) = gv_core::kernel::dispatch_counts();
-                KernelSnapshot {
-                    kernel_blocks,
-                    scalar_blocks,
-                }
-            },
-        }
+        let (kernel_blocks, scalar_blocks) = gv_core::kernel::dispatch_counts();
+        total.kernel = KernelSnapshot {
+            kernel_blocks,
+            scalar_blocks,
+        };
+        total
     }
 }
 
@@ -452,10 +507,11 @@ impl StatsSnapshot {
             *slot = now.saturating_sub(*then);
         }
         let mut allreduce_algorithms = [0u64; ALGOS];
-        for (slot, (now, then)) in allreduce_algorithms
-            .iter_mut()
-            .zip(self.allreduce_algorithms.iter().zip(&earlier.allreduce_algorithms))
-        {
+        for (slot, (now, then)) in allreduce_algorithms.iter_mut().zip(
+            self.allreduce_algorithms
+                .iter()
+                .zip(&earlier.allreduce_algorithms),
+        ) {
             *slot = now.saturating_sub(*then);
         }
         let mut scan_algorithms = [0u64; SCAN_ALGOS];
@@ -479,7 +535,9 @@ impl StatsSnapshot {
             bcast_algorithms,
             messages: self.messages.saturating_sub(earlier.messages),
             bytes: self.bytes.saturating_sub(earlier.bytes),
-            requests_started: self.requests_started.saturating_sub(earlier.requests_started),
+            requests_started: self
+                .requests_started
+                .saturating_sub(earlier.requests_started),
             requests_completed: self
                 .requests_completed
                 .saturating_sub(earlier.requests_completed),
@@ -495,12 +553,13 @@ mod tests {
 
     #[test]
     fn record_and_snapshot() {
-        let stats = Stats::new();
-        stats.record_call(CallKind::Allreduce);
-        stats.record_call(CallKind::Allreduce);
-        stats.record_call(CallKind::Bcast);
-        stats.record_message(64);
-        stats.record_message(100);
+        let stats = Stats::new(1);
+        let rank = stats.rank(0);
+        rank.record_call(CallKind::Allreduce);
+        rank.record_call(CallKind::Allreduce);
+        rank.record_call(CallKind::Bcast);
+        rank.record_message(64);
+        rank.record_message(100);
         let snap = stats.snapshot();
         assert_eq!(snap.calls(CallKind::Allreduce), 2);
         assert_eq!(snap.calls(CallKind::Bcast), 1);
@@ -512,11 +571,12 @@ mod tests {
 
     #[test]
     fn since_subtracts() {
-        let stats = Stats::new();
-        stats.record_call(CallKind::Reduce);
+        let stats = Stats::new(1);
+        let rank = stats.rank(0);
+        rank.record_call(CallKind::Reduce);
         let before = stats.snapshot();
-        stats.record_call(CallKind::Reduce);
-        stats.record_message(8);
+        rank.record_call(CallKind::Reduce);
+        rank.record_message(8);
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.calls(CallKind::Reduce), 1);
         assert_eq!(delta.messages, 1);
@@ -525,13 +585,14 @@ mod tests {
 
     #[test]
     fn since_in_wrong_order_saturates_instead_of_panicking() {
-        let stats = Stats::new();
-        stats.record_call(CallKind::Allreduce);
-        stats.record_allreduce_algorithm(AllreduceAlgorithm::RecursiveDoubling);
-        stats.record_message(16);
+        let stats = Stats::new(1);
+        let rank = stats.rank(0);
+        rank.record_call(CallKind::Allreduce);
+        rank.record_allreduce_algorithm(AllreduceAlgorithm::RecursiveDoubling);
+        rank.record_message(16);
         let later = stats.snapshot();
-        stats.record_call(CallKind::Allreduce);
-        stats.record_message(16);
+        rank.record_call(CallKind::Allreduce);
+        rank.record_message(16);
         let latest = stats.snapshot();
         // Arguments swapped: every counter clamps to zero.
         let wrong = later.since(&latest);
@@ -547,29 +608,40 @@ mod tests {
 
     #[test]
     fn allreduce_algorithm_counters_track_separately() {
-        let stats = Stats::new();
-        stats.record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
-        stats.record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
-        stats.record_allreduce_algorithm(AllreduceAlgorithm::ReduceBroadcast);
+        let stats = Stats::new(1);
+        let rank = stats.rank(0);
+        rank.record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
+        rank.record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
+        rank.record_allreduce_algorithm(AllreduceAlgorithm::ReduceBroadcast);
         let snap = stats.snapshot();
         assert_eq!(
             snap.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceScatterAllgather),
             2
         );
-        assert_eq!(snap.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceBroadcast), 1);
-        assert_eq!(snap.allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling), 0);
+        assert_eq!(
+            snap.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceBroadcast),
+            1
+        );
+        assert_eq!(
+            snap.allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
+            0
+        );
     }
 
     #[test]
     fn scan_algorithm_counters_track_separately() {
-        let stats = Stats::new();
-        stats.record_scan_algorithm(ScanAlgorithm::RecursiveDoubling);
-        stats.record_scan_algorithm(ScanAlgorithm::Binomial);
-        stats.record_scan_algorithm(ScanAlgorithm::Binomial);
+        let stats = Stats::new(1);
+        let rank = stats.rank(0);
+        rank.record_scan_algorithm(ScanAlgorithm::RecursiveDoubling);
+        rank.record_scan_algorithm(ScanAlgorithm::Binomial);
+        rank.record_scan_algorithm(ScanAlgorithm::Binomial);
         let before = stats.snapshot();
-        stats.record_scan_algorithm(ScanAlgorithm::PipelinedChain);
+        rank.record_scan_algorithm(ScanAlgorithm::PipelinedChain);
         let snap = stats.snapshot();
-        assert_eq!(snap.scan_algorithm_calls(ScanAlgorithm::RecursiveDoubling), 1);
+        assert_eq!(
+            snap.scan_algorithm_calls(ScanAlgorithm::RecursiveDoubling),
+            1
+        );
         assert_eq!(snap.scan_algorithm_calls(ScanAlgorithm::Binomial), 2);
         assert_eq!(snap.scan_algorithm_calls(ScanAlgorithm::PipelinedChain), 1);
         let delta = snap.since(&before);
@@ -579,11 +651,12 @@ mod tests {
 
     #[test]
     fn bcast_algorithm_counters_track_separately() {
-        let stats = Stats::new();
-        stats.record_bcast_algorithm(BcastAlgorithm::Binomial);
-        stats.record_bcast_algorithm(BcastAlgorithm::Binomial);
+        let stats = Stats::new(1);
+        let rank = stats.rank(0);
+        rank.record_bcast_algorithm(BcastAlgorithm::Binomial);
+        rank.record_bcast_algorithm(BcastAlgorithm::Binomial);
         let before = stats.snapshot();
-        stats.record_bcast_algorithm(BcastAlgorithm::Pipelined);
+        rank.record_bcast_algorithm(BcastAlgorithm::Pipelined);
         let snap = stats.snapshot();
         assert_eq!(snap.bcast_algorithm_calls(BcastAlgorithm::Binomial), 2);
         assert_eq!(snap.bcast_algorithm_calls(BcastAlgorithm::Pipelined), 1);
@@ -594,14 +667,15 @@ mod tests {
 
     #[test]
     fn pool_counters_snapshot_and_subtract() {
-        let stats = Stats::new();
-        stats.transport.record_pool_miss();
-        stats.transport.record_pool_miss();
+        let stats = Stats::new(1);
+        let rank = stats.rank(0);
+        rank.transport.record_pool_miss();
+        rank.transport.record_pool_miss();
         let before = stats.snapshot();
-        stats.transport.record_pool_hit();
-        stats.transport.record_pool_hit();
-        stats.transport.record_pool_hit();
-        stats.transport.record_pool_miss();
+        rank.transport.record_pool_hit();
+        rank.transport.record_pool_hit();
+        rank.transport.record_pool_hit();
+        rank.transport.record_pool_miss();
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.transport.pool_hits, 3);
         assert_eq!(delta.transport.pool_misses, 1);
@@ -612,17 +686,18 @@ mod tests {
 
     #[test]
     fn transport_counters_snapshot_and_subtract() {
-        let stats = Stats::new();
-        stats.transport.record_eager_send();
-        stats.transport.record_eager_send();
-        stats.transport.record_queued_send();
-        stats.transport.record_ring_recv();
+        let stats = Stats::new(1);
+        let rank = stats.rank(0);
+        rank.transport.record_eager_send();
+        rank.transport.record_eager_send();
+        rank.transport.record_queued_send();
+        rank.transport.record_ring_recv();
         let before = stats.snapshot();
-        stats.transport.record_eager_send();
-        stats.transport.record_stash_recv();
-        stats.transport.record_restash();
-        stats.transport.record_park();
-        stats.transport.record_overflow_send();
+        rank.transport.record_eager_send();
+        rank.transport.record_stash_recv();
+        rank.transport.record_restash();
+        rank.transport.record_park();
+        rank.transport.record_overflow_send();
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.transport.eager_sends, 1);
         assert_eq!(delta.transport.queued_sends, 0);
@@ -637,7 +712,7 @@ mod tests {
 
     #[test]
     fn kernel_dispatch_counters_snapshot_and_subtract() {
-        let stats = Stats::new();
+        let stats = Stats::new(1);
         let before = stats.snapshot();
         gv_core::kernel::note_kernel_block();
         gv_core::kernel::note_kernel_block();
@@ -648,6 +723,42 @@ mod tests {
         assert!(delta.kernel.kernel_blocks >= 2);
         assert!(delta.kernel.scalar_blocks >= 1);
         assert!(delta.kernel.total_blocks() >= 3);
+    }
+
+    #[test]
+    fn a_snapshot_sums_the_ranks_blocks() {
+        let stats = Stats::new(3);
+        for r in 0..3 {
+            let rank = stats.rank(r);
+            for _ in 0..=r {
+                rank.record_call(CallKind::Scan);
+                rank.record_scan_algorithm(ScanAlgorithm::Binomial);
+                rank.record_message(10 * (r + 1));
+                rank.record_request_started();
+                rank.transport.record_eager_send();
+            }
+            rank.record_request_completed();
+            rank.transport.record_park();
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.calls(CallKind::Scan), 6);
+        assert_eq!(snap.scan_algorithm_calls(ScanAlgorithm::Binomial), 6);
+        assert_eq!(snap.messages, 6);
+        assert_eq!(snap.bytes, 10 + 2 * 20 + 3 * 30);
+        assert_eq!(snap.requests_started, 6);
+        assert_eq!(snap.requests_completed, 3);
+        assert_eq!(snap.transport.eager_sends, 6);
+        assert_eq!(snap.transport.parks, 3);
+    }
+
+    #[test]
+    fn each_ranks_block_has_cache_lines_of_its_own() {
+        assert!(std::mem::align_of::<RankStats>() >= 128);
+        assert_eq!(std::mem::size_of::<RankStats>() % 128, 0);
+        let stats = Stats::new(4);
+        for r in 0..4 {
+            assert_eq!(stats.rank(r) as *const RankStats as usize % 128, 0);
+        }
     }
 
     #[test]

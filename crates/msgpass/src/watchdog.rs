@@ -142,29 +142,43 @@ impl fmt::Display for StallReport {
     }
 }
 
-/// The cross-rank progress state the watchdog reads: one epoch counter,
-/// state byte, and blocked-on slot per rank. Disabled boards (no
-/// watchdog) gate every write down to a single `bool` check.
+/// The cross-rank progress state the watchdog reads: one row per rank.
+/// Disabled boards (no watchdog) gate every write down to a single `bool`
+/// check.
 pub(crate) struct ProgressBoard {
     enabled: bool,
-    epochs: Vec<AtomicU64>,
-    states: Vec<AtomicU8>,
-    blocked: Vec<Mutex<Option<BlockedOn>>>,
+    rows: Box<[BoardRow]>,
+}
+
+/// One rank's epoch counter, state byte and blocked-on slot, in a block
+/// of their own: a rank writes its row on every match, so rows packed
+/// side by side would have every core invalidating its neighbours' lines
+/// (false sharing) once per receive. Only the owning rank's thread writes
+/// a row; the watchdog thread reads them a few times per window.
+#[repr(align(128))]
+struct BoardRow {
+    epoch: AtomicU64,
+    state: AtomicU8,
+    blocked: Mutex<Option<BlockedOn>>,
 }
 
 impl ProgressBoard {
     pub(crate) fn new(ranks: usize, enabled: bool) -> Self {
         ProgressBoard {
             enabled,
-            epochs: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
-            states: (0..ranks).map(|_| AtomicU8::new(RankState::Running.as_u8())).collect(),
-            blocked: (0..ranks).map(|_| Mutex::new(None)).collect(),
+            rows: (0..ranks)
+                .map(|_| BoardRow {
+                    epoch: AtomicU64::new(0),
+                    state: AtomicU8::new(RankState::Running.as_u8()),
+                    blocked: Mutex::new(None),
+                })
+                .collect(),
         }
     }
 
     fn load_epochs(&self, into: &mut Vec<u64>) {
         into.clear();
-        into.extend(self.epochs.iter().map(|e| e.load(Ordering::Relaxed)));
+        into.extend(self.rows.iter().map(|row| row.epoch.load(Ordering::Relaxed)));
     }
 
     /// Whether the board records anything (a watchdog is configured).
@@ -174,12 +188,15 @@ impl ProgressBoard {
 
     /// Captures the full per-rank picture for a report.
     pub(crate) fn capture(&self, waited: Duration) -> StallReport {
-        let ranks = (0..self.epochs.len())
-            .map(|rank| RankStall {
+        let ranks = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(rank, row)| RankStall {
                 rank,
-                state: RankState::from_u8(self.states[rank].load(Ordering::Relaxed)),
-                epoch: self.epochs[rank].load(Ordering::Relaxed),
-                blocked_on: *self.blocked[rank].lock().unwrap_or_else(|e| e.into_inner()),
+                state: RankState::from_u8(row.state.load(Ordering::Relaxed)),
+                epoch: row.epoch.load(Ordering::Relaxed),
+                blocked_on: *row.blocked.lock().unwrap_or_else(|e| e.into_inner()),
             })
             .collect();
         StallReport { waited, ranks }
@@ -248,12 +265,22 @@ impl RankMonitor {
         self.park_timeout
     }
 
+    /// This rank's row of the board.
+    #[inline]
+    fn row(&self) -> &BoardRow {
+        &self.board.rows[self.rank]
+    }
+
     /// A message matched: progress. Bumps the epoch and marks Running.
     #[inline]
     pub(crate) fn note_match(&self) {
         if self.enabled {
-            self.board.epochs[self.rank].fetch_add(1, Ordering::Relaxed);
-            self.board.states[self.rank].store(RankState::Running.as_u8(), Ordering::Relaxed);
+            let row = self.row();
+            // Single writer (this rank's thread), so a plain load and
+            // store: no `lock`-prefixed add on the per-receive path.
+            row.epoch
+                .store(row.epoch.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            row.state.store(RankState::Running.as_u8(), Ordering::Relaxed);
         }
     }
 
@@ -272,9 +299,10 @@ impl RankMonitor {
     pub(crate) fn note_parked(&self, posted: Option<(u64, Source, Tag)>) {
         if self.enabled {
             let triple = posted.or_else(|| self.last_miss.get());
-            *self.board.blocked[self.rank].lock().unwrap_or_else(|e| e.into_inner()) =
+            let row = self.row();
+            *row.blocked.lock().unwrap_or_else(|e| e.into_inner()) =
                 triple.map(|(comm, src, tag)| BlockedOn::new(comm, src, tag));
-            self.board.states[self.rank].store(RankState::Blocked.as_u8(), Ordering::Relaxed);
+            row.state.store(RankState::Blocked.as_u8(), Ordering::Relaxed);
         }
     }
 
@@ -282,14 +310,14 @@ impl RankMonitor {
     #[inline]
     pub(crate) fn note_unblocked(&self) {
         if self.enabled {
-            self.board.states[self.rank].store(RankState::Running.as_u8(), Ordering::Relaxed);
+            self.row().state.store(RankState::Running.as_u8(), Ordering::Relaxed);
         }
     }
 
     /// The rank's closure finished (normally or by unwinding).
     pub(crate) fn note_done(&self) {
         if self.enabled {
-            self.board.states[self.rank].store(RankState::Done.as_u8(), Ordering::Relaxed);
+            self.row().state.store(RankState::Done.as_u8(), Ordering::Relaxed);
         }
     }
 
@@ -372,9 +400,9 @@ pub(crate) fn watch(
         }
         board.load_epochs(&mut epochs);
         let states: Vec<RankState> = board
-            .states
+            .rows
             .iter()
-            .map(|s| RankState::from_u8(s.load(Ordering::Relaxed)))
+            .map(|row| RankState::from_u8(row.state.load(Ordering::Relaxed)))
             .collect();
         let all_parked = states.iter().all(|&s| s != RankState::Running)
             && states.contains(&RankState::Blocked);
@@ -392,5 +420,38 @@ pub(crate) fn watch(
             }
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_ranks_board_row_has_cache_lines_of_its_own() {
+        assert!(std::mem::align_of::<BoardRow>() >= 128);
+        let board = ProgressBoard::new(3, true);
+        for row in board.rows.iter() {
+            assert_eq!(row as *const BoardRow as usize % 128, 0);
+        }
+    }
+
+    #[test]
+    fn a_match_bumps_only_the_matching_ranks_epoch() {
+        let board = Arc::new(ProgressBoard::new(2, true));
+        let monitor = RankMonitor::new(
+            1,
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicUsize::new(NO_CULPRIT)),
+            Arc::clone(&board),
+            Duration::from_millis(50),
+        );
+        monitor.note_parked(None);
+        for _ in 0..3 {
+            monitor.note_match();
+        }
+        let report = board.capture(Duration::ZERO);
+        assert_eq!((report.ranks[0].epoch, report.ranks[1].epoch), (0, 3));
+        assert_eq!(report.ranks[1].state, RankState::Running);
     }
 }

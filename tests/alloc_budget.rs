@@ -14,6 +14,11 @@
 //! rank allocates is one staging block and the operator's state, whatever
 //! the length of the stream. And the NAS IS ranking: the keys it sends, the
 //! block it returns and one count table — no second copy of either.
+//!
+//! And the small messages: in steady state an 8-byte allreduce and an
+//! `f64` send/receive pair allocate nothing at all (the value rides in
+//! the envelope, the envelope in the lane slot, and a launch clones no
+//! member list), and a large `Vec` pays no box for its header.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -226,4 +231,70 @@ fn an_is_sort_moves_each_key_once_before_the_exchange_and_once_after() {
             );
         }
     }
+}
+
+/// What each rank allocates in `steady` after one untimed `warm_up`.
+fn steady_state_bytes(
+    p: usize,
+    warm_up: impl Fn(&Comm) + Sync,
+    steady: impl Fn(&Comm) + Sync,
+) -> Vec<usize> {
+    Runtime::new(p)
+        .run(|comm| {
+            warm_up(comm);
+            let before = allocated();
+            steady(comm);
+            allocated() - before
+        })
+        .results
+}
+
+#[test]
+fn small_messages_allocate_nothing_in_steady_state() {
+    let allreduces = |comm: &Comm, calls: u64| {
+        for _ in 0..calls {
+            assert_eq!(comm.allreduce(1u64, true, |_| 8, |a, b| a + b), 2);
+        }
+    };
+    let spent = steady_state_bytes(2, |comm| allreduces(comm, 10), |comm| allreduces(comm, 1000));
+    assert_eq!(spent, [0, 0], "1000 eight-byte allreduces");
+
+    let pairs = |comm: &Comm, rounds: usize| {
+        let peer = 1 - comm.rank();
+        for i in 0..rounds {
+            comm.send(peer, 7, i as f64);
+            assert_eq!(comm.recv::<f64>(peer, 7), i as f64);
+        }
+    };
+    let spent = steady_state_bytes(2, |comm| pairs(comm, 10), |comm| pairs(comm, 1000));
+    assert_eq!(spent, [0, 0], "1000 f64 send/recv pairs");
+}
+
+#[test]
+fn a_large_vec_is_sent_without_a_payload_box() {
+    // 1 MiB of `u64` from rank 0 to rank 1 and back. The `Vec`'s header
+    // travels in the envelope and the envelope, being over the eager
+    // threshold, in a pooled box the warm-up round has already put in
+    // the lane's freelist: neither send allocates, nor either receive.
+    let round = |comm: &Comm, state: Vec<u64>| -> Vec<u64> {
+        if comm.rank() == 0 {
+            comm.send_vec(1, 9, state);
+            comm.recv(1, 9)
+        } else {
+            let echoed: Vec<u64> = comm.recv(0, 9);
+            comm.send_vec(0, 9, echoed);
+            state
+        }
+    };
+    let spent = Runtime::new(2)
+        .run(|comm| {
+            let state = round(comm, vec![comm.rank() as u64; LEN]);
+            let before = allocated();
+            let state = round(comm, state);
+            let spent = allocated() - before;
+            assert_eq!(state.len(), LEN);
+            spent
+        })
+        .results;
+    assert_eq!(spent, [0, 0]);
 }
