@@ -43,6 +43,18 @@
 //! above the kernel's replicated-table bound, so this is its plain
 //! increment loop, latency-bound on the table; reported, not gated.
 //!
+//! Then the `output/*` rows: what it costs to *land* 4 Mi outputs (32 MiB,
+//! one `local_heavy` rank's scan, one rank's class A `key_ranks`) in a
+//! buffer that is already mapped (`reused`) against one allocated by the
+//! call and dropped after it (`fresh`, what `seq::scan`, `gv_rsmpi::scan`
+//! and `key_ranks` do), in ns per element and minor page faults per call.
+//! The gap between the two columns is the page-fault tax of DESIGN.md,
+//! "Where outputs land": 8192 faults per call with small pages, about 530
+//! when `gv_core::mem` gets its huge pages. It depends on the host's
+//! transparent-huge-page mode and on the allocator's thresholds, so the
+//! table prints both; compare two builds on the `fresh` columns only
+//! under the same mode. Reported, not gated.
+//!
 //! Usage: kernel_microbench [--csv]
 //! Env:   GV_BENCH_QUICK=1 shrinks iteration counts for a CI smoke run.
 
@@ -67,7 +79,7 @@ use gv_core::ops::sorted::Sorted;
 use gv_core::ops::stats::MeanVar;
 use gv_core::ops::topk::TopBottomK;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
-use gv_nas::is::generate_keys;
+use gv_nas::is::{generate_keys, key_ranks, SortedBlock};
 use gv_nas::IsClass;
 
 /// Best-of-`reps` nanoseconds per element for `iters` runs of `f`.
@@ -333,6 +345,67 @@ fn counting_ns(keys: &[u32], k: usize, reps: u32) -> f64 {
     ns
 }
 
+/// Minor page faults the calling thread has taken so far (field 10 of
+/// `/proc/thread-self/stat`), where there is such a file.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // The thread's name, field 2, is parenthesised and may hold anything.
+    let after_name = &stat[stat.rfind(')')? + 1..];
+    after_name.split_ascii_whitespace().nth(7)?.parse().ok()
+}
+
+/// Best-of-`reps` nanoseconds per element of one `call` over `n` elements,
+/// and the minor faults an average call took (`None` off Linux).
+fn landing(n: usize, reps: u32, mut call: impl FnMut()) -> (f64, Option<u64>) {
+    call();
+    let before = minor_faults();
+    let ns = time_ns(n, 1, reps, &mut call);
+    let faults = minor_faults().zip(before).map(|(after, before)| (after - before) / u64::from(reps));
+    (ns, faults)
+}
+
+/// One `output/*` row: a name, then `(ns per element, faults per call)`
+/// into a reused buffer and into a fresh one.
+type OutputRow = (&'static str, (f64, Option<u64>), (f64, Option<u64>));
+
+/// An inclusive scan of `data` into the same buffer every call, against
+/// `seq::scan`, which allocates its output and whose caller drops it.
+fn output_scan_row<Op>(name: &'static str, op: &Op, data: &[Op::In], reps: u32) -> OutputRow
+where
+    Op: ReduceScanOp,
+{
+    let n = data.len();
+    let mut out: Vec<Op::Out> = Vec::with_capacity(n);
+    let reused = landing(n, reps, || {
+        out.clear();
+        rescan_block(op, &mut op.ident(), black_box(data), ScanKind::Inclusive, &mut out);
+        black_box(&out);
+    });
+    drop(out);
+    let fresh = landing(n, reps, || {
+        black_box(gv_core::seq::scan(op, black_box(data), ScanKind::Inclusive));
+    });
+    (name, reused, fresh)
+}
+
+/// The global ranks of an `n`-key block written into the same buffer
+/// every call, against `key_ranks`, which allocates them.
+fn output_key_ranks_row(n: usize, reps: u32) -> OutputRow {
+    let block = SortedBlock { keys: vec![0; n], global_offset: n as u64 };
+    let mut out: Vec<u64> = Vec::with_capacity(n);
+    let reused = landing(n, reps, || {
+        out.clear();
+        let first = black_box(block.global_offset);
+        out.extend(first..first + n as u64);
+        black_box(&out);
+    });
+    drop(out);
+    let fresh = landing(n, reps, || {
+        black_box(key_ranks(black_box(&block)));
+    });
+    ("key_ranks", reused, fresh)
+}
+
 fn data_i64(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| (i.wrapping_mul(2654435761)) % 1_000_003 - 500_000).collect()
 }
@@ -447,6 +520,16 @@ fn main() {
         .map(|&k| (k, counting_ns(&is_keys, k, counting_reps)))
         .collect();
 
+    // One local_heavy rank's outputs (2²⁰ in quick mode: 8 MiB, still
+    // over the size at which an output window is advised).
+    let output_n = if quick { 1usize << 20 } else { 1 << 22 };
+    let output_reps = if quick { 2 } else { 10 };
+    let outputs = [
+        output_scan_row("scan_sum_i64", &sum::<i64>(), &data_i64(output_n), output_reps),
+        output_scan_row("scan_min_f64", &min::<f64>(), &data_f64(output_n), output_reps),
+        output_key_ranks_row(output_n, output_reps),
+    ];
+
     if csv {
         println!("cell,n,scalar_ns_per_elem,kernel_ns_per_elem,speedup,gated");
         for c in &cells {
@@ -467,6 +550,14 @@ fn main() {
         }
         for (k, ns) in &counting {
             println!("count_into/k{k},{},,{ns:.4},,false", is_keys.len());
+        }
+        for (name, reused, fresh) in &outputs {
+            for (landed, (ns, faults)) in [("reused", reused), ("fresh", fresh)] {
+                println!("output/{name}/{landed},{output_n},,{ns:.4},,false");
+                if let Some(faults) = faults {
+                    println!("output/{name}/{landed}_faults,{output_n},,{faults},,false");
+                }
+            }
         }
         println!("geomean_gated,,,,{gate:.3},");
         println!("verdict,,,,{},", if pass { "PASS" } else { "FAIL" });
@@ -543,6 +634,34 @@ fn main() {
         println!("  {:<24} {:>8} {:>12}", "cell", "k", "count_into");
         for (k, ns) in &counting {
             println!("  {:<24} {:>8} {:>9.2} ns", "count_into/is_keys", k, ns);
+        }
+        println!(
+            "\n  landing {output_n} outputs in a buffer that is already mapped, and in one the call \
+             allocates and its caller drops\n  (ns per element, best of {output_reps}, and minor \
+             page faults per call; not gated — the gap is the page-fault tax)"
+        );
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        println!(
+            "  (transparent_hugepage/enabled = {}; MALLOC_MMAP_THRESHOLD_ = {}, \
+             MALLOC_TRIM_THRESHOLD_ = {})",
+            thp.as_deref().map_or("unavailable", str::trim),
+            pin("MALLOC_MMAP_THRESHOLD_"),
+            pin("MALLOC_TRIM_THRESHOLD_")
+        );
+        println!(
+            "  {:<24} {:>12} {:>8} {:>12} {:>8}",
+            "cell", "reused", "faults", "fresh", "faults"
+        );
+        let count = |faults: &Option<u64>| faults.map_or("-".into(), |f| f.to_string());
+        for (name, (reused_ns, reused_faults), (fresh_ns, fresh_faults)) in &outputs {
+            println!(
+                "  {:<24} {:>9.2} ns {:>8} {:>9.2} ns {:>8}",
+                format!("output/{name}"),
+                reused_ns,
+                count(reused_faults),
+                fresh_ns,
+                count(fresh_faults)
+            );
         }
         println!(
             "\ngeomean over gated (*) cells: {gate:.2}x (target {TARGET:.0}x) => {}",

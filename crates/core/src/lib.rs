@@ -45,6 +45,8 @@
 //! * [`kernel`] — vector-lane block kernels under the engines (pinned
 //!   lane regrouping, runtime ISA dispatch, dispatch counters).
 //! * [`agg`] — element-wise aggregated reductions and scans (§2.1).
+//! * [`mem`] — how a large output window is backed while it is filled
+//!   (the one foreign call in the crate).
 //! * [`ops`] — the operator library (built-ins, `mink`, `mini`, `counts`,
 //!   `sorted`, `TopBottomK`, …).
 //!
@@ -57,6 +59,7 @@ pub mod agg;
 pub mod define;
 pub mod iter;
 pub mod kernel;
+pub mod mem;
 pub mod monoid;
 pub mod op;
 pub mod ops;

@@ -341,6 +341,13 @@ pub fn rescan_block<Op: ReduceScanOp + ?Sized>(
     if block.is_empty() {
         return;
     }
+    // The window about to be filled, if the caller sized `out` for it (a
+    // caller that did not is left to grow as before): every scan in the
+    // repository writes its output through here, so this is the one place
+    // a large output asks for huge pages ([`crate::mem`]).
+    if let Some(window) = out.spare_capacity_mut().get_mut(..block.len()) {
+        crate::mem::map_huge(window);
+    }
     if op.scan_block(state, block, out, kind) {
         crate::kernel::note_kernel_block();
     } else {

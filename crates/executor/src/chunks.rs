@@ -71,47 +71,6 @@ where
         .collect()
 }
 
-/// Runs `f(chunk_index, chunk)` on each of `parts` balanced **mutable**
-/// chunks of `data`, in parallel on `pool`, returning results in chunk
-/// order. Used by the scan engines to fill per-processor output blocks in
-/// place.
-pub fn par_map_chunks_mut<T, R, F>(pool: &Pool, data: &mut [T], parts: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    assert!(parts >= 1, "cannot split into zero chunks");
-    let len = data.len();
-    let mut out: Vec<Option<R>> = Vec::with_capacity(parts);
-    out.resize_with(parts, || None);
-    // Split `data` into disjoint mutable chunks up front.
-    let mut pieces: Vec<&mut [T]> = Vec::with_capacity(parts);
-    let mut rest = data;
-    for range in chunk_ranges(len, parts) {
-        let (head, tail) = rest.split_at_mut(range.len());
-        pieces.push(head);
-        rest = tail;
-    }
-    pool.scope(|s| {
-        for (chunk_index, (slot, chunk)) in out.iter_mut().zip(pieces).enumerate() {
-            let f = &f;
-            if chunk.is_empty() {
-                // Same as `par_map_chunks`: empty chunks still yield a
-                // state, but inline rather than through the pool.
-                *slot = Some(f(chunk_index, chunk));
-                continue;
-            }
-            s.spawn(move || {
-                *slot = Some(f(chunk_index, chunk));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("chunk job did not produce a result"))
-        .collect()
-}
-
 /// Runs `f(i)` for every `i` in `range`, split into `parts` balanced
 /// contiguous chunks executed in parallel on `pool` — the bare
 /// `forall processors q` loop shape.
@@ -238,31 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_mut_empty_input_still_produces_all_states() {
-        let pool = Pool::new(2);
-        let mut data: [u32; 0] = [];
-        let states = par_map_chunks_mut(&pool, &mut data, 5, |i, chunk| {
-            assert!(chunk.is_empty());
-            i
-        });
-        assert_eq!(states, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn map_chunks_mut_handles_more_parts_than_elements() {
-        let pool = Pool::new(2);
-        let mut data = [1u32, 2, 3];
-        let lens = par_map_chunks_mut(&pool, &mut data, 7, |_, chunk| {
-            for x in chunk.iter_mut() {
-                *x += 10;
-            }
-            chunk.len()
-        });
-        assert_eq!(lens, vec![1, 1, 1, 0, 0, 0, 0]);
-        assert_eq!(data, [11, 12, 13]);
-    }
-
-    #[test]
     fn par_for_more_parts_than_indices_visits_each_once() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let pool = Pool::new(3);
@@ -273,19 +207,5 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "i={i}");
         }
-    }
-
-    #[test]
-    fn map_chunks_mut_writes_in_place() {
-        let pool = Pool::new(3);
-        let mut data: Vec<u32> = (0..13).collect();
-        let counts = par_map_chunks_mut(&pool, &mut data, 4, |_, chunk| {
-            for x in chunk.iter_mut() {
-                *x *= 2;
-            }
-            chunk.len()
-        });
-        assert_eq!(counts.iter().sum::<usize>(), 13);
-        assert_eq!(data, (0..13).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

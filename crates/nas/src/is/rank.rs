@@ -18,6 +18,7 @@
 //! A table is O(span), so a rank whose span dwarfs its keys sorts them by
 //! comparison instead ([`phases`] holds the rule and the phases).
 
+use gv_core::mem::output_vec;
 use gv_msgpass::Comm;
 
 mod phases;
@@ -51,9 +52,11 @@ pub fn distributed_sort(comm: &Comm, keys: &[u32], max_key: u32) -> SortedBlock 
 /// the quantity NAS IS reports. Input must already be the
 /// [`distributed_sort`] output.
 pub fn key_ranks(block: &SortedBlock) -> Vec<u64> {
-    (0..block.keys.len())
-        .map(|i| block.global_offset + i as u64)
-        .collect()
+    let n = block.keys.len() as u64;
+    // 32 MiB per rank at class A on two ranks: filled once, front to back.
+    let mut ranks = output_vec(block.keys.len());
+    ranks.extend(block.global_offset..block.global_offset + n);
+    ranks
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 use std::ops::Range;
 
 use gv_core::kernel::count_into;
+use gv_core::mem::output_vec;
 use gv_msgpass::localview::local_xscan;
 use gv_msgpass::Comm;
 
@@ -157,7 +158,7 @@ fn bucket(keys: &[u32], spans: &Spans, p: usize, r: usize, table: &mut [u64]) ->
 
 /// The sorted block a count table over `own` stands for, `n` keys long.
 fn emit(table: &[u64], own: Range<u32>, n: usize) -> Vec<u32> {
-    let mut sorted = Vec::with_capacity(n);
+    let mut sorted = output_vec(n);
     for (value, &count) in own.zip(table) {
         sorted.extend(std::iter::repeat_n(value, count as usize));
     }

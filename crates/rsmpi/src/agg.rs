@@ -1,6 +1,14 @@
 //! Aggregated global-view reductions and scans (paper §2.1 applied to the
 //! global-view layer): `m` independent reductions computed at once, with
 //! all `m` states shipped in a single message per tree edge.
+//!
+//! A rank may hold no rows, like an empty block in every other engine. It
+//! cannot know the row width, so its aggregate state is the empty slot
+//! vector, which stands for the identity at any width: combining it with
+//! a state returns that state. (The selectors price a call by the local
+//! state's bytes — `collectives/select.rs` — so ranks with and without
+//! rows agree on the scan's schedule only while the aggregate is below
+//! the selector's first crossover; the whole-state allreduce has none.)
 
 use gv_core::agg::accumulate_rows;
 use gv_core::op::{ReduceScanOp, ScanKind};
@@ -21,9 +29,16 @@ fn accumulate_rows_local<Op: ReduceScanOp>(
     states
 }
 
+/// Wire size of an aggregate state. One without slots reports one byte,
+/// not none: at zero bytes every scan schedule is priced at its round
+/// count times α, and the selector breaks the tie (p = 3: recursive
+/// doubling and the chain, two rounds each) by list order, where any
+/// state of a byte or more picks the chain — a rank without rows would
+/// run a different schedule from its neighbours. (Priced here and not in
+/// the selector for a measured reason: EXPERIMENTS.md, TXT-OUTPUT.)
 #[allow(clippy::ptr_arg)] // passed where Fn(&Vec<State>) -> usize is expected
 fn states_bytes<Op: ReduceScanOp>(op: &Op, states: &Vec<Op::State>) -> usize {
-    states.iter().map(|s| op.wire_size(s)).sum()
+    states.iter().map(|s| op.wire_size(s)).sum::<usize>().max(1)
 }
 
 fn combine_states<'a, Op: ReduceScanOp>(
@@ -31,6 +46,13 @@ fn combine_states<'a, Op: ReduceScanOp>(
     op: &'a Op,
 ) -> impl FnMut(Vec<Op::State>, Vec<Op::State>) -> Vec<Op::State> + 'a {
     move |mut earlier, later| {
+        // A rank without rows: the identity, free on the modeled clock.
+        if later.is_empty() {
+            return earlier;
+        }
+        if earlier.is_empty() {
+            return later;
+        }
         assert_eq!(
             earlier.len(),
             later.len(),
@@ -95,6 +117,11 @@ where
         |s| states_bytes(op, s),
         combine_states(comm, op),
     );
+    if running.is_empty() {
+        // Every earlier rank was empty (and sent the identity it could not
+        // size): the prefix of this rank's rows is `width` identities.
+        running = (0..width).map(|_| op.ident()).collect();
+    }
     let mut out = Vec::with_capacity(rows.len());
     // Slots are independent, so generate-then-accumulate can run as two
     // whole-row passes (letting `accum_slots` use the elementwise kernel)
@@ -121,7 +148,8 @@ where
 mod tests {
     use super::*;
     use gv_core::ops::builtin::{min, sum};
-    use gv_msgpass::Runtime;
+    use gv_core::ops::sorted::Sorted;
+    use gv_msgpass::{RunError, Runtime};
 
     #[test]
     fn aggregated_reduce_matches_per_column_sequential() {
@@ -171,6 +199,109 @@ mod tests {
             let got: Vec<i64> = flat.iter().map(|r| r[slot]).collect();
             assert_eq!(got, expected, "slot {slot}");
         }
+    }
+
+    /// Which ranks of `p` hold rows: the empty rank first, in the middle
+    /// and last; every rank empty but one; every rank empty.
+    fn placements(p: usize) -> Vec<Vec<bool>> {
+        let all_but = |empty: usize| (0..p).map(|r| r != empty).collect();
+        let only = |holder: usize| (0..p).map(|r| r == holder).collect();
+        vec![
+            all_but(0),
+            all_but(p / 2),
+            all_but(p - 1),
+            only(0),
+            only(p / 2),
+            only(p - 1),
+            vec![false; p],
+        ]
+    }
+
+    /// Reduce and both scans over ranks some of which hold no rows,
+    /// against `gv_core::agg` over the rows in rank order.
+    fn check_with_empty_ranks<Op>(op: &Op, cell: impl Fn(usize, usize) -> Op::In + Sync)
+    where
+        Op: ReduceScanOp + Sync,
+        Op::In: Sync,
+        Op::State: Clone + Send + 'static,
+        Op::Out: PartialEq + std::fmt::Debug + Send,
+    {
+        const WIDTH: usize = 3;
+        for p in 2usize..=8 {
+            for holds in placements(p) {
+                // Two rows on every rank that holds any, numbered globally.
+                let rows: Vec<Vec<Vec<Op::In>>> = (0..p)
+                    .map(|r| {
+                        let before = 2 * holds[..r].iter().filter(|&&h| h).count();
+                        (before..before + 2 * usize::from(holds[r]))
+                            .map(|i| (0..WIDTH).map(|j| cell(i, j)).collect())
+                            .collect()
+                    })
+                    .collect();
+                let all: Vec<&[Op::In]> = rows.iter().flatten().map(Vec::as_slice).collect();
+                let outcome = Runtime::new(p).run(|comm| {
+                    let mine: Vec<&[Op::In]> =
+                        rows[comm.rank()].iter().map(Vec::as_slice).collect();
+                    (
+                        reduce_all_elementwise(comm, op, &mine),
+                        scan_elementwise(comm, op, &mine, ScanKind::Inclusive),
+                        scan_elementwise(comm, op, &mine, ScanKind::Exclusive),
+                    )
+                });
+                let reduced = gv_core::agg::reduce_elementwise(op, &all);
+                let mut inclusive = Vec::new();
+                let mut exclusive = Vec::new();
+                for (r, (red, inc, exc)) in outcome.results.into_iter().enumerate() {
+                    assert_eq!(red, reduced, "p={p} holds={holds:?} rank {r}");
+                    inclusive.extend(inc);
+                    exclusive.extend(exc);
+                }
+                for (got, kind) in [
+                    (inclusive, ScanKind::Inclusive),
+                    (exclusive, ScanKind::Exclusive),
+                ] {
+                    let expected = gv_core::agg::scan_elementwise(op, &all, kind);
+                    assert_eq!(got, expected, "p={p} holds={holds:?} {kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_without_rows_is_the_identity() {
+        check_with_empty_ranks(&sum::<i64>(), |i, j| (i * 7 + j * 3) as i64 % 11 - 5);
+        check_with_empty_ranks(&min::<i64>(), |i, j| (i * 5 + j) as i64 % 13 - 6);
+        // Non-commutative, and its identity differs from every reachable
+        // state: column 0 ascends, column 1 breaks between the two rows of
+        // one rank, column 2 between two ranks.
+        check_with_empty_ranks(&Sorted::<i64>::new(), |i, j| match j {
+            0 => i as i64,
+            1 => i as i64 - 4 * (i % 2) as i64,
+            _ => i as i64 - 4 * (i / 2 % 2) as i64,
+        });
+    }
+
+    #[test]
+    fn ranks_that_disagree_on_a_width_still_fail() {
+        let error = Runtime::new(3)
+            .try_run(|comm| {
+                // Rank 1 is empty; ranks 0 and 2 hold 3 and 2 slots.
+                let row = vec![1i64; [3, 0, 2][comm.rank()]];
+                let rows: Vec<&[i64]> = if row.is_empty() { vec![] } else { vec![&row] };
+                reduce_all_elementwise(comm, &sum::<i64>(), &rows)
+            })
+            .map(|outcome| outcome.results)
+            .expect_err("3 slots cannot be combined with 2");
+        let RunError::Failed(report) = error else {
+            panic!("expected a failed rank, got {error}");
+        };
+        assert!(
+            report
+                .message
+                .contains("aggregated reduction requires the same row width on every rank"),
+            "{:?}",
+            report.message
+        );
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! the length of the stream. And the NAS IS ranking: the keys it sends, the
 //! block it returns and one count table — no second copy of either.
 //!
+//! A scan's output and the IS key ranks are allocated once, at their final
+//! size: asking for huge pages under a large one (`gv_core::mem`) neither
+//! allocates nor grows anything.
+//!
 //! And the small messages: in steady state an 8-byte allreduce and an
 //! `f64` send/receive pair allocate nothing at all (the value rides in
 //! the envelope, the envelope in the lane slot, and a launch clones no
@@ -228,6 +232,49 @@ fn an_is_sort_moves_each_key_once_before_the_exchange_and_once_after() {
                 "class {} p={p} rank {rank}: {spent} B for {sent} B sent, {received} B received \
                  and a {table} B table",
                 class.name
+            );
+        }
+    }
+}
+
+#[test]
+fn an_output_is_allocated_once_at_its_final_size() {
+    use gv_core::op::ScanKind;
+    use gv_core::ops::builtin::sum;
+    use gv_nas::is::{key_ranks, SortedBlock};
+
+    // Below the 4 MiB at which an output window is advised, and above it.
+    for n in [1usize << 12, 1 << 20] {
+        let input: Vec<i64> = (0..n as i64).collect();
+        let before = allocated();
+        let out = gv_core::seq::scan(&sum::<i64>(), &input, ScanKind::Inclusive);
+        assert_eq!(allocated() - before, 8 * n, "seq::scan over {n} elements");
+        assert_eq!(out.len(), n);
+
+        let block = SortedBlock {
+            keys: vec![0; n],
+            global_offset: 7,
+        };
+        let before = allocated();
+        let ranks = key_ranks(&block);
+        assert_eq!(allocated() - before, 8 * n, "key_ranks of {n} keys");
+        assert_eq!(ranks.len(), n);
+
+        let spent = Runtime::new(2)
+            .run(|comm| {
+                let before = allocated();
+                let out = gv_rsmpi::scan(comm, &sum::<i64>(), &input, ScanKind::Exclusive);
+                let spent = allocated() - before;
+                assert_eq!(out.len(), n);
+                spent
+            })
+            .results;
+        for (rank, spent) in spent.into_iter().enumerate() {
+            // The output, and what one eight-byte exclusive scan's launch
+            // costs on a communicator's first call.
+            assert!(
+                (8 * n..=8 * n + 4096).contains(&spent),
+                "gv_rsmpi::scan over {n} elements, rank {rank}: {spent} B"
             );
         }
     }
