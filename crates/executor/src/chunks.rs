@@ -71,55 +71,9 @@ where
         .collect()
 }
 
-/// Runs `f(i)` for every `i` in `range`, split into `parts` balanced
-/// contiguous chunks executed in parallel on `pool` — the bare
-/// `forall processors q` loop shape.
-pub fn par_for<F>(pool: &Pool, range: std::ops::Range<usize>, parts: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let start = range.start;
-    let len = range.len();
-    pool.scope(|scope| {
-        for chunk in chunk_ranges(len, parts) {
-            // Unlike the mapping helpers, an empty chunk produces
-            // nothing here, so it can be skipped outright.
-            if chunk.is_empty() {
-                continue;
-            }
-            let f = &f;
-            scope.spawn(move || {
-                for i in chunk {
-                    f(start + i);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_for_visits_every_index_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let pool = Pool::new(3);
-        let hits: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
-        par_for(&pool, 10..90, 7, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            let expected = u32::from((10..90).contains(&i));
-            assert_eq!(h.load(Ordering::Relaxed), expected, "i={i}");
-        }
-    }
-
-    #[test]
-    fn par_for_empty_range_is_a_noop() {
-        let pool = Pool::new(2);
-        par_for(&pool, 5..5, 4, |_| panic!("must not run"));
-    }
 
     #[test]
     fn ranges_cover_exactly_once() {
@@ -193,19 +147,6 @@ mod tests {
         });
         for (len, inline) in on_caller {
             assert_eq!(inline, len == 0, "len={len}");
-        }
-    }
-
-    #[test]
-    fn par_for_more_parts_than_indices_visits_each_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let pool = Pool::new(3);
-        let hits: Vec<AtomicU32> = (0..3).map(|_| AtomicU32::new(0)).collect();
-        par_for(&pool, 0..3, 9, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "i={i}");
         }
     }
 }

@@ -10,10 +10,11 @@
 //! slice into one contiguous block per *virtual processor* and run a closure
 //! on each block.
 //!
-//! The pool is deliberately simple — a shared injector channel, no work
-//! stealing — because the engine always submits exactly `p` long-running,
-//! balanced tasks per parallel region. A work-stealing scheduler would add
-//! complexity without changing the behaviour the paper's algorithms need.
+//! The pool is deliberately simple — one shared `std::sync::mpsc`
+//! injector, no work stealing — because the engine always submits exactly
+//! `p` long-running, balanced tasks per parallel region. A work-stealing
+//! scheduler would add complexity without changing the behaviour the
+//! paper's algorithms need.
 //!
 //! ```
 //! use gv_executor::{Pool, chunks::par_map_chunks};
@@ -29,15 +30,12 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod barrier;
-pub mod channel;
 pub mod chunks;
 pub mod lane;
 pub mod pool;
 pub mod scope;
 
-pub use barrier::SenseBarrier;
-pub use chunks::{chunk_ranges, par_for, par_map_chunks};
+pub use chunks::{chunk_ranges, par_map_chunks};
 pub use pool::Pool;
 pub use scope::Scope;
 

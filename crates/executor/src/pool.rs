@@ -1,8 +1,8 @@
 //! A persistent pool of worker threads fed from a shared injector channel.
 
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 
-use crate::channel::{unbounded, Receiver, Sender};
 use crate::scope::{Scope, ScopeState};
 
 /// A heap-allocated unit of work.
@@ -28,16 +28,23 @@ impl Pool {
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "a pool needs at least one worker thread");
-        let (sender, receiver) = unbounded::<Job>();
+        let (sender, receiver) = channel::<Job>();
+        // `mpsc` has one consumer, so the workers take turns at it.
+        let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..threads)
             .map(|index| {
-                let rx: Receiver<Job> = receiver.clone();
+                let rx = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("gv-worker-{index}"))
-                    .spawn(move || {
-                        // The channel closing is the shutdown signal.
-                        while let Ok(job) = rx.recv() {
-                            job();
+                    .spawn(move || loop {
+                        // The guard is a temporary of this statement: a
+                        // worker holds the lock while it waits for a job,
+                        // never while it runs one.
+                        let job = rx.lock().expect("jobs run outside the injector lock").recv();
+                        match job {
+                            Ok(job) => job(),
+                            // The channel closing is the shutdown signal.
+                            Err(_) => break,
                         }
                     })
                     .expect("failed to spawn pool worker")

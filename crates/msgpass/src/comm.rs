@@ -1,5 +1,8 @@
 //! The communicator: rank identity, point-to-point messaging, the virtual
-//! clock, and communicator management (`split`/`dup`).
+//! clock, communicator management (`split`/`dup`) — and the one loop a
+//! rank waits in, [`Comm::wait_until`]: every blocking call in the crate
+//! (a receive, a blocking collective, a request wait) is that loop over
+//! its own non-blocking attempt.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -27,6 +30,10 @@ pub const WORLD_ID: u64 = 0;
 /// (a few machine words) always lands eager. Tune per run with
 /// [`Comm::set_eager_threshold`] or `Runtime::eager_threshold`.
 pub const DEFAULT_EAGER_THRESHOLD: usize = 1024;
+
+/// How many consecutive collectives of one communicator draw distinct tag
+/// salts (see [`Comm::next_collective_salt`]).
+const SALT_WINDOW: u64 = 0x1000;
 
 /// Shared, cross-rank agreement on ids for derived communicators.
 ///
@@ -86,9 +93,9 @@ pub(crate) struct RankCore {
     pub(crate) collective_depth: Cell<u32>,
     /// The rank's progress engine: in-flight non-blocking collectives.
     pub(crate) engine: RefCell<Engine>,
-    /// Monotone count of packets this rank consumed through non-blocking
-    /// receives — the drive loops' progress signal (a sweep that moved
-    /// this counter resets the backoff instead of parking).
+    /// Monotone count of packets this rank's schedules consumed — the
+    /// wait loop's progress signal (a round that moved this counter
+    /// starts the backoff over instead of climbing towards a park).
     pub(crate) progress: Cell<u64>,
     /// Per-communicator collective sequence counters, for tag salting,
     /// by communicator id. Collectives are called in the same order on
@@ -101,7 +108,7 @@ pub(crate) struct RankCore {
     coll_seq: RefCell<HashMap<u64, Rc<Cell<u64>>>>,
     /// This rank's handle onto the runtime's failure machinery: the abort
     /// flag, the progress board the stall watchdog reads, and the park
-    /// timeout every wait loop bounds itself by. Declared last (with
+    /// timeout the wait loop bounds itself by. Declared last (with
     /// `faults` below) so the failure-path state stays out of the hot
     /// fields' cache lines.
     pub(crate) monitor: RankMonitor,
@@ -232,23 +239,43 @@ impl Comm {
         &self.core.engine
     }
 
-    /// Monotone count of packets consumed via non-blocking receives.
-    pub(crate) fn progress_count(&self) -> u64 {
-        self.core.progress.get()
-    }
-
-    /// One mailbox backoff step (see [`Mailbox::wait_for_activity`]).
-    pub(crate) fn wait_for_activity(&self, state: &mut WaitState) {
-        self.core
-            .mailbox
-            .borrow_mut()
-            .wait_for_activity(state, &self.core.monitor, self.counters());
-    }
-
-    /// Tells the watchdog this rank left a wait loop (called by the
-    /// request layer when a drive loop returns to the caller).
-    pub(crate) fn note_unblocked(&self) {
-        self.core.monitor.note_unblocked();
+    /// The one place a rank waits. Calls `attempt` until it yields; after
+    /// a miss sweeps the rank's progress engine; and only when the whole
+    /// round — attempt and sweep — consumed no packet takes one step up
+    /// the mailbox's backoff ladder (a round that did starts it over).
+    /// Every blocking call is this loop over its own attempt: one mailbox
+    /// matching pass for a receive, the schedule's `poll` for a blocking
+    /// collective, the harvest for a request wait.
+    ///
+    /// An `Err` from the attempt unwinds this rank with the typed
+    /// [`ShutdownError`] as the panic payload, which the runtime's abort
+    /// path propagates to the caller of `Runtime::run`.
+    #[inline]
+    pub(crate) fn wait_until<R>(
+        &self,
+        mut attempt: impl FnMut() -> Result<Option<R>, ShutdownError>,
+    ) -> R {
+        let core = &*self.core;
+        let mut wait = WaitState::default();
+        loop {
+            let before = core.progress.get();
+            match attempt() {
+                Ok(Some(out)) => {
+                    core.monitor.note_unblocked();
+                    return out;
+                }
+                Ok(None) => {}
+                Err(err) => std::panic::panic_any(err),
+            }
+            crate::request::poll_engine(self);
+            if core.progress.get() == before {
+                core.mailbox
+                    .borrow_mut()
+                    .backoff_step(&mut wait, &core.monitor, self.counters());
+            } else {
+                wait = WaitState::default();
+            }
+        }
     }
 
     /// The rank's failure-machinery handle (the runtime uses it to mark
@@ -272,12 +299,29 @@ impl Comm {
     /// value for the same collective call (collectives are ordered per
     /// communicator), so the salted tags agree across ranks. Reserved tag
     /// bases stay below `0x1000` apart, and the salt occupies bits 12–23,
-    /// so salted tags never collide across 4096 consecutive in-flight
-    /// collectives on one communicator.
+    /// so [`SALT_WINDOW`] consecutive collectives on one communicator draw
+    /// distinct tags and the next one draws the first one's again: if
+    /// that one is still in flight on this rank (an unwaited or dropped
+    /// request) the two could match each other's messages, so this panics.
     pub(crate) fn next_collective_salt(&self) -> Tag {
         let seq = self.coll_seq.get();
+        if let Some(oldest) = self.core.engine.borrow().oldest_live_seq(self.id) {
+            assert!(
+                seq - oldest < SALT_WINDOW,
+                "tag salt window exhausted on communicator {}: collective #{seq} would reuse \
+                 the tags of #{oldest}, which is still in flight on rank {} \
+                 (at most {SALT_WINDOW} consecutive collectives of one communicator may overlap)",
+                self.id,
+                self.core.world_rank,
+            );
+        }
         self.coll_seq.set(seq + 1);
-        ((seq % 0x1000) as Tag) << 12
+        ((seq % SALT_WINDOW) as Tag) << 12
+    }
+
+    /// The sequence number this communicator's latest collective drew.
+    pub(crate) fn last_collective_seq(&self) -> u64 {
+        self.coll_seq.get() - 1
     }
 
     /// Marks this rank as inside a collective until the guard drops.
@@ -571,18 +615,29 @@ impl Comm {
         self.send_with_bytes(dst, tag, value, bytes);
     }
 
+    /// The modeled clock's receive rule, in its one home: a message is
+    /// available `α/2 + β·bytes` after it was sent, taking it charges the
+    /// receive overhead, and — unless the caller orders several arrivals
+    /// itself (`bump` false) — the clock then rises to the availability.
+    /// Returns the value, the actual source rank, and the availability.
+    fn deliver<T: 'static>(&self, packet: Packet, tag: Tag, bump: bool) -> (T, usize, f64) {
+        let available_at = packet.sent_at + self.core.cost.alpha / 2.0
+            + self.core.cost.beta * packet.bytes as f64;
+        self.charge_overhead();
+        if bump {
+            self.bump_clock_to(available_at);
+        }
+        let from = packet.src as usize;
+        let value = downcast_payload::<T>(packet.payload, self.id, from, tag);
+        (value, from, available_at)
+    }
+
     /// Receives a `T` matching `(src, tag)`, advancing the clock to the
     /// message's modeled availability. Returns the value, the actual
     /// source rank, and the availability time.
     pub fn recv_meta<T: 'static>(&self, src: Source, tag: Tag) -> (T, usize, f64) {
         let packet = self.blocking_recv(src, tag);
-        let available_at = packet.sent_at + self.core.cost.alpha / 2.0
-            + self.core.cost.beta * packet.bytes as f64;
-        self.charge_overhead();
-        self.bump_clock_to(available_at);
-        let from = packet.src as usize;
-        let value = downcast_payload::<T>(packet.payload, self.id, from, tag);
-        (value, from, available_at)
+        self.deliver(packet, tag, true)
     }
 
     /// Receives a `T` from `src` with `tag`.
@@ -599,100 +654,50 @@ impl Comm {
     /// the caller bumps the clock per processed message.
     pub(crate) fn recv_deferred<T: 'static>(&self, src: Source, tag: Tag) -> (T, f64) {
         let packet = self.blocking_recv(src, tag);
-        let available_at = packet.sent_at + self.core.cost.alpha / 2.0
-            + self.core.cost.beta * packet.bytes as f64;
-        self.charge_overhead();
-        let from = packet.src as usize;
-        let value = downcast_payload::<T>(packet.payload, self.id, from, tag);
+        let (value, _, available_at) = self.deliver(packet, tag, false);
         (value, available_at)
     }
 
+    /// One non-blocking matching pass on this communicator's message
+    /// space; `Ok(None)` means nothing matching has arrived yet.
+    #[inline]
+    fn try_match(&self, src: Source, tag: Tag) -> Result<Option<Packet>, ShutdownError> {
+        self.core.mailbox.borrow_mut().try_recv(
+            self.id,
+            src,
+            tag,
+            &self.members,
+            &self.core.monitor,
+            self.counters(),
+        )
+    }
+
     /// One non-blocking matching pass for a resumable schedule: on a
-    /// delivery, charges the receive overhead and advances the clock to
-    /// the message's availability — exactly the accounting of
-    /// [`recv`](Self::recv) — and bumps the rank's progress counter.
-    /// `Ok(None)` means nothing matching has arrived yet.
+    /// delivery, bumps the rank's progress counter and accounts for the
+    /// message exactly as [`recv`](Self::recv) does.
     pub(crate) fn try_recv_schedule<T: 'static>(
         &self,
         src: usize,
         tag: Tag,
     ) -> Result<Option<T>, ShutdownError> {
-        let packet = self.core.mailbox.borrow_mut().try_recv(
-            self.id,
-            Source::Rank(src),
-            tag,
-            &self.members,
-            &self.core.monitor,
-            self.counters(),
-        )?;
-        let Some(packet) = packet else { return Ok(None) };
+        let Some(packet) = self.try_match(Source::Rank(src), tag)? else {
+            return Ok(None);
+        };
         self.core.progress.set(self.core.progress.get() + 1);
-        let available_at = packet.sent_at
-            + self.core.cost.alpha / 2.0
-            + self.core.cost.beta * packet.bytes as f64;
-        self.charge_overhead();
-        self.bump_clock_to(available_at);
-        let from = packet.src as usize;
-        Ok(Some(downcast_payload::<T>(packet.payload, self.id, from, tag)))
+        Ok(Some(self.deliver(packet, tag, true).0))
     }
 
-    /// Blocks on the mailbox; a receive that can never complete (peer
-    /// exited or abort flag raised) unwinds this rank with the typed
-    /// [`ShutdownError`] as the panic payload, which the runtime's abort
-    /// path propagates to the caller of `Runtime::run`.
-    ///
-    /// While non-blocking requests are in flight, the wait interleaves
-    /// engine sweeps with mailbox polls (MPI's progress rule: blocking
-    /// calls progress pending requests); with an idle engine it takes the
-    /// transport's native blocking path unchanged.
+    /// A blocking receive is [`wait_until`](Self::wait_until) a matching
+    /// pass delivers, so in-flight requests keep progressing meanwhile
+    /// (MPI's progress rule) and a receive that can never complete (peer
+    /// exited or abort flag raised) unwinds this rank.
     fn blocking_recv(&self, src: Source, tag: Tag) -> Packet {
         // Chaos hook: counts the blocking receive call (possibly firing a
         // stall or kill trigger) before any matching happens.
         if let Some(faults) = &self.core.faults {
             faults.on_recv();
         }
-        if self.core.engine.borrow().is_idle() {
-            return self
-                .core
-                .mailbox
-                .borrow_mut()
-                .recv_or_abort(
-                    self.id,
-                    src,
-                    tag,
-                    &self.members,
-                    &self.core.monitor,
-                    self.counters(),
-                )
-                .unwrap_or_else(|err: ShutdownError| std::panic::panic_any(err));
-        }
-        let mut wait = WaitState::new();
-        loop {
-            let attempt = self.core.mailbox.borrow_mut().try_recv(
-                self.id,
-                src,
-                tag,
-                &self.members,
-                &self.core.monitor,
-                self.counters(),
-            );
-            match attempt {
-                Ok(Some(packet)) => return packet,
-                Ok(None) => {}
-                Err(err) => std::panic::panic_any(err),
-            }
-            let before = self.core.progress.get();
-            crate::request::poll_engine(self);
-            if self.core.progress.get() == before {
-                self.core.mailbox.borrow_mut().wait_for_activity(
-                    &mut wait,
-                    &self.core.monitor,
-                    self.counters(),
-                );
-            } else {
-                wait.reset();
-            }
-        }
+        self.wait_until(|| self.try_match(src, tag))
     }
 
     /// Receives a `T` with `tag` from any source; returns `(value, src)`.

@@ -20,10 +20,14 @@
 //! `Runtime::park_timeout`, 50 ms by default), so even a lost wakeup
 //! degrades to a bounded re-poll, never a hang.
 //!
-//! Every wait loop additionally feeds the rank's
-//! [`RankMonitor`](crate::watchdog::RankMonitor): matches bump the
-//! progress epoch, parks record the blocked-on triple — the raw material
-//! of the stall watchdog's reports. With chaos injection active
+//! The mailbox offers one non-blocking matching pass
+//! ([`Mailbox::try_recv`]) and one backoff step
+//! ([`Mailbox::backoff_step`]); the loop that alternates them — the only
+//! place a rank waits — is `Comm::wait_until`. Both feed the rank's
+//! [`RankMonitor`](crate::watchdog::RankMonitor): a match bumps the
+//! progress epoch, a miss records its triple, a park publishes the last
+//! miss as what the rank is blocked on — the raw material of the stall
+//! watchdog's reports. With chaos injection active
 //! (`Runtime::fault_plan`), packets may carry an embargo deadline
 //! (`Packet::hold_until`); the matching passes refuse to deliver a held
 //! packet — or anything behind it on the same matching key, preserving
@@ -62,28 +66,16 @@ fn embargoed(packet: &Packet) -> bool {
     packet.hold_until.as_deref().is_some_and(|&t| Instant::now() < t)
 }
 
-/// Backoff state carried by a caller polling its mailbox without a
-/// posted receive to block on (the progress engine's drive loops).
-///
-/// One [`Mailbox::wait_for_activity`] call performs a *single* backoff
-/// step — spin, yield, or a parked timed wait, in that order — so the
-/// caller can interleave engine polls between steps. Reset it whenever a
-/// poll makes progress so the next wait starts hot again.
+/// Where `Comm::wait_until` stands on the backoff ladder; it starts a
+/// fresh one whenever a round consumed a packet, so the next wait begins
+/// hot again.
+#[derive(Default)]
 pub(crate) struct WaitState {
     spins: u32,
     yields: u32,
-}
-
-impl WaitState {
-    pub(crate) fn new() -> Self {
-        WaitState { spins: 0, yields: 0 }
-    }
-
-    /// Back to the spin phase (call after any progress).
-    pub(crate) fn reset(&mut self) {
-        self.spins = 0;
-        self.yields = 0;
-    }
+    /// The wake ticket taken by the arming step, redeemed by the park
+    /// that follows it if the round in between still consumed nothing.
+    ticket: Option<u64>,
 }
 
 /// Source selector for a receive.
@@ -452,13 +444,15 @@ impl Mailbox {
         Ok(None)
     }
 
-    /// One backoff step for a caller whose last full sweep of polls made
-    /// no progress: spin, then yield, then take a wake ticket, re-check
-    /// every lane (the caller may be progressing several schedules with
-    /// different matching triples), and park. Bounded by the monitor's
-    /// park timeout, woken early by any producer, lane closure, or a
-    /// runtime abort's unpark.
-    pub(crate) fn wait_for_activity(
+    /// One backoff step for a rank whose last round of polls consumed
+    /// nothing: spin, then yield, then arm, then park. Arming only takes a
+    /// wake ticket, so the caller polls everything it waits on once more
+    /// before the park redeems it: a message deposited from then on is
+    /// either found by that round or makes the park return at once, and
+    /// traffic nobody polls for cannot keep the rank awake. The park is
+    /// bounded by the monitor's timeout and ended early by any producer,
+    /// a lane closure, or a runtime abort's unpark.
+    pub(crate) fn backoff_step(
         &mut self,
         state: &mut WaitState,
         monitor: &RankMonitor,
@@ -474,129 +468,26 @@ impl Mailbox {
             std::thread::yield_now();
             return;
         }
-        let ticket = self.parker.ticket();
-        if self.lanes.iter().any(|lane| lane.rx.ready()) {
-            state.reset();
-            return;
-        }
-        monitor.note_parked(None);
-        stats.transport.record_park();
-        self.parker.park_timeout(ticket, monitor.park_timeout());
-        state.reset();
-    }
-
-    /// Blocking receive over `lanes`, specialized so the hot loop touches
-    /// the stash hash only once at entry: after that, every iteration is
-    /// a ring drain plus the shutdown checks, and the stash re-check (an
-    /// embargoed match drained earlier parks in the stash until its hold
-    /// expires) is gated on `held_stashed` — one integer compare, never
-    /// taken without chaos injection.
-    fn recv_or_abort_on(
-        &mut self,
-        comm_id: u64,
-        src: Source,
-        tag: Tag,
-        lanes: &[usize],
-        monitor: &RankMonitor,
-        stats: &RankStats,
-    ) -> Result<Packet, ShutdownError> {
-        if let Some(packet) = self.take_stashed(comm_id, tag, lanes) {
-            monitor.note_match();
-            stats.transport.record_stash_recv();
-            return Ok(packet);
-        }
-        let mut spins = 0u32;
-        let mut yields = 0u32;
-        loop {
-            if self.held_stashed > 0 {
-                if let Some(packet) = self.take_stashed(comm_id, tag, lanes) {
-                    monitor.note_match();
-                    stats.transport.record_stash_recv();
-                    return Ok(packet);
-                }
+        match state.ticket.take() {
+            None => state.ticket = Some(self.parker.ticket()),
+            Some(ticket) => {
+                monitor.note_parked();
+                stats.transport.record_park();
+                self.parker.park_timeout(ticket, monitor.park_timeout());
+                *state = WaitState::default();
             }
-            if let Some(packet) = self.drain(comm_id, tag, lanes, stats) {
-                monitor.note_match();
-                return Ok(packet);
-            }
-            // Shutdown checks come only after a full drain: a message
-            // already delivered always beats a concurrent shutdown.
-            if monitor.is_aborted() {
-                return Err(monitor.shutdown_error(comm_id, src, tag, ShutdownKind::Aborted));
-            }
-            if lanes.iter().all(|&w| self.lanes[w].rx.is_closed()) {
-                // `is_closed` was observed *after* the drain above, and a
-                // producer closes only after its final send, so one more
-                // drain sees anything that raced with the closure.
-                if let Some(packet) = self.drain(comm_id, tag, lanes, stats) {
-                    monitor.note_match();
-                    return Ok(packet);
-                }
-                if !(self.held_stashed > 0 && self.has_stashed(comm_id, tag, lanes)) {
-                    let kind = if monitor.is_aborted() {
-                        ShutdownKind::Aborted
-                    } else {
-                        ShutdownKind::Disconnected
-                    };
-                    return Err(monitor.shutdown_error(comm_id, src, tag, kind));
-                }
-                // An embargoed stashed match is still a future delivery,
-                // not a disconnect: keep waiting out the hold.
-            }
-            if spins < self.spin_limit {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            if yields < YIELD_LIMIT {
-                yields += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            let ticket = self.parker.ticket();
-            if lanes.iter().any(|&w| self.lanes[w].rx.ready()) {
-                spins = 0;
-                yields = 0;
-                continue;
-            }
-            monitor.note_parked(Some((comm_id, src, tag)));
-            stats.transport.record_park();
-            self.parker.park_timeout(ticket, monitor.park_timeout());
-            spins = 0;
-            yields = 0;
         }
     }
-}
 
-impl Mailbox {
-    /// Blocks until a packet matching `(comm_id, src, tag)` is available,
-    /// periodically checking the runtime abort flag through `monitor`.
+    /// One non-blocking matching pass for `(comm_id, src, tag)`:
+    /// `Ok(None)` when nothing is receivable yet. Every receive, blocking
+    /// or scheduled, is built on this.
     ///
     /// `members` maps the posting communicator's ranks to **world** ranks
     /// (`members[q]` = world rank of comm rank `q`), which is how the
     /// receive watches exactly the right lanes. Fails with
     /// [`ShutdownKind::Disconnected`] when every matchable peer is gone,
     /// or [`ShutdownKind::Aborted`] when the runtime abort flag is up.
-    pub(crate) fn recv_or_abort(
-        &mut self,
-        comm_id: u64,
-        src: Source,
-        tag: Tag,
-        members: &[usize],
-        monitor: &RankMonitor,
-        stats: &RankStats,
-    ) -> Result<Packet, ShutdownError> {
-        match src {
-            Source::Rank(q) => {
-                self.recv_or_abort_on(comm_id, src, tag, &[members[q]], monitor, stats)
-            }
-            Source::Any => self.recv_or_abort_on(comm_id, src, tag, members, monitor, stats),
-        }
-    }
-
-    /// Non-blocking variant of [`recv_or_abort`](Self::recv_or_abort):
-    /// one matching pass, `Ok(None)` when nothing is receivable yet. The
-    /// progress engine's schedule polls are built on this.
     pub(crate) fn try_recv(
         &mut self,
         comm_id: u64,
@@ -672,6 +563,26 @@ mod tests {
         p.payload.take::<i32>().ok().expect("an i32 payload")
     }
 
+    /// A blocking receive the way `Comm` makes one: a matching pass, and
+    /// one backoff step after each miss (no engine to sweep down here).
+    fn recv_blocking(
+        mailbox: &mut Mailbox,
+        comm_id: u64,
+        src: Source,
+        tag: Tag,
+        members: &[usize],
+        monitor: &RankMonitor,
+        stats: &RankStats,
+    ) -> Result<Packet, ShutdownError> {
+        let mut wait = WaitState::default();
+        loop {
+            if let Some(packet) = mailbox.try_recv(comm_id, src, tag, members, monitor, stats)? {
+                return Ok(packet);
+            }
+            mailbox.backoff_step(&mut wait, monitor, stats);
+        }
+    }
+
     struct Harness {
         mailboxes: Vec<Mailbox>,
         senders: Vec<Vec<PeerSender>>,
@@ -712,9 +623,8 @@ mod tests {
         }
 
         fn recv(&mut self, d: usize, comm: u64, src: Source, tag: Tag) -> Result<i32, ShutdownError> {
-            let members = self.members.clone();
-            self.mailboxes[d]
-                .recv_or_abort(comm, src, tag, &members, &self.monitor, self.stats.rank(0))
+            let stats = self.stats.rank(0);
+            recv_blocking(&mut self.mailboxes[d], comm, src, tag, &self.members, &self.monitor, stats)
                 .map(value_of)
         }
     }
@@ -835,8 +745,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             drop(peer); // rank 1 exits without sending
         });
-        let err = mailboxes[0]
-            .recv_or_abort(0, Source::Rank(1), 7, &[0, 1], &monitor, stats.rank(0))
+        let err = recv_blocking(&mut mailboxes[0], 0, Source::Rank(1), 7, &[0, 1], &monitor, stats.rank(0))
             .unwrap_err();
         assert_eq!(err.kind, ShutdownKind::Disconnected);
         assert!(stats.snapshot().transport.parks > 0, "receiver never parked");
@@ -858,8 +767,7 @@ mod tests {
             parker.unpark();
         });
         let started = std::time::Instant::now();
-        let err = mailboxes[0]
-            .recv_or_abort(0, Source::Rank(1), 7, &[0, 1], &monitor, stats.rank(0))
+        let err = recv_blocking(&mut mailboxes[0], 0, Source::Rank(1), 7, &[0, 1], &monitor, stats.rank(0))
             .unwrap_err();
         assert_eq!(err.kind, ShutdownKind::Aborted);
         // The explicit unpark makes this prompt (well under the 50 ms

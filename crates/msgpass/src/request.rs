@@ -6,25 +6,28 @@
 //! schedule's initial sends, and each `poll` advances through
 //! non-blocking receives until the next missing message or completion.
 //! The blocking entry points *drive* such a machine on the stack
-//! ([`drive`]); the `i*` entry points box it into the rank's [`Engine`]
+//! (`drive`); the `i*` entry points box it into the rank's [`Engine`]
 //! and hand back a [`Request`] the caller can [`wait`](Request::wait) or
 //! [`test`](Request::test) later.
 //!
 //! # Progress
 //!
-//! A rank's engine is advanced whenever the rank is inside the library:
-//! `wait`/`wait_all`/`test`/`test_any` sweep it, the blocking drive loop
-//! sweeps it between its own polls, and even a plain blocking receive
-//! sweeps it while requests are live. So k in-flight allreduces pipeline
-//! — each sweep advances every schedule as far as its arrived messages
-//! allow — instead of serializing behind whichever one is waited first.
+//! A rank's engine is advanced whenever the rank is inside the library.
+//! Everything that blocks — a plain receive, a blocking collective,
+//! `wait`/`wait_timeout`/`wait_all` — is the same loop, `Comm::wait_until`,
+//! over a different attempt (one matching pass, the schedule's `poll`,
+//! the request's harvest), and that loop sweeps the engine after every
+//! attempt that missed; `test`/`test_any` sweep it once. So k in-flight
+//! allreduces pipeline — each sweep advances every schedule as far as its
+//! arrived messages allow — instead of serializing behind whichever one
+//! is waited first.
 //!
 //! # Completion batching
 //!
 //! One engine sweep may complete any number of requests; their outputs
 //! park in the engine's slots until the owning [`Request`] collects them.
-//! [`wait_all`] and [`test_any`] harvest every completion a sweep
-//! produced before deciding to back off, so completion order never
+//! [`wait_all`] and [`test_any`] harvest, each time they look, every
+//! completion the sweeps have produced so far, so completion order never
 //! constrains delivery order.
 //!
 //! # Cancellation
@@ -37,13 +40,14 @@
 //! [`RequestError::Shutdown`] at the next wait/test.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use crate::comm::Comm;
-use crate::mailbox::{ShutdownError, WaitState};
+use crate::mailbox::ShutdownError;
 
 /// A resumable collective schedule: one algorithm, one state machine.
 ///
@@ -152,6 +156,9 @@ enum SlotState {
 
 struct Slot {
     state: SlotState,
+    /// The communicator the collective runs on and the sequence number
+    /// it drew there — what the tag salt window is checked against.
+    launched: (u64, u64),
     /// The owning [`Request`] was dropped without waiting: keep polling
     /// (peers may need this schedule's sends), discard any output, and
     /// let the runtime cancel the remainder at rank exit.
@@ -165,7 +172,7 @@ pub(crate) struct Engine {
     slots: BTreeMap<u64, Slot>,
     next_id: u64,
     /// Slots currently `Running`/`Polling` — the cheap idle check that
-    /// keeps blocking-only workloads on the transport's native paths.
+    /// makes a sweep free for blocking-only workloads.
     live: usize,
 }
 
@@ -174,13 +181,31 @@ impl Engine {
         self.live == 0
     }
 
-    fn register(&mut self, schedule: Box<dyn ErasedSchedule>) -> u64 {
+    /// The sequence number of the oldest collective still in flight on
+    /// communicator `comm_id`, if any. Slots are kept in launch order and
+    /// a communicator's sequence numbers only grow, so that is the first
+    /// live slot of it.
+    pub(crate) fn oldest_live_seq(&self, comm_id: u64) -> Option<u64> {
+        if self.live == 0 {
+            return None;
+        }
+        self.slots
+            .values()
+            .find(|slot| {
+                slot.launched.0 == comm_id
+                    && matches!(slot.state, SlotState::Running(_) | SlotState::Polling)
+            })
+            .map(|slot| slot.launched.1)
+    }
+
+    fn register(&mut self, schedule: Box<dyn ErasedSchedule>, launched: (u64, u64)) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.slots.insert(
             id,
             Slot {
                 state: SlotState::Running(schedule),
+                launched,
                 detached: false,
             },
         );
@@ -272,7 +297,7 @@ impl Engine {
 /// Sweeps the rank's engine once: every running schedule is polled and
 /// advanced as far as its arrived messages allow. Cheap no-op while no
 /// requests are live. Progress is observable through the rank's packet
-/// progress counter (`Comm::progress_count`).
+/// progress counter, which is how `Comm::wait_until` reads it.
 pub(crate) fn poll_engine(comm: &Comm) {
     if comm.engine().borrow().is_idle() {
         return;
@@ -302,33 +327,16 @@ fn poll_slot(comm: &Comm, id: u64) {
     }
 }
 
-/// Drives `schedule` to completion on the stack — the blocking
-/// collectives' shared wait loop. Between polls of the foreground
-/// schedule it sweeps the engine (background requests keep progressing)
-/// and backs off through the mailbox only when a full round made no
-/// progress. Transport shutdown unwinds the rank with the typed
+/// Drives `schedule` to completion on the stack: a blocking collective
+/// is `Comm::wait_until` its schedule's `poll` yields, counted as one
+/// request started and completed. Background requests keep progressing
+/// meanwhile, and a transport shutdown unwinds the rank with the typed
 /// [`ShutdownError`] payload, exactly like a blocking receive.
 pub(crate) fn drive<S: Schedule>(comm: &Comm, mut schedule: S) -> S::Output {
     comm.counters().record_request_started();
-    let mut wait = WaitState::new();
-    loop {
-        let before = comm.progress_count();
-        match schedule.poll() {
-            Ok(Some(out)) => {
-                comm.counters().record_request_completed();
-                comm.note_unblocked();
-                return out;
-            }
-            Ok(None) => {}
-            Err(err) => std::panic::panic_any(err),
-        }
-        poll_engine(comm);
-        if comm.progress_count() == before {
-            comm.wait_for_activity(&mut wait);
-        } else {
-            wait.reset();
-        }
-    }
+    let out = comm.wait_until(|| schedule.poll());
+    comm.counters().record_request_completed();
+    out
 }
 
 /// A handle to an in-flight non-blocking collective, in the sense of
@@ -343,7 +351,9 @@ pub(crate) fn drive<S: Schedule>(comm: &Comm, mut schedule: S) -> S::Output {
 pub struct Request<T> {
     comm: Comm,
     id: u64,
-    consumed: bool,
+    /// The result was delivered (a `Cell`, so the wait loop's attempt can
+    /// harvest through the same `&self` the loop's communicator borrows).
+    consumed: Cell<bool>,
     _out: PhantomData<T>,
 }
 
@@ -356,12 +366,13 @@ impl<T: 'static> Request<T> {
         S: Schedule<Output = T> + 'static,
     {
         comm.counters().record_request_started();
-        let id = comm.engine().borrow_mut().register(Box::new(schedule));
+        let launched = (comm.id(), comm.last_collective_seq());
+        let id = comm.engine().borrow_mut().register(Box::new(schedule), launched);
         poll_slot(comm, id);
         Request {
             comm: comm.clone_handle(),
             id,
-            consumed: false,
+            consumed: Cell::new(false),
             _out: PhantomData,
         }
     }
@@ -373,9 +384,9 @@ impl<T: 'static> Request<T> {
     }
 
     /// Takes this request's finished result out of the engine, if ready.
-    fn harvest(&mut self) -> Option<Result<T, RequestError>> {
+    fn harvest(&self) -> Option<Result<T, RequestError>> {
         let result = self.comm.engine().borrow_mut().take_output(self.id)?;
-        self.consumed = true;
+        self.consumed.set(true);
         Some(match result {
             Ok(out) => Ok(Self::downcast(out)),
             Err(err) => Err(RequestError::Shutdown(err)),
@@ -386,23 +397,8 @@ impl<T: 'static> Request<T> {
     /// While waiting, the whole engine keeps progressing, so other
     /// in-flight requests pipeline rather than queue behind this one.
     pub fn wait(&mut self) -> Result<T, RequestError> {
-        if self.consumed {
-            return Err(RequestError::AlreadyCompleted);
-        }
-        let mut wait = WaitState::new();
-        loop {
-            if let Some(result) = self.harvest() {
-                self.comm.note_unblocked();
-                return result;
-            }
-            let before = self.comm.progress_count();
-            poll_engine(&self.comm);
-            if self.comm.progress_count() == before {
-                self.comm.wait_for_activity(&mut wait);
-            } else {
-                wait.reset();
-            }
-        }
+        let result = self.wait_by(None)?;
+        Ok(result.expect("a wait without a deadline ends only in a result"))
     }
 
     /// Like [`wait`](Self::wait), but gives up after `timeout`, returning
@@ -411,39 +407,39 @@ impl<T: 'static> Request<T> {
     ///
     /// The engine keeps progressing throughout, so a timed-out wait never
     /// stalls other in-flight requests. The deadline is checked between
-    /// backoff steps, so the call can overshoot `timeout` by about one
-    /// park (the runtime's configured park timeout, 50 ms by default).
+    /// backoff steps and never before the engine has been swept once: the
+    /// call can overshoot `timeout` by about one park (the runtime's
+    /// configured park timeout, 50 ms by default), and even a zero
+    /// timeout delivers a result whose messages have all arrived.
     /// Transport shutdown surfaces as [`RequestError::Shutdown`]
     /// immediately, whatever the timeout.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Result<Option<T>, RequestError> {
-        if self.consumed {
+        self.wait_by(Some(Instant::now() + timeout))
+    }
+
+    /// The rank's wait loop over this request's harvest, the deadline
+    /// riding in the attempt: `Ok(None)` means it passed.
+    fn wait_by(&self, deadline: Option<Instant>) -> Result<Option<T>, RequestError> {
+        if self.consumed.get() {
             return Err(RequestError::AlreadyCompleted);
         }
-        let deadline = Instant::now() + timeout;
-        let mut wait = WaitState::new();
-        loop {
+        let mut swept = false;
+        self.comm.wait_until(|| {
             if let Some(result) = self.harvest() {
-                self.comm.note_unblocked();
-                return result.map(Some);
+                return Ok(Some(result.map(Some)));
             }
-            let before = self.comm.progress_count();
-            poll_engine(&self.comm);
-            if self.comm.progress_count() == before {
-                if Instant::now() >= deadline {
-                    self.comm.note_unblocked();
-                    return Ok(None);
-                }
-                self.comm.wait_for_activity(&mut wait);
-            } else {
-                wait.reset();
-            }
-        }
+            // The loop sweeps the engine after every miss, so from the
+            // second attempt on a sweep has preceded this check.
+            let expired = swept && deadline.is_some_and(|at| Instant::now() >= at);
+            swept = true;
+            Ok(expired.then_some(Ok(None)))
+        })
     }
 
     /// One non-blocking completion check: sweeps the engine once and
     /// returns the result if this request finished.
     pub fn test(&mut self) -> Result<Option<T>, RequestError> {
-        if self.consumed {
+        if self.consumed.get() {
             return Err(RequestError::AlreadyCompleted);
         }
         poll_engine(&self.comm);
@@ -453,7 +449,7 @@ impl<T: 'static> Request<T> {
 
 impl<T> Drop for Request<T> {
     fn drop(&mut self) {
-        if self.consumed {
+        if self.consumed.get() {
             return;
         }
         // `try_borrow_mut` so dropping a request while the rank unwinds
@@ -468,7 +464,7 @@ impl<T> fmt::Debug for Request<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Request")
             .field("id", &self.id)
-            .field("consumed", &self.consumed)
+            .field("consumed", &self.consumed.get())
             .finish_non_exhaustive()
     }
 }
@@ -483,40 +479,30 @@ impl<T> fmt::Debug for Request<T> {
 /// encountered if the transport dies mid-wait (later results are then
 /// discarded).
 pub fn wait_all<T: 'static>(requests: &mut [Request<T>]) -> Result<Vec<T>, RequestError> {
-    if requests.iter().any(|r| r.consumed) {
+    if requests.iter().any(|r| r.consumed.get()) {
         return Err(RequestError::AlreadyCompleted);
     }
     let Some(first) = requests.first() else {
         return Ok(Vec::new());
     };
-    let comm = first.comm.clone_handle();
     let mut outputs: Vec<Option<T>> = std::iter::repeat_with(|| None).take(requests.len()).collect();
     let mut remaining = requests.len();
-    let mut wait = WaitState::new();
-    loop {
-        let mut harvested = false;
-        for (slot, req) in outputs.iter_mut().zip(requests.iter_mut()) {
-            if slot.is_some() {
-                continue;
+    first.comm.wait_until(|| {
+        for (slot, req) in outputs.iter_mut().zip(requests.iter()) {
+            if slot.is_none() {
+                match req.harvest() {
+                    Some(Ok(out)) => {
+                        *slot = Some(out);
+                        remaining -= 1;
+                    }
+                    Some(Err(err)) => return Ok(Some(Err(err))),
+                    None => {}
+                }
             }
-            if let Some(result) = req.harvest() {
-                *slot = Some(result?);
-                remaining -= 1;
-                harvested = true;
-            }
         }
-        if remaining == 0 {
-            comm.note_unblocked();
-            return Ok(outputs.into_iter().map(|o| o.expect("harvested")).collect());
-        }
-        let before = comm.progress_count();
-        poll_engine(&comm);
-        if comm.progress_count() == before && !harvested {
-            comm.wait_for_activity(&mut wait);
-        } else {
-            wait.reset();
-        }
-    }
+        Ok((remaining == 0)
+            .then(|| Ok(outputs.iter_mut().map(|o| o.take().expect("harvested")).collect())))
+    })
 }
 
 /// One non-blocking sweep over `requests`: returns the index and result
@@ -527,13 +513,12 @@ pub fn wait_all<T: 'static>(requests: &mut [Request<T>]) -> Result<Vec<T>, Reque
 pub fn test_any<T: 'static>(
     requests: &mut [Request<T>],
 ) -> Result<Option<(usize, T)>, RequestError> {
-    let comm = match requests.iter().find(|r| !r.consumed) {
-        Some(req) => req.comm.clone_handle(),
-        None => return Ok(None),
+    let Some(live) = requests.iter().find(|r| !r.consumed.get()) else {
+        return Ok(None);
     };
-    poll_engine(&comm);
-    for (i, req) in requests.iter_mut().enumerate() {
-        if req.consumed {
+    poll_engine(&live.comm);
+    for (i, req) in requests.iter().enumerate() {
+        if req.consumed.get() {
             continue;
         }
         if let Some(result) = req.harvest() {

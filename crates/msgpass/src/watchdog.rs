@@ -1,10 +1,14 @@
 //! The stall watchdog: per-rank progress epochs, a blocked-on registry,
 //! and structured [`StallReport`]s instead of silent hangs.
 //!
-//! Every rank owns a [`RankMonitor`]. Wait loops feed it: a successful
-//! message match bumps the rank's *progress epoch*, a park records what
-//! the rank is blocked on (communicator, source, tag — and, for reserved
-//! tags, which collective protocol that is). The monitor thread
+//! Every rank owns a [`RankMonitor`]. The rank's wait loop feeds it: a
+//! successful message match bumps the rank's *progress epoch*, a matching
+//! pass that finds nothing leaves its triple as the *last miss*, and a
+//! park — which only follows a whole round of misses — publishes the last
+//! miss as what the rank is blocked on (communicator, source, tag — and,
+//! for reserved tags, which collective protocol that is): the posted
+//! triple of a plain receive, the last schedule polled when requests are
+//! in flight. The monitor thread
 //! `Runtime::run` spawns when a watchdog window is configured reads the
 //! shared [`ProgressBoard`]: if every unfinished rank sits blocked with
 //! no epoch movement anywhere for the whole window, the run can never
@@ -13,7 +17,7 @@
 //! the report instead of hanging forever.
 //!
 //! When no watchdog is configured the board is *disabled*: every note is
-//! gated on one `bool` load and the wait loops' fast paths stay intact.
+//! gated on one `bool` load and the wait loop's fast path stays intact.
 
 use std::cell::Cell;
 use std::fmt;
@@ -216,9 +220,8 @@ pub(crate) struct RankMonitor {
     /// local field instead of chasing the `Arc`.
     enabled: bool,
     park_timeout: Duration,
-    /// The last `(comm, src, tag)` a matching pass missed on — what a
-    /// subsequent anonymous park (engine drive loops) is really waiting
-    /// for.
+    /// The last `(comm, src, tag)` a matching pass missed on — what the
+    /// park that follows it is waiting for.
     last_miss: Cell<Option<(u64, Source, Tag)>>,
 }
 
@@ -284,8 +287,8 @@ impl RankMonitor {
         }
     }
 
-    /// A matching pass found nothing for this triple; remembered so an
-    /// anonymous park can still report what the rank awaits.
+    /// A matching pass found nothing for this triple; remembered so the
+    /// park that follows can report what the rank awaits.
     #[inline]
     pub(crate) fn note_miss(&self, comm: u64, src: Source, tag: Tag) {
         if self.enabled {
@@ -293,20 +296,20 @@ impl RankMonitor {
         }
     }
 
-    /// The rank is about to park (or back off) with nothing receivable.
-    /// `posted` is the blocking receive's triple when there is one; drive
-    /// loops pass `None` and the last miss stands in.
-    pub(crate) fn note_parked(&self, posted: Option<(u64, Source, Tag)>) {
+    /// The rank is about to park with nothing receivable: the last miss
+    /// names what it is blocked on.
+    pub(crate) fn note_parked(&self) {
         if self.enabled {
-            let triple = posted.or_else(|| self.last_miss.get());
             let row = self.row();
-            *row.blocked.lock().unwrap_or_else(|e| e.into_inner()) =
-                triple.map(|(comm, src, tag)| BlockedOn::new(comm, src, tag));
+            *row.blocked.lock().unwrap_or_else(|e| e.into_inner()) = self
+                .last_miss
+                .get()
+                .map(|(comm, src, tag)| BlockedOn::new(comm, src, tag));
             row.state.store(RankState::Blocked.as_u8(), Ordering::Relaxed);
         }
     }
 
-    /// The rank left a wait loop (with or without a result).
+    /// The rank left the wait loop.
     #[inline]
     pub(crate) fn note_unblocked(&self) {
         if self.enabled {
@@ -446,7 +449,7 @@ mod tests {
             Arc::clone(&board),
             Duration::from_millis(50),
         );
-        monitor.note_parked(None);
+        monitor.note_parked();
         for _ in 0..3 {
             monitor.note_match();
         }

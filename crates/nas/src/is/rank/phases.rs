@@ -2,10 +2,9 @@
 //! them: bucket, exchange, count, emit, offset scan.
 //!
 //! Nothing here is public. The file is compiled twice — as the private
-//! body of [`distributed_sort`](super::distributed_sort), and by `#[path]`
-//! into the `nas_is` harness, whose `--wall` table times each phase on the
-//! host clock through [`sort_block`]'s `lap` hook — so it names no
-//! `crate::` path.
+//! body of `distributed_sort`, and by `#[path]` into the `nas_is`
+//! harness, whose `--wall` table times each phase on the host clock
+//! through `sort_block`'s `lap` hook — so it names no `crate::` path.
 
 use std::ops::Range;
 

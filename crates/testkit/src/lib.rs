@@ -21,7 +21,7 @@
 //!   value generators with shrink candidates, [`prop::check`] which runs
 //!   N cases, and on failure greedily shrinks the counterexample and
 //!   panics with the **case seed** so the failure replays exactly.
-//! * [`bench`] — a criterion-shaped harness (warmup, timed samples,
+//! * [`mod@bench`] — a criterion-shaped harness (warmup, timed samples,
 //!   median/MAD, fixed-width table output) for the `harness = false`
 //!   benches in `crates/bench/benches/`.
 //!

@@ -12,6 +12,13 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace --benches
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# A deleted or renamed item strands the intra-doc links that name it, and
+# nothing else resolves them. Only the unresolved-link lint is denied:
+# links from public docs to private items and stray HTML tags stay
+# warnings.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --offline --no-deps --workspace
+
 # Run the whole test suite under a stall watchdog (see DESIGN.md,
 # "Failure semantics and chaos harness"): any hang regression surfaces as
 # a typed RunError::Stalled with a per-rank blocked-on report instead of
