@@ -9,12 +9,92 @@
 //! products' reductions. Self-verifying: `b = A·x*` for a known `x*`,
 //! and the recovered solution must match.
 //!
-//! Usage: nas_cg [--n 16384] [--iters 64] [--procs 1,2,4,8,16] [--csv]
-//! Env:   GV_BENCH_QUICK=1 shrinks the problem for CI smoke runs.
+//! `--wall` adds, on stderr, the host-clock time a solve spends in each of
+//! its three kinds of step, per rank count (timing-dependent, so never part
+//! of a recorded table); `--n 1024 --procs 1,2` is the benchmark's
+//! `cg_solve` problem.
+//!
+//! Usage: nas_cg [--n 16384] [--iters 64] [--procs 1,2,4,8,16] [--csv] [--wall]
+//! Env:   GV_BENCH_QUICK=1 shrinks the problem (and the `--wall` rep
+//!        count) for CI smoke runs.
 
-use gv_bench::table::{arg_value, fmt_seconds, has_flag, parallel_time, timed_phase};
-use gv_msgpass::{CallKind, Runtime};
-use gv_nas::cg::{matvec, solve, CgBlock};
+use std::time::Instant;
+
+use gv_bench::table::{
+    arg_value, fmt_seconds, has_flag, parallel_time, report_wall_phases, timed_phase, wall_plan,
+    wall_reps,
+};
+use gv_msgpass::{CallKind, Comm, Runtime};
+use gv_nas::cg::{dot, matvec, solve, CgBlock};
+
+/// Row labels of the `--wall` table.
+const PHASES: [&str; 3] = ["dot", "matvec", "axpy"];
+
+/// `gv_nas::cg::solve` re-run over the public `dot` and `matvec` with the
+/// vector updates spelled here, every step's host-clock time added to its
+/// phase's lap; must reproduce `solve`'s residual bit for bit.
+fn solve_laps(comm: &Comm, b: &CgBlock, iterations: usize) -> ([f64; 3], f64) {
+    let mut x = CgBlock::zeros(comm, b.n);
+    let mut r = b.clone();
+    let mut p_dir = r.clone();
+    let mut ap = CgBlock::zeros(comm, b.n);
+    let mut laps = [0.0f64; 3];
+    let mut last = Instant::now();
+    let mut lap = |phase: usize| {
+        let now = Instant::now();
+        laps[phase] += (now - last).as_secs_f64();
+        last = now;
+    };
+    let mut rho = dot(comm, &r, &r);
+    lap(0);
+    for _ in 0..iterations {
+        matvec(comm, &p_dir, &mut ap);
+        lap(1);
+        let denom = dot(comm, &p_dir, &ap);
+        lap(0);
+        if denom == 0.0 {
+            break;
+        }
+        let alpha = rho / denom;
+        for (x, p) in x.data.iter_mut().zip(&p_dir.data) {
+            *x += alpha * p;
+        }
+        for (r, ap) in r.data.iter_mut().zip(&ap.data) {
+            *r -= alpha * ap;
+        }
+        lap(2);
+        let rho_next = dot(comm, &r, &r);
+        lap(0);
+        let beta = rho_next / rho;
+        rho = rho_next;
+        for (p, r) in p_dir.data.iter_mut().zip(&r.data) {
+            *p = r + beta * *p;
+        }
+        lap(2);
+    }
+    (laps, rho.sqrt())
+}
+
+/// Host wall-clock of a solve's dot products (local product and allreduce),
+/// matvecs (halo exchange and rows) and vector updates at `p` ranks.
+fn wall_report(n: usize, iterations: usize, p: usize) {
+    let outcome = Runtime::new(p).run(move |comm| {
+        let x_star = CgBlock::from_fn(comm, n, |i| ((i * 7) % 5) as f64 - 2.0);
+        let mut b = CgBlock::zeros(comm, n);
+        matvec(comm, &x_star, &mut b);
+        let expected = solve(comm, &b, &mut CgBlock::zeros(comm, n), iterations).residual;
+        wall_reps(comm, wall_plan(), || {
+            let (laps, residual) = solve_laps(comm, &b, iterations);
+            assert_eq!(
+                residual.to_bits(),
+                expected.to_bits(),
+                "the timed solve left `solve`'s"
+            );
+            laps
+        })
+    });
+    report_wall_phases(&format!("one solve at p = {p}"), PHASES, &outcome.results);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,11 +143,20 @@ fn main() {
             (result, err, dt)
         });
         let t = parallel_time(
-            &outcome.results.iter().map(|(_, _, dt)| *dt).collect::<Vec<_>>(),
+            &outcome
+                .results
+                .iter()
+                .map(|(_, _, dt)| *dt)
+                .collect::<Vec<_>>(),
         );
         let result = outcome.results[0].0;
         let ratio = result.residual / result.initial_residual;
-        let err: f64 = outcome.results.iter().map(|(_, e, _)| e).sum::<f64>().sqrt();
+        let err: f64 = outcome
+            .results
+            .iter()
+            .map(|(_, e, _)| e)
+            .sum::<f64>()
+            .sqrt();
         // CG on the SPD Poisson matrix reduces the residual fast and, at
         // iters ≥ n, recovers x* exactly; at the swept sizes the residual
         // must at least have dropped by 10³ and the solve must agree
@@ -93,6 +182,11 @@ fn main() {
                 outcome.stats.messages,
                 outcome.stats.bytes
             );
+        }
+    }
+    if has_flag(&args, "--wall") {
+        for &p in &procs {
+            wall_report(n, iters, p);
         }
     }
 }

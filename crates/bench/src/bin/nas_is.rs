@@ -8,10 +8,12 @@
 //! Usage: nas_is [--class S|W|A|B|C|A/32|B/32|C/32] [--procs 8] [--variant rsmpi|nas|opt] [--wall]
 //! Env:   GV_BENCH_QUICK=1 shrinks the `--wall` rep count for a CI smoke run.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use gv_bench::table::{arg_value, fmt_seconds, has_flag, parallel_time, timed_phase};
-use gv_msgpass::localview::local_allreduce;
+use gv_bench::table::{
+    arg_value, fmt_seconds, has_flag, parallel_time, report_wall_phases, timed_phase, wall_plan,
+    wall_reps,
+};
 use gv_msgpass::Runtime;
 use gv_nas::is::{distributed_sort, generate_keys, key_ranks, VerifyVariant};
 use gv_nas::IsClass;
@@ -24,57 +26,25 @@ mod phases;
 /// Row labels of the `--wall` table, indexed by `phases::Phase as usize`.
 const PHASES: [&str; 5] = ["bucket", "exchange", "count", "emit", "offset scan"];
 
-/// Untimed sorts at the head of the `--wall` run, for as long as this:
-/// the guest scheduler leaves the rank threads on one core for about the
-/// first second of a runtime (the benchmark binds them; this harness does
-/// not), and a phase of a 40 ms sort would read twice its time.
-const WALL_WARM_UP: Duration = Duration::from_millis(1500);
-
-/// Host wall-clock of each ranking phase over `reps` sorts of the same
-/// keys: per rep the slower rank's time, then p10 / median over reps. A
+/// Host wall-clock of each ranking phase over sorts of the same keys: a
 /// rep starts at a barrier; a phase ends when [`phases::sort_block`] says
-/// so. Compare commits only under the malloc pins `benchmark/` uses.
-fn wall_report(class: IsClass, p: usize, reps: usize, warm_up: Duration) {
+/// so.
+fn wall_report(class: IsClass, p: usize) {
     let outcome = Runtime::new(p).run(move |comm| {
         let keys = generate_keys(class, comm.rank(), comm.size());
-        let sort = |lap: &mut dyn FnMut(phases::Phase)| {
-            let (block, _) = phases::sort_block(comm, &keys, class.max_key(), lap);
+        wall_reps(comm, wall_plan(), || {
+            let mut last = Instant::now();
+            let mut laps = [0.0f64; PHASES.len()];
+            let (block, _) = phases::sort_block(comm, &keys, class.max_key(), &mut |phase| {
+                let now = Instant::now();
+                laps[phase as usize] = (now - last).as_secs_f64();
+                last = now;
+            });
             assert!(block.is_sorted());
-        };
-        let started = Instant::now();
-        // Every rank leaves the warm-up after the same sort.
-        while local_allreduce(comm, started.elapsed() < warm_up, |a, b| a | b) {
-            sort(&mut |_| {});
-        }
-        (0..reps)
-            .map(|_| {
-                comm.barrier();
-                let mut last = Instant::now();
-                let mut laps = [0.0f64; PHASES.len()];
-                sort(&mut |phase| {
-                    let now = Instant::now();
-                    laps[phase as usize] = (now - last).as_secs_f64();
-                    last = now;
-                });
-                laps
-            })
-            .collect::<Vec<_>>()
+            laps
+        })
     });
-    eprintln!(
-        "\n  host wall clock of the ranking, slower rank, p10 / median over {reps} reps \
-         (timing-dependent, not recorded):"
-    );
-    for (phase, name) in PHASES.iter().enumerate() {
-        let mut slower: Vec<f64> = (0..reps)
-            .map(|rep| outcome.results.iter().map(|laps| laps[rep][phase]).fold(0.0, f64::max))
-            .collect();
-        slower.sort_by(f64::total_cmp);
-        eprintln!(
-            "  {name:<12} {:>12} / {:>12}",
-            fmt_seconds(slower[reps / 10]),
-            fmt_seconds(slower[reps / 2])
-        );
-    }
+    report_wall_phases("the ranking", PHASES, &outcome.results);
 }
 
 fn main() {
@@ -114,26 +84,36 @@ fn main() {
         });
         let (ok, t_verify) = timed_phase(comm, |c| variant.verify(c, &block.keys));
         let rank_checks = ranks.windows(2).all(|w| w[1] == w[0] + 1);
-        (ok && rank_checks, block.keys.len(), [t_gen, t_rank, t_ranks, t_verify])
+        (
+            ok && rank_checks,
+            block.keys.len(),
+            [t_gen, t_rank, t_ranks, t_verify],
+        )
     });
 
     let verified = outcome.results.iter().all(|(ok, _, _)| *ok);
     let total: usize = outcome.results.iter().map(|(_, n, _)| n).sum();
-    for (name, i) in [("keygen", 0), ("ranking", 1), ("rank ids", 2), ("verify", 3)] {
+    for (name, i) in [
+        ("keygen", 0),
+        ("ranking", 1),
+        ("rank ids", 2),
+        ("verify", 3),
+    ] {
         let times: Vec<f64> = outcome.results.iter().map(|(_, _, t)| t[i]).collect();
         println!("  {name:<9} {:>12}", fmt_seconds(parallel_time(&times)));
     }
     println!("\n  keys ranked: {total}");
-    println!("  wire messages: {}, bytes: {}", outcome.stats.messages, outcome.stats.bytes);
-    println!("  VERIFICATION {}", if verified { "SUCCESSFUL" } else { "FAILED" });
+    println!(
+        "  wire messages: {}, bytes: {}",
+        outcome.stats.messages, outcome.stats.bytes
+    );
+    println!(
+        "  VERIFICATION {}",
+        if verified { "SUCCESSFUL" } else { "FAILED" }
+    );
     assert!(verified);
 
     if has_flag(&args, "--wall") {
-        let quick = std::env::var("GV_BENCH_QUICK").is_ok_and(|v| v != "0");
-        if quick {
-            wall_report(class, p, 3, Duration::ZERO);
-        } else {
-            wall_report(class, p, 20, WALL_WARM_UP);
-        }
+        wall_report(class, p);
     }
 }

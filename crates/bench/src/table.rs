@@ -1,6 +1,9 @@
 //! Small helpers shared by the figure harnesses: phase timing inside the
 //! SPMD runtime, and fixed-width table/CSV output.
 
+use std::time::{Duration, Instant};
+
+use gv_msgpass::localview::local_allreduce;
 use gv_msgpass::Comm;
 
 /// Runs `phase` between two barriers and returns the modeled elapsed time
@@ -27,6 +30,64 @@ pub fn fmt_seconds(s: f64) -> String {
         format!("{:.3} ms", s * 1e3)
     } else {
         format!("{:.3} µs", s * 1e6)
+    }
+}
+
+/// Reps of a NAS driver's `--wall` table and the untimed warm-up before
+/// them: 20 after 1.5 s — the guest scheduler leaves the rank threads on one
+/// core for about the first second of a runtime (the benchmark binds them;
+/// these harnesses do not), and a phase would read twice its time — or 3
+/// after none when `GV_BENCH_QUICK` asks for a CI smoke run.
+pub fn wall_plan() -> (usize, Duration) {
+    if std::env::var("GV_BENCH_QUICK").is_ok_and(|v| v != "0") {
+        (3, Duration::ZERO)
+    } else {
+        (20, Duration::from_millis(1500))
+    }
+}
+
+/// Runs `rep` untimed on every rank until `warm_up` has passed, then `reps`
+/// more times, each from a barrier, and returns what those returned (a
+/// rep's host-clock laps, for [`report_wall_phases`]).
+pub fn wall_reps<R>(
+    comm: &Comm,
+    (reps, warm_up): (usize, Duration),
+    mut rep: impl FnMut() -> R,
+) -> Vec<R> {
+    let started = Instant::now();
+    // Every rank leaves the warm-up after the same rep.
+    while local_allreduce(comm, started.elapsed() < warm_up, |a, b| a | b) {
+        rep();
+    }
+    (0..reps)
+        .map(|_| {
+            comm.barrier();
+            rep()
+        })
+        .collect()
+}
+
+/// Prints the `--wall` table of a NAS driver on stderr: the host wall clock
+/// of each named phase, per rep the slower rank's time, then p10 / median
+/// over the reps. `laps[rank][rep][phase]` is in seconds. Timing-dependent,
+/// so never part of a recorded table; compare commits only under the
+/// malloc pins `benchmark/` uses.
+pub fn report_wall_phases<const N: usize>(what: &str, names: [&str; N], laps: &[Vec<[f64; N]>]) {
+    let reps = laps[0].len();
+    eprintln!(
+        "\n  host wall clock of {what}, slower rank, p10 / median over {reps} reps \
+         (timing-dependent, not recorded):"
+    );
+    for (phase, name) in names.iter().enumerate() {
+        let mut slower: Vec<f64> = (0..reps)
+            .map(|rep| laps.iter().map(|rank| rank[rep][phase]).fold(0.0, f64::max))
+            .collect();
+        slower.sort_by(f64::total_cmp);
+        eprintln!(
+            "  {name:<12} {:>12} / {:>12}",
+            fmt_seconds(slower[reps / 10]),
+            fmt_seconds(slower[reps / 2])
+        );
     }
 }
 

@@ -7,8 +7,16 @@
 //! sorted order from high to low" for `mink`). `accum` is the paper's
 //! bubble insertion; `combine` accumulates the other state's elements, the
 //! same trick as Listing 4 line 15–17.
+//!
+//! The block kernel (`accum_block`) is that insertion behind a filter: a
+//! 1024-element block goes through it only if
+//! [`crate::kernel::any_in_block`] finds an element strictly better than
+//! the worst retained one — the same ISA-dispatched predicate OR
+//! `TopBottomK` asks about its pairs, so the three k-best operators share
+//! one filter and differ only in the question (strict here: there is no
+//! location to break a tie). Bit-identical to the per-element loop.
 
-use crate::kernel::{fold_block, BLOCK};
+use crate::kernel::{any_in_block, BLOCK};
 use crate::op::ReduceScanOp;
 use crate::ops::num::Bounded;
 
@@ -48,7 +56,10 @@ impl<T> MinK<T> {
     /// Creates a `mink` operator retaining `k ≥ 1` values.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "mink needs k >= 1");
-        MinK { k, _elem: std::marker::PhantomData }
+        MinK {
+            k,
+            _elem: std::marker::PhantomData,
+        }
     }
 }
 
@@ -63,7 +74,10 @@ impl<T> MaxK<T> {
     /// Creates a `maxk` operator retaining `k ≥ 1` values.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "maxk needs k >= 1");
-        MaxK { k, _elem: std::marker::PhantomData }
+        MaxK {
+            k,
+            _elem: std::marker::PhantomData,
+        }
     }
 }
 
@@ -91,24 +105,26 @@ fn bubble_insert<T: Copy>(v: &mut [T], x: T, better: impl Fn(&T, &T) -> bool) {
 /// Filtered block accumulate shared by both directions, bit-identical to
 /// the per-element loop for every input: an element changes the state only
 /// if it is strictly better than the worst retained value `v[0]`, so a
-/// [`BLOCK`] whose best element is not is skipped whole; any other replays
-/// through [`bubble_insert`] unchanged. The best element comes from the
-/// vector lane fold ([`fold_block`]; any regrouping picks an equally good
-/// one), which is why the granule is a whole [`BLOCK`]: it amortizes the
-/// fold's set-up, and hits are rare — about `k·ln(n/k)` in `n` unordered
-/// elements. It is `TopBottomK`'s pre-filter made strict — there is no
-/// location tie-break here to leave to the insert — so a run of values
-/// equal to the worst costs nothing; an unordered value (NaN) is never
-/// better, in the fold as in the insert.
+/// [`BLOCK`] holding no such element is skipped whole, and in any other
+/// the same test, against a `worst` kept in a register, guards
+/// [`bubble_insert`] element by element. The question goes to
+/// [`any_in_block`], the filter `TopBottomK` asks too; here it is strict —
+/// there is no location tie-break to leave to the insert — so a run of
+/// values equal to the worst costs nothing, and an unordered value (NaN) is
+/// never better, in the filter as in the insert. The granule is a whole
+/// [`BLOCK`] because the input streams from memory and hits are rare —
+/// about `k·ln(n/k)` in `n` unordered elements.
 #[inline]
 fn accum_filtered<T: Copy>(v: &mut [T], run: &[T], better: impl Fn(&T, &T) -> bool + Copy) {
     for block in run.chunks(BLOCK) {
-        // Re-read per block: a replayed block can only tighten it.
-        let worst = v[0];
-        let best = fold_block(worst, block, |a, b| if better(&b, &a) { b } else { a });
-        if better(&best, &worst) {
+        // Re-read after every insert: each can only tighten it.
+        let mut worst = v[0];
+        if any_in_block(block, |x| better(&x, &worst)) {
             for &x in block {
-                bubble_insert(v, x, better);
+                if better(&x, &worst) {
+                    bubble_insert(v, x, better);
+                    worst = v[0];
+                }
             }
         }
     }
@@ -275,12 +291,7 @@ mod tests {
         let got = seq::scan(&MinK::new(2), &data, ScanKind::Inclusive);
         assert_eq!(
             got,
-            vec![
-                vec![5, i32::MAX],
-                vec![3, 5],
-                vec![3, 5],
-                vec![1, 3],
-            ]
+            vec![vec![5, i32::MAX], vec![3, 5], vec![3, 5], vec![1, 3],]
         );
     }
 

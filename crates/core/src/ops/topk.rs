@@ -7,7 +7,17 @@
 //! F+MPI code obtains with *forty* built-in reductions and the F+RSMPI
 //! version with "a single user-defined reduction, similar to the mink and
 //! mini reductions".
+//!
+//! `accum` is two best-first inserts. The block kernel (`accum_block`)
+//! gives the per-element loop's state bit for bit at a fraction of its
+//! cost: once both lists are full an element matters only if its value
+//! reaches a list's worst, which is rare — about `k·ln(n/k)` times per side
+//! in `n` unordered elements — so the kernel asks
+//! [`crate::kernel::any_in_block`], the ISA-dispatched filter `MinK`/`MaxK`
+//! ask too, about 128 pairs at a time and looks closer only where it says
+//! yes. ZRAN3 streams 2²⁰ cells per rank through it.
 
+use crate::kernel::any_in_block;
 use crate::op::ReduceScanOp;
 use crate::split::{split_vec_segments, SplittableState};
 
@@ -96,24 +106,23 @@ fn insert_best_first<T: Copy, L: Copy>(
     list.insert(position, x);
 }
 
-/// Elements the [`TopBottomK`] block kernel tests per pre-filter pass: wide
-/// enough that the compare loop unrolls into vector lanes, narrow enough
-/// that a hit replays few elements through the exact insert.
-const FILTER_CHUNK: usize = 16;
+/// Pairs the [`TopBottomK`] block kernel asks [`any_in_block`] about at a
+/// time: long enough that the dispatched compare loop amortizes its call
+/// and its final reduction, short enough that a fresh state, which is hit
+/// often, still skips most of a short input (64 reads 15 % ahead on 4096
+/// pairs and 5–10 % behind on ZRAN3's 2²⁰, 256 the reverse; EXPERIMENTS.md,
+/// TXT-ZRAN3).
+const FILTER_GRANULE: usize = 128;
 
-/// Whether any element of `chunk` could enter a full `top` list whose worst
-/// value is `hi` or a full `bottom` list whose worst value is `lo`.
-/// Non-strict on purpose: a value equal to the worst may still win its
-/// location tie-break, which only the exact insert decides. Branch-free;
-/// an unordered value (NaN) compares false both ways, exactly as it does in
+/// Whether `x` could enter a full `top` list whose worst value is `hi` or a
+/// full `bottom` list whose worst value is `lo`. Non-strict on purpose: a
+/// value equal to the worst may still win its location tie-break, which
+/// only the exact insert decides. Branch-free; an unordered value (NaN)
+/// compares false both ways, exactly as it does in
 /// [`top_precedes`]/[`bottom_precedes`].
 #[inline]
-fn chunk_may_insert<T: Copy + PartialOrd, L>(chunk: &[Entry<T, L>], hi: T, lo: T) -> bool {
-    let mut hit = false;
-    for x in chunk {
-        hit |= (x.0 >= hi) | (x.0 <= lo);
-    }
-    hit
+fn may_enter<T: PartialOrd, L>(x: &Entry<T, L>, (hi, lo): &(T, T)) -> bool {
+    (x.0 >= *hi) | (x.0 <= *lo)
 }
 
 impl<T, L> ReduceScanOp for TopBottomK<T, L>
@@ -139,9 +148,10 @@ where
 
     /// Filtered block accumulate, bit-identical to the per-element loop
     /// for every input. Once both lists hold `k` entries an element changes
-    /// the state only if it beats a list's worst entry, so a chunk in which
-    /// no value reaches either worst *value* is skipped whole; any other
-    /// chunk replays through [`accum`](Self::accum) unchanged.
+    /// the state only if it beats a list's worst entry, so a granule in
+    /// which [`any_in_block`] finds no value reaching either worst *value*
+    /// (`may_enter`) is skipped whole, and in any other the same test,
+    /// element by element, guards the exact insert.
     fn accum_block(&self, state: &mut Self::State, block: &[(T, L)]) -> bool {
         let mut rest = block;
         while state.top.len() != self.k || state.bottom.len() != self.k {
@@ -151,13 +161,17 @@ where
             self.accum(state, x);
             rest = tail;
         }
-        for chunk in rest.chunks(FILTER_CHUNK) {
-            // Re-read per chunk: each replayed chunk can only tighten them.
-            let hi = state.top[self.k - 1].0;
-            let lo = state.bottom[self.k - 1].0;
-            if chunk_may_insert(chunk, hi, lo) {
-                for x in chunk {
+        let worst = |s: &Self::State| (s.top[self.k - 1].0, s.bottom[self.k - 1].0);
+        for granule in rest.chunks(FILTER_GRANULE) {
+            // Re-read after every insert: each can only tighten them.
+            let mut bounds = worst(state);
+            if !any_in_block(granule, |x| may_enter(&x, &bounds)) {
+                continue;
+            }
+            for x in granule {
+                if may_enter(x, &bounds) {
                     self.accum(state, x);
+                    bounds = worst(state);
                 }
             }
         }

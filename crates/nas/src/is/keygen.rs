@@ -12,6 +12,10 @@ use gv_executor::chunk_ranges;
 use crate::class::IsClass;
 use crate::randlc::Randlc;
 
+/// Keys formed per [`Randlc::fill`] call: four variates each, staged in a
+/// 32 KiB stack buffer that stays in L1 between the fill and the sums.
+const KEYS_PER_FILL: usize = 1024;
+
 /// Generates rank `rank`'s block of the class's key sequence when the keys
 /// are block-distributed over `p` ranks.
 pub fn generate_keys(class: IsClass, rank: usize, p: usize) -> Vec<u32> {
@@ -20,12 +24,19 @@ pub fn generate_keys(class: IsClass, rank: usize, p: usize) -> Vec<u32> {
         .expect("rank < p");
     let mut gen = Randlc::nas_default().jumped(4 * range.start as u64);
     let quarter = class.max_key() as f64 / 4.0;
-    range
-        .map(|_| {
-            let x = gen.next_f64() + gen.next_f64() + gen.next_f64() + gen.next_f64();
+    let mut keys = Vec::with_capacity(range.len());
+    let mut variates = [0.0f64; 4 * KEYS_PER_FILL];
+    while keys.len() < range.len() {
+        let batch = KEYS_PER_FILL.min(range.len() - keys.len());
+        let variates = &mut variates[..4 * batch];
+        gen.fill(variates);
+        keys.extend(variates.chunks_exact(4).map(|q| {
+            // Left to right, as `create_seq` adds its four `randlc` calls.
+            let x = ((q[0] + q[1]) + q[2]) + q[3];
             (x * quarter) as u32
-        })
-        .collect()
+        }));
+    }
+    keys
 }
 
 /// Generates the full serial key sequence (testing oracle).
@@ -48,6 +59,26 @@ mod tests {
                 tiled.extend(generate_keys(class, r, p));
             }
             assert_eq!(tiled, serial, "p={p}");
+        }
+    }
+
+    #[test]
+    fn keys_are_the_stepped_formula_whatever_the_staging() {
+        // `create_seq` as written: four `randlc` calls per key, added left
+        // to right — no `fill`, no staging buffer.
+        let class = IsClass::S;
+        let mut gen = Randlc::nas_default();
+        let quarter = class.max_key() as f64 / 4.0;
+        let stepped: Vec<u32> = (0..class.total_keys())
+            .map(|_| {
+                let x = gen.next_f64() + gen.next_f64() + gen.next_f64() + gen.next_f64();
+                (x * quarter) as u32
+            })
+            .collect();
+        // p = 3 cuts blocks that are no multiple of the staging buffer.
+        for p in [1usize, 2, 3, 8] {
+            let tiled: Vec<u32> = (0..p).flat_map(|r| generate_keys(class, r, p)).collect();
+            assert_eq!(tiled, stepped, "p={p}");
         }
     }
 

@@ -19,6 +19,15 @@
 //!
 //! Both return identical results (ties broken toward the smaller global
 //! index); the Figure 3 harness compares their modeled times.
+//!
+//! On the host clock the routine is three streaming passes over the slab,
+//! and each runs on the vector tier: [`fill_random`] is one seed jump and
+//! one lane-parallel [`Randlc::fill`] per slab (a z-slab is contiguous in
+//! the conceptual array), the extrema walk stages `(value, index)` pairs
+//! through `TopBottomK`'s filtered block kernel, and [`apply_charges`] is a
+//! `fill(0.0)` and twenty stores. What is charged to the virtual clock
+//! (`cells · 10`, `cells · accum_ops`, `cells / 8 + k`) does not depend on
+//! any of that.
 
 use gv_core::iter::accumulate_iter;
 use gv_core::op::ReduceScanOp;
@@ -32,19 +41,13 @@ use super::grid::Slab;
 
 /// Fills the slab with the NPB random stream: cell at global row-major
 /// index `g` receives variate `g + 1` of the stream seeded by `seed`.
-/// Rank-count invariant by seed jumping.
+/// Rank-count invariant by seed jumping: a z-slab is contiguous in the
+/// conceptual `n³` array ([`Slab::indexed_cells`] relies on the same), so
+/// one jump to its first cell and one [`Randlc::fill`] — which runs in
+/// vector lanes where the host has them — cover it.
 pub fn fill_random(comm: &Comm, slab: &mut Slab, seed: u64) {
-    let n = slab.n;
-    let row_cells = n;
-    let base = Randlc::new(seed);
-    for z in 0..slab.z_len {
-        for y in 0..n {
-            let row_start = ((slab.z_start + z) * n + y) * row_cells;
-            let mut gen = base.jumped(row_start as u64);
-            let start = slab.idx(0, y, z);
-            gen.fill(&mut slab.data[start..start + row_cells]);
-        }
-    }
+    let mut gen = Randlc::new(seed).jumped(slab.global_index(0, 0, 0));
+    gen.fill(&mut slab.data);
     // The reference randlc costs roughly a dozen floating-point operations
     // per variate (split-precision multiplies); charge 10 abstract ops so
     // the fill/communication balance matches the benchmark's.
@@ -149,18 +152,15 @@ pub enum Zran3Variant {
 
 impl Zran3Variant {
     /// Both variants with display names.
-    pub const ALL: [(Zran3Variant, &'static str); 2] =
-        [(Zran3Variant::Mpi, "F+MPI"), (Zran3Variant::Rsmpi, "F+RSMPI")];
+    pub const ALL: [(Zran3Variant, &'static str); 2] = [
+        (Zran3Variant::Mpi, "F+MPI"),
+        (Zran3Variant::Rsmpi, "F+RSMPI"),
+    ];
 }
 
 /// The full ZRAN3 routine: fill, find extrema (by the chosen variant),
 /// apply charges. Returns the extrema for verification.
-pub fn zran3(
-    comm: &Comm,
-    slab: &mut Slab,
-    k: usize,
-    variant: Zran3Variant,
-) -> TopBottom<f64, u64> {
+pub fn zran3(comm: &Comm, slab: &mut Slab, k: usize, variant: Zran3Variant) -> TopBottom<f64, u64> {
     fill_random(comm, slab, crate::randlc::DEFAULT_SEED);
     let extrema = match variant {
         Zran3Variant::Mpi => extrema_mpi(comm, slab, k),
@@ -201,6 +201,44 @@ mod tests {
             });
             let tiled: Vec<f64> = outcome.results.into_iter().flatten().collect();
             assert_eq!(tiled, reference, "p={p}");
+        }
+    }
+
+    /// The fill as it was before the slab-at-a-time `fill`: one jump and one
+    /// stepped row per `(y, z)`, each cell drawn by `next_f64`.
+    fn fill_random_by_rows(slab: &mut Slab, seed: u64) {
+        let n = slab.n;
+        for z in 0..slab.z_len {
+            for y in 0..n {
+                let mut gen = Randlc::new(seed).jumped(slab.global_index(0, y, z));
+                for x in 0..n {
+                    let at = slab.idx(x, y, z);
+                    slab.data[at] = gen.next_f64();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_equals_the_per_row_reference_on_every_rank() {
+        for n in [4usize, 8, 16] {
+            // p = 5 on n = 4 leaves one rank without a plane.
+            for p in [1usize, 2, 3, 5] {
+                let outcome = Runtime::new(p).run(move |comm| {
+                    let mut slab = Slab::for_rank(n, comm.rank(), comm.size());
+                    fill_random(comm, &mut slab, crate::randlc::DEFAULT_SEED);
+                    let mut by_rows = Slab::for_rank(n, comm.rank(), comm.size());
+                    fill_random_by_rows(&mut by_rows, crate::randlc::DEFAULT_SEED);
+                    (slab, by_rows)
+                });
+                let mut planes = 0;
+                for (rank, (slab, by_rows)) in outcome.results.into_iter().enumerate() {
+                    let bits = |s: &Slab| s.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&slab), bits(&by_rows), "n={n} p={p} rank {rank}");
+                    planes += slab.z_len;
+                }
+                assert_eq!(planes, n, "n={n} p={p}");
+            }
         }
     }
 

@@ -35,7 +35,7 @@ for bin in fig2_is_verify fig3_mg_zran3 mpi_call_stats \
            ablation_commutative ablation_aggregation \
            ablation_scan_algorithm ablation_allreduce_algorithm \
            ablation_selector_tuning k_independent_allreduces \
-           kernel_microbench pipeline_microbench nas_cg; do
+           kernel_microbench pipeline_microbench nas_cg nas_mg; do
     echo "smoke: $bin"
     ./target/release/"$bin" > /dev/null
 done
@@ -58,6 +58,13 @@ echo "smoke: pipeline_microbench --pool --wall --latency"
 # stderr, not a recorded table); keep the flag and its asserts alive.
 echo "smoke: nas_is --class S --wall"
 ./target/release/nas_is --class S --wall > /dev/null 2> /dev/null
+
+# So do the MG and CG harnesses (ZRAN3's fill / extrema / charges; a
+# solve's dot / matvec / axpy), at their smallest sizes.
+echo "smoke: nas_mg --class S --wall"
+./target/release/nas_mg --class S --wall > /dev/null 2> /dev/null
+echo "smoke: nas_cg --wall"
+./target/release/nas_cg --wall > /dev/null 2> /dev/null
 
 # `benchmark/` is a package of its own (own workspace and lockfile) that
 # reaches the library only through `benchmark/src/api.rs`, and a PR that

@@ -117,7 +117,10 @@ where
 
         // Law 4: accumulating a block equals combining per-element
         // singleton states — the finest possible decomposition.
-        let finest = combine_all(op, data.iter().map(|x| state_of(op, std::slice::from_ref(x))));
+        let finest = combine_all(
+            op,
+            data.iter().map(|x| state_of(op, std::slice::from_ref(x))),
+        );
         assert_eq!(
             op.red_gen(finest),
             expected,
@@ -154,8 +157,7 @@ where
         // Law 7: the message-passing engine agrees for several rank
         // counts (block decomposition in rank order).
         for p in [1, 2, 5] {
-            let chunks: Vec<Vec<Op::In>> =
-                chunk_ranges(n, p).map(|r| data[r].to_vec()).collect();
+            let chunks: Vec<Vec<Op::In>> = chunk_ranges(n, p).map(|r| data[r].to_vec()).collect();
             let outcome =
                 Runtime::new(p).run(|comm| gv_rsmpi::reduce_all(comm, op, &chunks[comm.rank()]));
             for out in outcome.results {
@@ -175,8 +177,7 @@ where
                 "{name}[case {case}]: par::scan ({kind:?}) disagrees"
             );
             let p = 3;
-            let chunks: Vec<Vec<Op::In>> =
-                chunk_ranges(n, p).map(|r| data[r].to_vec()).collect();
+            let chunks: Vec<Vec<Op::In>> = chunk_ranges(n, p).map(|r| data[r].to_vec()).collect();
             let outcome =
                 Runtime::new(p).run(|comm| gv_rsmpi::scan(comm, op, &chunks[comm.rank()], kind));
             let flat: Vec<Op::Out> = outcome.results.into_iter().flatten().collect();
@@ -205,11 +206,23 @@ fn cases<T>(seed: u64, mut gen: impl FnMut(&mut TestRng) -> T) -> Vec<Vec<T>> {
 
 #[test]
 fn builtin_arithmetic_monoids_obey_the_laws() {
-    assert_op_laws("sum<i64>", &sum::<i64>(), &cases(1, |r| r.i64_in(-1000..1000)));
+    assert_op_laws(
+        "sum<i64>",
+        &sum::<i64>(),
+        &cases(1, |r| r.i64_in(-1000..1000)),
+    );
     // Tiny factors keep 57-element products inside i64.
     assert_op_laws("prod<i64>", &prod::<i64>(), &cases(2, |r| r.i64_in(-2..3)));
-    assert_op_laws("min<i64>", &min::<i64>(), &cases(3, |r| r.i64_in(-1_000_000..1_000_000)));
-    assert_op_laws("max<i64>", &max::<i64>(), &cases(4, |r| r.i64_in(-1_000_000..1_000_000)));
+    assert_op_laws(
+        "min<i64>",
+        &min::<i64>(),
+        &cases(3, |r| r.i64_in(-1_000_000..1_000_000)),
+    );
+    assert_op_laws(
+        "max<i64>",
+        &max::<i64>(),
+        &cases(4, |r| r.i64_in(-1_000_000..1_000_000)),
+    );
 }
 
 #[test]
@@ -234,16 +247,36 @@ fn builtin_location_monoids_obey_the_laws() {
 
 #[test]
 fn structured_state_ops_obey_the_laws() {
-    assert_op_laws("MinK(5)", &MinK::<i64>::new(5), &cases(20, |r| r.i64_in(-500..500)));
-    assert_op_laws("MaxK(3)", &MaxK::<i64>::new(3), &cases(21, |r| r.i64_in(-500..500)));
-    assert_op_laws("Counts(8)", &Counts::new(8), &cases(22, |r| r.usize_in(0..8)));
-    assert_op_laws("BucketRank(8)", &BucketRank::new(8), &cases(23, |r| r.usize_in(0..8)));
+    assert_op_laws(
+        "MinK(5)",
+        &MinK::<i64>::new(5),
+        &cases(20, |r| r.i64_in(-500..500)),
+    );
+    assert_op_laws(
+        "MaxK(3)",
+        &MaxK::<i64>::new(3),
+        &cases(21, |r| r.i64_in(-500..500)),
+    );
+    assert_op_laws(
+        "Counts(8)",
+        &Counts::new(8),
+        &cases(22, |r| r.usize_in(0..8)),
+    );
+    assert_op_laws(
+        "BucketRank(8)",
+        &BucketRank::new(8),
+        &cases(23, |r| r.usize_in(0..8)),
+    );
     assert_op_laws(
         "Histogram(0..100, 8 bins)",
         &Histogram::uniform(0.0, 100.0, 8),
         &cases(24, |r| r.f64_in(-25.0..125.0)),
     );
-    assert_op_laws("minmax<i64>", &minmax::<i64>(), &cases(25, |r| r.i64_in(-400..400)));
+    assert_op_laws(
+        "minmax<i64>",
+        &minmax::<i64>(),
+        &cases(25, |r| r.i64_in(-400..400)),
+    );
     assert_op_laws(
         "TopBottomK(4)",
         &TopBottomK::<i64, u64>::new(4),
@@ -267,9 +300,17 @@ fn translate_form_ops_obey_the_laws() {
 
 #[test]
 fn non_commutative_ops_obey_the_laws() {
-    assert_op_laws("MaxSubarray", &MaxSubarray, &cases(40, |r| r.i64_in(-50..50)));
+    assert_op_laws(
+        "MaxSubarray",
+        &MaxSubarray,
+        &cases(40, |r| r.i64_in(-50..50)),
+    );
     // A 3-symbol alphabet produces genuine runs that straddle chunk seams.
-    assert_op_laws("LongestRun", &LongestRun::<i64>::new(), &cases(41, |r| r.i64_in(0..3)));
+    assert_op_laws(
+        "LongestRun",
+        &LongestRun::<i64>::new(),
+        &cases(41, |r| r.i64_in(0..3)),
+    );
     assert_op_laws(
         "Segmented(Sum)",
         &Segmented(Sum::<i64>::default()),
@@ -281,7 +322,11 @@ fn non_commutative_ops_obey_the_laws() {
     let mut sortedness_inputs = cases(43, |r: &mut TestRng| r.i64_in(-100..100));
     sortedness_inputs.push((0..40).collect());
     assert_op_laws("Sorted", &Sorted::<i64>::new(), &sortedness_inputs);
-    assert_op_laws("SortedPaperExact", &SortedPaperExact::<i64>::new(), &sortedness_inputs);
+    assert_op_laws(
+        "SortedPaperExact",
+        &SortedPaperExact::<i64>::new(),
+        &sortedness_inputs,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -319,7 +364,10 @@ fn sortedness_combine_order_is_observable() {
         assert!(op.red_gen(ascending), "{name}: [1] then [2] must be sorted");
         let mut descending = two;
         op.combine(&mut descending, one);
-        assert!(!op.red_gen(descending), "{name}: [2] then [1] must not be sorted");
+        assert!(
+            !op.red_gen(descending),
+            "{name}: [2] then [1] must not be sorted"
+        );
     }
     witness("Sorted", &Sorted::<i64>::new());
     witness("SortedPaperExact", &SortedPaperExact::<i64>::new());
@@ -375,7 +423,10 @@ mod kernel_laws {
                 let mut sstate = op.ident();
                 let mut sout = Vec::new();
                 rescan_block_scalar(op, &mut sstate, block, kind, &mut sout);
-                assert_eq!(kout, sout, "{name}: kernel scan != scalar scan at n={n} {kind:?}");
+                assert_eq!(
+                    kout, sout,
+                    "{name}: kernel scan != scalar scan at n={n} {kind:?}"
+                );
                 assert_eq!(
                     op.red_gen(kstate),
                     op.red_gen(sstate),
@@ -445,7 +496,11 @@ mod kernel_laws {
             let mut seen = op.ident();
             accumulate_block_scalar(&op, &mut seen, &prefill);
             accumulate_block_scalar(&op, &mut seen, &block[..at]);
-            let worst = if rng.bool() { seen.top.last() } else { seen.bottom.last() };
+            let worst = if rng.bool() {
+                seen.top.last()
+            } else {
+                seen.bottom.last()
+            };
             block[at] = match (rng.below(3), worst) {
                 (0, Some(&(value, _))) => (value, L::from(rng.i64_in(0..64) as u8)),
                 (1, Some(&(value, _))) => (value, L::from(rng.i64_in(192..256) as u8)),
@@ -470,18 +525,27 @@ mod kernel_laws {
     {
         let op = TopBottomK::<T, L>::new(case.k);
         let exact = |list: &[(T, L)]| -> Vec<(u64, L)> {
-            list.iter().map(|&(value, loc)| (bits(value), loc)).collect()
+            list.iter()
+                .map(|&(value, loc)| (bits(value), loc))
+                .collect()
         };
         let mut incoming = op.ident();
         accumulate_block_scalar(&op, &mut incoming, &case.prefill);
         for n in 0..=case.block.len() {
             let block = &case.block[..n];
             let mut kernel = incoming.clone();
-            prop_assert!(op.accum_block(&mut kernel, block), "TopBottomK has a block kernel");
+            prop_assert!(
+                op.accum_block(&mut kernel, block),
+                "TopBottomK has a block kernel"
+            );
             let mut scalar = incoming.clone();
             accumulate_block_scalar(&op, &mut scalar, block);
             prop_assert_eq!(exact(&kernel.top), exact(&scalar.top), "top at n={n}");
-            prop_assert_eq!(exact(&kernel.bottom), exact(&scalar.bottom), "bottom at n={n}");
+            prop_assert_eq!(
+                exact(&kernel.bottom),
+                exact(&scalar.bottom),
+                "bottom at n={n}"
+            );
         }
         Ok(())
     }
@@ -566,8 +630,12 @@ mod kernel_laws {
 
     /// Lengths on and either side of the seams of the kernels that cut a
     /// run into `kernel::BLOCK`-element blocks.
-    const BLOCK_SEAMS: [usize; 4] =
-        [kernel::BLOCK - 1, kernel::BLOCK, kernel::BLOCK + 1, 2 * kernel::BLOCK + 1];
+    const BLOCK_SEAMS: [usize; 4] = [
+        kernel::BLOCK - 1,
+        kernel::BLOCK,
+        kernel::BLOCK + 1,
+        2 * kernel::BLOCK + 1,
+    ];
 
     /// `MeanVar`'s state after `block`, through its kernel or forced scalar.
     fn moments(block: &[f64], scalar: bool) -> gv_core::ops::Moments {
@@ -575,7 +643,10 @@ mod kernel_laws {
         if scalar {
             accumulate_block_scalar(&MeanVar, &mut s, block);
         } else {
-            assert!(MeanVar.accum_block(&mut s, block), "MeanVar has a block kernel");
+            assert!(
+                MeanVar.accum_block(&mut s, block),
+                "MeanVar has a block kernel"
+            );
         }
         MeanVar.red_gen(s)
     }
@@ -586,12 +657,17 @@ mod kernel_laws {
         // count is exact, mean and variance agree to 1e-12 relative, at
         // every length through the lane seams and at the block seams.
         let mut rng = TestRng::new(67);
-        let data: Vec<f64> = (0..2 * kernel::BLOCK + 1).map(|_| rng.f64_in(-1.0..3.0)).collect();
+        let data: Vec<f64> = (0..2 * kernel::BLOCK + 1)
+            .map(|_| rng.f64_in(-1.0..3.0))
+            .collect();
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
         for n in lengths().chain(BLOCK_SEAMS) {
             let (kernel, welford) = (moments(&data[..n], false), moments(&data[..n], true));
             assert_eq!(kernel.count, welford.count, "count at n={n}");
-            assert!(close(kernel.mean, welford.mean), "mean at n={n}: {kernel:?} vs {welford:?}");
+            assert!(
+                close(kernel.mean, welford.mean),
+                "mean at n={n}: {kernel:?} vs {welford:?}"
+            );
             assert!(
                 close(kernel.variance, welford.variance),
                 "variance at n={n}: {kernel:?} vs {welford:?}"
@@ -626,22 +702,32 @@ mod kernel_laws {
         for (name, ks, unit) in [("integers", &whole, 1.0), ("1e9 + U(-1, 1)", &fine, unit)] {
             let data: Vec<f64> = ks.iter().map(|&k| 1e9 + unit * k as f64).collect();
             assert!(
-                data.iter().zip(ks).all(|(x, &k)| x - 1e9 == unit * k as f64),
+                data.iter()
+                    .zip(ks)
+                    .all(|(x, &k)| x - 1e9 == unit * k as f64),
                 "{name}: samples must be exact"
             );
             let truth = exact_variance(ks, unit);
             let (kernel, welford) = (moments(&data, false), moments(&data, true));
-            let (kernel_error, welford_error) =
-                ((kernel.variance - truth).abs(), (welford.variance - truth).abs());
+            let (kernel_error, welford_error) = (
+                (kernel.variance - truth).abs(),
+                (welford.variance - truth).abs(),
+            );
             assert!(
                 kernel_error <= welford_error,
                 "{name}: kernel variance off by {kernel_error:e}, Welford by {welford_error:e}"
             );
             // Block means near 1e9 are only representable to 1.2e-7, which
             // is what the merge across blocks can lose.
-            assert!(kernel_error <= 1e-8 * truth, "{name}: kernel variance off by {kernel_error:e}");
+            assert!(
+                kernel_error <= 1e-8 * truth,
+                "{name}: kernel variance off by {kernel_error:e}"
+            );
             let mean_truth = 1e9 + unit * ks.iter().sum::<i64>() as f64 / n as f64;
-            assert!((kernel.mean - mean_truth).abs() <= 2.0 * f64::EPSILON * 1e9, "{name}: mean");
+            assert!(
+                (kernel.mean - mean_truth).abs() <= 2.0 * f64::EPSILON * 1e9,
+                "{name}: mean"
+            );
         }
     }
 
@@ -651,7 +737,9 @@ mod kernel_laws {
         // the outcome is the scalar loop's bit for bit — whichever lane,
         // block or ragged tail the special value lands in.
         let mut rng = TestRng::new(69);
-        let finite: Vec<f64> = (0..2 * kernel::BLOCK + 100).map(|_| rng.f64_in(-1.0..3.0)).collect();
+        let finite: Vec<f64> = (0..2 * kernel::BLOCK + 100)
+            .map(|_| rng.f64_in(-1.0..3.0))
+            .collect();
         let plants: [&[f64]; 4] = [
             &[f64::NAN],
             &[f64::INFINITY],
@@ -659,7 +747,15 @@ mod kernel_laws {
             &[f64::INFINITY, f64::NEG_INFINITY],
         ];
         for plant in plants {
-            for at in [0, 5, 8, kernel::BLOCK - 1, kernel::BLOCK, kernel::BLOCK + 9, finite.len() - 5] {
+            for at in [
+                0,
+                5,
+                8,
+                kernel::BLOCK - 1,
+                kernel::BLOCK,
+                kernel::BLOCK + 9,
+                finite.len() - 5,
+            ] {
                 let mut data = finite.clone();
                 data[at..at + plant.len()].copy_from_slice(plant);
                 let (kernel, welford) = (moments(&data, false), moments(&data, true));
@@ -671,7 +767,10 @@ mod kernel_laws {
                         || (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
                 };
                 assert_eq!(kernel.count, welford.count);
-                assert!(same(kernel.mean, welford.mean), "{plant:?} at {at}: {kernel:?} vs {welford:?}");
+                assert!(
+                    same(kernel.mean, welford.mean),
+                    "{plant:?} at {at}: {kernel:?} vs {welford:?}"
+                );
                 assert!(
                     same(kernel.variance, welford.variance),
                     "{plant:?} at {at}: {kernel:?} vs {welford:?}"
@@ -684,8 +783,13 @@ mod kernel_laws {
     /// — every length through the lane seams, then the filter's block
     /// seams — starting from the state `prefill` leaves; `bits` makes NaN
     /// payloads and the sign of zero count.
-    fn assert_kbest_kernel_exact<T>(name: &str, k: usize, prefill: &[T], block: &[T], bits: fn(T) -> u64)
-    where
+    fn assert_kbest_kernel_exact<T>(
+        name: &str,
+        k: usize,
+        prefill: &[T],
+        block: &[T],
+        bits: fn(T) -> u64,
+    ) where
         T: gv_core::ops::num::Bounded + Copy + PartialOrd + std::fmt::Debug,
     {
         fn check<Op, T>(name: &str, op: &Op, prefill: &[T], block: &[T], bits: fn(T) -> u64)
@@ -697,17 +801,36 @@ mod kernel_laws {
             accumulate_block_scalar(op, &mut incoming, prefill);
             for n in lengths().chain(BLOCK_SEAMS) {
                 let mut kernel = incoming.clone();
-                assert!(op.accum_block(&mut kernel, &block[..n]), "{name} has a block kernel");
+                assert!(
+                    op.accum_block(&mut kernel, &block[..n]),
+                    "{name} has a block kernel"
+                );
                 let mut scalar = incoming.clone();
                 accumulate_block_scalar(op, &mut scalar, &block[..n]);
                 let exact = |s: &gv_core::ops::KBest<T>| -> Vec<u64> {
                     s.worst_first().iter().map(|&v| bits(v)).collect()
                 };
-                assert_eq!(exact(&kernel), exact(&scalar), "{name}: kernel != scalar at n={n}");
+                assert_eq!(
+                    exact(&kernel),
+                    exact(&scalar),
+                    "{name}: kernel != scalar at n={n}"
+                );
             }
         }
-        check(&format!("MinK({k}) {name}"), &MinK::<T>::new(k), prefill, block, bits);
-        check(&format!("MaxK({k}) {name}"), &MaxK::<T>::new(k), prefill, block, bits);
+        check(
+            &format!("MinK({k}) {name}"),
+            &MinK::<T>::new(k),
+            prefill,
+            block,
+            bits,
+        );
+        check(
+            &format!("MaxK({k}) {name}"),
+            &MaxK::<T>::new(k),
+            prefill,
+            block,
+            bits,
+        );
     }
 
     #[test]
@@ -720,7 +843,15 @@ mod kernel_laws {
         let wide: Vec<i64> = (0..n).map(|_| rng.i64_in(-1000..1000)).collect();
         let narrow: Vec<i64> = (0..n).map(|_| rng.i64_in(0..5)).collect();
         // Floats with the special values planted throughout.
-        let specials = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MAX, f64::MIN];
+        let specials = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+        ];
         let floats: Vec<f64> = (0..n)
             .map(|i| match i % 5 {
                 0 => specials[rng.usize_in(0..specials.len())],
@@ -736,6 +867,141 @@ mod kernel_laws {
                 assert_kbest_kernel_exact("floats", k, &floats[..prefill], &floats, f64::to_bits);
             }
         }
+    }
+
+    /// Where the k-best filter tests plant a lone element: the last index of
+    /// every granule length a filter might cut its block into (the
+    /// operators' own are private), of two whole blocks, and of a short
+    /// final granule — where a vector loop's tail handling would lose it.
+    const GRANULE_ENDS: [usize; 9] = [
+        15,
+        31,
+        63,
+        127,
+        255,
+        511,
+        kernel::BLOCK - 1,
+        2 * kernel::BLOCK - 1,
+        2 * kernel::BLOCK + 2,
+    ];
+
+    /// The states `TopBottomK(k)`'s kernel and the scalar loop leave over
+    /// `block`, both starting from what `prefill` leaves, and that state.
+    #[allow(clippy::type_complexity)]
+    fn topk_states(
+        k: usize,
+        prefill: &[(f64, u64)],
+        block: &[(f64, u64)],
+    ) -> [(Vec<(f64, u64)>, Vec<(f64, u64)>); 3] {
+        let op = TopBottomK::<f64, u64>::new(k);
+        let mut incoming = op.ident();
+        accumulate_block_scalar(&op, &mut incoming, prefill);
+        let mut kernel = incoming.clone();
+        assert!(op.accum_block(&mut kernel, block));
+        let mut scalar = incoming.clone();
+        accumulate_block_scalar(&op, &mut scalar, block);
+        [kernel, scalar, incoming].map(|s| (s.top, s.bottom))
+    }
+
+    /// The states a `MinK`/`MaxK` kernel and the scalar loop leave over
+    /// `block`, both starting from what `prefill` leaves.
+    fn kbest_states<Op>(op: &Op, prefill: &[i64], block: &[i64]) -> [gv_core::ops::KBest<i64>; 2]
+    where
+        Op: ReduceScanOp<In = i64, State = gv_core::ops::KBest<i64>>,
+    {
+        let mut kernel = op.ident();
+        accumulate_block_scalar(op, &mut kernel, prefill);
+        let mut scalar = kernel.clone();
+        assert!(op.accum_block(&mut kernel, block));
+        accumulate_block_scalar(op, &mut scalar, block);
+        [kernel, scalar]
+    }
+
+    #[test]
+    fn kbest_filters_see_a_lone_hit_at_the_end_of_a_granule() {
+        let n = 2 * kernel::BLOCK + 3;
+        // Lists full at ±8 … ±10; the block sits strictly between them.
+        let prefill = [
+            (-10.0, 0u64),
+            (-9.0, 1),
+            (-8.0, 20),
+            (8.0, 20),
+            (9.0, 4),
+            (10.0, 5),
+        ];
+        // Beating a worst value outright, and tying it with a smaller
+        // location (the non-strict half of the filter).
+        let louds = [(8.5, 99u64), (-8.5, 99), (8.0, 7), (-8.0, 7)];
+        for at in GRANULE_ENDS {
+            for loud in louds {
+                let mut block = vec![(0.0, 50u64); n];
+                block[at] = loud;
+                let [kernel, scalar, incoming] = topk_states(3, &prefill, &block);
+                assert_eq!(kernel, scalar, "TopBottomK: {loud:?} at {at}");
+                assert_ne!(kernel, incoming, "TopBottomK: {loud:?} at {at} must enter");
+            }
+            // `MinK`/`MaxK`: strict, so the lone hit has to beat the worst
+            // (−5 of the smallest three, 5 of the largest).
+            let mut ints = vec![0i64; n];
+            ints[at] = -6;
+            let [kernel, scalar] = kbest_states(&MinK::<i64>::new(3), &[-5, -7, -9], &ints);
+            assert_eq!(kernel, scalar, "MinK: -6 at {at}");
+            assert!(
+                kernel.worst_first().contains(&-6),
+                "MinK: -6 at {at} must enter"
+            );
+            ints[at] = 6;
+            let [kernel, scalar] = kbest_states(&MaxK::<i64>::new(3), &[5, 7, 9], &ints);
+            assert_eq!(kernel, scalar, "MaxK: 6 at {at}");
+            assert!(
+                kernel.worst_first().contains(&6),
+                "MaxK: 6 at {at} must enter"
+            );
+        }
+    }
+
+    #[test]
+    fn kbest_filters_leave_a_tie_with_the_worst_to_the_exact_insert() {
+        let n = 2 * kernel::BLOCK + 3;
+        let prefill = [
+            (-10.0, 0u64),
+            (-9.0, 1),
+            (-8.0, 100),
+            (8.0, 100),
+            (9.0, 4),
+            (10.0, 5),
+        ];
+        // Every value equals a worst value. `TopBottomK`'s filter is
+        // non-strict, so the location decides: below the worst's 100 an
+        // element wins the tie-break and enters, above it nothing moves.
+        for value in [8.0, -8.0] {
+            let winning: Vec<(f64, u64)> = (0..n as u64).map(|i| (value, 99 - i % 50)).collect();
+            let [kernel, scalar, incoming] = topk_states(3, &prefill, &winning);
+            assert_eq!(
+                kernel, scalar,
+                "TopBottomK: ties at {value} with smaller locations"
+            );
+            assert_ne!(kernel, incoming, "a tie with a smaller location must enter");
+            let losing: Vec<(f64, u64)> = (0..n as u64).map(|i| (value, 101 + i)).collect();
+            let [kernel, scalar, incoming] = topk_states(3, &prefill, &losing);
+            assert_eq!(
+                kernel, scalar,
+                "TopBottomK: ties at {value} with larger locations"
+            );
+            assert_eq!(
+                kernel, incoming,
+                "a tie with a larger location changes nothing"
+            );
+        }
+        // `MinK`/`MaxK` have no tie-break, so their filter is strict: a
+        // block of the worst value changes nothing (and replays nothing).
+        let ties = vec![5i64; n];
+        let [kernel, scalar] = kbest_states(&MinK::<i64>::new(3), &[5, 3, 1], &ties);
+        assert_eq!(kernel, scalar);
+        assert_eq!(kernel.worst_first(), [5, 3, 1]);
+        let [kernel, scalar] = kbest_states(&MaxK::<i64>::new(3), &[5, 7, 9], &ties);
+        assert_eq!(kernel, scalar);
+        assert_eq!(kernel.worst_first(), [5, 7, 9]);
     }
 
     /// The state `accum_runs` leaves, hooks applied as `accumulate_block`
@@ -761,7 +1027,9 @@ mod kernel_laws {
     /// the first lengths at which each run holds 1, 2, … elements, and the
     /// block seams, where a short last block follows full ones.
     fn run_seam_lengths() -> impl Iterator<Item = usize> {
-        (0..=4 * kernel::RUNS + 3).chain(BLOCK_SEAMS).chain([3 * kernel::BLOCK + kernel::RUNS - 1])
+        (0..=4 * kernel::RUNS + 3)
+            .chain(BLOCK_SEAMS)
+            .chain([3 * kernel::BLOCK + kernel::RUNS - 1])
     }
 
     /// Order-revealing test operator: the state is the input itself, so any
@@ -792,7 +1060,9 @@ mod kernel_laws {
     #[test]
     fn derived_kernel_matches_scalar_for_non_commutative_operators() {
         let longest = 3 * kernel::BLOCK + kernel::RUNS;
-        let text: Vec<char> = (0..longest).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+        let text: Vec<char> = (0..longest)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
         let ramp: Vec<i64> = (0..longest as i64).map(|i| i / 2).collect();
         for n in run_seam_lengths() {
             assert_eq!(
@@ -804,8 +1074,11 @@ mod kernel_laws {
             // turn around every run boundary: inside a run `accum` must see
             // it, across two runs `combine` must.
             let run = (n.min(kernel::BLOCK) / kernel::RUNS).max(1);
-            let descents = (0..=kernel::RUNS).flat_map(|r| [r * run, r * run + 1]).chain([n - n.min(1)]);
-            for at in std::iter::once(None).chain(descents.filter(|&at| 0 < at && at < n).map(Some)) {
+            let descents = (0..=kernel::RUNS)
+                .flat_map(|r| [r * run, r * run + 1])
+                .chain([n - n.min(1)]);
+            for at in std::iter::once(None).chain(descents.filter(|&at| 0 < at && at < n).map(Some))
+            {
                 let mut data = ramp[..n].to_vec();
                 if let Some(at) = at {
                     data[at] = data[at - 1] - 1;
@@ -841,7 +1114,10 @@ mod kernel_laws {
                     let mut scalar = kernel;
                     assert!(op.accum_block(&mut kernel, &data[prefix..prefix + n]));
                     accumulate_block_scalar(&op, &mut scalar, &data[prefix..prefix + n]);
-                    assert_eq!(kernel, scalar, "{name}: kernel != scalar at n={n} from {prefix}");
+                    assert_eq!(
+                        kernel, scalar,
+                        "{name}: kernel != scalar at n={n} from {prefix}"
+                    );
                 }
             }
         }
@@ -997,7 +1273,10 @@ mod kernel_laws {
         }
         seq::reduce(&gv_core::monoid::MonoidOp(Opaque), &[1i64; 256]);
         let (_, s2) = kernel::dispatch_counts();
-        assert!(s2 > s0, "user-defined op without kernels should stay scalar");
+        assert!(
+            s2 > s0,
+            "user-defined op without kernels should stay scalar"
+        );
     }
 }
 
@@ -1030,8 +1309,9 @@ fn meanvar_obeys_the_laws_up_to_rounding() {
             assert!(close(got.variance, expected.variance), "parts={parts}");
         }
         let p = 3;
-        let chunks: Vec<Vec<f64>> =
-            chunk_ranges(data.len(), p).map(|r| data[r].to_vec()).collect();
+        let chunks: Vec<Vec<f64>> = chunk_ranges(data.len(), p)
+            .map(|r| data[r].to_vec())
+            .collect();
         let outcome =
             Runtime::new(p).run(|comm| gv_rsmpi::reduce_all(comm, &op, &chunks[comm.rank()]));
         for got in outcome.results {
