@@ -21,7 +21,7 @@
 
 use gv_bench::table::{has_flag, parallel_time, parse_procs, timed_phase};
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
-use gv_msgpass::{AllreduceAlgorithm, CostModel, CostSource, PairClass, Runtime};
+use gv_msgpass::{AllreduceAlgorithm, CostModel, CostSource, Runtime};
 
 /// Fixed schedules swept per cell, plus the selector-routed entry.
 #[derive(Clone, Copy, PartialEq)]
@@ -185,18 +185,10 @@ fn main() {
         println!("\n  measured α–β–γ calibration (host wall clock, min-of-burst probes):");
         for (p, snap) in &snapshots {
             let warm = if snap.is_warm() { "warm" } else { "cold" };
-            print!("  p={p:>2} [{warm}] γ={:.2e} s/op", snap.gamma);
-            for class in PairClass::ALL {
-                let c = snap.class(class);
-                print!(
-                    "  {}: α={:.2e} s, β={:.2e} s/B ({} samples)",
-                    class.name(),
-                    c.alpha,
-                    c.beta,
-                    c.samples
-                );
-            }
-            println!();
+            println!(
+                "  p={p:>2} [{warm}] γ={:.2e} s/op  link: α={:.2e} s, β={:.2e} s/B ({} samples)",
+                snap.gamma, snap.alpha, snap.beta, snap.link_samples
+            );
         }
         println!();
     }

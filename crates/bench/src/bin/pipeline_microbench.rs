@@ -20,16 +20,14 @@
 //!
 //! Modeled times come from the deterministic virtual clock, so the table
 //! is bit-reproducible and recorded in `results/pipeline_microbench.txt`.
-//! Allocation-pool counters are *observed* mechanics (hit/miss depends on
-//! thread interleaving), so they are printed only under `--pool` and are
-//! excluded from the recorded artifact. So is `--wall`: the same three
+//! Excluded from the recorded artifact is `--wall`: the same three
 //! columns on the host clock at p = 2, where a rank's local copying shows
 //! that the modeled clock does not price. And so is `--latency`: what one
 //! small message costs at each layer between two bound ranks, as a
 //! multiple of a raw cache-line ping-pong read in the same process
 //! (EXPERIMENTS.md, TXT-LATENCY).
 //!
-//! Usage: pipeline_microbench [--procs 2,4,8,16] [--csv] [--pool] [--wall] [--latency]
+//! Usage: pipeline_microbench [--procs 2,4,8,16] [--csv] [--wall] [--latency]
 //! Env:   GV_BENCH_QUICK=1 shrinks the sweep for CI smoke runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,8 +155,8 @@ fn measure(schedule: &Comparison, p: usize, bytes: usize) -> Cell {
     }
 }
 
-/// Untimed reps at the head of every `--wall` run (thread placement,
-/// allocator and envelope-pool warm-up).
+/// Untimed reps at the head of every `--wall` run (thread placement and
+/// allocator warm-up).
 const WALL_WARM_UP: usize = 5;
 
 /// Host wall-clock of the same three columns at p = 2 — what a caller
@@ -210,34 +208,6 @@ fn wall_report(reps: usize) {
                 wall(schedule.selected),
             );
         }
-    }
-}
-
-/// Observed allocation-pool counters: a queued-heavy point-to-point ring
-/// run twice, pooling on and off. Timing-dependent (a hit requires the
-/// receiver to have recycled a box before the next send), hence printed
-/// outside the recorded table.
-fn pool_report(rounds: usize) {
-    for pooling in [true, false] {
-        let outcome = Runtime::new(2)
-            .packet_pooling(pooling)
-            .run(move |comm| {
-                let peer = 1 - comm.rank();
-                // 4 KiB payloads: far over the eager threshold, so every
-                // send takes the queued (boxed-envelope) path.
-                for _ in 0..rounds {
-                    comm.send_vec(peer, 7, vec![comm.rank() as u64; 512]);
-                    comm.recv::<Vec<u64>>(peer, 7);
-                }
-            });
-        let t = &outcome.stats.transport;
-        eprintln!(
-            "  pooling {}: queued_sends={} pool_hits={} pool_misses={}",
-            if pooling { "on " } else { "off" },
-            t.queued_sends,
-            t.pool_hits,
-            t.pool_misses
-        );
     }
 }
 
@@ -663,10 +633,6 @@ fn main() {
         }
     }
 
-    if has_flag(&args, "--pool") {
-        eprintln!("\n  observed packet-pool counters (timing-dependent, not recorded):");
-        pool_report(if quick { 50 } else { 500 });
-    }
     if has_flag(&args, "--wall") {
         eprintln!("\n  host wall clock at p = 2, p10 / median (timing-dependent, not recorded):");
         wall_report(if quick { 20 } else { 200 });

@@ -114,7 +114,7 @@ impl Comm {
         splittable: bool,
     ) -> AllreduceAlgorithm {
         AllreduceAlgorithm::select(
-            &self.selection_cost_model(wire_bytes),
+            &self.selection_cost_model(),
             self.size(),
             wire_bytes,
             commutative,
@@ -134,7 +134,7 @@ impl Comm {
         let algo = self.select_allreduce_algorithm(bytes, commutative, splittable);
         let segments = match algo {
             AllreduceAlgorithm::PipelinedTree => {
-                BcastAlgorithm::tree_segments(&self.selection_cost_model(bytes), self.size(), bytes)
+                BcastAlgorithm::tree_segments(&self.selection_cost_model(), self.size(), bytes)
             }
             _ => 1,
         };
@@ -240,7 +240,7 @@ impl Comm {
     /// or rooted reduce with (the up-tree mirrors the down-tree, so one
     /// chooser prices both).
     fn plan_tree(&self, bytes: usize) -> usize {
-        BcastAlgorithm::select_segments(&self.selection_cost_model(bytes), self.size(), bytes, true)
+        BcastAlgorithm::select_segments(&self.selection_cost_model(), self.size(), bytes, true)
     }
 
     /// The broadcast family's one constructor. `S = 1` is recorded as
@@ -364,7 +364,7 @@ impl Comm {
     /// schedule combines in rank order (see [`ScanAlgorithm::select`]).
     pub fn select_scan_algorithm(&self, wire_bytes: usize, splittable: bool) -> ScanAlgorithm {
         ScanAlgorithm::select(
-            &self.selection_cost_model(wire_bytes),
+            &self.selection_cost_model(),
             self.size(),
             wire_bytes,
             splittable,
@@ -377,7 +377,7 @@ impl Comm {
         let algo = self.select_scan_algorithm(bytes, splittable);
         let segments = match algo {
             ScanAlgorithm::PipelinedChain => {
-                ScanAlgorithm::chain_segments(&self.selection_cost_model(bytes), self.size(), bytes)
+                ScanAlgorithm::chain_segments(&self.selection_cost_model(), self.size(), bytes)
             }
             _ => 1,
         };

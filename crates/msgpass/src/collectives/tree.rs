@@ -960,48 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_segment_bursts_reuse_their_envelope_boxes() {
-        // Each call puts one S-message burst on each lane, and a lane's
-        // burst is fully received before the next call's begins, so at
-        // most S boxes per lane are ever outstanding: a freelist that
-        // holds a whole burst misses at most 2·S times in the entire run,
-        // warm-up included. (With a cap below S it dropped the excess
-        // after every call and re-allocated it in the next.)
-        let (s, calls) = (20usize, 50u64);
-        let outcome = Runtime::new(2).run(move |comm| {
-            let call = || {
-                // 8 KiB segments: over the eager threshold, so queued.
-                comm.allreduce_pipelined_tree(
-                    vec![1u64; s * 1024],
-                    s,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    bytes_u64,
-                    add,
-                )
-            };
-            call();
-            // Rank 1 leaves a call only after every send of that call,
-            // on both lanes, has been made — and rank 0 cannot send in
-            // the next one before rank 1 does.
-            let warm = comm.stats().snapshot().transport;
-            for _ in 0..calls {
-                call();
-            }
-            warm
-        });
-        let total = &outcome.stats.transport;
-        let after_warm_up = total.since(&outcome.results[1]);
-        assert_eq!(after_warm_up.queued_sends, calls * 2 * s as u64);
-        assert_eq!(total.pool_hits + total.pool_misses, total.queued_sends);
-        assert!(
-            after_warm_up.pool_misses <= 50,
-            "{} envelope allocations in {calls} warmed-up calls",
-            after_warm_up.pool_misses
-        );
-    }
-
-    #[test]
     fn non_blocking_variants_match_blocking_results() {
         let p = 6;
         let outcome = Runtime::new(p).run(move |comm| {

@@ -12,8 +12,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::cost::CostModel;
 use crate::fault::RankFaults;
-use crate::mailbox::{Mailbox, PeerSender, ShutdownError, Source, WaitState};
-use crate::measured::{Calibration, CalibrationSnapshot, CostSource, PairClass};
+use crate::mailbox::{self, Mailbox, PeerSender, ShutdownError, Source, WaitState};
+use crate::measured::{Calibration, CalibrationSnapshot, CostSource};
 use crate::message::{Packet, Payload, Tag};
 use crate::request::Engine;
 use crate::stats::{CallKind, RankStats, Stats};
@@ -21,15 +21,6 @@ use crate::watchdog::RankMonitor;
 
 /// Identifier of the world communicator.
 pub const WORLD_ID: u64 = 0;
-
-/// Default eager/queued protocol threshold, in modeled wire bytes.
-///
-/// Messages at or below this size move their envelope inline through the
-/// lane ring (*eager*); larger ones box the envelope so the ring carries
-/// only a pointer (*queued*). The collective schedules' control traffic
-/// (a few machine words) always lands eager. Tune per run with
-/// [`Comm::set_eager_threshold`] or `Runtime::eager_threshold`.
-pub const DEFAULT_EAGER_THRESHOLD: usize = 1024;
 
 /// How many consecutive collectives of one communicator draw distinct tag
 /// salts (see [`Comm::next_collective_salt`]).
@@ -84,9 +75,6 @@ pub(crate) struct RankCore {
     /// This rank's world rank.
     world_rank: usize,
     pub(crate) registry: Arc<SplitRegistry>,
-    /// Eager/queued protocol threshold in modeled wire bytes, shared by
-    /// every communicator of this rank.
-    pub(crate) eager_threshold: Cell<usize>,
     /// Collective nesting depth: wire sends issued inside a collective are
     /// not *user* send calls (an MPI trace would not show them either), so
     /// `CallKind::Send` is only recorded at depth 0.
@@ -170,7 +158,6 @@ pub(crate) struct WorldInit {
     pub registry: Arc<SplitRegistry>,
     pub monitor: RankMonitor,
     pub faults: Option<RankFaults>,
-    pub eager_threshold: usize,
 }
 
 impl Comm {
@@ -188,7 +175,6 @@ impl Comm {
             registry: init.registry,
             monitor: init.monitor,
             faults: init.faults,
-            eager_threshold: Cell::new(init.eager_threshold),
             collective_depth: Cell::new(0),
             engine: RefCell::new(Engine::default()),
             progress: Cell::new(0),
@@ -364,25 +350,19 @@ impl Comm {
         self.core.cost_source
     }
 
-    /// The cost model schedule *selection* prices candidates from, for a
-    /// `wire_bytes`-byte call.
+    /// The cost model schedule *selection* prices candidates from.
     ///
     /// With the default [`CostSource::Fixed`] this is the clock model and
     /// behavior is exactly the pre-calibration selector. Under
-    /// [`CostSource::Measured`] it is the published online estimate for
-    /// the pair class the bytes would travel (eager vs. queued), falling
-    /// back to the clock model while the warmup gate is closed. The
-    /// virtual clock itself always advances by
+    /// [`CostSource::Measured`] it is the published online estimate,
+    /// falling back to the clock model while the warmup gate is closed.
+    /// The virtual clock itself always advances by
     /// [`cost_model`](Self::cost_model) — the source changes *which*
     /// schedule runs, never how a schedule is priced in the recordings.
-    pub fn selection_cost_model(&self, wire_bytes: usize) -> CostModel {
+    pub fn selection_cost_model(&self) -> CostModel {
         match self.core.cost_source {
             CostSource::Fixed(model) => model,
-            CostSource::Measured => self
-                .core
-                .calibration
-                .model_for(wire_bytes, self.eager_threshold())
-                .unwrap_or(self.core.cost),
+            CostSource::Measured => self.core.calibration.model().unwrap_or(self.core.cost),
         }
     }
 
@@ -398,11 +378,9 @@ impl Comm {
     /// each even/odd rank pair runs reduction-shaped ping-pongs — the
     /// echoing side folds over the payload before replying, since on a
     /// reduction's critical path every shipped byte is also combined —
-    /// at two payload sizes per pair class. The minimum one-way time over
-    /// the burst filters scheduler noise; α is the small-payload time and
-    /// β the size-differenced slope. Each burst is attributed to the
-    /// eager or queued class from the observed transport counter deltas,
-    /// not from the threshold alone.
+    /// at two payload sizes. The minimum one-way time over the burst
+    /// filters scheduler noise; β is the size-differenced slope and α
+    /// the small-payload time less its bytes.
     ///
     /// The publish step is bracketed by barriers with a single writer, so
     /// the active estimates only move while every rank is quiescent —
@@ -417,21 +395,16 @@ impl Comm {
         const BURST: usize = 8;
         /// Scalar accumulates per γ probe.
         const GAMMA_OPS: u64 = 8192;
+        /// Probe payloads in bytes, far enough apart for a stable slope.
+        const SMALL: usize = 64;
+        const LARGE: usize = 64 << 10;
 
         self.barrier();
         let _guard = self.enter_collective();
         let salt = self.next_collective_salt();
         let tag = TAG_CALIBRATE + salt;
-        let p = self.size();
         let r = self.rank();
         let partner = if r.is_multiple_of(2) { r + 1 } else { r - 1 };
-        let threshold = self.eager_threshold();
-        let class_sizes = [
-            // Eager: both payloads at or below the threshold.
-            (64.min(threshold), threshold),
-            // Queued: both above, spanning enough bytes for a stable slope.
-            (2 * threshold, 64 * threshold),
-        ];
         for _ in 0..rounds {
             // γ probe: seconds per black-boxed scalar accumulate.
             let started = std::time::Instant::now();
@@ -444,36 +417,19 @@ impl Comm {
                 .calibration
                 .record_gamma(started.elapsed().as_secs_f64() / GAMMA_OPS as f64);
 
-            for (small, large) in class_sizes {
-                // The transport counters are read runtime-wide, so bracket
-                // each class burst with a barrier: inside the window the
-                // only traffic is this burst's class, on every pair, and
-                // the delta attributes cleanly.
-                self.barrier();
-                let before = self.stats().snapshot().transport;
-                if partner >= p {
-                    continue; // odd rank count: the last rank only probes γ.
-                }
-                let t_small = self.probe_pingpong(partner, tag, small, BURST);
-                let t_large = self.probe_pingpong(partner, tag, large, BURST);
-                let delta = self.stats().snapshot().transport.since(&before);
-                // Attribute the burst to the path the packets actually
-                // took (observed, not assumed). A queued burst puts
-                // exactly 2·BURST queued sends per size-pair into the
-                // window, while an eager window contains no queued
-                // traffic at all (stray barrier wakeups are eager), so
-                // the absolute queued count separates the classes even
-                // when other pairs' traffic shares the summed counters.
-                let class = if delta.queued_sends as usize >= 2 * BURST {
-                    PairClass::Queued
-                } else {
-                    PairClass::Eager
-                };
-                if r < partner && large > small {
-                    let beta = (t_large - t_small) / (large - small) as f64;
-                    let alpha = t_small - beta * small as f64;
-                    self.core.calibration.record_link(class, alpha, beta);
-                }
+            // Every pair starts its small burst together: with more ranks
+            // than cores, a pair already folding 64 KiB holds a core for
+            // tens of µs at a time, on top of a neighbour's 64-byte pings.
+            self.barrier();
+            if partner >= self.size() {
+                continue; // odd rank count: the last rank only probes γ.
+            }
+            let t_small = self.probe_pingpong(partner, tag, SMALL, BURST);
+            let t_large = self.probe_pingpong(partner, tag, LARGE, BURST);
+            if r < partner {
+                let beta = (t_large - t_small) / (LARGE - SMALL) as f64;
+                let alpha = t_small - beta * SMALL as f64;
+                self.core.calibration.record_link(alpha, beta);
             }
         }
         self.barrier();
@@ -483,10 +439,10 @@ impl Comm {
         self.barrier();
     }
 
-    /// One probe burst against `partner`: the lower rank initiates and
-    /// returns its best (minimum) one-way wall time; the higher rank
-    /// echoes after folding over the payload and returns an unused
-    /// estimate. Both sides fold, keeping the pair in lockstep.
+    /// One probe burst against `partner`: one `bytes`-byte buffer bounces
+    /// between the two, each side folding over it on arrival. The lower
+    /// rank initiates and returns its best (minimum) one-way wall time;
+    /// the higher rank echoes and returns an unused estimate.
     fn probe_pingpong(&self, partner: usize, tag: Tag, bytes: usize, burst: usize) -> f64 {
         fn fold(payload: &[u8]) -> u64 {
             let mut acc = 0u64;
@@ -496,14 +452,16 @@ impl Comm {
             std::hint::black_box(acc)
         }
         let initiator = self.rank() < partner;
-        let payload = vec![0u8; bytes];
+        // The one buffer that bounces, allocated outside every timed
+        // window: a collective ships states it already holds.
+        let mut buffer = if initiator { vec![0u8; bytes] } else { Vec::new() };
         let mut best = f64::INFINITY;
         for _ in 0..burst {
             if initiator {
                 let started = std::time::Instant::now();
-                self.send_with_bytes(partner, tag, payload.clone(), bytes);
-                let echoed: Vec<u8> = self.recv(partner, tag);
-                fold(&echoed);
+                self.send_with_bytes(partner, tag, buffer, bytes);
+                buffer = self.recv(partner, tag);
+                fold(&buffer);
                 best = best.min(started.elapsed().as_secs_f64() / 2.0);
             } else {
                 let probe: Vec<u8> = self.recv(partner, tag);
@@ -518,21 +476,6 @@ impl Comm {
     /// [`Stats::snapshot`].
     pub fn stats(&self) -> &Stats {
         &self.core.stats
-    }
-
-    /// The eager/queued protocol threshold in modeled wire bytes: sends
-    /// at or below it move inline through the lane ring, larger ones are
-    /// boxed. Like [`select_allreduce_algorithm`](Self::select_allreduce_algorithm),
-    /// this is a per-rank performance knob that never changes results —
-    /// only how packets travel.
-    pub fn eager_threshold(&self) -> usize {
-        self.core.eager_threshold.get()
-    }
-
-    /// Sets the eager/queued threshold for this rank (all communicators
-    /// of the rank share it).
-    pub fn set_eager_threshold(&self, bytes: usize) {
-        self.core.eager_threshold.set(bytes);
     }
 
     // ------------------------------------------------------------------
@@ -599,8 +542,7 @@ impl Comm {
         // Delivery cannot block (rings spill to an overflow queue); a
         // dead destination means that thread is gone, which the abort
         // flag turns into a clean panic at the blocked receivers instead.
-        let peer = &self.core.peers[self.members[dst]];
-        peer.send(packet, self.core.eager_threshold.get(), counters);
+        mailbox::send(&self.core.peers[self.members[dst]], packet, counters);
     }
 
     /// Sends `value` to `dst` with `tag`; wire size is `size_of::<T>()`.

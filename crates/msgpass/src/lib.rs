@@ -39,13 +39,13 @@ pub mod runtime;
 pub mod stats;
 pub mod watchdog;
 
-pub use comm::{Comm, DEFAULT_EAGER_THRESHOLD};
+pub use comm::Comm;
 pub use cost::{
     max_segment_bytes, pipeline_segments, AllreduceAlgorithm, BcastAlgorithm, CostModel,
     ScanAlgorithm,
 };
 pub use fault::{FaultOp, FaultPlan, FaultSummary, InjectedKill};
-pub use measured::{Calibration, CalibrationSnapshot, ClassSnapshot, CostSource, PairClass};
+pub use measured::{Calibration, CalibrationSnapshot, CostSource};
 pub use mailbox::{ShutdownError, ShutdownKind, Source};
 pub use message::{Tag, RESERVED_TAG_BASE};
 pub use request::{test_any, wait_all, Request, RequestError};

@@ -36,12 +36,12 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use gv_executor::lane::{lane, LaneDeposit, LaneReceiver, LaneSender, Parker};
 
-use crate::message::{LaneMsg, Packet, Tag};
+use crate::message::{Packet, Tag};
 use crate::stats::RankStats;
 use crate::watchdog::RankMonitor;
 
@@ -147,95 +147,17 @@ impl fmt::Display for ShutdownError {
 
 impl std::error::Error for ShutdownError {}
 
-/// How many recycled queued-path envelope boxes one lane's freelist may
-/// hold: the longest burst a segmented collective sends down one lane
-/// before its receiver returns the first box (one message per segment),
-/// so a repeated collective finds every box it needs. The boxes are a
-/// few words each; the cap bounds idle memory, not the burst.
-const PACKET_POOL_CAP: usize = crate::cost::MAX_PIPELINE_SEGMENTS;
-
-/// Per-lane freelist of queued-path envelope boxes, shared between the
-/// lane's [`PeerSender`] (which pops a recycled box per queued send) and
-/// its receive-side `LaneState` (which returns the emptied box after
-/// extracting the envelope). In steady state a queued send allocates no
-/// envelope box at all — the observable invariant
-/// `pool_hits + pool_misses == queued_sends` with misses O(1) per lane.
-///
-/// Payload boxes are *not* pooled: the payload moves end-to-end untouched
-/// (it is the value the application sent), so there is nothing to
-/// recycle. The pool covers exactly the allocation the queued protocol
-/// adds on top.
-pub(crate) struct PacketPool {
-    /// Recycled empty boxes; `None` slots only, by construction. The
-    /// boxes themselves are the pooled resource (the lane ring stores
-    /// `Box<Option<Packet>>` pointers), so the double indirection is
-    /// the point, not an accident.
-    #[allow(clippy::vec_box)]
-    slots: Mutex<Vec<Box<Option<Packet>>>>,
-    /// Maximum retained boxes (0 disables pooling: every acquire is a
-    /// miss, every release drops the box).
-    cap: usize,
-}
-
-impl PacketPool {
-    pub(crate) fn new(cap: usize) -> Self {
-        PacketPool {
-            slots: Mutex::new(Vec::with_capacity(cap)),
-            cap,
-        }
-    }
-
-    /// Wraps `packet` in a recycled box (pool hit) or a fresh allocation
-    /// (pool miss).
-    fn acquire(&self, packet: Packet, stats: &RankStats) -> Box<Option<Packet>> {
-        let recycled = self.slots.lock().expect("packet pool poisoned").pop();
-        match recycled {
-            Some(mut slot) => {
-                stats.transport.record_pool_hit();
-                *slot = Some(packet);
-                slot
-            }
-            None => {
-                stats.transport.record_pool_miss();
-                Box::new(Some(packet))
-            }
-        }
-    }
-
-    /// Returns an emptied box to the freelist (dropped when full).
-    fn release(&self, slot: Box<Option<Packet>>) {
-        debug_assert!(slot.is_none(), "released box still holds a packet");
-        let mut slots = self.slots.lock().expect("packet pool poisoned");
-        if slots.len() < self.cap {
-            slots.push(slot);
-        }
-    }
-}
-
 /// The sending endpoint for one destination rank: a dedicated
-/// source→destination lane (this rank is the source), plus the envelope
-/// pool shared with the lane's receive side.
-pub(crate) struct PeerSender {
-    tx: LaneSender<LaneMsg>,
-    pool: Arc<PacketPool>,
-}
+/// source→destination lane (this rank is the source) whose element is the
+/// whole envelope.
+pub(crate) type PeerSender = LaneSender<Packet>;
 
-impl PeerSender {
-    /// Delivers `packet`, choosing the eager or queued protocol by the
-    /// packet's modeled wire size vs. `eager_threshold`. Delivery to a
-    /// dead receiver is silently dropped — the runtime's abort machinery
-    /// handles the peer's disappearance.
-    pub(crate) fn send(&self, packet: Packet, eager_threshold: usize, stats: &RankStats) {
-        let deposit = if packet.bytes <= eager_threshold {
-            stats.transport.record_eager_send();
-            self.tx.send(LaneMsg::Eager(packet))
-        } else {
-            stats.transport.record_queued_send();
-            self.tx.send(LaneMsg::Queued(self.pool.acquire(packet, stats)))
-        };
-        if let Ok(LaneDeposit::Overflow) = deposit {
-            stats.transport.record_overflow_send();
-        }
+/// Delivers `packet` down `peer`'s lane. Delivery to a dead receiver is
+/// silently dropped — the runtime's abort machinery handles the peer's
+/// disappearance.
+pub(crate) fn send(peer: &PeerSender, packet: Packet, stats: &RankStats) {
+    if let Ok(LaneDeposit::Overflow) = peer.send(packet) {
+        stats.transport.record_overflow_send();
     }
 }
 
@@ -245,10 +167,7 @@ type StashQueue = VecDeque<(u64, Packet)>;
 
 /// One source rank's lane on the receive side.
 struct LaneState {
-    rx: LaneReceiver<LaneMsg>,
-    /// The sender-shared freelist: emptied queued-path envelope boxes go
-    /// back here for the source to reuse.
-    pool: Arc<PacketPool>,
+    rx: LaneReceiver<Packet>,
     /// Mismatched arrivals from this source, keyed by `(comm, tag)` (the
     /// source is the lane itself). FIFO per key preserves non-overtaking.
     stash: HashMap<(u64, Tag), StashQueue>,
@@ -259,26 +178,12 @@ struct LaneState {
 }
 
 impl LaneState {
-    fn new(rx: LaneReceiver<LaneMsg>, pool: Arc<PacketPool>) -> Self {
+    fn new(rx: LaneReceiver<Packet>) -> Self {
         LaneState {
             rx,
-            pool,
             stash: HashMap::new(),
             stash_len: 0,
             next_seq: 0,
-        }
-    }
-
-    /// Unwraps a lane message to its envelope, recycling a queued-path
-    /// box into the sender-shared freelist.
-    fn open(&self, msg: LaneMsg) -> Packet {
-        match msg {
-            LaneMsg::Eager(packet) => packet,
-            LaneMsg::Queued(mut slot) => {
-                let packet = slot.take().expect("queued slot empty in flight");
-                self.pool.release(slot);
-                packet
-            }
         }
     }
 
@@ -371,8 +276,7 @@ impl Mailbox {
     ) -> Option<Packet> {
         for &w in lanes {
             let lane = &mut self.lanes[w];
-            while let Some(msg) = lane.rx.try_recv() {
-                let packet = lane.open(msg);
+            while let Some(packet) = lane.rx.try_recv() {
                 if packet.comm_id == comm_id
                     && packet.tag == tag
                     && !(self.held_stashed > 0 && lane.stash.contains_key(&(comm_id, tag)))
@@ -507,15 +411,11 @@ impl Mailbox {
 /// Builds the transport for `p` ranks: `p` mailboxes of
 /// `p` lanes each, the sender matrix grouped by **source** rank
 /// (`senders[s][d]` sends s→d), and each rank's parker (the runtime
-/// unparks them all when raising the abort flag). `pooling` enables the
-/// per-lane queued-path envelope freelist (capacity 0 when off, so
-/// every queued send allocates and every emptied box drops).
+/// unparks them all when raising the abort flag).
 pub(crate) fn build_lane_transport(
     p: usize,
-    pooling: bool,
 ) -> (Vec<Mailbox>, Vec<Vec<PeerSender>>, Vec<Arc<Parker>>) {
     let spin_limit = gv_executor::lane::suggested_spin_limit();
-    let pool_cap = if pooling { PACKET_POOL_CAP } else { 0 };
     let mut tx_rows: Vec<Vec<PeerSender>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
     let mut mailboxes = Vec::with_capacity(p);
     let mut parkers = Vec::with_capacity(p);
@@ -523,10 +423,9 @@ pub(crate) fn build_lane_transport(
         let parker = Arc::new(Parker::new());
         let mut lanes = Vec::with_capacity(p);
         for row in tx_rows.iter_mut() {
-            let (tx, rx) = lane::<LaneMsg>(LANE_CAPACITY, Arc::clone(&parker));
-            let pool = Arc::new(PacketPool::new(pool_cap));
-            lanes.push(LaneState::new(rx, Arc::clone(&pool)));
-            row.push(PeerSender { tx, pool });
+            let (tx, rx) = lane::<Packet>(LANE_CAPACITY, Arc::clone(&parker));
+            lanes.push(LaneState::new(rx));
+            row.push(tx);
         }
         mailboxes.push(Mailbox {
             lanes,
@@ -594,7 +493,7 @@ mod tests {
 
     impl Harness {
         fn lanes(p: usize) -> Self {
-            let (mailboxes, senders, _parkers) = build_lane_transport(p, true);
+            let (mailboxes, senders, _parkers) = build_lane_transport(p);
             let aborted = Arc::new(AtomicBool::new(false));
             Harness {
                 mailboxes,
@@ -607,19 +506,13 @@ mod tests {
         }
 
         fn send(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32) {
-            self.senders[s][d].send(packet(comm, s, tag, value), usize::MAX, self.stats.rank(0));
-        }
-
-        /// Sends with a zero eager threshold, forcing the queued (boxed)
-        /// protocol.
-        fn send_queued(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32) {
-            self.senders[s][d].send(packet(comm, s, tag, value), 0, self.stats.rank(0));
+            send(&self.senders[s][d], packet(comm, s, tag, value), self.stats.rank(0));
         }
 
         fn send_held(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32, hold: Duration) {
             let mut p = packet(comm, s, tag, value);
             p.hold_until = Some(Box::new(Instant::now() + hold));
-            self.senders[s][d].send(p, usize::MAX, self.stats.rank(0));
+            send(&self.senders[s][d], p, self.stats.rank(0));
         }
 
         fn recv(&mut self, d: usize, comm: u64, src: Source, tag: Tag) -> Result<i32, ShutdownError> {
@@ -729,7 +622,7 @@ mod tests {
         assert_eq!(err.kind, ShutdownKind::Disconnected);
         // A receive from the still-alive rank 2 completes (after the
         // remove(1) above, index 1 holds old rank 2's endpoints).
-        h.senders[1][0].send(packet(0, 2, 7, 5), usize::MAX, h.stats.rank(0));
+        send(&h.senders[1][0], packet(0, 2, 7, 5), h.stats.rank(0));
         assert_eq!(h.recv(0, 0, Source::Rank(2), 7), Ok(5));
     }
 
@@ -737,7 +630,7 @@ mod tests {
     fn parked_receiver_sees_peer_exit_as_disconnect() {
         // Satellite: peer exit while the receiver is parked in the
         // spin-then-park slow path.
-        let (mut mailboxes, mut senders, _parkers) = build_lane_transport(2, true);
+        let (mut mailboxes, mut senders, _parkers) = build_lane_transport(2);
         let stats = Stats::new(1);
         let monitor = RankMonitor::detached(Arc::new(AtomicBool::new(false)));
         let peer = senders.remove(1); // rank 1's endpoints
@@ -756,7 +649,7 @@ mod tests {
     fn parked_receiver_sees_abort_flag() {
         // Satellite: peer panic → abort flag raised while the receiver is
         // parked; the runtime also unparks, here simulated explicitly.
-        let (mut mailboxes, senders, parkers) = build_lane_transport(2, true);
+        let (mut mailboxes, senders, parkers) = build_lane_transport(2);
         let stats = Stats::new(1);
         let aborted = Arc::new(AtomicBool::new(false));
         let monitor = RankMonitor::detached(Arc::clone(&aborted));
@@ -790,17 +683,6 @@ mod tests {
         for v in 0..n {
             assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
         }
-    }
-
-    #[test]
-    fn eager_queued_split_follows_threshold() {
-        let h = Harness::lanes(2);
-        // bytes=4 packets: threshold 8 → eager; threshold 2 → queued.
-        h.senders[1][0].send(packet(0, 1, 7, 1), 8, h.stats.rank(0));
-        h.senders[1][0].send(packet(0, 1, 7, 2), 2, h.stats.rank(0));
-        let snap = h.stats.snapshot().transport;
-        assert_eq!(snap.eager_sends, 1);
-        assert_eq!(snap.queued_sends, 1);
     }
 
     #[test]
@@ -852,73 +734,5 @@ mod tests {
         // Different tag from the held source: also deliverable.
         h.send(1, 0, 0, 9, 3);
         assert_eq!(h.recv(0, 0, Source::Rank(1), 9), Ok(3));
-    }
-
-    #[test]
-    fn queued_path_reuses_pooled_boxes_in_steady_state() {
-        // Alternating send/recv on one lane: the first queued send
-        // allocates (pool empty), every later one reuses the box the
-        // receive returned — O(1) misses regardless of round count.
-        let mut h = Harness::lanes(2);
-        let rounds = 20;
-        for v in 0..rounds {
-            h.send_queued(1, 0, 0, 7, v);
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
-        }
-        let t = h.stats.snapshot().transport;
-        assert_eq!(t.queued_sends, rounds as u64);
-        assert_eq!(t.pool_misses, 1, "steady state must not keep allocating");
-        assert_eq!(t.pool_hits, rounds as u64 - 1);
-        assert_eq!(t.pool_hits + t.pool_misses, t.queued_sends);
-    }
-
-    #[test]
-    fn pool_recycles_through_the_stash_path() {
-        // A mismatched queued arrival is stashed, but its envelope box is
-        // recycled at drain time — stashing stores the bare packet.
-        let mut h = Harness::lanes(2);
-        h.send_queued(1, 0, 0, 7, 1);
-        h.send_queued(1, 0, 0, 8, 2);
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 8), Ok(2)); // drains + stashes tag 7
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(1));
-        h.send_queued(1, 0, 0, 7, 3); // both boxes back: a hit
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(3));
-        let t = h.stats.snapshot().transport;
-        assert_eq!(t.pool_misses, 2);
-        assert_eq!(t.pool_hits, 1);
-    }
-
-    #[test]
-    fn disabled_pool_allocates_every_queued_send() {
-        let (mailboxes, senders, _parkers) = build_lane_transport(2, false);
-        let aborted = Arc::new(AtomicBool::new(false));
-        let mut h = Harness {
-            mailboxes,
-            senders,
-            stats: Stats::new(1),
-            monitor: RankMonitor::detached(Arc::clone(&aborted)),
-            aborted,
-            members: vec![0, 1],
-        };
-        for v in 0..5 {
-            h.send_queued(1, 0, 0, 7, v);
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
-        }
-        let t = h.stats.snapshot().transport;
-        assert_eq!(t.pool_misses, 5);
-        assert_eq!(t.pool_hits, 0);
-        assert_eq!(t.pool_hits + t.pool_misses, t.queued_sends);
-    }
-
-    #[test]
-    fn eager_sends_never_touch_the_pool() {
-        let mut h = Harness::lanes(2);
-        for v in 0..5 {
-            h.send(1, 0, 0, 7, v); // threshold usize::MAX → eager
-            assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
-        }
-        let t = h.stats.snapshot().transport;
-        assert_eq!(t.pool_hits + t.pool_misses, 0);
-        assert_eq!(t.eager_sends, 5);
     }
 }

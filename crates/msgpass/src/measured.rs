@@ -14,16 +14,12 @@
 //!   is also combined) and a black-boxed scalar loop, yielding wall-clock
 //!   samples of per-message latency (α), per-byte hop cost (β), and
 //!   per-operation compute cost (γ);
-//! * samples land in a shared [`Calibration`], bucketed per **rank-pair
-//!   class** — the transport moves small messages inline through the lane
-//!   ring (*eager*) and boxes large ones (*queued*), two genuinely
-//!   different cost profiles — where the class of each probe burst is
-//!   attributed from the *observed*
-//!   [`TransportSnapshot`](crate::stats::TransportSnapshot) counter
-//!   deltas, not assumed;
+//! * samples land in a shared [`Calibration`] as one link estimate —
+//!   every message crosses a lane the same way, so one (α, β) pair
+//!   prices them all;
 //! * estimates are **EWMA-smoothed with a warmup gate**: until every
-//!   parameter of a class has [`Calibration::warmup`] samples,
-//!   [`Calibration::model_for`] returns `None` and selection falls back
+//!   parameter has [`Calibration::warmup`] samples,
+//!   [`Calibration::model`] returns `None` and selection falls back
 //!   to the fixed model, so early noise can never flip a crossover.
 //!
 //! ## Cross-rank determinism
@@ -44,7 +40,7 @@ use std::sync::Mutex;
 use crate::cost::CostModel;
 
 /// Default number of samples each parameter needs before the measured
-/// model is trusted (see [`Calibration::model_for`]).
+/// model is trusted (see [`Calibration::model`]).
 pub const DEFAULT_WARMUP: u64 = 2;
 
 /// Where schedule selection gets its cost model.
@@ -66,33 +62,6 @@ pub enum CostSource {
 impl Default for CostSource {
     fn default() -> Self {
         CostSource::Fixed(CostModel::cluster_2006())
-    }
-}
-
-/// The two cost classes a rank-pair exchange can fall into, mirroring
-/// the transport's eager/queued protocol split: payloads at or below the
-/// eager threshold move inline through the lane ring, larger ones box
-/// the envelope — different α (inline copy vs. allocation) and a
-/// different β (slot copy vs. pointer move + combine touch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum PairClass {
-    /// Small-message path: envelope inline in the ring slot.
-    Eager,
-    /// Large-message path: boxed envelope, ring carries a pointer.
-    Queued,
-}
-
-impl PairClass {
-    /// All classes, for iteration and display.
-    pub const ALL: [PairClass; 2] = [PairClass::Eager, PairClass::Queued];
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PairClass::Eager => "eager",
-            PairClass::Queued => "queued",
-        }
     }
 }
 
@@ -121,17 +90,11 @@ impl Ewma {
     }
 }
 
-/// α/β estimate of one pair class.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct LinkEstimate {
-    alpha: Ewma,
-    beta: Ewma,
-}
-
-/// The full estimate set: one link estimate per pair class + one γ.
+/// The full estimate set: the link's α and β, and γ.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Estimates {
-    links: [LinkEstimate; PairClass::ALL.len()],
+    alpha: Ewma,
+    beta: Ewma,
     gamma: Ewma,
 }
 
@@ -139,7 +102,7 @@ struct Estimates {
 ///
 /// Probes record into `pending`; [`Calibration::publish`] copies pending
 /// into `active` inside the calibrate collective's barrier-bracketed
-/// window (see the module docs for why), and [`Calibration::model_for`]
+/// window (see the module docs for why), and [`Calibration::model`]
 /// reads only `active`.
 #[derive(Debug, Default)]
 pub struct Calibration {
@@ -150,7 +113,7 @@ pub struct Calibration {
 
 impl Calibration {
     /// Creates an empty calibration requiring `warmup` samples per
-    /// parameter before [`model_for`](Self::model_for) trusts a class.
+    /// parameter before [`model`](Self::model) trusts the estimates.
     pub fn new(warmup: u64) -> Self {
         Calibration {
             warmup,
@@ -164,14 +127,13 @@ impl Calibration {
         self.warmup
     }
 
-    /// Records one (α, β) probe sample for `class` into the pending
-    /// accumulator. Not visible to [`model_for`](Self::model_for) until
-    /// the next [`publish`](Self::publish).
-    pub fn record_link(&self, class: PairClass, alpha: f64, beta: f64) {
+    /// Records one (α, β) probe sample into the pending accumulator. Not
+    /// visible to [`model`](Self::model) until the next
+    /// [`publish`](Self::publish).
+    pub fn record_link(&self, alpha: f64, beta: f64) {
         let mut pending = lock(&self.pending);
-        let link = &mut pending.links[class as usize];
-        link.alpha.record(alpha.max(1.0e-9));
-        link.beta.record(beta.max(1.0e-13));
+        pending.alpha.record(alpha.max(1.0e-9));
+        pending.beta.record(beta.max(1.0e-13));
     }
 
     /// Records one γ probe sample (seconds per abstract operation).
@@ -186,38 +148,16 @@ impl Calibration {
         *lock(&self.active) = *lock(&self.pending);
     }
 
-    /// The measured model for a `wire_bytes`-byte exchange, or `None`
-    /// while the relevant class is still inside the warmup gate.
-    ///
-    /// `eager_threshold` picks the pair class the same way the transport
-    /// does, so the estimate prices the path the bytes would actually
-    /// take.
-    pub fn model_for(&self, wire_bytes: usize, eager_threshold: usize) -> Option<CostModel> {
-        let class = if wire_bytes <= eager_threshold {
-            PairClass::Eager
-        } else {
-            PairClass::Queued
-        };
+    /// The measured model, or `None` while any parameter is still inside
+    /// the warmup gate.
+    pub fn model(&self) -> Option<CostModel> {
         let active = lock(&self.active);
-        let link = active.links[class as usize];
-        let warm = link.alpha.samples >= self.warmup
-            && link.beta.samples >= self.warmup
-            && active.gamma.samples >= self.warmup;
-        warm.then(|| CostModel {
-            alpha: link.alpha.mean,
-            beta: link.beta.mean,
+        let samples = active.alpha.samples.min(active.beta.samples).min(active.gamma.samples);
+        (samples >= self.warmup).then(|| CostModel {
+            alpha: active.alpha.mean,
+            beta: active.beta.mean,
             gamma: active.gamma.mean,
         })
-    }
-
-    /// Whether every parameter of every class has cleared the warmup
-    /// gate.
-    pub fn is_warm(&self) -> bool {
-        let active = lock(&self.active);
-        active.gamma.samples >= self.warmup
-            && active.links.iter().all(|link| {
-                link.alpha.samples >= self.warmup && link.beta.samples >= self.warmup
-            })
     }
 
     /// A point-in-time copy of the published estimates, for display.
@@ -225,10 +165,9 @@ impl Calibration {
         let active = lock(&self.active);
         CalibrationSnapshot {
             warmup: self.warmup,
-            classes: [
-                ClassSnapshot::of(&active.links[0]),
-                ClassSnapshot::of(&active.links[1]),
-            ],
+            alpha: active.alpha.mean,
+            beta: active.beta.mean,
+            link_samples: active.alpha.samples.min(active.beta.samples),
             gamma: active.gamma.mean,
             gamma_samples: active.gamma.samples,
         }
@@ -239,34 +178,17 @@ fn lock(estimates: &Mutex<Estimates>) -> std::sync::MutexGuard<'_, Estimates> {
     estimates.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Published per-class estimate, for display.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClassSnapshot {
-    /// Measured per-message latency in seconds.
-    pub alpha: f64,
-    /// Measured per-byte hop cost in seconds.
-    pub beta: f64,
-    /// Samples behind the weaker of the two estimates.
-    pub samples: u64,
-}
-
-impl ClassSnapshot {
-    fn of(link: &LinkEstimate) -> Self {
-        ClassSnapshot {
-            alpha: link.alpha.mean,
-            beta: link.beta.mean,
-            samples: link.alpha.samples.min(link.beta.samples),
-        }
-    }
-}
-
 /// A point-in-time copy of the published [`Calibration`] estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CalibrationSnapshot {
     /// The warmup gate in effect, in samples per parameter.
     pub warmup: u64,
-    /// Per-class (α, β) estimates, indexed like [`PairClass::ALL`].
-    pub classes: [ClassSnapshot; PairClass::ALL.len()],
+    /// Measured per-message latency in seconds.
+    pub alpha: f64,
+    /// Measured per-byte hop cost in seconds.
+    pub beta: f64,
+    /// Samples behind the weaker of the α and β estimates.
+    pub link_samples: u64,
     /// Measured per-operation compute cost in seconds.
     pub gamma: f64,
     /// Samples behind the γ estimate.
@@ -274,15 +196,9 @@ pub struct CalibrationSnapshot {
 }
 
 impl CalibrationSnapshot {
-    /// The published estimate for `class`.
-    pub fn class(&self, class: PairClass) -> ClassSnapshot {
-        self.classes[class as usize]
-    }
-
     /// Whether every parameter cleared the warmup gate at snapshot time.
     pub fn is_warm(&self) -> bool {
-        self.gamma_samples >= self.warmup
-            && self.classes.iter().all(|c| c.samples >= self.warmup)
+        self.link_samples.min(self.gamma_samples) >= self.warmup
     }
 }
 
@@ -293,53 +209,38 @@ mod tests {
     #[test]
     fn warmup_gate_blocks_until_enough_samples() {
         let cal = Calibration::new(2);
-        assert_eq!(cal.model_for(8, 1024), None, "empty calibration");
-        cal.record_link(PairClass::Eager, 1.0e-6, 1.0e-10);
+        assert_eq!(cal.model(), None, "empty calibration");
+        cal.record_link(1.0e-6, 1.0e-10);
         cal.record_gamma(1.0e-9);
         cal.publish();
-        assert_eq!(cal.model_for(8, 1024), None, "one sample is below warmup");
-        cal.record_link(PairClass::Eager, 3.0e-6, 3.0e-10);
+        assert_eq!(cal.model(), None, "one sample is below warmup");
+        assert!(!cal.snapshot().is_warm());
+        cal.record_link(3.0e-6, 3.0e-10);
+        cal.publish();
+        assert_eq!(cal.model(), None, "γ is still one sample short");
         cal.record_gamma(1.0e-9);
         cal.publish();
-        let model = cal.model_for(8, 1024).expect("eager class is warm");
+        let model = cal.model().expect("every parameter is warm");
         // EWMA: 1.0 + 0.25·(3.0 − 1.0) = 1.5 µs.
         assert!((model.alpha - 1.5e-6).abs() < 1e-12, "alpha={}", model.alpha);
-        // The queued class never got samples: large wire sizes stay gated.
-        assert_eq!(cal.model_for(4096, 1024), None);
-        assert!(!cal.is_warm());
-    }
-
-    #[test]
-    fn classes_are_split_at_the_eager_threshold() {
-        let cal = Calibration::new(1);
-        cal.record_link(PairClass::Eager, 1.0e-6, 1.0e-10);
-        cal.record_link(PairClass::Queued, 2.0e-6, 5.0e-10);
-        cal.record_gamma(1.0e-9);
-        cal.publish();
-        let eager = cal.model_for(1024, 1024).expect("at threshold → eager");
-        let queued = cal.model_for(1025, 1024).expect("above threshold → queued");
-        assert!((eager.alpha - 1.0e-6).abs() < 1e-15);
-        assert!((queued.alpha - 2.0e-6).abs() < 1e-15);
-        assert!(cal.is_warm());
+        assert!(cal.snapshot().is_warm());
     }
 
     #[test]
     fn pending_samples_are_invisible_until_publish() {
         let cal = Calibration::new(1);
-        cal.record_link(PairClass::Eager, 1.0e-6, 1.0e-10);
-        cal.record_link(PairClass::Queued, 1.0e-6, 1.0e-10);
+        cal.record_link(1.0e-6, 1.0e-10);
         cal.record_gamma(1.0e-9);
-        assert_eq!(cal.model_for(8, 1024), None, "not yet published");
-        assert!(!cal.is_warm());
+        assert_eq!(cal.model(), None, "not yet published");
         cal.publish();
-        assert!(cal.model_for(8, 1024).is_some());
+        assert!(cal.model().is_some());
         // New pending samples do not move the active estimate...
-        cal.record_link(PairClass::Eager, 9.0e-6, 9.0e-10);
-        let before = cal.snapshot().class(PairClass::Eager).alpha;
-        assert_eq!(cal.snapshot().class(PairClass::Eager).alpha, before);
+        cal.record_link(9.0e-6, 9.0e-10);
+        let before = cal.snapshot().alpha;
+        assert!((before - 1.0e-6).abs() < 1e-15);
         // ...until the next publish.
         cal.publish();
-        assert!(cal.snapshot().class(PairClass::Eager).alpha > before);
+        assert!(cal.snapshot().alpha > before);
     }
 
     #[test]
@@ -347,12 +248,12 @@ mod tests {
         let cal = Calibration::new(1);
         // Negative β can fall out of differencing two noisy probes; the
         // model must stay physically sensible.
-        cal.record_link(PairClass::Eager, -1.0, -1.0);
+        cal.record_link(-1.0, -1.0);
         cal.record_gamma(-1.0);
         cal.publish();
         let snap = cal.snapshot();
-        assert!(snap.class(PairClass::Eager).alpha > 0.0);
-        assert!(snap.class(PairClass::Eager).beta > 0.0);
+        assert!(snap.alpha > 0.0);
+        assert!(snap.beta > 0.0);
         assert!(snap.gamma > 0.0);
     }
 

@@ -14,7 +14,8 @@ pub type Tag = u32;
 /// First tag reserved for internal collective protocols.
 pub const RESERVED_TAG_BASE: Tag = 0xF000_0000;
 
-/// A message envelope.
+/// A message envelope: the element of a per-peer lane, moved whole
+/// through one ring slot whatever its modeled size.
 pub(crate) struct Packet {
     /// Id of the communicator this packet belongs to.
     pub comm_id: u64,
@@ -153,29 +154,6 @@ impl std::fmt::Debug for Packet {
     }
 }
 
-/// What moves through a per-peer lane: the eager/queued protocol split.
-///
-/// *Eager* messages (modeled wire size ≤ the communicator's eager
-/// threshold) move the whole [`Packet`] envelope inline through the ring
-/// slot — no allocation at all when the payload rides in the envelope
-/// (see [`Payload`]). *Queued* messages box the envelope so the ring slot only
-/// carries a thin pointer; large transfers then cost one pointer move in
-/// the ring regardless of envelope traffic, mirroring MPI's eager vs
-/// rendezvous split (here both complete immediately — the split is about
-/// what the ring has to copy, not about handshaking).
-///
-/// The queued box is an `Option` slot so the receiver can take the
-/// envelope out and hand the emptied box back to the lane's freelist
-/// (see `mailbox::PacketPool`): in steady state a queued send reuses a
-/// recycled box instead of allocating a fresh one.
-pub(crate) enum LaneMsg {
-    /// Envelope stored inline in the ring slot.
-    Eager(Packet),
-    /// Envelope boxed (always `Some` in flight); the ring carries the
-    /// pointer, and the emptied box returns to the sender's pool.
-    Queued(Box<Option<Packet>>),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,9 +251,9 @@ mod tests {
     #[test]
     fn a_lane_message_and_its_stamp_fit_one_128_byte_block() {
         assert!(
-            size_of::<LaneMsg>() + size_of::<usize>() <= 128,
+            size_of::<Packet>() + size_of::<usize>() <= 128,
             "{}",
-            size_of::<LaneMsg>()
+            size_of::<Packet>()
         );
     }
 }

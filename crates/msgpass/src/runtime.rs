@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use gv_executor::lane::Parker;
 
-use crate::comm::{Comm, SplitRegistry, DEFAULT_EAGER_THRESHOLD};
+use crate::comm::{Comm, SplitRegistry};
 use crate::cost::CostModel;
 use crate::fault::{FaultCounters, FaultPlan, FaultSummary, InjectedKill};
 use crate::mailbox::{build_lane_transport, ShutdownError};
@@ -55,8 +55,6 @@ pub const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_millis(50);
 pub struct Runtime {
     ranks: usize,
     cost: CostModel,
-    eager_threshold: usize,
-    packet_pooling: bool,
     cost_source: Option<CostSource>,
     park_timeout: Duration,
     watchdog: Option<Duration>,
@@ -192,8 +190,6 @@ impl Runtime {
         Runtime {
             ranks,
             cost: CostModel::default(),
-            eager_threshold: DEFAULT_EAGER_THRESHOLD,
-            packet_pooling: true,
             cost_source: None,
             park_timeout: DEFAULT_PARK_TIMEOUT,
             watchdog,
@@ -204,26 +200,6 @@ impl Runtime {
     /// Replaces the cost model.
     pub fn cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Sets the initial eager/queued protocol threshold in modeled wire
-    /// bytes (see [`Comm::set_eager_threshold`]).
-    pub fn eager_threshold(mut self, bytes: usize) -> Self {
-        self.eager_threshold = bytes;
-        self
-    }
-
-    /// Enables or disables the per-lane queued-path envelope freelist
-    /// (default **on**). Pooling is a pure allocation optimization on the
-    /// transport's queued protocol: message order, matching, and
-    /// every modeled figure are identical either way — only the
-    /// `pool_hits`/`pool_misses` observability counters (and the host's
-    /// allocator traffic) change. Turning it off makes every queued send
-    /// allocate a fresh envelope box, the pre-pool behavior, which is
-    /// what `pipeline_microbench` compares against.
-    pub fn packet_pooling(mut self, enabled: bool) -> Self {
-        self.packet_pooling = enabled;
         self
     }
 
@@ -326,7 +302,7 @@ impl Runtime {
         F: Fn(&Comm) -> R + Sync,
     {
         let p = self.ranks;
-        let (mailboxes, senders, parkers) = build_lane_transport(p, self.packet_pooling);
+        let (mailboxes, senders, parkers) = build_lane_transport(p);
         // Parked receivers are woken explicitly on abort (the park
         // timeout remains as a backstop, not the mechanism).
         let parkers = Arc::new(parkers);
@@ -413,7 +389,6 @@ impl Runtime {
                             registry,
                             monitor,
                             faults,
-                            eager_threshold: self.eager_threshold,
                             cost_source,
                             calibration,
                         });
@@ -586,22 +561,6 @@ mod tests {
         // scan sends p−d messages in each of its rounds d = 1, 2, 4.
         assert_eq!(outcome.stats.messages, (2 + 8) + (4 + 3 + 1));
         assert_eq!(outcome.stats.bytes, 8 * 18);
-    }
-
-    #[test]
-    fn eager_threshold_splits_protocols() {
-        let outcome = Runtime::new(2).eager_threshold(16).run(|comm| {
-            assert_eq!(comm.eager_threshold(), 16);
-            if comm.rank() == 0 {
-                comm.send(1, 1, [0u8; 8]); // 8 bytes → eager
-                comm.send(1, 2, [0u8; 64]); // 64 bytes → queued
-            } else {
-                let _: [u8; 8] = comm.recv(0, 1);
-                let _: [u8; 64] = comm.recv(0, 2);
-            }
-        });
-        assert!(outcome.stats.transport.eager_sends >= 1);
-        assert!(outcome.stats.transport.queued_sends >= 1);
     }
 
     #[test]
@@ -831,7 +790,7 @@ mod tests {
             // Without an explicit cost_source the selector prices from
             // the clock model — including a non-default one.
             assert_eq!(comm.cost_source(), CostSource::Fixed(custom));
-            assert_eq!(comm.selection_cost_model(1 << 20), custom);
+            assert_eq!(comm.selection_cost_model(), custom);
         });
         // No calibration ran: the snapshot is empty and gated.
         assert!(!outcome.calibration.is_warm());

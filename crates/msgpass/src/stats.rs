@@ -152,7 +152,7 @@ pub(crate) struct RankStats {
     /// the in-flight count: requests cancelled by a drop-without-wait or
     /// killed by a transport shutdown never complete.
     requests_completed: Counter,
-    /// Transport-path counters (eager/queued, ring/stash, parks). These
+    /// Transport-path counters (ring/stash, overflow, parks). These
     /// observe *how* packets moved, never *how many* — `messages`/`bytes`
     /// stay the schedule-level ground truth the figures are checked
     /// against.
@@ -164,27 +164,15 @@ pub(crate) struct RankStats {
 /// mechanics without touching message/byte accounting.
 #[derive(Debug, Default)]
 pub(crate) struct TransportStats {
-    eager_sends: Counter,
-    queued_sends: Counter,
     overflow_sends: Counter,
     ring_recvs: Counter,
     stash_recvs: Counter,
     restashes: Counter,
     parks: Counter,
     embargo_defers: Counter,
-    pool_hits: Counter,
-    pool_misses: Counter,
 }
 
 impl TransportStats {
-    pub(crate) fn record_eager_send(&self) {
-        self.eager_sends.add(1);
-    }
-
-    pub(crate) fn record_queued_send(&self) {
-        self.queued_sends.add(1);
-    }
-
     pub(crate) fn record_overflow_send(&self) {
         self.overflow_sends.add(1);
     }
@@ -209,26 +197,14 @@ impl TransportStats {
         self.embargo_defers.add(1);
     }
 
-    pub(crate) fn record_pool_hit(&self) {
-        self.pool_hits.add(1);
-    }
-
-    pub(crate) fn record_pool_miss(&self) {
-        self.pool_misses.add(1);
-    }
-
     /// Adds this rank's transport counters into `total`.
     fn add_into(&self, total: &mut TransportSnapshot) {
-        total.eager_sends += self.eager_sends.get();
-        total.queued_sends += self.queued_sends.get();
         total.overflow_sends += self.overflow_sends.get();
         total.ring_recvs += self.ring_recvs.get();
         total.stash_recvs += self.stash_recvs.get();
         total.restashes += self.restashes.get();
         total.parks += self.parks.get();
         total.embargo_defers += self.embargo_defers.get();
-        total.pool_hits += self.pool_hits.get();
-        total.pool_misses += self.pool_misses.get();
     }
 }
 
@@ -269,44 +245,35 @@ impl KernelSnapshot {
 /// A point-in-time copy of the transport-path counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportSnapshot {
-    /// Sends whose envelope moved inline through a ring slot.
+    /// Every send (equals `messages`); retained for the frozen benchmark
+    /// adapter, leaves with ROADMAP item 1 (a).
     pub eager_sends: u64,
-    /// Sends whose envelope was boxed (ring carried a pointer).
+    /// Always 0; retained for the frozen benchmark adapter, leaves with
+    /// ROADMAP item 1 (a).
     pub queued_sends: u64,
     /// Sends that found their ring full and spilled to the lane's
-    /// overflow queue (subset of eager + queued).
+    /// overflow queue.
     pub overflow_sends: u64,
-    /// Receives satisfied straight off a ring/channel (fast path).
+    /// Receives satisfied straight off a lane's ring (fast path).
     pub ring_recvs: u64,
     /// Receives satisfied from a pending stash (slow path).
     pub stash_recvs: u64,
     /// Arrivals that mismatched the posted receive and were stashed.
     pub restashes: u64,
-    /// Times a receiver gave up spinning and parked (or, on the shared
-    /// transport, hit its blocking-wait timeout).
+    /// Times a receiver gave up spinning and parked.
     pub parks: u64,
     /// Chaos-embargoed arrivals a receiver refused to match (stashed until
     /// their injected hold expired). Always zero without a fault plan.
     pub embargo_defers: u64,
-    /// Queued-path sends whose envelope box was recycled from the lane's
-    /// freelist pool (no allocation). Timing-dependent — the receiver
-    /// must have drained and returned a box for the sender to reuse it —
-    /// so, like every transport counter, excluded from determinism pins.
+    /// Always 0; retained for the frozen benchmark adapter, leaves with
+    /// ROADMAP item 1 (a).
     pub pool_hits: u64,
-    /// Queued-path sends that allocated a fresh envelope box (the pool
-    /// was empty or disabled). `pool_hits + pool_misses == queued_sends`
-    /// on the lane transport; in steady state misses stop growing — the
-    /// pooled path allocates O(1) boxes per round.
+    /// Always 0; retained for the frozen benchmark adapter, leaves with
+    /// ROADMAP item 1 (a).
     pub pool_misses: u64,
 }
 
 impl TransportSnapshot {
-    /// Total sends across protocol paths (overflow is a sub-classification
-    /// of eager + queued, so it is not added again).
-    pub fn total_sends(&self) -> u64 {
-        self.eager_sends + self.queued_sends
-    }
-
     /// Total matched receives across paths.
     pub fn total_recvs(&self) -> u64 {
         self.ring_recvs + self.stash_recvs
@@ -316,15 +283,13 @@ impl TransportSnapshot {
     pub fn since(&self, earlier: &TransportSnapshot) -> TransportSnapshot {
         TransportSnapshot {
             eager_sends: self.eager_sends.saturating_sub(earlier.eager_sends),
-            queued_sends: self.queued_sends.saturating_sub(earlier.queued_sends),
             overflow_sends: self.overflow_sends.saturating_sub(earlier.overflow_sends),
             ring_recvs: self.ring_recvs.saturating_sub(earlier.ring_recvs),
             stash_recvs: self.stash_recvs.saturating_sub(earlier.stash_recvs),
             restashes: self.restashes.saturating_sub(earlier.restashes),
             parks: self.parks.saturating_sub(earlier.parks),
             embargo_defers: self.embargo_defers.saturating_sub(earlier.embargo_defers),
-            pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
-            pool_misses: self.pool_misses.saturating_sub(earlier.pool_misses),
+            ..TransportSnapshot::default()
         }
     }
 }
@@ -424,6 +389,7 @@ impl Stats {
             total.requests_completed += rank.requests_completed.get();
             rank.transport.add_into(&mut total.transport);
         }
+        total.transport.eager_sends = total.messages;
         let (kernel_blocks, scalar_blocks) = gv_core::kernel::dispatch_counts();
         total.kernel = KernelSnapshot {
             kernel_blocks,
@@ -666,34 +632,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_counters_snapshot_and_subtract() {
-        let stats = Stats::new(1);
-        let rank = stats.rank(0);
-        rank.transport.record_pool_miss();
-        rank.transport.record_pool_miss();
-        let before = stats.snapshot();
-        rank.transport.record_pool_hit();
-        rank.transport.record_pool_hit();
-        rank.transport.record_pool_hit();
-        rank.transport.record_pool_miss();
-        let delta = stats.snapshot().since(&before);
-        assert_eq!(delta.transport.pool_hits, 3);
-        assert_eq!(delta.transport.pool_misses, 1);
-        let full = stats.snapshot().transport;
-        assert_eq!(full.pool_hits, 3);
-        assert_eq!(full.pool_misses, 3);
-    }
-
-    #[test]
     fn transport_counters_snapshot_and_subtract() {
         let stats = Stats::new(1);
         let rank = stats.rank(0);
-        rank.transport.record_eager_send();
-        rank.transport.record_eager_send();
-        rank.transport.record_queued_send();
+        rank.record_message(8);
+        rank.record_message(8);
         rank.transport.record_ring_recv();
         let before = stats.snapshot();
-        rank.transport.record_eager_send();
+        rank.record_message(8);
         rank.transport.record_stash_recv();
         rank.transport.record_restash();
         rank.transport.record_park();
@@ -707,6 +653,7 @@ mod tests {
         assert_eq!(delta.transport.overflow_sends, 1);
         let full = stats.snapshot().transport;
         assert_eq!(full.eager_sends, 3);
+        assert_eq!(full.queued_sends + full.pool_hits + full.pool_misses, 0);
         assert_eq!(full.ring_recvs, 1);
     }
 
@@ -735,7 +682,6 @@ mod tests {
                 rank.record_scan_algorithm(ScanAlgorithm::Binomial);
                 rank.record_message(10 * (r + 1));
                 rank.record_request_started();
-                rank.transport.record_eager_send();
             }
             rank.record_request_completed();
             rank.transport.record_park();

@@ -1,9 +1,10 @@
 //! Randomized-interleaving property test for the transport layer.
 //!
 //! A random SPMD "plan" — per-rank send lists plus per-rank receive
-//! posts, including `Source::Any` posts and mixed eager/queued payload
-//! sizes — is executed on real rank threads, and
-//! every delivered message is checked against MPI's ordering contract:
+//! posts, including `Source::Any` posts and payloads of mixed
+//! representation (inline in the envelope, or boxed) — is executed on
+//! real rank threads, and every delivered message is checked against
+//! MPI's ordering contract:
 //!
 //! * **non-overtaking**: within one `(comm, source, tag)` triple,
 //!   messages arrive in send order (asserted via per-triple sequence
@@ -19,17 +20,72 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use gv_msgpass::Runtime;
+use gv_msgpass::{Comm, Runtime};
 use gv_testkit::prop::{check, Config, Strategy};
 use gv_testkit::rng::TestRng;
+
+/// What every message carries: `(source, tag, per-triple sequence
+/// number)`. At 24 bytes it rides inline in the envelope.
+type Stamp = (usize, u32, u64);
+
+/// The stamp made too large for the envelope: boxed.
+type Large = (Stamp, u64);
+
+/// The stamp made over-aligned for the envelope: boxed.
+#[repr(align(16))]
+struct Wide(Stamp);
+
+const _: () = assert!(size_of::<Stamp>() <= 24 && align_of::<Stamp>() <= 8);
+const _: () = assert!(size_of::<Large>() >= 32);
+const _: () = assert!(align_of::<Wide>() > 8);
+
+/// The one representation fork the transport has: how a payload rides.
+#[derive(Clone, Copy, Debug)]
+enum Repr {
+    Inline,
+    Large,
+    Wide,
+}
+
+impl Repr {
+    fn send(self, comm: &Comm, dst: usize, tag: u32, stamp: Stamp, bytes: usize) {
+        match self {
+            Repr::Inline => comm.send_with_bytes(dst, tag, stamp, bytes),
+            Repr::Large => comm.send_with_bytes(dst, tag, (stamp, 0u64), bytes),
+            Repr::Wide => comm.send_with_bytes(dst, tag, Wide(stamp), bytes),
+        }
+    }
+
+    /// Receives one message of this representation from `src` (`None` =
+    /// `Source::Any`); returns its stamp and actual source.
+    fn recv(self, comm: &Comm, src: Option<usize>, tag: u32) -> (Stamp, usize) {
+        fn on<T: 'static>(comm: &Comm, src: Option<usize>, tag: u32) -> (T, usize) {
+            match src {
+                Some(s) => (comm.recv(s, tag), s),
+                None => comm.recv_any(tag),
+            }
+        }
+        match self {
+            Repr::Inline => on::<Stamp>(comm, src, tag),
+            Repr::Large => {
+                let ((stamp, _), from) = on::<Large>(comm, src, tag);
+                (stamp, from)
+            }
+            Repr::Wide => {
+                let (Wide(stamp), from) = on(comm, src, tag);
+                (stamp, from)
+            }
+        }
+    }
+}
 
 /// One randomly generated SPMD exchange.
 #[derive(Clone, Debug)]
 struct Plan {
     p: usize,
-    eager_threshold: usize,
-    /// `sends[s]` = ordered `(dst, tag, modeled_bytes)` list for rank `s`.
-    sends: Vec<Vec<(usize, u32, usize)>>,
+    /// `sends[s]` = ordered `(dst, tag, modeled_bytes, representation)`
+    /// list for rank `s`.
+    sends: Vec<Vec<(usize, u32, usize, Repr)>>,
     /// Seed for deriving the receive posts (kept separate so shrinking
     /// the send lists re-derives consistent posts deterministically).
     post_seed: u64,
@@ -37,6 +93,10 @@ struct Plan {
 
 /// A receive post: `(None, tag)` = `Source::Any`, else a specific source.
 type Post = (Option<usize>, u32);
+
+/// The one representation of every message to an `Any`-posted
+/// `(destination, tag)`.
+type AnyReprs = HashMap<(usize, u32), Repr>;
 
 impl Plan {
     /// Derives, per destination rank, a deadlock-free randomized post
@@ -46,14 +106,22 @@ impl Plan {
     /// or *all* `Any` (mixing the two can deadlock legally: an `Any` post
     /// may consume the last message a later rank-specific post needed —
     /// that would be a test bug, not a transport bug).
-    fn derive_posts(&self) -> Vec<Vec<Post>> {
+    ///
+    /// A receive names its type before it knows its source, so every
+    /// message to an `Any`-posted `(destination, tag)` travels in one
+    /// representation, returned in the second map; such a receive still
+    /// drains lanes that carry the other tags' representations. Behind
+    /// a rank-specific post each message keeps the representation the
+    /// plan drew for it, so one triple mixes them.
+    fn derive_posts(&self) -> (Vec<Vec<Post>>, AnyReprs) {
         let mut rng = TestRng::new(self.post_seed);
         let mut posts: Vec<Vec<Post>> = vec![Vec::new(); self.p];
+        let mut any_repr = AnyReprs::new();
         for (d, posts_to_d) in posts.iter_mut().enumerate() {
             // Group size per (src, tag) destined to d.
             let mut groups: HashMap<(usize, u32), usize> = HashMap::new();
             for (s, sends) in self.sends.iter().enumerate() {
-                for &(dst, tag, _) in sends {
+                for &(dst, tag, ..) in sends {
                     if dst == d {
                         *groups.entry((s, tag)).or_insert(0) += 1;
                     }
@@ -65,6 +133,9 @@ impl Plan {
             let mut list: Vec<Post> = Vec::new();
             for tag in tags {
                 let any = rng.bool();
+                if any {
+                    any_repr.insert((d, tag), random_repr(&mut rng));
+                }
                 // Deterministic sweep (never HashMap iteration order) so
                 // a replayed seed rebuilds the identical post list.
                 for s in 0..self.p {
@@ -81,8 +152,12 @@ impl Plan {
             }
             *posts_to_d = list;
         }
-        posts
+        (posts, any_repr)
     }
+}
+
+fn random_repr(rng: &mut TestRng) -> Repr {
+    [Repr::Inline, Repr::Large, Repr::Wide][rng.usize_in(0..3)]
 }
 
 struct PlanStrategy;
@@ -92,8 +167,6 @@ impl Strategy for PlanStrategy {
 
     fn generate(&self, rng: &mut TestRng) -> Plan {
         let p = rng.usize_in(2..9);
-        // Low thresholds force a mix of eager and queued deliveries.
-        let eager_threshold = [0, 8, 64, usize::MAX][rng.usize_in(0..4)];
         let sends = (0..p)
             .map(|_| {
                 let n = rng.usize_in(0..10);
@@ -102,14 +175,13 @@ impl Strategy for PlanStrategy {
                         let dst = rng.usize_in(0..p); // self-sends included
                         let tag = rng.usize_in(0..3) as u32;
                         let bytes = rng.usize_in(1..257);
-                        (dst, tag, bytes)
+                        (dst, tag, bytes, random_repr(rng))
                     })
                     .collect()
             })
             .collect();
         Plan {
             p,
-            eager_threshold,
             sends,
             post_seed: rng.next_u64(),
         }
@@ -132,29 +204,41 @@ impl Strategy for PlanStrategy {
 }
 
 fn run_plan(plan: &Plan) -> Result<(), String> {
-    let posts = plan.derive_posts();
+    let (posts, any_repr) = plan.derive_posts();
+    // The representation each message travels in, per `(src, dst, tag)`
+    // triple in send order.
+    let mut wire: HashMap<(usize, usize, u32), Vec<Repr>> = HashMap::new();
+    for (s, sends) in plan.sends.iter().enumerate() {
+        for &(dst, tag, _, repr) in sends {
+            let repr = any_repr.get(&(dst, tag)).copied().unwrap_or(repr);
+            wire.entry((s, dst, tag)).or_default().push(repr);
+        }
+    }
     let failure: Mutex<Option<String>> = Mutex::new(None);
     let outcome = std::panic::catch_unwind(|| {
         Runtime::new(plan.p)
-            .eager_threshold(plan.eager_threshold)
             .run(|comm| {
                 let r = comm.rank();
                 // Send phase: stamp each message with its per-(src, dst,
                 // tag) sequence number.
                 let mut seqs: HashMap<(usize, u32), u64> = HashMap::new();
-                for &(dst, tag, bytes) in &plan.sends[r] {
+                for &(dst, tag, bytes, _) in &plan.sends[r] {
                     let seq = seqs.entry((dst, tag)).or_insert(0);
-                    comm.send_with_bytes(dst, tag, (r, tag, *seq), bytes);
+                    wire[&(r, dst, tag)][*seq as usize].send(comm, dst, tag, (r, tag, *seq), bytes);
                     *seq += 1;
                 }
                 // Receive phase: whatever the interleaving, each source's
                 // own sequence must come back in order.
                 let mut expected: HashMap<(usize, u32), u64> = HashMap::new();
                 for &(src, tag) in &posts[r] {
-                    let ((psrc, ptag, pseq), from) = match src {
-                        Some(s) => (comm.recv::<(usize, u32, u64)>(s, tag), s),
-                        None => comm.recv_any::<(usize, u32, u64)>(tag),
+                    let repr = match src {
+                        Some(s) => {
+                            let next = expected.get(&(s, tag)).copied().unwrap_or(0);
+                            wire[&(s, r, tag)][next as usize]
+                        }
+                        None => any_repr[&(r, tag)],
                     };
+                    let ((psrc, ptag, pseq), from) = repr.recv(comm, src, tag);
                     let fail = |msg: String| {
                         *failure.lock().unwrap() = Some(msg);
                     };

@@ -46,13 +46,12 @@ echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"
 ./target/release/ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096 > /dev/null
 
 # The pipeline microbench embeds the selector-within-5% and ≥2× speedup
-# acceptance asserts; run its pool-counter path too so the freelist
-# plumbing stays alive, its host-clock table, the only place the
+# acceptance asserts; run its host-clock table too, the only place the
 # segmented schedules are timed rather than modeled, and its
-# small-message latency table (all three go to stderr, not the recorded
+# small-message latency table (both go to stderr, not the recorded
 # table).
-echo "smoke: pipeline_microbench --pool --wall --latency"
-./target/release/pipeline_microbench --pool --wall --latency > /dev/null 2> /dev/null
+echo "smoke: pipeline_microbench --wall --latency"
+./target/release/pipeline_microbench --wall --latency > /dev/null 2> /dev/null
 
 # The NAS IS harness times the ranking's phases on the host clock (to
 # stderr, not a recorded table); keep the flag and its asserts alive.

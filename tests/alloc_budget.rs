@@ -319,25 +319,22 @@ fn small_messages_allocate_nothing_in_steady_state() {
 
 #[test]
 fn a_large_vec_is_sent_without_a_payload_box() {
-    // 1 MiB of `u64` from rank 0 to rank 1 and back. The `Vec`'s header
-    // travels in the envelope and the envelope, being over the eager
-    // threshold, in a pooled box the warm-up round has already put in
-    // the lane's freelist: neither send allocates, nor either receive.
-    let round = |comm: &Comm, state: Vec<u64>| -> Vec<u64> {
-        if comm.rank() == 0 {
-            comm.send_vec(1, 9, state);
-            comm.recv(1, 9)
-        } else {
-            let echoed: Vec<u64> = comm.recv(0, 9);
-            comm.send_vec(0, 9, echoed);
-            state
-        }
-    };
+    // 1 MiB of `u64` from rank 0 to rank 1 and back, cold: the `Vec`'s
+    // header travels in the envelope and the envelope in the lane's slot,
+    // so neither send allocates, nor either receive, from the first
+    // message on.
     let spent = Runtime::new(2)
         .run(|comm| {
-            let state = round(comm, vec![comm.rank() as u64; LEN]);
+            let state = vec![comm.rank() as u64; LEN];
             let before = allocated();
-            let state = round(comm, state);
+            let state = if comm.rank() == 0 {
+                comm.send_vec(1, 9, state);
+                comm.recv(1, 9)
+            } else {
+                let echoed: Vec<u64> = comm.recv(0, 9);
+                comm.send_vec(0, 9, echoed);
+                state
+            };
             let spent = allocated() - before;
             assert_eq!(state.len(), LEN);
             spent

@@ -56,17 +56,24 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
                 }
                 let mut pending = comm.iallreduce_recursive_doubling(1u64, |_| 8, sum);
                 assert_eq!(pending.wait(), Ok(p));
+                // One message over 1 KiB: it crosses a lane as the rest do.
+                if p > 1 && comm.rank() < 2 {
+                    let peer = 1 - comm.rank();
+                    comm.send_vec(peer, 6, vec![0u64; 256]);
+                    assert_eq!(comm.recv::<Vec<u64>>(peer, 6).len(), 256);
+                }
             })
             .stats;
 
         let ring_sends = if p > 1 { 4 * p } else { 0 };
+        let large_sends = if p > 1 { 2 } else { 0 };
         let eight_byte = 4 * allreduce_rd_messages(p) + 2 * scan_rd_messages(p) + ring_sends;
         let empty = 2 * p * log2_ceil(p); // barrier tokens are `()`
         assert_eq!(stats.calls(CallKind::Allreduce), 4 * p, "p={p}");
         assert_eq!(stats.calls(CallKind::Barrier), 2 * p, "p={p}");
         assert_eq!(stats.calls(CallKind::Scan), 2 * p, "p={p}");
-        assert_eq!(stats.calls(CallKind::Send), ring_sends, "p={p}");
-        assert_eq!(stats.total_calls(), 8 * p + ring_sends, "p={p}");
+        assert_eq!(stats.calls(CallKind::Send), ring_sends + large_sends, "p={p}");
+        assert_eq!(stats.total_calls(), 8 * p + ring_sends + large_sends, "p={p}");
         assert_eq!(stats.collective_calls(), 8 * p, "p={p}");
         assert_eq!(stats.reduction_calls(), 6 * p, "p={p}");
         assert_eq!(
@@ -79,13 +86,14 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
             2 * p,
             "p={p}"
         );
-        assert_eq!(stats.messages, eight_byte + empty, "p={p}");
-        assert_eq!(stats.bytes, 8 * eight_byte, "p={p}");
+        assert_eq!(stats.messages, eight_byte + empty + large_sends, "p={p}");
+        assert_eq!(stats.bytes, 8 * eight_byte + 2048 * large_sends, "p={p}");
         // Allreduces and scans run as schedules; the barrier does not.
         assert_eq!(stats.requests_started, 6 * p, "p={p}");
         assert_eq!(stats.requests_completed, 6 * p, "p={p}");
-        // Every message is small (eager, never boxed or pooled), was
-        // received, and never found a full ring.
+        // Every message, whatever its size, is one send down a lane (the
+        // other three fields stay 0), was received, and never found a
+        // full ring.
         let t = stats.transport;
         assert_eq!(t.eager_sends, stats.messages, "p={p}");
         assert_eq!(t.queued_sends + t.pool_hits + t.pool_misses, 0, "p={p}");
