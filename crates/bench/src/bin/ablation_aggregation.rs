@@ -7,10 +7,21 @@
 //! time and wire messages for `m` separate allreduces vs one aggregated
 //! allreduce of an `m`-slot vector.
 //!
-//! Usage: ablation_aggregation [--procs 16] [--csv]
+//! `--wall` adds, on stderr, what the slot pass under an aggregated call
+//! costs on the host clock (timing-dependent, so never part of the
+//! recorded table): p = 2, 64 rows a rank, a built-in integer, a built-in
+//! float and a user operator at three widths.
+//!
+//! Usage: ablation_aggregation [--procs 16] [--csv] [--wall]
 
-use gv_bench::table::{arg_value, has_flag, parallel_time, timed_phase};
-use gv_core::ops::builtin::min;
+use std::time::Instant;
+
+use gv_bench::table::{
+    arg_value, has_flag, parallel_time, report_wall_phases, timed_phase, wall_plan, wall_reps,
+};
+use gv_core::op::{ReduceScanOp, ScanKind};
+use gv_core::ops::builtin::{min, sum};
+use gv_core::ops::minmax::MinMax;
 use gv_msgpass::Runtime;
 
 fn measure(p: usize, m: usize, aggregated: bool) -> (f64, u64) {
@@ -31,6 +42,33 @@ fn measure(p: usize, m: usize, aggregated: bool) -> (f64, u64) {
         dt
     });
     (parallel_time(&outcome.results), outcome.stats.messages)
+}
+
+/// Host wall clock of one `reduce_all_elementwise` and one inclusive
+/// `scan_elementwise` of `op` over 64 rows of `m` slots on each of 2 ranks.
+fn wall_report<Op>(name: &str, op: Op, m: usize, cell: fn(usize) -> Op::In)
+where
+    Op: ReduceScanOp + Sync,
+    Op::State: Clone + Send + 'static,
+{
+    let outcome = Runtime::new(2).run(|comm| {
+        let row = |i| (0..m).map(move |j| cell((comm.rank() * 64 + i) * 7919 + j * 31));
+        let rows: Vec<Vec<Op::In>> = (0..64).map(|i| row(i).collect()).collect();
+        let rows: Vec<&[Op::In]> = rows.iter().map(Vec::as_slice).collect();
+        wall_reps(comm, wall_plan(), || {
+            let start = Instant::now();
+            std::hint::black_box(gv_rsmpi::reduce_all_elementwise(comm, &op, &rows));
+            let reduced = start.elapsed().as_secs_f64();
+            let scanned = gv_rsmpi::scan_elementwise(comm, &op, &rows, ScanKind::Inclusive);
+            std::hint::black_box(scanned);
+            [reduced, start.elapsed().as_secs_f64() - reduced]
+        })
+    });
+    report_wall_phases(
+        &format!("one call of {name} at m = {m}"),
+        ["reduce_all", "scan"],
+        &outcome.results,
+    );
 }
 
 fn main() {
@@ -67,6 +105,14 @@ fn main() {
                 m_agg,
                 t_sep / t_agg
             );
+        }
+    }
+    if has_flag(&args, "--wall") {
+        for m in [32usize, 4096, 65536] {
+            let quarters = |v| (v % 1009) as f64 * 0.25;
+            wall_report("min<i64>", min::<i64>(), m, |v| (v % 1009) as i64 - 500);
+            wall_report("sum<f64>", sum::<f64>(), m, quarters);
+            wall_report("MinMax<f64>", MinMax::<f64>::new(), m, quarters);
         }
     }
 }

@@ -57,6 +57,17 @@ fn fig3_recording_is_bit_identical() {
 }
 
 #[test]
+fn ablation_aggregation_recording_is_bit_identical() {
+    let got = run(env!("CARGO_BIN_EXE_ablation_aggregation"), &[]);
+    assert_eq!(
+        got,
+        recorded("ablation_aggregation.txt"),
+        "ablation_aggregation output drifted from results/ablation_aggregation.txt — \
+         an aggregated allreduce's messages or modeled clock moved"
+    );
+}
+
+#[test]
 fn fixed_cost_source_is_the_default_and_leaves_recordings_pinned() {
     // The measured-calibration cost source must stay strictly opt-in:
     // the default is the fixed clock model, so every recorded figure

@@ -12,52 +12,146 @@
 //! operators ("the mink reduction can itself be aggregated"), which works
 //! here unchanged because the functions are applied per slot.
 //!
-//! In this crate the benefit is expressed purely as data layout; the
-//! message-batching benefit the paper measures lives in the message-passing
-//! layer (`gv_rsmpi::agg`), which ships all slot states in one message.
+//! An aggregated reduction is not a second kind of reduction: it is the
+//! ordinary one over the operator [`Elementwise`], so every engine that
+//! takes an operator — [`crate::seq`], [`crate::par`], every `gv_rsmpi`
+//! call — aggregates, and ships all slot states in one message, without a
+//! line written for it. The two functions below are [`crate::seq`] on it.
 
+use std::marker::PhantomData;
+
+use crate::kernel::zip_slots;
 use crate::op::{ReduceScanOp, ScanKind};
+use crate::split::{split_vec_segments, unsplit_vec_segments, SplittableState};
 
-/// Asserts all rows have the same width and returns it (0 when `rows` is
-/// empty).
-fn row_width<T>(rows: &[&[T]]) -> usize {
-    let width = rows.first().map_or(0, |r| r.len());
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(
-            row.len(),
-            width,
-            "aggregated rows must have equal widths (row {i} has {} slots, expected {width})",
-            row.len()
-        );
-    }
-    width
+/// Lifts an operator over elements into the operator over *rows* of them
+/// (`R`: a `&[In]`, a `Vec<In>`, …): one inner state per slot, the seven
+/// functions applied per slot.
+///
+/// The **empty** state also stands for the identity, at any width: a
+/// processor that holds no rows cannot know the width, so `combine`
+/// returns the other side when either is empty, and a rescan handed an
+/// empty prefix starts from `width` identities. Two non-empty sides must
+/// agree on the width.
+///
+/// Slot-wise combining distributes over contiguous slot ranges, so the
+/// lifted operator is [`SplittableState`] whatever the inner one is. Each
+/// row accumulated and each state combined is one pass of
+/// [`crate::kernel`]'s ISA-dispatched zip, and one kernel block in its
+/// dispatch counters.
+#[derive(Debug, Clone, Copy)]
+pub struct Elementwise<Op, R> {
+    op: Op,
+    width: usize,
+    rows: PhantomData<fn(&R)>,
 }
 
-/// Accumulates all rows into one state per slot, applying the pre/post
-/// hooks on the first/last row exactly as `accumulate_block` does for a
-/// single reduction.
-pub fn accumulate_rows<Op: ReduceScanOp + ?Sized>(
-    op: &Op,
-    states: &mut [Op::State],
-    rows: &[&[Op::In]],
-) {
-    let width = row_width(rows);
-    assert_eq!(
-        states.len(),
-        width,
-        "state count must equal the row width"
-    );
-    let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
-        return;
-    };
-    for (s, x) in states.iter_mut().zip(first.iter()) {
-        op.pre_accum(s, x);
+impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> Elementwise<Op, R> {
+    /// `op` over rows of `width` slots.
+    pub fn new(op: Op, width: usize) -> Self {
+        let rows = PhantomData;
+        Elementwise { op, width, rows }
     }
-    for row in rows {
-        op.accum_slots(states, row);
+
+    /// `op` at the width of the first of `rows` (0 when there are none).
+    pub fn for_rows(op: Op, rows: &[R]) -> Self {
+        Self::new(op, rows.first().map_or(0, |r| r.as_ref().len()))
     }
-    for (s, x) in states.iter_mut().zip(last.iter()) {
-        op.post_accum(s, x);
+}
+
+impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> ReduceScanOp for Elementwise<Op, R> {
+    type In = R;
+    type State = Vec<Op::State>;
+    type Out = Vec<Op::Out>;
+
+    const COMMUTATIVE: bool = Op::COMMUTATIVE;
+
+    fn ident(&self) -> Self::State {
+        (0..self.width).map(|_| self.op.ident()).collect()
+    }
+
+    fn pre_accum(&self, state: &mut Self::State, first: &R) {
+        for (s, x) in state.iter_mut().zip(first.as_ref()) {
+            self.op.pre_accum(s, x);
+        }
+    }
+
+    fn accum(&self, state: &mut Self::State, row: &R) {
+        let row = row.as_ref();
+        assert_eq!(
+            row.len(),
+            self.width,
+            "aggregated rows must have equal widths (expected {})",
+            self.width
+        );
+        if state.is_empty() {
+            *state = self.ident();
+        }
+        zip_slots(state, row, |s, x| self.op.accum(s, x));
+    }
+
+    fn post_accum(&self, state: &mut Self::State, last: &R) {
+        for (s, x) in state.iter_mut().zip(last.as_ref()) {
+            self.op.post_accum(s, x);
+        }
+    }
+
+    fn combine(&self, earlier: &mut Self::State, later: Self::State) {
+        if later.is_empty() {
+            return;
+        }
+        if earlier.is_empty() {
+            *earlier = later;
+            return;
+        }
+        assert_eq!(
+            earlier.len(),
+            later.len(),
+            "aggregated reduction requires the same row width on every rank"
+        );
+        zip_slots(earlier, later, |a, b| self.op.combine(a, b));
+    }
+
+    fn red_gen(&self, state: Self::State) -> Self::Out {
+        state.into_iter().map(|s| self.op.red_gen(s)).collect()
+    }
+
+    fn scan_gen(&self, state: &Self::State, row: &R) -> Self::Out {
+        if state.is_empty() && self.width > 0 {
+            return self.scan_gen(&self.ident(), row);
+        }
+        let slots = state.iter().zip(row.as_ref());
+        slots.map(|(s, x)| self.op.scan_gen(s, x)).collect()
+    }
+
+    /// One without slots reports one byte, not none: at zero bytes every
+    /// scan schedule is priced at its round count times α, and the selector
+    /// breaks the tie (p = 3: recursive doubling and the chain, two rounds
+    /// each) by list order, where any state of a byte or more picks the
+    /// chain — a rank without rows would run a different schedule from its
+    /// neighbours. (Priced here and not in the selector for a measured
+    /// reason: EXPERIMENTS.md, TXT-OUTPUT.)
+    fn wire_size(&self, state: &Self::State) -> usize {
+        let bytes: usize = state.iter().map(|s| self.op.wire_size(s)).sum();
+        bytes.max(1)
+    }
+
+    fn accum_ops(&self) -> u64 {
+        self.width as u64 * self.op.accum_ops()
+    }
+
+    fn combine_ops(&self, incoming: &Self::State) -> u64 {
+        incoming.iter().map(|s| self.op.combine_ops(s)).sum()
+    }
+}
+
+impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> SplittableState for Elementwise<Op, R> {
+    fn split_state(&self, state: Self::State, parts: usize) -> Vec<Self::State> {
+        split_vec_segments(state, parts)
+    }
+
+    fn unsplit_state(&self, segments: Vec<Self::State>) -> Self::State {
+        unsplit_vec_segments(segments)
     }
 }
 
@@ -67,10 +161,7 @@ pub fn reduce_elementwise<Op: ReduceScanOp + ?Sized>(
     op: &Op,
     rows: &[&[Op::In]],
 ) -> Vec<Op::Out> {
-    let width = row_width(rows);
-    let mut states: Vec<Op::State> = (0..width).map(|_| op.ident()).collect();
-    accumulate_rows(op, &mut states, rows);
-    states.into_iter().map(|s| op.red_gen(s)).collect()
+    crate::seq::reduce(&Elementwise::for_rows(op, rows), rows)
 }
 
 /// Element-wise aggregated scan: output row `i`, slot `j` is the scan of
@@ -80,26 +171,7 @@ pub fn scan_elementwise<Op: ReduceScanOp + ?Sized>(
     rows: &[&[Op::In]],
     kind: ScanKind,
 ) -> Vec<Vec<Op::Out>> {
-    let width = row_width(rows);
-    let mut states: Vec<Op::State> = (0..width).map(|_| op.ident()).collect();
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut out_row = Vec::with_capacity(width);
-        for (s, x) in states.iter_mut().zip(row.iter()) {
-            match kind {
-                ScanKind::Exclusive => {
-                    out_row.push(op.scan_gen(s, x));
-                    op.accum(s, x);
-                }
-                ScanKind::Inclusive => {
-                    op.accum(s, x);
-                    out_row.push(op.scan_gen(s, x));
-                }
-            }
-        }
-        out.push(out_row);
-    }
-    out
+    crate::seq::scan(&Elementwise::for_rows(op, rows), rows, kind)
 }
 
 #[cfg(test)]
@@ -168,6 +240,14 @@ mod tests {
         let rows: Vec<&[i32]> = vec![];
         assert!(reduce_elementwise(&op, &rows).is_empty());
         assert!(scan_elementwise(&op, &rows, ScanKind::Inclusive).is_empty());
+    }
+
+    #[test]
+    fn rows_without_slots_scan_to_rows_without_slots() {
+        let rows: Vec<&[i32]> = vec![&[], &[]];
+        assert!(reduce_elementwise(&MonoidOp(Min), &rows).is_empty());
+        let scanned = scan_elementwise(&MonoidOp(Min), &rows, ScanKind::Exclusive);
+        assert_eq!(scanned, vec![Vec::<i32>::new(); 2]);
     }
 
     #[test]

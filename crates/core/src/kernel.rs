@@ -58,7 +58,7 @@
 //! exactly like the transport counters, because they measure how compute
 //! ran, not what it produced.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::op::{ReduceScanOp, ScanKind};
 
@@ -84,19 +84,37 @@ pub const BLOCK: usize = 1024;
 /// (EXPERIMENTS.md, TXT-OPKERNEL: 3–4× at four, 1.9× at eight).
 pub const RUNS: usize = 4;
 
-static KERNEL_BLOCKS: AtomicU64 = AtomicU64::new(0);
-static SCALAR_BLOCKS: AtomicU64 = AtomicU64::new(0);
+/// The two dispatch counters, a cache line to a shard and a shard to a
+/// thread: two ranks ticking one shared line pay its transfer between
+/// their cores on every tick — about 50 ns against 5 on a line of their
+/// own (EXPERIMENTS.md, TXT-AGG), once a row in an aggregated call.
+#[repr(align(128))]
+struct Shard {
+    kernel: AtomicU64,
+    scalar: AtomicU64,
+}
+
+static SHARDS: [Shard; 16] = [const {
+    Shard {
+        kernel: AtomicU64::new(0),
+        scalar: AtomicU64::new(0),
+    }
+}; 16];
+static THREADS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static SHARD: &'static Shard = &SHARDS[THREADS.fetch_add(1, Ordering::Relaxed) % SHARDS.len()];
+}
 
 /// Records one block dispatched through a specialized block kernel.
 #[inline]
 pub fn note_kernel_block() {
-    KERNEL_BLOCKS.fetch_add(1, Ordering::Relaxed);
+    SHARD.with(|shard| shard.kernel.fetch_add(1, Ordering::Relaxed));
 }
 
 /// Records one block handled by the generic per-element scalar loop.
 #[inline]
 pub fn note_scalar_block() {
-    SCALAR_BLOCKS.fetch_add(1, Ordering::Relaxed);
+    SHARD.with(|shard| shard.scalar.fetch_add(1, Ordering::Relaxed));
 }
 
 /// Process-wide `(kernel_blocks, scalar_blocks)` dispatch counts.
@@ -105,10 +123,12 @@ pub fn note_scalar_block() {
 /// two readings. The counters say nothing about results — they exist so
 /// benchmarks and stats can *prove* which path ran.
 pub fn dispatch_counts() -> (u64, u64) {
-    (
-        KERNEL_BLOCKS.load(Ordering::Relaxed),
-        SCALAR_BLOCKS.load(Ordering::Relaxed),
-    )
+    SHARDS.iter().fold((0, 0), |(kernel, scalar), shard| {
+        (
+            kernel + shard.kernel.load(Ordering::Relaxed),
+            scalar + shard.scalar.load(Ordering::Relaxed),
+        )
+    })
 }
 
 /// Which vector ISA tier the dispatcher selected at runtime.
@@ -410,14 +430,29 @@ pub fn accum_runs<Op: ReduceScanOp + ?Sized>(op: &Op, state: &mut Op::State, blo
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise slice combine (splittable vector states, aggregated slots)
+// Elementwise slot zip (splittable vector states, aggregated slots)
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
-fn combine_elementwise_body<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T + Copy) {
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = f(*x, y);
+fn zip_slots_body<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
+    for (s, x) in slots.iter_mut().zip(other) {
+        f(s, x);
     }
+}
+
+/// `f(&mut slots[i], other[i])` over the shorter of the two, dispatched to
+/// the widest detected ISA: the slot pass under [`combine_elementwise`] and
+/// under [`crate::agg::Elementwise`], which zips its states with a borrowed
+/// row to accumulate and an owned state vector to combine. `f` is compiled
+/// once per tier, so a user operator vectorizes wherever its body can.
+#[inline]
+pub(crate) fn zip_slots<S, I: IntoIterator>(
+    slots: &mut [S],
+    other: I,
+    f: impl Fn(&mut S, I::Item),
+) {
+    note_kernel_block();
+    zip_slots_dispatch(slots, other.into_iter(), f)
 }
 
 /// `a[i] = f(a[i], b[i])` over `min(a.len(), b.len())` slots, in place,
@@ -425,33 +460,31 @@ fn combine_elementwise_body<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T
 ///
 /// Purely elementwise — no regrouping — so this is exact for *every* type,
 /// floats included. This is the segment-combine kernel under the
-/// reduce-scatter/circulant collectives and the aggregated (multi-slot)
-/// reductions.
+/// reduce-scatter/circulant collectives.
 #[inline]
 pub fn combine_elementwise<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T + Copy) {
-    note_kernel_block();
-    combine_elementwise_dispatch(a, b, f)
+    zip_slots(a, b, |x, &y| *x = f(*x, y));
 }
 
-/// [`combine_elementwise`] without the dispatch-counter tick, for callers
-/// that already account for the enclosing block (e.g. [`count_into`]).
+/// [`zip_slots`] without the dispatch-counter tick, for callers that
+/// already account for the enclosing block (e.g. [`count_into`]).
 #[inline]
-fn combine_elementwise_dispatch<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T + Copy) {
+fn zip_slots_dispatch<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
     #[cfg(target_arch = "x86_64")]
     match isa_tier() {
         // SAFETY: the matching features were just detected at runtime.
-        IsaTier::Avx512 => return unsafe { combine_elementwise_avx512(a, b, f) },
+        IsaTier::Avx512 => return unsafe { zip_slots_avx512(slots, other, f) },
         // SAFETY: AVX2 was just detected at runtime.
-        IsaTier::Avx2 => return unsafe { combine_elementwise_avx2(a, b, f) },
+        IsaTier::Avx2 => return unsafe { zip_slots_avx2(slots, other, f) },
         IsaTier::Portable => {}
     }
-    combine_elementwise_body(a, b, f)
+    zip_slots_body(slots, other, f)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn combine_elementwise_avx2<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T + Copy) {
-    combine_elementwise_body(a, b, f)
+fn zip_slots_avx2<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
+    zip_slots_body(slots, other, f)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -461,8 +494,8 @@ fn combine_elementwise_avx2<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T
     enable = "avx512bw",
     enable = "avx512vl"
 )]
-fn combine_elementwise_avx512<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T + Copy) {
-    combine_elementwise_body(a, b, f)
+fn zip_slots_avx512<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
+    zip_slots_body(slots, other, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -760,9 +793,9 @@ pub fn count_into<T>(counts: &mut [u64], block: &[T], index_of: impl Fn(&T) -> u
     }
     let (s1, rest) = sub.split_at(k);
     let (s2, s3) = rest.split_at(k);
-    combine_elementwise_dispatch(counts, s1, |a, b| a + b);
-    combine_elementwise_dispatch(counts, s2, |a, b| a + b);
-    combine_elementwise_dispatch(counts, s3, |a, b| a + b);
+    zip_slots_dispatch(counts, s1.iter(), |a, &b| *a += b);
+    zip_slots_dispatch(counts, s2.iter(), |a, &b| *a += b);
+    zip_slots_dispatch(counts, s3.iter(), |a, &b| *a += b);
 }
 
 #[cfg(test)]

@@ -44,7 +44,8 @@
 //!   and 3).
 //! * [`kernel`] — vector-lane block kernels under the engines (pinned
 //!   lane regrouping, runtime ISA dispatch, dispatch counters).
-//! * [`agg`] — element-wise aggregated reductions and scans (§2.1).
+//! * [`agg`] — aggregation (§2.1) as an operator: [`agg::Elementwise`]
+//!   lifts any operator over rows of slots, so every engine aggregates.
 //! * [`mem`] — how a large output window is backed while it is filled
 //!   (the one foreign call in the crate).
 //! * [`ops`] — the operator library (built-ins, `mink`, `mini`, `counts`,

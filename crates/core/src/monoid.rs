@@ -35,13 +35,6 @@ pub trait Monoid {
         false
     }
 
-    /// Block-kernel hook for elementwise slice combine:
-    /// `a[i] = a[i] ⊕ b[i]`. Exact for every type (no regrouping).
-    /// Returning `false` (the default) keeps the per-slot loop.
-    fn combine_elementwise(&self, _a: &mut [Self::T], _b: &[Self::T]) -> bool {
-        false
-    }
-
     /// Block-kernel hook for scans: appends one output per element of
     /// `block` to `out` and leaves `carry` as the running fold through the
     /// block. Returning `false` (the default) keeps the per-element loop.
@@ -130,23 +123,6 @@ where
         kind: ScanKind,
     ) -> bool {
         self.0.scan_block(state, block, out, kind)
-    }
-
-    fn combine_slots(&self, earlier: &mut [M::T], later: Vec<M::T>) {
-        if !self.0.combine_elementwise(earlier, &later) {
-            crate::kernel::note_scalar_block();
-            for (a, b) in earlier.iter_mut().zip(&later) {
-                self.0.combine(a, b);
-            }
-        }
-    }
-
-    fn accum_slots(&self, states: &mut [M::T], row: &[M::T]) {
-        if !self.0.combine_elementwise(states, row) {
-            for (s, x) in states.iter_mut().zip(row) {
-                self.0.combine(s, x);
-            }
-        }
     }
 }
 

@@ -179,28 +179,6 @@ pub trait ReduceScanOp {
     ) -> bool {
         false
     }
-
-    /// Combines a run of per-slot states elementwise:
-    /// `earlier[j] = earlier[j] ⊕ later[j]` (the aggregated-reduction
-    /// combine of paper §2.1). The default is the per-slot
-    /// [`combine`](Self::combine) loop in slot order; operators with
-    /// primitive states may vectorize it.
-    fn combine_slots(&self, earlier: &mut [Self::State], later: Vec<Self::State>) {
-        crate::kernel::note_scalar_block();
-        for (a, b) in earlier.iter_mut().zip(later) {
-            self.combine(a, b);
-        }
-    }
-
-    /// Accumulates one input per slot: `states[j] ⊕= row[j]` (the
-    /// aggregated accumulate of paper §2.1). Default is the per-slot
-    /// [`accum`](Self::accum) loop; monoid-backed operators may vectorize
-    /// it since their accumulate *is* their combine.
-    fn accum_slots(&self, states: &mut [Self::State], row: &[Self::In]) {
-        for (s, x) in states.iter_mut().zip(row) {
-            self.accum(s, x);
-        }
-    }
 }
 
 /// Operators pass by reference transparently: `&Op` is itself an operator.
@@ -252,12 +230,6 @@ impl<Op: ReduceScanOp + ?Sized> ReduceScanOp for &Op {
         kind: ScanKind,
     ) -> bool {
         (**self).scan_block(state, block, out, kind)
-    }
-    fn combine_slots(&self, earlier: &mut [Self::State], later: Vec<Self::State>) {
-        (**self).combine_slots(earlier, later);
-    }
-    fn accum_slots(&self, states: &mut [Self::State], row: &[Self::In]) {
-        (**self).accum_slots(states, row);
     }
 }
 

@@ -13,11 +13,10 @@ use crate::monoid::{Monoid, MonoidOp};
 use crate::op::ScanKind;
 use crate::ops::num::{Bits, Bounded, Num};
 
-/// Implements the three [`Monoid`] block-kernel hooks from a combine
-/// closure: lane-fold accumulate, elementwise slice combine, and a scan
-/// kernel chosen by `$exact`. Regrouping-exact closures (wrapping integer
-/// sums, bitwise/boolean ops, integer min/max) scan through the
-/// serial-order slice kernel: a latency-1 dependent chain already runs at
+/// Implements the two [`Monoid`] block-kernel hooks from a combine
+/// closure: lane-fold accumulate and a scan kernel chosen by `$exact`.
+/// Regrouping-exact closures (wrapping integer sums, bitwise/boolean ops,
+/// integer min/max) scan through the serial-order slice kernel: a latency-1 dependent chain already runs at
 /// ~1 element/cycle, so serial order is both bit-identical to the scalar
 /// loop *and* the fastest choice. Float closures (multi-cycle latency
 /// chains) scan through the pinned prefix-network regrouping of
@@ -28,10 +27,6 @@ macro_rules! impl_monoid_kernels {
         fn combine_block(&self, a: &mut Self::T, block: &[Self::T]) -> bool {
             let folded = kernel::fold_block(self.identity(), block, $f);
             self.combine(a, &folded);
-            true
-        }
-        fn combine_elementwise(&self, a: &mut [Self::T], b: &[Self::T]) -> bool {
-            kernel::combine_elementwise(a, b, $f);
             true
         }
         fn scan_block(

@@ -51,30 +51,13 @@ pub trait SplittableState: ReduceScanOp {
 }
 
 /// The half-open index ranges of the balanced contiguous chunking used by
-/// [`split_vec_segments`]: the first `len % parts` segments get one extra
-/// element, segments beyond `len` are empty. Depends only on
-/// `(len, parts)`, so equal-length states chunk identically on every rank
-/// — the property the pipelined schedules rely on when matching segment
-/// indices across ranks.
-pub fn segment_ranges(len: usize, parts: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
-    assert!(parts >= 1, "cannot split into zero segments");
-    let base = len / parts;
-    let extra = len % parts;
-    let mut start = 0usize;
-    (0..parts).map(move |i| {
-        let size = base + usize::from(i < extra);
-        let range = start..start + size;
-        start += size;
-        range
-    })
-}
-
-/// Borrowed view of the segments of a slice — [`split_vec_segments`]
-/// without moving any element, for callers that only need to *read* (or
-/// price) the segments of a state they still own.
-pub fn segment_views<T>(v: &[T], parts: usize) -> Vec<&[T]> {
-    segment_ranges(v.len(), parts).map(|r| &v[r]).collect()
-}
+/// [`split_vec_segments`] — the block decomposition every engine uses,
+/// under the name a state's segments go by: the first `len % parts`
+/// segments get one extra element, segments beyond `len` are empty.
+/// Depends only on `(len, parts)`, so equal-length states chunk identically
+/// on every rank — the property the pipelined schedules rely on when
+/// matching segment indices across ranks. Panics if `parts` is zero.
+pub use gv_executor::chunk_ranges as segment_ranges;
 
 /// Splits a vector into `parts` balanced contiguous chunks (the first
 /// `len % parts` chunks get one extra element; chunks beyond `len` are
@@ -144,33 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_ranges_tile_the_slice_in_order() {
-        for (len, parts) in [(10usize, 4usize), (2, 5), (13, 3), (0, 2), (7, 1), (16, 16)] {
-            let ranges: Vec<_> = segment_ranges(len, parts).collect();
-            assert_eq!(ranges.len(), parts, "len={len} parts={parts}");
-            let mut expect_start = 0;
-            for r in &ranges {
-                assert_eq!(r.start, expect_start, "len={len} parts={parts}");
-                expect_start = r.end;
-            }
-            assert_eq!(expect_start, len, "len={len} parts={parts}");
-        }
-    }
-
-    #[test]
-    fn segment_views_agree_with_split_vec_segments() {
-        let v: Vec<u32> = (0..13).collect();
-        for parts in [1usize, 2, 3, 7, 16] {
-            let views = segment_views(&v, parts);
-            let owned = split_vec_segments(v.clone(), parts);
-            assert_eq!(views.len(), owned.len());
-            for (view, chunk) in views.iter().zip(&owned) {
-                assert_eq!(*view, chunk.as_slice(), "parts={parts}");
-            }
-        }
-    }
-
-    #[test]
     fn one_part_is_the_input_allocation() {
         let mut v: Vec<u64> = Vec::with_capacity(100);
         v.extend(0..40);
@@ -199,8 +155,8 @@ mod tests {
                     held <= 2 * len + 8 * parts,
                     "len={len} parts={parts}: segments hold capacity {held}"
                 );
-                for (view, chunk) in segment_views(&v, parts).iter().zip(&chunks) {
-                    prop_assert_eq!(*view, chunk.as_slice());
+                for (range, chunk) in segment_ranges(len, parts).zip(&chunks) {
+                    prop_assert_eq!(&v[range], chunk.as_slice());
                 }
                 prop_assert_eq!(unsplit_vec_segments(chunks), v);
                 Ok(())

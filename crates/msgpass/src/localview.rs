@@ -92,7 +92,7 @@ pub fn local_xscan_via_shift<T: Send + 'static>(
     comm.shift_up(inclusive).unwrap_or_else(ident)
 }
 
-fn combine_elementwise<T>(
+fn per_slot<T>(
     mut combine: impl FnMut(T, T) -> T,
 ) -> impl FnMut(Vec<T>, Vec<T>) -> Vec<T> {
     move |earlier: Vec<T>, later: Vec<T>| {
@@ -109,32 +109,6 @@ fn combine_elementwise<T>(
     }
 }
 
-/// The monoid-aware sibling of [`combine_elementwise`]: runs in place over
-/// the earlier buffer and dispatches through the monoid's
-/// `combine_elementwise` block kernel when it has one (the built-in
-/// `gv-core` monoids all do), falling back to the per-slot scalar loop.
-/// Element-wise combining never regroups, so the kernel result is
-/// bit-identical to the scalar loop for every carrier type, floats
-/// included.
-fn combine_elementwise_monoid<M: gv_core::monoid::Monoid>(
-    m: &M,
-) -> impl FnMut(Vec<M::T>, Vec<M::T>) -> Vec<M::T> + '_ {
-    move |mut earlier, later| {
-        assert_eq!(
-            earlier.len(),
-            later.len(),
-            "aggregated reduction requires equal value counts on every rank"
-        );
-        if !m.combine_elementwise(&mut earlier, &later) {
-            gv_core::kernel::note_scalar_block();
-            for (a, b) in earlier.iter_mut().zip(&later) {
-                m.combine(a, b);
-            }
-        }
-        earlier
-    }
-}
-
 /// Aggregated `LOCAL_REDUCE`: element-wise reduction of `values` across
 /// ranks (§2.1), one message per tree edge.
 pub fn local_reduce_agg<T: Send + 'static>(
@@ -143,7 +117,7 @@ pub fn local_reduce_agg<T: Send + 'static>(
     values: Vec<T>,
     combine: impl FnMut(T, T) -> T,
 ) -> Option<Vec<T>> {
-    comm.reduce(root, values, vec_bytes, combine_elementwise(combine))
+    comm.reduce(root, values, vec_bytes, per_slot(combine))
 }
 
 /// Aggregated `LOCAL_ALLREDUCE`.
@@ -152,7 +126,7 @@ pub fn local_allreduce_agg<T: Clone + Send + 'static>(
     values: Vec<T>,
     combine: impl FnMut(T, T) -> T,
 ) -> Vec<T> {
-    comm.allreduce(values, true, vec_bytes, combine_elementwise(combine))
+    comm.allreduce(values, true, vec_bytes, per_slot(combine))
 }
 
 /// Aggregated `LOCAL_SCAN` (element-wise inclusive scan across ranks).
@@ -170,7 +144,7 @@ pub fn local_scan_agg<T: Clone + Send + 'static>(
         split_vec_segments,
         unsplit_vec_segments,
         vec_bytes,
-        combine_elementwise(combine),
+        per_slot(combine),
     )
 }
 
@@ -188,70 +162,7 @@ pub fn local_xscan_agg<T: Clone + Send + 'static>(
         split_vec_segments,
         unsplit_vec_segments,
         vec_bytes,
-        combine_elementwise(combine),
-    )
-}
-
-/// [`local_reduce_agg`] taking a [`gv_core::monoid::Monoid`] instead of a
-/// bare closure: the element-wise combining of the aggregate dispatches to
-/// the monoid's vectorized block kernel when it has one.
-pub fn local_reduce_agg_monoid<M>(
-    comm: &Comm,
-    root: usize,
-    values: Vec<M::T>,
-    m: &M,
-) -> Option<Vec<M::T>>
-where
-    M: gv_core::monoid::Monoid,
-    M::T: Send + 'static,
-{
-    comm.reduce(root, values, vec_bytes, combine_elementwise_monoid(m))
-}
-
-/// [`local_allreduce_agg`] through the monoid's block kernel.
-pub fn local_allreduce_agg_monoid<M>(comm: &Comm, values: Vec<M::T>, m: &M) -> Vec<M::T>
-where
-    M: gv_core::monoid::Monoid,
-    M::T: Clone + Send + 'static,
-{
-    comm.allreduce(
-        values,
-        M::COMMUTATIVE,
-        vec_bytes,
-        combine_elementwise_monoid(m),
-    )
-}
-
-/// [`local_scan_agg`] through the monoid's block kernel.
-pub fn local_scan_agg_monoid<M>(comm: &Comm, values: Vec<M::T>, m: &M) -> Vec<M::T>
-where
-    M: gv_core::monoid::Monoid,
-    M::T: Clone + Send + 'static,
-{
-    comm.scan_inclusive_splittable(
-        values,
-        split_vec_segments,
-        unsplit_vec_segments,
-        vec_bytes,
-        combine_elementwise_monoid(m),
-    )
-}
-
-/// [`local_xscan_agg`] through the monoid's block kernel (the per-element
-/// identity comes from the monoid itself).
-pub fn local_xscan_agg_monoid<M>(comm: &Comm, values: Vec<M::T>, m: &M) -> Vec<M::T>
-where
-    M: gv_core::monoid::Monoid,
-    M::T: Clone + Send + 'static,
-{
-    let width = values.len();
-    comm.scan_exclusive_splittable(
-        values,
-        move || (0..width).map(|_| m.identity()).collect(),
-        split_vec_segments,
-        unsplit_vec_segments,
-        vec_bytes,
-        combine_elementwise_monoid(m),
+        per_slot(combine),
     )
 }
 
@@ -410,31 +321,6 @@ mod tests {
             let prefix_ranks: u64 = (0..=r as u64).sum();
             assert_eq!(inc, vec![prefix_ranks, r as u64 + 1]);
             assert_eq!(exc, vec![prefix_ranks - r as u64, r as u64]);
-        }
-    }
-
-    #[test]
-    fn monoid_aggregates_match_closure_aggregates() {
-        // Element-wise combining never regroups, so the monoid (kernel)
-        // variants must match the closure (scalar) variants bit-for-bit,
-        // floats included.
-        use gv_core::ops::builtin::Sum;
-        let outcome = Runtime::new(4).run(|comm| {
-            let values: Vec<f64> =
-                (0..200).map(|j| (comm.rank() * 200 + j) as f64 * 0.37).collect();
-            let m = Sum::<f64>::default();
-            let red_m = local_reduce_agg_monoid(comm, 0, values.clone(), &m);
-            let red_c = local_reduce_agg(comm, 0, values.clone(), |a, b| a + b);
-            let all_m = local_allreduce_agg_monoid(comm, values.clone(), &m);
-            let all_c = local_allreduce_agg(comm, values.clone(), |a, b| a + b);
-            let inc_m = local_scan_agg_monoid(comm, values.clone(), &m);
-            let inc_c = local_scan_agg(comm, values.clone(), |a, b| a + b);
-            let exc_m = local_xscan_agg_monoid(comm, values.clone(), &m);
-            let exc_c = local_xscan_agg(comm, || 0.0, values, |a, b| a + b);
-            (red_m == red_c, all_m == all_c, inc_m == inc_c, exc_m == exc_c)
-        });
-        for (r, flags) in outcome.results.into_iter().enumerate() {
-            assert_eq!(flags, (true, true, true, true), "rank {r}");
         }
     }
 

@@ -2,72 +2,18 @@
 //! global-view layer): `m` independent reductions computed at once, with
 //! all `m` states shipped in a single message per tree edge.
 //!
-//! A rank may hold no rows, like an empty block in every other engine. It
-//! cannot know the row width, so its aggregate state is the empty slot
-//! vector, which stands for the identity at any width: combining it with
-//! a state returns that state. (The selectors price a call by the local
+//! Both calls are the ordinary ones over [`Elementwise`], whose empty state
+//! lets a rank hold no rows. (The selectors price a call by the local
 //! state's bytes — `collectives/select.rs` — so ranks with and without
 //! rows agree on the scan's schedule only while the aggregate is below
 //! the selector's first crossover; the whole-state allreduce has none.)
 
-use gv_core::agg::accumulate_rows;
+use gv_core::agg::Elementwise;
 use gv_core::op::{ReduceScanOp, ScanKind};
-use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_msgpass::Comm;
 
-/// Accumulates this rank's rows into one state per slot and charges the
-/// modeled compute.
-fn accumulate_rows_local<Op: ReduceScanOp>(
-    comm: &Comm,
-    op: &Op,
-    rows: &[&[Op::In]],
-) -> Vec<Op::State> {
-    let width = rows.first().map_or(0, |r| r.len());
-    let mut states: Vec<Op::State> = (0..width).map(|_| op.ident()).collect();
-    accumulate_rows(op, &mut states, rows);
-    comm.advance((rows.len() * width) as u64 * op.accum_ops());
-    states
-}
-
-/// Wire size of an aggregate state. One without slots reports one byte,
-/// not none: at zero bytes every scan schedule is priced at its round
-/// count times α, and the selector breaks the tie (p = 3: recursive
-/// doubling and the chain, two rounds each) by list order, where any
-/// state of a byte or more picks the chain — a rank without rows would
-/// run a different schedule from its neighbours. (Priced here and not in
-/// the selector for a measured reason: EXPERIMENTS.md, TXT-OUTPUT.)
-#[allow(clippy::ptr_arg)] // passed where Fn(&Vec<State>) -> usize is expected
-fn states_bytes<Op: ReduceScanOp>(op: &Op, states: &Vec<Op::State>) -> usize {
-    states.iter().map(|s| op.wire_size(s)).sum::<usize>().max(1)
-}
-
-fn combine_states<'a, Op: ReduceScanOp>(
-    comm: &'a Comm,
-    op: &'a Op,
-) -> impl FnMut(Vec<Op::State>, Vec<Op::State>) -> Vec<Op::State> + 'a {
-    move |mut earlier, later| {
-        // A rank without rows: the identity, free on the modeled clock.
-        if later.is_empty() {
-            return earlier;
-        }
-        if earlier.is_empty() {
-            return later;
-        }
-        assert_eq!(
-            earlier.len(),
-            later.len(),
-            "aggregated reduction requires the same row width on every rank"
-        );
-        // Charge the modeled compute for every slot up front (the same
-        // total the per-slot loop charged), then let the operator combine
-        // the whole slot vector at once — the elementwise block kernel for
-        // built-ins, the per-slot `combine` loop otherwise.
-        let modeled: u64 = later.iter().map(|b| op.combine_ops(b)).sum();
-        comm.advance(modeled);
-        op.combine_slots(&mut earlier, later);
-        earlier
-    }
-}
+use crate::reduce::reduce_all;
+use crate::scan::scan_splittable;
 
 /// Element-wise aggregated global-view reduction: slot `j` of the result is
 /// the reduction of slot `j` across all rows of all ranks (rows ordered by
@@ -77,26 +23,16 @@ where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    let states = accumulate_rows_local(comm, op, rows);
-    // Slot-wise combining inherits the operator's commutativity.
-    let combined = comm.allreduce(
-        states,
-        Op::COMMUTATIVE,
-        |s| states_bytes(op, s),
-        combine_states(comm, op),
-    );
-    combined.into_iter().map(|s| op.red_gen(s)).collect()
+    reduce_all(comm, &Elementwise::for_rows(op, rows), rows)
 }
 
 /// Element-wise aggregated global-view scan: output row `i`, slot `j` is
 /// the scan of slot `j` over all earlier rows (earlier ranks' rows
 /// included). Each rank receives outputs for its own rows.
 ///
-/// The aggregate state is a `Vec` of per-slot states combined slot-wise,
-/// so contiguous slot ranges combine independently — every aggregated
-/// scan is splittable regardless of the operator, and the cross-rank
-/// prefix goes through the splittable selector entry (eligible for the
-/// pipelined chain schedule when the aggregate is wide).
+/// [`Elementwise`] is splittable regardless of the operator, so the
+/// cross-rank prefix goes through the splittable selector entry (eligible
+/// for the pipelined chain schedule when the aggregate is wide).
 pub fn scan_elementwise<Op>(
     comm: &Comm,
     op: &Op,
@@ -107,40 +43,11 @@ where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    let width = rows.first().map_or(0, |r| r.len());
-    let states = accumulate_rows_local(comm, op, rows);
-    let mut running = comm.scan_exclusive_splittable(
-        states,
-        || (0..width).map(|_| op.ident()).collect(),
-        split_vec_segments,
-        unsplit_vec_segments,
-        |s| states_bytes(op, s),
-        combine_states(comm, op),
-    );
-    if running.is_empty() {
-        // Every earlier rank was empty (and sent the identity it could not
-        // size): the prefix of this rank's rows is `width` identities.
-        running = (0..width).map(|_| op.ident()).collect();
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    // Slots are independent, so generate-then-accumulate can run as two
-    // whole-row passes (letting `accum_slots` use the elementwise kernel)
-    // instead of interleaving per slot — the per-slot result is identical.
-    for row in rows {
-        let out_row: Vec<Op::Out> = match kind {
-            ScanKind::Exclusive => {
-                let out_row = running.iter().zip(row.iter()).map(|(s, x)| op.scan_gen(s, x)).collect();
-                op.accum_slots(&mut running, row);
-                out_row
-            }
-            ScanKind::Inclusive => {
-                op.accum_slots(&mut running, row);
-                running.iter().zip(row.iter()).map(|(s, x)| op.scan_gen(s, x)).collect()
-            }
-        };
-        out.push(out_row);
-    }
-    comm.advance((rows.len() * width) as u64 * (op.accum_ops() + 1));
+    let out = scan_splittable(comm, &Elementwise::for_rows(op, rows), rows, kind);
+    // The rescan charged one `scan_gen` a row; an aggregated row makes one
+    // a slot.
+    let slots: usize = out.iter().map(Vec::len).sum();
+    comm.advance(slots.saturating_sub(out.len()) as u64);
     out
 }
 

@@ -53,6 +53,11 @@ echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"
 echo "smoke: pipeline_microbench --wall --latency"
 ./target/release/pipeline_microbench --wall --latency > /dev/null 2> /dev/null
 
+# The aggregation ablation's host-clock table is the only place the slot
+# pass under `Elementwise` is timed, for a built-in and a user operator.
+echo "smoke: ablation_aggregation --wall"
+./target/release/ablation_aggregation --wall > /dev/null 2> /dev/null
+
 # The NAS IS harness times the ranking's phases on the host clock (to
 # stderr, not a recorded table); keep the flag and its asserts alive.
 echo "smoke: nas_is --class S --wall"

@@ -13,6 +13,7 @@
 //! merge is only associative up to rounding); it gets a tolerance-based
 //! variant at the bottom.
 
+use gv_core::agg::Elementwise;
 use gv_core::op::{accumulate_block, combine_all, ReduceScanOp, ScanKind};
 use gv_core::ops::builtin::{
     band, bor, bxor, land, lor, lxor, max, maxloc, min, minloc, prod, sum, Sum,
@@ -29,6 +30,7 @@ use gv_core::ops::sorted::{Sorted, SortedPaperExact};
 use gv_core::ops::stats::MeanVar;
 use gv_core::ops::topk::TopBottomK;
 use gv_core::ops::translate::Translated;
+use gv_core::split::SplittableState;
 use gv_core::{par, seq};
 use gv_executor::{chunk_ranges, Pool};
 use gv_msgpass::Runtime;
@@ -296,6 +298,94 @@ fn translate_form_ops_obey_the_laws() {
         &Translated(MinK::<i64>::new(4)),
         &cases(31, |r| r.i64_in(-500..500)),
     );
+}
+
+/// The `SplittableState` laws on each input cut in two: `parts` segments
+/// exactly, a round trip, and segment-wise combining equal to whole
+/// combining — compared through `red_gen`, like the laws above.
+fn assert_split_laws<Op>(name: &str, op: &Op, inputs: &[Vec<Op::In>])
+where
+    Op: SplittableState,
+    Op::State: Clone,
+    Op::Out: PartialEq + std::fmt::Debug,
+{
+    for (case, data) in inputs.iter().enumerate() {
+        let (head, tail) = data.split_at(data.len() / 2);
+        let (a, b) = (state_of(op, head), state_of(op, tail));
+        let mut whole = a.clone();
+        op.combine(&mut whole, b.clone());
+        let expected = op.red_gen(whole.clone());
+        for parts in 1..=5 {
+            let segments = op.split_state(whole.clone(), parts);
+            assert_eq!(segments.len(), parts, "{name}[case {case}]: segment count");
+            assert_eq!(
+                op.red_gen(op.unsplit_state(segments)),
+                expected,
+                "{name}[case {case}]: unsplit(split(s, {parts})) != s"
+            );
+            let combined = op
+                .split_state(a.clone(), parts)
+                .into_iter()
+                .zip(op.split_state(b.clone(), parts))
+                .map(|(mut earlier, later)| {
+                    op.combine(&mut earlier, later);
+                    earlier
+                })
+                .collect();
+            assert_eq!(
+                op.red_gen(op.unsplit_state(combined)),
+                expected,
+                "{name}[case {case}]: combine does not distribute over {parts} segments"
+            );
+        }
+    }
+}
+
+/// An aggregated reduction is the operator `Elementwise`: the law suite,
+/// the split laws (it is splittable whatever it lifts) and the
+/// shared-memory engine against the sequential one, over rows of four
+/// slots.
+fn assert_elementwise_laws<Op>(name: &str, op: Op, inputs: &[Vec<Vec<i64>>])
+where
+    Op: ReduceScanOp<In = i64> + Sync,
+    Op::State: Clone + Send + 'static,
+    Op::Out: PartialEq + std::fmt::Debug + Send,
+{
+    let op = Elementwise::new(op, 4);
+    assert_op_laws(name, &op, inputs);
+    assert_split_laws(name, &op, inputs);
+    let pool = Pool::new(2);
+    for (case, rows) in inputs.iter().enumerate() {
+        for parts in 1..=5 {
+            assert_eq!(
+                par::reduce(&pool, parts, &op, rows),
+                seq::reduce(&op, rows),
+                "{name}[case {case}]: par::reduce with {parts} parts disagrees"
+            );
+            for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
+                assert_eq!(
+                    par::scan(&pool, parts, &op, rows, kind),
+                    seq::scan(&op, rows, kind),
+                    "{name}[case {case}]: par::scan ({kind:?}) with {parts} parts disagrees"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn elementwise_ops_obey_the_laws() {
+    let mut inputs = cases(60, |r: &mut TestRng| {
+        (0..4).map(|_| r.i64_in(-100..100)).collect::<Vec<i64>>()
+    });
+    // Slots 0 and 1 ascend, slot 2 descends, slot 3 breaks every seventh
+    // row: `Sorted` gives one verdict per slot, across chunk seams.
+    inputs.push((0..40).map(|i| vec![i, 2 * i, -i, i % 7]).collect());
+    assert_elementwise_laws("Elementwise(sum<i64>)", sum::<i64>(), &inputs);
+    // Non-commutative, and its identity differs from every reachable state.
+    assert_elementwise_laws("Elementwise(Sorted)", Sorted::<i64>::new(), &inputs);
+    // A heap per slot.
+    assert_elementwise_laws("Elementwise(MinK(3))", MinK::<i64>::new(3), &inputs);
 }
 
 #[test]
@@ -1277,6 +1367,32 @@ mod kernel_laws {
             s2 > s0,
             "user-defined op without kernels should stay scalar"
         );
+
+        // An aggregated call is one kernel block a row accumulated and one
+        // a state combined, whatever the operator. The counters are
+        // process-wide and other tests tick them too: the quietest of many
+        // attempts is the call's own count.
+        let rows = [[1.5f64, -2.0, 0.25]; 64];
+        let rows: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let op = Elementwise::for_rows(minmax::<f64>(), &rows);
+        let ticks = |run: &dyn Fn()| {
+            (0..1000)
+                .map(|_| {
+                    let (before, _) = kernel::dispatch_counts();
+                    run();
+                    kernel::dispatch_counts().0 - before
+                })
+                .min()
+        };
+        let accumulated = ticks(&|| {
+            gv_core::agg::reduce_elementwise(&minmax::<f64>(), &rows);
+        });
+        assert_eq!(accumulated, Some(64), "one kernel block a row");
+        let combined = ticks(&|| {
+            let mut earlier = state_of(&op, &rows[..32]);
+            op.combine(&mut earlier, op.ident());
+        });
+        assert_eq!(combined, Some(32 + 1), "32 rows, then one combine");
     }
 }
 
