@@ -21,6 +21,12 @@ use gv_msgpass::{AllreduceAlgorithm, BcastAlgorithm, CostModel, Runtime};
 const SIZES: [usize; 4] = [1 << 10, 8 << 10, 64 << 10, 1 << 20];
 
 fn measure(p: usize, bytes: usize, algo: AllreduceAlgorithm) -> f64 {
+    let segments = match algo {
+        AllreduceAlgorithm::PipelinedTree => {
+            BcastAlgorithm::tree_segments(&CostModel::default(), p, bytes)
+        }
+        _ => 1,
+    };
     let outcome = Runtime::new(p).run(move |comm| {
         let state = vec![1u64; bytes / 8];
         let wire = |v: &Vec<u64>| v.len() * 8;
@@ -30,37 +36,9 @@ fn measure(p: usize, bytes: usize, algo: AllreduceAlgorithm) -> f64 {
             }
             a
         };
-        let (_, dt) = timed_phase(comm, |c| match algo {
-            AllreduceAlgorithm::ReduceBroadcast => {
-                c.allreduce_reduce_bcast(state.clone(), true, wire, add);
-            }
-            AllreduceAlgorithm::RecursiveDoubling => {
-                c.allreduce_recursive_doubling(state.clone(), wire, add);
-            }
-            AllreduceAlgorithm::ReduceScatterAllgather => {
-                c.allreduce_reduce_scatter(
-                    state.clone(),
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                );
-            }
-            AllreduceAlgorithm::PipelinedTree => {
-                let segments = BcastAlgorithm::tree_segments(
-                    &CostModel::default(),
-                    c.size(),
-                    state.len() * 8,
-                );
-                c.allreduce_pipelined_tree(
-                    state.clone(),
-                    segments,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                );
-            }
+        let segmentation = (split_vec_segments, unsplit_vec_segments);
+        let (_, dt) = timed_phase(comm, |c| {
+            c.allreduce_by((algo, segments), state.clone(), segmentation, wire, add);
         });
         dt
     });
@@ -94,10 +72,7 @@ fn main() {
     }
     for &p in &procs {
         for &bytes in &SIZES {
-            let t_rb = measure(p, bytes, AllreduceAlgorithm::ReduceBroadcast);
-            let t_rd = measure(p, bytes, AllreduceAlgorithm::RecursiveDoubling);
-            let t_rs = measure(p, bytes, AllreduceAlgorithm::ReduceScatterAllgather);
-            let t_pt = measure(p, bytes, AllreduceAlgorithm::PipelinedTree);
+            let [t_rb, t_rd, t_rs, t_pt] = AllreduceAlgorithm::ALL.map(|a| measure(p, bytes, a));
             // What the selector would pick for this (p, size) cell, given
             // a commutative splittable operator (same default cost model
             // the runtime above measured under).

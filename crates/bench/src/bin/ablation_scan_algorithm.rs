@@ -25,6 +25,7 @@ use std::time::Instant;
 
 use gv_bench::table::{arg_value, has_flag, parallel_time, parse_procs, timed_phase};
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
+use gv_msgpass::collectives::tree::whole;
 use gv_msgpass::{CostModel, Runtime, ScanAlgorithm};
 
 fn add(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
@@ -39,14 +40,17 @@ fn wire(v: &Vec<u64>) -> usize {
     v.len() * 8
 }
 
-/// Modeled parallel time of one 8-byte scan (part 1).
+/// Modeled parallel time of one 8-byte scan (part 1): the selector's,
+/// or the linear chain (the chain at one segment).
 fn modeled(p: usize, linear: bool) -> f64 {
     let outcome = Runtime::new(p).run(move |comm| {
         let (_, dt) = timed_phase(comm, |c| {
+            let mine = c.rank() as u64 + 1;
             if linear {
-                c.scan_inclusive_linear(c.rank() as u64 + 1, |_| 8, |a, b| a + b)
+                let plan = (ScanAlgorithm::PipelinedChain, 1);
+                c.scan_both_by(plan, mine, whole(), |_| 8, |a, b| a + b).1
             } else {
-                c.scan_inclusive(c.rank() as u64 + 1, |_| 8, |a, b| a + b)
+                c.scan_inclusive(mine, |_| 8, |a, b| a + b)
             }
         });
         dt
@@ -62,26 +66,10 @@ fn wall_time(p: usize, bytes: usize, algo: ScanAlgorithm, iters: usize) -> f64 {
         let words = (bytes / 8).max(1);
         let state = vec![comm.rank() as u64 + 1; words];
         comm.barrier();
+        let segmentation = (split_vec_segments, unsplit_vec_segments);
         let start = Instant::now();
         for _ in 0..iters {
-            match algo {
-                ScanAlgorithm::RecursiveDoubling => {
-                    comm.scan_both_recursive_doubling(state.clone(), wire, add);
-                }
-                ScanAlgorithm::Binomial => {
-                    comm.scan_both_binomial(state.clone(), wire, add);
-                }
-                ScanAlgorithm::PipelinedChain => {
-                    comm.scan_both_pipelined_chain(
-                        state.clone(),
-                        segments,
-                        split_vec_segments,
-                        unsplit_vec_segments,
-                        wire,
-                        add,
-                    );
-                }
-            }
+            comm.scan_both_by((algo, segments), state.clone(), segmentation, wire, add);
         }
         comm.barrier();
         start.elapsed().as_secs_f64() / iters as f64
@@ -182,9 +170,7 @@ fn main() {
             continue;
         }
         for &bytes in &sizes {
-            let t_rd = wall_time(p, bytes, ScanAlgorithm::RecursiveDoubling, iters);
-            let t_bin = wall_time(p, bytes, ScanAlgorithm::Binomial, iters);
-            let t_chain = wall_time(p, bytes, ScanAlgorithm::PipelinedChain, iters);
+            let [t_rd, t_bin, t_chain] = ScanAlgorithm::ALL.map(|a| wall_time(p, bytes, a, iters));
             let pick_whole = ScanAlgorithm::select(&cost, p, bytes, false).name();
             let pick_split = ScanAlgorithm::select(&cost, p, bytes, true).name();
             if csv {

@@ -23,22 +23,16 @@ use gv_bench::table::{has_flag, parallel_time, parse_procs, timed_phase};
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_msgpass::{AllreduceAlgorithm, CostModel, CostSource, Runtime};
 
-/// Fixed schedules swept per cell, plus the selector-routed entry.
-#[derive(Clone, Copy, PartialEq)]
-enum Schedule {
-    Selector,
-    ReduceBcast,
-    RecursiveDoubling,
-    Circulant,
-}
-
-const FIXED: [Schedule; 3] = [
-    Schedule::ReduceBcast,
-    Schedule::RecursiveDoubling,
-    Schedule::Circulant,
+/// Fixed schedules swept per cell, beside the selector-routed entry.
+const FIXED: [AllreduceAlgorithm; 3] = [
+    AllreduceAlgorithm::ReduceBroadcast,
+    AllreduceAlgorithm::RecursiveDoubling,
+    AllreduceAlgorithm::ReduceScatterAllgather,
 ];
 
-fn measure(p: usize, bytes: usize, schedule: Schedule) -> f64 {
+/// Modeled time of one allreduce: forced onto `fixed`, or through the
+/// selector when `None`.
+fn measure(p: usize, bytes: usize, fixed: Option<AllreduceAlgorithm>) -> f64 {
     let outcome = Runtime::new(p).run(move |comm| {
         let state = vec![1u64; bytes / 8];
         let wire = |v: &Vec<u64>| v.len() * 8;
@@ -48,31 +42,13 @@ fn measure(p: usize, bytes: usize, schedule: Schedule) -> f64 {
             }
             a
         };
-        let (_, dt) = timed_phase(comm, |c| match schedule {
-            Schedule::Selector => {
-                c.allreduce_splittable(
-                    state.clone(),
-                    true,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                );
+        let (split, unsplit) = (split_vec_segments, unsplit_vec_segments);
+        let (_, dt) = timed_phase(comm, |c| match fixed {
+            None => {
+                c.allreduce_splittable(state.clone(), true, split, unsplit, wire, add);
             }
-            Schedule::ReduceBcast => {
-                c.allreduce_reduce_bcast(state.clone(), true, wire, add);
-            }
-            Schedule::RecursiveDoubling => {
-                c.allreduce_recursive_doubling(state.clone(), wire, add);
-            }
-            Schedule::Circulant => {
-                c.allreduce_reduce_scatter(
-                    state.clone(),
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                );
+            Some(algo) => {
+                c.allreduce_by((algo, 1), state.clone(), (split, unsplit), wire, add);
             }
         });
         dt
@@ -94,7 +70,10 @@ fn measured_picks(
             comm.calibrate_cost_model(rounds);
             sizes
                 .iter()
-                .map(|&bytes| comm.select_allreduce_algorithm(bytes, true, true))
+                .map(|&bytes| {
+                    let cost = comm.selection_cost_model();
+                    AllreduceAlgorithm::select(&cost, comm.size(), bytes, true, true)
+                })
                 .collect::<Vec<_>>()
         });
     (outcome.results[0].clone(), outcome.calibration)
@@ -148,8 +127,8 @@ fn main() {
         let (picks, snapshot) = measured_picks(p, &sizes, rounds);
         snapshots.push((p, snapshot));
         for (i, &bytes) in sizes.iter().enumerate() {
-            let t_sel = measure(p, bytes, Schedule::Selector);
-            let fixed: Vec<f64> = FIXED.iter().map(|&s| measure(p, bytes, s)).collect();
+            let t_sel = measure(p, bytes, None);
+            let fixed: Vec<f64> = FIXED.iter().map(|&a| measure(p, bytes, Some(a))).collect();
             let (t_rb, t_rd, t_circ) = (fixed[0], fixed[1], fixed[2]);
             let best = fixed.iter().cloned().fold(f64::INFINITY, f64::min);
             let ratio = t_sel / best;

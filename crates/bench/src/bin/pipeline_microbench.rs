@@ -38,7 +38,8 @@ use gv_executor::lane::{lane, LaneReceiver, Parker};
 
 use gv_bench::table::{has_flag, parallel_time, parse_procs, timed_phase};
 use gv_core::split::{split_vec_segments as split, unsplit_vec_segments as unsplit};
-use gv_msgpass::{BcastAlgorithm, Comm, CostModel, Runtime};
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::{AllreduceAlgorithm, BcastAlgorithm, Comm, CostModel, Runtime};
 use gv_nas::cg::{self, CgBlock};
 
 /// State sizes swept, in bytes (the state is a Vec<u64> of size/8 slots).
@@ -110,11 +111,12 @@ const COMPARISONS: [Comparison; 3] = [
     Comparison {
         name: "allred-tree",
         mono: |c, elems, _| {
-            c.allreduce_recursive_doubling(vec![1u64; elems], wire, add);
+            let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+            c.allreduce_by(plan, vec![1u64; elems], whole(), wire, add);
         },
         piped: |c, elems, s| {
-            let state = vec![1u64; elems];
-            c.allreduce_pipelined_tree(state, s, split, unsplit, wire, add);
+            let plan = (AllreduceAlgorithm::PipelinedTree, s);
+            c.allreduce_by(plan, vec![1u64; elems], (split, unsplit), wire, add);
         },
         selected: |c, elems, _| {
             let state = vec![1u64; elems];

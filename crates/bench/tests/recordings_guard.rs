@@ -7,8 +7,10 @@
 //!
 //! The full FIG2 sweep is expensive unoptimized, so its guard replays
 //! only the class A/32 section and checks those rows verbatim against
-//! the recording; FIG3 and the call-stats table are cheap enough to
-//! compare whole.
+//! the recording; so do the allreduce and scan ablations, at the rank
+//! counts that run quickly (the scan ablation only for its modeled
+//! TXT-PREFIX table: the schedule sweep after it is wall time). FIG3 and
+//! the call-stats table are cheap enough to compare whole.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -33,6 +35,24 @@ fn run(bin: &str, args: &[&str]) -> String {
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(out.status.success(), "{bin} failed: {:?}", out.status);
     String::from_utf8(out.stdout).expect("utf8 output")
+}
+
+/// Checks that every data row of `got` (rows start with a right-aligned
+/// rank count) appears verbatim in the recording `name`, and returns how
+/// many rows it checked.
+fn rows_in_recording(got: &str, name: &str) -> usize {
+    let recording = recorded(name);
+    let mut checked = 0;
+    for line in got.lines() {
+        if line.trim_start().starts_with(|c: char| c.is_ascii_digit()) {
+            assert!(
+                recording.lines().any(|l| l == line),
+                "row not in results/{name}:\n{line}"
+            );
+            checked += 1;
+        }
+    }
+    checked
 }
 
 #[test]
@@ -235,24 +255,32 @@ fn default_pipelining_leaves_recordings_pinned() {
 #[test]
 fn fig2_class_a_rows_match_the_recording() {
     let got = run(env!("CARGO_BIN_EXE_fig2_is_verify"), &["--classes", "A/32"]);
-    let recording = recorded("fig2_is_verify.txt");
-    // Every data row of the regenerated class A/32 section (rows start
-    // with a right-aligned rank count) must appear verbatim in the full
-    // recording.
-    let mut checked = 0;
-    for line in got.lines() {
-        let trimmed = line.trim_start();
-        if trimmed
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_digit())
-        {
-            assert!(
-                recording.lines().any(|l| l == line),
-                "fig2 row not in recording:\n{line}"
-            );
-            checked += 1;
-        }
-    }
+    let checked = rows_in_recording(&got, "fig2_is_verify.txt");
     assert!(checked >= 7, "expected a full procs sweep, saw {checked} rows");
+}
+
+#[test]
+fn allreduce_ablation_rows_match_the_recording() {
+    // Every schedule forced through `allreduce_by`, four sizes per p.
+    let got = run(
+        env!("CARGO_BIN_EXE_ablation_allreduce_algorithm"),
+        &["--procs", "2,4,8,16"],
+    );
+    let checked = rows_in_recording(&got, "ablation_allreduce_algorithm.txt");
+    assert_eq!(checked, 4 * 4, "expected four sizes at four rank counts");
+}
+
+#[test]
+fn scan_ablation_prefix_rows_match_the_recording() {
+    // The linear chain is the chain forced through `scan_both_by` at one
+    // segment; the table after TXT-PREFIX is wall time and not compared.
+    let got = run(
+        env!("CARGO_BIN_EXE_ablation_scan_algorithm"),
+        &["--procs", "2,4,8,16", "--sizes", "8"],
+    );
+    let (prefix, _) = got
+        .split_once("Scan schedule ablation")
+        .expect("the wall-time table follows TXT-PREFIX");
+    let checked = rows_in_recording(prefix, "ablation_scan_algorithm.txt");
+    assert_eq!(checked, 4, "expected one TXT-PREFIX row per rank count");
 }

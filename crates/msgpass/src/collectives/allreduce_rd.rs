@@ -3,22 +3,20 @@
 //!
 //! Reduce+bcast needs ~2·⌈log₂ p⌉ sequential message hops; recursive
 //! doubling needs ⌈log₂ p⌉ exchange rounds (plus a fold/unfold round when
-//! `p` is not a power of two). Both are exposed so the harnesses can show
-//! the cost model distinguishing real algorithmic choices.
+//! `p` is not a power of two). Both can be forced through
+//! [`Comm::allreduce_by`], so the harnesses can show the cost model
+//! distinguishing real algorithmic choices.
 //!
 //! Non-commutative safety: after the fold, every surviving rank covers a
 //! contiguous, 2^k-aligned block of ranks at round `k`, and its partner
 //! covers the adjacent block — so ordering the combine by block position
 //! (`lower rank first`) preserves set order for any associative operator.
 
-use super::launch::{Blocking, Nonblocking};
-use super::tree::whole;
-use super::TAG_ALLREDUCE_RD as TAG_RD;
+use super::TagBase;
 use crate::comm::Comm;
-use crate::cost::AllreduceAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
-use crate::request::{Request, Schedule};
+use crate::request::Schedule;
 
 enum RdPhase {
     /// Folded-away even rank: fold send issued, waiting for the unfold.
@@ -64,7 +62,7 @@ where
         let rem = p - p2;
         let mut schedule = AllreduceRdSchedule {
             comm,
-            tag: TAG_RD + salt,
+            tag: TagBase::AllreduceRd.tag(salt),
             bytes_of,
             combine,
             acc: Some(value),
@@ -185,59 +183,32 @@ where
     }
 }
 
-impl Comm {
-    /// Allreduce by recursive doubling. Semantically identical to
-    /// [`allreduce`](Comm::allreduce) (rank-order combining, so safe for
-    /// non-commutative operators); fewer sequential hops on the critical
-    /// path.
-    pub fn allreduce_recursive_doubling<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize + Clone,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        self.start_allreduce::<Blocking, _>(
-            (AllreduceAlgorithm::RecursiveDoubling, 1),
-            value,
-            whole(),
-            bytes_of,
-            combine,
-        )
-    }
-
-    /// Non-blocking recursive-doubling allreduce, bypassing the selector
-    /// (the selector-routed variant is [`iallreduce`](Comm::iallreduce)).
-    pub fn iallreduce_recursive_doubling<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize + Clone + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<T> {
-        self.start_allreduce::<Nonblocking, _>(
-            (AllreduceAlgorithm::RecursiveDoubling, 1),
-            value,
-            whole(),
-            bytes_of,
-            combine,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use crate::collectives::tree::whole;
+    use crate::comm::Comm;
+    use crate::cost::AllreduceAlgorithm::{self, RecursiveDoubling};
+    use crate::request::Request;
     use crate::runtime::Runtime;
+
+    fn sum(comm: &Comm, algo: AllreduceAlgorithm, value: u64) -> u64 {
+        comm.allreduce_by((algo, 1), value, whole(), |_| 8, |a, b| a + b)
+    }
+
+    fn isum(comm: &Comm, value: u64) -> Request<u64> {
+        comm.iallreduce_by((RecursiveDoubling, 1), value, whole(), |_| 8, |a, b| a + b)
+    }
 
     #[test]
     fn matches_reference_allreduce_for_all_sizes() {
         for p in [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 16, 17] {
             let outcome = Runtime::new(p).run(|comm| {
-                let rd = comm.allreduce_recursive_doubling(
+                let rd = sum(comm, RecursiveDoubling, comm.rank() as u64 + 1);
+                let reference = sum(
+                    comm,
+                    AllreduceAlgorithm::ReduceBroadcast,
                     comm.rank() as u64 + 1,
-                    |_| 8,
-                    |a, b| a + b,
                 );
-                let reference =
-                    comm.allreduce_reduce_bcast(comm.rank() as u64 + 1, true, |_| 8, |a, b| a + b);
                 (rd, reference)
             });
             for (rank, (rd, reference)) in outcome.results.into_iter().enumerate() {
@@ -251,8 +222,10 @@ mod tests {
     fn preserves_order_for_noncommutative_operators() {
         for p in [2usize, 3, 5, 8, 11] {
             let outcome = Runtime::new(p).run(|comm| {
-                comm.allreduce_recursive_doubling(
+                comm.allreduce_by(
+                    (RecursiveDoubling, 1),
                     format!("<{}>", comm.rank()),
+                    whole(),
                     |s: &String| s.len(),
                     |a, b| a + &b,
                 )
@@ -266,19 +239,15 @@ mod tests {
     fn fewer_critical_path_hops_than_reduce_plus_bcast() {
         // At a power-of-two rank count with idle ranks, recursive doubling
         // finishes in log2(p) rounds vs ~2·log2(p) for reduce+bcast.
-        let time = |rd: bool| {
+        let time = |algo: AllreduceAlgorithm| {
             Runtime::new(16)
                 .run(move |comm| {
-                    if rd {
-                        comm.allreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
-                    } else {
-                        comm.allreduce_reduce_bcast(1u64, true, |_| 8, |a, b| a + b);
-                    }
+                    sum(comm, algo, 1);
                 })
                 .modeled_seconds
         };
-        let t_rd = time(true);
-        let t_rb = time(false);
+        let t_rd = time(RecursiveDoubling);
+        let t_rb = time(AllreduceAlgorithm::ReduceBroadcast);
         assert!(t_rd < t_rb, "rd={t_rd} reduce+bcast={t_rb}");
     }
 
@@ -289,16 +258,8 @@ mod tests {
         // keep their traffic apart.
         for p in [2usize, 3, 5, 8] {
             let outcome = Runtime::new(p).run(|comm| {
-                let a = comm.iallreduce_recursive_doubling(
-                    comm.rank() as u64,
-                    |_| 8,
-                    |x, y| x + y,
-                );
-                let b = comm.iallreduce_recursive_doubling(
-                    comm.rank() as u64 * 100,
-                    |_| 8,
-                    |x, y| x + y,
-                );
+                let a = isum(comm, comm.rank() as u64);
+                let b = isum(comm, comm.rank() as u64 * 100);
                 let (mut a, mut b) = (a, b);
                 if comm.rank() % 2 == 0 {
                     (a.wait().unwrap(), b.wait().unwrap())

@@ -1,6 +1,6 @@
 //! Personalized all-to-all exchange (MPI_Alltoallv).
 
-use super::TAG_ALLTOALL;
+use super::TagBase;
 use crate::comm::Comm;
 use crate::stats::CallKind;
 
@@ -22,16 +22,17 @@ impl Comm {
         );
         self.counters().record_call(CallKind::Alltoallv);
         let _guard = self.enter_collective();
+        let tag = TagBase::Alltoall.tag(0);
         let mut incoming: Vec<Vec<T>> = Vec::with_capacity(p);
         incoming.resize_with(p, Vec::new);
         incoming[r] = std::mem::take(&mut outgoing[r]);
         for offset in 1..p {
             let dst = (r + offset) % p;
-            self.send_vec(dst, TAG_ALLTOALL, std::mem::take(&mut outgoing[dst]));
+            self.send_vec(dst, tag, std::mem::take(&mut outgoing[dst]));
         }
         for offset in 1..p {
             let src = (r + p - offset) % p;
-            incoming[src] = self.recv(src, TAG_ALLTOALL);
+            incoming[src] = self.recv(src, tag);
         }
         incoming
     }

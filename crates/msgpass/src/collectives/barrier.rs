@@ -1,6 +1,6 @@
 //! Dissemination barrier.
 
-use super::TAG_BARRIER;
+use super::TagBase;
 use crate::comm::Comm;
 use crate::stats::CallKind;
 
@@ -8,27 +8,31 @@ impl Comm {
     /// Blocks until every rank of the communicator has entered the
     /// barrier. ⌈log₂ p⌉ rounds; in round `k` rank `r` signals
     /// `(r + 2^k) mod p` and waits for `(r − 2^k) mod p`.
+    ///
+    /// Every round sends on one tag: a rank's round-`k` source differs
+    /// per round (`2^k < p`), and `(comm, src, tag)` is non-overtaking, so
+    /// rounds cannot cross.
     pub fn barrier(&self) {
         self.counters().record_call(CallKind::Barrier);
         let _guard = self.enter_collective();
+        let tag = TagBase::Barrier.tag(0);
         let p = self.size();
         let r = self.rank();
-        let mut round = 0u32;
         let mut dist = 1usize;
         while dist < p {
-            let to = (r + dist) % p;
-            let from = (r + p - dist) % p;
-            self.send(to, TAG_BARRIER + round, ());
-            let () = self.recv(from, TAG_BARRIER + round);
+            self.send((r + dist) % p, tag, ());
+            let () = self.recv((r + p - dist) % p, tag);
             dist <<= 1;
-            round += 1;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::runtime::Runtime;
+    use std::time::Duration;
+
+    use crate::runtime::{RunError, Runtime};
+    use crate::watchdog::RankState;
 
     #[test]
     fn barrier_completes_for_various_sizes() {
@@ -40,6 +44,32 @@ mod tests {
                 comm.rank()
             });
             assert_eq!(outcome.results, (0..p).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_stall_in_any_round_is_reported_as_a_barrier() {
+        // Rank 16 never enters, so at p = 17 the other ranks stall in
+        // every one of the five rounds (rank 0 waits on 16 in round 0,
+        // rank 1 in round 1, rank 3 in round 2, …): each must be named as
+        // waiting in the barrier, not in some unnamed collective.
+        let err = Runtime::new(17)
+            .watchdog(Duration::from_millis(150))
+            .try_run(|comm| {
+                if comm.rank() == 16 {
+                    let _: u8 = comm.recv(0, 5);
+                } else {
+                    comm.barrier();
+                }
+            })
+            .unwrap_err();
+        let RunError::Stalled(report) = err else {
+            panic!("expected Stalled, got {err:?}");
+        };
+        for stall in &report.ranks[..16] {
+            assert_eq!(stall.state, RankState::Blocked, "rank {}", stall.rank);
+            let on = stall.blocked_on.expect("a blocked rank records its wait");
+            assert_eq!(on.op, "barrier", "rank {}: {on}", stall.rank);
         }
     }
 

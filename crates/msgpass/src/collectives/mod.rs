@@ -9,8 +9,9 @@
 //!   and the tree allreduce — one segmented binomial tree (`tree.rs`),
 //!   whose `S = 1` case is the whole-state binomial tree, with
 //!   rank-order combines at every segment count;
-//! * [`gather`](crate::comm::Comm::gather) / allgather — binomial gather
-//!   (+ broadcast);
+//! * [`allgather`](crate::comm::Comm::allgather) — the circulant
+//!   allgather, ⌈log₂ p⌉ rounds at any p (`reduce_scatter.rs`, where it
+//!   is also the second half of reduce-scatter + allgather);
 //! * [`reduce_with_branching`](crate::comm::Comm::reduce_with_branching) —
 //!   contiguous-block k-ary trees with distinct combining schedules for
 //!   commutative vs. non-commutative operators (paper §1);
@@ -26,8 +27,14 @@
 //! * [`alltoallv`](crate::comm::Comm::alltoallv) — rotated pairwise
 //!   exchange.
 //!
-//! Every schedule-based collective takes the one launch path in
-//! `launch.rs`, so a blocking call and its `i*` twin run the same code.
+//! Which schedule runs is decided in `select.rs` alone: the selector-routed
+//! entry points price the candidates, and a caller that must run one
+//! schedule (an ablation, a test) names it in the plan it passes to
+//! [`allreduce_by`](crate::comm::Comm::allreduce_by),
+//! [`iallreduce_by`](crate::comm::Comm::iallreduce_by) or
+//! [`scan_both_by`](crate::comm::Comm::scan_both_by). Every schedule-based
+//! collective takes the one launch path in `launch.rs`, so a blocking
+//! call and its `i*` twin run the same code.
 //!
 //! Every collective must be called by all ranks of the communicator in the
 //! same order (MPI's usual rule). Combine closures always receive
@@ -36,39 +43,85 @@
 pub mod allreduce_rd;
 pub mod alltoall;
 pub mod barrier;
-pub mod gather;
 pub(crate) mod launch;
 pub mod reduce;
 pub mod reduce_scatter;
 pub mod scan;
 pub mod scan_binomial;
 pub mod scan_chain;
-pub mod scatter;
 pub mod select;
 pub mod shift;
 pub mod tree;
 
 use crate::message::{Tag, RESERVED_TAG_BASE};
 
-// The salt occupies bits 12–23, so two bases may share a 0x?00 block as
-// long as they stay distinct below it.
-pub(crate) const TAG_BARRIER: Tag = RESERVED_TAG_BASE;
-pub(crate) const TAG_BCAST: Tag = RESERVED_TAG_BASE + 0x100;
-pub(crate) const TAG_GATHER: Tag = RESERVED_TAG_BASE + 0x200;
-pub(crate) const TAG_REDUCE: Tag = RESERVED_TAG_BASE + 0x300;
-pub(crate) const TAG_SCAN: Tag = RESERVED_TAG_BASE + 0x400;
-pub(crate) const TAG_ALLTOALL: Tag = RESERVED_TAG_BASE + 0x500;
-pub(crate) const TAG_SHIFT: Tag = RESERVED_TAG_BASE + 0x600;
-pub(crate) const TAG_ALLREDUCE_TREE_UP: Tag = RESERVED_TAG_BASE + 0x680;
-pub(crate) const TAG_SCATTER: Tag = RESERVED_TAG_BASE + 0x700;
-pub(crate) const TAG_ALLREDUCE_TREE_DOWN: Tag = RESERVED_TAG_BASE + 0x780;
-pub(crate) const TAG_ALLREDUCE_RD: Tag = RESERVED_TAG_BASE + 0x800;
-pub(crate) const TAG_SCAN_UP: Tag = RESERVED_TAG_BASE + 0xB00;
-pub(crate) const TAG_SCAN_DOWN: Tag = RESERVED_TAG_BASE + 0xC00;
-pub(crate) const TAG_SCAN_CHAIN: Tag = RESERVED_TAG_BASE + 0xD00;
-pub(crate) const TAG_CALIBRATE: Tag = RESERVED_TAG_BASE + 0xE00;
-pub(crate) const TAG_REDUCE_SCATTER_CIRC: Tag = RESERVED_TAG_BASE + 0xF00;
-pub(crate) const TAG_ALLGATHER_CIRC: Tag = RESERVED_TAG_BASE + 0xF80;
+/// Declares [`TagBase`] from one list, so its variants, [`TagBase::ALL`]
+/// and [`TagBase::name`] cannot disagree.
+macro_rules! tag_bases {
+    ($($base:ident = $offset:literal, $name:literal;)*) => {
+        /// The reserved tag base of every collective protocol. A
+        /// discriminant is the base's offset above [`RESERVED_TAG_BASE`],
+        /// so two equal offsets do not compile; the salt occupies bits
+        /// 12–23, so two bases may share a 0x?00 block as long as they
+        /// stay distinct below it.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u32)]
+        pub(crate) enum TagBase {
+            $($base = $offset,)*
+        }
+
+        impl TagBase {
+            /// Every base, in declaration order.
+            pub(crate) const ALL: &'static [TagBase] = &[$(TagBase::$base),*];
+
+            /// The protocol this base's tags belong to, for failure
+            /// diagnostics.
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $(TagBase::$base => $name,)*
+                }
+            }
+        }
+    };
+}
+
+tag_bases! {
+    Barrier = 0x000, "barrier";
+    Bcast = 0x100, "bcast";
+    Reduce = 0x300, "reduce";
+    Scan = 0x400, "scan";
+    Alltoall = 0x500, "alltoall";
+    Shift = 0x600, "shift";
+    AllreduceTreeUp = 0x680, "allreduce (tree up)";
+    AllreduceTreeDown = 0x780, "allreduce (tree down)";
+    AllreduceRd = 0x800, "allreduce (recursive doubling)";
+    ScanUp = 0xB00, "scan (binomial up-sweep)";
+    ScanDown = 0xC00, "scan (binomial down-sweep)";
+    ScanChain = 0xD00, "scan (chain)";
+    Calibrate = 0xE00, "calibration probe";
+    ReduceScatter = 0xF00, "reduce-scatter (circulant)";
+    Allgather = 0xF80, "allgather (circulant)";
+}
+
+// Collision-freedom between concurrent collectives needs every base below
+// the salt bits (`Comm::next_collective_salt`).
+const _: () = {
+    let mut i = 0;
+    while i < TagBase::ALL.len() {
+        assert!(
+            (TagBase::ALL[i] as Tag) < 0x1000,
+            "a tag base overlaps the salt bits"
+        );
+        i += 1;
+    }
+};
+
+impl TagBase {
+    /// This base's tag in the collective that drew `salt`.
+    pub(crate) const fn tag(self, salt: Tag) -> Tag {
+        RESERVED_TAG_BASE + self as Tag + salt
+    }
+}
 
 /// Names the protocol a tag belongs to, for failure diagnostics: `"p2p"`
 /// for user tags, otherwise the collective schedule whose reserved base
@@ -78,86 +131,30 @@ pub(crate) fn describe_tag(tag: Tag) -> &'static str {
     if tag < RESERVED_TAG_BASE {
         return "p2p";
     }
-    match tag & 0xFFF {
-        0x000 => "barrier",
-        0x100 => "bcast",
-        0x200 => "gather",
-        0x300 => "reduce",
-        0x400 => "scan",
-        0x500 => "alltoall",
-        0x600 => "shift",
-        0x680 => "allreduce (tree up)",
-        0x700 => "scatter",
-        0x780 => "allreduce (tree down)",
-        0x800 => "allreduce (recursive doubling)",
-        0xB00 => "scan (binomial up-sweep)",
-        0xC00 => "scan (binomial down-sweep)",
-        0xD00 => "scan (chain)",
-        0xE00 => "calibration probe",
-        0xF00 => "reduce-scatter (circulant)",
-        0xF80 => "allgather (circulant)",
-        _ => "collective",
-    }
+    TagBase::ALL
+        .iter()
+        .find(|&&base| base as Tag == tag & 0xFFF)
+        .map_or("collective", |base| base.name())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every reserved tag base the collectives use, in one place. A new
-    /// schedule's base must be added here so the pins below cover it.
-    const ALL_BASES: [Tag; 17] = [
-        TAG_BARRIER,
-        TAG_BCAST,
-        TAG_GATHER,
-        TAG_REDUCE,
-        TAG_SCAN,
-        TAG_ALLTOALL,
-        TAG_SHIFT,
-        TAG_ALLREDUCE_TREE_UP,
-        TAG_SCATTER,
-        TAG_ALLREDUCE_TREE_DOWN,
-        TAG_ALLREDUCE_RD,
-        TAG_SCAN_UP,
-        TAG_SCAN_DOWN,
-        TAG_SCAN_CHAIN,
-        TAG_CALIBRATE,
-        TAG_REDUCE_SCATTER_CIRC,
-        TAG_ALLGATHER_CIRC,
-    ];
-
-    /// The salt occupies bits 12–23, so collision-freedom between
-    /// concurrent collectives requires every base offset to sit below
-    /// 0x1000 and be pairwise distinct there (`comm.rs`,
-    /// `next_collective_salt`). A shared 0x?00 block is fine only when
-    /// the low bits differ — the invariant a schedule overlapped with a
-    /// shift/scatter on the same salt relies on.
-    #[test]
-    fn reserved_bases_distinct_below_salt() {
-        let mut offsets: Vec<Tag> = ALL_BASES
-            .iter()
-            .map(|&t| {
-                assert!(t >= RESERVED_TAG_BASE, "base {t:#x} below reserved range");
-                let off = t - RESERVED_TAG_BASE;
-                assert!(off < 0x1000, "base offset {off:#x} overlaps the salt bits");
-                off
-            })
-            .collect();
-        offsets.sort_unstable();
-        offsets.dedup();
-        assert_eq!(offsets.len(), ALL_BASES.len(), "reserved tag bases collide");
-    }
-
-    /// Diagnostics must name each schedule distinctly; a fallthrough to
-    /// the generic "collective" arm means a describe_tag entry is missing.
+    /// Diagnostics must name each schedule distinctly, whatever salt its
+    /// collective drew.
     #[test]
     fn describe_tag_names_every_base() {
-        for &base in &ALL_BASES {
-            let salted = base + (7 << 12);
+        for &base in TagBase::ALL {
+            let salted = base.tag(7 << 12);
             let name = describe_tag(salted);
-            assert_ne!(name, "collective", "no describe_tag arm for {base:#x}");
+            assert_ne!(name, "collective", "no name for {base:?}");
             assert_ne!(name, "p2p");
-            assert_eq!(name, describe_tag(base), "salt must not change the label");
+            assert_eq!(
+                name,
+                describe_tag(base.tag(0)),
+                "salt must not change the label"
+            );
         }
     }
 }

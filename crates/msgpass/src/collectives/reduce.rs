@@ -15,7 +15,7 @@
 //! receives that have no incremental equivalent, and they are an ablation
 //! knob, not a selector candidate.
 
-use super::TAG_REDUCE;
+use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::Source;
 use crate::message::Tag;
@@ -76,7 +76,7 @@ impl Comm {
         mut combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
         assert!(root < self.size(), "reduce root {root} out of range");
-        let tag = TAG_REDUCE + salt;
+        let tag = TagBase::Reduce.tag(salt);
         let at_zero = self.reduce_kary_range(
             0,
             self.size(),

@@ -28,9 +28,8 @@
 //! suspension point.
 
 use super::launch::{Blocking, Nonblocking};
-use super::{TAG_ALLGATHER_CIRC, TAG_REDUCE_SCATTER_CIRC};
+use super::TagBase;
 use crate::comm::Comm;
-use crate::cost::AllreduceAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::{Request, Schedule};
@@ -82,7 +81,7 @@ where
         let slots: Vec<Option<T>> = segments.into_iter().map(Some).collect();
         let mut schedule = ReduceScatterCirculantSchedule {
             comm,
-            tag: TAG_REDUCE_SCATTER_CIRC + salt,
+            tag: TagBase::ReduceScatter.tag(salt),
             bytes_of,
             combine,
             slots,
@@ -190,7 +189,7 @@ where
         slots[r] = Some(value);
         let schedule = AllgatherCirculantSchedule {
             comm,
-            tag: TAG_ALLGATHER_CIRC + salt,
+            tag: TagBase::Allgather.tag(salt),
             bytes_of,
             slots,
             round: 0,
@@ -374,35 +373,22 @@ impl Comm {
         })
     }
 
-    /// Allreduce by circulant reduce-scatter + allgather. The caller
-    /// supplies the state already split into `p` segments (`split` runs
-    /// locally) and a way to reassemble the combined segments
-    /// (`unsplit`).
-    ///
-    /// Requires a commutative operator (see the module docs); prefer
-    /// [`allreduce_splittable`](Comm::allreduce_splittable), which checks
-    /// eligibility and falls back when the precondition does not hold or
-    /// the cost model favors another schedule.
-    pub fn allreduce_reduce_scatter<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize + Clone,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        self.start_allreduce::<Blocking, _>(
-            (AllreduceAlgorithm::ReduceScatterAllgather, 1),
-            value,
-            (split, unsplit),
-            bytes_of,
-            combine,
-        )
+    /// Gathers one value per rank and delivers the full rank-ordered
+    /// vector to every rank by the circulant allgather: `⌈log₂p⌉` rounds
+    /// at any `p`, each value `size_of::<T>()` bytes on the wire.
+    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
+        self.launch::<Blocking, _>(CallKind::Allgather, |comm, salt| {
+            AllgatherCirculantSchedule::new(comm, value, salt, |_: &T| std::mem::size_of::<T>())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use gv_core::split::{split_vec_segments, unsplit_vec_segments};
+
+    use crate::comm::Comm;
+    use crate::cost::AllreduceAlgorithm;
     use crate::runtime::Runtime;
     use crate::stats::CallKind;
 
@@ -439,35 +425,41 @@ mod tests {
         }
     }
 
+    fn add(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+        for (x, y) in a.iter_mut().zip(b) {
+            *x += y;
+        }
+        a
+    }
+
+    #[allow(clippy::ptr_arg)] // passed where Fn(&Vec<u64>) -> usize is expected
+    fn wire(v: &Vec<u64>) -> usize {
+        v.len() * 8
+    }
+
+    /// An allreduce of `state` forced onto `algo`.
+    fn forced(comm: &Comm, algo: AllreduceAlgorithm, state: Vec<u64>) -> Vec<u64> {
+        comm.allreduce_by(
+            (algo, 1),
+            state,
+            (split_vec_segments, unsplit_vec_segments),
+            wire,
+            add,
+        )
+    }
+
     #[test]
     fn allreduce_reduce_scatter_matches_whole_state_schedules() {
         for p in [1usize, 2, 3, 5, 8, 9, 16] {
             let outcome = Runtime::new(p).run(move |comm| {
                 let r = comm.rank() as u64;
                 let mine: Vec<u64> = (0..13).map(|i| r * 1000 + i).collect();
-                let rs = comm.allreduce_reduce_scatter(
+                let rs = forced(
+                    comm,
+                    AllreduceAlgorithm::ReduceScatterAllgather,
                     mine.clone(),
-                    gv_core::split::split_vec_segments,
-                    gv_core::split::unsplit_vec_segments,
-                    |v: &Vec<u64>| v.len() * 8,
-                    |mut a, b| {
-                        for (x, y) in a.iter_mut().zip(b) {
-                            *x += y;
-                        }
-                        a
-                    },
                 );
-                let reference = comm.allreduce_reduce_bcast(
-                    mine,
-                    true,
-                    |v: &Vec<u64>| v.len() * 8,
-                    |mut a, b| {
-                        for (x, y) in a.iter_mut().zip(b) {
-                            *x += y;
-                        }
-                        a
-                    },
-                );
+                let reference = forced(comm, AllreduceAlgorithm::ReduceBroadcast, mine);
                 (rs, reference)
             });
             for (rank, (rs, reference)) in outcome.results.into_iter().enumerate() {
@@ -479,17 +471,10 @@ mod tests {
     #[test]
     fn composed_allreduce_counts_one_allreduce_call_per_rank() {
         let outcome = Runtime::new(4).run(|comm| {
-            comm.allreduce_reduce_scatter(
+            forced(
+                comm,
+                AllreduceAlgorithm::ReduceScatterAllgather,
                 vec![1u64; 16],
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                |v: &Vec<u64>| v.len() * 8,
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
             );
         });
         assert_eq!(outcome.stats.calls(CallKind::Allreduce), 4);
@@ -504,33 +489,33 @@ mod tests {
     #[test]
     fn rsag_allreduce_is_cheaper_than_reduce_bcast_for_large_states() {
         // 64 KiB state at p = 8: bandwidth dominates, segments are 8 KiB.
-        let time = |rsag: bool| {
+        let time = |algo: AllreduceAlgorithm| {
             Runtime::new(8)
                 .run(move |comm| {
-                    let state = vec![0u64; 8 << 10]; // 64 KiB
-                    let wire = |v: &Vec<u64>| v.len() * 8;
-                    let add = |mut a: Vec<u64>, b: Vec<u64>| {
-                        for (x, y) in a.iter_mut().zip(b) {
-                            *x += y;
-                        }
-                        a
-                    };
-                    if rsag {
-                        comm.allreduce_reduce_scatter(
-                            state,
-                            gv_core::split::split_vec_segments,
-                            gv_core::split::unsplit_vec_segments,
-                            wire,
-                            add,
-                        );
-                    } else {
-                        comm.allreduce_reduce_bcast(state, true, wire, add);
-                    }
+                    forced(comm, algo, vec![0u64; 8 << 10]); // 64 KiB
                 })
                 .modeled_seconds
         };
-        let t_rsag = time(true);
-        let t_rb = time(false);
+        let t_rsag = time(AllreduceAlgorithm::ReduceScatterAllgather);
+        let t_rb = time(AllreduceAlgorithm::ReduceBroadcast);
         assert!(t_rsag < t_rb, "rsag={t_rsag} reduce+bcast={t_rb}");
+    }
+
+    #[test]
+    fn allgather_delivers_everywhere() {
+        let outcome = Runtime::new(6).run(|comm| comm.allgather(comm.rank() as i32 - 3));
+        let expected: Vec<i32> = (0..6).map(|r| r - 3).collect();
+        for res in outcome.results {
+            assert_eq!(res, expected);
+        }
+    }
+
+    #[test]
+    fn allgather_counts_one_collective_call_per_rank() {
+        let outcome = Runtime::new(4).run(|comm| {
+            comm.allgather(comm.rank());
+        });
+        assert_eq!(outcome.stats.calls(CallKind::Allgather), 4);
+        assert_eq!(outcome.stats.calls(CallKind::Bcast), 0);
     }
 }

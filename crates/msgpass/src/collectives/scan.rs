@@ -20,12 +20,8 @@
 //! sweep (`scan_binomial.rs`) or, for splittable states, the pipelined
 //! chain (`scan_chain.rs`). All three are resumable schedules.
 
-use super::launch::Blocking;
-use super::select::both;
-use super::tree::whole;
-use super::TAG_SCAN;
+use super::TagBase;
 use crate::comm::Comm;
-use crate::cost::ScanAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::Schedule;
@@ -70,7 +66,7 @@ where
         debug_assert!(need_exclusive || need_inclusive);
         ScanRdSchedule {
             comm,
-            tag: TAG_SCAN + salt,
+            tag: TagBase::Scan.tag(salt),
             bytes_of,
             combine,
             need_exclusive,
@@ -159,30 +155,17 @@ where
     }
 }
 
-impl Comm {
-    /// Both scans by the shifted recursive-doubling schedule, bypassing
-    /// the cost-driven selector. Accounting follows the `scan_both`
-    /// convention: one schedule, one [`CallKind::Scan`](crate::stats::CallKind::Scan).
-    pub fn scan_both_recursive_doubling<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> (Option<T>, T) {
-        self.start_scan::<Blocking, _, _>(
-            (ScanAlgorithm::RecursiveDoubling, 1),
-            value,
-            whole(),
-            bytes_of,
-            combine,
-            both(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use crate::collectives::tree::whole;
+    use crate::comm::Comm;
+    use crate::cost::ScanAlgorithm;
     use crate::runtime::Runtime;
+
+    /// Both scans of a `u64` sum forced onto `algo` at one segment.
+    fn sum_both(comm: &Comm, algo: ScanAlgorithm, value: u64) -> (Option<u64>, u64) {
+        comm.scan_both_by((algo, 1), value, whole(), |_| 8, |a, b| a + b)
+    }
 
     #[test]
     fn inclusive_sum_scan_all_sizes() {
@@ -261,8 +244,11 @@ mod tests {
     fn forced_recursive_doubling_matches_selector_result() {
         for p in [1usize, 2, 5, 8] {
             let outcome = Runtime::new(p).run(|comm| {
-                let (ex, inc) =
-                    comm.scan_both_recursive_doubling(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
+                let (ex, inc) = sum_both(
+                    comm,
+                    ScanAlgorithm::RecursiveDoubling,
+                    comm.rank() as u64 + 1,
+                );
                 let (ex2, inc2) = comm.scan_both(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
                 (ex == ex2, inc == inc2)
             });
@@ -275,8 +261,7 @@ mod tests {
         for p in [1usize, 2, 5, 9] {
             let outcome = Runtime::new(p).run(|comm| {
                 let fast = comm.scan_inclusive(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
-                let slow =
-                    comm.scan_inclusive_linear(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
+                let slow = sum_both(comm, ScanAlgorithm::PipelinedChain, comm.rank() as u64 + 1).1;
                 (fast, slow)
             });
             for (fast, slow) in outcome.results {
@@ -288,11 +273,10 @@ mod tests {
     #[test]
     fn linear_scan_preserves_order_for_noncommutative() {
         let outcome = Runtime::new(5).run(|comm| {
-            comm.scan_inclusive_linear(
-                format!("<{}>", comm.rank()),
-                |s: &String| s.len(),
-                |a, b| a + &b,
-            )
+            let plan = (ScanAlgorithm::PipelinedChain, 1);
+            let mine = format!("<{}>", comm.rank());
+            comm.scan_both_by(plan, mine, whole(), |s: &String| s.len(), |a, b| a + &b)
+                .1
         });
         for (r, got) in outcome.results.iter().enumerate() {
             let expected: String = (0..=r).map(|i| format!("<{i}>")).collect();

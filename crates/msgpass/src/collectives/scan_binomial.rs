@@ -25,12 +25,8 @@
 //! always run `(earlier, later)` in rank order, so non-commutative
 //! operators are safe.
 
-use super::launch::Blocking;
-use super::select::both;
-use super::tree::whole;
-use super::{TAG_SCAN_DOWN, TAG_SCAN_UP};
+use super::TagBase;
 use crate::comm::Comm;
-use crate::cost::ScanAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::Schedule;
@@ -102,8 +98,8 @@ where
         let phase = if nodes.is_empty() { SweepPhase::Done } else { SweepPhase::Up };
         ScanBinomialSchedule {
             comm,
-            tag_up: TAG_SCAN_UP + salt,
-            tag_down: TAG_SCAN_DOWN + salt,
+            tag_up: TagBase::ScanUp.tag(salt),
+            tag_down: TagBase::ScanDown.tag(salt),
             bytes_of,
             combine,
             nodes,
@@ -207,32 +203,11 @@ where
     }
 }
 
-impl Comm {
-    /// Both scans by the work-efficient binomial schedule, bypassing the
-    /// cost-driven selector (the selector-routed entry points are
-    /// [`scan_both`](Self::scan_both) and friends). Accounting follows
-    /// the `scan_both` convention: one schedule, one
-    /// [`CallKind::Scan`](crate::stats::CallKind::Scan).
-    pub fn scan_both_binomial<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> (Option<T>, T) {
-        self.start_scan::<Blocking, _, _>(
-            (ScanAlgorithm::Binomial, 1),
-            value,
-            whole(),
-            bytes_of,
-            combine,
-            both(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::binomial_nodes;
+    use crate::collectives::tree::whole;
+    use crate::cost::ScanAlgorithm::Binomial;
     use crate::runtime::Runtime;
 
     #[test]
@@ -265,7 +240,13 @@ mod tests {
     fn binomial_scan_matches_oracle_for_all_sizes() {
         for p in 1..=16usize {
             let outcome = Runtime::new(p).run(|comm| {
-                comm.scan_both_binomial(comm.rank() as u64 + 1, |_| 8, |a, b| a + b)
+                comm.scan_both_by(
+                    (Binomial, 1),
+                    comm.rank() as u64 + 1,
+                    whole(),
+                    |_| 8,
+                    |a, b| a + b,
+                )
             });
             for (r, (ex, inc)) in outcome.results.iter().enumerate() {
                 let below: u64 = (1..=r as u64).sum();
@@ -279,8 +260,11 @@ mod tests {
     fn binomial_scan_is_rank_ordered_for_noncommutative() {
         for p in [2usize, 3, 6, 7, 8, 13] {
             let outcome = Runtime::new(p).run(|comm| {
-                comm.scan_both_binomial(
-                    format!("<{}>", comm.rank()),
+                let mine = format!("<{}>", comm.rank());
+                comm.scan_both_by(
+                    (Binomial, 1),
+                    mine,
+                    whole(),
                     |s: &String| s.len(),
                     |a, b| a + &b,
                 )
@@ -300,7 +284,7 @@ mod tests {
         // skipped empty-prefix sends. At p=16 that is 26, well below the
         // 49 of recursive doubling.
         let outcome = Runtime::new(16).run(|comm| {
-            comm.scan_both_binomial(1u64, |_| 8, |a, b| a + b);
+            comm.scan_both_by((Binomial, 1), 1u64, whole(), |_| 8, |a, b| a + b);
         });
         assert_eq!(outcome.stats.messages, 26, "messages={}", outcome.stats.messages);
     }

@@ -19,12 +19,9 @@
 //! from `(cost model, p, bytes)` alone, so every rank derives the same
 //! schedule.
 
-use super::launch::Blocking;
-use super::select::{both, inclusive};
-use super::tree::{split_into, whole};
-use super::TAG_SCAN_CHAIN;
+use super::tree::split_into;
+use super::TagBase;
 use crate::comm::Comm;
-use crate::cost::ScanAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::Schedule;
@@ -77,7 +74,7 @@ where
         let segs = split_into(value, s, split);
         ScanChainSchedule {
             comm,
-            tag: TAG_SCAN_CHAIN + salt,
+            tag: TagBase::ScanChain.tag(salt),
             bytes_of,
             combine,
             unsplit,
@@ -133,60 +130,10 @@ where
     }
 }
 
-impl Comm {
-    /// Both scans by the pipelined chain schedule with an explicit
-    /// segment count, bypassing the cost-driven selector (the
-    /// selector-routed entry points are
-    /// [`scan_both_splittable`](Self::scan_both_splittable) and
-    /// friends). `split`/`unsplit` must satisfy the `SplittableState`
-    /// laws. Accounting follows the `scan_both` convention: one
-    /// schedule, one [`CallKind::Scan`](crate::stats::CallKind::Scan).
-    pub fn scan_both_pipelined_chain<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl Fn(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> (Option<T>, T) {
-        self.start_scan::<Blocking, _, _>(
-            (ScanAlgorithm::PipelinedChain, segments),
-            value,
-            (split, unsplit),
-            bytes_of,
-            combine,
-            both(),
-        )
-    }
-
-    /// Inclusive scan by a **linear chain** — the chain at `S = 1`: rank
-    /// `r` waits for rank `r−1`'s whole prefix, combines, and forwards,
-    /// O(p) sequential hops.
-    ///
-    /// This is the baseline the parallel-prefix algorithms (Ladner–
-    /// Fischer, the paper's foundation citation) replace; it exists for
-    /// the `ablation_scan_algorithm` harness and for tests. Production
-    /// code should use [`scan_inclusive`](Self::scan_inclusive).
-    pub fn scan_inclusive_linear<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        self.start_scan::<Blocking, _, _>(
-            (ScanAlgorithm::PipelinedChain, 1),
-            value,
-            whole(),
-            bytes_of,
-            combine,
-            inclusive(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use crate::comm::Comm;
+    use crate::cost::ScanAlgorithm;
     use crate::runtime::Runtime;
     use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 
@@ -197,21 +144,23 @@ mod tests {
         a
     }
 
+    /// Both scans of `state` by the chain at `segments` segments.
+    fn chain(comm: &Comm, state: Vec<u64>, segments: usize) -> (Option<Vec<u64>>, Vec<u64>) {
+        comm.scan_both_by(
+            (ScanAlgorithm::PipelinedChain, segments),
+            state,
+            (split_vec_segments, unsplit_vec_segments),
+            |v: &Vec<u64>| v.len() * 8,
+            add,
+        )
+    }
+
     #[test]
     fn chain_scan_matches_oracle_for_all_sizes_and_segment_counts() {
         for p in 1..=9usize {
             for segments in [1usize, 2, 3, 7] {
-                let outcome = Runtime::new(p).run(move |comm| {
-                    let state = vec![comm.rank() as u64 + 1; 12];
-                    comm.scan_both_pipelined_chain(
-                        state,
-                        segments,
-                        split_vec_segments,
-                        unsplit_vec_segments,
-                        |v: &Vec<u64>| v.len() * 8,
-                        add,
-                    )
-                });
+                let outcome = Runtime::new(p)
+                    .run(move |comm| chain(comm, vec![comm.rank() as u64 + 1; 12], segments));
                 for (r, (ex, inc)) in outcome.results.iter().enumerate() {
                     let below: u64 = (1..=r as u64).sum();
                     if r == 0 {
@@ -228,15 +177,7 @@ mod tests {
     #[test]
     fn chain_scan_message_count_is_hops_times_segments() {
         let outcome = Runtime::new(8).run(|comm| {
-            let state = vec![comm.rank() as u64; 16];
-            comm.scan_both_pipelined_chain(
-                state,
-                4,
-                split_vec_segments,
-                unsplit_vec_segments,
-                |v: &Vec<u64>| v.len() * 8,
-                add,
-            );
+            chain(comm, vec![comm.rank() as u64; 16], 4);
         });
         // (p−1) hops × S segments.
         assert_eq!(outcome.stats.messages, 7 * 4);
@@ -245,17 +186,7 @@ mod tests {
     #[test]
     fn chain_scan_handles_more_segments_than_elements() {
         // Empty segments must flow through split/combine/unsplit intact.
-        let outcome = Runtime::new(4).run(|comm| {
-            let state = vec![comm.rank() as u64 + 1; 2];
-            comm.scan_both_pipelined_chain(
-                state,
-                5,
-                split_vec_segments,
-                unsplit_vec_segments,
-                |v: &Vec<u64>| v.len() * 8,
-                add,
-            )
-        });
+        let outcome = Runtime::new(4).run(|comm| chain(comm, vec![comm.rank() as u64 + 1; 2], 5));
         for (r, (_, inc)) in outcome.results.iter().enumerate() {
             let below: u64 = (1..=r as u64).sum();
             assert_eq!(inc, &vec![below + r as u64 + 1; 2], "r={r}");

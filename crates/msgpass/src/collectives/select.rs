@@ -30,12 +30,19 @@
 //! recursive doubling and the binomial sweep, and the `_splittable`
 //! variants additionally admit the segmented chain.
 //!
+//! A caller that must run one schedule — an ablation measuring each, a
+//! test pinning one — passes the plan the selector would have produced:
+//! [`Comm::allreduce_by`], [`Comm::iallreduce_by`] and
+//! [`Comm::scan_both_by`] take `(algorithm, segment count)` and skip the
+//! pricing, so which schedule runs is decided here and nowhere else.
+//! (`bcast_pipelined` and `reduce_pipelined` in `tree.rs` are the tree's
+//! forced forms: there the plan is only the segment count.)
+//!
 //! Every schedule is a resumable state machine, so each entry point has
 //! a non-blocking twin ([`Comm::iallreduce`], [`Comm::iscan_inclusive`],
 //! …) that differs only in the launch [`Mode`]: the four `start_*`
 //! family constructors below are generic over it, and every entry point
-//! in `collectives/` — selector-routed or fixed-schedule — goes through
-//! them.
+//! in `collectives/` — selector-routed or forced — goes through them.
 //!
 //! Selection uses this rank's local `bytes_of(&value)` as the wire size.
 //! Under the SPMD convention that all ranks pass equal-shaped states
@@ -99,42 +106,27 @@ pub(crate) fn both<T>() -> ScanShape<impl FnOnce(ScanHalves<T>) -> (Option<T>, T
 }
 
 impl Comm {
-    /// Picks the cheapest eligible allreduce schedule for a state of
-    /// `wire_bytes` bytes under this communicator's *selection* cost
-    /// model ([`Comm::selection_cost_model`] — the fixed clock model by
-    /// default, the measured calibration under
-    /// [`CostSource::Measured`](crate::measured::CostSource::Measured)).
-    /// `splittable` says whether the caller could run a segmented
+    /// The cheapest eligible allreduce schedule for a `bytes`-byte state
+    /// under this communicator's *selection* cost model
+    /// ([`Comm::selection_cost_model`] — the fixed clock model by default,
+    /// the measured calibration under
+    /// [`CostSource::Measured`](crate::measured::CostSource::Measured)),
+    /// plus the tree segment count it was priced at — the same
+    /// deterministic model on every rank, so schedule and estimate always
+    /// agree. `splittable` says whether the caller could run a segmented
     /// schedule at all (reduce-scatter + allgather also needs
     /// `commutative`).
-    pub fn select_allreduce_algorithm(
-        &self,
-        wire_bytes: usize,
-        commutative: bool,
-        splittable: bool,
-    ) -> AllreduceAlgorithm {
-        AllreduceAlgorithm::select(
-            &self.selection_cost_model(),
-            self.size(),
-            wire_bytes,
-            commutative,
-            splittable,
-        )
-    }
-
-    /// The selector's pick plus the tree segment count it was priced at
-    /// — the same deterministic model on every rank, so schedule and
-    /// estimate always agree.
     fn plan_allreduce(
         &self,
         bytes: usize,
         commutative: bool,
         splittable: bool,
     ) -> (AllreduceAlgorithm, usize) {
-        let algo = self.select_allreduce_algorithm(bytes, commutative, splittable);
+        let cost = self.selection_cost_model();
+        let algo = AllreduceAlgorithm::select(&cost, self.size(), bytes, commutative, splittable);
         let segments = match algo {
             AllreduceAlgorithm::PipelinedTree => {
-                BcastAlgorithm::tree_segments(&self.selection_cost_model(), self.size(), bytes)
+                BcastAlgorithm::tree_segments(&cost, self.size(), bytes)
             }
             _ => 1,
         };
@@ -174,6 +166,42 @@ impl Comm {
                     )
                 }),
         }
+    }
+
+    /// Allreduce by the schedule `plan` names, bypassing the selector:
+    /// `(algorithm, tree segment count)`, the count read only by
+    /// [`AllreduceAlgorithm::PipelinedTree`] (every other plan is
+    /// `(algorithm, 1)`). `(split, unsplit)` is the state's segmentation —
+    /// [`whole`] for a state that cannot be split, which rules out
+    /// reduce-scatter + allgather and a tree of more than one segment.
+    /// Reduce-scatter + allgather also needs a commutative operator;
+    /// every other schedule combines in rank order. The call records the
+    /// algorithm counter, messages, bytes and modeled clock a selected
+    /// run of the same plan records.
+    pub fn allreduce_by<T: Clone + Send + 'static>(
+        &self,
+        plan: (AllreduceAlgorithm, usize),
+        value: T,
+        segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+        bytes_of: impl Fn(&T) -> usize + Clone,
+        combine: impl FnMut(T, T) -> T,
+    ) -> T {
+        self.start_allreduce::<Blocking, _>(plan, value, segmentation, bytes_of, combine)
+    }
+
+    /// Non-blocking [`allreduce_by`](Self::allreduce_by).
+    pub fn iallreduce_by<T: Clone + Send + 'static>(
+        &self,
+        plan: (AllreduceAlgorithm, usize),
+        value: T,
+        segmentation: (
+            impl FnOnce(T, usize) -> Vec<T>,
+            impl FnOnce(Vec<T>) -> T + 'static,
+        ),
+        bytes_of: impl Fn(&T) -> usize + Clone + 'static,
+        combine: impl FnMut(T, T) -> T + 'static,
+    ) -> Request<T> {
+        self.start_allreduce::<Nonblocking, _>(plan, value, segmentation, bytes_of, combine)
     }
 
     /// Allreduce with cost-driven schedule selection for whole (scalar,
@@ -285,20 +313,6 @@ impl Comm {
         self.start_bcast::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of)
     }
 
-    /// Non-blocking [`bcast_splittable`](Self::bcast_splittable).
-    pub fn ibcast_splittable<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-        wire_bytes: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T + 'static,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-    ) -> Request<T> {
-        let segments = self.plan_tree(wire_bytes);
-        self.start_bcast::<Nonblocking, _>(segments, root, value, (split, unsplit), bytes_of)
-    }
-
     /// The rooted-reduce family's one constructor.
     pub(crate) fn start_reduce<'a, M: Mode<'a>, T: Send + 'static>(
         &self,
@@ -336,48 +350,18 @@ impl Comm {
         self.start_reduce::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of, combine)
     }
 
-    /// Non-blocking [`reduce_splittable`](Self::reduce_splittable).
-    pub fn ireduce_splittable<T: Send + 'static>(
-        &self,
-        root: usize,
-        value: T,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T + 'static,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<Option<T>> {
-        let segments = self.plan_tree(bytes_of(&value));
-        self.start_reduce::<Nonblocking, _>(
-            segments,
-            root,
-            value,
-            (split, unsplit),
-            bytes_of,
-            combine,
-        )
-    }
-
-    /// Picks the cheapest eligible scan schedule for a state of
-    /// `wire_bytes` bytes under this communicator's cost model.
-    /// `splittable` says whether the caller could run the segmented
-    /// chain at all. There is no commutativity parameter: every scan
-    /// schedule combines in rank order (see [`ScanAlgorithm::select`]).
-    pub fn select_scan_algorithm(&self, wire_bytes: usize, splittable: bool) -> ScanAlgorithm {
-        ScanAlgorithm::select(
-            &self.selection_cost_model(),
-            self.size(),
-            wire_bytes,
-            splittable,
-        )
-    }
-
-    /// The selector's pick plus the chain segment count it was priced
-    /// at.
+    /// The cheapest eligible scan schedule for a `bytes`-byte state
+    /// under this communicator's selection cost model, plus the chain
+    /// segment count it was priced at. `splittable` says whether the
+    /// caller could run the segmented chain at all. There is no
+    /// commutativity parameter: every scan schedule combines in rank
+    /// order (see [`ScanAlgorithm::select`]).
     fn plan_scan(&self, bytes: usize, splittable: bool) -> (ScanAlgorithm, usize) {
-        let algo = self.select_scan_algorithm(bytes, splittable);
+        let cost = self.selection_cost_model();
+        let algo = ScanAlgorithm::select(&cost, self.size(), bytes, splittable);
         let segments = match algo {
             ScanAlgorithm::PipelinedChain => {
-                ScanAlgorithm::chain_segments(&self.selection_cost_model(), self.size(), bytes)
+                ScanAlgorithm::chain_segments(&cost, self.size(), bytes)
             }
             _ => 1,
         };
@@ -502,6 +486,26 @@ impl Comm {
     ) -> (Option<T>, T) {
         let plan = self.plan_scan(bytes_of(&value), false);
         self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, both())
+    }
+
+    /// Both scans by the schedule `plan` names, bypassing the selector:
+    /// `(algorithm, chain segment count)`, the count read only by
+    /// [`ScanAlgorithm::PipelinedChain`]. `(split, unsplit)` is the
+    /// state's segmentation, [`whole`] for a state that cannot be split
+    /// (the chain then runs at one segment: the linear scan). Every scan
+    /// schedule combines in rank order. Recorded under the
+    /// [`scan_both`](Self::scan_both) accounting convention, with the
+    /// counters, messages, bytes and modeled clock of a selected run of
+    /// the same plan.
+    pub fn scan_both_by<T: Clone + Send + 'static>(
+        &self,
+        plan: (ScanAlgorithm, usize),
+        value: T,
+        segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T),
+        bytes_of: impl Fn(&T) -> usize,
+        combine: impl FnMut(T, T) -> T,
+    ) -> (Option<T>, T) {
+        self.start_scan::<Blocking, _, _>(plan, value, segmentation, bytes_of, combine, both())
     }
 
     /// Inclusive scan over a splittable state: like
@@ -932,19 +936,6 @@ mod tests {
             )
         });
         assert_eq!(small.stats.messages, 7);
-        let mut ireduce = Runtime::new(8).run(|comm| {
-            let state = vec![comm.rank() as u64; 32 << 10];
-            let mut req = comm.ireduce_splittable(
-                3,
-                state,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            );
-            req.wait().unwrap()
-        });
-        assert_eq!(ireduce.results.remove(3), Some(vec![28u64; 32 << 10]));
     }
 
     #[test]

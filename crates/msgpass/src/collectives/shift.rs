@@ -5,7 +5,7 @@
 //! "the exclusive scan can only be computed from the inclusive scan by
 //! shifting the values across the processors" (§2).
 
-use super::TAG_SHIFT;
+use super::TagBase;
 use crate::comm::Comm;
 
 impl Comm {
@@ -15,9 +15,9 @@ impl Comm {
         let p = self.size();
         let r = self.rank();
         if r + 1 < p {
-            self.send(r + 1, TAG_SHIFT, value);
+            self.send(r + 1, TagBase::Shift.tag(0), value);
         }
-        (r > 0).then(|| self.recv(r - 1, TAG_SHIFT))
+        (r > 0).then(|| self.recv(r - 1, TagBase::Shift.tag(0)))
     }
 
     /// Sends `value` to rank `(r + 1) mod p` and returns the value from
@@ -28,8 +28,8 @@ impl Comm {
             return value;
         }
         let r = self.rank();
-        self.send((r + 1) % p, TAG_SHIFT, value);
-        self.recv((r + p - 1) % p, TAG_SHIFT)
+        self.send((r + 1) % p, TagBase::Shift.tag(0), value);
+        self.recv((r + p - 1) % p, TagBase::Shift.tag(0))
     }
 }
 

@@ -35,16 +35,17 @@
 //! per child.
 
 use super::launch::{Blocking, Nonblocking};
-use super::{TAG_ALLREDUCE_TREE_DOWN, TAG_ALLREDUCE_TREE_UP, TAG_BCAST, TAG_REDUCE};
+use super::TagBase;
 use crate::comm::Comm;
-use crate::cost::AllreduceAlgorithm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
 use crate::request::{Request, Schedule};
 
 /// The `(split, unsplit)` pair of a whole, unsplittable state: its
-/// one-segment segmentation.
-pub(crate) fn whole<T>() -> (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T) {
+/// one-segment segmentation. Pass it where an entry point takes a
+/// segmentation ([`Comm::allreduce_by`], [`Comm::scan_both_by`]) and the
+/// state cannot be split; only a plan of one segment may then run.
+pub fn whole<T>() -> (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T) {
     fn split<T>(value: T, parts: usize) -> Vec<T> {
         debug_assert_eq!(parts, 1, "a whole state travels as one segment");
         vec![value]
@@ -247,7 +248,7 @@ where
     ) -> Self {
         assert!(root < comm.size(), "bcast root {root} out of range");
         let s = segments.max(1);
-        let tag = TAG_BCAST + salt;
+        let tag = TagBase::Bcast.tag(salt);
         let mut down = DownSweep::new(&comm, root, s);
         if down.vrank == 0 {
             let value = value.expect("the bcast root must supply the value");
@@ -324,7 +325,7 @@ where
         let up = UpSweep::new(&comm, split_into(value, s, split));
         TreeReduce {
             comm,
-            tag: TAG_REDUCE + salt,
+            tag: TagBase::Reduce.tag(salt),
             bytes_of,
             combine,
             unsplit: Some(unsplit),
@@ -424,8 +425,8 @@ where
         let down = DownSweep::new(&comm, 0, s);
         TreeAllreduce {
             comm,
-            up_tag: TAG_ALLREDUCE_TREE_UP + salt,
-            down_tag: TAG_ALLREDUCE_TREE_DOWN + salt,
+            up_tag: TagBase::AllreduceTreeUp.tag(salt),
+            down_tag: TagBase::AllreduceTreeDown.tag(salt),
             bytes_of,
             combine,
             unsplit: Some(unsplit),
@@ -509,19 +510,6 @@ impl Comm {
         self.start_bcast::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of)
     }
 
-    /// Non-blocking [`bcast_pipelined`](Self::bcast_pipelined).
-    pub fn ibcast_pipelined<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T + 'static,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-    ) -> Request<T> {
-        self.start_bcast::<Nonblocking, _>(segments, root, value, (split, unsplit), bytes_of)
-    }
-
     /// Reduces one value per rank to `root` along the binomial tree;
     /// `Some(result)` at the root, `None` elsewhere.
     ///
@@ -564,93 +552,6 @@ impl Comm {
     ) -> Option<T> {
         self.start_reduce::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of, combine)
     }
-
-    /// Non-blocking [`reduce_pipelined`](Self::reduce_pipelined).
-    #[allow(clippy::too_many_arguments)]
-    pub fn ireduce_pipelined<T: Send + 'static>(
-        &self,
-        root: usize,
-        value: T,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T + 'static,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<Option<T>> {
-        self.start_reduce::<Nonblocking, _>(
-            segments,
-            root,
-            value,
-            (split, unsplit),
-            bytes_of,
-            combine,
-        )
-    }
-
-    /// Allreduce by binomial reduce to rank 0 followed by binomial
-    /// broadcast — the fused tree at `S = 1`. `commutative` is accepted
-    /// for signature symmetry with the other allreduce entry points; the
-    /// tree combines in rank order either way.
-    ///
-    /// Prefer [`allreduce`](Comm::allreduce), which picks the cheapest
-    /// schedule per call.
-    pub fn allreduce_reduce_bcast<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        commutative: bool,
-        bytes_of: impl Fn(&T) -> usize + Clone,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        let _ = commutative;
-        self.start_allreduce::<Blocking, _>(
-            (AllreduceAlgorithm::ReduceBroadcast, 1),
-            value,
-            whole(),
-            bytes_of,
-            combine,
-        )
-    }
-
-    /// Allreduce by the fused tree with an explicit segment count: each
-    /// segment reduces up the tree to rank 0 and is broadcast back down
-    /// the same tree as soon as it completes. Combines respect rank
-    /// order, so non-commutative operators are safe.
-    pub fn allreduce_pipelined_tree<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize + Clone,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        self.start_allreduce::<Blocking, _>(
-            (AllreduceAlgorithm::PipelinedTree, segments),
-            value,
-            (split, unsplit),
-            bytes_of,
-            combine,
-        )
-    }
-
-    /// Non-blocking [`allreduce_pipelined_tree`](Self::allreduce_pipelined_tree).
-    pub fn iallreduce_pipelined_tree<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T + 'static,
-        bytes_of: impl Fn(&T) -> usize + Clone + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<T> {
-        self.start_allreduce::<Nonblocking, _>(
-            (AllreduceAlgorithm::PipelinedTree, segments),
-            value,
-            (split, unsplit),
-            bytes_of,
-            combine,
-        )
-    }
 }
 
 /// Wire bytes of a vector payload: `len · size_of::<T>()`.
@@ -661,8 +562,10 @@ pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::vec_bytes as bytes_u64;
-    use crate::cost::CostModel;
+    use super::{vec_bytes as bytes_u64, whole};
+    use crate::collectives::launch::Nonblocking;
+    use crate::comm::Comm;
+    use crate::cost::{AllreduceAlgorithm, CostModel};
     use crate::runtime::Runtime;
     use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 
@@ -671,6 +574,18 @@ mod tests {
             *x += y;
         }
         a
+    }
+
+    /// The fused tree allreduce at `segments` segments.
+    fn tree_allreduce(comm: &Comm, state: Vec<u64>, segments: usize) -> Vec<u64> {
+        let plan = (AllreduceAlgorithm::PipelinedTree, segments);
+        comm.allreduce_by(
+            plan,
+            state,
+            (split_vec_segments, unsplit_vec_segments),
+            bytes_u64,
+            add,
+        )
     }
 
     /// Element-wise string concatenation: associative, NOT commutative.
@@ -742,7 +657,8 @@ mod tests {
         let outcome = Runtime::new(6).run(|comm| {
             let value = (comm.rank() == 1).then_some(comm.rank() as u64 + 41);
             let mut req = comm.ibcast(1, value);
-            let sum = comm.allreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+            let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+            let sum = comm.allreduce_by(plan, 1u64, whole(), |_| 8, |a, b| a + b);
             (req.wait().unwrap(), sum)
         });
         assert_eq!(outcome.results, vec![(42, 6); 6]);
@@ -911,29 +827,19 @@ mod tests {
 
     #[test]
     fn allreduce_reduce_bcast_delivers_everywhere() {
-        for commutative in [true, false] {
-            let outcome = Runtime::new(7).run(move |comm| {
-                comm.allreduce_reduce_bcast(comm.rank() as i64, commutative, |_| 8, |a, b| a.max(b))
-            });
-            assert_eq!(outcome.results, vec![6; 7]);
-        }
+        let outcome = Runtime::new(7).run(move |comm| {
+            let plan = (AllreduceAlgorithm::ReduceBroadcast, 1);
+            comm.allreduce_by(plan, comm.rank() as i64, whole(), |_| 8, |a, b| a.max(b))
+        });
+        assert_eq!(outcome.results, vec![6; 7]);
     }
 
     #[test]
     fn tree_allreduce_handles_empty_segments() {
         // More segments than elements: empty tail segments must flow
         // through split/combine/unsplit intact.
-        let outcome = Runtime::new(4).run(|comm| {
-            let state = vec![comm.rank() as u64 + 1; 2];
-            comm.allreduce_pipelined_tree(
-                state,
-                5,
-                split_vec_segments,
-                unsplit_vec_segments,
-                bytes_u64,
-                add,
-            )
-        });
+        let outcome =
+            Runtime::new(4).run(|comm| tree_allreduce(comm, vec![comm.rank() as u64 + 1; 2], 5));
         assert_eq!(outcome.results, vec![vec![10u64; 2]; 4]);
     }
 
@@ -941,15 +847,7 @@ mod tests {
     fn tree_allreduce_message_count_is_up_plus_down() {
         for (p, s) in [(8usize, 4usize), (5, 3), (2, 6), (1, 3)] {
             let outcome = Runtime::new(p).run(move |comm| {
-                let state = vec![comm.rank() as u64; 16];
-                comm.allreduce_pipelined_tree(
-                    state,
-                    s,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    bytes_u64,
-                    add,
-                );
+                tree_allreduce(comm, vec![comm.rank() as u64; 16], s);
             });
             assert_eq!(
                 outcome.stats.messages,
@@ -963,28 +861,26 @@ mod tests {
     fn non_blocking_variants_match_blocking_results() {
         let p = 6;
         let outcome = Runtime::new(p).run(move |comm| {
-            let mut bc = comm.ibcast_pipelined(
+            let segmentation = (split_vec_segments, unsplit_vec_segments);
+            let mut bc = comm.start_bcast::<Nonblocking, _>(
+                3,
                 1,
                 (comm.rank() == 1).then(|| vec![3u64; 12]),
-                3,
-                split_vec_segments,
-                unsplit_vec_segments,
+                segmentation,
                 bytes_u64,
             );
-            let mut rd = comm.ireduce_pipelined(
+            let mut rd = comm.start_reduce::<Nonblocking, _>(
+                3,
                 2,
                 vec![comm.rank() as u64; 12],
-                3,
-                split_vec_segments,
-                unsplit_vec_segments,
+                segmentation,
                 bytes_u64,
                 add,
             );
-            let mut ar = comm.iallreduce_pipelined_tree(
+            let mut ar = comm.iallreduce_by(
+                (AllreduceAlgorithm::PipelinedTree, 3),
                 vec![comm.rank() as u64 + 1; 12],
-                3,
-                split_vec_segments,
-                unsplit_vec_segments,
+                segmentation,
                 bytes_u64,
                 add,
             );
@@ -1044,11 +940,10 @@ mod tests {
                 let outcome = Runtime::new(p).run(move |comm| {
                     let state = vec![comm.rank().to_string(); 4];
                     let wire = |v: &Vec<String>| v.iter().map(String::len).sum();
-                    let at = comm.allreduce_pipelined_tree(
+                    let at = comm.allreduce_by(
+                        (AllreduceAlgorithm::PipelinedTree, segments),
                         state.clone(),
-                        segments,
-                        split_vec_segments,
-                        unsplit_vec_segments,
+                        (split_vec_segments, unsplit_vec_segments),
                         wire,
                         concat,
                     );

@@ -314,8 +314,9 @@ impl Comm {
     pub(crate) fn enter_collective(&self) -> CollectiveGuard {
         let depth = self.core.collective_depth.get();
         if depth == 0 {
-            // Top-level entry only: nested phases (a scan's internal
-            // gather, say) are not separate collectives to a fault plan.
+            // Top-level entry only: nested phases (the reduce-scatter and
+            // allgather inside an RSAG allreduce, say) are not separate
+            // collectives to a fault plan.
             if let Some(faults) = &self.core.faults {
                 faults.on_collective();
             }
@@ -390,7 +391,7 @@ impl Comm {
     /// the virtual clock, which is one more reason the recording
     /// harnesses keep [`CostSource::Fixed`].
     pub fn calibrate_cost_model(&self, rounds: usize) {
-        use crate::collectives::TAG_CALIBRATE;
+        use crate::collectives::TagBase;
         /// Ping-pongs per probe burst; the min filters scheduler noise.
         const BURST: usize = 8;
         /// Scalar accumulates per γ probe.
@@ -402,7 +403,7 @@ impl Comm {
         self.barrier();
         let _guard = self.enter_collective();
         let salt = self.next_collective_salt();
-        let tag = TAG_CALIBRATE + salt;
+        let tag = TagBase::Calibrate.tag(salt);
         let r = self.rank();
         let partner = if r.is_multiple_of(2) { r + 1 } else { r - 1 };
         for _ in 0..rounds {

@@ -685,7 +685,9 @@ mod tests {
                 "p={p}: estimate {est} rounds, schedule runs {expected_rounds}"
             );
             let outcome = crate::runtime::Runtime::new(p).cost_model(m).run(|comm| {
-                comm.allreduce_recursive_doubling(comm.rank() as u64, |_| 8, |a, b| a + b)
+                let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+                let whole = crate::collectives::tree::whole();
+                comm.allreduce_by(plan, comm.rank() as u64, whole, |_| 8, |a, b| a + b)
             });
             assert!(
                 (outcome.modeled_seconds - expected_rounds).abs() < 1e-9,

@@ -764,7 +764,8 @@ mod tests {
                 comm.calibrate_cost_model(2);
                 // Whatever the host timings say, every rank must price
                 // from the same published estimates and agree.
-                comm.select_allreduce_algorithm(64 << 10, true, true)
+                let cost = comm.selection_cost_model();
+                crate::cost::AllreduceAlgorithm::select(&cost, comm.size(), 64 << 10, true, true)
             });
         assert!(
             outcome.calibration.is_warm(),

@@ -21,10 +21,6 @@ pub enum CallKind {
     Barrier,
     /// Broadcast collective.
     Bcast,
-    /// Gather collective.
-    Gather,
-    /// Scatter collective.
-    Scatter,
     /// Allgather collective.
     Allgather,
     /// Reduce-to-root collective.
@@ -43,12 +39,10 @@ pub enum CallKind {
 
 impl CallKind {
     /// All kinds, for iteration and display.
-    pub const ALL: [CallKind; 12] = [
+    pub const ALL: [CallKind; 10] = [
         CallKind::Send,
         CallKind::Barrier,
         CallKind::Bcast,
-        CallKind::Gather,
-        CallKind::Scatter,
         CallKind::Allgather,
         CallKind::Reduce,
         CallKind::Allreduce,
@@ -77,8 +71,6 @@ impl CallKind {
             CallKind::Send => "send",
             CallKind::Barrier => "barrier",
             CallKind::Bcast => "bcast",
-            CallKind::Gather => "gather",
-            CallKind::Scatter => "scatter",
             CallKind::Allgather => "allgather",
             CallKind::Reduce => "reduce",
             CallKind::Allreduce => "allreduce",

@@ -19,7 +19,8 @@
 
 use std::time::Duration;
 
-use gv_msgpass::{Comm, FaultOp, FaultPlan, FaultSummary, RunError, Runtime};
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::{AllreduceAlgorithm, Comm, FaultOp, FaultPlan, FaultSummary, RunError, Runtime};
 
 /// Pinned seeds — 24 of them, covering every (scenario, ranks, wait path)
 /// combination the derivation below cycles through. A CI failure prints
@@ -108,7 +109,8 @@ fn workload(comm: &Comm, use_wait_timeout: bool) -> (u64, u64, u64, u64, u64) {
     let sum = comm.allreduce(r + 1, true, |_| 8, |a, b| a + b);
     let scan = comm.scan_inclusive(r + 1, |_| 8, |a, b| a + b);
     let word = comm.bcast(0, (comm.rank() == 0).then_some(0x00C0_FFEEu64));
-    let mut req = comm.iallreduce_recursive_doubling(r + 1, |_| 8, |a, b| a + b);
+    let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+    let mut req = comm.iallreduce_by(plan, r + 1, whole(), |_| 8, |a, b| a + b);
     let isum = if use_wait_timeout {
         match req.wait_timeout(Duration::from_secs(30)) {
             Ok(Some(v)) => v,

@@ -8,7 +8,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use gv_msgpass::{Runtime, ShutdownError, ShutdownKind, Source};
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::{AllreduceAlgorithm, Comm, Request, Runtime, ShutdownError, ShutdownKind, Source};
+
+/// A non-blocking `u64` sum by recursive doubling.
+fn rd_sum(comm: &Comm, value: u64) -> Request<u64> {
+    let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+    comm.iallreduce_by(plan, value, whole(), |_| 8, |a, b| a + b)
+}
 
 /// Runs `recv` on rank 1 and returns the ShutdownError it unwound with.
 fn observe_shutdown(peer: impl Fn() + Sync) -> (ShutdownError, Duration, u64) {
@@ -150,9 +157,7 @@ fn peer_exit_while_parked_in_wait_all_is_a_typed_request_error() {
             return None; // exits; its lanes close behind it
         }
         let started = Instant::now();
-        let mut reqs: Vec<_> = (0..2u64)
-            .map(|i| comm.iallreduce_recursive_doubling(i, |_| 8, |a, b| a + b))
-            .collect();
+        let mut reqs: Vec<_> = (0..2u64).map(|i| rd_sum(comm, i)).collect();
         let err = gv_msgpass::wait_all(&mut reqs).expect_err("peer never participated");
         Some((err, started.elapsed()))
     });
@@ -188,9 +193,7 @@ fn abort_surfaces_through_a_test_any_poll_loop() {
                 std::thread::sleep(Duration::from_millis(30));
                 panic!("rank 0 exploded");
             }
-            let mut reqs: Vec<_> = (0..2u64)
-                .map(|i| comm.iallreduce_recursive_doubling(i, |_| 8, |a, b| a + b))
-                .collect();
+            let mut reqs: Vec<_> = (0..2u64).map(|i| rd_sum(comm, i)).collect();
             loop {
                 match gv_msgpass::test_any(&mut reqs) {
                     Ok(Some(_)) => panic!("requests cannot complete without rank 0"),
@@ -221,7 +224,7 @@ fn request_dropped_during_abort_neither_hangs_nor_double_panics() {
                 std::thread::sleep(Duration::from_millis(10));
                 panic!("rank 0 exploded");
             }
-            let req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+            let req = rd_sum(comm, 1u64);
             // Linger until the abort has certainly been raised, then
             // drop the request without ever waiting on it.
             std::thread::sleep(Duration::from_millis(60));
@@ -244,7 +247,7 @@ fn wait_timeout_times_out_then_completes() {
             // Join late so rank 1's first wait genuinely times out.
             std::thread::sleep(Duration::from_millis(120));
         }
-        let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+        let mut req = rd_sum(comm, 1u64);
         if comm.rank() == 1 {
             let early = req
                 .wait_timeout(Duration::from_millis(15))
@@ -271,7 +274,7 @@ fn shutdown_under_wait_timeout_is_typed_and_prompt() {
                 panic!("rank 0 exploded");
             }
             let started = Instant::now();
-            let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+            let mut req = rd_sum(comm, 1u64);
             match req.wait_timeout(Duration::from_secs(30)) {
                 Err(gv_msgpass::RequestError::Shutdown(err)) => {
                     kinds.lock().unwrap().push((err.kind, started.elapsed()));
@@ -343,7 +346,7 @@ fn peer_panic_fails_a_parked_wait_as_aborted() {
                 std::thread::sleep(Duration::from_millis(30));
                 panic!("rank 0 exploded");
             }
-            let mut req = comm.iallreduce_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+            let mut req = rd_sum(comm, 1u64);
             if let Err(gv_msgpass::RequestError::Shutdown(err)) = req.wait() {
                 kinds.lock().unwrap().push(err.kind);
             }

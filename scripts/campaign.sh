@@ -2,8 +2,17 @@
 # An alternating parent/change campaign over the benchmark, as data
 # (ROADMAP hygiene ii).
 #
-#   scripts/campaign.sh <parent-dir> <change-dir> <pairs> <seed> [workload…] \
-#       > results/campaigns/PR<n>.json
+#   scripts/campaign.sh [--latency <runs>] <parent-dir> <change-dir> <pairs> <seed> \
+#       [workload…] > results/campaigns/PR<n>.json
+#
+# With `--latency <runs>`, first `runs` times per side: one
+# `pipeline_microbench --procs 2 --latency` in each checkout, the side that
+# goes first alternating, each side's bin built in its own checkout (the
+# same source builds a fast or a slow binary by build directory, so a
+# change to `crates/msgpass` is checked against its parent this way). Each
+# run is one record with the p10 (ns) of three `--latency` rows: the raw
+# cache-line ping-pong its threads read, the `Comm` 8-byte ping-pong and
+# the 8-byte allreduce. `pairs` may be 0 to run only these.
 #
 # Per workload (default: every workload of the change's BENCHMARK.json),
 # `pairs` times: one `benchmark/run.sh --workload W --seed N --seconds 15
@@ -16,8 +25,13 @@
 # if a run gave no result or did not verify.
 set -euo pipefail
 
+latency=0
+if [ "${1:-}" = --latency ]; then
+    latency=${2:?--latency needs a run count}
+    shift 2
+fi
 if [ $# -lt 4 ]; then
-    echo "usage: $0 <parent-dir> <change-dir> <pairs> <seed> [workload…]" >&2
+    echo "usage: $0 [--latency <runs>] <parent-dir> <change-dir> <pairs> <seed> [workload…]" >&2
     exit 2
 fi
 parent=$1 change=$2 pairs=$3 seed=$4
@@ -53,6 +67,46 @@ run() {
         "$(metric setup_s <<<"$line")" "$failed"
     sep=','
 }
+
+# The p10 column of the `--latency` row named $1, from the table on stdin.
+row_p10() {
+    awk -F'|' -v row="$1" '{ name = $1; gsub(/^ +| +$/, "", name) }
+        name == row { gsub(/ /, "", $3); print $3 }'
+}
+
+# latency_run <side> <dir>: one `--latency` run, one record.
+latency_run() {
+    local table raw pingpong allreduce
+    table=$("$2/target/release/pipeline_microbench" --procs 2 --latency 2>&1 >/dev/null) || true
+    raw=$(row_p10 'raw line ping-pong' <<<"$table")
+    pingpong=$(row_p10 'Comm 8 B ping-pong' <<<"$table")
+    allreduce=$(row_p10 'allreduce 8 B' <<<"$table")
+    if [ -z "$raw" ] || [ -z "$pingpong" ] || [ -z "$allreduce" ]; then
+        echo "campaign: --latency on $1 gave no table" >&2
+        bad=1
+        return
+    fi
+    printf '%s\n{"probe":"latency","side":"%s","raw_p10_ns":%s,"pingpong_p10_ns":%s,"allreduce_p10_ns":%s}' \
+        "$sep" "$1" "$raw" "$pingpong" "$allreduce"
+    sep=','
+}
+
+if ((latency > 0)); then
+    for dir in "$parent" "$change"; do
+        echo "campaign: building pipeline_microbench in $dir" >&2
+        (cd "$dir" && cargo build --release --offline -q -p gv-bench --bin pipeline_microbench) >&2
+    done
+fi
+for ((run = 0; run < latency; run++)); do
+    echo "campaign: --latency $((run + 1))/$latency" >&2
+    if ((run % 2 == 0)); then
+        latency_run parent "$parent"
+        latency_run change "$change"
+    else
+        latency_run change "$change"
+        latency_run parent "$parent"
+    fi
+done
 
 for workload in "$@"; do
     for ((pair = 0; pair < pairs; pair++)); do

@@ -28,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gv_core::split::{split_vec_segments as split, unsplit_vec_segments as unsplit};
-use gv_msgpass::{Comm, Runtime};
+use gv_msgpass::{AllreduceAlgorithm, Comm, Runtime, ScanAlgorithm};
 
 struct CountingAllocator;
 
@@ -113,11 +113,13 @@ const SEGMENTED: [(&str, Segmented); 4] = [
     ("reduce_pipelined", |comm, state, s| {
         comm.reduce_pipelined(0, state, s, split, unsplit, wire, add);
     }),
-    ("allreduce_pipelined_tree", |comm, state, s| {
-        comm.allreduce_pipelined_tree(state, s, split, unsplit, wire, add);
+    ("allreduce on the tree", |comm, state, s| {
+        let plan = (AllreduceAlgorithm::PipelinedTree, s);
+        comm.allreduce_by(plan, state, (split, unsplit), wire, add);
     }),
-    ("scan_both_pipelined_chain", |comm, state, s| {
-        comm.scan_both_pipelined_chain(state, s, split, unsplit, wire, add);
+    ("scan on the chain", |comm, state, s| {
+        let plan = (ScanAlgorithm::PipelinedChain, s);
+        comm.scan_both_by(plan, state, (split, unsplit), wire, add);
     }),
 ];
 

@@ -18,6 +18,8 @@ use gv_core::ops::histogram::Histogram;
 use gv_core::ops::topk::TopBottomK;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_executor::chunk_ranges;
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::AllreduceAlgorithm::{RecursiveDoubling, ReduceBroadcast, ReduceScatterAllgather};
 use gv_msgpass::{AllreduceAlgorithm, CostModel, Runtime};
 
 fn cfg() -> Config {
@@ -39,8 +41,10 @@ fn scalar_schedules_agree_with_fold_oracle() {
             let outcome = Runtime::new(p).run(|comm| {
                 let mine = per_rank[comm.rank()];
                 let selector = comm.allreduce(mine, true, |_| 8, |a, b| a + b);
-                let rb = comm.allreduce_reduce_bcast(mine, true, |_| 8, |a, b| a + b);
-                let rd = comm.allreduce_recursive_doubling(mine, |_| 8, |a, b| a + b);
+                let rb =
+                    comm.allreduce_by((ReduceBroadcast, 1), mine, whole(), |_| 8, |a, b| a + b);
+                let rd =
+                    comm.allreduce_by((RecursiveDoubling, 1), mine, whole(), |_| 8, |a, b| a + b);
                 (selector, rb, rd)
             });
             for (selector, rb, rd) in outcome.results {
@@ -67,8 +71,9 @@ fn noncommutative_schedules_preserve_rank_order() {
                 let concat = |a: String, b: String| a + &b;
                 let wire = |s: &String| s.len();
                 let selector = comm.allreduce(mine.clone(), false, wire, concat);
-                let rb = comm.allreduce_reduce_bcast(mine.clone(), false, wire, concat);
-                let rd = comm.allreduce_recursive_doubling(mine, wire, concat);
+                let rb =
+                    comm.allreduce_by((ReduceBroadcast, 1), mine.clone(), whole(), wire, concat);
+                let rd = comm.allreduce_by((RecursiveDoubling, 1), mine, whole(), wire, concat);
                 (selector, rb, rd)
             });
             for (selector, rb, rd) in outcome.results {
@@ -113,14 +118,14 @@ fn splittable_schedules_agree_on_vector_states() {
                     wire,
                     add,
                 );
-                let rsag = comm.allreduce_reduce_scatter(
+                let rsag = comm.allreduce_by(
+                    (ReduceScatterAllgather, 1),
                     mine.clone(),
-                    split_vec_segments,
-                    unsplit_vec_segments,
+                    (split_vec_segments, unsplit_vec_segments),
                     wire,
                     add,
                 );
-                let rd = comm.allreduce_recursive_doubling(mine, wire, add);
+                let rd = comm.allreduce_by((RecursiveDoubling, 1), mine, whole(), wire, add);
                 (selected, rsag, rd)
             });
             for (selected, rsag, rd) in outcome.results {
@@ -251,7 +256,7 @@ fn crossover_ring_beats_reduce_bcast_at_64kib_p8() {
     let rb = AllreduceAlgorithm::ReduceBroadcast.estimated_seconds(&cost, 8, 64 << 10);
     assert!(rsag < rb, "estimate: rsag={rsag} rb={rb}");
 
-    let measured = |rsag: bool| {
+    let measured = |algo: AllreduceAlgorithm| {
         Runtime::new(8)
             .run(move |comm| {
                 let state = vec![1u64; 8 << 10]; // 64 KiB of u64s
@@ -262,22 +267,13 @@ fn crossover_ring_beats_reduce_bcast_at_64kib_p8() {
                     }
                     a
                 };
-                if rsag {
-                    comm.allreduce_reduce_scatter(
-                        state,
-                        split_vec_segments,
-                        unsplit_vec_segments,
-                        wire,
-                        add,
-                    );
-                } else {
-                    comm.allreduce_reduce_bcast(state, true, wire, add);
-                }
+                let segmentation = (split_vec_segments, unsplit_vec_segments);
+                comm.allreduce_by((algo, 1), state, segmentation, wire, add);
             })
             .modeled_seconds
     };
-    let t_rsag = measured(true);
-    let t_rb = measured(false);
+    let t_rsag = measured(ReduceScatterAllgather);
+    let t_rb = measured(ReduceBroadcast);
     assert!(t_rsag < t_rb, "measured: rsag={t_rsag} reduce+bcast={t_rb}");
 }
 
@@ -306,21 +302,17 @@ fn non_power_of_two_selector_matrix_stays_within_5pct_of_best() {
                     let outcome = Runtime::new(p).run(move |comm| {
                         let r = comm.rank() as u64;
                         let state: Vec<u64> = (0..elems as u64).map(|i| r + i).collect();
+                        let (split, unsplit) = (split_vec_segments, unsplit_vec_segments);
                         match which {
-                            0 => comm.allreduce_splittable(
+                            0 => comm.allreduce_splittable(state, true, split, unsplit, wire, add),
+                            1 => comm.allreduce_by((ReduceBroadcast, 1), state, whole(), wire, add),
+                            2 => {
+                                comm.allreduce_by((RecursiveDoubling, 1), state, whole(), wire, add)
+                            }
+                            _ => comm.allreduce_by(
+                                (ReduceScatterAllgather, 1),
                                 state,
-                                true,
-                                split_vec_segments,
-                                unsplit_vec_segments,
-                                wire,
-                                add,
-                            ),
-                            1 => comm.allreduce_reduce_bcast(state, true, wire, add),
-                            2 => comm.allreduce_recursive_doubling(state, wire, add),
-                            _ => comm.allreduce_reduce_scatter(
-                                state,
-                                split_vec_segments,
-                                unsplit_vec_segments,
+                                (split, unsplit),
                                 wire,
                                 add,
                             ),

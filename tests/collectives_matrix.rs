@@ -12,15 +12,17 @@
 //! shorter-than-p vectors that force empty segments.
 //!
 //! A third pins the whole-state (`S = 1`) tree and chain — `bcast`,
-//! `reduce`, `allreduce_reduce_bcast`, `scan_inclusive_linear` — to the
-//! closed forms of the textbook schedules for p = 1..17 and every root:
-//! message and byte totals, and every rank's modeled clock.
+//! `reduce`, the allreduce forced onto reduce+bcast, the scan forced onto
+//! the one-segment chain — and the circulant `allgather` to the closed
+//! forms of the textbook schedules for p = 1..17 and every root: message
+//! and byte totals, and every rank's modeled clock.
 //!
 //! A final test pins down that the virtual-clock cost model and the
 //! call/byte statistics are bit-for-bit deterministic across repeated
 //! runs of the same workload.
 
-use gv_msgpass::{CostModel, Runtime};
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::{AllreduceAlgorithm, CostModel, Runtime, ScanAlgorithm};
 
 /// Runs one communicator through every reduction/scan-shaped collective
 /// and asserts each result against the rank-order sequential oracle.
@@ -72,14 +74,26 @@ fn exercise_all_collectives<T>(
             "allreduce (selector), p={p}, rank={r}, commutative={commutative}"
         );
         assert_eq!(
-            comm.allreduce_reduce_bcast(mine.clone(), commutative, wire, combine),
+            comm.allreduce_by(
+                (AllreduceAlgorithm::ReduceBroadcast, 1),
+                mine.clone(),
+                whole(),
+                wire,
+                combine
+            ),
             total,
-            "allreduce_reduce_bcast, p={p}, rank={r}, commutative={commutative}"
+            "reduce+bcast, p={p}, rank={r}, commutative={commutative}"
         );
         assert_eq!(
-            comm.allreduce_recursive_doubling(mine.clone(), wire, combine),
+            comm.allreduce_by(
+                (AllreduceAlgorithm::RecursiveDoubling, 1),
+                mine.clone(),
+                whole(),
+                wire,
+                combine
+            ),
             total,
-            "allreduce_recursive_doubling, p={p}, rank={r}"
+            "recursive doubling, p={p}, rank={r}"
         );
 
         // Scans: rank r's inclusive prefix is ranks 0..=r, exclusive is
@@ -90,9 +104,16 @@ fn exercise_all_collectives<T>(
         let exclusive = comm.scan_exclusive(mine.clone(), ident, wire, combine);
         assert_eq!(exclusive, fold(0, r), "scan_exclusive, p={p}, rank={r}");
         assert_eq!(
-            comm.scan_inclusive_linear(mine.clone(), wire, combine),
+            comm.scan_both_by(
+                (ScanAlgorithm::PipelinedChain, 1),
+                mine.clone(),
+                whole(),
+                wire,
+                combine
+            )
+            .1,
             inclusive,
-            "scan_inclusive_linear, p={p}, rank={r}"
+            "linear chain scan, p={p}, rank={r}"
         );
         let (exc2, inc2) = comm.scan_both(mine.clone(), wire, combine);
         assert_eq!(inc2, inclusive, "scan_both inclusive half, p={p}, rank={r}");
@@ -244,6 +265,24 @@ impl ClockModel {
         }
     }
 
+    /// Circulant allgather: in round `k` every rank sends the
+    /// `min(2^{k+1}, p) − 2^k` values it holds first to `(r − 2^k) mod p`,
+    /// then receives as many from `(r + 2^k) mod p`.
+    fn allgather(&mut self) {
+        let p = self.clocks.len();
+        let value = self.bytes;
+        let mut stride = 1;
+        while stride < p {
+            self.bytes = ((2 * stride).min(p) - stride) * value;
+            let sent_at: Vec<f64> = (0..p).map(|r| self.send(r)).collect();
+            for r in 0..p {
+                self.recv(r, sent_at[(r + stride) % p]);
+            }
+            stride *= 2;
+        }
+        self.bytes = value;
+    }
+
     /// Linear chain: wait for the predecessor's prefix, forward.
     fn chain(&mut self) {
         let p = self.clocks.len();
@@ -320,8 +359,10 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
         }
 
         // reduce+bcast: the tree up to rank 0 and straight back down.
-        let got = Runtime::new(p)
-            .run(|comm| comm.allreduce_reduce_bcast(contrib(comm.rank()), false, |_| BYTES, then));
+        let got = Runtime::new(p).run(|comm| {
+            let plan = (AllreduceAlgorithm::ReduceBroadcast, 1);
+            comm.allreduce_by(plan, contrib(comm.rank()), whole(), |_| BYTES, then)
+        });
         assert_eq!(got.results, vec![total; p], "reduce+bcast p={p}");
         assert_eq!(got.stats.messages, 2 * edges, "reduce+bcast messages p={p}");
         assert_eq!(got.stats.bytes, 2 * edges * BYTES as u64, "reduce+bcast bytes p={p}");
@@ -332,8 +373,11 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
         assert_eq!(bits(&got.rank_clocks), bits(&rb), "reduce+bcast clocks p={p}");
 
         // linear scan: p−1 chain hops.
-        let got = Runtime::new(p)
-            .run(|comm| comm.scan_inclusive_linear(contrib(comm.rank()), |_| BYTES, then));
+        let got = Runtime::new(p).run(|comm| {
+            let plan = (ScanAlgorithm::PipelinedChain, 1);
+            comm.scan_both_by(plan, contrib(comm.rank()), whole(), |_| BYTES, then)
+                .1
+        });
         for (r, res) in got.results.iter().enumerate() {
             assert_eq!(Some(*res), prefix(r + 1), "linear scan p={p} r={r}");
         }
@@ -341,6 +385,26 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
         assert_eq!(got.stats.bytes, edges * BYTES as u64, "linear scan bytes p={p}");
         let chain = model(&|m| m.chain());
         assert_eq!(bits(&got.rank_clocks), bits(&chain), "linear scan clocks p={p}");
+
+        // allgather: ⌈log₂p⌉ circulant rounds, every rank one message a
+        // round, each rank's p−1 foreign values crossing once.
+        let got = Runtime::new(p).run(|comm| comm.allgather(contrib(comm.rank())));
+        let all: Vec<Affine> = (0..p).map(contrib).collect();
+        assert_eq!(got.results, vec![all; p], "allgather p={p}");
+        let rounds = p.next_power_of_two().trailing_zeros() as u64;
+        assert_eq!(
+            got.stats.messages,
+            p as u64 * rounds,
+            "allgather messages p={p}"
+        );
+        let values = (p * (p - 1) * BYTES) as u64;
+        assert_eq!(got.stats.bytes, values, "allgather bytes p={p}");
+        let circulant = model(&|m| m.allgather());
+        assert_eq!(
+            bits(&got.rank_clocks),
+            bits(&circulant),
+            "allgather clocks p={p}"
+        );
 
         // The critical paths in closed form: p−1 hops of α + βn down the
         // chain at any p; ⌈log₂p⌉ hops per tree sweep when the tree is
@@ -401,7 +465,8 @@ fn cost_model_and_stats_are_deterministic_across_runs() {
         let run = || {
             Runtime::new(p).run(|comm| {
                 let r = comm.rank() as u64;
-                let total = comm.allreduce_recursive_doubling(r + 1, |_| 8, |a, b| a + b);
+                let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+                let total = comm.allreduce_by(plan, r + 1, whole(), |_| 8, |a, b| a + b);
                 let prefix = comm.scan_inclusive(r + 1, |_| 8, |a, b| a + b);
                 let outgoing: Vec<Vec<u64>> =
                     (0..comm.size()).map(|d| vec![r; (r as usize + d) % 3]).collect();

@@ -16,7 +16,8 @@
 //! nothing hangs), and waiting twice is the typed
 //! [`RequestError::AlreadyCompleted`], never a deadlock.
 
-use gv_msgpass::{wait_all, Request, RequestError, Runtime};
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::{wait_all, AllreduceAlgorithm, Request, RequestError, Runtime};
 
 /// Runs one communicator through every request-based collective with
 /// requests overlapped, asserting each result against the rank-order
@@ -85,13 +86,17 @@ fn exercise_nonblocking<T>(
         // test() poll loop (each test sweeps the engine, so the earlier
         // request keeps progressing underneath).
         let mut ar = comm.iallreduce(mine.clone(), commutative, wire, combine);
-        let mut rd = comm.iallreduce_recursive_doubling(mine.clone(), wire, combine);
+        let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+        let mut rd = comm.iallreduce_by(plan, mine.clone(), whole(), wire, combine);
         let rd_result = loop {
             if let Some(out) = rd.test().expect("transport alive") {
                 break out;
             }
         };
-        assert_eq!(rd_result, total, "iallreduce_recursive_doubling, p={p}, rank={r}");
+        assert_eq!(
+            rd_result, total,
+            "recursive doubling by request, p={p}, rank={r}"
+        );
         assert_eq!(
             ar.wait().expect("transport alive"),
             total,

@@ -19,6 +19,8 @@ use gv_testkit::prop_assert_eq;
 use gv_core::op::ScanKind;
 use gv_core::ops::builtin::sum;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::ScanAlgorithm::{Binomial, PipelinedChain, RecursiveDoubling};
 use gv_msgpass::{CallKind, CostModel, Runtime, ScanAlgorithm};
 
 fn cfg() -> Config {
@@ -47,8 +49,9 @@ fn scalar_schedules_agree_with_the_sequential_oracle() {
             let outcome = Runtime::new(p).run(|comm| {
                 let mine = per_rank[comm.rank()];
                 let selector = comm.scan_both(mine, |_| 8, |a, b| a + b);
-                let rd = comm.scan_both_recursive_doubling(mine, |_| 8, |a, b| a + b);
-                let bin = comm.scan_both_binomial(mine, |_| 8, |a, b| a + b);
+                let rd =
+                    comm.scan_both_by((RecursiveDoubling, 1), mine, whole(), |_| 8, |a, b| a + b);
+                let bin = comm.scan_both_by((Binomial, 1), mine, whole(), |_| 8, |a, b| a + b);
                 (selector, rd, bin)
             });
             for (r, (selector, rd, bin)) in outcome.results.into_iter().enumerate() {
@@ -87,11 +90,10 @@ fn pipelined_chain_agrees_on_splittable_states() {
             let outcome = Runtime::new(p).run(|comm| {
                 let r = comm.rank() as i64;
                 let mine: Vec<i64> = data.iter().map(|&x| x + r).collect();
-                let chain = comm.scan_both_pipelined_chain(
+                let chain = comm.scan_both_by(
+                    (PipelinedChain, segments),
                     mine.clone(),
-                    segments,
-                    split_vec_segments,
-                    unsplit_vec_segments,
+                    (split_vec_segments, unsplit_vec_segments),
                     wire,
                     add,
                 );
@@ -102,7 +104,7 @@ fn pipelined_chain_agrees_on_splittable_states() {
                     wire,
                     add,
                 );
-                let rd = comm.scan_both_recursive_doubling(mine, wire, add);
+                let rd = comm.scan_both_by((RecursiveDoubling, 1), mine, whole(), wire, add);
                 (chain, selector, rd)
             });
             for (r, (chain, selector, rd)) in outcome.results.into_iter().enumerate() {
@@ -139,17 +141,17 @@ fn noncommutative_schedules_preserve_rank_order() {
             let outcome = Runtime::new(p).run(|comm| {
                 let mine = format!("[{}]", comm.rank());
                 let selector = comm.scan_both(mine.clone(), wire, concat);
-                let rd = comm.scan_both_recursive_doubling(mine.clone(), wire, concat);
-                let bin = comm.scan_both_binomial(mine, wire, concat);
+                let rd =
+                    comm.scan_both_by((RecursiveDoubling, 1), mine.clone(), whole(), wire, concat);
+                let bin = comm.scan_both_by((Binomial, 1), mine, whole(), wire, concat);
                 // Chain needs a splittable state; element-wise string
                 // concatenation distributes over contiguous chunking and
                 // is still non-commutative.
                 let rows = vec![format!("a{}", comm.rank()), format!("b{}", comm.rank())];
-                let chain = comm.scan_both_pipelined_chain(
+                let chain = comm.scan_both_by(
+                    (PipelinedChain, 2),
                     rows,
-                    2,
-                    split_vec_segments,
-                    unsplit_vec_segments,
+                    (split_vec_segments, unsplit_vec_segments),
                     |v: &Vec<String>| v.iter().map(String::len).sum(),
                     |mut a: Vec<String>, b: Vec<String>| {
                         for (x, y) in a.iter_mut().zip(b) {
@@ -189,27 +191,7 @@ fn scan_both_counts_one_scan_call_per_schedule() {
         for algo in ScanAlgorithm::ALL {
             let outcome = Runtime::new(p).run(move |comm| {
                 let mine = comm.rank() as i64 + 1;
-                match algo {
-                    ScanAlgorithm::RecursiveDoubling => {
-                        comm.scan_both_recursive_doubling(mine, |_| 8, |a, b| a + b);
-                    }
-                    ScanAlgorithm::Binomial => {
-                        comm.scan_both_binomial(mine, |_| 8, |a, b| a + b);
-                    }
-                    ScanAlgorithm::PipelinedChain => {
-                        comm.scan_both_pipelined_chain(
-                            vec![mine],
-                            1,
-                            split_vec_segments,
-                            unsplit_vec_segments,
-                            |v: &Vec<i64>| v.len() * 8,
-                            |mut a, b| {
-                                a[0] += b[0];
-                                a
-                            },
-                        );
-                    }
-                }
+                comm.scan_both_by((algo, 1), mine, whole(), |_| 8, |a, b| a + b);
             });
             let name = algo.name();
             assert_eq!(outcome.stats.calls(CallKind::Scan), p as u64, "{name} p={p}");
@@ -229,21 +211,20 @@ fn message_counts_match_the_schedule_shapes() {
     // messages; at p = 16 that is 16·4 − 15 = 49. The binomial sweeps
     // move 2(p−1) − ⌈log₂p⌉ = 26, and the chain moves (p−1)·S.
     let rd = Runtime::new(16).run(|comm| {
-        comm.scan_both_recursive_doubling(1u64, |_| 8, |a, b| a + b);
+        comm.scan_both_by((RecursiveDoubling, 1), 1u64, whole(), |_| 8, |a, b| a + b);
     });
     assert_eq!(rd.stats.messages, 49);
 
     let bin = Runtime::new(16).run(|comm| {
-        comm.scan_both_binomial(1u64, |_| 8, |a, b| a + b);
+        comm.scan_both_by((Binomial, 1), 1u64, whole(), |_| 8, |a, b| a + b);
     });
     assert_eq!(bin.stats.messages, 26);
 
     let chain = Runtime::new(16).run(|comm| {
-        comm.scan_both_pipelined_chain(
+        comm.scan_both_by(
+            (PipelinedChain, 3),
             vec![1u64; 6],
-            3,
-            split_vec_segments,
-            unsplit_vec_segments,
+            (split_vec_segments, unsplit_vec_segments),
             |v: &Vec<u64>| v.len() * 8,
             |mut a, b| {
                 for (x, y) in a.iter_mut().zip(b) {
@@ -374,13 +355,13 @@ fn non_power_of_two_selector_matrix_picks_the_estimate_argmin() {
                     wire,
                     add,
                 );
-                let rd = comm.scan_both_recursive_doubling(mine.clone(), wire, add);
-                let bin = comm.scan_both_binomial(mine.clone(), wire, add);
-                let chain = comm.scan_both_pipelined_chain(
+                let rd =
+                    comm.scan_both_by((RecursiveDoubling, 1), mine.clone(), whole(), wire, add);
+                let bin = comm.scan_both_by((Binomial, 1), mine.clone(), whole(), wire, add);
+                let chain = comm.scan_both_by(
+                    (PipelinedChain, 4),
                     mine,
-                    4,
-                    split_vec_segments,
-                    unsplit_vec_segments,
+                    (split_vec_segments, unsplit_vec_segments),
                     wire,
                     add,
                 );

@@ -5,6 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use gv_msgpass::collectives::tree::whole;
 use gv_msgpass::{AllreduceAlgorithm, CallKind, Runtime, ScanAlgorithm, StatsSnapshot};
 
 /// ⌈log₂ p⌉.
@@ -35,14 +36,21 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
         let sum = |a: u64, b: u64| a + b;
         let stats = Runtime::new(p as usize)
             .run(move |comm| {
+                let rd = (AllreduceAlgorithm::RecursiveDoubling, 1);
                 for _ in 0..3 {
-                    comm.allreduce_recursive_doubling(1u64, |_| 8, sum);
+                    comm.allreduce_by(rd, 1u64, whole(), |_| 8, sum);
                 }
                 for _ in 0..2 {
                     comm.barrier();
                 }
                 for _ in 0..2 {
-                    comm.scan_both_recursive_doubling(1u64, |_| 8, sum);
+                    comm.scan_both_by(
+                        (ScanAlgorithm::RecursiveDoubling, 1),
+                        1u64,
+                        whole(),
+                        |_| 8,
+                        sum,
+                    );
                 }
                 if p > 1 {
                     let (next, previous) = (
@@ -54,7 +62,7 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
                         assert_eq!(comm.recv::<f64>(previous, 5), f64::from(i));
                     }
                 }
-                let mut pending = comm.iallreduce_recursive_doubling(1u64, |_| 8, sum);
+                let mut pending = comm.iallreduce_by(rd, 1u64, whole(), |_| 8, sum);
                 assert_eq!(pending.wait(), Ok(p));
                 // One message over 1 KiB: it crosses a lane as the rest do.
                 if p > 1 && comm.rank() < 2 {
@@ -169,11 +177,12 @@ fn a_snapshot_taken_while_other_ranks_run_never_runs_backwards() {
         }
     });
     assert!(outcome.results[0] > 0, "rank 0 never got to read the counters");
-    // The split's allgather (3 ranks), then per pair rank: 20 000 sends,
-    // 2 500 allreduces of one message each, one one-round barrier.
+    // The split's allgather (3 ranks, one message each in both circulant
+    // rounds), then per pair rank: 20 000 sends, 2 500 allreduces of one
+    // message each, one one-round barrier.
     let split = outcome.stats.messages - 2 * (20_000 + 2_500 + 1);
     assert_eq!(outcome.stats.calls(CallKind::Send), 40_000);
     assert_eq!(outcome.stats.calls(CallKind::Allreduce), 5_000);
     assert_eq!(outcome.stats.calls(CallKind::Allgather), 3);
-    assert!(split > 0 && split < 20, "{split} messages for a 3-rank allgather");
+    assert_eq!(split, 3 * 2, "messages of a 3-rank allgather");
 }
