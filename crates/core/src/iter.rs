@@ -17,8 +17,20 @@
 //! regroup block by block on their own (`MeanVar`'s, `accum_runs`) cut a
 //! slice at the same `BLOCK`, so for them a stream and a slice agree bit
 //! for bit as well.
+//!
+//! A stream of `(value, location)` pairs over consecutive locations is
+//! better passed as what it is — a *located* input: a slice of values and
+//! the location of the first, element `i` sitting at `first + i` (the
+//! paper's `[i in 1..n] (A(i), i)`, Listing 5). [`accumulate_located`]
+//! reads it with no pair in memory: an operator that can judge a value on
+//! its own ([`ValueGate`]) is asked about the bare values, granule by
+//! granule, and a pair is built only where its answer is yes. So the
+//! accumulate phase has three input shapes — slice, stream and located —
+//! and one state for the same elements in each.
 
-use crate::kernel::BLOCK;
+use std::ops::Add;
+
+use crate::kernel::{accum_gated, note_kernel_block, ValueGate, BLOCK};
 use crate::op::{accumulate_run, ReduceScanOp, ScanKind};
 
 /// The accumulate phase of paper Listing 2 over a streamed block: returns
@@ -58,8 +70,46 @@ where
         }
     }
     // The last staged block is kept until here, so no `In: Clone` bound.
-    op.post_accum(&mut state, block.last().expect("a non-empty stream staged a block"));
+    op.post_accum(
+        &mut state,
+        block.last().expect("a non-empty stream staged a block"),
+    );
     (state, count)
+}
+
+/// The accumulate phase over a located input: element `i` is the pair
+/// `(values[i], first + i)`, and the state is the one [`accumulate_iter`]
+/// leaves over those pairs, bit for bit. Returns it and the number of
+/// elements, as [`accumulate_iter`] does.
+///
+/// No pair is stored: the operator's [`ValueGate`] is asked about each
+/// granule of `values` through [`crate::kernel::any_in_block`], and a pair
+/// is built only for a value the gate admits, the gate re-read after every
+/// one. `pre_accum` sees the first pair and `post_accum` the last, and the
+/// dispatch counters note one kernel block per [`BLOCK`] values, as the
+/// staged stream's blocks are noted.
+pub fn accumulate_located<Op, T, L>(op: &Op, values: &[T], first: L) -> (Op::State, u64)
+where
+    Op: ValueGate<T, In = (T, L)> + ?Sized,
+    T: Copy,
+    L: Copy + Add<Output = L> + TryFrom<usize>,
+{
+    let mut state = op.ident();
+    let (Some(&head), Some(&tail)) = (values.first(), values.last()) else {
+        return (state, 0);
+    };
+    let at = |i: usize| {
+        let offset = L::try_from(i).unwrap_or_else(|_| panic!("offset {i} overflows the location"));
+        first + offset
+    };
+    op.pre_accum(&mut state, &(head, first));
+    for (b, block) in values.chunks(BLOCK).enumerate() {
+        let base = b * BLOCK;
+        accum_gated(op, &mut state, block, |x| x, |i, x| (x, at(base + i)));
+        note_kernel_block();
+    }
+    op.post_accum(&mut state, &(tail, at(values.len() - 1)));
+    (state, values.len() as u64)
 }
 
 /// Reduces the values of an iterator (paper Listing 2 with a streamed
@@ -136,7 +186,11 @@ mod tests {
     fn the_stream_is_never_polled_after_its_first_none() {
         for len in SEAM_LENGTHS {
             let len = len as u64;
-            let stream = PollOnce { next: 0, len, finished: false };
+            let stream = PollOnce {
+                next: 0,
+                len,
+                finished: false,
+            };
             let (total, count) = accumulate_iter(&sum::<u64>(), stream);
             assert_eq!(count, len);
             assert_eq!(total, len * len.saturating_sub(1) / 2, "len={len}");
@@ -179,8 +233,68 @@ mod tests {
         for len in SEAM_LENGTHS {
             let len = len as u64;
             let got = reduce_iter(&Hooks, 0..len);
-            let expected = if len == 0 { Hooks.ident() } else { (1, 0, len, 1, len - 1) };
+            let expected = if len == 0 {
+                Hooks.ident()
+            } else {
+                (1, 0, len, 1, len - 1)
+            };
             assert_eq!(got, expected, "len={len}");
+        }
+    }
+
+    #[test]
+    fn a_located_input_shows_its_hooks_the_first_and_last_pair() {
+        /// State: `(pre at, accum calls, post at)`; a gate that never
+        /// closes, so every element is built and accumulated.
+        struct Hooks;
+        impl ReduceScanOp for Hooks {
+            type In = (u8, u64);
+            type State = (u64, u64, u64);
+            type Out = Self::State;
+            fn ident(&self) -> Self::State {
+                (u64::MAX, 0, u64::MAX)
+            }
+            fn pre_accum(&self, s: &mut Self::State, x: &(u8, u64)) {
+                assert_eq!(s.1, 0, "pre_accum must run before any accum");
+                s.0 = x.1;
+            }
+            fn accum(&self, s: &mut Self::State, x: &(u8, u64)) {
+                assert_eq!(x.1, 7 + s.1, "element i sits at first + i");
+                s.1 += 1;
+            }
+            fn post_accum(&self, s: &mut Self::State, x: &(u8, u64)) {
+                s.2 = x.1;
+            }
+            fn combine(&self, _a: &mut Self::State, _b: Self::State) {
+                unreachable!("a located accumulate never combines")
+            }
+            fn red_gen(&self, s: Self::State) -> Self::Out {
+                s
+            }
+            fn scan_gen(&self, s: &Self::State, _x: &(u8, u64)) -> Self::Out {
+                *s
+            }
+        }
+        impl ValueGate<u8> for Hooks {
+            type Gate = ();
+            fn gate(&self, _s: &Self::State) -> Option<()> {
+                None
+            }
+            fn admits(_gate: (), _x: u8) -> bool {
+                unreachable!("the gate never closes")
+            }
+        }
+        for len in SEAM_LENGTHS {
+            let values = vec![0u8; len];
+            let (state, count) = accumulate_located(&Hooks, &values, 7u64);
+            assert_eq!(count, len as u64);
+            let len = len as u64;
+            let expected = if len == 0 {
+                Hooks.ident()
+            } else {
+                (7, len, 6 + len)
+            };
+            assert_eq!(state, expected, "len={len}");
         }
     }
 
@@ -189,10 +303,16 @@ mod tests {
         let (k0, s0) = crate::kernel::dispatch_counts();
         reduce_iter(&sum::<u64>(), 0..(2 * BLOCK as u64));
         let (k1, _) = crate::kernel::dispatch_counts();
-        assert!(k1 >= k0 + 2, "a kernel-backed op takes each staged block through its kernel");
+        assert!(
+            k1 >= k0 + 2,
+            "a kernel-backed op takes each staged block through its kernel"
+        );
         reduce_iter(&Sorted::<u64>::new(), 0..(2 * BLOCK as u64));
         let (_, s1) = crate::kernel::dispatch_counts();
-        assert!(s1 >= s0 + 2, "an op without a kernel is noted as scalar, block by block");
+        assert!(
+            s1 >= s0 + 2,
+            "an op without a kernel is noted as scalar, block by block"
+        );
     }
 
     #[test]
@@ -229,8 +349,7 @@ mod tests {
     fn scan_iter_is_lazy_and_correct() {
         let data: Vec<i64> = (1..=10).collect();
         for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
-            let streamed: Vec<i64> =
-                scan_iter(&sum::<i64>(), data.iter().copied(), kind).collect();
+            let streamed: Vec<i64> = scan_iter(&sum::<i64>(), data.iter().copied(), kind).collect();
             assert_eq!(streamed, seq::scan(&sum::<i64>(), &data, kind));
         }
         // Laziness: taking a prefix only evaluates that prefix.

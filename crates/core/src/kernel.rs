@@ -317,7 +317,8 @@ fn any_in_block_body<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bo
 ///
 /// `hit` must be pure — it is called once per element, in no promised
 /// order. This is the pre-filter under the k-best accumulate kernels
-/// (`TopBottomK`, `MinK`, `MaxK`): each asks whether any element of a
+/// (`TopBottomK`, `MinK`, `MaxK`) and under every located input
+/// ([`ValueGate`]): each asks whether any element of a
 /// granule could enter its state and replays only the granules where one
 /// could, so the answer decides how much work is done and never what the
 /// result is. A predicate OR rather than a best-of-block fold because the
@@ -365,6 +366,91 @@ fn any_in_block_avx2<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bo
 )]
 fn any_in_block_avx512<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
     any_in_block_body(block, hit)
+}
+
+/// What an operator over `(value, location)` pairs can say from a value
+/// alone: "could an element with this value change the state?" A
+/// capability beside [`ReduceScanOp`], not a hook on it. It is what
+/// [`crate::iter::accumulate_located`] needs to read a located input — a
+/// slice of values whose locations are implied — without building a pair
+/// for every element, and what `TopBottomK`'s pairs kernel filters with.
+///
+/// `TopBottomK`, `MinI` and `MaxI` implement it. Their gates are
+/// non-strict, because a value equal to the one it has to beat may still
+/// win on its location, which only `accum` decides.
+pub trait ValueGate<T: Copy>: ReduceScanOp {
+    /// What [`admits`](Self::admits) compares a value against: for
+    /// `TopBottomK` the worst value of each list, for `MinI` the best so far.
+    type Gate: Copy;
+
+    /// The gate `state` sets, or `None` while any element at all could
+    /// still change it (`TopBottomK` until both lists are full). Once
+    /// `Some`, it stays `Some` for every state `accum` leads to.
+    fn gate(&self, state: &Self::State) -> Option<Self::Gate>;
+
+    /// Whether an element of value `x` could change a state whose gate is
+    /// `gate`, at some location. `false` must mean `accum` leaves the state
+    /// as it is, whatever the location; `true` may be wrong (a tie that
+    /// loses its tie-break). Asked of every value, so it has to be cheap
+    /// and branch-free; an unordered value (NaN) answers as `accum` would.
+    fn admits(gate: Self::Gate, x: T) -> bool;
+}
+
+/// Elements [`accum_gated`] asks [`any_in_block`] about at a time: long
+/// enough that the dispatched compare loop amortizes its call and its
+/// final reduction, short enough that a fresh state, which is hit often,
+/// still skips most of a short input (64 reads 15 % ahead on 4096 pairs
+/// and 5–10 % behind on ZRAN3's 2²⁰, 256 the reverse; EXPERIMENTS.md,
+/// TXT-ZRAN3).
+const GATE_GRANULE: usize = 128;
+
+/// The filtered accumulate under every [`ValueGate`] operator, whatever
+/// the elements look like: staged pairs (`TopBottomK::accum_block`) or
+/// bare values with implied locations (`accumulate_located`). `value`
+/// reads an element's value, and `input(i, e)` builds the operator's input
+/// for element `i` of `elements`. `input` is called only for the elements
+/// that reach `accum`.
+///
+/// Until the gate closes every element goes through `accum`. After that,
+/// a granule in which [`any_in_block`] finds no admitted value is skipped
+/// whole, and in any other the same test guards `accum` element by
+/// element. By the [`ValueGate`] contract that is the per-element loop's
+/// state bit for bit.
+pub(crate) fn accum_gated<Op, T, E>(
+    op: &Op,
+    state: &mut Op::State,
+    elements: &[E],
+    value: impl Fn(E) -> T + Copy,
+    input: impl Fn(usize, E) -> Op::In,
+) where
+    Op: ValueGate<T> + ?Sized,
+    T: Copy,
+    E: Copy,
+{
+    let mut start = 0;
+    let mut gate = loop {
+        if let Some(gate) = op.gate(state) {
+            break gate;
+        }
+        let Some(&e) = elements.get(start) else {
+            return;
+        };
+        op.accum(state, &input(start, e));
+        start += 1;
+    };
+    for (g, granule) in elements[start..].chunks(GATE_GRANULE).enumerate() {
+        if !any_in_block(granule, |e| Op::admits(gate, value(e))) {
+            continue;
+        }
+        let base = start + g * GATE_GRANULE;
+        for (i, &e) in granule.iter().enumerate() {
+            if Op::admits(gate, value(e)) {
+                op.accum(state, &input(base + i, e));
+                // Re-read after every insert: each can only tighten it.
+                gate = op.gate(state).expect("a closed gate stays closed");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,16 @@
 //! values equal the type's extreme — one of the robustness improvements an
 //! expressive state type buys (paper §3: the state type "may also be
 //! different").
+//!
+//! The array expression need not be built either: both operators are
+//! [`ValueGate`]s (a value can change the state only if it reaches the best
+//! so far), so [`crate::iter::accumulate_located`] and
+//! `gv_rsmpi::reduce_all_located` reduce `A` and a first location
+//! directly, building a pair only for a value that reaches the best.
 
 use std::marker::PhantomData;
 
+use crate::kernel::ValueGate;
 use crate::op::ReduceScanOp;
 
 /// Picks between two `(value, location)` candidates; `better` is a strict
@@ -33,7 +40,7 @@ fn pick<T: Copy + PartialOrd, L: Copy + Ord>(
 }
 
 macro_rules! locate_op {
-    ($(#[$doc:meta])* $name:ident, $ctor:ident, $better:expr) => {
+    ($(#[$doc:meta])* $name:ident, $ctor:ident, $better:expr, $reaches:tt) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, Default)]
         pub struct $name<T, L>(PhantomData<(T, L)>);
@@ -81,18 +88,40 @@ macro_rules! locate_op {
                 *state
             }
         }
+
+        /// Open on an empty state; then a value is admitted if it reaches
+        /// the best so far. Non-strict, so an equal value still meets its
+        /// location tie-break in `accum`. As in `accum`, a NaN value is
+        /// never admitted, and a NaN best admits nothing.
+        impl<T, L> ValueGate<T> for $name<T, L>
+        where
+            T: Copy + PartialOrd + std::fmt::Debug,
+            L: Copy + Ord + std::fmt::Debug,
+        {
+            /// The best value so far.
+            type Gate = T;
+
+            fn gate(&self, state: &Self::State) -> Option<T> {
+                state.map(|(best, _)| best)
+            }
+
+            #[inline]
+            fn admits(best: T, x: T) -> bool {
+                x $reaches best
+            }
+        }
     };
 }
 
 locate_op! {
     /// `mini`: the minimum value and its location (paper Listing 5).
     /// Returns `None` only for an empty input.
-    MinI, mini, |a, b| a < b
+    MinI, mini, |a, b| a < b, <=
 }
 
 locate_op! {
     /// `maxi`: the maximum value and its location.
-    MaxI, maxi, |a, b| a > b
+    MaxI, maxi, |a, b| a > b, >=
 }
 
 #[cfg(test)]

@@ -8,16 +8,19 @@
 //! version with "a single user-defined reduction, similar to the mink and
 //! mini reductions".
 //!
-//! `accum` is two best-first inserts. The block kernel (`accum_block`)
-//! gives the per-element loop's state bit for bit at a fraction of its
-//! cost: once both lists are full an element matters only if its value
-//! reaches a list's worst, which is rare — about `k·ln(n/k)` times per side
-//! in `n` unordered elements — so the kernel asks
-//! [`crate::kernel::any_in_block`], the ISA-dispatched filter `MinK`/`MaxK`
-//! ask too, about 128 pairs at a time and looks closer only where it says
-//! yes. ZRAN3 streams 2²⁰ cells per rank through it.
+//! `accum` is two best-first inserts. Once both lists are full an element
+//! matters only if its value reaches a list's worst, which is rare — about
+//! `k·ln(n/k)` times per side in `n` unordered elements — so the operator
+//! is a [`ValueGate`]: its gate is the two worst values, and an element is
+//! looked at closer only where [`crate::kernel::any_in_block`], the
+//! ISA-dispatched filter `MinK`/`MaxK` ask too, finds a value reaching one
+//! of them. The block kernel (`accum_block`) runs that filter over staged
+//! pairs; [`crate::iter::accumulate_located`] runs it over bare values
+//! and builds a pair only where it says yes, which is how ZRAN3 reads the
+//! 2²⁰ cells of a rank's slab. Either gives the per-element loop's state
+//! bit for bit at a fraction of its cost.
 
-use crate::kernel::any_in_block;
+use crate::kernel::{accum_gated, ValueGate};
 use crate::op::ReduceScanOp;
 use crate::split::{split_vec_segments, SplittableState};
 
@@ -106,25 +109,6 @@ fn insert_best_first<T: Copy, L: Copy>(
     list.insert(position, x);
 }
 
-/// Pairs the [`TopBottomK`] block kernel asks [`any_in_block`] about at a
-/// time: long enough that the dispatched compare loop amortizes its call
-/// and its final reduction, short enough that a fresh state, which is hit
-/// often, still skips most of a short input (64 reads 15 % ahead on 4096
-/// pairs and 5–10 % behind on ZRAN3's 2²⁰, 256 the reverse; EXPERIMENTS.md,
-/// TXT-ZRAN3).
-const FILTER_GRANULE: usize = 128;
-
-/// Whether `x` could enter a full `top` list whose worst value is `hi` or a
-/// full `bottom` list whose worst value is `lo`. Non-strict on purpose: a
-/// value equal to the worst may still win its location tie-break, which
-/// only the exact insert decides. Branch-free; an unordered value (NaN)
-/// compares false both ways, exactly as it does in
-/// [`top_precedes`]/[`bottom_precedes`].
-#[inline]
-fn may_enter<T: PartialOrd, L>(x: &Entry<T, L>, (hi, lo): &(T, T)) -> bool {
-    (x.0 >= *hi) | (x.0 <= *lo)
-}
-
 impl<T, L> ReduceScanOp for TopBottomK<T, L>
 where
     T: Copy + PartialOrd + std::fmt::Debug,
@@ -147,34 +131,10 @@ where
     }
 
     /// Filtered block accumulate, bit-identical to the per-element loop
-    /// for every input. Once both lists hold `k` entries an element changes
-    /// the state only if it beats a list's worst entry, so a granule in
-    /// which [`any_in_block`] finds no value reaching either worst *value*
-    /// (`may_enter`) is skipped whole, and in any other the same test,
-    /// element by element, guards the exact insert.
+    /// for every input: the [`ValueGate`] filter every located input runs,
+    /// here over staged pairs.
     fn accum_block(&self, state: &mut Self::State, block: &[(T, L)]) -> bool {
-        let mut rest = block;
-        while state.top.len() != self.k || state.bottom.len() != self.k {
-            let Some((x, tail)) = rest.split_first() else {
-                return true;
-            };
-            self.accum(state, x);
-            rest = tail;
-        }
-        let worst = |s: &Self::State| (s.top[self.k - 1].0, s.bottom[self.k - 1].0);
-        for granule in rest.chunks(FILTER_GRANULE) {
-            // Re-read after every insert: each can only tighten them.
-            let mut bounds = worst(state);
-            if !any_in_block(granule, |x| may_enter(&x, &bounds)) {
-                continue;
-            }
-            for x in granule {
-                if may_enter(x, &bounds) {
-                    self.accum(state, x);
-                    bounds = worst(state);
-                }
-            }
-        }
+        accum_gated(self, state, block, |(x, _)| x, |_, pair| pair);
         true
     }
 
@@ -208,6 +168,30 @@ where
 
     fn combine_ops(&self, incoming: &Self::State) -> u64 {
         (incoming.top.len() + incoming.bottom.len()).max(1) as u64
+    }
+}
+
+/// Open until both lists hold `k` entries; then a value is admitted if it
+/// reaches either list's worst value. Non-strict on purpose: a value equal
+/// to the worst may still win its location tie-break, which only the exact
+/// insert decides. Branch-free; an unordered value (NaN) compares false
+/// both ways, exactly as it does in the lists' orderings.
+impl<T, L> ValueGate<T> for TopBottomK<T, L>
+where
+    T: Copy + PartialOrd + std::fmt::Debug,
+    L: Copy + Ord + std::fmt::Debug,
+{
+    /// `(worst of top, worst of bottom)`.
+    type Gate = (T, T);
+
+    fn gate(&self, state: &Self::State) -> Option<(T, T)> {
+        let full = state.top.len() == self.k && state.bottom.len() == self.k;
+        full.then(|| (state.top[self.k - 1].0, state.bottom[self.k - 1].0))
+    }
+
+    #[inline]
+    fn admits((hi, lo): (T, T), x: T) -> bool {
+        (x >= hi) | (x <= lo)
     }
 }
 

@@ -47,7 +47,8 @@ impl Slab {
     }
 
     /// Global linear index of `(x, y, z_local)` in the conceptual `n³`
-    /// array.
+    /// array. Owned cells are contiguous there too, so `data[i]` sits at
+    /// `global_index(0, 0, 0) + i`.
     #[inline]
     pub fn global_index(&self, x: usize, y: usize, z_local: usize) -> u64 {
         (((self.z_start + z_local) * self.n + y) * self.n + x) as u64
@@ -67,13 +68,6 @@ impl Slab {
     /// Sets every cell to zero (NAS `zero3`).
     pub fn zero(&mut self) {
         self.data.fill(0.0);
-    }
-
-    /// Streams `(value, global_index)` over owned cells in storage order.
-    /// Owned cells are contiguous in the conceptual `n³` array too, so
-    /// cell `i` sits at `global_index(0, 0, 0) + i` — no per-cell division.
-    pub fn indexed_cells(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.data.iter().copied().zip(self.global_index(0, 0, 0)..)
     }
 }
 
@@ -170,25 +164,5 @@ mod tests {
         // Periodic wrap in x and y.
         assert_eq!(e.at(-1, 0, 1), s.data[s.idx(3, 0, 0)]);
         assert_eq!(e.at(0, 4, 1), s.data[s.idx(0, 0, 0)]);
-    }
-
-    #[test]
-    fn indexed_cells_pairs_every_cell_with_its_global_index() {
-        for (rank, p) in [(0, 1), (1, 2), (2, 3)] {
-            let mut s = Slab::for_rank(5, rank, p);
-            for (i, v) in s.data.iter_mut().enumerate() {
-                *v = i as f64;
-            }
-            let mut streamed = s.indexed_cells();
-            for z in 0..s.z_len {
-                for y in 0..s.n {
-                    for x in 0..s.n {
-                        let expected = (s.data[s.idx(x, y, z)], s.global_index(x, y, z));
-                        assert_eq!(streamed.next(), Some(expected), "rank {rank}/{p} at ({x},{y},{z})");
-                    }
-                }
-            }
-            assert_eq!(streamed.next(), None);
-        }
     }
 }

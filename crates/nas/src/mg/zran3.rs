@@ -15,7 +15,7 @@
 //!   one location `allreduce`, for each of the two directions.
 //! * [`extrema_rsmpi`] — "a single user-defined reduction, similar to the
 //!   mink and mini reductions": one grid walk and one
-//!   `TopBottomK` reduction.
+//!   `TopBottomK` reduction, [`gv_rsmpi::reduce_all_located`].
 //!
 //! Both return identical results (ties broken toward the smaller global
 //! index); the Figure 3 harness compares their modeled times.
@@ -23,13 +23,15 @@
 //! On the host clock the routine is three streaming passes over the slab,
 //! and each runs on the vector tier: [`fill_random`] is one seed jump and
 //! one lane-parallel [`Randlc::fill`] per slab (a z-slab is contiguous in
-//! the conceptual array), the extrema walk stages `(value, index)` pairs
-//! through `TopBottomK`'s filtered block kernel, and [`apply_charges`] is a
-//! `fill(0.0)` and twenty stores. What is charged to the virtual clock
-//! (`cells · 10`, `cells · accum_ops`, `cells / 8 + k`) does not depend on
-//! any of that.
+//! the conceptual array), the extrema walk is one located reduction —
+//! the slab's `f64`s and the global index of its first cell, cell `i` at
+//! that index + `i` — that filters the values through `TopBottomK`'s gate
+//! on the vector tier and builds a `(value, index)` pair only for the few
+//! cells that reach a list, and [`apply_charges`] is a `fill(0.0)` and
+//! twenty stores. What is charged to the virtual clock (`cells · 10`,
+//! `cells · accum_ops`, `cells / 8 + k`) does not depend on any of that.
 
-use gv_core::iter::accumulate_iter;
+use gv_core::iter::accumulate_located;
 use gv_core::op::ReduceScanOp;
 use gv_core::ops::topk::{TopBottom, TopBottomK};
 use gv_msgpass::localview::local_allreduce;
@@ -42,7 +44,7 @@ use super::grid::Slab;
 /// Fills the slab with the NPB random stream: cell at global row-major
 /// index `g` receives variate `g + 1` of the stream seeded by `seed`.
 /// Rank-count invariant by seed jumping: a z-slab is contiguous in the
-/// conceptual `n³` array ([`Slab::indexed_cells`] relies on the same), so
+/// conceptual `n³` array (the located extrema walk relies on the same), so
 /// one jump to its first cell and one [`Randlc::fill`] — which runs in
 /// vector lanes where the host has them — cover it.
 pub fn fill_random(comm: &Comm, slab: &mut Slab, seed: u64) {
@@ -59,12 +61,12 @@ type Candidates = Vec<(f64, u64)>;
 
 /// One walk over the slab collecting the local `k` largest and `k`
 /// smallest cells with their global indices (both lists best-first): the
-/// accumulate phase of [`extrema_rsmpi`]'s reduction, same stream, same
-/// engine, same charge — the two Figure 3 series differ only in how the
-/// candidates then cross ranks.
+/// accumulate phase of [`extrema_rsmpi`]'s reduction, same located input,
+/// same engine, same charge — the two Figure 3 series differ only in how
+/// the candidates then cross ranks.
 fn local_candidates(comm: &Comm, slab: &Slab, k: usize) -> (Candidates, Candidates) {
     let op = TopBottomK::<f64, u64>::new(k);
-    let (state, cells) = accumulate_iter(&op, slab.indexed_cells());
+    let (state, cells) = accumulate_located(&op, &slab.data, slab.global_index(0, 0, 0));
     comm.advance(cells * op.accum_ops());
     (state.top, state.bottom)
 }
@@ -106,14 +108,15 @@ pub fn extrema_mpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
     }
 }
 
-/// RSMPI-style extrema search: one user-defined reduction over
-/// `(value, global_index)` pairs streamed from the slab. `TopBottomK`
-/// is splittable (and commutative), so the runtime is free to pick the
-/// reduce-scatter + allgather schedule when the state is large enough to
-/// warrant it — still one `Allreduce` call per rank either way.
+/// RSMPI-style extrema search: one user-defined reduction over the slab's
+/// `(value, global_index)` cells, passed located — the values and the
+/// global index of the first — so no pair is built for a cell that cannot
+/// enter a list. One `Allreduce` call per rank; the state is `2k` entries
+/// (336 bytes at k = 10), small enough that the selector runs recursive
+/// doubling for it at every p.
 pub fn extrema_rsmpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
     let op = TopBottomK::<f64, u64>::new(k);
-    gv_rsmpi::reduce::reduce_all_from_iter_splittable(comm, &op, slab.indexed_cells())
+    gv_rsmpi::reduce_all_located(comm, &op, &slab.data, slab.global_index(0, 0, 0))
 }
 
 /// Rewrites the slab per the ZRAN3 contract: +1 at the `k` largest

@@ -17,9 +17,11 @@
 //! with [`ReduceScanOp::wire_size`] modeled bytes, and combining respects
 //! rank order whenever the operator is non-commutative.
 
+use std::ops::Add;
 use std::rc::Rc;
 
-use gv_core::iter::accumulate_iter;
+use gv_core::iter::{accumulate_iter, accumulate_located};
+use gv_core::kernel::ValueGate;
 use gv_core::op::{accumulate_block, ReduceScanOp};
 use gv_core::split::SplittableState;
 use gv_msgpass::{Comm, Request, RequestError};
@@ -48,19 +50,6 @@ pub(crate) fn combining<'a, Op: ReduceScanOp>(
         op.combine(&mut earlier, later);
         earlier
     }
-}
-
-/// Runs the accumulate phase over a streamed iterator of inputs
-/// ([`accumulate_iter`]: staged through the block kernels, never
-/// materialized) and charges its modeled compute cost.
-pub(crate) fn accumulate_local_from_iter<Op, I>(comm: &Comm, op: &Op, values: I) -> Op::State
-where
-    Op: ReduceScanOp,
-    I: IntoIterator<Item = Op::In>,
-{
-    let (state, count) = accumulate_iter(op, values);
-    comm.advance(count * op.accum_ops());
-    state
 }
 
 /// Cross-rank combine of an already-accumulated state: cost-selected
@@ -126,9 +115,9 @@ where
 /// [`reduce_all`] over a streamed local block: the paper's RSMPI call
 /// sites pass an *iterator* describing the values each processor
 /// accumulates ("the programmer first defines an iterator to describe the
-/// values passed to the accumulate function"), so large conceptual arrays
-/// — e.g. `(value, global_index)` pairs over a grid — never need to be
-/// materialized: a rank holds one staging block of the stream at a time
+/// values passed to the accumulate function"), so a generated conceptual
+/// array never needs to be materialized: the stream is staged through the
+/// block kernels ([`accumulate_iter`]), one block at a time
 /// (`tests/alloc_budget.rs` counts it).
 pub fn reduce_all_from_iter<Op, I>(comm: &Comm, op: &Op, values: I) -> Op::Out
 where
@@ -136,19 +125,29 @@ where
     Op::State: Clone + Send + 'static,
     I: IntoIterator<Item = Op::In>,
 {
-    let state = accumulate_local_from_iter(comm, op, values);
+    let (state, count) = accumulate_iter(op, values);
+    comm.advance(count * op.accum_ops());
     op.red_gen(allreduce_state(comm, op, state))
 }
 
-/// [`reduce_all_from_iter`] for operators with splittable states.
-pub fn reduce_all_from_iter_splittable<Op, I>(comm: &Comm, op: &Op, values: I) -> Op::Out
+/// [`reduce_all`] over a *located* local block: element `i` of this rank's
+/// block is the pair `(values[i], first + i)` — the paper's `mini` over
+/// `[i in 1..n] (A(i), i)` (Listing 5), or ZRAN3's `(value, global index)`
+/// cells — and no pair is ever stored ([`accumulate_located`]). The
+/// virtual clock is charged `values.len()` accumulates and the states
+/// cross ranks by the same whole-state allreduce as [`reduce_all_from_iter`]
+/// over the same pairs, so the result, messages, bytes and modeled clock
+/// are that call's.
+pub fn reduce_all_located<Op, T, L>(comm: &Comm, op: &Op, values: &[T], first: L) -> Op::Out
 where
-    Op: SplittableState,
+    Op: ValueGate<T, In = (T, L)>,
     Op::State: Clone + Send + 'static,
-    I: IntoIterator<Item = Op::In>,
+    T: Copy,
+    L: Copy + Add<Output = L> + TryFrom<usize>,
 {
-    let state = accumulate_local_from_iter(comm, op, values);
-    op.red_gen(allreduce_state_splittable(comm, op, state))
+    let (state, count) = accumulate_located(op, values, first);
+    comm.advance(count * op.accum_ops());
+    op.red_gen(allreduce_state(comm, op, state))
 }
 
 /// An in-flight [`ireduce_all`]: the cross-rank combine is parked in the
@@ -294,9 +293,8 @@ mod tests {
         let expected = gv_core::seq::reduce(&sum::<i64>(), &data);
         for p in [1usize, 2, 3, 7, 16] {
             let chunks = blocks(&data, p);
-            let outcome = Runtime::new(p).run(|comm| {
-                reduce_all(comm, &sum::<i64>(), &chunks[comm.rank()])
-            });
+            let outcome =
+                Runtime::new(p).run(|comm| reduce_all(comm, &sum::<i64>(), &chunks[comm.rank()]));
             assert_eq!(outcome.results, vec![expected; p], "p={p}");
         }
     }
@@ -308,9 +306,8 @@ mod tests {
         let expected = gv_core::seq::reduce(&op, &data);
         for p in [1usize, 4, 9] {
             let chunks = blocks(&data, p);
-            let outcome = Runtime::new(p).run(|comm| {
-                reduce_all(comm, &MinK::<i64>::new(10), &chunks[comm.rank()])
-            });
+            let outcome = Runtime::new(p)
+                .run(|comm| reduce_all(comm, &MinK::<i64>::new(10), &chunks[comm.rank()]));
             for got in outcome.results {
                 assert_eq!(got, expected, "p={p}");
             }
@@ -322,17 +319,15 @@ mod tests {
         let mut data: Vec<i64> = (0..256).collect();
         for p in [2usize, 5, 8] {
             let chunks = blocks(&data, p);
-            let ok = Runtime::new(p).run(|comm| {
-                reduce_all(comm, &Sorted::<i64>::new(), &chunks[comm.rank()])
-            });
+            let ok = Runtime::new(p)
+                .run(|comm| reduce_all(comm, &Sorted::<i64>::new(), &chunks[comm.rank()]));
             assert_eq!(ok.results, vec![true; p]);
         }
         // Break sortedness exactly at a 4-rank block boundary (element 64).
         data.swap(63, 64);
         let chunks = blocks(&data, 4);
-        let bad = Runtime::new(4).run(|comm| {
-            reduce_all(comm, &Sorted::<i64>::new(), &chunks[comm.rank()])
-        });
+        let bad = Runtime::new(4)
+            .run(|comm| reduce_all(comm, &Sorted::<i64>::new(), &chunks[comm.rank()]));
         assert_eq!(bad.results, vec![false; 4]);
     }
 
@@ -340,9 +335,8 @@ mod tests {
     fn rooted_reduce_only_lands_on_root() {
         let data: Vec<i64> = (0..64).collect();
         let chunks = blocks(&data, 4);
-        let outcome = Runtime::new(4).run(|comm| {
-            reduce(comm, 2, &max::<i64>(), &chunks[comm.rank()])
-        });
+        let outcome =
+            Runtime::new(4).run(|comm| reduce(comm, 2, &max::<i64>(), &chunks[comm.rank()]));
         for (rank, res) in outcome.results.into_iter().enumerate() {
             assert_eq!(res, (rank == 2).then_some(63));
         }
@@ -418,11 +412,7 @@ mod tests {
                 .collect();
             let outcome = Runtime::new(p).run(|comm| {
                 let op = TopBottomK::<f64, u64>::new(10);
-                reduce_all_from_iter_splittable(
-                    comm,
-                    &op,
-                    topk_chunks[comm.rank()].iter().copied(),
-                )
+                reduce_all_from_iter(comm, &op, topk_chunks[comm.rank()].iter().copied())
             });
             let expected = gv_core::seq::reduce(&TopBottomK::<f64, u64>::new(10), &samples);
             for got in outcome.results {
@@ -460,9 +450,8 @@ mod tests {
         // More ranks than elements: some blocks are empty.
         let data: Vec<i64> = vec![3, 9];
         let chunks = blocks(&data, 5);
-        let outcome = Runtime::new(5).run(|comm| {
-            reduce_all(comm, &sum::<i64>(), &chunks[comm.rank()])
-        });
+        let outcome =
+            Runtime::new(5).run(|comm| reduce_all(comm, &sum::<i64>(), &chunks[comm.rank()]));
         assert_eq!(outcome.results, vec![12; 5]);
     }
 }

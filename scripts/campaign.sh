@@ -3,7 +3,7 @@
 # (ROADMAP hygiene ii).
 #
 #   scripts/campaign.sh [--latency <runs>] <parent-dir> <change-dir> <pairs> <seed> \
-#       [workload…] > results/campaigns/PR<n>.json
+#       [workload[:pairs]…] > results/campaigns/PR<n>.json
 #
 # With `--latency <runs>`, first `runs` times per side: one
 # `pipeline_microbench --procs 2 --latency` in each checkout, the side that
@@ -15,7 +15,9 @@
 # the 8-byte allreduce. `pairs` may be 0 to run only these.
 #
 # Per workload (default: every workload of the change's BENCHMARK.json),
-# `pairs` times: one `benchmark/run.sh --workload W --seed N --seconds 15
+# `pairs` times — or as often as a `workload:pairs` argument says, so a
+# claimed workload can get more pairs in the same campaign (`mg_zran3:10
+# is_sort …`): one `benchmark/run.sh --workload W --seed N --seconds 15
 # --trace 0` in each checkout, the side that goes first alternating from
 # pair to pair. Each checkout's own run.sh builds it in its own directory.
 # Standard output is a JSON array with one record per run, in the order
@@ -31,7 +33,7 @@ if [ "${1:-}" = --latency ]; then
     shift 2
 fi
 if [ $# -lt 4 ]; then
-    echo "usage: $0 [--latency <runs>] <parent-dir> <change-dir> <pairs> <seed> [workload…]" >&2
+    echo "usage: $0 [--latency <runs>] <parent-dir> <change-dir> <pairs> <seed> [workload[:pairs]…]" >&2
     exit 2
 fi
 parent=$1 change=$2 pairs=$3 seed=$4
@@ -108,9 +110,14 @@ for ((run = 0; run < latency; run++)); do
     fi
 done
 
-for workload in "$@"; do
-    for ((pair = 0; pair < pairs; pair++)); do
-        echo "campaign: $workload pair $((pair + 1))/$pairs" >&2
+for arg in "$@"; do
+    workload=${arg%%:*}
+    count=$pairs
+    if [[ $arg == *:* ]]; then
+        count=${arg#*:}
+    fi
+    for ((pair = 0; pair < count; pair++)); do
+        echo "campaign: $workload pair $((pair + 1))/$count" >&2
         if ((pair % 2 == 0)); then
             run parent "$parent" "$workload"
             run change "$change" "$workload"

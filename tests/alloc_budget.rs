@@ -12,7 +12,8 @@
 //!
 //! The streamed reductions get the same treatment at the bottom: what a
 //! rank allocates is one staging block and the operator's state, whatever
-//! the length of the stream. And the NAS IS ranking: the keys it sends, the
+//! the length of the stream — and a located one, whose pairs are never
+//! staged, only the states. And the NAS IS ranking: the keys it sends, the
 //! block it returns and one count table — no second copy of either.
 //!
 //! A scan's output and the IS key ranks are allocated once, at their final
@@ -170,8 +171,8 @@ fn selector_routed_calls_stay_within_eight_n_over_both_ranks() {
 fn a_streamed_reduction_allocates_one_staging_block_whatever_the_stream_length() {
     use gv_core::ops::topk::TopBottomK;
 
-    /// `reduce_all_from_iter_splittable(TopBottomK(10))` over `len`
-    /// generated pairs per rank: bytes each rank allocated in the call.
+    /// `reduce_all_from_iter(TopBottomK(10))` over `len` generated pairs
+    /// per rank: bytes each rank allocated in the call.
     fn streamed(p: usize, len: u64) -> Vec<usize> {
         Runtime::new(p)
             .run(move |comm| {
@@ -180,7 +181,7 @@ fn a_streamed_reduction_allocates_one_staging_block_whatever_the_stream_length()
                 let pairs = (base..base + len)
                     .map(|g| ((g.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64, g));
                 let before = allocated();
-                let extrema = gv_rsmpi::reduce_all_from_iter_splittable(comm, &op, pairs);
+                let extrema = gv_rsmpi::reduce_all_from_iter(comm, &op, pairs);
                 let spent = allocated() - before;
                 assert_eq!(extrema.largest.len(), 10);
                 spent
@@ -206,6 +207,40 @@ fn a_streamed_reduction_allocates_one_staging_block_whatever_the_stream_length()
 }
 
 #[test]
+fn a_located_reduction_allocates_states_and_envelopes_only() {
+    use gv_core::ops::topk::TopBottomK;
+
+    /// `reduce_all_located(TopBottomK(10))` over `len` values per rank,
+    /// the stream above's values: bytes each rank allocated in the call.
+    fn located(p: usize, len: u64) -> Vec<usize> {
+        Runtime::new(p)
+            .run(move |comm| {
+                let op = TopBottomK::<f64, u64>::new(10);
+                let base = comm.rank() as u64 * len;
+                let values: Vec<f64> = (base..base + len)
+                    .map(|g| (g.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64)
+                    .collect();
+                let before = allocated();
+                let extrema = gv_rsmpi::reduce_all_located(comm, &op, &values, base);
+                let spent = allocated() - before;
+                assert_eq!(extrema.largest.len(), 10);
+                spent
+            })
+            .results
+    }
+
+    for p in [1usize, 2] {
+        let short = located(p, 1 << 12);
+        let long = located(p, 1 << 20);
+        for (rank, (&short, &long)) in short.iter().zip(&long).enumerate() {
+            assert_eq!(long, short, "p={p} rank {rank}: 1 Mi values vs 4 Ki");
+            // Below the streamed form's one staging block of 1024 pairs.
+            assert!(long < 16 << 10, "p={p} rank {rank}: {long} B");
+        }
+    }
+}
+
+#[test]
 fn an_is_sort_moves_each_key_once_before_the_exchange_and_once_after() {
     use gv_nas::is::{distributed_sort, generate_keys};
     use gv_nas::IsClass;
@@ -222,7 +257,10 @@ fn an_is_sort_moves_each_key_once_before_the_exchange_and_once_after() {
                 let spent = allocated() - before;
                 let span = (class.max_key() as usize).div_ceil(p);
                 let own = comm.rank() * span..(comm.rank() + 1) * span;
-                let sent = keys.iter().filter(|&&k| !own.contains(&(k as usize))).count();
+                let sent = keys
+                    .iter()
+                    .filter(|&&k| !own.contains(&(k as usize)))
+                    .count();
                 (spent, 4 * sent, 4 * block.keys.len(), 8 * span)
             })
             .results;
@@ -305,7 +343,11 @@ fn small_messages_allocate_nothing_in_steady_state() {
             assert_eq!(comm.allreduce(1u64, true, |_| 8, |a, b| a + b), 2);
         }
     };
-    let spent = steady_state_bytes(2, |comm| allreduces(comm, 10), |comm| allreduces(comm, 1000));
+    let spent = steady_state_bytes(
+        2,
+        |comm| allreduces(comm, 10),
+        |comm| allreduces(comm, 1000),
+    );
     assert_eq!(spent, [0, 0], "1000 eight-byte allreduces");
 
     let pairs = |comm: &Comm, rounds: usize| {

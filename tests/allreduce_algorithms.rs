@@ -177,7 +177,7 @@ fn splittable_global_view_reductions_match_sequential_oracle() {
                 .map(|range| pairs[range].to_vec())
                 .collect();
             let outcome = Runtime::new(p).run(|comm| {
-                gv_rsmpi::reduce_all_from_iter_splittable(
+                gv_rsmpi::reduce_all_from_iter(
                     comm,
                     &TopBottomK::<f64, u64>::new(5),
                     pair_chunks[comm.rank()].iter().copied(),
@@ -189,6 +189,74 @@ fn splittable_global_view_reductions_match_sequential_oracle() {
             Ok(())
         },
     );
+}
+
+#[test]
+fn a_located_reduction_is_the_streamed_one_on_the_wire_for_p_1_through_17() {
+    use gv_core::ops::minloc::mini;
+    use gv_msgpass::CallKind;
+
+    let mut rng = gv_testkit::rng::TestRng::new(27);
+    // Few distinct values, so the lists and the minimum tie across ranks.
+    let values: Vec<f64> = (0..3000).map(|_| rng.i64_in(-50..50) as f64).collect();
+    let pairs: Vec<(f64, u64)> = values.iter().copied().zip(0..).collect();
+    let op = TopBottomK::<f64, u64>::new(10);
+    let expected = (
+        gv_core::seq::reduce(&op, &pairs),
+        gv_core::seq::reduce(&mini(), &pairs),
+    );
+    for p in 1..=17usize {
+        let ranges: Vec<_> = chunk_ranges(values.len(), p).collect();
+        let run = |located: bool| {
+            Runtime::new(p).run(|comm| {
+                let range = ranges[comm.rank()].clone();
+                if located {
+                    let first = range.start as u64;
+                    let local = &values[range];
+                    let topk = gv_rsmpi::reduce_all_located(comm, &op, local, first);
+                    (
+                        topk,
+                        gv_rsmpi::reduce_all_located(comm, &mini(), local, first),
+                    )
+                } else {
+                    let local = &pairs[range];
+                    let topk = gv_rsmpi::reduce_all_from_iter(comm, &op, local.iter().copied());
+                    (
+                        topk,
+                        gv_rsmpi::reduce_all_from_iter(comm, &mini(), local.iter().copied()),
+                    )
+                }
+            })
+        };
+        let (located, streamed) = (run(true), run(false));
+        for got in &located.results {
+            assert_eq!(got, &expected, "p={p}");
+        }
+        assert_eq!(located.results, streamed.results, "p={p}");
+        for algo in AllreduceAlgorithm::ALL {
+            assert_eq!(
+                located.stats.allreduce_algorithm_calls(algo),
+                streamed.stats.allreduce_algorithm_calls(algo),
+                "{algo:?} calls, p={p}"
+            );
+        }
+        assert_eq!(
+            located.stats.calls(CallKind::Allreduce),
+            streamed.stats.calls(CallKind::Allreduce),
+            "p={p}"
+        );
+        assert_eq!(
+            located.stats.messages, streamed.stats.messages,
+            "messages, p={p}"
+        );
+        assert_eq!(located.stats.bytes, streamed.stats.bytes, "bytes, p={p}");
+        let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&located.rank_clocks),
+            bits(&streamed.rank_clocks),
+            "modeled clocks, p={p}"
+        );
+    }
 }
 
 #[test]
@@ -365,7 +433,10 @@ fn nonblocking_allreduce_moves_the_identical_traffic_as_blocking() {
             };
             let blocking = run(false);
             let requests = run(true);
-            assert_eq!(blocking.results, requests.results, "results, p={p} bytes={bytes}");
+            assert_eq!(
+                blocking.results, requests.results,
+                "results, p={p} bytes={bytes}"
+            );
             assert_eq!(
                 blocking.stats.messages, requests.stats.messages,
                 "messages, p={p} bytes={bytes}"

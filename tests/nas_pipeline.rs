@@ -12,9 +12,7 @@ use gv_nas::{IsClass, MgClass};
 fn is_pipeline_verifies_across_rank_counts_and_variants() {
     for p in [1usize, 2, 4, 8] {
         for (variant, name) in VerifyVariant::ALL {
-            let outcome = Runtime::new(p).run(move |comm| {
-                run_is(comm, IsClass::S, variant)
-            });
+            let outcome = Runtime::new(p).run(move |comm| run_is(comm, IsClass::S, variant));
             let total: usize = outcome.results.iter().map(|(_, n)| n).sum();
             assert_eq!(total, IsClass::S.total_keys(), "{name} p={p}");
             assert!(outcome.results.iter().all(|(ok, _)| *ok), "{name} p={p}");
@@ -54,6 +52,70 @@ fn zran3_results_are_rank_count_invariant() {
             });
             for got in &outcome.results {
                 assert_eq!(got, expected, "{name} p={p}");
+            }
+        }
+    }
+}
+
+#[test]
+fn zran3_ties_across_rank_boundaries_go_to_the_smaller_global_index() {
+    use gv_nas::mg::zran3::{extrema_mpi, extrema_rsmpi};
+
+    // An 8³ field of distinct values in [−0.5, 0.5); nine cells above and
+    // nine below it; and the 10th-largest (0.75) and 10th-smallest (−0.75)
+    // values on both sides of every plane seam, so whichever seams are rank
+    // boundaries at p, the ranks past the first tie must lose it.
+    let n = 8;
+    let plane = n * n;
+    let mut field: Vec<f64> = (0..n * plane)
+        .map(|g| ((g * 193) % 521) as f64 / 521.0 - 0.5)
+        .collect();
+    for z in 0..n {
+        field[z * plane + 10] = 1.0 + z as f64;
+        field[z * plane + 20] = -1.0 - z as f64;
+    }
+    field[(n - 1) * plane + 30] = 100.0;
+    field[(n - 1) * plane + 40] = -100.0;
+    for z in 1..n {
+        field[z * plane - 1] = 0.75;
+        field[z * plane] = 0.75;
+        field[z * plane - 2] = -0.75;
+        field[z * plane + 1] = -0.75;
+    }
+
+    // The serial oracle: sort every (value, global index), ties by index.
+    let k = 10;
+    let cells: Vec<(f64, u64)> = field.iter().copied().zip(0..).collect();
+    let mut desc = cells.clone();
+    desc.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut asc = cells;
+    asc.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let largest: Vec<(f64, u64)> = desc[..k].to_vec();
+    let smallest: Vec<(f64, u64)> = asc[..k].to_vec();
+    assert_eq!(
+        largest[k - 1],
+        (0.75, plane as u64 - 1),
+        "the tie the oracle keeps"
+    );
+    assert_eq!(
+        smallest[k - 1],
+        (-0.75, plane as u64 - 2),
+        "the tie the oracle keeps"
+    );
+
+    for p in [1usize, 2, 3, 5] {
+        let field = &field;
+        let outcome = Runtime::new(p).run(move |comm| {
+            let mut slab = Slab::for_rank(n, comm.rank(), comm.size());
+            let first = slab.global_index(0, 0, 0) as usize;
+            let len = slab.data.len();
+            slab.data.copy_from_slice(&field[first..first + len]);
+            (extrema_rsmpi(comm, &slab, k), extrema_mpi(comm, &slab, k))
+        });
+        for (rank, (rsmpi, mpi)) in outcome.results.into_iter().enumerate() {
+            for (name, got) in [("F+RSMPI", rsmpi), ("F+MPI", mpi)] {
+                assert_eq!(got.largest, largest, "{name} largest, p={p} rank {rank}");
+                assert_eq!(got.smallest, smallest, "{name} smallest, p={p} rank {rank}");
             }
         }
     }

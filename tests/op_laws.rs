@@ -472,8 +472,8 @@ fn sortedness_combine_order_is_observable() {
 
 mod kernel_laws {
     use super::*;
-    use gv_core::iter::reduce_iter;
-    use gv_core::kernel::{self, LANES};
+    use gv_core::iter::{accumulate_iter, accumulate_located, reduce_iter};
+    use gv_core::kernel::{self, ValueGate, LANES};
     use gv_core::op::{accumulate_block_scalar, rescan_block, rescan_block_scalar};
     use gv_testkit::prop::{check, from_fn, Config};
     use gv_testkit::{prop_assert, prop_assert_eq};
@@ -1092,6 +1092,165 @@ mod kernel_laws {
         let [kernel, scalar] = kbest_states(&MaxK::<i64>::new(3), &[5, 7, 9], &ties);
         assert_eq!(kernel, scalar);
         assert_eq!(kernel.worst_first(), [5, 7, 9]);
+    }
+
+    /// `accumulate_located(op, values[..n], first)` against
+    /// `accumulate_iter` over the same `(value, first + i)` pairs,
+    /// materialised, at every `n` in `lengths`: the same element count and
+    /// the same state through `exact`, so NaN payloads and the sign of zero
+    /// count.
+    fn assert_located_matches_staged<Op, S>(
+        name: &str,
+        op: &Op,
+        values: &[f64],
+        lengths: &[usize],
+        exact: fn(&Op::State) -> S,
+    ) where
+        Op: ValueGate<f64, In = (f64, u64)>,
+        S: PartialEq + std::fmt::Debug,
+    {
+        let first = 1_000_003u64;
+        for &n in lengths {
+            let values = &values[..n];
+            let pairs: Vec<(f64, u64)> = values.iter().copied().zip(first..).collect();
+            let (located, count) = accumulate_located(op, values, first);
+            let (staged, staged_count) = accumulate_iter(op, pairs.iter().copied());
+            assert_eq!(count, staged_count, "{name}: element count at n={n}");
+            assert_eq!(
+                exact(&located),
+                exact(&staged),
+                "{name}: located != staged at n={n}"
+            );
+        }
+    }
+
+    /// Runs [`assert_located_matches_staged`] for every located operator the
+    /// library ships: `TopBottomK` at k ∈ {1, 3, 10}, `MinI`, `MaxI`.
+    fn assert_every_located_op_matches_staged(name: &str, values: &[f64], lengths: &[usize]) {
+        type Lists = [Vec<(u64, u64)>; 2];
+        fn lists(s: &gv_core::ops::TopBottomState<f64, u64>) -> Lists {
+            [&s.top, &s.bottom].map(|list| list.iter().map(|&(v, at)| (v.to_bits(), at)).collect())
+        }
+        fn best(s: &Option<(f64, u64)>) -> Option<(u64, u64)> {
+            s.map(|(v, at)| (v.to_bits(), at))
+        }
+        for k in [1, 3, 10] {
+            let op = TopBottomK::<f64, u64>::new(k);
+            assert_located_matches_staged(
+                &format!("TopBottomK({k}) {name}"),
+                &op,
+                values,
+                lengths,
+                lists,
+            );
+        }
+        assert_located_matches_staged(&format!("MinI {name}"), &mini(), values, lengths, best);
+        assert_located_matches_staged(&format!("MaxI {name}"), &maxi(), values, lengths, best);
+    }
+
+    /// The [`ValueGate`] contract, element by element: from states built of
+    /// `pairs`, every `(value, location)` candidate that `accum` would
+    /// take — a location tie-break won included — is admitted by the gate.
+    fn assert_gate_admits_what_accum_takes<Op>(name: &str, op: &Op, pairs: &[(f64, u64)])
+    where
+        Op: ValueGate<f64, In = (f64, u64)>,
+        Op::State: Clone + std::fmt::Debug,
+    {
+        let mut state = op.ident();
+        for (i, x) in pairs.iter().enumerate() {
+            if let Some(gate) = op.gate(&state) {
+                for candidate in &pairs[i..] {
+                    let mut taken = state.clone();
+                    op.accum(&mut taken, candidate);
+                    if format!("{taken:?}") != format!("{state:?}") {
+                        assert!(
+                            Op::admits(gate, candidate.0),
+                            "{name}: {candidate:?} enters {state:?} unadmitted"
+                        );
+                    }
+                }
+            }
+            op.accum(&mut state, x);
+        }
+    }
+
+    #[test]
+    fn value_gates_admit_every_value_accum_takes() {
+        let mut rng = TestRng::new(72);
+        let values = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            -1.0,
+            1.0,
+            2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // Few values and locations in no order, so ties are won and lost.
+        let pairs: Vec<(f64, u64)> = (0..120)
+            .map(|_| {
+                (
+                    values[rng.usize_in(0..values.len())],
+                    rng.usize_in(0..40) as u64,
+                )
+            })
+            .collect();
+        for k in [1, 3] {
+            let op = TopBottomK::<f64, u64>::new(k);
+            assert_gate_admits_what_accum_takes(&format!("TopBottomK({k})"), &op, &pairs);
+        }
+        assert_gate_admits_what_accum_takes("MinI", &mini(), &pairs);
+        assert_gate_admits_what_accum_takes("MaxI", &maxi(), &pairs);
+    }
+
+    #[test]
+    fn located_inputs_equal_the_staged_pairs_bit_for_bit() {
+        let n = 3 * kernel::BLOCK + 7;
+        let mut rng = TestRng::new(71);
+        // 0, 1, k − 1, k, k + 1 for each k, either side of every power of
+        // two the private granule might be, the staging seams, and the end.
+        let mut lengths = vec![0, 1, 2, 3, 4, 9, 10, 11];
+        lengths.extend((4..=9).flat_map(|j| [(1usize << j) - 1, 1 << j, (1 << j) + 1]));
+        lengths.extend([kernel::BLOCK - 1, kernel::BLOCK, kernel::BLOCK + 1, n]);
+
+        let specials = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+        let wide: Vec<f64> = (0..n)
+            .map(|i| match i % 5 {
+                0 => specials[rng.usize_in(0..specials.len())],
+                _ => rng.f64_in(-1.0..1.0),
+            })
+            .collect();
+        assert_every_located_op_matches_staged("wide, NaN ±0 ±∞", &wide, &lengths);
+        // Three values and two zeros: once the state is set, nearly every
+        // element ties its worst (or best) value and is left to the
+        // location tie-break, which a later location loses.
+        let ties: Vec<f64> = (0..n)
+            .map(|_| [-1.0, -0.0, 0.0, 1.0][rng.usize_in(0..4)])
+            .collect();
+        assert_every_located_op_matches_staged("ties", &ties, &lengths);
+
+        // ±10, ±9, … fill every state; then a quiet block of zeros with one
+        // loud value, as the first, the last and the only hit of a granule
+        // (whichever power of two it is), of a block, and of the short
+        // final granule.
+        let mut quiet = vec![0.0; n];
+        for i in 0..10 {
+            quiet[2 * i] = 10.0 - i as f64;
+            quiet[2 * i + 1] = i as f64 - 10.0;
+        }
+        let block = kernel::BLOCK;
+        let mut at: Vec<usize> = (4..=9)
+            .flat_map(|j| [block + (1 << j) - 1, block + (1 << j)])
+            .collect();
+        at.extend([2 * block - 1, 2 * block, 3 * block, n - 1]);
+        for at in at {
+            for loud in [11.0, -11.0, 10.0, -10.0, f64::NAN] {
+                let mut values = quiet.clone();
+                values[at] = loud;
+                assert_every_located_op_matches_staged(&format!("{loud} at {at}"), &values, &[n]);
+            }
+        }
     }
 
     /// The state `accum_runs` leaves, hooks applied as `accumulate_block`
