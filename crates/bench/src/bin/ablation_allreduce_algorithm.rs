@@ -77,7 +77,7 @@ fn main() {
             // a commutative splittable operator (same default cost model
             // the runtime above measured under).
             let cost = CostModel::default();
-            let picked = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
+            let (picked, _) = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
             if csv {
                 println!(
                     "{p},{bytes},{t_rb:.9},{t_rd:.9},{t_rs:.9},{t_pt:.9},{}",

@@ -171,8 +171,8 @@ fn main() {
         }
         for &bytes in &sizes {
             let [t_rd, t_bin, t_chain] = ScanAlgorithm::ALL.map(|a| wall_time(p, bytes, a, iters));
-            let pick_whole = ScanAlgorithm::select(&cost, p, bytes, false).name();
-            let pick_split = ScanAlgorithm::select(&cost, p, bytes, true).name();
+            let pick_whole = ScanAlgorithm::select(&cost, p, bytes, false).0.name();
+            let pick_split = ScanAlgorithm::select(&cost, p, bytes, true).0.name();
             if csv {
                 println!(
                     "schedule,{p},{bytes},{t_rd:.9},{t_bin:.9},{t_chain:.9},\

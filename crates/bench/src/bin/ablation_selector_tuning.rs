@@ -4,8 +4,8 @@
 //! size over three fixed allreduce schedules — reduce+bcast, recursive
 //! doubling, and the circulant reduce-scatter + allgather — and reports
 //! each modeled time alongside the selector-routed run, the fixed-model
-//! pick, and the pick a measured α–β–γ calibration would make
-//! (`CostSource::Measured` after `calibrate_cost_model`).
+//! pick, and the pick `AllreduceAlgorithm::select` makes on an α–β–γ
+//! model measured on this host (`Comm::measure_cost_model`).
 //!
 //! One verdict line checks the acceptance criterion of the cost-model
 //! bugfix this experiment records: `selector-within-5pct` — the
@@ -21,7 +21,7 @@
 
 use gv_bench::table::{has_flag, parallel_time, parse_procs, timed_phase};
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
-use gv_msgpass::{AllreduceAlgorithm, CostModel, CostSource, Runtime};
+use gv_msgpass::{AllreduceAlgorithm, CostModel, Runtime};
 
 /// Fixed schedules swept per cell, beside the selector-routed entry.
 const FIXED: [AllreduceAlgorithm; 3] = [
@@ -56,27 +56,21 @@ fn measure(p: usize, bytes: usize, fixed: Option<AllreduceAlgorithm>) -> f64 {
     parallel_time(&outcome.results)
 }
 
-/// One calibrated run per rank count: the measured-model pick for each
-/// state size, plus the published calibration snapshot for display.
+/// One run per rank count that measures the host's model, and the pick
+/// `select` makes on it for each state size (every rank measures the
+/// same model, so rank 0's is the run's).
 fn measured_picks(
     p: usize,
     sizes: &[usize],
     rounds: usize,
-) -> (Vec<AllreduceAlgorithm>, gv_msgpass::CalibrationSnapshot) {
-    let sizes = sizes.to_vec();
-    let outcome = Runtime::new(p)
-        .cost_source(CostSource::Measured)
-        .run(move |comm| {
-            comm.calibrate_cost_model(rounds);
-            sizes
-                .iter()
-                .map(|&bytes| {
-                    let cost = comm.selection_cost_model();
-                    AllreduceAlgorithm::select(&cost, comm.size(), bytes, true, true)
-                })
-                .collect::<Vec<_>>()
-        });
-    (outcome.results[0].clone(), outcome.calibration)
+) -> (Vec<AllreduceAlgorithm>, CostModel) {
+    let outcome = Runtime::new(p).run(|comm| comm.measure_cost_model(rounds));
+    let m = outcome.results[0];
+    let picks = sizes
+        .iter()
+        .map(|&bytes| AllreduceAlgorithm::select(&m, p, bytes, true, true).0)
+        .collect();
+    (picks, m)
 }
 
 fn fmt_size(bytes: usize) -> String {
@@ -92,7 +86,11 @@ fn main() {
     let csv = has_flag(&args, "--csv");
     let quick = std::env::var("GV_BENCH_QUICK").is_ok_and(|v| v != "0");
 
-    let default_procs = if quick { vec![6, 12] } else { vec![6, 8, 12, 16, 24] };
+    let default_procs = if quick {
+        vec![6, 12]
+    } else {
+        vec![6, 8, 12, 16, 24]
+    };
     let procs = if args.iter().any(|a| a == "--procs") {
         parse_procs(&args)
     } else {
@@ -121,11 +119,11 @@ fn main() {
     // Worst selector-vs-best ratio over the sweep, and where it happened.
     let mut worst_ratio = f64::NEG_INFINITY;
     let mut worst_at = (0usize, 0usize);
-    let mut snapshots = Vec::new();
+    let mut models = Vec::new();
 
     for &p in &procs {
-        let (picks, snapshot) = measured_picks(p, &sizes, rounds);
-        snapshots.push((p, snapshot));
+        let (picks, m) = measured_picks(p, &sizes, rounds);
+        models.push((p, m));
         for (i, &bytes) in sizes.iter().enumerate() {
             let t_sel = measure(p, bytes, None);
             let fixed: Vec<f64> = FIXED.iter().map(|&a| measure(p, bytes, Some(a))).collect();
@@ -137,7 +135,7 @@ fn main() {
                 worst_at = (p, bytes);
             }
             let cost = CostModel::default();
-            let fixed_pick = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
+            let (fixed_pick, _) = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
             if csv {
                 println!(
                     "{p},{bytes},{t_sel:.9},{t_rb:.9},{t_rd:.9},{t_circ:.9},{},{}",
@@ -161,12 +159,11 @@ fn main() {
     }
 
     if !csv {
-        println!("\n  measured α–β–γ calibration (host wall clock, min-of-burst probes):");
-        for (p, snap) in &snapshots {
-            let warm = if snap.is_warm() { "warm" } else { "cold" };
+        println!("\n  measured α–β–γ model (host wall clock, min-of-burst probes):");
+        for (p, m) in &models {
             println!(
-                "  p={p:>2} [{warm}] γ={:.2e} s/op  link: α={:.2e} s, β={:.2e} s/B ({} samples)",
-                snap.gamma, snap.alpha, snap.beta, snap.link_samples
+                "  p={p:>2} α={:.2e} s  β={:.2e} s/B  γ={:.2e} s/op",
+                m.alpha, m.beta, m.gamma
             );
         }
         println!();

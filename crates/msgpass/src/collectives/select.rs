@@ -106,33 +106,6 @@ pub(crate) fn both<T>() -> ScanShape<impl FnOnce(ScanHalves<T>) -> (Option<T>, T
 }
 
 impl Comm {
-    /// The cheapest eligible allreduce schedule for a `bytes`-byte state
-    /// under this communicator's *selection* cost model
-    /// ([`Comm::selection_cost_model`] — the fixed clock model by default,
-    /// the measured calibration under
-    /// [`CostSource::Measured`](crate::measured::CostSource::Measured)),
-    /// plus the tree segment count it was priced at — the same
-    /// deterministic model on every rank, so schedule and estimate always
-    /// agree. `splittable` says whether the caller could run a segmented
-    /// schedule at all (reduce-scatter + allgather also needs
-    /// `commutative`).
-    fn plan_allreduce(
-        &self,
-        bytes: usize,
-        commutative: bool,
-        splittable: bool,
-    ) -> (AllreduceAlgorithm, usize) {
-        let cost = self.selection_cost_model();
-        let algo = AllreduceAlgorithm::select(&cost, self.size(), bytes, commutative, splittable);
-        let segments = match algo {
-            AllreduceAlgorithm::PipelinedTree => {
-                BcastAlgorithm::tree_segments(&cost, self.size(), bytes)
-            }
-            _ => 1,
-        };
-        (algo, segments)
-    }
-
     /// The allreduce family's one constructor: records the schedule and
     /// launches it. `plan` is `(algorithm, tree segment count)`; the
     /// segment count only matters to the tree arms (reduce+bcast *is*
@@ -215,7 +188,13 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = self.plan_allreduce(bytes_of(&value), commutative, false);
+        let plan = AllreduceAlgorithm::select(
+            &self.cost_model(),
+            self.size(),
+            bytes_of(&value),
+            commutative,
+            false,
+        );
         self.start_allreduce::<Blocking, _>(plan, value, whole(), bytes_of, combine)
     }
 
@@ -229,7 +208,13 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        let plan = self.plan_allreduce(bytes_of(&value), commutative, false);
+        let plan = AllreduceAlgorithm::select(
+            &self.cost_model(),
+            self.size(),
+            bytes_of(&value),
+            commutative,
+            false,
+        );
         self.start_allreduce::<Nonblocking, _>(plan, value, whole(), bytes_of, combine)
     }
 
@@ -246,7 +231,13 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = self.plan_allreduce(bytes_of(&value), commutative, true);
+        let plan = AllreduceAlgorithm::select(
+            &self.cost_model(),
+            self.size(),
+            bytes_of(&value),
+            commutative,
+            true,
+        );
         self.start_allreduce::<Blocking, _>(plan, value, (split, unsplit), bytes_of, combine)
     }
 
@@ -260,15 +251,14 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + Clone + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        let plan = self.plan_allreduce(bytes_of(&value), commutative, true);
+        let plan = AllreduceAlgorithm::select(
+            &self.cost_model(),
+            self.size(),
+            bytes_of(&value),
+            commutative,
+            true,
+        );
         self.start_allreduce::<Nonblocking, _>(plan, value, (split, unsplit), bytes_of, combine)
-    }
-
-    /// Segment count the tree runs a splittable `bytes`-byte broadcast
-    /// or rooted reduce with (the up-tree mirrors the down-tree, so one
-    /// chooser prices both).
-    fn plan_tree(&self, bytes: usize) -> usize {
-        BcastAlgorithm::select_segments(&self.selection_cost_model(), self.size(), bytes, true)
     }
 
     /// The broadcast family's one constructor. `S = 1` is recorded as
@@ -309,7 +299,8 @@ impl Comm {
         unsplit: impl FnOnce(Vec<T>) -> T,
         bytes_of: impl Fn(&T) -> usize,
     ) -> T {
-        let segments = self.plan_tree(wire_bytes);
+        let segments =
+            BcastAlgorithm::select_segments(&self.cost_model(), self.size(), wire_bytes, true);
         self.start_bcast::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of)
     }
 
@@ -346,26 +337,13 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
-        let segments = self.plan_tree(bytes_of(&value));
+        let segments = BcastAlgorithm::select_segments(
+            &self.cost_model(),
+            self.size(),
+            bytes_of(&value),
+            true,
+        );
         self.start_reduce::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of, combine)
-    }
-
-    /// The cheapest eligible scan schedule for a `bytes`-byte state
-    /// under this communicator's selection cost model, plus the chain
-    /// segment count it was priced at. `splittable` says whether the
-    /// caller could run the segmented chain at all. There is no
-    /// commutativity parameter: every scan schedule combines in rank
-    /// order (see [`ScanAlgorithm::select`]).
-    fn plan_scan(&self, bytes: usize, splittable: bool) -> (ScanAlgorithm, usize) {
-        let cost = self.selection_cost_model();
-        let algo = ScanAlgorithm::select(&cost, self.size(), bytes, splittable);
-        let segments = match algo {
-            ScanAlgorithm::PipelinedChain => {
-                ScanAlgorithm::chain_segments(&cost, self.size(), bytes)
-            }
-            _ => 1,
-        };
-        (algo, segments)
     }
 
     /// The scan family's one constructor. `plan` is `(algorithm, chain
@@ -419,7 +397,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = self.plan_scan(bytes_of(&value), false);
+        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
         self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, inclusive())
     }
 
@@ -430,7 +408,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        let plan = self.plan_scan(bytes_of(&value), false);
+        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
         self.start_scan::<Nonblocking, _, _>(plan, value, whole(), bytes_of, combine, inclusive())
     }
 
@@ -443,7 +421,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = self.plan_scan(bytes_of(&value), false);
+        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
         self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, exclusive(ident))
     }
 
@@ -456,7 +434,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        let plan = self.plan_scan(bytes_of(&value), false);
+        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
         self.start_scan::<Nonblocking, _, _>(
             plan,
             value,
@@ -484,7 +462,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
-        let plan = self.plan_scan(bytes_of(&value), false);
+        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
         self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, both())
     }
 
@@ -521,7 +499,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = self.plan_scan(bytes_of(&value), true);
+        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), true);
         self.start_scan::<Blocking, _, _>(
             plan,
             value,
@@ -543,7 +521,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = self.plan_scan(bytes_of(&value), true);
+        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), true);
         self.start_scan::<Blocking, _, _>(
             plan,
             value,
@@ -564,7 +542,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
-        let plan = self.plan_scan(bytes_of(&value), true);
+        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), true);
         self.start_scan::<Blocking, _, _>(plan, value, (split, unsplit), bytes_of, combine, both())
     }
 }
@@ -590,9 +568,8 @@ mod tests {
 
     #[test]
     fn selector_uses_recursive_doubling_for_small_states() {
-        let outcome = Runtime::new(8).run(|comm| {
-            comm.allreduce(comm.rank() as u64, true, |_| 8, |a, b| a + b)
-        });
+        let outcome = Runtime::new(8)
+            .run(|comm| comm.allreduce(comm.rank() as u64, true, |_| 8, |a, b| a + b));
         assert_eq!(outcome.results, vec![28; 8]);
         assert_eq!(
             outcome
@@ -688,9 +665,8 @@ mod tests {
         // Small scalar state: both paths must pick recursive doubling
         // and produce the same stats (one Allreduce call, one RD
         // schedule record per rank).
-        let blocking = Runtime::new(8).run(|comm| {
-            comm.allreduce(comm.rank() as u64, true, |_| 8, |a, b| a + b)
-        });
+        let blocking = Runtime::new(8)
+            .run(|comm| comm.allreduce(comm.rank() as u64, true, |_| 8, |a, b| a + b));
         let nonblocking = Runtime::new(8).run(|comm| {
             let mut req = comm.iallreduce(comm.rank() as u64, true, |_| 8, |a, b| a + b);
             req.wait().unwrap()
@@ -887,11 +863,15 @@ mod tests {
             comm.bcast_vec(2, value)
         });
         assert_eq!(
-            outcome.stats.bcast_algorithm_calls(BcastAlgorithm::Binomial),
+            outcome
+                .stats
+                .bcast_algorithm_calls(BcastAlgorithm::Binomial),
             4
         );
         assert_eq!(
-            outcome.stats.bcast_algorithm_calls(BcastAlgorithm::Pipelined),
+            outcome
+                .stats
+                .bcast_algorithm_calls(BcastAlgorithm::Pipelined),
             0
         );
     }

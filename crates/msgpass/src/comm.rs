@@ -13,7 +13,6 @@ use std::sync::{Arc, Mutex};
 use crate::cost::CostModel;
 use crate::fault::RankFaults;
 use crate::mailbox::{self, Mailbox, PeerSender, ShutdownError, Source, WaitState};
-use crate::measured::{Calibration, CalibrationSnapshot, CostSource};
 use crate::message::{Packet, Payload, Tag};
 use crate::request::Engine;
 use crate::stats::{CallKind, RankStats, Stats};
@@ -64,11 +63,6 @@ pub(crate) struct RankCore {
     pub(crate) peers: Vec<PeerSender>,
     pub(crate) clock: Cell<f64>,
     pub(crate) cost: CostModel,
-    /// Where schedule *selection* prices candidates (the virtual clock
-    /// always advances by `cost` above, so recordings stay comparable).
-    pub(crate) cost_source: CostSource,
-    /// Shared online α–β–γ estimates behind [`CostSource::Measured`].
-    pub(crate) calibration: Arc<Calibration>,
     /// The runtime's counters; this rank records into its own block of
     /// them only (see [`Comm::counters`]).
     stats: Arc<Stats>,
@@ -120,7 +114,9 @@ pub(crate) struct CollectiveGuard(Rc<RankCore>);
 
 impl Drop for CollectiveGuard {
     fn drop(&mut self) {
-        self.0.collective_depth.set(self.0.collective_depth.get() - 1);
+        self.0
+            .collective_depth
+            .set(self.0.collective_depth.get() - 1);
     }
 }
 
@@ -152,8 +148,6 @@ pub(crate) struct WorldInit {
     pub peers: Vec<PeerSender>,
     pub mailbox: Mailbox,
     pub cost: CostModel,
-    pub cost_source: CostSource,
-    pub calibration: Arc<Calibration>,
     pub stats: Arc<Stats>,
     pub registry: Arc<SplitRegistry>,
     pub monitor: RankMonitor,
@@ -168,8 +162,6 @@ impl Comm {
             peers: init.peers,
             clock: Cell::new(0.0),
             cost: init.cost,
-            cost_source: init.cost_source,
-            calibration: init.calibration,
             stats: init.stats,
             world_rank: init.rank,
             registry: init.registry,
@@ -340,137 +332,10 @@ impl Comm {
         self.id
     }
 
-    /// The cost model driving the virtual clock.
+    /// The cost model driving the virtual clock, and the one the
+    /// selectors price schedules from.
     pub fn cost_model(&self) -> CostModel {
         self.core.cost
-    }
-
-    /// Where schedule selection gets its cost model (see
-    /// [`selection_cost_model`](Self::selection_cost_model)).
-    pub fn cost_source(&self) -> CostSource {
-        self.core.cost_source
-    }
-
-    /// The cost model schedule *selection* prices candidates from.
-    ///
-    /// With the default [`CostSource::Fixed`] this is the clock model and
-    /// behavior is exactly the pre-calibration selector. Under
-    /// [`CostSource::Measured`] it is the published online estimate,
-    /// falling back to the clock model while the warmup gate is closed.
-    /// The virtual clock itself always advances by
-    /// [`cost_model`](Self::cost_model) — the source changes *which*
-    /// schedule runs, never how a schedule is priced in the recordings.
-    pub fn selection_cost_model(&self) -> CostModel {
-        match self.core.cost_source {
-            CostSource::Fixed(model) => model,
-            CostSource::Measured => self.core.calibration.model().unwrap_or(self.core.cost),
-        }
-    }
-
-    /// A point-in-time copy of the published calibration estimates.
-    pub fn calibration_snapshot(&self) -> CalibrationSnapshot {
-        self.core.calibration.snapshot()
-    }
-
-    /// Runs `rounds` rounds of α–β–γ probe exchanges and publishes the
-    /// resulting estimates (collective over this communicator).
-    ///
-    /// Each round, every rank times a black-boxed scalar loop (γ), and
-    /// each even/odd rank pair runs reduction-shaped ping-pongs — the
-    /// echoing side folds over the payload before replying, since on a
-    /// reduction's critical path every shipped byte is also combined —
-    /// at two payload sizes. The minimum one-way time over the burst
-    /// filters scheduler noise; β is the size-differenced slope and α
-    /// the small-payload time less its bytes.
-    ///
-    /// The publish step is bracketed by barriers with a single writer, so
-    /// the active estimates only move while every rank is quiescent —
-    /// the invariant that keeps measured selection deterministic across
-    /// ranks (see the `measured` module docs). Probe traffic is real
-    /// traffic: it shows up in the message/byte counters and advances
-    /// the virtual clock, which is one more reason the recording
-    /// harnesses keep [`CostSource::Fixed`].
-    pub fn calibrate_cost_model(&self, rounds: usize) {
-        use crate::collectives::TagBase;
-        /// Ping-pongs per probe burst; the min filters scheduler noise.
-        const BURST: usize = 8;
-        /// Scalar accumulates per γ probe.
-        const GAMMA_OPS: u64 = 8192;
-        /// Probe payloads in bytes, far enough apart for a stable slope.
-        const SMALL: usize = 64;
-        const LARGE: usize = 64 << 10;
-
-        self.barrier();
-        let _guard = self.enter_collective();
-        let salt = self.next_collective_salt();
-        let tag = TagBase::Calibrate.tag(salt);
-        let r = self.rank();
-        let partner = if r.is_multiple_of(2) { r + 1 } else { r - 1 };
-        for _ in 0..rounds {
-            // γ probe: seconds per black-boxed scalar accumulate.
-            let started = std::time::Instant::now();
-            let mut acc = 0u64;
-            for i in 0..GAMMA_OPS {
-                acc = acc.wrapping_add(std::hint::black_box(i));
-            }
-            std::hint::black_box(acc);
-            self.core
-                .calibration
-                .record_gamma(started.elapsed().as_secs_f64() / GAMMA_OPS as f64);
-
-            // Every pair starts its small burst together: with more ranks
-            // than cores, a pair already folding 64 KiB holds a core for
-            // tens of µs at a time, on top of a neighbour's 64-byte pings.
-            self.barrier();
-            if partner >= self.size() {
-                continue; // odd rank count: the last rank only probes γ.
-            }
-            let t_small = self.probe_pingpong(partner, tag, SMALL, BURST);
-            let t_large = self.probe_pingpong(partner, tag, LARGE, BURST);
-            if r < partner {
-                let beta = (t_large - t_small) / (LARGE - SMALL) as f64;
-                let alpha = t_small - beta * SMALL as f64;
-                self.core.calibration.record_link(alpha, beta);
-            }
-        }
-        self.barrier();
-        if r == 0 {
-            self.core.calibration.publish();
-        }
-        self.barrier();
-    }
-
-    /// One probe burst against `partner`: one `bytes`-byte buffer bounces
-    /// between the two, each side folding over it on arrival. The lower
-    /// rank initiates and returns its best (minimum) one-way wall time;
-    /// the higher rank echoes and returns an unused estimate.
-    fn probe_pingpong(&self, partner: usize, tag: Tag, bytes: usize, burst: usize) -> f64 {
-        fn fold(payload: &[u8]) -> u64 {
-            let mut acc = 0u64;
-            for &b in payload {
-                acc = acc.wrapping_add(u64::from(std::hint::black_box(b)));
-            }
-            std::hint::black_box(acc)
-        }
-        let initiator = self.rank() < partner;
-        // The one buffer that bounces, allocated outside every timed
-        // window: a collective ships states it already holds.
-        let mut buffer = if initiator { vec![0u8; bytes] } else { Vec::new() };
-        let mut best = f64::INFINITY;
-        for _ in 0..burst {
-            if initiator {
-                let started = std::time::Instant::now();
-                self.send_with_bytes(partner, tag, buffer, bytes);
-                buffer = self.recv(partner, tag);
-                fold(&buffer);
-                best = best.min(started.elapsed().as_secs_f64() / 2.0);
-            } else {
-                let probe: Vec<u8> = self.recv(partner, tag);
-                fold(&probe);
-                self.send_with_bytes(partner, tag, probe, bytes);
-            }
-        }
-        best
     }
 
     /// The runtime's statistics counters, summed over all ranks by
@@ -564,8 +429,8 @@ impl Comm {
     /// itself (`bump` false) — the clock then rises to the availability.
     /// Returns the value, the actual source rank, and the availability.
     fn deliver<T: 'static>(&self, packet: Packet, tag: Tag, bump: bool) -> (T, usize, f64) {
-        let available_at = packet.sent_at + self.core.cost.alpha / 2.0
-            + self.core.cost.beta * packet.bytes as f64;
+        let available_at =
+            packet.sent_at + self.core.cost.alpha / 2.0 + self.core.cost.beta * packet.bytes as f64;
         self.charge_overhead();
         if bump {
             self.bump_clock_to(available_at);
@@ -671,10 +536,7 @@ impl Comm {
             .iter()
             .position(|&(_, r)| r == self.rank)
             .expect("own rank missing from split group");
-        let members = group
-            .iter()
-            .map(|&(_, r)| self.members[r])
-            .collect();
+        let members = group.iter().map(|&(_, r)| self.members[r]).collect();
         let id = self.core.registry.id_for(self.id, color);
         Comm {
             id,

@@ -136,8 +136,9 @@ pub fn pipeline_segments(cost: &CostModel, depth: usize, bytes: usize) -> usize 
 pub enum AllreduceAlgorithm {
     /// Binomial reduce to rank 0, then binomial broadcast — the tree at
     /// `S = 1`: `2⌈log₂p⌉(α + βn)`. Never the α–β winner (recursive
-    /// doubling needs at most as many hops at every p); it exists as the
-    /// whole-state baseline the ablations measure against.
+    /// doubling needs at most as many hops at every p), so
+    /// [`select`](Self::select) does not price it; it exists as the
+    /// whole-state baseline the ablations force.
     ReduceBroadcast,
     /// Recursive doubling with a fold/unfold step for non-powers of two:
     /// `(⌊log₂p⌋ + 2·[p not a power of two])(α + βn)`. The schedule folds
@@ -196,9 +197,7 @@ impl AllreduceAlgorithm {
         let p = ranks as f64;
         let hop = cost.transit(bytes);
         match self {
-            AllreduceAlgorithm::ReduceBroadcast => {
-                2.0 * p.log2().ceil() * hop
-            }
+            AllreduceAlgorithm::ReduceBroadcast => 2.0 * p.log2().ceil() * hop,
             AllreduceAlgorithm::RecursiveDoubling => {
                 let extra = if ranks.is_power_of_two() { 0.0 } else { 2.0 };
                 (p.log2().floor() + extra) * hop
@@ -229,7 +228,9 @@ impl AllreduceAlgorithm {
         }
     }
 
-    /// Picks the cheapest eligible algorithm for one allreduce call.
+    /// The plan one allreduce call runs: the cheapest eligible algorithm
+    /// and its segment count — [`BcastAlgorithm::tree_segments`] for the
+    /// pipelined tree, 1 otherwise — as `Comm::allreduce_by` takes it.
     ///
     /// `commutative` is the operator's flag; `splittable` says whether the
     /// caller can split the state into per-rank segments. Reduce-scatter +
@@ -242,34 +243,30 @@ impl AllreduceAlgorithm {
         bytes: usize,
         commutative: bool,
         splittable: bool,
-    ) -> AllreduceAlgorithm {
+    ) -> (AllreduceAlgorithm, usize) {
+        let segmented = splittable && ranks >= 2;
         let candidates = [
-            AllreduceAlgorithm::RecursiveDoubling,
-            AllreduceAlgorithm::ReduceScatterAllgather,
-            AllreduceAlgorithm::PipelinedTree,
-            AllreduceAlgorithm::ReduceBroadcast,
+            (AllreduceAlgorithm::RecursiveDoubling, true),
+            (
+                AllreduceAlgorithm::ReduceScatterAllgather,
+                segmented && commutative,
+            ),
+            // Rank-order combines: splittability is the only gate.
+            (AllreduceAlgorithm::PipelinedTree, segmented),
         ];
-        let mut best = AllreduceAlgorithm::RecursiveDoubling;
-        let mut best_cost = f64::INFINITY;
-        for algo in candidates {
-            let eligible = match algo {
-                AllreduceAlgorithm::ReduceScatterAllgather => {
-                    commutative && splittable && ranks >= 2
-                }
-                // Rank-order combines: splittability is the only gate.
-                AllreduceAlgorithm::PipelinedTree => splittable && ranks >= 2,
-                _ => true,
-            };
-            if !eligible {
-                continue;
-            }
+        let mut best = (AllreduceAlgorithm::RecursiveDoubling, f64::INFINITY);
+        for (algo, _) in candidates.into_iter().filter(|&(_, eligible)| eligible) {
             let estimate = algo.estimated_seconds(cost, ranks, bytes);
-            if estimate < best_cost {
-                best = algo;
-                best_cost = estimate;
+            if estimate < best.1 {
+                best = (algo, estimate);
             }
         }
-        best
+        match best.0 {
+            AllreduceAlgorithm::PipelinedTree => {
+                (best.0, BcastAlgorithm::tree_segments(cost, ranks, bytes))
+            }
+            algo => (algo, 1),
+        }
     }
 }
 
@@ -346,7 +343,12 @@ impl BcastAlgorithm {
     /// splittable and the priced `S > 1` estimate is strictly lower. At
     /// small states the chooser itself returns `S = 1` and the two
     /// estimates coincide, so the whole-state tree keeps running.
-    pub fn select_segments(cost: &CostModel, ranks: usize, bytes: usize, splittable: bool) -> usize {
+    pub fn select_segments(
+        cost: &CostModel,
+        ranks: usize,
+        bytes: usize,
+        splittable: bool,
+    ) -> usize {
         let s = Self::tree_segments(cost, ranks, bytes);
         let segmented_wins = splittable
             && s > 1
@@ -356,16 +358,6 @@ impl BcastAlgorithm {
             s
         } else {
             1
-        }
-    }
-
-    /// [`select_segments`](Self::select_segments), as the regime it
-    /// lands in.
-    pub fn select(cost: &CostModel, ranks: usize, bytes: usize, splittable: bool) -> BcastAlgorithm {
-        if Self::select_segments(cost, ranks, bytes, splittable) > 1 {
-            BcastAlgorithm::Pipelined
-        } else {
-            BcastAlgorithm::Binomial
         }
     }
 }
@@ -471,7 +463,10 @@ impl ScanAlgorithm {
         pipeline_segments(cost, ranks - 1, bytes)
     }
 
-    /// Picks the cheapest eligible scan schedule for one call.
+    /// The plan one scan call runs: the cheapest eligible schedule and
+    /// its segment count — [`chain_segments`](Self::chain_segments) for
+    /// the pipelined chain, 1 otherwise — as `Comm::scan_both_by` takes
+    /// it.
     ///
     /// `splittable` says whether the caller can split the state into
     /// segments satisfying the `SplittableState` laws; the pipelined
@@ -481,25 +476,28 @@ impl ScanAlgorithm {
     /// entry of the preference order (recursive doubling, then binomial),
     /// so the latency-optimal schedule wins when the model cannot
     /// separate them.
-    pub fn select(cost: &CostModel, ranks: usize, bytes: usize, splittable: bool) -> ScanAlgorithm {
+    pub fn select(
+        cost: &CostModel,
+        ranks: usize,
+        bytes: usize,
+        splittable: bool,
+    ) -> (ScanAlgorithm, usize) {
         let candidates = [
-            ScanAlgorithm::RecursiveDoubling,
-            ScanAlgorithm::Binomial,
-            ScanAlgorithm::PipelinedChain,
+            (ScanAlgorithm::RecursiveDoubling, true),
+            (ScanAlgorithm::Binomial, true),
+            (ScanAlgorithm::PipelinedChain, splittable && ranks >= 2),
         ];
-        let mut best = ScanAlgorithm::RecursiveDoubling;
-        let mut best_cost = f64::INFINITY;
-        for algo in candidates {
-            if algo == ScanAlgorithm::PipelinedChain && !(splittable && ranks >= 2) {
-                continue;
-            }
+        let mut best = (ScanAlgorithm::RecursiveDoubling, f64::INFINITY);
+        for (algo, _) in candidates.into_iter().filter(|&(_, eligible)| eligible) {
             let estimate = algo.estimated_seconds(cost, ranks, bytes);
-            if estimate < best_cost {
-                best = algo;
-                best_cost = estimate;
+            if estimate < best.1 {
+                best = (algo, estimate);
             }
         }
-        best
+        match best.0 {
+            ScanAlgorithm::PipelinedChain => (best.0, Self::chain_segments(cost, ranks, bytes)),
+            algo => (algo, 1),
+        }
     }
 }
 
@@ -545,7 +543,7 @@ mod tests {
         // 8 bytes at p=8: latency dominates; RS+AG pays 2·3 rounds of
         // latency vs RD's 3.
         assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 8, true, true),
+            AllreduceAlgorithm::select(&m, 8, 8, true, true).0,
             AllreduceAlgorithm::RecursiveDoubling
         );
     }
@@ -556,17 +554,17 @@ mod tests {
         // 64 KiB at p=8: bandwidth dominates; RS+AG ships n/p per hop.
         assert_eq!(
             AllreduceAlgorithm::select(&m, 8, 64 << 10, true, true),
-            AllreduceAlgorithm::ReduceScatterAllgather
+            (AllreduceAlgorithm::ReduceScatterAllgather, 1)
         );
         // Same size but non-commutative: the circulant is ineligible and
         // the rank-order segmented tree picks up the win instead.
         assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 64 << 10, false, true),
+            AllreduceAlgorithm::select(&m, 8, 64 << 10, false, true).0,
             AllreduceAlgorithm::PipelinedTree
         );
         // Unsplittable: neither segmented schedule is eligible.
         assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 64 << 10, true, false),
+            AllreduceAlgorithm::select(&m, 8, 64 << 10, true, false).0,
             AllreduceAlgorithm::RecursiveDoubling
         );
     }
@@ -580,7 +578,7 @@ mod tests {
         // doubling must stay the default at every rank count.
         for p in 2..=64usize {
             assert_eq!(
-                ScanAlgorithm::select(&m, p, 8, false),
+                ScanAlgorithm::select(&m, p, 8, false).0,
                 ScanAlgorithm::RecursiveDoubling,
                 "p={p}"
             );
@@ -590,7 +588,7 @@ mod tests {
         // equal and the chain legitimately wins on aggregate traffic).
         for p in 4..=64usize {
             assert_eq!(
-                ScanAlgorithm::select(&m, p, 8, true),
+                ScanAlgorithm::select(&m, p, 8, true).0,
                 ScanAlgorithm::RecursiveDoubling,
                 "p={p} splittable"
             );
@@ -603,11 +601,11 @@ mod tests {
         // 64 KiB at p=8: aggregate traffic dominates; binomial moves
         // Θ(p) states where Hillis–Steele moves Θ(p·log p).
         assert_eq!(
-            ScanAlgorithm::select(&m, 8, 64 << 10, false),
+            ScanAlgorithm::select(&m, 8, 64 << 10, false).0,
             ScanAlgorithm::Binomial
         );
         assert_eq!(
-            ScanAlgorithm::select(&m, 16, 64 << 10, false),
+            ScanAlgorithm::select(&m, 16, 64 << 10, false).0,
             ScanAlgorithm::Binomial
         );
     }
@@ -615,13 +613,14 @@ mod tests {
     #[test]
     fn scan_selector_picks_pipelined_chain_for_large_splittable_states() {
         let m = CostModel::cluster_2006();
+        // At the chain chooser's segment count (10 here).
         assert_eq!(
             ScanAlgorithm::select(&m, 8, 64 << 10, true),
-            ScanAlgorithm::PipelinedChain
+            (ScanAlgorithm::PipelinedChain, 10)
         );
         // Unsplittable state: chain ineligible regardless of cost.
         assert_ne!(
-            ScanAlgorithm::select(&m, 8, 64 << 10, false),
+            ScanAlgorithm::select(&m, 8, 64 << 10, false).0,
             ScanAlgorithm::PipelinedChain
         );
     }
@@ -647,7 +646,10 @@ mod tests {
         // Huge states hit the 64-segment cap.
         assert_eq!(ScanAlgorithm::chain_segments(&m, 64, 64 << 20), 64);
         // The free model must not divide by zero (NaN → 1 segment).
-        assert_eq!(ScanAlgorithm::chain_segments(&CostModel::free(), 8, 1 << 20), 1);
+        assert_eq!(
+            ScanAlgorithm::chain_segments(&CostModel::free(), 8, 1 << 20),
+            1
+        );
     }
 
     #[test]
@@ -677,8 +679,7 @@ mod tests {
             gamma: 0.0,
         };
         for p in 2..=17usize {
-            let expected_rounds = p.ilog2() as f64
-                + if p.is_power_of_two() { 0.0 } else { 2.0 };
+            let expected_rounds = p.ilog2() as f64 + if p.is_power_of_two() { 0.0 } else { 2.0 };
             let est = AllreduceAlgorithm::RecursiveDoubling.estimated_seconds(&m, p, 8);
             assert!(
                 (est - expected_rounds).abs() < 1e-9,
@@ -719,12 +720,32 @@ mod tests {
 
     #[test]
     fn reduce_broadcast_is_never_cheaper_than_recursive_doubling() {
-        let m = CostModel::cluster_2006();
-        for p in 2..64usize {
-            for bytes in [1usize, 64, 4 << 10, 1 << 20] {
-                let rb = AllreduceAlgorithm::ReduceBroadcast.estimated_seconds(&m, p, bytes);
-                let rd = AllreduceAlgorithm::RecursiveDoubling.estimated_seconds(&m, p, bytes);
-                assert!(rd <= rb, "p={p} bytes={bytes}: rd={rd} rb={rb}");
+        // Why `select` need not price reduce+bcast: at every p, size and
+        // α/β ratio — α-only, β-only, the 2006 cluster, a host-like model
+        // and the floors `measure_cost_model` clamps to — recursive
+        // doubling is at most as dear, and it comes first in the order.
+        let model = |alpha, beta| CostModel {
+            alpha,
+            beta,
+            gamma: 0.0,
+        };
+        let models = [
+            CostModel::cluster_2006(),
+            CostModel::free(),
+            model(1.0, 0.0),
+            model(0.0, 1.0e-9),
+            model(1.0e-5, 5.87e-10),
+            model(1.0e-9, 1.0e-13),
+            model(1.0e-9, 1.0e-9),
+            model(1.0, 1.0e-13),
+        ];
+        for m in models {
+            for p in 1..=64usize {
+                for bytes in [0usize, 1, 64, 4 << 10, 1 << 20, 16 << 20] {
+                    let rb = AllreduceAlgorithm::ReduceBroadcast.estimated_seconds(&m, p, bytes);
+                    let rd = AllreduceAlgorithm::RecursiveDoubling.estimated_seconds(&m, p, bytes);
+                    assert!(rd <= rb, "{m:?} p={p} bytes={bytes}: rd={rd} rb={rb}");
+                }
             }
         }
     }
@@ -733,26 +754,30 @@ mod tests {
     fn segmented_tree_serves_large_non_commutative_splittable_states() {
         let m = CostModel::cluster_2006();
         // 256 KiB at p=8, non-commutative: RS+AG is ineligible, and the
-        // tree's pipelining beats recursive doubling's full-state rounds.
+        // tree's pipelining beats recursive doubling's full-state rounds,
+        // at the tree chooser's segment count.
         assert_eq!(
             AllreduceAlgorithm::select(&m, 8, 256 << 10, false, true),
-            AllreduceAlgorithm::PipelinedTree
+            (
+                AllreduceAlgorithm::PipelinedTree,
+                BcastAlgorithm::tree_segments(&m, 8, 256 << 10)
+            )
         );
         // At p=2 the tree is a two-hop pipeline and still beats
         // recursive doubling's single full-state exchange.
         assert_eq!(
-            AllreduceAlgorithm::select(&m, 2, 64 << 10, false, true),
+            AllreduceAlgorithm::select(&m, 2, 64 << 10, false, true).0,
             AllreduceAlgorithm::PipelinedTree
         );
         // Commutative at 64 KiB: RS+AG still wins — the segmented tree
         // must not displace the existing large-state pick.
         assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 64 << 10, true, true),
+            AllreduceAlgorithm::select(&m, 8, 64 << 10, true, true).0,
             AllreduceAlgorithm::ReduceScatterAllgather
         );
         // Unsplittable: the segmented tree is ineligible at any size.
         assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 1 << 20, false, false),
+            AllreduceAlgorithm::select(&m, 8, 1 << 20, false, false).0,
             AllreduceAlgorithm::RecursiveDoubling
         );
     }
@@ -764,14 +789,10 @@ mod tests {
         // estimates coincide, and the tie must go to the whole-state
         // binomial so existing runs stay bit-for-bit identical.
         for p in 2..=64usize {
+            assert_eq!(BcastAlgorithm::select_segments(&m, p, 8, true), 1, "p={p}");
             assert_eq!(
-                BcastAlgorithm::select(&m, p, 8, true),
-                BcastAlgorithm::Binomial,
-                "p={p}"
-            );
-            assert_eq!(
-                BcastAlgorithm::select(&m, p, 8, false),
-                BcastAlgorithm::Binomial,
+                BcastAlgorithm::select_segments(&m, p, 8, false),
+                1,
                 "p={p} unsplittable"
             );
         }
@@ -780,19 +801,10 @@ mod tests {
     #[test]
     fn bcast_selector_pipelines_large_splittable_states() {
         let m = CostModel::cluster_2006();
-        assert_eq!(
-            BcastAlgorithm::select(&m, 8, 64 << 10, true),
-            BcastAlgorithm::Pipelined
-        );
-        assert_eq!(
-            BcastAlgorithm::select(&m, 8, 256 << 10, true),
-            BcastAlgorithm::Pipelined
-        );
+        assert!(BcastAlgorithm::select_segments(&m, 8, 64 << 10, true) > 1);
+        assert!(BcastAlgorithm::select_segments(&m, 8, 256 << 10, true) > 1);
         // Unsplittable states never route to the pipelined tree.
-        assert_eq!(
-            BcastAlgorithm::select(&m, 8, 1 << 20, false),
-            BcastAlgorithm::Binomial
-        );
+        assert_eq!(BcastAlgorithm::select_segments(&m, 8, 1 << 20, false), 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod cost;
 pub mod fault;
 pub mod localview;
 mod mailbox;
-pub mod measured;
+mod measured;
 mod message;
 pub mod request;
 pub mod runtime;
@@ -45,12 +45,9 @@ pub use cost::{
     ScanAlgorithm,
 };
 pub use fault::{FaultOp, FaultPlan, FaultSummary, InjectedKill};
-pub use measured::{Calibration, CalibrationSnapshot, CostSource};
 pub use mailbox::{ShutdownError, ShutdownKind, Source};
 pub use message::{Tag, RESERVED_TAG_BASE};
 pub use request::{test_any, wait_all, Request, RequestError};
-pub use runtime::{
-    FailureReport, RunError, RunOutcome, Runtime, DEFAULT_PARK_TIMEOUT,
-};
+pub use runtime::{FailureReport, RunError, RunOutcome, Runtime, DEFAULT_PARK_TIMEOUT};
 pub use stats::{CallKind, KernelSnapshot, Stats, StatsSnapshot, TransportSnapshot};
 pub use watchdog::{BlockedOn, RankStall, RankState, StallReport};

@@ -1,267 +1,234 @@
-//! Online measured α–β–γ calibration ([`CostSource::Measured`]).
+//! Measuring the host: [`Comm::measure_cost_model`] times this process's
+//! own transport and returns the α–β–γ [`CostModel`] it read.
 //!
 //! The fixed [`CostModel::cluster_2006`] constants model the *paper's*
-//! network so that recorded figures stay comparable across PRs — but the
-//! schedule *selectors* (`AllreduceAlgorithm::select`,
-//! `ScanAlgorithm::select`) want the α–β profile of the **actual host**,
-//! or their crossovers are a guess and the runtime can systematically
-//! pick the wrong schedule. This module closes that loop:
-//!
-//! * [`Comm::calibrate_cost_model`](crate::comm::Comm::calibrate_cost_model)
-//!   runs lightweight timestamped probe exchanges (reduction-shaped
-//!   ping-pongs: the echoing side folds over the payload bytes before
-//!   replying, because on a reduction's critical path every shipped byte
-//!   is also combined) and a black-boxed scalar loop, yielding wall-clock
-//!   samples of per-message latency (α), per-byte hop cost (β), and
-//!   per-operation compute cost (γ);
-//! * samples land in a shared [`Calibration`] as one link estimate —
-//!   every message crosses a lane the same way, so one (α, β) pair
-//!   prices them all;
-//! * estimates are **EWMA-smoothed with a warmup gate**: until every
-//!   parameter has [`Calibration::warmup`] samples,
-//!   [`Calibration::model`] returns `None` and selection falls back
-//!   to the fixed model, so early noise can never flip a crossover.
-//!
-//! ## Cross-rank determinism
-//!
-//! Schedule selection must agree on every rank of a collective call, or
-//! ranks would run different schedules against each other and deadlock.
-//! The published estimates therefore only move inside
-//! `calibrate_cost_model`'s barrier-bracketed publish window: probes
-//! record into a *pending* accumulator, and a single rank copies pending
-//! → active between two barriers. Outside calibration the active
-//! estimates are immutable, so every rank prices a given collective from
-//! the same model. (This is also why the recording harnesses keep the
-//! default [`CostSource::Fixed`]: measured estimates are host-dependent
-//! wall-clock quantities and would make the pinned figures unstable.)
+//! network, so that recorded figures stay comparable across revisions; a
+//! selector priced from a measured model picks this host's crossovers
+//! instead. The model is a value — the caller decides where it goes
+//! (`AllreduceAlgorithm::select`, `Runtime::cost_model`), and measuring
+//! it changes nothing the runtime does afterwards — and every rank gets
+//! the same bits, so it can drive a selection every rank must agree on.
 
-use std::sync::Mutex;
-
+use crate::collectives::TagBase;
+use crate::comm::Comm;
 use crate::cost::CostModel;
+use crate::message::Tag;
 
-/// Default number of samples each parameter needs before the measured
-/// model is trusted (see [`Calibration::model`]).
-pub const DEFAULT_WARMUP: u64 = 2;
+/// Ping-pongs per probe burst; the minimum filters scheduler noise.
+const BURST: usize = 8;
+/// Scalar accumulates per γ probe.
+const GAMMA_OPS: u64 = 8192;
+/// Probe payloads in bytes, far enough apart for a stable slope.
+const SMALL: usize = 64;
+const LARGE: usize = 64 << 10;
 
-/// Where schedule selection gets its cost model.
-///
-/// This is a *selection* knob only: the virtual clock always advances by
-/// the communicator's fixed clock model, so `Measured` changes which
-/// schedule runs, never how a given schedule is priced in the recordings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CostSource {
-    /// Price schedules from this fixed model. The default is the
-    /// communicator's clock model (`cluster_2006` unless overridden), so
-    /// recordings made before this knob existed are bit-identical.
-    Fixed(CostModel),
-    /// Price schedules from the online measured calibration, falling
-    /// back to the clock model until the warmup gate opens.
-    Measured,
-}
+/// What one rank sends rank 0: its pair's best small and large one-way
+/// times (initiators only), and its best γ.
+type Sample = (Option<(f64, f64)>, f64);
 
-impl Default for CostSource {
-    fn default() -> Self {
-        CostSource::Fixed(CostModel::cluster_2006())
-    }
-}
-
-/// Exponentially weighted moving average with a sample count.
-///
-/// The first sample initializes the mean; later samples fold in with
-/// weight `LAMBDA`, so a stale estimate converges to a shifted regime in
-/// a handful of rounds while one noisy probe moves it only fractionally.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Ewma {
-    mean: f64,
-    samples: u64,
-}
-
-impl Ewma {
-    /// Smoothing factor: weight of each new sample after the first.
-    const LAMBDA: f64 = 0.25;
-
-    fn record(&mut self, x: f64) {
-        self.samples += 1;
-        if self.samples == 1 {
-            self.mean = x;
+impl Comm {
+    /// Measures this host's α–β–γ cost model over `rounds` probe rounds
+    /// (collective over this communicator; `rounds` ≥ 1).
+    ///
+    /// Each round, every rank times a black-boxed scalar loop (γ), and
+    /// after a barrier each even/odd rank pair runs reduction-shaped
+    /// ping-pongs — the echoing side folds over the payload before
+    /// replying, since on a reduction's critical path every shipped byte
+    /// is also combined — at 64 B and 64 KiB, keeping the minimum one-way
+    /// time of each burst. Over the rounds the initiator of each pair
+    /// keeps its minimum small and large times, and every rank its minimum
+    /// γ. Rank 0 turns each pair's two times into α and β (the secant
+    /// through them), averages α and β over the pairs and γ over the
+    /// ranks, in rank order, and broadcasts the model. At p = 1 there is
+    /// no link to time, so α and β are the clock model's.
+    ///
+    /// Probe traffic is real traffic: it shows up in the message and byte
+    /// counters and advances the virtual clock, so a recording harness
+    /// measures in a run of its own.
+    pub fn measure_cost_model(&self, rounds: usize) -> CostModel {
+        assert!(rounds >= 1, "a cost model takes at least one probe round");
+        self.barrier();
+        let _guard = self.enter_collective();
+        let tag = TagBase::Calibrate.tag(self.next_collective_salt());
+        let r = self.rank();
+        let partner = r ^ 1;
+        let paired = partner < self.size(); // odd rank count: the last rank only probes γ
+        let (mut small, mut large, mut gamma) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for _ in 0..rounds {
+            gamma = gamma.min(probe_gamma());
+            // Every pair starts its small burst together: with more ranks
+            // than cores, a pair already folding 64 KiB holds a core for
+            // tens of µs at a time, on top of a neighbour's 64-byte pings.
+            self.barrier();
+            if paired {
+                small = small.min(self.probe_pingpong(partner, tag, SMALL));
+                large = large.min(self.probe_pingpong(partner, tag, LARGE));
+            }
+        }
+        // Only the initiator's times are one-way estimates.
+        let own: Sample = ((paired && r < partner).then_some((small, large)), gamma);
+        let model = if r == 0 {
+            let samples: Vec<Sample> = std::iter::once(own)
+                .chain((1..self.size()).map(|src| self.recv(src, tag)))
+                .collect();
+            let links: Vec<(f64, f64)> = samples.iter().filter_map(|s| s.0).map(secant).collect();
+            let clock = self.cost_model();
+            let (alpha, beta) = if links.is_empty() {
+                (clock.alpha, clock.beta)
+            } else {
+                (
+                    mean(links.iter().map(|l| l.0)),
+                    mean(links.iter().map(|l| l.1)),
+                )
+            };
+            let gamma = mean(samples.iter().map(|s| s.1.max(1.0e-12)));
+            Some(CostModel { alpha, beta, gamma })
         } else {
-            self.mean += Self::LAMBDA * (x - self.mean);
+            self.send(0, tag, own);
+            None
+        };
+        self.bcast(0, model)
+    }
+
+    /// One probe burst against `partner`: one `bytes`-byte buffer bounces
+    /// between the two, each side folding over it on arrival. The lower
+    /// rank initiates and returns its best (minimum) one-way wall time;
+    /// the higher rank echoes and returns an unused estimate.
+    fn probe_pingpong(&self, partner: usize, tag: Tag, bytes: usize) -> f64 {
+        fn fold(payload: &[u8]) -> u64 {
+            let mut acc = 0u64;
+            for &b in payload {
+                acc = acc.wrapping_add(u64::from(std::hint::black_box(b)));
+            }
+            std::hint::black_box(acc)
         }
-    }
-}
-
-/// The full estimate set: the link's α and β, and γ.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Estimates {
-    alpha: Ewma,
-    beta: Ewma,
-    gamma: Ewma,
-}
-
-/// Shared online calibration state (one per runtime, like `Stats`).
-///
-/// Probes record into `pending`; [`Calibration::publish`] copies pending
-/// into `active` inside the calibrate collective's barrier-bracketed
-/// window (see the module docs for why), and [`Calibration::model`]
-/// reads only `active`.
-#[derive(Debug, Default)]
-pub struct Calibration {
-    warmup: u64,
-    pending: Mutex<Estimates>,
-    active: Mutex<Estimates>,
-}
-
-impl Calibration {
-    /// Creates an empty calibration requiring `warmup` samples per
-    /// parameter before [`model`](Self::model) trusts the estimates.
-    pub fn new(warmup: u64) -> Self {
-        Calibration {
-            warmup,
-            pending: Mutex::new(Estimates::default()),
-            active: Mutex::new(Estimates::default()),
+        let initiator = self.rank() < partner;
+        // The one buffer that bounces, allocated outside every timed
+        // window: a collective ships states it already holds.
+        let mut buffer = if initiator {
+            vec![0u8; bytes]
+        } else {
+            Vec::new()
+        };
+        let mut best = f64::INFINITY;
+        for _ in 0..BURST {
+            if initiator {
+                let started = std::time::Instant::now();
+                self.send_with_bytes(partner, tag, buffer, bytes);
+                buffer = self.recv(partner, tag);
+                fold(&buffer);
+                best = best.min(started.elapsed().as_secs_f64() / 2.0);
+            } else {
+                let probe: Vec<u8> = self.recv(partner, tag);
+                fold(&probe);
+                self.send_with_bytes(partner, tag, probe, bytes);
+            }
         }
-    }
-
-    /// The configured warmup gate, in samples per parameter.
-    pub fn warmup(&self) -> u64 {
-        self.warmup
-    }
-
-    /// Records one (α, β) probe sample into the pending accumulator. Not
-    /// visible to [`model`](Self::model) until the next
-    /// [`publish`](Self::publish).
-    pub fn record_link(&self, alpha: f64, beta: f64) {
-        let mut pending = lock(&self.pending);
-        pending.alpha.record(alpha.max(1.0e-9));
-        pending.beta.record(beta.max(1.0e-13));
-    }
-
-    /// Records one γ probe sample (seconds per abstract operation).
-    pub fn record_gamma(&self, gamma: f64) {
-        lock(&self.pending).gamma.record(gamma.max(1.0e-12));
-    }
-
-    /// Publishes the pending estimates. Must only be called while every
-    /// rank of the runtime is quiescent between two barriers (exactly
-    /// what `Comm::calibrate_cost_model` arranges) — see the module docs.
-    pub fn publish(&self) {
-        *lock(&self.active) = *lock(&self.pending);
-    }
-
-    /// The measured model, or `None` while any parameter is still inside
-    /// the warmup gate.
-    pub fn model(&self) -> Option<CostModel> {
-        let active = lock(&self.active);
-        let samples = active.alpha.samples.min(active.beta.samples).min(active.gamma.samples);
-        (samples >= self.warmup).then(|| CostModel {
-            alpha: active.alpha.mean,
-            beta: active.beta.mean,
-            gamma: active.gamma.mean,
-        })
-    }
-
-    /// A point-in-time copy of the published estimates, for display.
-    pub fn snapshot(&self) -> CalibrationSnapshot {
-        let active = lock(&self.active);
-        CalibrationSnapshot {
-            warmup: self.warmup,
-            alpha: active.alpha.mean,
-            beta: active.beta.mean,
-            link_samples: active.alpha.samples.min(active.beta.samples),
-            gamma: active.gamma.mean,
-            gamma_samples: active.gamma.samples,
-        }
+        best
     }
 }
 
-fn lock(estimates: &Mutex<Estimates>) -> std::sync::MutexGuard<'_, Estimates> {
-    estimates.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A point-in-time copy of the published [`Calibration`] estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CalibrationSnapshot {
-    /// The warmup gate in effect, in samples per parameter.
-    pub warmup: u64,
-    /// Measured per-message latency in seconds.
-    pub alpha: f64,
-    /// Measured per-byte hop cost in seconds.
-    pub beta: f64,
-    /// Samples behind the weaker of the α and β estimates.
-    pub link_samples: u64,
-    /// Measured per-operation compute cost in seconds.
-    pub gamma: f64,
-    /// Samples behind the γ estimate.
-    pub gamma_samples: u64,
-}
-
-impl CalibrationSnapshot {
-    /// Whether every parameter cleared the warmup gate at snapshot time.
-    pub fn is_warm(&self) -> bool {
-        self.link_samples.min(self.gamma_samples) >= self.warmup
+/// Seconds per black-boxed scalar accumulate.
+fn probe_gamma() -> f64 {
+    let started = std::time::Instant::now();
+    let mut acc = 0u64;
+    for i in 0..GAMMA_OPS {
+        acc = acc.wrapping_add(std::hint::black_box(i));
     }
+    std::hint::black_box(acc);
+    started.elapsed().as_secs_f64() / GAMMA_OPS as f64
+}
+
+/// A pair's (α, β) from its best small and large one-way times: β is the
+/// size-differenced slope, α the small time less its bytes. Both are
+/// clamped positive — differencing two noisy minima can go negative.
+fn secant((small, large): (f64, f64)) -> (f64, f64) {
+    let beta = (large - small) / (LARGE - SMALL) as f64;
+    let alpha = small - beta * SMALL as f64;
+    (alpha.max(1.0e-9), beta.max(1.0e-13))
+}
+
+/// The mean of `values`, summed in the order given.
+fn mean(values: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = values.len();
+    values.sum::<f64>() / n as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::AllreduceAlgorithm;
+    use crate::runtime::Runtime;
 
     #[test]
-    fn warmup_gate_blocks_until_enough_samples() {
-        let cal = Calibration::new(2);
-        assert_eq!(cal.model(), None, "empty calibration");
-        cal.record_link(1.0e-6, 1.0e-10);
-        cal.record_gamma(1.0e-9);
-        cal.publish();
-        assert_eq!(cal.model(), None, "one sample is below warmup");
-        assert!(!cal.snapshot().is_warm());
-        cal.record_link(3.0e-6, 3.0e-10);
-        cal.publish();
-        assert_eq!(cal.model(), None, "γ is still one sample short");
-        cal.record_gamma(1.0e-9);
-        cal.publish();
-        let model = cal.model().expect("every parameter is warm");
-        // EWMA: 1.0 + 0.25·(3.0 − 1.0) = 1.5 µs.
-        assert!((model.alpha - 1.5e-6).abs() < 1e-12, "alpha={}", model.alpha);
-        assert!(cal.snapshot().is_warm());
+    fn every_rank_returns_the_same_positive_model() {
+        for p in [1usize, 2, 3, 5, 8] {
+            let outcome = Runtime::new(p).run(|comm| comm.measure_cost_model(2));
+            let bits = |m: &CostModel| [m.alpha, m.beta, m.gamma].map(f64::to_bits);
+            let first = bits(&outcome.results[0]);
+            for (r, m) in outcome.results.iter().enumerate() {
+                assert_eq!(bits(m), first, "p={p}: rank {r} measured {m:?}");
+                for x in [m.alpha, m.beta, m.gamma] {
+                    assert!(x.is_finite() && x > 0.0, "p={p}: {m:?}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn pending_samples_are_invisible_until_publish() {
-        let cal = Calibration::new(1);
-        cal.record_link(1.0e-6, 1.0e-10);
-        cal.record_gamma(1.0e-9);
-        assert_eq!(cal.model(), None, "not yet published");
-        cal.publish();
-        assert!(cal.model().is_some());
-        // New pending samples do not move the active estimate...
-        cal.record_link(9.0e-6, 9.0e-10);
-        let before = cal.snapshot().alpha;
-        assert!((before - 1.0e-6).abs() < 1e-15);
-        // ...until the next publish.
-        cal.publish();
-        assert!(cal.snapshot().alpha > before);
+    fn a_single_rank_keeps_the_clock_models_link() {
+        let clock = CostModel {
+            alpha: 3.0e-6,
+            beta: 7.0e-10,
+            gamma: 1.0e-9,
+        };
+        let outcome = Runtime::new(1)
+            .cost_model(clock)
+            .run(|comm| comm.measure_cost_model(3));
+        let m = outcome.results[0];
+        assert_eq!((m.alpha, m.beta), (clock.alpha, clock.beta));
+        assert!(m.gamma.is_finite() && m.gamma > 0.0, "{m:?}");
     }
 
     #[test]
-    fn samples_are_clamped_to_positive_values() {
-        let cal = Calibration::new(1);
-        // Negative β can fall out of differencing two noisy probes; the
-        // model must stay physically sensible.
-        cal.record_link(-1.0, -1.0);
-        cal.record_gamma(-1.0);
-        cal.publish();
-        let snap = cal.snapshot();
-        assert!(snap.alpha > 0.0);
-        assert!(snap.beta > 0.0);
-        assert!(snap.gamma > 0.0);
-    }
-
-    #[test]
-    fn default_cost_source_is_the_fixed_paper_model() {
-        assert_eq!(
-            CostSource::default(),
-            CostSource::Fixed(CostModel::cluster_2006())
+    fn measuring_changes_nothing_that_runs_after_it() {
+        const P: usize = 4;
+        const ROUNDS: usize = 2;
+        let run = |measure: bool| {
+            Runtime::new(P).run(move |comm| {
+                if measure {
+                    comm.measure_cost_model(ROUNDS);
+                }
+                let state = vec![comm.rank() as u64; 8 << 10]; // 64 KiB
+                comm.allreduce_splittable(
+                    state,
+                    true,
+                    gv_core::split::split_vec_segments,
+                    gv_core::split::unsplit_vec_segments,
+                    |v: &Vec<u64>| v.len() * 8,
+                    |mut a, b| {
+                        a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+                        a
+                    },
+                )
+            })
+        };
+        let (plain, measured) = (run(false), run(true));
+        assert_eq!(plain.results, measured.results);
+        for algo in AllreduceAlgorithm::ALL {
+            assert_eq!(
+                plain.stats.allreduce_algorithm_calls(algo),
+                measured.stats.allreduce_algorithm_calls(algo),
+                "{algo:?}"
+            );
+        }
+        // Each pair bounces a small and a large buffer BURST times a round.
+        let probes = ROUNDS * (P / 2) * 2 * 2 * BURST;
+        assert!(
+            measured.stats.messages >= plain.stats.messages + probes as u64,
+            "probe traffic missing from the counters: {} against {} + {probes}",
+            measured.stats.messages,
+            plain.stats.messages
         );
     }
 }

@@ -34,7 +34,6 @@ use crate::comm::{Comm, SplitRegistry};
 use crate::cost::CostModel;
 use crate::fault::{FaultCounters, FaultPlan, FaultSummary, InjectedKill};
 use crate::mailbox::{build_lane_transport, ShutdownError};
-use crate::measured::{Calibration, CalibrationSnapshot, CostSource, DEFAULT_WARMUP};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::watchdog::{FailureCells, ProgressBoard, RankMonitor, StallReport};
 
@@ -55,7 +54,6 @@ pub const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_millis(50);
 pub struct Runtime {
     ranks: usize,
     cost: CostModel,
-    cost_source: Option<CostSource>,
     park_timeout: Duration,
     watchdog: Option<Duration>,
     fault: FaultPlan,
@@ -78,9 +76,6 @@ pub struct RunOutcome<R> {
     /// CPUs, so this is *not* the parallel time — that is
     /// [`modeled_seconds`](Self::modeled_seconds)).
     pub wall: Duration,
-    /// Final state of the measured α–β–γ estimates (all zeros with zero
-    /// sample counts unless [`Comm::calibrate_cost_model`] ran).
-    pub calibration: CalibrationSnapshot,
     /// What the fault plan actually injected (all zeros without a plan —
     /// the recordings guard pins that a disabled plan changes nothing).
     pub faults: FaultSummary,
@@ -169,28 +164,43 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+/// The stall-watchdog window a read of `GV_WATCHDOG_MS` asks for: `None`
+/// when the variable is unset or `0`. Anything but a whole number of
+/// milliseconds panics, naming the variable and its value.
+fn watchdog_window(var: Result<String, std::env::VarError>) -> Option<Duration> {
+    let value = match var {
+        Err(std::env::VarError::NotPresent) => return None,
+        other => other.unwrap_or_else(|e| e.to_string()),
+    };
+    let ms: u64 = value.trim().parse().unwrap_or_else(|_| {
+        panic!(
+            "GV_WATCHDOG_MS={value:?} is not a whole number of milliseconds \
+             (unset it or set it to 0 to turn the stall watchdog off)"
+        )
+    });
+    (ms > 0).then(|| Duration::from_millis(ms))
+}
+
 impl Runtime {
     /// A runtime with `ranks` ranks and the default cost model.
     ///
     /// If the `GV_WATCHDOG_MS` environment variable is set to a positive
     /// integer, a stall watchdog with that window (in milliseconds) is
     /// enabled by default — CI sets it so no hang regression can stall a
-    /// test run forever. [`watchdog`](Self::watchdog) /
-    /// [`no_watchdog`](Self::no_watchdog) override it per runtime.
+    /// test run forever; unset or `0` leaves it off.
+    /// [`watchdog`](Self::watchdog) / [`no_watchdog`](Self::no_watchdog)
+    /// override it per runtime.
     ///
     /// # Panics
-    /// Panics if `ranks` is zero.
+    /// Panics if `ranks` is zero, or if `GV_WATCHDOG_MS` is set to
+    /// anything but a whole number of milliseconds (a value such as `30s`
+    /// must not turn the watchdog off unnoticed).
     pub fn new(ranks: usize) -> Self {
         assert!(ranks >= 1, "a runtime needs at least one rank");
-        let watchdog = std::env::var("GV_WATCHDOG_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis);
+        let watchdog = watchdog_window(std::env::var("GV_WATCHDOG_MS"));
         Runtime {
             ranks,
             cost: CostModel::default(),
-            cost_source: None,
             park_timeout: DEFAULT_PARK_TIMEOUT,
             watchdog,
             fault: FaultPlan::default(),
@@ -200,18 +210,6 @@ impl Runtime {
     /// Replaces the cost model.
     pub fn cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Chooses where schedule selection prices its candidates (see
-    /// [`Comm::selection_cost_model`]). Defaults to
-    /// [`CostSource::Fixed`] with the clock's cost model, which keeps
-    /// every recorded figure bit-identical to earlier revisions; pass
-    /// [`CostSource::Measured`] (plus a [`Comm::calibrate_cost_model`]
-    /// call in the rank closure) to let observed host timings drive the
-    /// crossovers instead.
-    pub fn cost_source(mut self, source: CostSource) -> Self {
-        self.cost_source = Some(source);
         self
     }
 
@@ -321,10 +319,6 @@ impl Runtime {
             Some(plan) if plan.has_delays() => self.park_timeout.min(Duration::from_millis(1)),
             _ => self.park_timeout,
         };
-        // Selection defaults to pricing from the clock model — measured
-        // calibration is strictly opt-in so recordings stay comparable.
-        let cost_source = self.cost_source.unwrap_or(CostSource::Fixed(self.cost));
-        let calibration = Arc::new(Calibration::new(DEFAULT_WARMUP));
         let started = Instant::now();
 
         let mut slots: Vec<Option<(R, f64)>> = Vec::with_capacity(p);
@@ -366,7 +360,6 @@ impl Runtime {
                 let culprit = Arc::clone(&cells.culprit);
                 let board = Arc::clone(&board);
                 let parkers = Arc::clone(&parkers);
-                let calibration = Arc::clone(&calibration);
                 let counters = Arc::clone(&counters);
                 let (cells, failure) = (&cells, &failure);
                 let f = &f;
@@ -377,8 +370,13 @@ impl Runtime {
                 let spawned = std::thread::Builder::new()
                     .name(format!("gv-rank-{rank}"))
                     .spawn_scoped(scope, move || {
-                        let monitor =
-                            RankMonitor::new(rank, aborted, culprit, Arc::clone(&board), rank_park_timeout);
+                        let monitor = RankMonitor::new(
+                            rank,
+                            aborted,
+                            culprit,
+                            Arc::clone(&board),
+                            rank_park_timeout,
+                        );
                         let faults = plan.map(|plan| plan.for_rank(rank, counters));
                         let comm = Comm::new_world(crate::comm::WorldInit {
                             rank,
@@ -389,12 +387,9 @@ impl Runtime {
                             registry,
                             monitor,
                             faults,
-                            cost_source,
-                            calibration,
                         });
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || f(&comm),
-                        ));
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
                         // Cancel leftover (detached) schedules and break the
                         // `Comm → Engine → Comm` cycle their boxed state
                         // holds, on both the clean and the panic path.
@@ -481,8 +476,10 @@ impl Runtime {
             let payload = payloads[report.rank].take();
             return Err((RunError::Failed(report), payload));
         }
-        if let Some((rank, payload)) =
-            payloads.iter_mut().enumerate().find_map(|(r, p)| p.take().map(|p| (r, p)))
+        if let Some((rank, payload)) = payloads
+            .iter_mut()
+            .enumerate()
+            .find_map(|(r, p)| p.take().map(|p| (r, p)))
         {
             // Backstop: a panic escaped without a recorded report (should
             // be unreachable — the handler always records the first).
@@ -510,7 +507,6 @@ impl Runtime {
             rank_clocks,
             stats: stats.snapshot(),
             wall,
-            calibration: calibration.snapshot(),
             faults: counters.summary(),
         })
     }
@@ -555,7 +551,10 @@ mod tests {
             let prefix = comm.scan_inclusive(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
             (sum, prefix)
         });
-        assert_eq!(outcome.results, vec![(15, 1), (15, 3), (15, 6), (15, 10), (15, 15)]);
+        assert_eq!(
+            outcome.results,
+            vec![(15, 1), (15, 3), (15, 6), (15, 10), (15, 15)]
+        );
         // Schedule-level accounting: recursive doubling at p=5 folds one
         // pair (2 messages) around 2 rounds × 4 survivors; the shifted
         // scan sends p−d messages in each of its rounds d = 1, 2, 4.
@@ -658,7 +657,14 @@ mod tests {
             RunError::Failed(report) => {
                 assert_eq!(report.rank, 2);
                 let kill = report.injected.expect("typed injected kill");
-                assert_eq!(kill, InjectedKill { rank: 2, op: FaultOp::Collective, nth: 2 });
+                assert_eq!(
+                    kill,
+                    InjectedKill {
+                        rank: 2,
+                        op: FaultOp::Collective,
+                        nth: 2
+                    }
+                );
             }
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -756,46 +762,26 @@ mod tests {
     }
 
     #[test]
-    fn measured_cost_source_calibrates_without_deadlock() {
-        let outcome = Runtime::new(4)
-            .cost_source(CostSource::Measured)
-            .run(|comm| {
-                assert_eq!(comm.cost_source(), CostSource::Measured);
-                comm.calibrate_cost_model(2);
-                // Whatever the host timings say, every rank must price
-                // from the same published estimates and agree.
-                let cost = comm.selection_cost_model();
-                crate::cost::AllreduceAlgorithm::select(&cost, comm.size(), 64 << 10, true, true)
-            });
-        assert!(
-            outcome.calibration.is_warm(),
-            "2 rounds × 2 initiators clear the warmup gate: {:?}",
-            outcome.calibration
-        );
-        let first = outcome.results[0];
-        assert!(
-            outcome.results.iter().all(|&algo| algo == first),
-            "ranks disagree: {:?}",
-            outcome.results
+    fn watchdog_env_var_is_off_when_unset_or_zero_and_a_window_otherwise() {
+        use std::env::VarError;
+        assert_eq!(watchdog_window(Err(VarError::NotPresent)), None);
+        assert_eq!(watchdog_window(Ok("0".to_string())), None);
+        assert_eq!(
+            watchdog_window(Ok(" 30000\n".to_string())),
+            Some(Duration::from_secs(30))
         );
     }
 
     #[test]
-    fn default_cost_source_is_the_clock_model() {
-        let custom = CostModel {
-            alpha: 1.0e-6,
-            beta: 2.0e-9,
-            gamma: 3.0e-9,
-        };
-        let outcome = Runtime::new(2).cost_model(custom).run(|comm| {
-            // Without an explicit cost_source the selector prices from
-            // the clock model — including a non-default one.
-            assert_eq!(comm.cost_source(), CostSource::Fixed(custom));
-            assert_eq!(comm.selection_cost_model(), custom);
-        });
-        // No calibration ran: the snapshot is empty and gated.
-        assert!(!outcome.calibration.is_warm());
-        assert_eq!(outcome.calibration.gamma_samples, 0);
+    #[should_panic(expected = "GV_WATCHDOG_MS=\"30s\" is not a whole number of milliseconds")]
+    fn watchdog_env_var_with_a_unit_is_an_error_not_off() {
+        watchdog_window(Ok("30s".to_string()));
+    }
+
+    #[test]
+    #[should_panic(expected = "GV_WATCHDOG_MS=\"3e4\"")]
+    fn watchdog_env_var_in_exponent_form_is_an_error_not_off() {
+        watchdog_window(Ok("3e4".to_string()));
     }
 
     #[test]

@@ -270,7 +270,7 @@ fn selector_only_picks_eligible_schedules() {
             let bytes = 1usize << *log_bytes;
             for commutative in [true, false] {
                 for splittable in [true, false] {
-                    let picked =
+                    let (picked, _) =
                         AllreduceAlgorithm::select(&cost, *p, bytes, commutative, splittable);
                     if picked == AllreduceAlgorithm::ReduceScatterAllgather
                         && !(commutative && splittable)

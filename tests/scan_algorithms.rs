@@ -194,7 +194,11 @@ fn scan_both_counts_one_scan_call_per_schedule() {
                 comm.scan_both_by((algo, 1), mine, whole(), |_| 8, |a, b| a + b);
             });
             let name = algo.name();
-            assert_eq!(outcome.stats.calls(CallKind::Scan), p as u64, "{name} p={p}");
+            assert_eq!(
+                outcome.stats.calls(CallKind::Scan),
+                p as u64,
+                "{name} p={p}"
+            );
             assert_eq!(outcome.stats.calls(CallKind::Exscan), 0, "{name} p={p}");
             assert_eq!(
                 outcome.stats.scan_algorithm_calls(algo),
@@ -247,7 +251,7 @@ fn selector_only_picks_eligible_scan_schedules() {
             let cost = CostModel::cluster_2006();
             let bytes = 1usize << *log_bytes;
             for splittable in [true, false] {
-                let picked = ScanAlgorithm::select(&cost, *p, bytes, splittable);
+                let (picked, _) = ScanAlgorithm::select(&cost, *p, bytes, splittable);
                 if picked == ScanAlgorithm::PipelinedChain && !(splittable && *p >= 2) {
                     return Err(format!(
                         "chain selected for splittable={splittable} p={p} bytes={bytes}"
@@ -289,11 +293,14 @@ fn crossover_binomial_and_chain_beat_recursive_doubling_at_64kib_p8() {
     assert!(chain < bin, "estimate: chain={chain} binomial={bin}");
     assert_eq!(
         ScanAlgorithm::select(&cost, 8, bytes, false),
-        ScanAlgorithm::Binomial
+        (ScanAlgorithm::Binomial, 1)
     );
     assert_eq!(
         ScanAlgorithm::select(&cost, 8, bytes, true),
-        ScanAlgorithm::PipelinedChain
+        (
+            ScanAlgorithm::PipelinedChain,
+            ScanAlgorithm::chain_segments(&cost, 8, bytes)
+        )
     );
 
     let add = |mut a: Vec<u64>, b: Vec<u64>| {
@@ -308,7 +315,9 @@ fn crossover_binomial_and_chain_beat_recursive_doubling_at_64kib_p8() {
         comm.scan_both(state, wire, add);
     });
     assert_eq!(
-        unsplittable.stats.scan_algorithm_calls(ScanAlgorithm::Binomial),
+        unsplittable
+            .stats
+            .scan_algorithm_calls(ScanAlgorithm::Binomial),
         8
     );
     let splittable = Runtime::new(8).run(move |comm| {
@@ -374,9 +383,17 @@ fn non_power_of_two_selector_matrix_picks_the_estimate_argmin() {
                 let expected_ex: Vec<i64> = (0..elems as i64)
                     .map(|i| (0..r as i64).map(|q| q + i).sum())
                     .collect();
-                let runs = [("selector", selector), ("rd", rd), ("bin", bin), ("chain", chain)];
+                let runs = [
+                    ("selector", selector),
+                    ("rd", rd),
+                    ("bin", bin),
+                    ("chain", chain),
+                ];
                 for (name, (ex, inc)) in runs {
-                    assert_eq!(inc, expected_inc, "{name} inclusive p={p} bytes={bytes} r={r}");
+                    assert_eq!(
+                        inc, expected_inc,
+                        "{name} inclusive p={p} bytes={bytes} r={r}"
+                    );
                     if r == 0 {
                         assert_eq!(ex, None, "{name} rank 0 p={p} bytes={bytes}");
                     } else {
@@ -442,7 +459,10 @@ fn default_call_shapes_stay_on_recursive_doubling() {
             2 * p as u64,
             "p={p}"
         );
-        assert_eq!(outcome.stats.scan_algorithm_calls(ScanAlgorithm::Binomial), 0);
+        assert_eq!(
+            outcome.stats.scan_algorithm_calls(ScanAlgorithm::Binomial),
+            0
+        );
         assert_eq!(
             outcome
                 .stats
@@ -511,7 +531,10 @@ fn nonblocking_scans_move_the_identical_traffic_as_blocking() {
             };
             let blocking = run(false);
             let requests = run(true);
-            assert_eq!(blocking.results, requests.results, "results, p={p} bytes={bytes}");
+            assert_eq!(
+                blocking.results, requests.results,
+                "results, p={p} bytes={bytes}"
+            );
             assert_eq!(
                 blocking.stats.messages, requests.stats.messages,
                 "messages, p={p} bytes={bytes}"
