@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
-use gv_msgpass::{AllreduceAlgorithm, CostModel, FaultPlan, Runtime};
+use gv_msgpass::{AllreduceAlgorithm, CostModel, FaultPlan, Runtime, ScanAlgorithm};
 
 fn recorded(name: &str) -> String {
     let path: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -118,7 +118,9 @@ fn disabled_fault_machinery_leaves_runs_bit_identical() {
                 wire,
                 add,
             );
-            comm.scan_both_splittable(state, split_vec_segments, unsplit_vec_segments, wire, add);
+            let plan = ScanAlgorithm::select(&comm.cost_model(), comm.size(), wire(&state), true);
+            let segmentation = (split_vec_segments, unsplit_vec_segments);
+            comm.scan_both_by(plan, state, segmentation, wire, add);
         }
         comm.now()
     };

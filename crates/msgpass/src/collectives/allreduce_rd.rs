@@ -196,7 +196,7 @@ mod tests {
     }
 
     fn isum(comm: &Comm, value: u64) -> Request<u64> {
-        comm.iallreduce_by((RecursiveDoubling, 1), value, whole(), |_| 8, |a, b| a + b)
+        comm.iallreduce(value, true, |_| 8, |a, b| a + b)
     }
 
     #[test]

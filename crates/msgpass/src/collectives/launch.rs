@@ -5,8 +5,9 @@
 //! (construction issues the initial sends), then either drive the
 //! schedule on the caller's stack or register it with the rank's
 //! progress engine. [`Comm::launch`] is those steps, once; the last one
-//! is the [`Mode`] type parameter, so a blocking entry point and its `i*`
-//! twin differ in that one token and nothing else.
+//! is the [`Mode`] type parameter, so [`Comm::allreduce`] and
+//! [`Comm::iallreduce`] — the one collective with a non-blocking form —
+//! differ in that one token and nothing else.
 
 use crate::comm::Comm;
 use crate::message::Tag;

@@ -27,12 +27,12 @@
 //! previous round's combine, and the matching receive is the only
 //! suspension point.
 
-use super::launch::{Blocking, Nonblocking};
+use super::launch::Blocking;
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
-use crate::request::{Request, Schedule};
+use crate::request::Schedule;
 use crate::stats::CallKind;
 
 /// Rounds of the circulant schedules: `⌈log₂p⌉`.
@@ -76,7 +76,7 @@ where
         assert_eq!(
             segments.len(),
             p,
-            "reduce_scatter_block needs exactly one segment per rank"
+            "the reduce-scatter needs exactly one segment per rank"
         );
         let slots: Vec<Option<T>> = segments.into_iter().map(Some).collect();
         let mut schedule = ReduceScatterCirculantSchedule {
@@ -340,45 +340,16 @@ where
 }
 
 impl Comm {
-    /// Reduce-scatter with one block per rank: every rank contributes
-    /// `p` segments (segment `j` destined for rank `j`) and ends with
-    /// the across-ranks combination of its own segment.
-    ///
-    /// Runs the circulant schedule — `⌈log₂p⌉` rounds at any `p` (see
-    /// the module docs). Blocks combine in power-of-two stride order, so
-    /// the operator must be commutative.
-    ///
-    /// # Panics
-    /// Panics unless `segments.len() == self.size()`.
-    pub fn reduce_scatter_block<T: Send + 'static>(
-        &self,
-        segments: Vec<T>,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        self.launch::<Blocking, _>(CallKind::ReduceScatter, |comm, salt| {
-            ReduceScatterCirculantSchedule::new(comm, segments, salt, bytes_of, combine)
-        })
-    }
-
-    /// Non-blocking [`reduce_scatter_block`](Self::reduce_scatter_block).
-    pub fn ireduce_scatter_block<T: Send + 'static>(
-        &self,
-        segments: Vec<T>,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<T> {
-        self.launch::<Nonblocking, _>(CallKind::ReduceScatter, |comm, salt| {
-            ReduceScatterCirculantSchedule::new(comm, segments, salt, bytes_of, combine)
-        })
-    }
-
     /// Gathers one value per rank and delivers the full rank-ordered
     /// vector to every rank by the circulant allgather: `⌈log₂p⌉` rounds
-    /// at any `p`, each value `size_of::<T>()` bytes on the wire.
-    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
+    /// at any `p`, each value `bytes_of(value)` bytes on the wire.
+    pub fn allgather<T: Clone + Send + 'static>(
+        &self,
+        value: T,
+        bytes_of: impl Fn(&T) -> usize,
+    ) -> Vec<T> {
         self.launch::<Blocking, _>(CallKind::Allgather, |comm, salt| {
-            AllgatherCirculantSchedule::new(comm, value, salt, |_: &T| std::mem::size_of::<T>())
+            AllgatherCirculantSchedule::new(comm, value, salt, bytes_of)
         })
     }
 }
@@ -391,39 +362,6 @@ mod tests {
     use crate::cost::AllreduceAlgorithm;
     use crate::runtime::Runtime;
     use crate::stats::CallKind;
-
-    #[test]
-    fn reduce_scatter_leaves_each_rank_its_combined_segment() {
-        for p in [1usize, 2, 3, 4, 6, 7, 8, 9, 12, 13] {
-            let outcome = Runtime::new(p).run(move |comm| {
-                let r = comm.rank() as u64;
-                // Rank r contributes value r·100 + j to segment j.
-                let segments: Vec<u64> = (0..p as u64).map(|j| r * 100 + j).collect();
-                comm.reduce_scatter_block(segments, |_| 8, |a, b| a + b)
-            });
-            for (rank, got) in outcome.results.into_iter().enumerate() {
-                let expected: u64 =
-                    (0..p as u64).map(|r| r * 100 + rank as u64).sum();
-                assert_eq!(got, expected, "p={p} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn ireduce_scatter_matches_blocking() {
-        for p in [1usize, 2, 4, 7] {
-            let outcome = Runtime::new(p).run(move |comm| {
-                let r = comm.rank() as u64;
-                let segments: Vec<u64> = (0..p as u64).map(|j| r * 100 + j).collect();
-                let mut req = comm.ireduce_scatter_block(segments, |_| 8, |a, b| a + b);
-                req.wait().unwrap()
-            });
-            for (rank, got) in outcome.results.into_iter().enumerate() {
-                let expected: u64 = (0..p as u64).map(|r| r * 100 + rank as u64).sum();
-                assert_eq!(got, expected, "p={p} rank={rank}");
-            }
-        }
-    }
 
     fn add(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
         for (x, y) in a.iter_mut().zip(b) {
@@ -478,11 +416,6 @@ mod tests {
             );
         });
         assert_eq!(outcome.stats.calls(CallKind::Allreduce), 4);
-        assert_eq!(
-            outcome.stats.calls(CallKind::ReduceScatter),
-            0,
-            "inner reduce-scatter not double-counted"
-        );
         assert_eq!(outcome.stats.calls(CallKind::Allgather), 0);
     }
 
@@ -503,7 +436,7 @@ mod tests {
 
     #[test]
     fn allgather_delivers_everywhere() {
-        let outcome = Runtime::new(6).run(|comm| comm.allgather(comm.rank() as i32 - 3));
+        let outcome = Runtime::new(6).run(|comm| comm.allgather(comm.rank() as i32 - 3, |_| 4));
         let expected: Vec<i32> = (0..6).map(|r| r - 3).collect();
         for res in outcome.results {
             assert_eq!(res, expected);
@@ -513,7 +446,7 @@ mod tests {
     #[test]
     fn allgather_counts_one_collective_call_per_rank() {
         let outcome = Runtime::new(4).run(|comm| {
-            comm.allgather(comm.rank());
+            comm.allgather(comm.rank(), |_| 8);
         });
         assert_eq!(outcome.stats.calls(CallKind::Allgather), 4);
         assert_eq!(outcome.stats.calls(CallKind::Bcast), 0);

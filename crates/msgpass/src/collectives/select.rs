@@ -27,22 +27,24 @@
 //! For scans every candidate schedule combines in rank order, so only
 //! *splittability* discriminates: [`Comm::scan_inclusive`] /
 //! [`Comm::scan_exclusive`] / [`Comm::scan_both`] choose between
-//! recursive doubling and the binomial sweep, and the `_splittable`
-//! variants additionally admit the segmented chain.
+//! recursive doubling and the binomial sweep, and
+//! [`Comm::scan_exclusive_splittable`] additionally admits the segmented
+//! chain.
 //!
 //! A caller that must run one schedule — an ablation measuring each, a
 //! test pinning one — passes the plan the selector would have produced:
-//! [`Comm::allreduce_by`], [`Comm::iallreduce_by`] and
-//! [`Comm::scan_both_by`] take `(algorithm, segment count)` and skip the
-//! pricing, so which schedule runs is decided here and nowhere else.
-//! (`bcast_pipelined` and `reduce_pipelined` in `tree.rs` are the tree's
-//! forced forms: there the plan is only the segment count.)
+//! [`Comm::allreduce_by`] and [`Comm::scan_both_by`] take `(algorithm,
+//! segment count)` and skip the pricing, so which schedule runs is
+//! decided here and nowhere else. (`bcast_pipelined` and
+//! `reduce_pipelined` in `tree.rs` are the tree's forced forms: there the
+//! plan is only the segment count.)
 //!
-//! Every schedule is a resumable state machine, so each entry point has
-//! a non-blocking twin ([`Comm::iallreduce`], [`Comm::iscan_inclusive`],
-//! …) that differs only in the launch [`Mode`]: the four `start_*`
-//! family constructors below are generic over it, and every entry point
-//! in `collectives/` — selector-routed or forced — goes through them.
+//! Every collective here drives its schedule on the caller's stack except
+//! [`Comm::iallreduce`], the one non-blocking entry point: it registers
+//! the same allreduce schedule with the rank's progress engine and
+//! returns a [`Request`]. Its state is unsplittable, so the selector's
+//! only eligible schedule — and the only one the engine runs — is
+//! recursive doubling.
 //!
 //! Selection uses this rank's local `bytes_of(&value)` as the wire size.
 //! Under the SPMD convention that all ranks pass equal-shaped states
@@ -59,51 +61,8 @@ use super::scan_chain::ScanChainSchedule;
 use super::tree::{whole, TreeAllreduce, TreeBcast, TreeReduce};
 use crate::comm::Comm;
 use crate::cost::{AllreduceAlgorithm, BcastAlgorithm, ScanAlgorithm};
-use crate::request::{Map, Request};
+use crate::request::Request;
 use crate::stats::CallKind;
-
-/// A scan schedule's normalized output: `(exclusive, inclusive)`, the
-/// exclusive half `None` on rank 0 and either half `None` when unwanted.
-type ScanHalves<T> = (Option<T>, Option<T>);
-
-/// What a scan entry point consumes: which halves (this gates only local
-/// clones and combines, never the message schedule) and how the
-/// normalized pair becomes the entry point's return value.
-pub(crate) struct ScanShape<F> {
-    exclusive: bool,
-    inclusive: bool,
-    finish: F,
-}
-
-pub(crate) fn inclusive<T>() -> ScanShape<impl FnOnce(ScanHalves<T>) -> T> {
-    let finish = |(_, inc): ScanHalves<T>| inc.expect("inclusive result was requested");
-    ScanShape {
-        exclusive: false,
-        inclusive: true,
-        finish,
-    }
-}
-
-/// Rank 0 has no exclusive prefix and receives `ident()`.
-pub(crate) fn exclusive<T>(
-    ident: impl FnOnce() -> T,
-) -> ScanShape<impl FnOnce(ScanHalves<T>) -> T> {
-    let finish = |(ex, _): ScanHalves<T>| ex.unwrap_or_else(ident);
-    ScanShape {
-        exclusive: true,
-        inclusive: false,
-        finish,
-    }
-}
-
-pub(crate) fn both<T>() -> ScanShape<impl FnOnce(ScanHalves<T>) -> (Option<T>, T)> {
-    let finish = |(ex, inc): ScanHalves<T>| (ex, inc.expect("inclusive result was requested"));
-    ScanShape {
-        exclusive: true,
-        inclusive: true,
-        finish,
-    }
-}
 
 impl Comm {
     /// The allreduce family's one constructor: records the schedule and
@@ -162,21 +121,6 @@ impl Comm {
         self.start_allreduce::<Blocking, _>(plan, value, segmentation, bytes_of, combine)
     }
 
-    /// Non-blocking [`allreduce_by`](Self::allreduce_by).
-    pub fn iallreduce_by<T: Clone + Send + 'static>(
-        &self,
-        plan: (AllreduceAlgorithm, usize),
-        value: T,
-        segmentation: (
-            impl FnOnce(T, usize) -> Vec<T>,
-            impl FnOnce(Vec<T>) -> T + 'static,
-        ),
-        bytes_of: impl Fn(&T) -> usize + Clone + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<T> {
-        self.start_allreduce::<Nonblocking, _>(plan, value, segmentation, bytes_of, combine)
-    }
-
     /// Allreduce with cost-driven schedule selection for whole (scalar,
     /// unsplittable) states. `commutative` is the operator's flag; every
     /// whole-state schedule is rank-order safe, so a non-commutative
@@ -195,7 +139,7 @@ impl Comm {
             commutative,
             false,
         );
-        self.start_allreduce::<Blocking, _>(plan, value, whole(), bytes_of, combine)
+        self.allreduce_by(plan, value, whole(), bytes_of, combine)
     }
 
     /// Non-blocking [`allreduce`](Self::allreduce): the same cost-driven
@@ -238,49 +182,26 @@ impl Comm {
             commutative,
             true,
         );
-        self.start_allreduce::<Blocking, _>(plan, value, (split, unsplit), bytes_of, combine)
+        self.allreduce_by(plan, value, (split, unsplit), bytes_of, combine)
     }
 
-    /// Non-blocking [`allreduce_splittable`](Self::allreduce_splittable).
-    pub fn iallreduce_splittable<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        commutative: bool,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T + 'static,
-        bytes_of: impl Fn(&T) -> usize + Clone + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<T> {
-        let plan = AllreduceAlgorithm::select(
-            &self.cost_model(),
-            self.size(),
-            bytes_of(&value),
-            commutative,
-            true,
-        );
-        self.start_allreduce::<Nonblocking, _>(plan, value, (split, unsplit), bytes_of, combine)
-    }
-
-    /// The broadcast family's one constructor. `S = 1` is recorded as
-    /// [`BcastAlgorithm::Binomial`], anything above as
-    /// [`BcastAlgorithm::Pipelined`].
-    pub(crate) fn start_bcast<'a, M: Mode<'a>, T: Clone + Send + 'static>(
+    /// The broadcast family's one constructor, driven on the caller's
+    /// stack. `S = 1` is recorded as [`BcastAlgorithm::Binomial`],
+    /// anything above as [`BcastAlgorithm::Pipelined`].
+    pub(crate) fn start_bcast<T: Clone + Send + 'static>(
         &self,
         segments: usize,
         root: usize,
         value: Option<T>,
-        (split, unsplit): (
-            impl FnOnce(T, usize) -> Vec<T>,
-            impl FnOnce(Vec<T>) -> T + 'a,
-        ),
-        bytes_of: impl Fn(&T) -> usize + 'a,
-    ) -> M::Handle<T> {
+        (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+        bytes_of: impl Fn(&T) -> usize,
+    ) -> T {
         self.counters().record_bcast_algorithm(if segments > 1 {
             BcastAlgorithm::Pipelined
         } else {
             BcastAlgorithm::Binomial
         });
-        self.launch::<M, _>(CallKind::Bcast, |comm, salt| {
+        self.launch::<Blocking, _>(CallKind::Bcast, |comm, salt| {
             TreeBcast::new(comm, root, value, segments, split, salt, bytes_of, unsplit)
         })
     }
@@ -301,23 +222,21 @@ impl Comm {
     ) -> T {
         let segments =
             BcastAlgorithm::select_segments(&self.cost_model(), self.size(), wire_bytes, true);
-        self.start_bcast::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of)
+        self.start_bcast(segments, root, value, (split, unsplit), bytes_of)
     }
 
-    /// The rooted-reduce family's one constructor.
-    pub(crate) fn start_reduce<'a, M: Mode<'a>, T: Send + 'static>(
+    /// The rooted-reduce family's one constructor, driven on the
+    /// caller's stack.
+    pub(crate) fn start_reduce<T: Send + 'static>(
         &self,
         segments: usize,
         root: usize,
         value: T,
-        (split, unsplit): (
-            impl FnOnce(T, usize) -> Vec<T>,
-            impl FnOnce(Vec<T>) -> T + 'a,
-        ),
-        bytes_of: impl Fn(&T) -> usize + 'a,
-        combine: impl FnMut(T, T) -> T + 'a,
-    ) -> M::Handle<Option<T>> {
-        self.launch::<M, _>(CallKind::Reduce, |comm, salt| {
+        (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+        bytes_of: impl Fn(&T) -> usize,
+        combine: impl FnMut(T, T) -> T,
+    ) -> Option<T> {
+        self.launch::<Blocking, _>(CallKind::Reduce, |comm, salt| {
             TreeReduce::new(
                 comm, root, value, segments, split, salt, bytes_of, combine, unsplit,
             )
@@ -343,49 +262,51 @@ impl Comm {
             bytes_of(&value),
             true,
         );
-        self.start_reduce::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of, combine)
+        self.start_reduce(segments, root, value, (split, unsplit), bytes_of, combine)
     }
 
-    /// The scan family's one constructor. `plan` is `(algorithm, chain
-    /// segment count)`. A dedicated exclusive scan is recorded as
+    /// The scan family's one constructor, driven on the caller's stack.
+    /// `plan` is `(algorithm, chain segment count)`; `(exclusive,
+    /// inclusive)` says which halves the caller consumes, which gates
+    /// only local clones and combines, never the message schedule. The
+    /// result is `(exclusive, inclusive)`: the exclusive half is `None`
+    /// on rank 0, and either half may be `None` when it was not asked
+    /// for. A dedicated exclusive scan is recorded as
     /// [`CallKind::Exscan`], everything else as [`CallKind::Scan`] (the
     /// `scan_both` convention).
-    pub(crate) fn start_scan<'a, M: Mode<'a>, T: Clone + Send + 'static, R: 'a>(
+    pub(crate) fn start_scan<T: Clone + Send + 'static>(
         &self,
         (algo, segments): (ScanAlgorithm, usize),
         value: T,
-        (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T + 'a),
-        bytes_of: impl Fn(&T) -> usize + 'a,
-        combine: impl FnMut(T, T) -> T + 'a,
-        shape: ScanShape<impl FnOnce(ScanHalves<T>) -> R + 'a>,
-    ) -> M::Handle<R> {
+        (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T),
+        bytes_of: impl Fn(&T) -> usize,
+        combine: impl FnMut(T, T) -> T,
+        (exclusive, inclusive): (bool, bool),
+    ) -> (Option<T>, Option<T>) {
         self.counters().record_scan_algorithm(algo);
-        let ScanShape {
-            exclusive,
-            inclusive,
-            finish,
-        } = shape;
         let kind = if inclusive {
             CallKind::Scan
         } else {
             CallKind::Exscan
         };
         match algo {
-            ScanAlgorithm::RecursiveDoubling => self.launch::<M, _>(kind, |comm, salt| {
-                let schedule =
-                    ScanRdSchedule::new(comm, value, salt, bytes_of, combine, exclusive, inclusive);
-                Map::new(schedule, finish)
+            ScanAlgorithm::RecursiveDoubling => self.launch::<Blocking, _>(kind, |comm, salt| {
+                ScanRdSchedule::new(comm, value, salt, bytes_of, combine, exclusive, inclusive)
             }),
-            ScanAlgorithm::Binomial => self.launch::<M, _>(kind, |comm, salt| {
-                let schedule = ScanBinomialSchedule::new(comm, value, salt, bytes_of, combine);
-                Map::new(schedule, |(ex, inc)| finish((ex, Some(inc))))
-            }),
-            ScanAlgorithm::PipelinedChain => self.launch::<M, _>(kind, |comm, salt| {
-                let schedule = ScanChainSchedule::new(
-                    comm, value, segments, split, salt, bytes_of, combine, unsplit, exclusive,
-                );
-                Map::new(schedule, |(ex, inc)| finish((ex, Some(inc))))
-            }),
+            ScanAlgorithm::Binomial => {
+                let (ex, inc) = self.launch::<Blocking, _>(kind, |comm, salt| {
+                    ScanBinomialSchedule::new(comm, value, salt, bytes_of, combine)
+                });
+                (ex, Some(inc))
+            }
+            ScanAlgorithm::PipelinedChain => {
+                let (ex, inc) = self.launch::<Blocking, _>(kind, |comm, salt| {
+                    ScanChainSchedule::new(
+                        comm, value, segments, split, salt, bytes_of, combine, unsplit, exclusive,
+                    )
+                });
+                (ex, Some(inc))
+            }
         }
     }
 
@@ -398,18 +319,8 @@ impl Comm {
         combine: impl FnMut(T, T) -> T,
     ) -> T {
         let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
-        self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, inclusive())
-    }
-
-    /// Non-blocking [`scan_inclusive`](Self::scan_inclusive).
-    pub fn iscan_inclusive<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<T> {
-        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
-        self.start_scan::<Nonblocking, _, _>(plan, value, whole(), bytes_of, combine, inclusive())
+        let (_, inc) = self.start_scan(plan, value, whole(), bytes_of, combine, (false, true));
+        inc.expect("inclusive result was requested")
     }
 
     /// Exclusive scan with cost-driven schedule selection: rank `r`
@@ -422,27 +333,8 @@ impl Comm {
         combine: impl FnMut(T, T) -> T,
     ) -> T {
         let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
-        self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, exclusive(ident))
-    }
-
-    /// Non-blocking [`scan_exclusive`](Self::scan_exclusive); `ident`
-    /// runs when the request resolves on rank 0.
-    pub fn iscan_exclusive<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        ident: impl FnOnce() -> T + 'static,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<T> {
-        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
-        self.start_scan::<Nonblocking, _, _>(
-            plan,
-            value,
-            whole(),
-            bytes_of,
-            combine,
-            exclusive(ident),
-        )
+        let (ex, _) = self.start_scan(plan, value, whole(), bytes_of, combine, (true, false));
+        ex.unwrap_or_else(ident)
     }
 
     /// Both scans at once (one communication schedule): `(exclusive,
@@ -463,7 +355,7 @@ impl Comm {
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
         let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
-        self.start_scan::<Blocking, _, _>(plan, value, whole(), bytes_of, combine, both())
+        self.scan_both_by(plan, value, whole(), bytes_of, combine)
     }
 
     /// Both scans by the schedule `plan` names, bypassing the selector:
@@ -483,35 +375,15 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
-        self.start_scan::<Blocking, _, _>(plan, value, segmentation, bytes_of, combine, both())
+        let (ex, inc) = self.start_scan(plan, value, segmentation, bytes_of, combine, (true, true));
+        (ex, inc.expect("inclusive result was requested"))
     }
 
-    /// Inclusive scan over a splittable state: like
-    /// [`scan_inclusive`](Self::scan_inclusive), but the selector may
+    /// Exclusive scan over a splittable state: like
+    /// [`scan_exclusive`](Self::scan_exclusive), but the selector may
     /// additionally pick the segmented chain. `split`/`unsplit` must
     /// satisfy the `SplittableState` laws from `gv-core` and only run
-    /// when the chain wins.
-    pub fn scan_inclusive_splittable<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl Fn(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T {
-        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), true);
-        self.start_scan::<Blocking, _, _>(
-            plan,
-            value,
-            (split, unsplit),
-            bytes_of,
-            combine,
-            inclusive(),
-        )
-    }
-
-    /// Exclusive scan over a splittable state; rank 0 receives
-    /// `ident()`.
+    /// when the chain wins; rank 0 receives `ident()`.
     pub fn scan_exclusive_splittable<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -522,28 +394,9 @@ impl Comm {
         combine: impl FnMut(T, T) -> T,
     ) -> T {
         let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), true);
-        self.start_scan::<Blocking, _, _>(
-            plan,
-            value,
-            (split, unsplit),
-            bytes_of,
-            combine,
-            exclusive(ident),
-        )
-    }
-
-    /// Both scans over a splittable state in one schedule, under the
-    /// [`scan_both`](Self::scan_both) accounting convention.
-    pub fn scan_both_splittable<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl Fn(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> (Option<T>, T) {
-        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), true);
-        self.start_scan::<Blocking, _, _>(plan, value, (split, unsplit), bytes_of, combine, both())
+        let segmentation = (split, unsplit);
+        let (ex, _) = self.start_scan(plan, value, segmentation, bytes_of, combine, (true, false));
+        ex.unwrap_or_else(ident)
     }
 }
 
@@ -687,31 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn iallreduce_splittable_uses_ring_for_large_states() {
-        let outcome = Runtime::new(8).run(|comm| {
-            let state = vec![comm.rank() as u64; 8 << 10]; // 64 KiB
-            let mut req = comm.iallreduce_splittable(
-                state,
-                true,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            );
-            req.wait().unwrap()
-        });
-        for res in &outcome.results {
-            assert_eq!(res, &vec![28u64; 8 << 10]);
-        }
-        assert_eq!(
-            outcome
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::ReduceScatterAllgather),
-            8
-        );
-    }
-
-    #[test]
     fn splittable_selector_pipelines_large_non_commutative_states() {
         // 256 KiB, declared non-commutative: RS+AG is ineligible, but the
         // rank-order segmented tree is — and at this size and rank count
@@ -757,53 +585,6 @@ mod tests {
             pair.stats
                 .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedTree),
             2
-        );
-    }
-
-    #[test]
-    fn iallreduce_splittable_routes_pipelined_tree_like_blocking() {
-        let blocking = Runtime::new(8).run(|comm| {
-            let state = vec![comm.rank() as u64; 32 << 10];
-            comm.allreduce_splittable(
-                state,
-                false,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            )
-        });
-        let nonblocking = Runtime::new(8).run(|comm| {
-            let state = vec![comm.rank() as u64; 32 << 10];
-            let mut req = comm.iallreduce_splittable(
-                state,
-                false,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            );
-            req.wait().unwrap()
-        });
-        assert_eq!(blocking.results, nonblocking.results);
-        assert_eq!(
-            blocking
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedTree),
-            8,
-            "256 KiB non-commutative at p=8 must route the pipelined tree"
-        );
-        assert_eq!(
-            blocking
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedTree),
-            nonblocking
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedTree),
-        );
-        assert_eq!(
-            blocking.stats.messages, nonblocking.stats.messages,
-            "same schedule must move the same messages"
         );
     }
 
@@ -916,31 +697,5 @@ mod tests {
             )
         });
         assert_eq!(small.stats.messages, 7);
-    }
-
-    #[test]
-    fn iscan_variants_match_blocking_results() {
-        for p in [1usize, 2, 5, 8] {
-            let outcome = Runtime::new(p).run(|comm| {
-                let mut inc_req = comm.iscan_inclusive(
-                    format!("<{}>", comm.rank()),
-                    |s: &String| s.len(),
-                    |a, b| a + &b,
-                );
-                let mut exc_req = comm.iscan_exclusive(
-                    format!("<{}>", comm.rank()),
-                    String::new,
-                    |s: &String| s.len(),
-                    |a, b| a + &b,
-                );
-                (inc_req.wait().unwrap(), exc_req.wait().unwrap())
-            });
-            for (r, (inc, exc)) in outcome.results.iter().enumerate() {
-                let expected_inc: String = (0..=r).map(|i| format!("<{i}>")).collect();
-                let expected_exc: String = (0..r).map(|i| format!("<{i}>")).collect();
-                assert_eq!(inc, &expected_inc, "p={p} r={r}");
-                assert_eq!(exc, &expected_exc, "p={p} r={r}");
-            }
-        }
     }
 }

@@ -34,12 +34,11 @@
 //! the only clones are the down-sweep's keep-and-forward fan-out, one
 //! per child.
 
-use super::launch::{Blocking, Nonblocking};
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::message::Tag;
-use crate::request::{Request, Schedule};
+use crate::request::Schedule;
 
 /// The `(split, unsplit)` pair of a whole, unsplittable state: its
 /// one-segment segmentation. Pass it where an entry point takes a
@@ -475,13 +474,7 @@ impl Comm {
     /// Broadcasts from `root`. The root passes `Some(value)`, every other
     /// rank passes `None`; all ranks return the value.
     pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
-        self.start_bcast::<Blocking, _>(1, root, value, whole(), |_| std::mem::size_of::<T>())
-    }
-
-    /// Non-blocking [`bcast`](Self::bcast): every rank's request resolves
-    /// to the broadcast value.
-    pub fn ibcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> Request<T> {
-        self.start_bcast::<Nonblocking, _>(1, root, value, whole(), |_| std::mem::size_of::<T>())
+        self.start_bcast(1, root, value, whole(), |_| std::mem::size_of::<T>())
     }
 
     /// Broadcast of a vector, modeling `len · size_of::<T>()` wire bytes.
@@ -490,7 +483,7 @@ impl Comm {
         root: usize,
         value: Option<Vec<T>>,
     ) -> Vec<T> {
-        self.start_bcast::<Blocking, _>(1, root, value, whole(), vec_bytes)
+        self.start_bcast(1, root, value, whole(), vec_bytes)
     }
 
     /// Broadcast with an explicit segment count, bypassing the
@@ -507,7 +500,7 @@ impl Comm {
         unsplit: impl FnOnce(Vec<T>) -> T,
         bytes_of: impl Fn(&T) -> usize,
     ) -> T {
-        self.start_bcast::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of)
+        self.start_bcast(segments, root, value, (split, unsplit), bytes_of)
     }
 
     /// Reduces one value per rank to `root` along the binomial tree;
@@ -522,18 +515,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
-        self.start_reduce::<Blocking, _>(1, root, value, whole(), bytes_of, combine)
-    }
-
-    /// Non-blocking [`reduce`](Self::reduce).
-    pub fn ireduce<T: Send + 'static>(
-        &self,
-        root: usize,
-        value: T,
-        bytes_of: impl Fn(&T) -> usize + 'static,
-        combine: impl FnMut(T, T) -> T + 'static,
-    ) -> Request<Option<T>> {
-        self.start_reduce::<Nonblocking, _>(1, root, value, whole(), bytes_of, combine)
+        self.start_reduce(1, root, value, whole(), bytes_of, combine)
     }
 
     /// Rooted reduce with an explicit segment count (`Some(result)` at
@@ -550,20 +532,19 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
-        self.start_reduce::<Blocking, _>(segments, root, value, (split, unsplit), bytes_of, combine)
+        self.start_reduce(segments, root, value, (split, unsplit), bytes_of, combine)
     }
 }
 
 /// Wire bytes of a vector payload: `len · size_of::<T>()`.
 #[allow(clippy::ptr_arg)] // passed where Fn(&Vec<T>) -> usize is expected
-pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.len() * std::mem::size_of::<T>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::{vec_bytes as bytes_u64, whole};
-    use crate::collectives::launch::Nonblocking;
     use crate::comm::Comm;
     use crate::cost::{AllreduceAlgorithm, CostModel};
     use crate::runtime::Runtime;
@@ -648,20 +629,6 @@ mod tests {
         // root's serial send overhead of its 3 children.
         assert!(deepest >= 3.0 * alpha, "deepest={deepest}");
         assert!(deepest <= 5.5 * alpha, "deepest={deepest}");
-    }
-
-    #[test]
-    fn ibcast_overlaps_with_later_traffic() {
-        // Initiate the broadcast, run an unrelated collective, then wait:
-        // the request must still deliver the broadcast value.
-        let outcome = Runtime::new(6).run(|comm| {
-            let value = (comm.rank() == 1).then_some(comm.rank() as u64 + 41);
-            let mut req = comm.ibcast(1, value);
-            let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
-            let sum = comm.allreduce_by(plan, 1u64, whole(), |_| 8, |a, b| a + b);
-            (req.wait().unwrap(), sum)
-        });
-        assert_eq!(outcome.results, vec![(42, 6); 6]);
     }
 
     #[test]
@@ -812,20 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn ireduce_matches_blocking_reduce() {
-        for p in [1usize, 2, 5, 8] {
-            let outcome = Runtime::new(p).run(|comm| {
-                let mut req = comm.ireduce(0, comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
-                req.wait().unwrap()
-            });
-            let expected = (p * (p + 1) / 2) as u64;
-            for (rank, res) in outcome.results.into_iter().enumerate() {
-                assert_eq!(res, (rank == 0).then_some(expected), "p={p} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
     fn allreduce_reduce_bcast_delivers_everywhere() {
         let outcome = Runtime::new(7).run(move |comm| {
             let plan = (AllreduceAlgorithm::ReduceBroadcast, 1);
@@ -854,48 +807,6 @@ mod tests {
                 (2 * (p - 1) * s) as u64,
                 "p={p} s={s}"
             );
-        }
-    }
-
-    #[test]
-    fn non_blocking_variants_match_blocking_results() {
-        let p = 6;
-        let outcome = Runtime::new(p).run(move |comm| {
-            let segmentation = (split_vec_segments, unsplit_vec_segments);
-            let mut bc = comm.start_bcast::<Nonblocking, _>(
-                3,
-                1,
-                (comm.rank() == 1).then(|| vec![3u64; 12]),
-                segmentation,
-                bytes_u64,
-            );
-            let mut rd = comm.start_reduce::<Nonblocking, _>(
-                3,
-                2,
-                vec![comm.rank() as u64; 12],
-                segmentation,
-                bytes_u64,
-                add,
-            );
-            let mut ar = comm.iallreduce_by(
-                (AllreduceAlgorithm::PipelinedTree, 3),
-                vec![comm.rank() as u64 + 1; 12],
-                segmentation,
-                bytes_u64,
-                add,
-            );
-            (bc.wait().unwrap(), rd.wait().unwrap(), ar.wait().unwrap())
-        });
-        let sum_ranks: u64 = (0..p as u64).sum();
-        let sum_plus: u64 = (1..=p as u64).sum();
-        for (r, (bc, rd, ar)) in outcome.results.iter().enumerate() {
-            assert_eq!(bc, &vec![3u64; 12]);
-            if r == 2 {
-                assert_eq!(rd.as_ref().unwrap(), &vec![sum_ranks; 12]);
-            } else {
-                assert!(rd.is_none());
-            }
-            assert_eq!(ar, &vec![sum_plus; 12]);
         }
     }
 

@@ -525,7 +525,7 @@ impl Comm {
     /// Collective over the parent communicator.
     pub fn split(&self, color: i64, key: i64) -> Comm {
         assert!(color >= 0, "split colors must be non-negative");
-        let members = self.allgather((color, key, self.rank));
+        let members = self.allgather((color, key, self.rank), std::mem::size_of_val);
         let mut group: Vec<(i64, usize)> = members
             .iter()
             .filter(|(c, _, _)| *c == color)

@@ -1,5 +1,4 @@
-//! The paper's four **local-view** routines (§2) and their aggregated
-//! variants (§2.1).
+//! The paper's four **local-view** routines (§2).
 //!
 //! "The local-view abstractions can be supported by four routines. Two
 //! reduction routines, LOCAL_ALLREDUCE and LOCAL_REDUCE, compute a
@@ -10,14 +9,13 @@
 //! is necessary for the exclusive scan."
 //!
 //! Each routine takes the user's combine function (`(earlier, later) →
-//! combined`) and one value per processor. Aggregation (`*_agg`) reduces
-//! `m` independent values at once, element-wise, shipping all `m` partial
-//! results in **one** message per tree edge — "saving the overhead of many
-//! smaller messages".
+//! combined`) and one value per processor. §2.1's aggregation — `m`
+//! independent values reduced at once, element-wise, in **one** message
+//! per tree edge — is reproduced in `gv_rsmpi::agg`, as the ordinary
+//! global-view calls over the `Elementwise` operator (experiment
+//! TXT-AGG).
 
-use crate::collectives::tree::vec_bytes;
 use crate::comm::Comm;
-use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 
 /// `LOCAL_REDUCE`: reduction of one value per rank; `Some(result)` on
 /// `root`, `None` elsewhere. The tree is binomial, so the combine order
@@ -90,80 +88,6 @@ pub fn local_xscan_via_shift<T: Send + 'static>(
     ident: impl FnOnce() -> T,
 ) -> T {
     comm.shift_up(inclusive).unwrap_or_else(ident)
-}
-
-fn per_slot<T>(
-    mut combine: impl FnMut(T, T) -> T,
-) -> impl FnMut(Vec<T>, Vec<T>) -> Vec<T> {
-    move |earlier: Vec<T>, later: Vec<T>| {
-        assert_eq!(
-            earlier.len(),
-            later.len(),
-            "aggregated reduction requires equal value counts on every rank"
-        );
-        earlier
-            .into_iter()
-            .zip(later)
-            .map(|(a, b)| combine(a, b))
-            .collect()
-    }
-}
-
-/// Aggregated `LOCAL_REDUCE`: element-wise reduction of `values` across
-/// ranks (§2.1), one message per tree edge.
-pub fn local_reduce_agg<T: Send + 'static>(
-    comm: &Comm,
-    root: usize,
-    values: Vec<T>,
-    combine: impl FnMut(T, T) -> T,
-) -> Option<Vec<T>> {
-    comm.reduce(root, values, vec_bytes, per_slot(combine))
-}
-
-/// Aggregated `LOCAL_ALLREDUCE`.
-pub fn local_allreduce_agg<T: Clone + Send + 'static>(
-    comm: &Comm,
-    values: Vec<T>,
-    combine: impl FnMut(T, T) -> T,
-) -> Vec<T> {
-    comm.allreduce(values, true, vec_bytes, per_slot(combine))
-}
-
-/// Aggregated `LOCAL_SCAN` (element-wise inclusive scan across ranks).
-///
-/// Element-wise combining distributes over contiguous chunks, so the
-/// aggregate is always splittable and goes through the splittable scan
-/// selector (eligible for the pipelined chain schedule when wide).
-pub fn local_scan_agg<T: Clone + Send + 'static>(
-    comm: &Comm,
-    values: Vec<T>,
-    combine: impl FnMut(T, T) -> T,
-) -> Vec<T> {
-    comm.scan_inclusive_splittable(
-        values,
-        split_vec_segments,
-        unsplit_vec_segments,
-        vec_bytes,
-        per_slot(combine),
-    )
-}
-
-/// Aggregated `LOCAL_XSCAN`; `ident` supplies the identity *per element*.
-pub fn local_xscan_agg<T: Clone + Send + 'static>(
-    comm: &Comm,
-    ident: impl Fn() -> T,
-    values: Vec<T>,
-    combine: impl FnMut(T, T) -> T,
-) -> Vec<T> {
-    let width = values.len();
-    comm.scan_exclusive_splittable(
-        values,
-        || (0..width).map(|_| ident()).collect(),
-        split_vec_segments,
-        unsplit_vec_segments,
-        vec_bytes,
-        per_slot(combine),
-    )
 }
 
 #[cfg(test)]
@@ -294,56 +218,5 @@ mod tests {
             assert_eq!(direct, inverted);
             assert_eq!(direct, shifted);
         }
-    }
-
-    #[test]
-    fn aggregated_allreduce_is_elementwise() {
-        let outcome = Runtime::new(5).run(|comm| {
-            let values: Vec<i64> = (0..4).map(|j| (comm.rank() as i64) * 4 + j).collect();
-            local_allreduce_agg(comm, values, |a, b| a + b)
-        });
-        // Element j: sum over r of (4r + j) = 4·10 + 5j.
-        let expected: Vec<i64> = (0..4).map(|j| 40 + 5 * j).collect();
-        for got in outcome.results {
-            assert_eq!(got, expected);
-        }
-    }
-
-    #[test]
-    fn aggregated_scan_is_elementwise() {
-        let outcome = Runtime::new(4).run(|comm| {
-            let values = vec![comm.rank() as u64, 1];
-            let inc = local_scan_agg(comm, values.clone(), |a, b| a + b);
-            let exc = local_xscan_agg(comm, || 0u64, values, |a, b| a + b);
-            (inc, exc)
-        });
-        for (r, (inc, exc)) in outcome.results.into_iter().enumerate() {
-            let prefix_ranks: u64 = (0..=r as u64).sum();
-            assert_eq!(inc, vec![prefix_ranks, r as u64 + 1]);
-            assert_eq!(exc, vec![prefix_ranks - r as u64, r as u64]);
-        }
-    }
-
-    #[test]
-    fn aggregation_batches_messages() {
-        // k separate allreduces vs one aggregated: same values, far fewer
-        // messages (TXT-AGG's mechanism).
-        let k = 16usize;
-        let separate = Runtime::new(8).run(move |comm| {
-            for j in 0..k {
-                local_allreduce(comm, (comm.rank() + j) as u64, |a, b| a.min(b));
-            }
-        });
-        let aggregated = Runtime::new(8).run(move |comm| {
-            let values: Vec<u64> = (0..k).map(|j| (comm.rank() + j) as u64).collect();
-            local_allreduce_agg(comm, values, |a, b| a.min(b));
-        });
-        assert!(
-            aggregated.stats.messages * (k as u64 / 2) < separate.stats.messages,
-            "aggregated={} separate={}",
-            aggregated.stats.messages,
-            separate.stats.messages
-        );
-        assert!(aggregated.modeled_seconds < separate.modeled_seconds);
     }
 }

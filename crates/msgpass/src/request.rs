@@ -6,9 +6,10 @@
 //! schedule's initial sends, and each `poll` advances through
 //! non-blocking receives until the next missing message or completion.
 //! The blocking entry points *drive* such a machine on the stack
-//! (`drive`); the `i*` entry points box it into the rank's [`Engine`]
-//! and hand back a [`Request`] the caller can [`wait`](Request::wait) or
-//! [`test`](Request::test) later.
+//! (`drive`). The one non-blocking entry point,
+//! [`Comm::iallreduce`](crate::comm::Comm::iallreduce), boxes its
+//! schedule into the rank's [`Engine`] and hands back a [`Request`] the
+//! caller can [`wait`](Request::wait) or [`test`](Request::test) later.
 //!
 //! # Progress
 //!
@@ -76,36 +77,6 @@ where
 {
     fn poll_erased(&mut self) -> Result<Option<Box<dyn Any>>, ShutdownError> {
         Ok(self.poll()?.map(|out| Box::new(out) as Box<dyn Any>))
-    }
-}
-
-/// A schedule whose output is post-processed by a one-shot closure —
-/// how the `i*` entry points reshape an algorithm's raw output (e.g.
-/// picking the inclusive half of a scan schedule's pair) without a
-/// second schedule implementation.
-pub(crate) struct Map<S, F> {
-    inner: S,
-    f: Option<F>,
-}
-
-impl<S, F> Map<S, F> {
-    pub(crate) fn new(inner: S, f: F) -> Self {
-        Map { inner, f: Some(f) }
-    }
-}
-
-impl<S, F, O> Schedule for Map<S, F>
-where
-    S: Schedule,
-    F: FnOnce(S::Output) -> O,
-{
-    type Output = O;
-
-    fn poll(&mut self) -> Result<Option<O>, ShutdownError> {
-        Ok(self.inner.poll()?.map(|out| {
-            let f = self.f.take().expect("a completed schedule is not polled again");
-            f(out)
-        }))
     }
 }
 

@@ -528,7 +528,7 @@ mod tests {
         let outcome = Runtime::new(1).run(|comm| {
             assert_eq!(comm.size(), 1);
             comm.barrier();
-            comm.allgather(5u8)
+            comm.allgather(5u8, |_| 1)
         });
         assert_eq!(outcome.results, vec![vec![5u8]]);
     }

@@ -27,8 +27,6 @@ pub enum CallKind {
     Reduce,
     /// Allreduce collective.
     Allreduce,
-    /// Reduce-scatter collective (each rank ends with one combined block).
-    ReduceScatter,
     /// Inclusive scan collective.
     Scan,
     /// Exclusive scan collective.
@@ -39,14 +37,13 @@ pub enum CallKind {
 
 impl CallKind {
     /// All kinds, for iteration and display.
-    pub const ALL: [CallKind; 10] = [
+    pub const ALL: [CallKind; 9] = [
         CallKind::Send,
         CallKind::Barrier,
         CallKind::Bcast,
         CallKind::Allgather,
         CallKind::Reduce,
         CallKind::Allreduce,
-        CallKind::ReduceScatter,
         CallKind::Scan,
         CallKind::Exscan,
         CallKind::Alltoallv,
@@ -57,11 +54,7 @@ impl CallKind {
     pub fn is_reduction_or_scan(self) -> bool {
         matches!(
             self,
-            CallKind::Reduce
-                | CallKind::Allreduce
-                | CallKind::ReduceScatter
-                | CallKind::Scan
-                | CallKind::Exscan
+            CallKind::Reduce | CallKind::Allreduce | CallKind::Scan | CallKind::Exscan
         )
     }
 
@@ -74,7 +67,6 @@ impl CallKind {
             CallKind::Allgather => "allgather",
             CallKind::Reduce => "reduce",
             CallKind::Allreduce => "allreduce",
-            CallKind::ReduceScatter => "reduce_scatter",
             CallKind::Scan => "scan",
             CallKind::Exscan => "exscan",
             CallKind::Alltoallv => "alltoallv",

@@ -19,8 +19,7 @@
 
 use std::time::Duration;
 
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::{AllreduceAlgorithm, Comm, FaultOp, FaultPlan, FaultSummary, RunError, Runtime};
+use gv_msgpass::{Comm, FaultOp, FaultPlan, FaultSummary, RunError, Runtime};
 
 /// Pinned seeds — 24 of them, covering every (scenario, ranks, wait path)
 /// combination the derivation below cycles through. A CI failure prints
@@ -109,8 +108,7 @@ fn workload(comm: &Comm, use_wait_timeout: bool) -> (u64, u64, u64, u64, u64) {
     let sum = comm.allreduce(r + 1, true, |_| 8, |a, b| a + b);
     let scan = comm.scan_inclusive(r + 1, |_| 8, |a, b| a + b);
     let word = comm.bcast(0, (comm.rank() == 0).then_some(0x00C0_FFEEu64));
-    let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
-    let mut req = comm.iallreduce_by(plan, r + 1, whole(), |_| 8, |a, b| a + b);
+    let mut req = comm.iallreduce(r + 1, true, |_| 8, |a, b| a + b);
     let isum = if use_wait_timeout {
         match req.wait_timeout(Duration::from_secs(30)) {
             Ok(Some(v)) => v,

@@ -1,4 +1,5 @@
-//! Randomized-interleaving properties for the request-based collectives.
+//! Randomized-interleaving properties for the request-based collective,
+//! `Comm::iallreduce`.
 //!
 //! A random "plan" — process count, a list of collective kinds, and a
 //! seed for per-rank completion orders — is executed twice: once with
@@ -25,25 +26,18 @@ use gv_msgpass::{wait_all, Comm, Request, Runtime};
 use gv_testkit::prop::{check, Config, Strategy};
 use gv_testkit::rng::TestRng;
 
-/// The collective kinds under test. All resolve to `Vec<u64>` so one
+/// The allreduce kinds under test. Both resolve to `Vec<u64>` so one
 /// request vector can hold an arbitrary mix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kind {
-    /// Commutative elementwise sum (recursive doubling or reduce+bcast).
+    /// Commutative elementwise sum.
     SumAllreduce,
     /// Non-commutative concatenation — result is rank order, so any
     /// reordering inside the schedule is visible.
     ConcatAllreduce,
-    ScanInclusive,
-    ScanExclusive,
 }
 
-const KINDS: [Kind; 4] = [
-    Kind::SumAllreduce,
-    Kind::ConcatAllreduce,
-    Kind::ScanInclusive,
-    Kind::ScanExclusive,
-];
+const KINDS: [Kind; 2] = [Kind::SumAllreduce, Kind::ConcatAllreduce];
 
 /// Rank `r`'s contribution to request `i`: distinct across both axes so
 /// cross-matched traffic cannot produce a correct-looking result.
@@ -70,7 +64,7 @@ fn sum(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
 }
 
 /// The sum-allreduce state length varies per request so the sweep mixes
-/// wire sizes (and hence algorithm selections) within one plan.
+/// wire sizes within one plan.
 fn sum_len(i: usize) -> usize {
     i % 3 + 1
 }
@@ -80,8 +74,6 @@ fn issue(comm: &Comm, kind: Kind, i: usize) -> Request<Vec<u64>> {
     match kind {
         Kind::SumAllreduce => comm.iallreduce(vec![stamp(r, i); sum_len(i)], true, wire, sum),
         Kind::ConcatAllreduce => comm.iallreduce(vec![stamp(r, i)], false, wire, concat),
-        Kind::ScanInclusive => comm.iscan_inclusive(vec![stamp(r, i)], wire, concat),
-        Kind::ScanExclusive => comm.iscan_exclusive(vec![stamp(r, i)], Vec::new, wire, concat),
     }
 }
 
@@ -90,8 +82,6 @@ fn blocking(comm: &Comm, kind: Kind, i: usize) -> Vec<u64> {
     match kind {
         Kind::SumAllreduce => comm.allreduce(vec![stamp(r, i); sum_len(i)], true, wire, sum),
         Kind::ConcatAllreduce => comm.allreduce(vec![stamp(r, i)], false, wire, concat),
-        Kind::ScanInclusive => comm.scan_inclusive(vec![stamp(r, i)], wire, concat),
-        Kind::ScanExclusive => comm.scan_exclusive(vec![stamp(r, i)], Vec::new, wire, concat),
     }
 }
 

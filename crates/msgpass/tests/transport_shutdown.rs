@@ -8,13 +8,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::{AllreduceAlgorithm, Comm, Request, Runtime, ShutdownError, ShutdownKind, Source};
+use gv_msgpass::{Comm, Request, Runtime, ShutdownError, ShutdownKind, Source};
 
 /// A non-blocking `u64` sum by recursive doubling.
 fn rd_sum(comm: &Comm, value: u64) -> Request<u64> {
-    let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
-    comm.iallreduce_by(plan, value, whole(), |_| 8, |a, b| a + b)
+    comm.iallreduce(value, true, |_| 8, |a, b| a + b)
 }
 
 /// Runs `recv` on rank 1 and returns the ShutdownError it unwound with.

@@ -14,7 +14,6 @@
 //! `enumerate` adapter is the `[i in 1..n] (A(i), i)` array expression.
 
 use gv_core::op::{ReduceScanOp, ScanKind};
-use gv_core::split::SplittableState;
 use gv_executor::chunk_ranges;
 use gv_msgpass::Comm;
 
@@ -109,23 +108,6 @@ impl<'c, T> DistVector<'c, T> {
         }
     }
 
-    /// [`scan`](Self::scan) for operators with splittable states: the
-    /// cross-rank prefix is eligible for the pipelined chain schedule,
-    /// which the cost model prefers for large states.
-    pub fn scan_splittable<Op>(&self, op: &Op, kind: ScanKind) -> DistVector<'c, Op::Out>
-    where
-        Op: SplittableState<In = T>,
-        Op::State: Clone + Send + 'static,
-    {
-        let out = crate::scan::scan_splittable(self.comm, op, &self.local, kind);
-        DistVector {
-            comm: self.comm,
-            local: out,
-            offset: self.offset,
-            global_len: self.global_len,
-        }
-    }
-
     /// Element-wise map (no communication).
     pub fn map<U>(&self, f: impl Fn(&T) -> U) -> DistVector<'c, U> {
         DistVector {
@@ -156,12 +138,13 @@ impl<'c, T> DistVector<'c, T> {
     }
 
     /// Gathers the whole vector onto every rank (testing/debug; O(n)
-    /// traffic).
+    /// traffic: each block crosses as `len · size_of::<T>()` bytes).
     pub fn gather_to_all(&self) -> Vec<T>
     where
         T: Clone + Send + 'static,
     {
-        let blocks: Vec<Vec<T>> = self.comm.allgather(self.local.clone());
+        let block_bytes = |block: &Vec<T>| block.len() * std::mem::size_of::<T>();
+        let blocks: Vec<Vec<T>> = self.comm.allgather(self.local.clone(), block_bytes);
         blocks.into_iter().flatten().collect()
     }
 }
@@ -221,17 +204,17 @@ mod tests {
     }
 
     #[test]
-    fn splittable_scan_matches_plain_scan_on_dist_vectors() {
-        use gv_core::ops::counts::BucketRank;
-        let outcome = Runtime::new(4).run(|comm| {
-            let a = DistVector::generate(comm, 30, |i| (i as usize * 7) % 8);
-            let plain = a.scan(&BucketRank::new(8), ScanKind::Inclusive);
-            let split = a.scan_splittable(&BucketRank::new(8), ScanKind::Inclusive);
-            assert_eq!(split.offset(), plain.offset());
-            (plain.gather_to_all(), split.gather_to_all())
-        });
-        for (plain, split) in outcome.results {
-            assert_eq!(plain, split);
+    fn gather_to_all_moves_each_foreign_element_once() {
+        // The circulant allgather ships each rank's p − 1 foreign blocks
+        // once, so p ranks of n u64s move p·(p − 1)·n·8 bytes in total,
+        // whatever the size of the `Vec` header a block travels in.
+        for (p, n) in [(2usize, 1000usize), (3, 17), (5, 64)] {
+            let outcome = Runtime::new(p)
+                .run(move |comm| DistVector::generate(comm, p * n, |i| i).gather_to_all());
+            let all: Vec<u64> = (0..(p * n) as u64).collect();
+            assert_eq!(outcome.results, vec![all; p], "p={p} n={n}");
+            let bytes = (p * (p - 1) * n * 8) as u64;
+            assert_eq!(outcome.stats.bytes, bytes, "p={p} n={n}");
         }
     }
 

@@ -216,37 +216,15 @@ where
         .map(|s| op.red_gen(s))
 }
 
-/// Like [`reduce_all`] but with an explicit combine-tree branching factor,
-/// honouring [`ReduceScanOp::COMMUTATIVE`] in the combining schedule (the
-/// TXT-COMM ablation knob). The result lands on every rank.
-pub fn reduce_all_with_branching<Op>(
-    comm: &Comm,
-    op: &Op,
-    local: &[Op::In],
-    branching: usize,
-) -> Op::Out
-where
-    Op: ReduceScanOp,
-    Op::State: Clone + Send + 'static,
-{
-    let state = accumulate_local(comm, op, local);
-    let at_zero = comm.reduce_with_branching(
-        0,
-        state,
-        Op::COMMUTATIVE,
-        branching,
-        |s| op.wire_size(s),
-        combining(comm, op),
-    );
-    let combined = comm.bcast(0, at_zero);
-    op.red_gen(combined)
-}
-
-/// Variant of [`reduce_all_with_branching`] that lets the caller *override*
-/// the operator's commutativity declaration. This reproduces the paper's
-/// §4.1 experiment: "we flagged the \[sorted\] reduction as commutative. This
-/// resulted in no speedup, though the program did fail to verify that the
-/// array was sorted (as expected)."
+/// Like [`reduce_all`] but over the contiguous-block k-ary tree with an
+/// explicit branching factor, combining in the schedule that
+/// `claim_commutative` selects (the TXT-COMM ablation knob). Pass
+/// [`ReduceScanOp::COMMUTATIVE`] to honour the operator's declaration;
+/// passing `true` for a non-commutative operator *overrides* it, which
+/// reproduces the paper's §4.1 experiment: "we flagged the \[sorted\]
+/// reduction as commutative. This resulted in no speedup, though the
+/// program did fail to verify that the array was sorted (as expected)."
+/// The result lands on every rank.
 pub fn reduce_all_claiming_commutativity<Op>(
     comm: &Comm,
     op: &Op,
@@ -274,7 +252,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gv_core::ops::builtin::{max, min, sum};
+    use gv_core::monoid::MonoidOp;
+    use gv_core::ops::builtin::{max, min, sum, Min};
     use gv_core::ops::mink::MinK;
     use gv_core::ops::sorted::Sorted;
     use gv_executor::chunk_ranges;
@@ -349,7 +328,9 @@ mod tests {
         for branching in [2usize, 4, 8] {
             let chunks = blocks(&data, 8);
             let outcome = Runtime::new(8).run(|comm| {
-                reduce_all_with_branching(comm, &min::<i64>(), &chunks[comm.rank()], branching)
+                let commutative = <MonoidOp<Min<i64>> as ReduceScanOp>::COMMUTATIVE;
+                let local = &chunks[comm.rank()];
+                reduce_all_claiming_commutativity(comm, &min(), local, branching, commutative)
             });
             assert_eq!(outcome.results, vec![expected; 8]);
         }

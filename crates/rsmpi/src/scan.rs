@@ -23,27 +23,11 @@ use crate::reduce::{accumulate_local, combining};
 
 /// Global-view scan: each rank passes its local block and receives the
 /// scan outputs for exactly its block's positions.
-pub fn scan<Op>(comm: &Comm, op: &Op, local: &[Op::In], kind: ScanKind) -> Vec<Op::Out>
-where
-    Op: ReduceScanOp,
-    Op::State: Clone + Send + 'static,
-{
-    scan_with_block_total(comm, op, local, kind).0
-}
-
-/// Scan that also returns the total reduction state (the running state
-/// after the last local element on the last rank is the global total;
-/// every rank returns its own block-final state).
 ///
 /// The cross-rank prefix runs as a dedicated exclusive scan, so it is
 /// accounted as one `Exscan` call per rank (see the `scan_both`
 /// convention in `gv-msgpass`).
-pub fn scan_with_block_total<Op>(
-    comm: &Comm,
-    op: &Op,
-    local: &[Op::In],
-    kind: ScanKind,
-) -> (Vec<Op::Out>, Op::State)
+pub fn scan<Op>(comm: &Comm, op: &Op, local: &[Op::In], kind: ScanKind) -> Vec<Op::Out>
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
@@ -72,21 +56,6 @@ where
     Op: SplittableState,
     Op::State: Clone + Send + 'static,
 {
-    scan_with_block_total_splittable(comm, op, local, kind).0
-}
-
-/// [`scan_with_block_total`] for [`SplittableState`] operators (see
-/// [`scan_splittable`]).
-pub fn scan_with_block_total_splittable<Op>(
-    comm: &Comm,
-    op: &Op,
-    local: &[Op::In],
-    kind: ScanKind,
-) -> (Vec<Op::Out>, Op::State)
-where
-    Op: SplittableState,
-    Op::State: Clone + Send + 'static,
-{
     let state = accumulate_local(comm, op, local);
 
     let running = comm.scan_exclusive_splittable(
@@ -102,22 +71,22 @@ where
 }
 
 /// Listing 3 lines 10–13: rescan the local block from the incoming
-/// exclusive-prefix state, returning the block outputs and the block-final
-/// running state. The element loop is the shared `gv-core` rescan (block
-/// kernels and all); the modeled cost charged to the clock is unchanged —
-/// it counts semantic `accum`/`scan_gen` applications, not wall time, so
-/// recorded traces stay bit-identical whichever dispatch fires.
+/// exclusive-prefix state. The element loop is the shared `gv-core`
+/// rescan (block kernels and all); the modeled cost charged to the clock
+/// is unchanged — it counts semantic `accum`/`scan_gen` applications, not
+/// wall time, so recorded traces stay bit-identical whichever dispatch
+/// fires.
 fn rescan_block<Op: ReduceScanOp>(
     comm: &Comm,
     op: &Op,
     local: &[Op::In],
     kind: ScanKind,
     mut running: Op::State,
-) -> (Vec<Op::Out>, Op::State) {
+) -> Vec<Op::Out> {
     let mut out = Vec::with_capacity(local.len());
     gv_core::op::rescan_block(op, &mut running, local, kind, &mut out);
     comm.advance(local.len() as u64 * (op.accum_ops() + 1));
-    (out, running)
+    out
 }
 
 #[cfg(test)]
@@ -195,24 +164,6 @@ mod tests {
         });
         let flat: Vec<bool> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, expected);
-    }
-
-    #[test]
-    fn scan_with_block_total_final_state_is_global_total() {
-        let data: Vec<i64> = (1..=100).collect();
-        let chunks: Vec<Vec<i64>> = chunk_ranges(100, 4).map(|r| data[r].to_vec()).collect();
-        let outcome = Runtime::new(4).run(|comm| {
-            let (_, total) = scan_with_block_total(
-                comm,
-                &sum::<i64>(),
-                &chunks[comm.rank()],
-                ScanKind::Inclusive,
-            );
-            total
-        });
-        // Rank q's block-final state is the inclusive prefix through its
-        // block; the last rank holds the global total.
-        assert_eq!(outcome.results[3], 5050);
     }
 
     #[test]

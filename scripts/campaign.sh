@@ -23,7 +23,10 @@
 # Standard output is a JSON array with one record per run, in the order
 # run (so records 2k and 2k+1 of a workload are pair k), each run's result
 # reduced to workload, seed, side, the three end-to-end metrics and
-# `failed`. Progress goes to standard error; the exit status is non-zero
+# `failed`. Every record also names the commit its side ran: the
+# checkout's `git rev-parse --short HEAD`, with `-dirty` appended when the
+# checkout's tracked files differ from it (`unknown` outside a git
+# checkout). Progress goes to standard error; the exit status is non-zero
 # if a run gave no result or did not verify.
 set -euo pipefail
 
@@ -47,6 +50,19 @@ unset CARGO_TARGET_DIR
 bad=0
 sep='['
 
+# commit <dir>: the commit checked out in <dir>, `-dirty` if edited.
+commit() {
+    local head
+    head=$(git -C "$1" rev-parse --short HEAD 2>/dev/null) || {
+        echo unknown
+        return
+    }
+    if [ -n "$(git -C "$1" status --porcelain --untracked-files=no)" ]; then
+        head+=-dirty
+    fi
+    echo "$head"
+}
+
 # The number under `"<name>":{"value":` in the result line on stdin.
 metric() {
     sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"
@@ -63,8 +79,8 @@ run() {
         bad=1
         return
     fi
-    printf '%s\n{"workload":"%s","seed":%s,"side":"%s","wall_s":%s,"wall_serial_s":%s,"setup_s":%s,"failed":%s}' \
-        "$sep" "$3" "$seed" "$1" \
+    printf '%s\n{"workload":"%s","seed":%s,"side":"%s","commit":"%s","wall_s":%s,"wall_serial_s":%s,"setup_s":%s,"failed":%s}' \
+        "$sep" "$3" "$seed" "$1" "$(commit "$2")" \
         "$(metric wall_s <<<"$line")" "$(metric wall_serial_s <<<"$line")" \
         "$(metric setup_s <<<"$line")" "$failed"
     sep=','
@@ -88,8 +104,8 @@ latency_run() {
         bad=1
         return
     fi
-    printf '%s\n{"probe":"latency","side":"%s","raw_p10_ns":%s,"pingpong_p10_ns":%s,"allreduce_p10_ns":%s}' \
-        "$sep" "$1" "$raw" "$pingpong" "$allreduce"
+    printf '%s\n{"probe":"latency","side":"%s","commit":"%s","raw_p10_ns":%s,"pingpong_p10_ns":%s,"allreduce_p10_ns":%s}' \
+        "$sep" "$1" "$(commit "$2")" "$raw" "$pingpong" "$allreduce"
     sep=','
 }
 

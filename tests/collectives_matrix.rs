@@ -388,7 +388,7 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
 
         // allgather: ⌈log₂p⌉ circulant rounds, every rank one message a
         // round, each rank's p−1 foreign values crossing once.
-        let got = Runtime::new(p).run(|comm| comm.allgather(contrib(comm.rank())));
+        let got = Runtime::new(p).run(|comm| comm.allgather(contrib(comm.rank()), |_| BYTES));
         let all: Vec<Affine> = (0..p).map(contrib).collect();
         assert_eq!(got.results, vec![all; p], "allgather p={p}");
         let rounds = p.next_power_of_two().trailing_zeros() as u64;

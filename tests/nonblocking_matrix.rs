@@ -1,36 +1,35 @@
-//! Exhaustive small-`p` matrix over the *non-blocking* collectives —
-//! the request-handle mirror of `collectives_matrix.rs`.
+//! Exhaustive small-`p` matrix over the *non-blocking* collective,
+//! [`Comm::iallreduce`](gv_msgpass::Comm::iallreduce) — the
+//! request-handle mirror of `collectives_matrix.rs`.
 //!
-//! Every rank count from 1 through 9 × every `i*` entry point (rooted
-//! `ireduce` at every root with all `p` requests in flight, `ibcast`
-//! from every root in flight at once, the cost-driven `iallreduce`
-//! selector plus the named recursive-doubling schedule, both scans,
-//! circulant `ireduce_scatter_block`, and the splittable selector)
-//! × a commutative payload (u64 sum) and a non-commutative one (string
-//! concatenation) — all checked against the same sequential oracle the
-//! blocking matrix uses, but with multiple requests deliberately in
-//! flight and harvested out of issue order.
+//! Every rank count from 1 through 9 × a commutative payload (u64 sum)
+//! and a non-commutative one (string concatenation): several
+//! `iallreduce` requests stay in flight while the ranks run every
+//! blocking collective beside them — `scan_both`, `bcast` and `reduce` at
+//! every root, `barrier` and `alltoallv` — and are then harvested out of
+//! issue order. Every result, blocking or requested, is checked against
+//! the rank-order sequential oracle. `iallreduce` is the one way onto the
+//! progress engine and runs recursive doubling, so these are the
+//! overlaps that can occur: its requests beside blocking calls on the
+//! same communicator.
 //!
 //! Two edge-case tests pin the request lifecycle contract: dropping a
 //! request without waiting detaches its schedule (peers still complete,
 //! nothing hangs), and waiting twice is the typed
 //! [`RequestError::AlreadyCompleted`], never a deadlock.
 
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::{wait_all, AllreduceAlgorithm, Request, RequestError, Runtime};
+use gv_msgpass::{wait_all, Request, RequestError, Runtime};
 
-/// Runs one communicator through every request-based collective with
-/// requests overlapped, asserting each result against the rank-order
-/// sequential oracle.
-///
-/// `seg_contrib(rank, segment)` feeds `ireduce_scatter_block`, which
-/// combines in stride order, not rank order, and is therefore only exercised when
-/// `commutative` holds.
+/// Requests kept in flight at once.
+const IN_FLIGHT: usize = 3;
+
+/// Runs one communicator through `IN_FLIGHT` overlapped `iallreduce`
+/// requests and every blocking collective, asserting each result against
+/// the rank-order sequential oracle.
 fn exercise_nonblocking<T>(
     p: usize,
     commutative: bool,
     contrib: fn(usize) -> T,
-    seg_contrib: fn(usize, usize) -> T,
     combine: fn(T, T) -> T,
     ident: fn() -> T,
     wire: fn(&T) -> usize,
@@ -40,97 +39,49 @@ fn exercise_nonblocking<T>(
     Runtime::new(p).run(|comm| {
         let r = comm.rank();
         let mine = contrib(r);
-        let fold = |lo: usize, hi: usize| {
-            let mut acc = ident();
-            for rank in lo..hi {
-                acc = combine(acc, contrib(rank));
-            }
-            acc
-        };
+        let fold = |lo: usize, hi: usize| (lo..hi).fold(ident(), |acc, q| combine(acc, contrib(q)));
         let total = fold(0, p);
-
-        // Every rooted reduce in flight at once, harvested as a batch.
-        let mut reduces: Vec<Request<Option<T>>> = (0..p)
-            .map(|root| comm.ireduce(root, mine.clone(), wire, combine))
+        // Request `i` reduces `contrib` repeated `i + 1` times per rank,
+        // so a request that took another's traffic cannot pass.
+        let repeated =
+            |q: usize, i: usize| (0..=i).fold(ident(), |acc, _| combine(acc, contrib(q)));
+        let oracle = |i: usize| (0..p).fold(ident(), |acc, q| combine(acc, repeated(q, i)));
+        let mut requests: Vec<Request<T>> = (0..IN_FLIGHT)
+            .map(|i| comm.iallreduce(repeated(r, i), commutative, wire, combine))
             .collect();
-        for (root, got) in wait_all(&mut reduces)
-            .expect("transport alive")
-            .into_iter()
-            .enumerate()
-        {
-            if r == root {
-                assert_eq!(
-                    got.as_ref(),
-                    Some(&total),
-                    "ireduce(root={root}) at the root, p={p}, rank={r}"
-                );
-            } else {
-                assert!(got.is_none(), "ireduce(root={root}) off-root, p={p}, rank={r}");
-            }
-        }
 
-        // Broadcasts from every root in flight at once.
-        let mut bcasts: Vec<Request<T>> = (0..p)
-            .map(|root| comm.ibcast(root, (r == root).then(|| contrib(root))))
-            .collect();
-        for (root, got) in wait_all(&mut bcasts)
-            .expect("transport alive")
-            .into_iter()
-            .enumerate()
-        {
-            assert_eq!(got, contrib(root), "ibcast(root={root}), p={p}, rank={r}");
+        let (ex, inc) = comm.scan_both(mine.clone(), wire, combine);
+        let ex = ex.unwrap_or_else(ident);
+        assert_eq!(ex, fold(0, r), "scan_both exclusive, p={p}, rank={r}");
+        assert_eq!(inc, fold(0, r + 1), "scan_both inclusive, p={p}, rank={r}");
+        for root in 0..p {
+            let got = comm.bcast(root, (r == root).then(|| contrib(root)));
+            assert_eq!(got, contrib(root), "bcast(root={root}), p={p}, rank={r}");
+            let got = comm.reduce(root, mine.clone(), wire, combine);
+            let expected = (r == root).then(|| total.clone());
+            assert_eq!(got, expected, "reduce(root={root}), p={p}, rank={r}");
         }
+        comm.barrier();
+        let incoming = comm.alltoallv((0..p).map(|to| vec![mine.clone(); to + 1]).collect());
+        let expected: Vec<Vec<T>> = (0..p).map(|from| vec![contrib(from); r + 1]).collect();
+        assert_eq!(incoming, expected, "alltoallv, p={p}, rank={r}");
 
-        // The selector allreduce and the named recursive-doubling
-        // schedule overlapped; the later one is completed *first*, by a
-        // test() poll loop (each test sweeps the engine, so the earlier
-        // request keeps progressing underneath).
-        let mut ar = comm.iallreduce(mine.clone(), commutative, wire, combine);
-        let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
-        let mut rd = comm.iallreduce_by(plan, mine.clone(), whole(), wire, combine);
-        let rd_result = loop {
-            if let Some(out) = rd.test().expect("transport alive") {
+        // Harvested out of issue order: the last-issued request by a
+        // test() poll loop (each test sweeps the engine, so the others
+        // keep progressing underneath), the first by wait, the rest as
+        // one batch.
+        let last = IN_FLIGHT - 1;
+        let got = loop {
+            if let Some(out) = requests[last].test().expect("transport alive") {
                 break out;
             }
         };
-        assert_eq!(
-            rd_result, total,
-            "recursive doubling by request, p={p}, rank={r}"
-        );
-        assert_eq!(
-            ar.wait().expect("transport alive"),
-            total,
-            "iallreduce (selector), p={p}, rank={r}, commutative={commutative}"
-        );
-
-        // Both scans in flight; the later-issued exclusive half is
-        // harvested first.
-        let mut inc = comm.iscan_inclusive(mine.clone(), wire, combine);
-        let mut exc = comm.iscan_exclusive(mine.clone(), ident, wire, combine);
-        assert_eq!(
-            exc.wait().expect("transport alive"),
-            fold(0, r),
-            "iscan_exclusive, p={p}, rank={r}"
-        );
-        assert_eq!(
-            inc.wait().expect("transport alive"),
-            fold(0, r + 1),
-            "iscan_inclusive, p={p}, rank={r}"
-        );
-
-        // The circulant reduce-scatter combines in stride order: commutative only.
-        if commutative {
-            let segments: Vec<T> = (0..p).map(|j| seg_contrib(r, j)).collect();
-            let mut rs = comm.ireduce_scatter_block(segments, wire, combine);
-            let mut expected = ident();
-            for s in 0..p {
-                expected = combine(expected, seg_contrib(s, r));
-            }
-            assert_eq!(
-                rs.wait().expect("transport alive"),
-                expected,
-                "ireduce_scatter_block, p={p}, rank={r}"
-            );
+        assert_eq!(got, oracle(last), "iallreduce #{last}, p={p}, rank={r}");
+        let got = requests[0].wait().expect("transport alive");
+        assert_eq!(got, oracle(0), "iallreduce #0, p={p}, rank={r}");
+        let batch = wait_all(&mut requests[1..last]).expect("transport alive");
+        for (i, got) in (1..last).zip(batch) {
+            assert_eq!(got, oracle(i), "iallreduce #{i}, p={p}, rank={r}");
         }
     });
 }
@@ -144,7 +95,6 @@ fn commutative_nonblocking_matrix_for_p_1_through_9() {
             p,
             true,
             |r| (r as u64 + 1) * (r as u64 + 1),
-            |s, j| (s as u64 + 1) * 100 + j as u64,
             |a, b| a + b,
             || 0,
             |_| 8,
@@ -160,7 +110,6 @@ fn non_commutative_nonblocking_matrix_for_p_1_through_9() {
             p,
             false,
             |r| format!("[{r}]"),
-            |_, _| String::new(),
             |mut a, b| {
                 a.push_str(&b);
                 a
@@ -168,46 +117,6 @@ fn non_commutative_nonblocking_matrix_for_p_1_through_9() {
             String::new,
             |s| s.len(),
         );
-    }
-}
-
-#[test]
-fn splittable_nonblocking_selector_matches_oracle_for_p_1_through_9() {
-    // Three wire sizes in flight at once, so the three-way selector's
-    // different schedule choices (including reduce-scatter + allgather
-    // at the large end) overlap on one communicator; harvested in
-    // reverse issue order. Length 3 forces empty segments for p > 3.
-    const LENS: [usize; 3] = [3, 64, 4096];
-    for p in 1..=9usize {
-        Runtime::new(p).run(move |comm| {
-            let r = comm.rank();
-            let mut reqs: Vec<Request<Vec<u64>>> = LENS
-                .iter()
-                .map(|&len| {
-                    let mine: Vec<u64> = (0..len).map(|i| (r * len + i) as u64).collect();
-                    comm.iallreduce_splittable(
-                        mine,
-                        true,
-                        gv_core::split::split_vec_segments,
-                        gv_core::split::unsplit_vec_segments,
-                        |v: &Vec<u64>| v.len() * 8,
-                        |mut a, b| {
-                            for (x, y) in a.iter_mut().zip(b) {
-                                *x += y;
-                            }
-                            a
-                        },
-                    )
-                })
-                .collect();
-            for (idx, &len) in LENS.iter().enumerate().rev() {
-                let got = reqs[idx].wait().expect("transport alive");
-                let expected: Vec<u64> = (0..len)
-                    .map(|i| (0..p).map(|q| (q * len + i) as u64).sum())
-                    .collect();
-                assert_eq!(got, expected, "iallreduce_splittable, p={p} len={len}");
-            }
-        });
     }
 }
 

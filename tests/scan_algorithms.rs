@@ -21,10 +21,16 @@ use gv_core::ops::builtin::sum;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_msgpass::collectives::tree::whole;
 use gv_msgpass::ScanAlgorithm::{Binomial, PipelinedChain, RecursiveDoubling};
-use gv_msgpass::{CallKind, CostModel, Runtime, ScanAlgorithm};
+use gv_msgpass::{CallKind, Comm, CostModel, Runtime, ScanAlgorithm};
 
 fn cfg() -> Config {
     Config::new(128)
+}
+
+/// The plan the selector picks for a splittable state of `bytes` on
+/// `comm`.
+fn selected(comm: &Comm, bytes: usize) -> (ScanAlgorithm, usize) {
+    ScanAlgorithm::select(&comm.cost_model(), comm.size(), bytes, true)
 }
 
 /// Sequential oracle: rank-order prefix folds of one value per rank.
@@ -97,10 +103,10 @@ fn pipelined_chain_agrees_on_splittable_states() {
                     wire,
                     add,
                 );
-                let selector = comm.scan_both_splittable(
+                let selector = comm.scan_both_by(
+                    selected(comm, wire(&mine)),
                     mine.clone(),
-                    split_vec_segments,
-                    unsplit_vec_segments,
+                    (split_vec_segments, unsplit_vec_segments),
                     wire,
                     add,
                 );
@@ -322,7 +328,9 @@ fn crossover_binomial_and_chain_beat_recursive_doubling_at_64kib_p8() {
     );
     let splittable = Runtime::new(8).run(move |comm| {
         let state = vec![comm.rank() as u64; 8 << 10];
-        comm.scan_both_splittable(state, split_vec_segments, unsplit_vec_segments, wire, add);
+        let plan = selected(comm, wire(&state));
+        let segmentation = (split_vec_segments, unsplit_vec_segments);
+        comm.scan_both_by(plan, state, segmentation, wire, add);
     });
     assert_eq!(
         splittable
@@ -357,10 +365,10 @@ fn non_power_of_two_selector_matrix_picks_the_estimate_argmin() {
             let outcome = Runtime::new(p).run(move |comm| {
                 let r = comm.rank() as i64;
                 let mine: Vec<i64> = (0..elems as i64).map(|i| r + i).collect();
-                let selector = comm.scan_both_splittable(
+                let selector = comm.scan_both_by(
+                    selected(comm, wire(&mine)),
                     mine.clone(),
-                    split_vec_segments,
-                    unsplit_vec_segments,
+                    (split_vec_segments, unsplit_vec_segments),
                     wire,
                     add,
                 );
@@ -493,63 +501,5 @@ fn default_call_shapes_stay_on_recursive_doubling() {
     for block in outcome.results {
         assert_eq!(block.global_offset, expect);
         expect += block.keys.len() as u64;
-    }
-}
-
-#[test]
-fn nonblocking_scans_move_the_identical_traffic_as_blocking() {
-    // Blocking scans are the same schedule implementations driven on
-    // the stack, so `iscan_inclusive`/`iscan_exclusive` + wait must move
-    // bit-identical message and byte totals — at small states (shifted
-    // recursive doubling) and large ones (the binomial sweeps).
-    let wire = |v: &Vec<i64>| v.len() * 8;
-    let add = |mut a: Vec<i64>, b: Vec<i64>| {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x += y;
-        }
-        a
-    };
-    for p in [2usize, 5, 16] {
-        for bytes in [8usize, 64 << 10] {
-            let run = |nonblocking: bool| {
-                Runtime::new(p).run(move |comm| {
-                    let state = vec![comm.rank() as i64 + 1; bytes / 8];
-                    if nonblocking {
-                        let mut inc = comm.iscan_inclusive(state.clone(), wire, add);
-                        let mut exc = comm.iscan_exclusive(state, Vec::new, wire, add);
-                        (
-                            inc.wait().expect("transport alive"),
-                            exc.wait().expect("transport alive"),
-                        )
-                    } else {
-                        (
-                            comm.scan_inclusive(state.clone(), wire, add),
-                            comm.scan_exclusive(state, Vec::new, wire, add),
-                        )
-                    }
-                })
-            };
-            let blocking = run(false);
-            let requests = run(true);
-            assert_eq!(
-                blocking.results, requests.results,
-                "results, p={p} bytes={bytes}"
-            );
-            assert_eq!(
-                blocking.stats.messages, requests.stats.messages,
-                "messages, p={p} bytes={bytes}"
-            );
-            assert_eq!(
-                blocking.stats.bytes, requests.stats.bytes,
-                "bytes, p={p} bytes={bytes}"
-            );
-            for algo in ScanAlgorithm::ALL {
-                assert_eq!(
-                    blocking.stats.scan_algorithm_calls(algo),
-                    requests.stats.scan_algorithm_calls(algo),
-                    "algorithm counter {algo:?}, p={p} bytes={bytes}"
-                );
-            }
-        }
     }
 }

@@ -62,7 +62,7 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
                         assert_eq!(comm.recv::<f64>(previous, 5), f64::from(i));
                     }
                 }
-                let mut pending = comm.iallreduce_by(rd, 1u64, whole(), |_| 8, sum);
+                let mut pending = comm.iallreduce(1u64, true, |_| 8, sum);
                 assert_eq!(pending.wait(), Ok(p));
                 // One message over 1 KiB: it crosses a lane as the rest do.
                 if p > 1 && comm.rank() < 2 {

@@ -85,7 +85,7 @@ fn interleaved_collective_stress() {
         let mut checksum = 0u64;
         for round in 0..25u64 {
             let s = comm.allreduce(round + comm.rank() as u64, true, |_| 8, |a, b| a + b);
-            let g = comm.allgather(round * 10 + comm.rank() as u64);
+            let g = comm.allgather(round * 10 + comm.rank() as u64, |_| 8);
             let x = comm.scan_exclusive(1u64, || 0, |_| 8, |a, b| a + b);
             let b = comm.bcast(
                 (round % comm.size() as u64) as usize,
