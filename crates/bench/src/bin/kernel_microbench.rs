@@ -70,6 +70,14 @@
 //! kernel. A tier earns its dispatch only where its row beats the portable
 //! one; DESIGN.md quotes both tables.
 //!
+//! Last, experiment TXT-TRANSLATE (paper §3: translating each input into a
+//! state and combining it "would result in worse performance" than
+//! accumulating it): `seq::reduce` of `sum<i64>` and of `MinK` at k ∈ {1,
+//! 10, 100} over 50 000 elements, as written and through
+//! `gv_core::ops::translate::Translated`, each pair verified equal. The
+//! accumulate column of the `MinK` rows is also the k-sweep of the
+//! operator itself.
+//!
 //! Usage: kernel_microbench [--csv]
 //! Env:   GV_BENCH_QUICK=1 shrinks iteration counts for a CI smoke run.
 
@@ -94,9 +102,10 @@ use gv_core::ops::runs::LongestRun;
 use gv_core::ops::sorted::Sorted;
 use gv_core::ops::stats::MeanVar;
 use gv_core::ops::topk::TopBottomK;
+use gv_core::ops::translate::reduce_translated;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_nas::is::{generate_keys, key_ranks, SortedBlock};
-use gv_nas::randlc::{fill_tiers, Randlc};
+use gv_nas::randlc::Randlc;
 use gv_nas::IsClass;
 
 /// Best-of-`reps` nanoseconds per element for `iters` runs of `f`.
@@ -333,18 +342,40 @@ const REJECTED: &str = "rejected";
 const HAND_KERNEL: &str = "rejected: hand kernel";
 const USER_DEFINED: &str = "user-defined";
 
-/// `op` over `data` through the derived kernel.
+/// `op` over `data` through the derived kernel, with the
+/// `pre_accum`/`post_accum` hooks around it as `accumulate_block` applies
+/// them around an operator's own `accum_block`.
 fn reduce_runs<Op: ReduceScanOp>(op: &Op, data: &[Op::In]) -> Op::Out {
     let mut s = op.ident();
-    gv_bench::accumulate_through_runs(op, &mut s, data);
+    if let (Some(first), Some(last)) = (data.first(), data.last()) {
+        op.pre_accum(&mut s, first);
+        gv_core::kernel::accum_runs(op, &mut s, data);
+        op.post_accum(&mut s, last);
+    }
     op.red_gen(s)
 }
 
-/// Times the scalar loop against [`reduce_runs`] (the cell's `kernel_ns`),
-/// rep by rep in turn so that a slow phase of the host lands on both
-/// sides: a verdict hangs on the ratio. `exact` cells assert the two
-/// agree; float-regrouping cells assert the derived kernel is
-/// deterministic.
+/// Best-of-`reps` nanoseconds per element of `scalar` and of `kernel`,
+/// timed rep by rep in turn so that a slow phase of the host lands on
+/// both sides: a verdict hangs on the ratio.
+fn alternating_ns(
+    n: usize,
+    iters: u32,
+    reps: u32,
+    mut scalar: impl FnMut(),
+    mut kernel: impl FnMut(),
+) -> (f64, f64) {
+    let (mut scalar_ns, mut kernel_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        scalar_ns = scalar_ns.min(time_ns(n, iters, 1, &mut scalar));
+        kernel_ns = kernel_ns.min(time_ns(n, iters, 1, &mut kernel));
+    }
+    (scalar_ns, kernel_ns)
+}
+
+/// Times the scalar loop against [`reduce_runs`] (the cell's `kernel_ns`)
+/// by [`alternating_ns`]. `exact` cells assert the two agree;
+/// float-regrouping cells assert the derived kernel is deterministic.
 fn runs_cell<Op>(
     name: &str,
     op: &Op,
@@ -369,15 +400,17 @@ where
         "{name}: accum_runs disagrees"
     );
     let n = data.len();
-    let (mut scalar_ns, mut kernel_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        scalar_ns = scalar_ns.min(time_ns(n, iters, 1, || {
+    let (scalar_ns, kernel_ns) = alternating_ns(
+        n,
+        iters,
+        reps,
+        || {
             black_box(reduce_value(op, black_box(data), true));
-        }));
-        kernel_ns = kernel_ns.min(time_ns(n, iters, 1, || {
+        },
+        || {
             black_box(reduce_runs(op, black_box(data)));
-        }));
-    }
+        },
+    );
     (
         Cell {
             name: format!("accum_runs/{name}"),
@@ -388,6 +421,44 @@ where
         },
         verdict,
     )
+}
+
+/// Elements and `MinK` widths of the `translate/*` rows.
+const TRANSLATE_N: usize = 50_000;
+const TRANSLATE_KS: [usize; 3] = [1, 10, 100];
+
+/// One `translate/*` row: `seq::reduce` of `op` over `data` through
+/// `Translated` (the cell's `scalar_ns`) against `op` as written (its
+/// `kernel_ns`), by [`alternating_ns`]; the two must agree.
+fn translate_cell<Op>(name: &str, op: &Op, data: &[Op::In], iters: u32, reps: u32) -> Cell
+where
+    Op: ReduceScanOp,
+    Op::Out: PartialEq + std::fmt::Debug,
+{
+    assert_eq!(
+        reduce_translated(op, data),
+        gv_core::seq::reduce(op, data),
+        "{name}: translate and accumulate disagree"
+    );
+    let n = data.len();
+    let (scalar_ns, kernel_ns) = alternating_ns(
+        n,
+        iters,
+        reps,
+        || {
+            black_box(reduce_translated(op, black_box(data)));
+        },
+        || {
+            black_box(gv_core::seq::reduce(op, black_box(data)));
+        },
+    );
+    Cell {
+        name: format!("translate/{name}"),
+        n,
+        scalar_ns,
+        kernel_ns,
+        gated: false,
+    }
 }
 
 /// Segment counts of the `split`/`unsplit` rows: whole, halves, the tree
@@ -509,13 +580,13 @@ fn output_key_ranks_row(n: usize, reps: u32) -> OutputRow {
 const FILL_LENGTHS: [usize; 2] = [4_096, 1 << 20];
 
 /// One `randlc/fill` row: best-of-`reps` nanoseconds per variate of an
-/// `n`-variate `fill` on each tier of [`fill_tiers`] (the first is the
+/// `n`-variate `fill` on each tier of `IsaTier::available` (the first is the
 /// one-chain loop), each held to the first's values and final state before
 /// it is timed.
 fn fill_row(n: usize, iters: u32, reps: u32) -> Vec<(IsaTier, f64)> {
     let mut buf = vec![0.0f64; n];
     let mut expected: Option<(Vec<u64>, u64)> = None;
-    fill_tiers()
+    IsaTier::available()
         .iter()
         .map(|&tier| {
             let mut gen = Randlc::nas_default();
@@ -535,86 +606,31 @@ fn fill_row(n: usize, iters: u32, reps: u32) -> Vec<(IsaTier, f64)> {
         .collect()
 }
 
-/// The two loop forms of `gv_core::kernel::any_in_block` under each tier's
-/// `#[target_feature]`, spelled again: the library's tier functions are
-/// private, and a row per form and tier is what says which form a tier
-/// should compile and whether it earns its dispatch at all. The
-/// `dispatched` column of the table is the library's own kernel.
-mod any_forms {
-    use super::IsaTier;
-
-    /// The `bool` OR: the library's baseline and AVX-512 form.
-    #[inline(always)]
-    fn or<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
+// The two loop forms of `gv_core::kernel::any_in_block` built for every
+// tier, spelled again: the library's per-tier entries are private, and a
+// row per form and tier is what says which form a tier should compile and
+// whether it earns its dispatch at all. The `dispatched` column of the
+// table is the library's own kernel.
+gv_core::isa_tiers! {
+    // The `bool` OR: the library's baseline and AVX-512 form.
+    mod or<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
         let mut any = false;
         for &x in block {
             any |= hit(x);
         }
         any
     }
+}
 
-    /// The hit count: the library's AVX2 form.
-    #[inline(always)]
-    fn count<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
+gv_core::isa_tiers! {
+    // The hit count: the library's AVX2 form.
+    mod count<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
         let mut hits = 0u64;
         for &x in block {
             hits += u64::from(hit(x));
         }
         hits != 0
     }
-
-    macro_rules! on_tiers {
-        ($form:ident) => {
-            pub mod $form {
-                use super::IsaTier;
-
-                #[inline(never)]
-                fn portable<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
-                    super::$form(block, hit)
-                }
-
-                #[cfg(target_arch = "x86_64")]
-                #[target_feature(enable = "avx2")]
-                fn avx2<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
-                    super::$form(block, hit)
-                }
-
-                #[cfg(target_arch = "x86_64")]
-                #[target_feature(
-                    enable = "avx512f",
-                    enable = "avx512dq",
-                    enable = "avx512bw",
-                    enable = "avx512vl"
-                )]
-                fn avx512<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
-                    super::$form(block, hit)
-                }
-
-                /// This form as compiled for `tier`.
-                ///
-                /// # Safety
-                ///
-                /// The host must be able to run `tier`.
-                pub unsafe fn on<T: Copy>(
-                    tier: IsaTier,
-                    block: &[T],
-                    hit: impl Fn(T) -> bool + Copy,
-                ) -> bool {
-                    match tier {
-                        // SAFETY: the caller vouches for the tier.
-                        #[cfg(target_arch = "x86_64")]
-                        IsaTier::Avx512 => unsafe { avx512(block, hit) },
-                        // SAFETY: the caller vouches for the tier.
-                        #[cfg(target_arch = "x86_64")]
-                        IsaTier::Avx2 => unsafe { avx2(block, hit) },
-                        _ => portable(block, hit),
-                    }
-                }
-            }
-        };
-    }
-    on_tiers!(or);
-    on_tiers!(count);
 }
 
 /// Lengths of the `filter/any_*` rows: one staged block, which the filter
@@ -659,15 +675,13 @@ fn filter_rows<T: Copy>(
         })
     };
     let on_tiers = |any_on: &dyn Fn(IsaTier, &[T]) -> bool| -> Vec<(IsaTier, f64)> {
-        fill_tiers()
+        IsaTier::available()
             .iter()
             .map(|&tier| (tier, time(&|block| any_on(tier, block))))
             .collect()
     };
-    // SAFETY (both): `fill_tiers` lists only tiers whose features it has
-    // just detected on this host.
-    let or = on_tiers(&|tier, block| unsafe { any_forms::or::on(tier, block, hit) });
-    let count = on_tiers(&|tier, block| unsafe { any_forms::count::on(tier, block, hit) });
+    let or = on_tiers(&|tier, block| or::on(tier, block, hit));
+    let count = on_tiers(&|tier, block| count::on(tier, block, hit));
     let dispatched = Some(time(&|block| any_in_block(block, hit)));
     // The library compiles the count under AVX2 and the OR elsewhere.
     let counts = gv_core::kernel::isa_tier() == IsaTier::Avx2;
@@ -1073,6 +1087,27 @@ fn main() {
         ));
     }
 
+    // A sixteenth of the other rows' work: translating into a `MinK(100)`
+    // state costs about 100 ns an element.
+    let translate_data = data_i64(TRANSLATE_N);
+    let translate_iters = (work / TRANSLATE_N as u64 / 16).max(1) as u32;
+    let mut translates = vec![translate_cell(
+        "sum_i64",
+        &sum::<i64>(),
+        &translate_data,
+        translate_iters,
+        runs_reps,
+    )];
+    translates.extend(TRANSLATE_KS.map(|k| {
+        translate_cell(
+            &format!("mink{k}_i64"),
+            &MinK::<i64>::new(k),
+            &translate_data,
+            translate_iters,
+            runs_reps,
+        )
+    }));
+
     if csv {
         println!("cell,n,scalar_ns_per_elem,kernel_ns_per_elem,speedup,gated");
         for c in &cells {
@@ -1130,6 +1165,16 @@ fn main() {
             if let Some(ns) = row.dispatched {
                 println!("{}/dispatched,{},,{ns:.4},,false", row.name, row.n);
             }
+        }
+        for c in &translates {
+            println!(
+                "{},{},{:.4},{:.4},{:.3},false",
+                c.name,
+                c.n,
+                c.scalar_ns,
+                c.kernel_ns,
+                c.speedup()
+            );
         }
         println!("geomean_gated,,,,{gate:.3},");
         println!("verdict,,,,{},", if pass { "PASS" } else { "FAIL" });
@@ -1238,7 +1283,10 @@ fn main() {
                 count(fresh_faults)
             );
         }
-        let tier_names: Vec<&str> = fill_tiers().iter().map(|tier| tier.name()).collect();
+        let tier_names: Vec<&str> = IsaTier::available()
+            .iter()
+            .map(|tier| tier.name())
+            .collect();
         let tier_header: String = tier_names
             .iter()
             .map(|name| format!(" {name:>12}"))
@@ -1279,6 +1327,27 @@ fn main() {
                 tier_cells(&row.tiers),
                 row.dispatched
                     .map_or(String::new(), |ns| format!("{ns:.2} ns"))
+            );
+        }
+        println!(
+            "\n  accumulating each input into the state against translating it into a state of \
+             its own and combining that (`Translated`), through `seq::reduce`\n  (ns per element, \
+             best of {runs_reps} alternating rep(s); both forms verified equal; not gated — paper \
+             §3: translating \"would result in worse performance\")"
+        );
+        println!(
+            "  {:<24} {:>8} {:>12} {:>12} {:>12} {:>9}",
+            "cell", "n", "translate", "accumulate", "extra", "slower"
+        );
+        for c in &translates {
+            println!(
+                "  {:<24} {:>8} {:>9.2} ns {:>9.2} ns {:>9.2} ns {:>8.2}x",
+                c.name,
+                c.n,
+                c.scalar_ns,
+                c.kernel_ns,
+                c.scalar_ns - c.kernel_ns,
+                c.speedup()
             );
         }
         println!(

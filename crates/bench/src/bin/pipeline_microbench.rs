@@ -13,7 +13,8 @@
 //! Each cell reports the modeled parallel time of both schedules, the
 //! segment count the cost model chose, and the speedup. The table also
 //! cross-checks the selector: for every cell it routes the same state
-//! through the cost-driven `*_splittable` entry point and asserts the
+//! through the cost-driven `*_splittable` entry point (for `reduce`, the
+//! tree at `BcastAlgorithm::select_segments`' S) and asserts the
 //! selected schedule is within 5% of the best fixed schedule measured —
 //! the "selector never loses badly" acceptance bound. The ≥2× headline
 //! bound applies to `bcast` and `allred-tree` at ≥256 KiB, p ≥ 8.
@@ -70,7 +71,7 @@ struct Comparison {
     mono: Call,
     /// The tree at the cost model's `S`.
     piped: Call,
-    /// The cost-driven `*_splittable` entry point.
+    /// The cost-driven selection.
     selected: Call,
 }
 
@@ -99,8 +100,9 @@ const COMPARISONS: [Comparison; 3] = [
             c.reduce_pipelined(0, state, s, split, unsplit, wire, add);
         },
         selected: |c, elems, _| {
+            let s = BcastAlgorithm::select_segments(&c.cost_model(), c.size(), elems * 8, true);
             let state = vec![1u64; elems];
-            c.reduce_splittable(0, state, split, unsplit, wire, add);
+            c.reduce_pipelined(0, state, s, split, unsplit, wire, add);
         },
     },
     // Recursive doubling (the best fixed whole-state schedule for a

@@ -8,8 +8,9 @@
 //! there is no `std::simd` and no intrinsics crate; LLVM auto-vectorizes
 //! the lane loops, and runtime ISA dispatch (memchr-style:
 //! `is_x86_feature_detected!` + `#[target_feature]` monomorphizations of
-//! the *same* loop) lets one portable binary use AVX2/AVX-512 registers
-//! without changing a single result.
+//! the *same* loop, written once in [`isa_tiers!`](crate::isa_tiers)) lets
+//! one portable binary use AVX2/AVX-512 registers without changing a
+//! single result.
 //!
 //! # The float-determinism contract
 //!
@@ -143,12 +144,23 @@ pub enum IsaTier {
 }
 
 impl IsaTier {
-    /// Short display name (`sse2`/`avx2`/`avx512`).
+    /// Short display name (`portable`/`avx2`/`avx512`).
     pub fn name(self) -> &'static str {
         match self {
             IsaTier::Portable => "portable",
             IsaTier::Avx2 => "avx2",
             IsaTier::Avx512 => "avx512",
+        }
+    }
+
+    /// The tiers this host can run, narrowest first: every tier up to
+    /// [`isa_tier`] (a host with AVX-512 has AVX2).
+    pub fn available() -> &'static [IsaTier] {
+        const ALL: [IsaTier; 3] = [IsaTier::Portable, IsaTier::Avx2, IsaTier::Avx512];
+        match isa_tier() {
+            IsaTier::Portable => &ALL[..1],
+            IsaTier::Avx2 => &ALL[..2],
+            IsaTier::Avx512 => &ALL,
         }
     }
 }
@@ -171,6 +183,144 @@ pub fn isa_tier() -> IsaTier {
         }
     }
     IsaTier::Portable
+}
+
+/// Compiles a kernel once per ISA tier and calls a tier only after
+/// detecting it: the one place the workspace writes `#[target_feature]`,
+/// and the only `unsafe` a tier needs.
+///
+/// ```
+/// gv_core::isa_tiers! {
+///     /// The wrapping sum of `xs`.
+///     fn total(xs: &[u64]) -> u64 {
+///         xs.iter().fold(0, |a, &x| a.wrapping_add(x))
+///     }
+/// }
+/// assert_eq!(total(&[1, 2, 3]), 6);
+/// for &tier in gv_core::kernel::IsaTier::available() {
+///     assert_eq!(total::on(tier, &[1, 2, 3]), 6);
+/// }
+/// ```
+///
+/// A `fn` emits the function as written — attributes, visibility,
+/// signature — as the dispatched entry: it reads
+/// [`isa_tier`](crate::kernel::isa_tier) on every call and runs the widest
+/// tier. Beside it, a private module of the same name holds one build of
+/// the body under each tier's `#[target_feature]` and `on(tier, ..)`, the
+/// per-tier entry tests and benches call to hold every tier to one answer;
+/// it panics if the host cannot run `tier`. Writing `mod` for `fn` emits
+/// the module alone, for one body on every tier.
+///
+/// The body is a function body for every tier, or `{ portable: .., avx2:
+/// .., avx512: .. }`, one expression a tier, for a kernel whose tiers
+/// measured best in different loop forms. Each tier's build is a
+/// monomorphization of its expression, so an `#[inline(always)]` body
+/// function called from it compiles once per tier and computes the same
+/// value on each. Invoke it at module level: the module sees the caller's
+/// items through `use super::*`.
+#[macro_export]
+macro_rules! isa_tiers {
+    (
+        @mod $name:ident
+        $(<$($g:ident $(: $bound:path)?),*>)? ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?
+        { $portable:expr, $avx2:expr, $avx512:expr }
+    ) => {
+        mod $name {
+            #[allow(unused_imports)]
+            use super::*;
+
+            /// The kernel as compiled for `tier`.
+            ///
+            /// # Panics
+            ///
+            /// If the host cannot run `tier`.
+            // A library kernel's per-tier entry may have no caller but its
+            // tests.
+            #[allow(dead_code)]
+            pub(super) fn on $(<$($g $(: $bound)?),*>)? (
+                tier: $crate::kernel::IsaTier,
+                $($arg: $ty),*
+            ) $(-> $ret)? {
+                assert!(
+                    $crate::kernel::IsaTier::available().contains(&tier),
+                    "this host cannot run the {} tier",
+                    tier.name()
+                );
+                match tier {
+                    // SAFETY: the host was just found to run this tier.
+                    #[cfg(target_arch = "x86_64")]
+                    $crate::kernel::IsaTier::Avx512 => unsafe { avx512($($arg),*) },
+                    // SAFETY: the host was just found to run this tier.
+                    #[cfg(target_arch = "x86_64")]
+                    $crate::kernel::IsaTier::Avx2 => unsafe { avx2($($arg),*) },
+                    _ => $portable,
+                }
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            pub(super) fn avx2 $(<$($g $(: $bound)?),*>)? ($($arg: $ty),*) $(-> $ret)? {
+                $avx2
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(
+                enable = "avx512f",
+                enable = "avx512dq",
+                enable = "avx512bw",
+                enable = "avx512vl"
+            )]
+            pub(super) fn avx512 $(<$($g $(: $bound)?),*>)? ($($arg: $ty),*) $(-> $ret)? {
+                $avx512
+            }
+        }
+    };
+    (
+        $(#[$attr:meta])* $vis:vis fn $name:ident
+        $(<$($g:ident $(: $bound:path)?),* $(,)?>)? ($($arg:ident: $ty:ty),* $(,)?)
+        $(-> $ret:ty)?
+        { portable: $portable:expr, avx2: $avx2:expr, avx512: $avx512:expr $(,)? }
+    ) => {
+        $(#[$attr])*
+        $vis fn $name $(<$($g $(: $bound)?),*>)? ($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            match $crate::kernel::isa_tier() {
+                // SAFETY: the matching features were just detected at runtime.
+                $crate::kernel::IsaTier::Avx512 => return unsafe { $name::avx512($($arg),*) },
+                // SAFETY: AVX2 was just detected at runtime.
+                $crate::kernel::IsaTier::Avx2 => return unsafe { $name::avx2($($arg),*) },
+                $crate::kernel::IsaTier::Portable => {}
+            }
+            $portable
+        }
+
+        $crate::isa_tiers! {
+            @mod $name $(<$($g $(: $bound)?),*>)? ($($arg: $ty),*) $(-> $ret)?
+            { $portable, $avx2, $avx512 }
+        }
+    };
+    (
+        $(#[$attr:meta])* $vis:vis fn $name:ident
+        $(<$($g:ident $(: $bound:path)?),* $(,)?>)? ($($arg:ident: $ty:ty),* $(,)?)
+        $(-> $ret:ty)?
+        { $($body:tt)* }
+    ) => {
+        $crate::isa_tiers! {
+            $(#[$attr])* $vis fn $name $(<$($g $(: $bound)?),*>)? ($($arg: $ty),*) $(-> $ret)?
+            { portable: { $($body)* }, avx2: { $($body)* }, avx512: { $($body)* } }
+        }
+    };
+    (
+        mod $name:ident
+        $(<$($g:ident $(: $bound:path)?),* $(,)?>)? ($($arg:ident: $ty:ty),* $(,)?)
+        $(-> $ret:ty)?
+        { $($body:tt)* }
+    ) => {
+        $crate::isa_tiers! {
+            @mod $name $(<$($g $(: $bound)?),*>)? ($($arg: $ty),*) $(-> $ret)?
+            { { $($body)* }, { $($body)* }, { $($body)* } }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -247,52 +397,19 @@ pub fn fold_block<T: Copy>(ident: T, block: &[T], f: impl Fn(T, T) -> T + Copy) 
     fold_block_map(ident, block, |x| x, f)
 }
 
-/// [`fold_block`] over `map(x)` for each element `x` of `block`, mapped as
-/// it is loaded: one pass, same lanes, same pinned regrouping — a sum of
-/// squared deviations costs what a sum costs.
-#[inline]
-pub fn fold_block_map<T: Copy>(
-    ident: T,
-    block: &[T],
-    map: impl Fn(T) -> T + Copy,
-    f: impl Fn(T, T) -> T + Copy,
-) -> T {
-    #[cfg(target_arch = "x86_64")]
-    match isa_tier() {
-        // SAFETY: the matching features were just detected at runtime.
-        IsaTier::Avx512 => return unsafe { fold_block_avx512(ident, block, map, f) },
-        // SAFETY: AVX2 was just detected at runtime.
-        IsaTier::Avx2 => return unsafe { fold_block_avx2(ident, block, map, f) },
-        IsaTier::Portable => {}
+isa_tiers! {
+    /// [`fold_block`] over `map(x)` for each element `x` of `block`, mapped as
+    /// it is loaded: one pass, same lanes, same pinned regrouping — a sum of
+    /// squared deviations costs what a sum costs.
+    #[inline]
+    pub fn fold_block_map<T: Copy>(
+        ident: T,
+        block: &[T],
+        map: impl Fn(T) -> T + Copy,
+        f: impl Fn(T, T) -> T + Copy,
+    ) -> T {
+        fold_block_body(ident, block, map, f)
     }
-    fold_block_body(ident, block, map, f)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn fold_block_avx2<T: Copy>(
-    ident: T,
-    block: &[T],
-    map: impl Fn(T) -> T + Copy,
-    f: impl Fn(T, T) -> T + Copy,
-) -> T {
-    fold_block_body(ident, block, map, f)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(
-    enable = "avx512f",
-    enable = "avx512dq",
-    enable = "avx512bw",
-    enable = "avx512vl"
-)]
-fn fold_block_avx512<T: Copy>(
-    ident: T,
-    block: &[T],
-    map: impl Fn(T) -> T + Copy,
-    f: impl Fn(T, T) -> T + Copy,
-) -> T {
-    fold_block_body(ident, block, map, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +420,7 @@ fn fold_block_avx512<T: Copy>(
 /// the loop vectorizes to compare + OR. The baseline and the AVX-512 tier
 /// compile this one.
 #[inline(always)]
-fn any_in_block_body<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
+fn any_or<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
     let mut any = false;
     for &x in block {
         any |= hit(x);
@@ -311,45 +428,15 @@ fn any_in_block_body<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bo
     any
 }
 
-/// Whether `hit` holds for any element of `block`: `block.iter().any(..)`
-/// with every element tested and no early exit, dispatched to the widest
-/// detected ISA.
-///
-/// `hit` must be pure — it is called once per element, in no promised
-/// order. This is the pre-filter under the k-best accumulate kernels
-/// (`TopBottomK`, `MinK`, `MaxK`) and under every located input
-/// ([`ValueGate`]): each asks whether any element of a
-/// granule could enter its state and replays only the granules where one
-/// could, so the answer decides how much work is done and never what the
-/// result is. A predicate OR rather than a best-of-block fold because the
-/// operators' inputs differ in shape: over `(value, location)` pairs the
-/// values sit at stride two, which a lane min and a lane max fold load
-/// badly (0.47 ns per pair against 0.15 under AVX-512, 1.1 against 0.3
-/// below it), while a compare of each element against two broadcast bounds
-/// does not care.
-#[inline]
-pub fn any_in_block<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    match isa_tier() {
-        // SAFETY: the matching features were just detected at runtime.
-        IsaTier::Avx512 => return unsafe { any_in_block_avx512(block, hit) },
-        // SAFETY: AVX2 was just detected at runtime.
-        IsaTier::Avx2 => return unsafe { any_in_block_avx2(block, hit) },
-        IsaTier::Portable => {}
-    }
-    any_in_block_body(block, hit)
-}
-
 /// The AVX2 tier asks "how many" instead. Only AVX-512 has mask registers;
 /// under AVX2 a compare result is a vector lane as wide as its operands, and
-/// a count of that width keeps it there, where the `bool` OR of
-/// [`any_in_block_body`] has every group of results packed down to bytes
-/// first (`kernel_microbench`, `filter/*` rows: 0.27 against 0.09 ns per
-/// `i64`, 0.44 against 0.27 per pair — behind the baseline). The answer
-/// cannot differ: it is a predicate OR either way.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn any_in_block_avx2<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
+/// a count of that width keeps it there, where the `bool` OR of [`any_or`]
+/// has every group of results packed down to bytes first
+/// (`kernel_microbench`, `filter/*` rows: 0.27 against 0.09 ns per `i64`,
+/// 0.44 against 0.27 per pair — behind the baseline). The answer cannot
+/// differ: it is a predicate OR either way.
+#[inline(always)]
+fn any_count<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
     let mut hits = 0u64;
     for &x in block {
         hits += u64::from(hit(x));
@@ -357,15 +444,29 @@ fn any_in_block_avx2<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bo
     hits != 0
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(
-    enable = "avx512f",
-    enable = "avx512dq",
-    enable = "avx512bw",
-    enable = "avx512vl"
-)]
-fn any_in_block_avx512<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
-    any_in_block_body(block, hit)
+isa_tiers! {
+    /// Whether `hit` holds for any element of `block`: `block.iter().any(..)`
+    /// with every element tested and no early exit, dispatched to the widest
+    /// detected ISA.
+    ///
+    /// `hit` must be pure — it is called once per element, in no promised
+    /// order. This is the pre-filter under the k-best accumulate kernels
+    /// (`TopBottomK`, `MinK`, `MaxK`) and under every located input
+    /// ([`ValueGate`]): each asks whether any element of a
+    /// granule could enter its state and replays only the granules where one
+    /// could, so the answer decides how much work is done and never what the
+    /// result is. A predicate OR rather than a best-of-block fold because the
+    /// operators' inputs differ in shape: over `(value, location)` pairs the
+    /// values sit at stride two, which a lane min and a lane max fold load
+    /// badly (0.47 ns per pair against 0.15 under AVX-512, 1.1 against 0.3
+    /// below it), while a compare of each element against two broadcast bounds
+    /// does not care.
+    #[inline]
+    pub fn any_in_block<T: Copy>(block: &[T], hit: impl Fn(T) -> bool + Copy) -> bool {
+        portable: any_or(block, hit),
+        avx2: any_count(block, hit),
+        avx512: any_or(block, hit),
+    }
 }
 
 /// What an operator over `(value, location)` pairs can say from a value
@@ -519,10 +620,14 @@ pub fn accum_runs<Op: ReduceScanOp + ?Sized>(op: &Op, state: &mut Op::State, blo
 // Elementwise slot zip (splittable vector states, aggregated slots)
 // ---------------------------------------------------------------------------
 
-#[inline(always)]
-fn zip_slots_body<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
-    for (s, x) in slots.iter_mut().zip(other) {
-        f(s, x);
+isa_tiers! {
+    /// [`zip_slots`] without the dispatch-counter tick, for callers that
+    /// already account for the enclosing block (e.g. [`count_into`]).
+    #[inline]
+    fn zip_each<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
+        for (s, x) in slots.iter_mut().zip(other) {
+            f(s, x);
+        }
     }
 }
 
@@ -538,7 +643,7 @@ pub(crate) fn zip_slots<S, I: IntoIterator>(
     f: impl Fn(&mut S, I::Item),
 ) {
     note_kernel_block();
-    zip_slots_dispatch(slots, other.into_iter(), f)
+    zip_each(slots, other.into_iter(), f)
 }
 
 /// `a[i] = f(a[i], b[i])` over `min(a.len(), b.len())` slots, in place,
@@ -550,38 +655,6 @@ pub(crate) fn zip_slots<S, I: IntoIterator>(
 #[inline]
 pub fn combine_elementwise<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T + Copy) {
     zip_slots(a, b, |x, &y| *x = f(*x, y));
-}
-
-/// [`zip_slots`] without the dispatch-counter tick, for callers that
-/// already account for the enclosing block (e.g. [`count_into`]).
-#[inline]
-fn zip_slots_dispatch<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
-    #[cfg(target_arch = "x86_64")]
-    match isa_tier() {
-        // SAFETY: the matching features were just detected at runtime.
-        IsaTier::Avx512 => return unsafe { zip_slots_avx512(slots, other, f) },
-        // SAFETY: AVX2 was just detected at runtime.
-        IsaTier::Avx2 => return unsafe { zip_slots_avx2(slots, other, f) },
-        IsaTier::Portable => {}
-    }
-    zip_slots_body(slots, other, f)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn zip_slots_avx2<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
-    zip_slots_body(slots, other, f)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(
-    enable = "avx512f",
-    enable = "avx512dq",
-    enable = "avx512bw",
-    enable = "avx512vl"
-)]
-fn zip_slots_avx512<S, I: Iterator>(slots: &mut [S], other: I, f: impl Fn(&mut S, I::Item)) {
-    zip_slots_body(slots, other, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -791,45 +864,21 @@ pub fn scan_block_network<T: Copy>(
 ) {
     let start = out.len();
     out.resize(start + block.len(), *carry);
-    let dst = &mut out[start..];
-    #[cfg(target_arch = "x86_64")]
-    match isa_tier() {
-        // SAFETY: the matching features were just detected at runtime.
-        IsaTier::Avx512 => return unsafe { scan_block_network_avx512(carry, block, dst, f, kind) },
-        // SAFETY: AVX2 was just detected at runtime.
-        IsaTier::Avx2 => return unsafe { scan_block_network_avx2(carry, block, dst, f, kind) },
-        IsaTier::Portable => {}
+    scan_block_network_into(carry, block, &mut out[start..], f, kind)
+}
+
+isa_tiers! {
+    /// [`scan_block_network`] into a window of `block.len()` outputs.
+    #[inline]
+    fn scan_block_network_into<T: Copy>(
+        carry: &mut T,
+        block: &[T],
+        out: &mut [T],
+        f: impl Fn(T, T) -> T + Copy,
+        kind: ScanKind,
+    ) {
+        scan_block_network_body(carry, block, out, f, kind)
     }
-    scan_block_network_body(carry, block, dst, f, kind)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn scan_block_network_avx2<T: Copy>(
-    carry: &mut T,
-    block: &[T],
-    out: &mut [T],
-    f: impl Fn(T, T) -> T + Copy,
-    kind: ScanKind,
-) {
-    scan_block_network_body(carry, block, out, f, kind)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(
-    enable = "avx512f",
-    enable = "avx512dq",
-    enable = "avx512bw",
-    enable = "avx512vl"
-)]
-fn scan_block_network_avx512<T: Copy>(
-    carry: &mut T,
-    block: &[T],
-    out: &mut [T],
-    f: impl Fn(T, T) -> T + Copy,
-    kind: ScanKind,
-) {
-    scan_block_network_body(carry, block, out, f, kind)
 }
 
 // ---------------------------------------------------------------------------
@@ -879,9 +928,9 @@ pub fn count_into<T>(counts: &mut [u64], block: &[T], index_of: impl Fn(&T) -> u
     }
     let (s1, rest) = sub.split_at(k);
     let (s2, s3) = rest.split_at(k);
-    zip_slots_dispatch(counts, s1.iter(), |a, &b| *a += b);
-    zip_slots_dispatch(counts, s2.iter(), |a, &b| *a += b);
-    zip_slots_dispatch(counts, s3.iter(), |a, &b| *a += b);
+    zip_each(counts, s1.iter(), |a, &b| *a += b);
+    zip_each(counts, s2.iter(), |a, &b| *a += b);
+    zip_each(counts, s3.iter(), |a, &b| *a += b);
 }
 
 #[cfg(test)]
@@ -997,28 +1046,161 @@ mod tests {
         }
     }
 
+    /// Inputs of every length 0 … 4·[`LANES`] + 2: integers, finite floats,
+    /// and the finite floats with NaN, +0 and −0 planted among them.
+    fn tier_inputs() -> impl Iterator<Item = (Vec<i64>, [Vec<f64>; 2])> {
+        (0..4 * LANES + 3).map(|n| {
+            let ints: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101 - 50).collect();
+            let finite: Vec<f64> = (0..n).map(|i| (i as f64).sin() * 1e3).collect();
+            let specials = [f64::NAN, 0.0, -0.0];
+            let special = (0..n)
+                .map(|i| match i % 5 {
+                    4 => specials[i / 5 % 3],
+                    _ => finite[i],
+                })
+                .collect();
+            (ints, [finite, special])
+        })
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `kernel(tier)` on every tier this host runs must be `reference`.
+    fn assert_on_every_tier<R: PartialEq + std::fmt::Debug>(
+        what: &str,
+        reference: R,
+        kernel: impl Fn(IsaTier) -> R,
+    ) {
+        for &tier in IsaTier::available() {
+            assert_eq!(kernel(tier), reference, "{what}: {} tier", tier.name());
+        }
+    }
+
+    #[test]
+    fn fold_block_map_matches_the_reference_on_every_tier() {
+        let add = |a: i64, b: i64| a.wrapping_add(b);
+        let min = |a: f64, b: f64| if b < a { b } else { a };
+        for (ints, floats) in tier_inputs() {
+            let n = ints.len();
+            assert_on_every_tier(
+                &format!("i64 sum n={n}"),
+                fold_block_reference(0, &ints, add),
+                |tier| fold_block_map::on(tier, 0, &ints, |x| x, add),
+            );
+            assert_on_every_tier(
+                &format!("i64 min n={n}"),
+                fold_block_reference(i64::MAX, &ints, i64::min),
+                |tier| fold_block_map::on(tier, i64::MAX, &ints, |x| x, i64::min),
+            );
+            for data in &floats {
+                assert_on_every_tier(
+                    &format!("f64 sum n={n}"),
+                    fold_block_reference(0.0, data, |a, b| a + b).to_bits(),
+                    |tier| fold_block_map::on(tier, 0.0, data, |x| x, |a, b| a + b).to_bits(),
+                );
+                assert_on_every_tier(
+                    &format!("f64 min n={n}"),
+                    fold_block_reference(f64::INFINITY, data, min).to_bits(),
+                    |tier| fold_block_map::on(tier, f64::INFINITY, data, |x| x, min).to_bits(),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scan_block_network_matches_the_reference_on_every_tier() {
+        /// Both scan kinds of `data` from `init`, outputs and carry
+        /// compared through `key`.
+        fn check<T: Copy, K: PartialEq + std::fmt::Debug>(
+            what: &str,
+            data: &[T],
+            init: T,
+            f: impl Fn(T, T) -> T + Copy,
+            key: impl Fn(T) -> K + Copy,
+        ) {
+            let keyed =
+                |out: &[T], carry: T| (out.iter().map(|&x| key(x)).collect::<Vec<_>>(), key(carry));
+            for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
+                let mut carry = init;
+                let mut out = Vec::new();
+                scan_block_network_reference(&mut carry, data, &mut out, f, kind);
+                assert_on_every_tier(&format!("{what} {kind:?}"), keyed(&out, carry), |tier| {
+                    let mut carry = init;
+                    let mut out = vec![init; data.len()];
+                    scan_block_network_into::on(tier, &mut carry, data, &mut out, f, kind);
+                    keyed(&out, carry)
+                });
+            }
+        }
+        let min = |a: f64, b: f64| if b < a { b } else { a };
+        for (ints, floats) in tier_inputs() {
+            let n = ints.len();
+            check(
+                &format!("i64 sum n={n}"),
+                &ints,
+                0,
+                |a, b| a.wrapping_add(b),
+                |x| x,
+            );
+            for data in &floats {
+                check(
+                    &format!("f64 sum n={n}"),
+                    data,
+                    0.0,
+                    |a, b| a + b,
+                    f64::to_bits,
+                );
+                check(
+                    &format!("f64 min n={n}"),
+                    data,
+                    f64::INFINITY,
+                    min,
+                    f64::to_bits,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zip_each_is_the_plain_zip_on_every_tier() {
+        for (ints, floats) in tier_inputs() {
+            let n = ints.len();
+            let other: Vec<i64> = ints.iter().rev().copied().collect();
+            let zipped: Vec<i64> = ints
+                .iter()
+                .zip(&other)
+                .map(|(a, b)| a.wrapping_add(*b))
+                .collect();
+            assert_on_every_tier(&format!("i64 n={n}"), zipped, |tier| {
+                let mut slots = ints.clone();
+                zip_each::on(tier, &mut slots, other.iter(), |a, &b| {
+                    *a = a.wrapping_add(b)
+                });
+                slots
+            });
+            let [finite, special] = &floats;
+            let zipped: Vec<f64> = finite.iter().zip(special).map(|(a, b)| a + b).collect();
+            assert_on_every_tier(&format!("f64 n={n}"), bits(&zipped), |tier| {
+                let mut slots = finite.clone();
+                zip_each::on(tier, &mut slots, special.iter(), |a, &b| *a += b);
+                bits(&slots)
+            });
+        }
+    }
+
     /// `any_in_block` as dispatched and as compiled for every tier this
     /// host can run, each called directly.
     fn any_on_every_tier<T: Copy>(
         block: &[T],
         hit: impl Fn(T) -> bool + Copy,
     ) -> Vec<(&'static str, bool)> {
-        let mut answers = vec![
-            ("dispatched", any_in_block(block, hit)),
-            ("portable", any_in_block_body(block, hit)),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 was just detected at runtime.
-                answers.push(("avx2", unsafe { any_in_block_avx2(block, hit) }));
-            }
-            if isa_tier() == IsaTier::Avx512 {
-                // SAFETY: the matching features were just detected at runtime.
-                answers.push(("avx512", unsafe { any_in_block_avx512(block, hit) }));
-            }
-        }
-        answers
+        let tiers = IsaTier::available().iter();
+        let answers = tiers.map(|&tier| (tier.name(), any_in_block::on(tier, block, hit)));
+        std::iter::once(("dispatched", any_in_block(block, hit)))
+            .chain(answers)
+            .collect()
     }
 
     /// Every prefix of `quiet` (no element passes `hit`) must answer no on

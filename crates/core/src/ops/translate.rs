@@ -10,12 +10,12 @@
 //! state. Results are identical by the accumulate/combine coherence law;
 //! the cost is one identity construction plus one full state combine per
 //! element — for `mink`, O(k) per element where direct accumulation is
-//! O(1) in the common case. The `ablation_translate` bench (experiment
-//! TXT-TRANSLATE) measures exactly this gap. For that reason [`Translated`]
-//! deliberately does *not* forward the wrapped operator's `accum_block`
-//! kernel: it stays on the per-element loop, so the ablation keeps
-//! comparing one accumulate against one translate-and-combine rather than
-//! a block kernel against itself.
+//! O(1) in the common case. The `translate/*` rows of `kernel_microbench`
+//! (experiment TXT-TRANSLATE) measure exactly this gap. For that reason
+//! [`Translated`] deliberately does *not* forward the wrapped operator's
+//! `accum_block` kernel: it stays on the per-element loop, so the ablation
+//! keeps comparing one accumulate against one translate-and-combine rather
+//! than a block kernel against itself.
 
 use crate::op::{ReduceScanOp, ScanKind};
 
@@ -70,9 +70,9 @@ impl<Op: ReduceScanOp> ReduceScanOp for Translated<Op> {
 }
 
 /// Sequential reduction via the translate formulation — a convenience for
-/// the ablation bench.
+/// the ablation's `translate/*` rows.
 pub fn reduce_translated<Op: ReduceScanOp>(op: &Op, input: &[Op::In]) -> Op::Out {
-    crate::seq::reduce(&Translated(BorrowedOp(op)), input)
+    crate::seq::reduce(&Translated(op), input)
 }
 
 /// Sequential scan via the translate formulation.
@@ -81,45 +81,7 @@ pub fn scan_translated<Op: ReduceScanOp>(
     input: &[Op::In],
     kind: ScanKind,
 ) -> Vec<Op::Out> {
-    crate::seq::scan(&Translated(BorrowedOp(op)), input, kind)
-}
-
-/// Adapter implementing an operator through a shared reference, so
-/// [`Translated`] can wrap borrowed operators without cloning them.
-#[derive(Debug, Clone, Copy)]
-pub struct BorrowedOp<'a, Op: ?Sized>(pub &'a Op);
-
-impl<Op: ReduceScanOp + ?Sized> ReduceScanOp for BorrowedOp<'_, Op> {
-    type In = Op::In;
-    type State = Op::State;
-    type Out = Op::Out;
-
-    const COMMUTATIVE: bool = Op::COMMUTATIVE;
-
-    fn ident(&self) -> Self::State {
-        self.0.ident()
-    }
-    fn pre_accum(&self, state: &mut Self::State, first: &Self::In) {
-        self.0.pre_accum(state, first);
-    }
-    fn accum(&self, state: &mut Self::State, x: &Self::In) {
-        self.0.accum(state, x);
-    }
-    fn post_accum(&self, state: &mut Self::State, last: &Self::In) {
-        self.0.post_accum(state, last);
-    }
-    fn combine(&self, earlier: &mut Self::State, later: Self::State) {
-        self.0.combine(earlier, later);
-    }
-    fn red_gen(&self, state: Self::State) -> Self::Out {
-        self.0.red_gen(state)
-    }
-    fn scan_gen(&self, state: &Self::State, x: &Self::In) -> Self::Out {
-        self.0.scan_gen(state, x)
-    }
-    fn wire_size(&self, state: &Self::State) -> usize {
-        self.0.wire_size(state)
-    }
+    crate::seq::scan(&Translated(op), input, kind)
 }
 
 #[cfg(test)]

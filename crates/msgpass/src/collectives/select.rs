@@ -19,10 +19,10 @@
 //! reduce-scatter + allgather additionally needs a commutative operator
 //! but the segmented tree (combining in strict rank order) does not.
 //!
-//! For broadcast and rooted reduce the schedule is always the tree and
-//! the selection is its segment count: `S = 1` unless the state is
-//! splittable and the priced `S > 1` estimate is strictly lower
-//! ([`BcastAlgorithm::select_segments`]).
+//! For broadcast the schedule is always the tree and the selection is its
+//! segment count: `S = 1` unless the state is splittable and the priced
+//! `S > 1` estimate is strictly lower ([`BcastAlgorithm::select_segments`],
+//! which also prices the same tree driven upward: `reduce_pipelined`).
 //!
 //! For scans every candidate schedule combines in rank order, so only
 //! *splittability* discriminates: [`Comm::scan_inclusive`] /
@@ -241,28 +241,6 @@ impl Comm {
                 comm, root, value, segments, split, salt, bytes_of, combine, unsplit,
             )
         })
-    }
-
-    /// Rooted reduce with cost-driven segment selection for splittable
-    /// states. Returns `Some(result)` at the root, `None` elsewhere. The
-    /// tree combines in rank order at every `S`, so — as for scans —
-    /// only splittability discriminates, never commutativity.
-    pub fn reduce_splittable<T: Send + 'static>(
-        &self,
-        root: usize,
-        value: T,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> Option<T> {
-        let segments = BcastAlgorithm::select_segments(
-            &self.cost_model(),
-            self.size(),
-            bytes_of(&value),
-            true,
-        );
-        self.start_reduce(segments, root, value, (split, unsplit), bytes_of, combine)
     }
 
     /// The scan family's one constructor, driven on the caller's stack.
@@ -655,47 +633,5 @@ mod tests {
                 .bcast_algorithm_calls(BcastAlgorithm::Pipelined),
             0
         );
-    }
-
-    #[test]
-    fn reduce_splittable_pipelines_large_states() {
-        let outcome = Runtime::new(8).run(|comm| {
-            let state = vec![comm.rank() as u64; 32 << 10]; // 256 KiB
-            comm.reduce_splittable(
-                3,
-                state,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            )
-        });
-        for (r, res) in outcome.results.iter().enumerate() {
-            if r == 3 {
-                assert_eq!(res, &Some(vec![28u64; 32 << 10]));
-            } else {
-                assert!(res.is_none(), "non-root rank {r} must get None");
-            }
-        }
-        // (⌈log₂8⌉ + S − 1 stages) · … — the message count pins the route:
-        // a monolithic binomial reduce moves exactly p−1 messages, the
-        // pipelined tree (p−1)·S with S > 1 at this size.
-        assert!(
-            outcome.stats.messages > 7,
-            "expected pipelined reduce traffic, got {} messages",
-            outcome.stats.messages
-        );
-        // Small states keep the monolithic tree: exactly p−1 messages.
-        let small = Runtime::new(8).run(|comm| {
-            comm.reduce_splittable(
-                0,
-                vec![comm.rank() as u64; 4],
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            )
-        });
-        assert_eq!(small.stats.messages, 7);
     }
 }

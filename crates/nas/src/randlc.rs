@@ -23,13 +23,12 @@
 //! [`Randlc::fill`] keeps [`FILL_LANES`] states `x·a¹ … x·a^L`, writes them
 //! out as one group and steps every lane by `a^L`, so the multiplies of a
 //! group are independent and a vector unit does eight at once. The body is
-//! compiled once per ISA tier the way `gv_core::kernel` compiles its lane
-//! folds (`#[target_feature]` monomorphizations of one `#[inline(always)]`
-//! body, chosen by [`isa_tier`]), and a tier is dispatched to only where it
-//! measured ahead of the one-chain loop (`kernel_microbench`, `randlc/fill`
-//! rows): AVX2 and AVX-512 are; the baseline x86-64 target, which has no
-//! packed 64-bit multiply, is not, so there `fill` is the loop it always
-//! was.
+//! compiled once per ISA tier by [`gv_core::isa_tiers!`], the macro
+//! `gv_core::kernel` builds its lane folds with, and the lanes run only on
+//! the tiers where they measured ahead of the one-chain loop
+//! (`kernel_microbench`, `randlc/fill` rows): AVX2 and AVX-512 do; the
+//! baseline x86-64 target, which has no packed 64-bit multiply, does not,
+//! so there `fill` is the loop it always was.
 //!
 //! The stream cannot change: every lane does exact integer arithmetic mod
 //! 2⁴⁶ (`a^L` is itself exact, the low 46 bits of a 64-bit product are
@@ -40,7 +39,7 @@
 //! bit, on every tier (`tests/randlc_pin.rs` holds every tier to the
 //! independent `gv_testkit` copy).
 
-use gv_core::kernel::{isa_tier, IsaTier};
+use gv_core::kernel::IsaTier;
 
 /// The NPB multiplier `a = 5^13`.
 pub const A: u64 = 1_220_703_125;
@@ -57,17 +56,6 @@ const SCALE: f64 = 1.0 / (1u64 << MOD_BITS) as f64;
 /// leave the store stream as the limit (16 lanes read 1.2–1.7× slower, 64
 /// no faster once the output leaves the cache).
 pub const FILL_LANES: usize = 32;
-
-/// The tiers this host can run [`Randlc::fill_on`] on, narrowest first
-/// (`Portable` is the one-chain loop; a host with AVX-512 has AVX2).
-pub fn fill_tiers() -> &'static [IsaTier] {
-    const ALL: [IsaTier; 3] = [IsaTier::Portable, IsaTier::Avx2, IsaTier::Avx512];
-    match isa_tier() {
-        IsaTier::Portable => &ALL[..1],
-        IsaTier::Avx2 => &ALL[..2],
-        IsaTier::Avx512 => &ALL,
-    }
-}
 
 /// The generator state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,30 +91,18 @@ impl Randlc {
     /// and the state left behind are those of [`next_f64`](Self::next_f64)
     /// called `out.len()` times, whichever tier runs (module docs).
     pub fn fill(&mut self, out: &mut [f64]) {
-        self.fill_on(isa_tier(), out);
+        self.x = fill_from(self.x, out);
     }
 
     /// [`fill`](Self::fill) through the body compiled for `tier`, for the
-    /// tests and benches that hold every tier to the same stream.
+    /// tests and benches that hold every tier to the same stream
+    /// (`Portable` is the one-chain loop).
     ///
     /// # Panics
     ///
-    /// If the host cannot run `tier` (it is not in [`fill_tiers`]).
+    /// If the host cannot run `tier` (it is not in [`IsaTier::available`]).
     pub fn fill_on(&mut self, tier: IsaTier, out: &mut [f64]) {
-        assert!(
-            fill_tiers().contains(&tier),
-            "this host cannot run the {} tier",
-            tier.name()
-        );
-        self.x = match tier {
-            // SAFETY: the matching features were just detected at runtime.
-            #[cfg(target_arch = "x86_64")]
-            IsaTier::Avx512 => unsafe { fill_lanes_avx512(self.x, out) },
-            // SAFETY: AVX2 was just detected at runtime.
-            #[cfg(target_arch = "x86_64")]
-            IsaTier::Avx2 => unsafe { fill_lanes_avx2(self.x, out) },
-            _ => fill_chain(self.x, out),
-        };
+        self.x = fill_from::on(tier, self.x, out);
     }
 
     /// Jumps the generator forward by `n` steps in O(log n) time.
@@ -189,21 +165,16 @@ fn fill_lanes_body(mut x: u64, out: &mut [f64]) -> u64 {
     fill_chain(lanes[FILL_LANES - 1], groups.into_remainder())
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn fill_lanes_avx2(x: u64, out: &mut [f64]) -> u64 {
-    fill_lanes_body(x, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(
-    enable = "avx512f",
-    enable = "avx512dq",
-    enable = "avx512bw",
-    enable = "avx512vl"
-)]
-fn fill_lanes_avx512(x: u64, out: &mut [f64]) -> u64 {
-    fill_lanes_body(x, out)
+gv_core::isa_tiers! {
+    /// Fills `out` from state `x` and returns the state after the last
+    /// variate: the one-chain loop on the baseline tier, which has no packed
+    /// 64-bit multiply and measured no faster in lanes, the lanes on the
+    /// vector tiers.
+    fn fill_from(x: u64, out: &mut [f64]) -> u64 {
+        portable: fill_chain(x, out),
+        avx2: fill_lanes_body(x, out),
+        avx512: fill_lanes_body(x, out),
+    }
 }
 
 /// `(x · y) mod 2^46` exactly.

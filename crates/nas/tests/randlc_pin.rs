@@ -14,7 +14,8 @@
 //! compiled for is called directly and held to `Nas46::next_f64`, the copy
 //! that knows nothing of lanes.
 
-use gv_nas::randlc::{fill_tiers, Randlc, A, DEFAULT_SEED, FILL_LANES};
+use gv_core::kernel::IsaTier;
+use gv_nas::randlc::{Randlc, A, DEFAULT_SEED, FILL_LANES};
 use gv_testkit::rng::Nas46;
 
 /// Seeds at and above 2^46 included, which both sides must mask.
@@ -92,7 +93,7 @@ const FILL_LENGTHS: [usize; 9] = [
 /// leave `theirs`'s state, for every tier and length.
 fn assert_fill_matches_stepping(start: Randlc, reference: Nas46, context: &str) {
     assert_eq!(start.state(), reference.state(), "{context}: initial state");
-    for &tier in fill_tiers() {
+    for &tier in IsaTier::available() {
         for len in FILL_LENGTHS {
             let mut ours = start;
             let mut theirs = reference;
@@ -133,7 +134,7 @@ fn every_fill_tier_is_the_stepped_stream_bit_for_bit_and_in_final_state() {
 #[test]
 fn two_consecutive_fills_equal_one() {
     let total = 3 * FILL_LANES + 7;
-    for &tier in fill_tiers() {
+    for &tier in IsaTier::available() {
         let mut whole = vec![0.0; total];
         let mut once = Randlc::nas_default();
         once.fill_on(tier, &mut whole);

@@ -11,7 +11,7 @@
 //! `cargo build --release --offline && cargo test -q --offline` on a
 //! machine that has never seen a crate registry.
 //!
-//! Three subsystems:
+//! Two subsystems:
 //!
 //! * [`rng`] — deterministic, seedable PRNGs: [`rng::TestRng`]
 //!   (splitmix64-seeded xoshiro256++) for test-case generation, and
@@ -21,9 +21,6 @@
 //!   value generators with shrink candidates, [`prop::check`] which runs
 //!   N cases, and on failure greedily shrinks the counterexample and
 //!   panics with the **case seed** so the failure replays exactly.
-//! * [`mod@bench`] — a criterion-shaped harness (warmup, timed samples,
-//!   median/MAD, fixed-width table output) for the `harness = false`
-//!   benches in `crates/bench/benches/`.
 //!
 //! ## Reproducing a property failure
 //!
@@ -45,10 +42,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
-pub mod stats;
 
 pub use prop::{check, Config, Strategy};
 pub use rng::{Nas46, TestRng};

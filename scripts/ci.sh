@@ -9,7 +9,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline --workspace --benches
+# Runtime ISA dispatch is written once, in `gv_core::isa_tiers!`
+# (crates/core/src/kernel.rs): a `#[target_feature]` attribute anywhere
+# else under crates/ is a second copy of it.
+awk '
+    FILENAME == "crates/core/src/kernel.rs" && /^macro_rules! isa_tiers/ { inside = 1 }
+    /^[[:space:]]*#\[target_feature/ && !inside { print FILENAME ":" FNR ": " $0; stray = 1 }
+    inside && /^}/ { inside = 0 }
+    END { if (stray) { print "ci: #[target_feature] outside gv_core::isa_tiers!"; exit 1 } }
+' $(find crates -name '*.rs')
+
+cargo build --release --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # A deleted or renamed item strands the intra-doc links that name it, and
