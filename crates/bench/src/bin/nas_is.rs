@@ -24,7 +24,14 @@ use gv_nas::IsClass;
 mod phases;
 
 /// Row labels of the `--wall` table, indexed by `phases::Phase as usize`.
-const PHASES: [&str; 5] = ["bucket", "exchange", "count", "emit", "offset scan"];
+const PHASES: [&str; 6] = [
+    "histogram",
+    "expand",
+    "exchange",
+    "count",
+    "emit",
+    "offset scan",
+];
 
 /// Host wall-clock of each ranking phase over sorts of the same keys: a
 /// rep starts at a barrier; a phase ends when [`phases::sort_block`] says

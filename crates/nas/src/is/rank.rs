@@ -1,22 +1,22 @@
 //! Distributed key ranking — the bucketed redistribution at the heart of
 //! NAS IS, done the way the reference does it: by counting, not comparing.
 //!
-//! 1. Each rank cuts the value range into `p` spans (span `b` owned by
-//!    rank `b`), counts the keys of its own span into a table where they
-//!    lie, and copies every other key once into the vector bound for its
-//!    owner.
+//! 1. Each rank counts its keys into a histogram over the value range,
+//!    which is cut into `p` spans (span `b` owned by rank `b`), and
+//!    expands every other rank's span of it, in sorted order, into the
+//!    vector bound for that rank.
 //! 2. An `alltoallv` ships those vectors.
-//! 3. Each rank counts what it received into the same table — the
-//!    `Counts` reduction of the paper's §3.1.3 over one span — and expands
-//!    the table into its block; the concatenation over ranks is the
-//!    globally sorted key array.
+//! 3. Each rank counts what it received into its own span of the same
+//!    histogram — the `Counts` reduction of the paper's §3.1.3 over one
+//!    span — and expands that span into its block; the concatenation over
+//!    ranks is the globally sorted key array.
 //! 4. An **exclusive scan** of the block lengths gives each rank the
 //!    global rank (index) of its first key — the reference code computes
 //!    the same quantity from bucket-size reductions; doing it with the
 //!    scan primitive is exactly the kind of use the paper advocates.
 //!
-//! A table is O(span), so a rank whose span dwarfs its keys sorts them by
-//! comparison instead ([`phases`] holds the rule and the phases).
+//! A histogram is O(range), so a rank whose range dwarfs its keys sorts
+//! them by comparison instead ([`phases`] holds the rule and the phases).
 
 use gv_core::mem::output_vec;
 use gv_msgpass::Comm;
@@ -61,10 +61,11 @@ pub fn key_ranks(block: &SortedBlock) -> Vec<u64> {
 
 #[cfg(test)]
 mod tests {
-    use super::phases::{Divisor, MAX_SPAN_PER_KEY};
+    use super::phases::MAX_SPAN_PER_KEY;
     use super::*;
     use crate::class::IsClass;
     use crate::is::keygen::{generate_keys, generate_keys_serial};
+    use gv_msgpass::localview::local_xscan;
     use gv_msgpass::{CostModel, RunError, Runtime};
     use gv_testkit::prop::{check, from_fn, Config};
     use gv_testkit::rng::TestRng;
@@ -155,7 +156,11 @@ mod tests {
     fn empty_rank_input_is_fine() {
         // All keys concentrated on one value → some ranks receive nothing.
         let outcome = Runtime::new(4).run(|comm| {
-            let keys = if comm.rank() == 0 { vec![7u32; 50] } else { vec![] };
+            let keys = if comm.rank() == 0 {
+                vec![7u32; 50]
+            } else {
+                vec![]
+            };
             distributed_sort(comm, &keys, 1 << 11)
         });
         let total: usize = outcome.results.iter().map(|b| b.keys.len()).sum();
@@ -163,33 +168,47 @@ mod tests {
     }
 
     #[test]
-    fn the_multiply_is_the_quotient_for_every_kind_of_divisor() {
-        let mut rng = TestRng::new(0x15_d1f);
-        let edges = [
-            0,
-            1,
-            2,
-            3,
-            1 << 16,
-            (1 << 31) - 1,
-            1 << 31,
-            u32::MAX - 1,
-            u32::MAX,
-        ];
-        let mut divisors = edges[1..].to_vec();
-        divisors.extend([5, 7, 641, 174_763, 477_218_589, 1 << 18]);
-        divisors.extend((0..200).map(|_| rng.next_u32().max(1)));
-        for d in divisors {
-            let by = Divisor::new(d);
-            let multiples =
-                (0..4u32).flat_map(|q| [q.wrapping_mul(d).wrapping_sub(1), q.wrapping_mul(d)]);
-            let random = (0..200).map(|_| rng.next_u32());
-            for k in edges
-                .into_iter()
-                .chain(multiples)
-                .chain(random.collect::<Vec<_>>())
-            {
-                assert_eq!(by.quotient(k), k / d, "{k} / {d}");
+    fn the_bytes_on_the_wire_are_the_keys_that_leave_their_rank() {
+        let class = IsClass::S;
+        for p in [1usize, 2, 3, 5] {
+            // Class S as it is (counted), and spread over a range 2²⁰ times
+            // as wide (compared).
+            for shift in [0, 20] {
+                let max_key = class.max_key() << shift;
+                let keys: Vec<Vec<u32>> = (0..p)
+                    .map(|r| {
+                        generate_keys(class, r, p)
+                            .iter()
+                            .map(|k| k << shift)
+                            .collect()
+                    })
+                    .collect();
+                let span = max_key.div_ceil(p as u32);
+                let leaving: usize = (0..p)
+                    .map(|r| {
+                        keys[r]
+                            .iter()
+                            .filter(|&&k| (k / span) as usize != r)
+                            .count()
+                    })
+                    .sum();
+                let sort = Runtime::new(p).run(|comm| {
+                    distributed_sort(comm, &keys[comm.rank()], max_key);
+                });
+                let scan = Runtime::new(p).run(|comm| {
+                    local_xscan(comm, || 0u64, 1, |a, b| a + b);
+                });
+                let what = format!("p={p} max_key={max_key}");
+                assert_eq!(
+                    sort.stats.messages,
+                    (p * (p - 1)) as u64 + scan.stats.messages,
+                    "{what}"
+                );
+                assert_eq!(
+                    sort.stats.bytes,
+                    4 * leaving as u64 + scan.stats.bytes,
+                    "{what}"
+                );
             }
         }
     }
@@ -304,25 +323,29 @@ mod tests {
                 })
                 .collect()
         };
-        // Bucketing charges n; then the slowest rank sets the run's clock,
+        // Every rank's bucket costs the same, so every clock reads `bucket`
+        // after the exchange; then the slowest rank sets the run's clock,
         // and rank 0, which the exclusive scan sends nothing, keeps its own.
-        let check = |max_key: u32, charge: &dyn Fn(usize) -> f64| {
-            let keys = keys_in(max_key);
-            let blocks = oracle_blocks(&keys, max_key);
-            assert_eq!(sort_on(&keys, max_key), blocks);
-            let charges: Vec<f64> = blocks.iter().map(|b| charge(b.keys.len())).collect();
-            let (clocks, run) = ranking_ops(&keys, max_key);
-            assert_eq!(clocks[0], n as f64 + charges[0]);
-            assert_eq!(run, n as f64 + charges.iter().copied().fold(0.0, f64::max));
+        let check = |max_key: usize, bucket: usize, charge: &dyn Fn(usize) -> usize| {
+            let keys = keys_in(max_key as u32);
+            let blocks = oracle_blocks(&keys, max_key as u32);
+            assert_eq!(sort_on(&keys, max_key as u32), blocks);
+            let charges: Vec<usize> = blocks.iter().map(|b| charge(b.keys.len())).collect();
+            let (clocks, run) = ranking_ops(&keys, max_key as u32);
+            assert_eq!(clocks[0], (bucket + charges[0]) as f64);
+            assert_eq!(run, (bucket + charges.iter().max().unwrap()) as f64);
         };
-        // Span = MAX_SPAN_PER_KEY · n, the widest that is counted: one
-        // count and one write per key, one sweep of the table.
-        let span = MAX_SPAN_PER_KEY * n;
-        check((p * span) as u32, &|m| (2 * m + span) as f64);
-        // One value more per span: compared, m⌈log₂ m⌉ as before.
-        check((p * (span + 1)) as u32, &|m| {
-            (m as u32 * (usize::BITS - m.max(2).leading_zeros())) as f64
-        });
+        // The widest range that is counted. Before the exchange: one count
+        // per key, one sweep of the other ranks' entries, and one write per
+        // key sent (every rank keeps 2 of its 8). After it: one count and
+        // one write per key, one sweep of the own span.
+        let max_key = MAX_SPAN_PER_KEY * n;
+        let s = max_key / p;
+        check(max_key, n + (max_key - s) + (n - 2), &|m| 2 * m + s);
+        // One value more: a comparison sort, m⌈log₂ m⌉ as before, of the
+        // local keys and then of the block.
+        let sort = |m: usize| m * (usize::BITS - m.max(2).leading_zeros()) as usize;
+        check(max_key + 1, sort(n), &sort);
     }
 
     /// One input of the sweep: a key vector per rank and the range.
@@ -334,14 +357,38 @@ mod tests {
 
     fn case(rng: &mut TestRng) -> Case {
         let p = rng.usize_in(1..10);
-        let max_key =
-            [1, p as u32 - 1, p as u32, 17, 1 << 11, 1 << 19, u32::MAX][rng.usize_in(0..7)];
         let n = match rng.usize_in(0..4) {
-            _ if max_key == 0 => 0,
             0 => rng.usize_in(0..2),
             _ => rng.usize_in(0..4097),
         };
-        if n == 0 {
+        let shape = rng.usize_in(0..5);
+        // How many keys each rank holds: all on one rank, or dealt unevenly.
+        let mut sizes = vec![0; p];
+        if shape == 4 {
+            sizes[rng.usize_in(0..p)] = n;
+        } else {
+            let mut rest = n;
+            for size in &mut sizes[..p - 1] {
+                *size = rng.usize_in(0..rest + 1);
+                rest -= *size;
+            }
+            sizes[p - 1] = rest;
+        }
+        // A fixed range, or one at the sparse rule's edge for some rank's
+        // key count, so that one run has ranks on both sides of it.
+        let at_rule = (MAX_SPAN_PER_KEY * sizes[rng.usize_in(0..p)]) as u32;
+        let max_key = [
+            1,
+            p as u32 - 1,
+            p as u32,
+            17,
+            1 << 11,
+            1 << 19,
+            u32::MAX,
+            at_rule,
+            at_rule + 1,
+        ][rng.usize_in(0..9)];
+        if n == 0 || max_key == 0 {
             // Also the only input an empty range admits.
             let keys = vec![Vec::new(); p];
             return Case { max_key, keys };
@@ -358,28 +405,21 @@ mod tests {
             let x: f64 = (0..4).map(|_| rng.f64_unit()).sum();
             ((x * max_key as f64 / 4.0) as u32).min(max_key - 1)
         };
-        let shape = rng.usize_in(0..5);
         let all: Vec<u32> = match shape {
             0 => vec![below(rng); n],
             1 => (0..n).map(|_| edge(rng)).collect(),
             2 => (0..n).map(|_| bell(rng)).collect(),
             _ => (0..n).map(|_| below(rng)).collect(),
         };
-        let mut keys = vec![Vec::new(); p];
-        if shape == 4 {
-            // Everything on one rank.
-            keys[rng.usize_in(0..p)] = all;
-        } else {
-            // Dealt unevenly, so that ranks sit on both sides of the
-            // span-per-key rule in one run.
-            let mut rest = all.as_slice();
-            for mine in &mut keys[..p - 1] {
-                let (head, tail) = rest.split_at(rng.usize_in(0..rest.len() + 1));
-                *mine = head.to_vec();
+        let mut rest = all.as_slice();
+        let keys = sizes
+            .iter()
+            .map(|&size| {
+                let (mine, tail) = rest.split_at(size);
                 rest = tail;
-            }
-            keys[p - 1] = rest.to_vec();
-        }
+                mine.to_vec()
+            })
+            .collect();
         Case { max_key, keys }
     }
 

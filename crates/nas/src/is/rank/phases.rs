@@ -1,5 +1,5 @@
-//! The five phases of the NAS IS ranking, in the order one rank runs
-//! them: bucket, exchange, count, emit, offset scan.
+//! The six phases of the NAS IS ranking, in the order one rank runs
+//! them: histogram, expand, exchange, count, emit, offset scan.
 //!
 //! Nothing here is public. The file is compiled twice — as the private
 //! body of `distributed_sort`, and by `#[path]` into the `nas_is`
@@ -8,7 +8,6 @@
 
 use std::ops::Range;
 
-use gv_core::kernel::count_into;
 use gv_core::mem::output_vec;
 use gv_msgpass::localview::local_xscan;
 use gv_msgpass::Comm;
@@ -16,161 +15,86 @@ use gv_msgpass::Comm;
 /// What [`sort_block`] has just finished when it calls `lap`.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Phase {
-    /// Own-span keys counted where they lie, the rest copied once into
-    /// exact-capacity outgoing vectors.
-    Bucket,
+    /// The local keys counted into a histogram over `0..max_key` (sparse
+    /// fallback: a sorted copy of them).
+    Histogram,
+    /// Every other rank's span of the histogram expanded into the vector
+    /// bound for it (sparse fallback: the sorted copy cut at the spans).
+    Expand,
     /// The `alltoallv` of the outgoing vectors.
     Exchange,
-    /// Received pieces counted into the table (sparse fallback: joined).
+    /// Received pieces counted into the own span of the histogram (sparse
+    /// fallback: joined).
     Count,
-    /// The table expanded into the sorted block (sparse fallback: sorted).
+    /// The own span expanded into the sorted block (sparse fallback: sorted).
     Emit,
     /// The exclusive scan of block lengths.
     OffsetScan,
 }
 
-/// A rank counts its keys while its value span is at most this many
-/// table entries per local key, and sorts them by comparison beyond
-/// that. Uniform keys are the table's worst case; with them, on the host
-/// EXPERIMENTS.md (TXT-ISRANK) describes, counting wins through 2 entries
-/// per key for n ≤ 2²⁰, loses from 4 on, and is level at 1 for n = 2²².
-/// Every NAS class sits at 1/16.
+/// A rank counts its keys while the key range is at most this many
+/// histogram entries per local key, and sorts them by comparison beyond
+/// that. Uniform keys are the histogram's worst case; with them, on the
+/// host EXPERIMENTS.md (TXT-ISRANK) describes, counting wins through 2
+/// entries per key for n ≤ 2²⁰, loses from 4 on, and is level at 1 for
+/// n = 2²². Every NAS class sits at p/16, so it counts through p = 32.
 pub(super) const MAX_SPAN_PER_KEY: usize = 2;
 
-/// Keys the bucket pass looks at between two flushes of its stack stages.
-const STAGE: usize = 1024;
-
-/// `k / d` for a `d` fixed outside the loop, by one widening multiply:
-/// `⌊k · ⌈2⁶⁴/d⌉ / 2⁶⁴⌋ = ⌊k / d⌋` for every `u32` `k` and every `d ≥ 2`
-/// (Lemire, Kaser & Kurz, *Faster remainder by direct computation*, 2019).
-/// For `d = 1` the constant would be 2⁶⁴; it wraps to 0, which no other
-/// divisor produces, and `k` is its own quotient.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Divisor(u64);
-
-impl Divisor {
-    pub(super) fn new(d: u32) -> Self {
-        assert!(d > 0, "division by zero");
-        Divisor((u64::MAX / u64::from(d)).wrapping_add(1))
-    }
-
-    #[inline]
-    pub(super) fn quotient(self, k: u32) -> u32 {
-        if self.0 == 0 {
-            k
-        } else {
-            ((u128::from(self.0) * u128::from(k)) >> 64) as u32
-        }
-    }
+/// Rank `q`'s value span: `q·s .. (q+1)·s` clipped to `max_key`, with
+/// `s = ⌈max_key/p⌉`. The last owning rank's span is therefore the
+/// remainder, and ranks past it own nothing (all of them but the first
+/// `max_key` when `max_key < p`; every rank when `max_key` is 0).
+fn owned_by(max_key: u32, p: usize, q: usize) -> Range<usize> {
+    let span = (max_key as usize).div_ceil(p);
+    let clipped = |bound: usize| bound.saturating_mul(span).min(max_key as usize);
+    clipped(q)..clipped(q + 1)
 }
 
-/// The cut of `0..max_key` into one value span per rank: rank `r` owns
-/// `r·span .. (r+1)·span` clipped to `max_key`, with `span = ⌈max_key/p⌉`.
-/// The last owning rank's span is therefore the remainder, and ranks past
-/// it own nothing (all of them but the first `max_key` when
-/// `max_key < p`; every rank when `max_key` is 0).
-#[derive(Debug, Clone, Copy)]
-struct Spans {
-    span: u32,
-    max_key: u32,
-    by_span: Divisor,
+/// No count of `n` keys passes `u32::MAX`.
+fn check_countable(n: usize, r: usize) {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "rank {r}: {n} keys overflow a u32 count"
+    );
 }
 
-impl Spans {
-    fn new(max_key: u32, p: usize) -> Self {
-        // At least 1, so that an empty range still has a divisor.
-        let span = u64::from(max_key).div_ceil(p as u64).max(1) as u32;
-        Spans {
-            span,
-            max_key,
-            by_span: Divisor::new(span),
-        }
-    }
-
-    fn owned_by(&self, r: usize) -> Range<u32> {
-        let clipped = |bound: u64| {
-            bound
-                .saturating_mul(u64::from(self.span))
-                .min(u64::from(self.max_key)) as u32
+/// How many of `keys` hold each value of `0..max_key`; the lookup is the
+/// input contract's check.
+fn histogram(keys: &[u32], max_key: u32, r: usize) -> Vec<u32> {
+    check_countable(keys.len(), r);
+    let mut counts = vec![0u32; max_key as usize];
+    for &k in keys {
+        let Some(count) = counts.get_mut(k as usize) else {
+            panic!("rank {r}: key {k} is outside the documented range 0..{max_key}");
         };
-        clipped(r as u64)..clipped(r as u64 + 1)
+        *count += 1;
     }
-
-    /// The rank that owns `k`; below `p` for every `k < max_key`.
-    #[inline]
-    fn owner(&self, k: u32) -> usize {
-        self.by_span.quotient(k) as usize
-    }
+    counts
 }
 
-/// Counts the keys of rank `r`'s own span into `table` (one entry per
-/// value of the span) where they lie, and copies every other key once,
-/// into the vector bound for its owner — allocated at its final size from
-/// a first counting pass, which also checks the input contract. With an
-/// empty `table` (the sparse fallback) the own keys travel through
-/// `outgoing[r]` like the rest.
-fn bucket(keys: &[u32], spans: &Spans, p: usize, r: usize, table: &mut [u64]) -> Vec<Vec<u32>> {
-    let max_key = spans.max_key;
-    let mut sizes = vec![0u64; p];
-    count_into(&mut sizes, keys, |&k| {
-        assert!(
-            k < max_key,
-            "rank {r}: key {k} is outside the documented range 0..{max_key}"
-        );
-        spans.owner(k)
-    });
-    if !table.is_empty() {
-        sizes[r] = 0;
-    }
-    let mut outgoing: Vec<Vec<u32>> = sizes
-        .iter()
-        .map(|&n| Vec::with_capacity(n as usize))
-        .collect();
-
-    let lo = spans.owned_by(r).start;
-    let counted = table.len() as u32;
-    let mut mine = [0u32; STAGE];
-    let mut theirs = [0u32; STAGE];
-    for chunk in keys.chunks(STAGE) {
-        // Which side a key falls on is a 1-in-p coin the branch predictor
-        // cannot call, so both stages take every key and only the cursor
-        // of the side it belongs to moves.
-        let (mut m, mut t) = (0, 0);
-        for &k in chunk {
-            let own = k.wrapping_sub(lo) < counted;
-            mine[m] = k;
-            m += usize::from(own);
-            theirs[t] = k;
-            t += usize::from(!own);
-        }
-        // Not `count_into`: on a table of ≤ 2048 entries it would allocate
-        // and fold three scratch tables per stage.
-        for &k in &mine[..m] {
-            table[(k - lo) as usize] += 1;
-        }
-        for &k in &theirs[..t] {
-            outgoing[spans.owner(k)].push(k);
-        }
-    }
-    outgoing
-}
-
-/// The sorted block a count table over `own` stands for, `n` keys long.
-fn emit(table: &[u64], own: Range<u32>, n: usize) -> Vec<u32> {
-    let mut sorted = output_vec(n);
-    for (value, &count) in own.zip(table) {
-        sorted.extend(std::iter::repeat_n(value, count as usize));
+/// The sorted keys that `counts`, a histogram over `values`, stands for.
+fn emit(counts: &[u32], values: Range<usize>) -> Vec<u32> {
+    let mut sorted = output_vec(counts.iter().map(|&c| c as usize).sum());
+    for (value, &count) in values.zip(counts) {
+        sorted.extend(std::iter::repeat_n(value as u32, count as usize));
     }
     sorted
+}
+
+/// What the virtual clock charges a comparison sort of `n` keys: `n`
+/// times the bit length of `n` (at least 2).
+fn comparison_sort_ops(n: usize) -> u64 {
+    n as u64 * u64::from(usize::BITS - n.max(2).leading_zeros())
 }
 
 /// One rank's part of the distributed sort of `keys` (each in
 /// `0..max_key`): its block of the sorted sequence and the global index
 /// of the block's first key. `lap` is called as each [`Phase`] ends.
 ///
-/// Each key is moved at most once before the exchange (none of this
-/// rank's own) and written once after it; the table is
-/// `8 · ⌈max_key/p⌉ ≤ 8 · MAX_SPAN_PER_KEY · keys.len()` bytes.
+/// Where the rank counts, each key is read once before the exchange and
+/// written at most once (none of this rank's own), and written once after
+/// it; the histogram is `4 · max_key ≤ 4 · MAX_SPAN_PER_KEY · keys.len()`
+/// bytes.
 pub(super) fn sort_block(
     comm: &Comm,
     keys: &[u32],
@@ -178,47 +102,85 @@ pub(super) fn sort_block(
     mut lap: impl FnMut(Phase),
 ) -> (Vec<u32>, u64) {
     let (p, r) = (comm.size(), comm.rank());
-    let spans = Spans::new(max_key, p);
-    let own = spans.owned_by(r);
-    // The table has to exist before the exchange for the own keys to be
-    // counted where they lie, so the local count stands in for the
-    // received one (IS deals every rank the same share). Ranks may decide
-    // differently: the messages are the same either way.
-    let mut table = (own.len() <= MAX_SPAN_PER_KEY * keys.len()).then(|| vec![0u64; own.len()]);
-
-    let outgoing = bucket(keys, &spans, p, r, table.as_deref_mut().unwrap_or_default());
-    let kept = keys.len() - outgoing.iter().map(Vec::len).sum::<usize>();
-    comm.advance(keys.len() as u64);
-    lap(Phase::Bucket);
+    let own = owned_by(max_key, p, r);
+    // Every piece a rank sends is a contiguous slice of its keys in sorted
+    // order: of the histogram expanded, or of a sorted copy. The histogram
+    // has to exist before the exchange, so the local key count stands in
+    // for the received one (IS deals every rank the same share). Ranks may
+    // decide differently: the messages are the same either way.
+    let (outgoing, counts) = if max_key as usize <= MAX_SPAN_PER_KEY * keys.len() {
+        let counts = histogram(keys, max_key, r);
+        lap(Phase::Histogram);
+        let outgoing: Vec<Vec<u32>> = (0..p)
+            .map(|q| {
+                let span = owned_by(max_key, p, q);
+                if q == r {
+                    Vec::new()
+                } else {
+                    emit(&counts[span.clone()], span)
+                }
+            })
+            .collect();
+        let sent: usize = outgoing.iter().map(Vec::len).sum();
+        // One count per key, one sweep of the foreign entries, one write
+        // per foreign key.
+        comm.advance((keys.len() + (max_key as usize - own.len()) + sent) as u64);
+        (outgoing, Some(counts))
+    } else {
+        let mut mine = keys.to_vec();
+        mine.sort_unstable();
+        if let Some(&k) = mine.last() {
+            assert!(
+                k < max_key,
+                "rank {r}: key {k} is outside the documented range 0..{max_key}"
+            );
+        }
+        comm.advance(comparison_sort_ops(mine.len()));
+        lap(Phase::Histogram);
+        let mut rest = mine.as_slice();
+        let outgoing = (0..p)
+            .map(|q| {
+                let end = owned_by(max_key, p, q).end;
+                let (piece, tail) = rest.split_at(rest.partition_point(|&k| (k as usize) < end));
+                rest = tail;
+                piece.to_vec()
+            })
+            .collect();
+        (outgoing, None)
+    };
+    lap(Phase::Expand);
 
     let incoming = comm.alltoallv(outgoing);
-    let n = kept + incoming.iter().map(Vec::len).sum::<usize>();
     lap(Phase::Exchange);
 
-    let sorted = match table {
-        Some(mut table) => {
+    let sorted = match counts {
+        Some(mut counts) => {
+            let received: usize = incoming.iter().map(Vec::len).sum();
+            check_countable(keys.len() + received, r);
+            let table = &mut counts[own.clone()];
             for piece in &incoming {
-                count_into(&mut table, piece, |&k| k.wrapping_sub(own.start) as usize);
+                for &k in piece {
+                    table[k as usize - own.start] += 1;
+                }
             }
             lap(Phase::Count);
-            let sorted = emit(&table, own, n);
+            let sorted = emit(table, own.clone());
             // One count and one write per key, one sweep of the table.
-            comm.advance(2 * n as u64 + table.len() as u64);
+            comm.advance((2 * sorted.len() + own.len()) as u64);
             sorted
         }
         None => {
             let mut mine = incoming.concat();
             lap(Phase::Count);
             mine.sort_unstable();
-            // n log n comparison-sort cost on the virtual clock.
-            let logn = usize::BITS - n.max(2).leading_zeros();
-            comm.advance(n as u64 * u64::from(logn));
+            comm.advance(comparison_sort_ops(mine.len()));
             mine
         }
     };
     lap(Phase::Emit);
 
-    let global_offset = local_xscan(comm, || 0u64, n as u64, |a, b| a + b);
+    let n = sorted.len() as u64;
+    let global_offset = local_xscan(comm, || 0u64, n, |a, b| a + b);
     lap(Phase::OffsetScan);
     (sorted, global_offset)
 }

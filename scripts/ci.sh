@@ -72,6 +72,9 @@ echo "smoke: ablation_aggregation --wall"
 # stderr, not a recorded table); keep the flag and its asserts alive.
 echo "smoke: nas_is --class S --wall"
 ./target/release/nas_is --class S --wall > /dev/null 2> /dev/null
+# One rank: every key its own, no piece to expand and nothing exchanged.
+echo "smoke: nas_is --class S --procs 1 --wall"
+./target/release/nas_is --class S --procs 1 --wall > /dev/null 2> /dev/null
 
 # So do the MG and CG harnesses (ZRAN3's fill / extrema / charges; a
 # solve's dot / matvec / axpy), at their smallest sizes.

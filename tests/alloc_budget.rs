@@ -245,10 +245,13 @@ fn an_is_sort_moves_each_key_once_before_the_exchange_and_once_after() {
     use gv_nas::is::{distributed_sort, generate_keys};
     use gv_nas::IsClass;
 
-    // Class S only at p = 1: cut further its spans are ≤ 1024 values, where
-    // `count_into` replicates the table and allocates three scratch copies
-    // per received piece — the kernel's budget, not the sort's.
-    for (class, p) in [(IsClass::S, 1usize), (IsClass::W, 2), (IsClass::W, 4)] {
+    for (class, p) in [
+        (IsClass::S, 1usize),
+        (IsClass::S, 2),
+        (IsClass::S, 4),
+        (IsClass::W, 2),
+        (IsClass::W, 4),
+    ] {
         let ranks = Runtime::new(p)
             .run(move |comm| {
                 let keys = generate_keys(class, comm.rank(), p);
@@ -261,16 +264,17 @@ fn an_is_sort_moves_each_key_once_before_the_exchange_and_once_after() {
                     .iter()
                     .filter(|&&k| !own.contains(&(k as usize)))
                     .count();
-                (spent, 4 * sent, 4 * block.keys.len(), 8 * span)
+                (spent, 4 * sent, 4 * block.keys.len())
             })
             .results;
-        for (rank, (spent, sent, received, table)) in ranks.into_iter().enumerate() {
+        let histogram = 4 * class.max_key() as usize;
+        for (rank, (spent, sent, received)) in ranks.into_iter().enumerate() {
             // Push-doubled buckets and a flattened copy of the received
             // pieces, as before the counting sort, come to about twice this.
             assert!(
-                spent <= sent + received + table + 4096,
+                spent <= sent + received + histogram + 4096,
                 "class {} p={p} rank {rank}: {spent} B for {sent} B sent, {received} B received \
-                 and a {table} B table",
+                 and a {histogram} B histogram",
                 class.name
             );
         }
