@@ -139,10 +139,6 @@ fn disabled_fault_machinery_leaves_runs_bit_identical() {
         guarded.faults.is_quiet(),
         "an empty plan injected something"
     );
-    assert_eq!(
-        guarded.stats.transport.embargo_defers, 0,
-        "no packet may be embargoed without a delay plan"
-    );
 }
 
 #[test]

@@ -15,7 +15,7 @@
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Tag;
+use crate::message::Key;
 use crate::request::Schedule;
 
 enum RdPhase {
@@ -35,7 +35,7 @@ enum RdPhase {
 /// suspension point.
 pub(crate) struct AllreduceRdSchedule<T, B, F> {
     comm: Comm,
-    tag: Tag,
+    tag: Key,
     bytes_of: B,
     combine: F,
     acc: Option<T>,
@@ -53,7 +53,7 @@ where
     B: Fn(&T) -> usize,
     F: FnMut(T, T) -> T,
 {
-    pub(crate) fn new(comm: Comm, value: T, salt: Tag, bytes_of: B, combine: F) -> Self {
+    pub(crate) fn new(comm: Comm, value: T, seq: u64, bytes_of: B, combine: F) -> Self {
         let p = comm.size();
         let r = comm.rank();
         // Fold down to the largest power of two p2: the first `2·rem`
@@ -62,7 +62,7 @@ where
         let rem = p - p2;
         let mut schedule = AllreduceRdSchedule {
             comm,
-            tag: TagBase::AllreduceRd.tag(salt),
+            tag: TagBase::AllreduceRd.key(seq),
             bytes_of,
             combine,
             acc: Some(value),
@@ -100,9 +100,12 @@ where
     }
 
     fn send_acc(&self, dst: usize) {
-        let acc = self.acc.as_ref().expect("partial is live while sends remain");
+        let acc = self
+            .acc
+            .as_ref()
+            .expect("partial is live while sends remain");
         let bytes = (self.bytes_of)(acc);
-        self.comm.send_with_bytes(dst, self.tag, acc.clone(), bytes);
+        self.comm.send_key(dst, self.tag, acc.clone(), bytes);
     }
 
     /// Issues the send of the current round, or, when the rounds are
@@ -142,8 +145,7 @@ where
         loop {
             match self.phase {
                 RdPhase::AwaitFold => {
-                    let Some(earlier) = self.comm.try_recv_schedule::<T>(r - 1, self.tag)?
-                    else {
+                    let Some(earlier) = self.comm.try_recv_schedule::<T>(r - 1, self.tag)? else {
                         return Ok(None);
                     };
                     let acc = self.acc.take().expect("partial present before the fold");
@@ -153,8 +155,7 @@ where
                 RdPhase::Round => {
                     let s = self.survivor.expect("only survivors run exchange rounds");
                     let partner = self.world_of(s ^ self.mask);
-                    let Some(theirs) = self.comm.try_recv_schedule::<T>(partner, self.tag)?
-                    else {
+                    let Some(theirs) = self.comm.try_recv_schedule::<T>(partner, self.tag)? else {
                         return Ok(None);
                     };
                     let acc = self.acc.take().expect("partial present each round");
@@ -168,8 +169,7 @@ where
                     self.start_rounds();
                 }
                 RdPhase::AwaitUnfold => {
-                    let Some(result) = self.comm.try_recv_schedule::<T>(r + 1, self.tag)?
-                    else {
+                    let Some(result) = self.comm.try_recv_schedule::<T>(r + 1, self.tag)? else {
                         return Ok(None);
                     };
                     self.acc = Some(result);
@@ -254,8 +254,8 @@ mod tests {
     #[test]
     fn concurrent_requests_on_one_comm_do_not_cross_match() {
         // Two in-flight recursive-doubling allreduces whose waits are
-        // issued in opposite order on different ranks: tag salting must
-        // keep their traffic apart.
+        // issued in opposite order on different ranks: the call sequence in
+        // their keys must keep their traffic apart.
         for p in [2usize, 3, 5, 8] {
             let outcome = Runtime::new(p).run(|comm| {
                 let a = isum(comm, comm.rank() as u64);

@@ -21,18 +21,19 @@ impl Comm {
             "alltoallv needs exactly one outgoing vector per rank"
         );
         self.counters().record_call(CallKind::Alltoallv);
+        let tag = TagBase::Alltoall.key(self.next_seq());
         let _guard = self.enter_collective();
-        let tag = TagBase::Alltoall.tag(0);
         let mut incoming: Vec<Vec<T>> = Vec::with_capacity(p);
         incoming.resize_with(p, Vec::new);
         incoming[r] = std::mem::take(&mut outgoing[r]);
         for offset in 1..p {
             let dst = (r + offset) % p;
-            self.send_vec(dst, tag, std::mem::take(&mut outgoing[dst]));
+            let bytes = outgoing[dst].len() * size_of::<T>();
+            self.send_key(dst, tag, std::mem::take(&mut outgoing[dst]), bytes);
         }
         for offset in 1..p {
             let src = (r + p - offset) % p;
-            incoming[src] = self.recv(src, tag);
+            incoming[src] = self.recv_key(src, tag);
         }
         incoming
     }

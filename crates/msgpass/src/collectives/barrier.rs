@@ -14,14 +14,14 @@ impl Comm {
     /// rounds cannot cross.
     pub fn barrier(&self) {
         self.counters().record_call(CallKind::Barrier);
+        let tag = TagBase::Barrier.key(self.next_seq());
         let _guard = self.enter_collective();
-        let tag = TagBase::Barrier.tag(0);
         let p = self.size();
         let r = self.rank();
         let mut dist = 1usize;
         while dist < p {
-            self.send((r + dist) % p, tag, ());
-            let () = self.recv((r + p - dist) % p, tag);
+            self.send_key((r + dist) % p, tag, (), 0);
+            let () = self.recv_key((r + p - dist) % p, tag);
             dist <<= 1;
         }
     }

@@ -1,7 +1,7 @@
 //! The one launch path every schedule-based collective takes.
 //!
 //! A collective call is always the same five steps — record the call,
-//! draw the tag salt, construct the schedule under the collective guard
+//! draw its call sequence number, construct the schedule under the collective guard
 //! (construction issues the initial sends), then either drive the
 //! schedule on the caller's stack or register it with the rank's
 //! progress engine. [`Comm::launch`] is those steps, once; the last one
@@ -10,7 +10,6 @@
 //! differ in that one token and nothing else.
 
 use crate::comm::Comm;
-use crate::message::Tag;
 use crate::request::{Request, Schedule};
 use crate::stats::CallKind;
 
@@ -60,13 +59,14 @@ impl Mode<'static> for Nonblocking {
 
 impl Comm {
     /// Launches one collective: `build` receives an owned communicator
-    /// handle and the call's tag salt and returns the schedule; it runs
+    /// handle and the call's sequence number on it (from which its match
+    /// keys are built) and returns the schedule; it runs
     /// under the collective guard, so the sends it issues are not
     /// counted as user sends.
     pub(crate) fn launch<'a, M, S>(
         &self,
         kind: CallKind,
-        build: impl FnOnce(Comm, Tag) -> S,
+        build: impl FnOnce(Comm, u64) -> S,
     ) -> M::Handle<S::Output>
     where
         M: Mode<'a>,
@@ -74,10 +74,10 @@ impl Comm {
         S::Output: 'a,
     {
         self.counters().record_call(kind);
-        let salt = self.next_collective_salt();
+        let seq = self.next_seq();
         let schedule = {
             let _guard = self.enter_collective();
-            build(self.clone_handle(), salt)
+            build(self.clone_handle(), seq)
         };
         M::start(self, schedule)
     }

@@ -54,28 +54,28 @@ pub mod select;
 pub mod shift;
 pub mod tree;
 
-use crate::message::{Tag, RESERVED_TAG_BASE};
+use std::fmt;
+
+use crate::message::Key;
 
 /// Declares [`TagBase`] from one list, so its variants, [`TagBase::ALL`]
 /// and [`TagBase::name`] cannot disagree.
 macro_rules! tag_bases {
-    ($($base:ident = $offset:literal, $name:literal;)*) => {
-        /// The reserved tag base of every collective protocol. A
-        /// discriminant is the base's offset above [`RESERVED_TAG_BASE`],
-        /// so two equal offsets do not compile; the salt occupies bits
-        /// 12–23, so two bases may share a 0x?00 block as long as they
-        /// stay distinct below it.
+    ($($base:ident, $name:literal;)*) => {
+        /// Which message stream of a collective call a key names: a
+        /// protocol, or one phase of it. A discriminant is the base's index
+        /// in [`TagBase::ALL`], the low byte of its keys.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        #[repr(u32)]
+        #[repr(u8)]
         pub(crate) enum TagBase {
-            $($base = $offset,)*
+            $($base,)*
         }
 
         impl TagBase {
             /// Every base, in declaration order.
             pub(crate) const ALL: &'static [TagBase] = &[$(TagBase::$base),*];
 
-            /// The protocol this base's tags belong to, for failure
+            /// The protocol this base's keys belong to, for failure
             /// diagnostics.
             pub(crate) fn name(self) -> &'static str {
                 match self {
@@ -87,75 +87,82 @@ macro_rules! tag_bases {
 }
 
 tag_bases! {
-    Barrier = 0x000, "barrier";
-    Bcast = 0x100, "bcast";
-    Reduce = 0x300, "reduce";
-    Scan = 0x400, "scan";
-    Alltoall = 0x500, "alltoall";
-    Shift = 0x600, "shift";
-    AllreduceTreeUp = 0x680, "allreduce (tree up)";
-    AllreduceTreeDown = 0x780, "allreduce (tree down)";
-    AllreduceRd = 0x800, "allreduce (recursive doubling)";
-    ScanUp = 0xB00, "scan (binomial up-sweep)";
-    ScanDown = 0xC00, "scan (binomial down-sweep)";
-    ScanChain = 0xD00, "scan (chain)";
-    Calibrate = 0xE00, "calibration probe";
-    ReduceScatter = 0xF00, "reduce-scatter (circulant)";
-    Allgather = 0xF80, "allgather (circulant)";
+    Barrier, "barrier";
+    Bcast, "bcast";
+    Reduce, "reduce";
+    Scan, "scan";
+    Alltoall, "alltoall";
+    Shift, "shift";
+    AllreduceTreeUp, "allreduce (tree up)";
+    AllreduceTreeDown, "allreduce (tree down)";
+    AllreduceRd, "allreduce (recursive doubling)";
+    ScanUp, "scan (binomial up-sweep)";
+    ScanDown, "scan (binomial down-sweep)";
+    ScanChain, "scan (chain)";
+    Calibrate, "calibration probe";
+    ReduceScatter, "reduce-scatter (circulant)";
+    Allgather, "allgather (circulant)";
 }
 
-// Collision-freedom between concurrent collectives needs every base below
-// the salt bits (`Comm::next_collective_salt`).
-const _: () = {
-    let mut i = 0;
-    while i < TagBase::ALL.len() {
-        assert!(
-            (TagBase::ALL[i] as Tag) < 0x1000,
-            "a tag base overlaps the salt bits"
-        );
-        i += 1;
-    }
-};
+/// The bit that marks a collective's key: a user tag is a `u32`, so it
+/// never sets it.
+const COLLECTIVE: Key = 1 << 63;
 
 impl TagBase {
-    /// This base's tag in the collective that drew `salt`.
-    pub(crate) const fn tag(self, salt: Tag) -> Tag {
-        RESERVED_TAG_BASE + self as Tag + salt
+    /// This base's key in the collective that drew call sequence `seq`
+    /// on its communicator. The sequence has 55 bits: at one collective a
+    /// nanosecond a run would take over a year to wrap it.
+    pub(crate) const fn key(self, seq: u64) -> Key {
+        COLLECTIVE | seq << 8 | self as Key
     }
 }
 
-/// Names the protocol a tag belongs to, for failure diagnostics: `"p2p"`
-/// for user tags, otherwise the collective schedule whose reserved base
-/// the tag carries. Reserved bases live in the low 12 bits (the salt sits
-/// in bits 12–23), so `tag & 0xFFF` recovers the base offset.
-pub(crate) fn describe_tag(tag: Tag) -> &'static str {
-    if tag < RESERVED_TAG_BASE {
-        return "p2p";
+/// A match key, rendered for diagnostics: `p2p tag=0x9` for a user tag,
+/// `<protocol> #<call sequence>` for a collective's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShowKey(pub(crate) Key);
+
+impl ShowKey {
+    /// `"p2p"`, or the collective protocol the key belongs to.
+    pub(crate) fn op(self) -> &'static str {
+        if self.0 & COLLECTIVE == 0 {
+            return "p2p";
+        }
+        TagBase::ALL
+            .get((self.0 & 0xFF) as usize)
+            .map_or("collective", |base| base.name())
     }
-    TagBase::ALL
-        .iter()
-        .find(|&&base| base as Tag == tag & 0xFFF)
-        .map_or("collective", |base| base.name())
+}
+
+impl fmt::Display for ShowKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 & COLLECTIVE == 0 {
+            write!(f, "p2p tag={:#x}", self.0)
+        } else {
+            write!(f, "{} #{}", self.op(), (self.0 & !COLLECTIVE) >> 8)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Diagnostics must name each schedule distinctly, whatever salt its
-    /// collective drew.
+    /// Diagnostics name each schedule distinctly, and its call, at any
+    /// sequence a run can reach.
     #[test]
-    fn describe_tag_names_every_base() {
+    fn the_keys_rendering_names_every_base() {
         for &base in TagBase::ALL {
-            let salted = base.tag(7 << 12);
-            let name = describe_tag(salted);
-            assert_ne!(name, "collective", "no name for {base:?}");
-            assert_ne!(name, "p2p");
-            assert_eq!(
-                name,
-                describe_tag(base.tag(0)),
-                "salt must not change the label"
-            );
+            for seq in [0, 1 << 40] {
+                let key = ShowKey(base.key(seq));
+                assert_eq!(key.op(), base.name());
+                assert_eq!(key.to_string(), format!("{} #{seq}", base.name()));
+            }
         }
+        assert_eq!(ShowKey(0xF000_0100).op(), "p2p");
+        assert_eq!(
+            ShowKey(u64::from(u32::MAX)).to_string(),
+            "p2p tag=0xffffffff"
+        );
     }
 }

@@ -17,8 +17,7 @@
 
 use super::TagBase;
 use crate::comm::Comm;
-use crate::mailbox::Source;
-use crate::message::Tag;
+use crate::message::Key;
 use crate::stats::CallKind;
 
 /// Splits `lo..hi` into at most `parts` balanced contiguous blocks.
@@ -57,9 +56,9 @@ impl Comm {
             return self.reduce(root, value, bytes_of, combine);
         }
         self.counters().record_call(CallKind::Reduce);
-        let salt = self.next_collective_salt();
+        let seq = self.next_seq();
         let _guard = self.enter_collective();
-        self.reduce_kary_rooted(root, value, commutative, branching, salt, bytes_of, combine)
+        self.reduce_kary_rooted(root, value, commutative, branching, seq, bytes_of, combine)
     }
 
     /// The k-ary (branching > 2) rooted reduction, blocking: tree to rank
@@ -71,12 +70,12 @@ impl Comm {
         value: T,
         commutative: bool,
         branching: usize,
-        salt: Tag,
+        seq: u64,
         bytes_of: impl Fn(&T) -> usize,
         mut combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
         assert!(root < self.size(), "reduce root {root} out of range");
-        let tag = TagBase::Reduce.tag(salt);
+        let tag = TagBase::Reduce.key(seq);
         let at_zero = self.reduce_kary_range(
             0,
             self.size(),
@@ -93,10 +92,10 @@ impl Comm {
         if self.rank() == 0 {
             let result = at_zero.expect("rank 0 holds the reduction result");
             let bytes = bytes_of(&result);
-            self.send_with_bytes(root, tag, result, bytes);
+            self.send_key(root, tag, result, bytes);
             None
         } else if self.rank() == root {
-            Some(self.recv(0, tag))
+            Some(self.recv_key(0, tag))
         } else {
             None
         }
@@ -111,7 +110,7 @@ impl Comm {
         hi: usize,
         branching: usize,
         commutative: bool,
-        tag: Tag,
+        tag: Key,
         value: T,
         bytes_of: &impl Fn(&T) -> usize,
         combine: &mut impl FnMut(T, T) -> T,
@@ -127,14 +126,21 @@ impl Comm {
             .expect("rank must fall in one block");
         let (block_lo, block_hi) = blocks[my_block];
         let sub = self.reduce_kary_range(
-            block_lo, block_hi, branching, commutative, tag, value, bytes_of, combine,
+            block_lo,
+            block_hi,
+            branching,
+            commutative,
+            tag,
+            value,
+            bytes_of,
+            combine,
         )?;
 
         if block_lo != lo {
             // Block leader (but not range leader): hand the block's
             // partial to the range leader.
             let bytes = bytes_of(&sub);
-            self.send_with_bytes(lo, tag, sub, bytes);
+            self.send_key(lo, tag, sub, bytes);
             return None;
         }
 
@@ -145,7 +151,7 @@ impl Comm {
             .iter()
             .enumerate()
             .map(|(i, &(child_lo, _))| {
-                let (v, avail) = self.recv_deferred::<T>(Source::Rank(child_lo), tag);
+                let (v, avail) = self.recv_deferred::<T>(child_lo, tag);
                 (avail, i, v)
             })
             .collect();
@@ -213,9 +219,8 @@ mod tests {
 
     #[test]
     fn allreduce_delivers_everywhere() {
-        let outcome = Runtime::new(7).run(|comm| {
-            comm.allreduce(comm.rank() as i64, true, |_| 8, |a, b| a.max(b))
-        });
+        let outcome = Runtime::new(7)
+            .run(|comm| comm.allreduce(comm.rank() as i64, true, |_| 8, |a, b| a.max(b)));
         assert_eq!(outcome.results, vec![6; 7]);
     }
 

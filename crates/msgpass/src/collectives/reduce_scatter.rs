@@ -31,7 +31,7 @@ use super::launch::Blocking;
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Tag;
+use crate::message::Key;
 use crate::request::Schedule;
 use crate::stats::CallKind;
 
@@ -54,7 +54,7 @@ fn circulant_count(p: usize, k: u32) -> usize {
 /// `r` — every contribution having travelled exactly once.
 pub(crate) struct ReduceScatterCirculantSchedule<T, B, F> {
     comm: Comm,
-    tag: Tag,
+    tag: Key,
     bytes_of: B,
     combine: F,
     slots: Vec<Option<T>>,
@@ -71,7 +71,7 @@ where
 {
     /// # Panics
     /// Panics unless `segments.len() == comm.size()`.
-    pub(crate) fn new(comm: Comm, segments: Vec<T>, salt: Tag, bytes_of: B, combine: F) -> Self {
+    pub(crate) fn new(comm: Comm, segments: Vec<T>, seq: u64, bytes_of: B, combine: F) -> Self {
         let p = comm.size();
         assert_eq!(
             segments.len(),
@@ -81,7 +81,7 @@ where
         let slots: Vec<Option<T>> = segments.into_iter().map(Some).collect();
         let mut schedule = ReduceScatterCirculantSchedule {
             comm,
-            tag: TagBase::ReduceScatter.tag(salt),
+            tag: TagBase::ReduceScatter.key(seq),
             bytes_of,
             combine,
             slots,
@@ -113,7 +113,7 @@ where
             payload.push(partial);
         }
         self.comm
-            .send_with_bytes((r + stride) % p, self.tag, payload, bytes);
+            .send_key((r + stride) % p, self.tag, payload, bytes);
     }
 
     fn poll_rounds(&mut self) -> Result<bool, ShutdownError> {
@@ -170,7 +170,7 @@ where
 /// the corresponding far blocks from `(r + 2^k) mod p`.
 pub(crate) struct AllgatherCirculantSchedule<T, B> {
     comm: Comm,
-    tag: Tag,
+    tag: Key,
     bytes_of: B,
     slots: Vec<Option<T>>,
     /// The round whose arrivals we are waiting for (counts up).
@@ -182,14 +182,14 @@ where
     T: Clone + Send + 'static,
     B: Fn(&T) -> usize,
 {
-    pub(crate) fn new(comm: Comm, value: T, salt: Tag, bytes_of: B) -> Self {
+    pub(crate) fn new(comm: Comm, value: T, seq: u64, bytes_of: B) -> Self {
         let p = comm.size();
         let r = comm.rank();
         let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
         slots[r] = Some(value);
         let schedule = AllgatherCirculantSchedule {
             comm,
-            tag: TagBase::Allgather.tag(salt),
+            tag: TagBase::Allgather.key(seq),
             bytes_of,
             slots,
             round: 0,
@@ -217,7 +217,7 @@ where
             payload.push(block.clone());
         }
         self.comm
-            .send_with_bytes((r + p - stride) % p, self.tag, payload, bytes);
+            .send_key((r + p - stride) % p, self.tag, payload, bytes);
     }
 }
 
@@ -267,11 +267,11 @@ enum RsagPhase<T, B, F> {
 
 /// Allreduce as circulant reduce-scatter followed by circulant
 /// allgather, plus the caller's local `split`/`unsplit`. The two phases
-/// share the collective's tag salt; their distinct base tags keep them
-/// apart.
+/// share the collective's call sequence; their distinct tag bases keep
+/// them apart.
 pub(crate) struct AllreduceRsagSchedule<T, B, F, U> {
     comm: Comm,
-    salt: Tag,
+    seq: u64,
     bytes_of: B,
     unsplit: Option<U>,
     phase: RsagPhase<T, B, F>,
@@ -287,7 +287,7 @@ where
     pub(crate) fn new(
         comm: Comm,
         value: T,
-        salt: Tag,
+        seq: u64,
         split: impl FnOnce(T, usize) -> Vec<T>,
         unsplit: U,
         bytes_of: B,
@@ -296,13 +296,13 @@ where
         let phase = RsagPhase::ReduceScatter(ReduceScatterCirculantSchedule::new(
             comm.clone_handle(),
             split(value, comm.size()),
-            salt,
+            seq,
             bytes_of.clone(),
             combine,
         ));
         AllreduceRsagSchedule {
             comm,
-            salt,
+            seq,
             bytes_of,
             unsplit: Some(unsplit),
             phase,
@@ -322,18 +322,22 @@ where
     fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
         let _guard = self.comm.enter_collective();
         if let RsagPhase::ReduceScatter(rs) = &mut self.phase {
-            let Some(own) = rs.poll()? else { return Ok(None) };
+            let Some(own) = rs.poll()? else {
+                return Ok(None);
+            };
             self.phase = RsagPhase::Allgather(AllgatherCirculantSchedule::new(
                 self.comm.clone_handle(),
                 own,
-                self.salt,
+                self.seq,
                 self.bytes_of.clone(),
             ));
         }
         let RsagPhase::Allgather(ag) = &mut self.phase else {
             unreachable!("the reduce-scatter phase was replaced above")
         };
-        let Some(all) = ag.poll()? else { return Ok(None) };
+        let Some(all) = ag.poll()? else {
+            return Ok(None);
+        };
         let unsplit = self.unsplit.take().expect("unsplit runs exactly once");
         Ok(Some(unsplit(all)))
     }
@@ -348,8 +352,8 @@ impl Comm {
         value: T,
         bytes_of: impl Fn(&T) -> usize,
     ) -> Vec<T> {
-        self.launch::<Blocking, _>(CallKind::Allgather, |comm, salt| {
-            AllgatherCirculantSchedule::new(comm, value, salt, bytes_of)
+        self.launch::<Blocking, _>(CallKind::Allgather, |comm, seq| {
+            AllgatherCirculantSchedule::new(comm, value, seq, bytes_of)
         })
     }
 }

@@ -23,7 +23,7 @@
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Tag;
+use crate::message::Key;
 use crate::request::Schedule;
 
 /// Resumable shifted recursive-doubling scan. `need_exclusive` /
@@ -35,7 +35,7 @@ use crate::request::Schedule;
 /// exclusive half always `None` on rank 0).
 pub(crate) struct ScanRdSchedule<T, B, F> {
     comm: Comm,
-    tag: Tag,
+    tag: Key,
     bytes_of: B,
     combine: F,
     need_exclusive: bool,
@@ -57,7 +57,7 @@ where
     pub(crate) fn new(
         comm: Comm,
         value: T,
-        salt: Tag,
+        seq: u64,
         bytes_of: B,
         combine: F,
         need_exclusive: bool,
@@ -66,7 +66,7 @@ where
         debug_assert!(need_exclusive || need_inclusive);
         ScanRdSchedule {
             comm,
-            tag: TagBase::Scan.tag(salt),
+            tag: TagBase::Scan.key(seq),
             bytes_of,
             combine,
             need_exclusive,
@@ -96,7 +96,9 @@ where
             if !self.sent {
                 if r + dist < p {
                     let bytes = (self.bytes_of)(
-                        self.inclusive.as_ref().expect("partial live while sends remain"),
+                        self.inclusive
+                            .as_ref()
+                            .expect("partial live while sends remain"),
                     );
                     // The partial is dead after this send iff the caller
                     // does not want the inclusive result, this rank
@@ -108,13 +110,12 @@ where
                     } else {
                         self.inclusive.as_ref().unwrap().clone()
                     };
-                    self.comm.send_with_bytes(r + dist, self.tag, payload, bytes);
+                    self.comm.send_key(r + dist, self.tag, payload, bytes);
                 }
                 self.sent = true;
             }
             if r >= dist {
-                let Some(earlier) = self.comm.try_recv_schedule::<T>(r - dist, self.tag)?
-                else {
+                let Some(earlier) = self.comm.try_recv_schedule::<T>(r - dist, self.tag)? else {
                     return Ok(None);
                 };
                 // The inclusive partial stays live only while it has a
@@ -170,14 +171,14 @@ mod tests {
     #[test]
     fn inclusive_sum_scan_all_sizes() {
         for p in [1usize, 2, 3, 5, 8, 13] {
-            let outcome = Runtime::new(p).run(|comm| {
-                comm.scan_inclusive(comm.rank() as u64 + 1, |_| 8, |a, b| a + b)
-            });
-            let expected: Vec<u64> = (1..=p as u64).scan(0, |s, x| {
-                *s += x;
-                Some(*s)
-            })
-            .collect();
+            let outcome = Runtime::new(p)
+                .run(|comm| comm.scan_inclusive(comm.rank() as u64 + 1, |_| 8, |a, b| a + b));
+            let expected: Vec<u64> = (1..=p as u64)
+                .scan(0, |s, x| {
+                    *s += x;
+                    Some(*s)
+                })
+                .collect();
             assert_eq!(outcome.results, expected, "p={p}");
         }
     }
@@ -185,9 +186,8 @@ mod tests {
     #[test]
     fn exclusive_sum_scan_has_identity_at_zero() {
         for p in [1usize, 2, 6, 9] {
-            let outcome = Runtime::new(p).run(|comm| {
-                comm.scan_exclusive(comm.rank() as u64 + 1, || 0, |_| 8, |a, b| a + b)
-            });
+            let outcome = Runtime::new(p)
+                .run(|comm| comm.scan_exclusive(comm.rank() as u64 + 1, || 0, |_| 8, |a, b| a + b));
             let mut expected = vec![0u64];
             for r in 1..p {
                 expected.push(expected[r - 1] + r as u64);
@@ -292,7 +292,11 @@ mod tests {
         // Shifted recursive doubling with p=16: 4 rounds, each rank sends
         // at most one message per round → at most 4·16 messages (fewer at
         // the edges), far below the p² of a naive approach.
-        assert!(outcome.stats.messages <= 64, "messages={}", outcome.stats.messages);
+        assert!(
+            outcome.stats.messages <= 64,
+            "messages={}",
+            outcome.stats.messages
+        );
         assert!(outcome.stats.messages >= 15);
     }
 
@@ -303,12 +307,18 @@ mod tests {
         // is local only.
         for p in [2usize, 3, 8, 13] {
             let both = Runtime::new(p).run(|comm| {
-                comm.scan_both(format!("<{}>", comm.rank()), |s: &String| s.len(), |a, b| a + &b)
+                comm.scan_both(
+                    format!("<{}>", comm.rank()),
+                    |s: &String| s.len(),
+                    |a, b| a + &b,
+                )
             });
             let inc_only = Runtime::new(p).run(|comm| {
-                comm.scan_inclusive(format!("<{}>", comm.rank()), |s: &String| s.len(), |a, b| {
-                    a + &b
-                })
+                comm.scan_inclusive(
+                    format!("<{}>", comm.rank()),
+                    |s: &String| s.len(),
+                    |a, b| a + &b,
+                )
             });
             let exc_only = Runtime::new(p).run(|comm| {
                 comm.scan_exclusive(

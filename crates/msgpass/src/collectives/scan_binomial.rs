@@ -28,7 +28,7 @@
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Tag;
+use crate::message::Key;
 use crate::request::Schedule;
 
 /// The binomial recursion over `[0, p)`, in post-order (children before
@@ -69,8 +69,8 @@ enum SweepPhase {
 /// with the exclusive half `None` on the leftmost spine (rank 0 et al.).
 pub(crate) struct ScanBinomialSchedule<T, B, F> {
     comm: Comm,
-    tag_up: Tag,
-    tag_down: Tag,
+    tag_up: Key,
+    tag_down: Key,
     bytes_of: B,
     combine: F,
     nodes: Vec<(usize, usize, usize)>,
@@ -92,14 +92,18 @@ where
     B: Fn(&T) -> usize,
     F: FnMut(T, T) -> T,
 {
-    pub(crate) fn new(comm: Comm, value: T, salt: Tag, bytes_of: B, combine: F) -> Self {
+    pub(crate) fn new(comm: Comm, value: T, seq: u64, bytes_of: B, combine: F) -> Self {
         let p = comm.size();
         let nodes = if p < 2 { Vec::new() } else { binomial_nodes(p) };
-        let phase = if nodes.is_empty() { SweepPhase::Done } else { SweepPhase::Up };
+        let phase = if nodes.is_empty() {
+            SweepPhase::Done
+        } else {
+            SweepPhase::Up
+        };
         ScanBinomialSchedule {
             comm,
-            tag_up: TagBase::ScanUp.tag(salt),
-            tag_down: TagBase::ScanDown.tag(salt),
+            tag_up: TagBase::ScanUp.key(seq),
+            tag_down: TagBase::ScanDown.key(seq),
             bytes_of,
             combine,
             nodes,
@@ -135,7 +139,7 @@ where
                                 .as_ref()
                                 .expect("up-sweep total is live until the down-sweep");
                             let bytes = (self.bytes_of)(a);
-                            self.comm.send_with_bytes(hi - 1, self.tag_up, a.clone(), bytes);
+                            self.comm.send_key(hi - 1, self.tag_up, a.clone(), bytes);
                         } else if r + 1 == hi {
                             let Some(left) =
                                 self.comm.try_recv_schedule::<T>(mid - 1, self.tag_up)?
@@ -155,13 +159,11 @@ where
                         let (lo, mid, hi) = self.nodes[self.idx - 1];
                         if r + 1 == hi {
                             if lo > 0 {
-                                let pfx = self
-                                    .prefix
-                                    .as_ref()
-                                    .expect("non-spine prefix is non-empty");
+                                let pfx =
+                                    self.prefix.as_ref().expect("non-spine prefix is non-empty");
                                 let bytes = (self.bytes_of)(pfx);
                                 self.comm
-                                    .send_with_bytes(mid - 1, self.tag_down, pfx.clone(), bytes);
+                                    .send_key(mid - 1, self.tag_down, pfx.clone(), bytes);
                             }
                             let left = self
                                 .saved
@@ -193,9 +195,10 @@ where
                     // spine and the root) have their subtree anchored at
                     // rank 0, so the up-sweep total already *is* their
                     // inclusive result.
-                    let inclusive = self.inclusive.take().unwrap_or_else(|| {
-                        self.acc.take().expect("unconsumed up-sweep total")
-                    });
+                    let inclusive = self
+                        .inclusive
+                        .take()
+                        .unwrap_or_else(|| self.acc.take().expect("unconsumed up-sweep total"));
                     return Ok(Some((self.prefix.take(), inclusive)));
                 }
             }
@@ -286,6 +289,10 @@ mod tests {
         let outcome = Runtime::new(16).run(|comm| {
             comm.scan_both_by((Binomial, 1), 1u64, whole(), |_| 8, |a, b| a + b);
         });
-        assert_eq!(outcome.stats.messages, 26, "messages={}", outcome.stats.messages);
+        assert_eq!(
+            outcome.stats.messages, 26,
+            "messages={}",
+            outcome.stats.messages
+        );
     }
 }

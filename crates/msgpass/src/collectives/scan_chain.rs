@@ -23,7 +23,7 @@ use super::tree::split_into;
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Tag;
+use crate::message::Key;
 use crate::request::Schedule;
 
 /// Resumable pipelined-chain scan. The segment iterator is the program
@@ -38,7 +38,7 @@ use crate::request::Schedule;
 /// local copying, never messages, bytes, or combine counts.
 pub(crate) struct ScanChainSchedule<T, B, F, U> {
     comm: Comm,
-    tag: Tag,
+    tag: Key,
     bytes_of: B,
     combine: F,
     unsplit: U,
@@ -64,7 +64,7 @@ where
         value: T,
         segments: usize,
         split: impl FnOnce(T, usize) -> Vec<T>,
-        salt: Tag,
+        seq: u64,
         bytes_of: B,
         combine: F,
         unsplit: U,
@@ -74,7 +74,7 @@ where
         let segs = split_into(value, s, split);
         ScanChainSchedule {
             comm,
-            tag: TagBase::ScanChain.tag(salt),
+            tag: TagBase::ScanChain.key(seq),
             bytes_of,
             combine,
             unsplit,
@@ -119,12 +119,12 @@ where
             };
             if r + 1 < p {
                 let bytes = (self.bytes_of)(&inc);
-                self.comm.send_with_bytes(r + 1, self.tag, inc.clone(), bytes);
+                self.comm.send_key(r + 1, self.tag, inc.clone(), bytes);
             }
             self.incl.push(inc);
         }
-        let exclusive = (self.need_exclusive && r > 0)
-            .then(|| (self.unsplit)(std::mem::take(&mut self.excl)));
+        let exclusive =
+            (self.need_exclusive && r > 0).then(|| (self.unsplit)(std::mem::take(&mut self.excl)));
         let inclusive = (self.unsplit)(std::mem::take(&mut self.incl));
         Ok(Some((exclusive, inclusive)))
     }

@@ -83,18 +83,18 @@ impl Comm {
         self.counters().record_allreduce_algorithm(algo);
         match algo {
             AllreduceAlgorithm::RecursiveDoubling => self
-                .launch::<M, _>(CallKind::Allreduce, |comm, salt| {
-                    AllreduceRdSchedule::new(comm, value, salt, bytes_of, combine)
+                .launch::<M, _>(CallKind::Allreduce, |comm, seq| {
+                    AllreduceRdSchedule::new(comm, value, seq, bytes_of, combine)
                 }),
             AllreduceAlgorithm::ReduceScatterAllgather => {
-                self.launch::<M, _>(CallKind::Allreduce, |comm, salt| {
-                    AllreduceRsagSchedule::new(comm, value, salt, split, unsplit, bytes_of, combine)
+                self.launch::<M, _>(CallKind::Allreduce, |comm, seq| {
+                    AllreduceRsagSchedule::new(comm, value, seq, split, unsplit, bytes_of, combine)
                 })
             }
             AllreduceAlgorithm::ReduceBroadcast | AllreduceAlgorithm::PipelinedTree => self
-                .launch::<M, _>(CallKind::Allreduce, |comm, salt| {
+                .launch::<M, _>(CallKind::Allreduce, |comm, seq| {
                     TreeAllreduce::new(
-                        comm, value, segments, split, salt, bytes_of, combine, unsplit,
+                        comm, value, segments, split, seq, bytes_of, combine, unsplit,
                     )
                 }),
         }
@@ -201,8 +201,8 @@ impl Comm {
         } else {
             BcastAlgorithm::Binomial
         });
-        self.launch::<Blocking, _>(CallKind::Bcast, |comm, salt| {
-            TreeBcast::new(comm, root, value, segments, split, salt, bytes_of, unsplit)
+        self.launch::<Blocking, _>(CallKind::Bcast, |comm, seq| {
+            TreeBcast::new(comm, root, value, segments, split, seq, bytes_of, unsplit)
         })
     }
 
@@ -236,9 +236,9 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
-        self.launch::<Blocking, _>(CallKind::Reduce, |comm, salt| {
+        self.launch::<Blocking, _>(CallKind::Reduce, |comm, seq| {
             TreeReduce::new(
-                comm, root, value, segments, split, salt, bytes_of, combine, unsplit,
+                comm, root, value, segments, split, seq, bytes_of, combine, unsplit,
             )
         })
     }
@@ -268,19 +268,19 @@ impl Comm {
             CallKind::Exscan
         };
         match algo {
-            ScanAlgorithm::RecursiveDoubling => self.launch::<Blocking, _>(kind, |comm, salt| {
-                ScanRdSchedule::new(comm, value, salt, bytes_of, combine, exclusive, inclusive)
+            ScanAlgorithm::RecursiveDoubling => self.launch::<Blocking, _>(kind, |comm, seq| {
+                ScanRdSchedule::new(comm, value, seq, bytes_of, combine, exclusive, inclusive)
             }),
             ScanAlgorithm::Binomial => {
-                let (ex, inc) = self.launch::<Blocking, _>(kind, |comm, salt| {
-                    ScanBinomialSchedule::new(comm, value, salt, bytes_of, combine)
+                let (ex, inc) = self.launch::<Blocking, _>(kind, |comm, seq| {
+                    ScanBinomialSchedule::new(comm, value, seq, bytes_of, combine)
                 });
                 (ex, Some(inc))
             }
             ScanAlgorithm::PipelinedChain => {
-                let (ex, inc) = self.launch::<Blocking, _>(kind, |comm, salt| {
+                let (ex, inc) = self.launch::<Blocking, _>(kind, |comm, seq| {
                     ScanChainSchedule::new(
-                        comm, value, segments, split, salt, bytes_of, combine, unsplit, exclusive,
+                        comm, value, segments, split, seq, bytes_of, combine, unsplit, exclusive,
                     )
                 });
                 (ex, Some(inc))

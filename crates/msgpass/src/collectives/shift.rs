@@ -14,10 +14,11 @@ impl Comm {
     pub fn shift_up<T: Send + 'static>(&self, value: T) -> Option<T> {
         let p = self.size();
         let r = self.rank();
+        let tag = TagBase::Shift.key(self.next_seq());
         if r + 1 < p {
-            self.send(r + 1, TagBase::Shift.tag(0), value);
+            self.send_key(r + 1, tag, value, size_of::<T>());
         }
-        (r > 0).then(|| self.recv(r - 1, TagBase::Shift.tag(0)))
+        (r > 0).then(|| self.recv_key(r - 1, tag))
     }
 
     /// Sends `value` to rank `(r + 1) mod p` and returns the value from
@@ -28,8 +29,9 @@ impl Comm {
             return value;
         }
         let r = self.rank();
-        self.send((r + 1) % p, TagBase::Shift.tag(0), value);
-        self.recv((r + p - 1) % p, TagBase::Shift.tag(0))
+        let tag = TagBase::Shift.key(self.next_seq());
+        self.send_key((r + 1) % p, tag, value, size_of::<T>());
+        self.recv_key((r + p - 1) % p, tag)
     }
 }
 
@@ -54,9 +56,7 @@ mod tests {
 
     #[test]
     fn single_rank_shift() {
-        let outcome = Runtime::new(1).run(|comm| {
-            (comm.shift_up(7u8), comm.shift_up_periodic(9u8))
-        });
+        let outcome = Runtime::new(1).run(|comm| (comm.shift_up(7u8), comm.shift_up_periodic(9u8)));
         assert_eq!(outcome.results, vec![(None, 9)]);
     }
 }

@@ -37,7 +37,7 @@
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Tag;
+use crate::message::Key;
 use crate::request::Schedule;
 
 /// The `(split, unsplit)` pair of a whole, unsplittable state: its
@@ -114,7 +114,7 @@ impl<T: Send + 'static> UpSweep<T> {
     fn poll(
         &mut self,
         comm: &Comm,
-        tag: Tag,
+        tag: Key,
         bytes_of: &impl Fn(&T) -> usize,
         combine: &mut impl FnMut(T, T) -> T,
         mut at_top: impl FnMut(T),
@@ -140,7 +140,7 @@ impl<T: Send + 'static> UpSweep<T> {
             match self.parent {
                 Some(parent) => {
                     let bytes = bytes_of(&seg);
-                    comm.send_with_bytes(parent, tag, seg, bytes);
+                    comm.send_key(parent, tag, seg, bytes);
                 }
                 None => at_top(seg),
             }
@@ -180,14 +180,14 @@ impl<T: Clone + Send + 'static> DownSweep<T> {
 
     /// Sends `seg` to every tree child, largest subtree first (the child
     /// that must relay deepest gets its copy earliest), then keeps it.
-    fn relay(&mut self, comm: &Comm, tag: Tag, bytes_of: &impl Fn(&T) -> usize, seg: T) {
+    fn relay(&mut self, comm: &Comm, tag: Key, bytes_of: &impl Fn(&T) -> usize, seg: T) {
         let p = comm.size();
         let mut m = self.mask >> 1;
         while m > 0 {
             if self.vrank + m < p {
                 let child = (self.vrank + m + self.root) % p;
                 let bytes = bytes_of(&seg);
-                comm.send_with_bytes(child, tag, seg.clone(), bytes);
+                comm.send_key(child, tag, seg.clone(), bytes);
             }
             m >>= 1;
         }
@@ -200,7 +200,7 @@ impl<T: Clone + Send + 'static> DownSweep<T> {
     fn poll(
         &mut self,
         comm: &Comm,
-        tag: Tag,
+        tag: Key,
         bytes_of: &impl Fn(&T) -> usize,
     ) -> Result<bool, ShutdownError> {
         let p = comm.size();
@@ -220,7 +220,7 @@ impl<T: Clone + Send + 'static> DownSweep<T> {
 /// poll is the down-sweep.
 pub(crate) struct TreeBcast<T, B, U> {
     comm: Comm,
-    tag: Tag,
+    tag: Key,
     bytes_of: B,
     /// `FnOnce`, consumed when the last segment lands.
     unsplit: Option<U>,
@@ -241,13 +241,13 @@ where
         value: Option<T>,
         segments: usize,
         split: impl FnOnce(T, usize) -> Vec<T>,
-        salt: Tag,
+        seq: u64,
         bytes_of: B,
         unsplit: U,
     ) -> Self {
         assert!(root < comm.size(), "bcast root {root} out of range");
         let s = segments.max(1);
-        let tag = TagBase::Bcast.tag(salt);
+        let tag = TagBase::Bcast.key(seq);
         let mut down = DownSweep::new(&comm, root, s);
         if down.vrank == 0 {
             let value = value.expect("the bcast root must supply the value");
@@ -289,7 +289,7 @@ where
 /// Resumable reduce to `root`: `Some(result)` there, `None` elsewhere.
 pub(crate) struct TreeReduce<T, B, F, U> {
     comm: Comm,
-    tag: Tag,
+    tag: Key,
     bytes_of: B,
     combine: F,
     /// `FnOnce`, consumed when the root reassembles the result.
@@ -314,7 +314,7 @@ where
         value: T,
         segments: usize,
         split: impl FnOnce(T, usize) -> Vec<T>,
-        salt: Tag,
+        seq: u64,
         bytes_of: B,
         combine: F,
         unsplit: U,
@@ -324,7 +324,7 @@ where
         let up = UpSweep::new(&comm, split_into(value, s, split));
         TreeReduce {
             comm,
-            tag: TagBase::Reduce.tag(salt),
+            tag: TagBase::Reduce.key(seq),
             bytes_of,
             combine,
             unsplit: Some(unsplit),
@@ -364,7 +364,7 @@ where
                 // Rank 0 streams each finished segment to the root at
                 // once: the ship pipelines behind the remaining climbs.
                 let bytes = bytes_of(&seg);
-                comm.send_with_bytes(*root, *tag, seg, bytes);
+                comm.send_key(*root, *tag, seg, bytes);
             }
         })?;
         if !climbed {
@@ -391,8 +391,8 @@ where
 /// handed straight to the down-sweep.
 pub(crate) struct TreeAllreduce<T, B, F, U> {
     comm: Comm,
-    up_tag: Tag,
-    down_tag: Tag,
+    up_tag: Key,
+    down_tag: Key,
     bytes_of: B,
     combine: F,
     /// `FnOnce`, consumed when every segment has come back down.
@@ -414,7 +414,7 @@ where
         value: T,
         segments: usize,
         split: impl FnOnce(T, usize) -> Vec<T>,
-        salt: Tag,
+        seq: u64,
         bytes_of: B,
         combine: F,
         unsplit: U,
@@ -424,8 +424,8 @@ where
         let down = DownSweep::new(&comm, 0, s);
         TreeAllreduce {
             comm,
-            up_tag: TagBase::AllreduceTreeUp.tag(salt),
-            down_tag: TagBase::AllreduceTreeDown.tag(salt),
+            up_tag: TagBase::AllreduceTreeUp.key(seq),
+            down_tag: TagBase::AllreduceTreeDown.key(seq),
             bytes_of,
             combine,
             unsplit: Some(unsplit),

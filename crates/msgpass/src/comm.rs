@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use crate::cost::CostModel;
 use crate::fault::RankFaults;
 use crate::mailbox::{self, Mailbox, PeerSender, ShutdownError, Source, WaitState};
-use crate::message::{Packet, Payload, Tag};
+use crate::message::{Key, Packet, Payload, Tag};
 use crate::request::Engine;
 use crate::stats::{CallKind, RankStats, Stats};
 use crate::watchdog::RankMonitor;
@@ -21,17 +21,15 @@ use crate::watchdog::RankMonitor;
 /// Identifier of the world communicator.
 pub const WORLD_ID: u64 = 0;
 
-/// How many consecutive collectives of one communicator draw distinct tag
-/// salts (see [`Comm::next_collective_salt`]).
-const SALT_WINDOW: u64 = 0x1000;
-
 /// Shared, cross-rank agreement on ids for derived communicators.
 ///
-/// Every member of a `split`/`dup` looks up the same `(parent, color)` key
-/// and therefore receives the same child id, without extra communication.
+/// Every member of a `split`/`dup` looks up the same `(parent, call
+/// sequence, color)` key and therefore receives the same child id, without
+/// extra communication; the parent's call sequence gives every call its
+/// own ids.
 #[derive(Debug, Default)]
 pub(crate) struct SplitRegistry {
-    ids: Mutex<HashMap<(u64, i64), u64>>,
+    ids: Mutex<HashMap<(u64, u64, i64), u64>>,
     next: AtomicU64,
 }
 
@@ -43,12 +41,12 @@ impl SplitRegistry {
         }
     }
 
-    fn id_for(&self, parent: u64, color: i64) -> u64 {
+    fn id_for(&self, parent: u64, seq: u64, color: i64) -> u64 {
         *self
             .ids
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .entry((parent, color))
+            .entry((parent, seq, color))
             .or_insert_with(|| self.next.fetch_add(1, Ordering::Relaxed))
     }
 }
@@ -79,14 +77,14 @@ pub(crate) struct RankCore {
     /// wait loop's progress signal (a round that moved this counter
     /// starts the backoff over instead of climbing towards a park).
     pub(crate) progress: Cell<u64>,
-    /// Per-communicator collective sequence counters, for tag salting,
-    /// by communicator id. Collectives are called in the same order on
-    /// every member of a communicator (the MPI rule), so each rank's
-    /// counter agrees without communication; salting the reserved tags by
-    /// it keeps concurrent schedules on one communicator from matching
-    /// each other's traffic. Consulted only when a communicator is
-    /// created: every handle holds its counter directly, so a collective
-    /// call hashes nothing.
+    /// Per-communicator collective call sequences, by communicator id.
+    /// Collectives are called in the same order on every member of a
+    /// communicator (the MPI rule), so each rank's counter agrees without
+    /// communication; a collective's match keys carry its number, which
+    /// keeps concurrent schedules on one communicator from matching each
+    /// other's traffic. Consulted only when a communicator is created:
+    /// every handle holds its counter directly, so a collective call
+    /// hashes nothing.
     coll_seq: RefCell<HashMap<u64, Rc<Cell<u64>>>>,
     /// This rank's handle onto the runtime's failure machinery: the abort
     /// flag, the progress board the stall watchdog reads, and the park
@@ -94,8 +92,9 @@ pub(crate) struct RankCore {
     /// `faults` below) so the failure-path state stays out of the hot
     /// fields' cache lines.
     pub(crate) monitor: RankMonitor,
-    /// Chaos-injection state when the runtime carries a fault plan;
-    /// `None` (the default) costs one discriminant check per hook.
+    /// Chaos-injection state when the runtime carries a fault plan,
+    /// including the packets a delay holds at this sender; `None` (the
+    /// default) costs one discriminant check per hook.
     pub(crate) faults: Option<RankFaults>,
 }
 
@@ -134,12 +133,10 @@ pub struct Comm {
     /// [`clone_handle`](Self::clone_handle) — every collective launch
     /// makes one — allocates nothing.
     members: Rc<[usize]>,
-    /// This communicator's collective sequence counter (see
+    /// This communicator's collective call sequence (see
     /// `RankCore::coll_seq`), likewise shared by its handles.
     coll_seq: Rc<Cell<u64>>,
     core: Rc<RankCore>,
-    /// Number of `dup`s performed on this communicator (for id agreement).
-    dups: Cell<u64>,
 }
 
 /// Everything the runtime wires into one rank's world communicator.
@@ -178,7 +175,6 @@ impl Comm {
             members,
             coll_seq: core.coll_seq_of(WORLD_ID),
             core,
-            dups: Cell::new(0),
         }
     }
 
@@ -201,7 +197,6 @@ impl Comm {
             members: Rc::clone(&self.members),
             coll_seq: Rc::clone(&self.coll_seq),
             core: Rc::clone(&self.core),
-            dups: Cell::new(0),
         }
     }
 
@@ -247,9 +242,17 @@ impl Comm {
             }
             crate::request::poll_engine(self);
             if core.progress.get() == before {
-                core.mailbox
-                    .borrow_mut()
-                    .backoff_step(&mut wait, &core.monitor, self.counters());
+                core.mailbox.borrow_mut().backoff_step(
+                    &mut wait,
+                    // A rank that holds packets parks no longer than its
+                    // earliest hold.
+                    |timeout| match &core.faults {
+                        Some(faults) => faults.park_bound(timeout),
+                        None => timeout,
+                    },
+                    &core.monitor,
+                    self.counters(),
+                );
             } else {
                 wait = WaitState::default();
             }
@@ -262,44 +265,35 @@ impl Comm {
         &self.core.monitor
     }
 
-    /// Drops every in-flight schedule. The runtime calls this when the
-    /// rank's closure returns: live (detached) schedules are cancelled,
-    /// and the `Comm` clones they own are released, breaking the
-    /// `Comm → Engine → Comm` cycle.
-    pub(crate) fn shutdown_engine(&self) {
+    /// Sends, in order, the packets a fault plan holds at this rank whose
+    /// hold has passed — all of them when `all`. Every wait round and
+    /// every `test` takes this step with `all` false.
+    pub(crate) fn release_held(&self, all: bool) {
+        if let Some(faults) = &self.core.faults {
+            faults.release(&self.core.peers, self.counters(), all);
+        }
+    }
+
+    /// The runtime calls this when the rank's closure returns or unwinds.
+    /// Drops every in-flight schedule: live (detached) schedules are
+    /// cancelled, and the `Comm` clones they own are released, breaking
+    /// the `Comm → Engine → Comm` cycle. Then sends, in order, whatever a
+    /// fault plan still holds at this rank, before its lanes close.
+    pub(crate) fn shutdown(&self) {
         if let Ok(mut engine) = self.core.engine.try_borrow_mut() {
             engine.clear();
         }
+        self.release_held(true);
     }
 
-    /// Draws this communicator's next collective sequence number and
-    /// returns the tag salt derived from it. Every member draws the same
-    /// value for the same collective call (collectives are ordered per
-    /// communicator), so the salted tags agree across ranks. Reserved tag
-    /// bases stay below `0x1000` apart, and the salt occupies bits 12–23,
-    /// so [`SALT_WINDOW`] consecutive collectives on one communicator draw
-    /// distinct tags and the next one draws the first one's again: if
-    /// that one is still in flight on this rank (an unwaited or dropped
-    /// request) the two could match each other's messages, so this panics.
-    pub(crate) fn next_collective_salt(&self) -> Tag {
+    /// Draws this communicator's next call sequence number. Every member
+    /// draws the same value for the same collective call (collectives are
+    /// ordered per communicator), so the keys built from it agree across
+    /// ranks, and no two calls of a run draw the same.
+    pub(crate) fn next_seq(&self) -> u64 {
         let seq = self.coll_seq.get();
-        if let Some(oldest) = self.core.engine.borrow().oldest_live_seq(self.id) {
-            assert!(
-                seq - oldest < SALT_WINDOW,
-                "tag salt window exhausted on communicator {}: collective #{seq} would reuse \
-                 the tags of #{oldest}, which is still in flight on rank {} \
-                 (at most {SALT_WINDOW} consecutive collectives of one communicator may overlap)",
-                self.id,
-                self.core.world_rank,
-            );
-        }
         self.coll_seq.set(seq + 1);
-        ((seq % SALT_WINDOW) as Tag) << 12
-    }
-
-    /// The sequence number this communicator's latest collective drew.
-    pub(crate) fn last_collective_seq(&self) -> u64 {
-        self.coll_seq.get() - 1
+        seq
     }
 
     /// Marks this rank as inside a collective until the guard drops.
@@ -383,6 +377,13 @@ impl Comm {
     /// Prefer [`send`](Self::send) unless the payload owns heap storage
     /// whose size `size_of::<T>()` does not reflect.
     pub fn send_with_bytes<T: Send + 'static>(&self, dst: usize, tag: Tag, value: T, bytes: usize) {
+        self.send_key(dst, Key::from(tag), value, bytes);
+    }
+
+    /// Sends `value` to `dst` under match key `key`, modeling `bytes` wire
+    /// bytes: the one send every point-to-point and collective message
+    /// takes.
+    pub(crate) fn send_key<T: Send + 'static>(&self, dst: usize, key: Key, value: T, bytes: usize) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         self.charge_overhead();
         let counters = self.counters();
@@ -390,25 +391,23 @@ impl Comm {
             counters.record_call(CallKind::Send);
         }
         counters.record_message(bytes);
-        // Chaos hook: counts the send (possibly firing a stall or kill
-        // trigger) and rolls the delivery-delay embargo.
-        let hold_until = match &self.core.faults {
-            Some(faults) => faults.on_send().map(Box::new),
-            None => None,
-        };
         let packet = Packet {
             comm_id: self.id,
-            src: self.rank as u32,
-            tag,
+            key,
             sent_at: self.now(),
             bytes,
-            hold_until,
             payload: Payload::new(value),
         };
         // Delivery cannot block (rings spill to an overflow queue); a
         // dead destination means that thread is gone, which the abort
         // flag turns into a clean panic at the blocked receivers instead.
-        mailbox::send(&self.core.peers[self.members[dst]], packet, counters);
+        let to = self.members[dst];
+        match &self.core.faults {
+            // Chaos hook: counts the send (possibly firing a stall or kill
+            // trigger) and may hold the packet at this rank for a while.
+            Some(faults) => faults.send(&self.core.peers, to, packet, counters),
+            None => mailbox::send(&self.core.peers[to], packet, counters),
+        }
     }
 
     /// Sends `value` to `dst` with `tag`; wire size is `size_of::<T>()`.
@@ -427,30 +426,36 @@ impl Comm {
     /// available `α/2 + β·bytes` after it was sent, taking it charges the
     /// receive overhead, and — unless the caller orders several arrivals
     /// itself (`bump` false) — the clock then rises to the availability.
-    /// Returns the value, the actual source rank, and the availability.
-    fn deliver<T: 'static>(&self, packet: Packet, tag: Tag, bump: bool) -> (T, usize, f64) {
+    /// Returns the value and the availability.
+    fn deliver<T: 'static>(&self, packet: Packet, from: usize, bump: bool) -> (T, f64) {
         let available_at =
             packet.sent_at + self.core.cost.alpha / 2.0 + self.core.cost.beta * packet.bytes as f64;
         self.charge_overhead();
         if bump {
             self.bump_clock_to(available_at);
         }
-        let from = packet.src as usize;
-        let value = downcast_payload::<T>(packet.payload, self.id, from, tag);
-        (value, from, available_at)
+        let value = downcast_payload::<T>(packet.payload, self.id, from, packet.key);
+        (value, available_at)
     }
 
     /// Receives a `T` matching `(src, tag)`, advancing the clock to the
     /// message's modeled availability. Returns the value, the actual
     /// source rank, and the availability time.
     pub fn recv_meta<T: 'static>(&self, src: Source, tag: Tag) -> (T, usize, f64) {
-        let packet = self.blocking_recv(src, tag);
-        self.deliver(packet, tag, true)
+        let (packet, from) = self.blocking_recv(src, Key::from(tag));
+        let (value, available_at) = self.deliver(packet, from, true);
+        (value, from, available_at)
     }
 
     /// Receives a `T` from `src` with `tag`.
     pub fn recv<T: 'static>(&self, src: usize, tag: Tag) -> T {
-        self.recv_meta(Source::Rank(src), tag).0
+        self.recv_key(src, Key::from(tag))
+    }
+
+    /// Receives a `T` from `src` under match key `key`.
+    pub(crate) fn recv_key<T: 'static>(&self, src: usize, key: Key) -> T {
+        let (packet, from) = self.blocking_recv(Source::Rank(src), key);
+        self.deliver(packet, from, true).0
     }
 
     /// Receives a `T` matching `(src, tag)` **without** advancing the
@@ -460,24 +465,30 @@ impl Comm {
     /// Used by collectives that model processing several arrivals in a
     /// chosen order (e.g. availability order for commutative reductions):
     /// the caller bumps the clock per processed message.
-    pub(crate) fn recv_deferred<T: 'static>(&self, src: Source, tag: Tag) -> (T, f64) {
-        let packet = self.blocking_recv(src, tag);
-        let (value, _, available_at) = self.deliver(packet, tag, false);
-        (value, available_at)
+    pub(crate) fn recv_deferred<T: 'static>(&self, src: usize, key: Key) -> (T, f64) {
+        let (packet, from) = self.blocking_recv(Source::Rank(src), key);
+        self.deliver(packet, from, false)
     }
 
     /// One non-blocking matching pass on this communicator's message
-    /// space; `Ok(None)` means nothing matching has arrived yet.
+    /// space: the packet and the rank it came from, or `Ok(None)` when
+    /// nothing matching has arrived yet.
     #[inline]
-    fn try_match(&self, src: Source, tag: Tag) -> Result<Option<Packet>, ShutdownError> {
-        self.core.mailbox.borrow_mut().try_recv(
+    fn try_match(&self, src: Source, key: Key) -> Result<Option<(Packet, usize)>, ShutdownError> {
+        let found = self.core.mailbox.borrow_mut().try_recv(
             self.id,
             src,
-            tag,
+            key,
             &self.members,
             &self.core.monitor,
             self.counters(),
-        )
+        )?;
+        // The mailbox answers with the candidate lane's index, which for
+        // `Source::Any` (every member's lane, in rank order) is the rank.
+        Ok(found.map(|(lane, packet)| match src {
+            Source::Rank(q) => (packet, q),
+            Source::Any => (packet, lane),
+        }))
     }
 
     /// One non-blocking matching pass for a resumable schedule: on a
@@ -486,26 +497,26 @@ impl Comm {
     pub(crate) fn try_recv_schedule<T: 'static>(
         &self,
         src: usize,
-        tag: Tag,
+        key: Key,
     ) -> Result<Option<T>, ShutdownError> {
-        let Some(packet) = self.try_match(Source::Rank(src), tag)? else {
+        let Some((packet, from)) = self.try_match(Source::Rank(src), key)? else {
             return Ok(None);
         };
         self.core.progress.set(self.core.progress.get() + 1);
-        Ok(Some(self.deliver(packet, tag, true).0))
+        Ok(Some(self.deliver(packet, from, true).0))
     }
 
     /// A blocking receive is [`wait_until`](Self::wait_until) a matching
     /// pass delivers, so in-flight requests keep progressing meanwhile
     /// (MPI's progress rule) and a receive that can never complete (peer
     /// exited or abort flag raised) unwinds this rank.
-    fn blocking_recv(&self, src: Source, tag: Tag) -> Packet {
+    fn blocking_recv(&self, src: Source, key: Key) -> (Packet, usize) {
         // Chaos hook: counts the blocking receive call (possibly firing a
         // stall or kill trigger) before any matching happens.
         if let Some(faults) = &self.core.faults {
             faults.on_recv();
         }
-        self.wait_until(|| self.try_match(src, tag))
+        self.wait_until(|| self.try_match(src, key))
     }
 
     /// Receives a `T` with `tag` from any source; returns `(value, src)`.
@@ -525,6 +536,7 @@ impl Comm {
     /// Collective over the parent communicator.
     pub fn split(&self, color: i64, key: i64) -> Comm {
         assert!(color >= 0, "split colors must be non-negative");
+        let seq = self.next_seq();
         let members = self.allgather((color, key, self.rank), std::mem::size_of_val);
         let mut group: Vec<(i64, usize)> = members
             .iter()
@@ -537,43 +549,36 @@ impl Comm {
             .position(|&(_, r)| r == self.rank)
             .expect("own rank missing from split group");
         let members = group.iter().map(|&(_, r)| self.members[r]).collect();
-        let id = self.core.registry.id_for(self.id, color);
-        Comm {
-            id,
-            rank: new_rank,
-            members,
-            coll_seq: self.core.coll_seq_of(id),
-            core: Rc::clone(&self.core),
-            dups: Cell::new(0),
-        }
+        self.derive(seq, color, new_rank, members)
     }
 
     /// Duplicates the communicator: same group, fresh message space.
     ///
-    /// Collective; every member must call `dup` the same number of times
-    /// in the same order.
+    /// Collective; every member must call `dup` in the same order
+    /// relative to the communicator's other collectives.
     pub fn dup(&self) -> Comm {
-        let n = self.dups.get();
-        self.dups.set(n + 1);
-        // Negative colors are reserved for dup id agreement.
-        let id = self.core.registry.id_for(self.id, -1 - n as i64);
+        // A dup is a split in which every member passes one color.
+        self.derive(self.next_seq(), -1, self.rank, Rc::clone(&self.members))
+    }
+
+    /// The communicator the call that drew `seq` derives for `color`.
+    fn derive(&self, seq: u64, color: i64, rank: usize, members: Rc<[usize]>) -> Comm {
+        let id = self.core.registry.id_for(self.id, seq, color);
         Comm {
             id,
-            rank: self.rank,
-            members: Rc::clone(&self.members),
+            rank,
+            members,
             coll_seq: self.core.coll_seq_of(id),
             core: Rc::clone(&self.core),
-            dups: Cell::new(0),
         }
     }
 }
 
-fn downcast_payload<T: 'static>(payload: Payload, comm: u64, src: usize, tag: Tag) -> T {
+fn downcast_payload<T: 'static>(payload: Payload, comm: u64, src: usize, key: Key) -> T {
     match payload.take::<T>() {
         Ok(value) => value,
         Err(_) => panic!(
-            "type mismatch receiving on comm {comm} from rank {src} tag {tag}: \
-             expected {}",
+            "type mismatch receiving on comm {comm} from rank {src} tag {key}: expected {}",
             std::any::type_name::<T>()
         ),
     }

@@ -2,13 +2,20 @@
 //!
 //! A [`FaultPlan`] describes, ahead of a run, every disruption the
 //! transport layer should synthesize: probabilistic *delays* of message
-//! delivery (per-lane FIFO-preserving, so MPI's non-overtaking guarantee
-//! still holds — a delayed message embargoes everything behind it on the
-//! same matching triple), bounded *stalls* of one rank at its N-th
-//! operation, and *kills* that panic a rank at its N-th send, receive, or
-//! collective. Plans are pure data keyed by a 64-bit seed: the same plan
-//! against the same workload injects exactly the same faults, so a
-//! failing chaos seed replays deterministically.
+//! delivery, bounded *stalls* of one rank at its N-th operation, and
+//! *kills* that panic a rank at its N-th send, receive, or collective.
+//! Plans are pure data keyed by a 64-bit seed: the same plan against the
+//! same workload injects exactly the same faults, so a failing chaos seed
+//! replays deterministically.
+//!
+//! A delayed packet waits at its *sender*, in `RankFaults`' queue for
+//! its destination, and everything the rank sends to that destination
+//! afterwards queues behind it, so per-peer FIFO — and with it MPI's
+//! non-overtaking guarantee — holds by construction. The rank sends what
+//! is due whenever it polls for progress (every wait round, and
+//! `Request::test`/`test_any`), parks no longer than its earliest hold,
+//! and sends the rest when it exits. The receive side knows nothing of
+//! chaos.
 //!
 //! All of it is **off by default and zero-cost when disabled**: a runtime
 //! without a plan carries `None` and the per-packet hot path checks a
@@ -18,11 +25,16 @@
 //! same sequence `gv-testkit` seeds its generators with) — reimplemented
 //! here because the runtime crate must not depend on the test kit.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::mailbox::{self, PeerSender};
+use crate::message::Packet;
+use crate::stats::RankStats;
 
 /// The operation classes a fault trigger can count.
 ///
@@ -114,7 +126,10 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// An empty plan carrying `seed` for its probabilistic rolls.
     pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, ..FaultPlan::default() }
+        FaultPlan {
+            seed,
+            ..FaultPlan::default()
+        }
     }
 
     /// The plan's seed.
@@ -123,10 +138,11 @@ impl FaultPlan {
     }
 
     /// Delays roughly `permille`/1000 of all sends by a hold drawn
-    /// uniformly in `(0, max]`. Holds embargo delivery at the *receiver*:
-    /// a held packet — and, to preserve per-triple FIFO order, everything
-    /// behind it with the same matching key — only matches once its hold
-    /// expires. `permille` is clamped to 1000.
+    /// uniformly in `(0, max]`. A held packet waits at the *sender*, and
+    /// so does everything the rank sends to the same destination after
+    /// it; the rank sends it once the hold has passed, the next time it
+    /// polls for progress (or when it exits). `permille` is clamped to
+    /// 1000.
     pub fn delay_sends(mut self, permille: u32, max: Duration) -> Self {
         self.delay = Some((permille.min(1000), max));
         self
@@ -135,14 +151,24 @@ impl FaultPlan {
     /// Stalls `rank` for `pause` at its `nth` (1-based) operation of
     /// class `op`, then lets it continue.
     pub fn stall(mut self, rank: usize, op: FaultOp, nth: u64, pause: Duration) -> Self {
-        self.triggers.push(Trigger { rank, op, nth, action: FaultAction::Stall(pause) });
+        self.triggers.push(Trigger {
+            rank,
+            op,
+            nth,
+            action: FaultAction::Stall(pause),
+        });
         self
     }
 
     /// Kills `rank` (panics it with an [`InjectedKill`] payload) at its
     /// `nth` (1-based) operation of class `op`.
     pub fn kill(mut self, rank: usize, op: FaultOp, nth: u64) -> Self {
-        self.triggers.push(Trigger { rank, op, nth, action: FaultAction::Kill });
+        self.triggers.push(Trigger {
+            rank,
+            op,
+            nth,
+            action: FaultAction::Kill,
+        });
         self
     }
 
@@ -159,11 +185,6 @@ impl FaultPlan {
         self.delay.is_none_or(|(permille, _)| permille == 0)
             && self.triggers.is_empty()
             && self.spawn_failures.is_empty()
-    }
-
-    /// True when the plan can delay sends.
-    pub(crate) fn has_delays(&self) -> bool {
-        self.delay.is_some_and(|(permille, _)| permille > 0)
     }
 
     /// The longest single disruption the plan can inject (max delay hold
@@ -187,8 +208,14 @@ impl FaultPlan {
         self.spawn_failures.contains(&rank)
     }
 
-    /// Builds `rank`'s runtime-side injection state.
-    pub(crate) fn for_rank(&self, rank: usize, counters: Arc<FaultCounters>) -> RankFaults {
+    /// Builds `rank`'s runtime-side injection state in a world of `p`
+    /// ranks.
+    pub(crate) fn for_rank(
+        &self,
+        rank: usize,
+        p: usize,
+        counters: Arc<FaultCounters>,
+    ) -> RankFaults {
         // Derive an independent per-rank stream: mix the rank into the
         // seed through one splitmix64 step so adjacent seeds/ranks don't
         // correlate.
@@ -198,9 +225,15 @@ impl FaultPlan {
             rank,
             delay: self.delay.filter(|&(permille, _)| permille > 0),
             rng: Cell::new(state),
-            triggers: self.triggers.iter().filter(|t| t.rank == rank).copied().collect(),
+            triggers: self
+                .triggers
+                .iter()
+                .filter(|t| t.rank == rank)
+                .copied()
+                .collect(),
             counts: [Cell::new(0), Cell::new(0), Cell::new(0)],
             counters,
+            held: RefCell::new((0..p).map(|_| VecDeque::new()).collect()),
         }
     }
 }
@@ -260,7 +293,7 @@ impl FaultCounters {
 /// What a run's fault plan actually injected (all zero without a plan).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
-    /// Sends whose delivery was embargoed by a delay roll.
+    /// Sends a delay roll held at their sender.
     pub delayed_sends: u64,
     /// Stall triggers that fired.
     pub stalls: u64,
@@ -276,8 +309,8 @@ impl FaultSummary {
 }
 
 /// One rank's live injection state: the per-rank RNG stream, operation
-/// counters, and this rank's triggers. Not `Sync` — owned by the rank
-/// thread, like the rest of the rank core.
+/// counters, this rank's triggers, and the packets it holds. Not `Sync` —
+/// owned by the rank thread, like the rest of the rank core.
 pub(crate) struct RankFaults {
     rank: usize,
     delay: Option<(u32, Duration)>,
@@ -285,6 +318,9 @@ pub(crate) struct RankFaults {
     triggers: Vec<Trigger>,
     counts: [Cell<u64>; 3],
     counters: Arc<FaultCounters>,
+    /// Packets held at this sender, by destination world rank, each with
+    /// the instant it may leave.
+    held: RefCell<Vec<VecDeque<(Instant, Packet)>>>,
 }
 
 impl RankFaults {
@@ -303,16 +339,59 @@ impl RankFaults {
                     }
                     FaultAction::Kill => {
                         self.counters.kills.fetch_add(1, Ordering::Relaxed);
-                        std::panic::panic_any(InjectedKill { rank: self.rank, op, nth: n });
+                        std::panic::panic_any(InjectedKill {
+                            rank: self.rank,
+                            op,
+                            nth: n,
+                        });
                     }
                 }
             }
         }
     }
 
-    /// Send hook: counts the send, fires triggers, and rolls the delay —
-    /// returning the embargo deadline to stamp onto the packet, if any.
-    pub(crate) fn on_send(&self) -> Option<Instant> {
+    /// Send hook: counts the send, fires triggers and rolls the delay,
+    /// then sends `packet` down `peers[to]` or holds it.
+    pub(crate) fn send(&self, peers: &[PeerSender], to: usize, packet: Packet, stats: &RankStats) {
+        let hold = self.on_send();
+        let queue = &mut self.held.borrow_mut()[to];
+        match hold {
+            None if queue.is_empty() => mailbox::send(&peers[to], packet, stats),
+            // An earlier packet to `to` is still held: this one leaves
+            // right after it.
+            hold => queue.push_back((hold.unwrap_or_else(Instant::now), packet)),
+        }
+    }
+
+    /// Sends, in order, the held packets whose hold has passed — all of
+    /// them when `all` (the rank is exiting).
+    pub(crate) fn release(&self, peers: &[PeerSender], stats: &RankStats, all: bool) {
+        for (to, queue) in self.held.borrow_mut().iter_mut().enumerate() {
+            while queue
+                .front()
+                .is_some_and(|&(at, _)| all || at <= Instant::now())
+            {
+                let (_, packet) = queue.pop_front().expect("a front was just seen");
+                mailbox::send(&peers[to], packet, stats);
+            }
+        }
+    }
+
+    /// `timeout`, cut to the time left until this rank's earliest held
+    /// packet may leave.
+    pub(crate) fn park_bound(&self, timeout: Duration) -> Duration {
+        let now = Instant::now();
+        self.held
+            .borrow()
+            .iter()
+            .filter_map(VecDeque::front)
+            .map(|&(at, _)| at.saturating_duration_since(now))
+            .fold(timeout, Duration::min)
+    }
+
+    /// Counts the send, fires triggers, and rolls the delay: the instant
+    /// a delayed packet may leave, if this one is.
+    fn on_send(&self) -> Option<Instant> {
         self.on_op(FaultOp::Send);
         let (permille, max) = self.delay?;
         let mut state = self.rng.get();
@@ -343,13 +422,166 @@ impl RankFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::{build_lane_transport, Mailbox, Source};
+    use crate::message::{Key, Payload};
+    use crate::runtime::Runtime;
+    use crate::stats::Stats;
+    use crate::watchdog::RankMonitor;
+    use std::sync::atomic::AtomicBool;
+
+    /// Rank 1's fault state in a world of three, its sending endpoints,
+    /// and the ranks' mailboxes, with no delay rolls: the tests place
+    /// every hold themselves.
+    struct Sender {
+        faults: RankFaults,
+        peers: Vec<PeerSender>,
+        mailboxes: Vec<Mailbox>,
+        stats: Stats,
+        monitor: RankMonitor,
+    }
+
+    impl Sender {
+        fn new() -> Self {
+            let (mailboxes, mut senders, _) = build_lane_transport(3);
+            Sender {
+                faults: FaultPlan::new(0).for_rank(1, 3, Arc::new(FaultCounters::default())),
+                peers: senders.swap_remove(1),
+                mailboxes,
+                stats: Stats::new(1),
+                monitor: RankMonitor::detached(Arc::new(AtomicBool::new(false))),
+            }
+        }
+
+        fn post(&self, to: usize, key: Key, value: i32, hold: Option<Duration>) {
+            let packet = Packet {
+                comm_id: 0,
+                key,
+                sent_at: 0.0,
+                bytes: 4,
+                payload: Payload::new(value),
+            };
+            // What a delay roll does, with a hold the test chooses; an
+            // unheld packet takes the real path (this plan rolls none).
+            match hold {
+                Some(hold) => {
+                    self.faults.held.borrow_mut()[to].push_back((Instant::now() + hold, packet))
+                }
+                None => self
+                    .faults
+                    .send(&self.peers, to, packet, self.stats.rank(0)),
+            }
+        }
+
+        /// One release step, then one matching pass at `to` for rank 1's
+        /// message under `key`.
+        fn poll(&mut self, to: usize, key: Key) -> Option<i32> {
+            let stats = self.stats.rank(0);
+            self.faults.release(&self.peers, stats, false);
+            self.mailboxes[to]
+                .try_recv(0, Source::Rank(1), key, &[0, 1, 2], &self.monitor, stats)
+                .expect("rank 1 is alive")
+                .map(|(_, packet)| packet.payload.take::<i32>().ok().expect("an i32"))
+        }
+
+        fn wait(&mut self, to: usize, key: Key) -> i32 {
+            loop {
+                if let Some(value) = self.poll(to, key) {
+                    return value;
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn a_held_packet_arrives_no_earlier_than_its_hold() {
+        let mut s = Sender::new();
+        let started = Instant::now();
+        s.post(0, 7, 42, Some(Duration::from_millis(200)));
+        assert_eq!(s.poll(0, 7), None);
+        assert_eq!(s.wait(0, 7), 42);
+        assert!(
+            started.elapsed() >= Duration::from_millis(200),
+            "{:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_hold_keeps_fifo_per_peer_across_tags() {
+        // Everything later to the same peer waits behind the held packet,
+        // whatever its tag.
+        let mut s = Sender::new();
+        s.post(0, 7, 1, Some(Duration::from_millis(200)));
+        s.post(0, 9, 2, None);
+        s.post(0, 7, 3, None);
+        assert_eq!(s.poll(0, 9), None, "a later tag overtook the held packet");
+        assert_eq!(s.wait(0, 9), 2);
+        assert_eq!(s.wait(0, 7), 1);
+        assert_eq!(s.wait(0, 7), 3);
+    }
+
+    #[test]
+    fn a_hold_to_one_peer_does_not_delay_another() {
+        let mut s = Sender::new();
+        s.post(0, 7, 1, Some(Duration::from_secs(30)));
+        s.post(2, 7, 2, None);
+        assert_eq!(s.poll(2, 7), Some(2));
+        assert_eq!(s.poll(0, 7), None);
+        assert!(s.faults.park_bound(Duration::from_secs(60)) <= Duration::from_secs(30));
+    }
+
+    #[test]
+    fn a_sender_that_exits_right_after_a_held_send_still_delivers_it() {
+        // Every send is held for at least 3.5 s (a 1024th of the
+        // maximum); rank 1 returns at once, and its exit sends what it
+        // holds.
+        let plan = FaultPlan::new(5).delay_sends(1000, Duration::from_secs(3600));
+        let outcome = Runtime::new(2).fault_plan(plan).run(|comm| {
+            if comm.rank() == 1 {
+                comm.send(0, 3, 99u32);
+                0
+            } else {
+                comm.recv::<u32>(1, 3)
+            }
+        });
+        assert_eq!(outcome.results, vec![99, 0]);
+        assert_eq!(outcome.faults.delayed_sends, 1);
+        assert!(outcome.wall < Duration::from_secs(3), "{:?}", outcome.wall);
+    }
+
+    #[test]
+    fn a_rank_that_only_spins_on_test_releases_what_it_holds() {
+        // No rank ever waits: each only tests its request, so `test` is
+        // the only step that can send what the plan holds.
+        let plan = FaultPlan::new(11).delay_sends(1000, Duration::from_millis(5));
+        let outcome = Runtime::new(2).fault_plan(plan).run(|comm| {
+            let mut req = comm.iallreduce(comm.rank() as u64 + 1, true, |_| 8, |a, b| a + b);
+            let deadline = Instant::now() + Duration::from_secs(20);
+            loop {
+                if let Some(sum) = req.test().expect("no shutdown") {
+                    return sum;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "held packets were never released"
+                );
+            }
+        });
+        assert_eq!(outcome.results, vec![3, 3]);
+        assert!(outcome.faults.delayed_sends > 0);
+    }
 
     #[test]
     fn empty_plan_is_empty_and_quiet() {
         assert!(FaultPlan::default().is_empty());
         assert!(FaultPlan::new(7).is_empty());
-        assert!(FaultPlan::new(7).delay_sends(0, Duration::from_millis(1)).is_empty());
-        assert!(!FaultPlan::new(7).delay_sends(1, Duration::from_millis(1)).is_empty());
+        assert!(FaultPlan::new(7)
+            .delay_sends(0, Duration::from_millis(1))
+            .is_empty());
+        assert!(!FaultPlan::new(7)
+            .delay_sends(1, Duration::from_millis(1))
+            .is_empty());
         assert!(!FaultPlan::new(7).kill(0, FaultOp::Send, 1).is_empty());
         assert!(!FaultPlan::new(7).fail_spawn(0).is_empty());
     }
@@ -358,13 +590,17 @@ mod tests {
     fn delay_rolls_replay_deterministically() {
         let plan = FaultPlan::new(99).delay_sends(500, Duration::from_millis(2));
         let draw = |plan: &FaultPlan| {
-            let faults = plan.for_rank(3, Arc::new(FaultCounters::default()));
-            (0..64).map(|_| faults.on_send().is_some()).collect::<Vec<_>>()
+            let faults = plan.for_rank(3, 5, Arc::new(FaultCounters::default()));
+            (0..64)
+                .map(|_| faults.on_send().is_some())
+                .collect::<Vec<_>>()
         };
         assert_eq!(draw(&plan), draw(&plan));
         // Different ranks draw different streams.
-        let other = plan.for_rank(4, Arc::new(FaultCounters::default()));
-        let stream = (0..64).map(|_| other.on_send().is_some()).collect::<Vec<_>>();
+        let other = plan.for_rank(4, 5, Arc::new(FaultCounters::default()));
+        let stream = (0..64)
+            .map(|_| other.on_send().is_some())
+            .collect::<Vec<_>>();
         assert_ne!(draw(&plan), stream, "rank streams should decorrelate");
     }
 
@@ -372,16 +608,23 @@ mod tests {
     fn kill_fires_on_exact_nth_op() {
         let plan = FaultPlan::new(1).kill(2, FaultOp::Recv, 3);
         let counters = Arc::new(FaultCounters::default());
-        let faults = plan.for_rank(2, Arc::clone(&counters));
+        let faults = plan.for_rank(2, 3, Arc::clone(&counters));
         faults.on_recv();
         faults.on_recv();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| faults.on_recv()))
             .unwrap_err();
         let kill = err.downcast_ref::<InjectedKill>().expect("typed payload");
-        assert_eq!(*kill, InjectedKill { rank: 2, op: FaultOp::Recv, nth: 3 });
+        assert_eq!(
+            *kill,
+            InjectedKill {
+                rank: 2,
+                op: FaultOp::Recv,
+                nth: 3
+            }
+        );
         assert_eq!(counters.summary().kills, 1);
         // Other ranks are untouched by the trigger.
-        let other = plan.for_rank(1, Arc::new(FaultCounters::default()));
+        let other = plan.for_rank(1, 3, Arc::new(FaultCounters::default()));
         for _ in 0..10 {
             other.on_recv();
         }

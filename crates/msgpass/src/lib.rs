@@ -46,7 +46,7 @@ pub use cost::{
 };
 pub use fault::{FaultOp, FaultPlan, FaultSummary, InjectedKill};
 pub use mailbox::{ShutdownError, ShutdownKind, Source};
-pub use message::{Tag, RESERVED_TAG_BASE};
+pub use message::Tag;
 pub use request::{test_any, wait_all, Request, RequestError};
 pub use runtime::{FailureReport, RunError, RunOutcome, Runtime, DEFAULT_PARK_TIMEOUT};
 pub use stats::{CallKind, KernelSnapshot, Stats, StatsSnapshot, TransportSnapshot};

@@ -1,15 +1,17 @@
-//! Per-rank receive side with MPI-style `(communicator, source, tag)`
+//! Per-rank receive side with MPI-style `(communicator, source, key)`
 //! matching, over per-peer lanes.
 //!
-//! Rank `r` has **one SPSC lane per source rank** (`gv_executor::lane`):
-//! a matched receive from a known source — the collective fast path —
-//! polls exactly one lock-free ring and never touches any other rank's
-//! traffic. Arrivals that do not match the posted `(comm, tag)` are
-//! stashed *per lane, keyed by `(comm, tag)`*, so the slow path
-//! (`Source::Any`, tag mismatches) costs a hash lookup per candidate lane
-//! instead of a walk over everything pending. Within one
-//! `(comm, source, tag)` triple, ring order plus per-key FIFO stashes
-//! preserve arrival order — MPI's non-overtaking guarantee.
+//! Rank `r` has **one SPSC lane per source rank** (`gv_executor::lane`),
+//! and the lane is the source: the envelope does not carry it. A matched
+//! receive from a known source — the collective fast path — polls exactly
+//! one lock-free ring and never touches any other rank's traffic.
+//! Arrivals that do not match the posted `(comm, key)` are stashed *per
+//! lane, keyed by `(comm, key)`*, so the slow path (`Source::Any`, key
+//! mismatches) costs a hash lookup per candidate lane instead of a walk
+//! over everything pending. Within one `(comm, source, key)` triple, ring
+//! order plus per-key FIFO stashes preserve arrival order — MPI's
+//! non-overtaking guarantee. A `Source::Any` receive takes the first
+//! candidate lane's match, in member order: any source may satisfy it.
 //!
 //! A receive that can never complete (peer threads exited, or the runtime
 //! raised the abort flag after a peer panicked) surfaces as a
@@ -27,21 +29,19 @@
 //! [`RankMonitor`](crate::watchdog::RankMonitor): a match bumps the
 //! progress epoch, a miss records its triple, a park publishes the last
 //! miss as what the rank is blocked on — the raw material of the stall
-//! watchdog's reports. With chaos injection active
-//! (`Runtime::fault_plan`), packets may carry an embargo deadline
-//! (`Packet::hold_until`); the matching passes refuse to deliver a held
-//! packet — or anything behind it on the same matching key, preserving
-//! per-triple FIFO — until the hold expires.
+//! watchdog's reports. A chaos delay (`Runtime::fault_plan`) holds a
+//! packet at its sender (`fault.rs`), so nothing here knows of it.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use gv_executor::lane::{lane, LaneDeposit, LaneReceiver, LaneSender, Parker};
 
-use crate::message::{Packet, Tag};
+use crate::collectives::ShowKey;
+use crate::message::{Key, Packet};
 use crate::stats::RankStats;
 use crate::watchdog::RankMonitor;
 
@@ -57,14 +57,6 @@ const LANE_CAPACITY: usize = 32;
 /// almost always runnable, so most waits resolve within a few yields
 /// and never park.
 const YIELD_LIMIT: u32 = 64;
-
-/// True while the packet's chaos embargo holds. Costs one null check
-/// (no clock read) for the `None` case every non-injected packet
-/// carries.
-#[inline]
-fn embargoed(packet: &Packet) -> bool {
-    packet.hold_until.as_deref().is_some_and(|&t| Instant::now() < t)
-}
 
 /// Where `Comm::wait_until` stands on the backoff ladder; it starts a
 /// fresh one whenever a round consumed a packet, so the next wait begins
@@ -110,8 +102,10 @@ pub struct ShutdownError {
     pub comm: u64,
     /// Source selector of the blocked receive.
     pub src: Source,
-    /// Tag of the blocked receive.
-    pub tag: Tag,
+    /// Match key of the blocked receive: a point-to-point receive's is
+    /// its tag; a collective's names its protocol and call (see the
+    /// `Display` rendering).
+    pub tag: u64,
     /// What cut the receive short.
     pub kind: ShutdownKind,
     /// World rank of the blocked receiver.
@@ -132,12 +126,7 @@ impl fmt::Display for ShutdownError {
             Source::Rank(r) => write!(f, "rank {r}")?,
             Source::Any => f.write_str("any")?,
         }
-        write!(
-            f,
-            ", tag={:#x}) in {} shut down: {reason}",
-            self.tag,
-            crate::collectives::describe_tag(self.tag)
-        )?;
+        write!(f, ", {}) shut down: {reason}", ShowKey(self.tag))?;
         if let Some(culprit) = self.culprit {
             write!(f, " (first failure on rank {culprit})")?;
         }
@@ -161,20 +150,14 @@ pub(crate) fn send(peer: &PeerSender, packet: Packet, stats: &RankStats) {
     }
 }
 
-/// A stashed mismatched arrival: per-key FIFO plus an arrival sequence
-/// number for `Source::Any`'s earliest-first pick.
-type StashQueue = VecDeque<(u64, Packet)>;
-
 /// One source rank's lane on the receive side.
 struct LaneState {
     rx: LaneReceiver<Packet>,
-    /// Mismatched arrivals from this source, keyed by `(comm, tag)` (the
+    /// Mismatched arrivals from this source, keyed by `(comm, key)` (the
     /// source is the lane itself). FIFO per key preserves non-overtaking.
-    stash: HashMap<(u64, Tag), StashQueue>,
+    stash: HashMap<(u64, Key), VecDeque<Packet>>,
     /// Total stashed packets across keys (cheap emptiness check).
     stash_len: usize,
-    /// Arrival counter for this lane, stamped onto stashed packets.
-    next_seq: u64,
 }
 
 impl LaneState {
@@ -183,17 +166,14 @@ impl LaneState {
             rx,
             stash: HashMap::new(),
             stash_len: 0,
-            next_seq: 0,
         }
     }
 
     fn stash(&mut self, packet: Packet) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.stash
-            .entry((packet.comm_id, packet.tag))
+            .entry((packet.comm_id, packet.key))
             .or_default()
-            .push_back((seq, packet));
+            .push_back(packet);
         self.stash_len += 1;
     }
 }
@@ -206,88 +186,45 @@ pub(crate) struct Mailbox {
     parker: Arc<Parker>,
     /// Bounded spin before parking (host-parallelism-aware).
     spin_limit: u32,
-    /// Stashed packets carrying a chaos embargo (counted until taken,
-    /// even after their holds expire). Zero on every non-injected run,
-    /// which lets the hot paths skip the embargo-only re-checks with one
-    /// integer compare.
-    held_stashed: usize,
 }
 
 impl Mailbox {
-    /// Takes the earliest stashed packet matching `(comm_id, tag)` among
-    /// the candidate lanes, if any. A lane whose front packet for the key
-    /// is embargoed contributes nothing — delivering anything behind the
-    /// held front would break per-triple FIFO, and the front itself must
-    /// wait out its hold.
-    fn take_stashed(&mut self, comm_id: u64, tag: Tag, lanes: &[usize]) -> Option<Packet> {
-        let key = (comm_id, tag);
-        let mut best: Option<(u64, usize)> = None;
-        for &w in lanes {
-            let lane = &self.lanes[w];
+    /// Takes the oldest stashed packet matching `(comm_id, key)` from the
+    /// first candidate lane that has one: the index of that lane in
+    /// `lanes`, and the packet.
+    fn take_stashed(&mut self, comm_id: u64, key: Key, lanes: &[usize]) -> Option<(usize, Packet)> {
+        let key = (comm_id, key);
+        lanes.iter().enumerate().find_map(|(i, &w)| {
+            let lane = &mut self.lanes[w];
             if lane.stash_len == 0 {
-                continue;
+                return None;
             }
-            if let Some(&(seq, ref front)) = lane.stash.get(&key).and_then(|q| q.front()) {
-                if !embargoed(front) && best.is_none_or(|(s, _)| seq < s) {
-                    best = Some((seq, w));
-                }
+            let queue = lane.stash.get_mut(&key)?;
+            let packet = queue.pop_front().expect("an empty stash queue is removed");
+            if queue.is_empty() {
+                lane.stash.remove(&key);
             }
-        }
-        let (_, w) = best?;
-        let lane = &mut self.lanes[w];
-        let queue = lane.stash.get_mut(&key).expect("stash key vanished");
-        let (_, packet) = queue.pop_front().expect("stash queue empty");
-        if queue.is_empty() {
-            lane.stash.remove(&key);
-        }
-        lane.stash_len -= 1;
-        if packet.hold_until.is_some() {
-            self.held_stashed -= 1;
-        }
-        Some(packet)
-    }
-
-    /// True when any candidate lane stashes packets for the key —
-    /// including embargoed ones a `take_stashed` refuses to deliver yet.
-    fn has_stashed(&self, comm_id: u64, tag: Tag, lanes: &[usize]) -> bool {
-        let key = (comm_id, tag);
-        lanes.iter().any(|&w| {
-            let lane = &self.lanes[w];
-            lane.stash_len > 0 && lane.stash.contains_key(&key)
+            lane.stash_len -= 1;
+            Some((i, packet))
         })
     }
 
-    /// Drains the candidate lanes' rings: returns the first match,
-    /// stashing everything else by its own `(comm, tag)` key.
-    ///
-    /// A ring packet may only short-circuit past the stash if its lane
-    /// stashes nothing under the same key: the callers always exhaust
-    /// `take_stashed` first, so a same-key stashed packet can only exist
-    /// behind a chaos embargo (`held_stashed > 0` gates the hash lookup
-    /// down to one integer compare on non-injected runs) — a held packet
-    /// parked in the stash must not be overtaken by a younger ring
-    /// arrival on its triple.
+    /// Drains the candidate lanes' rings: returns the first match (with
+    /// its lane's index in `lanes`), stashing everything else by its own
+    /// `(comm, key)`.
     fn drain(
         &mut self,
         comm_id: u64,
-        tag: Tag,
+        key: Key,
         lanes: &[usize],
         stats: &RankStats,
-    ) -> Option<Packet> {
-        for &w in lanes {
+    ) -> Option<(usize, Packet)> {
+        for (i, &w) in lanes.iter().enumerate() {
             let lane = &mut self.lanes[w];
             while let Some(packet) = lane.rx.try_recv() {
-                if packet.comm_id == comm_id
-                    && packet.tag == tag
-                    && !(self.held_stashed > 0 && lane.stash.contains_key(&(comm_id, tag)))
-                    && !embargoed(&packet)
-                {
+                if packet.comm_id == comm_id && packet.key == key {
                     stats.transport.record_ring_recv();
-                    return Some(packet);
-                }
-                if packet.hold_until.is_some() {
-                    stats.transport.record_embargo_defer();
-                    self.held_stashed += 1;
+                    return Some((i, packet));
                 }
                 lane.stash(packet);
                 stats.transport.record_restash();
@@ -296,55 +233,61 @@ impl Mailbox {
         None
     }
 
-    /// One non-blocking matching pass over `lanes`: stash, then a ring
-    /// drain, then the shutdown checks. `Ok(None)` means "nothing yet,
-    /// transport alive".
-    fn try_recv_on(
+    /// One non-blocking matching pass for `(comm_id, src, key)`: stash,
+    /// then a ring drain, then the shutdown checks. `Ok(None)` means
+    /// "nothing yet, transport alive". Every receive, blocking or
+    /// scheduled, is built on this.
+    ///
+    /// `members` maps the posting communicator's ranks to **world** ranks
+    /// (`members[q]` = world rank of comm rank `q`), which is how the
+    /// receive watches exactly the right lanes. A match comes with the
+    /// index of its lane among the candidates: 0 for `Source::Rank`, the
+    /// sender's communicator rank for `Source::Any`. Fails with
+    /// [`ShutdownKind::Disconnected`] when every matchable peer is gone,
+    /// or [`ShutdownKind::Aborted`] when the runtime abort flag is up.
+    pub(crate) fn try_recv(
         &mut self,
         comm_id: u64,
         src: Source,
-        tag: Tag,
-        lanes: &[usize],
+        key: Key,
+        members: &[usize],
         monitor: &RankMonitor,
         stats: &RankStats,
-    ) -> Result<Option<Packet>, ShutdownError> {
-        if let Some(packet) = self.take_stashed(comm_id, tag, lanes) {
+    ) -> Result<Option<(usize, Packet)>, ShutdownError> {
+        let lanes = match src {
+            Source::Rank(q) => std::slice::from_ref(&members[q]),
+            Source::Any => members,
+        };
+        if let Some(found) = self.take_stashed(comm_id, key, lanes) {
             monitor.note_match();
             stats.transport.record_stash_recv();
-            return Ok(Some(packet));
+            return Ok(Some(found));
         }
-        if let Some(packet) = self.drain(comm_id, tag, lanes, stats) {
+        if let Some(found) = self.drain(comm_id, key, lanes, stats) {
             monitor.note_match();
-            return Ok(Some(packet));
+            return Ok(Some(found));
         }
         // Shutdown checks come only after a full drain: a message already
         // delivered always beats a concurrent shutdown.
         if monitor.is_aborted() {
-            return Err(monitor.shutdown_error(comm_id, src, tag, ShutdownKind::Aborted));
+            return Err(monitor.shutdown_error(comm_id, src, key, ShutdownKind::Aborted));
         }
         if lanes.iter().all(|&w| self.lanes[w].rx.is_closed()) {
             // `is_closed` was observed *after* the drain above, and a
             // producer closes only after its final send, so one more
             // drain sees anything that raced with the closure.
-            if let Some(packet) = self.drain(comm_id, tag, lanes, stats) {
+            if let Some(found) = self.drain(comm_id, key, lanes, stats) {
                 monitor.note_match();
-                return Ok(Some(packet));
-            }
-            // An embargoed stashed match is still a future delivery, not
-            // a disconnect: report "nothing yet" and let the caller wait
-            // out the hold.
-            if self.has_stashed(comm_id, tag, lanes) {
-                monitor.note_miss(comm_id, src, tag);
-                return Ok(None);
+                return Ok(Some(found));
             }
             let kind = if monitor.is_aborted() {
                 ShutdownKind::Aborted
             } else {
                 ShutdownKind::Disconnected
             };
-            return Err(monitor.shutdown_error(comm_id, src, tag, kind));
+            return Err(monitor.shutdown_error(comm_id, src, key, kind));
         }
-        monitor.note_miss(comm_id, src, tag);
+        monitor.note_miss(comm_id, src, key);
         Ok(None)
     }
 
@@ -353,12 +296,13 @@ impl Mailbox {
     /// wake ticket, so the caller polls everything it waits on once more
     /// before the park redeems it: a message deposited from then on is
     /// either found by that round or makes the park return at once, and
-    /// traffic nobody polls for cannot keep the rank awake. The park is
-    /// bounded by the monitor's timeout and ended early by any producer,
-    /// a lane closure, or a runtime abort's unpark.
+    /// traffic nobody polls for cannot keep the rank awake. The park lasts
+    /// at most `park_bound` of the monitor's timeout and is ended early by
+    /// any producer, a lane closure, or a runtime abort's unpark.
     pub(crate) fn backoff_step(
         &mut self,
         state: &mut WaitState,
+        park_bound: impl FnOnce(Duration) -> Duration,
         monitor: &RankMonitor,
         stats: &RankStats,
     ) {
@@ -377,33 +321,10 @@ impl Mailbox {
             Some(ticket) => {
                 monitor.note_parked();
                 stats.transport.record_park();
-                self.parker.park_timeout(ticket, monitor.park_timeout());
+                self.parker
+                    .park_timeout(ticket, park_bound(monitor.park_timeout()));
                 *state = WaitState::default();
             }
-        }
-    }
-
-    /// One non-blocking matching pass for `(comm_id, src, tag)`:
-    /// `Ok(None)` when nothing is receivable yet. Every receive, blocking
-    /// or scheduled, is built on this.
-    ///
-    /// `members` maps the posting communicator's ranks to **world** ranks
-    /// (`members[q]` = world rank of comm rank `q`), which is how the
-    /// receive watches exactly the right lanes. Fails with
-    /// [`ShutdownKind::Disconnected`] when every matchable peer is gone,
-    /// or [`ShutdownKind::Aborted`] when the runtime abort flag is up.
-    pub(crate) fn try_recv(
-        &mut self,
-        comm_id: u64,
-        src: Source,
-        tag: Tag,
-        members: &[usize],
-        monitor: &RankMonitor,
-        stats: &RankStats,
-    ) -> Result<Option<Packet>, ShutdownError> {
-        match src {
-            Source::Rank(q) => self.try_recv_on(comm_id, src, tag, &[members[q]], monitor, stats),
-            Source::Any => self.try_recv_on(comm_id, src, tag, members, monitor, stats),
         }
     }
 }
@@ -431,7 +352,6 @@ pub(crate) fn build_lane_transport(
             lanes,
             parker: Arc::clone(&parker),
             spin_limit,
-            held_stashed: 0,
         });
         parkers.push(parker);
     }
@@ -444,21 +364,18 @@ mod tests {
     use crate::message::Payload;
     use crate::stats::Stats;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
 
-    fn packet(comm_id: u64, src: usize, tag: Tag, value: i32) -> Packet {
+    fn packet(comm_id: u64, key: Key, value: i32) -> Packet {
         Packet {
             comm_id,
-            src: src as u32,
-            tag,
+            key,
             sent_at: 0.0,
             bytes: 4,
-            hold_until: None,
             payload: Payload::new(value),
         }
     }
 
-    fn value_of(p: Packet) -> i32 {
+    fn value_of((_, p): (usize, Packet)) -> i32 {
         p.payload.take::<i32>().ok().expect("an i32 payload")
     }
 
@@ -468,17 +385,17 @@ mod tests {
         mailbox: &mut Mailbox,
         comm_id: u64,
         src: Source,
-        tag: Tag,
+        key: Key,
         members: &[usize],
         monitor: &RankMonitor,
         stats: &RankStats,
-    ) -> Result<Packet, ShutdownError> {
+    ) -> Result<(usize, Packet), ShutdownError> {
         let mut wait = WaitState::default();
         loop {
-            if let Some(packet) = mailbox.try_recv(comm_id, src, tag, members, monitor, stats)? {
-                return Ok(packet);
+            if let Some(found) = mailbox.try_recv(comm_id, src, key, members, monitor, stats)? {
+                return Ok(found);
             }
-            mailbox.backoff_step(&mut wait, monitor, stats);
+            mailbox.backoff_step(&mut wait, |timeout| timeout, monitor, stats);
         }
     }
 
@@ -505,20 +422,32 @@ mod tests {
             }
         }
 
-        fn send(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32) {
-            send(&self.senders[s][d], packet(comm, s, tag, value), self.stats.rank(0));
+        fn send(&self, s: usize, d: usize, comm: u64, key: Key, value: i32) {
+            send(
+                &self.senders[s][d],
+                packet(comm, key, value),
+                self.stats.rank(0),
+            );
         }
 
-        fn send_held(&self, s: usize, d: usize, comm: u64, tag: Tag, value: i32, hold: Duration) {
-            let mut p = packet(comm, s, tag, value);
-            p.hold_until = Some(Box::new(Instant::now() + hold));
-            send(&self.senders[s][d], p, self.stats.rank(0));
-        }
-
-        fn recv(&mut self, d: usize, comm: u64, src: Source, tag: Tag) -> Result<i32, ShutdownError> {
+        fn recv(
+            &mut self,
+            d: usize,
+            comm: u64,
+            src: Source,
+            key: Key,
+        ) -> Result<i32, ShutdownError> {
             let stats = self.stats.rank(0);
-            recv_blocking(&mut self.mailboxes[d], comm, src, tag, &self.members, &self.monitor, stats)
-                .map(value_of)
+            recv_blocking(
+                &mut self.mailboxes[d],
+                comm,
+                src,
+                key,
+                &self.members,
+                &self.monitor,
+                stats,
+            )
+            .map(value_of)
         }
     }
 
@@ -536,15 +465,28 @@ mod tests {
     #[test]
     fn any_source_delivers_every_pending_arrival() {
         // Both arrivals are delivered, each lane in order (cross-source
-        // order is unordered by design).
+        // order is unordered by design), each with the lane it came by.
         let mut h = Harness::lanes(5);
         h.send(3, 0, 0, 1, 33);
         h.send(4, 0, 0, 1, 44);
-        let a = h.recv(0, 0, Source::Any, 1).unwrap();
-        let b = h.recv(0, 0, Source::Any, 1).unwrap();
-        let mut got = [a, b];
+        let stats = h.stats.rank(0);
+        let mut got: Vec<(usize, i32)> = (0..2)
+            .map(|_| {
+                let (lane, p) = recv_blocking(
+                    &mut h.mailboxes[0],
+                    0,
+                    Source::Any,
+                    1,
+                    &h.members,
+                    &h.monitor,
+                    stats,
+                )
+                .unwrap();
+                (lane, value_of((lane, p)))
+            })
+            .collect();
         got.sort_unstable();
-        assert_eq!(got, [33, 44]);
+        assert_eq!(got, [(3, 33), (4, 44)]);
     }
 
     #[test]
@@ -590,7 +532,7 @@ mod tests {
         let mut h = Harness::lanes(2);
         h.send(1, 0, 0, 7, 10);
         h.senders.clear(); // every sending endpoint drops
-        // The queued message is still delivered…
+                           // The queued message is still delivered…
         assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(10));
         // …then the dead transport reports a typed shutdown.
         let err = h.recv(0, 0, Source::Rank(1), 7).unwrap_err();
@@ -622,7 +564,7 @@ mod tests {
         assert_eq!(err.kind, ShutdownKind::Disconnected);
         // A receive from the still-alive rank 2 completes (after the
         // remove(1) above, index 1 holds old rank 2's endpoints).
-        send(&h.senders[1][0], packet(0, 2, 7, 5), h.stats.rank(0));
+        send(&h.senders[1][0], packet(0, 7, 5), h.stats.rank(0));
         assert_eq!(h.recv(0, 0, Source::Rank(2), 7), Ok(5));
     }
 
@@ -638,10 +580,21 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             drop(peer); // rank 1 exits without sending
         });
-        let err = recv_blocking(&mut mailboxes[0], 0, Source::Rank(1), 7, &[0, 1], &monitor, stats.rank(0))
-            .unwrap_err();
+        let err = recv_blocking(
+            &mut mailboxes[0],
+            0,
+            Source::Rank(1),
+            7,
+            &[0, 1],
+            &monitor,
+            stats.rank(0),
+        )
+        .unwrap_err();
         assert_eq!(err.kind, ShutdownKind::Disconnected);
-        assert!(stats.snapshot().transport.parks > 0, "receiver never parked");
+        assert!(
+            stats.snapshot().transport.parks > 0,
+            "receiver never parked"
+        );
         holder.join().unwrap();
     }
 
@@ -660,8 +613,16 @@ mod tests {
             parker.unpark();
         });
         let started = std::time::Instant::now();
-        let err = recv_blocking(&mut mailboxes[0], 0, Source::Rank(1), 7, &[0, 1], &monitor, stats.rank(0))
-            .unwrap_err();
+        let err = recv_blocking(
+            &mut mailboxes[0],
+            0,
+            Source::Rank(1),
+            7,
+            &[0, 1],
+            &monitor,
+            stats.rank(0),
+        )
+        .unwrap_err();
         assert_eq!(err.kind, ShutdownKind::Aborted);
         // The explicit unpark makes this prompt (well under the 50 ms
         // park timeout backstop plus scheduling slack).
@@ -683,56 +644,5 @@ mod tests {
         for v in 0..n {
             assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(v));
         }
-    }
-
-    #[test]
-    fn embargoed_packet_waits_out_its_hold() {
-        let mut h = Harness::lanes(2);
-        let started = Instant::now();
-        h.send_held(1, 0, 0, 7, 42, Duration::from_millis(40));
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(42));
-        assert!(
-            started.elapsed() >= Duration::from_millis(40),
-            "embargo was not honored: {:?}",
-            started.elapsed()
-        );
-        assert!(h.stats.snapshot().transport.embargo_defers > 0);
-    }
-
-    #[test]
-    fn embargo_preserves_fifo_within_triple() {
-        let mut h = Harness::lanes(2);
-        // A held head must not be overtaken by unheld packets behind
-        // it on the same (comm, src, tag) triple.
-        h.send_held(1, 0, 0, 7, 1, Duration::from_millis(30));
-        h.send(1, 0, 0, 7, 2);
-        h.send(1, 0, 0, 7, 3);
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(1));
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(2));
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(3));
-    }
-
-    #[test]
-    fn embargoed_packet_survives_sender_exit() {
-        // A held message from a sender that exits immediately afterwards
-        // must still be delivered (not reported as a disconnect).
-        let mut h = Harness::lanes(2);
-        h.send_held(1, 0, 0, 7, 9, Duration::from_millis(30));
-        h.senders.clear();
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 7), Ok(9));
-        let err = h.recv(0, 0, Source::Rank(1), 7).unwrap_err();
-        assert_eq!(err.kind, ShutdownKind::Disconnected);
-    }
-
-    #[test]
-    fn embargo_does_not_block_other_triples() {
-        let mut h = Harness::lanes(3);
-        h.send_held(1, 0, 0, 7, 1, Duration::from_secs(30));
-        h.send(2, 0, 0, 7, 2);
-        // Same tag, different source: deliverable immediately.
-        assert_eq!(h.recv(0, 0, Source::Rank(2), 7), Ok(2));
-        // Different tag from the held source: also deliverable.
-        h.send(1, 0, 0, 9, 3);
-        assert_eq!(h.recv(0, 0, Source::Rank(1), 9), Ok(3));
     }
 }

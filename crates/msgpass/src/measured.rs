@@ -12,7 +12,7 @@
 use crate::collectives::TagBase;
 use crate::comm::Comm;
 use crate::cost::CostModel;
-use crate::message::Tag;
+use crate::message::Key;
 
 /// Ping-pongs per probe burst; the minimum filters scheduler noise.
 const BURST: usize = 8;
@@ -49,7 +49,7 @@ impl Comm {
         assert!(rounds >= 1, "a cost model takes at least one probe round");
         self.barrier();
         let _guard = self.enter_collective();
-        let tag = TagBase::Calibrate.tag(self.next_collective_salt());
+        let tag = TagBase::Calibrate.key(self.next_seq());
         let r = self.rank();
         let partner = r ^ 1;
         let paired = partner < self.size(); // odd rank count: the last rank only probes γ
@@ -69,7 +69,7 @@ impl Comm {
         let own: Sample = ((paired && r < partner).then_some((small, large)), gamma);
         let model = if r == 0 {
             let samples: Vec<Sample> = std::iter::once(own)
-                .chain((1..self.size()).map(|src| self.recv(src, tag)))
+                .chain((1..self.size()).map(|src| self.recv_key(src, tag)))
                 .collect();
             let links: Vec<(f64, f64)> = samples.iter().filter_map(|s| s.0).map(secant).collect();
             let clock = self.cost_model();
@@ -84,7 +84,7 @@ impl Comm {
             let gamma = mean(samples.iter().map(|s| s.1.max(1.0e-12)));
             Some(CostModel { alpha, beta, gamma })
         } else {
-            self.send(0, tag, own);
+            self.send_key(0, tag, own, size_of::<Sample>());
             None
         };
         self.bcast(0, model)
@@ -94,7 +94,7 @@ impl Comm {
     /// between the two, each side folding over it on arrival. The lower
     /// rank initiates and returns its best (minimum) one-way wall time;
     /// the higher rank echoes and returns an unused estimate.
-    fn probe_pingpong(&self, partner: usize, tag: Tag, bytes: usize) -> f64 {
+    fn probe_pingpong(&self, partner: usize, tag: Key, bytes: usize) -> f64 {
         fn fold(payload: &[u8]) -> u64 {
             let mut acc = 0u64;
             for &b in payload {
@@ -114,14 +114,14 @@ impl Comm {
         for _ in 0..BURST {
             if initiator {
                 let started = std::time::Instant::now();
-                self.send_with_bytes(partner, tag, buffer, bytes);
-                buffer = self.recv(partner, tag);
+                self.send_key(partner, tag, buffer, bytes);
+                buffer = self.recv_key(partner, tag);
                 fold(&buffer);
                 best = best.min(started.elapsed().as_secs_f64() / 2.0);
             } else {
-                let probe: Vec<u8> = self.recv(partner, tag);
+                let probe: Vec<u8> = self.recv_key(partner, tag);
                 fold(&probe);
-                self.send_with_bytes(partner, tag, probe, bytes);
+                self.send_key(partner, tag, probe, bytes);
             }
         }
         best

@@ -1,43 +1,35 @@
 //! Wire format of the in-process transport.
 //!
 //! Ranks are threads, so a "message" is an owned value moved through a
-//! channel — no serialization. The envelope carries MPI-style matching
-//! metadata (communicator id, source, tag) plus the cost-model timestamp.
+//! channel — no serialization. The envelope carries what matching needs
+//! (communicator id and one `u64` key) plus the cost-model timestamp; the
+//! source is the lane the packet travels, and a chaos delay holds the
+//! packet at its sender (`fault.rs`), so neither rides in the envelope.
 
 use std::any::{Any, TypeId};
 use std::mem::{ManuallyDrop, MaybeUninit};
 
-/// Message tag, as in MPI. The runtime reserves tags ≥ [`RESERVED_TAG_BASE`]
-/// for collectives; user point-to-point traffic should stay below it.
+/// Message tag, as in MPI. Every `u32` is the user's: a collective's
+/// messages are matched by a key no tag can spell.
 pub type Tag = u32;
 
-/// First tag reserved for internal collective protocols.
-pub const RESERVED_TAG_BASE: Tag = 0xF000_0000;
+/// What a receive matches on within one communicator and one source.
+/// A point-to-point message's key is its user [`Tag`]; a collective's
+/// sets the top bit above its call sequence and `TagBase`
+/// (`collectives::TagBase::key`).
+pub(crate) type Key = u64;
 
 /// A message envelope: the element of a per-peer lane, moved whole
 /// through one ring slot whatever its modeled size.
 pub(crate) struct Packet {
     /// Id of the communicator this packet belongs to.
     pub comm_id: u64,
-    /// Sender's rank *within that communicator*. `u32` so the envelope
-    /// (with the embargo pointer and the inline payload below) and a lane
-    /// slot's stamp fit one 128-byte block, which a test below pins —
-    /// ranks are in-process threads, far below this range.
-    pub src: u32,
-    /// Matching tag.
-    pub tag: Tag,
+    /// Matching key.
+    pub key: Key,
     /// Sender's virtual clock at the moment of sending.
     pub sent_at: f64,
     /// Modeled wire size in bytes.
     pub bytes: usize,
-    /// Chaos-injection embargo: when set, the receive side refuses to
-    /// match this packet (and, to preserve per-triple FIFO order,
-    /// anything behind it on the same matching key) until the deadline
-    /// passes. Boxed so the envelope only grows by one niche-optimized
-    /// pointer; `None` — the invariable case without a fault plan — costs
-    /// one null check on the matching path, and the allocation only
-    /// happens on sends a delay plan actually embargoes.
-    pub hold_until: Option<Box<std::time::Instant>>,
     /// The moved value.
     pub payload: Payload,
 }
@@ -146,8 +138,7 @@ impl std::fmt::Debug for Packet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Packet")
             .field("comm_id", &self.comm_id)
-            .field("src", &self.src)
-            .field("tag", &self.tag)
+            .field("key", &self.key)
             .field("sent_at", &self.sent_at)
             .field("bytes", &self.bytes)
             .finish_non_exhaustive()
@@ -250,10 +241,7 @@ mod tests {
 
     #[test]
     fn a_lane_message_and_its_stamp_fit_one_128_byte_block() {
-        assert!(
-            size_of::<Packet>() + size_of::<usize>() <= 128,
-            "{}",
-            size_of::<Packet>()
-        );
+        assert!(size_of::<Packet>() <= 80, "{}", size_of::<Packet>());
+        assert!(size_of::<Packet>() + size_of::<usize>() <= 128);
     }
 }

@@ -127,9 +127,6 @@ enum SlotState {
 
 struct Slot {
     state: SlotState,
-    /// The communicator the collective runs on and the sequence number
-    /// it drew there — what the tag salt window is checked against.
-    launched: (u64, u64),
     /// The owning [`Request`] was dropped without waiting: keep polling
     /// (peers may need this schedule's sends), discard any output, and
     /// let the runtime cancel the remainder at rank exit.
@@ -152,31 +149,13 @@ impl Engine {
         self.live == 0
     }
 
-    /// The sequence number of the oldest collective still in flight on
-    /// communicator `comm_id`, if any. Slots are kept in launch order and
-    /// a communicator's sequence numbers only grow, so that is the first
-    /// live slot of it.
-    pub(crate) fn oldest_live_seq(&self, comm_id: u64) -> Option<u64> {
-        if self.live == 0 {
-            return None;
-        }
-        self.slots
-            .values()
-            .find(|slot| {
-                slot.launched.0 == comm_id
-                    && matches!(slot.state, SlotState::Running(_) | SlotState::Polling)
-            })
-            .map(|slot| slot.launched.1)
-    }
-
-    fn register(&mut self, schedule: Box<dyn ErasedSchedule>, launched: (u64, u64)) -> u64 {
+    fn register(&mut self, schedule: Box<dyn ErasedSchedule>) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.slots.insert(
             id,
             Slot {
                 state: SlotState::Running(schedule),
-                launched,
                 detached: false,
             },
         );
@@ -209,23 +188,17 @@ impl Engine {
         }
     }
 
-    fn complete(&mut self, id: u64, output: Box<dyn Any>) {
+    /// Records that `id`'s schedule ended in `state` (`Done` or
+    /// `Failed`); a detached slot is dropped instead.
+    fn finish(&mut self, id: u64, state: SlotState) {
         self.live -= 1;
-        let Some(slot) = self.slots.get_mut(&id) else { return };
+        let Some(slot) = self.slots.get_mut(&id) else {
+            return;
+        };
         if slot.detached {
             self.slots.remove(&id);
         } else {
-            slot.state = SlotState::Done(output);
-        }
-    }
-
-    fn fail(&mut self, id: u64, err: ShutdownError) {
-        self.live -= 1;
-        let Some(slot) = self.slots.get_mut(&id) else { return };
-        if slot.detached {
-            self.slots.remove(&id);
-        } else {
-            slot.state = SlotState::Failed(err);
+            slot.state = state;
         }
     }
 
@@ -233,21 +206,21 @@ impl Engine {
     /// still in flight (or already taken — the request's own `consumed`
     /// flag distinguishes that case before calling here).
     fn take_output(&mut self, id: u64) -> Option<Result<Box<dyn Any>, ShutdownError>> {
-        match self.slots.get(&id).map(|slot| &slot.state) {
-            Some(SlotState::Done(_)) => match self.slots.remove(&id) {
-                Some(Slot { state: SlotState::Done(out), .. }) => Some(Ok(out)),
-                _ => unreachable!("slot state changed between get and remove"),
-            },
-            Some(SlotState::Failed(_)) => match self.slots.remove(&id) {
-                Some(Slot { state: SlotState::Failed(err), .. }) => Some(Err(err)),
-                _ => unreachable!("slot state changed between get and remove"),
-            },
-            _ => None,
+        let state = &self.slots.get(&id)?.state;
+        if !matches!(state, SlotState::Done(_) | SlotState::Failed(_)) {
+            return None;
+        }
+        match self.slots.remove(&id)?.state {
+            SlotState::Done(out) => Some(Ok(out)),
+            SlotState::Failed(err) => Some(Err(err)),
+            SlotState::Running(_) | SlotState::Polling => unreachable!("checked above"),
         }
     }
 
     fn detach(&mut self, id: u64) {
-        let Some(slot) = self.slots.get_mut(&id) else { return };
+        let Some(slot) = self.slots.get_mut(&id) else {
+            return;
+        };
         match slot.state {
             SlotState::Running(_) | SlotState::Polling => slot.detached = true,
             SlotState::Done(_) | SlotState::Failed(_) => {
@@ -265,11 +238,14 @@ impl Engine {
     }
 }
 
-/// Sweeps the rank's engine once: every running schedule is polled and
-/// advanced as far as its arrived messages allow. Cheap no-op while no
-/// requests are live. Progress is observable through the rank's packet
-/// progress counter, which is how `Comm::wait_until` reads it.
+/// Sweeps the rank's engine once: first sends what a fault plan holds
+/// at this rank and is due, then polls every running schedule and
+/// advances it as far as its arrived messages allow. Cheap no-op while
+/// no requests are live and nothing is held. Progress is observable
+/// through the rank's packet progress counter, which is how
+/// `Comm::wait_until` reads it.
 pub(crate) fn poll_engine(comm: &Comm) {
+    comm.release_held(false);
     if comm.engine().borrow().is_idle() {
         return;
     }
@@ -291,10 +267,10 @@ fn poll_slot(comm: &Comm, id: u64) {
     match result {
         Ok(Some(output)) => {
             comm.counters().record_request_completed();
-            engine.complete(id, output);
+            engine.finish(id, SlotState::Done(output));
         }
         Ok(None) => engine.reinstall(id, schedule),
-        Err(err) => engine.fail(id, err),
+        Err(err) => engine.finish(id, SlotState::Failed(err)),
     }
 }
 
@@ -337,8 +313,7 @@ impl<T: 'static> Request<T> {
         S: Schedule<Output = T> + 'static,
     {
         comm.counters().record_request_started();
-        let launched = (comm.id(), comm.last_collective_seq());
-        let id = comm.engine().borrow_mut().register(Box::new(schedule), launched);
+        let id = comm.engine().borrow_mut().register(Box::new(schedule));
         poll_slot(comm, id);
         Request {
             comm: comm.clone_handle(),
@@ -456,7 +431,9 @@ pub fn wait_all<T: 'static>(requests: &mut [Request<T>]) -> Result<Vec<T>, Reque
     let Some(first) = requests.first() else {
         return Ok(Vec::new());
     };
-    let mut outputs: Vec<Option<T>> = std::iter::repeat_with(|| None).take(requests.len()).collect();
+    let mut outputs: Vec<Option<T>> = std::iter::repeat_with(|| None)
+        .take(requests.len())
+        .collect();
     let mut remaining = requests.len();
     first.comm.wait_until(|| {
         for (slot, req) in outputs.iter_mut().zip(requests.iter()) {
@@ -471,8 +448,12 @@ pub fn wait_all<T: 'static>(requests: &mut [Request<T>]) -> Result<Vec<T>, Reque
                 }
             }
         }
-        Ok((remaining == 0)
-            .then(|| Ok(outputs.iter_mut().map(|o| o.take().expect("harvested")).collect())))
+        Ok((remaining == 0).then(|| {
+            Ok(outputs
+                .iter_mut()
+                .map(|o| o.take().expect("harvested"))
+                .collect())
+        }))
     })
 }
 

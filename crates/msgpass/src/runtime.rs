@@ -219,9 +219,9 @@ impl Runtime {
     /// The timeout is a *backstop*, not the wakeup mechanism: producers,
     /// lane closures, aborts, and the watchdog all unpark receivers
     /// explicitly, so raising this does not slow the normal paths — it
-    /// only stretches how long a genuinely lost wakeup could linger. An
-    /// active fault plan with delivery delays clamps it to 1 ms so
-    /// embargo expiries are noticed promptly.
+    /// only stretches how long a genuinely lost wakeup could linger. A
+    /// rank that a fault plan's delays make hold packets parks no longer
+    /// than its earliest hold.
     pub fn park_timeout(mut self, timeout: Duration) -> Self {
         self.park_timeout = timeout;
         self
@@ -312,13 +312,6 @@ impl Runtime {
         // disabled case is indistinguishable from "no plan".
         let plan = (!self.fault.is_empty()).then_some(&self.fault);
         let counters = Arc::new(FaultCounters::default());
-        // Delivery delays are receiver-side embargoes with no producer
-        // wakeup at expiry; a short park bound turns expiry into a prompt
-        // re-poll instead of a full park timeout of added latency.
-        let rank_park_timeout = match plan {
-            Some(plan) if plan.has_delays() => self.park_timeout.min(Duration::from_millis(1)),
-            _ => self.park_timeout,
-        };
         let started = Instant::now();
 
         let mut slots: Vec<Option<(R, f64)>> = Vec::with_capacity(p);
@@ -375,9 +368,9 @@ impl Runtime {
                             aborted,
                             culprit,
                             Arc::clone(&board),
-                            rank_park_timeout,
+                            self.park_timeout,
                         );
-                        let faults = plan.map(|plan| plan.for_rank(rank, counters));
+                        let faults = plan.map(|plan| plan.for_rank(rank, p, counters));
                         let comm = Comm::new_world(crate::comm::WorldInit {
                             rank,
                             peers: senders,
@@ -390,10 +383,11 @@ impl Runtime {
                         });
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
-                        // Cancel leftover (detached) schedules and break the
+                        // Cancel leftover (detached) schedules, breaking the
                         // `Comm → Engine → Comm` cycle their boxed state
-                        // holds, on both the clean and the panic path.
-                        comm.shutdown_engine();
+                        // holds, and send what a fault plan still holds here,
+                        // on both the clean and the panic path.
+                        comm.shutdown();
                         match outcome {
                             Ok(value) => {
                                 *slot = Some((value, comm.now()));
@@ -685,7 +679,6 @@ mod tests {
         assert_eq!(bare.stats.messages, planned.stats.messages);
         assert_eq!(bare.stats.bytes, planned.stats.bytes);
         assert!(planned.faults.is_quiet());
-        assert_eq!(planned.stats.transport.embargo_defers, 0);
     }
 
     #[test]
@@ -834,5 +827,32 @@ mod tests {
             }
         });
         assert_eq!(outcome.results, vec![0, 1]);
+    }
+
+    #[test]
+    fn every_split_and_dup_call_opens_its_own_message_space() {
+        // Two splits with one color, and two dups of two handles of one
+        // communicator: four calls, four ids, and a message sent on the
+        // first split is not received on the second.
+        let outcome = Runtime::new(2).run(|comm| {
+            let (first, second) = (comm.split(0, 0), comm.split(0, 0));
+            let (third, fourth) = (comm.clone_handle().dup(), comm.clone_handle().dup());
+            let got = if comm.rank() == 0 {
+                first.send(1, 5, 1020u32);
+                second.send(1, 5, 2010u32);
+                0
+            } else {
+                second.recv::<u32>(0, 5) + 10 * first.recv::<u32>(0, 5)
+            };
+            ([first.id(), second.id(), third.id(), fourth.id()], got)
+        });
+        for (ids, _) in &outcome.results {
+            let mut distinct = ids.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), 4, "{ids:?}");
+        }
+        assert_eq!(outcome.results[0].0, outcome.results[1].0);
+        assert_eq!(outcome.results[1].1, 2010 + 10 * 1020);
     }
 }

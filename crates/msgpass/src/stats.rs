@@ -153,7 +153,6 @@ pub(crate) struct TransportStats {
     stash_recvs: Counter,
     restashes: Counter,
     parks: Counter,
-    embargo_defers: Counter,
 }
 
 impl TransportStats {
@@ -177,10 +176,6 @@ impl TransportStats {
         self.parks.add(1);
     }
 
-    pub(crate) fn record_embargo_defer(&self) {
-        self.embargo_defers.add(1);
-    }
-
     /// Adds this rank's transport counters into `total`.
     fn add_into(&self, total: &mut TransportSnapshot) {
         total.overflow_sends += self.overflow_sends.get();
@@ -188,7 +183,6 @@ impl TransportStats {
         total.stash_recvs += self.stash_recvs.get();
         total.restashes += self.restashes.get();
         total.parks += self.parks.get();
-        total.embargo_defers += self.embargo_defers.get();
     }
 }
 
@@ -246,9 +240,6 @@ pub struct TransportSnapshot {
     pub restashes: u64,
     /// Times a receiver gave up spinning and parked.
     pub parks: u64,
-    /// Chaos-embargoed arrivals a receiver refused to match (stashed until
-    /// their injected hold expired). Always zero without a fault plan.
-    pub embargo_defers: u64,
     /// Always 0; retained for the frozen benchmark adapter, leaves with
     /// ROADMAP item 1 (a).
     pub pool_hits: u64,
@@ -272,7 +263,6 @@ impl TransportSnapshot {
             stash_recvs: self.stash_recvs.saturating_sub(earlier.stash_recvs),
             restashes: self.restashes.saturating_sub(earlier.restashes),
             parks: self.parks.saturating_sub(earlier.parks),
-            embargo_defers: self.embargo_defers.saturating_sub(earlier.embargo_defers),
             ..TransportSnapshot::default()
         }
     }

@@ -5,8 +5,8 @@
 //! successful message match bumps the rank's *progress epoch*, a matching
 //! pass that finds nothing leaves its triple as the *last miss*, and a
 //! park — which only follows a whole round of misses — publishes the last
-//! miss as what the rank is blocked on (communicator, source, tag — and,
-//! for reserved tags, which collective protocol that is): the posted
+//! miss as what the rank is blocked on (communicator, source, key — and,
+//! for a collective's key, which protocol and which call): the posted
 //! triple of a plain receive, the last schedule polled when requests are
 //! in flight. The monitor thread
 //! `Runtime::run` spawns when a watchdog window is configured reads the
@@ -27,9 +27,9 @@ use std::time::{Duration, Instant};
 
 use gv_executor::lane::Parker;
 
-use crate::collectives::describe_tag;
+use crate::collectives::ShowKey;
 use crate::mailbox::{ShutdownError, ShutdownKind, Source};
-use crate::message::Tag;
+use crate::message::Key;
 
 /// Sentinel for "no rank has failed" in the shared culprit cell.
 const NO_CULPRIT: usize = usize::MAX;
@@ -64,21 +64,22 @@ impl RankState {
 }
 
 /// The matching triple a blocked rank is waiting on, plus which protocol
-/// (point-to-point or a named collective schedule) the tag belongs to.
+/// (point-to-point or a named collective schedule) the key belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockedOn {
     /// Communicator the receive is posted on.
     pub comm: u64,
     /// Awaited source rank (`None` for `MPI_ANY_SOURCE`-style receives).
     pub src: Option<usize>,
-    /// Posted tag.
-    pub tag: Tag,
-    /// `"p2p"` or the collective protocol the reserved tag encodes.
+    /// Posted match key: a point-to-point receive's tag, or a
+    /// collective's key (rendered as `<op> #<call sequence>`).
+    pub tag: u64,
+    /// `"p2p"` or the collective protocol the key belongs to.
     pub op: &'static str,
 }
 
 impl BlockedOn {
-    fn new(comm: u64, src: Source, tag: Tag) -> Self {
+    fn new(comm: u64, src: Source, tag: Key) -> Self {
         BlockedOn {
             comm,
             src: match src {
@@ -86,7 +87,7 @@ impl BlockedOn {
                 Source::Any => None,
             },
             tag,
-            op: describe_tag(tag),
+            op: ShowKey(tag).op(),
         }
     }
 }
@@ -98,7 +99,7 @@ impl fmt::Display for BlockedOn {
             Some(r) => write!(f, "rank {r}")?,
             None => f.write_str("any")?,
         }
-        write!(f, ", tag={:#x}) in {}", self.tag, self.op)
+        write!(f, ", {})", ShowKey(self.tag))
     }
 }
 
@@ -182,7 +183,11 @@ impl ProgressBoard {
 
     fn load_epochs(&self, into: &mut Vec<u64>) {
         into.clear();
-        into.extend(self.rows.iter().map(|row| row.epoch.load(Ordering::Relaxed)));
+        into.extend(
+            self.rows
+                .iter()
+                .map(|row| row.epoch.load(Ordering::Relaxed)),
+        );
     }
 
     /// Whether the board records anything (a watchdog is configured).
@@ -220,9 +225,9 @@ pub(crate) struct RankMonitor {
     /// local field instead of chasing the `Arc`.
     enabled: bool,
     park_timeout: Duration,
-    /// The last `(comm, src, tag)` a matching pass missed on — what the
+    /// The last `(comm, src, key)` a matching pass missed on — what the
     /// park that follows it is waiting for.
-    last_miss: Cell<Option<(u64, Source, Tag)>>,
+    last_miss: Cell<Option<(u64, Source, Key)>>,
 }
 
 impl RankMonitor {
@@ -283,14 +288,15 @@ impl RankMonitor {
             // store: no `lock`-prefixed add on the per-receive path.
             row.epoch
                 .store(row.epoch.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-            row.state.store(RankState::Running.as_u8(), Ordering::Relaxed);
+            row.state
+                .store(RankState::Running.as_u8(), Ordering::Relaxed);
         }
     }
 
     /// A matching pass found nothing for this triple; remembered so the
     /// park that follows can report what the rank awaits.
     #[inline]
-    pub(crate) fn note_miss(&self, comm: u64, src: Source, tag: Tag) {
+    pub(crate) fn note_miss(&self, comm: u64, src: Source, tag: Key) {
         if self.enabled {
             self.last_miss.set(Some((comm, src, tag)));
         }
@@ -305,7 +311,8 @@ impl RankMonitor {
                 .last_miss
                 .get()
                 .map(|(comm, src, tag)| BlockedOn::new(comm, src, tag));
-            row.state.store(RankState::Blocked.as_u8(), Ordering::Relaxed);
+            row.state
+                .store(RankState::Blocked.as_u8(), Ordering::Relaxed);
         }
     }
 
@@ -313,14 +320,18 @@ impl RankMonitor {
     #[inline]
     pub(crate) fn note_unblocked(&self) {
         if self.enabled {
-            self.row().state.store(RankState::Running.as_u8(), Ordering::Relaxed);
+            self.row()
+                .state
+                .store(RankState::Running.as_u8(), Ordering::Relaxed);
         }
     }
 
     /// The rank's closure finished (normally or by unwinding).
     pub(crate) fn note_done(&self) {
         if self.enabled {
-            self.row().state.store(RankState::Done.as_u8(), Ordering::Relaxed);
+            self.row()
+                .state
+                .store(RankState::Done.as_u8(), Ordering::Relaxed);
         }
     }
 
@@ -330,7 +341,7 @@ impl RankMonitor {
         &self,
         comm: u64,
         src: Source,
-        tag: Tag,
+        tag: Key,
         kind: ShutdownKind,
     ) -> ShutdownError {
         let culprit = self.culprit.load(Ordering::Relaxed);
@@ -407,8 +418,8 @@ pub(crate) fn watch(
             .iter()
             .map(|row| RankState::from_u8(row.state.load(Ordering::Relaxed)))
             .collect();
-        let all_parked = states.iter().all(|&s| s != RankState::Running)
-            && states.contains(&RankState::Blocked);
+        let all_parked =
+            states.iter().all(|&s| s != RankState::Running) && states.contains(&RankState::Blocked);
         if epochs != last_epochs || !all_parked {
             std::mem::swap(&mut last_epochs, &mut epochs);
             quiet_since = Instant::now();

@@ -3,8 +3,9 @@
 //!
 //! The contract this suite pins (DESIGN.md "Failure semantics"):
 //!
-//! - **Delay-only plans are invisible to results.** Embargoed delivery
-//!   reorders nothing observable (per-triple FIFO holds), so every
+//! - **Delay-only plans are invisible to results.** A delayed packet
+//!   waits at its sender with everything sent after it to the same peer,
+//!   so it reorders nothing observable (per-peer FIFO holds), and every
 //!   collective still produces its oracle value.
 //! - **Death plans end in a clean typed abort.** An injected kill must
 //!   surface as [`RunError::Failed`] whose report carries the
@@ -25,10 +26,30 @@ use gv_msgpass::{Comm, FaultOp, FaultPlan, FaultSummary, RunError, Runtime};
 /// combination the derivation below cycles through. A CI failure prints
 /// the seed; replaying it locally reproduces the run exactly.
 const SEEDS: [u64; 24] = [
-    0xA11C_E000, 0xB0B5_0001, 0xCAFE_0002, 0xD00D_0003, 0xE66E_0004, 0xF00F_0005,
-    0x1234_0006, 0x2345_0007, 0x3456_0008, 0x4567_0009, 0x5678_000A, 0x6789_000B,
-    0x789A_000C, 0x89AB_000D, 0x9ABC_000E, 0xABCD_000F, 0xBCDE_0010, 0xCDEF_0011,
-    0xDEF0_0012, 0xEF01_0013, 0xF012_0014, 0x0123_0015, 0x1357_0016, 0x2468_0017,
+    0xA11C_E000,
+    0xB0B5_0001,
+    0xCAFE_0002,
+    0xD00D_0003,
+    0xE66E_0004,
+    0xF00F_0005,
+    0x1234_0006,
+    0x2345_0007,
+    0x3456_0008,
+    0x4567_0009,
+    0x5678_000A,
+    0x6789_000B,
+    0x789A_000C,
+    0x89AB_000D,
+    0x9ABC_000E,
+    0xABCD_000F,
+    0xBCDE_0010,
+    0xCDEF_0011,
+    0xDEF0_0012,
+    0xEF01_0013,
+    0xF012_0014,
+    0x0123_0015,
+    0x1357_0016,
+    0x2468_0017,
 ];
 
 /// Far above any injected disruption (≤ 7 ms here); reached only by a
@@ -129,7 +150,13 @@ fn oracle(ranks: usize, rank: usize) -> (u64, u64, u64, u64, u64) {
     let p = ranks as u64;
     let r = rank as u64;
     let total = p * (p + 1) / 2;
-    ((r + p - 1) % p, total, (r + 1) * (r + 2) / 2, 0x00C0_FFEE, total)
+    (
+        (r + p - 1) % p,
+        total,
+        (r + 1) * (r + 2) / 2,
+        0x00C0_FFEE,
+        total,
+    )
 }
 
 type SoakResults = Vec<(u64, u64, u64, u64, u64)>;
@@ -194,7 +221,7 @@ fn soak_all_pinned_seeds() {
         }
     }
     // The delay permille is ≥ 250 on every seed, so across 16 delaying
-    // runs the embargo path must actually have been exercised.
+    // runs the sender-side hold must actually have been exercised.
     assert!(total_delays > 0, "no send was ever delayed across the soak");
     assert_eq!(kills_seen, SEEDS.len() as u64 / 3, "kill seeds miscounted");
 }
@@ -210,7 +237,10 @@ fn failing_seeds_replay_deterministically() {
     let second = run_case(&case).expect("delay seeds complete");
     assert_eq!(first.0, second.0, "results diverged between replays");
     assert_eq!(first.1, second.1, "fault tallies diverged between replays");
-    assert!(first.1.delayed_sends > 0 || first.1.stalls > 0, "seed injected nothing");
+    assert!(
+        first.1.delayed_sends > 0 || first.1.stalls > 0,
+        "seed injected nothing"
+    );
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //!   would produce a visibly wrong vector, not a coincidental match);
 //! * **non-overtaking**: requests of the *same* kind issued back to back
 //!   and waited in reverse order still deliver their own results — the
-//!   per-collective tag salt keeps round `n` of request `i+1` from
-//!   satisfying round `n` of request `i`.
+//!   call sequence in a collective's match keys keeps round `n` of
+//!   request `i+1` from satisfying round `n` of request `i`.
 //!
 //! Failures shrink to a minimal plan and report a `GV_TESTKIT_SEED` for
 //! exact replay (see gv-testkit docs).
@@ -104,7 +104,9 @@ impl Strategy for PlanStrategy {
     fn generate(&self, rng: &mut TestRng) -> Plan {
         let p = rng.usize_in(2..9);
         let k = rng.usize_in(1..7);
-        let kinds = (0..k).map(|_| KINDS[rng.usize_in(0..KINDS.len())]).collect();
+        let kinds = (0..k)
+            .map(|_| KINDS[rng.usize_in(0..KINDS.len())])
+            .collect();
         Plan {
             p,
             kinds,
@@ -137,12 +139,15 @@ fn run_case(plan: &Plan, nonblocking: bool) -> Result<Vec<Vec<Vec<u64>>>, String
         Runtime::new(plan.p).run(|comm| {
             let k = plan.kinds.len();
             if !nonblocking {
-                return (0..k).map(|i| blocking(comm, plan.kinds[i], i)).collect::<Vec<_>>();
+                return (0..k)
+                    .map(|i| blocking(comm, plan.kinds[i], i))
+                    .collect::<Vec<_>>();
             }
             // Issue everything up front, then complete in a per-rank
             // shuffled order via a random mix of mechanisms.
-            let mut reqs: Vec<Option<Request<Vec<u64>>>> =
-                (0..k).map(|i| Some(issue(comm, plan.kinds[i], i))).collect();
+            let mut reqs: Vec<Option<Request<Vec<u64>>>> = (0..k)
+                .map(|i| Some(issue(comm, plan.kinds[i], i)))
+                .collect();
             let mut rng = TestRng::new(
                 plan.order_seed ^ (comm.rank() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );

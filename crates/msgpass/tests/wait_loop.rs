@@ -1,12 +1,13 @@
 //! What the rank's one wait loop guarantees by the order of its
 //! statements — attempt, sweep the engine, back off only when the round
 //! consumed nothing, park only after one more round found nothing — and
-//! the tag salt window that bounds how many collectives may overlap.
+//! what a collective's match key guarantees: any number of collectives
+//! may be in flight on one communicator, and no user tag matches one.
 
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use std::time::Duration;
 
-use gv_msgpass::{RankState, RunError, Runtime, ShutdownError, ShutdownKind};
+use gv_msgpass::{RankState, RunError, Runtime};
 
 #[test]
 fn a_zero_timeout_still_delivers_what_has_arrived() {
@@ -34,7 +35,9 @@ fn a_zero_timeout_leaves_an_unfinished_request_live() {
         }
         let mut req = comm.iallreduce(comm.rank() as u64 + 1, true, |_| 8, |a, b| a + b);
         if comm.rank() == 0 {
-            let early = req.wait_timeout(Duration::ZERO).expect("a timeout is not an error");
+            let early = req
+                .wait_timeout(Duration::ZERO)
+                .expect("a timeout is not an error");
             assert_eq!(early, None, "the peer had not launched yet");
             timed_out.wait();
         }
@@ -85,39 +88,48 @@ fn watchdog_reports_a_stall_behind_unclaimed_traffic() {
 }
 
 #[test]
-fn the_4097th_overlapping_collective_is_refused() {
-    // Rank 1 never joins the allreduces (it waits for a message rank 0
-    // would only send afterwards), so every one rank 0 launches stays in
-    // flight; number 4096 would draw number 0's tags again.
-    let rank1_saw: Mutex<Option<ShutdownKind>> = Mutex::new(None);
-    let err = Runtime::new(2)
-        .try_run(|comm| {
-            if comm.rank() == 0 {
-                let _unwaited: Vec<_> = (0..4097u64)
-                    .map(|i| comm.iallreduce(i, true, |_| 8, |a, b| a + b))
-                    .collect();
-                comm.send(1, 9, 0u8);
-            } else {
-                let blocked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    comm.recv::<u8>(0, 9)
-                }));
-                let payload = blocked.expect_err("rank 0 never gets as far as the send");
-                if let Some(err) = payload.downcast_ref::<ShutdownError>() {
-                    *rank1_saw.lock().unwrap() = Some(err.kind);
-                }
-                std::panic::resume_unwind(payload);
-            }
-        })
-        .unwrap_err();
-    match err {
-        RunError::Failed(report) => {
-            assert_eq!(report.rank, 0);
-            let message = &report.message;
-            assert!(message.contains("salt window"), "{message}");
-            assert!(message.contains("communicator 0"), "{message}");
-            assert!(message.contains("#4096") && message.contains("#0"), "{message}");
+fn five_thousand_unwaited_collectives_on_one_communicator_all_complete() {
+    // Rank 0 launches every allreduce before rank 1 launches any, so all
+    // of them are in flight on it at once; a collective's keys carry its
+    // call sequence, so none can match another's traffic, whatever the
+    // order they are harvested in.
+    const N: u64 = 5_000;
+    let outcome = Runtime::new(2).run(|comm| {
+        let r = comm.rank() as u64;
+        if r == 1 {
+            let () = comm.recv(0, 9);
         }
-        other => panic!("expected Failed, got {other:?}"),
-    }
-    assert_eq!(rank1_saw.into_inner().unwrap(), Some(ShutdownKind::Aborted));
+        let mut requests: Vec<_> = (0..N)
+            .map(|i| comm.iallreduce(2 * i + r, true, |_| 8, |a, b| a + b))
+            .collect();
+        if r == 0 {
+            comm.send(1, 9, ());
+        }
+        requests
+            .iter_mut()
+            .rev()
+            .map(|req| req.wait().expect("no shutdown"))
+            .collect::<Vec<u64>>()
+    });
+    let oracle: Vec<u64> = (0..N).rev().map(|i| 4 * i + 1).collect();
+    assert_eq!(outcome.results, vec![oracle.clone(), oracle]);
+}
+
+#[test]
+fn a_user_tag_never_matches_a_collective() {
+    // 0xF000_0100 is a plain user tag, sent before a bcast and received
+    // after it on the same pair: each receive gets its own message.
+    let outcome = Runtime::new(2).run(|comm| {
+        if comm.rank() == 0 {
+            comm.send(1, 0xF000_0100, 7u64);
+        }
+        let word = comm.bcast(0, (comm.rank() == 0).then_some(0xB0Bu64));
+        let p2p = if comm.rank() == 1 {
+            comm.recv::<u64>(0, 0xF000_0100)
+        } else {
+            7
+        };
+        (word, p2p)
+    });
+    assert_eq!(outcome.results, vec![(0xB0B, 7), (0xB0B, 7)]);
 }
