@@ -88,9 +88,7 @@ fn main() {
     // wrong answers become possible under out-of-order combining.
     let sorted_time = |claim: bool| {
         let outcome = Runtime::new(p).run(move |comm| {
-            let local: Vec<i64> = (0..512)
-                .map(|i| (comm.rank() * 512 + i) as i64)
-                .collect();
+            let local: Vec<i64> = (0..512).map(|i| (comm.rank() * 512 + i) as i64).collect();
             let (ok, dt) = timed_phase(comm, |c| {
                 gv_rsmpi::reduce_all_claiming_commutativity(
                     c,
@@ -119,6 +117,8 @@ fn main() {
             t_c * 1e6,
             t_nc / t_c
         );
-        println!("  paper: \"This resulted in no speedup\" — at branching 2 the schedule is identical.");
+        println!(
+            "  paper: \"This resulted in no speedup\" — at branching 2 the schedule is identical."
+        );
     }
 }

@@ -12,7 +12,7 @@
 //! Output per (class, procs, variant): modeled verification time, speedup
 //! vs the same variant at p = 1, and parallel efficiency.
 
-use gv_bench::table::{arg_value, fmt_seconds, has_flag, parse_procs, parallel_time, timed_phase};
+use gv_bench::table::{arg_value, fmt_seconds, has_flag, parallel_time, parse_procs, timed_phase};
 use gv_msgpass::Runtime;
 use gv_nas::is::{distributed_sort, generate_keys, VerifyVariant};
 use gv_nas::IsClass;
@@ -37,7 +37,9 @@ fn main() {
     let classes: Vec<IsClass> = arg_value(&args, "--classes")
         .unwrap_or_else(|| "A/32,B/32,C/32".to_string())
         .split(',')
-        .map(|name| IsClass::by_name(name.trim()).unwrap_or_else(|| panic!("unknown IS class {name}")))
+        .map(|name| {
+            IsClass::by_name(name.trim()).unwrap_or_else(|| panic!("unknown IS class {name}"))
+        })
         .collect();
     let procs = parse_procs(&args);
 
@@ -58,10 +60,7 @@ fn main() {
             );
             println!(
                 "  {:>5} | {:>22} {:>9} {:>6} | {:>22} {:>9} {:>6} | {:>22} {:>9} {:>6}",
-                "p",
-                "C+MPI", "spd", "eff",
-                "C+MPI(opt)", "spd", "eff",
-                "C+RSMPI", "spd", "eff"
+                "p", "C+MPI", "spd", "eff", "C+MPI(opt)", "spd", "eff", "C+RSMPI", "spd", "eff"
             );
         }
         // Per-variant serial baselines (measured at p = 1 regardless of
@@ -74,7 +73,11 @@ fn main() {
             let mut cells = Vec::new();
             for (vi, (variant, vname)) in VerifyVariant::ALL.iter().enumerate() {
                 let (ok, t) = measure(*class, p, *variant);
-                assert!(ok, "verification failed: class {} {vname} p={p}", class.name);
+                assert!(
+                    ok,
+                    "verification failed: class {} {vname} p={p}",
+                    class.name
+                );
                 let speedup = base[vi] / t;
                 let eff = speedup / p as f64;
                 if csv {
@@ -83,7 +86,12 @@ fn main() {
                         class.name, p, vname, t, speedup, eff
                     );
                 } else {
-                    cells.push(format!("{:>22} {:>9.2} {:>6.2}", fmt_seconds(t), speedup, eff));
+                    cells.push(format!(
+                        "{:>22} {:>9.2} {:>6.2}",
+                        fmt_seconds(t),
+                        speedup,
+                        eff
+                    ));
                 }
             }
             if !csv {

@@ -12,7 +12,7 @@
 //! for more of the time" — the harness prints the MPI/RSMPI time ratio so
 //! that trend is directly visible.
 
-use gv_bench::table::{arg_value, fmt_seconds, has_flag, parse_procs, parallel_time, timed_phase};
+use gv_bench::table::{arg_value, fmt_seconds, has_flag, parallel_time, parse_procs, timed_phase};
 use gv_msgpass::Runtime;
 use gv_nas::mg::zran3::{zran3, Zran3Variant};
 use gv_nas::mg::Slab;
@@ -35,7 +35,9 @@ fn main() {
     let classes: Vec<MgClass> = arg_value(&args, "--classes")
         .unwrap_or_else(|| "S,A/8,C/8".to_string())
         .split(',')
-        .map(|name| MgClass::by_name(name.trim()).unwrap_or_else(|| panic!("unknown MG class {name}")))
+        .map(|name| {
+            MgClass::by_name(name.trim()).unwrap_or_else(|| panic!("unknown MG class {name}"))
+        })
         .collect();
     let procs = parse_procs(&args);
 
@@ -43,7 +45,9 @@ fn main() {
         println!("class,procs,variant,modeled_seconds,speedup,efficiency,mpi_over_rsmpi");
     } else {
         println!("Figure 3 — NAS MG ZRAN3 (modeled time, α–β–γ cost model)");
-        println!("speedup/efficiency vs the same variant at p = 1; last column = T(F+MPI)/T(F+RSMPI)\n");
+        println!(
+            "speedup/efficiency vs the same variant at p = 1; last column = T(F+MPI)/T(F+RSMPI)\n"
+        );
     }
 
     for class in &classes {

@@ -74,7 +74,10 @@ fn main() {
         for (kind, n) in &calls {
             println!("{},{n}", kind.name());
         }
-        println!("reduction_share,{:.4}", reduction_total as f64 / user_total.max(1) as f64);
+        println!(
+            "reduction_share,{:.4}",
+            reduction_total as f64 / user_total.max(1) as f64
+        );
     } else {
         println!("Communication calls: NAS IS (S) + NAS MG (S) + CG (n=16384, 75 iters), p = {p}");
         println!("(reference MPI-style variants; collectives counted once per rank per call)\n");
@@ -91,7 +94,9 @@ fn main() {
             "  reductions+scans:   {reduction_total} = {:.1}% of all communication calls",
             100.0 * reduction_total as f64 / user_total.max(1) as f64
         );
-        println!("\n  paper §1: \"nearly 9% of the MPI calls are reductions\" (NPB 3.2, all 8 kernels;");
+        println!(
+            "\n  paper §1: \"nearly 9% of the MPI calls are reductions\" (NPB 3.2, all 8 kernels;"
+        );
         println!("  this harness runs IS, MG and a CG kernel — the reduction-heavy subset)");
     }
 }

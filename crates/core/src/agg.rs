@@ -157,10 +157,7 @@ impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> SplittableState for Elementwise<Op, R
 
 /// Element-wise aggregated reduction: reduces slot `j` of every row down to
 /// output `j`.
-pub fn reduce_elementwise<Op: ReduceScanOp + ?Sized>(
-    op: &Op,
-    rows: &[&[Op::In]],
-) -> Vec<Op::Out> {
+pub fn reduce_elementwise<Op: ReduceScanOp + ?Sized>(op: &Op, rows: &[&[Op::In]]) -> Vec<Op::Out> {
     crate::seq::reduce(&Elementwise::for_rows(op, rows), rows)
 }
 

@@ -70,8 +70,8 @@ pub mod split;
 
 pub use monoid::{InvertibleMonoid, Monoid, MonoidOp};
 pub use op::{ReduceScanOp, ScanKind};
-pub use split::SplittableState;
 pub use seq::{reduce, scan};
+pub use split::SplittableState;
 
 /// Shared-memory parallel reduction; see [`par::reduce`].
 pub use par::reduce as par_reduce;

@@ -184,7 +184,10 @@ mod tests {
 
     /// The paper's §3.1.3 particle example, converted to 0-based octants.
     fn paper_particles() -> Vec<usize> {
-        [6, 7, 6, 3, 8, 2, 8, 4, 8, 3].iter().map(|&o| o - 1).collect()
+        [6, 7, 6, 3, 8, 2, 8, 4, 8, 3]
+            .iter()
+            .map(|&o| o - 1)
+            .collect()
     }
 
     #[test]

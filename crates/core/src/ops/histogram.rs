@@ -252,7 +252,10 @@ mod tests {
     fn block_accumulate_matches_scalar_accumulate() {
         // Long enough to take the replicated-table path in count_into.
         let data: Vec<f64> = (0..4096).map(|i| ((i * 37) % 1000) as f64 / 83.0).collect();
-        for h in [Histogram::uniform(0.0, 12.0, 24), Histogram::new(vec![1.0, 2.0, 7.5])] {
+        for h in [
+            Histogram::uniform(0.0, 12.0, 24),
+            Histogram::new(vec![1.0, 2.0, 7.5]),
+        ] {
             let mut kernel_state = h.ident();
             assert!(h.accum_block(&mut kernel_state, &data));
             let mut scalar_state = h.ident();

@@ -108,16 +108,18 @@ mod tests {
             let data: Vec<i64> = (0..80)
                 .map(|i| (((i as u64).wrapping_mul(seed * 2 + 31)) % 21) as i64 - 10)
                 .collect();
-            assert_eq!(seq::reduce(&MaxSubarray, &data), oracle(&data), "seed={seed}");
+            assert_eq!(
+                seq::reduce(&MaxSubarray, &data),
+                oracle(&data),
+                "seed={seed}"
+            );
         }
     }
 
     #[test]
     fn chunking_invariant() {
         let pool = gv_executor::Pool::new(2);
-        let data: Vec<i64> = (0..200)
-            .map(|i| ((i * 37) % 19) as i64 - 9)
-            .collect();
+        let data: Vec<i64> = (0..200).map(|i| ((i * 37) % 19) as i64 - 9).collect();
         let expected = seq::reduce(&MaxSubarray, &data);
         for parts in [1, 2, 5, 16, 200, 256] {
             assert_eq!(

@@ -33,7 +33,9 @@ pub mod stats;
 pub mod topk;
 pub mod translate;
 
-pub use builtin::{band, bor, bxor, land, lor, lxor, max, maxloc, min, minloc as minloc_builtin, prod, sum};
+pub use builtin::{
+    band, bor, bxor, land, lor, lxor, max, maxloc, min, minloc as minloc_builtin, prod, sum,
+};
 pub use counts::{BucketRank, Counts};
 pub use histogram::{Histogram, HistogramCounts};
 pub use kadane::MaxSubarray;

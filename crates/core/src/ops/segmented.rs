@@ -85,10 +85,7 @@ where
 /// Convenience: attaches segment-start flags derived from a boundary
 /// predicate over consecutive elements (a boundary before index `i` when
 /// `pred(&data[i-1], &data[i])`; index 0 always starts a segment).
-pub fn flag_segments<T: Clone>(
-    data: &[T],
-    pred: impl Fn(&T, &T) -> bool,
-) -> Vec<(T, bool)> {
+pub fn flag_segments<T: Clone>(data: &[T], pred: impl Fn(&T, &T) -> bool) -> Vec<(T, bool)> {
     data.iter()
         .enumerate()
         .map(|(i, x)| {
@@ -138,9 +135,7 @@ mod tests {
     #[test]
     fn parallel_segmented_scan_matches_sequential_for_all_chunkings() {
         let pool = gv_executor::Pool::new(2);
-        let data: Vec<(i64, bool)> = (0..200)
-            .map(|i| ((i * 31) % 17, i % 7 == 0))
-            .collect();
+        let data: Vec<(i64, bool)> = (0..200).map(|i| ((i * 31) % 17, i % 7 == 0)).collect();
         let expected = seq::scan(&seg_sum(), &data, ScanKind::Inclusive);
         for parts in [1, 2, 3, 8, 50, 200, 300] {
             assert_eq!(
@@ -155,15 +150,10 @@ mod tests {
     fn segmented_monoid_is_associative() {
         // Exhaustive check over small state triples.
         let op = seg_sum();
-        let states: Vec<SegState<i64>> = [
-            (0, false),
-            (3, false),
-            (7, true),
-            (-2, true),
-        ]
-        .iter()
-        .map(|&(value, reset)| SegState { value, reset })
-        .collect();
+        let states: Vec<SegState<i64>> = [(0, false), (3, false), (7, true), (-2, true)]
+            .iter()
+            .map(|&(value, reset)| SegState { value, reset })
+            .collect();
         for a in &states {
             for b in &states {
                 for c in &states {

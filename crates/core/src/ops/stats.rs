@@ -94,7 +94,14 @@ impl ReduceScanOp for MeanVar {
                 continue;
             }
             let m2 = fold_block_map(0.0, block, |x| (x - mean) * (x - mean), |a, b| a + b);
-            self.combine(state, MomentState { count: block.len() as u64, mean, m2 });
+            self.combine(
+                state,
+                MomentState {
+                    count: block.len() as u64,
+                    mean,
+                    m2,
+                },
+            );
         }
         true
     }
@@ -168,7 +175,9 @@ mod tests {
     #[test]
     fn parallel_merge_matches_sequential() {
         let pool = gv_executor::Pool::new(2);
-        let data: Vec<f64> = (0..10_000).map(|i| ((i * 37) % 1000) as f64 / 7.0).collect();
+        let data: Vec<f64> = (0..10_000)
+            .map(|i| ((i * 37) % 1000) as f64 / 7.0)
+            .collect();
         let expected = seq::reduce(&MeanVar, &data);
         for parts in [1, 2, 8, 64, 1000] {
             let got = crate::par::reduce(&pool, parts, &MeanVar, &data);

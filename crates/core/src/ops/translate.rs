@@ -117,7 +117,11 @@ mod tests {
         assert!(op.accum_block(&mut direct, &data));
         let mut translated = op.ident();
         assert!(!Translated(op).accum_block(&mut translated, &data));
-        assert_eq!(translated, op.ident(), "a declined block must leave the state alone");
+        assert_eq!(
+            translated,
+            op.ident(),
+            "a declined block must leave the state alone"
+        );
     }
 
     #[test]

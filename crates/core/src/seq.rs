@@ -25,11 +25,7 @@ pub fn reduce<Op: ReduceScanOp + ?Sized>(op: &Op, input: &[Op::In]) -> Op::Out {
 /// `pre_accum`/`post_accum` hooks do not participate in the rescan loop —
 /// they only ever run in the accumulate phase that feeds the cross-processor
 /// combine, which at `p = 1` is vacuous.
-pub fn scan<Op: ReduceScanOp + ?Sized>(
-    op: &Op,
-    input: &[Op::In],
-    kind: ScanKind,
-) -> Vec<Op::Out> {
+pub fn scan<Op: ReduceScanOp + ?Sized>(op: &Op, input: &[Op::In], kind: ScanKind) -> Vec<Op::Out> {
     scan_with_total(op, input, kind).0
 }
 

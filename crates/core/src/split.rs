@@ -100,7 +100,10 @@ mod tests {
     #[test]
     fn split_is_balanced_and_ordered() {
         let chunks = split_vec_segments((0..10).collect::<Vec<_>>(), 4);
-        assert_eq!(chunks, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7], vec![8, 9]]);
+        assert_eq!(
+            chunks,
+            vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7], vec![8, 9]]
+        );
     }
 
     #[test]
@@ -116,7 +119,10 @@ mod tests {
     fn unsplit_round_trips() {
         for parts in [1usize, 2, 3, 7, 16] {
             let v: Vec<u32> = (0..13).collect();
-            assert_eq!(unsplit_vec_segments(split_vec_segments(v.clone(), parts)), v);
+            assert_eq!(
+                unsplit_vec_segments(split_vec_segments(v.clone(), parts)),
+                v
+            );
         }
     }
 

@@ -283,7 +283,11 @@ impl<T: Send> LaneSender<T> {
         // the next one: whether the hardware hides that miss changes with
         // code placement from one build to the next, and was worth ±15 %
         // of a latency-bound run (EXPERIMENTS.md, TXT-WAIT).
-        std::hint::black_box(s.slots[self.pos.get() & s.mask].stamp.load(Ordering::Relaxed));
+        std::hint::black_box(
+            s.slots[self.pos.get() & s.mask]
+                .stamp
+                .load(Ordering::Relaxed),
+        );
         Ok(deposit)
     }
 }

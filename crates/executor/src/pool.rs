@@ -40,7 +40,10 @@ impl Pool {
                         // The guard is a temporary of this statement: a
                         // worker holds the lock while it waits for a job,
                         // never while it runs one.
-                        let job = rx.lock().expect("jobs run outside the injector lock").recv();
+                        let job = rx
+                            .lock()
+                            .expect("jobs run outside the injector lock")
+                            .recv();
                         match job {
                             Ok(job) => job(),
                             // The channel closing is the shutdown signal.

@@ -176,8 +176,7 @@ mod tests {
             let v = value(comm);
             let inclusive = local_scan(comm, v, |a, b| a + b);
             let m = Sum::<i64>::default();
-            let exclusive =
-                local_xscan_from_scan(inclusive, &v, |a, b| m.uncombine(a, b));
+            let exclusive = local_xscan_from_scan(inclusive, &v, |a, b| m.uncombine(a, b));
             // Sanity: identity law of the monoid.
             let mut x = m.identity();
             m.combine(&mut x, &5);

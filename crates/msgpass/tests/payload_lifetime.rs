@@ -31,7 +31,10 @@ fn a_received_inline_value_is_dropped_once_by_its_receiver() {
             }
         })
         .results;
-    assert_eq!(counts[1], 101, "all hundred clones were alive in the receiver");
+    assert_eq!(
+        counts[1], 101,
+        "all hundred clones were alive in the receiver"
+    );
     assert_eq!(Arc::strong_count(&witness), 1);
 }
 
@@ -49,7 +52,11 @@ fn a_stashed_inline_value_is_dropped_when_its_rank_exits() {
             comm.send(1, 8, 1u64);
         } else {
             assert_eq!(comm.recv::<u64>(0, 8), 1);
-            assert_eq!(Arc::strong_count(&witness), 6, "five clones sit in the stash");
+            assert_eq!(
+                Arc::strong_count(&witness),
+                6,
+                "five clones sit in the stash"
+            );
         }
     });
     assert_eq!(Arc::strong_count(&witness), 1);

@@ -216,50 +216,49 @@ fn run_plan(plan: &Plan) -> Result<(), String> {
     }
     let failure: Mutex<Option<String>> = Mutex::new(None);
     let outcome = std::panic::catch_unwind(|| {
-        Runtime::new(plan.p)
-            .run(|comm| {
-                let r = comm.rank();
-                // Send phase: stamp each message with its per-(src, dst,
-                // tag) sequence number.
-                let mut seqs: HashMap<(usize, u32), u64> = HashMap::new();
-                for &(dst, tag, bytes, _) in &plan.sends[r] {
-                    let seq = seqs.entry((dst, tag)).or_insert(0);
-                    wire[&(r, dst, tag)][*seq as usize].send(comm, dst, tag, (r, tag, *seq), bytes);
-                    *seq += 1;
-                }
-                // Receive phase: whatever the interleaving, each source's
-                // own sequence must come back in order.
-                let mut expected: HashMap<(usize, u32), u64> = HashMap::new();
-                for &(src, tag) in &posts[r] {
-                    let repr = match src {
-                        Some(s) => {
-                            let next = expected.get(&(s, tag)).copied().unwrap_or(0);
-                            wire[&(s, r, tag)][next as usize]
-                        }
-                        None => any_repr[&(r, tag)],
-                    };
-                    let ((psrc, ptag, pseq), from) = repr.recv(comm, src, tag);
-                    let fail = |msg: String| {
-                        *failure.lock().unwrap() = Some(msg);
-                    };
-                    if psrc != from || ptag != tag {
-                        fail(format!(
-                            "rank {r}: posted (src {src:?}, tag {tag}), got a packet \
+        Runtime::new(plan.p).run(|comm| {
+            let r = comm.rank();
+            // Send phase: stamp each message with its per-(src, dst,
+            // tag) sequence number.
+            let mut seqs: HashMap<(usize, u32), u64> = HashMap::new();
+            for &(dst, tag, bytes, _) in &plan.sends[r] {
+                let seq = seqs.entry((dst, tag)).or_insert(0);
+                wire[&(r, dst, tag)][*seq as usize].send(comm, dst, tag, (r, tag, *seq), bytes);
+                *seq += 1;
+            }
+            // Receive phase: whatever the interleaving, each source's
+            // own sequence must come back in order.
+            let mut expected: HashMap<(usize, u32), u64> = HashMap::new();
+            for &(src, tag) in &posts[r] {
+                let repr = match src {
+                    Some(s) => {
+                        let next = expected.get(&(s, tag)).copied().unwrap_or(0);
+                        wire[&(s, r, tag)][next as usize]
+                    }
+                    None => any_repr[&(r, tag)],
+                };
+                let ((psrc, ptag, pseq), from) = repr.recv(comm, src, tag);
+                let fail = |msg: String| {
+                    *failure.lock().unwrap() = Some(msg);
+                };
+                if psrc != from || ptag != tag {
+                    fail(format!(
+                        "rank {r}: posted (src {src:?}, tag {tag}), got a packet \
                              stamped (src {psrc}, tag {ptag}) from {from}"
-                        ));
-                        return;
-                    }
-                    let want = expected.entry((from, tag)).or_insert(0);
-                    if pseq != *want {
-                        fail(format!(
-                            "rank {r}: overtaking on (src {from}, tag {tag}): \
-                             expected seq {want}, got {pseq}"
-                        ));
-                        return;
-                    }
-                    *want += 1;
+                    ));
+                    return;
                 }
-            })
+                let want = expected.entry((from, tag)).or_insert(0);
+                if pseq != *want {
+                    fail(format!(
+                        "rank {r}: overtaking on (src {from}, tag {tag}): \
+                             expected seq {want}, got {pseq}"
+                    ));
+                    return;
+                }
+                *want += 1;
+            }
+        })
     });
     if let Some(msg) = failure.into_inner().unwrap() {
         return Err(msg);

@@ -96,9 +96,8 @@ fn in_flight_message_beats_sender_exit() {
         } else {
             std::thread::sleep(Duration::from_millis(20));
             let got: u8 = comm.recv(0, 4);
-            let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                comm.recv::<u8>(0, 4)
-            }));
+            let next =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| comm.recv::<u8>(0, 4)));
             let err = next
                 .expect_err("second recv should shut down")
                 .downcast::<ShutdownError>()
@@ -122,9 +121,8 @@ fn abort_reaches_any_source_receives() {
                 std::thread::sleep(Duration::from_millis(30));
                 panic!("rank 0 exploded");
             }
-            let blocked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                comm.recv_any::<u8>(6)
-            }));
+            let blocked =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| comm.recv_any::<u8>(6)));
             if let Err(payload) = blocked {
                 if let Ok(err) = payload.downcast::<ShutdownError>() {
                     assert_eq!(err.src, Source::Any);
@@ -319,7 +317,10 @@ fn abort_wakeup_is_the_explicit_unpark_not_the_park_timeout() {
             })
     });
     assert!(run.is_err(), "the panic must propagate");
-    let (err, waited) = observed.into_inner().unwrap().expect("rank 1 observed the abort");
+    let (err, waited) = observed
+        .into_inner()
+        .unwrap()
+        .expect("rank 1 observed the abort");
     assert_eq!(err.kind, ShutdownKind::Aborted);
     assert_eq!(err.rank, 1, "the error names the blocked rank");
     assert_eq!(err.culprit, Some(0), "the error names the first failure");

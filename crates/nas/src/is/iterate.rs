@@ -86,9 +86,7 @@ mod tests {
     #[test]
     fn iterations_partially_verify_across_rank_counts() {
         for p in [1usize, 2, 4, 8] {
-            let outcome = Runtime::new(p).run(move |comm| {
-                run_iterations(comm, IsClass::S, 3)
-            });
+            let outcome = Runtime::new(p).run(move |comm| run_iterations(comm, IsClass::S, 3));
             assert_eq!(outcome.results, vec![true; p], "p={p}");
         }
     }
@@ -109,7 +107,9 @@ mod tests {
     fn rank_probes_agree_even_with_duplicates() {
         let outcome = Runtime::new(3).run(|comm| {
             // Heavily duplicated keys.
-            let keys: Vec<u32> = (0..200).map(|i| ((i + comm.rank() * 7) % 16) as u32).collect();
+            let keys: Vec<u32> = (0..200)
+                .map(|i| ((i + comm.rank() * 7) % 16) as u32)
+                .collect();
             let sorted = distributed_sort(comm, &keys, 16);
             (0..16u32).all(|probe| {
                 rank_by_reduction(comm, &keys, probe) == rank_from_sorted(comm, &sorted, probe)

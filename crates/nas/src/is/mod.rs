@@ -64,9 +64,7 @@ mod tests {
     #[test]
     fn full_is_pipeline_verifies_for_every_variant() {
         for (variant, _) in VerifyVariant::ALL {
-            let outcome = Runtime::new(4).run(move |comm| {
-                run_is(comm, IsClass::S, variant)
-            });
+            let outcome = Runtime::new(4).run(move |comm| run_is(comm, IsClass::S, variant));
             let total: usize = outcome.results.iter().map(|(_, n)| n).sum();
             assert_eq!(total, IsClass::S.total_keys());
             assert!(outcome.results.iter().all(|(ok, _)| *ok), "{variant:?}");

@@ -72,8 +72,7 @@ mod tests {
                 let above_z = (slab.z_start + slab.z_len) % n;
                 let ok_below = (0..n).all(|y| {
                     (0..n).all(|x| {
-                        ext.at(x as isize, y as isize, 0)
-                            == (below_z * 10_000 + y * 100 + x) as f64
+                        ext.at(x as isize, y as isize, 0) == (below_z * 10_000 + y * 100 + x) as f64
                     })
                 });
                 let ok_above = (0..n).all(|y| {

@@ -38,8 +38,7 @@ fn stencil27(e: &ExtSlab, x: usize, y: usize, ze: usize, w: [f64; 4]) -> f64 {
         for dy in -1isize..=1 {
             for dx in -1isize..=1 {
                 let dist = (dx != 0) as usize + (dy != 0) as usize + (dz != 0) as usize;
-                by_distance[dist] +=
-                    e.at(xi + dx, yi + dy, (ze as i32 + dz) as usize);
+                by_distance[dist] += e.at(xi + dx, yi + dy, (ze as i32 + dz) as usize);
             }
         }
     }
@@ -98,9 +97,7 @@ pub fn rprj3(comm: &Comm, fine: &Slab) -> Slab {
                     for dy in -1isize..=1 {
                         for dx in -1isize..=1 {
                             let w = 0.5f64.powi(
-                                3 + dx.unsigned_abs() as i32
-                                    + dy.unsigned_abs() as i32
-                                    + dz.abs(),
+                                3 + dx.unsigned_abs() as i32 + dy.unsigned_abs() as i32 + dz.abs(),
                             );
                             sum += w * e.at(xf + dx, yf + dy, (ze as i32 + dz) as usize);
                         }
@@ -148,10 +145,7 @@ pub fn interp(comm: &Comm, coarse: &Slab, fine: &mut Slab) {
                 for &(dz, wz) in zs {
                     for &(dy, wy) in ys {
                         for &(dx, wx) in xs {
-                            add += wz
-                                * wy
-                                * wx
-                                * e.at(x0 + dx, y0 + dy, (z0 + dz) as usize);
+                            add += wz * wy * wx * e.at(x0 + dx, y0 + dy, (z0 + dz) as usize);
                         }
                     }
                 }
@@ -213,11 +207,7 @@ pub fn v_cycle(comm: &Comm, u: &mut Slab, v: &Slab, r: &mut Slab) -> (f64, f64) 
     }
 
     // Coarsest level: smooth from zero.
-    let mut u_level = Slab::for_rank(
-        *hierarchy.last().expect("nonempty"),
-        comm.rank(),
-        p,
-    );
+    let mut u_level = Slab::for_rank(*hierarchy.last().expect("nonempty"), comm.rank(), p);
     for _ in 0..2 {
         psinv(comm, residuals.last().expect("nonempty"), &mut u_level);
     }

@@ -218,12 +218,16 @@ mod tests {
         // must route the cross-rank prefix through the pipelined chain.
         let slots = 16 * 1024usize;
         let outcome = Runtime::new(8).run(move |comm| {
-            let row: Vec<i64> = (0..slots).map(|j| (comm.rank() * slots + j) as i64).collect();
+            let row: Vec<i64> = (0..slots)
+                .map(|j| (comm.rank() * slots + j) as i64)
+                .collect();
             let rows: Vec<&[i64]> = vec![&row];
             scan_elementwise(comm, &sum::<i64>(), &rows, ScanKind::Inclusive)
         });
         assert_eq!(
-            outcome.stats.scan_algorithm_calls(ScanAlgorithm::PipelinedChain),
+            outcome
+                .stats
+                .scan_algorithm_calls(ScanAlgorithm::PipelinedChain),
             8
         );
         // Spot-check the last rank's row against the column oracle.

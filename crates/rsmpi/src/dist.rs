@@ -193,11 +193,12 @@ mod tests {
             assert_eq!(prefix.offset(), a.offset());
             prefix.gather_to_all()
         });
-        let expected: Vec<i64> = (1..=20).scan(0, |s, x| {
-            *s += x;
-            Some(*s)
-        })
-        .collect();
+        let expected: Vec<i64> = (1..=20)
+            .scan(0, |s, x| {
+                *s += x;
+                Some(*s)
+            })
+            .collect();
         for got in outcome.results {
             assert_eq!(got, expected);
         }
@@ -226,10 +227,7 @@ mod tests {
             let v = DistVector::from_local(comm, local);
             (v.offset(), v.global_len())
         });
-        assert_eq!(
-            outcome.results,
-            vec![(0, 10), (1, 10), (3, 10), (6, 10)]
-        );
+        assert_eq!(outcome.results, vec![(0, 10), (1, 10), (3, 10), (6, 10)]);
     }
 
     #[test]

@@ -98,8 +98,11 @@ mod tests {
     use gv_executor::chunk_ranges;
     use gv_msgpass::Runtime;
 
-    fn check_against_sequential<Op>(op_factory: impl Fn() -> Op + Sync, data: &[Op::In], kind: ScanKind)
-    where
+    fn check_against_sequential<Op>(
+        op_factory: impl Fn() -> Op + Sync,
+        data: &[Op::In],
+        kind: ScanKind,
+    ) where
         Op: ReduceScanOp,
         Op::In: Clone + Sync,
         Op::State: Clone + Send + 'static,
@@ -110,9 +113,8 @@ mod tests {
             let chunks: Vec<Vec<Op::In>> = chunk_ranges(data.len(), p)
                 .map(|r| data[r].to_vec())
                 .collect();
-            let outcome = Runtime::new(p).run(|comm| {
-                scan(comm, &op_factory(), &chunks[comm.rank()], kind)
-            });
+            let outcome =
+                Runtime::new(p).run(|comm| scan(comm, &op_factory(), &chunks[comm.rank()], kind));
             let flattened: Vec<Op::Out> = outcome.results.into_iter().flatten().collect();
             assert_eq!(flattened, expected, "p={p} kind={kind:?}");
         }
@@ -130,7 +132,12 @@ mod tests {
         let data: Vec<i64> = vec![6, 7, 6, 3, 8, 2, 8, 4, 8, 3];
         let chunks: Vec<Vec<i64>> = chunk_ranges(10, 5).map(|r| data[r].to_vec()).collect();
         let outcome = Runtime::new(5).run(|comm| {
-            scan(comm, &sum::<i64>(), &chunks[comm.rank()], ScanKind::Exclusive)
+            scan(
+                comm,
+                &sum::<i64>(),
+                &chunks[comm.rank()],
+                ScanKind::Exclusive,
+            )
         });
         let flat: Vec<i64> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, vec![0, 6, 13, 19, 22, 30, 32, 40, 44, 52]);
@@ -143,10 +150,16 @@ mod tests {
             .iter()
             .map(|&o| o - 1)
             .collect();
-        let chunks: Vec<Vec<usize>> =
-            chunk_ranges(particles.len(), 3).map(|r| particles[r].to_vec()).collect();
+        let chunks: Vec<Vec<usize>> = chunk_ranges(particles.len(), 3)
+            .map(|r| particles[r].to_vec())
+            .collect();
         let outcome = Runtime::new(3).run(|comm| {
-            scan(comm, &BucketRank::new(8), &chunks[comm.rank()], ScanKind::Inclusive)
+            scan(
+                comm,
+                &BucketRank::new(8),
+                &chunks[comm.rank()],
+                ScanKind::Inclusive,
+            )
         });
         let flat: Vec<u64> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, vec![1, 1, 2, 1, 1, 1, 2, 1, 3, 2]);
@@ -159,9 +172,8 @@ mod tests {
         let op = || Sorted::<i64>::new();
         let expected = gv_core::seq::scan(&op(), &data, ScanKind::Inclusive);
         let chunks: Vec<Vec<i64>> = chunk_ranges(60, 4).map(|r| data[r].to_vec()).collect();
-        let outcome = Runtime::new(4).run(|comm| {
-            scan(comm, &op(), &chunks[comm.rank()], ScanKind::Inclusive)
-        });
+        let outcome = Runtime::new(4)
+            .run(|comm| scan(comm, &op(), &chunks[comm.rank()], ScanKind::Inclusive));
         let flat: Vec<bool> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, expected);
     }
@@ -204,10 +216,16 @@ mod tests {
             .iter()
             .map(|&o| o - 1)
             .collect();
-        let chunks: Vec<Vec<usize>> =
-            chunk_ranges(particles.len(), 3).map(|r| particles[r].to_vec()).collect();
+        let chunks: Vec<Vec<usize>> = chunk_ranges(particles.len(), 3)
+            .map(|r| particles[r].to_vec())
+            .collect();
         let outcome = Runtime::new(3).run(|comm| {
-            scan_splittable(comm, &BucketRank::new(8), &chunks[comm.rank()], ScanKind::Inclusive)
+            scan_splittable(
+                comm,
+                &BucketRank::new(8),
+                &chunks[comm.rank()],
+                ScanKind::Inclusive,
+            )
         });
         let flat: Vec<u64> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, vec![1, 1, 2, 1, 1, 1, 2, 1, 3, 2]);
@@ -237,11 +255,18 @@ mod tests {
         let flat: Vec<u64> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, expected);
         assert_eq!(
-            outcome.stats.scan_algorithm_calls(ScanAlgorithm::PipelinedChain),
+            outcome
+                .stats
+                .scan_algorithm_calls(ScanAlgorithm::PipelinedChain),
             8,
             "every rank should have run the chain schedule once"
         );
-        assert_eq!(outcome.stats.scan_algorithm_calls(ScanAlgorithm::RecursiveDoubling), 0);
+        assert_eq!(
+            outcome
+                .stats
+                .scan_algorithm_calls(ScanAlgorithm::RecursiveDoubling),
+            0
+        );
     }
 
     #[test]
@@ -249,7 +274,12 @@ mod tests {
         let data: Vec<i64> = vec![1, 2, 3];
         let chunks: Vec<Vec<i64>> = chunk_ranges(3, 6).map(|r| data[r].to_vec()).collect();
         let outcome = Runtime::new(6).run(|comm| {
-            scan(comm, &sum::<i64>(), &chunks[comm.rank()], ScanKind::Inclusive)
+            scan(
+                comm,
+                &sum::<i64>(),
+                &chunks[comm.rank()],
+                ScanKind::Inclusive,
+            )
         });
         let flat: Vec<i64> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, vec![1, 3, 6]);

@@ -105,7 +105,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The per-case seed for `(base, property name, case index)`.
 pub fn case_seed(base: u64, name: &str, case: u32) -> u64 {
-    let mut s = base ^ fnv1a(name.as_bytes()) ^ ((case as u64) << 1 | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut s = base
+        ^ fnv1a(name.as_bytes())
+        ^ ((case as u64) << 1 | 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     splitmix64(&mut s)
 }
 
@@ -124,8 +126,13 @@ pub fn check<S: Strategy>(
         let mut rng = TestRng::new(seed);
         let value = strategy.generate(&mut rng);
         if let Err(err) = prop(&value) {
-            let (minimal, min_err, steps) =
-                shrink_failure(strategy, &prop, value.clone(), err.clone(), config.max_shrink_steps);
+            let (minimal, min_err, steps) = shrink_failure(
+                strategy,
+                &prop,
+                value.clone(),
+                err.clone(),
+                config.max_shrink_steps,
+            );
             panic!(
                 "property `{name}` falsified at case {case}/{total} (case seed {seed:#018x})\n  \
                  minimal input: {minimal:?}\n  \
@@ -190,7 +197,10 @@ macro_rules! int_strategy {
         /// origin (0 if contained, else the lower bound).
         pub fn $ctor(range: std::ops::Range<$ty>) -> IntRange<$ty> {
             assert!(range.start < range.end, "empty range {range:?}");
-            IntRange { lo: range.start, hi: range.end }
+            IntRange {
+                lo: range.start,
+                hi: range.end,
+            }
         }
 
         impl Strategy for IntRange<$ty> {
@@ -201,7 +211,11 @@ macro_rules! int_strategy {
             }
 
             fn shrink(&self, &value: &$ty) -> Vec<$ty> {
-                let origin: $ty = if self.lo <= 0 && 0 < self.hi { 0 } else { self.lo };
+                let origin: $ty = if self.lo <= 0 && 0 < self.hi {
+                    0
+                } else {
+                    self.lo
+                };
                 if value == origin {
                     return Vec::new();
                 }
@@ -240,7 +254,11 @@ impl Strategy for MapI64ToI32 {
         self.0.generate(rng) as i32
     }
     fn shrink(&self, &value: &i32) -> Vec<i32> {
-        self.0.shrink(&(value as i64)).into_iter().map(|v| v as i32).collect()
+        self.0
+            .shrink(&(value as i64))
+            .into_iter()
+            .map(|v| v as i32)
+            .collect()
     }
 }
 
@@ -255,7 +273,10 @@ pub struct F64Range {
 /// Uniform finite `f64` values in `range`.
 pub fn f64s(range: std::ops::Range<f64>) -> F64Range {
     assert!(range.start < range.end, "empty range {range:?}");
-    F64Range { lo: range.start, hi: range.end }
+    F64Range {
+        lo: range.start,
+        hi: range.end,
+    }
 }
 
 impl Strategy for F64Range {
@@ -266,7 +287,11 @@ impl Strategy for F64Range {
     }
 
     fn shrink(&self, &value: &f64) -> Vec<f64> {
-        let origin = if self.lo <= 0.0 && 0.0 < self.hi { 0.0 } else { self.lo };
+        let origin = if self.lo <= 0.0 && 0.0 < self.hi {
+            0.0
+        } else {
+            self.lo
+        };
         if value == origin {
             return Vec::new();
         }
@@ -298,7 +323,11 @@ impl Strategy for Bools {
         rng.bool()
     }
     fn shrink(&self, &value: &bool) -> Vec<bool> {
-        if value { vec![false] } else { Vec::new() }
+        if value {
+            vec![false]
+        } else {
+            Vec::new()
+        }
     }
 }
 
@@ -340,7 +369,11 @@ pub struct VecOf<S> {
 /// Vectors of `elem` values with length in `len` (half-open).
 pub fn vec_of<S: Strategy>(elem: S, len: std::ops::Range<usize>) -> VecOf<S> {
     assert!(len.start < len.end, "empty length range {len:?}");
-    VecOf { elem, min_len: len.start, max_len: len.end }
+    VecOf {
+        elem,
+        min_len: len.start,
+        max_len: len.end,
+    }
 }
 
 impl<S: Strategy> Strategy for VecOf<S> {
@@ -470,7 +503,12 @@ mod tests {
     fn plain(cases: u32) -> Config {
         // Bypass env overrides so the suite is hermetic even when the
         // outer invocation sets GV_TESTKIT_SEED.
-        Config { cases, seed: DEFAULT_SEED, max_shrink_steps: 1000, replay: None }
+        Config {
+            cases,
+            seed: DEFAULT_SEED,
+            max_shrink_steps: 1000,
+            replay: None,
+        }
     }
 
     #[test]
@@ -486,13 +524,18 @@ mod tests {
     #[test]
     fn failing_property_panics_with_seed_and_minimal_input() {
         let result = std::panic::catch_unwind(|| {
-            check("find_forty_two_or_more", &plain(256), &i64s(0..1000), |&v| {
-                if v >= 42 {
-                    Err(format!("hit {v}"))
-                } else {
-                    Ok(())
-                }
-            });
+            check(
+                "find_forty_two_or_more",
+                &plain(256),
+                &i64s(0..1000),
+                |&v| {
+                    if v >= 42 {
+                        Err(format!("hit {v}"))
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
         });
         let msg = *result.expect_err("must fail").downcast::<String>().unwrap();
         assert!(msg.contains("GV_TESTKIT_SEED="), "{msg}");
@@ -542,7 +585,10 @@ mod tests {
             .expect("seed in message");
         let seed = u64::from_str_radix(seed_hex.trim_start_matches("0x"), 16).unwrap();
         // Replaying with that seed fails on the very first (only) case.
-        let replay_cfg = Config { replay: Some(seed), ..plain(64) };
+        let replay_cfg = Config {
+            replay: Some(seed),
+            ..plain(64)
+        };
         let replayed = std::panic::catch_unwind(|| {
             check("replayable", &replay_cfg, &i64s(0..100), |&v| {
                 if v >= 90 {

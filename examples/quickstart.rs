@@ -37,7 +37,10 @@ fn main() {
     println!("sorted       = {}", reduce(&Sorted::<i64>::new(), &data));
     let mut ascending = data.clone();
     ascending.sort();
-    println!("sorted(asc)  = {}", reduce(&Sorted::<i64>::new(), &ascending));
+    println!(
+        "sorted(asc)  = {}",
+        reduce(&Sorted::<i64>::new(), &ascending)
+    );
 
     // ---- The same computation on virtual processors ----------------------
     // Shared-memory engine: Figure 1's accumulate + combine phases over

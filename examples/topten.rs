@@ -34,7 +34,10 @@ fn main() {
             .fold(0.0f64, f64::max);
         let reductions = outcome.stats.calls(CallKind::Allreduce) / p as u64;
         let extrema = &outcome.results[0].0;
-        println!("{name}: {reductions} reductions per rank, modeled {:.1} µs", time * 1e6);
+        println!(
+            "{name}: {reductions} reductions per rank, modeled {:.1} µs",
+            time * 1e6
+        );
         println!(
             "  largest : {:?}",
             extrema

@@ -62,7 +62,10 @@ fn exercise_all_collectives<T>(
                     "reduce(root={root}) at the root, p={p}, rank={r}"
                 );
             } else {
-                assert!(got.is_none(), "reduce(root={root}) off-root, p={p}, rank={r}");
+                assert!(
+                    got.is_none(),
+                    "reduce(root={root}) off-root, p={p}, rank={r}"
+                );
             }
         }
 
@@ -310,7 +313,10 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
         (r as u64 + 2, 2 * r as u64 + 1)
     }
     fn then(f: Affine, g: Affine) -> Affine {
-        (f.0.wrapping_mul(g.0), f.1.wrapping_mul(g.0).wrapping_add(g.1))
+        (
+            f.0.wrapping_mul(g.0),
+            f.1.wrapping_mul(g.0).wrapping_add(g.1),
+        )
     }
     let cost = CostModel::cluster_2006();
     let hop = cost.alpha + cost.beta * BYTES as f64;
@@ -322,7 +328,11 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
         let total = prefix(p).expect("p >= 1");
         let depth = p.next_power_of_two().trailing_zeros() as f64;
         let model = |run: &dyn Fn(&mut ClockModel)| {
-            let mut model = ClockModel { cost, bytes: BYTES, clocks: vec![0.0; p] };
+            let mut model = ClockModel {
+                cost,
+                bytes: BYTES,
+                clocks: vec![0.0; p],
+            };
             run(&mut model);
             model.clocks
         };
@@ -330,12 +340,22 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
 
         for root in 0..p {
             // bcast: p−1 tree edges, one whole state each.
-            let got = Runtime::new(p).run(move |comm| {
-                comm.bcast(root, (comm.rank() == root).then(|| contrib(root)))
-            });
-            assert_eq!(got.results, vec![contrib(root); p], "bcast p={p} root={root}");
-            assert_eq!(got.stats.messages, edges, "bcast messages p={p} root={root}");
-            assert_eq!(got.stats.bytes, edges * BYTES as u64, "bcast bytes p={p} root={root}");
+            let got = Runtime::new(p)
+                .run(move |comm| comm.bcast(root, (comm.rank() == root).then(|| contrib(root))));
+            assert_eq!(
+                got.results,
+                vec![contrib(root); p],
+                "bcast p={p} root={root}"
+            );
+            assert_eq!(
+                got.stats.messages, edges,
+                "bcast messages p={p} root={root}"
+            );
+            assert_eq!(
+                got.stats.bytes,
+                edges * BYTES as u64,
+                "bcast bytes p={p} root={root}"
+            );
             assert_eq!(
                 bits(&got.rank_clocks),
                 bits(&model(&|m| m.bcast(root))),
@@ -346,11 +366,22 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
             let got = Runtime::new(p)
                 .run(move |comm| comm.reduce(root, contrib(comm.rank()), |_| BYTES, then));
             for (r, res) in got.results.iter().enumerate() {
-                assert_eq!(*res, (r == root).then_some(total), "reduce p={p} root={root} r={r}");
+                assert_eq!(
+                    *res,
+                    (r == root).then_some(total),
+                    "reduce p={p} root={root} r={r}"
+                );
             }
             let msgs = edges + u64::from(root != 0);
-            assert_eq!(got.stats.messages, msgs, "reduce messages p={p} root={root}");
-            assert_eq!(got.stats.bytes, msgs * BYTES as u64, "reduce bytes p={p} root={root}");
+            assert_eq!(
+                got.stats.messages, msgs,
+                "reduce messages p={p} root={root}"
+            );
+            assert_eq!(
+                got.stats.bytes,
+                msgs * BYTES as u64,
+                "reduce bytes p={p} root={root}"
+            );
             assert_eq!(
                 bits(&got.rank_clocks),
                 bits(&model(&|m| m.reduce(root))),
@@ -365,12 +396,20 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
         });
         assert_eq!(got.results, vec![total; p], "reduce+bcast p={p}");
         assert_eq!(got.stats.messages, 2 * edges, "reduce+bcast messages p={p}");
-        assert_eq!(got.stats.bytes, 2 * edges * BYTES as u64, "reduce+bcast bytes p={p}");
+        assert_eq!(
+            got.stats.bytes,
+            2 * edges * BYTES as u64,
+            "reduce+bcast bytes p={p}"
+        );
         let rb = model(&|m| {
             m.reduce(0);
             m.bcast(0);
         });
-        assert_eq!(bits(&got.rank_clocks), bits(&rb), "reduce+bcast clocks p={p}");
+        assert_eq!(
+            bits(&got.rank_clocks),
+            bits(&rb),
+            "reduce+bcast clocks p={p}"
+        );
 
         // linear scan: p−1 chain hops.
         let got = Runtime::new(p).run(|comm| {
@@ -382,9 +421,17 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
             assert_eq!(Some(*res), prefix(r + 1), "linear scan p={p} r={r}");
         }
         assert_eq!(got.stats.messages, edges, "linear scan messages p={p}");
-        assert_eq!(got.stats.bytes, edges * BYTES as u64, "linear scan bytes p={p}");
+        assert_eq!(
+            got.stats.bytes,
+            edges * BYTES as u64,
+            "linear scan bytes p={p}"
+        );
         let chain = model(&|m| m.chain());
-        assert_eq!(bits(&got.rank_clocks), bits(&chain), "linear scan clocks p={p}");
+        assert_eq!(
+            bits(&got.rank_clocks),
+            bits(&chain),
+            "linear scan clocks p={p}"
+        );
 
         // allgather: ⌈log₂p⌉ circulant rounds, every rank one message a
         // round, each rank's p−1 foreign values crossing once.
@@ -412,9 +459,18 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
         assert!(close(chain[p - 1], edges as f64 * hop), "chain depth p={p}");
         if p.is_power_of_two() {
             let deepest = |clocks: &[f64]| clocks.iter().cloned().fold(0.0, f64::max);
-            assert!(close(deepest(&model(&|m| m.bcast(0))), depth * hop), "bcast depth p={p}");
-            assert!(close(model(&|m| m.reduce(0))[0], depth * hop), "reduce depth p={p}");
-            assert!(close(deepest(&rb), 2.0 * depth * hop), "reduce+bcast depth p={p}");
+            assert!(
+                close(deepest(&model(&|m| m.bcast(0))), depth * hop),
+                "bcast depth p={p}"
+            );
+            assert!(
+                close(model(&|m| m.reduce(0))[0], depth * hop),
+                "reduce depth p={p}"
+            );
+            assert!(
+                close(deepest(&rb), 2.0 * depth * hop),
+                "reduce+bcast depth p={p}"
+            );
         }
     }
 }
@@ -468,8 +524,9 @@ fn cost_model_and_stats_are_deterministic_across_runs() {
                 let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
                 let total = comm.allreduce_by(plan, r + 1, whole(), |_| 8, |a, b| a + b);
                 let prefix = comm.scan_inclusive(r + 1, |_| 8, |a, b| a + b);
-                let outgoing: Vec<Vec<u64>> =
-                    (0..comm.size()).map(|d| vec![r; (r as usize + d) % 3]).collect();
+                let outgoing: Vec<Vec<u64>> = (0..comm.size())
+                    .map(|d| vec![r; (r as usize + d) % 3])
+                    .collect();
                 let received: usize = comm.alltoallv(outgoing).iter().map(Vec::len).sum();
                 (total, prefix, received)
             })
@@ -484,11 +541,14 @@ fn cost_model_and_stats_are_deterministic_across_runs() {
             second.modeled_seconds.to_bits(),
             "modeled_seconds, p={p}"
         );
-        let clock_bits =
-            |o: &gv_msgpass::RunOutcome<(u64, u64, usize)>| -> Vec<u64> {
-                o.rank_clocks.iter().map(|c| c.to_bits()).collect()
-            };
-        assert_eq!(clock_bits(&first), clock_bits(&second), "rank_clocks, p={p}");
+        let clock_bits = |o: &gv_msgpass::RunOutcome<(u64, u64, usize)>| -> Vec<u64> {
+            o.rank_clocks.iter().map(|c| c.to_bits()).collect()
+        };
+        assert_eq!(
+            clock_bits(&first),
+            clock_bits(&second),
+            "rank_clocks, p={p}"
+        );
         // Schedule-level statistics (calls, messages, bytes) are modeled
         // and must be bit-identical. The transport-path counters are
         // *observed* (ring vs stash hits, parks depend on thread timing),

@@ -52,10 +52,12 @@ fn segmented_scan_equals_per_segment_scans() {
         &(vec_of(i64s(-100..100), 1..150), vec_of(bools(), 1..150)),
         |(values, flags)| {
             let n = values.len().min(flags.len());
-            let input: Vec<(i64, bool)> = (0..n)
-                .map(|i| (values[i], i == 0 || flags[i]))
-                .collect();
-            let got = seq::scan(&Segmented(Sum::<i64>::default()), &input, ScanKind::Inclusive);
+            let input: Vec<(i64, bool)> = (0..n).map(|i| (values[i], i == 0 || flags[i])).collect();
+            let got = seq::scan(
+                &Segmented(Sum::<i64>::default()),
+                &input,
+                ScanKind::Inclusive,
+            );
             // Oracle: restart a running sum at every flag.
             let mut oracle = Vec::with_capacity(n);
             let mut acc = 0i64;
@@ -126,7 +128,10 @@ fn iter_engine_matches_slice_engine() {
             );
             let streamed: Vec<i64> =
                 scan_iter(&sum::<i64>(), data.iter().copied(), ScanKind::Exclusive).collect();
-            prop_assert_eq!(streamed, seq::scan(&sum::<i64>(), data, ScanKind::Exclusive));
+            prop_assert_eq!(
+                streamed,
+                seq::scan(&sum::<i64>(), data, ScanKind::Exclusive)
+            );
             Ok(())
         },
     );
@@ -213,10 +218,7 @@ fn type_mismatch_on_receive_is_a_clear_panic() {
         })
     });
     let err = result.expect_err("must panic");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("type mismatch"), "got: {msg}");
 }
 

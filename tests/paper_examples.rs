@@ -33,9 +33,8 @@ where
     }
     for p in [1usize, 2, 5] {
         let chunks = blocks(data, p);
-        let outcome = Runtime::new(p).run(|comm| {
-            gv_rsmpi::reduce_all(comm, &make_op(), &chunks[comm.rank()])
-        });
+        let outcome = Runtime::new(p)
+            .run(|comm| gv_rsmpi::reduce_all(comm, &make_op(), &chunks[comm.rank()]));
         for got in outcome.results {
             assert_eq!(got, sequential, "message-passing engine, p={p}");
         }
@@ -83,13 +82,24 @@ fn section313_counts_reduce_and_scan() {
     assert_eq!(seq, expected);
     let pool = Pool::new(2);
     for parts in [1, 2, 7] {
-        let par = gv_core::par::scan(&pool, parts, &BucketRank::new(8), &octants, ScanKind::Inclusive);
+        let par = gv_core::par::scan(
+            &pool,
+            parts,
+            &BucketRank::new(8),
+            &octants,
+            ScanKind::Inclusive,
+        );
         assert_eq!(par, expected);
     }
     for p in [1usize, 3, 10] {
         let chunks = blocks(&octants, p);
         let outcome = Runtime::new(p).run(|comm| {
-            gv_rsmpi::scan(comm, &BucketRank::new(8), &chunks[comm.rank()], ScanKind::Inclusive)
+            gv_rsmpi::scan(
+                comm,
+                &BucketRank::new(8),
+                &chunks[comm.rank()],
+                ScanKind::Inclusive,
+            )
         });
         let flat: Vec<u64> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, expected, "p={p}");
@@ -133,9 +143,8 @@ fn mean_variance_showcase_agrees_across_engines() {
     let sequential = gv_core::seq::reduce(&MeanVar, &data);
     for p in [2usize, 7] {
         let chunks = blocks(&data, p);
-        let outcome = Runtime::new(p).run(|comm| {
-            gv_rsmpi::reduce_all(comm, &MeanVar, &chunks[comm.rank()])
-        });
+        let outcome =
+            Runtime::new(p).run(|comm| gv_rsmpi::reduce_all(comm, &MeanVar, &chunks[comm.rank()]));
         for got in outcome.results {
             assert_eq!(got.count, sequential.count);
             assert!((got.mean - sequential.mean).abs() < 1e-9);

@@ -90,7 +90,11 @@ fn mink_is_chunking_invariant() {
     check(
         "mink_is_chunking_invariant",
         &cfg(),
-        &(vec_of(i32s(-500..500), 0..200), usizes(1..12), usizes(1..16)),
+        &(
+            vec_of(i32s(-500..500), 0..200),
+            usizes(1..12),
+            usizes(1..16),
+        ),
         |(data, k, parts)| {
             let op = MinK::<i32>::new(*k);
             prop_assert_eq!(
@@ -234,9 +238,8 @@ fn rsmpi_reduce_matches_seq_for_any_rank_count() {
             let chunks: Vec<Vec<i64>> = chunk_ranges(data.len(), p)
                 .map(|r| data[r].to_vec())
                 .collect();
-            let outcome = Runtime::new(p).run(|comm| {
-                gv_rsmpi::reduce_all(comm, &sum::<i64>(), &chunks[comm.rank()])
-            });
+            let outcome = Runtime::new(p)
+                .run(|comm| gv_rsmpi::reduce_all(comm, &sum::<i64>(), &chunks[comm.rank()]));
             prop_assert_eq!(outcome.results, vec![expected; p]);
             Ok(())
         },
@@ -256,7 +259,12 @@ fn rsmpi_scan_matches_seq_for_any_rank_count() {
                 .map(|r| data[r].to_vec())
                 .collect();
             let outcome = Runtime::new(p).run(|comm| {
-                gv_rsmpi::scan(comm, &sum::<i64>(), &chunks[comm.rank()], ScanKind::Exclusive)
+                gv_rsmpi::scan(
+                    comm,
+                    &sum::<i64>(),
+                    &chunks[comm.rank()],
+                    ScanKind::Exclusive,
+                )
             });
             let flat: Vec<i64> = outcome.results.into_iter().flatten().collect();
             prop_assert_eq!(flat, expected);

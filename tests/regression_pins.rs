@@ -46,7 +46,10 @@ fn no_benchmark_operator_dispatches_scalar() {
     let ints: Vec<i64> = (0..n).map(|i| (i * 7919) % 1009 - 500).collect();
     let floats: Vec<f64> = ints.iter().map(|&v| v as f64 / 8.0).collect();
     let pairs: Vec<(f64, u64)> = floats.iter().copied().zip(0u64..).collect();
-    let buckets: Vec<usize> = ints.iter().map(|v| v.unsigned_abs() as usize % 64).collect();
+    let buckets: Vec<usize> = ints
+        .iter()
+        .map(|v| v.unsigned_abs() as usize % 64)
+        .collect();
     let (kernel_before, scalar_before) = dispatch_counts();
     seq::reduce(&sum::<f64>(), &floats);
     seq::reduce(&min::<i64>(), &ints);
@@ -58,8 +61,16 @@ fn no_benchmark_operator_dispatches_scalar() {
     seq::reduce(&Counts::new(64), &buckets);
     seq::reduce(&BucketRank::new(64), &buckets);
     let (kernel_after, scalar_after) = dispatch_counts();
-    assert_eq!(scalar_after - scalar_before, 0, "a benchmark operator fell off the block tier");
-    assert_eq!(kernel_after - kernel_before, 9, "one kernel dispatch per call");
+    assert_eq!(
+        scalar_after - scalar_before,
+        0,
+        "a benchmark operator fell off the block tier"
+    );
+    assert_eq!(
+        kernel_after - kernel_before,
+        9,
+        "one kernel dispatch per call"
+    );
 }
 
 #[test]
@@ -76,7 +87,10 @@ fn npb_stream_is_pinned() {
         })
         .collect();
     // Exact integer states (no float rounding involved).
-    assert_eq!(states[0], (DEFAULT_SEED as u128 * A as u128 % (1 << 46)) as u64);
+    assert_eq!(
+        states[0],
+        (DEFAULT_SEED as u128 * A as u128 % (1 << 46)) as u64
+    );
     assert_eq!(pow46(A, 1), A);
     // Coarse float pins (15 significant digits).
     assert_eq!(v.len(), 3);
@@ -157,9 +171,8 @@ fn modeled_times_are_deterministic() {
 fn full_class_a_is_pipeline() {
     let _turn = operators_run_one_test_at_a_time();
     for (variant, _) in VerifyVariant::ALL {
-        let outcome = Runtime::new(8).run(move |comm| {
-            gv_nas::is::run_is(comm, IsClass::A, variant)
-        });
+        let outcome =
+            Runtime::new(8).run(move |comm| gv_nas::is::run_is(comm, IsClass::A, variant));
         assert!(outcome.results.iter().all(|(ok, _)| *ok));
     }
 }
