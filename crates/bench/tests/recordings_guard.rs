@@ -13,12 +13,23 @@
 //! selector-tuning rows are checked but for their last, host-measured
 //! column. FIG3 and the call-stats table are cheap enough to compare
 //! whole.
+//!
+//! And a guard on what a recording may claim at all: on a link that
+//! carries one message at a time, segmenting a state overlaps the hops
+//! of a path, never the bytes on a link, so no segmented schedule can be
+//! faster than its whole-state run by more than the hops that run pays
+//! per byte.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_msgpass::{AllreduceAlgorithm, CostModel, FaultPlan, Runtime, ScanAlgorithm};
+
+/// `⌈log₂p⌉`: the hops a whole state crosses on the binomial tree.
+fn tree_depth(p: usize) -> f64 {
+    p.next_power_of_two().trailing_zeros() as f64
+}
 
 fn recorded(name: &str) -> String {
     let path: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -245,4 +256,75 @@ fn selector_tuning_rows_match_the_recording_but_for_the_measured_column() {
         "no VERDICT line in results/{name}"
     );
     assert_eq!(verdict(&got), recorded_verdict);
+}
+
+#[test]
+fn no_recorded_pipeline_beats_the_hops_its_whole_state_run_pays() {
+    // TXT-PIPELINE: `bcast` and `reduce` compare the tree at the
+    // chooser's S with itself at S = 1, which pays d = ⌈log₂p⌉ hops per
+    // byte. `allred-tree` compares the fused tree with recursive doubling
+    // (its S = 1 run, reduce then broadcast, pays 2d hops per byte, and
+    // recursive doubling, at these powers of two, d).
+    let recording = recorded("pipeline_microbench.txt");
+    let mut checked = 0;
+    for line in recording.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let Some(Ok(p)) = cells.get(1).map(|c| c.parse::<usize>()) else {
+            continue;
+        };
+        let micros = |cell: &str| -> f64 {
+            let number = cell.trim_end_matches("µs").trim();
+            number
+                .parse()
+                .unwrap_or_else(|e| panic!("{line}: {cell}: {e}"))
+        };
+        let (whole, segmented) = (micros(cells[4]), micros(cells[5]));
+        let hops = match cells[0] {
+            "bcast" | "reduce" | "allred-tree" => tree_depth(p),
+            name => panic!("unknown schedule {name} in results/pipeline_microbench.txt"),
+        };
+        assert!(
+            whole <= hops * segmented + 0.05,
+            "{line}\n  a {hops}-hop whole-state run cannot be {:.2}× its segmented self",
+            whole / segmented
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 3 * 4 * 4, "three schedules × four p × four sizes");
+}
+
+#[test]
+fn the_chain_pipeline_never_beats_the_hops_its_whole_state_run_pays() {
+    // The segmented chain is not in a modeled recording, so it is run
+    // here: at the chooser's S against S = 1, which pays p − 1 hops per
+    // byte.
+    let cost = CostModel::cluster_2006();
+    let wire = |v: &Vec<u64>| v.len() * 8;
+    let add = |mut a: Vec<u64>, b: Vec<u64>| {
+        for (x, y) in a.iter_mut().zip(b) {
+            *x += y;
+        }
+        a
+    };
+    for p in [2usize, 4, 8] {
+        for bytes in [64usize << 10, 256 << 10] {
+            let scan = |segments: usize| {
+                Runtime::new(p)
+                    .run(move |comm| {
+                        let plan = (ScanAlgorithm::PipelinedChain, segments);
+                        let state = vec![1u64; bytes / 8];
+                        let segmentation = (split_vec_segments, unsplit_vec_segments);
+                        comm.scan_both_by(plan, state, segmentation, wire, add);
+                    })
+                    .modeled_seconds
+            };
+            let s = ScanAlgorithm::chain_segments(&cost, p, bytes);
+            let (whole, segmented) = (scan(1), scan(s));
+            assert!(
+                whole <= (p - 1) as f64 * segmented * (1.0 + 1e-12),
+                "p={p} {bytes} B: the chain at S={s} is {:.2}× its S = 1 run",
+                whole / segmented
+            );
+        }
+    }
 }

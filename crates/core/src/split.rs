@@ -81,8 +81,12 @@ pub fn split_vec_segments<T>(v: Vec<T>, parts: usize) -> Vec<Vec<T>> {
 }
 
 /// Concatenates segments back into one vector — the inverse of
-/// [`split_vec_segments`] for element-wise operators.
-pub fn unsplit_vec_segments<T>(segments: Vec<Vec<T>>) -> Vec<T> {
+/// [`split_vec_segments`] for element-wise operators. One segment is the
+/// result itself, moved, not copied.
+pub fn unsplit_vec_segments<T>(mut segments: Vec<Vec<T>>) -> Vec<T> {
+    if segments.len() == 1 {
+        return segments.pop().expect("one segment");
+    }
     let total = segments.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     for seg in segments {
@@ -133,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn one_part_is_the_input_allocation() {
+    fn one_part_is_the_input_allocation_both_ways() {
         let mut v: Vec<u64> = Vec::with_capacity(100);
         v.extend(0..40);
         let (ptr, capacity) = (v.as_ptr(), v.capacity());
@@ -142,6 +146,10 @@ mod tests {
         assert_eq!(chunks[0].as_ptr(), ptr);
         assert_eq!(chunks[0].capacity(), capacity);
         assert_eq!(chunks[0], (0..40).collect::<Vec<u64>>());
+        // And back: one segment is the result, not a copy of it.
+        let whole = unsplit_vec_segments(chunks);
+        assert_eq!(whole.as_ptr(), ptr);
+        assert_eq!(whole.capacity(), capacity);
     }
 
     #[test]

@@ -544,7 +544,8 @@ mod tests {
             8
         );
         assert_eq!(outcome.stats.calls(CallKind::Allreduce), 8);
-        // At p=2 the tree is a two-hop pipeline and still wins.
+        // At p=2 the tree is one hop each way and recursive doubling's
+        // single exchange wins.
         let pair = Runtime::new(2).run(|comm| {
             let state = vec![comm.rank() as u64 + 1; 8 << 10]; // 64 KiB
             comm.allreduce_splittable(
@@ -561,7 +562,7 @@ mod tests {
         }
         assert_eq!(
             pair.stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedTree),
+                .allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
             2
         );
     }

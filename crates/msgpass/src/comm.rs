@@ -60,6 +60,10 @@ pub(crate) struct RankCore {
     /// be cloned — one producer per lane is what makes them lock-free).
     pub(crate) peers: Vec<PeerSender>,
     pub(crate) clock: Cell<f64>,
+    /// The modeled time each of this rank's outgoing links, by **world**
+    /// destination, finishes carrying the bytes already put on it: a link
+    /// carries one message at a time (see [`Comm::send_key`]).
+    link_free_at: Vec<Cell<f64>>,
     pub(crate) cost: CostModel,
     /// The runtime's counters; this rank records into its own block of
     /// them only (see [`Comm::counters`]).
@@ -154,10 +158,12 @@ pub(crate) struct WorldInit {
 impl Comm {
     pub(crate) fn new_world(init: WorldInit) -> Self {
         let members = (0..init.peers.len()).collect();
+        let link_free_at = (0..init.peers.len()).map(|_| Cell::new(0.0)).collect();
         let core = Rc::new(RankCore {
             mailbox: RefCell::new(init.mailbox),
             peers: init.peers,
             clock: Cell::new(0.0),
+            link_free_at,
             cost: init.cost,
             stats: init.stats,
             world_rank: init.rank,
@@ -383,6 +389,14 @@ impl Comm {
     /// Sends `value` to `dst` under match key `key`, modeling `bytes` wire
     /// bytes: the one send every point-to-point and collective message
     /// takes.
+    ///
+    /// The modeled clock's send rule: the sender pays its overhead `α/2`
+    /// and goes on (an offloaded send), while the message waits for the
+    /// link to `dst` to finish the bytes already on it, then occupies it
+    /// for `β·bytes`. The start of its wire time is its `sent_at`, so `S`
+    /// segments sent back to back on one link arrive no earlier than
+    /// `α/2 + β·n` after the first left; messages to different
+    /// destinations do not delay each other.
     pub(crate) fn send_key<T: Send + 'static>(&self, dst: usize, key: Key, value: T, bytes: usize) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         self.charge_overhead();
@@ -391,17 +405,20 @@ impl Comm {
             counters.record_call(CallKind::Send);
         }
         counters.record_message(bytes);
+        let to = self.members[dst];
+        let link = &self.core.link_free_at[to];
+        let sent_at = self.now().max(link.get());
+        link.set(sent_at + self.core.cost.beta * bytes as f64);
         let packet = Packet {
             comm_id: self.id,
             key,
-            sent_at: self.now(),
+            sent_at,
             bytes,
             payload: Payload::new(value),
         };
         // Delivery cannot block (rings spill to an overflow queue); a
         // dead destination means that thread is gone, which the abort
         // flag turns into a clean panic at the blocked receivers instead.
-        let to = self.members[dst];
         match &self.core.faults {
             // Chaos hook: counts the send (possibly firing a stall or kill
             // trigger) and may hold the packet at this rank for a while.
@@ -581,5 +598,84 @@ fn downcast_payload<T: 'static>(payload: Payload, comm: u64, src: usize, key: Ke
             "type mismatch receiving on comm {comm} from rank {src} tag {key}: expected {}",
             std::any::type_name::<T>()
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::cost::CostModel;
+    use crate::mailbox::Source;
+    use crate::runtime::Runtime;
+    use gv_core::split::split_vec_segments;
+
+    const MODEL: CostModel = CostModel {
+        alpha: 5.0e-6,
+        beta: 1.0e-9,
+        gamma: 0.0,
+    };
+
+    /// Within a few ulps of a clock reading of tens of microseconds.
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() < 1e-12
+    }
+
+    #[test]
+    fn segments_on_one_link_arrive_no_earlier_than_the_whole_state_would() {
+        // S segments of an n-byte state sent back to back to one rank:
+        // the first goes on the wire after the sender's α/2, the link then
+        // carries one segment at a time, so the last is available α/2 +
+        // β·n after the first left — whatever S is.
+        const N: usize = 1 << 20;
+        for s in [1usize, 2, 20, 64] {
+            let outcome = Runtime::new(2).cost_model(MODEL).run(move |comm| {
+                if comm.rank() == 0 {
+                    for seg in split_vec_segments(vec![0u64; N / 8], s) {
+                        comm.send_vec(1, 7, seg);
+                    }
+                    return 0.0;
+                }
+                let mut last = 0.0;
+                for _ in 0..s {
+                    let (seg, _, available_at) = comm.recv_meta::<Vec<u64>>(Source::Rank(0), 7);
+                    assert!(seg.len() <= N / 8);
+                    last = available_at;
+                }
+                last
+            });
+            let first_sent = MODEL.alpha / 2.0;
+            let floor = first_sent + MODEL.alpha / 2.0 + MODEL.beta * N as f64;
+            let last = outcome.results[1];
+            assert!(
+                last >= floor - 1e-12,
+                "S={s}: last at {last}, floor {floor}"
+            );
+            // Each segment holds the link longer than the sender's α/2, so
+            // the link is the bottleneck and the floor is met exactly.
+            assert!(close(last, floor), "S={s}: last at {last}, floor {floor}");
+        }
+    }
+
+    #[test]
+    fn messages_to_different_ranks_do_not_delay_each_other() {
+        // A fan-out of one n-byte message to each of three ranks: every
+        // link is free, so the k-th copy leaves after k sender overheads
+        // and arrives α/2 + β·n later, as it did before links were
+        // charged — binomial trees and `alltoallv` are priced as ever.
+        const N: usize = 64 << 10;
+        let outcome = Runtime::new(4).cost_model(MODEL).run(|comm| {
+            if comm.rank() == 0 {
+                for dst in 1..4 {
+                    comm.send_vec(dst, 3, vec![0u64; N / 8]);
+                }
+                return 0.0;
+            }
+            let (_, _, available_at) = comm.recv_meta::<Vec<u64>>(Source::Rank(0), 3);
+            available_at
+        });
+        for k in 1..4 {
+            let expected = k as f64 * MODEL.alpha / 2.0 + MODEL.alpha / 2.0 + MODEL.beta * N as f64;
+            let got = outcome.results[k];
+            assert!(close(got, expected), "rank {k}: {got} vs {expected}");
+        }
     }
 }

@@ -8,9 +8,18 @@
 //! * every rank carries a virtual clock (seconds, starting at 0);
 //! * local compute advances the clock by `gamma` per abstract operation
 //!   ([`crate::comm::Comm::advance`]);
-//! * a message of `b` bytes sent at sender-time `t` becomes *receivable*
-//!   at `t + alpha + beta·b`; receiving sets the receiver's clock to at
-//!   least that (Lamport-style max).
+//! * sending costs the sender `alpha/2` of overhead, and a message of
+//!   `b` bytes then occupies its link for `beta·b`: it goes on the wire
+//!   once the link to its destination has carried the messages before it
+//!   (one link per ordered pair of ranks, one message at a time);
+//! * a message that went on the wire at `t` becomes *receivable* at
+//!   `t + alpha/2 + beta·b`; receiving costs `alpha/2` of overhead and
+//!   sets the receiver's clock to at least that (Lamport-style max).
+//!
+//! So a lone message costs `alpha + beta·b` end to end, and `S` segments
+//! of an `n`-byte state sent back to back on one link arrive no earlier
+//! than `alpha/2 + beta·n` after the first left: pipelining overlaps the
+//! hops of a path, never the bytes on a link.
 //!
 //! The modeled elapsed time of a phase is the maximum clock advance over
 //! all ranks, which captures exactly what the figures depend on: message
@@ -101,18 +110,19 @@ pub fn max_segment_bytes(bytes: usize, parts: usize) -> usize {
 pub(crate) const MAX_PIPELINE_SEGMENTS: usize = 64;
 
 /// Deterministic segment count for a pipelined schedule whose critical
-/// path is `depth` hops: minimizes the stage term `(depth+S−1)(α + βn/S)`
-/// at `S* = √(depth·βn/α)`, clamped to `[1, MAX_PIPELINE_SEGMENTS]` and to
-/// segments of at least 512 bytes. Depends only on `(cost, depth, bytes)`,
-/// so every rank computes the same schedule and the estimate prices the
-/// schedule actually run. The chain scan (`depth = p−1`) and the segmented
-/// binomial tree (effective `depth = 2`, see
-/// [`BcastAlgorithm::tree_segments`]) share this chooser.
+/// path is `depth` hops: the textbook optimum of `(S + depth − 1)(α +
+/// βn/S)`, `S* = √((depth − 1)·βn/α)`, clamped to `[1,
+/// MAX_PIPELINE_SEGMENTS]` and to segments of at least 512 bytes. A path
+/// of one hop has nothing to overlap, so it never segments. Depends only
+/// on `(cost, depth, bytes)`, so every rank computes the same schedule
+/// and the estimate prices the schedule actually run. The chain scan
+/// (`depth = p − 1`) and the segmented binomial tree (`depth =
+/// ⌈log₂p⌉`, see [`BcastAlgorithm::tree_segments`]) share this chooser.
 pub fn pipeline_segments(cost: &CostModel, depth: usize, bytes: usize) -> usize {
-    if depth == 0 || bytes == 0 {
+    if depth <= 1 || bytes == 0 {
         return 1;
     }
-    let ideal = (depth as f64 * cost.beta * bytes as f64 / cost.alpha).sqrt();
+    let ideal = ((depth - 1) as f64 * cost.beta * bytes as f64 / cost.alpha).sqrt();
     let cap = MAX_PIPELINE_SEGMENTS.min((bytes / 512).max(1)) as f64;
     if ideal.is_nan() {
         // α = β = 0 (the free model): segmentation is cost-neutral.
@@ -157,14 +167,17 @@ pub enum AllreduceAlgorithm {
     /// Fused segment-pipelined binomial tree: each segment is reduced up
     /// the tree to rank 0 (children combined in increasing-mask order —
     /// rank-order safe) and relayed straight down the same tree the
-    /// moment it completes, so the broadcast of segment `j` overlaps the
-    /// reduce of segment `j+1`:
-    /// `2⌈log₂p⌉(α + β·n/S) + (S−1)⌈log₂p⌉·α`. The first term is one
-    /// segment's round trip; the drain spacing is rank 0's per-segment
-    /// occupancy — up to `⌈log₂p⌉` receives on the way up plus as many
-    /// child sends on the way down, at `α/2` apiece. Requires only a
-    /// splittable state — the large-state schedule for non-commutative
-    /// operators.
+    /// moment it completes, so at rank 0 the broadcast of segment `j`
+    /// overlaps the reduce of segment `j+1`. With `d = ⌈log₂p⌉`, `w =
+    /// β·n/S` and `g = max(w, d·α/2)` — a rank's per-segment spacing, the
+    /// larger of one segment's time on its link and its `d` message
+    /// overheads — it costs
+    /// `2(d−1)(α + w) + (S−1)·g + max(S·g, 2(α + w))`: a rank below the
+    /// root relays down only once its own climb is done, so the bytes
+    /// cross the busiest link twice, `2βn`, where recursive doubling
+    /// pays `d·βn`. Requires only a splittable state — the large-state
+    /// schedule for non-commutative operators from `p = 8` on (at `p = 4`
+    /// the two tie, and at `p = 2` the tree's chooser returns `S = 1`).
     PipelinedTree,
 }
 
@@ -215,15 +228,17 @@ impl AllreduceAlgorithm {
                 2.0 * (q * cost.alpha + (p - 1.0) * seg as f64 * cost.beta)
             }
             AllreduceAlgorithm::PipelinedTree => {
-                // One segment's tree round trip, then a drain tail of rank
-                // 0's per-segment occupancy: ⌈log₂p⌉ receives up plus
-                // ⌈log₂p⌉ child sends down at α/2 each. Segment count is
-                // the tree chooser's (the depth cancels from its optimum
-                // exactly as for the rooted tree schedules).
+                // The root's largest child finishes its climb (d − 1 hops,
+                // then S − 1 spacings), relays all S segments down (S
+                // spacings; on a tree of depth one it has no one to relay
+                // to, and the last segment's round trip through the root
+                // bounds it instead), and the last segment then descends
+                // d − 1 more hops. At S = 1 this is the reduce+bcast
+                // tree's 2d(α + βn).
                 let s = BcastAlgorithm::tree_segments(cost, ranks, bytes);
-                let seg = max_segment_bytes(bytes, s);
-                let depth = p.log2().ceil();
-                2.0 * depth * cost.transit(seg) + (s as f64 - 1.0) * depth * cost.alpha
+                let (depth, hop, gap) = BcastAlgorithm::tree_stage(cost, ranks, bytes, s);
+                let relay = if depth >= 2.0 { s as f64 * gap } else { 0.0 };
+                2.0 * (depth - 1.0) * hop + (s as f64 - 1.0) * gap + relay.max(2.0 * hop)
             }
         }
     }
@@ -285,12 +300,15 @@ pub enum BcastAlgorithm {
     /// the small-state default.
     Binomial,
     /// Segment-pipelined binomial tree: segment `j` flows down the tree
-    /// behind segment `j−1`, `⌈log₂p⌉(α + β·n/S) + (S−1)⌈log₂p⌉·α/2`.
-    /// The first term is the first segment's descent; later segments are
-    /// spaced by the root's fan-out occupancy — it re-sends each segment
-    /// to all ⌈log₂p⌉ children at `α/2` apiece before starting the next,
-    /// while the `β` terms of in-flight segments overlap on the wire.
-    /// Requires a splittable state.
+    /// behind segment `j−1`, `d(α + w) + (S−1)·max(w, d·α/2)` with `d =
+    /// ⌈log₂p⌉` and `w = β·n/S`. The first term is the first segment's
+    /// descent; later segments follow at the larger of two spacings: `w`,
+    /// the time each segment holds a link (a link carries one message at
+    /// a time, so a path of `d` hops overlaps its hops but never the `n`
+    /// bytes on one link), and `d·α/2`, the overhead a rank pays per
+    /// segment to receive it once and relay it to its children. Requires
+    /// a splittable state; pays off only where the tree has hops to
+    /// overlap, never at `p = 2`.
     Pipelined,
 }
 
@@ -307,16 +325,34 @@ impl BcastAlgorithm {
     }
 
     /// Segment count the pipelined tree uses for a `bytes`-byte state
-    /// over `ranks` ranks. Both the bandwidth term (`depth·β·n/S`) and
-    /// the pipeline tail (`(S−1)·depth·α/2`) scale with the tree depth,
-    /// so the depth cancels out of the optimum: `S* = √(2βn/α)`, i.e.
-    /// [`pipeline_segments`] with an effective depth of 2 (β·n balanced
-    /// against α/2), at every rank count.
+    /// over `ranks` ranks: the textbook optimum of `(S + d − 1)(α +
+    /// β·n/S)` over a path of `d = ⌈log₂p⌉` hops, `S* = √((d − 1)·βn/α)`
+    /// ([`pipeline_segments`]). At `p = 2` the tree is one hop and `S =
+    /// 1`.
     pub fn tree_segments(cost: &CostModel, ranks: usize, bytes: usize) -> usize {
         if ranks <= 1 {
             return 1;
         }
-        pipeline_segments(cost, 2, bytes)
+        pipeline_segments(
+            cost,
+            ranks.next_power_of_two().trailing_zeros() as usize,
+            bytes,
+        )
+    }
+
+    /// The terms every tree estimate is made of, at `segments` segments:
+    /// the depth `d = ⌈log₂p⌉`, one segment's hop `α + w` (`w = β·n/S`,
+    /// the largest segment's time on a link) and the per-segment spacing
+    /// `max(w, d·α/2)` of a rank that handles `d` messages per segment.
+    fn tree_stage(
+        cost: &CostModel,
+        ranks: usize,
+        bytes: usize,
+        segments: usize,
+    ) -> (f64, f64, f64) {
+        let depth = ranks.next_power_of_two().trailing_zeros() as f64;
+        let wire = cost.beta * max_segment_bytes(bytes, segments) as f64;
+        (depth, cost.alpha + wire, wire.max(depth * cost.alpha / 2.0))
     }
 
     /// α–β estimate of one broadcast of a `bytes`-byte state over
@@ -325,18 +361,14 @@ impl BcastAlgorithm {
         if ranks <= 1 {
             return 0.0;
         }
-        let depth = ranks.next_power_of_two().trailing_zeros() as f64;
-        match self {
-            BcastAlgorithm::Binomial => depth * cost.transit(bytes),
-            BcastAlgorithm::Pipelined => {
-                // First segment descends the tree; later segments are
-                // spaced by the root's fan-out (⌈log₂p⌉ child sends at
-                // α/2 each per segment), β overlapped on the wire.
-                let s = Self::tree_segments(cost, ranks, bytes);
-                let seg = max_segment_bytes(bytes, s);
-                depth * cost.transit(seg) + (s as f64 - 1.0) * depth * cost.alpha / 2.0
-            }
-        }
+        let s = match self {
+            BcastAlgorithm::Binomial => 1,
+            BcastAlgorithm::Pipelined => Self::tree_segments(cost, ranks, bytes),
+        };
+        // First segment descends the tree; later segments follow at the
+        // per-segment spacing (at S = 1 there are none).
+        let (depth, hop, gap) = Self::tree_stage(cost, ranks, bytes, s);
+        depth * hop + (s as f64 - 1.0) * gap
     }
 
     /// Segment count the tree runs with: 1 unless the state is
@@ -454,8 +486,8 @@ impl ScanAlgorithm {
     }
 
     /// Deterministic segment count for the pipelined chain: minimizes the
-    /// stage term `(p+S−2)(α + βn/S)` at `S* = √((p−1)·βn/α)` — the
-    /// shared [`pipeline_segments`] chooser at chain depth `p−1`.
+    /// stage term `(p+S−2)(α + βn/S)` at `S* = √((p−2)·βn/α)` — the
+    /// shared [`pipeline_segments`] chooser over the chain's `p−1` hops.
     pub fn chain_segments(cost: &CostModel, ranks: usize, bytes: usize) -> usize {
         if ranks <= 1 {
             return 1;
@@ -613,10 +645,10 @@ mod tests {
     #[test]
     fn scan_selector_picks_pipelined_chain_for_large_splittable_states() {
         let m = CostModel::cluster_2006();
-        // At the chain chooser's segment count (10 here).
+        // At the chain chooser's segment count (9 here).
         assert_eq!(
             ScanAlgorithm::select(&m, 8, 64 << 10, true),
-            (ScanAlgorithm::PipelinedChain, 10)
+            (ScanAlgorithm::PipelinedChain, 9)
         );
         // Unsplittable state: chain ineligible regardless of cost.
         assert_ne!(
@@ -641,8 +673,10 @@ mod tests {
         assert_eq!(ScanAlgorithm::chain_segments(&m, 8, 8), 1);
         assert_eq!(ScanAlgorithm::chain_segments(&m, 1, 1 << 20), 1);
         assert_eq!(ScanAlgorithm::chain_segments(&m, 8, 0), 1);
-        // 64 KiB at p=8: √(7·β·n/α) ≈ 9.6 → 10 segments.
-        assert_eq!(ScanAlgorithm::chain_segments(&m, 8, 64 << 10), 10);
+        // 64 KiB at p=8, a chain of 7 hops: √(6·β·n/α) ≈ 8.9 → 9 segments.
+        assert_eq!(ScanAlgorithm::chain_segments(&m, 8, 64 << 10), 9);
+        // A chain of one hop has nothing to overlap.
+        assert_eq!(ScanAlgorithm::chain_segments(&m, 2, 1 << 20), 1);
         // Huge states hit the 64-segment cap.
         assert_eq!(ScanAlgorithm::chain_segments(&m, 64, 64 << 20), 64);
         // The free model must not divide by zero (NaN → 1 segment).
@@ -763,11 +797,11 @@ mod tests {
                 BcastAlgorithm::tree_segments(&m, 8, 256 << 10)
             )
         );
-        // At p=2 the tree is a two-hop pipeline and still beats
-        // recursive doubling's single full-state exchange.
+        // At p=2 the tree is one hop each way, so its S = 1 round trip
+        // costs two of recursive doubling's single full-state exchange.
         assert_eq!(
-            AllreduceAlgorithm::select(&m, 2, 64 << 10, false, true).0,
-            AllreduceAlgorithm::PipelinedTree
+            AllreduceAlgorithm::select(&m, 2, 64 << 10, false, true),
+            (AllreduceAlgorithm::RecursiveDoubling, 1)
         );
         // Commutative at 64 KiB: RS+AG still wins — the segmented tree
         // must not displace the existing large-state pick.
@@ -812,10 +846,14 @@ mod tests {
         let m = CostModel::cluster_2006();
         assert_eq!(BcastAlgorithm::tree_segments(&m, 1, 1 << 20), 1);
         assert_eq!(BcastAlgorithm::tree_segments(&m, 8, 8), 1);
-        // 64 KiB: √(2·β·n/α) ≈ 5.1 → 5 segments, at *every* rank count
-        // (the tree depth cancels out of the optimum).
+        // 64 KiB: √((d−1)·β·n/α) over d = ⌈log₂p⌉ hops: 1 at p = 2 (one
+        // hop), √(β·n/α) ≈ 3.6 → 4 at p = 4, √(2·β·n/α) ≈ 5.1 → 5 at
+        // p = 8, √(3·β·n/α) ≈ 6.3 → 6 at p = 16.
+        assert_eq!(BcastAlgorithm::tree_segments(&m, 2, 64 << 10), 1);
+        assert_eq!(BcastAlgorithm::tree_segments(&m, 4, 64 << 10), 4);
         assert_eq!(BcastAlgorithm::tree_segments(&m, 8, 64 << 10), 5);
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 16, 64 << 10), 5);
+        assert_eq!(BcastAlgorithm::tree_segments(&m, 16, 64 << 10), 6);
+        assert_eq!(BcastAlgorithm::tree_segments(&m, 2, 64 << 20), 1);
         assert_eq!(BcastAlgorithm::tree_segments(&m, 64, 64 << 20), 64);
         assert_eq!(
             BcastAlgorithm::tree_segments(&CostModel::free(), 8, 1 << 20),
@@ -839,6 +877,26 @@ mod tests {
                     assert!(segmented >= whole, "p={p} bytes={bytes}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn two_ranks_never_segment_a_splittable_state() {
+        // One hop has nothing to pipeline: at p = 2, from 8 B to 16 MiB,
+        // commutative or not, a splittable state runs whole.
+        let m = CostModel::cluster_2006();
+        let mut bytes = 8usize;
+        while bytes <= 16 << 20 {
+            for commutative in [false, true] {
+                assert_eq!(
+                    AllreduceAlgorithm::select(&m, 2, bytes, commutative, true),
+                    (AllreduceAlgorithm::RecursiveDoubling, 1),
+                    "{bytes} B commutative={commutative}"
+                );
+            }
+            assert_eq!(BcastAlgorithm::select_segments(&m, 2, bytes, true), 1);
+            assert_eq!(ScanAlgorithm::select(&m, 2, bytes, true).1, 1, "{bytes} B");
+            bytes *= 2;
         }
     }
 

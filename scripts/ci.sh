@@ -19,6 +19,10 @@ awk '
     END { if (stray) { print "ci: #[target_feature] outside gv_core::isa_tiers!"; exit 1 } }
 ' $(find crates -name '*.rs')
 
+# One formatting for the whole workspace (`benchmark/` is a workspace of
+# its own and keeps its own).
+cargo fmt --all --check
+
 cargo build --release --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -55,8 +59,8 @@ done
 echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"
 ./target/release/ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096 > /dev/null
 
-# The pipeline microbench embeds the selector-within-5% and ≥2× speedup
-# acceptance asserts; run its host-clock table too, the only place the
+# The pipeline microbench embeds the selector-within-5% and headline
+# speedup acceptance asserts; run its host-clock table too, the only place the
 # segmented schedules are timed rather than modeled, and its
 # small-message latency table (both go to stderr, not the recorded
 # table).
