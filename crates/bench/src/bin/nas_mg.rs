@@ -3,8 +3,9 @@
 //! the paper's §4.2 case study lives inside.
 //!
 //! `--wall` adds, on stderr, the host-clock time of each phase of ZRAN3
-//! (timing-dependent, so never part of a recorded table); class W at two
-//! ranks is the benchmark's `mg_zran3` grid.
+//! and of the one-pass `zran3` call that fuses them (timing-dependent, so
+//! never part of a recorded table); class W at two ranks is the
+//! benchmark's `mg_zran3` grid.
 //!
 //! Usage: nas_mg [--class S|W|A/8|B/8|C/8] [--procs 4] [--variant rsmpi|mpi] [--wall]
 //! Env:   GV_BENCH_QUICK=1 shrinks the `--wall` rep count for a CI smoke run.
@@ -24,8 +25,10 @@ use gv_nas::mg::Slab;
 use gv_nas::randlc::DEFAULT_SEED;
 use gv_nas::MgClass;
 
-/// Host wall-clock of ZRAN3's three phases — the public functions `zran3`
-/// calls, in its order — over reps on the same slab.
+/// Host wall-clock of ZRAN3's three public phases, in `zran3`'s order,
+/// and then of one `zran3` call, which generates the field straight into
+/// the extrema reduction and stores the slab once — over reps on the same
+/// slab.
 fn wall_report(class: MgClass, p: usize, variant: Zran3Variant) {
     let outcome = Runtime::new(p).run(move |comm| {
         let mut slab = Slab::for_rank(class.n, comm.rank(), comm.size());
@@ -40,10 +43,22 @@ fn wall_report(class: MgClass, p: usize, variant: Zran3Variant) {
             let found = Instant::now();
             apply_charges(comm, &mut slab, &extrema);
             let charged = Instant::now();
-            [filled - started, found - filled, charged - found].map(|lap| lap.as_secs_f64())
+            zran3(comm, &mut slab, 10, variant);
+            let fused = Instant::now();
+            [
+                filled - started,
+                found - filled,
+                charged - found,
+                fused - charged,
+            ]
+            .map(|lap| lap.as_secs_f64())
         })
     });
-    report_wall_phases("ZRAN3", ["fill", "extrema", "charges"], &outcome.results);
+    report_wall_phases(
+        "ZRAN3",
+        ["fill", "extrema", "charges", "zran3"],
+        &outcome.results,
+    );
 }
 
 fn main() {

@@ -26,7 +26,11 @@
 //! its own ([`ValueGate`]) is asked about the bare values, granule by
 //! granule, and a pair is built only where its answer is yes. So the
 //! accumulate phase has three input shapes — slice, stream and located —
-//! and one state for the same elements in each.
+//! and one state for the same elements in each. A located input's values
+//! may be borrowed or generated ([`ValueSource`]): a [`Generated`] stream
+//! is written a window at a time into one reused buffer and read by the
+//! same loop, so a generated field — NAS MG's random grid — is reduced
+//! without ever being stored.
 
 use std::ops::Add;
 
@@ -77,10 +81,63 @@ where
     (state, count)
 }
 
+/// Where a located input's values come from: a borrowed slice, read in
+/// place, or a [`Generated`] stream, written a window at a time into one
+/// reused buffer and never stored whole. [`accumulate_located`] takes
+/// either and runs the same loop over the windows they hand it.
+pub trait ValueSource<T> {
+    /// Hands `each` the values in order, in windows of at most [`BLOCK`],
+    /// every window but the last full.
+    fn windows(self, each: impl FnMut(&[T]));
+}
+
+/// A slice (or anything that borrows as one) is read in place, one
+/// `BLOCK` chunk at a time.
+impl<T, S: AsRef<[T]>> ValueSource<T> for S {
+    fn windows(self, mut each: impl FnMut(&[T])) {
+        for window in self.as_ref().chunks(BLOCK) {
+            each(window);
+        }
+    }
+}
+
+/// `len` values that `fill` writes on demand: each call fills the window
+/// it is given with the next values of the stream (the NPB generator's
+/// `Randlc::fill`), so the conceptual array never exists — what the
+/// paper's RSMPI iterators describe. One [`BLOCK`]-element buffer is
+/// allocated per pass, whatever `len`.
+pub struct Generated<F> {
+    len: usize,
+    fill: F,
+}
+
+impl<F> Generated<F> {
+    /// A stream of `len` values produced by successive calls of `fill`.
+    pub fn new(len: usize, fill: F) -> Self {
+        Generated { len, fill }
+    }
+}
+
+impl<T: Copy + Default, F: FnMut(&mut [T])> ValueSource<T> for Generated<F> {
+    fn windows(mut self, mut each: impl FnMut(&[T])) {
+        let mut buffer = vec![T::default(); self.len.min(BLOCK)];
+        let mut left = self.len;
+        while left > 0 {
+            let window = &mut buffer[..left.min(BLOCK)];
+            (self.fill)(window);
+            each(window);
+            left -= window.len();
+        }
+    }
+}
+
 /// The accumulate phase over a located input: element `i` is the pair
 /// `(values[i], first + i)`, and the state is the one [`accumulate_iter`]
 /// leaves over those pairs, bit for bit. Returns it and the number of
-/// elements, as [`accumulate_iter`] does.
+/// elements, as [`accumulate_iter`] does. The values come from a
+/// [`ValueSource`] — a slice or a [`Generated`] stream — and one state
+/// runs across all of its windows, so the gate a window closes stays
+/// closed for the next.
 ///
 /// No pair is stored: the operator's [`ValueGate`] is asked about each
 /// granule of `values` through [`crate::kernel::any_in_block`], and a pair
@@ -88,28 +145,40 @@ where
 /// one. `pre_accum` sees the first pair and `post_accum` the last, and the
 /// dispatch counters note one kernel block per [`BLOCK`] values, as the
 /// staged stream's blocks are noted.
-pub fn accumulate_located<Op, T, L>(op: &Op, values: &[T], first: L) -> (Op::State, u64)
+pub fn accumulate_located<Op, T, L>(
+    op: &Op,
+    values: impl ValueSource<T>,
+    first: L,
+) -> (Op::State, u64)
 where
     Op: ValueGate<T, In = (T, L)> + ?Sized,
     T: Copy,
     L: Copy + Add<Output = L> + TryFrom<usize>,
 {
-    let mut state = op.ident();
-    let (Some(&head), Some(&tail)) = (values.first(), values.last()) else {
-        return (state, 0);
-    };
     let at = |i: usize| {
         let offset = L::try_from(i).unwrap_or_else(|_| panic!("offset {i} overflows the location"));
         first + offset
     };
-    op.pre_accum(&mut state, &(head, first));
-    for (b, block) in values.chunks(BLOCK).enumerate() {
-        let base = b * BLOCK;
-        accum_gated(op, &mut state, block, |x| x, |i, x| (x, at(base + i)));
+    let mut state = op.ident();
+    let mut count = 0;
+    let mut tail = None;
+    values.windows(|window| {
+        let Some(&last) = window.last() else {
+            return;
+        };
+        if count == 0 {
+            op.pre_accum(&mut state, &(window[0], first));
+        }
+        let base = count;
+        accum_gated(op, &mut state, window, |x| x, |i, x| (x, at(base + i)));
         note_kernel_block();
+        count += window.len();
+        tail = Some(last);
+    });
+    if let Some(tail) = tail {
+        op.post_accum(&mut state, &(tail, at(count - 1)));
     }
-    op.post_accum(&mut state, &(tail, at(values.len() - 1)));
-    (state, values.len() as u64)
+    (state, count as u64)
 }
 
 /// Reduces the values of an iterator (paper Listing 2 with a streamed

@@ -80,12 +80,14 @@ impl ReduceScanOp for Counts {
         vec![state[*x]]
     }
 
-    fn wire_size(&self, _state: &Vec<u64>) -> usize {
-        self.k * std::mem::size_of::<u64>()
+    /// Priced by the state given, not by `k`: a segment of a split state
+    /// carries and combines only its own buckets.
+    fn wire_size(&self, state: &Vec<u64>) -> usize {
+        state.len() * std::mem::size_of::<u64>()
     }
 
-    fn combine_ops(&self, _incoming: &Vec<u64>) -> u64 {
-        self.k as u64
+    fn combine_ops(&self, incoming: &Vec<u64>) -> u64 {
+        incoming.len() as u64
     }
 }
 
@@ -226,6 +228,26 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_bucket_panics() {
         seq::reduce(&Counts::new(4), &[0usize, 5]);
+    }
+
+    #[test]
+    fn split_segments_are_priced_by_what_they_carry() {
+        let k = 1000;
+        let state: Vec<u64> = (0..k as u64).collect();
+        fn check<Op>(name: &str, op: &Op, state: &Vec<u64>)
+        where
+            Op: SplittableState<State = Vec<u64>>,
+        {
+            let whole = (op.wire_size(state), op.combine_ops(state));
+            for parts in [1, 2, 20, 64] {
+                let segments = op.split_state(state.clone(), parts);
+                let wire: usize = segments.iter().map(|s| op.wire_size(s)).sum();
+                let ops: u64 = segments.iter().map(|s| op.combine_ops(s)).sum();
+                assert_eq!((wire, ops), whole, "{name} split {parts} ways");
+            }
+        }
+        check("Counts", &Counts::new(k), &state);
+        check("BucketRank", &BucketRank::new(k), &state);
     }
 
     #[test]

@@ -20,18 +20,29 @@
 //! Both return identical results (ties broken toward the smaller global
 //! index); the Figure 3 harness compares their modeled times.
 //!
-//! On the host clock the routine is three streaming passes over the slab,
-//! and each runs on the vector tier: [`fill_random`] is one seed jump and
-//! one lane-parallel [`Randlc::fill`] per slab (a z-slab is contiguous in
-//! the conceptual array), the extrema walk is one located reduction —
-//! the slab's `f64`s and the global index of its first cell, cell `i` at
-//! that index + `i` — that filters the values through `TopBottomK`'s gate
-//! on the vector tier and builds a `(value, index)` pair only for the few
-//! cells that reach a list, and [`apply_charges`] is a `fill(0.0)` and
-//! twenty stores. What is charged to the virtual clock (`cells · 10`,
-//! `cells · accum_ops`, `cells / 8 + k`) does not depend on any of that.
+//! On the host clock [`zran3`] is one generated stream and one store. The
+//! NPB generator, seed-jumped to the slab's first cell (a z-slab is
+//! contiguous in the conceptual array), writes each block of
+//! [`BLOCK`](gv_core::kernel::BLOCK) variates into one reused in-cache
+//! buffer ([`Generated`], [`Randlc::fill`] in vector lanes); each window
+//! goes straight into one located `TopBottomK` accumulate — the values
+//! and the global index of the first, cell `i` at that index + `i` —
+//! whose gate filters them on the vector tier and builds a
+//! `(value, index)` pair only for the few cells that reach a list, one
+//! state carried across the windows. The random field
+//! is never stored: after the extrema cross ranks, [`apply_charges`]
+//! writes the slab once, a `fill(0.0)` and twenty stores. Only the
+//! cross-rank step differs between the variants.
+//!
+//! The three phases stay public for the callers that time or check them
+//! apart — [`fill_random`] stores the field, [`extrema_mpi`] and
+//! [`extrema_rsmpi`] read it back, [`apply_charges`] overwrites it — and
+//! leave the slab, the extrema, the virtual clock and the messages
+//! exactly as [`zran3`] does. What is charged to the virtual clock
+//! (`cells · 10`, `cells · accum_ops`, `cells / 8 + k`) does not depend
+//! on which path runs.
 
-use gv_core::iter::accumulate_located;
+use gv_core::iter::{accumulate_located, Generated, ValueSource};
 use gv_core::op::ReduceScanOp;
 use gv_core::ops::topk::{TopBottom, TopBottomK};
 use gv_msgpass::localview::local_allreduce;
@@ -48,33 +59,43 @@ use super::grid::Slab;
 /// one jump to its first cell and one [`Randlc::fill`] — which runs in
 /// vector lanes where the host has them — cover it.
 pub fn fill_random(comm: &Comm, slab: &mut Slab, seed: u64) {
-    let mut gen = Randlc::new(seed).jumped(slab.global_index(0, 0, 0));
-    gen.fill(&mut slab.data);
-    // The reference randlc costs roughly a dozen floating-point operations
-    // per variate (split-precision multiplies); charge 10 abstract ops so
-    // the fill/communication balance matches the benchmark's.
-    comm.advance(slab.cells() as u64 * 10);
+    stream(slab, seed).fill(&mut slab.data);
+    charge_fill(comm, slab);
 }
 
-/// `(value, global_index)` candidate list, best-first.
-type Candidates = Vec<(f64, u64)>;
+/// The generator positioned at the slab's first cell.
+fn stream(slab: &Slab, seed: u64) -> Randlc {
+    Randlc::new(seed).jumped(slab.global_index(0, 0, 0))
+}
 
-/// One walk over the slab collecting the local `k` largest and `k`
-/// smallest cells with their global indices (both lists best-first): the
-/// accumulate phase of [`extrema_rsmpi`]'s reduction, same located input,
-/// same engine, same charge — the two Figure 3 series differ only in how
-/// the candidates then cross ranks.
-fn local_candidates(comm: &Comm, slab: &Slab, k: usize) -> (Candidates, Candidates) {
-    let op = TopBottomK::<f64, u64>::new(k);
-    let (state, cells) = accumulate_located(&op, &slab.data, slab.global_index(0, 0, 0));
-    comm.advance(cells * op.accum_ops());
-    (state.top, state.bottom)
+/// The reference randlc costs roughly a dozen floating-point operations
+/// per variate (split-precision multiplies); charge 10 abstract ops so the
+/// fill/communication balance matches the benchmark's.
+fn charge_fill(comm: &Comm, slab: &Slab) {
+    comm.advance(slab.cells() as u64 * 10);
 }
 
 /// Reference-style extrema search: 4k built-in reductions (§4.2's forty
 /// for k = 10).
 pub fn extrema_mpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
-    let (top_cand, bottom_cand) = local_candidates(comm, slab, k);
+    mpi_extrema_of(comm, &slab.data, slab.global_index(0, 0, 0), k)
+}
+
+/// [`extrema_mpi`] over any located source of the slab's values. Its
+/// local walk, collecting the `k` largest and `k` smallest cells with
+/// their global indices (both lists best-first), is the RSMPI variant's
+/// accumulate phase — same located input, same engine, same charge — so
+/// the two Figure 3 series differ only in how the candidates then cross
+/// ranks.
+fn mpi_extrema_of(
+    comm: &Comm,
+    values: impl ValueSource<f64>,
+    first: u64,
+    k: usize,
+) -> TopBottom<f64, u64> {
+    let op = TopBottomK::<f64, u64>::new(k);
+    let (local, cells) = accumulate_located(&op, values, first);
+    comm.advance(cells * op.accum_ops());
 
     // For each extremum: one value allreduce, then one location allreduce
     // (the owner proposes its index, everyone else the neutral element).
@@ -103,8 +124,8 @@ pub fn extrema_mpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
     };
 
     TopBottom {
-        largest: pick_side(&top_cand, true),
-        smallest: pick_side(&bottom_cand, false),
+        largest: pick_side(&local.top, true),
+        smallest: pick_side(&local.bottom, false),
     }
 }
 
@@ -161,13 +182,25 @@ impl Zran3Variant {
     ];
 }
 
-/// The full ZRAN3 routine: fill, find extrema (by the chosen variant),
-/// apply charges. Returns the extrema for verification.
+/// The full ZRAN3 routine: generate the field, find its extrema (by the
+/// chosen variant), apply charges. Returns the extrema for verification.
+///
+/// One pass: the field is generated [`BLOCK`](gv_core::kernel::BLOCK)
+/// values at a time straight into the located accumulate and never
+/// stored, and the slab — whatever it held — is written once, by
+/// [`apply_charges`]. Slab, extrema, virtual clock and messages are those
+/// of [`fill_random`], the variant's `extrema_*` and [`apply_charges`]
+/// called in turn.
 pub fn zran3(comm: &Comm, slab: &mut Slab, k: usize, variant: Zran3Variant) -> TopBottom<f64, u64> {
-    fill_random(comm, slab, crate::randlc::DEFAULT_SEED);
+    charge_fill(comm, slab);
+    let mut gen = stream(slab, crate::randlc::DEFAULT_SEED);
+    let field = Generated::new(slab.cells(), |window: &mut [f64]| gen.fill(window));
+    let first = slab.global_index(0, 0, 0);
     let extrema = match variant {
-        Zran3Variant::Mpi => extrema_mpi(comm, slab, k),
-        Zran3Variant::Rsmpi => extrema_rsmpi(comm, slab, k),
+        Zran3Variant::Mpi => mpi_extrema_of(comm, field, first, k),
+        Zran3Variant::Rsmpi => {
+            gv_rsmpi::reduce_all_located(comm, &TopBottomK::new(k), field, first)
+        }
     };
     apply_charges(comm, slab, &extrema);
     extrema

@@ -20,7 +20,7 @@
 use std::ops::Add;
 use std::rc::Rc;
 
-use gv_core::iter::{accumulate_iter, accumulate_located};
+use gv_core::iter::{accumulate_iter, accumulate_located, ValueSource};
 use gv_core::kernel::ValueGate;
 use gv_core::op::{accumulate_block, ReduceScanOp};
 use gv_core::split::SplittableState;
@@ -134,11 +134,19 @@ where
 /// block is the pair `(values[i], first + i)` — the paper's `mini` over
 /// `[i in 1..n] (A(i), i)` (Listing 5), or ZRAN3's `(value, global index)`
 /// cells — and no pair is ever stored ([`accumulate_located`]). The
-/// virtual clock is charged `values.len()` accumulates and the states
-/// cross ranks by the same whole-state allreduce as [`reduce_all_from_iter`]
-/// over the same pairs, so the result, messages, bytes and modeled clock
-/// are that call's.
-pub fn reduce_all_located<Op, T, L>(comm: &Comm, op: &Op, values: &[T], first: L) -> Op::Out
+/// values are a slice read in place or a [`Generated`] stream that is
+/// never stored either ([`ValueSource`]). The virtual clock is charged one
+/// accumulate per value and the states cross ranks by the same
+/// whole-state allreduce as [`reduce_all_from_iter`] over the same pairs,
+/// so the result, messages, bytes and modeled clock are that call's.
+///
+/// [`Generated`]: gv_core::iter::Generated
+pub fn reduce_all_located<Op, T, L>(
+    comm: &Comm,
+    op: &Op,
+    values: impl ValueSource<T>,
+    first: L,
+) -> Op::Out
 where
     Op: ValueGate<T, In = (T, L)>,
     Op::State: Clone + Send + 'static,

@@ -80,10 +80,14 @@ echo "smoke: nas_is --class S --wall"
 echo "smoke: nas_is --class S --procs 1 --wall"
 ./target/release/nas_is --class S --procs 1 --wall > /dev/null 2> /dev/null
 
-# So do the MG and CG harnesses (ZRAN3's fill / extrema / charges; a
-# solve's dot / matvec / axpy), at their smallest sizes.
+# So do the MG and CG harnesses (ZRAN3's fill / extrema / charges and
+# the one-pass call; a solve's dot / matvec / axpy), at their smallest
+# sizes.
 echo "smoke: nas_mg --class S --wall"
 ./target/release/nas_mg --class S --wall > /dev/null 2> /dev/null
+# One rank: the whole grid one slab, no extremum crosses a rank.
+echo "smoke: nas_mg --class S --procs 1 --wall"
+./target/release/nas_mg --class S --procs 1 --wall > /dev/null 2> /dev/null
 echo "smoke: nas_cg --wall"
 ./target/release/nas_cg --wall > /dev/null 2> /dev/null
 

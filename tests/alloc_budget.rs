@@ -13,8 +13,10 @@
 //! The streamed reductions get the same treatment at the bottom: what a
 //! rank allocates is one staging block and the operator's state, whatever
 //! the length of the stream — and a located one, whose pairs are never
-//! staged, only the states. And the NAS IS ranking: the keys it sends, the
-//! block it returns and one count table — no second copy of either.
+//! staged, only the states; and a ZRAN3 call, which generates its located
+//! values a window at a time, one window. And the NAS IS ranking: the keys
+//! it sends, the block it returns and one count table — no second copy of
+//! either.
 //!
 //! A scan's output and the IS key ranks are allocated once, at their final
 //! size: asking for huge pages under a large one (`gv_core::mem`) neither
@@ -246,6 +248,41 @@ fn a_located_reduction_allocates_states_and_envelopes_only() {
             assert_eq!(long, short, "p={p} rank {rank}: 1 Mi values vs 4 Ki");
             // Below the streamed form's one staging block of 1024 pairs.
             assert!(long < 16 << 10, "p={p} rank {rank}: {long} B");
+        }
+    }
+}
+
+#[test]
+fn a_zran3_call_allocates_one_generated_block_and_its_states() {
+    use gv_nas::mg::zran3::{zran3, Zran3Variant};
+    use gv_nas::mg::Slab;
+    use gv_nas::MgClass;
+
+    /// One `zran3` on an `n³` grid: bytes each rank allocated in the call.
+    fn one_call(p: usize, n: usize, variant: Zran3Variant) -> Vec<usize> {
+        Runtime::new(p)
+            .run(move |comm| {
+                let mut slab = Slab::for_rank(n, comm.rank(), comm.size());
+                let before = allocated();
+                let extrema = zran3(comm, &mut slab, 10, variant);
+                let spent = allocated() - before;
+                assert_eq!(extrema.largest.len(), 10);
+                spent
+            })
+            .results
+    }
+
+    for p in [1usize, 2] {
+        for (variant, name) in Zran3Variant::ALL {
+            // Class S's slab is 256 KiB a rank at p = 1, class W's 16 MiB.
+            let small = one_call(p, MgClass::S.n, variant);
+            let large = one_call(p, MgClass::W.n, variant);
+            for (rank, (&small, &large)) in small.iter().zip(&large).enumerate() {
+                assert_eq!(large, small, "{name} p={p} rank {rank}: W vs S");
+                // One 1024-value window (8 KiB) plus under 1 KiB of states
+                // and envelopes; a stored field would be MiBs.
+                assert!(large <= 9 << 10, "{name} p={p} rank {rank}: {large} B");
+            }
         }
     }
 }

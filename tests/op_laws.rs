@@ -472,7 +472,7 @@ fn sortedness_combine_order_is_observable() {
 
 mod kernel_laws {
     use super::*;
-    use gv_core::iter::{accumulate_iter, accumulate_located, reduce_iter};
+    use gv_core::iter::{accumulate_iter, accumulate_located, reduce_iter, Generated};
     use gv_core::kernel::{self, ValueGate, LANES};
     use gv_core::op::{accumulate_block_scalar, rescan_block, rescan_block_scalar};
     use gv_testkit::prop::{check, from_fn, Config};
@@ -1096,9 +1096,9 @@ mod kernel_laws {
 
     /// `accumulate_located(op, values[..n], first)` against
     /// `accumulate_iter` over the same `(value, first + i)` pairs,
-    /// materialised, at every `n` in `lengths`: the same element count and
-    /// the same state through `exact`, so NaN payloads and the sign of zero
-    /// count.
+    /// materialised, and against the same values as a `Generated` stream,
+    /// at every `n` in `lengths`: the same element count and the same state
+    /// through `exact`, so NaN payloads and the sign of zero count.
     fn assert_located_matches_staged<Op, S>(
         name: &str,
         op: &Op,
@@ -1120,6 +1120,19 @@ mod kernel_laws {
                 exact(&located),
                 exact(&staged),
                 "{name}: located != staged at n={n}"
+            );
+            let mut rest = values;
+            let generated = Generated::new(n, |window: &mut [f64]| {
+                let (head, tail) = rest.split_at(window.len());
+                window.copy_from_slice(head);
+                rest = tail;
+            });
+            let (from_windows, generated_count) = accumulate_located(op, generated, first);
+            assert_eq!(generated_count, count, "{name}: generated count at n={n}");
+            assert_eq!(
+                exact(&from_windows),
+                exact(&located),
+                "{name}: generated != slice at n={n}"
             );
         }
     }
