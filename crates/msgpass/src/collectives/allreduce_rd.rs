@@ -15,172 +15,61 @@
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Key;
-use crate::request::Schedule;
+use crate::request::recv;
 
-enum RdPhase {
-    /// Folded-away even rank: fold send issued, waiting for the unfold.
-    AwaitUnfold,
-    /// Odd rank of a folded pair: waiting for the even partner's value.
-    AwaitFold,
-    /// Exchange rounds: the send for the current `mask` is already out,
-    /// waiting for the partner's.
-    Round,
-    Done,
-}
-
-/// Resumable recursive-doubling allreduce: fold to a power of two,
-/// ⌈log₂ p₂⌉ pairwise exchange rounds, unfold. Each round's send goes out
-/// as soon as the previous round's combine lands; the receive is the only
-/// suspension point.
-pub(crate) struct AllreduceRdSchedule<T, B, F> {
+/// Recursive-doubling allreduce: fold to a power of two, ⌈log₂ p₂⌉
+/// pairwise exchange rounds, unfold. Each round's send goes out as soon
+/// as the previous round's combine lands.
+pub(crate) async fn allreduce_rd<T: Clone + Send + 'static>(
     comm: Comm,
-    tag: Key,
-    bytes_of: B,
-    combine: F,
-    acc: Option<T>,
-    /// Survivor id in `0..p2`, `None` for folded-away even ranks.
-    survivor: Option<usize>,
-    p2: usize,
-    rem: usize,
-    mask: usize,
-    phase: RdPhase,
-}
-
-impl<T, B, F> AllreduceRdSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    pub(crate) fn new(comm: Comm, value: T, seq: u64, bytes_of: B, combine: F) -> Self {
-        let p = comm.size();
-        let r = comm.rank();
-        // Fold down to the largest power of two p2: the first `2·rem`
-        // ranks pair up (even donates to odd).
-        let p2 = p.next_power_of_two() >> usize::from(!p.is_power_of_two());
-        let rem = p - p2;
-        let mut schedule = AllreduceRdSchedule {
-            comm,
-            tag: TagBase::AllreduceRd.key(seq),
-            bytes_of,
-            combine,
-            acc: Some(value),
-            survivor: None,
-            p2,
-            rem,
-            mask: 1,
-            phase: RdPhase::Done,
+    mut acc: T,
+    seq: u64,
+    bytes_of: impl Fn(&T) -> usize,
+    mut combine: impl FnMut(T, T) -> T,
+) -> Result<T, ShutdownError> {
+    let p = comm.size();
+    let r = comm.rank();
+    let tag = TagBase::AllreduceRd.key(seq);
+    let send = |dst: usize, acc: &T| {
+        let bytes = bytes_of(acc);
+        comm.send_key(dst, tag, acc.clone(), bytes);
+    };
+    // Fold down to the largest power of two p2: the first `2·rem` ranks
+    // pair up (even donates to odd, and gets the result back at the end).
+    let p2 = p.next_power_of_two() >> usize::from(!p.is_power_of_two());
+    let rem = p - p2;
+    let folded = r < 2 * rem;
+    if folded && r.is_multiple_of(2) {
+        send(r + 1, &acc);
+        return recv(&comm, r + 1, tag).await;
+    }
+    // This rank's survivor id in `0..p2`.
+    let s = if folded {
+        let earlier = recv(&comm, r - 1, tag).await?;
+        acc = combine(earlier, acc);
+        r / 2
+    } else {
+        r - rem
+    };
+    let mut mask = 1;
+    while mask < p2 {
+        // The partner survivor's world rank.
+        let t = s ^ mask;
+        let partner = if t < rem { 2 * t + 1 } else { t + rem };
+        send(partner, &acc);
+        let theirs = recv(&comm, partner, tag).await?;
+        // Lower-block partial precedes the higher-block one.
+        acc = if s & mask == 0 {
+            combine(acc, theirs)
+        } else {
+            combine(theirs, acc)
         };
-        if p == 1 {
-            return schedule;
-        }
-        if r < 2 * rem {
-            if r.is_multiple_of(2) {
-                schedule.send_acc(r + 1);
-                schedule.phase = RdPhase::AwaitUnfold;
-            } else {
-                schedule.survivor = Some(r / 2);
-                schedule.phase = RdPhase::AwaitFold;
-            }
-        } else {
-            schedule.survivor = Some(r - rem);
-            schedule.start_rounds();
-        }
-        schedule
+        mask <<= 1;
     }
-
-    /// Maps a survivor id back to its world rank.
-    fn world_of(&self, s: usize) -> usize {
-        if s < self.rem {
-            2 * s + 1
-        } else {
-            s + self.rem
-        }
+    if folded {
+        send(r - 1, &acc);
     }
-
-    fn send_acc(&self, dst: usize) {
-        let acc = self
-            .acc
-            .as_ref()
-            .expect("partial is live while sends remain");
-        let bytes = (self.bytes_of)(acc);
-        self.comm.send_key(dst, self.tag, acc.clone(), bytes);
-    }
-
-    /// Issues the send of the current round, or, when the rounds are
-    /// over, transitions into the unfold.
-    fn start_rounds(&mut self) {
-        if self.mask < self.p2 {
-            let s = self.survivor.expect("only survivors run exchange rounds");
-            self.send_acc(self.world_of(s ^ self.mask));
-            self.phase = RdPhase::Round;
-        } else {
-            self.enter_unfold();
-        }
-    }
-
-    /// Odd survivors of the folded prefix return the result to their
-    /// even partners; everyone else is finished.
-    fn enter_unfold(&mut self) {
-        let r = self.comm.rank();
-        if r < 2 * self.rem && r % 2 == 1 {
-            self.send_acc(r - 1);
-        }
-        self.phase = RdPhase::Done;
-    }
-}
-
-impl<T, B, F> Schedule for AllreduceRdSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    type Output = T;
-
-    fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let r = self.comm.rank();
-        loop {
-            match self.phase {
-                RdPhase::AwaitFold => {
-                    let Some(earlier) = self.comm.try_recv_schedule::<T>(r - 1, self.tag)? else {
-                        return Ok(None);
-                    };
-                    let acc = self.acc.take().expect("partial present before the fold");
-                    self.acc = Some((self.combine)(earlier, acc));
-                    self.start_rounds();
-                }
-                RdPhase::Round => {
-                    let s = self.survivor.expect("only survivors run exchange rounds");
-                    let partner = self.world_of(s ^ self.mask);
-                    let Some(theirs) = self.comm.try_recv_schedule::<T>(partner, self.tag)? else {
-                        return Ok(None);
-                    };
-                    let acc = self.acc.take().expect("partial present each round");
-                    // Lower-block partial precedes the higher-block one.
-                    self.acc = Some(if s & self.mask == 0 {
-                        (self.combine)(acc, theirs)
-                    } else {
-                        (self.combine)(theirs, acc)
-                    });
-                    self.mask <<= 1;
-                    self.start_rounds();
-                }
-                RdPhase::AwaitUnfold => {
-                    let Some(result) = self.comm.try_recv_schedule::<T>(r + 1, self.tag)? else {
-                        return Ok(None);
-                    };
-                    self.acc = Some(result);
-                    self.phase = RdPhase::Done;
-                }
-                RdPhase::Done => {
-                    return Ok(Some(self.acc.take().expect("result ready exactly once")));
-                }
-            }
-        }
-    }
+    Ok(acc)
 }
 
 #[cfg(test)]

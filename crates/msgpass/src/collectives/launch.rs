@@ -1,30 +1,34 @@
 //! The one launch path every schedule-based collective takes.
 //!
 //! A collective call is always the same five steps — record the call,
-//! draw its call sequence number, construct the schedule under the collective guard
-//! (construction issues the initial sends), then either drive the
-//! schedule on the caller's stack or register it with the rank's
-//! progress engine. [`Comm::launch`] is those steps, once; the last one
-//! is the [`Mode`] type parameter, so [`Comm::allreduce`] and
-//! [`Comm::iallreduce`] — the one collective with a non-blocking form —
-//! differ in that one token and nothing else.
+//! draw its call sequence number, count it as one collective entry (the
+//! collective guard), build the schedule's future, then either drive it
+//! on the caller's stack or register it with the rank's progress engine.
+//! Building sends nothing: the first poll, which both modes make at
+//! once, issues the initial sends. [`Comm::launch`] is those steps, once;
+//! the last one is the [`Mode`] type parameter, so [`Comm::allreduce`]
+//! and [`Comm::iallreduce`] — the one collective with a non-blocking form
+//! — differ in that one token and nothing else.
+
+use std::future::Future;
 
 use crate::comm::Comm;
-use crate::request::{Request, Schedule};
+use crate::mailbox::ShutdownError;
+use crate::request::Request;
 use crate::stats::CallKind;
 
-/// How a constructed schedule runs. `'a` bounds what the schedule may
-/// borrow: anything for [`Blocking`] (the schedule never leaves the
-/// caller's stack frame), `'static` for [`Nonblocking`] (the engine owns
-/// it past the call).
+/// How a schedule runs. `'a` bounds what the schedule may borrow:
+/// anything for [`Blocking`] (the future never leaves the caller's stack
+/// frame), `'static` for [`Nonblocking`] (the engine owns it past the
+/// call).
 pub(crate) trait Mode<'a> {
     /// What the entry point returns for a schedule producing `T`.
     type Handle<T: 'a>;
 
-    fn start<S>(comm: &Comm, schedule: S) -> Self::Handle<S::Output>
-    where
-        S: Schedule + 'a,
-        S::Output: 'a;
+    fn start<T: 'a>(
+        comm: &Comm,
+        schedule: impl Future<Output = Result<T, ShutdownError>> + 'a,
+    ) -> Self::Handle<T>;
 }
 
 /// Drive to completion on the stack: no box, no `'static` bound.
@@ -36,11 +40,10 @@ pub(crate) struct Nonblocking;
 impl<'a> Mode<'a> for Blocking {
     type Handle<T: 'a> = T;
 
-    fn start<S>(comm: &Comm, schedule: S) -> S::Output
-    where
-        S: Schedule + 'a,
-        S::Output: 'a,
-    {
+    fn start<T: 'a>(
+        comm: &Comm,
+        schedule: impl Future<Output = Result<T, ShutdownError>> + 'a,
+    ) -> T {
         crate::request::drive(comm, schedule)
     }
 }
@@ -48,11 +51,10 @@ impl<'a> Mode<'a> for Blocking {
 impl Mode<'static> for Nonblocking {
     type Handle<T: 'static> = Request<T>;
 
-    fn start<S>(comm: &Comm, schedule: S) -> Request<S::Output>
-    where
-        S: Schedule + 'static,
-        S::Output: 'static,
-    {
+    fn start<T: 'static>(
+        comm: &Comm,
+        schedule: impl Future<Output = Result<T, ShutdownError>> + 'static,
+    ) -> Request<T> {
         Request::register(comm, schedule)
     }
 }
@@ -60,18 +62,16 @@ impl Mode<'static> for Nonblocking {
 impl Comm {
     /// Launches one collective: `build` receives an owned communicator
     /// handle and the call's sequence number on it (from which its match
-    /// keys are built) and returns the schedule; it runs
-    /// under the collective guard, so the sends it issues are not
-    /// counted as user sends.
-    pub(crate) fn launch<'a, M, S>(
+    /// keys are built) and returns the schedule's future.
+    pub(crate) fn launch<'a, M, T, S>(
         &self,
         kind: CallKind,
         build: impl FnOnce(Comm, u64) -> S,
-    ) -> M::Handle<S::Output>
+    ) -> M::Handle<T>
     where
         M: Mode<'a>,
-        S: Schedule + 'a,
-        S::Output: 'a,
+        T: 'a,
+        S: Future<Output = Result<T, ShutdownError>> + 'a,
     {
         self.counters().record_call(kind);
         let seq = self.next_seq();

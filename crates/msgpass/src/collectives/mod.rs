@@ -31,11 +31,13 @@
 //! entry points price the candidates, and a caller that must run one
 //! schedule (an ablation, a test) names it in the plan it passes to
 //! [`allreduce_by`](crate::comm::Comm::allreduce_by) or
-//! [`scan_both_by`](crate::comm::Comm::scan_both_by). Every schedule-based
-//! collective takes the one launch path in `launch.rs` and is driven on
-//! the caller's stack, except [`iallreduce`](crate::comm::Comm::iallreduce):
-//! the one non-blocking collective registers the same schedule with the
-//! rank's progress engine (`request.rs`) and returns a request.
+//! [`scan_both_by`](crate::comm::Comm::scan_both_by). Each of those
+//! schedules is an `async fn` whose only suspension point is a receive
+//! (`request::recv`). Every schedule-based collective takes the one
+//! launch path in `launch.rs` and is driven on the caller's stack, except
+//! [`iallreduce`](crate::comm::Comm::iallreduce): the one non-blocking
+//! collective registers the same future with the rank's progress engine
+//! (`request.rs`) and returns a request.
 //!
 //! Every collective must be called by all ranks of the communicator in the
 //! same order (MPI's usual rule). Combine closures always receive

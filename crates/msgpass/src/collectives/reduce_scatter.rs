@@ -23,16 +23,17 @@
 //! (`gv_core::split::SplittableState`). The selection policy in
 //! [`super::select`] enforces both.
 //!
-//! Every schedule here is resumable: sends go out eagerly with the
-//! previous round's combine, and the matching receive is the only
-//! suspension point.
+//! Each schedule is an `async fn` whose round counter is a plain `for`
+//! loop: a round's send goes out as soon as the previous round's combine
+//! lands, and its receive is the only suspension point. The allreduce is
+//! the reduce-scatter awaited, then the allgather, then `unsplit`.
 
 use super::launch::Blocking;
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::message::Key;
-use crate::request::Schedule;
+use crate::request::recv;
 use crate::stats::CallKind;
 
 /// Rounds of the circulant schedules: `⌈log₂p⌉`.
@@ -45,302 +46,120 @@ fn circulant_count(p: usize, k: u32) -> usize {
     (1usize << (k + 1)).min(p) - (1usize << k)
 }
 
-/// Resumable circulant reduce-scatter (Träff's non-power-of-two round
-/// structure; see the module docs). Rounds count `q−1` down to `0`;
-/// entering round `k` rank `r` holds partials of the
-/// `min(2^{k+1}, p)` blocks `{(r+i) mod p}`, ships the upper half to
+/// Sends `blocks` to `dst` as one message.
+fn ship<T: Send + 'static>(
+    comm: &Comm,
+    dst: usize,
+    tag: Key,
+    blocks: impl Iterator<Item = T>,
+    bytes_of: impl Fn(&T) -> usize,
+) {
+    let mut bytes = 0;
+    let payload: Vec<T> = blocks.inspect(|block| bytes += bytes_of(block)).collect();
+    comm.send_key(dst, tag, payload, bytes);
+}
+
+/// Circulant reduce-scatter (Träff's non-power-of-two round structure;
+/// see the module docs). Entering round `k` rank `r` holds partials of
+/// the `min(2^{k+1}, p)` blocks `{(r+i) mod p}`, ships the upper half to
 /// `(r + 2^k) mod p`, and folds the arrivals from `(r − 2^k) mod p` into
 /// the lower half. After round `0` block `r` is fully combined at rank
 /// `r` — every contribution having travelled exactly once.
-pub(crate) struct ReduceScatterCirculantSchedule<T, B, F> {
-    comm: Comm,
-    tag: Key,
-    bytes_of: B,
-    combine: F,
-    slots: Vec<Option<T>>,
-    /// The round whose arrivals we are waiting for (counts down).
-    round: u32,
-    finished: bool,
-}
-
-impl<T, B, F> ReduceScatterCirculantSchedule<T, B, F>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    /// # Panics
-    /// Panics unless `segments.len() == comm.size()`.
-    pub(crate) fn new(comm: Comm, segments: Vec<T>, seq: u64, bytes_of: B, combine: F) -> Self {
-        let p = comm.size();
-        assert_eq!(
-            segments.len(),
-            p,
-            "the reduce-scatter needs exactly one segment per rank"
-        );
-        let slots: Vec<Option<T>> = segments.into_iter().map(Some).collect();
-        let mut schedule = ReduceScatterCirculantSchedule {
-            comm,
-            tag: TagBase::ReduceScatter.key(seq),
-            bytes_of,
-            combine,
-            slots,
-            round: 0,
-            finished: p == 1,
-        };
-        if !schedule.finished {
-            schedule.round = circulant_rounds(p) - 1;
-            schedule.send_round(schedule.round);
-        }
-        schedule
-    }
-
-    /// Ships this rank's partials of round `k`'s upper-half blocks. The
-    /// blocks leave the slot table for good: their contributions now
-    /// travel with the destination rank (disjointness is what makes each
-    /// contribution arrive exactly once).
-    fn send_round(&mut self, k: u32) {
-        let p = self.comm.size();
-        let r = self.comm.rank();
+///
+/// # Panics
+/// Panics unless `segments.len() == comm.size()`.
+async fn reduce_scatter<T: Send + 'static>(
+    comm: &Comm,
+    segments: Vec<T>,
+    seq: u64,
+    bytes_of: &impl Fn(&T) -> usize,
+    mut combine: impl FnMut(T, T) -> T,
+) -> Result<T, ShutdownError> {
+    let p = comm.size();
+    let r = comm.rank();
+    assert_eq!(
+        segments.len(),
+        p,
+        "the reduce-scatter needs exactly one segment per rank"
+    );
+    let tag = TagBase::ReduceScatter.key(seq);
+    let mut slots: Vec<Option<T>> = segments.into_iter().map(Some).collect();
+    for k in (0..circulant_rounds(p)).rev() {
         let stride = 1usize << k;
         let count = circulant_count(p, k);
-        let mut payload = Vec::with_capacity(count);
-        let mut bytes = 0;
-        for i in 0..count {
-            let block = (r + stride + i) % p;
-            let partial = self.slots[block].take().expect("upper-half block is live");
-            bytes += (self.bytes_of)(&partial);
-            payload.push(partial);
+        // The upper-half blocks leave the slot table for good: their
+        // contributions now travel with the destination rank
+        // (disjointness is what makes each arrive exactly once).
+        let upper = (0..count).map(|i| {
+            let block = slots[(r + stride + i) % p].take();
+            block.expect("upper-half block is live")
+        });
+        ship(comm, (r + stride) % p, tag, upper, bytes_of);
+        let incoming: Vec<T> = recv(comm, (r + p - stride) % p, tag).await?;
+        debug_assert_eq!(incoming.len(), count);
+        for (i, partial) in incoming.into_iter().enumerate() {
+            let slot = &mut slots[(r + i) % p];
+            let own = slot.take().expect("lower-half block is live");
+            *slot = Some(combine(partial, own));
         }
-        self.comm
-            .send_key((r + stride) % p, self.tag, payload, bytes);
     }
-
-    fn poll_rounds(&mut self) -> Result<bool, ShutdownError> {
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        while !self.finished {
-            let k = self.round;
-            let stride = 1usize << k;
-            let src = (r + p - stride) % p;
-            let Some(incoming) = self.comm.try_recv_schedule::<Vec<T>>(src, self.tag)? else {
-                return Ok(false);
-            };
-            debug_assert_eq!(incoming.len(), circulant_count(p, k));
-            for (i, partial) in incoming.into_iter().enumerate() {
-                let block = (r + i) % p;
-                let own = self.slots[block].take().expect("lower-half block is live");
-                self.slots[block] = Some((self.combine)(partial, own));
-            }
-            if k == 0 {
-                self.finished = true;
-            } else {
-                self.round = k - 1;
-                self.send_round(self.round);
-            }
-        }
-        Ok(true)
-    }
+    Ok(slots[r].take().expect("own block is combined"))
 }
 
-impl<T, B, F> Schedule for ReduceScatterCirculantSchedule<T, B, F>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    type Output = T;
-
-    fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        if !self.poll_rounds()? {
-            return Ok(None);
-        }
-        let r = self.comm.rank();
-        Ok(Some(
-            self.slots[r].take().expect("result ready exactly once"),
-        ))
-    }
-}
-
-/// Resumable circulant (Bruck) allgather — the reduce-scatter rounds
-/// time-reversed. Rounds count `0` up to `q−1`; entering round `k` rank
-/// `r` holds blocks `{(r+i) mod p : i < 2^k}`, sends the first
-/// `min(2^{k+1}, p) − 2^k` of them to `(r − 2^k) mod p`, and receives
-/// the corresponding far blocks from `(r + 2^k) mod p`.
-pub(crate) struct AllgatherCirculantSchedule<T, B> {
-    comm: Comm,
-    tag: Key,
-    bytes_of: B,
-    slots: Vec<Option<T>>,
-    /// The round whose arrivals we are waiting for (counts up).
-    round: u32,
-}
-
-impl<T, B> AllgatherCirculantSchedule<T, B>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-{
-    pub(crate) fn new(comm: Comm, value: T, seq: u64, bytes_of: B) -> Self {
-        let p = comm.size();
-        let r = comm.rank();
-        let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-        slots[r] = Some(value);
-        let schedule = AllgatherCirculantSchedule {
-            comm,
-            tag: TagBase::Allgather.key(seq),
-            bytes_of,
-            slots,
-            round: 0,
-        };
-        if p > 1 {
-            schedule.send_round(0);
-        }
-        schedule
-    }
-
-    /// Ships clones of round `k`'s blocks (unlike the reduce-scatter this
-    /// rank keeps what it forwards — every rank needs every block).
-    fn send_round(&self, k: u32) {
-        let p = self.comm.size();
-        let r = self.comm.rank();
+/// Circulant (Bruck) allgather — the reduce-scatter rounds
+/// time-reversed. Entering round `k` rank `r` holds blocks
+/// `{(r+i) mod p : i < 2^k}`, sends clones of the first
+/// `min(2^{k+1}, p) − 2^k` of them to `(r − 2^k) mod p` (unlike the
+/// reduce-scatter it keeps what it forwards: every rank needs every
+/// block), and receives the corresponding far blocks from
+/// `(r + 2^k) mod p`.
+async fn allgather<T: Clone + Send + 'static>(
+    comm: &Comm,
+    value: T,
+    seq: u64,
+    bytes_of: &impl Fn(&T) -> usize,
+) -> Result<Vec<T>, ShutdownError> {
+    let p = comm.size();
+    let r = comm.rank();
+    let tag = TagBase::Allgather.key(seq);
+    let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
+    slots[r] = Some(value);
+    for k in 0..circulant_rounds(p) {
         let stride = 1usize << k;
-        let count = circulant_count(p, k);
-        let mut payload = Vec::with_capacity(count);
-        let mut bytes = 0;
-        for i in 0..count {
-            let block = self.slots[(r + i) % p]
-                .as_ref()
-                .expect("held block is live");
-            bytes += (self.bytes_of)(block);
-            payload.push(block.clone());
+        let held = (0..circulant_count(p, k)).map(|i| {
+            let block = slots[(r + i) % p].as_ref();
+            block.expect("held block is live").clone()
+        });
+        ship(comm, (r + p - stride) % p, tag, held, bytes_of);
+        let incoming: Vec<T> = recv(comm, (r + stride) % p, tag).await?;
+        debug_assert_eq!(incoming.len(), circulant_count(p, k));
+        for (i, block) in incoming.into_iter().enumerate() {
+            let slot = &mut slots[(r + stride + i) % p];
+            debug_assert!(slot.is_none(), "each block arrives exactly once");
+            *slot = Some(block);
         }
-        self.comm
-            .send_key((r + p - stride) % p, self.tag, payload, bytes);
     }
-}
-
-impl<T, B> Schedule for AllgatherCirculantSchedule<T, B>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-{
-    type Output = Vec<T>;
-
-    fn poll(&mut self) -> Result<Option<Vec<T>>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        let q = circulant_rounds(p);
-        while self.round < q {
-            let k = self.round;
-            let stride = 1usize << k;
-            let src = (r + stride) % p;
-            let Some(incoming) = self.comm.try_recv_schedule::<Vec<T>>(src, self.tag)? else {
-                return Ok(None);
-            };
-            debug_assert_eq!(incoming.len(), circulant_count(p, k));
-            for (i, block) in incoming.into_iter().enumerate() {
-                let slot = &mut self.slots[(r + stride + i) % p];
-                debug_assert!(slot.is_none(), "each block arrives exactly once");
-                *slot = Some(block);
-            }
-            self.round += 1;
-            if self.round < q {
-                self.send_round(self.round);
-            }
-        }
-        Ok(Some(
-            self.slots
-                .iter_mut()
-                .map(|slot| slot.take().expect("every block present after q rounds"))
-                .collect(),
-        ))
-    }
-}
-
-enum RsagPhase<T, B, F> {
-    ReduceScatter(ReduceScatterCirculantSchedule<T, B, F>),
-    Allgather(AllgatherCirculantSchedule<T, B>),
+    Ok(slots
+        .into_iter()
+        .map(|slot| slot.expect("every block present after q rounds"))
+        .collect())
 }
 
 /// Allreduce as circulant reduce-scatter followed by circulant
 /// allgather, plus the caller's local `split`/`unsplit`. The two phases
 /// share the collective's call sequence; their distinct tag bases keep
 /// them apart.
-pub(crate) struct AllreduceRsagSchedule<T, B, F, U> {
+pub(crate) async fn allreduce_rsag<T: Clone + Send + 'static>(
     comm: Comm,
+    value: T,
     seq: u64,
-    bytes_of: B,
-    unsplit: Option<U>,
-    phase: RsagPhase<T, B, F>,
-}
-
-impl<T, B, F, U> AllreduceRsagSchedule<T, B, F, U>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize + Clone,
-    F: FnMut(T, T) -> T,
-    U: FnOnce(Vec<T>) -> T,
-{
-    pub(crate) fn new(
-        comm: Comm,
-        value: T,
-        seq: u64,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: U,
-        bytes_of: B,
-        combine: F,
-    ) -> Self {
-        let phase = RsagPhase::ReduceScatter(ReduceScatterCirculantSchedule::new(
-            comm.clone_handle(),
-            split(value, comm.size()),
-            seq,
-            bytes_of.clone(),
-            combine,
-        ));
-        AllreduceRsagSchedule {
-            comm,
-            seq,
-            bytes_of,
-            unsplit: Some(unsplit),
-            phase,
-        }
-    }
-}
-
-impl<T, B, F, U> Schedule for AllreduceRsagSchedule<T, B, F, U>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize + Clone,
-    F: FnMut(T, T) -> T,
-    U: FnOnce(Vec<T>) -> T,
-{
-    type Output = T;
-
-    fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        if let RsagPhase::ReduceScatter(rs) = &mut self.phase {
-            let Some(own) = rs.poll()? else {
-                return Ok(None);
-            };
-            self.phase = RsagPhase::Allgather(AllgatherCirculantSchedule::new(
-                self.comm.clone_handle(),
-                own,
-                self.seq,
-                self.bytes_of.clone(),
-            ));
-        }
-        let RsagPhase::Allgather(ag) = &mut self.phase else {
-            unreachable!("the reduce-scatter phase was replaced above")
-        };
-        let Some(all) = ag.poll()? else {
-            return Ok(None);
-        };
-        let unsplit = self.unsplit.take().expect("unsplit runs exactly once");
-        Ok(Some(unsplit(all)))
-    }
+    (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+    bytes_of: impl Fn(&T) -> usize,
+    combine: impl FnMut(T, T) -> T,
+) -> Result<T, ShutdownError> {
+    let own = reduce_scatter(&comm, split(value, comm.size()), seq, &bytes_of, combine).await?;
+    let all = allgather(&comm, own, seq, &bytes_of).await?;
+    Ok(unsplit(all))
 }
 
 impl Comm {
@@ -352,8 +171,8 @@ impl Comm {
         value: T,
         bytes_of: impl Fn(&T) -> usize,
     ) -> Vec<T> {
-        self.launch::<Blocking, _>(CallKind::Allgather, |comm, seq| {
-            AllgatherCirculantSchedule::new(comm, value, seq, bytes_of)
+        self.launch::<Blocking, _, _>(CallKind::Allgather, |_, seq| {
+            allgather(self, value, seq, &bytes_of)
         })
     }
 }

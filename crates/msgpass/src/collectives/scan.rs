@@ -18,142 +18,83 @@
 //! ([`scan_inclusive`](Comm::scan_inclusive) and friends, in
 //! `collectives/select.rs`) may instead pick the work-efficient binomial
 //! sweep (`scan_binomial.rs`) or, for splittable states, the pipelined
-//! chain (`scan_chain.rs`). All three are resumable schedules.
+//! chain (`scan_chain.rs`). All three are `async fn` schedules.
 
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Key;
-use crate::request::Schedule;
+use crate::request::recv;
 
-/// Resumable shifted recursive-doubling scan. `need_exclusive` /
-/// `need_inclusive` say which results the caller will consume; they gate
-/// only local clones and combines — the message schedule (count, bytes,
-/// order) is identical in every mode, so virtual clocks and traffic
-/// accounting cannot depend on the mode. Output is
-/// `(exclusive, inclusive)` with the unrequested half `None` (and the
-/// exclusive half always `None` on rank 0).
-pub(crate) struct ScanRdSchedule<T, B, F> {
+/// Shifted recursive-doubling scan. `need_exclusive` / `need_inclusive`
+/// say which results the caller will consume; they gate only local
+/// clones and combines — the message schedule (count, bytes, order) is
+/// identical in every mode, so virtual clocks and traffic accounting
+/// cannot depend on the mode. Output is `(exclusive, inclusive)` with the
+/// unrequested half `None` (and the exclusive half always `None` on rank
+/// 0).
+pub(crate) async fn scan_rd<T: Clone + Send + 'static>(
     comm: Comm,
-    tag: Key,
-    bytes_of: B,
-    combine: F,
-    need_exclusive: bool,
-    need_inclusive: bool,
-    inclusive: Option<T>,
-    exclusive: Option<T>,
-    dist: usize,
-    /// This round's send already went out (sends lead the round's
-    /// receive, and must not repeat when the receive suspends).
-    sent: bool,
-}
-
-impl<T, B, F> ScanRdSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    pub(crate) fn new(
-        comm: Comm,
-        value: T,
-        seq: u64,
-        bytes_of: B,
-        combine: F,
-        need_exclusive: bool,
-        need_inclusive: bool,
-    ) -> Self {
-        debug_assert!(need_exclusive || need_inclusive);
-        ScanRdSchedule {
-            comm,
-            tag: TagBase::Scan.key(seq),
-            bytes_of,
-            combine,
-            need_exclusive,
-            need_inclusive,
-            inclusive: Some(value),
-            exclusive: None,
-            dist: 1,
-            sent: false,
+    value: T,
+    seq: u64,
+    bytes_of: impl Fn(&T) -> usize,
+    mut combine: impl FnMut(T, T) -> T,
+    (need_exclusive, need_inclusive): (bool, bool),
+) -> Result<(Option<T>, Option<T>), ShutdownError> {
+    debug_assert!(need_exclusive || need_inclusive);
+    let p = comm.size();
+    let r = comm.rank();
+    let tag = TagBase::Scan.key(seq);
+    let mut inclusive = Some(value);
+    let mut exclusive = None;
+    let mut dist = 1;
+    while dist < p {
+        if r + dist < p {
+            let bytes = bytes_of(inclusive.as_ref().expect("partial live while sends remain"));
+            // The partial is dead after this send iff the caller does not
+            // want the inclusive result, this rank receives no more
+            // (r < dist), and this is its last send (r + 2d ≥ p): move it
+            // onto the wire instead of cloning.
+            let payload = if !need_inclusive && r < dist && r + 2 * dist >= p {
+                inclusive.take().unwrap()
+            } else {
+                inclusive.as_ref().unwrap().clone()
+            };
+            comm.send_key(r + dist, tag, payload, bytes);
         }
-    }
-}
-
-impl<T, B, F> Schedule for ScanRdSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    type Output = (Option<T>, Option<T>);
-
-    fn poll(&mut self) -> Result<Option<(Option<T>, Option<T>)>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        while self.dist < p {
-            let dist = self.dist;
-            if !self.sent {
-                if r + dist < p {
-                    let bytes = (self.bytes_of)(
-                        self.inclusive
-                            .as_ref()
-                            .expect("partial live while sends remain"),
-                    );
-                    // The partial is dead after this send iff the caller
-                    // does not want the inclusive result, this rank
-                    // receives no more (r < dist), and this is its last
-                    // send (r + 2d ≥ p): move it onto the wire instead of
-                    // cloning.
-                    let payload = if !self.need_inclusive && r < dist && r + 2 * dist >= p {
-                        self.inclusive.take().unwrap()
-                    } else {
-                        self.inclusive.as_ref().unwrap().clone()
-                    };
-                    self.comm.send_key(r + dist, self.tag, payload, bytes);
+        if r >= dist {
+            let earlier = recv::<T>(&comm, r - dist, tag).await?;
+            // The inclusive partial stays live only while it has a
+            // consumer left: a later send (r + 2d < p) or the caller.
+            // (`r + 2d < p` also covers every later receive's combine.)
+            // Once dead, `earlier` moves into the exclusive accumulator
+            // instead of being cloned for both halves.
+            let inclusive_live = need_inclusive || r + 2 * dist < p;
+            match (need_exclusive, inclusive_live) {
+                (true, true) => {
+                    exclusive = Some(match exclusive.take() {
+                        None => earlier.clone(),
+                        Some(e) => combine(earlier.clone(), e),
+                    });
+                    inclusive = Some(combine(earlier, inclusive.take().unwrap()));
                 }
-                self.sent = true;
-            }
-            if r >= dist {
-                let Some(earlier) = self.comm.try_recv_schedule::<T>(r - dist, self.tag)? else {
-                    return Ok(None);
-                };
-                // The inclusive partial stays live only while it has a
-                // consumer left: a later send (r + 2d < p) or the caller.
-                // (`r + 2d < p` also covers every later receive's
-                // combine.) Once dead, `earlier` moves into the exclusive
-                // accumulator instead of being cloned for both halves.
-                let inclusive_live = self.need_inclusive || r + 2 * dist < p;
-                match (self.need_exclusive, inclusive_live) {
-                    (true, true) => {
-                        self.exclusive = Some(match self.exclusive.take() {
-                            None => earlier.clone(),
-                            Some(e) => (self.combine)(earlier.clone(), e),
-                        });
-                        self.inclusive =
-                            Some((self.combine)(earlier, self.inclusive.take().unwrap()));
-                    }
-                    (true, false) => {
-                        self.exclusive = Some(match self.exclusive.take() {
-                            None => earlier,
-                            Some(e) => (self.combine)(earlier, e),
-                        });
-                        self.inclusive = None;
-                    }
-                    (false, true) => {
-                        self.inclusive =
-                            Some((self.combine)(earlier, self.inclusive.take().unwrap()));
-                    }
-                    // Unreachable given the constructor's debug_assert;
-                    // drop `earlier`.
-                    (false, false) => {}
+                (true, false) => {
+                    exclusive = Some(match exclusive.take() {
+                        None => earlier,
+                        Some(e) => combine(earlier, e),
+                    });
+                    inclusive = None;
                 }
+                (false, true) => {
+                    inclusive = Some(combine(earlier, inclusive.take().unwrap()));
+                }
+                // Unreachable given the debug_assert above; drop
+                // `earlier`.
+                (false, false) => {}
             }
-            self.dist <<= 1;
-            self.sent = false;
         }
-        Ok(Some((self.exclusive.take(), self.inclusive.take())))
+        dist <<= 1;
     }
+    Ok((exclusive, inclusive))
 }
 
 #[cfg(test)]

@@ -28,8 +28,7 @@
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Key;
-use crate::request::Schedule;
+use crate::request::recv;
 
 /// The binomial recursion over `[0, p)`, in post-order (children before
 /// their parent). A node is recorded as `(lo, mid, hi)` with
@@ -52,158 +51,67 @@ fn binomial_nodes(p: usize) -> Vec<(usize, usize, usize)> {
     nodes
 }
 
-enum SweepPhase {
-    /// Walking `nodes[idx..]` forward; suspension point is the up-sweep
-    /// receive at nodes where this rank is `hi−1`.
-    Up,
-    /// Walking `nodes[..idx]` backward (pre-order); suspension point is
-    /// the prefix receive at nodes where this rank is `mid−1`.
-    Down,
-    Done,
-}
-
-/// Resumable binomial scan. The node walk is the program counter: `idx`
-/// advances forward through the post-order list during the up-sweep,
-/// then backward during the down-sweep; sends are issued eagerly and
-/// only the two receives suspend. Output is `(exclusive, inclusive)`
-/// with the exclusive half `None` on the leftmost spine (rank 0 et al.).
-pub(crate) struct ScanBinomialSchedule<T, B, F> {
+/// Binomial scan: the node walk is the program — forward through the
+/// post-order list for the up-sweep, backward for the down-sweep; sends
+/// are issued eagerly and only the two receives suspend. Output is
+/// `(exclusive, inclusive)` with the exclusive half `None` on the
+/// leftmost spine (rank 0 et al.).
+pub(crate) async fn scan_binomial<T: Clone + Send + 'static>(
     comm: Comm,
-    tag_up: Key,
-    tag_down: Key,
-    bytes_of: B,
-    combine: F,
-    nodes: Vec<(usize, usize, usize)>,
-    idx: usize,
-    phase: SweepPhase,
-    /// Up-sweep running total, consumed by the single prefix-receive (or
-    /// returned as the inclusive result on the spine).
-    acc: Option<T>,
-    /// Left-half totals received during the up-sweep, replayed LIFO by
-    /// the down-sweep.
-    saved: Vec<T>,
-    prefix: Option<T>,
-    inclusive: Option<T>,
-}
-
-impl<T, B, F> ScanBinomialSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    pub(crate) fn new(comm: Comm, value: T, seq: u64, bytes_of: B, combine: F) -> Self {
-        let p = comm.size();
-        let nodes = if p < 2 { Vec::new() } else { binomial_nodes(p) };
-        let phase = if nodes.is_empty() {
-            SweepPhase::Done
-        } else {
-            SweepPhase::Up
-        };
-        ScanBinomialSchedule {
-            comm,
-            tag_up: TagBase::ScanUp.key(seq),
-            tag_down: TagBase::ScanDown.key(seq),
-            bytes_of,
-            combine,
-            nodes,
-            idx: 0,
-            phase,
-            acc: Some(value),
-            saved: Vec::new(),
-            prefix: None,
-            inclusive: None,
+    value: T,
+    seq: u64,
+    bytes_of: impl Fn(&T) -> usize,
+    mut combine: impl FnMut(T, T) -> T,
+) -> Result<(Option<T>, T), ShutdownError> {
+    let p = comm.size();
+    let r = comm.rank();
+    let (tag_up, tag_down) = (TagBase::ScanUp.key(seq), TagBase::ScanDown.key(seq));
+    let send = |dst: usize, tag, value: &T| {
+        let bytes = bytes_of(value);
+        comm.send_key(dst, tag, value.clone(), bytes);
+    };
+    let nodes = if p < 2 { Vec::new() } else { binomial_nodes(p) };
+    // The up-sweep running total; ranks that never receive a prefix (the
+    // leftmost spine and the root) have their subtree anchored at rank 0,
+    // so it already *is* their inclusive result.
+    let mut acc = value;
+    // Left-half totals received during the up-sweep, replayed LIFO by
+    // the down-sweep.
+    let mut saved = Vec::new();
+    for &(_, mid, hi) in &nodes {
+        if r + 1 == mid {
+            send(hi - 1, tag_up, &acc);
+        } else if r + 1 == hi {
+            let left = recv::<T>(&comm, mid - 1, tag_up).await?;
+            saved.push(left.clone());
+            acc = combine(left, acc);
         }
     }
-}
-
-impl<T, B, F> Schedule for ScanBinomialSchedule<T, B, F>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-{
-    type Output = (Option<T>, T);
-
-    fn poll(&mut self) -> Result<Option<(Option<T>, T)>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let r = self.comm.rank();
-        loop {
-            match self.phase {
-                SweepPhase::Up => {
-                    while self.idx < self.nodes.len() {
-                        let (_, mid, hi) = self.nodes[self.idx];
-                        if r + 1 == mid {
-                            let a = self
-                                .acc
-                                .as_ref()
-                                .expect("up-sweep total is live until the down-sweep");
-                            let bytes = (self.bytes_of)(a);
-                            self.comm.send_key(hi - 1, self.tag_up, a.clone(), bytes);
-                        } else if r + 1 == hi {
-                            let Some(left) =
-                                self.comm.try_recv_schedule::<T>(mid - 1, self.tag_up)?
-                            else {
-                                return Ok(None);
-                            };
-                            self.saved.push(left.clone());
-                            let acc = self.acc.take().expect("up-sweep total present");
-                            self.acc = Some((self.combine)(left, acc));
-                        }
-                        self.idx += 1;
-                    }
-                    self.phase = SweepPhase::Down;
-                }
-                SweepPhase::Down => {
-                    while self.idx > 0 {
-                        let (lo, mid, hi) = self.nodes[self.idx - 1];
-                        if r + 1 == hi {
-                            if lo > 0 {
-                                let pfx =
-                                    self.prefix.as_ref().expect("non-spine prefix is non-empty");
-                                let bytes = (self.bytes_of)(pfx);
-                                self.comm
-                                    .send_key(mid - 1, self.tag_down, pfx.clone(), bytes);
-                            }
-                            let left = self
-                                .saved
-                                .pop()
-                                .expect("one saved left total per up-sweep receive");
-                            self.prefix = Some(match self.prefix.take() {
-                                None => left,
-                                Some(pf) => (self.combine)(pf, left),
-                            });
-                        } else if r + 1 == mid && lo > 0 {
-                            let Some(pfx) =
-                                self.comm.try_recv_schedule::<T>(hi - 1, self.tag_down)?
-                            else {
-                                return Ok(None);
-                            };
-                            let acc = self
-                                .acc
-                                .take()
-                                .expect("each rank receives its prefix at most once");
-                            self.inclusive = Some((self.combine)(pfx.clone(), acc));
-                            self.prefix = Some(pfx);
-                        }
-                        self.idx -= 1;
-                    }
-                    self.phase = SweepPhase::Done;
-                }
-                SweepPhase::Done => {
-                    // Ranks that never received a prefix (the leftmost
-                    // spine and the root) have their subtree anchored at
-                    // rank 0, so the up-sweep total already *is* their
-                    // inclusive result.
-                    let inclusive = self
-                        .inclusive
-                        .take()
-                        .unwrap_or_else(|| self.acc.take().expect("unconsumed up-sweep total"));
-                    return Ok(Some((self.prefix.take(), inclusive)));
-                }
+    let mut prefix: Option<T> = None;
+    for &(lo, mid, hi) in nodes.iter().rev() {
+        if r + 1 == hi {
+            if lo > 0 {
+                send(
+                    mid - 1,
+                    tag_down,
+                    prefix.as_ref().expect("non-spine prefix is non-empty"),
+                );
             }
+            let left = saved
+                .pop()
+                .expect("one saved left total per up-sweep receive");
+            prefix = Some(match prefix.take() {
+                None => left,
+                Some(pf) => combine(pf, left),
+            });
+        } else if r + 1 == mid && lo > 0 {
+            // Each rank receives its prefix at most once.
+            let pfx = recv::<T>(&comm, hi - 1, tag_down).await?;
+            acc = combine(pfx.clone(), acc);
+            prefix = Some(pfx);
         }
     }
+    Ok((prefix, acc))
 }
 
 #[cfg(test)]

@@ -23,111 +23,54 @@ use super::tree::split_into;
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
-use crate::message::Key;
-use crate::request::Schedule;
+use crate::request::recv;
 
-/// Resumable pipelined-chain scan. The segment iterator is the program
-/// counter: each segment's step is recv-prefix (the only suspension
-/// point, skipped on rank 0), combine, forward, stash; the scan
-/// completes when every segment has flowed through. Segments of one
-/// `(src, tag)` pair arrive in send order (non-overtaking), so a single
-/// tag keeps them matched positionally.
+/// Pipelined-chain scan: each segment's step is receive the prefix (the
+/// only suspension point, skipped on rank 0), combine, forward, stash.
+/// Segments of one `(src, key)` pair arrive in send order
+/// (non-overtaking), so a single key keeps them matched positionally.
 ///
 /// `need_exclusive = false` skips the per-segment prefix clone (the
 /// received prefix is moved straight into the combine) — it changes only
 /// local copying, never messages, bytes, or combine counts.
-pub(crate) struct ScanChainSchedule<T, B, F, U> {
+#[allow(clippy::too_many_arguments)]
+pub(crate) async fn scan_chain<T: Clone + Send + 'static>(
     comm: Comm,
-    tag: Key,
-    bytes_of: B,
-    combine: F,
-    unsplit: U,
+    value: T,
+    segments: usize,
+    (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T),
+    seq: u64,
+    bytes_of: impl Fn(&T) -> usize,
+    mut combine: impl FnMut(T, T) -> T,
     need_exclusive: bool,
-    /// Segments not yet scanned, in rank-position order. The head is
-    /// consumed only after its prefix has arrived, so a suspended poll
-    /// leaves the iterator untouched.
-    remaining: std::vec::IntoIter<T>,
-    incl: Vec<T>,
-    excl: Vec<T>,
-}
-
-impl<T, B, F, U> ScanChainSchedule<T, B, F, U>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-    U: Fn(Vec<T>) -> T,
-{
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        comm: Comm,
-        value: T,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        seq: u64,
-        bytes_of: B,
-        combine: F,
-        unsplit: U,
-        need_exclusive: bool,
-    ) -> Self {
-        let s = segments.max(1);
-        let segs = split_into(value, s, split);
-        ScanChainSchedule {
-            comm,
-            tag: TagBase::ScanChain.key(seq),
-            bytes_of,
-            combine,
-            unsplit,
-            need_exclusive,
-            remaining: segs.into_iter(),
-            incl: Vec::with_capacity(s),
-            excl: Vec::with_capacity(if need_exclusive { s } else { 0 }),
-        }
-    }
-}
-
-impl<T, B, F, U> Schedule for ScanChainSchedule<T, B, F, U>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-    U: Fn(Vec<T>) -> T,
-{
-    type Output = (Option<T>, T);
-
-    fn poll(&mut self) -> Result<Option<(Option<T>, T)>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let p = self.comm.size();
-        let r = self.comm.rank();
-        while self.remaining.len() > 0 {
-            // Per-segment chain step; the prefix receive suspends
-            // *before* the head segment is consumed.
-            let inc = if r == 0 {
-                self.remaining.next().unwrap()
+) -> Result<(Option<T>, T), ShutdownError> {
+    let p = comm.size();
+    let r = comm.rank();
+    let tag = TagBase::ScanChain.key(seq);
+    let s = segments.max(1);
+    let mut incl = Vec::with_capacity(s);
+    let mut excl = Vec::with_capacity(if need_exclusive { s } else { 0 });
+    for seg in split_into(value, s, split) {
+        let inc = if r == 0 {
+            seg
+        } else {
+            let pfx = recv::<T>(&comm, r - 1, tag).await?;
+            if need_exclusive {
+                let inc = combine(pfx.clone(), seg);
+                excl.push(pfx);
+                inc
             } else {
-                let Some(pfx) = self.comm.try_recv_schedule::<T>(r - 1, self.tag)? else {
-                    return Ok(None);
-                };
-                let seg = self.remaining.next().unwrap();
-                if self.need_exclusive {
-                    let inc = (self.combine)(pfx.clone(), seg);
-                    self.excl.push(pfx);
-                    inc
-                } else {
-                    (self.combine)(pfx, seg)
-                }
-            };
-            if r + 1 < p {
-                let bytes = (self.bytes_of)(&inc);
-                self.comm.send_key(r + 1, self.tag, inc.clone(), bytes);
+                combine(pfx, seg)
             }
-            self.incl.push(inc);
+        };
+        if r + 1 < p {
+            let bytes = bytes_of(&inc);
+            comm.send_key(r + 1, tag, inc.clone(), bytes);
         }
-        let exclusive =
-            (self.need_exclusive && r > 0).then(|| (self.unsplit)(std::mem::take(&mut self.excl)));
-        let inclusive = (self.unsplit)(std::mem::take(&mut self.incl));
-        Ok(Some((exclusive, inclusive)))
+        incl.push(inc);
     }
+    let exclusive = (need_exclusive && r > 0).then(|| unsplit(excl));
+    Ok((exclusive, unsplit(incl)))
 }
 
 #[cfg(test)]

@@ -52,13 +52,13 @@
 //! strings) sit far below any crossover, where every model lands on the
 //! same latency-optimal default.
 
-use super::allreduce_rd::AllreduceRdSchedule;
+use super::allreduce_rd::allreduce_rd;
 use super::launch::{Blocking, Mode, Nonblocking};
-use super::reduce_scatter::AllreduceRsagSchedule;
-use super::scan::ScanRdSchedule;
-use super::scan_binomial::ScanBinomialSchedule;
-use super::scan_chain::ScanChainSchedule;
-use super::tree::{whole, TreeAllreduce, TreeBcast, TreeReduce};
+use super::reduce_scatter::allreduce_rsag;
+use super::scan::scan_rd;
+use super::scan_binomial::scan_binomial;
+use super::scan_chain::scan_chain;
+use super::tree::{tree_allreduce, tree_bcast, tree_reduce, whole};
 use crate::comm::Comm;
 use crate::cost::{AllreduceAlgorithm, BcastAlgorithm, ScanAlgorithm};
 use crate::request::Request;
@@ -73,29 +73,26 @@ impl Comm {
         &self,
         (algo, segments): (AllreduceAlgorithm, usize),
         value: T,
-        (split, unsplit): (
-            impl FnOnce(T, usize) -> Vec<T>,
+        segmentation: (
+            impl FnOnce(T, usize) -> Vec<T> + 'a,
             impl FnOnce(Vec<T>) -> T + 'a,
         ),
-        bytes_of: impl Fn(&T) -> usize + Clone + 'a,
+        bytes_of: impl Fn(&T) -> usize + 'a,
         combine: impl FnMut(T, T) -> T + 'a,
     ) -> M::Handle<T> {
         self.counters().record_allreduce_algorithm(algo);
         match algo {
             AllreduceAlgorithm::RecursiveDoubling => self
-                .launch::<M, _>(CallKind::Allreduce, |comm, seq| {
-                    AllreduceRdSchedule::new(comm, value, seq, bytes_of, combine)
+                .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+                    allreduce_rd(comm, value, seq, bytes_of, combine)
                 }),
-            AllreduceAlgorithm::ReduceScatterAllgather => {
-                self.launch::<M, _>(CallKind::Allreduce, |comm, seq| {
-                    AllreduceRsagSchedule::new(comm, value, seq, split, unsplit, bytes_of, combine)
-                })
-            }
+            AllreduceAlgorithm::ReduceScatterAllgather => self
+                .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+                    allreduce_rsag(comm, value, seq, segmentation, bytes_of, combine)
+                }),
             AllreduceAlgorithm::ReduceBroadcast | AllreduceAlgorithm::PipelinedTree => self
-                .launch::<M, _>(CallKind::Allreduce, |comm, seq| {
-                    TreeAllreduce::new(
-                        comm, value, segments, split, seq, bytes_of, combine, unsplit,
-                    )
+                .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+                    tree_allreduce(comm, value, segments, segmentation, seq, bytes_of, combine)
                 }),
         }
     }
@@ -115,7 +112,7 @@ impl Comm {
         plan: (AllreduceAlgorithm, usize),
         value: T,
         segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
-        bytes_of: impl Fn(&T) -> usize + Clone,
+        bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
         self.start_allreduce::<Blocking, _>(plan, value, segmentation, bytes_of, combine)
@@ -129,7 +126,7 @@ impl Comm {
         &self,
         value: T,
         commutative: bool,
-        bytes_of: impl Fn(&T) -> usize + Clone,
+        bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
         let plan = AllreduceAlgorithm::select(
@@ -149,7 +146,7 @@ impl Comm {
         &self,
         value: T,
         commutative: bool,
-        bytes_of: impl Fn(&T) -> usize + Clone + 'static,
+        bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
         let plan = AllreduceAlgorithm::select(
@@ -172,7 +169,7 @@ impl Comm {
         commutative: bool,
         split: impl FnOnce(T, usize) -> Vec<T>,
         unsplit: impl FnOnce(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize + Clone,
+        bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
         let plan = AllreduceAlgorithm::select(
@@ -193,7 +190,7 @@ impl Comm {
         segments: usize,
         root: usize,
         value: Option<T>,
-        (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+        segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
         bytes_of: impl Fn(&T) -> usize,
     ) -> T {
         self.counters().record_bcast_algorithm(if segments > 1 {
@@ -201,8 +198,8 @@ impl Comm {
         } else {
             BcastAlgorithm::Binomial
         });
-        self.launch::<Blocking, _>(CallKind::Bcast, |comm, seq| {
-            TreeBcast::new(comm, root, value, segments, split, seq, bytes_of, unsplit)
+        self.launch::<Blocking, _, _>(CallKind::Bcast, |comm, seq| {
+            tree_bcast(comm, root, value, segments, segmentation, seq, bytes_of)
         })
     }
 
@@ -232,13 +229,20 @@ impl Comm {
         segments: usize,
         root: usize,
         value: T,
-        (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+        segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
-        self.launch::<Blocking, _>(CallKind::Reduce, |comm, seq| {
-            TreeReduce::new(
-                comm, root, value, segments, split, seq, bytes_of, combine, unsplit,
+        self.launch::<Blocking, _, _>(CallKind::Reduce, |comm, seq| {
+            tree_reduce(
+                comm,
+                root,
+                value,
+                segments,
+                segmentation,
+                seq,
+                bytes_of,
+                combine,
             )
         })
     }
@@ -256,7 +260,7 @@ impl Comm {
         &self,
         (algo, segments): (ScanAlgorithm, usize),
         value: T,
-        (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T),
+        segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T),
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
         (exclusive, inclusive): (bool, bool),
@@ -268,19 +272,26 @@ impl Comm {
             CallKind::Exscan
         };
         match algo {
-            ScanAlgorithm::RecursiveDoubling => self.launch::<Blocking, _>(kind, |comm, seq| {
-                ScanRdSchedule::new(comm, value, seq, bytes_of, combine, exclusive, inclusive)
+            ScanAlgorithm::RecursiveDoubling => self.launch::<Blocking, _, _>(kind, |comm, seq| {
+                scan_rd(comm, value, seq, bytes_of, combine, (exclusive, inclusive))
             }),
             ScanAlgorithm::Binomial => {
-                let (ex, inc) = self.launch::<Blocking, _>(kind, |comm, seq| {
-                    ScanBinomialSchedule::new(comm, value, seq, bytes_of, combine)
+                let (ex, inc) = self.launch::<Blocking, _, _>(kind, |comm, seq| {
+                    scan_binomial(comm, value, seq, bytes_of, combine)
                 });
                 (ex, Some(inc))
             }
             ScanAlgorithm::PipelinedChain => {
-                let (ex, inc) = self.launch::<Blocking, _>(kind, |comm, seq| {
-                    ScanChainSchedule::new(
-                        comm, value, segments, split, seq, bytes_of, combine, unsplit, exclusive,
+                let (ex, inc) = self.launch::<Blocking, _, _>(kind, |comm, seq| {
+                    scan_chain(
+                        comm,
+                        value,
+                        segments,
+                        segmentation,
+                        seq,
+                        bytes_of,
+                        combine,
+                        exclusive,
                     )
                 });
                 (ex, Some(inc))

@@ -9,23 +9,23 @@
 //! the schedules *are* the textbook binomial broadcast, reduce and
 //! reduce-then-broadcast: same edges, same order, same modeled clock.
 //!
-//! Three schedules share two sweeps:
+//! Three schedules share two sweeps, each an `async fn`:
 //!
-//! * [`UpSweep`] reduces every segment toward rank 0. A rank receives
+//! * `up_sweep` reduces every segment toward rank 0. A rank receives
 //!   its children's partials in increasing-mask order and combines
 //!   `(own, child)` — the child's partial covers exactly the ranks just
 //!   above the receiver's, so every combine is a rank-order association
 //!   and non-commutative operators are safe.
-//! * [`DownSweep`] relays every segment from the root to all ranks,
+//! * `down_sweep` relays every segment from the root to all ranks,
 //!   deepest subtree first, each rank forwarding a segment to its
 //!   children the moment it arrives.
 //!
-//! [`TreeBcast`] is a down-sweep rooted anywhere (the tree is rotated by
-//! the root), `(p−1)·S` messages. [`TreeReduce`] is an up-sweep to rank 0
-//! — rotating a non-commutative tree would permute the combine order —
+//! `tree_bcast` is a down-sweep rooted anywhere (the tree is rotated by
+//! the root), `(p−1)·S` messages. `tree_reduce` is an up-sweep to rank
+//! 0 — rotating a non-commutative tree would permute the combine order —
 //! which streams finished segments on to a non-zero root as they
 //! complete: `(p−1)·S` messages, plus `S` when the root is not rank 0.
-//! [`TreeAllreduce`] hands each segment that reaches rank 0 straight to
+//! `tree_allreduce` hands each segment that reaches rank 0 straight to
 //! the down-sweep, so segment `j`'s descent overlaps segment `j+1`'s
 //! climb: `2(p−1)·S` messages on a `2⌈log₂p⌉`-hop critical path.
 //!
@@ -38,7 +38,7 @@ use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::message::Key;
-use crate::request::Schedule;
+use crate::request::recv;
 
 /// The `(split, unsplit)` pair of a whole, unsplittable state: its
 /// one-segment segmentation. Pass it where an entry point takes a
@@ -69,405 +69,190 @@ pub(crate) fn split_into<T>(
     segs
 }
 
-/// One rank's share of the reduce toward rank 0. The segment iterator is
-/// the program counter; within a segment, `child_idx` is: each poll
-/// resumes at the child whose partial has not arrived yet.
-struct UpSweep<T> {
-    /// Tree children of this rank, in increasing-mask order.
-    children: Vec<usize>,
-    /// Tree parent (`None` on rank 0).
-    parent: Option<usize>,
-    remaining: std::vec::IntoIter<T>,
-    current: Option<T>,
-    child_idx: usize,
-}
-
-impl<T: Send + 'static> UpSweep<T> {
-    fn new(comm: &Comm, segs: Vec<T>) -> Self {
-        let p = comm.size();
-        let r = comm.rank();
-        let mut children = Vec::new();
-        let mut parent = None;
-        let mut mask = 1usize;
-        while mask < p {
-            if r & mask != 0 {
-                parent = Some(r - mask);
-                break;
-            }
-            if r + mask < p {
-                children.push(r + mask);
-            }
-            mask <<= 1;
-        }
-        UpSweep {
-            children,
-            parent,
-            remaining: segs.into_iter(),
-            current: None,
-            child_idx: 0,
-        }
-    }
-
-    /// Advances as far as the arrived partials allow. A segment this rank
-    /// has finished goes to its parent; on rank 0 it is complete and goes
-    /// to `at_top`. `Ok(true)` once every segment has left this rank.
-    fn poll(
-        &mut self,
-        comm: &Comm,
-        tag: Key,
-        bytes_of: &impl Fn(&T) -> usize,
-        combine: &mut impl FnMut(T, T) -> T,
-        mut at_top: impl FnMut(T),
-    ) -> Result<bool, ShutdownError> {
-        loop {
-            if self.current.is_none() {
-                match self.remaining.next() {
-                    Some(seg) => self.current = Some(seg),
-                    None => return Ok(true),
-                }
-            }
-            while self.child_idx < self.children.len() {
-                let child = self.children[self.child_idx];
-                let Some(later) = comm.try_recv_schedule::<T>(child, tag)? else {
-                    return Ok(false);
-                };
-                let acc = self.current.take().expect("segment in flight");
-                self.current = Some(combine(acc, later));
-                self.child_idx += 1;
-            }
-            let seg = self.current.take().expect("segment in flight");
-            self.child_idx = 0;
-            match self.parent {
-                Some(parent) => {
-                    let bytes = bytes_of(&seg);
-                    comm.send_key(parent, tag, seg, bytes);
-                }
-                None => at_top(seg),
-            }
-        }
-    }
-}
-
-/// One rank's share of the relay from `root` to everyone, on the binomial
-/// tree rotated so the root is virtual rank 0.
-struct DownSweep<T> {
-    root: usize,
-    vrank: usize,
-    /// The mask the tree walk stopped at: the root's covers the whole
-    /// tree, any other rank's is its lowest set vrank bit (its parent
-    /// link).
-    mask: usize,
-    total: usize,
-    received: Vec<T>,
-}
-
-impl<T: Clone + Send + 'static> DownSweep<T> {
-    fn new(comm: &Comm, root: usize, total: usize) -> Self {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p && vrank & mask == 0 {
-            mask <<= 1;
-        }
-        DownSweep {
-            root,
-            vrank,
-            mask,
-            total,
-            received: Vec::with_capacity(total),
-        }
-    }
-
-    /// Sends `seg` to every tree child, largest subtree first (the child
-    /// that must relay deepest gets its copy earliest), then keeps it.
-    fn relay(&mut self, comm: &Comm, tag: Key, bytes_of: &impl Fn(&T) -> usize, seg: T) {
-        let p = comm.size();
-        let mut m = self.mask >> 1;
-        while m > 0 {
-            if self.vrank + m < p {
-                let child = (self.vrank + m + self.root) % p;
-                let bytes = bytes_of(&seg);
-                comm.send_key(child, tag, seg.clone(), bytes);
-            }
-            m >>= 1;
-        }
-        self.received.push(seg);
-    }
-
-    /// Receives segments from the tree parent in order, relaying each on
-    /// arrival. `Ok(true)` once all `total` segments are here (at the
-    /// root: once it has relayed them all).
-    fn poll(
-        &mut self,
-        comm: &Comm,
-        tag: Key,
-        bytes_of: &impl Fn(&T) -> usize,
-    ) -> Result<bool, ShutdownError> {
-        let p = comm.size();
-        while self.received.len() < self.total {
-            let parent = (self.vrank + p - self.mask + self.root) % p;
-            let Some(seg) = comm.try_recv_schedule::<T>(parent, tag)? else {
-                return Ok(false);
-            };
-            self.relay(comm, tag, bytes_of, seg);
-        }
-        Ok(true)
-    }
-}
-
-/// Resumable broadcast from `root`: the root splits and fans out every
-/// segment at construction (sends are non-blocking); every other rank's
-/// poll is the down-sweep.
-pub(crate) struct TreeBcast<T, B, U> {
-    comm: Comm,
+/// One rank's share of the reduce toward rank 0: each segment, in order,
+/// takes in the partials of this rank's tree children (increasing-mask
+/// order) and goes on to its parent; on rank 0 it is complete and goes to
+/// `at_top`.
+async fn up_sweep<T: Send + 'static>(
+    comm: &Comm,
     tag: Key,
-    bytes_of: B,
-    /// `FnOnce`, consumed when the last segment lands.
-    unsplit: Option<U>,
-    down: DownSweep<T>,
-}
-
-impl<T, B, U> TreeBcast<T, B, U>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    U: FnOnce(Vec<T>) -> T,
-{
-    /// `value` is `Some` at the root and ignored elsewhere.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        comm: Comm,
-        root: usize,
-        value: Option<T>,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        seq: u64,
-        bytes_of: B,
-        unsplit: U,
-    ) -> Self {
-        assert!(root < comm.size(), "bcast root {root} out of range");
-        let s = segments.max(1);
-        let tag = TagBase::Bcast.key(seq);
-        let mut down = DownSweep::new(&comm, root, s);
-        if down.vrank == 0 {
-            let value = value.expect("the bcast root must supply the value");
-            for seg in split_into(value, s, split) {
-                down.relay(&comm, tag, &bytes_of, seg);
-            }
+    segs: Vec<T>,
+    bytes_of: &impl Fn(&T) -> usize,
+    mut combine: impl FnMut(T, T) -> T,
+    mut at_top: impl FnMut(T),
+) -> Result<(), ShutdownError> {
+    let p = comm.size();
+    let r = comm.rank();
+    // The children are `r + m` for the masks below r's lowest set bit;
+    // the parent link is that bit.
+    let low = if r == 0 {
+        p.next_power_of_two()
+    } else {
+        1 << r.trailing_zeros()
+    };
+    for mut seg in segs {
+        let mut m = 1;
+        while m < low && r + m < p {
+            let later = recv::<T>(comm, r + m, tag).await?;
+            seg = combine(seg, later);
+            m <<= 1;
         }
-        TreeBcast {
-            comm,
-            tag,
-            bytes_of,
-            unsplit: Some(unsplit),
-            down,
+        if r == 0 {
+            at_top(seg);
+        } else {
+            let bytes = bytes_of(&seg);
+            comm.send_key(r - low, tag, seg, bytes);
         }
     }
+    Ok(())
 }
 
-impl<T, B, U> Schedule for TreeBcast<T, B, U>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    U: FnOnce(Vec<T>) -> T,
-{
-    type Output = T;
-
-    fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        if !self.down.poll(&self.comm, self.tag, &self.bytes_of)? {
-            return Ok(None);
-        }
-        let unsplit = self
-            .unsplit
-            .take()
-            .expect("schedule polled past completion");
-        Ok(Some(unsplit(std::mem::take(&mut self.down.received))))
+/// This rank's position in the tree rooted at `root`: its virtual rank,
+/// and the mask its walk up stops at — the lowest set vrank bit (its
+/// parent link), or one past the whole tree at the root.
+fn down_position(comm: &Comm, root: usize) -> (usize, usize) {
+    let p = comm.size();
+    let vrank = (comm.rank() + p - root) % p;
+    let mut mask = 1usize;
+    while mask < p && vrank & mask == 0 {
+        mask <<= 1;
     }
+    (vrank, mask)
 }
 
-/// Resumable reduce to `root`: `Some(result)` there, `None` elsewhere.
-pub(crate) struct TreeReduce<T, B, F, U> {
-    comm: Comm,
-    tag: Key,
-    bytes_of: B,
-    combine: F,
-    /// `FnOnce`, consumed when the root reassembles the result.
-    unsplit: Option<U>,
+/// Sends `seg` to every child in the tree rooted at `root`, largest
+/// subtree first (the child that must relay deepest gets its copy
+/// earliest).
+fn relay<T: Clone + Send + 'static>(
+    comm: &Comm,
     root: usize,
-    up: UpSweep<T>,
-    collected: Vec<T>,
+    tag: Key,
+    bytes_of: &impl Fn(&T) -> usize,
+    seg: &T,
+) {
+    let p = comm.size();
+    let (vrank, mask) = down_position(comm, root);
+    let mut m = mask >> 1;
+    while m > 0 {
+        if vrank + m < p {
+            let bytes = bytes_of(seg);
+            comm.send_key((vrank + m + root) % p, tag, seg.clone(), bytes);
+        }
+        m >>= 1;
+    }
+}
+
+/// One rank's share of the relay from `root` to everyone: receives
+/// segments from the tree parent in order, relaying each on arrival,
+/// until `segs` holds all `total` (at the root they are already in hand,
+/// relayed by the caller).
+async fn down_sweep<T: Clone + Send + 'static>(
+    comm: &Comm,
+    root: usize,
+    tag: Key,
+    bytes_of: &impl Fn(&T) -> usize,
+    mut segs: Vec<T>,
     total: usize,
-}
-
-impl<T, B, F, U> TreeReduce<T, B, F, U>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-    U: FnOnce(Vec<T>) -> T,
-{
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        comm: Comm,
-        root: usize,
-        value: T,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        seq: u64,
-        bytes_of: B,
-        combine: F,
-        unsplit: U,
-    ) -> Self {
-        assert!(root < comm.size(), "reduce root {root} out of range");
-        let s = segments.max(1);
-        let up = UpSweep::new(&comm, split_into(value, s, split));
-        TreeReduce {
-            comm,
-            tag: TagBase::Reduce.key(seq),
-            bytes_of,
-            combine,
-            unsplit: Some(unsplit),
-            root,
-            up,
-            collected: Vec::with_capacity(s),
-            total: s,
-        }
+) -> Result<Vec<T>, ShutdownError> {
+    let p = comm.size();
+    let (vrank, mask) = down_position(comm, root);
+    while segs.len() < total {
+        let seg = recv::<T>(comm, (vrank + p - mask + root) % p, tag).await?;
+        relay(comm, root, tag, bytes_of, &seg);
+        segs.push(seg);
     }
+    Ok(segs)
 }
 
-impl<T, B, F, U> Schedule for TreeReduce<T, B, F, U>
-where
-    T: Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-    U: FnOnce(Vec<T>) -> T,
-{
-    type Output = Option<T>;
-
-    fn poll(&mut self) -> Result<Option<Option<T>>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let TreeReduce {
-            comm,
-            tag,
-            bytes_of,
-            combine,
-            root,
-            up,
-            collected,
-            ..
-        } = self;
-        let climbed = up.poll(comm, *tag, bytes_of, combine, |seg| {
-            if *root == 0 {
-                collected.push(seg);
-            } else {
-                // Rank 0 streams each finished segment to the root at
-                // once: the ship pipelines behind the remaining climbs.
-                let bytes = bytes_of(&seg);
-                comm.send_key(*root, *tag, seg, bytes);
-            }
-        })?;
-        if !climbed {
-            return Ok(None);
-        }
-        if self.comm.rank() != self.root {
-            return Ok(Some(None));
-        }
-        while self.collected.len() < self.total {
-            let Some(seg) = self.comm.try_recv_schedule::<T>(0, self.tag)? else {
-                return Ok(None);
-            };
-            self.collected.push(seg);
-        }
-        let unsplit = self
-            .unsplit
-            .take()
-            .expect("schedule polled past completion");
-        Ok(Some(Some(unsplit(std::mem::take(&mut self.collected)))))
-    }
-}
-
-/// Resumable fused allreduce: up-sweep to rank 0, each finished segment
-/// handed straight to the down-sweep.
-pub(crate) struct TreeAllreduce<T, B, F, U> {
+/// Broadcast from `root` (`value` is `Some` there and ignored elsewhere):
+/// the root splits and fans out every segment, every other rank runs the
+/// down-sweep.
+pub(crate) async fn tree_bcast<T: Clone + Send + 'static>(
     comm: Comm,
-    up_tag: Key,
-    down_tag: Key,
-    bytes_of: B,
-    combine: F,
-    /// `FnOnce`, consumed when every segment has come back down.
-    unsplit: Option<U>,
-    up: UpSweep<T>,
-    down: DownSweep<T>,
-}
-
-impl<T, B, F, U> TreeAllreduce<T, B, F, U>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-    U: FnOnce(Vec<T>) -> T,
-{
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        comm: Comm,
-        value: T,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        seq: u64,
-        bytes_of: B,
-        combine: F,
-        unsplit: U,
-    ) -> Self {
-        let s = segments.max(1);
-        let up = UpSweep::new(&comm, split_into(value, s, split));
-        let down = DownSweep::new(&comm, 0, s);
-        TreeAllreduce {
-            comm,
-            up_tag: TagBase::AllreduceTreeUp.key(seq),
-            down_tag: TagBase::AllreduceTreeDown.key(seq),
-            bytes_of,
-            combine,
-            unsplit: Some(unsplit),
-            up,
-            down,
+    root: usize,
+    value: Option<T>,
+    segments: usize,
+    (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+    seq: u64,
+    bytes_of: impl Fn(&T) -> usize,
+) -> Result<T, ShutdownError> {
+    assert!(root < comm.size(), "bcast root {root} out of range");
+    let s = segments.max(1);
+    let tag = TagBase::Bcast.key(seq);
+    let mut segs = Vec::with_capacity(s);
+    if comm.rank() == root {
+        let value = value.expect("the bcast root must supply the value");
+        for seg in split_into(value, s, split) {
+            relay(&comm, root, tag, &bytes_of, &seg);
+            segs.push(seg);
         }
     }
+    let segs = down_sweep(&comm, root, tag, &bytes_of, segs, s).await?;
+    Ok(unsplit(segs))
 }
 
-impl<T, B, F, U> Schedule for TreeAllreduce<T, B, F, U>
-where
-    T: Clone + Send + 'static,
-    B: Fn(&T) -> usize,
-    F: FnMut(T, T) -> T,
-    U: FnOnce(Vec<T>) -> T,
-{
-    type Output = T;
-
-    fn poll(&mut self) -> Result<Option<T>, ShutdownError> {
-        let _guard = self.comm.enter_collective();
-        let TreeAllreduce {
-            comm,
-            up_tag,
-            down_tag,
-            bytes_of,
-            combine,
-            up,
-            down,
-            ..
-        } = self;
-        let climbed = up.poll(comm, *up_tag, bytes_of, combine, |seg| {
-            down.relay(comm, *down_tag, bytes_of, seg);
-        })?;
-        if !(climbed && down.poll(comm, *down_tag, bytes_of)?) {
-            return Ok(None);
+/// Reduce to `root`: `Some(result)` there, `None` elsewhere.
+#[allow(clippy::too_many_arguments)]
+pub(crate) async fn tree_reduce<T: Send + 'static>(
+    comm: Comm,
+    root: usize,
+    value: T,
+    segments: usize,
+    (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+    seq: u64,
+    bytes_of: impl Fn(&T) -> usize,
+    combine: impl FnMut(T, T) -> T,
+) -> Result<Option<T>, ShutdownError> {
+    assert!(root < comm.size(), "reduce root {root} out of range");
+    let s = segments.max(1);
+    let tag = TagBase::Reduce.key(seq);
+    let mut collected = Vec::with_capacity(s);
+    let segs = split_into(value, s, split);
+    up_sweep(&comm, tag, segs, &bytes_of, combine, |seg| {
+        if root == 0 {
+            collected.push(seg);
+        } else {
+            // Rank 0 streams each finished segment to the root at once:
+            // the ship pipelines behind the remaining climbs.
+            let bytes = bytes_of(&seg);
+            comm.send_key(root, tag, seg, bytes);
         }
-        let unsplit = self
-            .unsplit
-            .take()
-            .expect("schedule polled past completion");
-        Ok(Some(unsplit(std::mem::take(&mut self.down.received))))
+    })
+    .await?;
+    if comm.rank() != root {
+        return Ok(None);
     }
+    while collected.len() < s {
+        collected.push(recv(&comm, 0, tag).await?);
+    }
+    Ok(Some(unsplit(collected)))
+}
+
+/// Fused allreduce: up-sweep to rank 0, each finished segment handed
+/// straight to the down-sweep.
+pub(crate) async fn tree_allreduce<T: Clone + Send + 'static>(
+    comm: Comm,
+    value: T,
+    segments: usize,
+    (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
+    seq: u64,
+    bytes_of: impl Fn(&T) -> usize,
+    combine: impl FnMut(T, T) -> T,
+) -> Result<T, ShutdownError> {
+    let s = segments.max(1);
+    let (up, down) = (
+        TagBase::AllreduceTreeUp.key(seq),
+        TagBase::AllreduceTreeDown.key(seq),
+    );
+    let segs = split_into(value, s, split);
+    let mut top = Vec::with_capacity(s);
+    up_sweep(&comm, up, segs, &bytes_of, combine, |seg| {
+        relay(&comm, 0, down, &bytes_of, &seg);
+        top.push(seg);
+    })
+    .await?;
+    let segs = down_sweep(&comm, 0, down, &bytes_of, top, s).await?;
+    Ok(unsplit(segs))
 }
 
 impl Comm {

@@ -302,18 +302,27 @@ impl Comm {
         seq
     }
 
-    /// Marks this rank as inside a collective until the guard drops.
+    /// Enters one collective call: counts it for a fault plan, then
+    /// marks this rank as inside a collective until the guard drops. Each
+    /// entry point takes this once per call, so a trigger's count names
+    /// calls, never polls of a schedule.
     pub(crate) fn enter_collective(&self) -> CollectiveGuard {
-        let depth = self.core.collective_depth.get();
-        if depth == 0 {
-            // Top-level entry only: nested phases (the reduce-scatter and
-            // allgather inside an RSAG allreduce, say) are not separate
-            // collectives to a fault plan.
+        // Top-level entry only: a collective a collective makes (the
+        // calibration probe's barriers and broadcast) is not a separate call.
+        if self.core.collective_depth.get() == 0 {
             if let Some(faults) = &self.core.faults {
                 faults.on_collective();
             }
         }
-        self.core.collective_depth.set(depth + 1);
+        self.in_collective()
+    }
+
+    /// Marks this rank as inside a collective until the guard drops,
+    /// counting nothing: taken around every poll of a schedule, so its
+    /// sends are not counted as user sends.
+    pub(crate) fn in_collective(&self) -> CollectiveGuard {
+        let depth = &self.core.collective_depth;
+        depth.set(depth.get() + 1);
         CollectiveGuard(Rc::clone(&self.core))
     }
 
@@ -508,9 +517,10 @@ impl Comm {
         }))
     }
 
-    /// One non-blocking matching pass for a resumable schedule: on a
-    /// delivery, bumps the rank's progress counter and accounts for the
-    /// message exactly as [`recv`](Self::recv) does.
+    /// One non-blocking matching pass for a schedule (each poll of its
+    /// `request::recv` future makes one): on a delivery, bumps the rank's
+    /// progress counter and accounts for the message exactly as
+    /// [`recv`](Self::recv) does.
     pub(crate) fn try_recv_schedule<T: 'static>(
         &self,
         src: usize,

@@ -47,14 +47,16 @@ use crate::stats::RankStats;
 /// request engine, whose completion order is arrival-driven and therefore
 /// not replayable as a counter, so they are deliberately *not*
 /// Recv-counted (target them with `Send` or `Collective` triggers);
-/// `Collective` counts top-level collective entries.
+/// `Collective` counts top-level collective calls, once each at entry,
+/// however often the call's schedule is polled before it completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
     /// A wire send (user or collective-internal).
     Send,
     /// A blocking receive call.
     Recv,
-    /// A top-level collective entry (nested phases don't re-count).
+    /// A top-level collective call, counted once at entry (a collective
+    /// made inside another does not count).
     Collective,
 }
 
@@ -413,7 +415,7 @@ impl RankFaults {
         self.on_op(FaultOp::Recv);
     }
 
-    /// Collective hook: counts a top-level collective entry.
+    /// Collective hook: counts a top-level collective call.
     pub(crate) fn on_collective(&self) {
         self.on_op(FaultOp::Collective);
     }

@@ -25,6 +25,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod collectives;
 pub mod comm;
@@ -33,6 +34,8 @@ pub mod fault;
 pub mod localview;
 mod mailbox;
 mod measured;
+// The inline payload: the crate's only `unsafe`.
+#[allow(unsafe_code)]
 mod message;
 pub mod request;
 pub mod runtime;

@@ -1,27 +1,27 @@
 //! Non-blocking collectives: request handles and the per-rank progress
 //! engine.
 //!
-//! Every collective algorithm in `collectives/` is implemented once, as a
-//! resumable state machine (a [`Schedule`]): construction issues the
-//! schedule's initial sends, and each `poll` advances through
-//! non-blocking receives until the next missing message or completion.
-//! The blocking entry points *drive* such a machine on the stack
-//! (`drive`). The one non-blocking entry point,
-//! [`Comm::iallreduce`](crate::comm::Comm::iallreduce), boxes its
-//! schedule into the rank's [`Engine`] and hands back a [`Request`] the
-//! caller can [`wait`](Request::wait) or [`test`](Request::test) later.
+//! Every collective algorithm in `collectives/` is one `async fn`
+//! returning `Result<T, ShutdownError>`, whose only suspension point is
+//! `recv`. Calling it sends nothing: its first poll issues the initial
+//! sends, and each later poll resumes at the receive it stopped at. Polls
+//! use a no-op waker, since every wait loop re-polls. The blocking entry
+//! points *drive* such a future pinned on the stack (`drive`); the one
+//! non-blocking entry point, [`Comm::iallreduce`](crate::comm::Comm::iallreduce),
+//! boxes it into the rank's [`Engine`] and hands back a [`Request`] to
+//! [`wait`](Request::wait) or [`test`](Request::test) later.
 //!
 //! # Progress
 //!
 //! A rank's engine is advanced whenever the rank is inside the library.
 //! Everything that blocks — a plain receive, a blocking collective,
 //! `wait`/`wait_timeout`/`wait_all` — is the same loop, `Comm::wait_until`,
-//! over a different attempt (one matching pass, the schedule's `poll`,
-//! the request's harvest), and that loop sweeps the engine after every
-//! attempt that missed; `test`/`test_any` sweep it once. So k in-flight
-//! allreduces pipeline — each sweep advances every schedule as far as its
-//! arrived messages allow — instead of serializing behind whichever one
-//! is waited first.
+//! over a different attempt (one matching pass, one poll of the
+//! schedule, the request's harvest), and that loop sweeps the engine
+//! after every attempt that missed; `test`/`test_any` sweep it once. So k
+//! in-flight allreduces pipeline — each sweep advances every schedule as
+//! far as its arrived messages allow — instead of serializing behind
+//! whichever one is waited first.
 //!
 //! # Completion batching
 //!
@@ -35,48 +35,53 @@
 //!
 //! Dropping a [`Request`] without waiting *detaches* its schedule: the
 //! engine keeps advancing it opportunistically (its peers may depend on
-//! its sends), and the runtime cancels whatever is left when the rank's
-//! closure returns. A schedule whose peers exited mid-flight fails with
-//! the transport's typed [`ShutdownError`], surfaced as
-//! [`RequestError::Shutdown`] at the next wait/test.
+//! its sends), and the runtime drops whatever is left, suspended future
+//! and all, when the rank's closure returns. A schedule whose peers
+//! exited mid-flight fails with the transport's typed [`ShutdownError`],
+//! surfaced as [`RequestError::Shutdown`] at the next wait/test.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::future::{poll_fn, Future};
 use std::marker::PhantomData;
+use std::pin::{pin, Pin};
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
+use crate::message::Key;
 
-/// A resumable collective schedule: one algorithm, one state machine.
-///
-/// Construction performs the schedule's initial sends; `poll` advances
-/// through non-blocking receives. A `poll` returning `Ok(None)` has
-/// consumed every receivable message the machine could use and parked at
-/// a missing one; the next `poll` resumes exactly there.
-pub(crate) trait Schedule {
-    /// The collective's result type.
-    type Output;
+/// What an engine slot runs: a schedule whose output is boxed.
+type Erased = Pin<Box<dyn Future<Output = Result<Box<dyn Any>, ShutdownError>>>>;
 
-    /// Advances as far as possible without blocking. `Ok(Some(out))`
-    /// means the schedule completed; it will not be polled again.
-    fn poll(&mut self) -> Result<Option<Self::Output>, ShutdownError>;
+/// The one suspension point of every schedule: receives the `T` that
+/// `src` sent under `key`, pending until it has arrived.
+pub(crate) fn recv<T: 'static>(
+    comm: &Comm,
+    src: usize,
+    key: Key,
+) -> impl Future<Output = Result<T, ShutdownError>> + '_ {
+    poll_fn(move |_| {
+        comm.try_recv_schedule(src, key)
+            .transpose()
+            .map_or(Poll::Pending, Poll::Ready)
+    })
 }
 
-/// Object-safe form of [`Schedule`] for the engine's slots.
-pub(crate) trait ErasedSchedule {
-    fn poll_erased(&mut self) -> Result<Option<Box<dyn Any>>, ShutdownError>;
-}
-
-impl<S> ErasedSchedule for S
+/// Polls `schedule` once with the no-op waker, marked as inside a
+/// collective (so its sends are not counted as user sends): `Ok(None)`
+/// while it waits for a message.
+fn poll_once<T, F>(comm: &Comm, schedule: Pin<&mut F>) -> Result<Option<T>, ShutdownError>
 where
-    S: Schedule,
-    S::Output: 'static,
+    F: Future<Output = Result<T, ShutdownError>> + ?Sized,
 {
-    fn poll_erased(&mut self) -> Result<Option<Box<dyn Any>>, ShutdownError> {
-        Ok(self.poll()?.map(|out| Box::new(out) as Box<dyn Any>))
+    let _guard = comm.in_collective();
+    match schedule.poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out.map(Some),
+        Poll::Pending => Ok(None),
     }
 }
 
@@ -115,14 +120,13 @@ impl std::error::Error for RequestError {
 /// One engine slot's lifecycle.
 enum SlotState {
     /// The schedule is live and will be polled by the next sweep.
-    Running(Box<dyn ErasedSchedule>),
+    Running(Erased),
     /// Temporarily taken out by [`poll_slot`] (so a schedule's own
     /// callbacks can never observe a held engine borrow).
     Polling,
-    /// Completed; the output waits for its request.
-    Done(Box<dyn Any>),
-    /// Failed with a transport shutdown.
-    Failed(ShutdownError),
+    /// Completed, or failed with a transport shutdown; the result waits
+    /// for its request.
+    Done(Result<Box<dyn Any>, ShutdownError>),
 }
 
 struct Slot {
@@ -149,7 +153,7 @@ impl Engine {
         self.live == 0
     }
 
-    fn register(&mut self, schedule: Box<dyn ErasedSchedule>) -> u64 {
+    fn register(&mut self, schedule: Erased) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.slots.insert(
@@ -171,7 +175,7 @@ impl Engine {
             .collect()
     }
 
-    fn take_running(&mut self, id: u64) -> Option<Box<dyn ErasedSchedule>> {
+    fn take_running(&mut self, id: u64) -> Option<Erased> {
         let slot = self.slots.get_mut(&id)?;
         match std::mem::replace(&mut slot.state, SlotState::Polling) {
             SlotState::Running(schedule) => Some(schedule),
@@ -182,14 +186,14 @@ impl Engine {
         }
     }
 
-    fn reinstall(&mut self, id: u64, schedule: Box<dyn ErasedSchedule>) {
+    fn reinstall(&mut self, id: u64, schedule: Erased) {
         if let Some(slot) = self.slots.get_mut(&id) {
             slot.state = SlotState::Running(schedule);
         }
     }
 
-    /// Records that `id`'s schedule ended in `state` (`Done` or
-    /// `Failed`); a detached slot is dropped instead.
+    /// Records that `id`'s schedule ended in `state` (`Done`); a
+    /// detached slot is dropped instead.
     fn finish(&mut self, id: u64, state: SlotState) {
         self.live -= 1;
         let Some(slot) = self.slots.get_mut(&id) else {
@@ -206,13 +210,11 @@ impl Engine {
     /// still in flight (or already taken — the request's own `consumed`
     /// flag distinguishes that case before calling here).
     fn take_output(&mut self, id: u64) -> Option<Result<Box<dyn Any>, ShutdownError>> {
-        let state = &self.slots.get(&id)?.state;
-        if !matches!(state, SlotState::Done(_) | SlotState::Failed(_)) {
+        if !matches!(self.slots.get(&id)?.state, SlotState::Done(_)) {
             return None;
         }
         match self.slots.remove(&id)?.state {
-            SlotState::Done(out) => Some(Ok(out)),
-            SlotState::Failed(err) => Some(Err(err)),
+            SlotState::Done(result) => Some(result),
             SlotState::Running(_) | SlotState::Polling => unreachable!("checked above"),
         }
     }
@@ -223,7 +225,7 @@ impl Engine {
         };
         match slot.state {
             SlotState::Running(_) | SlotState::Polling => slot.detached = true,
-            SlotState::Done(_) | SlotState::Failed(_) => {
+            SlotState::Done(_) => {
                 self.slots.remove(&id);
             }
         }
@@ -262,26 +264,27 @@ fn poll_slot(comm: &Comm, id: u64) {
     let Some(mut schedule) = comm.engine().borrow_mut().take_running(id) else {
         return;
     };
-    let result = schedule.poll_erased();
+    let result = poll_once(comm, schedule.as_mut());
     let mut engine = comm.engine().borrow_mut();
     match result {
         Ok(Some(output)) => {
             comm.counters().record_request_completed();
-            engine.finish(id, SlotState::Done(output));
+            engine.finish(id, SlotState::Done(Ok(output)));
         }
         Ok(None) => engine.reinstall(id, schedule),
-        Err(err) => engine.finish(id, SlotState::Failed(err)),
+        Err(err) => engine.finish(id, SlotState::Done(Err(err))),
     }
 }
 
-/// Drives `schedule` to completion on the stack: a blocking collective
-/// is `Comm::wait_until` its schedule's `poll` yields, counted as one
+/// Drives `schedule` to completion pinned on the stack: a blocking
+/// collective is `Comm::wait_until` its schedule is ready, counted as one
 /// request started and completed. Background requests keep progressing
 /// meanwhile, and a transport shutdown unwinds the rank with the typed
 /// [`ShutdownError`] payload, exactly like a blocking receive.
-pub(crate) fn drive<S: Schedule>(comm: &Comm, mut schedule: S) -> S::Output {
+pub(crate) fn drive<T>(comm: &Comm, schedule: impl Future<Output = Result<T, ShutdownError>>) -> T {
     comm.counters().record_request_started();
-    let out = comm.wait_until(|| schedule.poll());
+    let mut schedule = pin!(schedule);
+    let out = comm.wait_until(|| poll_once(comm, schedule.as_mut()));
     comm.counters().record_request_completed();
     out
 }
@@ -305,15 +308,16 @@ pub struct Request<T> {
 }
 
 impl<T: 'static> Request<T> {
-    /// Boxes `schedule` into the rank's engine and polls it once (so a
-    /// schedule that can complete immediately — `p == 1`, say — already
-    /// has its result parked).
-    pub(crate) fn register<S>(comm: &Comm, schedule: S) -> Request<T>
-    where
-        S: Schedule<Output = T> + 'static,
-    {
+    /// Boxes `schedule` into the rank's engine and polls it once: the
+    /// poll issues its initial sends, and a schedule that can complete
+    /// immediately — `p == 1`, say — already has its result parked.
+    pub(crate) fn register(
+        comm: &Comm,
+        schedule: impl Future<Output = Result<T, ShutdownError>> + 'static,
+    ) -> Request<T> {
         comm.counters().record_request_started();
-        let id = comm.engine().borrow_mut().register(Box::new(schedule));
+        let erased = Box::pin(async move { Ok(Box::new(schedule.await?) as Box<dyn Any>) });
+        let id = comm.engine().borrow_mut().register(erased);
         poll_slot(comm, id);
         Request {
             comm: comm.clone_handle(),
@@ -323,18 +327,12 @@ impl<T: 'static> Request<T> {
         }
     }
 
-    fn downcast(output: Box<dyn Any>) -> T {
-        *output
-            .downcast::<T>()
-            .expect("request output type mismatch — schedule registered under wrong T")
-    }
-
     /// Takes this request's finished result out of the engine, if ready.
     fn harvest(&self) -> Option<Result<T, RequestError>> {
         let result = self.comm.engine().borrow_mut().take_output(self.id)?;
         self.consumed.set(true);
         Some(match result {
-            Ok(out) => Ok(Self::downcast(out)),
+            Ok(out) => Ok(*out.downcast().expect("register boxed a T")),
             Err(err) => Err(RequestError::Shutdown(err)),
         })
     }

@@ -639,14 +639,22 @@ mod tests {
 
     #[test]
     fn injected_kill_surfaces_typed() {
+        let first_done = AtomicBool::new(false);
         let err = Runtime::new(3)
             .fault_plan(FaultPlan::new(9).kill(2, FaultOp::Collective, 2))
             .try_run(|comm| {
                 let a = comm.allreduce(1u64, true, |_| 8, |a, b| a + b);
+                if comm.rank() == 2 {
+                    first_done.store(true, Ordering::SeqCst);
+                }
                 let b = comm.allreduce(2u64, true, |_| 8, |a, b| a + b);
                 a + b
             })
             .unwrap_err();
+        assert!(
+            first_done.load(Ordering::SeqCst),
+            "the kill fired in the second call, not the first"
+        );
         match err {
             RunError::Failed(report) => {
                 assert_eq!(report.rank, 2);
@@ -661,6 +669,43 @@ mod tests {
                 );
             }
             other => panic!("expected Failed, got {other:?}"),
+        }
+    }
+
+    /// A `Collective` trigger counts calls, never polls of a schedule: a
+    /// call's schedule is polled as often as its messages happen to
+    /// arrive, but the Nth collective must name the same call on every
+    /// replay.
+    #[test]
+    fn a_collective_trigger_counts_calls_not_polls() {
+        for p in 2..=4 {
+            let first_done = AtomicBool::new(false);
+            let err = Runtime::new(p)
+                .fault_plan(FaultPlan::new(9).kill(p - 1, FaultOp::Collective, 2))
+                .try_run(|comm| {
+                    let a = comm.allreduce(1u64, true, |_| 8, |a, b| a + b);
+                    if comm.rank() == p - 1 {
+                        first_done.store(true, Ordering::SeqCst);
+                    }
+                    comm.allreduce(a, true, |_| 8, |a, b| a + b)
+                })
+                .unwrap_err();
+            assert!(
+                first_done.load(Ordering::SeqCst),
+                "p = {p}: the first allreduce completes on the killed rank"
+            );
+            let RunError::Failed(report) = err else {
+                panic!("p = {p}: expected Failed, got {err:?}");
+            };
+            assert_eq!(
+                report.injected,
+                Some(InjectedKill {
+                    rank: p - 1,
+                    op: FaultOp::Collective,
+                    nth: 2
+                }),
+                "p = {p}"
+            );
         }
     }
 

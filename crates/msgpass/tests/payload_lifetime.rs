@@ -154,3 +154,19 @@ fn receiving_the_wrong_type_names_the_triple_and_the_expected_type() {
     assert!(refused.is_err());
     assert_eq!(Arc::strong_count(&witness), 1);
 }
+
+#[test]
+fn a_cancelled_schedule_drops_its_state_once() {
+    // Every rank starts an allreduce carrying a clone, drops the request
+    // and returns at once: each schedule is still suspended at a receive
+    // (or holds its finished output) when the runtime cancels it at rank
+    // exit, which drops the locals it holds across the await.
+    for p in [2, 3] {
+        let witness = Arc::new(());
+        Runtime::new(p).run(|comm| {
+            let request = comm.iallreduce(Arc::clone(&witness), true, |_| 8, |a, _| a);
+            drop(request);
+        });
+        assert_eq!(Arc::strong_count(&witness), 1, "p = {p}");
+    }
+}
