@@ -7,6 +7,7 @@
 
 use super::TagBase;
 use crate::comm::Comm;
+use crate::stats::CallKind;
 
 impl Comm {
     /// Sends `value` to rank `r + 1` and returns the value received from
@@ -16,6 +17,7 @@ impl Comm {
         let r = self.rank();
         let tag = TagBase::Shift.key(self.next_seq());
         if r + 1 < p {
+            self.counters().record_call(CallKind::Send);
             self.send_key(r + 1, tag, value, size_of::<T>());
         }
         (r > 0).then(|| self.recv_key(r - 1, tag))
@@ -30,6 +32,7 @@ impl Comm {
         }
         let r = self.rank();
         let tag = TagBase::Shift.key(self.next_seq());
+        self.counters().record_call(CallKind::Send);
         self.send_key((r + 1) % p, tag, value, size_of::<T>());
         self.recv_key((r + p - 1) % p, tag)
     }

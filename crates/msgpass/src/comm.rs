@@ -71,16 +71,12 @@ pub(crate) struct RankCore {
     /// This rank's world rank.
     world_rank: usize,
     pub(crate) registry: Arc<SplitRegistry>,
-    /// Collective nesting depth: wire sends issued inside a collective are
-    /// not *user* send calls (an MPI trace would not show them either), so
-    /// `CallKind::Send` is only recorded at depth 0.
-    pub(crate) collective_depth: Cell<u32>,
+    /// Collective nesting depth: a collective that a collective makes
+    /// (the calibration probe's barriers and broadcast) is not a separate
+    /// call to a fault plan's triggers.
+    collective_depth: Cell<u32>,
     /// The rank's progress engine: in-flight non-blocking collectives.
-    pub(crate) engine: RefCell<Engine>,
-    /// Monotone count of packets this rank's schedules consumed — the
-    /// wait loop's progress signal (a round that moved this counter
-    /// starts the backoff over instead of climbing towards a park).
-    pub(crate) progress: Cell<u64>,
+    engine: RefCell<Engine>,
     /// Per-communicator collective call sequences, by communicator id.
     /// Collectives are called in the same order on every member of a
     /// communicator (the MPI rule), so each rank's counter agrees without
@@ -110,16 +106,14 @@ impl RankCore {
     }
 }
 
-/// RAII marker for "this rank is inside a collective". Owns its `Rc` to
-/// the rank core so schedules can hold the guard across `&mut self`
-/// method calls in `poll`.
-pub(crate) struct CollectiveGuard(Rc<RankCore>);
+/// RAII marker for "this rank is inside a collective call", taken by each
+/// collective entry point for the duration of its launch or its blocking
+/// body.
+pub(crate) struct CollectiveGuard<'a>(&'a Cell<u32>);
 
-impl Drop for CollectiveGuard {
+impl Drop for CollectiveGuard<'_> {
     fn drop(&mut self) {
-        self.0
-            .collective_depth
-            .set(self.0.collective_depth.get() - 1);
+        self.0.set(self.0.get() - 1);
     }
 }
 
@@ -171,8 +165,7 @@ impl Comm {
             monitor: init.monitor,
             faults: init.faults,
             collective_depth: Cell::new(0),
-            engine: RefCell::new(Engine::default()),
-            progress: Cell::new(0),
+            engine: RefCell::new(Engine::new()),
             coll_seq: RefCell::new(HashMap::new()),
         });
         Comm {
@@ -220,8 +213,11 @@ impl Comm {
 
     /// The one place a rank waits. Calls `attempt` until it yields; after
     /// a miss sweeps the rank's progress engine; and only when the whole
-    /// round — attempt and sweep — consumed no packet takes one step up
-    /// the mailbox's backoff ladder (a round that did starts it over).
+    /// round — attempt and sweep — matched no packet takes one step up
+    /// the mailbox's backoff ladder. A round that did starts it over and
+    /// marks the rank running for the stall watchdog. The signal is the
+    /// rank's matched-receive count (its ring and stash receives), the
+    /// same count the watchdog reads as the rank's progress epoch.
     /// Every blocking call is this loop over its own attempt: one mailbox
     /// matching pass for a receive, the schedule's `poll` for a blocking
     /// collective, the harvest for a request wait.
@@ -235,9 +231,10 @@ impl Comm {
         mut attempt: impl FnMut() -> Result<Option<R>, ShutdownError>,
     ) -> R {
         let core = &*self.core;
+        let matched = || self.counters().transport.total_recvs();
         let mut wait = WaitState::default();
         loop {
-            let before = core.progress.get();
+            let before = matched();
             match attempt() {
                 Ok(Some(out)) => {
                     core.monitor.note_unblocked();
@@ -247,7 +244,7 @@ impl Comm {
                 Err(err) => std::panic::panic_any(err),
             }
             crate::request::poll_engine(self);
-            if core.progress.get() == before {
+            if matched() == before {
                 core.mailbox.borrow_mut().backoff_step(
                     &mut wait,
                     // A rank that holds packets parks no longer than its
@@ -260,6 +257,7 @@ impl Comm {
                     self.counters(),
                 );
             } else {
+                core.monitor.note_unblocked();
                 wait = WaitState::default();
             }
         }
@@ -306,24 +304,17 @@ impl Comm {
     /// marks this rank as inside a collective until the guard drops. Each
     /// entry point takes this once per call, so a trigger's count names
     /// calls, never polls of a schedule.
-    pub(crate) fn enter_collective(&self) -> CollectiveGuard {
+    pub(crate) fn enter_collective(&self) -> CollectiveGuard<'_> {
+        let depth = &self.core.collective_depth;
         // Top-level entry only: a collective a collective makes (the
         // calibration probe's barriers and broadcast) is not a separate call.
-        if self.core.collective_depth.get() == 0 {
+        if depth.get() == 0 {
             if let Some(faults) = &self.core.faults {
                 faults.on_collective();
             }
         }
-        self.in_collective()
-    }
-
-    /// Marks this rank as inside a collective until the guard drops,
-    /// counting nothing: taken around every poll of a schedule, so its
-    /// sends are not counted as user sends.
-    pub(crate) fn in_collective(&self) -> CollectiveGuard {
-        let depth = &self.core.collective_depth;
         depth.set(depth.get() + 1);
-        CollectiveGuard(Rc::clone(&self.core))
+        CollectiveGuard(depth)
     }
 
     /// This rank's index within the communicator, `0..size()`.
@@ -392,12 +383,15 @@ impl Comm {
     /// Prefer [`send`](Self::send) unless the payload owns heap storage
     /// whose size `size_of::<T>()` does not reflect.
     pub fn send_with_bytes<T: Send + 'static>(&self, dst: usize, tag: Tag, value: T, bytes: usize) {
+        self.counters().record_call(CallKind::Send);
         self.send_key(dst, Key::from(tag), value, bytes);
     }
 
     /// Sends `value` to `dst` under match key `key`, modeling `bytes` wire
     /// bytes: the one send every point-to-point and collective message
-    /// takes.
+    /// takes. Counts no call: a collective's wire sends are not *user*
+    /// send calls (an MPI trace would not show them either), so user sends
+    /// record [`CallKind::Send`] before they get here.
     ///
     /// The modeled clock's send rule: the sender pays its overhead `α/2`
     /// and goes on (an offloaded send), while the message waits for the
@@ -410,9 +404,6 @@ impl Comm {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         self.charge_overhead();
         let counters = self.counters();
-        if self.core.collective_depth.get() == 0 {
-            counters.record_call(CallKind::Send);
-        }
         counters.record_message(bytes);
         let to = self.members[dst];
         let link = &self.core.link_free_at[to];
@@ -518,19 +509,15 @@ impl Comm {
     }
 
     /// One non-blocking matching pass for a schedule (each poll of its
-    /// `request::recv` future makes one): on a delivery, bumps the rank's
-    /// progress counter and accounts for the message exactly as
-    /// [`recv`](Self::recv) does.
+    /// `request::recv` future makes one): on a delivery, accounts for the
+    /// message exactly as [`recv`](Self::recv) does.
     pub(crate) fn try_recv_schedule<T: 'static>(
         &self,
         src: usize,
         key: Key,
     ) -> Result<Option<T>, ShutdownError> {
-        let Some((packet, from)) = self.try_match(Source::Rank(src), key)? else {
-            return Ok(None);
-        };
-        self.core.progress.set(self.core.progress.get() + 1);
-        Ok(Some(self.deliver(packet, from, true).0))
+        let found = self.try_match(Source::Rank(src), key)?;
+        Ok(found.map(|(packet, from)| self.deliver(packet, from, true).0))
     }
 
     /// A blocking receive is [`wait_until`](Self::wait_until) a matching

@@ -25,12 +25,14 @@
 //! The mailbox offers one non-blocking matching pass
 //! ([`Mailbox::try_recv`]) and one backoff step
 //! ([`Mailbox::backoff_step`]); the loop that alternates them — the only
-//! place a rank waits — is `Comm::wait_until`. Both feed the rank's
-//! [`RankMonitor`](crate::watchdog::RankMonitor): a match bumps the
-//! progress epoch, a miss records its triple, a park publishes the last
-//! miss as what the rank is blocked on — the raw material of the stall
-//! watchdog's reports. A chaos delay (`Runtime::fault_plan`) holds a
-//! packet at its sender (`fault.rs`), so nothing here knows of it.
+//! place a rank waits — is `Comm::wait_until`. A match counts as a ring
+//! or a stash receive, and that matched-receive count is the rank's
+//! progress epoch, for its wait loop and the stall watchdog alike. Misses
+//! and parks feed the rank's [`RankMonitor`](crate::watchdog::RankMonitor):
+//! a miss records its triple, a park publishes the last miss as what the
+//! rank is blocked on — the raw material of the stall watchdog's reports.
+//! A chaos delay (`Runtime::fault_plan`) holds a packet at its sender
+//! (`fault.rs`), so nothing here knows of it.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -259,12 +261,10 @@ impl Mailbox {
             Source::Any => members,
         };
         if let Some(found) = self.take_stashed(comm_id, key, lanes) {
-            monitor.note_match();
             stats.transport.record_stash_recv();
             return Ok(Some(found));
         }
         if let Some(found) = self.drain(comm_id, key, lanes, stats) {
-            monitor.note_match();
             return Ok(Some(found));
         }
         // Shutdown checks come only after a full drain: a message already
@@ -277,7 +277,6 @@ impl Mailbox {
             // producer closes only after its final send, so one more
             // drain sees anything that raced with the closure.
             if let Some(found) = self.drain(comm_id, key, lanes, stats) {
-                monitor.note_match();
                 return Ok(Some(found));
             }
             let kind = if monitor.is_aborted() {

@@ -25,28 +25,28 @@
 //!
 //! # Completion batching
 //!
-//! One engine sweep may complete any number of requests; their outputs
-//! park in the engine's slots until the owning [`Request`] collects them.
-//! [`wait_all`] and [`test_any`] harvest, each time they look, every
-//! completion the sweeps have produced so far, so completion order never
-//! constrains delivery order.
+//! Each request owns the slot its schedule writes its result into. One
+//! engine sweep may fill any number of slots; each result waits there
+//! until its [`Request`] collects it. [`wait_all`] and [`test_any`]
+//! harvest, each time they look, every slot the sweeps have filled so
+//! far, so completion order never constrains delivery order.
 //!
 //! # Cancellation
 //!
-//! Dropping a [`Request`] without waiting *detaches* its schedule: the
-//! engine keeps advancing it opportunistically (its peers may depend on
-//! its sends), and the runtime drops whatever is left, suspended future
-//! and all, when the rank's closure returns. A schedule whose peers
-//! exited mid-flight fails with the transport's typed [`ShutdownError`],
+//! Dropping a [`Request`] without waiting detaches its schedule by
+//! construction: the engine keeps advancing it opportunistically (its
+//! peers may depend on its sends), and its result lands in a slot nobody
+//! reads. The runtime drops whatever is left, suspended future and all,
+//! when the rank's closure returns. A schedule whose peers exited
+//! mid-flight fails with the transport's typed [`ShutdownError`],
 //! surfaced as [`RequestError::Shutdown`] at the next wait/test.
 
-use std::any::Any;
-use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::fmt;
 use std::future::{poll_fn, Future};
-use std::marker::PhantomData;
 use std::pin::{pin, Pin};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
@@ -54,8 +54,16 @@ use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::message::Key;
 
-/// What an engine slot runs: a schedule whose output is boxed.
-type Erased = Pin<Box<dyn Future<Output = Result<Box<dyn Any>, ShutdownError>>>>;
+/// Where a schedule leaves its result for its request.
+type Slot<T> = Rc<RefCell<Option<Result<T, ShutdownError>>>>;
+
+/// A registered schedule, wrapped to fill its request's slot: outputs
+/// whether it delivered a result.
+type Task = Pin<Box<dyn Future<Output = bool>>>;
+
+/// The per-rank progress engine: the in-flight schedules, in
+/// registration order. A schedule leaves the queue when it ends.
+pub(crate) type Engine = VecDeque<Task>;
 
 /// The one suspension point of every schedule: receives the `T` that
 /// `src` sent under `key`, pending until it has arrived.
@@ -71,18 +79,9 @@ pub(crate) fn recv<T: 'static>(
     })
 }
 
-/// Polls `schedule` once with the no-op waker, marked as inside a
-/// collective (so its sends are not counted as user sends): `Ok(None)`
-/// while it waits for a message.
-fn poll_once<T, F>(comm: &Comm, schedule: Pin<&mut F>) -> Result<Option<T>, ShutdownError>
-where
-    F: Future<Output = Result<T, ShutdownError>> + ?Sized,
-{
-    let _guard = comm.in_collective();
-    match schedule.poll(&mut Context::from_waker(Waker::noop())) {
-        Poll::Ready(out) => out.map(Some),
-        Poll::Pending => Ok(None),
-    }
+/// Polls `schedule` once with the no-op waker.
+fn poll_once<F: Future + ?Sized>(schedule: Pin<&mut F>) -> Poll<F::Output> {
+    schedule.poll(&mut Context::from_waker(Waker::noop()))
 }
 
 /// Why a request could not deliver its result.
@@ -117,162 +116,31 @@ impl std::error::Error for RequestError {
     }
 }
 
-/// One engine slot's lifecycle.
-enum SlotState {
-    /// The schedule is live and will be polled by the next sweep.
-    Running(Erased),
-    /// Temporarily taken out by [`poll_slot`] (so a schedule's own
-    /// callbacks can never observe a held engine borrow).
-    Polling,
-    /// Completed, or failed with a transport shutdown; the result waits
-    /// for its request.
-    Done(Result<Box<dyn Any>, ShutdownError>),
-}
-
-struct Slot {
-    state: SlotState,
-    /// The owning [`Request`] was dropped without waiting: keep polling
-    /// (peers may need this schedule's sends), discard any output, and
-    /// let the runtime cancel the remainder at rank exit.
-    detached: bool,
-}
-
-/// The per-rank progress engine: a table of in-flight schedules.
-#[derive(Default)]
-pub(crate) struct Engine {
-    /// Slots in registration order (BTreeMap keeps sweeps deterministic).
-    slots: BTreeMap<u64, Slot>,
-    next_id: u64,
-    /// Slots currently `Running`/`Polling` — the cheap idle check that
-    /// makes a sweep free for blocking-only workloads.
-    live: usize,
-}
-
-impl Engine {
-    pub(crate) fn is_idle(&self) -> bool {
-        self.live == 0
-    }
-
-    fn register(&mut self, schedule: Erased) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.slots.insert(
-            id,
-            Slot {
-                state: SlotState::Running(schedule),
-                detached: false,
-            },
-        );
-        self.live += 1;
-        id
-    }
-
-    fn running_ids(&self) -> Vec<u64> {
-        self.slots
-            .iter()
-            .filter(|(_, slot)| matches!(slot.state, SlotState::Running(_)))
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    fn take_running(&mut self, id: u64) -> Option<Erased> {
-        let slot = self.slots.get_mut(&id)?;
-        match std::mem::replace(&mut slot.state, SlotState::Polling) {
-            SlotState::Running(schedule) => Some(schedule),
-            other => {
-                slot.state = other;
-                None
-            }
-        }
-    }
-
-    fn reinstall(&mut self, id: u64, schedule: Erased) {
-        if let Some(slot) = self.slots.get_mut(&id) {
-            slot.state = SlotState::Running(schedule);
-        }
-    }
-
-    /// Records that `id`'s schedule ended in `state` (`Done`); a
-    /// detached slot is dropped instead.
-    fn finish(&mut self, id: u64, state: SlotState) {
-        self.live -= 1;
-        let Some(slot) = self.slots.get_mut(&id) else {
-            return;
-        };
-        if slot.detached {
-            self.slots.remove(&id);
-        } else {
-            slot.state = state;
-        }
-    }
-
-    /// Takes the finished result of `id`, removing the slot. `None` while
-    /// still in flight (or already taken — the request's own `consumed`
-    /// flag distinguishes that case before calling here).
-    fn take_output(&mut self, id: u64) -> Option<Result<Box<dyn Any>, ShutdownError>> {
-        if !matches!(self.slots.get(&id)?.state, SlotState::Done(_)) {
-            return None;
-        }
-        match self.slots.remove(&id)?.state {
-            SlotState::Done(result) => Some(result),
-            SlotState::Running(_) | SlotState::Polling => unreachable!("checked above"),
-        }
-    }
-
-    fn detach(&mut self, id: u64) {
-        let Some(slot) = self.slots.get_mut(&id) else {
-            return;
-        };
-        match slot.state {
-            SlotState::Running(_) | SlotState::Polling => slot.detached = true,
-            SlotState::Done(_) => {
-                self.slots.remove(&id);
-            }
-        }
-    }
-
-    /// Drops every slot — live schedules are cancelled. Called by the
-    /// runtime when the rank's closure returns (also breaking the
-    /// `Comm → Engine → Comm` reference cycle the boxed schedules form).
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.live = 0;
-    }
-}
-
 /// Sweeps the rank's engine once: first sends what a fault plan holds
-/// at this rank and is due, then polls every running schedule and
-/// advances it as far as its arrived messages allow. Cheap no-op while
-/// no requests are live and nothing is held. Progress is observable
-/// through the rank's packet progress counter, which is how
-/// `Comm::wait_until` reads it.
+/// at this rank and is due, then takes one turn of the queue — pops each
+/// schedule, advances it as far as its arrived messages allow, and pushes
+/// it back while it is pending. A schedule is out of the queue while it
+/// runs, so a wait inside it (a combine that blocks) sweeps every other
+/// live schedule and never meets a held borrow. Cheap no-op while no
+/// requests are live and nothing is held; allocates nothing.
 pub(crate) fn poll_engine(comm: &Comm) {
     comm.release_held(false);
-    if comm.engine().borrow().is_idle() {
-        return;
-    }
-    let ids = comm.engine().borrow().running_ids();
-    for id in ids {
-        poll_slot(comm, id);
+    let turn = comm.engine().borrow().len();
+    for _ in 0..turn {
+        let Some(schedule) = comm.engine().borrow_mut().pop_front() else {
+            return;
+        };
+        advance(comm, schedule);
     }
 }
 
-/// Polls one slot, with the schedule taken *out* of the engine for the
-/// duration so nothing the schedule calls back into can observe a held
-/// engine borrow.
-fn poll_slot(comm: &Comm, id: u64) {
-    let Some(mut schedule) = comm.engine().borrow_mut().take_running(id) else {
-        return;
-    };
-    let result = poll_once(comm, schedule.as_mut());
-    let mut engine = comm.engine().borrow_mut();
-    match result {
-        Ok(Some(output)) => {
-            comm.counters().record_request_completed();
-            engine.finish(id, SlotState::Done(Ok(output)));
-        }
-        Ok(None) => engine.reinstall(id, schedule),
-        Err(err) => engine.finish(id, SlotState::Done(Err(err))),
+/// Polls one schedule: pushes it to the back of the queue while it is
+/// pending, and counts its completion when it delivered a result.
+fn advance(comm: &Comm, mut schedule: Task) {
+    match poll_once(schedule.as_mut()) {
+        Poll::Pending => comm.engine().borrow_mut().push_back(schedule),
+        Poll::Ready(true) => comm.counters().record_request_completed(),
+        Poll::Ready(false) => {}
     }
 }
 
@@ -284,7 +152,10 @@ fn poll_slot(comm: &Comm, id: u64) {
 pub(crate) fn drive<T>(comm: &Comm, schedule: impl Future<Output = Result<T, ShutdownError>>) -> T {
     comm.counters().record_request_started();
     let mut schedule = pin!(schedule);
-    let out = comm.wait_until(|| poll_once(comm, schedule.as_mut()));
+    let out = comm.wait_until(|| match poll_once(schedule.as_mut()) {
+        Poll::Ready(out) => out.map(Some),
+        Poll::Pending => Ok(None),
+    });
     comm.counters().record_request_completed();
     out
 }
@@ -300,41 +171,46 @@ pub(crate) fn drive<T>(comm: &Comm, schedule: impl Future<Output = Result<T, Shu
 /// the rank's closure returns.
 pub struct Request<T> {
     comm: Comm,
-    id: u64,
+    /// Filled by the schedule when it ends.
+    slot: Slot<T>,
     /// The result was delivered (a `Cell`, so the wait loop's attempt can
     /// harvest through the same `&self` the loop's communicator borrows).
     consumed: Cell<bool>,
-    _out: PhantomData<T>,
 }
 
 impl<T: 'static> Request<T> {
-    /// Boxes `schedule` into the rank's engine and polls it once: the
-    /// poll issues its initial sends, and a schedule that can complete
-    /// immediately — `p == 1`, say — already has its result parked.
+    /// Boxes `schedule`, wrapped to fill the request's slot, and polls it
+    /// once: the poll issues its initial sends, and a schedule that
+    /// completes at once — `p == 1`, say — fills the slot and never enters
+    /// the engine.
     pub(crate) fn register(
         comm: &Comm,
         schedule: impl Future<Output = Result<T, ShutdownError>> + 'static,
     ) -> Request<T> {
         comm.counters().record_request_started();
-        let erased = Box::pin(async move { Ok(Box::new(schedule.await?) as Box<dyn Any>) });
-        let id = comm.engine().borrow_mut().register(erased);
-        poll_slot(comm, id);
+        let slot: Slot<T> = Rc::default();
+        let filled = Rc::clone(&slot);
+        advance(
+            comm,
+            Box::pin(async move {
+                let out = schedule.await;
+                let delivered = out.is_ok();
+                *filled.borrow_mut() = Some(out);
+                delivered
+            }),
+        );
         Request {
             comm: comm.clone_handle(),
-            id,
+            slot,
             consumed: Cell::new(false),
-            _out: PhantomData,
         }
     }
 
-    /// Takes this request's finished result out of the engine, if ready.
+    /// Takes this request's result out of its slot, if filled.
     fn harvest(&self) -> Option<Result<T, RequestError>> {
-        let result = self.comm.engine().borrow_mut().take_output(self.id)?;
+        let result = self.slot.borrow_mut().take()?;
         self.consumed.set(true);
-        Some(match result {
-            Ok(out) => Ok(*out.downcast().expect("register boxed a T")),
-            Err(err) => Err(RequestError::Shutdown(err)),
-        })
+        Some(result.map_err(RequestError::Shutdown))
     }
 
     /// Blocks until the collective completes and returns its result.
@@ -391,23 +267,9 @@ impl<T: 'static> Request<T> {
     }
 }
 
-impl<T> Drop for Request<T> {
-    fn drop(&mut self) {
-        if self.consumed.get() {
-            return;
-        }
-        // `try_borrow_mut` so dropping a request while the rank unwinds
-        // through a schedule poll can never double-panic.
-        if let Ok(mut engine) = self.comm.engine().try_borrow_mut() {
-            engine.detach(self.id);
-        }
-    }
-}
-
 impl<T> fmt::Debug for Request<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Request")
-            .field("id", &self.id)
             .field("consumed", &self.consumed.get())
             .finish_non_exhaustive()
     }

@@ -307,7 +307,11 @@ impl Runtime {
         let stats = Arc::new(Stats::new(p));
         let registry = Arc::new(SplitRegistry::new());
         let cells = FailureCells::new();
-        let board = Arc::new(ProgressBoard::new(p, self.watchdog.is_some()));
+        let board = Arc::new(ProgressBoard::new(
+            Arc::clone(&stats),
+            p,
+            self.watchdog.is_some(),
+        ));
         // An empty plan injects nothing; skip its hooks entirely so the
         // disabled case is indistinguishable from "no plan".
         let plan = (!self.fault.is_empty()).then_some(&self.fault);

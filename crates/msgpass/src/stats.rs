@@ -176,6 +176,12 @@ impl TransportStats {
         self.parks.add(1);
     }
 
+    /// Receives matched so far, on either path: the rank's progress
+    /// signal, which its wait loop and the stall watchdog both read.
+    pub(crate) fn total_recvs(&self) -> u64 {
+        self.ring_recvs.get() + self.stash_recvs.get()
+    }
+
     /// Adds this rank's transport counters into `total`.
     fn add_into(&self, total: &mut TransportSnapshot) {
         total.overflow_sends += self.overflow_sends.get();

@@ -1,27 +1,29 @@
 //! The stall watchdog: per-rank progress epochs, a blocked-on registry,
 //! and structured [`StallReport`]s instead of silent hangs.
 //!
-//! Every rank owns a [`RankMonitor`]. The rank's wait loop feeds it: a
-//! successful message match bumps the rank's *progress epoch*, a matching
-//! pass that finds nothing leaves its triple as the *last miss*, and a
-//! park — which only follows a whole round of misses — publishes the last
-//! miss as what the rank is blocked on (communicator, source, key — and,
-//! for a collective's key, which protocol and which call): the posted
-//! triple of a plain receive, the last schedule polled when requests are
-//! in flight. The monitor thread
-//! `Runtime::run` spawns when a watchdog window is configured reads the
-//! shared [`ProgressBoard`]: if every unfinished rank sits blocked with
-//! no epoch movement anywhere for the whole window, the run can never
-//! progress again — the watchdog captures a per-rank [`StallReport`],
-//! raises the abort flag, and unparks everyone, so the run unwinds with
-//! the report instead of hanging forever.
+//! A rank's *progress epoch* is its matched-receive count — the ring and
+//! stash receives its transport counters already keep, and the signal its
+//! own wait loop backs off on. Every rank also owns a [`RankMonitor`],
+//! which the rank's wait loop feeds: a matching pass that finds nothing
+//! leaves its triple as the *last miss*, a park — which only follows a
+//! whole round of misses — publishes the last miss as what the rank is
+//! blocked on (communicator, source, key — and, for a collective's key,
+//! which protocol and which call): the posted triple of a plain receive,
+//! the last schedule polled when requests are in flight. A round that
+//! matched a packet, or a wait that ends, marks the rank running again.
+//! The monitor thread `Runtime::run` spawns when a watchdog window is
+//! configured reads the shared [`ProgressBoard`]: if every unfinished
+//! rank sits blocked with no epoch movement anywhere for the whole
+//! window, the run can never progress again — the watchdog captures a
+//! per-rank [`StallReport`], raises the abort flag, and unparks everyone,
+//! so the run unwinds with the report instead of hanging forever.
 //!
 //! When no watchdog is configured the board is *disabled*: every note is
 //! gated on one `bool` load and the wait loop's fast path stays intact.
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -30,6 +32,7 @@ use gv_executor::lane::Parker;
 use crate::collectives::ShowKey;
 use crate::mailbox::{ShutdownError, ShutdownKind, Source};
 use crate::message::Key;
+use crate::stats::Stats;
 
 /// Sentinel for "no rank has failed" in the shared culprit cell.
 const NO_CULPRIT: usize = usize::MAX;
@@ -110,7 +113,7 @@ pub struct RankStall {
     pub rank: usize,
     /// What the rank was doing when the report was captured.
     pub state: RankState,
-    /// The rank's progress epoch (matches observed so far).
+    /// The rank's progress epoch (receives matched so far).
     pub epoch: u64,
     /// The last wait the rank recorded, if any.
     pub blocked_on: Option<BlockedOn>,
@@ -147,47 +150,50 @@ impl fmt::Display for StallReport {
     }
 }
 
-/// The cross-rank progress state the watchdog reads: one row per rank.
+/// The cross-rank progress state the watchdog reads: one row per rank,
+/// and the runtime's counters, whose matched receives are the epochs.
 /// Disabled boards (no watchdog) gate every write down to a single `bool`
 /// check.
 pub(crate) struct ProgressBoard {
     enabled: bool,
     rows: Box<[BoardRow]>,
+    stats: Arc<Stats>,
 }
 
-/// One rank's epoch counter, state byte and blocked-on slot, in a block
-/// of their own: a rank writes its row on every match, so rows packed
-/// side by side would have every core invalidating its neighbours' lines
-/// (false sharing) once per receive. Only the owning rank's thread writes
-/// a row; the watchdog thread reads them a few times per window.
+/// One rank's state byte and blocked-on slot, in a block of their own: a
+/// rank writes its row whenever its wait loop makes progress, so rows
+/// packed side by side would have every core invalidating its
+/// neighbours' lines (false sharing). Only the owning rank's thread
+/// writes a row; the watchdog thread reads them a few times per window.
 #[repr(align(128))]
 struct BoardRow {
-    epoch: AtomicU64,
     state: AtomicU8,
     blocked: Mutex<Option<BlockedOn>>,
 }
 
 impl ProgressBoard {
-    pub(crate) fn new(ranks: usize, enabled: bool) -> Self {
+    /// A board for every rank `stats` counts for.
+    pub(crate) fn new(stats: Arc<Stats>, ranks: usize, enabled: bool) -> Self {
         ProgressBoard {
             enabled,
             rows: (0..ranks)
                 .map(|_| BoardRow {
-                    epoch: AtomicU64::new(0),
                     state: AtomicU8::new(RankState::Running.as_u8()),
                     blocked: Mutex::new(None),
                 })
                 .collect(),
+            stats,
         }
+    }
+
+    /// Rank `rank`'s progress epoch.
+    fn epoch(&self, rank: usize) -> u64 {
+        self.stats.rank(rank).transport.total_recvs()
     }
 
     fn load_epochs(&self, into: &mut Vec<u64>) {
         into.clear();
-        into.extend(
-            self.rows
-                .iter()
-                .map(|row| row.epoch.load(Ordering::Relaxed)),
-        );
+        into.extend((0..self.rows.len()).map(|rank| self.epoch(rank)));
     }
 
     /// Whether the board records anything (a watchdog is configured).
@@ -204,7 +210,7 @@ impl ProgressBoard {
             .map(|(rank, row)| RankStall {
                 rank,
                 state: RankState::from_u8(row.state.load(Ordering::Relaxed)),
-                epoch: row.epoch.load(Ordering::Relaxed),
+                epoch: self.epoch(rank),
                 blocked_on: *row.blocked.lock().unwrap_or_else(|e| e.into_inner()),
             })
             .collect();
@@ -221,8 +227,8 @@ pub(crate) struct RankMonitor {
     aborted: Arc<AtomicBool>,
     culprit: Arc<AtomicUsize>,
     board: Arc<ProgressBoard>,
-    /// Copy of `board.enabled`, so the per-match fast path branches on a
-    /// local field instead of chasing the `Arc`.
+    /// Copy of `board.enabled`, so the notes on the wait loop's path
+    /// branch on a local field instead of chasing the `Arc`.
     enabled: bool,
     park_timeout: Duration,
     /// The last `(comm, src, key)` a matching pass missed on — what the
@@ -257,7 +263,7 @@ impl RankMonitor {
             0,
             aborted,
             Arc::new(AtomicUsize::new(NO_CULPRIT)),
-            Arc::new(ProgressBoard::new(1, false)),
+            Arc::new(ProgressBoard::new(Arc::new(Stats::new(1)), 1, false)),
             Duration::from_millis(50),
         )
     }
@@ -277,20 +283,6 @@ impl RankMonitor {
     #[inline]
     fn row(&self) -> &BoardRow {
         &self.board.rows[self.rank]
-    }
-
-    /// A message matched: progress. Bumps the epoch and marks Running.
-    #[inline]
-    pub(crate) fn note_match(&self) {
-        if self.enabled {
-            let row = self.row();
-            // Single writer (this rank's thread), so a plain load and
-            // store: no `lock`-prefixed add on the per-receive path.
-            row.epoch
-                .store(row.epoch.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-            row.state
-                .store(RankState::Running.as_u8(), Ordering::Relaxed);
-        }
     }
 
     /// A matching pass found nothing for this triple; remembered so the
@@ -316,7 +308,8 @@ impl RankMonitor {
         }
     }
 
-    /// The rank left the wait loop.
+    /// The rank is running again: it left the wait loop, or a round of
+    /// it matched a packet.
     #[inline]
     pub(crate) fn note_unblocked(&self) {
         if self.enabled {
@@ -444,7 +437,7 @@ mod tests {
     #[test]
     fn each_ranks_board_row_has_cache_lines_of_its_own() {
         assert!(std::mem::align_of::<BoardRow>() >= 128);
-        let board = ProgressBoard::new(3, true);
+        let board = ProgressBoard::new(Arc::new(Stats::new(3)), 3, true);
         for row in board.rows.iter() {
             assert_eq!(row as *const BoardRow as usize % 128, 0);
         }
@@ -452,7 +445,8 @@ mod tests {
 
     #[test]
     fn a_match_bumps_only_the_matching_ranks_epoch() {
-        let board = Arc::new(ProgressBoard::new(2, true));
+        let stats = Arc::new(Stats::new(2));
+        let board = Arc::new(ProgressBoard::new(Arc::clone(&stats), 2, true));
         let monitor = RankMonitor::new(
             1,
             Arc::new(AtomicBool::new(false)),
@@ -461,9 +455,13 @@ mod tests {
             Duration::from_millis(50),
         );
         monitor.note_parked();
-        for _ in 0..3 {
-            monitor.note_match();
-        }
+        // Rank 1's wait loop: two receives off the ring, one from a
+        // stash, and the round that matched them marks the rank running.
+        let transport = &stats.rank(1).transport;
+        transport.record_ring_recv();
+        transport.record_stash_recv();
+        transport.record_ring_recv();
+        monitor.note_unblocked();
         let report = board.capture(Duration::ZERO);
         assert_eq!((report.ranks[0].epoch, report.ranks[1].epoch), (0, 3));
         assert_eq!(report.ranks[1].state, RankState::Running);

@@ -19,8 +19,13 @@
 //!   call sequence in a collective's match keys keeps round `n` of
 //!   request `i+1` from satisfying round `n` of request `i`.
 //!
+//! And one fixed case: a combine that blocks inside a sweep still lets
+//! the rank's other requests progress.
+//!
 //! Failures shrink to a minimal plan and report a `GV_TESTKIT_SEED` for
 //! exact replay (see gv-testkit docs).
+
+use std::time::Duration;
 
 use gv_msgpass::{wait_all, Comm, Request, Runtime};
 use gv_testkit::prop::{check, Config, Strategy};
@@ -296,4 +301,54 @@ fn reverse_order_waits_preserve_non_overtaking() {
             Ok(())
         },
     );
+}
+
+#[test]
+fn a_blocking_combine_lets_the_ranks_other_requests_progress() {
+    // p = 3: recursive doubling folds rank 0 into rank 1, so rank 1's
+    // first combine of `r1` folds rank 0's value. That combine blocks on
+    // word 77, which rank 0 sends only once its `r2` has completed — and
+    // rank 0's `r2` needs rank 1's `r2` to run its fold, its exchange with
+    // rank 2 and its answer, all inside the wait the combine makes. A
+    // sweep that took every schedule out of the engine at once would leave
+    // that nested wait nothing to poll, and the run would stall.
+    let outcome = Runtime::new(3)
+        .watchdog(Duration::from_secs(3))
+        .try_run(|comm| {
+            let r = comm.rank();
+            // Rank 0 launches only after rank 1 has launched both, so no
+            // combine runs in a launch's first poll.
+            if r == 0 {
+                comm.recv::<()>(1, 76);
+            }
+            let handle = comm.clone_handle();
+            let mut first = true;
+            let mut r1 = comm.iallreduce(
+                r as u64 + 1,
+                true,
+                |_| 8,
+                move |a, b| {
+                    if handle.rank() == 1 && std::mem::take(&mut first) {
+                        assert_eq!(handle.recv::<u64>(0, 77), 77);
+                    }
+                    a + b
+                },
+            );
+            let mut r2 = comm.iallreduce(10 * (r as u64 + 1), true, |_| 8, |a, b| a + b);
+            if r == 1 {
+                comm.send(0, 76, ());
+            }
+            let second = if r == 0 {
+                let second = r2.wait().expect("transport alive");
+                comm.send(1, 77, 77u64);
+                second
+            } else {
+                r2.wait().expect("transport alive")
+            };
+            (r1.wait().expect("transport alive"), second)
+        });
+    match outcome {
+        Ok(outcome) => assert_eq!(outcome.results, vec![(6, 60); 3]),
+        Err(err) => panic!("the nested wait did not progress: {err}"),
+    }
 }

@@ -25,7 +25,10 @@
 //! And the small messages: in steady state an 8-byte allreduce and an
 //! `f64` send/receive pair allocate nothing at all (the value rides in
 //! the envelope, the envelope in the lane slot, and a launch clones no
-//! member list), and a large `Vec` pays no box for its header.
+//! member list), and a large `Vec` pays no box for its header. A
+//! non-blocking reduction makes three small allocations — its boxed
+//! schedule, its result slot and its shared operator — and the progress
+//! engine's sweeps add none.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,34 +41,52 @@ struct CountingAllocator;
 thread_local! {
     /// Bytes this thread has requested so far (frees are not subtracted).
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    /// Allocations (and reallocations) of under 4 KiB this thread made.
+    static SMALL: Cell<usize> = const { Cell::new(0) };
 }
+
+/// Below this size an allocation counts as small.
+const SMALL_LIMIT: usize = 4 << 10;
 
 fn note(bytes: usize) {
     // `try_with`: a thread may still allocate while it is being torn down.
     let _ = ALLOCATED.try_with(|total| total.set(total.get() + bytes));
 }
 
+fn note_block(size: usize) {
+    if size < SMALL_LIMIT {
+        let _ = SMALL.try_with(|count| count.set(count.get() + 1));
+    }
+}
+
 fn allocated() -> usize {
     ALLOCATED.with(Cell::get)
 }
 
+fn small_allocations() -> usize {
+    SMALL.with(Cell::get)
+}
+
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell<usize>` without a destructor, so touching it neither
-// allocates nor unwinds.
+// the `GlobalAlloc` contract; the counters are const-initialised
+// thread-local `Cell<usize>`s without a destructor, so touching them
+// neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_block(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_block(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size.saturating_sub(layout.size()));
+        note_block(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -436,4 +457,42 @@ fn a_large_vec_is_sent_without_a_payload_box() {
         })
         .results;
     assert_eq!(spent, [0, 0]);
+}
+
+#[test]
+fn a_request_allocates_its_schedule_its_slot_and_its_operator() {
+    use gv_core::ops::Counts;
+
+    // The benchmark's `overlap` state: 8192 buckets, 64 KiB of counts,
+    // so the state, its wire copies and the output are all large.
+    const BUCKETS: usize = 8192;
+    const CALLS: usize = 100;
+    for p in [1usize, 2] {
+        let small = Runtime::new(p)
+            .run(|comm| {
+                let local: Vec<usize> =
+                    (0..2048).map(|i| (i * 7 + comm.rank()) % BUCKETS).collect();
+                let reduce = |calls: usize| {
+                    for _ in 0..calls {
+                        let mut request = gv_rsmpi::ireduce_all(comm, Counts::new(BUCKETS), &local);
+                        let counts = request.wait().expect("transport alive");
+                        assert_eq!(counts.iter().sum::<u64>(), 2048 * comm.size() as u64);
+                    }
+                };
+                reduce(10);
+                let before = small_allocations();
+                reduce(CALLS);
+                small_allocations() - before
+            })
+            .results;
+        for (rank, small) in small.into_iter().enumerate() {
+            // The boxed schedule, its slot and the `Rc` the operator is
+            // shared through; a sweep allocates nothing.
+            assert_eq!(
+                small,
+                3 * CALLS,
+                "p={p} rank {rank}: {small} small allocations in {CALLS} requests"
+            );
+        }
+    }
 }

@@ -118,6 +118,25 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
     }
 }
 
+#[test]
+fn a_shift_counts_one_user_send_per_message() {
+    // A shift is point-to-point traffic the caller asked for, so each of
+    // its messages is a `Send` call; it records no collective call.
+    for p in [1u64, 2, 5] {
+        let stats = Runtime::new(p as usize)
+            .run(|comm| {
+                let (r, p) = (comm.rank(), comm.size());
+                assert_eq!(comm.shift_up(r), r.checked_sub(1));
+                assert_eq!(comm.shift_up_periodic(r), (r + p - 1) % p);
+            })
+            .stats;
+        let periodic = if p > 1 { p } else { 0 };
+        assert_eq!(stats.calls(CallKind::Send), p - 1 + periodic, "p={p}");
+        assert_eq!(stats.total_calls(), p - 1 + periodic, "p={p}");
+        assert_eq!(stats.messages, p - 1 + periodic, "p={p}");
+    }
+}
+
 /// Every counter a snapshot carries, flattened.
 fn flattened(s: &StatsSnapshot) -> Vec<u64> {
     let t = s.transport;
