@@ -23,12 +23,13 @@ use gv_nas::IsClass;
 #[path = "../../../nas/src/is/rank/phases.rs"]
 mod phases;
 
-/// Row labels of the `--wall` table, indexed by `phases::Phase as usize`.
+/// Row labels of the `--wall` table, indexed by `phases::Phase as usize`
+/// and named for the counting path every NAS class through p = 32 takes.
 const PHASES: [&str; 6] = [
     "histogram",
-    "expand",
+    "copy spans",
     "exchange",
-    "count",
+    "add spans",
     "emit",
     "offset scan",
 ];

@@ -2,21 +2,23 @@
 //! NAS IS, done the way the reference does it: by counting, not comparing.
 //!
 //! 1. Each rank counts its keys into a histogram over the value range,
-//!    which is cut into `p` spans (span `b` owned by rank `b`), and
-//!    expands every other rank's span of it, in sorted order, into the
-//!    vector bound for that rank.
-//! 2. An `alltoallv` ships those vectors.
-//! 3. Each rank counts what it received into its own span of the same
+//!    which is cut into `p` spans (span `b` owned by rank `b`), and copies
+//!    every other rank's span of it into the piece bound for that rank.
+//! 2. An `alltoallv` ships those pieces: a rank's *state*, never the keys
+//!    behind it, as in the paper's Listing 2.
+//! 3. Each rank adds what it received into its own span of the same
 //!    histogram — the `Counts` reduction of the paper's §3.1.3 over one
-//!    span — and expands that span into its block; the concatenation over
-//!    ranks is the globally sorted key array.
+//!    span, done as a reduce-scatter — and expands that span into its
+//!    block; the concatenation over ranks is the globally sorted key
+//!    array.
 //! 4. An **exclusive scan** of the block lengths gives each rank the
 //!    global rank (index) of its first key — the reference code computes
 //!    the same quantity from bucket-size reductions; doing it with the
 //!    scan primitive is exactly the kind of use the paper advocates.
 //!
 //! A histogram is O(range), so a rank whose range dwarfs its keys sorts
-//! them by comparison instead ([`phases`] holds the rule and the phases).
+//! them by comparison instead and ships keys; each piece's leading word
+//! says which it holds ([`phases`] holds the rule and the phases).
 
 use gv_core::mem::output_vec;
 use gv_msgpass::Comm;
@@ -168,13 +170,42 @@ mod tests {
     }
 
     #[test]
-    fn the_bytes_on_the_wire_are_the_keys_that_leave_their_rank() {
+    fn a_piece_on_the_wire_is_a_kind_word_and_a_span_of_counts_or_the_keys_in_it() {
         let class = IsClass::S;
+        // Each sender's bytes to each peer: a kind word, then the peer's
+        // span of the histogram where the sender counts, or the sender's
+        // keys in that span where it compares.
+        let shipped = |keys: &[Vec<u32>], max_key: u32| -> Vec<Vec<u64>> {
+            let p = keys.len();
+            let span = (max_key as usize).div_ceil(p);
+            let values =
+                |q: usize| (q * span).min(max_key as usize)..((q + 1) * span).min(max_key as usize);
+            (0..p)
+                .map(|r| {
+                    let counts = max_key as usize <= MAX_SPAN_PER_KEY * keys[r].len();
+                    (0..p)
+                        .filter(|&q| q != r)
+                        .map(|q| {
+                            let body = if counts {
+                                values(q).len()
+                            } else {
+                                keys[r]
+                                    .iter()
+                                    .filter(|&&k| values(q).contains(&(k as usize)))
+                                    .count()
+                            };
+                            4 * (1 + body) as u64
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        // Class S as it is (counted), spread over a range 2²⁰ times as wide
+        // (compared), and over one 2⁴ times as wide with rank 1 holding too
+        // few keys to count.
+        let mut cases = Vec::new();
         for p in [1usize, 2, 3, 5] {
-            // Class S as it is (counted), and spread over a range 2²⁰ times
-            // as wide (compared).
             for shift in [0, 20] {
-                let max_key = class.max_key() << shift;
                 let keys: Vec<Vec<u32>> = (0..p)
                     .map(|r| {
                         generate_keys(class, r, p)
@@ -183,34 +214,52 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let span = max_key.div_ceil(p as u32);
-                let leaving: usize = (0..p)
-                    .map(|r| {
-                        keys[r]
-                            .iter()
-                            .filter(|&&k| (k / span) as usize != r)
-                            .count()
-                    })
-                    .sum();
-                let sort = Runtime::new(p).run(|comm| {
-                    distributed_sort(comm, &keys[comm.rank()], max_key);
-                });
-                let scan = Runtime::new(p).run(|comm| {
-                    local_xscan(comm, || 0u64, 1, |a, b| a + b);
-                });
-                let what = format!("p={p} max_key={max_key}");
-                assert_eq!(
-                    sort.stats.messages,
-                    (p * (p - 1)) as u64 + scan.stats.messages,
-                    "{what}"
-                );
-                assert_eq!(
-                    sort.stats.bytes,
-                    4 * leaving as u64 + scan.stats.bytes,
-                    "{what}"
-                );
+                cases.push((keys, class.max_key() << shift));
             }
         }
+        let mut mixed: Vec<Vec<u32>> = (0..3)
+            .map(|r| generate_keys(class, r, 3).iter().map(|k| k << 4).collect())
+            .collect();
+        mixed[1].truncate(1000);
+        let deciding: Vec<bool> = mixed
+            .iter()
+            .map(|keys| (class.max_key() << 4) as usize <= MAX_SPAN_PER_KEY * keys.len())
+            .collect();
+        assert_eq!(deciding, [true, false, true]);
+        cases.push((mixed, class.max_key() << 4));
+
+        for (keys, max_key) in cases {
+            let p = keys.len();
+            let sort =
+                Runtime::new(p).run(|comm| distributed_sort(comm, &keys[comm.rank()], max_key));
+            let scan = Runtime::new(p).run(|comm| {
+                local_xscan(comm, || 0u64, 1, |a, b| a + b);
+            });
+            let what = format!("p={p} max_key={max_key}");
+            assert_eq!(sort.results, oracle_blocks(&keys, max_key), "{what}");
+            assert_eq!(
+                sort.stats.messages,
+                (p * (p - 1)) as u64 + scan.stats.messages,
+                "{what}"
+            );
+            let shipped = shipped(&keys, max_key);
+            assert_eq!(
+                sort.stats.bytes,
+                shipped.iter().flatten().sum::<u64>() + scan.stats.bytes,
+                "{what}"
+            );
+            if p == 2 && max_key == class.max_key() {
+                // A peer gets its 1 024 counts, not the ~16 Ki keys in them.
+                assert_eq!(shipped, [[4 * (1 + 1024)], [4 * (1 + 1024)]]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 3: a summed count overflows a u32")]
+    fn a_summed_count_past_u32_max_fails_the_rank_that_adds_it() {
+        let mut table = [0, 1, 7];
+        super::phases::add_span(&mut table, &[5, u32::MAX, 0], 3);
     }
 
     #[test]
@@ -336,12 +385,12 @@ mod tests {
             assert_eq!(run, (bucket + charges.iter().max().unwrap()) as f64);
         };
         // The widest range that is counted. Before the exchange: one count
-        // per key, one sweep of the other ranks' entries, and one write per
-        // key sent (every rank keeps 2 of its 8). After it: one count and
-        // one write per key, one sweep of the own span.
+        // per key and one copy of each of the other ranks' entries. After
+        // it: one add per entry of the p − 1 spans received, one write per
+        // key, one sweep of the own span.
         let max_key = MAX_SPAN_PER_KEY * n;
         let s = max_key / p;
-        check(max_key, n + (max_key - s) + (n - 2), &|m| 2 * m + s);
+        check(max_key, n + (max_key - s), &|m| (p - 1) * s + m + s);
         // One value more: a comparison sort, m⌈log₂ m⌉ as before, of the
         // local keys and then of the block.
         let sort = |m: usize| m * (usize::BITS - m.max(2).leading_zeros()) as usize;

@@ -18,13 +18,14 @@ pub(super) enum Phase {
     /// The local keys counted into a histogram over `0..max_key` (sparse
     /// fallback: a sorted copy of them).
     Histogram,
-    /// Every other rank's span of the histogram expanded into the vector
-    /// bound for it (sparse fallback: the sorted copy cut at the spans).
+    /// Every other rank's span of the histogram copied, behind a kind
+    /// word, into the piece bound for it (sparse fallback: the sorted copy
+    /// cut at the spans).
     Expand,
-    /// The `alltoallv` of the outgoing vectors.
+    /// The `alltoallv` of the pieces.
     Exchange,
-    /// Received pieces counted into the own span of the histogram (sparse
-    /// fallback: joined).
+    /// Received spans added into the own span of the histogram, received
+    /// keys counted into it (sparse fallback: spans expanded, keys joined).
     Count,
     /// The own span expanded into the sorted block (sparse fallback: sorted).
     Emit,
@@ -39,6 +40,13 @@ pub(super) enum Phase {
 /// entries per key for n ≤ 2²⁰, loses from 4 on, and is level at 1 for
 /// n = 2²². Every NAS class sits at p/16, so it counts through p = 32.
 pub(super) const MAX_SPAN_PER_KEY: usize = 2;
+
+/// The kind word that leads a piece whose body is the sender's histogram
+/// over the receiver's span.
+const COUNTS: u32 = 0;
+/// The kind word that leads a piece whose body is the sender's keys in
+/// the receiver's span, sorted.
+const KEYS: u32 = 1;
 
 /// Rank `q`'s value span: `q·s .. (q+1)·s` clipped to `max_key`, with
 /// `s = ⌈max_key/p⌉`. The last owning rank's span is therefore the
@@ -58,6 +66,12 @@ fn check_countable(n: usize, r: usize) {
     );
 }
 
+/// Fails rank `r`'s run: a sum of counts passed `u32::MAX`.
+#[cold]
+fn summed_count_overflows(r: usize) -> ! {
+    panic!("rank {r}: a summed count overflows a u32")
+}
+
 /// How many of `keys` hold each value of `0..max_key`; the lookup is the
 /// input contract's check.
 fn histogram(keys: &[u32], max_key: u32, r: usize) -> Vec<u32> {
@@ -72,13 +86,58 @@ fn histogram(keys: &[u32], max_key: u32, r: usize) -> Vec<u32> {
     counts
 }
 
-/// The sorted keys that `counts`, a histogram over `values`, stands for.
-fn emit(counts: &[u32], values: Range<usize>) -> Vec<u32> {
-    let mut sorted = output_vec(counts.iter().map(|&c| c as usize).sum());
-    for (value, &count) in values.zip(counts) {
-        sorted.extend(std::iter::repeat_n(value as u32, count as usize));
+/// Adds `span`, another rank's histogram over the values `table` counts,
+/// into `table`, failing rank `r` if an entry passes `u32::MAX`.
+pub(super) fn add_span(table: &mut [u32], span: &[u32], r: usize) {
+    debug_assert_eq!(table.len(), span.len());
+    let mut overflowed = false;
+    for (count, &more) in table.iter_mut().zip(span) {
+        let (sum, carry) = count.overflowing_add(more);
+        *count = sum;
+        overflowed |= carry;
     }
-    sorted
+    if overflowed {
+        summed_count_overflows(r);
+    }
+}
+
+/// `body` behind its kind word, allocated at its final length.
+fn piece(kind: u32, body: &[u32]) -> Vec<u32> {
+    let mut piece = output_vec(1 + body.len());
+    piece.push(kind);
+    piece.extend_from_slice(body);
+    piece
+}
+
+/// How many keys a histogram stands for.
+fn keys_in(counts: &[u32]) -> usize {
+    counts.iter().map(|&c| c as usize).sum()
+}
+
+/// Appends the sorted keys that `counts`, a histogram over `values`,
+/// stands for. Each value is written as a fixed run of `RUN` keys into a
+/// stage that stays in L1, and the stage advances by the value's count,
+/// so the next run overwrites the surplus; a full stage goes to `sorted`
+/// in one copy.
+fn emit(sorted: &mut Vec<u32>, counts: &[u32], values: Range<usize>) {
+    const RUN: usize = 16;
+    const STAGE: usize = 4096;
+    let mut stage = [0u32; STAGE + RUN];
+    let mut filled = 0;
+    for (value, &count) in values.zip(counts) {
+        let mut left = count as usize;
+        while left > 0 {
+            stage[filled..filled + RUN].fill(value as u32);
+            let step = left.min(RUN);
+            filled += step;
+            left -= step;
+            if filled >= STAGE {
+                sorted.extend_from_slice(&stage[..filled]);
+                filled = 0;
+            }
+        }
+    }
+    sorted.extend_from_slice(&stage[..filled]);
 }
 
 /// What the virtual clock charges a comparison sort of `n` keys: `n`
@@ -91,10 +150,10 @@ fn comparison_sort_ops(n: usize) -> u64 {
 /// `0..max_key`): its block of the sorted sequence and the global index
 /// of the block's first key. `lap` is called as each [`Phase`] ends.
 ///
-/// Where the rank counts, each key is read once before the exchange and
-/// written at most once (none of this rank's own), and written once after
-/// it; the histogram is `4 · max_key ≤ 4 · MAX_SPAN_PER_KEY · keys.len()`
-/// bytes.
+/// Where the rank counts, it reads each local key once and writes each
+/// key of its block once; what it sends is one count per foreign value,
+/// not the keys behind it. The histogram is `4 · max_key ≤ 4 ·
+/// MAX_SPAN_PER_KEY · keys.len()` bytes.
 pub(super) fn sort_block(
     comm: &Comm,
     keys: &[u32],
@@ -103,28 +162,25 @@ pub(super) fn sort_block(
 ) -> (Vec<u32>, u64) {
     let (p, r) = (comm.size(), comm.rank());
     let own = owned_by(max_key, p, r);
-    // Every piece a rank sends is a contiguous slice of its keys in sorted
-    // order: of the histogram expanded, or of a sorted copy. The histogram
-    // has to exist before the exchange, so the local key count stands in
-    // for the received one (IS deals every rank the same share). Ranks may
-    // decide differently: the messages are the same either way.
+    // A piece is a kind word and a body: the sender's counts over the
+    // receiver's span, or its keys in that span in sorted order. The
+    // histogram has to exist before the exchange, so the local key count
+    // stands in for the received one (IS deals every rank the same share).
+    // Ranks may decide differently, and each receiver takes either kind.
     let (outgoing, counts) = if max_key as usize <= MAX_SPAN_PER_KEY * keys.len() {
         let counts = histogram(keys, max_key, r);
         lap(Phase::Histogram);
         let outgoing: Vec<Vec<u32>> = (0..p)
             .map(|q| {
-                let span = owned_by(max_key, p, q);
                 if q == r {
                     Vec::new()
                 } else {
-                    emit(&counts[span.clone()], span)
+                    piece(COUNTS, &counts[owned_by(max_key, p, q)])
                 }
             })
             .collect();
-        let sent: usize = outgoing.iter().map(Vec::len).sum();
-        // One count per key, one sweep of the foreign entries, one write
-        // per foreign key.
-        comm.advance((keys.len() + (max_key as usize - own.len()) + sent) as u64);
+        // One count per key, one copy of every foreign entry.
+        comm.advance((keys.len() + (max_key as usize - own.len())) as u64);
         (outgoing, Some(counts))
     } else {
         let mut mine = keys.to_vec();
@@ -141,9 +197,9 @@ pub(super) fn sort_block(
         let outgoing = (0..p)
             .map(|q| {
                 let end = owned_by(max_key, p, q).end;
-                let (piece, tail) = rest.split_at(rest.partition_point(|&k| (k as usize) < end));
+                let (keys, tail) = rest.split_at(rest.partition_point(|&k| (k as usize) < end));
                 rest = tail;
-                piece.to_vec()
+                piece(KEYS, keys)
             })
             .collect();
         (outgoing, None)
@@ -153,27 +209,57 @@ pub(super) fn sort_block(
     let incoming = comm.alltoallv(outgoing);
     lap(Phase::Exchange);
 
+    // A counting rank's own piece is empty: its counts are in the table.
+    let pieces = || incoming.iter().filter_map(|piece| piece.split_first());
     let sorted = match counts {
         Some(mut counts) => {
-            let received: usize = incoming.iter().map(Vec::len).sum();
-            check_countable(keys.len() + received, r);
             let table = &mut counts[own.clone()];
-            for piece in &incoming {
-                for &k in piece {
-                    table[k as usize - own.start] += 1;
+            let mut received = 0;
+            for (&kind, body) in pieces() {
+                if kind == COUNTS {
+                    add_span(table, body, r);
+                } else {
+                    for &k in body {
+                        let count = &mut table[k as usize - own.start];
+                        *count = count
+                            .checked_add(1)
+                            .unwrap_or_else(|| summed_count_overflows(r));
+                    }
                 }
+                received += body.len();
             }
             lap(Phase::Count);
-            let sorted = emit(table, own.clone());
-            // One count and one write per key, one sweep of the table.
-            comm.advance((2 * sorted.len() + own.len()) as u64);
+            let mut sorted = output_vec(keys_in(table));
+            emit(&mut sorted, table, own.clone());
+            // One add per received entry or count per received key, one
+            // write per key, one sweep of the table.
+            comm.advance((received + sorted.len() + own.len()) as u64);
             sorted
         }
         None => {
-            let mut mine = incoming.concat();
+            let total = pieces()
+                .map(|(&kind, body)| {
+                    if kind == COUNTS {
+                        keys_in(body)
+                    } else {
+                        body.len()
+                    }
+                })
+                .sum();
+            let mut mine = output_vec(total);
+            let mut swept = 0;
+            for (&kind, body) in pieces() {
+                if kind == COUNTS {
+                    emit(&mut mine, body, own.clone());
+                    swept += body.len();
+                } else {
+                    mine.extend_from_slice(body);
+                }
+            }
             lap(Phase::Count);
             mine.sort_unstable();
-            comm.advance(comparison_sort_ops(mine.len()));
+            // One sweep of each received span, then the comparison sort.
+            comm.advance(swept as u64 + comparison_sort_ops(mine.len()));
             mine
         }
     };

@@ -76,9 +76,14 @@ echo "smoke: ablation_aggregation --wall"
 # stderr, not a recorded table); keep the flag and its asserts alive.
 echo "smoke: nas_is --class S --wall"
 ./target/release/nas_is --class S --wall > /dev/null 2> /dev/null
-# One rank: every key its own, no piece to expand and nothing exchanged.
+# One rank: every key its own, no span to copy and nothing exchanged.
 echo "smoke: nas_is --class S --procs 1 --wall"
 ./target/release/nas_is --class S --procs 1 --wall > /dev/null 2> /dev/null
+# Three ranks: three pieces a rank, its own among them, and a remainder
+# span (2¹⁶ values do not divide by 3), through the `#[path]` copy of the
+# phases and its `is_sorted` assert.
+echo "smoke: nas_is --class W --procs 3 --wall"
+./target/release/nas_is --class W --procs 3 --wall > /dev/null 2> /dev/null
 
 # So do the MG and CG harnesses (ZRAN3's fill / extrema / charges and
 # the one-pass call; a solve's dot / matvec / axpy), at their smallest
