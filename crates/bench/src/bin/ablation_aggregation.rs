@@ -32,7 +32,7 @@ fn measure(p: usize, m: usize, aggregated: bool) -> (f64, u64) {
         let (_, dt) = timed_phase(comm, |c| {
             if aggregated {
                 let rows: Vec<&[i64]> = vec![&values];
-                gv_rsmpi::reduce_all_elementwise(c, &min::<i64>(), &rows);
+                gv_rsmpi::reduce_all_elementwise(c, &min::<i64>(), &rows, m);
             } else {
                 for &v in &values {
                     gv_rsmpi::reduce_all(c, &min::<i64>(), &[v]);
@@ -57,9 +57,9 @@ where
         let rows: Vec<&[Op::In]> = rows.iter().map(Vec::as_slice).collect();
         wall_reps(comm, wall_plan(), || {
             let start = Instant::now();
-            std::hint::black_box(gv_rsmpi::reduce_all_elementwise(comm, &op, &rows));
+            std::hint::black_box(gv_rsmpi::reduce_all_elementwise(comm, &op, &rows, m));
             let reduced = start.elapsed().as_secs_f64();
-            let scanned = gv_rsmpi::scan_elementwise(comm, &op, &rows, ScanKind::Inclusive);
+            let scanned = gv_rsmpi::scan_elementwise(comm, &op, &rows, m, ScanKind::Inclusive);
             std::hint::black_box(scanned);
             [reduced, start.elapsed().as_secs_f64() - reduced]
         })

@@ -28,11 +28,10 @@ use crate::split::{split_vec_segments, unsplit_vec_segments, SplittableState};
 /// (`R`: a `&[In]`, a `Vec<In>`, …): one inner state per slot, the seven
 /// functions applied per slot.
 ///
-/// The **empty** state also stands for the identity, at any width: a
-/// processor that holds no rows cannot know the width, so `combine`
-/// returns the other side when either is empty, and a rescan handed an
-/// empty prefix starts from `width` identities. Two non-empty sides must
-/// agree on the width.
+/// The width is fixed when the operator is made, not read off the rows: a
+/// processor that holds no rows still starts from `width` identities, so
+/// every processor's state has the same slots (and the same bytes on the
+/// wire). Two states of different widths do not combine.
 ///
 /// Slot-wise combining distributes over contiguous slot ranges, so the
 /// lifted operator is [`SplittableState`] whatever the inner one is. Each
@@ -84,9 +83,6 @@ impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> ReduceScanOp for Elementwise<Op, R> {
             "aggregated rows must have equal widths (expected {})",
             self.width
         );
-        if state.is_empty() {
-            *state = self.ident();
-        }
         zip_slots(state, row, |s, x| self.op.accum(s, x));
     }
 
@@ -97,13 +93,6 @@ impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> ReduceScanOp for Elementwise<Op, R> {
     }
 
     fn combine(&self, earlier: &mut Self::State, later: Self::State) {
-        if later.is_empty() {
-            return;
-        }
-        if earlier.is_empty() {
-            *earlier = later;
-            return;
-        }
         assert_eq!(
             earlier.len(),
             later.len(),
@@ -117,23 +106,12 @@ impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> ReduceScanOp for Elementwise<Op, R> {
     }
 
     fn scan_gen(&self, state: &Self::State, row: &R) -> Self::Out {
-        if state.is_empty() && self.width > 0 {
-            return self.scan_gen(&self.ident(), row);
-        }
         let slots = state.iter().zip(row.as_ref());
         slots.map(|(s, x)| self.op.scan_gen(s, x)).collect()
     }
 
-    /// One without slots reports one byte, not none: at zero bytes every
-    /// scan schedule is priced at its round count times α, and the selector
-    /// breaks the tie (p = 3: recursive doubling and the chain, two rounds
-    /// each) by list order, where any state of a byte or more picks the
-    /// chain — a rank without rows would run a different schedule from its
-    /// neighbours. (Priced here and not in the selector for a measured
-    /// reason: EXPERIMENTS.md, TXT-OUTPUT.)
     fn wire_size(&self, state: &Self::State) -> usize {
-        let bytes: usize = state.iter().map(|s| self.op.wire_size(s)).sum();
-        bytes.max(1)
+        state.iter().map(|s| self.op.wire_size(s)).sum()
     }
 
     fn accum_ops(&self) -> u64 {

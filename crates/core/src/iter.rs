@@ -1,90 +1,111 @@
-//! Iterator-driven reductions and scans.
+//! What an accumulate phase reads: one trait, [`Input`], for the three
+//! shapes an input takes.
 //!
-//! The paper's RSMPI call sites describe inputs with *iterators* ("the
-//! programmer first defines an iterator to describe the values passed to
-//! the accumulate function"); this module gives the sequential engine the
-//! same shape, so operators can consume generated or transformed streams
-//! without materializing them.
+//! The paper's accumulate phase is one loop over whatever the
+//! programmer's RSMPI iterator describes. Here it is
+//! [`Input::accumulate`] — `pre_accum` on the first element, the
+//! operator's block kernel, `post_accum` on the last — and every
+//! reduction ([`crate::seq::reduce`], `gv_rsmpi::reduce_all`) takes any
+//! input, which decides how its elements reach the kernel:
 //!
-//! A streamed reduction still reaches the block tier ([`crate::kernel`]):
-//! [`accumulate_iter`] stages the stream through one reused buffer of
-//! `BLOCK` elements and hands each full buffer to the operator's
-//! `accum_block` kernel, exactly as the slice engines hand it a chunk. An
-//! operator whose kernel regroups floats (`sum::<f64>`) therefore folds a
-//! stream in `BLOCK`-element groups — [`crate::kernel::BLOCK`], pinned like
-//! [`crate::kernel::LANES`] — while every regrouping-invariant operator
-//! gives the per-element loop's result bit for bit. The kernels that
-//! regroup block by block on their own (`MeanVar`'s, `accum_runs`) cut a
-//! slice at the same `BLOCK`, so for them a stream and a slice agree bit
-//! for bit as well.
+//! - a **slice** (`&[In]`, `&Vec<In>`, `&[In; N]`) in one kernel call;
+//! - a [`Staged`] **stream** through one reused [`BLOCK`]-element buffer,
+//!   a kernel call per full buffer. A kernel that regroups floats
+//!   (`sum::<f64>`) folds a stream in `BLOCK`-element groups; those that
+//!   regroup block by block on their own (`MeanVar`'s, `accum_runs`) cut a
+//!   slice at the same `BLOCK`, so they, like every regrouping-invariant
+//!   operator, give a stream and a slice the same state bit for bit;
+//! - a [`Located`] run of values and the location of the first, element
+//!   `i` the pair `(values[i], first + i)` — the paper's
+//!   `[i in 1..n] (A(i), i)` (Listing 5) with no pair in memory: the
+//!   operator's [`ValueGate`] judges the bare values and a pair is built
+//!   only where it says yes. The values are borrowed or [`Generated`] a
+//!   window at a time ([`ValueSource`]), so NAS MG's random grid is
+//!   reduced without ever being stored.
 //!
-//! A stream of `(value, location)` pairs over consecutive locations is
-//! better passed as what it is — a *located* input: a slice of values and
-//! the location of the first, element `i` sitting at `first + i` (the
-//! paper's `[i in 1..n] (A(i), i)`, Listing 5). [`accumulate_located`]
-//! reads it with no pair in memory: an operator that can judge a value on
-//! its own ([`ValueGate`]) is asked about the bare values, granule by
-//! granule, and a pair is built only where its answer is yes. So the
-//! accumulate phase has three input shapes — slice, stream and located —
-//! and one state for the same elements in each. A located input's values
-//! may be borrowed or generated ([`ValueSource`]): a [`Generated`] stream
-//! is written a window at a time into one reused buffer and read by the
-//! same loop, so a generated field — NAS MG's random grid — is reduced
-//! without ever being stored.
+//! Scans take a slice only: the rescan reads its input a second time.
 
 use std::ops::Add;
 
 use crate::kernel::{accum_gated, note_kernel_block, ValueGate, BLOCK};
-use crate::op::{accumulate_run, ReduceScanOp, ScanKind};
+use crate::op::{accumulate_block, accumulate_run, ReduceScanOp};
 
-/// The accumulate phase of paper Listing 2 over a streamed block: returns
-/// the accumulated state and the number of elements consumed (what the
-/// message-passing layer charges to the virtual clock).
-///
-/// `pre_accum` sees the first element and `post_accum` the last, as
-/// [`crate::op::accumulate_block`] does for a slice; both are skipped for
-/// an empty stream. The iterator is never polled again after its first
-/// `None`, so it need not be fused, and memory use is one `BLOCK`-element
-/// buffer whatever the stream's length.
-pub fn accumulate_iter<Op, I>(op: &Op, values: I) -> (Op::State, u64)
+/// An input to the accumulate phase of paper Listing 2: a slice, a
+/// [`Staged`] stream or a [`Located`] run of values.
+pub trait Input<Op: ReduceScanOp + ?Sized> {
+    /// Accumulates every element into `state` — `pre_accum` on the first,
+    /// the operator's block kernel, `post_accum` on the last, neither hook
+    /// for an empty input — and returns the number of elements (what the
+    /// message-passing layer charges to the virtual clock).
+    fn accumulate(self, op: &Op, state: &mut Op::State) -> u64;
+}
+
+/// A slice is one kernel call, read in place.
+impl<Op: ReduceScanOp + ?Sized> Input<Op> for &[Op::In] {
+    fn accumulate(self, op: &Op, state: &mut Op::State) -> u64 {
+        accumulate_block(op, state, self);
+        self.len() as u64
+    }
+}
+
+impl<Op: ReduceScanOp + ?Sized> Input<Op> for &Vec<Op::In> {
+    fn accumulate(self, op: &Op, state: &mut Op::State) -> u64 {
+        Input::<Op>::accumulate(self.as_slice(), op, state)
+    }
+}
+
+impl<Op: ReduceScanOp + ?Sized, const N: usize> Input<Op> for &[Op::In; N] {
+    fn accumulate(self, op: &Op, state: &mut Op::State) -> u64 {
+        Input::<Op>::accumulate(self.as_slice(), op, state)
+    }
+}
+
+/// A stream of elements, staged through one reused buffer of at most
+/// [`BLOCK`] elements whatever its length, each full buffer one kernel
+/// call. The iterator is never polled again after its first `None`, so it
+/// need not be fused.
+pub struct Staged<I>(pub I);
+
+impl<Op, I> Input<Op> for Staged<I>
 where
     Op: ReduceScanOp + ?Sized,
     I: IntoIterator<Item = Op::In>,
 {
-    let mut state = op.ident();
-    let mut iter = values.into_iter();
-    let mut next = iter.next();
-    let Some(first) = &next else {
-        return (state, 0);
-    };
-    op.pre_accum(&mut state, first);
-    let mut count = 0u64;
-    // Grows to at most `BLOCK` elements, and only as far as the stream does.
-    let mut block: Vec<Op::In> = Vec::new();
-    while let Some(head) = next.take() {
-        block.clear();
-        block.push(head);
-        // `take` stops at the first `None` or at a full block, whichever
-        // comes first; only a full block leaves the stream open to poll.
-        block.extend(iter.by_ref().take(BLOCK - 1));
-        accumulate_run(op, &mut state, &block);
-        count += block.len() as u64;
-        if block.len() == BLOCK {
-            next = iter.next();
+    fn accumulate(self, op: &Op, state: &mut Op::State) -> u64 {
+        let mut iter = self.0.into_iter();
+        let mut next = iter.next();
+        let Some(first) = &next else {
+            return 0;
+        };
+        op.pre_accum(state, first);
+        let mut count = 0u64;
+        // Grows to at most `BLOCK` elements, and only as far as the stream does.
+        let mut block: Vec<Op::In> = Vec::new();
+        while let Some(head) = next.take() {
+            block.clear();
+            block.push(head);
+            // `take` stops at the first `None` or at a full block, whichever
+            // comes first; only a full block leaves the stream open to poll.
+            block.extend(iter.by_ref().take(BLOCK - 1));
+            accumulate_run(op, state, &block);
+            count += block.len() as u64;
+            if block.len() == BLOCK {
+                next = iter.next();
+            }
         }
+        // The last staged block is kept until here, so no `In: Clone` bound.
+        op.post_accum(
+            state,
+            block.last().expect("a non-empty stream staged a block"),
+        );
+        count
     }
-    // The last staged block is kept until here, so no `In: Clone` bound.
-    op.post_accum(
-        &mut state,
-        block.last().expect("a non-empty stream staged a block"),
-    );
-    (state, count)
 }
 
 /// Where a located input's values come from: a borrowed slice, read in
 /// place, or a [`Generated`] stream, written a window at a time into one
-/// reused buffer and never stored whole. [`accumulate_located`] takes
-/// either and runs the same loop over the windows they hand it.
+/// reused buffer and never stored whole. [`Located`] takes either and runs
+/// the same loop over the windows they hand it.
 pub trait ValueSource<T> {
     /// Hands `each` the values in order, in windows of at most [`BLOCK`],
     /// every window but the last full.
@@ -131,90 +152,73 @@ impl<T: Copy + Default, F: FnMut(&mut [T])> ValueSource<T> for Generated<F> {
     }
 }
 
-/// The accumulate phase over a located input: element `i` is the pair
-/// `(values[i], first + i)`, and the state is the one [`accumulate_iter`]
-/// leaves over those pairs, bit for bit. Returns it and the number of
-/// elements, as [`accumulate_iter`] does. The values come from a
-/// [`ValueSource`] — a slice or a [`Generated`] stream — and one state
-/// runs across all of its windows, so the gate a window closes stays
-/// closed for the next.
+/// A located input: element `i` is the pair `(values[i], first + i)`,
+/// and its state is the one [`Staged`] leaves over those pairs, bit for
+/// bit. One state runs across all of the [`ValueSource`]'s windows, so the
+/// gate a window closes stays closed for the next.
 ///
 /// No pair is stored: the operator's [`ValueGate`] is asked about each
-/// granule of `values` through [`crate::kernel::any_in_block`], and a pair
-/// is built only for a value the gate admits, the gate re-read after every
-/// one. `pre_accum` sees the first pair and `post_accum` the last, and the
-/// dispatch counters note one kernel block per [`BLOCK`] values, as the
+/// granule of the values through [`crate::kernel::any_in_block`], and a
+/// pair is built only for a value the gate admits, the gate re-read after
+/// every one. `pre_accum` sees the first pair and `post_accum` the last,
+/// and the dispatch counters note one kernel block per window, as a
 /// staged stream's blocks are noted.
-pub fn accumulate_located<Op, T, L>(
-    op: &Op,
-    values: impl ValueSource<T>,
+pub struct Located<V, L> {
+    values: V,
     first: L,
-) -> (Op::State, u64)
+}
+
+impl<V, L> Located<V, L> {
+    /// The values of `values`, the first at location `first`.
+    pub fn new(values: V, first: L) -> Self {
+        Located { values, first }
+    }
+}
+
+impl<Op, T, V, L> Input<Op> for Located<V, L>
 where
     Op: ValueGate<T, In = (T, L)> + ?Sized,
+    V: ValueSource<T>,
     T: Copy,
     L: Copy + Add<Output = L> + TryFrom<usize>,
 {
-    let at = |i: usize| {
-        let offset = L::try_from(i).unwrap_or_else(|_| panic!("offset {i} overflows the location"));
-        first + offset
-    };
-    let mut state = op.ident();
-    let mut count = 0;
-    let mut tail = None;
-    values.windows(|window| {
-        let Some(&last) = window.last() else {
-            return;
+    fn accumulate(self, op: &Op, state: &mut Op::State) -> u64 {
+        let Located { values, first } = self;
+        let at = |i: usize| {
+            let offset =
+                L::try_from(i).unwrap_or_else(|_| panic!("offset {i} overflows the location"));
+            first + offset
         };
-        if count == 0 {
-            op.pre_accum(&mut state, &(window[0], first));
+        let mut count = 0;
+        let mut tail = None;
+        values.windows(|window| {
+            let Some(&last) = window.last() else {
+                return;
+            };
+            if count == 0 {
+                op.pre_accum(state, &(window[0], first));
+            }
+            let base = count;
+            accum_gated(op, state, window, |x| x, |i, x| (x, at(base + i)));
+            note_kernel_block();
+            count += window.len();
+            tail = Some(last);
+        });
+        if let Some(tail) = tail {
+            op.post_accum(state, &(tail, at(count - 1)));
         }
-        let base = count;
-        accum_gated(op, &mut state, window, |x| x, |i, x| (x, at(base + i)));
-        note_kernel_block();
-        count += window.len();
-        tail = Some(last);
-    });
-    if let Some(tail) = tail {
-        op.post_accum(&mut state, &(tail, at(count - 1)));
+        count as u64
     }
-    (state, count as u64)
 }
 
-/// Reduces the values of an iterator (paper Listing 2 with a streamed
-/// block).
+/// Reduces the values of an iterator: [`crate::seq::reduce`] over
+/// [`Staged`] values.
 pub fn reduce_iter<Op, I>(op: &Op, values: I) -> Op::Out
 where
     Op: ReduceScanOp + ?Sized,
     I: IntoIterator<Item = Op::In>,
 {
-    op.red_gen(accumulate_iter(op, values).0)
-}
-
-/// Scans the values of an iterator lazily: yields one output per input,
-/// on demand.
-pub fn scan_iter<'a, Op, I>(
-    op: &'a Op,
-    values: I,
-    kind: ScanKind,
-) -> impl Iterator<Item = Op::Out> + 'a
-where
-    Op: ReduceScanOp + ?Sized,
-    I: IntoIterator<Item = Op::In>,
-    I::IntoIter: 'a,
-{
-    let mut state = op.ident();
-    values.into_iter().map(move |x| match kind {
-        ScanKind::Exclusive => {
-            let out = op.scan_gen(&state, &x);
-            op.accum(&mut state, &x);
-            out
-        }
-        ScanKind::Inclusive => {
-            op.accum(&mut state, &x);
-            op.scan_gen(&state, &x)
-        }
-    })
+    crate::seq::reduce(op, Staged(values))
 }
 
 #[cfg(test)]
@@ -260,8 +264,8 @@ mod tests {
                 len,
                 finished: false,
             };
-            let (total, count) = accumulate_iter(&sum::<u64>(), stream);
-            assert_eq!(count, len);
+            let mut total = 0;
+            assert_eq!(Staged(stream).accumulate(&sum::<u64>(), &mut total), len);
             assert_eq!(total, len * len.saturating_sub(1) / 2, "len={len}");
         }
     }
@@ -355,7 +359,8 @@ mod tests {
         }
         for len in SEAM_LENGTHS {
             let values = vec![0u8; len];
-            let (state, count) = accumulate_located(&Hooks, &values, 7u64);
+            let mut state = Hooks.ident();
+            let count = Located::new(&values, 7u64).accumulate(&Hooks, &mut state);
             assert_eq!(count, len as u64);
             let len = len as u64;
             let expected = if len == 0 {
@@ -415,25 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_iter_is_lazy_and_correct() {
-        let data: Vec<i64> = (1..=10).collect();
-        for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
-            let streamed: Vec<i64> = scan_iter(&sum::<i64>(), data.iter().copied(), kind).collect();
-            assert_eq!(streamed, seq::scan(&sum::<i64>(), &data, kind));
-        }
-        // Laziness: taking a prefix only evaluates that prefix.
-        let first3: Vec<i64> = scan_iter(&sum::<i64>(), 1i64.., ScanKind::Inclusive)
-            .take(3)
-            .collect();
-        assert_eq!(first3, vec![1, 3, 6]);
-    }
-
-    #[test]
     fn empty_iterators() {
         assert_eq!(reduce_iter(&sum::<i64>(), std::iter::empty()), 0);
-        assert_eq!(
-            scan_iter(&sum::<i64>(), std::iter::empty(), ScanKind::Inclusive).count(),
-            0
-        );
     }
 }

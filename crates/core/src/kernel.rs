@@ -74,7 +74,7 @@ pub const LANES: usize = 32;
 pub const SCAN_GROUP: usize = 8;
 
 /// Elements per block of the accumulate-phase kernels that regroup
-/// ([`accum_runs`], `MeanVar`'s), and what [`crate::iter::accumulate_iter`]
+/// ([`accum_runs`], `MeanVar`'s), and what [`crate::iter::Staged`]
 /// stages per kernel call: 16 KiB of `(f64, u64)` pairs, so a block is
 /// still in L1 when a second pass or the kernel after the staging reads it
 /// back. Pinned like [`LANES`].
@@ -472,7 +472,7 @@ isa_tiers! {
 /// What an operator over `(value, location)` pairs can say from a value
 /// alone: "could an element with this value change the state?" A
 /// capability beside [`ReduceScanOp`], not a hook on it. It is what
-/// [`crate::iter::accumulate_located`] needs to read a located input — a
+/// [`crate::iter::Located`] needs to read a located input — a
 /// slice of values whose locations are implied — without building a pair
 /// for every element, and what `TopBottomK`'s pairs kernel filters with.
 ///
@@ -507,7 +507,7 @@ const GATE_GRANULE: usize = 128;
 
 /// The filtered accumulate under every [`ValueGate`] operator, whatever
 /// the elements look like: staged pairs (`TopBottomK::accum_block`) or
-/// bare values with implied locations (`accumulate_located`). `value`
+/// bare values with implied locations (`iter::Located`). `value`
 /// reads an element's value, and `input(i, e)` builds the operator's input
 /// for element `i` of `elements`. `input` is called only for the elements
 /// that reach `accum`.

@@ -81,7 +81,7 @@ pub use par::scan as par_scan;
 /// Everything needed to define and run reductions and scans.
 pub mod prelude {
     pub use crate::agg::{reduce_elementwise, scan_elementwise};
-    pub use crate::iter::{reduce_iter, scan_iter};
+    pub use crate::iter::reduce_iter;
     pub use crate::monoid::{Monoid, MonoidOp};
     pub use crate::op::{ReduceScanOp, ScanKind};
     pub use crate::ops::builtin::{

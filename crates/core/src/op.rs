@@ -258,7 +258,7 @@ pub fn accumulate_block<Op: ReduceScanOp + ?Sized>(
 /// through the operator's [`ReduceScanOp::accum_block`] kernel, or the
 /// per-element `accum` loop when it has none, recorded in the
 /// [`crate::kernel`] counters. [`accumulate_block`] wraps the hooks around
-/// one run; [`crate::iter::accumulate_iter`] around a stream of them.
+/// one run; [`crate::iter::Staged`] around a stream of them.
 pub(crate) fn accumulate_run<Op: ReduceScanOp + ?Sized>(
     op: &Op,
     state: &mut Op::State,

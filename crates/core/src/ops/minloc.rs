@@ -12,9 +12,9 @@
 //!
 //! The array expression need not be built either: both operators are
 //! [`ValueGate`]s (a value can change the state only if it reaches the best
-//! so far), so [`crate::iter::accumulate_located`] and
-//! `gv_rsmpi::reduce_all_located` reduce `A` and a first location
-//! directly, building a pair only for a value that reaches the best.
+//! so far), so `seq::reduce` and `gv_rsmpi::reduce_all` read a
+//! [`crate::iter::Located`] input — `A` and a first location — directly,
+//! building a pair only for a value that reaches the best.
 
 use std::marker::PhantomData;
 

@@ -15,7 +15,7 @@
 //! looked at closer only where [`crate::kernel::any_in_block`], the
 //! ISA-dispatched filter `MinK`/`MaxK` ask too, finds a value reaching one
 //! of them. The block kernel (`accum_block`) runs that filter over staged
-//! pairs; [`crate::iter::accumulate_located`] runs it over bare values
+//! pairs; a [`crate::iter::Located`] input runs it over bare values
 //! and builds a pair only where it says yes, which is how ZRAN3 reads the
 //! 2²⁰ cells of a rank's slab. Either gives the per-element loop's state
 //! bit for bit at a fraction of its cost.

@@ -5,15 +5,17 @@
 //! property-tested against this one: for associative operators they must
 //! produce identical results for every chunking/rank decomposition.
 
-use crate::op::{accumulate_block, rescan_block, ReduceScanOp, ScanKind};
+use crate::iter::Input;
+use crate::op::{rescan_block, ReduceScanOp, ScanKind};
 
-/// Reduces `input` with `op`, sequentially.
+/// Reduces `input` — a slice, a [`crate::iter::Staged`] stream or a
+/// [`crate::iter::Located`] run — with `op`, sequentially.
 ///
 /// An empty input yields `red_gen(ident())`, the natural generalization of
 /// the paper's `if n > 0` guards.
-pub fn reduce<Op: ReduceScanOp + ?Sized>(op: &Op, input: &[Op::In]) -> Op::Out {
+pub fn reduce<Op: ReduceScanOp + ?Sized>(op: &Op, input: impl Input<Op>) -> Op::Out {
     let mut state = op.ident();
-    accumulate_block(op, &mut state, input);
+    input.accumulate(op, &mut state);
     op.red_gen(state)
 }
 
@@ -26,21 +28,10 @@ pub fn reduce<Op: ReduceScanOp + ?Sized>(op: &Op, input: &[Op::In]) -> Op::Out {
 /// they only ever run in the accumulate phase that feeds the cross-processor
 /// combine, which at `p = 1` is vacuous.
 pub fn scan<Op: ReduceScanOp + ?Sized>(op: &Op, input: &[Op::In], kind: ScanKind) -> Vec<Op::Out> {
-    scan_with_total(op, input, kind).0
-}
-
-/// Scans `input` and additionally returns the final state (the reduction
-/// state of the whole input). Useful for pipelining a scan with a following
-/// reduction without re-walking the data.
-pub fn scan_with_total<Op: ReduceScanOp + ?Sized>(
-    op: &Op,
-    input: &[Op::In],
-    kind: ScanKind,
-) -> (Vec<Op::Out>, Op::State) {
     let mut state = op.ident();
     let mut out = Vec::with_capacity(input.len());
     rescan_block(op, &mut state, input, kind, &mut out);
-    (out, state)
+    out
 }
 
 #[cfg(test)]
@@ -94,14 +85,5 @@ mod tests {
         assert_eq!(reduce(&MonoidOp(Add), &[]), 0);
         assert!(scan(&MonoidOp(Add), &[], ScanKind::Inclusive).is_empty());
         assert!(scan(&MonoidOp(Add), &[], ScanKind::Exclusive).is_empty());
-    }
-
-    #[test]
-    fn scan_with_total_matches_reduce() {
-        use crate::op::ReduceScanOp;
-        let op = MonoidOp(Add);
-        let (out, total) = scan_with_total(&op, &PAPER_SET, ScanKind::Exclusive);
-        assert_eq!(out.len(), PAPER_SET.len());
-        assert_eq!(op.red_gen(total), 55);
     }
 }

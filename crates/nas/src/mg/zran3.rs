@@ -15,7 +15,8 @@
 //!   one location `allreduce`, for each of the two directions.
 //! * [`extrema_rsmpi`] — "a single user-defined reduction, similar to the
 //!   mink and mini reductions": one grid walk and one
-//!   `TopBottomK` reduction, [`gv_rsmpi::reduce_all_located`].
+//!   `TopBottomK` reduction, [`gv_rsmpi::reduce_all`] over a
+//!   [`Located`] input.
 //!
 //! Both return identical results (ties broken toward the smaller global
 //! index); the Figure 3 harness compares their modeled times.
@@ -42,7 +43,7 @@
 //! (`cells · 10`, `cells · accum_ops`, `cells / 8 + k`) does not depend
 //! on which path runs.
 
-use gv_core::iter::{accumulate_located, Generated, ValueSource};
+use gv_core::iter::{Generated, Located, ValueSource};
 use gv_core::op::ReduceScanOp;
 use gv_core::ops::topk::{TopBottom, TopBottomK};
 use gv_msgpass::localview::local_allreduce;
@@ -78,24 +79,23 @@ fn charge_fill(comm: &Comm, slab: &Slab) {
 /// Reference-style extrema search: 4k built-in reductions (§4.2's forty
 /// for k = 10).
 pub fn extrema_mpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
-    mpi_extrema_of(comm, &slab.data, slab.global_index(0, 0, 0), k)
+    mpi_extrema_of(comm, slab, &slab.data, k)
 }
 
-/// [`extrema_mpi`] over any located source of the slab's values. Its
-/// local walk, collecting the `k` largest and `k` smallest cells with
-/// their global indices (both lists best-first), is the RSMPI variant's
-/// accumulate phase — same located input, same engine, same charge — so
-/// the two Figure 3 series differ only in how the candidates then cross
-/// ranks.
+/// [`extrema_mpi`] over any source of the slab's values. Its local walk,
+/// collecting the `k` largest and `k` smallest cells with their global
+/// indices (both lists best-first), is the RSMPI variant's accumulate
+/// phase — same [`Located`] input, same engine, same charge — so the two
+/// Figure 3 series differ only in how the candidates then cross ranks.
 fn mpi_extrema_of(
     comm: &Comm,
+    slab: &Slab,
     values: impl ValueSource<f64>,
-    first: u64,
     k: usize,
 ) -> TopBottom<f64, u64> {
     let op = TopBottomK::<f64, u64>::new(k);
-    let (local, cells) = accumulate_located(&op, values, first);
-    comm.advance(cells * op.accum_ops());
+    let local = gv_core::seq::reduce(&op, Located::new(values, slab.global_index(0, 0, 0)));
+    comm.advance(slab.cells() as u64 * op.accum_ops());
 
     // For each extremum: one value allreduce, then one location allreduce
     // (the owner proposes its index, everyone else the neutral element).
@@ -124,8 +124,8 @@ fn mpi_extrema_of(
     };
 
     TopBottom {
-        largest: pick_side(&local.top, true),
-        smallest: pick_side(&local.bottom, false),
+        largest: pick_side(&local.largest, true),
+        smallest: pick_side(&local.smallest, false),
     }
 }
 
@@ -136,8 +136,8 @@ fn mpi_extrema_of(
 /// (336 bytes at k = 10), small enough that the selector runs recursive
 /// doubling for it at every p.
 pub fn extrema_rsmpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
-    let op = TopBottomK::<f64, u64>::new(k);
-    gv_rsmpi::reduce_all_located(comm, &op, &slab.data, slab.global_index(0, 0, 0))
+    let cells = Located::new(&slab.data, slab.global_index(0, 0, 0));
+    gv_rsmpi::reduce_all(comm, &TopBottomK::new(k), cells)
 }
 
 /// Rewrites the slab per the ZRAN3 contract: +1 at the `k` largest
@@ -195,11 +195,11 @@ pub fn zran3(comm: &Comm, slab: &mut Slab, k: usize, variant: Zran3Variant) -> T
     charge_fill(comm, slab);
     let mut gen = stream(slab, crate::randlc::DEFAULT_SEED);
     let field = Generated::new(slab.cells(), |window: &mut [f64]| gen.fill(window));
-    let first = slab.global_index(0, 0, 0);
     let extrema = match variant {
-        Zran3Variant::Mpi => mpi_extrema_of(comm, field, first, k),
+        Zran3Variant::Mpi => mpi_extrema_of(comm, slab, field, k),
         Zran3Variant::Rsmpi => {
-            gv_rsmpi::reduce_all_located(comm, &TopBottomK::new(k), field, first)
+            let cells = Located::new(field, slab.global_index(0, 0, 0));
+            gv_rsmpi::reduce_all(comm, &TopBottomK::new(k), cells)
         }
     };
     apply_charges(comm, slab, &extrema);

@@ -2,11 +2,10 @@
 //! global-view layer): `m` independent reductions computed at once, with
 //! all `m` states shipped in a single message per tree edge.
 //!
-//! Both calls are the ordinary ones over [`Elementwise`], whose empty state
-//! lets a rank hold no rows. (The selectors price a call by the local
-//! state's bytes — `collectives/select.rs` — so ranks with and without
-//! rows agree on the scan's schedule only while the aggregate is below
-//! the selector's first crossover; the whole-state allreduce has none.)
+//! Both calls are the ordinary ones over [`Elementwise`]. Each takes the
+//! row width, as MPI's `count` does: a rank that holds no rows then starts
+//! from the same `width` identities as the others, and prices the same
+//! state, so every rank picks the same schedule.
 
 use gv_core::agg::Elementwise;
 use gv_core::op::{ReduceScanOp, ScanKind};
@@ -17,18 +16,25 @@ use crate::scan::scan_splittable;
 
 /// Element-wise aggregated global-view reduction: slot `j` of the result is
 /// the reduction of slot `j` across all rows of all ranks (rows ordered by
-/// rank, then by local row index). Result on every rank.
-pub fn reduce_all_elementwise<Op>(comm: &Comm, op: &Op, rows: &[&[Op::In]]) -> Vec<Op::Out>
+/// rank, then by local row index), each row `width` slots. Result on
+/// every rank.
+pub fn reduce_all_elementwise<Op>(
+    comm: &Comm,
+    op: &Op,
+    rows: &[&[Op::In]],
+    width: usize,
+) -> Vec<Op::Out>
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    reduce_all(comm, &Elementwise::for_rows(op, rows), rows)
+    reduce_all(comm, &Elementwise::new(op, width), rows)
 }
 
 /// Element-wise aggregated global-view scan: output row `i`, slot `j` is
 /// the scan of slot `j` over all earlier rows (earlier ranks' rows
-/// included). Each rank receives outputs for its own rows.
+/// included), each row `width` slots. Each rank receives outputs for its
+/// own rows.
 ///
 /// [`Elementwise`] is splittable regardless of the operator, so the
 /// cross-rank prefix goes through the splittable selector entry (eligible
@@ -37,13 +43,14 @@ pub fn scan_elementwise<Op>(
     comm: &Comm,
     op: &Op,
     rows: &[&[Op::In]],
+    width: usize,
     kind: ScanKind,
 ) -> Vec<Vec<Op::Out>>
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    let out = scan_splittable(comm, &Elementwise::for_rows(op, rows), rows, kind);
+    let out = scan_splittable(comm, &Elementwise::new(op, width), rows, kind);
     // The rescan charged one `scan_gen` a row; an aggregated row makes one
     // a slot.
     let slots: usize = out.iter().map(Vec::len).sum();
@@ -71,7 +78,7 @@ mod tests {
                 })
                 .collect();
             let row_refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-            reduce_all_elementwise(comm, &min::<i64>(), &row_refs)
+            reduce_all_elementwise(comm, &min::<i64>(), &row_refs, 5)
         });
         // Oracle: all 12 rows in rank order.
         let all_rows: Vec<Vec<i64>> = (0..12)
@@ -97,7 +104,7 @@ mod tests {
                 .iter()
                 .map(|r| r.as_slice())
                 .collect();
-            scan_elementwise(comm, &sum::<i64>(), &mine, ScanKind::Inclusive)
+            scan_elementwise(comm, &sum::<i64>(), &mine, 4, ScanKind::Inclusive)
         });
         let flat: Vec<Vec<i64>> = outcome.results.into_iter().flatten().collect();
         for slot in 0..4 {
@@ -124,24 +131,28 @@ mod tests {
         ]
     }
 
-    /// Reduce and both scans over ranks some of which hold no rows,
-    /// against `gv_core::agg` over the rows in rank order.
-    fn check_with_empty_ranks<Op>(op: &Op, cell: impl Fn(usize, usize) -> Op::In + Sync)
-    where
+    /// Reduce and both scans of rows `width` slots wide at every `p` of
+    /// `ranks`, over ranks some of which hold no rows, against the sequential
+    /// engine over the rows in rank order.
+    fn check_with_empty_ranks<Op>(
+        op: &Op,
+        width: usize,
+        ranks: impl IntoIterator<Item = usize>,
+        cell: impl Fn(usize, usize) -> Op::In + Sync,
+    ) where
         Op: ReduceScanOp + Sync,
         Op::In: Sync,
         Op::State: Clone + Send + 'static,
         Op::Out: PartialEq + std::fmt::Debug + Send,
     {
-        const WIDTH: usize = 3;
-        for p in 2usize..=8 {
+        for p in ranks {
             for holds in placements(p) {
                 // Two rows on every rank that holds any, numbered globally.
                 let rows: Vec<Vec<Vec<Op::In>>> = (0..p)
                     .map(|r| {
                         let before = 2 * holds[..r].iter().filter(|&&h| h).count();
                         (before..before + 2 * usize::from(holds[r]))
-                            .map(|i| (0..WIDTH).map(|j| cell(i, j)).collect())
+                            .map(|i| (0..width).map(|j| cell(i, j)).collect())
                             .collect()
                     })
                     .collect();
@@ -150,12 +161,13 @@ mod tests {
                     let mine: Vec<&[Op::In]> =
                         rows[comm.rank()].iter().map(Vec::as_slice).collect();
                     (
-                        reduce_all_elementwise(comm, op, &mine),
-                        scan_elementwise(comm, op, &mine, ScanKind::Inclusive),
-                        scan_elementwise(comm, op, &mine, ScanKind::Exclusive),
+                        reduce_all_elementwise(comm, op, &mine, width),
+                        scan_elementwise(comm, op, &mine, width, ScanKind::Inclusive),
+                        scan_elementwise(comm, op, &mine, width, ScanKind::Exclusive),
                     )
                 });
-                let reduced = gv_core::agg::reduce_elementwise(op, &all);
+                let aggregate = Elementwise::new(op, width);
+                let reduced = gv_core::seq::reduce(&aggregate, &all);
                 let mut inclusive = Vec::new();
                 let mut exclusive = Vec::new();
                 for (r, (red, inc, exc)) in outcome.results.into_iter().enumerate() {
@@ -167,7 +179,7 @@ mod tests {
                     (inclusive, ScanKind::Inclusive),
                     (exclusive, ScanKind::Exclusive),
                 ] {
-                    let expected = gv_core::agg::scan_elementwise(op, &all, kind);
+                    let expected = gv_core::seq::scan(&aggregate, &all, kind);
                     assert_eq!(got, expected, "p={p} holds={holds:?} {kind:?}");
                 }
             }
@@ -176,12 +188,17 @@ mod tests {
 
     #[test]
     fn a_rank_without_rows_is_the_identity() {
-        check_with_empty_ranks(&sum::<i64>(), |i, j| (i * 7 + j * 3) as i64 % 11 - 5);
-        check_with_empty_ranks(&min::<i64>(), |i, j| (i * 5 + j) as i64 % 13 - 6);
+        check_with_empty_ranks(&sum::<i64>(), 3, 2..=8, |i, j| {
+            (i * 7 + j * 3) as i64 % 11 - 5
+        });
+        check_with_empty_ranks(&min::<i64>(), 3, 2..=8, |i, j| (i * 5 + j) as i64 % 13 - 6);
+        // An aggregate past the scan selector's first crossover: the ranks
+        // with rows run the chain, so one without must price the same state.
+        check_with_empty_ranks(&sum::<u64>(), 8192, [4, 8], |i, j| (i * 8192 + j) as u64);
         // Non-commutative, and its identity differs from every reachable
         // state: column 0 ascends, column 1 breaks between the two rows of
         // one rank, column 2 between two ranks.
-        check_with_empty_ranks(&Sorted::<i64>::new(), |i, j| match j {
+        check_with_empty_ranks(&Sorted::<i64>::new(), 3, 2..=8, |i, j| match j {
             0 => i as i64,
             1 => i as i64 - 4 * (i % 2) as i64,
             _ => i as i64 - 4 * (i / 2 % 2) as i64,
@@ -192,10 +209,10 @@ mod tests {
     fn ranks_that_disagree_on_a_width_still_fail() {
         let error = Runtime::new(3)
             .try_run(|comm| {
-                // Rank 1 is empty; ranks 0 and 2 hold 3 and 2 slots.
+                // Ranks 0 and 2 hold 3 and 2 slots; rank 1 holds none.
                 let row = vec![1i64; [3, 0, 2][comm.rank()]];
                 let rows: Vec<&[i64]> = if row.is_empty() { vec![] } else { vec![&row] };
-                reduce_all_elementwise(comm, &sum::<i64>(), &rows)
+                reduce_all_elementwise(comm, &sum::<i64>(), &rows, row.len())
             })
             .map(|outcome| outcome.results)
             .expect_err("3 slots cannot be combined with 2");
@@ -222,7 +239,7 @@ mod tests {
                 .map(|j| (comm.rank() * slots + j) as i64)
                 .collect();
             let rows: Vec<&[i64]> = vec![&row];
-            scan_elementwise(comm, &sum::<i64>(), &rows, ScanKind::Inclusive)
+            scan_elementwise(comm, &sum::<i64>(), &rows, slots, ScanKind::Inclusive)
         });
         assert_eq!(
             outcome
@@ -252,7 +269,7 @@ mod tests {
         let aggregated = Runtime::new(8).run(|comm| {
             let row: Vec<i64> = (0..slots).map(|j| (comm.rank() + j) as i64).collect();
             let rows: Vec<&[i64]> = vec![&row];
-            reduce_all_elementwise(comm, &min::<i64>(), &rows);
+            reduce_all_elementwise(comm, &min::<i64>(), &rows, slots);
         });
         assert!(
             aggregated.modeled_seconds < separate.modeled_seconds / 4.0,

@@ -34,7 +34,7 @@ pub mod scan;
 pub use agg::{reduce_all_elementwise, scan_elementwise};
 pub use dist::DistVector;
 pub use reduce::{
-    ireduce_all, reduce, reduce_all, reduce_all_claiming_commutativity, reduce_all_from_iter,
-    reduce_all_located, reduce_all_splittable, ReduceAllRequest,
+    ireduce_all, reduce, reduce_all, reduce_all_claiming_commutativity, reduce_all_splittable,
+    ReduceAllRequest,
 };
 pub use scan::scan;

@@ -17,12 +17,10 @@
 //! with [`ReduceScanOp::wire_size`] modeled bytes, and combining respects
 //! rank order whenever the operator is non-commutative.
 
-use std::ops::Add;
 use std::rc::Rc;
 
-use gv_core::iter::{accumulate_iter, accumulate_located, ValueSource};
-use gv_core::kernel::ValueGate;
-use gv_core::op::{accumulate_block, ReduceScanOp};
+use gv_core::iter::Input;
+use gv_core::op::ReduceScanOp;
 use gv_core::split::SplittableState;
 use gv_msgpass::{Comm, Request, RequestError};
 
@@ -31,11 +29,11 @@ use gv_msgpass::{Comm, Request, RequestError};
 pub(crate) fn accumulate_local<Op: ReduceScanOp>(
     comm: &Comm,
     op: &Op,
-    local: &[Op::In],
+    local: impl Input<Op>,
 ) -> Op::State {
     let mut state = op.ident();
-    accumulate_block(op, &mut state, local);
-    comm.advance(local.len() as u64 * op.accum_ops());
+    let count = local.accumulate(op, &mut state);
+    comm.advance(count * op.accum_ops());
     state
 }
 
@@ -91,8 +89,15 @@ where
 /// `RSMPI_Reduceall`.
 ///
 /// `local` is this rank's contiguous block of the conceptual global array
-/// (blocks are concatenated in rank order).
-pub fn reduce_all<Op>(comm: &Comm, op: &Op, local: &[Op::In]) -> Op::Out
+/// (blocks are concatenated in rank order): a slice, a
+/// [`Staged`](gv_core::iter::Staged) stream — the paper's RSMPI call
+/// sites pass an iterator describing the values each processor
+/// accumulates — or a [`Located`](gv_core::iter::Located) run of values
+/// whose pairs are never stored. Whichever it is, the virtual clock is
+/// charged one accumulate per element and the states cross ranks by the
+/// same allreduce, so the same elements give the same result, messages,
+/// bytes and modeled clock.
+pub fn reduce_all<Op>(comm: &Comm, op: &Op, local: impl Input<Op>) -> Op::Out
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
@@ -110,52 +115,6 @@ where
 {
     let state = accumulate_local(comm, op, local);
     op.red_gen(allreduce_state_splittable(comm, op, state))
-}
-
-/// [`reduce_all`] over a streamed local block: the paper's RSMPI call
-/// sites pass an *iterator* describing the values each processor
-/// accumulates ("the programmer first defines an iterator to describe the
-/// values passed to the accumulate function"), so a generated conceptual
-/// array never needs to be materialized: the stream is staged through the
-/// block kernels ([`accumulate_iter`]), one block at a time
-/// (`tests/alloc_budget.rs` counts it).
-pub fn reduce_all_from_iter<Op, I>(comm: &Comm, op: &Op, values: I) -> Op::Out
-where
-    Op: ReduceScanOp,
-    Op::State: Clone + Send + 'static,
-    I: IntoIterator<Item = Op::In>,
-{
-    let (state, count) = accumulate_iter(op, values);
-    comm.advance(count * op.accum_ops());
-    op.red_gen(allreduce_state(comm, op, state))
-}
-
-/// [`reduce_all`] over a *located* local block: element `i` of this rank's
-/// block is the pair `(values[i], first + i)` — the paper's `mini` over
-/// `[i in 1..n] (A(i), i)` (Listing 5), or ZRAN3's `(value, global index)`
-/// cells — and no pair is ever stored ([`accumulate_located`]). The
-/// values are a slice read in place or a [`Generated`] stream that is
-/// never stored either ([`ValueSource`]). The virtual clock is charged one
-/// accumulate per value and the states cross ranks by the same
-/// whole-state allreduce as [`reduce_all_from_iter`] over the same pairs,
-/// so the result, messages, bytes and modeled clock are that call's.
-///
-/// [`Generated`]: gv_core::iter::Generated
-pub fn reduce_all_located<Op, T, L>(
-    comm: &Comm,
-    op: &Op,
-    values: impl ValueSource<T>,
-    first: L,
-) -> Op::Out
-where
-    Op: ValueGate<T, In = (T, L)>,
-    Op::State: Clone + Send + 'static,
-    T: Copy,
-    L: Copy + Add<Output = L> + TryFrom<usize>,
-{
-    let (state, count) = accumulate_located(op, values, first);
-    comm.advance(count * op.accum_ops());
-    op.red_gen(allreduce_state(comm, op, state))
 }
 
 /// An in-flight [`ireduce_all`]: the cross-rank combine is parked in the
@@ -260,6 +219,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gv_core::iter::Staged;
     use gv_core::monoid::MonoidOp;
     use gv_core::ops::builtin::{max, min, sum, Min};
     use gv_core::ops::mink::MinK;
@@ -401,7 +361,7 @@ mod tests {
                 .collect();
             let outcome = Runtime::new(p).run(|comm| {
                 let op = TopBottomK::<f64, u64>::new(10);
-                reduce_all_from_iter(comm, &op, topk_chunks[comm.rank()].iter().copied())
+                reduce_all(comm, &op, Staged(topk_chunks[comm.rank()].iter().copied()))
             });
             let expected = gv_core::seq::reduce(&TopBottomK::<f64, u64>::new(10), &samples);
             for got in outcome.results {

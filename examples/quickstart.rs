@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use gv_core::iter::Located;
 use gv_core::prelude::*;
 use gv_executor::Pool;
 use gv_msgpass::Runtime;
@@ -29,9 +30,13 @@ fn main() {
     // Chapel (§3.1.1):  minimums = mink(integer, 3) reduce A;
     println!("\nmink(3)      = {:?}", reduce(&MinK::<i64>::new(3), &data));
 
-    // mini (§3.1.2): minimum value and its (1-based) location.
-    let pairs: Vec<(i64, usize)> = data.iter().copied().zip(1..).collect();
-    println!("mini         = {:?}", reduce(&mini(), &pairs));
+    // mini (§3.1.2): minimum value and its (1-based) location. Chapel's
+    // `[i in 1..n] (A(i), i)` is a located input: the values and the
+    // location of the first, no pair built.
+    println!(
+        "mini         = {:?}",
+        reduce(&mini(), Located::new(&data, 1usize))
+    );
 
     // sorted (§3.1.4): is the ordered set sorted?
     println!("sorted       = {}", reduce(&Sorted::<i64>::new(), &data));

@@ -54,6 +54,13 @@ for bin in fig2_is_verify fig3_mg_zran3 mpi_call_stats \
     ./target/release/"$bin" > /dev/null
 done
 
+# The examples check their own output, but clippy and the test run only
+# compile them: an example that panics would pass both.
+for example in quickstart particles sortcheck topten groupstats; do
+    echo "example: $example"
+    cargo run -q --offline --release --example "$example" > /dev/null
+done
+
 # The scan-schedule ablation grew flags in its rewrite; exercise them so
 # argument parsing and the CSV path stay alive.
 echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"

@@ -202,9 +202,10 @@ fn selector_routed_calls_at_two_ranks_copy_the_state_once_per_sender() {
 
 #[test]
 fn a_streamed_reduction_allocates_one_staging_block_whatever_the_stream_length() {
+    use gv_core::iter::Staged;
     use gv_core::ops::topk::TopBottomK;
 
-    /// `reduce_all_from_iter(TopBottomK(10))` over `len` generated pairs
+    /// `reduce_all(TopBottomK(10))` over `len` generated pairs, `Staged`,
     /// per rank: bytes each rank allocated in the call.
     fn streamed(p: usize, len: u64) -> Vec<usize> {
         Runtime::new(p)
@@ -214,7 +215,7 @@ fn a_streamed_reduction_allocates_one_staging_block_whatever_the_stream_length()
                 let pairs = (base..base + len)
                     .map(|g| ((g.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64, g));
                 let before = allocated();
-                let extrema = gv_rsmpi::reduce_all_from_iter(comm, &op, pairs);
+                let extrema = gv_rsmpi::reduce_all(comm, &op, Staged(pairs));
                 let spent = allocated() - before;
                 assert_eq!(extrema.largest.len(), 10);
                 spent
@@ -241,9 +242,10 @@ fn a_streamed_reduction_allocates_one_staging_block_whatever_the_stream_length()
 
 #[test]
 fn a_located_reduction_allocates_states_and_envelopes_only() {
+    use gv_core::iter::Located;
     use gv_core::ops::topk::TopBottomK;
 
-    /// `reduce_all_located(TopBottomK(10))` over `len` values per rank,
+    /// `reduce_all(TopBottomK(10))` over `len` values per rank, `Located`,
     /// the stream above's values: bytes each rank allocated in the call.
     fn located(p: usize, len: u64) -> Vec<usize> {
         Runtime::new(p)
@@ -254,7 +256,7 @@ fn a_located_reduction_allocates_states_and_envelopes_only() {
                     .map(|g| (g.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64)
                     .collect();
                 let before = allocated();
-                let extrema = gv_rsmpi::reduce_all_located(comm, &op, &values, base);
+                let extrema = gv_rsmpi::reduce_all(comm, &op, Located::new(&values, base));
                 let spent = allocated() - before;
                 assert_eq!(extrema.largest.len(), 10);
                 spent

@@ -14,6 +14,7 @@
 use gv_testkit::prop::{check, i64s, usizes, vec_of, Config};
 use gv_testkit::prop_assert_eq;
 
+use gv_core::iter::{Located, Staged};
 use gv_core::ops::histogram::Histogram;
 use gv_core::ops::topk::TopBottomK;
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
@@ -164,8 +165,7 @@ fn splittable_global_view_reductions_match_sequential_oracle() {
                 prop_assert_eq!(&got, &expected_hist);
             }
 
-            // TopBottomK over (value, index) pairs through the iterator
-            // entry point.
+            // TopBottomK over (value, index) pairs, streamed.
             let pairs: Vec<(f64, u64)> = samples
                 .iter()
                 .enumerate()
@@ -177,10 +177,10 @@ fn splittable_global_view_reductions_match_sequential_oracle() {
                 .map(|range| pairs[range].to_vec())
                 .collect();
             let outcome = Runtime::new(p).run(|comm| {
-                gv_rsmpi::reduce_all_from_iter(
+                gv_rsmpi::reduce_all(
                     comm,
                     &TopBottomK::<f64, u64>::new(5),
-                    pair_chunks[comm.rank()].iter().copied(),
+                    Staged(pair_chunks[comm.rank()].iter().copied()),
                 )
             });
             for got in outcome.results {
@@ -191,8 +191,18 @@ fn splittable_global_view_reductions_match_sequential_oracle() {
     );
 }
 
+/// How a rank passes its block: one of the three implementations of
+/// `gv_core::iter::Input`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Form {
+    Slice,
+    Staged,
+    Located,
+}
+
 #[test]
 fn a_located_reduction_is_the_streamed_one_on_the_wire_for_p_1_through_17() {
+    use gv_core::kernel::{dispatch_counts, BLOCK};
     use gv_core::ops::minloc::mini;
     use gv_msgpass::CallKind;
 
@@ -205,58 +215,84 @@ fn a_located_reduction_is_the_streamed_one_on_the_wire_for_p_1_through_17() {
         gv_core::seq::reduce(&op, &pairs),
         gv_core::seq::reduce(&mini(), &pairs),
     );
+    // The same `(TopBottomK, mini)` pair of reductions over each form.
+    let both = |comm: &gv_msgpass::Comm, form: Form, range: std::ops::Range<usize>| {
+        let (first, local, pairs) = (range.start as u64, &values[range.clone()], &pairs[range]);
+        match form {
+            Form::Slice => (
+                gv_rsmpi::reduce_all(comm, &op, pairs),
+                gv_rsmpi::reduce_all(comm, &mini(), pairs),
+            ),
+            Form::Staged => (
+                gv_rsmpi::reduce_all(comm, &op, Staged(pairs.iter().copied())),
+                gv_rsmpi::reduce_all(comm, &mini(), Staged(pairs.iter().copied())),
+            ),
+            Form::Located => (
+                gv_rsmpi::reduce_all(comm, &op, Located::new(local, first)),
+                gv_rsmpi::reduce_all(comm, &mini(), Located::new(local, first)),
+            ),
+        }
+    };
     for p in 1..=17usize {
         let ranges: Vec<_> = chunk_ranges(values.len(), p).collect();
-        let run = |located: bool| {
-            Runtime::new(p).run(|comm| {
-                let range = ranges[comm.rank()].clone();
-                if located {
-                    let first = range.start as u64;
-                    let local = &values[range];
-                    let topk = gv_rsmpi::reduce_all_located(comm, &op, local, first);
-                    (
-                        topk,
-                        gv_rsmpi::reduce_all_located(comm, &mini(), local, first),
-                    )
-                } else {
-                    let local = &pairs[range];
-                    let topk = gv_rsmpi::reduce_all_from_iter(comm, &op, local.iter().copied());
-                    (
-                        topk,
-                        gv_rsmpi::reduce_all_from_iter(comm, &mini(), local.iter().copied()),
-                    )
-                }
-            })
-        };
-        let (located, streamed) = (run(true), run(false));
-        for got in &located.results {
+        let run = |form| Runtime::new(p).run(|comm| both(comm, form, ranges[comm.rank()].clone()));
+        let sliced = run(Form::Slice);
+        for got in &sliced.results {
             assert_eq!(got, &expected, "p={p}");
         }
-        assert_eq!(located.results, streamed.results, "p={p}");
-        for algo in AllreduceAlgorithm::ALL {
+        for form in [Form::Staged, Form::Located] {
+            let other = run(form);
+            assert_eq!(other.results, sliced.results, "{form:?}, p={p}");
+            for algo in AllreduceAlgorithm::ALL {
+                assert_eq!(
+                    other.stats.allreduce_algorithm_calls(algo),
+                    sliced.stats.allreduce_algorithm_calls(algo),
+                    "{algo:?} calls, {form:?}, p={p}"
+                );
+            }
             assert_eq!(
-                located.stats.allreduce_algorithm_calls(algo),
-                streamed.stats.allreduce_algorithm_calls(algo),
-                "{algo:?} calls, p={p}"
+                other.stats.calls(CallKind::Allreduce),
+                sliced.stats.calls(CallKind::Allreduce),
+                "{form:?}, p={p}"
+            );
+            assert_eq!(
+                other.stats.messages, sliced.stats.messages,
+                "messages, {form:?}, p={p}"
+            );
+            assert_eq!(
+                other.stats.bytes, sliced.stats.bytes,
+                "bytes, {form:?}, p={p}"
+            );
+            let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&other.rank_clocks),
+                bits(&sliced.rank_clocks),
+                "modeled clocks, {form:?}, p={p}"
             );
         }
-        assert_eq!(
-            located.stats.calls(CallKind::Allreduce),
-            streamed.stats.calls(CallKind::Allreduce),
-            "p={p}"
-        );
-        assert_eq!(
-            located.stats.messages, streamed.stats.messages,
-            "messages, p={p}"
-        );
-        assert_eq!(located.stats.bytes, streamed.stats.bytes, "bytes, p={p}");
-        let bits = |clocks: &[f64]| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&located.rank_clocks),
-            bits(&streamed.rank_clocks),
-            "modeled clocks, p={p}"
-        );
     }
+
+    // Blocks noted, kernel and scalar together: a slice is one a call, a
+    // stream and a located run one a `BLOCK` window — so a loop that cut
+    // slices into windows would move the benchmark's `core.kernel.blocks_*`.
+    // The counters are process-wide and other tests tick them too: the
+    // quietest of many attempts is the call's own count.
+    let blocks = |form| {
+        (0..200)
+            .map(|_| {
+                let (kernel, scalar) = dispatch_counts();
+                Runtime::new(1).run(|comm| both(comm, form, 0..values.len()));
+                let (kernel_after, scalar_after) = dispatch_counts();
+                kernel_after - kernel + scalar_after - scalar
+            })
+            .min()
+            .unwrap()
+    };
+    let windows = values.len().div_ceil(BLOCK) as u64;
+    assert_eq!(windows, 3);
+    assert_eq!(blocks(Form::Slice), 2, "one block a call");
+    assert_eq!(blocks(Form::Staged), 2 * windows, "one block a window");
+    assert_eq!(blocks(Form::Located), 2 * windows, "one block a window");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use gv_testkit::prop::{bools, check, f64s, i64s, usizes, vec_of, Config};
 use gv_testkit::prop_assert_eq;
 
-use gv_core::iter::{reduce_iter, scan_iter};
+use gv_core::iter::reduce_iter;
 use gv_core::op::ScanKind;
 use gv_core::ops::builtin::{sum, Sum};
 use gv_core::ops::histogram::Histogram;
@@ -125,12 +125,6 @@ fn iter_engine_matches_slice_engine() {
             prop_assert_eq!(
                 reduce_iter(&sum::<i64>(), data.iter().copied()),
                 seq::reduce(&sum::<i64>(), data)
-            );
-            let streamed: Vec<i64> =
-                scan_iter(&sum::<i64>(), data.iter().copied(), ScanKind::Exclusive).collect();
-            prop_assert_eq!(
-                streamed,
-                seq::scan(&sum::<i64>(), data, ScanKind::Exclusive)
             );
             Ok(())
         },

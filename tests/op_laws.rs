@@ -472,7 +472,7 @@ fn sortedness_combine_order_is_observable() {
 
 mod kernel_laws {
     use super::*;
-    use gv_core::iter::{accumulate_iter, accumulate_located, reduce_iter, Generated};
+    use gv_core::iter::{reduce_iter, Generated, Input, Located, Staged};
     use gv_core::kernel::{self, ValueGate, LANES};
     use gv_core::op::{accumulate_block_scalar, rescan_block, rescan_block_scalar};
     use gv_testkit::prop::{check, from_fn, Config};
@@ -1094,8 +1094,8 @@ mod kernel_laws {
         assert_eq!(kernel.worst_first(), [5, 7, 9]);
     }
 
-    /// `accumulate_located(op, values[..n], first)` against
-    /// `accumulate_iter` over the same `(value, first + i)` pairs,
+    /// `Located::new(values[..n], first)` against a `Staged` stream of the
+    /// same `(value, first + i)` pairs,
     /// materialised, and against the same values as a `Generated` stream,
     /// at every `n` in `lengths`: the same element count and the same state
     /// through `exact`, so NaN payloads and the sign of zero count.
@@ -1113,8 +1113,10 @@ mod kernel_laws {
         for &n in lengths {
             let values = &values[..n];
             let pairs: Vec<(f64, u64)> = values.iter().copied().zip(first..).collect();
-            let (located, count) = accumulate_located(op, values, first);
-            let (staged, staged_count) = accumulate_iter(op, pairs.iter().copied());
+            let mut located = op.ident();
+            let count = Located::new(values, first).accumulate(op, &mut located);
+            let mut staged = op.ident();
+            let staged_count = Staged(pairs.iter().copied()).accumulate(op, &mut staged);
             assert_eq!(count, staged_count, "{name}: element count at n={n}");
             assert_eq!(
                 exact(&located),
@@ -1127,7 +1129,8 @@ mod kernel_laws {
                 window.copy_from_slice(head);
                 rest = tail;
             });
-            let (from_windows, generated_count) = accumulate_located(op, generated, first);
+            let mut from_windows = op.ident();
+            let generated_count = Located::new(generated, first).accumulate(op, &mut from_windows);
             assert_eq!(generated_count, count, "{name}: generated count at n={n}");
             assert_eq!(
                 exact(&from_windows),
