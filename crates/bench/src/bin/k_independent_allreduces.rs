@@ -13,10 +13,10 @@
 //!     (every call pays the full ⌈log₂p⌉·(α+βn) critical path);
 //!   * **overlapped**: `k` [`iallreduce`](gv_msgpass::Comm::iallreduce)
 //!     calls followed by one batched [`wait_all`](gv_msgpass::wait_all)
-//!     (all `k` round-0 messages are on the wire before the first
-//!     round-1 receive, so the `k` schedules pipeline through the same
-//!     rounds, paying the critical path roughly once plus a per-message
-//!     injection overhead).
+//!     (each request runs the whole-state tree rooted at its call
+//!     sequence mod p, and every launch's sends are on the wire before
+//!     any receive, so the `k` schedules pipeline, paying the critical
+//!     path roughly once plus the bytes on the busiest link).
 //!
 //! Reported is the modeled parallel time of each variant (max over ranks
 //! of the per-rank virtual-clock delta, the same convention as every

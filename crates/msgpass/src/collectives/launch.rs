@@ -8,7 +8,8 @@
 //! once, issues the initial sends. [`Comm::launch`] is those steps, once;
 //! the last one is the [`Mode`] type parameter, so [`Comm::allreduce`]
 //! and [`Comm::iallreduce`] — the one collective with a non-blocking form
-//! — differ in that one token and nothing else.
+//! — launch alike, and differ only in that token and in the rule that
+//! picks their schedule (`select.rs`).
 
 use std::future::Future;
 

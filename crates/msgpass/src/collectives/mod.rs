@@ -36,8 +36,10 @@
 //! (`request::recv`). Every schedule-based collective takes the one
 //! launch path in `launch.rs` and is driven on the caller's stack, except
 //! [`iallreduce`](crate::comm::Comm::iallreduce): the one non-blocking
-//! collective registers the same future with the rank's progress engine
-//! (`request.rs`) and returns a request.
+//! collective registers its future with the rank's progress engine
+//! (`request.rs`) and returns a request. A commutative request runs the
+//! whole-state tree rooted at its call sequence mod p, a non-commutative
+//! one the blocking call's recursive doubling (`select.rs`).
 //!
 //! Every collective must be called by all ranks of the communicator in the
 //! same order (MPI's usual rule). Combine closures always receive

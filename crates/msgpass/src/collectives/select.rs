@@ -41,10 +41,19 @@
 //!
 //! Every collective here drives its schedule on the caller's stack except
 //! [`Comm::iallreduce`], the one non-blocking entry point: it registers
-//! the same allreduce schedule with the rank's progress engine and
-//! returns a [`Request`]. Its state is unsplittable, so the selector's
-//! only eligible schedule — and the only one the engine runs — is
-//! recursive doubling.
+//! an allreduce schedule with the rank's progress engine and returns a
+//! [`Request`]. A blocking call is priced by its critical path, a request
+//! by the work it leaves on each rank: requests in flight overlap their
+//! critical paths, so what a rank pays for is its own clones and
+//! combines. A commutative request therefore runs the whole-state tree
+//! rooted at its call sequence number mod p — `p − 1` clones and combines
+//! a call, spread over the ranks by the rotation, where recursive
+//! doubling makes each rank clone and combine once a round — and a
+//! non-commutative one runs recursive doubling, the blocking call's
+//! schedule, since a rotated tree would permute its combine order. On one
+//! rank there is nothing to move and a request runs recursive doubling,
+//! whose empty schedule is the smaller future to box. The rule reads no
+//! state's size.
 //!
 //! Selection uses this rank's local `bytes_of(&value)` as the wire size.
 //! Under the SPMD convention that all ranks pass equal-shaped states
@@ -68,10 +77,13 @@ impl Comm {
     /// The allreduce family's one constructor: records the schedule and
     /// launches it. `plan` is `(algorithm, tree segment count)`; the
     /// segment count only matters to the tree arms (reduce+bcast *is*
-    /// the tree at `S = 1`).
+    /// the tree at `S = 1`). `rotate` roots the tree at the call's
+    /// sequence number mod p instead of rank 0, which only a commutative
+    /// operator allows.
     pub(crate) fn start_allreduce<'a, M: Mode<'a>, T: Clone + Send + 'static>(
         &self,
         (algo, segments): (AllreduceAlgorithm, usize),
+        rotate: bool,
         value: T,
         segmentation: (
             impl FnOnce(T, usize) -> Vec<T> + 'a,
@@ -92,7 +104,21 @@ impl Comm {
                 }),
             AllreduceAlgorithm::ReduceBroadcast | AllreduceAlgorithm::PipelinedTree => self
                 .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
-                    tree_allreduce(comm, value, segments, segmentation, seq, bytes_of, combine)
+                    let root = if rotate {
+                        (seq % comm.size() as u64) as usize
+                    } else {
+                        0
+                    };
+                    tree_allreduce(
+                        comm,
+                        root,
+                        value,
+                        segments,
+                        segmentation,
+                        seq,
+                        bytes_of,
+                        combine,
+                    )
                 }),
         }
     }
@@ -115,7 +141,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.start_allreduce::<Blocking, _>(plan, value, segmentation, bytes_of, combine)
+        self.start_allreduce::<Blocking, _>(plan, false, value, segmentation, bytes_of, combine)
     }
 
     /// Allreduce with cost-driven schedule selection for whole (scalar,
@@ -139,9 +165,18 @@ impl Comm {
         self.allreduce_by(plan, value, whole(), bytes_of, combine)
     }
 
-    /// Non-blocking [`allreduce`](Self::allreduce): the same cost-driven
-    /// selection, but the chosen schedule is registered with the rank's
-    /// progress engine and the call returns a [`Request`] immediately.
+    /// Non-blocking [`allreduce`](Self::allreduce): the schedule is
+    /// registered with the rank's progress engine and the call returns a
+    /// [`Request`] immediately.
+    ///
+    /// A request is priced by the work it leaves on each rank, not by its
+    /// critical path (see the module docs): a commutative one runs the
+    /// whole-state tree, recorded as
+    /// [`AllreduceAlgorithm::ReduceBroadcast`], rooted at the call's
+    /// sequence number mod p; a non-commutative one, or any request on
+    /// one rank, runs recursive doubling, as the blocking call does. The
+    /// rule reads no state's size, so ranks whose states differ in size
+    /// agree on the schedule.
     pub fn iallreduce<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -149,14 +184,16 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        let plan = AllreduceAlgorithm::select(
-            &self.cost_model(),
-            self.size(),
-            bytes_of(&value),
-            commutative,
-            false,
-        );
-        self.start_allreduce::<Nonblocking, _>(plan, value, whole(), bytes_of, combine)
+        // Commutativity licenses both the tree and its rotation. One rank
+        // has nothing to move, and recursive doubling's empty schedule is
+        // the smaller future to box.
+        let algo = if commutative && self.size() > 1 {
+            AllreduceAlgorithm::ReduceBroadcast
+        } else {
+            AllreduceAlgorithm::RecursiveDoubling
+        };
+        let plan = (algo, 1);
+        self.start_allreduce::<Nonblocking, _>(plan, commutative, value, whole(), bytes_of, combine)
     }
 
     /// Allreduce with the full schedule selection for states the caller
@@ -503,29 +540,26 @@ mod tests {
     }
 
     #[test]
-    fn iallreduce_records_the_same_selection_as_blocking() {
-        // Small scalar state: both paths must pick recursive doubling
-        // and produce the same stats (one Allreduce call, one RD
-        // schedule record per rank).
-        let blocking = Runtime::new(8)
-            .run(|comm| comm.allreduce(comm.rank() as u64, true, |_| 8, |a, b| a + b));
-        let nonblocking = Runtime::new(8).run(|comm| {
-            let mut req = comm.iallreduce(comm.rank() as u64, true, |_| 8, |a, b| a + b);
-            req.wait().unwrap()
-        });
-        assert_eq!(blocking.results, nonblocking.results);
-        assert_eq!(
-            blocking.stats.calls(CallKind::Allreduce),
-            nonblocking.stats.calls(CallKind::Allreduce)
-        );
-        assert_eq!(
-            blocking
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
-            nonblocking
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
-        );
+    fn iallreduce_picks_its_schedule_by_commutativity_alone() {
+        // At p > 1 a commutative request runs the whole-state tree and a
+        // non-commutative one recursive doubling, as the blocking call
+        // does; either way one Allreduce call per rank and the blocking
+        // call's result.
+        for commutative in [true, false] {
+            let blocking = Runtime::new(8).run(move |comm| {
+                comm.allreduce(comm.rank() as u64, commutative, |_| 8, |a, b| a + b)
+            });
+            let nonblocking = Runtime::new(8).run(move |comm| {
+                let mut req = comm.iallreduce(comm.rank() as u64, commutative, |_| 8, |a, b| a + b);
+                req.wait().unwrap()
+            });
+            assert_eq!(blocking.results, nonblocking.results);
+            assert_eq!(nonblocking.stats.calls(CallKind::Allreduce), 8);
+            let (tree, rd) = if commutative { (8, 0) } else { (0, 8) };
+            let calls = |algo| nonblocking.stats.allreduce_algorithm_calls(algo);
+            assert_eq!(calls(AllreduceAlgorithm::ReduceBroadcast), tree);
+            assert_eq!(calls(AllreduceAlgorithm::RecursiveDoubling), rd);
+        }
     }
 
     #[test]

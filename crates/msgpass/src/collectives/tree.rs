@@ -9,36 +9,44 @@
 //! the schedules *are* the textbook binomial broadcast, reduce and
 //! reduce-then-broadcast: same edges, same order, same modeled clock.
 //!
-//! Three schedules share two sweeps, each an `async fn`:
+//! Three schedules share two sweeps, each an `async fn` over the tree
+//! rooted at a given rank (the binomial tree of rank 0, rotated by the
+//! root):
 //!
-//! * `up_sweep` reduces every segment toward rank 0. A rank receives
+//! * `up_sweep` reduces every segment toward the root. A rank receives
 //!   its children's partials in increasing-mask order and combines
-//!   `(own, child)` — the child's partial covers exactly the ranks just
-//!   above the receiver's, so every combine is a rank-order association
-//!   and non-commutative operators are safe.
+//!   `(own, child)` — the child's partial covers exactly the virtual
+//!   ranks just above the receiver's, so every combine is a vrank-order
+//!   association: rank order at root 0, where non-commutative operators
+//!   are safe, and a rotation of it anywhere else.
 //! * `down_sweep` relays every segment from the root to all ranks,
 //!   deepest subtree first, each rank forwarding a segment to its
 //!   children the moment it arrives.
 //!
-//! `tree_bcast` is a down-sweep rooted anywhere (the tree is rotated by
-//! the root), `(p−1)·S` messages. `tree_reduce` is an up-sweep to rank
-//! 0 — rotating a non-commutative tree would permute the combine order —
-//! which streams finished segments on to a non-zero root as they
-//! complete: `(p−1)·S` messages, plus `S` when the root is not rank 0.
-//! `tree_allreduce` hands each segment that reaches rank 0 straight to
-//! the down-sweep, so segment `j`'s descent overlaps segment `j+1`'s
-//! climb: `2(p−1)·S` messages on a `2⌈log₂p⌉`-hop critical path.
+//! `tree_bcast` is a down-sweep rooted anywhere, `(p−1)·S` messages.
+//! `tree_reduce` is an up-sweep to rank 0 — rotating a non-commutative
+//! tree would permute the combine order — which streams finished
+//! segments on to a non-zero root as they complete: `(p−1)·S` messages,
+//! plus `S` when the root is not rank 0. `tree_allreduce` hands each
+//! segment that reaches its root straight to the down-sweep, so segment
+//! `j`'s descent overlaps segment `j+1`'s climb: `2(p−1)·S` messages on
+//! a `2⌈log₂p⌉`-hop critical path. Every blocking call roots it at rank
+//! 0; a commutative request roots it at its call sequence mod p, so
+//! consecutive requests spread their combines over the ranks
+//! (`select.rs`).
 //!
 //! Memory discipline: payloads move by value. An arriving partial is
 //! combined *into*, a segment forwarded to one peer is sent by move, and
 //! the only clones are the down-sweep's keep-and-forward fan-out, one
-//! per child.
+//! per child. At `S = 1` a state is held as itself, not as a one-segment
+//! list (`Segments`), so the whole-state tree allocates nothing of its
+//! own.
 
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::message::Key;
-use crate::request::recv;
+use crate::request::{recv, recv_last};
 
 /// The `(split, unsplit)` pair of a whole, unsplittable state: its
 /// one-segment segmentation. Pass it where an entry point takes a
@@ -69,48 +77,76 @@ pub(crate) fn split_into<T>(
     segs
 }
 
-/// One rank's share of the reduce toward rank 0: each segment, in order,
-/// takes in the partials of this rank's tree children (increasing-mask
-/// order) and goes on to its parent; on rank 0 it is complete and goes to
-/// `at_top`.
-async fn up_sweep<T: Send + 'static>(
-    comm: &Comm,
-    tag: Key,
-    segs: Vec<T>,
-    bytes_of: &impl Fn(&T) -> usize,
-    mut combine: impl FnMut(T, T) -> T,
-    mut at_top: impl FnMut(T),
-) -> Result<(), ShutdownError> {
-    let p = comm.size();
-    let r = comm.rank();
-    // The children are `r + m` for the masks below r's lowest set bit;
-    // the parent link is that bit.
-    let low = if r == 0 {
-        p.next_power_of_two()
-    } else {
-        1 << r.trailing_zeros()
-    };
-    for mut seg in segs {
-        let mut m = 1;
-        while m < low && r + m < p {
-            let later = recv::<T>(comm, r + m, tag).await?;
-            seg = combine(seg, later);
-            m <<= 1;
-        }
-        if r == 0 {
-            at_top(seg);
+/// The segments of one call's state a rank holds. A whole state is held
+/// as itself: at `S = 1` the round-trip law makes `split` and `unsplit`
+/// the identity, so the tree calls neither and allocates no list.
+enum Segments<T> {
+    Whole(Option<T>),
+    Split(Vec<T>),
+}
+
+impl<T> Segments<T> {
+    /// Room for `s` segments, none held yet.
+    fn with_capacity(s: usize) -> Self {
+        if s == 1 {
+            Segments::Whole(None)
         } else {
-            let bytes = bytes_of(&seg);
-            comm.send_key(r - low, tag, seg, bytes);
+            Segments::Split(Vec::with_capacity(s))
         }
     }
-    Ok(())
+
+    /// `value` cut into `s` segments.
+    fn split(value: T, s: usize, split: impl FnOnce(T, usize) -> Vec<T>) -> Self {
+        if s == 1 {
+            Segments::Whole(Some(value))
+        } else {
+            Segments::Split(split_into(value, s, split))
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Segments::Whole(seg) => usize::from(seg.is_some()),
+            Segments::Split(segs) => segs.len(),
+        }
+    }
+
+    fn push(&mut self, seg: T) {
+        match self {
+            Segments::Whole(slot) => {
+                debug_assert!(slot.is_none(), "a whole state is one segment");
+                *slot = Some(seg);
+            }
+            Segments::Split(segs) => segs.push(seg),
+        }
+    }
+
+    fn unsplit(self, unsplit: impl FnOnce(Vec<T>) -> T) -> T {
+        match self {
+            Segments::Whole(seg) => seg.expect("a whole state is one segment"),
+            Segments::Split(segs) => unsplit(segs),
+        }
+    }
+}
+
+impl<T> IntoIterator for Segments<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (whole, split) = match self {
+            Segments::Whole(seg) => (seg, Vec::new()),
+            Segments::Split(segs) => (None, segs),
+        };
+        whole.into_iter().chain(split)
+    }
 }
 
 /// This rank's position in the tree rooted at `root`: its virtual rank,
 /// and the mask its walk up stops at — the lowest set vrank bit (its
-/// parent link), or one past the whole tree at the root.
-fn down_position(comm: &Comm, root: usize) -> (usize, usize) {
+/// parent link), or one past the whole tree at the root. Its children
+/// are the vranks `vrank + m` for the masks `m` below that one.
+fn position(comm: &Comm, root: usize) -> (usize, usize) {
     let p = comm.size();
     let vrank = (comm.rank() + p - root) % p;
     let mut mask = 1usize;
@@ -118,6 +154,39 @@ fn down_position(comm: &Comm, root: usize) -> (usize, usize) {
         mask <<= 1;
     }
     (vrank, mask)
+}
+
+/// One rank's share of the reduce toward `root`: each segment, in order,
+/// takes in the partials of this rank's tree children (increasing-mask
+/// order) and goes on to its parent; at the root it is complete and goes
+/// to `at_top`. The combines follow vrank order, which is rank order
+/// only for `root` 0.
+async fn up_sweep<T: Send + 'static>(
+    comm: &Comm,
+    root: usize,
+    tag: Key,
+    segs: Segments<T>,
+    bytes_of: &impl Fn(&T) -> usize,
+    mut combine: impl FnMut(T, T) -> T,
+    mut at_top: impl FnMut(T),
+) -> Result<(), ShutdownError> {
+    let p = comm.size();
+    let (vrank, low) = position(comm, root);
+    for mut seg in segs {
+        let mut m = 1;
+        while m < low && vrank + m < p {
+            let later = recv::<T>(comm, (vrank + m + root) % p, tag).await?;
+            seg = combine(seg, later);
+            m <<= 1;
+        }
+        if vrank == 0 {
+            at_top(seg);
+        } else {
+            let bytes = bytes_of(&seg);
+            comm.send_key((vrank - low + root) % p, tag, seg, bytes);
+        }
+    }
+    Ok(())
 }
 
 /// Sends `seg` to every child in the tree rooted at `root`, largest
@@ -131,7 +200,7 @@ fn relay<T: Clone + Send + 'static>(
     seg: &T,
 ) {
     let p = comm.size();
-    let (vrank, mask) = down_position(comm, root);
+    let (vrank, mask) = position(comm, root);
     let mut m = mask >> 1;
     while m > 0 {
         if vrank + m < p {
@@ -151,13 +220,21 @@ async fn down_sweep<T: Clone + Send + 'static>(
     root: usize,
     tag: Key,
     bytes_of: &impl Fn(&T) -> usize,
-    mut segs: Vec<T>,
+    mut segs: Segments<T>,
     total: usize,
-) -> Result<Vec<T>, ShutdownError> {
+) -> Result<Segments<T>, ShutdownError> {
     let p = comm.size();
-    let (vrank, mask) = down_position(comm, root);
+    let (vrank, mask) = position(comm, root);
+    // A rank without children relays nothing: its last segment is the
+    // schedule's last receive.
+    let leaf = mask == 1 || vrank + 1 == p;
     while segs.len() < total {
-        let seg = recv::<T>(comm, (vrank + p - mask + root) % p, tag).await?;
+        let parent = (vrank + p - mask + root) % p;
+        let seg = if leaf && segs.len() + 1 == total {
+            recv_last::<T>(comm, parent, tag).await?
+        } else {
+            recv::<T>(comm, parent, tag).await?
+        };
         relay(comm, root, tag, bytes_of, &seg);
         segs.push(seg);
     }
@@ -179,19 +256,20 @@ pub(crate) async fn tree_bcast<T: Clone + Send + 'static>(
     assert!(root < comm.size(), "bcast root {root} out of range");
     let s = segments.max(1);
     let tag = TagBase::Bcast.key(seq);
-    let mut segs = Vec::with_capacity(s);
+    let mut segs = Segments::with_capacity(s);
     if comm.rank() == root {
         let value = value.expect("the bcast root must supply the value");
-        for seg in split_into(value, s, split) {
+        for seg in Segments::split(value, s, split) {
             relay(&comm, root, tag, &bytes_of, &seg);
             segs.push(seg);
         }
     }
     let segs = down_sweep(&comm, root, tag, &bytes_of, segs, s).await?;
-    Ok(unsplit(segs))
+    Ok(segs.unsplit(unsplit))
 }
 
-/// Reduce to `root`: `Some(result)` there, `None` elsewhere.
+/// Reduce to `root`: `Some(result)` there, `None` elsewhere. The
+/// up-sweep climbs to rank 0, so the combines keep rank order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) async fn tree_reduce<T: Send + 'static>(
     comm: Comm,
@@ -206,9 +284,9 @@ pub(crate) async fn tree_reduce<T: Send + 'static>(
     assert!(root < comm.size(), "reduce root {root} out of range");
     let s = segments.max(1);
     let tag = TagBase::Reduce.key(seq);
-    let mut collected = Vec::with_capacity(s);
-    let segs = split_into(value, s, split);
-    up_sweep(&comm, tag, segs, &bytes_of, combine, |seg| {
+    let mut collected = Segments::with_capacity(s);
+    let segs = Segments::split(value, s, split);
+    up_sweep(&comm, 0, tag, segs, &bytes_of, combine, |seg| {
         if root == 0 {
             collected.push(seg);
         } else {
@@ -225,13 +303,16 @@ pub(crate) async fn tree_reduce<T: Send + 'static>(
     while collected.len() < s {
         collected.push(recv(&comm, 0, tag).await?);
     }
-    Ok(Some(unsplit(collected)))
+    Ok(Some(collected.unsplit(unsplit)))
 }
 
-/// Fused allreduce: up-sweep to rank 0, each finished segment handed
-/// straight to the down-sweep.
+/// Fused allreduce on the tree rooted at `root`: up-sweep, each finished
+/// segment handed straight to the down-sweep. Any root but 0 combines in
+/// a rotated rank order, which only a commutative operator allows.
+#[allow(clippy::too_many_arguments)]
 pub(crate) async fn tree_allreduce<T: Clone + Send + 'static>(
     comm: Comm,
+    root: usize,
     value: T,
     segments: usize,
     (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
@@ -244,15 +325,15 @@ pub(crate) async fn tree_allreduce<T: Clone + Send + 'static>(
         TagBase::AllreduceTreeUp.key(seq),
         TagBase::AllreduceTreeDown.key(seq),
     );
-    let segs = split_into(value, s, split);
-    let mut top = Vec::with_capacity(s);
-    up_sweep(&comm, up, segs, &bytes_of, combine, |seg| {
-        relay(&comm, 0, down, &bytes_of, &seg);
+    let segs = Segments::split(value, s, split);
+    let mut top = Segments::with_capacity(s);
+    up_sweep(&comm, root, up, segs, &bytes_of, combine, |seg| {
+        relay(&comm, root, down, &bytes_of, &seg);
         top.push(seg);
     })
     .await?;
-    let segs = down_sweep(&comm, 0, down, &bytes_of, top, s).await?;
-    Ok(unsplit(segs))
+    let segs = down_sweep(&comm, root, down, &bytes_of, top, s).await?;
+    Ok(segs.unsplit(unsplit))
 }
 
 impl Comm {

@@ -60,6 +60,12 @@ pub(crate) struct RankCore {
     /// be cloned — one producer per lane is what makes them lock-free).
     pub(crate) peers: Vec<PeerSender>,
     pub(crate) clock: Cell<f64>,
+    /// The availability of the message a schedule's last receive took
+    /// without raising the clock (`request::recv_last`), 0 between polls:
+    /// the schedule completes in the same poll, and whoever completes it
+    /// takes the time and raises the clock to it — a blocking call at
+    /// once, a request when its result is harvested.
+    deferred: Cell<f64>,
     /// The modeled time each of this rank's outgoing links, by **world**
     /// destination, finishes carrying the bytes already put on it: a link
     /// carries one message at a time (see [`Comm::send_key`]).
@@ -77,6 +83,9 @@ pub(crate) struct RankCore {
     collective_depth: Cell<u32>,
     /// The rank's progress engine: in-flight non-blocking collectives.
     engine: RefCell<Engine>,
+    /// Set while a request's launch poll runs, which sends and receives
+    /// nothing (`request::recv`).
+    launching: Cell<bool>,
     /// Per-communicator collective call sequences, by communicator id.
     /// Collectives are called in the same order on every member of a
     /// communicator (the MPI rule), so each rank's counter agrees without
@@ -165,6 +174,8 @@ impl Comm {
             monitor: init.monitor,
             faults: init.faults,
             collective_depth: Cell::new(0),
+            launching: Cell::new(false),
+            deferred: Cell::new(0.0),
             engine: RefCell::new(Engine::new()),
             coll_seq: RefCell::new(HashMap::new()),
         });
@@ -209,6 +220,11 @@ impl Comm {
     /// The rank's progress engine.
     pub(crate) fn engine(&self) -> &RefCell<Engine> {
         &self.core.engine
+    }
+
+    /// Whether a request's launch poll is running on this rank.
+    pub(crate) fn launching(&self) -> &Cell<bool> {
+        &self.core.launching
     }
 
     /// The one place a rank waits. Calls `attempt` until it yields; after
@@ -366,6 +382,12 @@ impl Comm {
         }
     }
 
+    /// Takes the availability a schedule's last receive deferred (0 if
+    /// none): the time the schedule's result is ready at.
+    pub(crate) fn take_deferred(&self) -> f64 {
+        self.core.deferred.replace(0.0)
+    }
+
     fn charge_overhead(&self) {
         // Half the latency is CPU overhead on each side (LogP's `o`), so
         // fanning out p messages costs the sender p·α/2 — what makes
@@ -510,14 +532,24 @@ impl Comm {
 
     /// One non-blocking matching pass for a schedule (each poll of its
     /// `request::recv` future makes one): on a delivery, accounts for the
-    /// message exactly as [`recv`](Self::recv) does.
+    /// message exactly as [`recv`](Self::recv) does — except at a
+    /// schedule's `last` receive, where the clock's rise to the message's
+    /// availability is left to whoever completes the schedule
+    /// ([`take_deferred`](Self::take_deferred)).
     pub(crate) fn try_recv_schedule<T: 'static>(
         &self,
         src: usize,
         key: Key,
+        last: bool,
     ) -> Result<Option<T>, ShutdownError> {
         let found = self.try_match(Source::Rank(src), key)?;
-        Ok(found.map(|(packet, from)| self.deliver(packet, from, true).0))
+        Ok(found.map(|(packet, from)| {
+            let (value, available_at) = self.deliver(packet, from, !last);
+            if last {
+                self.core.deferred.set(available_at);
+            }
+            value
+        }))
     }
 
     /// A blocking receive is [`wait_until`](Self::wait_until) a matching

@@ -54,8 +54,9 @@ use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::message::Key;
 
-/// Where a schedule leaves its result for its request.
-type Slot<T> = Rc<RefCell<Option<Result<T, ShutdownError>>>>;
+/// Where a schedule leaves its result for its request, with the modeled
+/// time the result is ready at.
+type Slot<T> = Rc<RefCell<Option<(Result<T, ShutdownError>, f64)>>>;
 
 /// A registered schedule, wrapped to fill its request's slot: outputs
 /// whether it delivered a result.
@@ -66,14 +67,41 @@ type Task = Pin<Box<dyn Future<Output = bool>>>;
 pub(crate) type Engine = VecDeque<Task>;
 
 /// The one suspension point of every schedule: receives the `T` that
-/// `src` sent under `key`, pending until it has arrived.
+/// `src` sent under `key`, pending until it has arrived — and always
+/// pending in a request's launch poll ([`Launch`]).
 pub(crate) fn recv<T: 'static>(
     comm: &Comm,
     src: usize,
     key: Key,
 ) -> impl Future<Output = Result<T, ShutdownError>> + '_ {
+    receive(comm, src, key, false)
+}
+
+/// [`recv`] for a schedule's last receive, when nothing the schedule does
+/// waits on the message: it must be the schedule's last await. The
+/// rank's clock rises to the message's availability only when the result
+/// is taken — at once for a blocking call, at the harvest for a request —
+/// so a request's final message, taken early in a sweep, does not delay
+/// in modeled time the sends the rank's other requests make after it.
+pub(crate) fn recv_last<T: 'static>(
+    comm: &Comm,
+    src: usize,
+    key: Key,
+) -> impl Future<Output = Result<T, ShutdownError>> + '_ {
+    receive(comm, src, key, true)
+}
+
+fn receive<T: 'static>(
+    comm: &Comm,
+    src: usize,
+    key: Key,
+    last: bool,
+) -> impl Future<Output = Result<T, ShutdownError>> + '_ {
     poll_fn(move |_| {
-        comm.try_recv_schedule(src, key)
+        if comm.launching().get() {
+            return Poll::Pending;
+        }
+        comm.try_recv_schedule(src, key, last)
             .transpose()
             .map_or(Poll::Pending, Poll::Ready)
     })
@@ -156,8 +184,29 @@ pub(crate) fn drive<T>(comm: &Comm, schedule: impl Future<Output = Result<T, Shu
         Poll::Ready(out) => out.map(Some),
         Poll::Pending => Ok(None),
     });
+    comm.bump_clock_to(comm.take_deferred());
     comm.counters().record_request_completed();
     out
+}
+
+/// Marks a request's launch poll for its duration: its receives stay
+/// pending, so the poll only issues the schedule's initial sends. A rank
+/// launching several requests then puts every launch's sends on its links
+/// before any send a received message triggers, and no early arrival
+/// raises its modeled clock before its later launches send.
+struct Launch<'a>(&'a Comm);
+
+impl<'a> Launch<'a> {
+    fn enter(comm: &'a Comm) -> Self {
+        comm.launching().set(true);
+        Launch(comm)
+    }
+}
+
+impl Drop for Launch<'_> {
+    fn drop(&mut self) {
+        self.0.launching().set(false);
+    }
 }
 
 /// A handle to an in-flight non-blocking collective, in the sense of
@@ -180,9 +229,9 @@ pub struct Request<T> {
 
 impl<T: 'static> Request<T> {
     /// Boxes `schedule`, wrapped to fill the request's slot, and polls it
-    /// once: the poll issues its initial sends, and a schedule that
-    /// completes at once — `p == 1`, say — fills the slot and never enters
-    /// the engine.
+    /// once: the poll issues its initial sends and receives nothing
+    /// ([`Launch`]), and a schedule that completes at once — `p == 1`,
+    /// say — fills the slot and never enters the engine.
     pub(crate) fn register(
         comm: &Comm,
         schedule: impl Future<Output = Result<T, ShutdownError>> + 'static,
@@ -190,12 +239,14 @@ impl<T: 'static> Request<T> {
         comm.counters().record_request_started();
         let slot: Slot<T> = Rc::default();
         let filled = Rc::clone(&slot);
+        let handle = comm.clone_handle();
+        let _launch = Launch::enter(comm);
         advance(
             comm,
             Box::pin(async move {
                 let out = schedule.await;
                 let delivered = out.is_ok();
-                *filled.borrow_mut() = Some(out);
+                *filled.borrow_mut() = Some((out, handle.take_deferred()));
                 delivered
             }),
         );
@@ -206,10 +257,12 @@ impl<T: 'static> Request<T> {
         }
     }
 
-    /// Takes this request's result out of its slot, if filled.
+    /// Takes this request's result out of its slot, if filled, and
+    /// raises the clock to the time it was ready at.
     fn harvest(&self) -> Option<Result<T, RequestError>> {
-        let result = self.slot.borrow_mut().take()?;
+        let (result, ready) = self.slot.borrow_mut().take()?;
         self.consumed.set(true);
+        self.comm.bump_clock_to(ready);
         Some(result.map_err(RequestError::Shutdown))
     }
 

@@ -305,7 +305,8 @@ fn reverse_order_waits_preserve_non_overtaking() {
 
 #[test]
 fn a_blocking_combine_lets_the_ranks_other_requests_progress() {
-    // p = 3: recursive doubling folds rank 0 into rank 1, so rank 1's
+    // p = 3, both requests declared non-commutative so they run
+    // recursive doubling: it folds rank 0 into rank 1, so rank 1's
     // first combine of `r1` folds rank 0's value. That combine blocks on
     // word 77, which rank 0 sends only once its `r2` has completed — and
     // rank 0's `r2` needs rank 1's `r2` to run its fold, its exchange with
@@ -325,7 +326,7 @@ fn a_blocking_combine_lets_the_ranks_other_requests_progress() {
             let mut first = true;
             let mut r1 = comm.iallreduce(
                 r as u64 + 1,
-                true,
+                false,
                 |_| 8,
                 move |a, b| {
                     if handle.rank() == 1 && std::mem::take(&mut first) {
@@ -334,7 +335,7 @@ fn a_blocking_combine_lets_the_ranks_other_requests_progress() {
                     a + b
                 },
             );
-            let mut r2 = comm.iallreduce(10 * (r as u64 + 1), true, |_| 8, |a, b| a + b);
+            let mut r2 = comm.iallreduce(10 * (r as u64 + 1), false, |_| 8, |a, b| a + b);
             if r == 1 {
                 comm.send(0, 76, ());
             }

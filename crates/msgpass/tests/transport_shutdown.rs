@@ -10,8 +10,10 @@ use std::time::{Duration, Instant};
 
 use gv_msgpass::{Comm, Request, Runtime, ShutdownError, ShutdownKind, Source};
 
-/// A non-blocking `u64` sum by recursive doubling.
-fn rd_sum(comm: &Comm, value: u64) -> Request<u64> {
+/// A non-blocking `u64` sum: commutative, so it runs the tree rooted at
+/// its call sequence mod p; at p = 2 rank 1 waits on rank 0 whichever of
+/// them is the root.
+fn isum(comm: &Comm, value: u64) -> Request<u64> {
     comm.iallreduce(value, true, |_| 8, |a, b| a + b)
 }
 
@@ -153,7 +155,7 @@ fn peer_exit_while_parked_in_wait_all_is_a_typed_request_error() {
             return None; // exits; its lanes close behind it
         }
         let started = Instant::now();
-        let mut reqs: Vec<_> = (0..2u64).map(|i| rd_sum(comm, i)).collect();
+        let mut reqs: Vec<_> = (0..2u64).map(|i| isum(comm, i)).collect();
         let err = gv_msgpass::wait_all(&mut reqs).expect_err("peer never participated");
         Some((err, started.elapsed()))
     });
@@ -189,7 +191,7 @@ fn abort_surfaces_through_a_test_any_poll_loop() {
                 std::thread::sleep(Duration::from_millis(30));
                 panic!("rank 0 exploded");
             }
-            let mut reqs: Vec<_> = (0..2u64).map(|i| rd_sum(comm, i)).collect();
+            let mut reqs: Vec<_> = (0..2u64).map(|i| isum(comm, i)).collect();
             loop {
                 match gv_msgpass::test_any(&mut reqs) {
                     Ok(Some(_)) => panic!("requests cannot complete without rank 0"),
@@ -220,7 +222,7 @@ fn request_dropped_during_abort_neither_hangs_nor_double_panics() {
                 std::thread::sleep(Duration::from_millis(10));
                 panic!("rank 0 exploded");
             }
-            let req = rd_sum(comm, 1u64);
+            let req = isum(comm, 1u64);
             // Linger until the abort has certainly been raised, then
             // drop the request without ever waiting on it.
             std::thread::sleep(Duration::from_millis(60));
@@ -243,7 +245,7 @@ fn wait_timeout_times_out_then_completes() {
             // Join late so rank 1's first wait genuinely times out.
             std::thread::sleep(Duration::from_millis(120));
         }
-        let mut req = rd_sum(comm, 1u64);
+        let mut req = isum(comm, 1u64);
         if comm.rank() == 1 {
             let early = req
                 .wait_timeout(Duration::from_millis(15))
@@ -270,7 +272,7 @@ fn shutdown_under_wait_timeout_is_typed_and_prompt() {
                 panic!("rank 0 exploded");
             }
             let started = Instant::now();
-            let mut req = rd_sum(comm, 1u64);
+            let mut req = isum(comm, 1u64);
             match req.wait_timeout(Duration::from_secs(30)) {
                 Err(gv_msgpass::RequestError::Shutdown(err)) => {
                     kinds.lock().unwrap().push((err.kind, started.elapsed()));
@@ -345,7 +347,7 @@ fn peer_panic_fails_a_parked_wait_as_aborted() {
                 std::thread::sleep(Duration::from_millis(30));
                 panic!("rank 0 exploded");
             }
-            let mut req = rd_sum(comm, 1u64);
+            let mut req = isum(comm, 1u64);
             if let Err(gv_msgpass::RequestError::Shutdown(err)) = req.wait() {
                 kinds.lock().unwrap().push(err.kind);
             }

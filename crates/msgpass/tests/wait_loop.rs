@@ -13,11 +13,14 @@ use gv_msgpass::{RankState, RunError, Runtime};
 fn a_zero_timeout_still_delivers_what_has_arrived() {
     // Both ranks launch, then meet at a barrier that is not the library's
     // (so nothing sweeps the engine): each rank's only missing message is
-    // now in its ring. The sweep precedes the deadline check, so a wait
-    // that may not wait at all still finds the result.
+    // now in its ring. (A non-commutative request runs recursive
+    // doubling, whose one exchange both ranks send at launch; the tree a
+    // commutative one runs would leave the leaf waiting on the root's
+    // next sweep.) The sweep precedes the deadline check, so a wait that
+    // may not wait at all still finds the result.
     let launched = Barrier::new(2);
     let outcome = Runtime::new(2).run(|comm| {
-        let mut req = comm.iallreduce(comm.rank() as u64 + 1, true, |_| 8, |a, b| a + b);
+        let mut req = comm.iallreduce(comm.rank() as u64 + 1, false, |_| 8, |a, b| a + b);
         launched.wait();
         req.wait_timeout(Duration::ZERO).expect("no shutdown")
     });

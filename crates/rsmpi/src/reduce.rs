@@ -146,7 +146,9 @@ where
 /// as a request, letting the caller overlap further accumulation or
 /// independent collectives — MPI's `MPI_Iallreduce` shape lifted to
 /// user-defined operators. The operator moves into the request
-/// (`'static` closures cannot borrow it), so pass it by value.
+/// (`'static` closures cannot borrow it), so pass it by value. A
+/// commutative operator's request runs the tree rooted at its call
+/// sequence mod p ([`Comm::iallreduce`]).
 pub fn ireduce_all<Op>(comm: &Comm, op: Op, local: &[Op::In]) -> ReduceAllRequest<Op>
 where
     Op: ReduceScanOp + 'static,

@@ -61,6 +61,12 @@ for example in quickstart particles sortcheck topten groupstats; do
     cargo run -q --offline --release --example "$example" > /dev/null
 done
 
+# The quick smoke above runs NB-OVERLAP at p = 8 only. At p = 2 every
+# rank roots every other request's tree, and the overlapped batch must
+# still beat the sequential one in modeled time (the bin asserts it).
+echo "smoke: k_independent_allreduces --procs 2"
+GV_BENCH_QUICK=0 ./target/release/k_independent_allreduces --procs 2 > /dev/null
+
 # The scan-schedule ablation grew flags in its rewrite; exercise them so
 # argument parsing and the CSV path stay alive.
 echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"

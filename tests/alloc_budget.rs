@@ -28,7 +28,8 @@
 //! member list), and a large `Vec` pays no box for its header. A
 //! non-blocking reduction makes three small allocations — its boxed
 //! schedule, its result slot and its shared operator — and the progress
-//! engine's sweeps add none.
+//! engine's sweeps add none; at two ranks a commutative one clones its
+//! state once over both ranks, not once on each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -43,6 +44,8 @@ thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
     /// Allocations (and reallocations) of under 4 KiB this thread made.
     static SMALL: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread requested in blocks of 4 KiB and up.
+    static LARGE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Below this size an allocation counts as small.
@@ -56,6 +59,8 @@ fn note(bytes: usize) {
 fn note_block(size: usize) {
     if size < SMALL_LIMIT {
         let _ = SMALL.try_with(|count| count.set(count.get() + 1));
+    } else {
+        let _ = LARGE.try_with(|total| total.set(total.get() + size));
     }
 }
 
@@ -65,6 +70,10 @@ fn allocated() -> usize {
 
 fn small_allocations() -> usize {
     SMALL.with(Cell::get)
+}
+
+fn large_bytes() -> usize {
+    LARGE.with(Cell::get)
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
@@ -463,32 +472,42 @@ fn a_large_vec_is_sent_without_a_payload_box() {
     assert_eq!(spent, [0, 0]);
 }
 
-#[test]
-fn a_request_allocates_its_schedule_its_slot_and_its_operator() {
+/// The benchmark's `overlap` state: 8192 buckets, 64 KiB of counts, so
+/// the state, its wire copies and the output are all large.
+const OVERLAP_BUCKETS: usize = 8192;
+
+/// Runs 10 untimed `ireduce_all`s of the `overlap` state on `p` ranks,
+/// then `calls` measured ones, and returns what `read` counted on each
+/// rank across the measured ones.
+fn overlap_requests(p: usize, calls: usize, read: fn() -> usize) -> Vec<usize> {
     use gv_core::ops::Counts;
 
-    // The benchmark's `overlap` state: 8192 buckets, 64 KiB of counts,
-    // so the state, its wire copies and the output are all large.
-    const BUCKETS: usize = 8192;
+    Runtime::new(p)
+        .run(|comm| {
+            let local: Vec<usize> = (0..2048)
+                .map(|i| (i * 7 + comm.rank()) % OVERLAP_BUCKETS)
+                .collect();
+            let reduce = |calls: usize| {
+                for _ in 0..calls {
+                    let op = Counts::new(OVERLAP_BUCKETS);
+                    let mut request = gv_rsmpi::ireduce_all(comm, op, &local);
+                    let counts = request.wait().expect("transport alive");
+                    assert_eq!(counts.iter().sum::<u64>(), 2048 * comm.size() as u64);
+                }
+            };
+            reduce(10);
+            let before = read();
+            reduce(calls);
+            read() - before
+        })
+        .results
+}
+
+#[test]
+fn a_request_allocates_its_schedule_its_slot_and_its_operator() {
     const CALLS: usize = 100;
     for p in [1usize, 2] {
-        let small = Runtime::new(p)
-            .run(|comm| {
-                let local: Vec<usize> =
-                    (0..2048).map(|i| (i * 7 + comm.rank()) % BUCKETS).collect();
-                let reduce = |calls: usize| {
-                    for _ in 0..calls {
-                        let mut request = gv_rsmpi::ireduce_all(comm, Counts::new(BUCKETS), &local);
-                        let counts = request.wait().expect("transport alive");
-                        assert_eq!(counts.iter().sum::<u64>(), 2048 * comm.size() as u64);
-                    }
-                };
-                reduce(10);
-                let before = small_allocations();
-                reduce(CALLS);
-                small_allocations() - before
-            })
-            .results;
+        let small = overlap_requests(p, CALLS, small_allocations);
         for (rank, small) in small.into_iter().enumerate() {
             // The boxed schedule, its slot and the `Rc` the operator is
             // shared through; a sweep allocates nothing.
@@ -498,5 +517,25 @@ fn a_request_allocates_its_schedule_its_slot_and_its_operator() {
                 "p={p} rank {rank}: {small} small allocations in {CALLS} requests"
             );
         }
+    }
+}
+
+#[test]
+fn a_commutative_request_at_two_ranks_clones_its_state_once_over_both() {
+    // Each rank accumulates its own 64 KiB state. Beyond that, the
+    // request's tree has the root clone the result it keeps while it
+    // sends the other to the leaf, and the leaf sends its state by move:
+    // one clone a call over both ranks, where recursive doubling clones
+    // on each. The root alternates with the call sequence, so each rank
+    // clones in every other call.
+    const CALLS: usize = 100;
+    const STATE: usize = OVERLAP_BUCKETS * 8;
+    let large = overlap_requests(2, CALLS, large_bytes);
+    for (rank, &bytes) in large.iter().enumerate() {
+        assert_eq!(
+            bytes,
+            CALLS * STATE + CALLS / 2 * STATE,
+            "rank {rank}: {bytes} B in large blocks over {CALLS} requests"
+        );
     }
 }

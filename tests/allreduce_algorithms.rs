@@ -440,11 +440,12 @@ fn non_power_of_two_selector_matrix_stays_within_5pct_of_best() {
 }
 
 #[test]
-fn nonblocking_allreduce_moves_the_identical_traffic_as_blocking() {
-    // Blocking allreduce and `iallreduce` + wait run the *same* schedule
-    // implementation, so the two must move bit-identical message and
-    // byte totals and record the same schedule, at small and large
-    // states alike.
+fn a_request_runs_the_rotating_tree_when_commutative_and_the_blocking_schedule_otherwise() {
+    // A blocking allreduce is priced by its critical path, a request by
+    // the work it leaves on each rank: a commutative request runs the
+    // whole-state tree rooted at its call sequence mod p, a
+    // non-commutative one — or any request on one rank — the blocking
+    // call's schedule.
     let wire = |v: &Vec<u64>| v.len() * 8;
     let add = |mut a: Vec<u64>, b: Vec<u64>| {
         for (x, y) in a.iter_mut().zip(b) {
@@ -452,38 +453,171 @@ fn nonblocking_allreduce_moves_the_identical_traffic_as_blocking() {
         }
         a
     };
-    for p in [2usize, 3, 8, 16] {
+    for p in [1usize, 2, 3, 8, 16] {
         for bytes in [8usize, 64 << 10] {
-            let run = |nonblocking: bool| {
+            let run = |commutative: bool, nonblocking: bool| {
                 Runtime::new(p).run(move |comm| {
-                    let state = vec![comm.rank() as u64; bytes / 8];
+                    let state = vec![comm.rank() as u64 * 0x1_0001 + 7; bytes / 8];
                     if nonblocking {
-                        let mut req = comm.iallreduce(state, true, wire, add);
+                        let mut req = comm.iallreduce(state, commutative, wire, add);
                         req.wait().expect("transport alive")
                     } else {
-                        comm.allreduce(state, true, wire, add)
+                        comm.allreduce(state, commutative, wire, add)
                     }
                 })
             };
-            let blocking = run(false);
-            let requests = run(true);
+            // Commutative: the blocking call's result bit for bit, two
+            // tree edges a rank but the root, the tree's counter.
+            let blocking = run(true, false);
+            let requests = run(true, true);
             assert_eq!(
                 blocking.results, requests.results,
                 "results, p={p} bytes={bytes}"
             );
+            let edges = 2 * (p as u64 - 1);
             assert_eq!(
-                blocking.stats.messages, requests.stats.messages,
+                requests.stats.messages, edges,
                 "messages, p={p} bytes={bytes}"
             );
             assert_eq!(
-                blocking.stats.bytes, requests.stats.bytes,
+                requests.stats.bytes,
+                edges * bytes as u64,
                 "bytes, p={p} bytes={bytes}"
             );
+            let tree = if p > 1 {
+                ReduceBroadcast
+            } else {
+                RecursiveDoubling
+            };
+            for algo in AllreduceAlgorithm::ALL {
+                let expect = if algo == tree { p as u64 } else { 0 };
+                assert_eq!(
+                    requests.stats.allreduce_algorithm_calls(algo),
+                    expect,
+                    "algorithm counter {algo:?}, p={p} bytes={bytes}"
+                );
+            }
+            // Non-commutative: exactly the blocking call's traffic.
+            let blocking = run(false, false);
+            let requests = run(false, true);
+            assert_eq!(blocking.results, requests.results, "p={p} bytes={bytes}");
+            assert_eq!(blocking.stats.messages, requests.stats.messages);
+            assert_eq!(blocking.stats.bytes, requests.stats.bytes);
             for algo in AllreduceAlgorithm::ALL {
                 assert_eq!(
                     blocking.stats.allreduce_algorithm_calls(algo),
                     requests.stats.allreduce_algorithm_calls(algo),
                     "algorithm counter {algo:?}, p={p} bytes={bytes}"
+                );
+            }
+        }
+    }
+    // The root is the call sequence mod p. A concatenation declared
+    // commutative shows it: the tree combines in rank order rotated to
+    // start at its root, so request `i` of a fresh communicator yields
+    // the ranks from `i mod p` round.
+    for p in [2usize, 3, 5, 8] {
+        let outcome = Runtime::new(p).run(move |comm| {
+            let mut requests: Vec<_> = (0..2 * p)
+                .map(|_| {
+                    let mine = format!("<{}>", comm.rank());
+                    comm.iallreduce(mine, true, |s: &String| s.len(), |a, b| a + &b)
+                })
+                .collect();
+            gv_msgpass::wait_all(&mut requests).expect("transport alive")
+        });
+        let rotated =
+            |root: usize| -> String { (0..p).map(|i| format!("<{}>", (root + i) % p)).collect() };
+        let expect: Vec<String> = (0..2 * p).map(|seq| rotated(seq % p)).collect();
+        assert_eq!(outcome.results, vec![expect; p], "p={p}");
+    }
+}
+
+/// The agreement law for allreduce: every rank runs the same schedule
+/// for one call, whatever its local state's size. Counters are reported
+/// summed over the ranks and a rank records one schedule a call, so one
+/// call's counters name a single schedule, at `p`, exactly when every
+/// rank recorded that schedule. Returns the schedules the call recorded,
+/// with their counts, after checking the result against the sequential
+/// fold of every rank's input.
+fn schedules_of_one_call<Op>(
+    p: usize,
+    nonblocking: bool,
+    op: Op,
+    input: fn(usize) -> Vec<Op::In>,
+) -> Vec<(AllreduceAlgorithm, u64)>
+where
+    Op: gv_core::op::ReduceScanOp + Copy + Send + Sync + 'static,
+    Op::In: Send + Sync,
+    Op::State: Clone + Send + 'static,
+    Op::Out: Clone + PartialEq + std::fmt::Debug + Send,
+{
+    let outcome = Runtime::new(p).run(move |comm| {
+        let local = input(comm.rank());
+        if nonblocking {
+            let mut request = gv_rsmpi::ireduce_all(comm, op, &local);
+            request.wait().expect("transport alive")
+        } else {
+            gv_rsmpi::reduce_all(comm, &op, &local)
+        }
+    });
+    let all: Vec<Op::In> = (0..p).flat_map(input).collect();
+    let expected = gv_core::seq::reduce(&op, &all);
+    assert_eq!(
+        outcome.results,
+        vec![expected; p],
+        "p={p} nonblocking={nonblocking}"
+    );
+    AllreduceAlgorithm::ALL
+        .iter()
+        .map(|&algo| (algo, outcome.stats.allreduce_algorithm_calls(algo)))
+        .filter(|&(_, calls)| calls > 0)
+        .collect()
+}
+
+const AGREEMENT_K: usize = 4;
+
+/// Rank 0 holds nothing, rank 1 holds 3k values and every other rank r
+/// holds r: states of three different wire sizes for `TopBottomK`.
+fn uneven_values(r: usize) -> Vec<i64> {
+    let held = match r {
+        0 => 0,
+        1 => 3 * AGREEMENT_K,
+        r => r,
+    };
+    (0..held)
+        .map(|i| ((r * 31 + i * 17) % 23) as i64 - 11)
+        .collect()
+}
+
+fn uneven_pairs(r: usize) -> Vec<(i64, u64)> {
+    uneven_values(r)
+        .into_iter()
+        .zip((r as u64) << 8..)
+        .collect()
+}
+
+#[test]
+fn ranks_agree_on_the_schedule_when_one_is_empty_and_one_holds_more_than_k() {
+    use gv_core::ops::mink::MinK;
+
+    for p in 2..=9usize {
+        for nonblocking in [false, true] {
+            let mink = MinK::<i64>::new(AGREEMENT_K);
+            let topk = TopBottomK::<i64, u64>::new(AGREEMENT_K);
+            for (name, schedules) in [
+                (
+                    "MinK",
+                    schedules_of_one_call(p, nonblocking, mink, uneven_values),
+                ),
+                (
+                    "TopBottomK",
+                    schedules_of_one_call(p, nonblocking, topk, uneven_pairs),
+                ),
+            ] {
+                assert!(
+                    matches!(schedules[..], [(_, calls)] if calls == p as u64),
+                    "{name} p={p} nonblocking={nonblocking}: {schedules:?}"
                 );
             }
         }

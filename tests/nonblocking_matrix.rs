@@ -9,9 +9,9 @@
 //! every root, `barrier` and `alltoallv` — and are then harvested out of
 //! issue order. Every result, blocking or requested, is checked against
 //! the rank-order sequential oracle. `iallreduce` is the one way onto the
-//! progress engine and runs recursive doubling, so these are the
-//! overlaps that can occur: its requests beside blocking calls on the
-//! same communicator.
+//! progress engine — the rotating whole-state tree when commutative,
+//! recursive doubling when not — so these are the overlaps that can
+//! occur: its requests beside blocking calls on the same communicator.
 //!
 //! Two edge-case tests pin the request lifecycle contract: dropping a
 //! request without waiting detaches its schedule (peers still complete,

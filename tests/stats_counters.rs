@@ -75,7 +75,13 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
 
         let ring_sends = if p > 1 { 4 * p } else { 0 };
         let large_sends = if p > 1 { 2 } else { 0 };
-        let eight_byte = 4 * allreduce_rd_messages(p) + 2 * scan_rd_messages(p) + ring_sends;
+        // The three blocking allreduces run recursive doubling, the
+        // commutative request the whole-state tree: one edge up and one
+        // down for every rank but its root (on one rank, recursive
+        // doubling too).
+        let request_messages = 2 * (p - 1);
+        let eight_byte =
+            3 * allreduce_rd_messages(p) + request_messages + 2 * scan_rd_messages(p) + ring_sends;
         let empty = 2 * p * log2_ceil(p); // barrier tokens are `()`
         assert_eq!(stats.calls(CallKind::Allreduce), 4 * p, "p={p}");
         assert_eq!(stats.calls(CallKind::Barrier), 2 * p, "p={p}");
@@ -92,9 +98,15 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
         );
         assert_eq!(stats.collective_calls(), 8 * p, "p={p}");
         assert_eq!(stats.reduction_calls(), 6 * p, "p={p}");
+        let tree_calls = if p > 1 { p } else { 0 };
         assert_eq!(
             stats.allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
-            4 * p,
+            4 * p - tree_calls,
+            "p={p}"
+        );
+        assert_eq!(
+            stats.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceBroadcast),
+            tree_calls,
             "p={p}"
         );
         assert_eq!(
