@@ -862,22 +862,30 @@ pub fn scan_block_network<T: Copy>(
     f: impl Fn(T, T) -> T + Copy,
     kind: ScanKind,
 ) {
-    let start = out.len();
-    out.resize(start + block.len(), *carry);
-    scan_block_network_into(carry, block, &mut out[start..], f, kind)
+    scan_block_network_append(carry, block, out, f, kind)
 }
 
 isa_tiers! {
-    /// [`scan_block_network`] into a window of `block.len()` outputs.
+    /// [`scan_block_network`]'s body: one super-chunk at a time into a
+    /// window on the stack, appended whole, so each output is written to
+    /// `out` once (a pre-filled `out` would be written twice). The body
+    /// runs each full chunk as one super-chunk and the tail as its own
+    /// tail, exactly as over the whole block.
     #[inline]
-    fn scan_block_network_into<T: Copy>(
+    fn scan_block_network_append<T: Copy>(
         carry: &mut T,
         block: &[T],
-        out: &mut [T],
+        out: &mut Vec<T>,
         f: impl Fn(T, T) -> T + Copy,
         kind: ScanKind,
     ) {
-        scan_block_network_body(carry, block, out, f, kind)
+        out.reserve(block.len());
+        let mut window = [*carry; SCAN_GROUP * SCAN_SUPER];
+        for chunk in block.chunks(SCAN_GROUP * SCAN_SUPER) {
+            let window = &mut window[..chunk.len()];
+            scan_block_network_body(carry, chunk, window, f, kind);
+            out.extend_from_slice(window);
+        }
     }
 }
 
@@ -1123,13 +1131,15 @@ mod tests {
             let keyed =
                 |out: &[T], carry: T| (out.iter().map(|&x| key(x)).collect::<Vec<_>>(), key(carry));
             for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
+                // Appended after an output already there, as a rescan
+                // appends block after block.
                 let mut carry = init;
-                let mut out = Vec::new();
+                let mut out = vec![init];
                 scan_block_network_reference(&mut carry, data, &mut out, f, kind);
                 assert_on_every_tier(&format!("{what} {kind:?}"), keyed(&out, carry), |tier| {
                     let mut carry = init;
-                    let mut out = vec![init; data.len()];
-                    scan_block_network_into::on(tier, &mut carry, data, &mut out, f, kind);
+                    let mut out = vec![init];
+                    scan_block_network_append::on(tier, &mut carry, data, &mut out, f, kind);
                     keyed(&out, carry)
                 });
             }
@@ -1161,6 +1171,16 @@ mod tests {
                 );
             }
         }
+        // Several super-chunks and a tail, each through its own window.
+        let n = 3 * SCAN_GROUP * SCAN_SUPER + 13;
+        let data: Vec<f64> = (0..n).map(|i| (i as f64).cos() * 1e3).collect();
+        check(
+            &format!("f64 sum n={n}"),
+            &data,
+            0.0,
+            |a, b| a + b,
+            f64::to_bits,
+        );
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod seq;
 pub mod split;
 
 pub use monoid::{InvertibleMonoid, Monoid, MonoidOp};
-pub use op::{ReduceScanOp, ScanKind};
+pub use op::{ElementwiseState, ReduceScanOp, ScanKind};
 pub use seq::{reduce, scan};
 pub use split::SplittableState;
 

@@ -179,6 +179,35 @@ pub trait ReduceScanOp {
     ) -> bool {
         false
     }
+
+    /// Capability: the state is a run of `u64` slots combined slot by
+    /// slot ([`ElementwiseState`]), or `None` (the default) when it is
+    /// not. A transport that sees it may exchange the state by view,
+    /// combining part of it in place, instead of cloning it whole.
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Self::State>> {
+        None
+    }
+}
+
+/// What [`ReduceScanOp::elementwise`] returns: a state that is a run of
+/// `u64` slots (bucket counts, histogram bins) whose `combine` combines
+/// slot `i` with slot `i` and nothing else.
+///
+/// # Law
+///
+/// For states `a` and `b` of equal length, combining `b`'s slots into
+/// `a`'s with `mine_first` equals `combine(a, b)`, and combining `a`'s
+/// slots into `b`'s without it equals `combine(a, b)` too — so any
+/// contiguous run of slots can be combined on its own, in place, on
+/// either operand's buffer.
+pub trait ElementwiseState<S> {
+    /// The state's slots, in order.
+    fn slots<'s>(&self, state: &'s mut S) -> &'s mut [u64];
+
+    /// Combines `theirs` into `mine` slot by slot, over the shorter of
+    /// the two: `mine[i] ⊕ theirs[i]` when `mine_first`, else
+    /// `theirs[i] ⊕ mine[i]`.
+    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], mine_first: bool);
 }
 
 /// Operators pass by reference transparently: `&Op` is itself an operator.
@@ -230,6 +259,9 @@ impl<Op: ReduceScanOp + ?Sized> ReduceScanOp for &Op {
         kind: ScanKind,
     ) -> bool {
         (**self).scan_block(state, block, out, kind)
+    }
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Self::State>> {
+        (**self).elementwise()
     }
 }
 

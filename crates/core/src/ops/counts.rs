@@ -11,7 +11,7 @@
 //! bucket (`scan_gen(x) = v[x]`) — with an inclusive scan that is exactly
 //! the particle's 1-based rank within its bucket.
 
-use crate::op::ReduceScanOp;
+use crate::op::{ElementwiseState, ReduceScanOp};
 use crate::split::{split_vec_segments, unsplit_vec_segments, SplittableState};
 
 /// The `counts` operator over bucket indices `0..k`.
@@ -89,6 +89,21 @@ impl ReduceScanOp for Counts {
     fn combine_ops(&self, incoming: &Vec<u64>) -> u64 {
         incoming.len() as u64
     }
+
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>>> {
+        Some(self)
+    }
+}
+
+/// Bucket counts add slot by slot.
+impl ElementwiseState<Vec<u64>> for Counts {
+    fn slots<'s>(&self, state: &'s mut Vec<u64>) -> &'s mut [u64] {
+        state
+    }
+
+    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], _mine_first: bool) {
+        crate::kernel::combine_elementwise(mine, theirs, |a, b| a + b);
+    }
 }
 
 /// Bucket counts combine element-wise, so contiguous bucket ranges
@@ -164,6 +179,10 @@ impl ReduceScanOp for BucketRank {
 
     fn combine_ops(&self, incoming: &Vec<u64>) -> u64 {
         self.inner.combine_ops(incoming)
+    }
+
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>>> {
+        Some(&self.inner)
     }
 }
 

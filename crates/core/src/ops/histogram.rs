@@ -6,7 +6,7 @@
 //! vector, with underflow/overflow bins. The scan form ranks each value
 //! within its bin, like the paper's particle example does for octants.
 
-use crate::op::ReduceScanOp;
+use crate::op::{ElementwiseState, ReduceScanOp};
 use crate::split::{split_vec_segments, unsplit_vec_segments, SplittableState};
 
 /// Bin assignment for a value against sorted edges `e0 < e1 < … < e_{m-1}`:
@@ -152,6 +152,21 @@ impl ReduceScanOp for Histogram {
 
     fn combine_ops(&self, incoming: &Vec<u64>) -> u64 {
         incoming.len() as u64
+    }
+
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>>> {
+        Some(self)
+    }
+}
+
+/// Bin counts add slot by slot.
+impl ElementwiseState<Vec<u64>> for Histogram {
+    fn slots<'s>(&self, state: &'s mut Vec<u64>) -> &'s mut [u64] {
+        state
+    }
+
+    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], _mine_first: bool) {
+        crate::kernel::combine_elementwise(mine, theirs, |a, b| a + b);
     }
 }
 

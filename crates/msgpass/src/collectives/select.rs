@@ -18,6 +18,9 @@
 //! [`Comm::allreduce_splittable`] is the full selector, where
 //! reduce-scatter + allgather additionally needs a commutative operator
 //! but the segmented tree (combining in strict rank order) does not.
+//! [`Comm::allreduce_elementwise`] is either of the two for a state that
+//! is a run of slots: the same selection, but recursive doubling's
+//! pairwise rounds exchange a large state by view (`allreduce_rd.rs`).
 //!
 //! For broadcast the schedule is always the tree and the selection is its
 //! segment count: `S = 1` unless the state is splittable and the priced
@@ -61,7 +64,9 @@
 //! strings) sit far below any crossover, where every model lands on the
 //! same latency-optimal default.
 
-use super::allreduce_rd::allreduce_rd;
+use gv_core::op::ElementwiseState;
+
+use super::allreduce_rd::{allreduce_rd, allreduce_rd_lent, Lending, LEND_MIN_BYTES};
 use super::launch::{Blocking, Mode, Nonblocking};
 use super::reduce_scatter::allreduce_rsag;
 use super::scan::scan_rd;
@@ -73,13 +78,19 @@ use crate::cost::{AllreduceAlgorithm, BcastAlgorithm, ScanAlgorithm};
 use crate::request::Request;
 use crate::stats::CallKind;
 
+/// A splittable state's `(split, unsplit)`, borrowed: `split(state,
+/// parts)` returns exactly `parts` segments and `unsplit` inverts it.
+pub type Segmentation<'a, T> = (&'a dyn Fn(T, usize) -> Vec<T>, &'a dyn Fn(Vec<T>) -> T);
+
 impl Comm {
     /// The allreduce family's one constructor: records the schedule and
     /// launches it. `plan` is `(algorithm, tree segment count)`; the
     /// segment count only matters to the tree arms (reduce+bcast *is*
     /// the tree at `S = 1`). `rotate` roots the tree at the call's
     /// sequence number mod p instead of rank 0, which only a commutative
-    /// operator allows.
+    /// operator allows. `lending` lets recursive doubling's pairwise
+    /// rounds exchange the state by view.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn start_allreduce<'a, M: Mode<'a>, T: Clone + Send + 'static>(
         &self,
         (algo, segments): (AllreduceAlgorithm, usize),
@@ -91,13 +102,18 @@ impl Comm {
         ),
         bytes_of: impl Fn(&T) -> usize + 'a,
         combine: impl FnMut(T, T) -> T + 'a,
+        lending: Option<Lending<'a, T>>,
     ) -> M::Handle<T> {
         self.counters().record_allreduce_algorithm(algo);
         match algo {
-            AllreduceAlgorithm::RecursiveDoubling => self
-                .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+            AllreduceAlgorithm::RecursiveDoubling => match lending {
+                Some(lending) => self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+                    allreduce_rd_lent(comm, value, seq, bytes_of, combine, lending)
+                }),
+                None => self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     allreduce_rd(comm, value, seq, bytes_of, combine)
                 }),
+            },
             AllreduceAlgorithm::ReduceScatterAllgather => self
                 .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     allreduce_rsag(comm, value, seq, segmentation, bytes_of, combine)
@@ -141,7 +157,15 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.start_allreduce::<Blocking, _>(plan, false, value, segmentation, bytes_of, combine)
+        self.start_allreduce::<Blocking, _>(
+            plan,
+            false,
+            value,
+            segmentation,
+            bytes_of,
+            combine,
+            None,
+        )
     }
 
     /// Allreduce with cost-driven schedule selection for whole (scalar,
@@ -193,7 +217,15 @@ impl Comm {
             AllreduceAlgorithm::RecursiveDoubling
         };
         let plan = (algo, 1);
-        self.start_allreduce::<Nonblocking, _>(plan, commutative, value, whole(), bytes_of, combine)
+        self.start_allreduce::<Nonblocking, _>(
+            plan,
+            commutative,
+            value,
+            whole(),
+            bytes_of,
+            combine,
+            None,
+        )
     }
 
     /// Allreduce with the full schedule selection for states the caller
@@ -217,6 +249,58 @@ impl Comm {
             true,
         );
         self.allreduce_by(plan, value, (split, unsplit), bytes_of, combine)
+    }
+
+    /// [`allreduce`](Self::allreduce) — or, given the state's
+    /// `segmentation` (`(split, unsplit)`),
+    /// [`allreduce_splittable`](Self::allreduce_splittable) — for a state
+    /// that is a run of `u64` slots combined slot by slot: `slots` is the
+    /// operator's [`ElementwiseState`] capability, and `combine_ops(&s)`
+    /// the modeled operations `combine` charges to combine a state like
+    /// `s`. The selection, messages, bytes and modeled clock are the plain
+    /// call's, but where recursive doubling runs, its pairwise rounds lend
+    /// a state of at least 8 KiB to the partner instead of cloning it:
+    /// each rank combines half of the slots in place and copies the other
+    /// half out of its partner's buffer.
+    pub fn allreduce_elementwise<T: Clone + Send + 'static>(
+        &self,
+        value: T,
+        commutative: bool,
+        segmentation: Option<Segmentation<'_, T>>,
+        bytes_of: impl Fn(&T) -> usize,
+        combine: impl FnMut(T, T) -> T,
+        (slots, combine_ops): (&dyn ElementwiseState<T>, impl Fn(&T) -> u64),
+    ) -> T {
+        let bytes = bytes_of(&value);
+        let plan = AllreduceAlgorithm::select(
+            &self.cost_model(),
+            self.size(),
+            bytes,
+            commutative,
+            segmentation.is_some(),
+        );
+        let lending: Lending<'_, T> = (slots, &combine_ops);
+        let lending = (bytes >= LEND_MIN_BYTES).then_some(lending);
+        match segmentation {
+            Some((split, unsplit)) => self.start_allreduce::<Blocking, _>(
+                plan,
+                false,
+                value,
+                (split, unsplit),
+                bytes_of,
+                combine,
+                lending,
+            ),
+            None => self.start_allreduce::<Blocking, _>(
+                plan,
+                false,
+                value,
+                whole(),
+                bytes_of,
+                combine,
+                lending,
+            ),
+        }
     }
 
     /// The broadcast family's one constructor, driven on the caller's
@@ -428,6 +512,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use super::whole;
     use crate::cost::AllreduceAlgorithm;
     use crate::runtime::Runtime;
     use crate::stats::CallKind;
@@ -560,6 +645,27 @@ mod tests {
             assert_eq!(calls(AllreduceAlgorithm::ReduceBroadcast), tree);
             assert_eq!(calls(AllreduceAlgorithm::RecursiveDoubling), rd);
         }
+    }
+
+    /// What a request boxes, for a `u64` sum: the tree's future keeps no
+    /// second copy of its arguments (a plain `fn` returning an `async`
+    /// block), and its up- and down-sweep share the storage of one awaited
+    /// future. Recursive doubling's is still the smaller box, which is why
+    /// a one-rank request runs it.
+    #[test]
+    fn a_requests_schedule_stays_small() {
+        Runtime::new(1).run(|comm| {
+            let add = |a: u64, b: u64| a + b;
+            let tree = super::tree_allreduce(comm.clone_handle(), 0, 1, 1, whole(), 0, |_| 8, add);
+            let rd = super::allreduce_rd(comm.clone_handle(), 1, 0, |_| 8, add);
+            let (tree, rd) = (size_of_val(&tree), size_of_val(&rd));
+            assert!(tree <= 360, "the tree's future grew to {tree} bytes");
+            assert!(rd <= 232, "recursive doubling's future grew to {rd} bytes");
+            assert!(
+                rd < tree,
+                "{rd} ≥ {tree}: a one-rank request would box the larger"
+            );
+        });
     }
 
     #[test]

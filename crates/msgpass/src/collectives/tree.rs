@@ -9,9 +9,8 @@
 //! the schedules *are* the textbook binomial broadcast, reduce and
 //! reduce-then-broadcast: same edges, same order, same modeled clock.
 //!
-//! Three schedules share two sweeps, each an `async fn` over the tree
-//! rooted at a given rank (the binomial tree of rank 0, rotated by the
-//! root):
+//! Three schedules share two sweeps over the tree rooted at a given rank
+//! (the binomial tree of rank 0, rotated by the root):
 //!
 //! * `up_sweep` reduces every segment toward the root. A rank receives
 //!   its children's partials in increasing-mask order and combines
@@ -41,6 +40,13 @@
 //! per child. At `S = 1` a state is held as itself, not as a one-segment
 //! list (`Segments`), so the whole-state tree allocates nothing of its
 //! own.
+//!
+//! The sweeps and the fused allreduce, which a request boxes, are plain
+//! `fn`s returning an `async move` block, not `async fn`s: an `async fn`
+//! keeps its arguments a second time beside the locals they move into
+//! (`a_requests_schedule_stays_small` pins the sizes).
+
+use std::future::Future;
 
 use super::TagBase;
 use crate::comm::Comm;
@@ -161,32 +167,34 @@ fn position(comm: &Comm, root: usize) -> (usize, usize) {
 /// order) and goes on to its parent; at the root it is complete and goes
 /// to `at_top`. The combines follow vrank order, which is rank order
 /// only for `root` 0.
-async fn up_sweep<T: Send + 'static>(
-    comm: &Comm,
+fn up_sweep<'a, T: Send + 'static>(
+    comm: &'a Comm,
     root: usize,
     tag: Key,
     segs: Segments<T>,
-    bytes_of: &impl Fn(&T) -> usize,
-    mut combine: impl FnMut(T, T) -> T,
-    mut at_top: impl FnMut(T),
-) -> Result<(), ShutdownError> {
+    bytes_of: &'a impl Fn(&T) -> usize,
+    mut combine: impl FnMut(T, T) -> T + 'a,
+    mut at_top: impl FnMut(T) + 'a,
+) -> impl Future<Output = Result<(), ShutdownError>> + 'a {
     let p = comm.size();
     let (vrank, low) = position(comm, root);
-    for mut seg in segs {
-        let mut m = 1;
-        while m < low && vrank + m < p {
-            let later = recv::<T>(comm, (vrank + m + root) % p, tag).await?;
-            seg = combine(seg, later);
-            m <<= 1;
+    async move {
+        for mut seg in segs {
+            let mut m = 1;
+            while m < low && vrank + m < p {
+                let later = recv::<T>(comm, (vrank + m + root) % p, tag).await?;
+                seg = combine(seg, later);
+                m <<= 1;
+            }
+            if vrank == 0 {
+                at_top(seg);
+            } else {
+                let bytes = bytes_of(&seg);
+                comm.send_key((vrank - low + root) % p, tag, seg, bytes);
+            }
         }
-        if vrank == 0 {
-            at_top(seg);
-        } else {
-            let bytes = bytes_of(&seg);
-            comm.send_key((vrank - low + root) % p, tag, seg, bytes);
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Sends `seg` to every child in the tree rooted at `root`, largest
@@ -215,30 +223,32 @@ fn relay<T: Clone + Send + 'static>(
 /// segments from the tree parent in order, relaying each on arrival,
 /// until `segs` holds all `total` (at the root they are already in hand,
 /// relayed by the caller).
-async fn down_sweep<T: Clone + Send + 'static>(
-    comm: &Comm,
+fn down_sweep<'a, T: Clone + Send + 'static>(
+    comm: &'a Comm,
     root: usize,
     tag: Key,
-    bytes_of: &impl Fn(&T) -> usize,
+    bytes_of: &'a impl Fn(&T) -> usize,
     mut segs: Segments<T>,
     total: usize,
-) -> Result<Segments<T>, ShutdownError> {
+) -> impl Future<Output = Result<Segments<T>, ShutdownError>> + 'a {
     let p = comm.size();
     let (vrank, mask) = position(comm, root);
     // A rank without children relays nothing: its last segment is the
     // schedule's last receive.
     let leaf = mask == 1 || vrank + 1 == p;
-    while segs.len() < total {
-        let parent = (vrank + p - mask + root) % p;
-        let seg = if leaf && segs.len() + 1 == total {
-            recv_last::<T>(comm, parent, tag).await?
-        } else {
-            recv::<T>(comm, parent, tag).await?
-        };
-        relay(comm, root, tag, bytes_of, &seg);
-        segs.push(seg);
+    async move {
+        while segs.len() < total {
+            let parent = (vrank + p - mask + root) % p;
+            let seg = if leaf && segs.len() + 1 == total {
+                recv_last::<T>(comm, parent, tag).await?
+            } else {
+                recv::<T>(comm, parent, tag).await?
+            };
+            relay(comm, root, tag, bytes_of, &seg);
+            segs.push(seg);
+        }
+        Ok(segs)
     }
-    Ok(segs)
 }
 
 /// Broadcast from `root` (`value` is `Some` there and ignored elsewhere):
@@ -310,7 +320,7 @@ pub(crate) async fn tree_reduce<T: Send + 'static>(
 /// segment handed straight to the down-sweep. Any root but 0 combines in
 /// a rotated rank order, which only a commutative operator allows.
 #[allow(clippy::too_many_arguments)]
-pub(crate) async fn tree_allreduce<T: Clone + Send + 'static>(
+pub(crate) fn tree_allreduce<T: Clone + Send + 'static>(
     comm: Comm,
     root: usize,
     value: T,
@@ -319,21 +329,23 @@ pub(crate) async fn tree_allreduce<T: Clone + Send + 'static>(
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
     combine: impl FnMut(T, T) -> T,
-) -> Result<T, ShutdownError> {
+) -> impl Future<Output = Result<T, ShutdownError>> {
     let s = segments.max(1);
     let (up, down) = (
         TagBase::AllreduceTreeUp.key(seq),
         TagBase::AllreduceTreeDown.key(seq),
     );
-    let segs = Segments::split(value, s, split);
-    let mut top = Segments::with_capacity(s);
-    up_sweep(&comm, root, up, segs, &bytes_of, combine, |seg| {
-        relay(&comm, root, down, &bytes_of, &seg);
-        top.push(seg);
-    })
-    .await?;
-    let segs = down_sweep(&comm, root, down, &bytes_of, top, s).await?;
-    Ok(segs.unsplit(unsplit))
+    async move {
+        let segs = Segments::split(value, s, split);
+        let mut top = Segments::with_capacity(s);
+        up_sweep(&comm, root, up, segs, &bytes_of, combine, |seg| {
+            relay(&comm, root, down, &bytes_of, &seg);
+            top.push(seg);
+        })
+        .await?;
+        let segs = down_sweep(&comm, root, down, &bytes_of, top, s).await?;
+        Ok(segs.unsplit(unsplit))
+    }
 }
 
 impl Comm {

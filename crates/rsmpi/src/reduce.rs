@@ -22,6 +22,7 @@ use std::rc::Rc;
 use gv_core::iter::Input;
 use gv_core::op::ReduceScanOp;
 use gv_core::split::SplittableState;
+use gv_msgpass::collectives::select::Segmentation;
 use gv_msgpass::{Comm, Request, RequestError};
 
 /// Runs the accumulate phase of Listing 2 for this rank's block and
@@ -53,36 +54,38 @@ pub(crate) fn combining<'a, Op: ReduceScanOp>(
 /// Cross-rank combine of an already-accumulated state: cost-selected
 /// allreduce with the operator's commutativity flag plumbed through —
 /// the paper's point that the declaration is the runtime's license to
-/// reorder combining.
-pub(crate) fn allreduce_state<Op>(comm: &Comm, op: &Op, state: Op::State) -> Op::State
+/// reorder combining. `segmentation` is a [`SplittableState`] operator's
+/// split, which the selector may answer with the bandwidth-optimal
+/// reduce-scatter + allgather (only when the operator is also
+/// commutative). An operator whose state is a run of slots
+/// ([`ReduceScanOp::elementwise`]) hands the transport that capability,
+/// and its recursive-doubling rounds exchange the state by view.
+pub(crate) fn allreduce_state<Op>(
+    comm: &Comm,
+    op: &Op,
+    state: Op::State,
+    segmentation: Option<Segmentation<'_, Op::State>>,
+) -> Op::State
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    comm.allreduce(
-        state,
-        Op::COMMUTATIVE,
-        |s| op.wire_size(s),
-        combining(comm, op),
-    )
-}
-
-/// Like [`allreduce_state`] but for [`SplittableState`] operators: the
-/// selector may additionally choose the bandwidth-optimal reduce-scatter
-/// + allgather schedule (only when the operator is also commutative).
-pub(crate) fn allreduce_state_splittable<Op>(comm: &Comm, op: &Op, state: Op::State) -> Op::State
-where
-    Op: SplittableState,
-    Op::State: Clone + Send + 'static,
-{
-    comm.allreduce_splittable(
-        state,
-        Op::COMMUTATIVE,
-        |s, parts| op.split_state(s, parts),
-        |segments| op.unsplit_state(segments),
-        |s| op.wire_size(s),
-        combining(comm, op),
-    )
+    let bytes_of = |s: &Op::State| op.wire_size(s);
+    let combine = combining(comm, op);
+    match (op.elementwise(), segmentation) {
+        (Some(slots), segmentation) => comm.allreduce_elementwise(
+            state,
+            Op::COMMUTATIVE,
+            segmentation,
+            bytes_of,
+            combine,
+            (slots, |s: &Op::State| op.combine_ops(s)),
+        ),
+        (None, Some((split, unsplit))) => {
+            comm.allreduce_splittable(state, Op::COMMUTATIVE, split, unsplit, bytes_of, combine)
+        }
+        (None, None) => comm.allreduce(state, Op::COMMUTATIVE, bytes_of, combine),
+    }
 }
 
 /// Global-view reduction delivering the result to every rank — the paper's
@@ -103,7 +106,7 @@ where
     Op::State: Clone + Send + 'static,
 {
     let state = accumulate_local(comm, op, local);
-    op.red_gen(allreduce_state(comm, op, state))
+    op.red_gen(allreduce_state(comm, op, state, None))
 }
 
 /// [`reduce_all`] for operators with splittable states: eligible for the
@@ -114,7 +117,9 @@ where
     Op::State: Clone + Send + 'static,
 {
     let state = accumulate_local(comm, op, local);
-    op.red_gen(allreduce_state_splittable(comm, op, state))
+    let split = |s, parts| op.split_state(s, parts);
+    let unsplit = |segments| op.unsplit_state(segments);
+    op.red_gen(allreduce_state(comm, op, state, Some((&split, &unsplit))))
 }
 
 /// An in-flight [`ireduce_all`]: the cross-rank combine is parked in the

@@ -19,6 +19,31 @@ awk '
     END { if (stray) { print "ci: #[target_feature] outside gv_core::isa_tiers!"; exit 1 } }
 ' $(find crates -name '*.rs')
 
+# gv-msgpass denies `unsafe_code` and allows it on one module, `message`
+# (the inline payload, and the lent state in `message/loan.rs`), whose
+# safety arguments are written there. Any other `unsafe` block, fn, impl
+# or trait, or any other `allow(unsafe_code)`, under crates/msgpass is a
+# second place that argument would have to cover.
+awk '
+    FILENAME ~ /^crates\/msgpass\/src\/message(\.rs|\/)/ { next }
+    pending {
+        if ($0 !~ /^[[:space:]]*mod message;/) { print pending; stray = 1 }
+        pending = ""
+    }
+    /allow\(unsafe_code\)/ {
+        here = FILENAME ":" FNR ": " $0
+        if (FILENAME == "crates/msgpass/src/lib.rs") { pending = here } else { print here; stray = 1 }
+        next
+    }
+    /(^|[^[:alnum:]_])unsafe[[:space:]]*(\{|fn[[:space:]]|impl[[:space:]<]|trait[[:space:]]|extern[[:space:]])/ {
+        print FILENAME ":" FNR ": " $0; stray = 1
+    }
+    END {
+        if (pending) { print pending; stray = 1 }
+        if (stray) { print "ci: unsafe in gv-msgpass outside mod message"; exit 1 }
+    }
+' $(find crates/msgpass -name '*.rs')
+
 # One formatting for the whole workspace (`benchmark/` is a workspace of
 # its own and keeps its own).
 cargo fmt --all --check

@@ -22,6 +22,9 @@
 //! size: asking for huge pages under a large one (`gv_core::mem`) neither
 //! allocates nor grows anything.
 //!
+//! A reduction whose state is a run of slots lends it at two ranks
+//! instead of cloning it: no state-sized block beyond the state itself.
+//!
 //! And the small messages: in steady state an 8-byte allreduce and an
 //! `f64` send/receive pair allocate nothing at all (the value rides in
 //! the envelope, the envelope in the lane slot, and a launch clones no
@@ -207,6 +210,34 @@ fn selector_routed_calls_at_two_ranks_copy_the_state_once_per_sender() {
         bcast <= N + ENVELOPES,
         "bcast_splittable allocated {bcast} B for a {N} B state"
     );
+}
+
+#[test]
+fn a_slotted_reduction_at_two_ranks_lends_its_state_instead_of_cloning_it() {
+    // `reduce_all` of `Counts` runs the same recursive-doubling exchange
+    // as the allreduce above, but each rank lends its state to the other
+    // and copies half of the result out of the other's buffer: the one
+    // state-sized block a rank allocates is the state its accumulate
+    // phase builds. Beyond it, envelopes and the loan's shared cell.
+    const ENVELOPES: usize = 4 << 10;
+    let op = gv_core::ops::counts::Counts::new(LEN);
+    let inputs: Vec<usize> = (0..1000).map(|i| i * 97 % LEN).collect();
+    let per_rank = Runtime::new(2).run(|comm| {
+        let local = &inputs[comm.rank() * 500..][..500];
+        let (large, all) = (large_bytes(), allocated());
+        gv_rsmpi::reduce_all(comm, &op, local);
+        (large_bytes() - large, allocated() - all)
+    });
+    for (rank, &(large, all)) in per_rank.results.iter().enumerate() {
+        assert_eq!(
+            large, N,
+            "rank {rank}: {large} B in state-sized blocks, {N} B state"
+        );
+        assert!(
+            all <= N + ENVELOPES,
+            "rank {rank}: {all} B for a {N} B state"
+        );
+    }
 }
 
 #[test]

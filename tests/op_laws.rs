@@ -388,6 +388,54 @@ fn elementwise_ops_obey_the_laws() {
     assert_elementwise_laws("Elementwise(MinK(3))", MinK::<i64>::new(3), &inputs);
 }
 
+/// The `ElementwiseState` law: the state is its slots, in order, and
+/// combining slot by slot — into the earlier operand's buffer or into
+/// the later one's, whole or one half at a time — is `combine`. On random
+/// states of no slot, one, an even and an odd number.
+fn assert_slot_laws<Op: ReduceScanOp<State = Vec<u64>>>(name: &str, op: &Op) {
+    let slots = op
+        .elementwise()
+        .unwrap_or_else(|| panic!("{name}: no elementwise capability"));
+    let mut rng = TestRng::new(0x510E);
+    for len in [0usize, 1, 2, 7, 64, 1001] {
+        for case in 0..4 {
+            let mut random = || -> Vec<u64> { (0..len).map(|_| rng.below(1 << 40)).collect() };
+            let (a, b) = (random(), random());
+            let mut whole = a.clone();
+            op.combine(&mut whole, b.clone());
+            assert_eq!(
+                slots.slots(&mut a.clone()),
+                &a[..],
+                "{name}: slots of {len}"
+            );
+            for (mine, theirs, mine_first) in [(&a, &b, true), (&b, &a, false)] {
+                let mut at_once = mine.clone();
+                slots.combine_slots(slots.slots(&mut at_once), theirs, mine_first);
+                let mut by_halves = mine.clone();
+                let (lower, upper) = slots.slots(&mut by_halves).split_at_mut(len / 2);
+                slots.combine_slots(lower, &theirs[..len / 2], mine_first);
+                slots.combine_slots(upper, &theirs[len / 2..], mine_first);
+                for (how, got) in [("at once", at_once), ("by halves", by_halves)] {
+                    assert_eq!(
+                        got,
+                        whole,
+                        "{name}[{len} slots, case {case}]: combine_slots {how} into the \
+                         {} operand's buffer != combine",
+                        if mine_first { "earlier" } else { "later" }
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn elementwise_states_combine_slot_by_slot() {
+    assert_slot_laws("Counts", &Counts::new(8));
+    assert_slot_laws("BucketRank", &BucketRank::new(8));
+    assert_slot_laws("Histogram", &Histogram::uniform(0.0, 1.0, 16));
+}
+
 #[test]
 fn non_commutative_ops_obey_the_laws() {
     assert_op_laws(
