@@ -48,7 +48,7 @@ fn measure(p: usize, bytes: usize, fixed: Option<AllreduceAlgorithm>) -> f64 {
                 c.allreduce_splittable(state.clone(), true, split, unsplit, wire, add);
             }
             Some(algo) => {
-                c.allreduce_by((algo, 1), state.clone(), (split, unsplit), wire, add);
+                c.allreduce_by(algo, state.clone(), (split, unsplit), wire, add);
             }
         });
         dt
@@ -68,7 +68,7 @@ fn measured_picks(
     let m = outcome.results[0];
     let picks = sizes
         .iter()
-        .map(|&bytes| AllreduceAlgorithm::select(&m, p, bytes, true, true).0)
+        .map(|&bytes| AllreduceAlgorithm::select(&m, p, bytes, true, true))
         .collect();
     (picks, m)
 }
@@ -135,7 +135,7 @@ fn main() {
                 worst_at = (p, bytes);
             }
             let cost = CostModel::default();
-            let (fixed_pick, _) = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
+            let fixed_pick = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
             if csv {
                 println!(
                     "{p},{bytes},{t_sel:.9},{t_rb:.9},{t_rd:.9},{t_circ:.9},{},{}",

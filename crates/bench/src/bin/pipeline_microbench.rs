@@ -1,37 +1,13 @@
-//! Experiment TXT-PIPELINE: the segmented tree at the cost model's S vs
-//! its whole-state (S = 1) self, schedule × state size × rank count.
+//! Experiment TXT-LATENCY: what one small message costs at each layer
+//! between two ranks bound to two cores, as a multiple of a raw
+//! cache-line ping-pong read by the same threads in the same process
+//! (EXPERIMENTS.md, TXT-LATENCY). Host clock, printed to stderr and not
+//! recorded.
 //!
-//! Three comparisons, all on a splittable `Vec<u64>` state:
-//!
-//! * `bcast` — the tree broadcast at S = 1 vs at the cost model's S
-//!   (`bcast_pipelined`);
-//! * `reduce` — the tree reduce at S = 1 vs at the cost model's S;
-//! * `allred-tree` — recursive doubling (the best fixed whole-state
-//!   schedule for a non-commutative operator) vs the fused tree
-//!   allreduce (reduce up, broadcast down, overlapped).
-//!
-//! Each cell reports the modeled parallel time of both schedules, the
-//! segment count the cost model chose, and the speedup. The table also
-//! cross-checks the selector: for every cell it routes the same state
-//! through the cost-driven `*_splittable` entry point (for `reduce`, the
-//! tree at `BcastAlgorithm::select_segments`' S) and asserts the
-//! selected schedule is within 5% of the best fixed schedule measured —
-//! the "selector never loses badly" acceptance bound. At ≥256 KiB and
-//! p ≥ 8, `bcast` must pipeline ≥2× and `allred-tree` must reach its
-//! closed-form speedup over recursive doubling (the cost model's two
-//! estimates).
-//!
-//! Modeled times come from the deterministic virtual clock, so the table
-//! is bit-reproducible and recorded in `results/pipeline_microbench.txt`.
-//! Excluded from the recorded artifact is `--wall`: the same three
-//! columns on the host clock at p = 2, where a rank's local copying shows
-//! that the modeled clock does not price. And so is `--latency`: what one
-//! small message costs at each layer between two bound ranks, as a
-//! multiple of a raw cache-line ping-pong read in the same process
-//! (EXPERIMENTS.md, TXT-LATENCY).
-//!
-//! Usage: pipeline_microbench [--procs 2,4,8,16] [--csv] [--wall] [--latency]
-//! Env:   GV_BENCH_QUICK=1 shrinks the sweep for CI smoke runs.
+//! Usage: pipeline_microbench [--latency]
+//! (the latency table is the bin's one table; `scripts/campaign.sh
+//! --latency` names the flag and reads three rows of it.)
+//! Env:   GV_BENCH_QUICK=1 shortens every row for CI smoke runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,183 +15,8 @@ use std::time::{Duration, Instant};
 
 use gv_executor::lane::{lane, LaneReceiver, Parker};
 
-use gv_bench::table::{has_flag, parallel_time, parse_procs, timed_phase};
-use gv_core::split::{split_vec_segments as split, unsplit_vec_segments as unsplit};
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::{AllreduceAlgorithm, BcastAlgorithm, Comm, CostModel, Runtime};
+use gv_msgpass::{Comm, Runtime};
 use gv_nas::cg::{self, CgBlock};
-
-/// State sizes swept, in bytes (the state is a Vec<u64> of size/8 slots).
-const SIZES: [usize; 4] = [4 << 10, 64 << 10, 256 << 10, 1 << 20];
-
-// The collectives take `Fn(&S) -> usize` with `S = Vec<u64>`.
-#[allow(clippy::ptr_arg)]
-fn wire(v: &Vec<u64>) -> usize {
-    v.len() * 8
-}
-
-fn add(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
-    a
-}
-
-/// One collective call on a `Vec<u64>` state of `elems` slots; the
-/// second argument is the tree's segment count, for the column that
-/// takes one.
-type Call = fn(&Comm, usize, usize);
-
-/// The three columns of one comparison.
-struct Comparison {
-    name: &'static str,
-    /// The whole-state baseline.
-    mono: Call,
-    /// The tree at the cost model's `S`.
-    piped: Call,
-    /// The cost-driven selection.
-    selected: Call,
-}
-
-const COMPARISONS: [Comparison; 3] = [
-    Comparison {
-        name: "bcast",
-        mono: |c, elems, _| {
-            c.bcast_vec(0, root_value(c, elems));
-        },
-        piped: |c, elems, s| {
-            let value = root_value(c, elems);
-            c.bcast_pipelined(0, value, s, split, unsplit, wire);
-        },
-        selected: |c, elems, _| {
-            let value = root_value(c, elems);
-            c.bcast_splittable(0, value, elems * 8, split, unsplit, wire);
-        },
-    },
-    Comparison {
-        name: "reduce",
-        mono: |c, elems, _| {
-            c.reduce(0, vec![1u64; elems], wire, add);
-        },
-        piped: |c, elems, s| {
-            let state = vec![1u64; elems];
-            c.reduce_pipelined(0, state, s, split, unsplit, wire, add);
-        },
-        selected: |c, elems, _| {
-            let s = BcastAlgorithm::select_segments(&c.cost_model(), c.size(), elems * 8, true);
-            let state = vec![1u64; elems];
-            c.reduce_pipelined(0, state, s, split, unsplit, wire, add);
-        },
-    },
-    // Recursive doubling (the best fixed whole-state schedule for a
-    // non-commutative operator) vs the fused tree. The selector is routed
-    // with a *non-commutative* declaration: the segmented tree and
-    // recursive doubling are the eligible schedules, so this cell checks
-    // exactly the crossover the tree allreduce was added for.
-    Comparison {
-        name: "allred-tree",
-        mono: |c, elems, _| {
-            let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
-            c.allreduce_by(plan, vec![1u64; elems], whole(), wire, add);
-        },
-        piped: |c, elems, s| {
-            let plan = (AllreduceAlgorithm::PipelinedTree, s);
-            c.allreduce_by(plan, vec![1u64; elems], (split, unsplit), wire, add);
-        },
-        selected: |c, elems, _| {
-            let state = vec![1u64; elems];
-            c.allreduce_splittable(state, false, split, unsplit, wire, add);
-        },
-    },
-];
-
-fn root_value(comm: &Comm, elems: usize) -> Option<Vec<u64>> {
-    (comm.rank() == 0).then(|| vec![1u64; elems])
-}
-
-fn tree_segments(p: usize, bytes: usize) -> usize {
-    BcastAlgorithm::tree_segments(&CostModel::default(), p, bytes)
-}
-
-/// One schedule comparison in modeled seconds, and the segment count the
-/// pipelined run used.
-struct Cell {
-    mono: f64,
-    piped: f64,
-    selected: f64,
-    segments: usize,
-}
-
-fn measure(schedule: &Comparison, p: usize, bytes: usize) -> Cell {
-    let segments = tree_segments(p, bytes);
-    let modeled = |call: Call| {
-        let outcome =
-            Runtime::new(p).run(move |comm| timed_phase(comm, |c| call(c, bytes / 8, segments)).1);
-        parallel_time(&outcome.results)
-    };
-    Cell {
-        mono: modeled(schedule.mono),
-        piped: modeled(schedule.piped),
-        selected: modeled(schedule.selected),
-        segments,
-    }
-}
-
-/// Untimed reps at the head of every `--wall` run (thread placement and
-/// allocator warm-up).
-const WALL_WARM_UP: usize = 5;
-
-/// Host wall-clock of the same three columns at p = 2 — what a caller
-/// waits, which the modeled table above cannot show (it prices messages,
-/// not the copying a rank does between them). Each rep is timed from a
-/// barrier to the slower rank's return, state construction included (it
-/// is the same in every column). Timing-dependent, hence printed outside
-/// the recorded table.
-fn wall_report(reps: usize) {
-    let p = 2;
-    eprintln!(
-        "  {:>11} | {:>7} | {:>3} | {:>18} | {:>18} | {:>18}",
-        "schedule", "size", "S", "whole-state", "tree at S", "selected"
-    );
-    for schedule in &COMPARISONS {
-        for &bytes in &SIZES[1..] {
-            let segments = tree_segments(p, bytes);
-            let wall = |call: Call| {
-                let outcome = Runtime::new(p).run(move |comm| {
-                    (0..reps + WALL_WARM_UP)
-                        .map(|_| {
-                            comm.barrier();
-                            let started = Instant::now();
-                            call(comm, bytes / 8, segments);
-                            started.elapsed().as_secs_f64()
-                        })
-                        .collect::<Vec<f64>>()
-                });
-                let mut slower: Vec<f64> = outcome.results[0]
-                    .iter()
-                    .zip(&outcome.results[1])
-                    .skip(WALL_WARM_UP)
-                    .map(|(a, b)| a.max(*b))
-                    .collect();
-                slower.sort_by(f64::total_cmp);
-                format!(
-                    "{:>6.1} / {:>6.1} µs",
-                    slower[reps / 10] * 1e6,
-                    slower[reps / 2] * 1e6
-                )
-            };
-            eprintln!(
-                "  {:>11} | {:>7} | {:>3} | {} | {} | {}",
-                schedule.name,
-                fmt_size(bytes),
-                segments,
-                wall(schedule.mono),
-                wall(schedule.piped),
-                wall(schedule.selected),
-            );
-        }
-    }
-}
 
 /// `cpu_set_t`: 1024 bits.
 #[cfg(target_os = "linux")]
@@ -560,105 +361,11 @@ fn latency_report(batches: usize) {
     }
 }
 
-fn fmt_size(bytes: usize) -> String {
-    if bytes >= 1 << 20 {
-        format!("{} MiB", bytes >> 20)
-    } else {
-        format!("{} KiB", bytes >> 10)
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let csv = has_flag(&args, "--csv");
     let quick = std::env::var("GV_BENCH_QUICK").is_ok_and(|v| v != "0");
-    let procs = if quick {
-        vec![8]
-    } else {
-        match args.iter().position(|a| a == "--procs") {
-            Some(_) => parse_procs(&args),
-            None => vec![2, 4, 8, 16],
-        }
-    };
-    let sizes: &[usize] = if quick { &SIZES[1..3] } else { &SIZES };
-
-    if csv {
-        println!("schedule,procs,bytes,segments,monolithic_seconds,pipelined_seconds,selected_seconds,speedup");
-    } else {
-        println!("TXT-PIPELINE — segment-pipelined schedules vs monolithic (splittable Vec<u64> state)\n");
-        println!(
-            "  {:>11} | {:>5} | {:>7} | {:>3} | {:>12} | {:>12} | {:>12} | speedup",
-            "schedule", "p", "size", "S", "monolithic", "pipelined", "selected"
-        );
-    }
-
-    for schedule in &COMPARISONS {
-        let name = schedule.name;
-        for &p in &procs {
-            for &bytes in sizes {
-                let cell = measure(schedule, p, bytes);
-                let speedup = cell.mono / cell.piped;
-                if csv {
-                    println!(
-                        "{name},{p},{bytes},{},{:.9},{:.9},{:.9},{speedup:.3}",
-                        cell.segments, cell.mono, cell.piped, cell.selected
-                    );
-                } else {
-                    println!(
-                        "  {:>11} | {:>5} | {:>7} | {:>3} | {:>9.1} µs | {:>9.1} µs | {:>9.1} µs | {speedup:.2}×",
-                        name,
-                        p,
-                        fmt_size(bytes),
-                        cell.segments,
-                        cell.mono * 1e6,
-                        cell.piped * 1e6,
-                        cell.selected * 1e6,
-                    );
-                }
-                // Selector acceptance: never lose more than 5% to the
-                // best fixed schedule at any measured point (barriers in
-                // timed_phase add identical overhead to every column).
-                let best = cell.mono.min(cell.piped);
-                assert!(
-                    cell.selected <= best * 1.05 + 1e-9,
-                    "{name} p={p} {}: selector {:.3e}s vs best fixed {:.3e}s",
-                    fmt_size(bytes),
-                    cell.selected,
-                    best
-                );
-                // Headline acceptance for states ≥256 KiB at p ≥ 8: ≥2×
-                // on bcast; on the fused tree allreduce — whose bytes
-                // cross its busiest link twice where recursive doubling's
-                // cross ⌈log₂p⌉ links — its closed-form speedup.
-                let cost = CostModel::default();
-                let bound = match name {
-                    "bcast" => Some(2.0),
-                    "allred-tree" => Some(
-                        AllreduceAlgorithm::RecursiveDoubling.estimated_seconds(&cost, p, bytes)
-                            / AllreduceAlgorithm::PipelinedTree.estimated_seconds(&cost, p, bytes),
-                    ),
-                    _ => None,
-                };
-                if let Some(bound) = bound.filter(|_| bytes >= 256 << 10 && p >= 8) {
-                    assert!(
-                        speedup >= bound,
-                        "{name} p={p} {}: pipelining only {speedup:.2}× (bound {bound:.2}×)",
-                        fmt_size(bytes)
-                    );
-                }
-            }
-        }
-    }
-
-    if has_flag(&args, "--wall") {
-        eprintln!("\n  host wall clock at p = 2, p10 / median (timing-dependent, not recorded):");
-        wall_report(if quick { 20 } else { 200 });
-    }
-    if has_flag(&args, "--latency") {
-        eprintln!(
-            "\n  small-message latency, two ranks bound to two cores, batches of {LATENCY_BATCH} \
-             (timing-dependent, not recorded):"
-        );
-        latency_report(if quick { 20 } else { 200 });
-    }
+    eprintln!(
+        "  small-message latency, two ranks bound to two cores, batches of {LATENCY_BATCH} \
+         (timing-dependent, not recorded):"
+    );
+    latency_report(if quick { 20 } else { 200 });
 }

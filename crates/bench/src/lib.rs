@@ -12,11 +12,13 @@
 //!   non-commutative combining across branching factors.
 //! * `ablation_aggregation` — experiment TXT-AGG: one aggregated
 //!   reduction vs many separate ones.
+//! * `schedule_audit` — experiment TXT-AUDIT: which collective schedule
+//!   each end-to-end run and benchmark call selects.
 //!
 //! Host-clock microbenchmarks: `kernel_microbench` (the block kernels on
 //! every ISA tier, the derived kernel, and experiment TXT-TRANSLATE's
-//! accumulate-against-translate rows) and `pipeline_microbench` (the
-//! segmented schedules and small-message latency).
+//! accumulate-against-translate rows) and `pipeline_microbench` (what a
+//! small message costs, layer by layer).
 //!
 //! See EXPERIMENTS.md for the recorded outputs and the comparison against
 //! the paper's reported results.

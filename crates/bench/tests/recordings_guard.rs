@@ -11,12 +11,12 @@
 //! counts that run quickly (the scan ablation only for its modeled
 //! TXT-PREFIX table: the schedule sweep after it is wall time). The
 //! selector-tuning rows are checked but for their last, host-measured
-//! column. FIG3 and the call-stats table are cheap enough to compare
-//! whole.
+//! column. FIG3, the call-stats table and the schedule audit are cheap
+//! enough to compare whole.
 //!
-//! And a guard on what a recording may claim at all: on a link that
-//! carries one message at a time, segmenting a state overlaps the hops
-//! of a path, never the bytes on a link, so no segmented schedule can be
+//! And a guard on what the segmented chain may claim at all: on a link
+//! that carries one message at a time, segmenting a state overlaps the
+//! hops of a path, never the bytes on a link, so the chain cannot be
 //! faster than its whole-state run by more than the hops that run pays
 //! per byte.
 
@@ -25,11 +25,6 @@ use std::process::Command;
 
 use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_msgpass::{AllreduceAlgorithm, CostModel, FaultPlan, Runtime, ScanAlgorithm};
-
-/// `⌈log₂p⌉`: the hops a whole state crosses on the binomial tree.
-fn tree_depth(p: usize) -> f64 {
-    p.next_power_of_two().trailing_zeros() as f64
-}
 
 fn recorded(name: &str) -> String {
     let path: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -89,6 +84,17 @@ fn fig3_recording_is_bit_identical() {
         got,
         recorded("fig3_mg_zran3.txt"),
         "fig3_mg_zran3 output drifted from results/fig3_mg_zran3.txt"
+    );
+}
+
+#[test]
+fn schedule_audit_recording_is_bit_identical() {
+    let got = run(env!("CARGO_BIN_EXE_schedule_audit"), &[]);
+    assert_eq!(
+        got,
+        recorded("schedule_audit.txt"),
+        "schedule_audit output drifted from results/schedule_audit.txt — \
+         an end-to-end run or a benchmark call changed schedule"
     );
 }
 
@@ -153,37 +159,10 @@ fn disabled_fault_machinery_leaves_runs_bit_identical() {
 }
 
 #[test]
-fn default_pipelining_leaves_recordings_pinned() {
-    // The pipelined schedules are priced in, but at the small states the
-    // FIG2/FIG3/call-stats workloads use the selector must keep choosing
-    // the previously recorded schedules (pipelining only pays off for
-    // large splittable states).
-    let outcome = Runtime::new(6).run(|comm| {
-        let wire = |v: &Vec<u64>| v.len() * 8;
-        let add = |mut a: Vec<u64>, b: Vec<u64>| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-            a
-        };
-        for elems in [1usize, 8 << 10] {
-            let state = vec![comm.rank() as u64 + 1; elems];
-            comm.allreduce_splittable(
-                state,
-                true,
-                split_vec_segments,
-                unsplit_vec_segments,
-                wire,
-                add,
-            );
-        }
-    });
-    assert_eq!(
-        outcome
-            .stats
-            .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedTree),
-        0
-    );
+fn the_selector_keeps_the_recorded_call_sites() {
+    // At the small states the FIG2/FIG3/call-stats workloads use the
+    // selector must keep choosing the recorded schedules (only large
+    // commutative splittable states go to the reduce-scatter).
     let cost = CostModel::cluster_2006();
     for (bytes, commutative, want) in [
         (8usize, true, AllreduceAlgorithm::RecursiveDoubling),
@@ -191,7 +170,7 @@ fn default_pipelining_leaves_recordings_pinned() {
         (8 << 10, false, AllreduceAlgorithm::RecursiveDoubling),
     ] {
         assert_eq!(
-            AllreduceAlgorithm::select(&cost, 6, bytes, commutative, true).0,
+            AllreduceAlgorithm::select(&cost, 6, bytes, commutative, true),
             want,
             "selector moved a recorded call site at {bytes} B"
         );
@@ -256,41 +235,6 @@ fn selector_tuning_rows_match_the_recording_but_for_the_measured_column() {
         "no VERDICT line in results/{name}"
     );
     assert_eq!(verdict(&got), recorded_verdict);
-}
-
-#[test]
-fn no_recorded_pipeline_beats_the_hops_its_whole_state_run_pays() {
-    // TXT-PIPELINE: `bcast` and `reduce` compare the tree at the
-    // chooser's S with itself at S = 1, which pays d = ⌈log₂p⌉ hops per
-    // byte. `allred-tree` compares the fused tree with recursive doubling
-    // (its S = 1 run, reduce then broadcast, pays 2d hops per byte, and
-    // recursive doubling, at these powers of two, d).
-    let recording = recorded("pipeline_microbench.txt");
-    let mut checked = 0;
-    for line in recording.lines() {
-        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-        let Some(Ok(p)) = cells.get(1).map(|c| c.parse::<usize>()) else {
-            continue;
-        };
-        let micros = |cell: &str| -> f64 {
-            let number = cell.trim_end_matches("µs").trim();
-            number
-                .parse()
-                .unwrap_or_else(|e| panic!("{line}: {cell}: {e}"))
-        };
-        let (whole, segmented) = (micros(cells[4]), micros(cells[5]));
-        let hops = match cells[0] {
-            "bcast" | "reduce" | "allred-tree" => tree_depth(p),
-            name => panic!("unknown schedule {name} in results/pipeline_microbench.txt"),
-        };
-        assert!(
-            whole <= hops * segmented + 0.05,
-            "{line}\n  a {hops}-hop whole-state run cannot be {:.2}× its segmented self",
-            whole / segmented
-        );
-        checked += 1;
-    }
-    assert_eq!(checked, 3 * 4 * 4, "three schedules × four p × four sizes");
 }
 
 #[test]

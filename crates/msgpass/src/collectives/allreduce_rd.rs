@@ -196,7 +196,7 @@ mod tests {
     use crate::runtime::Runtime;
 
     fn sum(comm: &Comm, algo: AllreduceAlgorithm, value: u64) -> u64 {
-        comm.allreduce_by((algo, 1), value, whole(), |_| 8, |a, b| a + b)
+        comm.allreduce_by(algo, value, whole(), |_| 8, |a, b| a + b)
     }
 
     fn isum(comm: &Comm, value: u64) -> Request<u64> {
@@ -227,7 +227,7 @@ mod tests {
         for p in [2usize, 3, 5, 8, 11] {
             let outcome = Runtime::new(p).run(|comm| {
                 comm.allreduce_by(
-                    (RecursiveDoubling, 1),
+                    RecursiveDoubling,
                     format!("<{}>", comm.rank()),
                     whole(),
                     |s: &String| s.len(),

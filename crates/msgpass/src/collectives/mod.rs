@@ -6,9 +6,8 @@
 //! * [`barrier`](crate::comm::Comm::barrier) — dissemination barrier,
 //!   ⌈log₂ p⌉ rounds;
 //! * [`bcast`](crate::comm::Comm::bcast), [`reduce`](crate::comm::Comm::reduce)
-//!   and the tree allreduce — one segmented binomial tree (`tree.rs`),
-//!   whose `S = 1` case is the whole-state binomial tree, with
-//!   rank-order combines at every segment count;
+//!   and the tree allreduce — one binomial tree (`tree.rs`) that carries
+//!   whole states, with rank-order combines when rooted at rank 0;
 //! * [`allgather`](crate::comm::Comm::allgather) — the circulant
 //!   allgather, ⌈log₂ p⌉ rounds at any p (`reduce_scatter.rs`, where it
 //!   is also the second half of reduce-scatter + allgather);
@@ -16,8 +15,9 @@
 //!   contiguous-block k-ary trees with distinct combining schedules for
 //!   commutative vs. non-commutative operators (paper §1);
 //! * [`allreduce`](crate::comm::Comm::allreduce) — cost-driven selection
-//!   among recursive doubling, the tree, and (commutative splittable
-//!   states) the circulant reduce-scatter + allgather;
+//!   between recursive doubling and (commutative splittable states) the
+//!   circulant reduce-scatter + allgather; the tree runs the commutative
+//!   requests;
 //! * [`scan_inclusive`](crate::comm::Comm::scan_inclusive) /
 //!   [`scan_exclusive`](crate::comm::Comm::scan_exclusive) — cost-driven
 //!   selection among a shifted Hillis–Steele parallel prefix, a
@@ -29,7 +29,7 @@
 //!
 //! Which schedule runs is decided in `select.rs` alone: the selector-routed
 //! entry points price the candidates, and a caller that must run one
-//! schedule (an ablation, a test) names it in the plan it passes to
+//! schedule (an ablation, a test) names it to
 //! [`allreduce_by`](crate::comm::Comm::allreduce_by) or
 //! [`scan_both_by`](crate::comm::Comm::scan_both_by). Each of those
 //! schedules is an `async fn` whose only suspension point is a receive
@@ -38,8 +38,8 @@
 //! [`iallreduce`](crate::comm::Comm::iallreduce): the one non-blocking
 //! collective registers its future with the rank's progress engine
 //! (`request.rs`) and returns a request. A commutative request runs the
-//! whole-state tree rooted at its call sequence mod p, a non-commutative
-//! one the blocking call's recursive doubling (`select.rs`).
+//! tree rooted at its call sequence mod p, a non-commutative one the
+//! blocking call's recursive doubling (`select.rs`).
 //!
 //! Every collective must be called by all ranks of the communicator in the
 //! same order (MPI's usual rule). Combine closures always receive

@@ -201,7 +201,7 @@ mod tests {
     /// An allreduce of `state` forced onto `algo`.
     fn forced(comm: &Comm, algo: AllreduceAlgorithm, state: Vec<u64>) -> Vec<u64> {
         comm.allreduce_by(
-            (algo, 1),
+            algo,
             state,
             (split_vec_segments, unsplit_vec_segments),
             wire,

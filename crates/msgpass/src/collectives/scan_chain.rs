@@ -19,7 +19,6 @@
 //! from `(cost model, p, bytes)` alone, so every rank derives the same
 //! schedule.
 
-use super::tree::split_into;
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
@@ -50,7 +49,13 @@ pub(crate) async fn scan_chain<T: Clone + Send + 'static>(
     let s = segments.max(1);
     let mut incl = Vec::with_capacity(s);
     let mut excl = Vec::with_capacity(if need_exclusive { s } else { 0 });
-    for seg in split_into(value, s, split) {
+    let segs = split(value, s);
+    assert_eq!(
+        segs.len(),
+        s,
+        "split must return exactly the requested number of segments"
+    );
+    for seg in segs {
         let inc = if r == 0 {
             seg
         } else {

@@ -1,31 +1,27 @@
 //! Cost-driven schedule selection, and the one place each collective
 //! family turns a selection into a schedule.
 //!
-//! The runtime keeps a few general schedules — the segmented binomial
-//! tree (`tree.rs`), recursive doubling, the circulant reduce-scatter +
+//! The runtime keeps a few general schedules — the binomial tree
+//! (`tree.rs`), recursive doubling, the circulant reduce-scatter +
 //! allgather, and for scans recursive doubling, the binomial sweep and
 //! the segmented chain — with different α–β profiles and different
 //! correctness preconditions (see [`AllreduceAlgorithm`],
-//! [`ScanAlgorithm`], [`BcastAlgorithm`]). The entry points here pick
-//! the cheapest *eligible* one per call from the communicator's cost
-//! model, the call's wire size, and the operator's declared properties —
-//! the paper's point that the operator abstraction is what lets the
-//! runtime choose better combine schedules.
+//! [`ScanAlgorithm`]). The entry points here pick the cheapest *eligible*
+//! one per call from the communicator's cost model, the call's wire size,
+//! and the operator's declared properties — the paper's point that the
+//! operator abstraction is what lets the runtime choose better combine
+//! schedules.
 //!
 //! For allreduce the discriminating declarations are commutativity and
 //! splittability: [`Comm::allreduce`] is the whole-state entry point
 //! (nothing to split, so recursive doubling it is);
 //! [`Comm::allreduce_splittable`] is the full selector, where
-//! reduce-scatter + allgather additionally needs a commutative operator
-//! but the segmented tree (combining in strict rank order) does not.
+//! reduce-scatter + allgather is eligible for a commutative operator.
 //! [`Comm::allreduce_elementwise`] is either of the two for a state that
 //! is a run of slots: the same selection, but recursive doubling's
 //! pairwise rounds exchange a large state by view (`allreduce_rd.rs`).
-//!
-//! For broadcast the schedule is always the tree and the selection is its
-//! segment count: `S = 1` unless the state is splittable and the priced
-//! `S > 1` estimate is strictly lower ([`BcastAlgorithm::select_segments`],
-//! which also prices the same tree driven upward: `reduce_pipelined`).
+//! Broadcast and rooted reduce have one schedule each, the tree, and no
+//! selection.
 //!
 //! For scans every candidate schedule combines in rank order, so only
 //! *splittability* discriminates: [`Comm::scan_inclusive`] /
@@ -35,12 +31,10 @@
 //! chain.
 //!
 //! A caller that must run one schedule — an ablation measuring each, a
-//! test pinning one — passes the plan the selector would have produced:
-//! [`Comm::allreduce_by`] and [`Comm::scan_both_by`] take `(algorithm,
-//! segment count)` and skip the pricing, so which schedule runs is
-//! decided here and nowhere else. (`bcast_pipelined` and
-//! `reduce_pipelined` in `tree.rs` are the tree's forced forms: there the
-//! plan is only the segment count.)
+//! test pinning one — names what the selector would have produced:
+//! [`Comm::allreduce_by`] takes the algorithm and [`Comm::scan_both_by`]
+//! takes `(algorithm, chain segment count)`, and both skip the pricing,
+//! so which schedule runs is decided here and nowhere else.
 //!
 //! Every collective here drives its schedule on the caller's stack except
 //! [`Comm::iallreduce`], the one non-blocking entry point: it registers
@@ -48,21 +42,23 @@
 //! [`Request`]. A blocking call is priced by its critical path, a request
 //! by the work it leaves on each rank: requests in flight overlap their
 //! critical paths, so what a rank pays for is its own clones and
-//! combines. A commutative request therefore runs the whole-state tree
-//! rooted at its call sequence number mod p — `p − 1` clones and combines
-//! a call, spread over the ranks by the rotation, where recursive
-//! doubling makes each rank clone and combine once a round — and a
-//! non-commutative one runs recursive doubling, the blocking call's
-//! schedule, since a rotated tree would permute its combine order. On one
-//! rank there is nothing to move and a request runs recursive doubling,
-//! whose empty schedule is the smaller future to box. The rule reads no
-//! state's size.
+//! combines. A commutative request therefore runs the tree rooted at its
+//! call sequence number mod p — `p − 1` clones and combines a call,
+//! spread over the ranks by the rotation, where recursive doubling makes
+//! each rank clone and combine once a round — and a non-commutative one
+//! runs recursive doubling, the blocking call's schedule, since a rotated
+//! tree would permute its combine order. The rule reads no state's size
+//! and no rank count: on one rank the tree is an empty schedule too, and
+//! its future is the smaller box (`a_requests_schedule_stays_small`).
 //!
 //! Selection uses this rank's local `bytes_of(&value)` as the wire size.
 //! Under the SPMD convention that all ranks pass equal-shaped states
 //! this is uniform; states whose wire size varies per rank (e.g. short
 //! strings) sit far below any crossover, where every model lands on the
-//! same latency-optimal default.
+//! same latency-optimal default. A caller whose states may straddle a
+//! crossover prices a size every rank computes alike and names the
+//! schedule through [`Comm::allreduce_by`] (`gv_rsmpi`'s splittable
+//! reduction prices its operator's identity).
 
 use gv_core::op::ElementwiseState;
 
@@ -72,9 +68,9 @@ use super::reduce_scatter::allreduce_rsag;
 use super::scan::scan_rd;
 use super::scan_binomial::scan_binomial;
 use super::scan_chain::scan_chain;
-use super::tree::{tree_allreduce, tree_bcast, tree_reduce, whole};
+use super::tree::{tree_allreduce, whole};
 use crate::comm::Comm;
-use crate::cost::{AllreduceAlgorithm, BcastAlgorithm, ScanAlgorithm};
+use crate::cost::{AllreduceAlgorithm, ScanAlgorithm};
 use crate::request::Request;
 use crate::stats::CallKind;
 
@@ -84,16 +80,14 @@ pub type Segmentation<'a, T> = (&'a dyn Fn(T, usize) -> Vec<T>, &'a dyn Fn(Vec<T
 
 impl Comm {
     /// The allreduce family's one constructor: records the schedule and
-    /// launches it. `plan` is `(algorithm, tree segment count)`; the
-    /// segment count only matters to the tree arms (reduce+bcast *is*
-    /// the tree at `S = 1`). `rotate` roots the tree at the call's
-    /// sequence number mod p instead of rank 0, which only a commutative
-    /// operator allows. `lending` lets recursive doubling's pairwise
-    /// rounds exchange the state by view.
+    /// launches it. `rotate` roots the tree at the call's sequence number
+    /// mod p instead of rank 0, which only a commutative operator allows.
+    /// `lending` lets recursive doubling's pairwise rounds exchange the
+    /// state by view.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start_allreduce<'a, M: Mode<'a>, T: Clone + Send + 'static>(
         &self,
-        (algo, segments): (AllreduceAlgorithm, usize),
+        algo: AllreduceAlgorithm,
         rotate: bool,
         value: T,
         segmentation: (
@@ -118,47 +112,36 @@ impl Comm {
                 .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     allreduce_rsag(comm, value, seq, segmentation, bytes_of, combine)
                 }),
-            AllreduceAlgorithm::ReduceBroadcast | AllreduceAlgorithm::PipelinedTree => self
-                .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+            AllreduceAlgorithm::ReduceBroadcast => {
+                self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     let root = if rotate {
                         (seq % comm.size() as u64) as usize
                     } else {
                         0
                     };
-                    tree_allreduce(
-                        comm,
-                        root,
-                        value,
-                        segments,
-                        segmentation,
-                        seq,
-                        bytes_of,
-                        combine,
-                    )
-                }),
+                    tree_allreduce(comm, root, value, seq, bytes_of, combine)
+                })
+            }
         }
     }
 
-    /// Allreduce by the schedule `plan` names, bypassing the selector:
-    /// `(algorithm, tree segment count)`, the count read only by
-    /// [`AllreduceAlgorithm::PipelinedTree`] (every other plan is
-    /// `(algorithm, 1)`). `(split, unsplit)` is the state's segmentation —
-    /// [`whole`] for a state that cannot be split, which rules out
-    /// reduce-scatter + allgather and a tree of more than one segment.
-    /// Reduce-scatter + allgather also needs a commutative operator;
-    /// every other schedule combines in rank order. The call records the
-    /// algorithm counter, messages, bytes and modeled clock a selected
-    /// run of the same plan records.
+    /// Allreduce by the schedule `algo` names, bypassing the selector.
+    /// `(split, unsplit)` is the state's segmentation — [`whole`] for a
+    /// state that cannot be split, which rules out reduce-scatter +
+    /// allgather. Reduce-scatter + allgather also needs a commutative
+    /// operator; every other schedule combines in rank order. The call
+    /// records the algorithm counter, messages, bytes and modeled clock a
+    /// selected run of the same schedule records.
     pub fn allreduce_by<T: Clone + Send + 'static>(
         &self,
-        plan: (AllreduceAlgorithm, usize),
+        algo: AllreduceAlgorithm,
         value: T,
         segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
         self.start_allreduce::<Blocking, _>(
-            plan,
+            algo,
             false,
             value,
             segmentation,
@@ -179,14 +162,14 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = AllreduceAlgorithm::select(
+        let algo = AllreduceAlgorithm::select(
             &self.cost_model(),
             self.size(),
             bytes_of(&value),
             commutative,
             false,
         );
-        self.allreduce_by(plan, value, whole(), bytes_of, combine)
+        self.allreduce_by(algo, value, whole(), bytes_of, combine)
     }
 
     /// Non-blocking [`allreduce`](Self::allreduce): the schedule is
@@ -195,12 +178,11 @@ impl Comm {
     ///
     /// A request is priced by the work it leaves on each rank, not by its
     /// critical path (see the module docs): a commutative one runs the
-    /// whole-state tree, recorded as
-    /// [`AllreduceAlgorithm::ReduceBroadcast`], rooted at the call's
-    /// sequence number mod p; a non-commutative one, or any request on
-    /// one rank, runs recursive doubling, as the blocking call does. The
-    /// rule reads no state's size, so ranks whose states differ in size
-    /// agree on the schedule.
+    /// tree, recorded as [`AllreduceAlgorithm::ReduceBroadcast`], rooted at
+    /// the call's sequence number mod p; a non-commutative one runs
+    /// recursive doubling, as the blocking call does. The rule reads no
+    /// state's size, so ranks whose states differ in size agree on the
+    /// schedule.
     pub fn iallreduce<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -208,17 +190,14 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        // Commutativity licenses both the tree and its rotation. One rank
-        // has nothing to move, and recursive doubling's empty schedule is
-        // the smaller future to box.
-        let algo = if commutative && self.size() > 1 {
+        // Commutativity licenses both the tree and its rotation.
+        let algo = if commutative {
             AllreduceAlgorithm::ReduceBroadcast
         } else {
             AllreduceAlgorithm::RecursiveDoubling
         };
-        let plan = (algo, 1);
         self.start_allreduce::<Nonblocking, _>(
-            plan,
+            algo,
             commutative,
             value,
             whole(),
@@ -241,14 +220,14 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = AllreduceAlgorithm::select(
+        let algo = AllreduceAlgorithm::select(
             &self.cost_model(),
             self.size(),
             bytes_of(&value),
             commutative,
             true,
         );
-        self.allreduce_by(plan, value, (split, unsplit), bytes_of, combine)
+        self.allreduce_by(algo, value, (split, unsplit), bytes_of, combine)
     }
 
     /// [`allreduce`](Self::allreduce) — or, given the state's
@@ -272,7 +251,7 @@ impl Comm {
         (slots, combine_ops): (&dyn ElementwiseState<T>, impl Fn(&T) -> u64),
     ) -> T {
         let bytes = bytes_of(&value);
-        let plan = AllreduceAlgorithm::select(
+        let algo = AllreduceAlgorithm::select(
             &self.cost_model(),
             self.size(),
             bytes,
@@ -283,7 +262,7 @@ impl Comm {
         let lending = (bytes >= LEND_MIN_BYTES).then_some(lending);
         match segmentation {
             Some((split, unsplit)) => self.start_allreduce::<Blocking, _>(
-                plan,
+                algo,
                 false,
                 value,
                 (split, unsplit),
@@ -292,7 +271,7 @@ impl Comm {
                 lending,
             ),
             None => self.start_allreduce::<Blocking, _>(
-                plan,
+                algo,
                 false,
                 value,
                 whole(),
@@ -301,71 +280,6 @@ impl Comm {
                 lending,
             ),
         }
-    }
-
-    /// The broadcast family's one constructor, driven on the caller's
-    /// stack. `S = 1` is recorded as [`BcastAlgorithm::Binomial`],
-    /// anything above as [`BcastAlgorithm::Pipelined`].
-    pub(crate) fn start_bcast<T: Clone + Send + 'static>(
-        &self,
-        segments: usize,
-        root: usize,
-        value: Option<T>,
-        segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
-        bytes_of: impl Fn(&T) -> usize,
-    ) -> T {
-        self.counters().record_bcast_algorithm(if segments > 1 {
-            BcastAlgorithm::Pipelined
-        } else {
-            BcastAlgorithm::Binomial
-        });
-        self.launch::<Blocking, _, _>(CallKind::Bcast, |comm, seq| {
-            tree_bcast(comm, root, value, segments, segmentation, seq, bytes_of)
-        })
-    }
-
-    /// Broadcast with cost-driven segment selection for splittable
-    /// states. `wire_bytes` is passed explicitly because only the root
-    /// owns the value — every rank must feed the selector the same size
-    /// (the SPMD convention), so the caller supplies it rather than this
-    /// rank measuring a value it may not have.
-    pub fn bcast_splittable<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-        wire_bytes: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize,
-    ) -> T {
-        let segments =
-            BcastAlgorithm::select_segments(&self.cost_model(), self.size(), wire_bytes, true);
-        self.start_bcast(segments, root, value, (split, unsplit), bytes_of)
-    }
-
-    /// The rooted-reduce family's one constructor, driven on the
-    /// caller's stack.
-    pub(crate) fn start_reduce<T: Send + 'static>(
-        &self,
-        segments: usize,
-        root: usize,
-        value: T,
-        segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> Option<T> {
-        self.launch::<Blocking, _, _>(CallKind::Reduce, |comm, seq| {
-            tree_reduce(
-                comm,
-                root,
-                value,
-                segments,
-                segmentation,
-                seq,
-                bytes_of,
-                combine,
-            )
-        })
     }
 
     /// The scan family's one constructor, driven on the caller's stack.
@@ -512,7 +426,6 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use super::whole;
     use crate::cost::AllreduceAlgorithm;
     use crate::runtime::Runtime;
     use crate::stats::CallKind;
@@ -569,40 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn splittable_selector_falls_back_when_not_commutative() {
-        // Declared non-commutative: the circulant reduce-scatter is
-        // ineligible at any size. At 8 KiB the segmented tree is eligible
-        // but loses to recursive doubling on latency, so the selector
-        // falls back to full-state rounds.
-        let outcome = Runtime::new(8).run(|comm| {
-            let state = vec![comm.rank() as u64; 1 << 10];
-            comm.allreduce_splittable(
-                state,
-                false,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            )
-        });
-        for res in &outcome.results {
-            assert_eq!(res, &vec![28u64; 1 << 10]);
-        }
-        assert_eq!(
-            outcome
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::ReduceScatterAllgather),
-            0
-        );
-        assert_eq!(
-            outcome
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
-            8
-        );
-    }
-
-    #[test]
     fn every_selected_schedule_matches_the_oracle() {
         for p in 1..=9usize {
             for commutative in [true, false] {
@@ -626,164 +505,64 @@ mod tests {
 
     #[test]
     fn iallreduce_picks_its_schedule_by_commutativity_alone() {
-        // At p > 1 a commutative request runs the whole-state tree and a
-        // non-commutative one recursive doubling, as the blocking call
-        // does; either way one Allreduce call per rank and the blocking
-        // call's result.
-        for commutative in [true, false] {
-            let blocking = Runtime::new(8).run(move |comm| {
+        // At every p, one rank included, a commutative request runs the
+        // tree and a non-commutative one recursive doubling, as the
+        // blocking call does; either way one Allreduce call per rank and
+        // the blocking call's result.
+        for (p, commutative) in [(1, true), (1, false), (8, true), (8, false)] {
+            let blocking = Runtime::new(p).run(move |comm| {
                 comm.allreduce(comm.rank() as u64, commutative, |_| 8, |a, b| a + b)
             });
-            let nonblocking = Runtime::new(8).run(move |comm| {
+            let nonblocking = Runtime::new(p).run(move |comm| {
                 let mut req = comm.iallreduce(comm.rank() as u64, commutative, |_| 8, |a, b| a + b);
                 req.wait().unwrap()
             });
             assert_eq!(blocking.results, nonblocking.results);
-            assert_eq!(nonblocking.stats.calls(CallKind::Allreduce), 8);
-            let (tree, rd) = if commutative { (8, 0) } else { (0, 8) };
-            let calls = |algo| nonblocking.stats.allreduce_algorithm_calls(algo);
-            assert_eq!(calls(AllreduceAlgorithm::ReduceBroadcast), tree);
-            assert_eq!(calls(AllreduceAlgorithm::RecursiveDoubling), rd);
+            assert_eq!(nonblocking.stats.calls(CallKind::Allreduce), p as u64);
+            let (tree, rd) = if commutative { (p, 0) } else { (0, p) };
+            let calls = |algo| nonblocking.stats.allreduce_algorithm_calls(algo) as usize;
+            assert_eq!(calls(AllreduceAlgorithm::ReduceBroadcast), tree, "p={p}");
+            assert_eq!(calls(AllreduceAlgorithm::RecursiveDoubling), rd, "p={p}");
         }
     }
 
     /// What a request boxes, for a `u64` sum: the tree's future keeps no
     /// second copy of its arguments (a plain `fn` returning an `async`
     /// block), and its up- and down-sweep share the storage of one awaited
-    /// future. Recursive doubling's is still the smaller box, which is why
-    /// a one-rank request runs it.
+    /// future. It is no larger than recursive doubling's, so a commutative
+    /// request runs the tree at every rank count, one rank included.
     #[test]
     fn a_requests_schedule_stays_small() {
         Runtime::new(1).run(|comm| {
             let add = |a: u64, b: u64| a + b;
-            let tree = super::tree_allreduce(comm.clone_handle(), 0, 1, 1, whole(), 0, |_| 8, add);
+            let tree = super::tree_allreduce(comm.clone_handle(), 0, 1, 0, |_| 8, add);
             let rd = super::allreduce_rd(comm.clone_handle(), 1, 0, |_| 8, add);
             let (tree, rd) = (size_of_val(&tree), size_of_val(&rd));
-            assert!(tree <= 360, "the tree's future grew to {tree} bytes");
+            assert!(tree <= 208, "the tree's future grew to {tree} bytes");
             assert!(rd <= 232, "recursive doubling's future grew to {rd} bytes");
-            assert!(
-                rd < tree,
-                "{rd} ≥ {tree}: a one-rank request would box the larger"
-            );
         });
     }
 
     #[test]
-    fn splittable_selector_pipelines_large_non_commutative_states() {
-        // 256 KiB, declared non-commutative: RS+AG is ineligible, but the
-        // rank-order segmented tree is — and at this size and rank count
-        // it beats recursive doubling's full-state rounds, so large
-        // non-commutative states pipeline instead of falling back.
-        let outcome = Runtime::new(8).run(|comm| {
-            let state = vec![comm.rank() as u64; 32 << 10]; // 256 KiB
-            comm.allreduce_splittable(
-                state,
-                false,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            )
-        });
-        for res in &outcome.results {
-            assert_eq!(res, &vec![28u64; 32 << 10]);
+    fn splittable_selector_runs_large_non_commutative_states_whole() {
+        // 256 KiB, declared non-commutative: reduce-scatter + allgather is
+        // ineligible, so the state crosses whole by recursive doubling, at
+        // p = 8 as at p = 2.
+        for (p, elems) in [(8usize, 32 << 10), (2, 8 << 10)] {
+            let outcome = Runtime::new(p).run(move |comm| {
+                comm.allreduce_splittable(
+                    vec![comm.rank() as u64 + 1; elems],
+                    false,
+                    gv_core::split::split_vec_segments,
+                    gv_core::split::unsplit_vec_segments,
+                    wire,
+                    add,
+                )
+            });
+            let total = (p * (p + 1) / 2) as u64;
+            assert_eq!(outcome.results, vec![vec![total; elems]; p], "p={p}");
+            let rd = AllreduceAlgorithm::RecursiveDoubling;
+            assert_eq!(outcome.stats.allreduce_algorithm_calls(rd), p as u64);
         }
-        assert_eq!(
-            outcome
-                .stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::PipelinedTree),
-            8
-        );
-        assert_eq!(outcome.stats.calls(CallKind::Allreduce), 8);
-        // At p=2 the tree is one hop each way and recursive doubling's
-        // single exchange wins.
-        let pair = Runtime::new(2).run(|comm| {
-            let state = vec![comm.rank() as u64 + 1; 8 << 10]; // 64 KiB
-            comm.allreduce_splittable(
-                state,
-                false,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-                add,
-            )
-        });
-        for res in &pair.results {
-            assert_eq!(res, &vec![3u64; 8 << 10]);
-        }
-        assert_eq!(
-            pair.stats
-                .allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
-            2
-        );
-    }
-
-    #[test]
-    fn bcast_selector_pipelines_large_states_and_keeps_binomial_small() {
-        use crate::cost::BcastAlgorithm;
-        // Large splittable payload: pipelined tree.
-        let large = Runtime::new(8).run(|comm| {
-            let value = (comm.rank() == 0).then(|| vec![9u64; 32 << 10]);
-            comm.bcast_splittable(
-                0,
-                value,
-                (32 << 10) * 8,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-            )
-        });
-        assert_eq!(large.results, vec![vec![9u64; 32 << 10]; 8]);
-        assert_eq!(
-            large.stats.bcast_algorithm_calls(BcastAlgorithm::Pipelined),
-            8
-        );
-        assert_eq!(large.stats.calls(CallKind::Bcast), 8);
-        // Small payload at the same entry point: the chooser returns
-        // S = 1, so the whole-state tree keeps running bit-for-bit.
-        let small = Runtime::new(8).run(|comm| {
-            let value = (comm.rank() == 0).then(|| vec![9u64; 4]);
-            comm.bcast_splittable(
-                0,
-                value,
-                32,
-                gv_core::split::split_vec_segments,
-                gv_core::split::unsplit_vec_segments,
-                wire,
-            )
-        });
-        assert_eq!(small.results, vec![vec![9u64; 4]; 8]);
-        assert_eq!(
-            small.stats.bcast_algorithm_calls(BcastAlgorithm::Binomial),
-            8
-        );
-        assert_eq!(
-            small.stats.bcast_algorithm_calls(BcastAlgorithm::Pipelined),
-            0
-        );
-    }
-
-    #[test]
-    fn plain_bcast_never_routes_to_pipelined_schedules() {
-        use crate::cost::BcastAlgorithm;
-        // The non-splittable entry points must record Binomial regardless
-        // of size: without a split function S > 1 is ineligible, full
-        // stop.
-        let outcome = Runtime::new(4).run(|comm| {
-            let value = (comm.rank() == 2).then(|| vec![1u8; 1 << 20]);
-            comm.bcast_vec(2, value)
-        });
-        assert_eq!(
-            outcome
-                .stats
-                .bcast_algorithm_calls(BcastAlgorithm::Binomial),
-            4
-        );
-        assert_eq!(
-            outcome
-                .stats
-                .bcast_algorithm_calls(BcastAlgorithm::Pipelined),
-            0
-        );
     }
 }

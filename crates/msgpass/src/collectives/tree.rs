@@ -1,45 +1,34 @@
-//! The one segmented binomial tree: broadcast down, reduce up, and the
-//! fused allreduce that does both.
-//!
-//! The state travels as `S` segments (the `SplittableState` laws from
-//! `gv-core`); segment `j` moves one tree level behind segment `j−1`, so
-//! for large states the bandwidth term is paid once, not once per level
-//! (see the estimates in [`crate::cost`]). A whole, unsplittable state is
-//! the `S = 1` instance — the [`whole`] segmentation — and then
-//! the schedules *are* the textbook binomial broadcast, reduce and
-//! reduce-then-broadcast: same edges, same order, same modeled clock.
+//! The binomial tree: broadcast down, reduce up, and the fused allreduce
+//! that does both. It carries whole states: a state crosses each tree
+//! edge as one message.
 //!
 //! Three schedules share two sweeps over the tree rooted at a given rank
 //! (the binomial tree of rank 0, rotated by the root):
 //!
-//! * `up_sweep` reduces every segment toward the root. A rank receives
-//!   its children's partials in increasing-mask order and combines
-//!   `(own, child)` — the child's partial covers exactly the virtual
-//!   ranks just above the receiver's, so every combine is a vrank-order
-//!   association: rank order at root 0, where non-commutative operators
-//!   are safe, and a rotation of it anywhere else.
-//! * `down_sweep` relays every segment from the root to all ranks,
-//!   deepest subtree first, each rank forwarding a segment to its
-//!   children the moment it arrives.
+//! * `up_sweep` reduces the state toward the root. A rank receives its
+//!   children's partials in increasing-mask order and combines `(own,
+//!   child)` — the child's partial covers exactly the virtual ranks just
+//!   above the receiver's, so every combine is a vrank-order association:
+//!   rank order at root 0, where non-commutative operators are safe, and
+//!   a rotation of it anywhere else.
+//! * `down_sweep` relays the state from the root to all ranks, deepest
+//!   subtree first.
 //!
-//! `tree_bcast` is a down-sweep rooted anywhere, `(p−1)·S` messages.
-//! `tree_reduce` is an up-sweep to rank 0 — rotating a non-commutative
-//! tree would permute the combine order — which streams finished
-//! segments on to a non-zero root as they complete: `(p−1)·S` messages,
-//! plus `S` when the root is not rank 0. `tree_allreduce` hands each
-//! segment that reaches its root straight to the down-sweep, so segment
-//! `j`'s descent overlaps segment `j+1`'s climb: `2(p−1)·S` messages on
-//! a `2⌈log₂p⌉`-hop critical path. Every blocking call roots it at rank
-//! 0; a commutative request roots it at its call sequence mod p, so
+//! `tree_bcast` is a down-sweep rooted anywhere, `p − 1` messages on a
+//! `⌈log₂p⌉`-hop path. `tree_reduce` is an up-sweep to rank 0 — rotating
+//! a non-commutative tree would permute the combine order — which then
+//! ships the result to a non-zero root: `p − 1` messages, plus one when
+//! the root is not rank 0. `tree_allreduce` hands the result that reaches
+//! its root straight to the down-sweep: `2(p − 1)` messages on a
+//! `2⌈log₂p⌉`-hop path. Every blocking call roots it at rank 0; a
+//! commutative request roots it at its call sequence mod p, so
 //! consecutive requests spread their combines over the ranks
 //! (`select.rs`).
 //!
 //! Memory discipline: payloads move by value. An arriving partial is
-//! combined *into*, a segment forwarded to one peer is sent by move, and
-//! the only clones are the down-sweep's keep-and-forward fan-out, one
-//! per child. At `S = 1` a state is held as itself, not as a one-segment
-//! list (`Segments`), so the whole-state tree allocates nothing of its
-//! own.
+//! combined *into*, a state forwarded to one peer is sent by move, and
+//! the only clones are the down-sweep's keep-and-forward fan-out, one per
+//! child.
 //!
 //! The sweeps and the fused allreduce, which a request boxes, are plain
 //! `fn`s returning an `async move` block, not `async fn`s: an `async fn`
@@ -48,16 +37,19 @@
 
 use std::future::Future;
 
+use super::launch::Blocking;
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::message::Key;
 use crate::request::{recv, recv_last};
+use crate::stats::CallKind;
 
 /// The `(split, unsplit)` pair of a whole, unsplittable state: its
 /// one-segment segmentation. Pass it where an entry point takes a
 /// segmentation ([`Comm::allreduce_by`], [`Comm::scan_both_by`]) and the
-/// state cannot be split; only a plan of one segment may then run.
+/// state cannot be split; only a schedule that runs the state whole may
+/// then be named.
 pub fn whole<T>() -> (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T) {
     fn split<T>(value: T, parts: usize) -> Vec<T> {
         debug_assert_eq!(parts, 1, "a whole state travels as one segment");
@@ -67,85 +59,6 @@ pub fn whole<T>() -> (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T) {
         segments.pop().expect("a whole state is one segment")
     }
     (split, unsplit)
-}
-
-pub(crate) fn split_into<T>(
-    value: T,
-    segments: usize,
-    split: impl FnOnce(T, usize) -> Vec<T>,
-) -> Vec<T> {
-    let segs = split(value, segments);
-    assert_eq!(
-        segs.len(),
-        segments,
-        "split must return exactly the requested number of segments"
-    );
-    segs
-}
-
-/// The segments of one call's state a rank holds. A whole state is held
-/// as itself: at `S = 1` the round-trip law makes `split` and `unsplit`
-/// the identity, so the tree calls neither and allocates no list.
-enum Segments<T> {
-    Whole(Option<T>),
-    Split(Vec<T>),
-}
-
-impl<T> Segments<T> {
-    /// Room for `s` segments, none held yet.
-    fn with_capacity(s: usize) -> Self {
-        if s == 1 {
-            Segments::Whole(None)
-        } else {
-            Segments::Split(Vec::with_capacity(s))
-        }
-    }
-
-    /// `value` cut into `s` segments.
-    fn split(value: T, s: usize, split: impl FnOnce(T, usize) -> Vec<T>) -> Self {
-        if s == 1 {
-            Segments::Whole(Some(value))
-        } else {
-            Segments::Split(split_into(value, s, split))
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Segments::Whole(seg) => usize::from(seg.is_some()),
-            Segments::Split(segs) => segs.len(),
-        }
-    }
-
-    fn push(&mut self, seg: T) {
-        match self {
-            Segments::Whole(slot) => {
-                debug_assert!(slot.is_none(), "a whole state is one segment");
-                *slot = Some(seg);
-            }
-            Segments::Split(segs) => segs.push(seg),
-        }
-    }
-
-    fn unsplit(self, unsplit: impl FnOnce(Vec<T>) -> T) -> T {
-        match self {
-            Segments::Whole(seg) => seg.expect("a whole state is one segment"),
-            Segments::Split(segs) => unsplit(segs),
-        }
-    }
-}
-
-impl<T> IntoIterator for Segments<T> {
-    type Item = T;
-    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let (whole, split) = match self {
-            Segments::Whole(seg) => (seg, Vec::new()),
-            Segments::Split(segs) => (None, segs),
-        };
-        whole.into_iter().chain(split)
-    }
 }
 
 /// This rank's position in the tree rooted at `root`: its virtual rank,
@@ -162,189 +75,127 @@ fn position(comm: &Comm, root: usize) -> (usize, usize) {
     (vrank, mask)
 }
 
-/// One rank's share of the reduce toward `root`: each segment, in order,
-/// takes in the partials of this rank's tree children (increasing-mask
-/// order) and goes on to its parent; at the root it is complete and goes
-/// to `at_top`. The combines follow vrank order, which is rank order
-/// only for `root` 0.
+/// One rank's share of the reduce toward `root`: `value` takes in the
+/// partials of this rank's tree children (increasing-mask order) and goes
+/// on to its parent. The root's result is `Some`, every other rank's
+/// `None`. The combines follow vrank order, which is rank order only for
+/// `root` 0.
 fn up_sweep<'a, T: Send + 'static>(
     comm: &'a Comm,
     root: usize,
     tag: Key,
-    segs: Segments<T>,
+    value: T,
     bytes_of: &'a impl Fn(&T) -> usize,
     mut combine: impl FnMut(T, T) -> T + 'a,
-    mut at_top: impl FnMut(T) + 'a,
-) -> impl Future<Output = Result<(), ShutdownError>> + 'a {
+) -> impl Future<Output = Result<Option<T>, ShutdownError>> + 'a {
     let p = comm.size();
     let (vrank, low) = position(comm, root);
     async move {
-        for mut seg in segs {
-            let mut m = 1;
-            while m < low && vrank + m < p {
-                let later = recv::<T>(comm, (vrank + m + root) % p, tag).await?;
-                seg = combine(seg, later);
-                m <<= 1;
-            }
-            if vrank == 0 {
-                at_top(seg);
-            } else {
-                let bytes = bytes_of(&seg);
-                comm.send_key((vrank - low + root) % p, tag, seg, bytes);
-            }
+        let mut acc = value;
+        let mut m = 1;
+        while m < low && vrank + m < p {
+            let later = recv::<T>(comm, (vrank + m + root) % p, tag).await?;
+            acc = combine(acc, later);
+            m <<= 1;
         }
-        Ok(())
+        if vrank == 0 {
+            return Ok(Some(acc));
+        }
+        let bytes = bytes_of(&acc);
+        comm.send_key((vrank - low + root) % p, tag, acc, bytes);
+        Ok(None)
     }
 }
 
-/// Sends `seg` to every child in the tree rooted at `root`, largest
-/// subtree first (the child that must relay deepest gets its copy
-/// earliest).
-fn relay<T: Clone + Send + 'static>(
-    comm: &Comm,
-    root: usize,
-    tag: Key,
-    bytes_of: &impl Fn(&T) -> usize,
-    seg: &T,
-) {
-    let p = comm.size();
-    let (vrank, mask) = position(comm, root);
-    let mut m = mask >> 1;
-    while m > 0 {
-        if vrank + m < p {
-            let bytes = bytes_of(seg);
-            comm.send_key((vrank + m + root) % p, tag, seg.clone(), bytes);
-        }
-        m >>= 1;
-    }
-}
-
-/// One rank's share of the relay from `root` to everyone: receives
-/// segments from the tree parent in order, relaying each on arrival,
-/// until `segs` holds all `total` (at the root they are already in hand,
-/// relayed by the caller).
+/// One rank's share of the relay from `root` to everyone: the root holds
+/// the state, every other rank receives it from its tree parent; each
+/// then sends it to its children, largest subtree first (the child that
+/// must relay deepest gets its copy earliest).
 fn down_sweep<'a, T: Clone + Send + 'static>(
     comm: &'a Comm,
     root: usize,
     tag: Key,
     bytes_of: &'a impl Fn(&T) -> usize,
-    mut segs: Segments<T>,
-    total: usize,
-) -> impl Future<Output = Result<Segments<T>, ShutdownError>> + 'a {
+    held: Option<T>,
+) -> impl Future<Output = Result<T, ShutdownError>> + 'a {
     let p = comm.size();
     let (vrank, mask) = position(comm, root);
-    // A rank without children relays nothing: its last segment is the
-    // schedule's last receive.
-    let leaf = mask == 1 || vrank + 1 == p;
     async move {
-        while segs.len() < total {
-            let parent = (vrank + p - mask + root) % p;
-            let seg = if leaf && segs.len() + 1 == total {
-                recv_last::<T>(comm, parent, tag).await?
-            } else {
-                recv::<T>(comm, parent, tag).await?
-            };
-            relay(comm, root, tag, bytes_of, &seg);
-            segs.push(seg);
+        let value = match held {
+            Some(value) => value,
+            // A rank without children relays nothing: its receive is the
+            // schedule's last.
+            None if mask == 1 || vrank + 1 == p => {
+                recv_last::<T>(comm, (vrank + p - mask + root) % p, tag).await?
+            }
+            None => recv::<T>(comm, (vrank + p - mask + root) % p, tag).await?,
+        };
+        let mut m = mask >> 1;
+        while m > 0 {
+            if vrank + m < p {
+                let bytes = bytes_of(&value);
+                comm.send_key((vrank + m + root) % p, tag, value.clone(), bytes);
+            }
+            m >>= 1;
         }
-        Ok(segs)
+        Ok(value)
     }
 }
 
-/// Broadcast from `root` (`value` is `Some` there and ignored elsewhere):
-/// the root splits and fans out every segment, every other rank runs the
-/// down-sweep.
+/// Broadcast from `root` (`value` is `Some` there and ignored elsewhere).
 pub(crate) async fn tree_bcast<T: Clone + Send + 'static>(
     comm: Comm,
     root: usize,
     value: Option<T>,
-    segments: usize,
-    (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
 ) -> Result<T, ShutdownError> {
     assert!(root < comm.size(), "bcast root {root} out of range");
-    let s = segments.max(1);
-    let tag = TagBase::Bcast.key(seq);
-    let mut segs = Segments::with_capacity(s);
-    if comm.rank() == root {
-        let value = value.expect("the bcast root must supply the value");
-        for seg in Segments::split(value, s, split) {
-            relay(&comm, root, tag, &bytes_of, &seg);
-            segs.push(seg);
-        }
-    }
-    let segs = down_sweep(&comm, root, tag, &bytes_of, segs, s).await?;
-    Ok(segs.unsplit(unsplit))
+    let held = (comm.rank() == root).then(|| value.expect("the bcast root must supply the value"));
+    down_sweep(&comm, root, TagBase::Bcast.key(seq), &bytes_of, held).await
 }
 
 /// Reduce to `root`: `Some(result)` there, `None` elsewhere. The
 /// up-sweep climbs to rank 0, so the combines keep rank order.
-#[allow(clippy::too_many_arguments)]
 pub(crate) async fn tree_reduce<T: Send + 'static>(
     comm: Comm,
     root: usize,
     value: T,
-    segments: usize,
-    (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
     combine: impl FnMut(T, T) -> T,
 ) -> Result<Option<T>, ShutdownError> {
     assert!(root < comm.size(), "reduce root {root} out of range");
-    let s = segments.max(1);
     let tag = TagBase::Reduce.key(seq);
-    let mut collected = Segments::with_capacity(s);
-    let segs = Segments::split(value, s, split);
-    up_sweep(&comm, 0, tag, segs, &bytes_of, combine, |seg| {
-        if root == 0 {
-            collected.push(seg);
-        } else {
-            // Rank 0 streams each finished segment to the root at once:
-            // the ship pipelines behind the remaining climbs.
-            let bytes = bytes_of(&seg);
-            comm.send_key(root, tag, seg, bytes);
+    match up_sweep(&comm, 0, tag, value, &bytes_of, combine).await? {
+        Some(result) if root != 0 => {
+            let bytes = bytes_of(&result);
+            comm.send_key(root, tag, result, bytes);
+            Ok(None)
         }
-    })
-    .await?;
-    if comm.rank() != root {
-        return Ok(None);
+        None if comm.rank() == root => Ok(Some(recv(&comm, 0, tag).await?)),
+        at_zero => Ok(at_zero),
     }
-    while collected.len() < s {
-        collected.push(recv(&comm, 0, tag).await?);
-    }
-    Ok(Some(collected.unsplit(unsplit)))
 }
 
-/// Fused allreduce on the tree rooted at `root`: up-sweep, each finished
-/// segment handed straight to the down-sweep. Any root but 0 combines in
-/// a rotated rank order, which only a commutative operator allows.
-#[allow(clippy::too_many_arguments)]
+/// Fused allreduce on the tree rooted at `root`: up-sweep, the result
+/// handed straight to the down-sweep. Any root but 0 combines in a
+/// rotated rank order, which only a commutative operator allows.
 pub(crate) fn tree_allreduce<T: Clone + Send + 'static>(
     comm: Comm,
     root: usize,
     value: T,
-    segments: usize,
-    (split, unsplit): (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
     combine: impl FnMut(T, T) -> T,
 ) -> impl Future<Output = Result<T, ShutdownError>> {
-    let s = segments.max(1);
     let (up, down) = (
         TagBase::AllreduceTreeUp.key(seq),
         TagBase::AllreduceTreeDown.key(seq),
     );
     async move {
-        let segs = Segments::split(value, s, split);
-        let mut top = Segments::with_capacity(s);
-        up_sweep(&comm, root, up, segs, &bytes_of, combine, |seg| {
-            relay(&comm, root, down, &bytes_of, &seg);
-            top.push(seg);
-        })
-        .await?;
-        let segs = down_sweep(&comm, root, down, &bytes_of, top, s).await?;
-        Ok(segs.unsplit(unsplit))
+        let top = up_sweep(&comm, root, up, value, &bytes_of, combine).await?;
+        down_sweep(&comm, root, down, &bytes_of, top).await
     }
 }
 
@@ -352,7 +203,7 @@ impl Comm {
     /// Broadcasts from `root`. The root passes `Some(value)`, every other
     /// rank passes `None`; all ranks return the value.
     pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
-        self.start_bcast(1, root, value, whole(), |_| std::mem::size_of::<T>())
+        self.bcast_by(root, value, |_| std::mem::size_of::<T>())
     }
 
     /// Broadcast of a vector, modeling `len · size_of::<T>()` wire bytes.
@@ -361,24 +212,35 @@ impl Comm {
         root: usize,
         value: Option<Vec<T>>,
     ) -> Vec<T> {
-        self.start_bcast(1, root, value, whole(), vec_bytes)
+        self.bcast_by(root, value, vec_bytes)
     }
 
-    /// Broadcast with an explicit segment count, bypassing the
-    /// cost-driven selector (the selector-routed entry is
-    /// [`bcast_splittable`](Self::bcast_splittable)). The root passes
-    /// `Some(value)`; `split`/`unsplit` must satisfy the
-    /// `SplittableState` laws.
-    pub fn bcast_pipelined<T: Clone + Send + 'static>(
+    /// [`bcast`](Self::bcast) of a state the caller could split, modeling
+    /// `bytes_of` wire bytes. The tree carries whole states, so
+    /// `wire_bytes`, `split` and `unsplit` are not used; the signature is
+    /// kept for the callers written against the segmented tree this
+    /// replaced.
+    pub fn bcast_splittable<T: Clone + Send + 'static>(
         &self,
         root: usize,
         value: Option<T>,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T,
+        _wire_bytes: usize,
+        _split: impl FnOnce(T, usize) -> Vec<T>,
+        _unsplit: impl FnOnce(Vec<T>) -> T,
         bytes_of: impl Fn(&T) -> usize,
     ) -> T {
-        self.start_bcast(segments, root, value, (split, unsplit), bytes_of)
+        self.bcast_by(root, value, bytes_of)
+    }
+
+    fn bcast_by<T: Clone + Send + 'static>(
+        &self,
+        root: usize,
+        value: Option<T>,
+        bytes_of: impl Fn(&T) -> usize,
+    ) -> T {
+        self.launch::<Blocking, _, _>(CallKind::Bcast, |comm, seq| {
+            tree_bcast(comm, root, value, seq, bytes_of)
+        })
     }
 
     /// Reduces one value per rank to `root` along the binomial tree;
@@ -393,24 +255,9 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> Option<T> {
-        self.start_reduce(1, root, value, whole(), bytes_of, combine)
-    }
-
-    /// Rooted reduce with an explicit segment count (`Some(result)` at
-    /// the root, `None` elsewhere). Safe for non-commutative operators:
-    /// every combine respects rank order, per segment.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reduce_pipelined<T: Send + 'static>(
-        &self,
-        root: usize,
-        value: T,
-        segments: usize,
-        split: impl FnOnce(T, usize) -> Vec<T>,
-        unsplit: impl FnOnce(Vec<T>) -> T,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-    ) -> Option<T> {
-        self.start_reduce(segments, root, value, (split, unsplit), bytes_of, combine)
+        self.launch::<Blocking, _, _>(CallKind::Reduce, |comm, seq| {
+            tree_reduce(comm, root, value, seq, bytes_of, combine)
+        })
     }
 }
 
@@ -424,9 +271,8 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
 mod tests {
     use super::{vec_bytes as bytes_u64, whole};
     use crate::comm::Comm;
-    use crate::cost::{AllreduceAlgorithm, CostModel};
+    use crate::cost::AllreduceAlgorithm;
     use crate::runtime::Runtime;
-    use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 
     fn add(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
         for (x, y) in a.iter_mut().zip(b) {
@@ -435,16 +281,10 @@ mod tests {
         a
     }
 
-    /// The fused tree allreduce at `segments` segments.
-    fn tree_allreduce(comm: &Comm, state: Vec<u64>, segments: usize) -> Vec<u64> {
-        let plan = (AllreduceAlgorithm::PipelinedTree, segments);
-        comm.allreduce_by(
-            plan,
-            state,
-            (split_vec_segments, unsplit_vec_segments),
-            bytes_u64,
-            add,
-        )
+    /// The fused tree allreduce rooted at rank 0.
+    fn tree_allreduce(comm: &Comm, state: Vec<u64>) -> Vec<u64> {
+        let tree = AllreduceAlgorithm::ReduceBroadcast;
+        comm.allreduce_by(tree, state, whole(), bytes_u64, add)
     }
 
     /// Element-wise string concatenation: associative, NOT commutative.
@@ -510,79 +350,40 @@ mod tests {
     }
 
     #[test]
-    fn segmented_bcast_matches_plain_bcast_for_every_root_and_segments() {
+    fn bcast_splittable_is_the_whole_state_bcast_from_every_root() {
+        // `split` and `unsplit` are never called: one message per tree
+        // edge, of the whole state's bytes.
         for p in 1..=9usize {
-            for segments in [1usize, 2, 3, 7] {
-                for root in [0, p / 2, p - 1] {
-                    let outcome = Runtime::new(p).run(move |comm| {
-                        let value = (comm.rank() == root)
-                            .then(|| (0..12).map(|i| i + 100).collect::<Vec<u64>>());
-                        comm.bcast_pipelined(
-                            root,
-                            value,
-                            segments,
-                            split_vec_segments,
-                            unsplit_vec_segments,
-                            bytes_u64,
-                        )
-                    });
-                    let expect: Vec<u64> = (0..12).map(|i| i + 100).collect();
-                    assert_eq!(
-                        outcome.results,
-                        vec![expect; p],
-                        "p={p} s={segments} root={root}"
-                    );
-                }
+            for root in [0, p / 2, p - 1] {
+                let outcome = Runtime::new(p).run(move |comm| {
+                    let value = (comm.rank() == root)
+                        .then(|| (0..12).map(|i| i + 100).collect::<Vec<u64>>());
+                    let unused = |_: Vec<u64>, _: usize| -> Vec<Vec<u64>> { unreachable!() };
+                    let unused_too = |_: Vec<Vec<u64>>| -> Vec<u64> { unreachable!() };
+                    comm.bcast_splittable(root, value, 96, unused, unused_too, bytes_u64)
+                });
+                let expect: Vec<u64> = (0..12).map(|i| i + 100).collect();
+                assert_eq!(outcome.results, vec![expect; p], "p={p} root={root}");
+                assert_eq!(outcome.stats.messages, p as u64 - 1, "p={p} root={root}");
+                assert_eq!(outcome.stats.bytes, 96 * (p as u64 - 1), "p={p}");
             }
-        }
-    }
-
-    #[test]
-    fn segmented_bcast_message_count_is_ranks_minus_one_times_segments() {
-        for (p, s) in [(8usize, 4usize), (5, 3), (2, 7), (1, 4)] {
-            let outcome = Runtime::new(p).run(move |comm| {
-                let value = (comm.rank() == 0).then(|| vec![7u64; 16]);
-                comm.bcast_pipelined(
-                    0,
-                    value,
-                    s,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    bytes_u64,
-                );
-            });
-            assert_eq!(outcome.stats.messages, ((p - 1) * s) as u64, "p={p} s={s}");
         }
     }
 
     #[test]
     fn reduce_sums_to_every_root() {
         for p in 1..=9usize {
-            for segments in [1usize, 3, 7] {
-                for root in [0, p / 2, p - 1] {
-                    let outcome = Runtime::new(p).run(move |comm| {
-                        let state = vec![comm.rank() as u64 + 1; 12];
-                        comm.reduce_pipelined(
-                            root,
-                            state,
-                            segments,
-                            split_vec_segments,
-                            unsplit_vec_segments,
-                            bytes_u64,
-                            add,
-                        )
-                    });
-                    let total: u64 = (1..=p as u64).sum();
-                    for (r, res) in outcome.results.iter().enumerate() {
-                        if r == root {
-                            assert_eq!(
-                                res.as_ref().unwrap(),
-                                &vec![total; 12],
-                                "p={p} s={segments}"
-                            );
-                        } else {
-                            assert!(res.is_none(), "p={p} s={segments} r={r}");
-                        }
+            for root in [0, p / 2, p - 1] {
+                let outcome = Runtime::new(p).run(move |comm| {
+                    let state = vec![comm.rank() as u64 + 1; 12];
+                    comm.reduce(root, state, bytes_u64, add)
+                });
+                let total: u64 = (1..=p as u64).sum();
+                for (r, res) in outcome.results.iter().enumerate() {
+                    if r == root {
+                        assert_eq!(res.as_ref().unwrap(), &vec![total; 12], "p={p}");
+                    } else {
+                        assert!(res.is_none(), "p={p} r={r}");
                     }
                 }
             }
@@ -603,25 +404,17 @@ mod tests {
     #[test]
     fn reduce_preserves_rank_order_for_non_commutative_ops() {
         for p in 1..=9usize {
-            for segments in [1usize, 2, 5] {
-                let root = p - 1;
+            for root in [0, p / 2, p - 1] {
                 let outcome = Runtime::new(p).run(move |comm| {
                     let state = vec![comm.rank().to_string(); 6];
-                    comm.reduce_pipelined(
-                        root,
-                        state,
-                        segments,
-                        split_vec_segments,
-                        unsplit_vec_segments,
-                        |v: &Vec<String>| v.iter().map(String::len).sum(),
-                        concat,
-                    )
+                    let wire = |v: &Vec<String>| v.iter().map(String::len).sum();
+                    comm.reduce(root, state, wire, concat)
                 });
                 let expect: String = (0..p).map(|r| r.to_string()).collect();
                 assert_eq!(
                     outcome.results[root].as_ref().unwrap(),
                     &vec![expect; 6],
-                    "p={p} s={segments}"
+                    "p={p} root={root}"
                 );
             }
         }
@@ -629,94 +422,38 @@ mod tests {
 
     #[test]
     fn reduce_message_count_pins() {
-        // (p−1)·S tree messages, plus S ship messages when root ≠ 0.
-        for (p, s, root, expect) in [
-            (8usize, 4usize, 0usize, 7 * 4),
-            (8, 4, 5, 7 * 4 + 4),
-            (8, 1, 5, 7 + 1),
-            (5, 3, 0, 4 * 3),
-            (1, 4, 0, 0),
+        // p − 1 tree messages, plus one ship message when root ≠ 0.
+        for (p, root, expect) in [
+            (8usize, 0usize, 7),
+            (8, 5, 8),
+            (5, 0, 4),
+            (5, 4, 5),
+            (1, 0, 0),
         ] {
             let outcome = Runtime::new(p).run(move |comm| {
-                let state = vec![comm.rank() as u64; 16];
-                comm.reduce_pipelined(
-                    root,
-                    state,
-                    s,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    bytes_u64,
-                    add,
-                );
+                comm.reduce(root, vec![comm.rank() as u64; 16], bytes_u64, add);
             });
-            assert_eq!(
-                outcome.stats.messages, expect as u64,
-                "p={p} s={s} root={root}"
-            );
+            assert_eq!(outcome.stats.messages, expect as u64, "p={p} root={root}");
         }
     }
 
     #[test]
     fn allreduce_reduce_bcast_delivers_everywhere() {
         let outcome = Runtime::new(7).run(move |comm| {
-            let plan = (AllreduceAlgorithm::ReduceBroadcast, 1);
-            comm.allreduce_by(plan, comm.rank() as i64, whole(), |_| 8, |a, b| a.max(b))
+            let tree = AllreduceAlgorithm::ReduceBroadcast;
+            comm.allreduce_by(tree, comm.rank() as i64, whole(), |_| 8, |a, b| a.max(b))
         });
         assert_eq!(outcome.results, vec![6; 7]);
     }
 
     #[test]
-    fn tree_allreduce_handles_empty_segments() {
-        // More segments than elements: empty tail segments must flow
-        // through split/combine/unsplit intact.
-        let outcome =
-            Runtime::new(4).run(|comm| tree_allreduce(comm, vec![comm.rank() as u64 + 1; 2], 5));
-        assert_eq!(outcome.results, vec![vec![10u64; 2]; 4]);
-    }
-
-    #[test]
     fn tree_allreduce_message_count_is_up_plus_down() {
-        for (p, s) in [(8usize, 4usize), (5, 3), (2, 6), (1, 3)] {
+        for p in [8usize, 5, 2, 1] {
             let outcome = Runtime::new(p).run(move |comm| {
-                tree_allreduce(comm, vec![comm.rank() as u64; 16], s);
+                tree_allreduce(comm, vec![comm.rank() as u64; 16]);
             });
-            assert_eq!(
-                outcome.stats.messages,
-                (2 * (p - 1) * s) as u64,
-                "p={p} s={s}"
-            );
+            assert_eq!(outcome.stats.messages, (2 * (p - 1)) as u64, "p={p}");
         }
-    }
-
-    #[test]
-    fn segmented_schedules_beat_whole_state_at_large_sizes() {
-        // The acceptance shape: modeled time of the segmented schedule vs
-        // the S = 1 one, 256 KiB state at p = 8, default cost model.
-        let elems = (256usize << 10) / 8;
-        let p = 8;
-        let mono = Runtime::new(p).run(move |comm| {
-            let value = (comm.rank() == 0).then(|| vec![1u64; elems]);
-            comm.bcast_vec(0, value);
-        });
-        let segs =
-            crate::cost::BcastAlgorithm::tree_segments(&CostModel::cluster_2006(), p, elems * 8);
-        let piped = Runtime::new(p).run(move |comm| {
-            let value = (comm.rank() == 0).then(|| vec![1u64; elems]);
-            comm.bcast_pipelined(
-                0,
-                value,
-                segs,
-                split_vec_segments,
-                unsplit_vec_segments,
-                bytes_u64,
-            );
-        });
-        assert!(
-            piped.modeled_seconds * 2.0 <= mono.modeled_seconds,
-            "segmented bcast {} vs whole-state {}",
-            piped.modeled_seconds,
-            mono.modeled_seconds
-        );
     }
 
     #[test]
@@ -725,102 +462,44 @@ mod tests {
         // non-commutative operator: element-wise string concat is only
         // correct if every schedule combines strictly in rank order.
         for p in [1usize, 2, 3, 9, 11, 16, 17] {
-            for segments in [1usize, 3] {
-                let outcome = Runtime::new(p).run(move |comm| {
-                    let state = vec![comm.rank().to_string(); 4];
-                    let wire = |v: &Vec<String>| v.iter().map(String::len).sum();
-                    let at = comm.allreduce_by(
-                        (AllreduceAlgorithm::PipelinedTree, segments),
-                        state.clone(),
-                        (split_vec_segments, unsplit_vec_segments),
-                        wire,
-                        concat,
-                    );
-                    let rd = comm.reduce_pipelined(
-                        p - 1,
-                        state,
-                        segments,
-                        split_vec_segments,
-                        unsplit_vec_segments,
-                        wire,
-                        concat,
-                    );
-                    let bc = comm.bcast_pipelined(
-                        0,
-                        (comm.rank() == 0).then(|| vec!["x".to_string(); 4]),
-                        segments,
-                        split_vec_segments,
-                        unsplit_vec_segments,
-                        wire,
-                    );
-                    (at, rd, bc)
-                });
-                let oracle: String = (0..p).map(|r| r.to_string()).collect();
-                for (r, (at, rd, bc)) in outcome.results.iter().enumerate() {
-                    assert_eq!(at, &vec![oracle.clone(); 4], "tree allreduce p={p} r={r}");
-                    if r == p - 1 {
-                        assert_eq!(rd, &Some(vec![oracle.clone(); 4]), "reduce p={p}");
-                    } else {
-                        assert!(rd.is_none(), "reduce p={p} r={r}");
-                    }
-                    assert_eq!(bc, &vec!["x".to_string(); 4], "bcast p={p} r={r}");
+            let outcome = Runtime::new(p).run(move |comm| {
+                let state = vec![comm.rank().to_string(); 4];
+                let wire = |v: &Vec<String>| v.iter().map(String::len).sum();
+                let tree = AllreduceAlgorithm::ReduceBroadcast;
+                let at = comm.allreduce_by(tree, state.clone(), whole(), wire, concat);
+                let rd = comm.reduce(p - 1, state, wire, concat);
+                let bc = comm.bcast(0, (comm.rank() == 0).then(|| vec!["x".to_string(); 4]));
+                (at, rd, bc)
+            });
+            let oracle: String = (0..p).map(|r| r.to_string()).collect();
+            for (r, (at, rd, bc)) in outcome.results.iter().enumerate() {
+                assert_eq!(at, &vec![oracle.clone(); 4], "tree allreduce p={p} r={r}");
+                if r == p - 1 {
+                    assert_eq!(rd, &Some(vec![oracle.clone(); 4]), "reduce p={p}");
+                } else {
+                    assert!(rd.is_none(), "reduce p={p} r={r}");
                 }
+                assert_eq!(bc, &vec!["x".to_string(); 4], "bcast p={p} r={r}");
             }
         }
     }
 
-    // `root == p` used to be reduced mod p by the segmented bcast (rank 0
-    // then died with "the bcast root must supply the value") and made the
-    // segmented reduce send to a rank that does not exist; the tree
-    // rejects it up front at every S.
-    fn bcast_to_root_p(segments: usize) {
-        Runtime::new(3).no_watchdog().run(move |comm| {
-            comm.bcast_pipelined(
-                3,
-                Some(vec![1u64; 6]),
-                segments,
-                split_vec_segments,
-                unsplit_vec_segments,
-                bytes_u64,
-            )
-        });
-    }
-
-    fn reduce_to_root_p(segments: usize) {
-        Runtime::new(3).no_watchdog().run(move |comm| {
-            comm.reduce_pipelined(
-                3,
-                vec![1u64; 6],
-                segments,
-                split_vec_segments,
-                unsplit_vec_segments,
-                bytes_u64,
-                add,
-            )
-        });
+    // `root == p` once was reduced mod p by the bcast (rank 0 then died
+    // with "the bcast root must supply the value") and made the reduce
+    // send to a rank that does not exist; the tree rejects it up front.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bcast_rejects_an_out_of_range_root() {
+        Runtime::new(3)
+            .no_watchdog()
+            .run(move |comm| comm.bcast_vec(3, Some(vec![1u64; 6])));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn bcast_rejects_an_out_of_range_root_at_one_segment() {
-        bcast_to_root_p(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bcast_rejects_an_out_of_range_root_at_three_segments() {
-        bcast_to_root_p(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn reduce_rejects_an_out_of_range_root_at_one_segment() {
-        reduce_to_root_p(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn reduce_rejects_an_out_of_range_root_at_three_segments() {
-        reduce_to_root_p(3);
+    fn reduce_rejects_an_out_of_range_root() {
+        Runtime::new(3)
+            .no_watchdog()
+            .run(move |comm| comm.reduce(3, vec![1u64; 6], bytes_u64, add));
     }
 }

@@ -104,33 +104,10 @@ pub fn max_segment_bytes(bytes: usize, parts: usize) -> usize {
     (elems.div_ceil(parts) * ELEM).min(bytes)
 }
 
-/// The most segments [`pipeline_segments`] ever chooses, and so the
-/// longest burst of messages one segmented collective puts on a lane —
-/// which is what the lane's envelope freelist is sized from.
+/// The most segments the chain scan ([`ScanAlgorithm::chain_segments`])
+/// ever chooses, and so the longest burst of messages one segmented
+/// collective puts on a lane.
 pub(crate) const MAX_PIPELINE_SEGMENTS: usize = 64;
-
-/// Deterministic segment count for a pipelined schedule whose critical
-/// path is `depth` hops: the textbook optimum of `(S + depth − 1)(α +
-/// βn/S)`, `S* = √((depth − 1)·βn/α)`, clamped to `[1,
-/// MAX_PIPELINE_SEGMENTS]` and to segments of at least 512 bytes. A path
-/// of one hop has nothing to overlap, so it never segments. Depends only
-/// on `(cost, depth, bytes)`, so every rank computes the same schedule
-/// and the estimate prices the schedule actually run. The chain scan
-/// (`depth = p − 1`) and the segmented binomial tree (`depth =
-/// ⌈log₂p⌉`, see [`BcastAlgorithm::tree_segments`]) share this chooser.
-pub fn pipeline_segments(cost: &CostModel, depth: usize, bytes: usize) -> usize {
-    if depth <= 1 || bytes == 0 {
-        return 1;
-    }
-    let ideal = ((depth - 1) as f64 * cost.beta * bytes as f64 / cost.alpha).sqrt();
-    let cap = MAX_PIPELINE_SEGMENTS.min((bytes / 512).max(1)) as f64;
-    if ideal.is_nan() {
-        // α = β = 0 (the free model): segmentation is cost-neutral.
-        1
-    } else {
-        ideal.round().clamp(1.0, cap) as usize
-    }
-}
 
 /// The allreduce schedules the runtime can choose between.
 ///
@@ -140,15 +117,17 @@ pub fn pipeline_segments(cost: &CostModel, depth: usize, bytes: usize) -> usize 
 /// not a cost one: the circulant reduce-scatter combines blocks in
 /// power-of-two stride order, so it needs a commutative operator *and* a
 /// splittable state; recursive doubling and the tree preserve rank order
-/// and work for any operator.
+/// and work for any operator. Every schedule but the circulant carries
+/// the state whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum AllreduceAlgorithm {
-    /// Binomial reduce to rank 0, then binomial broadcast — the tree at
-    /// `S = 1`: `2⌈log₂p⌉(α + βn)`. Never the α–β winner (recursive
-    /// doubling needs at most as many hops at every p), so
-    /// [`select`](Self::select) does not price it; it exists as the
-    /// whole-state baseline the ablations force.
+    /// Binomial reduce to rank 0, then binomial broadcast, fused
+    /// (`tree.rs`): `2⌈log₂p⌉(α + βn)`. Never the α–β winner of a
+    /// blocking call (recursive doubling needs at most as many hops at
+    /// every p), so [`select`](Self::select) does not price it; it is
+    /// what a commutative `iallreduce` runs, rooted at its call sequence,
+    /// and the whole-state baseline the ablations force.
     ReduceBroadcast,
     /// Recursive doubling with a fold/unfold step for non-powers of two:
     /// `(⌊log₂p⌋ + 2·[p not a power of two])(α + βn)`. The schedule folds
@@ -164,30 +143,14 @@ pub enum AllreduceAlgorithm {
     /// for large states at *any* p; requires commutativity and a
     /// splittable state.
     ReduceScatterAllgather,
-    /// Fused segment-pipelined binomial tree: each segment is reduced up
-    /// the tree to rank 0 (children combined in increasing-mask order —
-    /// rank-order safe) and relayed straight down the same tree the
-    /// moment it completes, so at rank 0 the broadcast of segment `j`
-    /// overlaps the reduce of segment `j+1`. With `d = ⌈log₂p⌉`, `w =
-    /// β·n/S` and `g = max(w, d·α/2)` — a rank's per-segment spacing, the
-    /// larger of one segment's time on its link and its `d` message
-    /// overheads — it costs
-    /// `2(d−1)(α + w) + (S−1)·g + max(S·g, 2(α + w))`: a rank below the
-    /// root relays down only once its own climb is done, so the bytes
-    /// cross the busiest link twice, `2βn`, where recursive doubling
-    /// pays `d·βn`. Requires only a splittable state — the large-state
-    /// schedule for non-commutative operators from `p = 8` on (at `p = 4`
-    /// the two tie, and at `p = 2` the tree's chooser returns `S = 1`).
-    PipelinedTree,
 }
 
 impl AllreduceAlgorithm {
     /// All algorithms, for iteration and display.
-    pub const ALL: [AllreduceAlgorithm; 4] = [
+    pub const ALL: [AllreduceAlgorithm; 3] = [
         AllreduceAlgorithm::ReduceBroadcast,
         AllreduceAlgorithm::RecursiveDoubling,
         AllreduceAlgorithm::ReduceScatterAllgather,
-        AllreduceAlgorithm::PipelinedTree,
     ];
 
     /// Human-readable name.
@@ -196,7 +159,6 @@ impl AllreduceAlgorithm {
             AllreduceAlgorithm::ReduceBroadcast => "reduce+bcast",
             AllreduceAlgorithm::RecursiveDoubling => "recursive-doubling",
             AllreduceAlgorithm::ReduceScatterAllgather => "reduce-scatter+allgather",
-            AllreduceAlgorithm::PipelinedTree => "pipelined-tree",
         }
     }
 
@@ -227,169 +189,33 @@ impl AllreduceAlgorithm {
                 let seg = max_segment_bytes(bytes, ranks);
                 2.0 * (q * cost.alpha + (p - 1.0) * seg as f64 * cost.beta)
             }
-            AllreduceAlgorithm::PipelinedTree => {
-                // The root's largest child finishes its climb (d − 1 hops,
-                // then S − 1 spacings), relays all S segments down (S
-                // spacings; on a tree of depth one it has no one to relay
-                // to, and the last segment's round trip through the root
-                // bounds it instead), and the last segment then descends
-                // d − 1 more hops. At S = 1 this is the reduce+bcast
-                // tree's 2d(α + βn).
-                let s = BcastAlgorithm::tree_segments(cost, ranks, bytes);
-                let (depth, hop, gap) = BcastAlgorithm::tree_stage(cost, ranks, bytes, s);
-                let relay = if depth >= 2.0 { s as f64 * gap } else { 0.0 };
-                2.0 * (depth - 1.0) * hop + (s as f64 - 1.0) * gap + relay.max(2.0 * hop)
-            }
         }
     }
 
-    /// The plan one allreduce call runs: the cheapest eligible algorithm
-    /// and its segment count — [`BcastAlgorithm::tree_segments`] for the
-    /// pipelined tree, 1 otherwise — as `Comm::allreduce_by` takes it.
+    /// The schedule one allreduce call runs: the cheapest eligible one,
+    /// as `Comm::allreduce_by` takes it.
     ///
     /// `commutative` is the operator's flag; `splittable` says whether the
     /// caller can split the state into per-rank segments. Reduce-scatter +
-    /// allgather is only eligible when both hold. Ties go to the earlier
-    /// entry of the preference order (recursive doubling first), so the
-    /// latency-optimal schedule wins when the model cannot separate them.
+    /// allgather is only eligible when both hold. Ties go to recursive
+    /// doubling, the latency-optimal schedule, when the model cannot
+    /// separate the two.
     pub fn select(
         cost: &CostModel,
         ranks: usize,
         bytes: usize,
         commutative: bool,
         splittable: bool,
-    ) -> (AllreduceAlgorithm, usize) {
-        let segmented = splittable && ranks >= 2;
-        let candidates = [
-            (AllreduceAlgorithm::RecursiveDoubling, true),
-            (
-                AllreduceAlgorithm::ReduceScatterAllgather,
-                segmented && commutative,
-            ),
-            // Rank-order combines: splittability is the only gate.
-            (AllreduceAlgorithm::PipelinedTree, segmented),
-        ];
-        let mut best = (AllreduceAlgorithm::RecursiveDoubling, f64::INFINITY);
-        for (algo, _) in candidates.into_iter().filter(|&(_, eligible)| eligible) {
-            let estimate = algo.estimated_seconds(cost, ranks, bytes);
-            if estimate < best.1 {
-                best = (algo, estimate);
-            }
-        }
-        match best.0 {
-            AllreduceAlgorithm::PipelinedTree => {
-                (best.0, BcastAlgorithm::tree_segments(cost, ranks, bytes))
-            }
-            algo => (algo, 1),
-        }
-    }
-}
-
-/// The two regimes of the segmented binomial tree, as selected and as
-/// recorded in the stats: whole-state (`S = 1`) and segmented (`S > 1`).
-/// Broadcast and rooted reduce both run this tree — the up-tree mirrors
-/// the down-tree, so one estimate prices both.
-///
-/// The tree combines in rank order at every `S`, so there is no
-/// commutativity question — only *splittability* gates `S > 1`, exactly
-/// as for the chain scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum BcastAlgorithm {
-    /// Whole-state binomial tree: `⌈log₂p⌉(α + βn)`. Latency-optimal;
-    /// the small-state default.
-    Binomial,
-    /// Segment-pipelined binomial tree: segment `j` flows down the tree
-    /// behind segment `j−1`, `d(α + w) + (S−1)·max(w, d·α/2)` with `d =
-    /// ⌈log₂p⌉` and `w = β·n/S`. The first term is the first segment's
-    /// descent; later segments follow at the larger of two spacings: `w`,
-    /// the time each segment holds a link (a link carries one message at
-    /// a time, so a path of `d` hops overlaps its hops but never the `n`
-    /// bytes on one link), and `d·α/2`, the overhead a rank pays per
-    /// segment to receive it once and relay it to its children. Requires
-    /// a splittable state; pays off only where the tree has hops to
-    /// overlap, never at `p = 2`.
-    Pipelined,
-}
-
-impl BcastAlgorithm {
-    /// All algorithms, for iteration and display.
-    pub const ALL: [BcastAlgorithm; 2] = [BcastAlgorithm::Binomial, BcastAlgorithm::Pipelined];
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BcastAlgorithm::Binomial => "binomial",
-            BcastAlgorithm::Pipelined => "pipelined-binomial",
-        }
-    }
-
-    /// Segment count the pipelined tree uses for a `bytes`-byte state
-    /// over `ranks` ranks: the textbook optimum of `(S + d − 1)(α +
-    /// β·n/S)` over a path of `d = ⌈log₂p⌉` hops, `S* = √((d − 1)·βn/α)`
-    /// ([`pipeline_segments`]). At `p = 2` the tree is one hop and `S =
-    /// 1`.
-    pub fn tree_segments(cost: &CostModel, ranks: usize, bytes: usize) -> usize {
-        if ranks <= 1 {
-            return 1;
-        }
-        pipeline_segments(
-            cost,
-            ranks.next_power_of_two().trailing_zeros() as usize,
-            bytes,
-        )
-    }
-
-    /// The terms every tree estimate is made of, at `segments` segments:
-    /// the depth `d = ⌈log₂p⌉`, one segment's hop `α + w` (`w = β·n/S`,
-    /// the largest segment's time on a link) and the per-segment spacing
-    /// `max(w, d·α/2)` of a rank that handles `d` messages per segment.
-    fn tree_stage(
-        cost: &CostModel,
-        ranks: usize,
-        bytes: usize,
-        segments: usize,
-    ) -> (f64, f64, f64) {
-        let depth = ranks.next_power_of_two().trailing_zeros() as f64;
-        let wire = cost.beta * max_segment_bytes(bytes, segments) as f64;
-        (depth, cost.alpha + wire, wire.max(depth * cost.alpha / 2.0))
-    }
-
-    /// α–β estimate of one broadcast of a `bytes`-byte state over
-    /// `ranks` ranks (critical-path transit time only).
-    pub fn estimated_seconds(self, cost: &CostModel, ranks: usize, bytes: usize) -> f64 {
-        if ranks <= 1 {
-            return 0.0;
-        }
-        let s = match self {
-            BcastAlgorithm::Binomial => 1,
-            BcastAlgorithm::Pipelined => Self::tree_segments(cost, ranks, bytes),
-        };
-        // First segment descends the tree; later segments follow at the
-        // per-segment spacing (at S = 1 there are none).
-        let (depth, hop, gap) = Self::tree_stage(cost, ranks, bytes, s);
-        depth * hop + (s as f64 - 1.0) * gap
-    }
-
-    /// Segment count the tree runs with: 1 unless the state is
-    /// splittable and the priced `S > 1` estimate is strictly lower. At
-    /// small states the chooser itself returns `S = 1` and the two
-    /// estimates coincide, so the whole-state tree keeps running.
-    pub fn select_segments(
-        cost: &CostModel,
-        ranks: usize,
-        bytes: usize,
-        splittable: bool,
-    ) -> usize {
-        let s = Self::tree_segments(cost, ranks, bytes);
-        let segmented_wins = splittable
-            && s > 1
-            && BcastAlgorithm::Pipelined.estimated_seconds(cost, ranks, bytes)
-                < BcastAlgorithm::Binomial.estimated_seconds(cost, ranks, bytes);
-        if segmented_wins {
-            s
+    ) -> AllreduceAlgorithm {
+        let rsag = AllreduceAlgorithm::ReduceScatterAllgather;
+        let rd = AllreduceAlgorithm::RecursiveDoubling;
+        let eligible = splittable && commutative && ranks >= 2;
+        if eligible
+            && rsag.estimated_seconds(cost, ranks, bytes) < rd.estimated_seconds(cost, ranks, bytes)
+        {
+            rsag
         } else {
-            1
+            rd
         }
     }
 }
@@ -485,14 +311,25 @@ impl ScanAlgorithm {
         }
     }
 
-    /// Deterministic segment count for the pipelined chain: minimizes the
-    /// stage term `(p+S−2)(α + βn/S)` at `S* = √((p−2)·βn/α)` — the
-    /// shared [`pipeline_segments`] chooser over the chain's `p−1` hops.
+    /// Deterministic segment count for the pipelined chain: the textbook
+    /// optimum of its stage term `(p+S−2)(α + βn/S)`, `S* = √((p−2)·βn/α)`,
+    /// clamped to `[1, MAX_PIPELINE_SEGMENTS]` and to segments of at least
+    /// 512 bytes. A chain of one hop has nothing to overlap, so at `p ≤ 2`
+    /// it never segments. Depends only on `(cost, p, bytes)`, so every rank
+    /// computes the same schedule and the estimate prices the schedule
+    /// actually run.
     pub fn chain_segments(cost: &CostModel, ranks: usize, bytes: usize) -> usize {
-        if ranks <= 1 {
+        if ranks <= 2 || bytes == 0 {
             return 1;
         }
-        pipeline_segments(cost, ranks - 1, bytes)
+        let ideal = ((ranks - 2) as f64 * cost.beta * bytes as f64 / cost.alpha).sqrt();
+        let cap = MAX_PIPELINE_SEGMENTS.min((bytes / 512).max(1)) as f64;
+        if ideal.is_nan() {
+            // α = β = 0 (the free model): segmentation is cost-neutral.
+            1
+        } else {
+            ideal.round().clamp(1.0, cap) as usize
+        }
     }
 
     /// The plan one scan call runs: the cheapest eligible schedule and
@@ -575,7 +412,7 @@ mod tests {
         // 8 bytes at p=8: latency dominates; RS+AG pays 2·3 rounds of
         // latency vs RD's 3.
         assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 8, true, true).0,
+            AllreduceAlgorithm::select(&m, 8, 8, true, true),
             AllreduceAlgorithm::RecursiveDoubling
         );
     }
@@ -586,19 +423,18 @@ mod tests {
         // 64 KiB at p=8: bandwidth dominates; RS+AG ships n/p per hop.
         assert_eq!(
             AllreduceAlgorithm::select(&m, 8, 64 << 10, true, true),
-            (AllreduceAlgorithm::ReduceScatterAllgather, 1)
+            AllreduceAlgorithm::ReduceScatterAllgather
         );
-        // Same size but non-commutative: the circulant is ineligible and
-        // the rank-order segmented tree picks up the win instead.
-        assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 64 << 10, false, true).0,
-            AllreduceAlgorithm::PipelinedTree
-        );
-        // Unsplittable: neither segmented schedule is eligible.
-        assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 64 << 10, true, false).0,
-            AllreduceAlgorithm::RecursiveDoubling
-        );
+        // Non-commutative or unsplittable, at any size: the circulant is
+        // ineligible and every other schedule runs the state whole.
+        for (commutative, splittable) in [(false, true), (true, false)] {
+            for bytes in [64usize << 10, 1 << 20] {
+                assert_eq!(
+                    AllreduceAlgorithm::select(&m, 8, bytes, commutative, splittable),
+                    AllreduceAlgorithm::RecursiveDoubling
+                );
+            }
+        }
     }
 
     #[test]
@@ -720,9 +556,9 @@ mod tests {
                 "p={p}: estimate {est} rounds, schedule runs {expected_rounds}"
             );
             let outcome = crate::runtime::Runtime::new(p).cost_model(m).run(|comm| {
-                let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+                let rd = AllreduceAlgorithm::RecursiveDoubling;
                 let whole = crate::collectives::tree::whole();
-                comm.allreduce_by(plan, comm.rank() as u64, whole, |_| 8, |a, b| a + b)
+                comm.allreduce_by(rd, comm.rank() as u64, whole, |_| 8, |a, b| a + b)
             });
             assert!(
                 (outcome.modeled_seconds - expected_rounds).abs() < 1e-9,
@@ -785,102 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn segmented_tree_serves_large_non_commutative_splittable_states() {
-        let m = CostModel::cluster_2006();
-        // 256 KiB at p=8, non-commutative: RS+AG is ineligible, and the
-        // tree's pipelining beats recursive doubling's full-state rounds,
-        // at the tree chooser's segment count.
-        assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 256 << 10, false, true),
-            (
-                AllreduceAlgorithm::PipelinedTree,
-                BcastAlgorithm::tree_segments(&m, 8, 256 << 10)
-            )
-        );
-        // At p=2 the tree is one hop each way, so its S = 1 round trip
-        // costs two of recursive doubling's single full-state exchange.
-        assert_eq!(
-            AllreduceAlgorithm::select(&m, 2, 64 << 10, false, true),
-            (AllreduceAlgorithm::RecursiveDoubling, 1)
-        );
-        // Commutative at 64 KiB: RS+AG still wins — the segmented tree
-        // must not displace the existing large-state pick.
-        assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 64 << 10, true, true).0,
-            AllreduceAlgorithm::ReduceScatterAllgather
-        );
-        // Unsplittable: the segmented tree is ineligible at any size.
-        assert_eq!(
-            AllreduceAlgorithm::select(&m, 8, 1 << 20, false, false).0,
-            AllreduceAlgorithm::RecursiveDoubling
-        );
-    }
-
-    #[test]
-    fn bcast_selector_keeps_binomial_for_small_states() {
-        let m = CostModel::cluster_2006();
-        // Small states: the segment chooser returns S = 1, the two
-        // estimates coincide, and the tie must go to the whole-state
-        // binomial so existing runs stay bit-for-bit identical.
-        for p in 2..=64usize {
-            assert_eq!(BcastAlgorithm::select_segments(&m, p, 8, true), 1, "p={p}");
-            assert_eq!(
-                BcastAlgorithm::select_segments(&m, p, 8, false),
-                1,
-                "p={p} unsplittable"
-            );
-        }
-    }
-
-    #[test]
-    fn bcast_selector_pipelines_large_splittable_states() {
-        let m = CostModel::cluster_2006();
-        assert!(BcastAlgorithm::select_segments(&m, 8, 64 << 10, true) > 1);
-        assert!(BcastAlgorithm::select_segments(&m, 8, 256 << 10, true) > 1);
-        // Unsplittable states never route to the pipelined tree.
-        assert_eq!(BcastAlgorithm::select_segments(&m, 8, 1 << 20, false), 1);
-    }
-
-    #[test]
-    fn tree_segments_are_deterministic_and_clamped() {
-        let m = CostModel::cluster_2006();
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 1, 1 << 20), 1);
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 8, 8), 1);
-        // 64 KiB: √((d−1)·β·n/α) over d = ⌈log₂p⌉ hops: 1 at p = 2 (one
-        // hop), √(β·n/α) ≈ 3.6 → 4 at p = 4, √(2·β·n/α) ≈ 5.1 → 5 at
-        // p = 8, √(3·β·n/α) ≈ 6.3 → 6 at p = 16.
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 2, 64 << 10), 1);
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 4, 64 << 10), 4);
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 8, 64 << 10), 5);
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 16, 64 << 10), 6);
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 2, 64 << 20), 1);
-        assert_eq!(BcastAlgorithm::tree_segments(&m, 64, 64 << 20), 64);
-        assert_eq!(
-            BcastAlgorithm::tree_segments(&CostModel::free(), 8, 1 << 20),
-            1
-        );
-    }
-
-    #[test]
-    fn select_segments_is_one_unless_the_segmented_estimate_is_strictly_lower() {
-        let m = CostModel::cluster_2006();
-        for p in [1usize, 2, 5, 8, 16] {
-            for bytes in [8usize, 4 << 10, 64 << 10, 1 << 20] {
-                assert_eq!(BcastAlgorithm::select_segments(&m, p, bytes, false), 1);
-                let s = BcastAlgorithm::select_segments(&m, p, bytes, true);
-                let whole = BcastAlgorithm::Binomial.estimated_seconds(&m, p, bytes);
-                let segmented = BcastAlgorithm::Pipelined.estimated_seconds(&m, p, bytes);
-                if s > 1 {
-                    assert_eq!(s, BcastAlgorithm::tree_segments(&m, p, bytes));
-                    assert!(segmented < whole, "p={p} bytes={bytes}");
-                } else {
-                    assert!(segmented >= whole, "p={p} bytes={bytes}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn two_ranks_never_segment_a_splittable_state() {
         // One hop has nothing to pipeline: at p = 2, from 8 B to 16 MiB,
         // commutative or not, a splittable state runs whole.
@@ -890,21 +630,12 @@ mod tests {
             for commutative in [false, true] {
                 assert_eq!(
                     AllreduceAlgorithm::select(&m, 2, bytes, commutative, true),
-                    (AllreduceAlgorithm::RecursiveDoubling, 1),
+                    AllreduceAlgorithm::RecursiveDoubling,
                     "{bytes} B commutative={commutative}"
                 );
             }
-            assert_eq!(BcastAlgorithm::select_segments(&m, 2, bytes, true), 1);
             assert_eq!(ScanAlgorithm::select(&m, 2, bytes, true).1, 1, "{bytes} B");
             bytes *= 2;
-        }
-    }
-
-    #[test]
-    fn single_rank_tree_is_free() {
-        let m = CostModel::cluster_2006();
-        for algo in BcastAlgorithm::ALL {
-            assert_eq!(algo.estimated_seconds(&m, 1, 1 << 20), 0.0);
         }
     }
 }

@@ -44,10 +44,7 @@ pub mod stats;
 pub mod watchdog;
 
 pub use comm::Comm;
-pub use cost::{
-    max_segment_bytes, pipeline_segments, AllreduceAlgorithm, BcastAlgorithm, CostModel,
-    ScanAlgorithm,
-};
+pub use cost::{max_segment_bytes, AllreduceAlgorithm, CostModel, ScanAlgorithm};
 pub use fault::{FaultOp, FaultPlan, FaultSummary, InjectedKill};
 pub use mailbox::{ShutdownError, ShutdownKind, Source};
 pub use message::Tag;

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cost::{AllreduceAlgorithm, BcastAlgorithm, ScanAlgorithm};
+use crate::cost::{AllreduceAlgorithm, ScanAlgorithm};
 
 /// Kinds of communication operations the runtime counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +77,6 @@ impl CallKind {
 const KINDS: usize = CallKind::ALL.len();
 const ALGOS: usize = AllreduceAlgorithm::ALL.len();
 const SCAN_ALGOS: usize = ScanAlgorithm::ALL.len();
-const BCAST_ALGOS: usize = BcastAlgorithm::ALL.len();
 
 /// One monotone counter with a single writer.
 ///
@@ -124,7 +123,6 @@ pub(crate) struct RankStats {
     calls: [Counter; KINDS],
     allreduce_algorithms: [Counter; ALGOS],
     scan_algorithms: [Counter; SCAN_ALGOS],
-    bcast_algorithms: [Counter; BCAST_ALGOS],
     messages: Counter,
     bytes: Counter,
     /// Collective schedule runs started (blocking drives and `i*`
@@ -294,12 +292,6 @@ impl RankStats {
         self.scan_algorithms[algo as usize].add(1);
     }
 
-    /// Records which schedule one broadcast call used (once per rank per
-    /// call, alongside its [`CallKind::Bcast`] record).
-    pub(crate) fn record_bcast_algorithm(&self, algo: BcastAlgorithm) {
-        self.bcast_algorithms[algo as usize].add(1);
-    }
-
     /// Records one wire message of `bytes` bytes.
     pub(crate) fn record_message(&self, bytes: usize) {
         self.messages.add(1);
@@ -356,13 +348,6 @@ impl Stats {
             for (sum, counter) in total.scan_algorithms.iter_mut().zip(&rank.scan_algorithms) {
                 *sum += counter.get();
             }
-            for (sum, counter) in total
-                .bcast_algorithms
-                .iter_mut()
-                .zip(&rank.bcast_algorithms)
-            {
-                *sum += counter.get();
-            }
             total.messages += rank.messages.get();
             total.bytes += rank.bytes.get();
             total.requests_started += rank.requests_started.get();
@@ -385,7 +370,6 @@ pub struct StatsSnapshot {
     calls: [u64; KINDS],
     allreduce_algorithms: [u64; ALGOS],
     scan_algorithms: [u64; SCAN_ALGOS],
-    bcast_algorithms: [u64; BCAST_ALGOS],
     /// Total wire messages.
     pub messages: u64,
     /// Total wire bytes.
@@ -417,11 +401,6 @@ impl StatsSnapshot {
     /// both-at-once) that used `algo`.
     pub fn scan_algorithm_calls(&self, algo: ScanAlgorithm) -> u64 {
         self.scan_algorithms[algo as usize]
-    }
-
-    /// Number of broadcast calls that used `algo`.
-    pub fn bcast_algorithm_calls(&self, algo: BcastAlgorithm) -> u64 {
-        self.bcast_algorithms[algo as usize]
     }
 
     /// Total calls across all kinds.
@@ -467,18 +446,10 @@ impl StatsSnapshot {
         {
             *slot = now.saturating_sub(*then);
         }
-        let mut bcast_algorithms = [0u64; BCAST_ALGOS];
-        for (slot, (now, then)) in bcast_algorithms
-            .iter_mut()
-            .zip(self.bcast_algorithms.iter().zip(&earlier.bcast_algorithms))
-        {
-            *slot = now.saturating_sub(*then);
-        }
         StatsSnapshot {
             calls,
             allreduce_algorithms,
             scan_algorithms,
-            bcast_algorithms,
             messages: self.messages.saturating_sub(earlier.messages),
             bytes: self.bytes.saturating_sub(earlier.bytes),
             requests_started: self
@@ -593,22 +564,6 @@ mod tests {
         let delta = snap.since(&before);
         assert_eq!(delta.scan_algorithm_calls(ScanAlgorithm::PipelinedChain), 1);
         assert_eq!(delta.scan_algorithm_calls(ScanAlgorithm::Binomial), 0);
-    }
-
-    #[test]
-    fn bcast_algorithm_counters_track_separately() {
-        let stats = Stats::new(1);
-        let rank = stats.rank(0);
-        rank.record_bcast_algorithm(BcastAlgorithm::Binomial);
-        rank.record_bcast_algorithm(BcastAlgorithm::Binomial);
-        let before = stats.snapshot();
-        rank.record_bcast_algorithm(BcastAlgorithm::Pipelined);
-        let snap = stats.snapshot();
-        assert_eq!(snap.bcast_algorithm_calls(BcastAlgorithm::Binomial), 2);
-        assert_eq!(snap.bcast_algorithm_calls(BcastAlgorithm::Pipelined), 1);
-        let delta = snap.since(&before);
-        assert_eq!(delta.bcast_algorithm_calls(BcastAlgorithm::Pipelined), 1);
-        assert_eq!(delta.bcast_algorithm_calls(BcastAlgorithm::Binomial), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use gv_core::iter::Input;
 use gv_core::op::ReduceScanOp;
 use gv_core::split::SplittableState;
 use gv_msgpass::collectives::select::Segmentation;
-use gv_msgpass::{Comm, Request, RequestError};
+use gv_msgpass::{AllreduceAlgorithm, Comm, Request, RequestError};
 
 /// Runs the accumulate phase of Listing 2 for this rank's block and
 /// charges its modeled compute cost.
@@ -81,8 +81,14 @@ where
             combine,
             (slots, |s: &Op::State| op.combine_ops(s)),
         ),
-        (None, Some((split, unsplit))) => {
-            comm.allreduce_splittable(state, Op::COMMUTATIVE, split, unsplit, bytes_of, combine)
+        (None, Some(segmentation)) => {
+            // Priced at the identity, the one state every rank holds alike:
+            // a `TopBottomK` state grows with the entries a rank holds, and
+            // ranks that priced their own would pick different schedules.
+            let bytes = op.wire_size(&op.ident());
+            let cost = comm.cost_model();
+            let algo = AllreduceAlgorithm::select(&cost, comm.size(), bytes, Op::COMMUTATIVE, true);
+            comm.allreduce_by(algo, state, segmentation, bytes_of, combine)
         }
         (None, None) => comm.allreduce(state, Op::COMMUTATIVE, bytes_of, combine),
     }
@@ -110,7 +116,14 @@ where
 }
 
 /// [`reduce_all`] for operators with splittable states: eligible for the
-/// reduce-scatter + allgather schedule when the cost model favors it.
+/// reduce-scatter + allgather schedule when the cost model favors it. The
+/// selector prices the operator's identity, which every rank holds alike:
+/// for a fixed-width state (`Counts`, `Histogram`, aggregated rows) that
+/// is the state's size, and a `TopBottomK`, whose identity is its two
+/// empty lists, runs recursive doubling — at k = 1000 it models 84, 126
+/// and 168 µs at p = 4, 8 and 16 against 158, 317 and 605 for the
+/// reduce-scatter its full states priced, whose merged segments grow back
+/// to k entries each.
 pub fn reduce_all_splittable<Op>(comm: &Comm, op: &Op, local: &[Op::In]) -> Op::Out
 where
     Op: SplittableState,

@@ -74,7 +74,7 @@ for bin in fig2_is_verify fig3_mg_zran3 mpi_call_stats \
            ablation_commutative ablation_aggregation \
            ablation_scan_algorithm ablation_allreduce_algorithm \
            ablation_selector_tuning k_independent_allreduces \
-           kernel_microbench pipeline_microbench nas_cg nas_mg; do
+           kernel_microbench schedule_audit nas_cg nas_mg; do
     echo "smoke: $bin"
     ./target/release/"$bin" > /dev/null
 done
@@ -97,13 +97,10 @@ GV_BENCH_QUICK=0 ./target/release/k_independent_allreduces --procs 2 > /dev/null
 echo "smoke: ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096"
 ./target/release/ablation_scan_algorithm --csv --procs 2,4 --sizes 8,4096 > /dev/null
 
-# The pipeline microbench embeds the selector-within-5% and headline
-# speedup acceptance asserts; run its host-clock table too, the only place the
-# segmented schedules are timed rather than modeled, and its
-# small-message latency table (both go to stderr, not the recorded
-# table).
-echo "smoke: pipeline_microbench --wall --latency"
-./target/release/pipeline_microbench --wall --latency > /dev/null 2> /dev/null
+# The small-message latency table (stderr, not recorded), as
+# `scripts/campaign.sh --latency` runs it.
+echo "smoke: pipeline_microbench --latency"
+./target/release/pipeline_microbench --latency > /dev/null 2> /dev/null
 
 # The aggregation ablation's host-clock table is the only place the slot
 # pass under `Elementwise` is timed, for a built-in and a user operator.

@@ -138,57 +138,92 @@ fn allocated_per_rank(p: usize, call: impl Fn(&Comm, Vec<u64>) + Sync) -> Vec<us
         .results
 }
 
-/// A collective with an explicit segment count.
-type Segmented = fn(&Comm, Vec<u64>, usize);
-
-const SEGMENTED: [(&str, Segmented); 4] = [
-    ("bcast_pipelined", |comm, state, s| {
-        let value = (comm.rank() == 0).then_some(state);
-        comm.bcast_pipelined(0, value, s, split, unsplit, wire);
-    }),
-    ("reduce_pipelined", |comm, state, s| {
-        comm.reduce_pipelined(0, state, s, split, unsplit, wire, add);
-    }),
-    ("allreduce on the tree", |comm, state, s| {
-        let plan = (AllreduceAlgorithm::PipelinedTree, s);
-        comm.allreduce_by(plan, state, (split, unsplit), wire, add);
-    }),
-    ("scan on the chain", |comm, state, s| {
-        let plan = (ScanAlgorithm::PipelinedChain, s);
-        comm.scan_both_by(plan, state, (split, unsplit), wire, add);
-    }),
-];
-
 #[test]
 fn a_rank_allocates_a_few_n_whatever_the_segment_count() {
+    // The chain scan, the one segmented schedule.
+    let chain = |comm: &Comm, state, s| {
+        let plan = (ScanAlgorithm::PipelinedChain, s);
+        comm.scan_both_by(plan, state, (split, unsplit), wire, add);
+    };
     for p in [2usize, 4] {
-        for (name, call) in SEGMENTED {
-            let few = allocated_per_rank(p, |comm, state| call(comm, state, 2));
-            let many = allocated_per_rank(p, |comm, state| call(comm, state, 64));
-            for (rank, (&few, &many)) in few.iter().zip(&many).enumerate() {
+        let few = allocated_per_rank(p, |comm, state| chain(comm, state, 2));
+        let many = allocated_per_rank(p, |comm, state| chain(comm, state, 64));
+        for (rank, (&few, &many)) in few.iter().zip(&many).enumerate() {
+            assert!(
+                many as f64 <= 1.25 * few as f64,
+                "p={p} rank {rank}: {many} B at S=64 vs {few} B at S=2"
+            );
+            // Split, one clone for the successor, the exclusive half's
+            // clone, two unsplits: ≤ 6 moves.
+            assert!(
+                many <= 6 * N,
+                "p={p} rank {rank}: {many} B at S=64 for a {N} B state"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_tree_clones_the_state_once_per_child() {
+    // Payloads move by value: a combine consumes the child's partial, a
+    // state forwarded to one peer is sent by move, and the down-sweep
+    // keeps its copy and sends each tree child a clone. So a broadcast or
+    // the fused allreduce allocates one state per child a rank has in the
+    // tree rooted at `root`, and a reduce none. Beyond that, envelopes.
+    const ENVELOPES: usize = 4 << 10;
+    let children = |p: usize, root: usize, rank: usize| {
+        let vrank = (rank + p - root) % p;
+        let low = if vrank == 0 {
+            p.next_power_of_two()
+        } else {
+            1 << vrank.trailing_zeros()
+        };
+        (0..low.trailing_zeros())
+            .filter(|&b| vrank + (1 << b) < p)
+            .count()
+    };
+    for p in [4usize, 6, 8] {
+        for root in [0, p - 1] {
+            let bcast = allocated_per_rank(p, |comm, state| {
+                comm.bcast_vec(root, (comm.rank() == root).then_some(state));
+            });
+            let reduce = allocated_per_rank(p, |comm, state| {
+                comm.reduce(root, state, wire, add);
+            });
+            for rank in 0..p {
+                let clones = children(p, root, rank) * N;
+                let got = bcast[rank];
                 assert!(
-                    many as f64 <= 1.25 * few as f64,
-                    "{name} p={p} rank {rank}: {many} B at S=64 vs {few} B at S=2"
+                    (clones..=clones + ENVELOPES).contains(&got),
+                    "bcast p={p} root={root} rank {rank}: {got} B for {clones} B of clones"
                 );
-                // Split, one clone per child or successor (≤ 2 at p = 4),
-                // the exclusive half's clone, two unsplits: ≤ 6 moves.
+                let got = reduce[rank];
                 assert!(
-                    many <= 6 * N,
-                    "{name} p={p} rank {rank}: {many} B at S=64 for a {N} B state"
+                    got <= ENVELOPES,
+                    "reduce p={p} root={root} rank {rank}: {got} B"
                 );
             }
+        }
+        let tree = AllreduceAlgorithm::ReduceBroadcast;
+        let allreduce = allocated_per_rank(p, |comm, state| {
+            comm.allreduce_by(tree, state, (split, unsplit), wire, add);
+        });
+        for (rank, &got) in allreduce.iter().enumerate() {
+            let clones = children(p, 0, rank) * N;
+            assert!(
+                (clones..=clones + ENVELOPES).contains(&got),
+                "tree allreduce p={p} rank {rank}: {got} B for {clones} B of clones"
+            );
         }
     }
 }
 
 #[test]
 fn selector_routed_calls_at_two_ranks_copy_the_state_once_per_sender() {
-    // At p = 2 the selector runs both calls whole-state: the allreduce is
-    // one recursive-doubling exchange, in which each rank clones the
-    // state it sends (n per rank), and the broadcast is one tree edge, on
-    // which the root clones the state it keeps (n) and a lone segment
-    // moves through split and unsplit uncopied. Beyond that, only
-    // envelopes and segment lists.
+    // At p = 2 both calls run whole-state: the allreduce is one
+    // recursive-doubling exchange, in which each rank clones the state it
+    // sends (n per rank), and the broadcast is one tree edge, on which the
+    // root clones the state it keeps (n). Beyond that, only envelopes.
     const ENVELOPES: usize = 4 << 10;
     let allreduce: usize = allocated_per_rank(2, |comm, state| {
         comm.allreduce_splittable(state, true, split, unsplit, wire, add);

@@ -42,10 +42,8 @@ fn scalar_schedules_agree_with_fold_oracle() {
             let outcome = Runtime::new(p).run(|comm| {
                 let mine = per_rank[comm.rank()];
                 let selector = comm.allreduce(mine, true, |_| 8, |a, b| a + b);
-                let rb =
-                    comm.allreduce_by((ReduceBroadcast, 1), mine, whole(), |_| 8, |a, b| a + b);
-                let rd =
-                    comm.allreduce_by((RecursiveDoubling, 1), mine, whole(), |_| 8, |a, b| a + b);
+                let rb = comm.allreduce_by(ReduceBroadcast, mine, whole(), |_| 8, |a, b| a + b);
+                let rd = comm.allreduce_by(RecursiveDoubling, mine, whole(), |_| 8, |a, b| a + b);
                 (selector, rb, rd)
             });
             for (selector, rb, rd) in outcome.results {
@@ -72,9 +70,8 @@ fn noncommutative_schedules_preserve_rank_order() {
                 let concat = |a: String, b: String| a + &b;
                 let wire = |s: &String| s.len();
                 let selector = comm.allreduce(mine.clone(), false, wire, concat);
-                let rb =
-                    comm.allreduce_by((ReduceBroadcast, 1), mine.clone(), whole(), wire, concat);
-                let rd = comm.allreduce_by((RecursiveDoubling, 1), mine, whole(), wire, concat);
+                let rb = comm.allreduce_by(ReduceBroadcast, mine.clone(), whole(), wire, concat);
+                let rd = comm.allreduce_by(RecursiveDoubling, mine, whole(), wire, concat);
                 (selector, rb, rd)
             });
             for (selector, rb, rd) in outcome.results {
@@ -120,13 +117,13 @@ fn splittable_schedules_agree_on_vector_states() {
                     add,
                 );
                 let rsag = comm.allreduce_by(
-                    (ReduceScatterAllgather, 1),
+                    ReduceScatterAllgather,
                     mine.clone(),
                     (split_vec_segments, unsplit_vec_segments),
                     wire,
                     add,
                 );
-                let rd = comm.allreduce_by((RecursiveDoubling, 1), mine, whole(), wire, add);
+                let rd = comm.allreduce_by(RecursiveDoubling, mine, whole(), wire, add);
                 (selected, rsag, rd)
             });
             for (selected, rsag, rd) in outcome.results {
@@ -306,7 +303,7 @@ fn selector_only_picks_eligible_schedules() {
             let bytes = 1usize << *log_bytes;
             for commutative in [true, false] {
                 for splittable in [true, false] {
-                    let (picked, _) =
+                    let picked =
                         AllreduceAlgorithm::select(&cost, *p, bytes, commutative, splittable);
                     if picked == AllreduceAlgorithm::ReduceScatterAllgather
                         && !(commutative && splittable)
@@ -316,21 +313,12 @@ fn selector_only_picks_eligible_schedules() {
                              splittable={splittable} p={p} bytes={bytes}"
                         ));
                     }
-                    if picked == AllreduceAlgorithm::PipelinedTree && !splittable {
-                        return Err(format!(
-                            "segmented tree selected for non-splittable \
-                             state p={p} bytes={bytes}"
-                        ));
-                    }
                     // The pick is never strictly worse than any other
                     // eligible schedule.
                     for other in AllreduceAlgorithm::ALL {
                         if other == AllreduceAlgorithm::ReduceScatterAllgather
                             && !(commutative && splittable)
                         {
-                            continue;
-                        }
-                        if other == AllreduceAlgorithm::PipelinedTree && !splittable {
                             continue;
                         }
                         let t_picked = picked.estimated_seconds(&cost, *p, bytes);
@@ -372,7 +360,7 @@ fn crossover_ring_beats_reduce_bcast_at_64kib_p8() {
                     a
                 };
                 let segmentation = (split_vec_segments, unsplit_vec_segments);
-                comm.allreduce_by((algo, 1), state, segmentation, wire, add);
+                comm.allreduce_by(algo, state, segmentation, wire, add);
             })
             .modeled_seconds
     };
@@ -409,12 +397,10 @@ fn non_power_of_two_selector_matrix_stays_within_5pct_of_best() {
                         let (split, unsplit) = (split_vec_segments, unsplit_vec_segments);
                         match which {
                             0 => comm.allreduce_splittable(state, true, split, unsplit, wire, add),
-                            1 => comm.allreduce_by((ReduceBroadcast, 1), state, whole(), wire, add),
-                            2 => {
-                                comm.allreduce_by((RecursiveDoubling, 1), state, whole(), wire, add)
-                            }
+                            1 => comm.allreduce_by(ReduceBroadcast, state, whole(), wire, add),
+                            2 => comm.allreduce_by(RecursiveDoubling, state, whole(), wire, add),
                             _ => comm.allreduce_by(
-                                (ReduceScatterAllgather, 1),
+                                ReduceScatterAllgather,
                                 state,
                                 (split, unsplit),
                                 wire,
@@ -443,9 +429,8 @@ fn non_power_of_two_selector_matrix_stays_within_5pct_of_best() {
 fn a_request_runs_the_rotating_tree_when_commutative_and_the_blocking_schedule_otherwise() {
     // A blocking allreduce is priced by its critical path, a request by
     // the work it leaves on each rank: a commutative request runs the
-    // whole-state tree rooted at its call sequence mod p, a
-    // non-commutative one — or any request on one rank — the blocking
-    // call's schedule.
+    // tree rooted at its call sequence mod p, one rank included, and a
+    // non-commutative one the blocking call's schedule.
     let wire = |v: &Vec<u64>| v.len() * 8;
     let add = |mut a: Vec<u64>, b: Vec<u64>| {
         for (x, y) in a.iter_mut().zip(b) {
@@ -484,13 +469,8 @@ fn a_request_runs_the_rotating_tree_when_commutative_and_the_blocking_schedule_o
                 edges * bytes as u64,
                 "bytes, p={p} bytes={bytes}"
             );
-            let tree = if p > 1 {
-                ReduceBroadcast
-            } else {
-                RecursiveDoubling
-            };
             for algo in AllreduceAlgorithm::ALL {
-                let expect = if algo == tree { p as u64 } else { 0 };
+                let expect = if algo == ReduceBroadcast { p as u64 } else { 0 };
                 assert_eq!(
                     requests.stats.allreduce_algorithm_calls(algo),
                     expect,
@@ -539,12 +519,12 @@ fn a_request_runs_the_rotating_tree_when_commutative_and_the_blocking_schedule_o
 /// call's counters name a single schedule, at `p`, exactly when every
 /// rank recorded that schedule. Returns the schedules the call recorded,
 /// with their counts, after checking the result against the sequential
-/// fold of every rank's input.
+/// fold of every rank's input. `call` is the entry point under test.
 fn schedules_of_one_call<Op>(
     p: usize,
-    nonblocking: bool,
     op: Op,
-    input: fn(usize) -> Vec<Op::In>,
+    input: impl Fn(usize) -> Vec<Op::In> + Copy + Send + Sync,
+    call: fn(&gv_msgpass::Comm, Op, &[Op::In]) -> Op::Out,
 ) -> Vec<(AllreduceAlgorithm, u64)>
 where
     Op: gv_core::op::ReduceScanOp + Copy + Send + Sync + 'static,
@@ -552,22 +532,10 @@ where
     Op::State: Clone + Send + 'static,
     Op::Out: Clone + PartialEq + std::fmt::Debug + Send,
 {
-    let outcome = Runtime::new(p).run(move |comm| {
-        let local = input(comm.rank());
-        if nonblocking {
-            let mut request = gv_rsmpi::ireduce_all(comm, op, &local);
-            request.wait().expect("transport alive")
-        } else {
-            gv_rsmpi::reduce_all(comm, &op, &local)
-        }
-    });
+    let outcome = Runtime::new(p).run(move |comm| call(comm, op, &input(comm.rank())));
     let all: Vec<Op::In> = (0..p).flat_map(input).collect();
     let expected = gv_core::seq::reduce(&op, &all);
-    assert_eq!(
-        outcome.results,
-        vec![expected; p],
-        "p={p} nonblocking={nonblocking}"
-    );
+    assert_eq!(outcome.results, vec![expected; p], "p={p}");
     AllreduceAlgorithm::ALL
         .iter()
         .map(|&algo| (algo, outcome.stats.allreduce_algorithm_calls(algo)))
@@ -579,10 +547,10 @@ const AGREEMENT_K: usize = 4;
 
 /// Rank 0 holds nothing, rank 1 holds 3k values and every other rank r
 /// holds r: states of three different wire sizes for `TopBottomK`.
-fn uneven_values(r: usize) -> Vec<i64> {
+fn uneven_values(r: usize, k: usize) -> Vec<i64> {
     let held = match r {
         0 => 0,
-        1 => 3 * AGREEMENT_K,
+        1 => 3 * k,
         r => r,
     };
     (0..held)
@@ -590,36 +558,81 @@ fn uneven_values(r: usize) -> Vec<i64> {
         .collect()
 }
 
-fn uneven_pairs(r: usize) -> Vec<(i64, u64)> {
-    uneven_values(r)
+fn uneven_pairs(r: usize, k: usize) -> Vec<(i64, u64)> {
+    uneven_values(r, k)
         .into_iter()
-        .zip((r as u64) << 8..)
+        .zip((r as u64) << 16..)
         .collect()
 }
 
 #[test]
 fn ranks_agree_on_the_schedule_when_one_is_empty_and_one_holds_more_than_k() {
     use gv_core::ops::mink::MinK;
+    use gv_msgpass::Comm;
+
+    type TopK = TopBottomK<i64, u64>;
+    fn reduce_all<Op: gv_core::op::ReduceScanOp>(comm: &Comm, op: Op, local: &[Op::In]) -> Op::Out
+    where
+        Op::State: Clone + Send + 'static,
+    {
+        gv_rsmpi::reduce_all(comm, &op, local)
+    }
+    fn ireduce_all<Op: gv_core::op::ReduceScanOp + 'static>(
+        comm: &Comm,
+        op: Op,
+        local: &[Op::In],
+    ) -> Op::Out
+    where
+        Op::State: Clone + Send + 'static,
+    {
+        let mut request = gv_rsmpi::ireduce_all(comm, op, local);
+        request.wait().expect("transport alive")
+    }
+    fn splittable(
+        comm: &Comm,
+        op: TopK,
+        local: &[(i64, u64)],
+    ) -> gv_core::ops::TopBottom<i64, u64> {
+        gv_rsmpi::reduce_all_splittable(comm, &op, local)
+    }
 
     for p in 2..=9usize {
-        for nonblocking in [false, true] {
-            let mink = MinK::<i64>::new(AGREEMENT_K);
-            let topk = TopBottomK::<i64, u64>::new(AGREEMENT_K);
-            for (name, schedules) in [
-                (
-                    "MinK",
-                    schedules_of_one_call(p, nonblocking, mink, uneven_values),
-                ),
-                (
-                    "TopBottomK",
-                    schedules_of_one_call(p, nonblocking, topk, uneven_pairs),
-                ),
-            ] {
-                assert!(
-                    matches!(schedules[..], [(_, calls)] if calls == p as u64),
-                    "{name} p={p} nonblocking={nonblocking}: {schedules:?}"
-                );
-            }
+        let k = AGREEMENT_K;
+        let values = move |r| uneven_values(r, k);
+        let pairs = move |r| uneven_pairs(r, k);
+        let (mink, topk) = (MinK::<i64>::new(k), TopK::new(k));
+        // k = 1000 through the splittable reduction: rank 1's full state
+        // prices past the selector's crossover at p ≥ 4, rank 0's empty
+        // one does not.
+        let wide = move |r| uneven_pairs(r, 1000);
+        let calls = [
+            ("MinK", schedules_of_one_call(p, mink, values, reduce_all)),
+            (
+                "MinK request",
+                schedules_of_one_call(p, mink, values, ireduce_all),
+            ),
+            (
+                "TopBottomK",
+                schedules_of_one_call(p, topk, pairs, reduce_all),
+            ),
+            (
+                "TopBottomK request",
+                schedules_of_one_call(p, topk, pairs, ireduce_all),
+            ),
+            (
+                "TopBottomK splittable",
+                schedules_of_one_call(p, topk, pairs, splittable),
+            ),
+            (
+                "TopBottomK k=1000 splittable",
+                schedules_of_one_call(p, TopK::new(1000), wide, splittable),
+            ),
+        ];
+        for (name, schedules) in calls {
+            assert!(
+                matches!(schedules[..], [(_, calls)] if calls == p as u64),
+                "{name} p={p}: {schedules:?}"
+            );
         }
     }
 }

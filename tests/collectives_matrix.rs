@@ -78,7 +78,7 @@ fn exercise_all_collectives<T>(
         );
         assert_eq!(
             comm.allreduce_by(
-                (AllreduceAlgorithm::ReduceBroadcast, 1),
+                AllreduceAlgorithm::ReduceBroadcast,
                 mine.clone(),
                 whole(),
                 wire,
@@ -89,7 +89,7 @@ fn exercise_all_collectives<T>(
         );
         assert_eq!(
             comm.allreduce_by(
-                (AllreduceAlgorithm::RecursiveDoubling, 1),
+                AllreduceAlgorithm::RecursiveDoubling,
                 mine.clone(),
                 whole(),
                 wire,
@@ -391,7 +391,7 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
 
         // reduce+bcast: the tree up to rank 0 and straight back down.
         let got = Runtime::new(p).run(|comm| {
-            let plan = (AllreduceAlgorithm::ReduceBroadcast, 1);
+            let plan = AllreduceAlgorithm::ReduceBroadcast;
             comm.allreduce_by(plan, contrib(comm.rank()), whole(), |_| BYTES, then)
         });
         assert_eq!(got.results, vec![total; p], "reduce+bcast p={p}");
@@ -521,7 +521,7 @@ fn cost_model_and_stats_are_deterministic_across_runs() {
         let run = || {
             Runtime::new(p).run(|comm| {
                 let r = comm.rank() as u64;
-                let plan = (AllreduceAlgorithm::RecursiveDoubling, 1);
+                let plan = AllreduceAlgorithm::RecursiveDoubling;
                 let total = comm.allreduce_by(plan, r + 1, whole(), |_| 8, |a, b| a + b);
                 let prefix = comm.scan_inclusive(r + 1, |_| 8, |a, b| a + b);
                 let outgoing: Vec<Vec<u64>> = (0..comm.size())

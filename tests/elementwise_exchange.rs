@@ -126,13 +126,7 @@ fn block<T>(data: &[T], p: usize, r: usize) -> &[T] {
 /// Everything a run records that a view must leave as the clone path
 /// left it: results, messages, bytes, schedule counters, clocks (bits).
 fn record<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
-    let algorithms = [
-        AllreduceAlgorithm::RecursiveDoubling,
-        AllreduceAlgorithm::ReduceBroadcast,
-        AllreduceAlgorithm::PipelinedTree,
-        AllreduceAlgorithm::ReduceScatterAllgather,
-    ]
-    .map(|a| outcome.stats.allreduce_algorithm_calls(a));
+    let algorithms = AllreduceAlgorithm::ALL.map(|a| outcome.stats.allreduce_algorithm_calls(a));
     let clocks: Vec<u64> = outcome.rank_clocks.iter().map(|c| c.to_bits()).collect();
     format!(
         "results {:?}\nmessages {} bytes {} algorithms {algorithms:?}\nclocks {clocks:?}",

@@ -36,7 +36,7 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
         let sum = |a: u64, b: u64| a + b;
         let stats = Runtime::new(p as usize)
             .run(move |comm| {
-                let rd = (AllreduceAlgorithm::RecursiveDoubling, 1);
+                let rd = AllreduceAlgorithm::RecursiveDoubling;
                 for _ in 0..3 {
                     comm.allreduce_by(rd, 1u64, whole(), |_| 8, sum);
                 }
@@ -76,9 +76,8 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
         let ring_sends = if p > 1 { 4 * p } else { 0 };
         let large_sends = if p > 1 { 2 } else { 0 };
         // The three blocking allreduces run recursive doubling, the
-        // commutative request the whole-state tree: one edge up and one
-        // down for every rank but its root (on one rank, recursive
-        // doubling too).
+        // commutative request the tree: one edge up and one down for
+        // every rank but its root, at every p.
         let request_messages = 2 * (p - 1);
         let eight_byte =
             3 * allreduce_rd_messages(p) + request_messages + 2 * scan_rd_messages(p) + ring_sends;
@@ -98,15 +97,14 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
         );
         assert_eq!(stats.collective_calls(), 8 * p, "p={p}");
         assert_eq!(stats.reduction_calls(), 6 * p, "p={p}");
-        let tree_calls = if p > 1 { p } else { 0 };
         assert_eq!(
             stats.allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
-            4 * p - tree_calls,
+            3 * p,
             "p={p}"
         );
         assert_eq!(
             stats.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceBroadcast),
-            tree_calls,
+            p,
             "p={p}"
         );
         assert_eq!(
