@@ -133,19 +133,20 @@ fn main() {
         for &bytes in sizes {
             let (t_seq, w_seq) = measure(p, bytes, false);
             let (t_ovl, w_ovl) = measure(p, bytes, true);
-            let speedup = t_seq / t_ovl;
+            // One rank sends nothing and its modeled time is 0 both ways:
+            // no speedup to print.
+            let speedup = (p > 1).then(|| t_seq / t_ovl);
             if csv {
-                println!(
-                    "{p},{bytes},{K},{t_seq:.9},{t_ovl:.9},{speedup:.3},{w_seq:.6},{w_ovl:.6}"
-                );
+                let speedup = speedup.map_or(String::new(), |s| format!("{s:.3}"));
+                println!("{p},{bytes},{K},{t_seq:.9},{t_ovl:.9},{speedup},{w_seq:.6},{w_ovl:.6}");
             } else {
+                let speedup = speedup.map_or(format!("{:>7}", "–"), |s| format!("{s:>6.2}x"));
                 println!(
-                    "  {:>5} | {:>7} | {:>9.1} µs | {:>9.1} µs | {:>6.2}x | {:>7.2} ms | {:>7.2} ms",
+                    "  {:>5} | {:>7} | {:>9.1} µs | {:>9.1} µs | {speedup} | {:>7.2} ms | {:>7.2} ms",
                     p,
                     fmt_size(bytes),
                     t_seq * 1e6,
                     t_ovl * 1e6,
-                    speedup,
                     w_seq * 1e3,
                     w_ovl * 1e3,
                 );

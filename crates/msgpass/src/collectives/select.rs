@@ -50,15 +50,22 @@
 //! tree would permute its combine order. The rule reads no state's size
 //! and no rank count: on one rank the tree is an empty schedule too, and
 //! its future is the smaller box (`a_requests_schedule_stays_small`).
+//! [`Comm::iallreduce_elementwise`] runs the same schedules for a state
+//! that is a run of slots, but its tree clones nothing: each child's
+//! partial is combined in place, kept, and carries the result back
+//! (`tree.rs`), so a rank's own clones drop out of what it pays.
 //!
 //! Selection uses this rank's local `bytes_of(&value)` as the wire size.
 //! Under the SPMD convention that all ranks pass equal-shaped states
 //! this is uniform; states whose wire size varies per rank (e.g. short
 //! strings) sit far below any crossover, where every model lands on the
-//! same latency-optimal default. A caller whose states may straddle a
-//! crossover prices a size every rank computes alike and names the
-//! schedule through [`Comm::allreduce_by`] (`gv_rsmpi`'s splittable
-//! reduction prices its operator's identity).
+//! same latency-optimal default. The exclusive scans price the identity
+//! they are given instead, the one state every rank holds alike — except
+//! [`Comm::scan_exclusive_elementwise`], whose slotted states have the
+//! identity's width on every rank already. Any other caller whose states may straddle a crossover prices a size
+//! every rank computes alike and names the schedule through
+//! [`Comm::allreduce_by`] (`gv_rsmpi`'s splittable reduction prices its
+//! operator's identity).
 
 use gv_core::op::ElementwiseState;
 
@@ -68,7 +75,7 @@ use super::reduce_scatter::allreduce_rsag;
 use super::scan::scan_rd;
 use super::scan_binomial::scan_binomial;
 use super::scan_chain::scan_chain;
-use super::tree::{tree_allreduce, whole};
+use super::tree::{tree_allreduce, tree_allreduce_returning, whole};
 use crate::comm::Comm;
 use crate::cost::{AllreduceAlgorithm, ScanAlgorithm};
 use crate::request::Request;
@@ -79,11 +86,14 @@ use crate::stats::CallKind;
 pub type Segmentation<'a, T> = (&'a dyn Fn(T, usize) -> Vec<T>, &'a dyn Fn(Vec<T>) -> T);
 
 impl Comm {
-    /// The allreduce family's one constructor: records the schedule and
+    /// The allreduce family's constructor: records the schedule and
     /// launches it. `rotate` roots the tree at the call's sequence number
     /// mod p instead of rank 0, which only a commutative operator allows.
     /// `lending` lets recursive doubling's pairwise rounds exchange the
-    /// state by view.
+    /// state by view. The one schedule launched elsewhere is the request
+    /// tree that returns its children's buffers
+    /// ([`iallreduce_elementwise`](Self::iallreduce_elementwise)), whose
+    /// slot capability is owned rather than lent.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start_allreduce<'a, M: Mode<'a>, T: Clone + Send + 'static>(
         &self,
@@ -205,6 +215,40 @@ impl Comm {
             combine,
             None,
         )
+    }
+
+    /// [`iallreduce`](Self::iallreduce) for a state that is a run of `u64`
+    /// slots combined slot by slot, as in
+    /// [`allreduce_elementwise`](Self::allreduce_elementwise), with the
+    /// capability owned, since the request outlives the call: `slots` is
+    /// the operator's [`ElementwiseState`] and `combine_ops(&s)` the
+    /// modeled operations `combine` charges to combine a state like `s`.
+    /// The schedule, messages, bytes and modeled clock are the plain
+    /// request's, but a commutative request's tree keeps each child's
+    /// partial after combining it in place and writes the result into it
+    /// for the way back, so no rank clones or frees another's state. A
+    /// non-commutative request runs recursive doubling by value: a loan
+    /// waits for its partner, which a request must not do inside a poll.
+    pub fn iallreduce_elementwise<T: Clone + Send + 'static>(
+        &self,
+        value: T,
+        commutative: bool,
+        bytes_of: impl Fn(&T) -> usize + 'static,
+        combine: impl FnMut(T, T) -> T + 'static,
+        slots: (
+            impl ElementwiseState<T> + 'static,
+            impl Fn(&T) -> u64 + 'static,
+        ),
+    ) -> Request<T> {
+        if !commutative {
+            return self.iallreduce(value, false, bytes_of, combine);
+        }
+        let algo = AllreduceAlgorithm::ReduceBroadcast;
+        self.counters().record_allreduce_algorithm(algo);
+        self.launch::<Nonblocking, _, _>(CallKind::Allreduce, |comm, seq| {
+            let root = (seq % comm.size() as u64) as usize;
+            tree_allreduce_returning(comm, root, value, seq, bytes_of, slots)
+        })
     }
 
     /// Allreduce with the full schedule selection for states the caller
@@ -348,7 +392,9 @@ impl Comm {
     }
 
     /// Exclusive scan with cost-driven schedule selection: rank `r`
-    /// receives `v₀ ⊕ ⋯ ⊕ v_{r−1}`; rank 0 receives `ident()`.
+    /// receives `v₀ ⊕ ⋯ ⊕ v_{r−1}`; rank 0 receives `ident()`. The
+    /// selector prices the identity, the one state every rank holds alike
+    /// (see the module docs), so `ident` runs on every rank.
     pub fn scan_exclusive<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -356,9 +402,11 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
+        let identity = ident();
+        let plan =
+            ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&identity), false);
         let (ex, _) = self.start_scan(plan, value, whole(), bytes_of, combine, (true, false));
-        ex.unwrap_or_else(ident)
+        ex.unwrap_or(identity)
     }
 
     /// Both scans at once (one communication schedule): `(exclusive,
@@ -407,7 +455,8 @@ impl Comm {
     /// [`scan_exclusive`](Self::scan_exclusive), but the selector may
     /// additionally pick the segmented chain. `split`/`unsplit` must
     /// satisfy the `SplittableState` laws from `gv-core` and only run
-    /// when the chain wins; rank 0 receives `ident()`.
+    /// when the chain wins; rank 0 receives `ident()`. Priced at the
+    /// identity, as [`scan_exclusive`](Self::scan_exclusive) is.
     pub fn scan_exclusive_splittable<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -417,9 +466,45 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), true);
+        let identity = ident();
+        let plan =
+            ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&identity), true);
         let segmentation = (split, unsplit);
         let (ex, _) = self.start_scan(plan, value, segmentation, bytes_of, combine, (true, false));
+        ex.unwrap_or(identity)
+    }
+
+    /// [`scan_exclusive`](Self::scan_exclusive) — or, given the state's
+    /// `segmentation` (`(split, unsplit)`),
+    /// [`scan_exclusive_splittable`](Self::scan_exclusive_splittable) —
+    /// for a state that is a run of `u64` slots: `_slots` is the
+    /// operator's [`ElementwiseState`] capability, whose states have the
+    /// identity's slots on every rank under the SPMD convention
+    /// ([`allreduce_elementwise`](Self::allreduce_elementwise) relies on
+    /// it too). So the rank's own state prices what the identity would,
+    /// and only rank 0, which returns it, builds an identity: the plain
+    /// calls build one on every rank, which read `large_state` 15 %
+    /// slower at 1 MiB (EXPERIMENTS.md, TXT-RETURN). The schedule,
+    /// messages, bytes and modeled clock are the plain call's.
+    pub fn scan_exclusive_elementwise<T: Clone + Send + 'static>(
+        &self,
+        value: T,
+        ident: impl FnOnce() -> T,
+        segmentation: Option<Segmentation<'_, T>>,
+        bytes_of: impl Fn(&T) -> usize,
+        combine: impl FnMut(T, T) -> T,
+        _slots: &dyn ElementwiseState<T>,
+    ) -> T {
+        let cost = self.cost_model();
+        let splittable = segmentation.is_some();
+        let plan = ScanAlgorithm::select(&cost, self.size(), bytes_of(&value), splittable);
+        let halves = (true, false);
+        let (ex, _) = match segmentation {
+            Some((split, unsplit)) => {
+                self.start_scan(plan, value, (split, unsplit), bytes_of, combine, halves)
+            }
+            None => self.start_scan(plan, value, whole(), bytes_of, combine, halves),
+        };
         ex.unwrap_or_else(ident)
     }
 }

@@ -28,7 +28,12 @@
 //! Memory discipline: payloads move by value. An arriving partial is
 //! combined *into*, a state forwarded to one peer is sent by move, and
 //! the only clones are the down-sweep's keep-and-forward fan-out, one per
-//! child.
+//! child. A commutative request of a state whose slots combine slot by
+//! slot runs `tree_allreduce_returning`, which has none: a rank's
+//! children are the same in both sweeps, so it combines each child's
+//! partial in place, keeps the child's buffer, and writes the result into
+//! it for the way back. Every rank ends with the buffer it allocated. A
+//! broadcast has no child buffers to return, and keeps its clones.
 //!
 //! The sweeps and the fused allreduce, which a request boxes, are plain
 //! `fn`s returning an `async move` block, not `async fn`s: an `async fn`
@@ -36,6 +41,8 @@
 //! (`a_requests_schedule_stays_small` pins the sizes).
 
 use std::future::Future;
+
+use gv_core::op::ElementwiseState;
 
 use super::launch::Blocking;
 use super::TagBase;
@@ -110,13 +117,15 @@ fn up_sweep<'a, T: Send + 'static>(
 /// One rank's share of the relay from `root` to everyone: the root holds
 /// the state, every other rank receives it from its tree parent; each
 /// then sends it to its children, largest subtree first (the child that
-/// must relay deepest gets its copy earliest).
-fn down_sweep<'a, T: Clone + Send + 'static>(
+/// must relay deepest gets its copy earliest). `copy` makes each child's
+/// copy of the state.
+fn down_sweep<'a, T: Send + 'static>(
     comm: &'a Comm,
     root: usize,
     tag: Key,
     bytes_of: &'a impl Fn(&T) -> usize,
     held: Option<T>,
+    mut copy: impl FnMut(&T) -> T + 'a,
 ) -> impl Future<Output = Result<T, ShutdownError>> + 'a {
     let p = comm.size();
     let (vrank, mask) = position(comm, root);
@@ -134,7 +143,7 @@ fn down_sweep<'a, T: Clone + Send + 'static>(
         while m > 0 {
             if vrank + m < p {
                 let bytes = bytes_of(&value);
-                comm.send_key((vrank + m + root) % p, tag, value.clone(), bytes);
+                comm.send_key((vrank + m + root) % p, tag, copy(&value), bytes);
             }
             m >>= 1;
         }
@@ -152,7 +161,8 @@ pub(crate) async fn tree_bcast<T: Clone + Send + 'static>(
 ) -> Result<T, ShutdownError> {
     assert!(root < comm.size(), "bcast root {root} out of range");
     let held = (comm.rank() == root).then(|| value.expect("the bcast root must supply the value"));
-    down_sweep(&comm, root, TagBase::Bcast.key(seq), &bytes_of, held).await
+    let tag = TagBase::Bcast.key(seq);
+    down_sweep(&comm, root, tag, &bytes_of, held, T::clone).await
 }
 
 /// Reduce to `root`: `Some(result)` there, `None` elsewhere. The
@@ -195,7 +205,79 @@ pub(crate) fn tree_allreduce<T: Clone + Send + 'static>(
     );
     async move {
         let top = up_sweep(&comm, root, up, value, &bytes_of, combine).await?;
-        down_sweep(&comm, root, down, &bytes_of, top).await
+        down_sweep(&comm, root, down, &bytes_of, top, T::clone).await
+    }
+}
+
+/// [`tree_allreduce`] for a state whose slots combine slot by slot: the
+/// up-sweep combines each child's partial into the rank's own state in
+/// place (own ⊕ child, the by-value order) and keeps the child's buffer,
+/// and the down-sweep writes the result into that buffer and sends it
+/// back. A rank's children are the same in both sweeps, so every rank
+/// ends with the buffer it sent up — the root with its own — and no rank
+/// allocates or frees a state for another. `combine_ops(&child)` is the
+/// charge the by-value combine makes; messages, bytes and the modeled
+/// clock are [`tree_allreduce`]'s.
+pub(crate) fn tree_allreduce_returning<T: Clone + Send + 'static>(
+    comm: Comm,
+    root: usize,
+    value: T,
+    seq: u64,
+    bytes_of: impl Fn(&T) -> usize,
+    (slots, combine_ops): (impl ElementwiseState<T>, impl Fn(&T) -> u64),
+) -> impl Future<Output = Result<T, ShutdownError>> {
+    let (up, down) = (
+        TagBase::AllreduceTreeUp.key(seq),
+        TagBase::AllreduceTreeDown.key(seq),
+    );
+    async move {
+        let mut kept = Kept::default();
+        let absorb = |mut acc: T, mut child: T| {
+            comm.advance(combine_ops(&child));
+            slots.combine_slots(slots.slots(&mut acc), slots.slots(&mut child), true);
+            kept.keep(child);
+            acc
+        };
+        let top = up_sweep(&comm, root, up, value, &bytes_of, absorb).await?;
+        let give_back = |result: &T| kept.write_back(result);
+        down_sweep(&comm, root, down, &bytes_of, top, give_back).await
+    }
+}
+
+/// The buffers a rank's tree children sent up, kept to carry the result
+/// back down: the first inline, so a rank with one child — every parent
+/// at p = 2 — keeps it without allocating, and the rest in
+/// increasing-mask order.
+struct Kept<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Default for Kept<T> {
+    fn default() -> Self {
+        Kept {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone> Kept<T> {
+    fn keep(&mut self, partial: T) {
+        match self.first {
+            None => self.first = Some(partial),
+            Some(_) => self.rest.push(partial),
+        }
+    }
+
+    /// The buffer of the child the down-sweep sends to next, holding
+    /// `result`. The down-sweep takes the children largest subtree first,
+    /// the reverse of the up-sweep, so the buffers come off the back.
+    fn write_back(&mut self, result: &T) -> T {
+        let mut buffer = (self.rest.pop().or_else(|| self.first.take()))
+            .expect("a buffer is kept for every child");
+        buffer.clone_from(result);
+        buffer
     }
 }
 

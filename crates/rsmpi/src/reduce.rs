@@ -20,7 +20,7 @@
 use std::rc::Rc;
 
 use gv_core::iter::Input;
-use gv_core::op::ReduceScanOp;
+use gv_core::op::{ElementwiseState, ReduceScanOp};
 use gv_core::split::SplittableState;
 use gv_msgpass::collectives::select::Segmentation;
 use gv_msgpass::{AllreduceAlgorithm, Comm, Request, RequestError};
@@ -166,7 +166,10 @@ where
 /// user-defined operators. The operator moves into the request
 /// (`'static` closures cannot borrow it), so pass it by value. A
 /// commutative operator's request runs the tree rooted at its call
-/// sequence mod p ([`Comm::iallreduce`]).
+/// sequence mod p ([`Comm::iallreduce`]); when its state is a run of
+/// slots ([`ReduceScanOp::elementwise`]), that tree hands every child its
+/// own buffer back with the result instead of a clone
+/// ([`Comm::iallreduce_elementwise`]).
 pub fn ireduce_all<Op>(comm: &Comm, op: Op, local: &[Op::In]) -> ReduceAllRequest<Op>
 where
     Op: ReduceScanOp + 'static,
@@ -177,17 +180,44 @@ where
     let handle = comm.clone_handle();
     let bytes_op = Rc::clone(&op);
     let combine_op = Rc::clone(&op);
-    let inner = comm.iallreduce(
-        state,
-        Op::COMMUTATIVE,
-        move |s| bytes_op.wire_size(s),
-        move |mut earlier, later| {
-            handle.advance(combine_op.combine_ops(&later));
-            combine_op.combine(&mut earlier, later);
-            earlier
-        },
-    );
+    let bytes_of = move |s: &Op::State| bytes_op.wire_size(s);
+    let combine = move |mut earlier, later| {
+        handle.advance(combine_op.combine_ops(&later));
+        combine_op.combine(&mut earlier, later);
+        earlier
+    };
+    let inner = match op.elementwise() {
+        Some(_) => {
+            let ops_op = Rc::clone(&op);
+            let combine_ops = move |s: &Op::State| ops_op.combine_ops(s);
+            let slots = (OwnedSlots(Rc::clone(&op)), combine_ops);
+            comm.iallreduce_elementwise(state, Op::COMMUTATIVE, bytes_of, combine, slots)
+        }
+        None => comm.iallreduce(state, Op::COMMUTATIVE, bytes_of, combine),
+    };
     ReduceAllRequest { inner, op }
+}
+
+/// The slot capability of an operator a request shares: what
+/// [`ReduceScanOp::elementwise`] lends for as long as the operator is
+/// borrowed, held for as long as the request runs. Built only for an
+/// operator that has it.
+struct OwnedSlots<Op>(Rc<Op>);
+
+impl<Op: ReduceScanOp> OwnedSlots<Op> {
+    fn get(&self) -> &dyn ElementwiseState<Op::State> {
+        self.0.elementwise().expect("built for a slotted operator")
+    }
+}
+
+impl<Op: ReduceScanOp> ElementwiseState<Op::State> for OwnedSlots<Op> {
+    fn slots<'s>(&self, state: &'s mut Op::State) -> &'s mut [u64] {
+        self.get().slots(state)
+    }
+
+    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], mine_first: bool) {
+        self.get().combine_slots(mine, theirs, mine_first);
+    }
 }
 
 /// Global-view reduction delivering the result to `root` only — the

@@ -26,7 +26,13 @@ use crate::reduce::{accumulate_local, combining};
 ///
 /// The cross-rank prefix runs as a dedicated exclusive scan, so it is
 /// accounted as one `Exscan` call per rank (see the `scan_both`
-/// convention in `gv-msgpass`).
+/// convention in `gv-msgpass`). Its schedule is priced at the operator's
+/// identity, which every rank holds alike: a `TopBottomK` state grows
+/// with the entries a rank holds, and ranks that priced their own would
+/// pick different schedules. An operator whose state is a run of slots
+/// ([`ReduceScanOp::elementwise`]) holds the identity's width on every
+/// rank, and prices its own state instead of building an identity
+/// ([`Comm::scan_exclusive_elementwise`]).
 pub fn scan<Op>(comm: &Comm, op: &Op, local: &[Op::In], kind: ScanKind) -> Vec<Op::Out>
 where
     Op: ReduceScanOp,
@@ -36,12 +42,13 @@ where
     let state = accumulate_local(comm, op, local);
 
     // Line 9: LOCAL_XSCAN of the per-rank states across ranks.
-    let running = comm.scan_exclusive(
-        state,
-        || op.ident(),
-        |s| op.wire_size(s),
-        combining(comm, op),
-    );
+    let (ident, bytes_of, combine) = (|| op.ident(), |s: &_| op.wire_size(s), combining(comm, op));
+    let running = match op.elementwise() {
+        Some(slots) => {
+            comm.scan_exclusive_elementwise(state, ident, None, bytes_of, combine, slots)
+        }
+        None => comm.scan_exclusive(state, ident, bytes_of, combine),
+    };
 
     rescan_block(comm, op, local, kind, running)
 }
@@ -50,7 +57,7 @@ where
 /// scan is additionally eligible for the pipelined chain schedule, which
 /// moves the least aggregate traffic of any scan schedule and overlaps
 /// chain latency with bandwidth — the winning choice for large states
-/// under the α–β cost model.
+/// under the α–β cost model. Priced at the identity, as [`scan`] is.
 pub fn scan_splittable<Op>(comm: &Comm, op: &Op, local: &[Op::In], kind: ScanKind) -> Vec<Op::Out>
 where
     Op: SplittableState,
@@ -58,14 +65,16 @@ where
 {
     let state = accumulate_local(comm, op, local);
 
-    let running = comm.scan_exclusive_splittable(
-        state,
-        || op.ident(),
-        |s, parts| op.split_state(s, parts),
-        |segments| op.unsplit_state(segments),
-        |s| op.wire_size(s),
-        combining(comm, op),
-    );
+    let (ident, bytes_of, combine) = (|| op.ident(), |s: &_| op.wire_size(s), combining(comm, op));
+    let split = |s, parts| op.split_state(s, parts);
+    let unsplit = |segments| op.unsplit_state(segments);
+    let running = match op.elementwise() {
+        Some(slots) => {
+            let segmentation = Some((&split as _, &unsplit as _));
+            comm.scan_exclusive_elementwise(state, ident, segmentation, bytes_of, combine, slots)
+        }
+        None => comm.scan_exclusive_splittable(state, ident, split, unsplit, bytes_of, combine),
+    };
 
     rescan_block(comm, op, local, kind, running)
 }

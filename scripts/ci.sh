@@ -88,9 +88,15 @@ done
 
 # The quick smoke above runs NB-OVERLAP at p = 8 only. At p = 2 every
 # rank roots every other request's tree, and the overlapped batch must
-# still beat the sequential one in modeled time (the bin asserts it).
-echo "smoke: k_independent_allreduces --procs 2"
-GV_BENCH_QUICK=0 ./target/release/k_independent_allreduces --procs 2 > /dev/null
+# still beat the sequential one in modeled time (the bin asserts it). At
+# p = 1 both times are 0, and the table must print no speedup, not NaN.
+echo "smoke: k_independent_allreduces --procs 1,2"
+overlap_table=$(GV_BENCH_QUICK=0 ./target/release/k_independent_allreduces --procs 1,2)
+if printf '%s\n' "$overlap_table" | grep -q NaN; then
+    printf '%s\n' "$overlap_table" >&2
+    echo "k_independent_allreduces printed NaN" >&2
+    exit 1
+fi
 
 # The scan-schedule ablation grew flags in its rewrite; exercise them so
 # argument parsing and the CSV path stay alive.

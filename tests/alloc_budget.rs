@@ -31,8 +31,9 @@
 //! member list), and a large `Vec` pays no box for its header. A
 //! non-blocking reduction makes three small allocations — its boxed
 //! schedule, its result slot and its shared operator — and the progress
-//! engine's sweeps add none; at two ranks a commutative one clones its
-//! state once over both ranks, not once on each.
+//! engine's sweeps add none; a commutative one allocates no state but the
+//! one its rank accumulates: its tree hands every child its own buffer
+//! back with the result, where it once cloned a state per child.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -165,11 +166,13 @@ fn a_rank_allocates_a_few_n_whatever_the_segment_count() {
 
 #[test]
 fn the_tree_clones_the_state_once_per_child() {
-    // Payloads move by value: a combine consumes the child's partial, a
+    // By value, payloads move: a combine consumes the child's partial, a
     // state forwarded to one peer is sent by move, and the down-sweep
     // keeps its copy and sends each tree child a clone. So a broadcast or
-    // the fused allreduce allocates one state per child a rank has in the
-    // tree rooted at `root`, and a reduce none. Beyond that, envelopes.
+    // the blocking fused allreduce allocates one state per child a rank
+    // has in the tree rooted at `root`, and a reduce none. Beyond that,
+    // envelopes. (A request of a slotted state returns each child its
+    // own buffer instead; see the request pins at the end.)
     const ENVELOPES: usize = 4 << 10;
     let children = |p: usize, root: usize, rank: usize| {
         let vrank = (rank + p - root) % p;
@@ -273,6 +276,51 @@ fn a_slotted_reduction_at_two_ranks_lends_its_state_instead_of_cloning_it() {
             "rank {rank}: {all} B for a {N} B state"
         );
     }
+}
+
+#[test]
+fn a_slotted_scan_builds_an_identity_only_on_the_rank_that_returns_it() {
+    // An exclusive scan prices its schedule at a state every rank holds
+    // alike. The plain call builds the identity on every rank to price
+    // it; `gv_rsmpi::scan_splittable` of a slotted operator prices its
+    // own state, which has the identity's slots, so only rank 0 — whose
+    // exclusive prefix the identity is — builds one. Same schedule, so
+    // the difference is exactly one state on every other rank.
+    use gv_core::op::{ReduceScanOp, ScanKind};
+    use gv_core::ops::counts::BucketRank;
+
+    let op = BucketRank::new(LEN);
+    let inputs: Vec<usize> = (0..1000).map(|i| i * 97 % LEN).collect();
+    let per_rank = |slotted: bool| {
+        Runtime::new(2)
+            .run(|comm| {
+                let local = &inputs[comm.rank() * 500..][..500];
+                let before = large_bytes();
+                if slotted {
+                    gv_rsmpi::scan::scan_splittable(comm, &op, local, ScanKind::Exclusive);
+                } else {
+                    let mut state = op.ident();
+                    for x in local {
+                        op.accum(&mut state, x);
+                    }
+                    comm.scan_exclusive_splittable(state, || op.ident(), split, unsplit, wire, add);
+                }
+                large_bytes() - before
+            })
+            .results
+    };
+    let (slotted, plain) = (per_rank(true), per_rank(false));
+    assert_eq!(
+        slotted[0], plain[0],
+        "rank 0 builds its identity either way"
+    );
+    assert_eq!(
+        slotted[1] + N,
+        plain[1],
+        "rank 1: {} B slotted, {} B plain",
+        slotted[1],
+        plain[1]
+    );
 }
 
 #[test]
@@ -587,21 +635,41 @@ fn a_request_allocates_its_schedule_its_slot_and_its_operator() {
 }
 
 #[test]
-fn a_commutative_request_at_two_ranks_clones_its_state_once_over_both() {
-    // Each rank accumulates its own 64 KiB state. Beyond that, the
-    // request's tree has the root clone the result it keeps while it
-    // sends the other to the leaf, and the leaf sends its state by move:
-    // one clone a call over both ranks, where recursive doubling clones
-    // on each. The root alternates with the call sequence, so each rank
-    // clones in every other call.
+fn a_commutative_request_at_two_ranks_allocates_only_the_state_it_accumulates() {
+    // Each rank accumulates its own 64 KiB state, and that is all it
+    // allocates in large blocks: the request's tree has the root combine
+    // the leaf's partial in place, write the result into the leaf's
+    // buffer and send it back, and the leaf sends its state by move. The
+    // by-value tree had the root clone the result it kept, in every other
+    // call on each rank.
     const CALLS: usize = 100;
     const STATE: usize = OVERLAP_BUCKETS * 8;
     let large = overlap_requests(2, CALLS, large_bytes);
     for (rank, &bytes) in large.iter().enumerate() {
         assert_eq!(
             bytes,
-            CALLS * STATE + CALLS / 2 * STATE,
+            CALLS * STATE,
             "rank {rank}: {bytes} B in large blocks over {CALLS} requests"
         );
+    }
+}
+
+#[test]
+fn a_commutative_request_at_four_and_eight_ranks_allocates_no_state_for_another() {
+    // Past p = 2 a rank can have several tree children, and the root of
+    // each call has ⌈log₂ p⌉: every child gets its own buffer back with
+    // the result, so no rank allocates a state-sized block beyond the
+    // one it accumulates, whatever the rotation makes it.
+    const CALLS: usize = 40;
+    const STATE: usize = OVERLAP_BUCKETS * 8;
+    for p in [4usize, 8] {
+        let large = overlap_requests(p, CALLS, large_bytes);
+        for (rank, &bytes) in large.iter().enumerate() {
+            assert_eq!(
+                bytes,
+                CALLS * STATE,
+                "p={p} rank {rank}: {bytes} B in large blocks over {CALLS} requests"
+            );
+        }
     }
 }

@@ -636,3 +636,51 @@ fn ranks_agree_on_the_schedule_when_one_is_empty_and_one_holds_more_than_k() {
         }
     }
 }
+
+#[test]
+fn ranks_agree_on_the_scan_schedule_when_one_is_empty_and_one_holds_more_than_k() {
+    // The scans' sibling of the agreement law above: both global-view
+    // scans price the operator's identity, so a `TopBottomK` scan whose
+    // rank 0 holds nothing and whose rank 1 holds 3k pairs runs one
+    // schedule on every rank. Priced at each rank's own state, k = 1000
+    // split the ranks over two schedules at p = 4 and 8 and the run
+    // stalled.
+    use gv_core::op::ScanKind;
+    use gv_msgpass::ScanAlgorithm;
+
+    type TopK = TopBottomK<i64, u64>;
+    for p in [4usize, 8] {
+        for k in [AGREEMENT_K, 1000] {
+            let op = TopK::new(k);
+            let pairs = move |r| uneven_pairs(r, k);
+            let all: Vec<(i64, u64)> = (0..p).flat_map(pairs).collect();
+            let expected = gv_core::seq::scan(&op, &all, ScanKind::Exclusive);
+            for splittable in [false, true] {
+                let outcome = Runtime::new(p).run(move |comm| {
+                    let local = pairs(comm.rank());
+                    if splittable {
+                        gv_rsmpi::scan::scan_splittable(comm, &op, &local, ScanKind::Exclusive)
+                    } else {
+                        gv_rsmpi::scan(comm, &op, &local, ScanKind::Exclusive)
+                    }
+                });
+                let name = if splittable {
+                    "scan_splittable"
+                } else {
+                    "scan"
+                };
+                let got: Vec<_> = outcome.results.into_iter().flatten().collect();
+                assert!(got == expected, "{name} k={k} p={p}: wrong prefixes");
+                let schedules: Vec<_> = ScanAlgorithm::ALL
+                    .iter()
+                    .map(|&algo| (algo, outcome.stats.scan_algorithm_calls(algo)))
+                    .filter(|&(_, calls)| calls > 0)
+                    .collect();
+                assert!(
+                    matches!(schedules[..], [(_, calls)] if calls == p as u64),
+                    "{name} k={k} p={p}: {schedules:?}"
+                );
+            }
+        }
+    }
+}

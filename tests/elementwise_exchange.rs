@@ -11,11 +11,23 @@
 //! modeled clock. A state below the lending threshold takes the clone
 //! path either way.
 //!
+//! Requests take the other road: a commutative `ireduce_all` of such an
+//! operator runs the tree, which combines each child's partial in place
+//! and hands the child its own buffer back with the result. With eight
+//! requests in flight, waited in a shuffled order, that run must record
+//! what the same requests record with the capability hidden, which clone
+//! the state once per tree child: results, messages, bytes and schedule
+//! counters. In flight, a rank's modeled clock follows the order its
+//! sweeps take arriving messages in, which two runs of the same path do
+//! not share, so the clocks are held equal where that order is fixed:
+//! the same requests, each waited as it is made.
+//!
 //! A rank killed in the middle of a loan — its state lent, or its
 //! partner's view in hand — ends the run as a typed failure, with no
 //! hang.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use gv_core::op::{ElementwiseState, ReduceScanOp, ScanKind};
@@ -126,10 +138,15 @@ fn block<T>(data: &[T], p: usize, r: usize) -> &[T] {
 /// Everything a run records that a view must leave as the clone path
 /// left it: results, messages, bytes, schedule counters, clocks (bits).
 fn record<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
-    let algorithms = AllreduceAlgorithm::ALL.map(|a| outcome.stats.allreduce_algorithm_calls(a));
     let clocks: Vec<u64> = outcome.rank_clocks.iter().map(|c| c.to_bits()).collect();
+    format!("{}\nclocks {clocks:?}", traffic(outcome))
+}
+
+/// [`record`] without the clocks.
+fn traffic<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
+    let algorithms = AllreduceAlgorithm::ALL.map(|a| outcome.stats.allreduce_algorithm_calls(a));
     format!(
-        "results {:?}\nmessages {} bytes {} algorithms {algorithms:?}\nclocks {clocks:?}",
+        "results {:?}\nmessages {} bytes {} algorithms {algorithms:?}",
         outcome.results, outcome.stats.messages, outcome.stats.bytes
     )
 }
@@ -196,6 +213,87 @@ fn small_states_are_cloned() {
         assert_view_matches_clone("Counts", || Counts::new(64), &data),
         0
     );
+}
+
+/// Requests in flight at once, as the benchmark's `overlap` runs them.
+const IN_FLIGHT: usize = 8;
+
+/// Runs `IN_FLIGHT` `ireduce_all`s of `op` at every rank count, request
+/// `i` over its own data set, with and without the capability, and holds
+/// the two records equal: in flight, each rank waiting for them in its
+/// own shuffled order, without the clocks; one at a time, with them.
+/// Returns how many slot combines the capable runs made, summed over
+/// rank counts and both runs.
+fn assert_returned_matches_cloned<Op>(name: &str, op: fn() -> Op, data: &[Vec<Op::In>]) -> u64
+where
+    Op: ReduceScanOp<State = Vec<u64>> + 'static,
+    Op::In: Sync,
+    Op::Out: std::fmt::Debug + Send,
+{
+    let mut slot_combines = 0;
+    for p in 1..=17 {
+        let run = |slots: bool, in_flight: bool| {
+            let combines = Arc::new(AtomicU64::new(0));
+            let outcome = Runtime::new(p).run(|comm| {
+                let r = comm.rank();
+                let start = |set: &Vec<Op::In>| {
+                    let combines = Arc::clone(&combines);
+                    let count = move || {
+                        combines.fetch_add(1, Ordering::Relaxed);
+                    };
+                    let probe = Probe::hooked(op(), slots, count);
+                    gv_rsmpi::ireduce_all(comm, probe, block(set, p, r))
+                };
+                if !in_flight {
+                    let mut wait = |set| start(set).wait().expect("transport alive");
+                    return data.iter().map(&mut wait).collect();
+                }
+                let mut requests: Vec<_> = data.iter().map(start).collect();
+                let mut order: Vec<usize> = (0..requests.len()).collect();
+                let mut rng = TestRng::new(0x5EED_0000 + (p * 32 + r) as u64);
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.usize_in(0..i + 1));
+                }
+                let mut results: Vec<Option<Op::Out>> = order.iter().map(|_| None).collect();
+                for i in order {
+                    results[i] = Some(requests[i].wait().expect("transport alive"));
+                }
+                results.into_iter().map(Option::unwrap).collect::<Vec<_>>()
+            });
+            let record = if in_flight { traffic } else { record };
+            (record(&outcome), combines.load(Ordering::Relaxed))
+        };
+        for in_flight in [true, false] {
+            let (cloned, none) = run(false, in_flight);
+            let (returned, combines) = run(true, in_flight);
+            assert_eq!(none, 0);
+            assert_eq!(
+                returned, cloned,
+                "{name} at p = {p} (in flight: {in_flight}): returned buffers and clones disagree"
+            );
+            slot_combines += combines;
+        }
+    }
+    slot_combines
+}
+
+#[test]
+fn requests_in_flight_that_return_buffers_equal_requests_that_clone() {
+    // 4099 slots, as above; every third rank holds no input.
+    let k = 4099;
+    let mut rng = TestRng::new(0x1_F11E);
+    let sets: Vec<Vec<usize>> = (0..IN_FLIGHT)
+        .map(|_| (0..3000).map(|_| rng.usize_in(0..k)).collect())
+        .collect();
+    let combined = assert_returned_matches_cloned("Counts", || Counts::new(4099), &sets);
+    assert!(combined > 0, "no request combined by slots");
+    let ranks = assert_returned_matches_cloned("BucketRank", || BucketRank::new(4099), &sets);
+    assert!(ranks > 0);
+    let values: Vec<Vec<f64>> = (0..IN_FLIGHT)
+        .map(|_| (0..3000).map(|_| rng.f64_in(-0.1..1.1)).collect())
+        .collect();
+    let histogram = || Histogram::uniform(0.0, 1.0, 2048);
+    assert!(assert_returned_matches_cloned("Histogram", histogram, &values) > 0);
 }
 
 /// A scan of the same operators is no allreduce and never lends.
