@@ -38,6 +38,14 @@ pub trait Input<Op: ReduceScanOp + ?Sized> {
     /// for an empty input — and returns the number of elements (what the
     /// message-passing layer charges to the virtual clock).
     fn accumulate(self, op: &Op, state: &mut Op::State) -> u64;
+
+    /// The elements, when they are stored as one slice, for a reader that
+    /// needs them more than once (a counting state's slot indices,
+    /// [`crate::op::ElementwiseState`]); `None` (the default) for an input
+    /// that is read once.
+    fn as_slice(&self) -> Option<&[Op::In]> {
+        None
+    }
 }
 
 /// A slice is one kernel call, read in place.
@@ -46,17 +54,29 @@ impl<Op: ReduceScanOp + ?Sized> Input<Op> for &[Op::In] {
         accumulate_block(op, state, self);
         self.len() as u64
     }
+
+    fn as_slice(&self) -> Option<&[Op::In]> {
+        Some(self)
+    }
 }
 
 impl<Op: ReduceScanOp + ?Sized> Input<Op> for &Vec<Op::In> {
     fn accumulate(self, op: &Op, state: &mut Op::State) -> u64 {
         Input::<Op>::accumulate(self.as_slice(), op, state)
     }
+
+    fn as_slice(&self) -> Option<&[Op::In]> {
+        Some(self)
+    }
 }
 
 impl<Op: ReduceScanOp + ?Sized, const N: usize> Input<Op> for &[Op::In; N] {
     fn accumulate(self, op: &Op, state: &mut Op::State) -> u64 {
         Input::<Op>::accumulate(self.as_slice(), op, state)
+    }
+
+    fn as_slice(&self) -> Option<&[Op::In]> {
+        Some(*self)
     }
 }
 

@@ -180,34 +180,33 @@ pub trait ReduceScanOp {
         false
     }
 
-    /// Capability: the state is a run of `u64` slots combined slot by
-    /// slot ([`ElementwiseState`]), or `None` (the default) when it is
-    /// not. A transport that sees it may exchange the state by view,
-    /// combining part of it in place, instead of cloning it whole.
-    fn elementwise(&self) -> Option<&dyn ElementwiseState<Self::State>> {
+    /// Capability: the state counts its inputs, one slot each
+    /// ([`ElementwiseState`]), or `None` (the default) when it does not.
+    /// A transport that sees it may exchange the state by view, combining
+    /// part of it in place, instead of cloning it whole, or ship the slot
+    /// indices a block counted instead of the state.
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Self::State, Self::In>> {
         None
     }
 }
 
-/// What [`ReduceScanOp::elementwise`] returns: a state that is a run of
-/// `u64` slots (bucket counts, histogram bins) whose `combine` combines
-/// slot `i` with slot `i` and nothing else.
+/// What [`ReduceScanOp::elementwise`] returns: a *counting* state, a run
+/// of `u64` slots (bucket counts, histogram bins) to which each input
+/// adds one, in the one slot [`slot_of`](Self::slot_of) names.
 ///
 /// # Law
 ///
-/// For states `a` and `b` of equal length, combining `b`'s slots into
-/// `a`'s with `mine_first` equals `combine(a, b)`, and combining `a`'s
-/// slots into `b`'s without it equals `combine(a, b)` too — so any
-/// contiguous run of slots can be combined on its own, in place, on
-/// either operand's buffer.
-pub trait ElementwiseState<S> {
+/// `accumulate(ident, xs)` holds in slot `i` the number of inputs `x` of
+/// `xs` with `slot_of(x) == i`, and `combine(a, b)` adds `b`'s slots to
+/// `a`'s, slot by slot. So any contiguous run of slots can be combined on
+/// its own, in place, on either operand's buffer, and the slot indices of
+/// a block, counted into any state, add what the block's state would.
+pub trait ElementwiseState<S, In> {
     /// The state's slots, in order.
     fn slots<'s>(&self, state: &'s mut S) -> &'s mut [u64];
 
-    /// Combines `theirs` into `mine` slot by slot, over the shorter of
-    /// the two: `mine[i] ⊕ theirs[i]` when `mine_first`, else
-    /// `theirs[i] ⊕ mine[i]`.
-    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], mine_first: bool);
+    /// The slot `x` adds one to. Panics on an input `accum` rejects.
+    fn slot_of(&self, x: &In) -> usize;
 }
 
 /// Operators pass by reference transparently: `&Op` is itself an operator.
@@ -260,7 +259,7 @@ impl<Op: ReduceScanOp + ?Sized> ReduceScanOp for &Op {
     ) -> bool {
         (**self).scan_block(state, block, out, kind)
     }
-    fn elementwise(&self) -> Option<&dyn ElementwiseState<Self::State>> {
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Self::State, Self::In>> {
         (**self).elementwise()
     }
 }

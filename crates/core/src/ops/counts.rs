@@ -44,25 +44,13 @@ impl ReduceScanOp for Counts {
     }
 
     fn accum(&self, state: &mut Vec<u64>, x: &usize) {
-        assert!(
-            *x < self.k,
-            "bucket index {x} out of range for {} buckets",
-            self.k
-        );
-        state[*x] += 1;
+        state[self.slot_of(x)] += 1;
     }
 
     fn accum_block(&self, state: &mut Vec<u64>, block: &[usize]) -> bool {
         // The closure runs in input order, so the out-of-range panic fires
         // on the same element (and with the same message) as `accum`.
-        crate::kernel::count_into(state, block, |x| {
-            assert!(
-                *x < self.k,
-                "bucket index {x} out of range for {} buckets",
-                self.k
-            );
-            *x
-        });
+        crate::kernel::count_into(state, block, |x| self.slot_of(x));
         true
     }
 
@@ -90,19 +78,24 @@ impl ReduceScanOp for Counts {
         incoming.len() as u64
     }
 
-    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>>> {
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>, usize>> {
         Some(self)
     }
 }
 
-/// Bucket counts add slot by slot.
-impl ElementwiseState<Vec<u64>> for Counts {
+/// An index counts one in its bucket.
+impl ElementwiseState<Vec<u64>, usize> for Counts {
     fn slots<'s>(&self, state: &'s mut Vec<u64>) -> &'s mut [u64] {
         state
     }
 
-    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], _mine_first: bool) {
-        crate::kernel::combine_elementwise(mine, theirs, |a, b| a + b);
+    fn slot_of(&self, x: &usize) -> usize {
+        assert!(
+            *x < self.k,
+            "bucket index {x} out of range for {} buckets",
+            self.k
+        );
+        *x
     }
 }
 
@@ -181,7 +174,7 @@ impl ReduceScanOp for BucketRank {
         self.inner.combine_ops(incoming)
     }
 
-    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>>> {
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>, usize>> {
         Some(&self.inner)
     }
 }

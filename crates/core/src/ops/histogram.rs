@@ -154,19 +154,22 @@ impl ReduceScanOp for Histogram {
         incoming.len() as u64
     }
 
-    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>>> {
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>, f64>> {
         Some(self)
     }
 }
 
-/// Bin counts add slot by slot.
-impl ElementwiseState<Vec<u64>> for Histogram {
+/// A value counts one in its bin.
+impl ElementwiseState<Vec<u64>, f64> for Histogram {
     fn slots<'s>(&self, state: &'s mut Vec<u64>) -> &'s mut [u64] {
         state
     }
 
-    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], _mine_first: bool) {
-        crate::kernel::combine_elementwise(mine, theirs, |a, b| a + b);
+    fn slot_of(&self, x: &f64) -> usize {
+        match self.uniform {
+            Some((lo, step)) => bin_of_uniform(&self.edges, lo, step, *x),
+            None => bin_of(&self.edges, *x),
+        }
     }
 }
 

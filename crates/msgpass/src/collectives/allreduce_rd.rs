@@ -12,17 +12,21 @@
 //! covers the adjacent block — so ordering the combine by block position
 //! (`lower rank first`) preserves set order for any associative operator.
 //!
-//! A state whose slots combine slot by slot ([`ElementwiseState`]) and
-//! that is at least `LEND_MIN_BYTES` runs `allreduce_rd_lent`
-//! instead: each pairwise round lends the state (`message::loan`) rather
-//! than sending a clone, and each partner combines half of the slots in
-//! place from the other's buffer and copies the other half once final.
-//! The round sends the same one message of the same modeled bytes and
-//! charges the same combine, so messages, bytes and the modeled clock
-//! are recursive doubling's; the fold and unfold sends still clone.
+//! A counting state ([`gv_core::op::ElementwiseState`]) runs
+//! `allreduce_rd_lent` instead: each round's one message is a [`Piece`]
+//! (`counting.rs`) — the units the sender's partial counted while they
+//! are the cheaper form, else the state, lent (`message::loan`) when it
+//! is at least `LEND_MIN_BYTES`, cloned below that. Two partners that
+//! both lend each combine half of the slots in place from the other's
+//! buffer and copy the other half once final; a rank sent units counts
+//! them into its own slots; in a mixed round the lender publishes its
+//! kept run untouched and counts the units once its view is released,
+//! while the units sender adds both runs of the view it holds. States
+//! cost what they cost by value, so a run in which every round lends or
+//! clones records recursive doubling's messages, bytes and modeled clock.
+//! The fold sends a piece too, and the unfold a clone of the result.
 
-use gv_core::op::ElementwiseState;
-
+use super::counting::{add_slots, ships_units, units_bytes, Counting, Piece};
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
@@ -30,18 +34,12 @@ use crate::message::loan::{lend, Loan, View};
 use crate::message::Key;
 use crate::request::recv;
 
-/// What a pairwise round needs to exchange a state by view: its slots,
-/// and the modeled combine operations a combine of one such state is
-/// charged (the charge the combine closure makes on the clone path).
-pub(crate) type Lending<'a, T> = (&'a dyn ElementwiseState<T>, &'a dyn Fn(&T) -> u64);
-
 /// The smallest state, in modeled bytes, that recursive doubling lends
 /// rather than clones. A `reduce_all` of `Counts` at p = 2 read the two
 /// even at 4 KiB and the loan 10 % ahead at 8 KiB (EXPERIMENTS.md,
-/// TXT-VIEW): below that, its signals cost what the clone saves. Every
-/// rank must decide alike, so this reads the rank's own state under the
-/// SPMD convention that equal calls pass equal-shaped states, as the
-/// selector does.
+/// TXT-VIEW): below that, its signals cost what the clone saves. Partners
+/// decide alike under the SPMD convention that equal calls pass
+/// equal-shaped states, as the selector does.
 pub(crate) const LEND_MIN_BYTES: usize = 8 << 10;
 
 /// Recursive-doubling allreduce: fold to a power of two, ⌈log₂ p₂⌉
@@ -99,38 +97,65 @@ pub(crate) async fn allreduce_rd<T: Clone + Send + 'static>(
     Ok(acc)
 }
 
-/// [`allreduce_rd`] for a state whose slots combine slot by slot: the
-/// same fold, rounds and unfold, messages, bytes, combine charges and
-/// modeled clock, but each pairwise round lends the state to the partner
-/// instead of sending it a clone ([`combine_by_view`]). A schedule of its
-/// own rather than a branch in [`allreduce_rd`]: with one body for both,
-/// `cg_solve`, whose 8-byte allreduces take the clone path, read about
-/// 6 % slower (EXPERIMENTS.md, TXT-VIEW).
-pub(crate) async fn allreduce_rd_lent<T: Clone + Send + 'static>(
+/// [`allreduce_rd`] for a counting state: the same fold, rounds and
+/// unfold, and the same messages, but each a [`Piece`] that its sender
+/// chooses alone (module docs). A schedule of its own rather than a
+/// branch in [`allreduce_rd`]: with one body for both, `cg_solve`, whose
+/// 8-byte allreduces take the clone path, read about 6 % slower
+/// (EXPERIMENTS.md, TXT-VIEW).
+pub(crate) async fn allreduce_rd_lent<T: Clone + Send + 'static, I>(
     comm: Comm,
     mut acc: T,
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
     mut combine: impl FnMut(T, T) -> T,
-    (slots, combine_ops): Lending<'_, T>,
+    mut counting: Counting<'_, T, I>,
 ) -> Result<T, ShutdownError> {
     let p = comm.size();
     let r = comm.rank();
     let tag = TagBase::AllreduceRd.key(seq);
-    let send = |dst: usize, acc: &T| {
-        let bytes = bytes_of(acc);
-        comm.send_key(dst, tag, acc.clone(), bytes);
-    };
+    let slots = counting.slots;
+    let width = slots.slots(&mut acc).len();
+    // The units this rank's partial counted, while it is a list of them.
+    let mut units = counting.units.take();
+    let send = |dst: usize, bytes: usize, piece: Piece<T>| comm.send_key(dst, tag, piece, bytes);
+    // Folds `theirs` into `acc`, `mine_first` when this rank's partial
+    // precedes theirs: units are counted (and kept, while `units` lists
+    // the partial's), a state combined.
+    let mut absorb =
+        |mut acc: T, theirs: Piece<T>, mine_first: bool, units: &mut Option<Vec<u32>>| match theirs
+        {
+            Piece::Units(theirs) => {
+                counting.count(&comm, &mut acc, &theirs);
+                if let Some(units) = units {
+                    units.extend_from_slice(&theirs);
+                }
+                acc
+            }
+            Piece::Whole(theirs) => {
+                *units = None;
+                if mine_first {
+                    combine(acc, theirs)
+                } else {
+                    combine(theirs, acc)
+                }
+            }
+            Piece::Lent(_) => unreachable!("a view is taken by the round that lends"),
+        };
     let p2 = p.next_power_of_two() >> usize::from(!p.is_power_of_two());
     let rem = p - p2;
     let folded = r < 2 * rem;
     if folded && r.is_multiple_of(2) {
-        send(r + 1, &acc);
+        // This rank's state is done with once sent: the result comes back.
+        match units.filter(|u| ships_units(u.len(), width)) {
+            Some(units) => send(r + 1, units_bytes(units.len()), Piece::Units(units)),
+            None => send(r + 1, bytes_of(&acc), Piece::Whole(acc)),
+        }
         return recv(&comm, r + 1, tag).await;
     }
     let s = if folded {
         let earlier = recv(&comm, r - 1, tag).await?;
-        acc = combine(earlier, acc);
+        acc = absorb(acc, earlier, false, &mut units);
         r / 2
     } else {
         r - rem
@@ -140,41 +165,82 @@ pub(crate) async fn allreduce_rd_lent<T: Clone + Send + 'static>(
         let t = s ^ mask;
         let partner = if t < rem { 2 * t + 1 } else { t + rem };
         let lower = s & mask == 0;
-        // The round's one message carries a view, not a clone.
-        let (bytes, ops) = (bytes_of(&acc), combine_ops(&acc));
-        let (loan, view) = lend(acc, slots, lower, comm.parker(), comm.parker_of(partner));
-        comm.send_key(partner, tag, view, bytes);
+        let ops = (counting.combine_ops)(&acc);
+        // `Ok` the state this rank kept, `Err` the loan it sent a view of.
+        let mine = if units.as_ref().is_some_and(|u| ships_units(u.len(), width)) {
+            // The last round's units are not needed after it.
+            let piece = if mask << 1 >= p2 {
+                units.take()
+            } else {
+                units.clone()
+            };
+            let piece = piece.expect("a rank that ships units holds them");
+            send(partner, units_bytes(piece.len()), Piece::Units(piece));
+            Ok(acc)
+        } else {
+            units = None;
+            let bytes = bytes_of(&acc);
+            if bytes >= LEND_MIN_BYTES {
+                let (loan, view) = lend(
+                    acc,
+                    |s| slots.slots(s),
+                    lower,
+                    comm.parker(),
+                    comm.parker_of(partner),
+                );
+                send(partner, bytes, Piece::Lent(view));
+                Err(loan)
+            } else {
+                send(partner, bytes, Piece::Whole(acc.clone()));
+                Ok(acc)
+            }
+        };
         let theirs = recv(&comm, partner, tag).await?;
-        comm.advance(ops);
-        acc = combine_by_view(&comm, partner, tag, loan, theirs, slots, lower);
+        acc = match (mine, theirs) {
+            (Err(loan), Piece::Lent(theirs)) => {
+                comm.advance(ops);
+                combine_by_view(&comm, partner, tag, loan, theirs)
+            }
+            (Err(mut loan), theirs) => {
+                // The partner adds both runs of this rank's state: publish
+                // the kept run as it is, and count theirs in once it lets go.
+                loan.publish();
+                comm.wait_for(partner, tag, || loan.released().then_some(()));
+                absorb(loan.reclaim(), theirs, lower, &mut units)
+            }
+            (Ok(mut acc), Piece::Lent(theirs)) => {
+                comm.advance(ops);
+                units = None;
+                add_view(&comm, partner, tag, slots.slots(&mut acc), theirs, lower);
+                acc
+            }
+            (Ok(acc), theirs) => absorb(acc, theirs, lower, &mut units),
+        };
         mask <<= 1;
     }
     if folded {
-        send(r - 1, &acc);
+        comm.send_key(r - 1, tag, acc.clone(), bytes_of(&acc));
     }
     Ok(acc)
 }
 
-/// The rest of a pairwise round by view, once the partner's view has
-/// arrived: combines the half of the slots this rank keeps (the lower
-/// half on the `lower` side) in place from the partner's buffer, lower ⊕
-/// higher, and copies the other half out of it once the partner has
-/// published it. Returns only once the partner has let go of this rank's
-/// state. Waits as a receive from the partner does.
+/// The rest of a round in which both partners lent, once the partner's
+/// view has arrived: adds the partner's given run into the half of the
+/// slots this rank keeps, in place, and copies the other half out of the
+/// partner's buffer once the partner has published it. Returns only once
+/// the partner has let go of this rank's state. Waits as a receive from
+/// the partner does.
 fn combine_by_view<T>(
     comm: &Comm,
     partner: usize,
     tag: Key,
     mut loan: Loan<T>,
     mut theirs: View<T>,
-    slots: &dyn ElementwiseState<T>,
-    lower: bool,
 ) -> T {
     let (mine, given) = (loan.kept(), theirs.given());
-    slots.combine_slots(
+    add_slots(
         mine.expect("the kept run is unpublished"),
         given.expect("the given run is held"),
-        lower,
     );
     theirs.give_back();
     loan.publish();
@@ -185,6 +251,30 @@ fn combine_by_view<T>(
     drop(theirs);
     comm.wait_for(partner, tag, || loan.released().then_some(()));
     loan.reclaim()
+}
+
+/// The rest of a round in which this rank sent units, or a clone, and
+/// the partner lent: adds both runs of the partner's state into `mine`,
+/// the given run at once and the kept run once published, then lets the
+/// view go. The partner keeps the half this rank would: the upper one
+/// when this rank is the `lower`. Waits as a receive from the partner
+/// does.
+fn add_view<T>(
+    comm: &Comm,
+    partner: usize,
+    tag: Key,
+    mine: &mut [u64],
+    mut theirs: View<T>,
+    lower: bool,
+) {
+    let (low, high) = mine.split_at_mut(mine.len() / 2);
+    let (to_given, to_kept) = if lower { (low, high) } else { (high, low) };
+    let given = theirs.given().expect("the given run is held");
+    debug_assert_eq!(given.len(), to_given.len(), "partners of one width");
+    add_slots(to_given, given);
+    theirs.give_back();
+    let kept = comm.wait_for(partner, tag, || theirs.kept());
+    add_slots(to_kept, kept);
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@
 pub mod allreduce_rd;
 pub mod alltoall;
 pub mod barrier;
+pub mod counting;
 pub(crate) mod launch;
 pub mod reduce;
 pub mod reduce_scatter;

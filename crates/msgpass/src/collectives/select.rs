@@ -17,9 +17,10 @@
 //! (nothing to split, so recursive doubling it is);
 //! [`Comm::allreduce_splittable`] is the full selector, where
 //! reduce-scatter + allgather is eligible for a commutative operator.
-//! [`Comm::allreduce_elementwise`] is either of the two for a state that
-//! is a run of slots: the same selection, but recursive doubling's
-//! pairwise rounds exchange a large state by view (`allreduce_rd.rs`).
+//! [`Comm::allreduce_elementwise`] is either of the two for a counting
+//! state: the same selection, but recursive doubling's rounds ship the
+//! units a partial counted while they are fewer bytes, and exchange a
+//! large state by view (`allreduce_rd.rs`, `counting.rs`).
 //! Broadcast and rooted reduce have one schedule each, the tree, and no
 //! selection.
 //!
@@ -50,10 +51,11 @@
 //! tree would permute its combine order. The rule reads no state's size
 //! and no rank count: on one rank the tree is an empty schedule too, and
 //! its future is the smaller box (`a_requests_schedule_stays_small`).
-//! [`Comm::iallreduce_elementwise`] runs the same schedules for a state
-//! that is a run of slots, but its tree clones nothing: each child's
-//! partial is combined in place, kept, and carries the result back
-//! (`tree.rs`), so a rank's own clones drop out of what it pays.
+//! [`Comm::iallreduce_elementwise`] runs the same schedules for a
+//! counting state, but its tree clones nothing: each child's partial is
+//! combined in place, kept, and carries the result back (`tree.rs`), so a
+//! rank's own clones drop out of what it pays. A request ships states,
+//! never units.
 //!
 //! Selection uses this rank's local `bytes_of(&value)` as the wire size.
 //! Under the SPMD convention that all ranks pass equal-shaped states
@@ -61,18 +63,20 @@
 //! strings) sit far below any crossover, where every model lands on the
 //! same latency-optimal default. The exclusive scans price the identity
 //! they are given instead, the one state every rank holds alike — except
-//! [`Comm::scan_exclusive_elementwise`], whose slotted states have the
-//! identity's width on every rank already. Any other caller whose states may straddle a crossover prices a size
-//! every rank computes alike and names the schedule through
-//! [`Comm::allreduce_by`] (`gv_rsmpi`'s splittable reduction prices its
-//! operator's identity).
+//! [`Comm::scan_exclusive_elementwise`], whose counting states have the
+//! identity's slots on every rank already, and [`Comm::scan_exclusive_by`],
+//! whose caller priced the call. Any other caller whose states may
+//! straddle a crossover prices a size every rank computes alike and names
+//! the schedule through [`Comm::allreduce_by`] (`gv_rsmpi`'s splittable
+//! reduction prices its operator's identity).
 
 use gv_core::op::ElementwiseState;
 
-use super::allreduce_rd::{allreduce_rd, allreduce_rd_lent, Lending, LEND_MIN_BYTES};
+use super::allreduce_rd::{allreduce_rd, allreduce_rd_lent};
+use super::counting::Counting;
 use super::launch::{Blocking, Mode, Nonblocking};
 use super::reduce_scatter::allreduce_rsag;
-use super::scan::scan_rd;
+use super::scan::{scan_rd, scan_rd_counting};
 use super::scan_binomial::scan_binomial;
 use super::scan_chain::scan_chain;
 use super::tree::{tree_allreduce, tree_allreduce_returning, whole};
@@ -89,12 +93,11 @@ impl Comm {
     /// The allreduce family's constructor: records the schedule and
     /// launches it. `rotate` roots the tree at the call's sequence number
     /// mod p instead of rank 0, which only a commutative operator allows.
-    /// `lending` lets recursive doubling's pairwise rounds exchange the
-    /// state by view. The one schedule launched elsewhere is the request
-    /// tree that returns its children's buffers
-    /// ([`iallreduce_elementwise`](Self::iallreduce_elementwise)), whose
-    /// slot capability is owned rather than lent.
-    #[allow(clippy::too_many_arguments)]
+    /// The schedules launched elsewhere are those of a counting state:
+    /// recursive doubling by pieces
+    /// ([`allreduce_elementwise`](Self::allreduce_elementwise)) and the
+    /// request tree that returns its children's buffers
+    /// ([`iallreduce_elementwise`](Self::iallreduce_elementwise)).
     pub(crate) fn start_allreduce<'a, M: Mode<'a>, T: Clone + Send + 'static>(
         &self,
         algo: AllreduceAlgorithm,
@@ -106,18 +109,13 @@ impl Comm {
         ),
         bytes_of: impl Fn(&T) -> usize + 'a,
         combine: impl FnMut(T, T) -> T + 'a,
-        lending: Option<Lending<'a, T>>,
     ) -> M::Handle<T> {
         self.counters().record_allreduce_algorithm(algo);
         match algo {
-            AllreduceAlgorithm::RecursiveDoubling => match lending {
-                Some(lending) => self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
-                    allreduce_rd_lent(comm, value, seq, bytes_of, combine, lending)
-                }),
-                None => self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+            AllreduceAlgorithm::RecursiveDoubling => self
+                .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     allreduce_rd(comm, value, seq, bytes_of, combine)
                 }),
-            },
             AllreduceAlgorithm::ReduceScatterAllgather => self
                 .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     allreduce_rsag(comm, value, seq, segmentation, bytes_of, combine)
@@ -150,15 +148,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.start_allreduce::<Blocking, _>(
-            algo,
-            false,
-            value,
-            segmentation,
-            bytes_of,
-            combine,
-            None,
-        )
+        self.start_allreduce::<Blocking, _>(algo, false, value, segmentation, bytes_of, combine)
     }
 
     /// Allreduce with cost-driven schedule selection for whole (scalar,
@@ -206,37 +196,29 @@ impl Comm {
         } else {
             AllreduceAlgorithm::RecursiveDoubling
         };
-        self.start_allreduce::<Nonblocking, _>(
-            algo,
-            commutative,
-            value,
-            whole(),
-            bytes_of,
-            combine,
-            None,
-        )
+        self.start_allreduce::<Nonblocking, _>(algo, commutative, value, whole(), bytes_of, combine)
     }
 
-    /// [`iallreduce`](Self::iallreduce) for a state that is a run of `u64`
-    /// slots combined slot by slot, as in
+    /// [`iallreduce`](Self::iallreduce) for a counting state, as in
     /// [`allreduce_elementwise`](Self::allreduce_elementwise), with the
     /// capability owned, since the request outlives the call: `slots` is
     /// the operator's [`ElementwiseState`] and `combine_ops(&s)` the
     /// modeled operations `combine` charges to combine a state like `s`.
-    /// The schedule, messages, bytes and modeled clock are the plain
+    /// It ships states, never units. The schedule, messages, bytes and
+    /// modeled clock are the plain
     /// request's, but a commutative request's tree keeps each child's
     /// partial after combining it in place and writes the result into it
     /// for the way back, so no rank clones or frees another's state. A
     /// non-commutative request runs recursive doubling by value: a loan
     /// waits for its partner, which a request must not do inside a poll.
-    pub fn iallreduce_elementwise<T: Clone + Send + 'static>(
+    pub fn iallreduce_elementwise<T: Clone + Send + 'static, I: 'static>(
         &self,
         value: T,
         commutative: bool,
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
         slots: (
-            impl ElementwiseState<T> + 'static,
+            impl ElementwiseState<T, I> + 'static,
             impl Fn(&T) -> u64 + 'static,
         ),
     ) -> Request<T> {
@@ -276,53 +258,51 @@ impl Comm {
 
     /// [`allreduce`](Self::allreduce) — or, given the state's
     /// `segmentation` (`(split, unsplit)`),
-    /// [`allreduce_splittable`](Self::allreduce_splittable) — for a state
-    /// that is a run of `u64` slots combined slot by slot: `slots` is the
-    /// operator's [`ElementwiseState`] capability, and `combine_ops(&s)`
-    /// the modeled operations `combine` charges to combine a state like
-    /// `s`. The selection, messages, bytes and modeled clock are the plain
-    /// call's, but where recursive doubling runs, its pairwise rounds lend
-    /// a state of at least 8 KiB to the partner instead of cloning it:
-    /// each rank combines half of the slots in place and copies the other
-    /// half out of its partner's buffer.
-    pub fn allreduce_elementwise<T: Clone + Send + 'static>(
+    /// [`allreduce_splittable`](Self::allreduce_splittable) — for a
+    /// counting state ([`Counting`]). The selection is the plain call's,
+    /// priced at the rank's state, which has the identity's slots. Where
+    /// recursive doubling runs, each round sends one piece its rank
+    /// chooses alone: the units its partial counted while
+    /// [`ships_units`](super::counting::ships_units) says they are the
+    /// cheaper form, else the state, lent to the partner from 8 KiB up
+    /// (each rank combines half of the slots in place and copies the other
+    /// half out of its partner's buffer) and cloned below. Messages and
+    /// schedule counters are the plain call's, and so are bytes and the
+    /// modeled clock of a run that ships no units.
+    pub fn allreduce_elementwise<T: Clone + Send + 'static, I>(
         &self,
         value: T,
         commutative: bool,
         segmentation: Option<Segmentation<'_, T>>,
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
-        (slots, combine_ops): (&dyn ElementwiseState<T>, impl Fn(&T) -> u64),
+        counting: Counting<'_, T, I>,
     ) -> T {
-        let bytes = bytes_of(&value);
         let algo = AllreduceAlgorithm::select(
             &self.cost_model(),
             self.size(),
-            bytes,
+            bytes_of(&value),
             commutative,
             segmentation.is_some(),
         );
-        let lending: Lending<'_, T> = (slots, &combine_ops);
-        let lending = (bytes >= LEND_MIN_BYTES).then_some(lending);
-        match segmentation {
-            Some((split, unsplit)) => self.start_allreduce::<Blocking, _>(
+        match (algo, segmentation) {
+            (AllreduceAlgorithm::RecursiveDoubling, _) => {
+                self.counters().record_allreduce_algorithm(algo);
+                self.launch::<Blocking, _, _>(CallKind::Allreduce, |comm, seq| {
+                    allreduce_rd_lent(comm, value, seq, bytes_of, combine, counting)
+                })
+            }
+            (_, Some((split, unsplit))) => self.start_allreduce::<Blocking, _>(
                 algo,
                 false,
                 value,
                 (split, unsplit),
                 bytes_of,
                 combine,
-                lending,
             ),
-            None => self.start_allreduce::<Blocking, _>(
-                algo,
-                false,
-                value,
-                whole(),
-                bytes_of,
-                combine,
-                lending,
-            ),
+            (_, None) => {
+                self.start_allreduce::<Blocking, _>(algo, false, value, whole(), bytes_of, combine)
+            }
         }
     }
 
@@ -474,38 +454,69 @@ impl Comm {
         ex.unwrap_or(identity)
     }
 
+    /// Exclusive scan by the schedule `plan` names, bypassing the
+    /// selector, as [`scan_both_by`](Self::scan_both_by) does, for a
+    /// caller that priced the call itself at a size every rank computes
+    /// alike. Only rank 0, which returns it, runs `ident`. Recorded as a
+    /// [`scan_exclusive`](Self::scan_exclusive) of the same plan.
+    pub fn scan_exclusive_by<T: Clone + Send + 'static>(
+        &self,
+        plan: (ScanAlgorithm, usize),
+        value: T,
+        ident: impl FnOnce() -> T,
+        segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T),
+        bytes_of: impl Fn(&T) -> usize,
+        combine: impl FnMut(T, T) -> T,
+    ) -> T {
+        let (ex, _) = self.start_scan(plan, value, segmentation, bytes_of, combine, (true, false));
+        ex.unwrap_or_else(ident)
+    }
+
     /// [`scan_exclusive`](Self::scan_exclusive) — or, given the state's
     /// `segmentation` (`(split, unsplit)`),
     /// [`scan_exclusive_splittable`](Self::scan_exclusive_splittable) —
-    /// for a state that is a run of `u64` slots: `_slots` is the
-    /// operator's [`ElementwiseState`] capability, whose states have the
-    /// identity's slots on every rank under the SPMD convention
-    /// ([`allreduce_elementwise`](Self::allreduce_elementwise) relies on
-    /// it too). So the rank's own state prices what the identity would,
-    /// and only rank 0, which returns it, builds an identity: the plain
-    /// calls build one on every rank, which read `large_state` 15 %
-    /// slower at 1 MiB (EXPERIMENTS.md, TXT-RETURN). The schedule,
-    /// messages, bytes and modeled clock are the plain call's.
-    pub fn scan_exclusive_elementwise<T: Clone + Send + 'static>(
+    /// for a counting state ([`Counting`]). `value` is the rank's state,
+    /// or, when `counting.units` holds its block's units, an identity they
+    /// are not yet counted into: either has the identity's slots, so every
+    /// rank prices the same size without building a second state. Where
+    /// recursive doubling runs, each round sends one piece its rank
+    /// chooses alone, as in
+    /// [`allreduce_elementwise`](Self::allreduce_elementwise), but never
+    /// lent, and a rank that holds units counts its own into a state only
+    /// when a round must send slots; any other schedule counts them into
+    /// `value` first. Only a rank 0 that starts from its state builds an
+    /// identity for its result: the plain calls build one on every rank,
+    /// which read `large_state` 15 % slower at 1 MiB (EXPERIMENTS.md,
+    /// TXT-RETURN). Messages and schedule counters are the plain call's,
+    /// and so are bytes and the modeled clock of a run that ships no
+    /// units.
+    pub fn scan_exclusive_elementwise<T: Clone + Send + 'static, I>(
         &self,
-        value: T,
+        mut value: T,
         ident: impl FnOnce() -> T,
         segmentation: Option<Segmentation<'_, T>>,
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
-        _slots: &dyn ElementwiseState<T>,
+        mut counting: Counting<'_, T, I>,
     ) -> T {
         let cost = self.cost_model();
         let splittable = segmentation.is_some();
         let plan = ScanAlgorithm::select(&cost, self.size(), bytes_of(&value), splittable);
-        let halves = (true, false);
-        let (ex, _) = match segmentation {
+        if plan.0 == ScanAlgorithm::RecursiveDoubling {
+            self.counters().record_scan_algorithm(plan.0);
+            return self.launch::<Blocking, _, _>(CallKind::Exscan, |comm, seq| {
+                scan_rd_counting(comm, value, seq, bytes_of, ident, counting)
+            });
+        }
+        if let Some(units) = counting.units.take() {
+            counting.count(self, &mut value, &units);
+        }
+        match segmentation {
             Some((split, unsplit)) => {
-                self.start_scan(plan, value, (split, unsplit), bytes_of, combine, halves)
+                self.scan_exclusive_by(plan, value, ident, (split, unsplit), bytes_of, combine)
             }
-            None => self.start_scan(plan, value, whole(), bytes_of, combine, halves),
-        };
-        ex.unwrap_or_else(ident)
+            None => self.scan_exclusive_by(plan, value, ident, whole(), bytes_of, combine),
+        }
     }
 }
 

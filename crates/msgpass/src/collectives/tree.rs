@@ -44,6 +44,7 @@ use std::future::Future;
 
 use gv_core::op::ElementwiseState;
 
+use super::counting::add_slots;
 use super::launch::Blocking;
 use super::TagBase;
 use crate::comm::Comm;
@@ -218,13 +219,13 @@ pub(crate) fn tree_allreduce<T: Clone + Send + 'static>(
 /// allocates or frees a state for another. `combine_ops(&child)` is the
 /// charge the by-value combine makes; messages, bytes and the modeled
 /// clock are [`tree_allreduce`]'s.
-pub(crate) fn tree_allreduce_returning<T: Clone + Send + 'static>(
+pub(crate) fn tree_allreduce_returning<T: Clone + Send + 'static, I>(
     comm: Comm,
     root: usize,
     value: T,
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
-    (slots, combine_ops): (impl ElementwiseState<T>, impl Fn(&T) -> u64),
+    (slots, combine_ops): (impl ElementwiseState<T, I>, impl Fn(&T) -> u64),
 ) -> impl Future<Output = Result<T, ShutdownError>> {
     let (up, down) = (
         TagBase::AllreduceTreeUp.key(seq),
@@ -234,7 +235,7 @@ pub(crate) fn tree_allreduce_returning<T: Clone + Send + 'static>(
         let mut kept = Kept::default();
         let absorb = |mut acc: T, mut child: T| {
             comm.advance(combine_ops(&child));
-            slots.combine_slots(slots.slots(&mut acc), slots.slots(&mut child), true);
+            add_slots(slots.slots(&mut acc), slots.slots(&mut child));
             kept.keep(child);
             acc
         };

@@ -1,8 +1,8 @@
 //! A state lent to one partner for one pairwise round, instead of a clone
 //! of it sent.
 //!
-//! Two ranks that exchange states whose slots combine slot by slot
-//! ([`ElementwiseState`]) need not ship them whole: each lends its state
+//! Two ranks that exchange counting states, whose slots add slot by slot
+//! ([`gv_core::op::ElementwiseState`]), need not ship them whole: each lends its state
 //! to the other, combines *its* half of the slots in place from the
 //! other's buffer, and then copies the other half, once final, out of the
 //! other's buffer. Each rank reads and writes `n` slots, not a clone of
@@ -50,7 +50,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use gv_core::op::ElementwiseState;
 use gv_executor::lane::Parker;
 
 /// A lent state and the signals of its loan, shared by the lender's
@@ -119,13 +118,13 @@ pub(crate) struct View<T> {
     gave_back: bool,
 }
 
-/// Lends `state`, whose slots `slots` names, for one pairwise round:
+/// Lends `state`, whose slots `slots` returns, for one pairwise round:
 /// the lender keeps the lower half of the slots if `keeps_lower`, else
 /// the upper one. `lender` and `borrower` are the two sides' parkers,
 /// which the other side's signals wake.
 pub(crate) fn lend<T>(
     state: T,
-    slots: &dyn ElementwiseState<T>,
+    slots: impl FnOnce(&mut T) -> &mut [u64],
     keeps_lower: bool,
     lender: Arc<Parker>,
     borrower: Arc<Parker>,
@@ -141,7 +140,7 @@ pub(crate) fn lend<T>(
         borrower,
     });
     let unique = Arc::get_mut(&mut shared).expect("a new Arc is unique");
-    let run = slots.slots(unique.state.get_mut());
+    let run = slots(unique.state.get_mut());
     let (base, len) = (run.as_mut_ptr(), run.len());
     let (lower, upper) = (0..len / 2, len / 2..len);
     (unique.kept, unique.given) = if keeps_lower {
@@ -260,7 +259,11 @@ impl<T> Drop for View<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gv_core::ops::counts::Counts;
+    use crate::collectives::counting::add_slots;
+
+    fn run(state: &mut Vec<u64>) -> &mut [u64] {
+        state
+    }
 
     fn parkers() -> (Arc<Parker>, Arc<Parker>) {
         (Arc::new(Parker::new()), Arc::new(Parker::new()))
@@ -270,18 +273,17 @@ mod tests {
     /// sum of the two states, lower ⊕ higher.
     #[test]
     fn a_pair_of_loans_leaves_each_side_the_combined_state() {
-        let op = Counts::new(1);
         for len in [0usize, 1, 2, 7, 8] {
             let a: Vec<u64> = (0..len as u64).collect();
             let b: Vec<u64> = (0..len as u64).map(|x| 100 * x + 1).collect();
             let expected: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
             let (pa, pb) = parkers();
-            let (mut loan_a, view_a) = lend(a, &op, true, Arc::clone(&pa), Arc::clone(&pb));
-            let (mut loan_b, view_b) = lend(b, &op, false, pb, pa);
+            let (mut loan_a, view_a) = lend(a, run, true, Arc::clone(&pa), Arc::clone(&pb));
+            let (mut loan_b, view_b) = lend(b, run, false, pb, pa);
             // Each side holds the other's view.
             let (mut a_holds, mut b_holds) = (view_b, view_a);
-            op.combine_slots(loan_a.kept().unwrap(), a_holds.given().unwrap(), true);
-            op.combine_slots(loan_b.kept().unwrap(), b_holds.given().unwrap(), false);
+            add_slots(loan_a.kept().unwrap(), a_holds.given().unwrap());
+            add_slots(loan_b.kept().unwrap(), b_holds.given().unwrap());
             a_holds.give_back();
             b_holds.give_back();
             loan_a.publish();
@@ -307,9 +309,8 @@ mod tests {
     /// else does.
     #[test]
     fn a_run_opens_only_on_its_signal() {
-        let op = Counts::new(1);
         let (pa, pb) = parkers();
-        let (mut loan, mut view) = lend(vec![1u64, 2, 3, 4], &op, true, pa, pb);
+        let (mut loan, mut view) = lend(vec![1u64, 2, 3, 4], run, true, pa, pb);
         assert_eq!(view.kept(), None);
         assert!(loan.given().is_none());
         assert_eq!(view.given(), Some(&[3u64, 4][..]));
@@ -327,23 +328,15 @@ mod tests {
     /// frees the state exactly once, on whichever side lets go last.
     #[test]
     fn the_state_lives_until_both_sides_let_go() {
-        let op = Counts::new(1);
         let witness = Arc::new(());
         struct Tracked(Vec<u64>, #[allow(dead_code)] Arc<()>);
-        struct Slots<'a>(&'a Counts);
-        impl ElementwiseState<Tracked> for Slots<'_> {
-            fn slots<'s>(&self, state: &'s mut Tracked) -> &'s mut [u64] {
-                &mut state.0
-            }
-            fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], first: bool) {
-                self.0.combine_slots(mine, theirs, first);
-            }
+        fn slots(state: &mut Tracked) -> &mut [u64] {
+            &mut state.0
         }
-        let slots = Slots(&op);
 
         // The lender lets go first: the borrower still reads the state.
         let state = Tracked(vec![5, 6, 7], Arc::clone(&witness));
-        let (mut loan, view) = lend(state, &slots, false, parkers().0, parkers().1);
+        let (mut loan, view) = lend(state, slots, false, parkers().0, parkers().1);
         loan.kept().unwrap()[0] = 9;
         loan.publish();
         drop(loan);
@@ -355,7 +348,7 @@ mod tests {
 
         // The borrower lets go first: the given run is the lender's again.
         let state = Tracked(vec![5, 6, 7], Arc::clone(&witness));
-        let (mut loan, view) = lend(state, &slots, true, parkers().0, parkers().1);
+        let (mut loan, view) = lend(state, slots, true, parkers().0, parkers().1);
         drop(view);
         assert!(loan.given_back() && loan.released());
         loan.given().unwrap()[0] = 1;
@@ -370,7 +363,7 @@ mod tests {
     #[should_panic(expected = "reclaimed while its view is live")]
     fn reclaiming_a_live_loan_panics() {
         let (pa, pb) = parkers();
-        let (loan, _view) = lend(vec![1u64], &Counts::new(1), true, pa, pb);
+        let (loan, _view) = lend(vec![1u64], run, true, pa, pb);
         loan.reclaim();
     }
 }

@@ -9,10 +9,11 @@
 
 use gv_core::agg::Elementwise;
 use gv_core::op::{ReduceScanOp, ScanKind};
-use gv_msgpass::Comm;
+use gv_core::split::SplittableState;
+use gv_msgpass::{Comm, ScanAlgorithm};
 
-use crate::reduce::reduce_all;
-use crate::scan::scan_splittable;
+use crate::reduce::{accumulate_local, combining, reduce_all};
+use crate::scan::rescan_block;
 
 /// Element-wise aggregated global-view reduction: slot `j` of the result is
 /// the reduction of slot `j` across all rows of all ranks (rows ordered by
@@ -37,8 +38,10 @@ where
 /// own rows.
 ///
 /// [`Elementwise`] is splittable regardless of the operator, so the
-/// cross-rank prefix goes through the splittable selector entry (eligible
-/// for the pipelined chain schedule when the aggregate is wide).
+/// cross-rank prefix may run the pipelined chain when the aggregate is
+/// wide. It is priced at `width` identities of `op`, which every rank
+/// computes alike from one, so only rank 0, whose exclusive prefix the
+/// aggregate's identity is, builds all `width`.
 pub fn scan_elementwise<Op>(
     comm: &Comm,
     op: &Op,
@@ -50,7 +53,22 @@ where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    let out = scan_splittable(comm, &Elementwise::new(op, width), rows, kind);
+    let aggregate = Elementwise::new(op, width);
+    let state = accumulate_local(comm, &aggregate, rows);
+    let bytes = width * op.wire_size(&op.ident());
+    let plan = ScanAlgorithm::select(&comm.cost_model(), comm.size(), bytes, true);
+    let running = comm.scan_exclusive_by(
+        plan,
+        state,
+        || aggregate.ident(),
+        (
+            |s, parts| aggregate.split_state(s, parts),
+            |segments| aggregate.unsplit_state(segments),
+        ),
+        |s| aggregate.wire_size(s),
+        combining(comm, &aggregate),
+    );
+    let out = rescan_block(comm, &aggregate, rows, kind, running);
     // The rescan charged one `scan_gen` a row; an aggregated row makes one
     // a slot.
     let slots: usize = out.iter().map(Vec::len).sum();

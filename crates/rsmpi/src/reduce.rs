@@ -22,6 +22,7 @@ use std::rc::Rc;
 use gv_core::iter::Input;
 use gv_core::op::{ElementwiseState, ReduceScanOp};
 use gv_core::split::SplittableState;
+use gv_msgpass::collectives::counting::{ships_units, Counting};
 use gv_msgpass::collectives::select::Segmentation;
 use gv_msgpass::{AllreduceAlgorithm, Comm, Request, RequestError};
 
@@ -36,6 +37,46 @@ pub(crate) fn accumulate_local<Op: ReduceScanOp>(
     let count = local.accumulate(op, &mut state);
     comm.advance(count * op.accum_ops());
     state
+}
+
+/// [`accumulate_local`] for a reduction: beside the state, a counting
+/// operator's units — the slot each input adds one to — when the input
+/// is a slice, another rank may receive them, the call runs recursive
+/// doubling (the one schedule that ships units; `splittable` as the
+/// transport is given a segmentation, which selects by the same rule on
+/// the rank's state, of the identity's size), and [`ships_units`] says
+/// they are the cheaper form of a state of that many slots.
+fn accumulate_counted<Op: ReduceScanOp>(
+    comm: &Comm,
+    op: &Op,
+    local: impl Input<Op>,
+    splittable: bool,
+) -> (Op::State, Option<Vec<u32>>) {
+    let mut state = op.ident();
+    let doubling = |bytes| {
+        let cost = comm.cost_model();
+        AllreduceAlgorithm::select(&cost, comm.size(), bytes, Op::COMMUTATIVE, splittable)
+            == AllreduceAlgorithm::RecursiveDoubling
+    };
+    let units = op
+        .elementwise()
+        .filter(|_| comm.size() > 1 && doubling(op.wire_size(&state)))
+        .and_then(|slots| units_of(slots, local.as_slice()?, &mut state));
+    let count = local.accumulate(op, &mut state);
+    comm.advance(count * op.accum_ops());
+    (state, units)
+}
+
+/// The slot each input of `block` adds one to, when [`ships_units`] says
+/// they are the cheaper form of a state like `state`.
+pub(crate) fn units_of<S, In>(
+    slots: &dyn ElementwiseState<S, In>,
+    block: &[In],
+    state: &mut S,
+) -> Option<Vec<u32>> {
+    let width = slots.slots(state).len();
+    // `ships_units` holds only for widths a `u32` indexes.
+    ships_units(block.len(), width).then(|| block.iter().map(|x| slots.slot_of(x) as u32).collect())
 }
 
 /// Builds the `(earlier, later) → earlier⊕later` closure handed to the
@@ -57,13 +98,14 @@ pub(crate) fn combining<'a, Op: ReduceScanOp>(
 /// reorder combining. `segmentation` is a [`SplittableState`] operator's
 /// split, which the selector may answer with the bandwidth-optimal
 /// reduce-scatter + allgather (only when the operator is also
-/// commutative). An operator whose state is a run of slots
-/// ([`ReduceScanOp::elementwise`]) hands the transport that capability,
-/// and its recursive-doubling rounds exchange the state by view.
+/// commutative). A counting operator ([`ReduceScanOp::elementwise`])
+/// hands the transport that capability and the block's `units`, if the
+/// rank built them, and its recursive-doubling rounds ship units or
+/// exchange the state by view.
 pub(crate) fn allreduce_state<Op>(
     comm: &Comm,
     op: &Op,
-    state: Op::State,
+    (state, units): (Op::State, Option<Vec<u32>>),
     segmentation: Option<Segmentation<'_, Op::State>>,
 ) -> Op::State
 where
@@ -79,7 +121,12 @@ where
             segmentation,
             bytes_of,
             combine,
-            (slots, |s: &Op::State| op.combine_ops(s)),
+            Counting {
+                slots,
+                combine_ops: &|s| op.combine_ops(s),
+                accum_ops: op.accum_ops(),
+                units,
+            },
         ),
         (None, Some(segmentation)) => {
             // Priced at the identity, the one state every rank holds alike:
@@ -105,14 +152,16 @@ where
 /// whose pairs are never stored. Whichever it is, the virtual clock is
 /// charged one accumulate per element and the states cross ranks by the
 /// same allreduce, so the same elements give the same result, messages,
-/// bytes and modeled clock.
+/// bytes and modeled clock — except that a counting operator
+/// ([`ReduceScanOp::elementwise`]) given a slice may ship its units, the
+/// slot each input counts in, where they are fewer bytes than its state.
 pub fn reduce_all<Op>(comm: &Comm, op: &Op, local: impl Input<Op>) -> Op::Out
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    let state = accumulate_local(comm, op, local);
-    op.red_gen(allreduce_state(comm, op, state, None))
+    let counted = accumulate_counted(comm, op, local, false);
+    op.red_gen(allreduce_state(comm, op, counted, None))
 }
 
 /// [`reduce_all`] for operators with splittable states: eligible for the
@@ -129,10 +178,10 @@ where
     Op: SplittableState,
     Op::State: Clone + Send + 'static,
 {
-    let state = accumulate_local(comm, op, local);
+    let counted = accumulate_counted(comm, op, local, true);
     let split = |s, parts| op.split_state(s, parts);
     let unsplit = |segments| op.unsplit_state(segments);
-    op.red_gen(allreduce_state(comm, op, state, Some((&split, &unsplit))))
+    op.red_gen(allreduce_state(comm, op, counted, Some((&split, &unsplit))))
 }
 
 /// An in-flight [`ireduce_all`]: the cross-rank combine is parked in the
@@ -205,18 +254,18 @@ where
 struct OwnedSlots<Op>(Rc<Op>);
 
 impl<Op: ReduceScanOp> OwnedSlots<Op> {
-    fn get(&self) -> &dyn ElementwiseState<Op::State> {
+    fn get(&self) -> &dyn ElementwiseState<Op::State, Op::In> {
         self.0.elementwise().expect("built for a slotted operator")
     }
 }
 
-impl<Op: ReduceScanOp> ElementwiseState<Op::State> for OwnedSlots<Op> {
+impl<Op: ReduceScanOp> ElementwiseState<Op::State, Op::In> for OwnedSlots<Op> {
     fn slots<'s>(&self, state: &'s mut Op::State) -> &'s mut [u64] {
         self.get().slots(state)
     }
 
-    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], mine_first: bool) {
-        self.get().combine_slots(mine, theirs, mine_first);
+    fn slot_of(&self, x: &Op::In) -> usize {
+        self.get().slot_of(x)
     }
 }
 

@@ -15,11 +15,13 @@
 //! "By interchanging lines 12 and 13, this algorithm is made to compute an
 //! inclusive scan" — which is what [`ScanKind::Inclusive`] does.
 
-use gv_core::op::{ReduceScanOp, ScanKind};
+use gv_core::op::{ElementwiseState, ReduceScanOp, ScanKind};
 use gv_core::split::SplittableState;
-use gv_msgpass::Comm;
+use gv_msgpass::collectives::counting::Counting;
+use gv_msgpass::collectives::select::Segmentation;
+use gv_msgpass::{Comm, ScanAlgorithm};
 
-use crate::reduce::{accumulate_local, combining};
+use crate::reduce::{accumulate_local, combining, units_of};
 
 /// Global-view scan: each rank passes its local block and receives the
 /// scan outputs for exactly its block's positions.
@@ -29,28 +31,74 @@ use crate::reduce::{accumulate_local, combining};
 /// convention in `gv-msgpass`). Its schedule is priced at the operator's
 /// identity, which every rank holds alike: a `TopBottomK` state grows
 /// with the entries a rank holds, and ranks that priced their own would
-/// pick different schedules. An operator whose state is a run of slots
-/// ([`ReduceScanOp::elementwise`]) holds the identity's width on every
-/// rank, and prices its own state instead of building an identity
-/// ([`Comm::scan_exclusive_elementwise`]).
+/// pick different schedules. A counting operator
+/// ([`ReduceScanOp::elementwise`]) starts every rank from one identity,
+/// which prices the schedule and holds the prefix, and hands the
+/// transport its block's units where they may ship
+/// ([`counting_prefix`]).
 pub fn scan<Op>(comm: &Comm, op: &Op, local: &[Op::In], kind: ScanKind) -> Vec<Op::Out>
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    // Phase 1 (Listing 3 lines 1–8): local accumulate, hooks included.
-    let state = accumulate_local(comm, op, local);
-
-    // Line 9: LOCAL_XSCAN of the per-rank states across ranks.
-    let (ident, bytes_of, combine) = (|| op.ident(), |s: &_| op.wire_size(s), combining(comm, op));
     let running = match op.elementwise() {
-        Some(slots) => {
-            comm.scan_exclusive_elementwise(state, ident, None, bytes_of, combine, slots)
+        Some(slots) => counting_prefix(comm, op, slots, local, None),
+        None => {
+            // Phase 1 (Listing 3 lines 1–8): local accumulate, hooks included.
+            let state = accumulate_local(comm, op, local);
+            // Line 9: LOCAL_XSCAN of the per-rank states across ranks.
+            let (bytes_of, combine) = (|s: &_| op.wire_size(s), combining(comm, op));
+            comm.scan_exclusive(state, || op.ident(), bytes_of, combine)
         }
-        None => comm.scan_exclusive(state, ident, bytes_of, combine),
     };
 
     rescan_block(comm, op, local, kind, running)
+}
+
+/// The exclusive prefix of a counting operator's block: each rank builds
+/// one identity, which prices the schedule alike on every rank and holds
+/// the result. Where the call runs recursive doubling, the one schedule
+/// that ships units (selected by the transport's rule on a state of the
+/// identity's size), a block whose units may ship ([`units_of`]) leaves
+/// them to the transport, which counts the rank's own into a state only
+/// when a round must send slots; any other block is accumulated into it,
+/// and no units are built for it. The last rank's block is in no rank's
+/// exclusive prefix, so it is counted into nothing: at p = 1 the identity
+/// is the prefix.
+fn counting_prefix<Op>(
+    comm: &Comm,
+    op: &Op,
+    slots: &dyn ElementwiseState<Op::State, Op::In>,
+    local: &[Op::In],
+    segmentation: Option<Segmentation<'_, Op::State>>,
+) -> Op::State
+where
+    Op: ReduceScanOp,
+    Op::State: Clone + Send + 'static,
+{
+    let mut state = op.ident();
+    let cost = comm.cost_model();
+    let bytes = op.wire_size(&state);
+    let (plan, _) = ScanAlgorithm::select(&cost, comm.size(), bytes, segmentation.is_some());
+    let units = if comm.rank() + 1 == comm.size() {
+        Some(Vec::new())
+    } else if plan == ScanAlgorithm::RecursiveDoubling {
+        units_of(slots, local, &mut state)
+    } else {
+        None
+    };
+    if units.is_none() {
+        gv_core::op::accumulate_block(op, &mut state, local);
+        comm.advance(local.len() as u64 * op.accum_ops());
+    }
+    let (ident, bytes_of, combine) = (|| op.ident(), |s: &_| op.wire_size(s), combining(comm, op));
+    let counting = Counting {
+        slots,
+        combine_ops: &|s| op.combine_ops(s),
+        accum_ops: op.accum_ops(),
+        units,
+    };
+    comm.scan_exclusive_elementwise(state, ident, segmentation, bytes_of, combine, counting)
 }
 
 /// [`scan`] for operators with splittable states: the cross-rank prefix
@@ -63,17 +111,16 @@ where
     Op: SplittableState,
     Op::State: Clone + Send + 'static,
 {
-    let state = accumulate_local(comm, op, local);
-
-    let (ident, bytes_of, combine) = (|| op.ident(), |s: &_| op.wire_size(s), combining(comm, op));
     let split = |s, parts| op.split_state(s, parts);
     let unsplit = |segments| op.unsplit_state(segments);
     let running = match op.elementwise() {
-        Some(slots) => {
-            let segmentation = Some((&split as _, &unsplit as _));
-            comm.scan_exclusive_elementwise(state, ident, segmentation, bytes_of, combine, slots)
+        Some(slots) => counting_prefix(comm, op, slots, local, Some((&split, &unsplit))),
+        None => {
+            let state = accumulate_local(comm, op, local);
+            let (ident, bytes_of) = (|| op.ident(), |s: &_| op.wire_size(s));
+            let combine = combining(comm, op);
+            comm.scan_exclusive_splittable(state, ident, split, unsplit, bytes_of, combine)
         }
-        None => comm.scan_exclusive_splittable(state, ident, split, unsplit, bytes_of, combine),
     };
 
     rescan_block(comm, op, local, kind, running)
@@ -85,7 +132,7 @@ where
 /// is unchanged — it counts semantic `accum`/`scan_gen` applications, not
 /// wall time, so recorded traces stay bit-identical whichever dispatch
 /// fires.
-fn rescan_block<Op: ReduceScanOp>(
+pub(crate) fn rescan_block<Op: ReduceScanOp>(
     comm: &Comm,
     op: &Op,
     local: &[Op::In],

@@ -23,7 +23,11 @@
 # Standard output is a JSON array with one record per run, in the order
 # run (so records 2k and 2k+1 of a workload are pair k), each run's result
 # reduced to workload, seed, side, the three end-to-end metrics and
-# `failed`. Every record also names the commit its side ran: the
+# `failed`, stamped with `raw_p10_ns`: the p10 of the raw cache-line
+# ping-pong row that a quick (`GV_BENCH_QUICK=1`, about a second)
+# `pipeline_microbench --procs 2 --latency` of the same checkout read just
+# before the run, so a pair whose two runs met the two cores in different
+# placements shows as such. Every record also names the commit its side ran: the
 # checkout's `git rev-parse --short HEAD`, with `-dirty` appended when the
 # checkout's tracked files differ from it (`unknown` outside a git
 # checkout). Progress goes to standard error; the exit status is non-zero
@@ -68,9 +72,19 @@ metric() {
     sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"
 }
 
+# raw_p10 <dir>: the raw line ping-pong p10 (ns) of a quick `--latency`
+# run of <dir>'s bin, or `null` if it gave no table.
+raw_p10() {
+    local raw
+    raw=$(GV_BENCH_QUICK=1 "$1/target/release/pipeline_microbench" --procs 2 --latency 2>&1 \
+        >/dev/null | row_p10 'raw line ping-pong') || true
+    echo "${raw:-null}"
+}
+
 # run <side> <dir> <workload>: one run, one record.
 run() {
-    local line failed
+    local line failed raw
+    raw=$(raw_p10 "$2")
     line=$(bash "$2/benchmark/run.sh" --workload "$3" --seed "$seed" --seconds 15 --trace 0 \
         2>/dev/null | tail -n 1) || true
     failed=$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$line")
@@ -79,10 +93,10 @@ run() {
         bad=1
         return
     fi
-    printf '%s\n{"workload":"%s","seed":%s,"side":"%s","commit":"%s","wall_s":%s,"wall_serial_s":%s,"setup_s":%s,"failed":%s}' \
+    printf '%s\n{"workload":"%s","seed":%s,"side":"%s","commit":"%s","wall_s":%s,"wall_serial_s":%s,"setup_s":%s,"failed":%s,"raw_p10_ns":%s}' \
         "$sep" "$3" "$seed" "$1" "$(commit "$2")" \
         "$(metric wall_s <<<"$line")" "$(metric wall_serial_s <<<"$line")" \
-        "$(metric setup_s <<<"$line")" "$failed"
+        "$(metric setup_s <<<"$line")" "$failed" "$raw"
     sep=','
 }
 
@@ -109,12 +123,10 @@ latency_run() {
     sep=','
 }
 
-if ((latency > 0)); then
-    for dir in "$parent" "$change"; do
-        echo "campaign: building pipeline_microbench in $dir" >&2
-        (cd "$dir" && cargo build --release --offline -q -p gv-bench --bin pipeline_microbench) >&2
-    done
-fi
+for dir in "$parent" "$change"; do
+    echo "campaign: building pipeline_microbench in $dir" >&2
+    (cd "$dir" && cargo build --release --offline -q -p gv-bench --bin pipeline_microbench) >&2
+done
 for ((run = 0; run < latency; run++)); do
     echo "campaign: --latency $((run + 1))/$latency" >&2
     if ((run % 2 == 0)); then

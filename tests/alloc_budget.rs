@@ -24,6 +24,9 @@
 //!
 //! A reduction whose state is a run of slots lends it at two ranks
 //! instead of cloning it: no state-sized block beyond the state itself.
+//! With few inputs it ships their slot indices instead, the one block
+//! beside its state, and a scan of them builds one identity a rank and
+//! no state for the rank's own block.
 //!
 //! And the small messages: in steady state an 8-byte allreduce and an
 //! `f64` send/receive pair allocate nothing at all (the value rides in
@@ -256,12 +259,14 @@ fn a_slotted_reduction_at_two_ranks_lends_its_state_instead_of_cloning_it() {
     // as the allreduce above, but each rank lends its state to the other
     // and copies half of the result out of the other's buffer: the one
     // state-sized block a rank allocates is the state its accumulate
-    // phase builds. Beyond it, envelopes and the loan's shared cell.
+    // phase builds. Beyond it, envelopes and the loan's shared cell. Each
+    // rank holds more inputs than a state of `LEN` slots ships as units.
     const ENVELOPES: usize = 4 << 10;
+    const INPUTS: usize = LEN / 2;
     let op = gv_core::ops::counts::Counts::new(LEN);
-    let inputs: Vec<usize> = (0..1000).map(|i| i * 97 % LEN).collect();
+    let inputs: Vec<usize> = (0..2 * INPUTS).map(|i| i * 97 % LEN).collect();
     let per_rank = Runtime::new(2).run(|comm| {
-        let local = &inputs[comm.rank() * 500..][..500];
+        let local = &inputs[comm.rank() * INPUTS..][..INPUTS];
         let (large, all) = (large_bytes(), allocated());
         gv_rsmpi::reduce_all(comm, &op, local);
         (large_bytes() - large, allocated() - all)
@@ -279,33 +284,67 @@ fn a_slotted_reduction_at_two_ranks_lends_its_state_instead_of_cloning_it() {
 }
 
 #[test]
+fn a_counting_reduction_at_two_ranks_allocates_its_state_and_its_units() {
+    // With few inputs a rank ships their slot indices, not its state: it
+    // allocates the state it accumulates and one `u32` an input, which
+    // go out by move, and counts what its partner sends into its state.
+    // Beyond them, envelopes.
+    const ENVELOPES: usize = 4 << 10;
+    const INPUTS: usize = 3000;
+    let op = gv_core::ops::counts::Counts::new(LEN);
+    let inputs: Vec<usize> = (0..2 * INPUTS).map(|i| i * 97 % LEN).collect();
+    let per_rank = Runtime::new(2).run(|comm| {
+        let local = &inputs[comm.rank() * INPUTS..][..INPUTS];
+        let (large, all) = (large_bytes(), allocated());
+        gv_rsmpi::reduce_all(comm, &op, local);
+        (large_bytes() - large, allocated() - all)
+    });
+    let units = 4 * INPUTS;
+    for (rank, &(large, all)) in per_rank.results.iter().enumerate() {
+        assert_eq!(
+            large,
+            N + units,
+            "rank {rank}: {large} B in large blocks, {N} B state, {units} B units"
+        );
+        assert!(
+            all <= N + units + ENVELOPES,
+            "rank {rank}: {all} B for a {N} B state and {units} B of units"
+        );
+    }
+}
+
+#[test]
 fn a_slotted_scan_builds_an_identity_only_on_the_rank_that_returns_it() {
     // An exclusive scan prices its schedule at a state every rank holds
     // alike. The plain call builds the identity on every rank to price
-    // it; `gv_rsmpi::scan_splittable` of a slotted operator prices its
-    // own state, which has the identity's slots, so only rank 0 — whose
-    // exclusive prefix the identity is — builds one. Same schedule, so
-    // the difference is exactly one state on every other rank.
+    // it; `gv_rsmpi::scan_splittable` of a slotted operator accumulates
+    // a block into the one identity it builds (the last rank's block is
+    // in no prefix), so only rank 0 — whose exclusive prefix the identity
+    // is — builds a second. Same schedule,
+    // so the difference is exactly one state on every other rank. Each
+    // rank holds more inputs than a state of `LEN` slots ships as units.
     use gv_core::op::{ReduceScanOp, ScanKind};
     use gv_core::ops::counts::BucketRank;
 
+    const INPUTS: usize = LEN / 2;
     let op = BucketRank::new(LEN);
-    let inputs: Vec<usize> = (0..1000).map(|i| i * 97 % LEN).collect();
+    let inputs: Vec<usize> = (0..2 * INPUTS).map(|i| i * 97 % LEN).collect();
     let per_rank = |slotted: bool| {
         Runtime::new(2)
             .run(|comm| {
-                let local = &inputs[comm.rank() * 500..][..500];
+                let local = &inputs[comm.rank() * INPUTS..][..INPUTS];
                 let before = large_bytes();
-                if slotted {
-                    gv_rsmpi::scan::scan_splittable(comm, &op, local, ScanKind::Exclusive);
+                let out = if slotted {
+                    gv_rsmpi::scan::scan_splittable(comm, &op, local, ScanKind::Exclusive)
                 } else {
                     let mut state = op.ident();
                     for x in local {
                         op.accum(&mut state, x);
                     }
                     comm.scan_exclusive_splittable(state, || op.ident(), split, unsplit, wire, add);
-                }
-                large_bytes() - before
+                    Vec::new()
+                };
+                large_bytes() - before - 8 * out.capacity()
             })
             .results
     };
@@ -321,6 +360,38 @@ fn a_slotted_scan_builds_an_identity_only_on_the_rank_that_returns_it() {
         slotted[1],
         plain[1]
     );
+}
+
+#[test]
+fn a_counting_scan_allocates_no_state_for_its_own_block() {
+    // With few inputs a rank's exclusive prefix is the one identity it
+    // builds plus the units lower ranks send, and its own block's units
+    // are counted into no state: at two ranks rank 0 ships them, and rank
+    // 1, whose block is in no prefix, builds none. Beyond the identity,
+    // the units and the output, envelopes.
+    use gv_core::op::ScanKind;
+    use gv_core::ops::counts::BucketRank;
+
+    const ENVELOPES: usize = 4 << 10;
+    const INPUTS: usize = 3000;
+    let op = BucketRank::new(LEN);
+    let inputs: Vec<usize> = (0..2 * INPUTS).map(|i| i * 97 % LEN).collect();
+    let per_rank = Runtime::new(2).run(|comm| {
+        let local = &inputs[comm.rank() * INPUTS..][..INPUTS];
+        let (large, all) = (large_bytes(), allocated());
+        let out = gv_rsmpi::scan::scan_splittable(comm, &op, local, ScanKind::Exclusive);
+        let output = 8 * out.capacity();
+        (large_bytes() - large - output, allocated() - all - output)
+    });
+    for (rank, &(large, all)) in per_rank.results.iter().enumerate() {
+        let units = [4 * INPUTS, 0][rank];
+        assert_eq!(
+            large,
+            N + units,
+            "rank {rank}: {large} B in large blocks, {N} B identity, {units} B units"
+        );
+        assert!(all <= N + units + ENVELOPES, "rank {rank}: {all} B");
+    }
 }
 
 #[test]

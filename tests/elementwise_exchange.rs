@@ -1,15 +1,24 @@
-//! Oracle suite for states exchanged by view: `reduce_all` and
-//! `reduce_all_splittable` of operators whose state is a run of slots
-//! (`ReduceScanOp::elementwise`) against the same calls with the
-//! capability hidden, which clone the state through every pairwise
-//! round.
+//! Oracle suite for counting states (`ReduceScanOp::elementwise`) across
+//! ranks: `reduce_all`, `reduce_all_splittable`, `scan` and
+//! `scan_splittable` of `Counts`, `BucketRank` and `Histogram` against
+//! the same calls with the capability hidden, which clone the state
+//! through every round.
 //!
-//! At every rank count 1..=17 — powers of two, and the fold/unfold ranks
-//! of every other count — with some ranks holding no input, the two must
-//! agree bit for bit on the result and on everything the run records:
-//! messages, bytes, the allreduce schedule counters and every rank's
-//! modeled clock. A state below the lending threshold takes the clone
-//! path either way.
+//! Where a rank's partial covers few inputs, recursive doubling ships
+//! their slot indices instead of the state. At every rank count 1..=17,
+//! with every third rank empty and one rank holding more inputs than its
+//! units may ship (so some rounds are mixed: one partner sends units, the
+//! other its state), both scan kinds, under the watchdog, the units path
+//! must give the oracle's result and the dense path's, with its messages
+//! and schedule counters. Its bytes are pinned to the closed form: 4 a
+//! unit and 4 for the kind word per units piece, the state's wire size
+//! per state.
+//!
+//! Where every partial covers enough inputs that every round sends its
+//! state, a state past the lending threshold is lent, and the run must
+//! agree with the clone path bit for bit on everything it records:
+//! results, messages, bytes, schedule counters and every rank's modeled
+//! clock. A state below the threshold takes the clone path either way.
 //!
 //! Requests take the other road: a commutative `ireduce_all` of such an
 //! operator runs the tree, which combines each child's partial in place
@@ -37,16 +46,17 @@ use gv_core::split::SplittableState;
 use gv_executor::chunk_ranges;
 use gv_msgpass::{
     AllreduceAlgorithm, FaultOp, FaultPlan, InjectedKill, RunError, RunOutcome, Runtime,
+    ScanAlgorithm,
 };
 use gv_testkit::rng::TestRng;
 
 /// `Op` as it is, or with its capability hidden (`lend` false), counting
-/// the slot combines the transport makes through the capability and
-/// calling `hook` before each.
+/// the times the transport takes a state's slots through the capability
+/// and calling `hook` before each.
 struct Probe<Op, H = fn()> {
     op: Op,
     lend: bool,
-    slot_combines: AtomicU64,
+    slot_reads: AtomicU64,
     hook: H,
 }
 
@@ -58,26 +68,31 @@ impl<Op> Probe<Op> {
 
 impl<Op, H: Fn()> Probe<Op, H> {
     fn hooked(op: Op, lend: bool, hook: H) -> Self {
-        let slot_combines = AtomicU64::new(0);
+        let slot_reads = AtomicU64::new(0);
         Probe {
             op,
             lend,
-            slot_combines,
+            slot_reads,
             hook,
         }
     }
+
+    fn slot_reads(&self) -> u64 {
+        self.slot_reads.load(Ordering::Relaxed)
+    }
 }
 
-impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn()> ElementwiseState<Vec<u64>> for Probe<Op, H> {
+impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn()> ElementwiseState<Vec<u64>, Op::In>
+    for Probe<Op, H>
+{
     fn slots<'s>(&self, state: &'s mut Vec<u64>) -> &'s mut [u64] {
+        (self.hook)();
+        self.slot_reads.fetch_add(1, Ordering::Relaxed);
         self.op.elementwise().expect("a slotted op").slots(state)
     }
 
-    fn combine_slots(&self, mine: &mut [u64], theirs: &[u64], mine_first: bool) {
-        (self.hook)();
-        self.slot_combines.fetch_add(1, Ordering::Relaxed);
-        let slots = self.op.elementwise().expect("a slotted op");
-        slots.combine_slots(mine, theirs, mine_first);
+    fn slot_of(&self, x: &Op::In) -> usize {
+        self.op.elementwise().expect("a slotted op").slot_of(x)
     }
 }
 
@@ -112,8 +127,8 @@ impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn()> ReduceScanOp for Probe<Op, H> 
     fn combine_ops(&self, incoming: &Vec<u64>) -> u64 {
         self.op.combine_ops(incoming)
     }
-    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>>> {
-        self.lend.then_some(self as &dyn ElementwiseState<Vec<u64>>)
+    fn elementwise(&self) -> Option<&dyn ElementwiseState<Vec<u64>, Op::In>> {
+        self.lend.then_some(self as _)
     }
 }
 
@@ -135,6 +150,11 @@ fn block<T>(data: &[T], p: usize, r: usize) -> &[T] {
     }
 }
 
+/// Rank `r`'s block of `data` when every rank holds one.
+fn dense_block<T>(data: &[T], p: usize, r: usize) -> &[T] {
+    &data[chunk_ranges(data.len(), p).nth(r).unwrap()]
+}
+
 /// Everything a run records that a view must leave as the clone path
 /// left it: results, messages, bytes, schedule counters, clocks (bits).
 fn record<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
@@ -144,51 +164,66 @@ fn record<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
 
 /// [`record`] without the clocks.
 fn traffic<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
-    let algorithms = AllreduceAlgorithm::ALL.map(|a| outcome.stats.allreduce_algorithm_calls(a));
+    format!("{}\nbytes {}", shape(outcome), outcome.stats.bytes)
+}
+
+/// [`traffic`] without the bytes: results, messages, schedule counters.
+fn shape<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
+    let allreduces = AllreduceAlgorithm::ALL.map(|a| outcome.stats.allreduce_algorithm_calls(a));
+    let scans = ScanAlgorithm::ALL.map(|a| outcome.stats.scan_algorithm_calls(a));
     format!(
-        "results {:?}\nmessages {} bytes {} algorithms {algorithms:?}",
-        outcome.results, outcome.stats.messages, outcome.stats.bytes
+        "results {:?}\nmessages {} allreduces {allreduces:?} scans {scans:?}",
+        outcome.results, outcome.stats.messages
     )
 }
 
-/// Runs both reductions of `op` at every rank count, with and without
-/// lending, and holds the two records equal. Returns how many slot
-/// combines the lending runs made, summed over rank counts.
+/// Runs both reductions of `op` at every rank count, every rank holding
+/// enough inputs that every round sends its state, with and without the
+/// capability, and holds the two records equal. Returns how many times
+/// the capable runs read a state's slots to lend it or to add a lent
+/// view, summed over rank counts: every read past the two a rank makes
+/// in a recursive-doubling call lending nothing, one for the width and,
+/// on more than one rank, one to weigh its block's units.
 fn assert_view_matches_clone<Op>(name: &str, op: impl Fn() -> Op, data: &[Op::In]) -> u64
 where
     Op: SplittableState<State = Vec<u64>> + Sync,
     Op::In: Sync,
     Op::Out: std::fmt::Debug + Send,
 {
-    let mut slot_combines = 0;
+    let mut loan_reads = 0;
     for p in 1..=17 {
         let run = |lend: bool| {
             let probe = Probe::new(op(), lend);
             let outcome = Runtime::new(p).run(|comm| {
-                let local = block(data, p, comm.rank());
+                let local = dense_block(data, p, comm.rank());
                 (
                     gv_rsmpi::reduce_all(comm, &probe, local),
                     gv_rsmpi::reduce_all_splittable(comm, &probe, local),
                 )
             });
-            (
-                record(&outcome),
-                probe.slot_combines.load(Ordering::Relaxed),
-            )
+            let doubling = AllreduceAlgorithm::RecursiveDoubling;
+            let baseline =
+                outcome.stats.allreduce_algorithm_calls(doubling) * (1 + u64::from(p > 1));
+            (record(&outcome), probe.slot_reads(), baseline)
         };
-        let (cloned, none) = run(false);
-        let (viewed, combines) = run(true);
+        let (cloned, none, _) = run(false);
+        let (viewed, reads, baseline) = run(true);
         assert_eq!(none, 0);
         assert_eq!(viewed, cloned, "{name} at p = {p}: view and clone disagree");
-        slot_combines += combines;
+        assert!(
+            reads >= baseline,
+            "{name} at p = {p}: {reads} slot reads, under {baseline}"
+        );
+        loan_reads += reads - baseline;
     }
-    slot_combines
+    loan_reads
 }
 
 #[test]
 fn large_counts_by_view_equal_counts_by_clone() {
     // 4099 slots: 32 KiB, past the lending threshold (8 KiB), and odd,
-    // so the two halves differ by one slot.
+    // so the two halves differ by one slot; at least 1176 inputs a rank,
+    // past the 512 units a state of 4099 slots ships.
     let k = 4099;
     let mut rng = TestRng::new(0xC0_0175);
     let data: Vec<usize> = (0..20_000).map(|_| rng.usize_in(0..k)).collect();
@@ -208,11 +243,243 @@ fn large_histograms_by_view_equal_histograms_by_clone() {
 
 #[test]
 fn small_states_are_cloned() {
+    // Each rank reads the slots of its state twice a call and never to
+    // lend: once for the width its block's units are priced at (not with
+    // one rank, where no other receives them) and once in the transport.
     let data: Vec<usize> = (0..1000).map(|i| (i * 7) % 64).collect();
     assert_eq!(
         assert_view_matches_clone("Counts", || Counts::new(64), &data),
         0
     );
+}
+
+/// The counting calls one run makes: both reductions, then both scans
+/// of each kind.
+type Calls<Out> = (Out, Out, [Vec<Out>; 4]);
+
+fn counting_calls<Op>(comm: &gv_msgpass::Comm, op: &Op, local: &[Op::In]) -> Calls<Op::Out>
+where
+    Op: SplittableState<State = Vec<u64>>,
+{
+    let scan = |kind| gv_rsmpi::scan(comm, op, local, kind);
+    let scan_splittable = |kind| gv_rsmpi::scan::scan_splittable(comm, op, local, kind);
+    (
+        gv_rsmpi::reduce_all(comm, op, local),
+        gv_rsmpi::reduce_all_splittable(comm, op, local),
+        [
+            scan(ScanKind::Inclusive),
+            scan(ScanKind::Exclusive),
+            scan_splittable(ScanKind::Inclusive),
+            scan_splittable(ScanKind::Exclusive),
+        ],
+    )
+}
+
+/// Rank `r`'s share of the inputs `draw` makes: none on every third rank,
+/// 1500 — past the units a state of 4099 slots or 2050 bins ships — on
+/// `heavy`, and 20 to 319 on the rest, so that partials of a few ranks
+/// cross the threshold too and a rank that shipped its units turns to
+/// slots.
+fn counting_blocks<In>(p: usize, heavy: usize, mut draw: impl FnMut() -> In) -> Vec<Vec<In>> {
+    (0..p)
+        .map(|r| {
+            let n = match r {
+                _ if r % 3 == 1 => 0,
+                _ if r == heavy => 1500,
+                _ => 20 + (r * 97) % 300,
+            };
+            (0..n).map(|_| draw()).collect()
+        })
+        .collect()
+}
+
+/// Every counting call of `op` at every rank count 1..=17, under the
+/// watchdog, with the capability and without, over [`counting_blocks`]
+/// with the heavy rank in the middle and then first, where the states it
+/// sends reach ranks that shipped units and send again: results equal to
+/// the oracle's and to each other, and messages and schedule counters
+/// equal. Returns the bytes the two paths sent, summed over the runs.
+fn assert_units_match_dense<Op>(
+    name: &str,
+    op: impl Fn() -> Op,
+    mut draw: impl FnMut() -> Op::In,
+) -> (u64, u64)
+where
+    Op: SplittableState<State = Vec<u64>> + Sync,
+    Op::In: Clone + Sync,
+    Op::Out: std::fmt::Debug + PartialEq + Send,
+{
+    let mut bytes = (0, 0);
+    for (p, first) in (1..=17).flat_map(|p| [(p, false), (p, true)]) {
+        let heavy = (p / 2..p)
+            .chain(0..p / 2)
+            .find(|r| r % 3 != 1)
+            .expect("a holder");
+        let heavy = if first { 0 } else { heavy };
+        let blocks = counting_blocks(p, heavy, &mut draw);
+        let all: Vec<Op::In> = blocks.concat();
+        let oracle = {
+            let op = op();
+            let scans = [ScanKind::Inclusive, ScanKind::Exclusive];
+            let scans = scans.map(|kind| gv_core::seq::scan(&op, &all, kind));
+            let reduced = || gv_core::seq::reduce(&op, &all);
+            (reduced(), reduced(), scans)
+        };
+        let run = |lend: bool| {
+            let probe = Probe::new(op(), lend);
+            let outcome = Runtime::new(p)
+                .watchdog(Duration::from_secs(20))
+                .run(|comm| counting_calls(comm, &probe, &blocks[comm.rank()]));
+            assert_eq!(probe.slot_reads() > 0, lend);
+            outcome
+        };
+        let (dense, units) = (run(false), run(true));
+        for (r, (a, b, scans)) in units.results.iter().enumerate() {
+            let offset: usize = blocks[..r].iter().map(Vec::len).sum();
+            let mine = offset..offset + blocks[r].len();
+            assert_eq!(
+                (a, b),
+                (&oracle.0, &oracle.1),
+                "{name} at p = {p}, heavy rank {heavy}, rank {r}"
+            );
+            for (i, got) in scans.iter().enumerate() {
+                let expected = &oracle.2[i % 2][mine.clone()];
+                assert_eq!(
+                    got.as_slice(),
+                    expected,
+                    "{name} at p = {p}, heavy rank {heavy}, rank {r}, scan {i}"
+                );
+            }
+        }
+        let what = format!("{name} at p = {p}, heavy rank {heavy}");
+        assert_eq!(shape(&units), shape(&dense), "{what}");
+        bytes.0 += units.stats.bytes;
+        bytes.1 += dense.stats.bytes;
+    }
+    bytes
+}
+
+#[test]
+fn counting_calls_that_ship_units_equal_the_oracle_and_the_dense_path() {
+    // Every input lands in one of 64 slots (the underflow bin and 63 bins
+    // for the histogram), so a rank's scan outputs read slots that every
+    // other rank counts into: a unit lost or counted twice on the way
+    // shows in them, not only in the reductions.
+    let mut rng = TestRng::new(0x4175);
+    let (units, dense) =
+        assert_units_match_dense("Counts", || Counts::new(4099), || rng.usize_in(0..64));
+    assert!(units < dense, "Counts: {units} B by units, {dense} B dense");
+    let ranks = || BucketRank::new(4099);
+    let (units, dense) = assert_units_match_dense("BucketRank", ranks, || rng.usize_in(0..64));
+    assert!(
+        units < dense,
+        "BucketRank: {units} B by units, {dense} B dense"
+    );
+    let histogram = || Histogram::uniform(0.0, 1.0, 2048);
+    let (units, dense) =
+        assert_units_match_dense("Histogram", histogram, || rng.f64_in(-0.01..0.03));
+    assert!(
+        units < dense,
+        "Histogram: {units} B by units, {dense} B dense"
+    );
+}
+
+#[test]
+fn schedules_that_carry_states_build_no_units() {
+    // At p = 16 a 32 KiB state's splittable reduction runs reduce-scatter
+    // + allgather and its splittable scan the chain, which carry states:
+    // a rank holding few inputs builds no units for them, so it never
+    // reads its state's slots to weigh them, and accumulates its block.
+    let (p, k) = (16, 4099);
+    let data: Vec<usize> = (0..p * 40).map(|i| (i * 7919) % k).collect();
+    let run = |lend: bool| {
+        let probe = Probe::new(BucketRank::new(k), lend);
+        let outcome = Runtime::new(p).run(|comm| {
+            let local = dense_block(&data, p, comm.rank());
+            (
+                gv_rsmpi::reduce_all_splittable(comm, &probe, local),
+                gv_rsmpi::scan::scan_splittable(comm, &probe, local, ScanKind::Exclusive),
+            )
+        });
+        (traffic(&outcome), outcome.stats, probe.slot_reads())
+    };
+    let (dense, _, _) = run(false);
+    let (counted, stats, reads) = run(true);
+    let rsag = AllreduceAlgorithm::ReduceScatterAllgather;
+    assert_eq!(stats.allreduce_algorithm_calls(rsag), p as u64);
+    assert_eq!(
+        stats.scan_algorithm_calls(ScanAlgorithm::PipelinedChain),
+        p as u64
+    );
+    assert_eq!(reads, 0);
+    assert_eq!(counted, dense);
+}
+
+/// The bytes a `reduce_all` and an exclusive `scan` by recursive
+/// doubling send when every round ships units, from the block sizes `n`
+/// alone. Recursive doubling folds the first `2·rem` ranks onto the odd
+/// ones (one piece of the even rank's units each), and each of its
+/// ⌈log₂ p₂⌉ rounds sends every survivor's partial: over the survivors,
+/// the partials of round `j` cover each unit `2ʲ` times. The unfold
+/// sends each folded rank the result, `8·slots` bytes. The shifted
+/// scan's round `d` sends rank `r` ranks `r − d + 1 ..= r`'s units.
+fn closed_form(n: &[usize], slots: usize) -> (u64, u64) {
+    let p = n.len();
+    let piece = |units: usize| 4 * (units as u64 + 1);
+    let total = n.iter().sum::<usize>() as u64;
+    let p2 = if p.is_power_of_two() {
+        p
+    } else {
+        p.next_power_of_two() / 2
+    };
+    let rem = p - p2;
+    let fold: u64 = (0..rem).map(|i| piece(n[2 * i])).sum();
+    let rounds: u64 = (0..p2.trailing_zeros())
+        .map(|j| (1 << j) * 4 * total + 4 * p2 as u64)
+        .sum();
+    let unfold = (rem * 8 * slots) as u64;
+    let mut scan = 0;
+    let mut d = 1;
+    while d < p {
+        for r in 0..p - d {
+            scan += piece(n[(r + 1).saturating_sub(d)..=r].iter().sum());
+        }
+        d <<= 1;
+    }
+    (fold + rounds + unfold, scan)
+}
+
+#[test]
+fn units_are_priced_four_bytes_each_and_one_kind_word() {
+    let k = 4099;
+    let mut rng = TestRng::new(0xB17E5);
+    for p in 1..=17 {
+        // At most 40 units a rank: the whole run's units ship at p = 17.
+        let blocks: Vec<Vec<usize>> = (0..p)
+            .map(|r| (0..(r * 13) % 41).map(|_| rng.usize_in(0..k)).collect())
+            .collect();
+        let n: Vec<usize> = blocks.iter().map(Vec::len).collect();
+        let (reduced, scanned) = closed_form(&n, k);
+        let reduce = Runtime::new(p).run(|comm| {
+            gv_rsmpi::reduce_all(comm, &Counts::new(k), &blocks[comm.rank()]);
+        });
+        let rd = AllreduceAlgorithm::RecursiveDoubling;
+        assert_eq!(reduce.stats.allreduce_algorithm_calls(rd), p as u64);
+        assert_eq!(
+            reduce.stats.bytes, reduced,
+            "reduce_all at p = {p}, blocks {n:?}"
+        );
+        // Past six ranks a scan of 32 KiB states runs the binomial sweep.
+        if p <= 6 {
+            let scan = Runtime::new(p).run(|comm| {
+                let local = &blocks[comm.rank()];
+                gv_rsmpi::scan(comm, &BucketRank::new(k), local, ScanKind::Exclusive);
+            });
+            let rd = ScanAlgorithm::RecursiveDoubling;
+            assert_eq!(scan.stats.scan_algorithm_calls(rd), p as u64);
+            assert_eq!(scan.stats.bytes, scanned, "scan at p = {p}, blocks {n:?}");
+        }
+    }
 }
 
 /// Requests in flight at once, as the benchmark's `overlap` runs them.
@@ -222,15 +489,15 @@ const IN_FLIGHT: usize = 8;
 /// `i` over its own data set, with and without the capability, and holds
 /// the two records equal: in flight, each rank waiting for them in its
 /// own shuffled order, without the clocks; one at a time, with them.
-/// Returns how many slot combines the capable runs made, summed over
-/// rank counts and both runs.
+/// Returns how many times the capable runs read a state's slots, summed
+/// over rank counts and both runs.
 fn assert_returned_matches_cloned<Op>(name: &str, op: fn() -> Op, data: &[Vec<Op::In>]) -> u64
 where
     Op: ReduceScanOp<State = Vec<u64>> + 'static,
     Op::In: Sync,
     Op::Out: std::fmt::Debug + Send,
 {
-    let mut slot_combines = 0;
+    let mut slot_reads = 0;
     for p in 1..=17 {
         let run = |slots: bool, in_flight: bool| {
             let combines = Arc::new(AtomicU64::new(0));
@@ -265,16 +532,16 @@ where
         };
         for in_flight in [true, false] {
             let (cloned, none) = run(false, in_flight);
-            let (returned, combines) = run(true, in_flight);
+            let (returned, reads) = run(true, in_flight);
             assert_eq!(none, 0);
             assert_eq!(
                 returned, cloned,
                 "{name} at p = {p} (in flight: {in_flight}): returned buffers and clones disagree"
             );
-            slot_combines += combines;
+            slot_reads += reads;
         }
     }
-    slot_combines
+    slot_reads
 }
 
 #[test]
@@ -296,40 +563,27 @@ fn requests_in_flight_that_return_buffers_equal_requests_that_clone() {
     assert!(assert_returned_matches_cloned("Histogram", histogram, &values) > 0);
 }
 
-/// A scan of the same operators is no allreduce and never lends.
-#[test]
-fn a_scan_of_a_slotted_state_is_untouched() {
+/// Runs a `Counts` reduction past the lending threshold at p = 2, rank
+/// `r` holding `held[r]` inputs, with `rank` killed at its `nth` send,
+/// each read of a state's slots making one send when `send_in_reads`.
+/// The run must fail, typed, with the kill as its cause, inside the
+/// watchdog window: a loan that outlived its partner would hang the
+/// survivor into a stall report instead.
+fn kill_during_a_loan(held: [usize; 2], rank: usize, nth: u64, send_in_reads: bool) {
     let k = 4099;
-    let data: Vec<usize> = (0..5000).map(|i| (i * 31) % k).collect();
-    let probe = Probe::new(BucketRank::new(k), true);
-    let expected = gv_core::seq::scan(&probe, &data, ScanKind::Exclusive);
-    let outcome = Runtime::new(2).run(|comm| {
-        let local = block(&data, 2, comm.rank());
-        gv_rsmpi::scan(comm, &probe, local, ScanKind::Exclusive)
-    });
-    assert_eq!(outcome.results.concat(), expected);
-    assert_eq!(probe.slot_combines.load(Ordering::Relaxed), 0);
-}
-
-/// Runs a `Counts` reduction past the lending threshold at p = 2 with
-/// `rank` killed at its `nth` send, the ops' slot combines making one
-/// send each when `send_in_combine`. The run must fail, typed, with the
-/// kill as its cause, inside the watchdog window: a loan that outlived
-/// its partner would hang the survivor into a stall report instead.
-fn kill_during_a_loan(rank: usize, nth: u64, send_in_combine: bool) {
-    let k = 4099;
-    let data: Vec<usize> = (0..10_000).map(|i| (i * 13) % k).collect();
+    let data: Vec<usize> = (0..held[0] + held[1]).map(|i| (i * 13) % k).collect();
     let run = Runtime::new(2)
         .watchdog(Duration::from_secs(10))
         .fault_plan(FaultPlan::new(7).kill(rank, FaultOp::Send, nth))
         .try_run(|comm| {
             let hook = || {
-                if send_in_combine {
+                if send_in_reads {
                     comm.send(comm.rank(), 77, ());
                 }
             };
             let op = Probe::hooked(Counts::new(k), true, hook);
-            gv_rsmpi::reduce_all(comm, &op, block(&data, 2, comm.rank()))
+            let (start, len) = [(0, held[0]), (held[0], held[1])][comm.rank()];
+            gv_rsmpi::reduce_all(comm, &op, &data[start..start + len])
         });
     let report = match run {
         Err(RunError::Failed(report)) => report,
@@ -349,15 +603,18 @@ fn kill_during_a_loan(rank: usize, nth: u64, send_in_combine: bool) {
 #[test]
 fn a_kill_while_the_state_is_lent_fails_the_run() {
     for rank in [0, 1] {
-        kill_during_a_loan(rank, 1, false);
+        kill_during_a_loan([5000, 5000], rank, 1, false);
     }
 }
 
-/// Killed while combining from its partner's buffer: the partner's view
-/// in hand, and its own state lent to the partner.
+/// Killed while adding its partner's lent state into its own: a rank that
+/// sent its few units holds the view of a partner too full to ship its
+/// own, and the partner waits for it. Its fourth send: the reads of its
+/// block's width and of the transport's, its units, then the read that
+/// adds the partner's runs.
 #[test]
 fn a_kill_while_holding_the_partners_view_fails_the_run() {
-    for rank in [0, 1] {
-        kill_during_a_loan(rank, 2, true);
+    for (rank, held) in [(0, [100, 5000]), (1, [5000, 100])] {
+        kill_during_a_loan(held, rank, 4, true);
     }
 }

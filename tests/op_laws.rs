@@ -388,14 +388,22 @@ fn elementwise_ops_obey_the_laws() {
     assert_elementwise_laws("Elementwise(MinK(3))", MinK::<i64>::new(3), &inputs);
 }
 
-/// The `ElementwiseState` law: the state is its slots, in order, and
-/// combining slot by slot — into the earlier operand's buffer or into
-/// the later one's, whole or one half at a time — is `combine`. On random
-/// states of no slot, one, an even and an odd number.
-fn assert_slot_laws<Op: ReduceScanOp<State = Vec<u64>>>(name: &str, op: &Op) {
+/// The `ElementwiseState` law: the state is its slots, in order;
+/// `combine` adds slot by slot, so adding the later operand's slots into
+/// the earlier one's buffer, or the earlier's into the later's, whole or
+/// one half at a time, is `combine`; and accumulating `xs` from the
+/// identity counts, in each slot, the inputs `slot_of` sends there. On
+/// random states of no slot, one, an even and an odd number, and on
+/// `inputs` cut at every length.
+fn assert_slot_laws<Op: ReduceScanOp<State = Vec<u64>>>(name: &str, op: &Op, inputs: &[Op::In]) {
     let slots = op
         .elementwise()
         .unwrap_or_else(|| panic!("{name}: no elementwise capability"));
+    let add = |mine: &mut [u64], theirs: &[u64]| {
+        for (m, t) in mine.iter_mut().zip(theirs) {
+            *m += t;
+        }
+    };
     let mut rng = TestRng::new(0x510E);
     for len in [0usize, 1, 2, 7, 64, 1001] {
         for case in 0..4 {
@@ -408,32 +416,59 @@ fn assert_slot_laws<Op: ReduceScanOp<State = Vec<u64>>>(name: &str, op: &Op) {
                 &a[..],
                 "{name}: slots of {len}"
             );
-            for (mine, theirs, mine_first) in [(&a, &b, true), (&b, &a, false)] {
+            for (mine, theirs, into) in [(&a, &b, "earlier"), (&b, &a, "later")] {
                 let mut at_once = mine.clone();
-                slots.combine_slots(slots.slots(&mut at_once), theirs, mine_first);
+                add(slots.slots(&mut at_once), theirs);
                 let mut by_halves = mine.clone();
                 let (lower, upper) = slots.slots(&mut by_halves).split_at_mut(len / 2);
-                slots.combine_slots(lower, &theirs[..len / 2], mine_first);
-                slots.combine_slots(upper, &theirs[len / 2..], mine_first);
+                add(lower, &theirs[..len / 2]);
+                add(upper, &theirs[len / 2..]);
                 for (how, got) in [("at once", at_once), ("by halves", by_halves)] {
                     assert_eq!(
-                        got,
-                        whole,
-                        "{name}[{len} slots, case {case}]: combine_slots {how} into the \
-                         {} operand's buffer != combine",
-                        if mine_first { "earlier" } else { "later" }
+                        got, whole,
+                        "{name}[{len} slots, case {case}]: adding {how} into the {into} \
+                         operand's buffer != combine"
                     );
                 }
             }
         }
     }
+    for n in 0..=inputs.len() {
+        let xs = &inputs[..n];
+        let mut counted = op.ident();
+        for x in xs {
+            slots.slots(&mut counted)[slots.slot_of(x)] += 1;
+        }
+        let mut accumulated = op.ident();
+        accumulate_block(op, &mut accumulated, xs);
+        assert_eq!(
+            accumulated, counted,
+            "{name}: accumulate(ident, {n} inputs) != their counts by slot_of"
+        );
+    }
 }
 
 #[test]
 fn elementwise_states_combine_slot_by_slot() {
-    assert_slot_laws("Counts", &Counts::new(8));
-    assert_slot_laws("BucketRank", &BucketRank::new(8));
-    assert_slot_laws("Histogram", &Histogram::uniform(0.0, 1.0, 16));
+    let mut rng = TestRng::new(0xC0_17);
+    let buckets: Vec<usize> = (0..300).map(|_| rng.usize_in(0..8)).collect();
+    assert_slot_laws("Counts", &Counts::new(8), &buckets);
+    assert_slot_laws("BucketRank", &BucketRank::new(8), &buckets);
+    // Past both open ends, on edges and between them.
+    let mut values: Vec<f64> = (0..300).map(|_| rng.f64_in(-0.2..1.2)).collect();
+    values.extend([0.0, 1.0, 0.5, 1.0 / 16.0, f64::MIN, f64::MAX, f64::NAN]);
+    assert_slot_laws("Histogram", &Histogram::uniform(0.0, 1.0, 16), &values);
+    let edges = vec![-1.0, 0.0, 0.25, 0.3, 0.9];
+    assert_slot_laws("Histogram(edges)", &Histogram::new(edges), &values);
+}
+
+/// `slot_of` rejects what `accum` rejects, so a key out of range fails
+/// the rank that holds it whichever of the two reads it first.
+#[test]
+#[should_panic(expected = "bucket index 8 out of range for 8 buckets")]
+fn a_counting_key_out_of_range_fails_its_slot() {
+    let op = BucketRank::new(8);
+    op.elementwise().unwrap().slot_of(&8);
 }
 
 #[test]
