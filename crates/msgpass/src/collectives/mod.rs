@@ -48,7 +48,8 @@
 pub mod allreduce_rd;
 pub mod alltoall;
 pub mod barrier;
-pub mod counting;
+pub(crate) mod counting;
+mod exchange;
 pub(crate) mod launch;
 pub mod reduce;
 pub mod reduce_scatter;
@@ -58,6 +59,9 @@ pub mod scan_chain;
 pub mod select;
 pub mod shift;
 pub mod tree;
+
+pub use counting::{ships_units, Counted};
+pub use exchange::{By, ByValue, Crossing};
 
 use std::fmt;
 

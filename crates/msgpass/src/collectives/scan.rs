@@ -20,193 +20,49 @@
 //! sweep (`scan_binomial.rs`) or, for splittable states, the pipelined
 //! chain (`scan_chain.rs`). All three are `async fn` schedules.
 //!
-//! A counting state's exclusive scan runs `scan_rd_counting`: the same
-//! rounds, each message a [`Piece`] (`counting.rs`), so a partial that
-//! covers few inputs crosses as their slot indices.
+//! The rounds are one loop, generic over a rank's partials (`Partials`,
+//! `exchange.rs`): by value a round sends a clone of the inclusive
+//! partial and combines what arrives into both halves; a counting
+//! state's round sends the units its partial covers or the state
+//! (`counting.rs`), so a partial that covers few inputs crosses as their
+//! slot indices. A counting scan is exclusive only and lends nothing.
 
-use super::counting::{add_slots, ships_units, units_bytes, Counting, Piece};
+use super::exchange::Partials;
 use super::TagBase;
 use crate::comm::Comm;
 use crate::mailbox::ShutdownError;
 use crate::request::recv;
 
-/// Shifted recursive-doubling scan. `need_exclusive` / `need_inclusive`
-/// say which results the caller will consume; they gate only local
-/// clones and combines — the message schedule (count, bytes, order) is
-/// identical in every mode, so virtual clocks and traffic accounting
+/// Shifted recursive-doubling scan over the partials `s` of a rank.
+/// Which halves the caller consumes gates only local clones and combines
+/// (`Crossing::partials`) — the message schedule (count, bytes, order)
+/// is identical in every mode, so virtual clocks and traffic accounting
 /// cannot depend on the mode. Output is `(exclusive, inclusive)` with the
 /// unrequested half `None` (and the exclusive half always `None` on rank
 /// 0).
-pub(crate) async fn scan_rd<T: Clone + Send + 'static>(
+pub(crate) async fn scan_rd<T, S: Partials<T>>(
     comm: Comm,
-    value: T,
+    mut s: S,
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
-    mut combine: impl FnMut(T, T) -> T,
-    (need_exclusive, need_inclusive): (bool, bool),
 ) -> Result<(Option<T>, Option<T>), ShutdownError> {
-    debug_assert!(need_exclusive || need_inclusive);
     let p = comm.size();
     let r = comm.rank();
     let tag = TagBase::Scan.key(seq);
-    let mut inclusive = Some(value);
-    let mut exclusive = None;
-    let mut dist = 1;
-    while dist < p {
-        if r + dist < p {
-            let bytes = bytes_of(inclusive.as_ref().expect("partial live while sends remain"));
-            // The partial is dead after this send iff the caller does not
-            // want the inclusive result, this rank receives no more
-            // (r < dist), and this is its last send (r + 2d ≥ p): move it
-            // onto the wire instead of cloning.
-            let payload = if !need_inclusive && r < dist && r + 2 * dist >= p {
-                inclusive.take().unwrap()
-            } else {
-                inclusive.as_ref().unwrap().clone()
-            };
-            comm.send_key(r + dist, tag, payload, bytes);
-        }
-        if r >= dist {
-            let earlier = recv::<T>(&comm, r - dist, tag).await?;
-            // The inclusive partial stays live only while it has a
-            // consumer left: a later send (r + 2d < p) or the caller.
-            // (`r + 2d < p` also covers every later receive's combine.)
-            // Once dead, `earlier` moves into the exclusive accumulator
-            // instead of being cloned for both halves.
-            let inclusive_live = need_inclusive || r + 2 * dist < p;
-            match (need_exclusive, inclusive_live) {
-                (true, true) => {
-                    exclusive = Some(match exclusive.take() {
-                        None => earlier.clone(),
-                        Some(e) => combine(earlier.clone(), e),
-                    });
-                    inclusive = Some(combine(earlier, inclusive.take().unwrap()));
-                }
-                (true, false) => {
-                    exclusive = Some(match exclusive.take() {
-                        None => earlier,
-                        Some(e) => combine(earlier, e),
-                    });
-                    inclusive = None;
-                }
-                (false, true) => {
-                    inclusive = Some(combine(earlier, inclusive.take().unwrap()));
-                }
-                // Unreachable given the debug_assert above; drop
-                // `earlier`.
-                (false, false) => {}
-            }
-        }
-        dist <<= 1;
-    }
-    Ok((exclusive, inclusive))
-}
-
-/// [`scan_rd`]'s exclusive half for a counting state: the same rounds
-/// and messages, each a [`Piece`] its sender chooses alone. `value` is the
-/// rank's state, or, when `counting.units` holds its block's units, an
-/// identity they are not yet counted into; `ident` builds the identity
-/// a rank that starts from its state needs (rank 0's result, or a prefix
-/// whose first piece is units).
-///
-/// A rank that holds units builds its exclusive prefix as that identity
-/// plus what lower ranks send, and ships its inclusive partial as units
-/// — its own, then those it receives — until a round must send slots:
-/// only then does it count its own units into a clone of the prefix.
-/// Received states are added in place, into the prefix and into the
-/// partial while later rounds send it, and charged a combine each, as
-/// [`scan_rd`] charges them.
-pub(crate) async fn scan_rd_counting<T: Clone + Send + 'static, I>(
-    comm: Comm,
-    value: T,
-    seq: u64,
-    bytes_of: impl Fn(&T) -> usize,
-    ident: impl FnOnce() -> T,
-    mut counting: Counting<'_, T, I>,
-) -> Result<T, ShutdownError> {
-    let p = comm.size();
-    let r = comm.rank();
-    let tag = TagBase::Scan.key(seq);
-    let slots = counting.slots;
-    let mut ident = Some(ident);
-    let mut identity = || (ident.take().expect("one identity a rank"))();
-    // Units mode: the prefix starts as `value`, the partial is `units` —
-    // the rank's own first `own`, then the lower ranks' — while `listed`.
-    let (mut prefix, mut partial, mut units) = match counting.units.take() {
-        Some(units) => (Some(value), None, units),
-        None => (None, Some(value), Vec::new()),
-    };
-    let own = units.len();
-    let mut listed = partial.is_none();
-    let width = slots
-        .slots(prefix.as_mut().or(partial.as_mut()).expect("a state"))
-        .len();
     let mut dist = 1;
     while dist < p {
         // Whether this rank sends after this round.
         let sends_on = r + 2 * dist < p;
         if r + dist < p {
-            if listed && ships_units(units.len(), width) {
-                let piece = if sends_on {
-                    units.clone()
-                } else {
-                    std::mem::take(&mut units)
-                };
-                let bytes = units_bytes(piece.len());
-                comm.send_key(r + dist, tag, Piece::<T>::Units(piece), bytes);
-            } else {
-                listed = false;
-                let state = match partial.take() {
-                    Some(state) => state,
-                    None => {
-                        let mut state = prefix.clone().expect("units mode holds a prefix");
-                        counting.count(&comm, &mut state, &units[..own]);
-                        state
-                    }
-                };
-                let bytes = bytes_of(&state);
-                if sends_on {
-                    partial = Some(state.clone());
-                }
-                comm.send_key(r + dist, tag, Piece::Whole(state), bytes);
-            }
+            s.send((&comm, r + dist, tag), &bytes_of, sends_on);
         }
         if r >= dist {
-            if !sends_on {
-                partial = None;
-            }
-            match recv(&comm, r - dist, tag).await? {
-                Piece::Units(theirs) => {
-                    let prefix = prefix.get_or_insert_with(&mut identity);
-                    counting.count(&comm, prefix, &theirs);
-                    if let Some(partial) = partial.as_mut() {
-                        counting.count(&comm, partial, &theirs);
-                    }
-                    if listed && sends_on {
-                        units.extend_from_slice(&theirs);
-                    }
-                }
-                Piece::Whole(mut theirs) => {
-                    listed = false;
-                    let ops = (counting.combine_ops)(&theirs);
-                    if let Some(partial) = partial.as_mut() {
-                        comm.advance(ops);
-                        add_slots(slots.slots(partial), slots.slots(&mut theirs));
-                    }
-                    match prefix.as_mut() {
-                        Some(prefix) => {
-                            comm.advance(ops);
-                            add_slots(slots.slots(prefix), slots.slots(&mut theirs));
-                        }
-                        None => prefix = Some(theirs),
-                    }
-                }
-                Piece::Lent(_) => unreachable!("a scan lends nothing"),
-            }
+            let earlier = recv(&comm, r - dist, tag).await?;
+            s.take(&comm, earlier, sends_on);
         }
         dist <<= 1;
     }
-    Ok(prefix.unwrap_or_else(identity))
+    Ok(s.finish())
 }
 
 #[cfg(test)]

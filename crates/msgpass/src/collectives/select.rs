@@ -4,82 +4,57 @@
 //! The runtime keeps a few general schedules — the binomial tree
 //! (`tree.rs`), recursive doubling, the circulant reduce-scatter +
 //! allgather, and for scans recursive doubling, the binomial sweep and
-//! the segmented chain — with different α–β profiles and different
-//! correctness preconditions (see [`AllreduceAlgorithm`],
-//! [`ScanAlgorithm`]). The entry points here pick the cheapest *eligible*
-//! one per call from the communicator's cost model, the call's wire size,
-//! and the operator's declared properties — the paper's point that the
-//! operator abstraction is what lets the runtime choose better combine
-//! schedules.
+//! the segmented chain — with different α–β profiles and correctness
+//! preconditions ([`AllreduceAlgorithm`], [`ScanAlgorithm`]). The entry
+//! points here pick the cheapest *eligible* one per call from the cost
+//! model, the call's wire size and the operator's declared properties —
+//! the paper's point that the operator abstraction is what lets the
+//! runtime choose better combine schedules. For allreduce,
+//! commutativity and splittability discriminate ([`Comm::allreduce`]
+//! never splits; [`Comm::allreduce_splittable`] admits reduce-scatter +
+//! allgather for a commutative operator); for scans, which all combine in
+//! rank order, splittability alone ([`Comm::scan_exclusive_splittable`]
+//! admits the chain).
 //!
-//! For allreduce the discriminating declarations are commutativity and
-//! splittability: [`Comm::allreduce`] is the whole-state entry point
-//! (nothing to split, so recursive doubling it is);
-//! [`Comm::allreduce_splittable`] is the full selector, where
-//! reduce-scatter + allgather is eligible for a commutative operator.
-//! [`Comm::allreduce_elementwise`] is either of the two for a counting
-//! state: the same selection, but recursive doubling's rounds ship the
-//! units a partial counted while they are fewer bytes, and exchange a
-//! large state by view (`allreduce_rd.rs`, `counting.rs`).
-//! Broadcast and rooted reduce have one schedule each, the tree, and no
-//! selection.
+//! A caller that must run one schedule — an ablation, a test, or
+//! `gv_rsmpi`, which selects for a counting state before it accumulates —
+//! names it to a `_by` form, which skips the pricing. Its plan may say
+//! how states cross, `By(plan, crossing)`: by value, or as a counting
+//! state's units, views and returned buffers ([`Counted`](super::Counted)),
+//! which reaches the schedules that are one body generic over it
+//! (`exchange.rs`).
 //!
-//! For scans every candidate schedule combines in rank order, so only
-//! *splittability* discriminates: [`Comm::scan_inclusive`] /
-//! [`Comm::scan_exclusive`] / [`Comm::scan_both`] choose between
-//! recursive doubling and the binomial sweep, and
-//! [`Comm::scan_exclusive_splittable`] additionally admits the segmented
-//! chain.
+//! A request ([`Comm::iallreduce`], [`Comm::iallreduce_by`]) registers its
+//! schedule with the rank's progress engine and is priced by the work it
+//! leaves on each rank, not by its critical path, since requests in
+//! flight overlap theirs. Commutativity alone picks it: a commutative
+//! request runs the tree rooted at its call sequence mod p, spreading its
+//! `p − 1` clones and combines over the ranks, and a non-commutative one
+//! recursive doubling. On one rank the tree is an empty schedule too, and
+//! the smaller box (`a_requests_schedule_stays_small`). A request lends
+//! nothing: a loan waits for its partner, which a request must not do
+//! inside a poll.
 //!
-//! A caller that must run one schedule — an ablation measuring each, a
-//! test pinning one — names what the selector would have produced:
-//! [`Comm::allreduce_by`] takes the algorithm and [`Comm::scan_both_by`]
-//! takes `(algorithm, chain segment count)`, and both skip the pricing,
-//! so which schedule runs is decided here and nowhere else.
-//!
-//! Every collective here drives its schedule on the caller's stack except
-//! [`Comm::iallreduce`], the one non-blocking entry point: it registers
-//! an allreduce schedule with the rank's progress engine and returns a
-//! [`Request`]. A blocking call is priced by its critical path, a request
-//! by the work it leaves on each rank: requests in flight overlap their
-//! critical paths, so what a rank pays for is its own clones and
-//! combines. A commutative request therefore runs the tree rooted at its
-//! call sequence number mod p — `p − 1` clones and combines a call,
-//! spread over the ranks by the rotation, where recursive doubling makes
-//! each rank clone and combine once a round — and a non-commutative one
-//! runs recursive doubling, the blocking call's schedule, since a rotated
-//! tree would permute its combine order. The rule reads no state's size
-//! and no rank count: on one rank the tree is an empty schedule too, and
-//! its future is the smaller box (`a_requests_schedule_stays_small`).
-//! [`Comm::iallreduce_elementwise`] runs the same schedules for a
-//! counting state, but its tree clones nothing: each child's partial is
-//! combined in place, kept, and carries the result back (`tree.rs`), so a
-//! rank's own clones drop out of what it pays. A request ships states,
-//! never units.
-//!
-//! Selection uses this rank's local `bytes_of(&value)` as the wire size.
-//! Under the SPMD convention that all ranks pass equal-shaped states
-//! this is uniform; states whose wire size varies per rank (e.g. short
-//! strings) sit far below any crossover, where every model lands on the
-//! same latency-optimal default. The exclusive scans price the identity
-//! they are given instead, the one state every rank holds alike — except
-//! [`Comm::scan_exclusive_elementwise`], whose counting states have the
-//! identity's slots on every rank already, and [`Comm::scan_exclusive_by`],
-//! whose caller priced the call. Any other caller whose states may
+//! Selection needs a byte count every rank computes alike. The exclusive
+//! scans and `gv_rsmpi`'s splittable reduction price the operator's
+//! identity. [`Comm::allreduce`], [`Comm::allreduce_splittable`],
+//! [`Comm::scan_inclusive`] and [`Comm::scan_both`] price the calling
+//! rank's own state, which agrees only while all ranks pass equal-shaped
+//! states: a 1 MiB state on one rank and a few bytes on the others split
+//! the ranks of a `scan_inclusive` or `scan_both` between recursive
+//! doubling and the binomial sweep at p = 8 and 16, and the run fails
+//! typed, "peer ranks exited without sending". A caller whose states may
 //! straddle a crossover prices a size every rank computes alike and names
-//! the schedule through [`Comm::allreduce_by`] (`gv_rsmpi`'s splittable
-//! reduction prices its operator's identity).
+//! the schedule through a `_by` form.
 
-use gv_core::op::ElementwiseState;
-
-use super::allreduce_rd::{allreduce_rd, allreduce_rd_lent};
-use super::counting::Counting;
+use super::allreduce_rd::allreduce_rd;
+use super::exchange::{By, ByValue, Crossing, Exchange};
 use super::launch::{Blocking, Mode, Nonblocking};
 use super::reduce_scatter::allreduce_rsag;
-use super::scan::{scan_rd, scan_rd_counting};
+use super::scan::scan_rd;
 use super::scan_binomial::scan_binomial;
 use super::scan_chain::scan_chain;
-use super::tree::{tree_allreduce, tree_allreduce_returning, whole};
+use super::tree::{tree_allreduce, whole};
 use crate::comm::Comm;
 use crate::cost::{AllreduceAlgorithm, ScanAlgorithm};
 use crate::request::Request;
@@ -91,17 +66,14 @@ pub type Segmentation<'a, T> = (&'a dyn Fn(T, usize) -> Vec<T>, &'a dyn Fn(Vec<T
 
 impl Comm {
     /// The allreduce family's constructor: records the schedule and
-    /// launches it. `rotate` roots the tree at the call's sequence number
-    /// mod p instead of rank 0, which only a commutative operator allows.
-    /// The schedules launched elsewhere are those of a counting state:
-    /// recursive doubling by pieces
-    /// ([`allreduce_elementwise`](Self::allreduce_elementwise)) and the
-    /// request tree that returns its children's buffers
-    /// ([`iallreduce_elementwise`](Self::iallreduce_elementwise)).
+    /// launches it. A `request` roots the tree at its call's sequence
+    /// number mod p instead of rank 0, which only a commutative operator
+    /// allows, and lends nothing. `crossing` reaches the schedules that
+    /// are generic over it; the reduce-scatter carries whole states.
     pub(crate) fn start_allreduce<'a, M: Mode<'a>, T: Clone + Send + 'static>(
         &self,
-        algo: AllreduceAlgorithm,
-        rotate: bool,
+        By(algo, crossing): By<AllreduceAlgorithm, impl Crossing<T> + 'a>,
+        request: bool,
         value: T,
         segmentation: (
             impl FnOnce(T, usize) -> Vec<T> + 'a,
@@ -112,43 +84,49 @@ impl Comm {
     ) -> M::Handle<T> {
         self.counters().record_allreduce_algorithm(algo);
         match algo {
-            AllreduceAlgorithm::RecursiveDoubling => self
-                .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
-                    allreduce_rd(comm, value, seq, bytes_of, combine)
-                }),
+            AllreduceAlgorithm::RecursiveDoubling => {
+                let x = crossing.exchange(combine, !request);
+                self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+                    allreduce_rd(comm, value, seq, bytes_of, x)
+                })
+            }
             AllreduceAlgorithm::ReduceScatterAllgather => self
                 .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     allreduce_rsag(comm, value, seq, segmentation, bytes_of, combine)
                 }),
             AllreduceAlgorithm::ReduceBroadcast => {
+                let x = crossing.exchange(combine, false);
                 self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
-                    let root = if rotate {
+                    let root = if request {
                         (seq % comm.size() as u64) as usize
                     } else {
                         0
                     };
-                    tree_allreduce(comm, root, value, seq, bytes_of, combine)
+                    tree_allreduce(comm, root, value, seq, bytes_of, x)
                 })
             }
         }
     }
 
-    /// Allreduce by the schedule `algo` names, bypassing the selector.
-    /// `(split, unsplit)` is the state's segmentation — [`whole`] for a
-    /// state that cannot be split, which rules out reduce-scatter +
-    /// allgather. Reduce-scatter + allgather also needs a commutative
-    /// operator; every other schedule combines in rank order. The call
-    /// records the algorithm counter, messages, bytes and modeled clock a
-    /// selected run of the same schedule records.
-    pub fn allreduce_by<T: Clone + Send + 'static>(
+    /// Allreduce by the schedule `plan` names, bypassing the selector:
+    /// an algorithm, or `By(algorithm, crossing)` to say how states cross
+    /// (a counting state's [`Counted`](super::Counted)). `(split,
+    /// unsplit)` is the state's segmentation — [`whole`] for a state that
+    /// cannot be split, which rules out reduce-scatter + allgather.
+    /// Reduce-scatter + allgather also needs a commutative operator; every
+    /// other schedule combines in rank order. The call records the
+    /// algorithm counter, messages, bytes and modeled clock a selected run
+    /// of the same schedule records.
+    pub fn allreduce_by<T: Clone + Send + 'static, X: Crossing<T>>(
         &self,
-        algo: AllreduceAlgorithm,
+        plan: impl Into<By<AllreduceAlgorithm, X>>,
         value: T,
         segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl FnOnce(Vec<T>) -> T),
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        self.start_allreduce::<Blocking, _>(algo, false, value, segmentation, bytes_of, combine)
+        let plan = plan.into();
+        self.start_allreduce::<Blocking, _>(plan, false, value, segmentation, bytes_of, combine)
     }
 
     /// Allreduce with cost-driven schedule selection for whole (scalar,
@@ -174,15 +152,8 @@ impl Comm {
 
     /// Non-blocking [`allreduce`](Self::allreduce): the schedule is
     /// registered with the rank's progress engine and the call returns a
-    /// [`Request`] immediately.
-    ///
-    /// A request is priced by the work it leaves on each rank, not by its
-    /// critical path (see the module docs): a commutative one runs the
-    /// tree, recorded as [`AllreduceAlgorithm::ReduceBroadcast`], rooted at
-    /// the call's sequence number mod p; a non-commutative one runs
-    /// recursive doubling, as the blocking call does. The rule reads no
-    /// state's size, so ranks whose states differ in size agree on the
-    /// schedule.
+    /// [`Request`] immediately. `commutative` alone picks the schedule
+    /// (see the module docs).
     pub fn iallreduce<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -190,47 +161,26 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
     ) -> Request<T> {
-        // Commutativity licenses both the tree and its rotation.
-        let algo = if commutative {
-            AllreduceAlgorithm::ReduceBroadcast
-        } else {
-            AllreduceAlgorithm::RecursiveDoubling
-        };
-        self.start_allreduce::<Nonblocking, _>(algo, commutative, value, whole(), bytes_of, combine)
+        self.iallreduce_by(ByValue, value, commutative, bytes_of, combine)
     }
 
-    /// [`iallreduce`](Self::iallreduce) for a counting state, as in
-    /// [`allreduce_elementwise`](Self::allreduce_elementwise), with the
-    /// capability owned, since the request outlives the call: `slots` is
-    /// the operator's [`ElementwiseState`] and `combine_ops(&s)` the
-    /// modeled operations `combine` charges to combine a state like `s`.
-    /// It ships states, never units. The schedule, messages, bytes and
-    /// modeled clock are the plain
-    /// request's, but a commutative request's tree keeps each child's
-    /// partial after combining it in place and writes the result into it
-    /// for the way back, so no rank clones or frees another's state. A
-    /// non-commutative request runs recursive doubling by value: a loan
-    /// waits for its partner, which a request must not do inside a poll.
-    pub fn iallreduce_elementwise<T: Clone + Send + 'static, I: 'static>(
+    /// [`iallreduce`](Self::iallreduce) with its states crossing by
+    /// `crossing` (a counting state's [`Counted`](super::Counted)), on the
+    /// schedule `commutative` picks. Its exchange lends nothing.
+    pub fn iallreduce_by<T: Clone + Send + 'static>(
         &self,
+        crossing: impl Crossing<T> + 'static,
         value: T,
         commutative: bool,
         bytes_of: impl Fn(&T) -> usize + 'static,
         combine: impl FnMut(T, T) -> T + 'static,
-        slots: (
-            impl ElementwiseState<T, I> + 'static,
-            impl Fn(&T) -> u64 + 'static,
-        ),
     ) -> Request<T> {
-        if !commutative {
-            return self.iallreduce(value, false, bytes_of, combine);
-        }
-        let algo = AllreduceAlgorithm::ReduceBroadcast;
-        self.counters().record_allreduce_algorithm(algo);
-        self.launch::<Nonblocking, _, _>(CallKind::Allreduce, |comm, seq| {
-            let root = (seq % comm.size() as u64) as usize;
-            tree_allreduce_returning(comm, root, value, seq, bytes_of, slots)
-        })
+        let algo = match commutative {
+            true => AllreduceAlgorithm::ReduceBroadcast,
+            false => AllreduceAlgorithm::RecursiveDoubling,
+        };
+        let plan = By(algo, crossing);
+        self.start_allreduce::<Nonblocking, _>(plan, true, value, whole(), bytes_of, combine)
     }
 
     /// Allreduce with the full schedule selection for states the caller
@@ -256,68 +206,19 @@ impl Comm {
         self.allreduce_by(algo, value, (split, unsplit), bytes_of, combine)
     }
 
-    /// [`allreduce`](Self::allreduce) — or, given the state's
-    /// `segmentation` (`(split, unsplit)`),
-    /// [`allreduce_splittable`](Self::allreduce_splittable) — for a
-    /// counting state ([`Counting`]). The selection is the plain call's,
-    /// priced at the rank's state, which has the identity's slots. Where
-    /// recursive doubling runs, each round sends one piece its rank
-    /// chooses alone: the units its partial counted while
-    /// [`ships_units`](super::counting::ships_units) says they are the
-    /// cheaper form, else the state, lent to the partner from 8 KiB up
-    /// (each rank combines half of the slots in place and copies the other
-    /// half out of its partner's buffer) and cloned below. Messages and
-    /// schedule counters are the plain call's, and so are bytes and the
-    /// modeled clock of a run that ships no units.
-    pub fn allreduce_elementwise<T: Clone + Send + 'static, I>(
-        &self,
-        value: T,
-        commutative: bool,
-        segmentation: Option<Segmentation<'_, T>>,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-        counting: Counting<'_, T, I>,
-    ) -> T {
-        let algo = AllreduceAlgorithm::select(
-            &self.cost_model(),
-            self.size(),
-            bytes_of(&value),
-            commutative,
-            segmentation.is_some(),
-        );
-        match (algo, segmentation) {
-            (AllreduceAlgorithm::RecursiveDoubling, _) => {
-                self.counters().record_allreduce_algorithm(algo);
-                self.launch::<Blocking, _, _>(CallKind::Allreduce, |comm, seq| {
-                    allreduce_rd_lent(comm, value, seq, bytes_of, combine, counting)
-                })
-            }
-            (_, Some((split, unsplit))) => self.start_allreduce::<Blocking, _>(
-                algo,
-                false,
-                value,
-                (split, unsplit),
-                bytes_of,
-                combine,
-            ),
-            (_, None) => {
-                self.start_allreduce::<Blocking, _>(algo, false, value, whole(), bytes_of, combine)
-            }
-        }
-    }
-
     /// The scan family's one constructor, driven on the caller's stack.
-    /// `plan` is `(algorithm, chain segment count)`; `(exclusive,
-    /// inclusive)` says which halves the caller consumes, which gates
-    /// only local clones and combines, never the message schedule. The
-    /// result is `(exclusive, inclusive)`: the exclusive half is `None`
-    /// on rank 0, and either half may be `None` when it was not asked
-    /// for. A dedicated exclusive scan is recorded as
-    /// [`CallKind::Exscan`], everything else as [`CallKind::Scan`] (the
-    /// `scan_both` convention).
+    /// `plan` is `(algorithm, chain segment count)` and how states cross
+    /// in recursive doubling; the binomial sweep and the chain carry whole
+    /// states, a counting crossing's units counted in. `(exclusive,
+    /// inclusive)` says which halves the caller consumes, which gates only
+    /// local clones and combines, never the message schedule. The result
+    /// is `(exclusive, inclusive)`, the exclusive half `None` on rank 0
+    /// and either half `None` when not asked for. A dedicated exclusive
+    /// scan is recorded as [`CallKind::Exscan`], everything else as
+    /// [`CallKind::Scan`] (the `scan_both` convention).
     pub(crate) fn start_scan<T: Clone + Send + 'static>(
         &self,
-        (algo, segments): (ScanAlgorithm, usize),
+        By((algo, segments), crossing): By<(ScanAlgorithm, usize), impl Crossing<T>>,
         value: T,
         segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T),
         bytes_of: impl Fn(&T) -> usize,
@@ -330,36 +231,37 @@ impl Comm {
         } else {
             CallKind::Exscan
         };
-        match algo {
-            ScanAlgorithm::RecursiveDoubling => self.launch::<Blocking, _, _>(kind, |comm, seq| {
-                scan_rd(comm, value, seq, bytes_of, combine, (exclusive, inclusive))
-            }),
-            ScanAlgorithm::Binomial => {
-                let (ex, inc) = self.launch::<Blocking, _, _>(kind, |comm, seq| {
-                    scan_binomial(comm, value, seq, bytes_of, combine)
-                });
-                (ex, Some(inc))
-            }
-            ScanAlgorithm::PipelinedChain => {
-                let (ex, inc) = self.launch::<Blocking, _, _>(kind, |comm, seq| {
-                    scan_chain(
-                        comm,
-                        value,
-                        segments,
-                        segmentation,
-                        seq,
-                        bytes_of,
-                        combine,
-                        exclusive,
-                    )
-                });
-                (ex, Some(inc))
-            }
+        debug_assert!(exclusive || inclusive);
+        if algo == ScanAlgorithm::RecursiveDoubling {
+            let x = crossing.exchange(combine, false);
+            let s = x.partials(value, (exclusive, inclusive));
+            return self
+                .launch::<Blocking, _, _>(kind, |comm, seq| scan_rd(comm, s, seq, bytes_of));
         }
+        let value = crossing.into_whole(self, value);
+        let (ex, inc) = match algo {
+            ScanAlgorithm::Binomial => self.launch::<Blocking, _, _>(kind, |comm, seq| {
+                scan_binomial(comm, value, seq, bytes_of, combine)
+            }),
+            _ => self.launch::<Blocking, _, _>(kind, |comm, seq| {
+                scan_chain(
+                    comm,
+                    value,
+                    segments,
+                    segmentation,
+                    seq,
+                    bytes_of,
+                    combine,
+                    exclusive,
+                )
+            }),
+        };
+        (ex, Some(inc))
     }
 
     /// Inclusive scan with cost-driven schedule selection: rank `r`
-    /// receives `v₀ ⊕ v₁ ⊕ ⋯ ⊕ v_r`.
+    /// receives `v₀ ⊕ v₁ ⊕ ⋯ ⊕ v_r`. Priced at this rank's own state (see
+    /// the module docs).
     pub fn scan_inclusive<T: Clone + Send + 'static>(
         &self,
         value: T,
@@ -367,7 +269,14 @@ impl Comm {
         combine: impl FnMut(T, T) -> T,
     ) -> T {
         let plan = ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&value), false);
-        let (_, inc) = self.start_scan(plan, value, whole(), bytes_of, combine, (false, true));
+        let (_, inc) = self.start_scan(
+            plan.into(),
+            value,
+            whole(),
+            bytes_of,
+            combine,
+            (false, true),
+        );
         inc.expect("inclusive result was requested")
     }
 
@@ -385,12 +294,20 @@ impl Comm {
         let identity = ident();
         let plan =
             ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&identity), false);
-        let (ex, _) = self.start_scan(plan, value, whole(), bytes_of, combine, (true, false));
+        let (ex, _) = self.start_scan(
+            plan.into(),
+            value,
+            whole(),
+            bytes_of,
+            combine,
+            (true, false),
+        );
         ex.unwrap_or(identity)
     }
 
     /// Both scans at once (one communication schedule): `(exclusive,
-    /// inclusive)`, with `None` as rank 0's exclusive part.
+    /// inclusive)`, with `None` as rank 0's exclusive part. Priced at this
+    /// rank's own state (see the module docs).
     ///
     /// **Accounting convention**: one schedule, one call — recorded as a
     /// single [`CallKind::Scan`] (the inclusive result is the primary;
@@ -427,6 +344,7 @@ impl Comm {
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> (Option<T>, T) {
+        let plan = plan.into();
         let (ex, inc) = self.start_scan(plan, value, segmentation, bytes_of, combine, (true, true));
         (ex, inc.expect("inclusive result was requested"))
     }
@@ -450,73 +368,32 @@ impl Comm {
         let plan =
             ScanAlgorithm::select(&self.cost_model(), self.size(), bytes_of(&identity), true);
         let segmentation = (split, unsplit);
-        let (ex, _) = self.start_scan(plan, value, segmentation, bytes_of, combine, (true, false));
+        let need = (true, false);
+        let (ex, _) = self.start_scan(plan.into(), value, segmentation, bytes_of, combine, need);
         ex.unwrap_or(identity)
     }
 
     /// Exclusive scan by the schedule `plan` names, bypassing the
-    /// selector, as [`scan_both_by`](Self::scan_both_by) does, for a
-    /// caller that priced the call itself at a size every rank computes
-    /// alike. Only rank 0, which returns it, runs `ident`. Recorded as a
-    /// [`scan_exclusive`](Self::scan_exclusive) of the same plan.
-    pub fn scan_exclusive_by<T: Clone + Send + 'static>(
+    /// selector, for a caller that priced the call itself at a size every
+    /// rank computes alike: `(algorithm, chain segment count)`, as
+    /// [`scan_both_by`](Self::scan_both_by) takes it, or `By(that,
+    /// crossing)` to say how states cross in recursive doubling (a
+    /// counting state's [`Counted`](super::Counted), whose `value` is an
+    /// identity where it holds units). Only rank 0, which returns it,
+    /// runs `ident`. Recorded as a [`scan_exclusive`](Self::scan_exclusive)
+    /// of the same plan.
+    pub fn scan_exclusive_by<T: Clone + Send + 'static, X: Crossing<T>>(
         &self,
-        plan: (ScanAlgorithm, usize),
+        plan: impl Into<By<(ScanAlgorithm, usize), X>>,
         value: T,
         ident: impl FnOnce() -> T,
         segmentation: (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T),
         bytes_of: impl Fn(&T) -> usize,
         combine: impl FnMut(T, T) -> T,
     ) -> T {
-        let (ex, _) = self.start_scan(plan, value, segmentation, bytes_of, combine, (true, false));
+        let need = (true, false);
+        let (ex, _) = self.start_scan(plan.into(), value, segmentation, bytes_of, combine, need);
         ex.unwrap_or_else(ident)
-    }
-
-    /// [`scan_exclusive`](Self::scan_exclusive) — or, given the state's
-    /// `segmentation` (`(split, unsplit)`),
-    /// [`scan_exclusive_splittable`](Self::scan_exclusive_splittable) —
-    /// for a counting state ([`Counting`]). `value` is the rank's state,
-    /// or, when `counting.units` holds its block's units, an identity they
-    /// are not yet counted into: either has the identity's slots, so every
-    /// rank prices the same size without building a second state. Where
-    /// recursive doubling runs, each round sends one piece its rank
-    /// chooses alone, as in
-    /// [`allreduce_elementwise`](Self::allreduce_elementwise), but never
-    /// lent, and a rank that holds units counts its own into a state only
-    /// when a round must send slots; any other schedule counts them into
-    /// `value` first. Only a rank 0 that starts from its state builds an
-    /// identity for its result: the plain calls build one on every rank,
-    /// which read `large_state` 15 % slower at 1 MiB (EXPERIMENTS.md,
-    /// TXT-RETURN). Messages and schedule counters are the plain call's,
-    /// and so are bytes and the modeled clock of a run that ships no
-    /// units.
-    pub fn scan_exclusive_elementwise<T: Clone + Send + 'static, I>(
-        &self,
-        mut value: T,
-        ident: impl FnOnce() -> T,
-        segmentation: Option<Segmentation<'_, T>>,
-        bytes_of: impl Fn(&T) -> usize,
-        combine: impl FnMut(T, T) -> T,
-        mut counting: Counting<'_, T, I>,
-    ) -> T {
-        let cost = self.cost_model();
-        let splittable = segmentation.is_some();
-        let plan = ScanAlgorithm::select(&cost, self.size(), bytes_of(&value), splittable);
-        if plan.0 == ScanAlgorithm::RecursiveDoubling {
-            self.counters().record_scan_algorithm(plan.0);
-            return self.launch::<Blocking, _, _>(CallKind::Exscan, |comm, seq| {
-                scan_rd_counting(comm, value, seq, bytes_of, ident, counting)
-            });
-        }
-        if let Some(units) = counting.units.take() {
-            counting.count(self, &mut value, &units);
-        }
-        match segmentation {
-            Some((split, unsplit)) => {
-                self.scan_exclusive_by(plan, value, ident, (split, unsplit), bytes_of, combine)
-            }
-            None => self.scan_exclusive_by(plan, value, ident, whole(), bytes_of, combine),
-        }
     }
 }
 
@@ -622,20 +499,41 @@ mod tests {
         }
     }
 
-    /// What a request boxes, for a `u64` sum: the tree's future keeps no
-    /// second copy of its arguments (a plain `fn` returning an `async`
-    /// block), and its up- and down-sweep share the storage of one awaited
-    /// future. It is no larger than recursive doubling's, so a commutative
-    /// request runs the tree at every rank count, one rank included.
+    /// What a request boxes: for a `u64` sum, the by-value tree and
+    /// recursive doubling; for a counting `Vec<u64>` state shared through
+    /// an `Rc`, as `gv_rsmpi::ireduce_all` shares it, the counted tree.
+    /// The tree's future keeps no second copy of its arguments (a plain
+    /// `fn` returning an `async` block), and its up- and down-sweep share
+    /// the storage of one awaited future. The by-value tree is no larger
+    /// than recursive doubling's, so a commutative request runs the tree
+    /// at every rank count, one rank included. The bounds are the sizes
+    /// each schedule had as a body of its own.
     #[test]
     fn a_requests_schedule_stays_small() {
+        use crate::collectives::{ByValue, Counted, Crossing};
+        use gv_core::op::ReduceScanOp;
+        use gv_core::ops::counts::Counts;
+        use std::rc::Rc;
+
         Runtime::new(1).run(|comm| {
             let add = |a: u64, b: u64| a + b;
-            let tree = super::tree_allreduce(comm.clone_handle(), 0, 1, 0, |_| 8, add);
-            let rd = super::allreduce_rd(comm.clone_handle(), 1, 0, |_| 8, add);
+            let x = ByValue.exchange(add, false);
+            let tree = super::tree_allreduce(comm.clone_handle(), 0, 1, 0, |_| 8, x);
+            let x = ByValue.exchange(add, false);
+            let rd = super::allreduce_rd(comm.clone_handle(), 1, 0, |_| 8, x);
+            let op = Rc::new(Counts::new(8));
+            let sized = Rc::clone(&op);
+            let bytes_of = move |s: &Vec<u64>| sized.wire_size(s);
+            let x = Counted::new(op, None).exchange(|a, _| a, false);
+            let counted = super::tree_allreduce(comm.clone_handle(), 0, vec![0; 8], 0, bytes_of, x);
             let (tree, rd) = (size_of_val(&tree), size_of_val(&rd));
+            let counted = size_of_val(&counted);
             assert!(tree <= 208, "the tree's future grew to {tree} bytes");
             assert!(rd <= 232, "recursive doubling's future grew to {rd} bytes");
+            assert!(
+                counted <= 360,
+                "the counted tree's future grew to {counted} bytes"
+            );
         });
     }
 

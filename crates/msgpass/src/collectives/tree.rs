@@ -26,14 +26,14 @@
 //! (`select.rs`).
 //!
 //! Memory discipline: payloads move by value. An arriving partial is
-//! combined *into*, a state forwarded to one peer is sent by move, and
-//! the only clones are the down-sweep's keep-and-forward fan-out, one per
-//! child. A commutative request of a state whose slots combine slot by
-//! slot runs `tree_allreduce_returning`, which has none: a rank's
-//! children are the same in both sweeps, so it combines each child's
-//! partial in place, keeps the child's buffer, and writes the result into
-//! it for the way back. Every rank ends with the buffer it allocated. A
-//! broadcast has no child buffers to return, and keeps its clones.
+//! combined *into*, and a state forwarded to one peer is sent by move.
+//! The fused allreduce is one body, generic over how a state crosses
+//! (`Exchange`, `exchange.rs`): by value the down-sweep clones the
+//! result once per child, as the broadcast does; a counting state's
+//! exchange clones nothing — a rank's children are the same in both
+//! sweeps, so it combines each child's partial in place, keeps the
+//! child's buffer, and writes the result into it for the way back
+//! (`counting.rs`).
 //!
 //! The sweeps and the fused allreduce, which a request boxes, are plain
 //! `fn`s returning an `async move` block, not `async fn`s: an `async fn`
@@ -42,9 +42,7 @@
 
 use std::future::Future;
 
-use gv_core::op::ElementwiseState;
-
-use super::counting::add_slots;
+use super::exchange::Exchange;
 use super::launch::Blocking;
 use super::TagBase;
 use crate::comm::Comm;
@@ -94,7 +92,7 @@ fn up_sweep<'a, T: Send + 'static>(
     tag: Key,
     value: T,
     bytes_of: &'a impl Fn(&T) -> usize,
-    mut combine: impl FnMut(T, T) -> T + 'a,
+    mut combine: impl FnMut(&Comm, T, T) -> T + 'a,
 ) -> impl Future<Output = Result<Option<T>, ShutdownError>> + 'a {
     let p = comm.size();
     let (vrank, low) = position(comm, root);
@@ -103,7 +101,7 @@ fn up_sweep<'a, T: Send + 'static>(
         let mut m = 1;
         while m < low && vrank + m < p {
             let later = recv::<T>(comm, (vrank + m + root) % p, tag).await?;
-            acc = combine(acc, later);
+            acc = combine(comm, acc, later);
             m <<= 1;
         }
         if vrank == 0 {
@@ -174,10 +172,11 @@ pub(crate) async fn tree_reduce<T: Send + 'static>(
     value: T,
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
-    combine: impl FnMut(T, T) -> T,
+    mut combine: impl FnMut(T, T) -> T,
 ) -> Result<Option<T>, ShutdownError> {
     assert!(root < comm.size(), "reduce root {root} out of range");
     let tag = TagBase::Reduce.key(seq);
+    let combine = move |_: &Comm, earlier, later| combine(earlier, later);
     match up_sweep(&comm, 0, tag, value, &bytes_of, combine).await? {
         Some(result) if root != 0 => {
             let bytes = bytes_of(&result);
@@ -190,95 +189,27 @@ pub(crate) async fn tree_reduce<T: Send + 'static>(
 }
 
 /// Fused allreduce on the tree rooted at `root`: up-sweep, the result
-/// handed straight to the down-sweep. Any root but 0 combines in a
-/// rotated rank order, which only a commutative operator allows.
-pub(crate) fn tree_allreduce<T: Clone + Send + 'static>(
+/// handed straight to the down-sweep, `x` adopting each child's partial
+/// and handing each child its copy of the result. Any root but 0
+/// combines in a rotated rank order, which only a commutative operator
+/// allows. Not an `async fn`, which would keep its arguments twice (see
+/// the module docs).
+#[allow(clippy::manual_async_fn)]
+pub(crate) fn tree_allreduce<T: Send + 'static, X: Exchange<T>>(
     comm: Comm,
     root: usize,
     value: T,
     seq: u64,
     bytes_of: impl Fn(&T) -> usize,
-    combine: impl FnMut(T, T) -> T,
+    mut x: X,
 ) -> impl Future<Output = Result<T, ShutdownError>> {
-    let (up, down) = (
-        TagBase::AllreduceTreeUp.key(seq),
-        TagBase::AllreduceTreeDown.key(seq),
-    );
     async move {
-        let top = up_sweep(&comm, root, up, value, &bytes_of, combine).await?;
-        down_sweep(&comm, root, down, &bytes_of, top, T::clone).await
-    }
-}
-
-/// [`tree_allreduce`] for a state whose slots combine slot by slot: the
-/// up-sweep combines each child's partial into the rank's own state in
-/// place (own ⊕ child, the by-value order) and keeps the child's buffer,
-/// and the down-sweep writes the result into that buffer and sends it
-/// back. A rank's children are the same in both sweeps, so every rank
-/// ends with the buffer it sent up — the root with its own — and no rank
-/// allocates or frees a state for another. `combine_ops(&child)` is the
-/// charge the by-value combine makes; messages, bytes and the modeled
-/// clock are [`tree_allreduce`]'s.
-pub(crate) fn tree_allreduce_returning<T: Clone + Send + 'static, I>(
-    comm: Comm,
-    root: usize,
-    value: T,
-    seq: u64,
-    bytes_of: impl Fn(&T) -> usize,
-    (slots, combine_ops): (impl ElementwiseState<T, I>, impl Fn(&T) -> u64),
-) -> impl Future<Output = Result<T, ShutdownError>> {
-    let (up, down) = (
-        TagBase::AllreduceTreeUp.key(seq),
-        TagBase::AllreduceTreeDown.key(seq),
-    );
-    async move {
-        let mut kept = Kept::default();
-        let absorb = |mut acc: T, mut child: T| {
-            comm.advance(combine_ops(&child));
-            add_slots(slots.slots(&mut acc), slots.slots(&mut child));
-            kept.keep(child);
-            acc
-        };
-        let top = up_sweep(&comm, root, up, value, &bytes_of, absorb).await?;
-        let give_back = |result: &T| kept.write_back(result);
-        down_sweep(&comm, root, down, &bytes_of, top, give_back).await
-    }
-}
-
-/// The buffers a rank's tree children sent up, kept to carry the result
-/// back down: the first inline, so a rank with one child — every parent
-/// at p = 2 — keeps it without allocating, and the rest in
-/// increasing-mask order.
-struct Kept<T> {
-    first: Option<T>,
-    rest: Vec<T>,
-}
-
-impl<T> Default for Kept<T> {
-    fn default() -> Self {
-        Kept {
-            first: None,
-            rest: Vec::new(),
-        }
-    }
-}
-
-impl<T: Clone> Kept<T> {
-    fn keep(&mut self, partial: T) {
-        match self.first {
-            None => self.first = Some(partial),
-            Some(_) => self.rest.push(partial),
-        }
-    }
-
-    /// The buffer of the child the down-sweep sends to next, holding
-    /// `result`. The down-sweep takes the children largest subtree first,
-    /// the reverse of the up-sweep, so the buffers come off the back.
-    fn write_back(&mut self, result: &T) -> T {
-        let mut buffer = (self.rest.pop().or_else(|| self.first.take()))
-            .expect("a buffer is kept for every child");
-        buffer.clone_from(result);
-        buffer
+        let up = TagBase::AllreduceTreeUp.key(seq);
+        let adopt = |comm: &Comm, acc, child| x.adopt(comm, acc, child);
+        let top = up_sweep(&comm, root, up, value, &bytes_of, adopt).await?;
+        let down = TagBase::AllreduceTreeDown.key(seq);
+        let hand_down = |result: &T| x.hand_down(result);
+        down_sweep(&comm, root, down, &bytes_of, top, hand_down).await
     }
 }
 

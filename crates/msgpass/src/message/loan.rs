@@ -106,12 +106,12 @@ impl<T> Shared<T> {
 }
 
 /// The lender's side of a loan.
-pub(crate) struct Loan<T> {
+pub struct Loan<T> {
     shared: Arc<Shared<T>>,
 }
 
 /// The borrower's side of a loan: sent to the partner in place of a clone.
-pub(crate) struct View<T> {
+pub struct View<T> {
     /// `None` only inside `drop`, which lets go before it wakes the lender.
     shared: Option<Arc<Shared<T>>>,
     /// This view gave the given run back.

@@ -22,8 +22,9 @@ use std::rc::Rc;
 use gv_core::iter::Input;
 use gv_core::op::{ElementwiseState, ReduceScanOp};
 use gv_core::split::SplittableState;
-use gv_msgpass::collectives::counting::{ships_units, Counting};
 use gv_msgpass::collectives::select::Segmentation;
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::collectives::{ships_units, By, Counted};
 use gv_msgpass::{AllreduceAlgorithm, Comm, Request, RequestError};
 
 /// Runs the accumulate phase of Listing 2 for this rank's block and
@@ -39,33 +40,38 @@ pub(crate) fn accumulate_local<Op: ReduceScanOp>(
     state
 }
 
-/// [`accumulate_local`] for a reduction: beside the state, a counting
-/// operator's units — the slot each input adds one to — when the input
-/// is a slice, another rank may receive them, the call runs recursive
-/// doubling (the one schedule that ships units; `splittable` as the
-/// transport is given a segmentation, which selects by the same rule on
-/// the rank's state, of the identity's size), and [`ships_units`] says
-/// they are the cheaper form of a state of that many slots.
-fn accumulate_counted<Op: ReduceScanOp>(
+/// [`accumulate_local`] for a reduction, and for a counting operator
+/// ([`ReduceScanOp::elementwise`]) the plan its states cross by: the
+/// transport's selection at the identity's size (`splittable` as the
+/// transport is given a segmentation), asked before the accumulate, and
+/// beside it the rank's units — the slot each input adds one to — when
+/// the input is a slice, another rank may receive them, the plan is
+/// recursive doubling (the one schedule that ships units) and
+/// [`ships_units`] says they are the cheaper form of a state of that many
+/// slots.
+fn accumulate_counted<'o, Op: ReduceScanOp>(
     comm: &Comm,
-    op: &Op,
+    op: &'o Op,
     local: impl Input<Op>,
     splittable: bool,
-) -> (Op::State, Option<Vec<u32>>) {
+) -> (Op::State, Option<CountedPlan<'o, Op>>) {
     let mut state = op.ident();
-    let doubling = |bytes| {
-        let cost = comm.cost_model();
-        AllreduceAlgorithm::select(&cost, comm.size(), bytes, Op::COMMUTATIVE, splittable)
-            == AllreduceAlgorithm::RecursiveDoubling
-    };
-    let units = op
-        .elementwise()
-        .filter(|_| comm.size() > 1 && doubling(op.wire_size(&state)))
-        .and_then(|slots| units_of(slots, local.as_slice()?, &mut state));
+    let plan = op.elementwise().map(|slots| {
+        let (cost, bytes) = (comm.cost_model(), op.wire_size(&state));
+        let algo =
+            AllreduceAlgorithm::select(&cost, comm.size(), bytes, Op::COMMUTATIVE, splittable);
+        let units = (comm.size() > 1 && algo == AllreduceAlgorithm::RecursiveDoubling)
+            .then(|| units_of(slots, local.as_slice()?, &mut state))
+            .flatten();
+        By(algo, Counted::new(op, units))
+    });
     let count = local.accumulate(op, &mut state);
     comm.advance(count * op.accum_ops());
-    (state, units)
+    (state, plan)
 }
+
+/// A counting operator's forced allreduce plan.
+type CountedPlan<'o, Op> = By<AllreduceAlgorithm, Counted<&'o Op>>;
 
 /// The slot each input of `block` adds one to, when [`ships_units`] says
 /// they are the cheaper form of a state like `state`.
@@ -98,14 +104,12 @@ pub(crate) fn combining<'a, Op: ReduceScanOp>(
 /// reorder combining. `segmentation` is a [`SplittableState`] operator's
 /// split, which the selector may answer with the bandwidth-optimal
 /// reduce-scatter + allgather (only when the operator is also
-/// commutative). A counting operator ([`ReduceScanOp::elementwise`])
-/// hands the transport that capability and the block's `units`, if the
-/// rank built them, and its recursive-doubling rounds ship units or
-/// exchange the state by view.
-pub(crate) fn allreduce_state<Op>(
+/// commutative). A counting operator's `plan` ([`accumulate_counted`])
+/// is run as it is, its states crossing as units, views or clones.
+fn allreduce_state<Op>(
     comm: &Comm,
     op: &Op,
-    (state, units): (Op::State, Option<Vec<u32>>),
+    (state, plan): (Op::State, Option<CountedPlan<'_, Op>>),
     segmentation: Option<Segmentation<'_, Op::State>>,
 ) -> Op::State
 where
@@ -114,20 +118,11 @@ where
 {
     let bytes_of = |s: &Op::State| op.wire_size(s);
     let combine = combining(comm, op);
-    match (op.elementwise(), segmentation) {
-        (Some(slots), segmentation) => comm.allreduce_elementwise(
-            state,
-            Op::COMMUTATIVE,
-            segmentation,
-            bytes_of,
-            combine,
-            Counting {
-                slots,
-                combine_ops: &|s| op.combine_ops(s),
-                accum_ops: op.accum_ops(),
-                units,
-            },
-        ),
+    match (plan, segmentation) {
+        (Some(plan), Some(segmentation)) => {
+            comm.allreduce_by(plan, state, segmentation, bytes_of, combine)
+        }
+        (Some(plan), None) => comm.allreduce_by(plan, state, whole(), bytes_of, combine),
         (None, Some(segmentation)) => {
             // Priced at the identity, the one state every rank holds alike:
             // a `TopBottomK` state grows with the entries a rank holds, and
@@ -215,10 +210,9 @@ where
 /// user-defined operators. The operator moves into the request
 /// (`'static` closures cannot borrow it), so pass it by value. A
 /// commutative operator's request runs the tree rooted at its call
-/// sequence mod p ([`Comm::iallreduce`]); when its state is a run of
-/// slots ([`ReduceScanOp::elementwise`]), that tree hands every child its
-/// own buffer back with the result instead of a clone
-/// ([`Comm::iallreduce_elementwise`]).
+/// sequence mod p ([`Comm::iallreduce`]); when its state counts
+/// ([`ReduceScanOp::elementwise`]), that tree hands every child its own
+/// buffer back with the result instead of a clone ([`Counted`]).
 pub fn ireduce_all<Op>(comm: &Comm, op: Op, local: &[Op::In]) -> ReduceAllRequest<Op>
 where
     Op: ReduceScanOp + 'static,
@@ -235,38 +229,15 @@ where
         combine_op.combine(&mut earlier, later);
         earlier
     };
+    let commutative = Op::COMMUTATIVE;
     let inner = match op.elementwise() {
         Some(_) => {
-            let ops_op = Rc::clone(&op);
-            let combine_ops = move |s: &Op::State| ops_op.combine_ops(s);
-            let slots = (OwnedSlots(Rc::clone(&op)), combine_ops);
-            comm.iallreduce_elementwise(state, Op::COMMUTATIVE, bytes_of, combine, slots)
+            let counted = Counted::new(Rc::clone(&op), None);
+            comm.iallreduce_by(counted, state, commutative, bytes_of, combine)
         }
-        None => comm.iallreduce(state, Op::COMMUTATIVE, bytes_of, combine),
+        None => comm.iallreduce(state, commutative, bytes_of, combine),
     };
     ReduceAllRequest { inner, op }
-}
-
-/// The slot capability of an operator a request shares: what
-/// [`ReduceScanOp::elementwise`] lends for as long as the operator is
-/// borrowed, held for as long as the request runs. Built only for an
-/// operator that has it.
-struct OwnedSlots<Op>(Rc<Op>);
-
-impl<Op: ReduceScanOp> OwnedSlots<Op> {
-    fn get(&self) -> &dyn ElementwiseState<Op::State, Op::In> {
-        self.0.elementwise().expect("built for a slotted operator")
-    }
-}
-
-impl<Op: ReduceScanOp> ElementwiseState<Op::State, Op::In> for OwnedSlots<Op> {
-    fn slots<'s>(&self, state: &'s mut Op::State) -> &'s mut [u64] {
-        self.get().slots(state)
-    }
-
-    fn slot_of(&self, x: &Op::In) -> usize {
-        self.get().slot_of(x)
-    }
 }
 
 /// Global-view reduction delivering the result to `root` only — the

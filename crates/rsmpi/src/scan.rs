@@ -17,8 +17,9 @@
 
 use gv_core::op::{ElementwiseState, ReduceScanOp, ScanKind};
 use gv_core::split::SplittableState;
-use gv_msgpass::collectives::counting::Counting;
 use gv_msgpass::collectives::select::Segmentation;
+use gv_msgpass::collectives::tree::whole;
+use gv_msgpass::collectives::{By, Counted};
 use gv_msgpass::{Comm, ScanAlgorithm};
 
 use crate::reduce::{accumulate_local, combining, units_of};
@@ -79,10 +80,10 @@ where
     let mut state = op.ident();
     let cost = comm.cost_model();
     let bytes = op.wire_size(&state);
-    let (plan, _) = ScanAlgorithm::select(&cost, comm.size(), bytes, segmentation.is_some());
+    let plan = ScanAlgorithm::select(&cost, comm.size(), bytes, segmentation.is_some());
     let units = if comm.rank() + 1 == comm.size() {
         Some(Vec::new())
-    } else if plan == ScanAlgorithm::RecursiveDoubling {
+    } else if plan.0 == ScanAlgorithm::RecursiveDoubling {
         units_of(slots, local, &mut state)
     } else {
         None
@@ -92,13 +93,11 @@ where
         comm.advance(local.len() as u64 * op.accum_ops());
     }
     let (ident, bytes_of, combine) = (|| op.ident(), |s: &_| op.wire_size(s), combining(comm, op));
-    let counting = Counting {
-        slots,
-        combine_ops: &|s| op.combine_ops(s),
-        accum_ops: op.accum_ops(),
-        units,
-    };
-    comm.scan_exclusive_elementwise(state, ident, segmentation, bytes_of, combine, counting)
+    let plan = By(plan, Counted::new(op, units));
+    match segmentation {
+        Some(split) => comm.scan_exclusive_by(plan, state, ident, split, bytes_of, combine),
+        None => comm.scan_exclusive_by(plan, state, ident, whole(), bytes_of, combine),
+    }
 }
 
 /// [`scan`] for operators with splittable states: the cross-rank prefix

@@ -146,3 +146,9 @@ echo "benchmark: cargo test"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "benchmark: run.sh --quick"
 bash benchmark/run.sh --quick > /dev/null
+
+# Every fast path and mended bug in `scripts/mutants.ledger` has a test
+# that fails without it: each entry is applied to a copy of the checkout
+# and its named tests must fail there (minutes; not part of tier-1).
+echo "mutants: scripts/mutants.sh"
+scripts/mutants.sh

@@ -14,6 +14,10 @@
 //! unit and 4 for the kind word per units piece, the state's wire size
 //! per state.
 //!
+//! A crossing that holds units but is handed to a schedule that carries
+//! states — the binomial sweep or the chain, named by
+//! `scan_exclusive_by` — has them counted into its state first.
+//!
 //! Where every partial covers enough inputs that every round sends its
 //! state, a state past the lending threshold is lent, and the run must
 //! agree with the clone path bit for bit on everything it records:
@@ -31,9 +35,16 @@
 //! not share, so the clocks are held equal where that order is fixed:
 //! the same requests, each waited as it is made.
 //!
-//! A rank killed in the middle of a loan — its state lent, or its
-//! partner's view in hand — ends the run as a typed failure, with no
-//! hang.
+//! A request never lends: a loan waits for its partner, which a request
+//! must not do inside a poll. The one counting request that runs
+//! recursive doubling is a non-commutative one, which no library
+//! operator is, so `Probe` can declare itself so: eight such requests in
+//! flight, waited in a shuffled order, must give the oracle's results
+//! under the watchdog.
+//!
+//! A rank killed in the middle of a loan — as it sends the view of its
+//! lent state, or with its partner's view in hand — ends the run as a
+//! typed failure, with no hang.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,6 +55,7 @@ use gv_core::ops::counts::{BucketRank, Counts};
 use gv_core::ops::histogram::Histogram;
 use gv_core::split::SplittableState;
 use gv_executor::chunk_ranges;
+use gv_msgpass::collectives::{By, Counted};
 use gv_msgpass::{
     AllreduceAlgorithm, FaultOp, FaultPlan, InjectedKill, RunError, RunOutcome, Runtime,
     ScanAlgorithm,
@@ -52,8 +64,9 @@ use gv_testkit::rng::TestRng;
 
 /// `Op` as it is, or with its capability hidden (`lend` false), counting
 /// the times the transport takes a state's slots through the capability
-/// and calling `hook` before each.
-struct Probe<Op, H = fn()> {
+/// and calling `hook` before each. `COMMUTES` false declares it
+/// non-commutative, whatever `Op` declares.
+struct Probe<Op, H = fn(), const COMMUTES: bool = true> {
     op: Op,
     lend: bool,
     slot_reads: AtomicU64,
@@ -68,6 +81,12 @@ impl<Op> Probe<Op> {
 
 impl<Op, H: Fn()> Probe<Op, H> {
     fn hooked(op: Op, lend: bool, hook: H) -> Self {
+        Probe::declared(op, lend, hook)
+    }
+}
+
+impl<Op, H: Fn(), const COMMUTES: bool> Probe<Op, H, COMMUTES> {
+    fn declared(op: Op, lend: bool, hook: H) -> Self {
         let slot_reads = AtomicU64::new(0);
         Probe {
             op,
@@ -82,8 +101,8 @@ impl<Op, H: Fn()> Probe<Op, H> {
     }
 }
 
-impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn()> ElementwiseState<Vec<u64>, Op::In>
-    for Probe<Op, H>
+impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn(), const COMMUTES: bool>
+    ElementwiseState<Vec<u64>, Op::In> for Probe<Op, H, COMMUTES>
 {
     fn slots<'s>(&self, state: &'s mut Vec<u64>) -> &'s mut [u64] {
         (self.hook)();
@@ -96,12 +115,14 @@ impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn()> ElementwiseState<Vec<u64>, Op:
     }
 }
 
-impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn()> ReduceScanOp for Probe<Op, H> {
+impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn(), const COMMUTES: bool> ReduceScanOp
+    for Probe<Op, H, COMMUTES>
+{
     type In = Op::In;
     type State = Vec<u64>;
     type Out = Op::Out;
 
-    const COMMUTATIVE: bool = Op::COMMUTATIVE;
+    const COMMUTATIVE: bool = COMMUTES && Op::COMMUTATIVE;
 
     fn ident(&self) -> Vec<u64> {
         self.op.ident()
@@ -415,6 +436,39 @@ fn schedules_that_carry_states_build_no_units() {
     assert_eq!(counted, dense);
 }
 
+#[test]
+fn units_handed_to_a_schedule_that_carries_states_are_counted_first() {
+    // `scan_exclusive_by` may name the binomial sweep or the chain for a
+    // `Counted` crossing that holds units, its `value` an identity they
+    // are not counted into. Those schedules carry states, so the units
+    // must be counted into `value` before they run, or every higher
+    // rank's prefix loses the rank's block.
+    let k = 64;
+    let op = Counts::new(k);
+    for p in [2usize, 3, 5, 8] {
+        let data: Vec<usize> = (0..p * 7).map(|i| (i * 31) % k).collect();
+        for algo in [ScanAlgorithm::Binomial, ScanAlgorithm::PipelinedChain] {
+            let outcome = Runtime::new(p).run(|comm| {
+                let units = block(&data, p, comm.rank()).iter().map(|&x| x as u32);
+                let plan = By((algo, 2), Counted::new(&op, Some(units.collect())));
+                let split = (|s, n| op.split_state(s, n), |s| op.unsplit_state(s));
+                let combine = |mut a, b| {
+                    op.combine(&mut a, b);
+                    a
+                };
+                let bytes_of = |s: &_| op.wire_size(s);
+                comm.scan_exclusive_by(plan, op.ident(), || op.ident(), split, bytes_of, combine)
+            });
+            assert_eq!(outcome.stats.scan_algorithm_calls(algo), p as u64);
+            let mut want = op.ident();
+            for (r, got) in outcome.results.iter().enumerate() {
+                assert_eq!(got, &want, "{algo:?} p={p} r={r}");
+                block(&data, p, r).iter().for_each(|&x| want[x] += 1);
+            }
+        }
+    }
+}
+
 /// The bytes a `reduce_all` and an exclusive `scan` by recursive
 /// doubling send when every round ships units, from the block sizes `n`
 /// alone. Recursive doubling folds the first `2·rem` ranks onto the odd
@@ -563,6 +617,51 @@ fn requests_in_flight_that_return_buffers_equal_requests_that_clone() {
     assert!(assert_returned_matches_cloned("Histogram", histogram, &values) > 0);
 }
 
+/// A counting operator declared non-commutative, whose requests run
+/// recursive doubling (a rotated tree would permute its combines), with
+/// eight requests of 32 KiB states in flight at p = 2…9, each rank waiting
+/// for them in its own shuffled order: every result the oracle's, and no
+/// stall. A request that lent its state would wait inside a poll for a
+/// partner that may be waiting inside another request's poll for it.
+#[test]
+fn a_non_commutative_counting_request_lends_nothing() {
+    let k = 4099;
+    let mut rng = TestRng::new(0x0_4D3E);
+    let sets: Vec<Vec<usize>> = (0..IN_FLIGHT)
+        .map(|_| (0..3000).map(|_| rng.usize_in(0..k)).collect())
+        .collect();
+    let oracle: Vec<Vec<u64>> = sets
+        .iter()
+        .map(|set| gv_core::seq::reduce(&Counts::new(k), set))
+        .collect();
+    for p in 2..=9 {
+        let outcome = Runtime::new(p)
+            .watchdog(Duration::from_secs(20))
+            .run(|comm| {
+                let r = comm.rank();
+                let start = |set: &Vec<usize>| {
+                    let op = Probe::<_, _, false>::declared(Counts::new(k), true, || {});
+                    gv_rsmpi::ireduce_all(comm, op, dense_block(set, p, r))
+                };
+                let mut requests: Vec<_> = sets.iter().map(start).collect();
+                let mut order: Vec<usize> = (0..requests.len()).collect();
+                let mut rng = TestRng::new(0x0_4D3E_0000 + (p * 32 + r) as u64);
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.usize_in(0..i + 1));
+                }
+                let mut results = vec![Vec::new(); order.len()];
+                for i in order {
+                    results[i] = requests[i].wait().expect("transport alive");
+                }
+                results
+            });
+        assert_eq!(outcome.results, vec![oracle.clone(); p], "p = {p}");
+        let rd = AllreduceAlgorithm::RecursiveDoubling;
+        let calls = outcome.stats.allreduce_algorithm_calls(rd);
+        assert_eq!(calls, (p * IN_FLIGHT) as u64, "p = {p}");
+    }
+}
+
 /// Runs a `Counts` reduction past the lending threshold at p = 2, rank
 /// `r` holding `held[r]` inputs, with `rank` killed at its `nth` send,
 /// each read of a state's slots making one send when `send_in_reads`.
@@ -599,11 +698,17 @@ fn kill_during_a_loan(held: [usize; 2], rank: usize, nth: u64, send_in_reads: bo
 }
 
 /// Killed as it sends the view of its state: lent, the partner holding
-/// nothing of it yet.
+/// nothing of it yet. Its fourth send: the reads of its block's width
+/// and of the transport's, the read that lends the state, then the view.
+/// A rank that clones makes three (the reads and the clone), so the kill
+/// fires only where the state is lent. Once the view is out, the lender
+/// reads nothing and sends nothing until its partner lets go, so no
+/// later kill point finds its state lent and the view in the partner's
+/// hand.
 #[test]
-fn a_kill_while_the_state_is_lent_fails_the_run() {
+fn a_kill_while_sending_the_view_of_the_lent_state_fails_the_run() {
     for rank in [0, 1] {
-        kill_during_a_loan([5000, 5000], rank, 1, false);
+        kill_during_a_loan([5000, 5000], rank, 4, true);
     }
 }
 
