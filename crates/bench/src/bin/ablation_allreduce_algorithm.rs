@@ -1,20 +1,16 @@
-//! Experiment TXT-ALLREDUCE: cost-driven allreduce algorithm selection.
+//! Experiment TXT-ALLREDUCE: the two allreduce schedules, modeled.
 //!
-//! Sweeps rank count × state size over the three allreduce schedules the
-//! runtime knows — reduce+bcast (the binomial tree, the old hardcoded
-//! path), recursive doubling, and reduce-scatter+allgather
-//! (Rabenseifner's composition, available when the operator state is
-//! splittable and commutative) — and reports the modeled time of each
-//! alongside the schedule the selector would pick from the α–β
-//! estimates. The table demonstrates the crossover the selector
-//! exploits: latency-bound small states want recursive doubling,
-//! bandwidth-bound large states want the reduce-scatter.
+//! Sweeps rank count × state size over the allreduce schedules the
+//! runtime runs — reduce+bcast (the binomial tree a commutative request
+//! runs) and recursive doubling (every blocking call) — and reports the
+//! modeled time of each. Recursive doubling needs at most as many hops as
+//! the tree at every cell, so the table shows what a blocking call gains
+//! over the tree.
 //!
 //! Usage: ablation_allreduce_algorithm [--procs 2,4,8,16] [--csv]
 
 use gv_bench::table::{has_flag, parallel_time, parse_procs, timed_phase};
-use gv_core::split::{split_vec_segments, unsplit_vec_segments};
-use gv_msgpass::{AllreduceAlgorithm, CostModel, Runtime};
+use gv_msgpass::{AllreduceAlgorithm, Runtime};
 
 /// State sizes swept, in bytes (the state is a Vec<u64> of size/8 slots).
 const SIZES: [usize; 4] = [1 << 10, 8 << 10, 64 << 10, 1 << 20];
@@ -29,9 +25,8 @@ fn measure(p: usize, bytes: usize, algo: AllreduceAlgorithm) -> f64 {
             }
             a
         };
-        let segmentation = (split_vec_segments, unsplit_vec_segments);
         let (_, dt) = timed_phase(comm, |c| {
-            c.allreduce_by(algo, state.clone(), segmentation, wire, add);
+            c.allreduce_by(algo, state.clone(), wire, add);
         });
         dt
     });
@@ -52,39 +47,26 @@ fn main() {
     let procs = parse_procs(&args);
 
     if csv {
-        println!(
-            "procs,bytes,reduce_bcast_seconds,recursive_doubling_seconds,\
-             reduce_scatter_allgather_seconds,selected"
-        );
+        println!("procs,bytes,reduce_bcast_seconds,recursive_doubling_seconds");
     } else {
-        println!("TXT-ALLREDUCE — allreduce schedules, modeled time (splittable Vec<u64> state)\n");
+        println!("TXT-ALLREDUCE — allreduce schedules, modeled time (Vec<u64> state)\n");
         println!(
-            "  {:>5} | {:>7} | {:>13} | {:>13} | {:>13} | selected",
-            "p", "size", "reduce+bcast", "rec-doubling", "rs+ag"
+            "  {:>5} | {:>7} | {:>13} | {:>13}",
+            "p", "size", "reduce+bcast", "rec-doubling"
         );
     }
     for &p in &procs {
         for &bytes in &SIZES {
-            let [t_rb, t_rd, t_rs] = AllreduceAlgorithm::ALL.map(|a| measure(p, bytes, a));
-            // What the selector would pick for this (p, size) cell, given
-            // a commutative splittable operator (same default cost model
-            // the runtime above measured under).
-            let cost = CostModel::default();
-            let picked = AllreduceAlgorithm::select(&cost, p, bytes, true, true);
+            let [t_rb, t_rd] = AllreduceAlgorithm::ALL.map(|a| measure(p, bytes, a));
             if csv {
-                println!(
-                    "{p},{bytes},{t_rb:.9},{t_rd:.9},{t_rs:.9},{}",
-                    picked.name()
-                );
+                println!("{p},{bytes},{t_rb:.9},{t_rd:.9}");
             } else {
                 println!(
-                    "  {:>5} | {:>7} | {:>10.1} µs | {:>10.1} µs | {:>10.1} µs | {}",
+                    "  {:>5} | {:>7} | {:>10.1} µs | {:>10.1} µs",
                     p,
                     fmt_size(bytes),
                     t_rb * 1e6,
                     t_rd * 1e6,
-                    t_rs * 1e6,
-                    picked.name()
                 );
             }
         }

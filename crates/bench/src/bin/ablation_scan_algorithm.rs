@@ -1,22 +1,14 @@
-//! Experiment TXT-PREFIX: scan schedules under the cost-driven selector.
+//! Experiment TXT-PREFIX: the parallel-prefix scan against a linear chain.
 //!
 //! Paper §1: "scans are efficiently implemented by the parallel-prefix
-//! algorithm [Ladner & Fischer]". Part 1 keeps the original O(log p) vs
-//! O(p) separation on the modeled clock: the shifted recursive-doubling
-//! prefix against the naive linear chain at 8-byte states.
+//! algorithm [Ladner & Fischer]". Part 1 keeps the O(log p) vs O(p)
+//! separation on the modeled clock: the shifted recursive-doubling
+//! prefix every scan runs against the naive linear chain at 8-byte
+//! states, the chain written out here with point-to-point messages, as
+//! the figures write their MPI baselines.
 //!
-//! Part 2 is the schedule ablation behind `ScanAlgorithm`: recursive
-//! doubling (⌈log p⌉ rounds but p·⌈log p⌉ whole-state messages), the
-//! work-efficient binomial up/down-sweep (2⌈log p⌉ rounds, 2(p−1)
-//! messages), and the pipelined chain over state segments ((p−1)·n bytes
-//! total, latency hidden by pipelining). On the modeled *critical path*
-//! recursive doubling can never lose — its round count is minimal — so
-//! this part measures **wall time**, where the schedules' aggregate
-//! cloning and combining work dominates: binomial overtakes recursive
-//! doubling for large states, and the chain wins whenever the state is
-//! splittable. The `pick` columns show what the α–β selector chooses for
-//! whole and splittable states; rows where the winner was picked
-//! automatically are the acceptance evidence.
+//! Part 2 measures the wall time per scan of vector states, from 8 bytes
+//! to 1 MiB, on the one schedule.
 //!
 //! Usage: ablation_scan_algorithm [--procs 2,4,8] [--sizes 8,65536] [--csv]
 //! `GV_BENCH_QUICK=1` shrinks the sweep for smoke runs.
@@ -24,9 +16,7 @@
 use std::time::Instant;
 
 use gv_bench::table::{arg_value, has_flag, parallel_time, parse_procs, timed_phase};
-use gv_core::split::{split_vec_segments, unsplit_vec_segments};
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::{CostModel, Runtime, ScanAlgorithm};
+use gv_msgpass::{Comm, Runtime, Tag};
 
 fn add(mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
     for (x, y) in a.iter_mut().zip(b) {
@@ -40,15 +30,31 @@ fn wire(v: &Vec<u64>) -> usize {
     v.len() * 8
 }
 
-/// Modeled parallel time of one 8-byte scan (part 1): the selector's,
-/// or the linear chain (the chain at one segment).
+/// The linear chain's tag.
+const CHAIN: Tag = 1;
+
+/// The linear chain's inclusive sum: rank `r` waits for `r − 1`'s
+/// prefix, adds its own value and forwards the result.
+fn linear_chain(c: &Comm, mine: u64) -> u64 {
+    let (r, p) = (c.rank(), c.size());
+    let inclusive = match r {
+        0 => mine,
+        _ => c.recv::<u64>(r - 1, CHAIN) + mine,
+    };
+    if r + 1 < p {
+        c.send(r + 1, CHAIN, inclusive);
+    }
+    inclusive
+}
+
+/// Modeled parallel time of one 8-byte scan (part 1): the library's, or
+/// the linear chain.
 fn modeled(p: usize, linear: bool) -> f64 {
     let outcome = Runtime::new(p).run(move |comm| {
         let (_, dt) = timed_phase(comm, |c| {
             let mine = c.rank() as u64 + 1;
             if linear {
-                let plan = (ScanAlgorithm::PipelinedChain, 1);
-                c.scan_both_by(plan, mine, whole(), |_| 8, |a, b| a + b).1
+                linear_chain(c, mine)
             } else {
                 c.scan_inclusive(mine, |_| 8, |a, b| a + b)
             }
@@ -58,18 +64,16 @@ fn modeled(p: usize, linear: bool) -> f64 {
     parallel_time(&outcome.results)
 }
 
-/// Wall time per scan of `bytes`-sized vector states under `algo`,
-/// amortized over `iters` in-runtime repetitions (thread spawn excluded).
-fn wall_time(p: usize, bytes: usize, algo: ScanAlgorithm, iters: usize) -> f64 {
-    let segments = ScanAlgorithm::chain_segments(&CostModel::cluster_2006(), p, bytes);
+/// Wall time per scan of `bytes`-sized vector states, amortized over
+/// `iters` in-runtime repetitions (thread spawn excluded).
+fn wall_time(p: usize, bytes: usize, iters: usize) -> f64 {
     let outcome = Runtime::new(p).run(move |comm| {
         let words = (bytes / 8).max(1);
         let state = vec![comm.rank() as u64 + 1; words];
         comm.barrier();
-        let segmentation = (split_vec_segments, unsplit_vec_segments);
         let start = Instant::now();
         for _ in 0..iters {
-            comm.scan_both_by((algo, segments), state.clone(), segmentation, wire, add);
+            comm.scan_both(state.clone(), wire, add);
         }
         comm.barrier();
         start.elapsed().as_secs_f64() / iters as f64
@@ -119,7 +123,6 @@ fn main() {
     };
     let sizes = parse_sizes(&args, quick);
     let iters = if quick { 2 } else { 5 };
-    let cost = CostModel::cluster_2006();
 
     // Part 1 — the original parallel-prefix separation, modeled clock.
     if csv {
@@ -153,41 +156,27 @@ fn main() {
         }
     }
 
-    // Part 2 — schedule ablation, wall time.
+    // Part 2 — wall time per scan.
     if csv {
-        println!(
-            "section,procs,bytes,rd_seconds,binomial_seconds,chain_seconds,pick_whole,pick_split"
-        );
+        println!("section,procs,bytes,rd_seconds");
     } else {
-        println!("\nScan schedule ablation (wall time per scan; vector states)\n");
-        println!(
-            "  {:>5} | {:>8} | {:>12} | {:>12} | {:>12} | {:>10} | {:>10}",
-            "p", "state", "recursive-dbl", "binomial", "chain", "pick whole", "pick split"
-        );
+        println!("\nScan wall time (per scan; vector states)\n");
+        println!("  {:>5} | {:>8} | {:>12}", "p", "state", "recursive-dbl");
     }
     for &p in &procs {
         if p < 2 {
             continue;
         }
         for &bytes in &sizes {
-            let [t_rd, t_bin, t_chain] = ScanAlgorithm::ALL.map(|a| wall_time(p, bytes, a, iters));
-            let pick_whole = ScanAlgorithm::select(&cost, p, bytes, false).0.name();
-            let pick_split = ScanAlgorithm::select(&cost, p, bytes, true).0.name();
+            let t_rd = wall_time(p, bytes, iters);
             if csv {
-                println!(
-                    "schedule,{p},{bytes},{t_rd:.9},{t_bin:.9},{t_chain:.9},\
-                     {pick_whole},{pick_split}"
-                );
+                println!("schedule,{p},{bytes},{t_rd:.9}");
             } else {
                 println!(
-                    "  {:>5} | {:>8} | {:>9.1} µs | {:>9.1} µs | {:>9.1} µs | {:>10} | {:>10}",
+                    "  {:>5} | {:>8} | {:>9.1} µs",
                     p,
                     fmt_size(bytes),
-                    t_rd * 1e6,
-                    t_bin * 1e6,
-                    t_chain * 1e6,
-                    pick_whole,
-                    pick_split
+                    t_rd * 1e6
                 );
             }
         }

@@ -18,14 +18,6 @@
 //! (determinism; the scalar comparison for floats is the
 //! *pinned-regrouping reference*, property-tested in `tests/op_laws.rs`).
 //!
-//! After the kernel table come the `split`/`unsplit` rows: segmenting a
-//! 131072-element `Vec<u64>` state (1 MiB, the `large_state` size) into
-//! `S` parts and reassembling it. Reported, not gated; what to look for is
-//! that the cost is flat in `S` — every segmented collective pays it on
-//! every rank before its first message. Under glibc's default thresholds
-//! fresh-page faults swamp the copy (the recording pins them as
-//! `benchmark/README.md`, "Noise" item 1, does, and prints the setting).
-//!
 //! The two `accum_*` rows of the kernel table are the user-style operators
 //! on the benchmark's path: `MeanVar` (two-pass per 1024-element block and
 //! a Chan merge, against the Welford divide chain) and `MinK(10)` (a
@@ -103,7 +95,6 @@ use gv_core::ops::sorted::Sorted;
 use gv_core::ops::stats::MeanVar;
 use gv_core::ops::topk::TopBottomK;
 use gv_core::ops::translate::reduce_translated;
-use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_nas::is::{generate_keys, key_ranks, SortedBlock};
 use gv_nas::randlc::Randlc;
 use gv_nas::IsClass;
@@ -459,28 +450,6 @@ where
         kernel_ns,
         gated: false,
     }
-}
-
-/// Segment counts of the `split`/`unsplit` rows: whole, halves, the tree
-/// chooser's pick for 1 MiB, and its cap.
-const SEGMENT_COUNTS: [usize; 4] = [1, 2, 20, 64];
-
-/// Best-of-`reps` `(split, unsplit)` nanoseconds per element for an
-/// `n`-element `Vec<u64>` cut into `parts`; building the input is untimed.
-fn segmenting_ns(n: usize, parts: usize, reps: u32) -> (f64, f64) {
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let state = black_box(vec![1u64; n]);
-        let started = Instant::now();
-        let segments = black_box(split_vec_segments(state, parts));
-        let split = started.elapsed().as_secs_f64();
-        let started = Instant::now();
-        let whole = black_box(unsplit_vec_segments(segments));
-        let unsplit = started.elapsed().as_secs_f64();
-        assert_eq!(whole.len(), n);
-        best = (best.0.min(split), best.1.min(unsplit));
-    }
-    (best.0 / n as f64 * 1e9, best.1 / n as f64 * 1e9)
 }
 
 /// Table widths of the `count_into` rows: NAS IS class A's span per rank
@@ -1010,13 +979,6 @@ fn main() {
     let gate = geomean(cells.iter().filter(|c| c.gated).map(Cell::speedup));
     let pass = gate >= TARGET;
 
-    let state_len = 131_072usize;
-    let segmenting_reps = if quick { 5 } else { 200 };
-    let segmenting: Vec<(usize, (f64, f64))> = SEGMENT_COUNTS
-        .iter()
-        .map(|&parts| (parts, segmenting_ns(state_len, parts, segmenting_reps)))
-        .collect();
-
     // One rank's keys of 2 (of 128 in quick mode: 2¹⁶ keys, not 2²²).
     let is_keys = generate_keys(IsClass::A, 0, if quick { 128 } else { 2 });
     let counting_reps = if quick { 2 } else { 10 };
@@ -1132,10 +1094,6 @@ fn main() {
                 verdict
             );
         }
-        for (parts, (split, unsplit)) in &segmenting {
-            println!("split_u64/S{parts},{state_len},,{split:.4},,false");
-            println!("unsplit_u64/S{parts},{state_len},,{unsplit:.4},,false");
-        }
         for (k, ns) in &counting {
             println!("count_into/k{k},{},,{ns:.4},,false", is_keys.len());
         }
@@ -1225,28 +1183,6 @@ fn main() {
             );
         }
         println!(
-            "\n  segmenting a {state_len}-element Vec<u64> state (ns per element, best of runs; \
-             not gated — linear means flat in S)"
-        );
-        // These rows allocate megabytes per run, so glibc's moving mmap
-        // and trim thresholds can dominate them; say which regime this is.
-        let pin = |name| std::env::var(name).unwrap_or_else(|_| "default".into());
-        println!(
-            "  (MALLOC_MMAP_THRESHOLD_ = {}, MALLOC_TRIM_THRESHOLD_ = {})",
-            pin("MALLOC_MMAP_THRESHOLD_"),
-            pin("MALLOC_TRIM_THRESHOLD_")
-        );
-        println!(
-            "  {:<24} {:>8} {:>12} {:>12}",
-            "cell", "S", "split", "unsplit"
-        );
-        for (parts, (split, unsplit)) in &segmenting {
-            println!(
-                "  {:<24} {:>8} {:>9.2} ns {:>9.2} ns",
-                "segments/vec_u64", parts, split, unsplit
-            );
-        }
-        println!(
             "\n  counting {} NAS IS class A keys into a k-entry u64 table (ns per key, best of \
              runs; not gated — the plain loop `count_into` runs above its replicated-table bound)",
             is_keys.len()
@@ -1261,6 +1197,9 @@ fn main() {
              page faults per call; not gated — the gap is the page-fault tax)"
         );
         let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        // These rows allocate megabytes per run, so glibc's moving mmap
+        // and trim thresholds can dominate them; say which regime this is.
+        let pin = |name| std::env::var(name).unwrap_or_else(|_| "default".into());
         println!(
             "  (transparent_hugepage/enabled = {}; MALLOC_MMAP_THRESHOLD_ = {}, \
              MALLOC_TRIM_THRESHOLD_ = {})",

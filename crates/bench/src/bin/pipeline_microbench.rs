@@ -61,9 +61,8 @@ fn bind_to_core(_index: usize) {}
 const LATENCY_BATCH: usize = 1000;
 /// Batches per raw reading (two are taken around every row).
 const RAW_BATCHES: usize = 20;
-/// Messages in one burst of the burst row (a segmented collective's
-/// per-peer burst at the chooser's larger segment counts: two laps of
-/// the 32-slot ring).
+/// Messages in one burst of the burst row (two laps of the 32-slot
+/// ring).
 const BURST: usize = 64;
 
 /// An atomic with a cache-line pair of its own.

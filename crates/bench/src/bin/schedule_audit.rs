@@ -1,22 +1,18 @@
 //! Experiment TXT-AUDIT: which collective schedule each end-to-end run
-//! selects, so that every schedule the runtime keeps names a run it
-//! serves.
+//! runs, so that every schedule the runtime keeps names a run it serves.
 //!
-//! The first table counts, per `(family, schedule, S)`, the calls the
-//! runtime's per-schedule counters record while the bodies of FIG2, FIG3,
-//! `mpi_call_stats` and the three NAS drivers run at p = 2 and p = 16.
-//! Each body runs at its smallest class: a pick reads the state's wire
-//! size, which the class does not change (the `Sorted` and `TopBottomK`
-//! states, the key-count scan and CG's dot products are the same size at
-//! every class). The broadcast row is every `Bcast` call, since a
-//! broadcast has only the tree.
+//! The first table counts, per `(family, schedule)`, the calls the
+//! runtime's counters record while the bodies of FIG2, FIG3,
+//! `mpi_call_stats` and the three NAS drivers run at p = 2 and p = 16,
+//! each at its smallest class. The scan row is every `Scan` and `Exscan`
+//! call, since a scan has only recursive doubling; the broadcast row is
+//! every `Bcast` call, since a broadcast has only the tree.
 //!
 //! The second table lists every collective call the six benchmark
-//! workloads make — as the operator, wire bytes, commutativity and
-//! splittability the selector is handed — with the plan it picks at p = 2
-//! (the benchmark's wall-clock runs) and p = 16 (its modeled runs). The
-//! calls are constants here, named by workload: the benchmark is a
-//! package of its own that this crate does not link.
+//! workloads make — its operator, wire bytes and commutativity — with the
+//! schedule it runs at p = 2 (the benchmark's wall-clock runs) and p = 16
+//! (its modeled runs). The calls are constants here, named by workload:
+//! the benchmark is a package of its own that this crate does not link.
 //!
 //! Modeled and deterministic; recorded in `results/schedule_audit.txt`.
 //!
@@ -26,7 +22,7 @@ use std::mem::size_of;
 
 use gv_core::ops::stats::MomentState;
 use gv_core::ops::SortedState;
-use gv_msgpass::{AllreduceAlgorithm, CallKind, CostModel, Runtime, ScanAlgorithm, StatsSnapshot};
+use gv_msgpass::{AllreduceAlgorithm, CallKind, Runtime, StatsSnapshot};
 use gv_nas::cg::{solve, CgBlock};
 use gv_nas::is::{distributed_sort, generate_keys, key_ranks, run_is, VerifyVariant};
 use gv_nas::mg::vcycle::v_cycle;
@@ -112,7 +108,7 @@ const SOURCES: [Source; 6] = [
     }),
 ];
 
-/// A collective family as the selector sees it.
+/// A collective family, as it picks a schedule.
 enum Family {
     Allreduce,
     /// `iallreduce`: commutative → the rotated tree, else recursive
@@ -128,7 +124,6 @@ struct BenchCall {
     family: Family,
     bytes: usize,
     commutative: bool,
-    splittable: bool,
 }
 
 const fn call(
@@ -136,7 +131,7 @@ const fn call(
     call: &'static str,
     family: Family,
     bytes: usize,
-    (commutative, splittable): (bool, bool),
+    commutative: bool,
 ) -> BenchCall {
     BenchCall {
         workload,
@@ -144,7 +139,6 @@ const fn call(
         family,
         bytes,
         commutative,
-        splittable,
     }
 }
 
@@ -155,212 +149,150 @@ const LARGE: usize = 131_072 * 8;
 const TOP_BOTTOM_10: usize = 2 * 10 * size_of::<(f64, u64)>() + 2 * size_of::<usize>();
 
 const BENCH_CALLS: [BenchCall; 14] = [
-    call(
-        "is_sort",
-        "local_xscan, key count",
-        Family::Scan,
-        8,
-        (true, false),
-    ),
+    call("is_sort", "local_xscan, key count", Family::Scan, 8, true),
     call(
         "is_sort",
         "reduce_all, Sorted<u32>",
         Family::Allreduce,
         size_of::<SortedState<u32>>(),
-        (false, false),
+        false,
     ),
     call(
         "mg_zran3",
         "reduce_all, TopBottomK k=10",
         Family::Allreduce,
         TOP_BOTTOM_10,
-        (true, false),
+        true,
     ),
-    call(
-        "cg_solve",
-        "dot, f64 sum",
-        Family::Allreduce,
-        8,
-        (true, false),
-    ),
+    call("cg_solve", "dot, f64 sum", Family::Allreduce, 8, true),
     call(
         "local_heavy",
         "reduce_all, sum<f64>",
         Family::Allreduce,
         8,
-        (true, false),
+        true,
     ),
     call(
         "local_heavy",
         "reduce_all, min<i64>",
         Family::Allreduce,
         8,
-        (true, false),
+        true,
     ),
-    call(
-        "local_heavy",
-        "scan, sum<i64>",
-        Family::Scan,
-        8,
-        (true, false),
-    ),
-    call(
-        "local_heavy",
-        "scan, min<f64>",
-        Family::Scan,
-        8,
-        (true, false),
-    ),
+    call("local_heavy", "scan, sum<i64>", Family::Scan, 8, true),
+    call("local_heavy", "scan, min<f64>", Family::Scan, 8, true),
     call(
         "local_heavy",
         "reduce_all, MeanVar",
         Family::Allreduce,
         size_of::<MomentState>(),
-        (true, false),
+        true,
     ),
     call(
         "local_heavy",
         "reduce_all, MinK<i64> k=10",
         Family::Allreduce,
         10 * 8,
-        (true, false),
+        true,
     ),
     call(
         "large_state",
-        "reduce_all_splittable, Counts",
+        "reduce_all (alias), Counts",
         Family::Allreduce,
         LARGE,
-        (true, true),
+        true,
     ),
     call(
         "large_state",
         "reduce_all, Counts",
         Family::Allreduce,
         LARGE,
-        (true, false),
+        true,
     ),
     call(
         "large_state",
-        "scan_splittable, BucketRank",
+        "scan (alias), BucketRank",
         Family::Scan,
         LARGE,
-        (true, true),
+        true,
     ),
     call(
         "overlap",
         "ireduce_all, Counts",
         Family::Request,
         8192 * 8,
-        (true, false),
+        true,
     ),
 ];
 
-/// `(family, schedule, segments)`: what the runtime runs for one call.
-type Plan = (&'static str, &'static str, usize);
+/// `(family, schedule)`: what the runtime runs for one call.
+type Plan = (&'static str, &'static str);
 
-/// The plan the runtime runs for `c` at `p` ranks.
-fn pick(c: &BenchCall, p: usize) -> Plan {
-    let cost = CostModel::default();
-    let algo = match c.family {
-        Family::Allreduce => {
-            AllreduceAlgorithm::select(&cost, p, c.bytes, c.commutative, c.splittable)
-        }
-        Family::Request if c.commutative => AllreduceAlgorithm::ReduceBroadcast,
-        Family::Request => AllreduceAlgorithm::RecursiveDoubling,
-        Family::Scan => {
-            let (algo, s) = ScanAlgorithm::select(&cost, p, c.bytes, c.splittable);
-            return ("scan", algo.name(), s);
-        }
-    };
-    ("allreduce", allreduce_name(algo), 1)
-}
-
-fn allreduce_name(algo: AllreduceAlgorithm) -> &'static str {
-    match algo {
-        AllreduceAlgorithm::ReduceBroadcast => "tree",
-        algo => algo.name(),
+/// The plan the runtime runs for `c`, at any number of ranks: recursive
+/// doubling, except a commutative request's tree.
+fn pick(c: &BenchCall) -> Plan {
+    match c.family {
+        Family::Request if c.commutative => ("allreduce", "tree"),
+        Family::Allreduce | Family::Request => ("allreduce", "recursive-doubling"),
+        Family::Scan => ("scan", "recursive-doubling"),
     }
 }
 
 /// One row of the first table: its label and how it reads a snapshot.
-type Row = (
-    &'static str,
-    &'static str,
-    &'static str,
-    fn(&StatsSnapshot) -> u64,
-);
+type Row = (&'static str, &'static str, fn(&StatsSnapshot) -> u64);
 
-const ROWS: [Row; 7] = [
-    ("allreduce", "recursive-doubling", "1", |s| {
+const ROWS: [Row; 4] = [
+    ("allreduce", "recursive-doubling", |s| {
         s.allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling)
     }),
-    ("allreduce", "reduce-scatter+allgather", "1", |s| {
-        s.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceScatterAllgather)
-    }),
-    ("allreduce", "tree", "1", |s| {
+    ("allreduce", "tree", |s| {
         s.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceBroadcast)
     }),
-    ("scan", "recursive-doubling", "1", |s| {
-        s.scan_algorithm_calls(ScanAlgorithm::RecursiveDoubling)
+    ("scan", "recursive-doubling", |s| {
+        s.calls(CallKind::Scan) + s.calls(CallKind::Exscan)
     }),
-    ("scan", "binomial", "1", |s| {
-        s.scan_algorithm_calls(ScanAlgorithm::Binomial)
-    }),
-    ("scan", "pipelined-chain", "≥ 1", |s| {
-        s.scan_algorithm_calls(ScanAlgorithm::PipelinedChain)
-    }),
-    ("bcast", "tree", "1", |s| s.calls(CallKind::Bcast)),
+    ("bcast", "tree", |s| s.calls(CallKind::Bcast)),
 ];
 
 fn main() {
     let runs: Vec<[Vec<StatsSnapshot>; 2]> =
         SOURCES.iter().map(|(_, body)| PROCS.map(body)).collect();
-    let picks: Vec<[Plan; 2]> = BENCH_CALLS
-        .iter()
-        .map(|c| PROCS.map(|p| pick(c, p)))
-        .collect();
+    let picks: Vec<Plan> = BENCH_CALLS.iter().map(pick).collect();
 
     println!("TXT-AUDIT — collective calls per schedule in the end-to-end runs, p = 2 / p = 16");
-    println!("(before the segmented tree was deleted this table had two more rows, the");
-    println!("allreduce and the bcast tree at S > 1, and both read 0 / 0 in every column)\n");
-    print!("  {:<9} | {:<24} | {:>3}", "family", "schedule", "S");
+    println!("(before the selector was deleted this table had four more rows, the segmented");
+    println!("allreduce and bcast trees, the binomial scan and the reduce-scatter + allgather;");
+    println!("the end-to-end bodies read 0 / 0 on each, and the bench calls 0 / 1 on the");
+    println!("reduce-scatter and the chain scan, both at large_state's p = 16)\n");
+    print!("  {:<9} | {:<18}", "family", "schedule");
     for (name, _) in &SOURCES {
         print!(" | {name:>9}");
     }
     println!(" | bench calls");
-    for (family, schedule, s, read) in ROWS {
-        print!("  {family:<9} | {schedule:<24} | {s:>3}");
+    for (family, schedule, read) in ROWS {
+        print!("  {family:<9} | {schedule:<18}");
         for run in &runs {
             // Every rank records a collective call once.
             let calls = |i: usize| run[i].iter().map(read).sum::<u64>() / PROCS[i] as u64;
             print!(" | {:>9}", format!("{} / {}", calls(0), calls(1)));
         }
-        let picked = |i: usize| {
-            let same = |pk: &&[Plan; 2]| pk[i].0 == family && pk[i].1 == schedule;
-            picks.iter().filter(same).count()
-        };
-        println!(" | {} / {}", picked(0), picked(1));
+        let picked = picks.iter().filter(|&&pk| pk == (family, schedule)).count();
+        println!(" | {picked} / {picked}");
     }
 
-    println!("\n  the benchmark workloads' collective calls, and the plan each runs:\n");
+    println!("\n  the benchmark workloads' collective calls, and the schedule each runs at");
+    println!("  p = 2 and p = 16:\n");
     println!(
-        "  {:<11} | {:<29} | {:>7} | {:>4} | {:>5} | {:<28} | p = 16",
-        "workload", "call", "bytes", "comm", "split", "p = 2"
+        "  {:<11} | {:<29} | {:>7} | {:>4} | schedule",
+        "workload", "call", "bytes", "comm"
     );
-    let plan = |(family, schedule, s): Plan| match s {
-        1 => format!("{family} {schedule}"),
-        s => format!("{family} {schedule}, S = {s}"),
-    };
-    for (c, [at2, at16]) in BENCH_CALLS.iter().zip(&picks) {
+    for (c, (family, schedule)) in BENCH_CALLS.iter().zip(&picks) {
         println!(
-            "  {:<11} | {:<29} | {:>7} | {:>4} | {:>5} | {:<28} | {}",
+            "  {:<11} | {:<29} | {:>7} | {:>4} | {family} {schedule}",
             c.workload,
             c.call,
             c.bytes,
             if c.commutative { "yes" } else { "no" },
-            if c.splittable { "yes" } else { "no" },
-            plan(*at2),
-            plan(*at16),
         );
     }
 }

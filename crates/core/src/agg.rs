@@ -22,7 +22,6 @@ use std::marker::PhantomData;
 
 use crate::kernel::zip_slots;
 use crate::op::{ReduceScanOp, ScanKind};
-use crate::split::{split_vec_segments, unsplit_vec_segments, SplittableState};
 
 /// Lifts an operator over elements into the operator over *rows* of them
 /// (`R`: a `&[In]`, a `Vec<In>`, …): one inner state per slot, the seven
@@ -33,9 +32,7 @@ use crate::split::{split_vec_segments, unsplit_vec_segments, SplittableState};
 /// every processor's state has the same slots (and the same bytes on the
 /// wire). Two states of different widths do not combine.
 ///
-/// Slot-wise combining distributes over contiguous slot ranges, so the
-/// lifted operator is [`SplittableState`] whatever the inner one is. Each
-/// row accumulated and each state combined is one pass of
+/// Each row accumulated and each state combined is one pass of
 /// [`crate::kernel`]'s ISA-dispatched zip, and one kernel block in its
 /// dispatch counters.
 #[derive(Debug, Clone, Copy)]
@@ -120,16 +117,6 @@ impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> ReduceScanOp for Elementwise<Op, R> {
 
     fn combine_ops(&self, incoming: &Self::State) -> u64 {
         incoming.iter().map(|s| self.op.combine_ops(s)).sum()
-    }
-}
-
-impl<Op: ReduceScanOp, R: AsRef<[Op::In]>> SplittableState for Elementwise<Op, R> {
-    fn split_state(&self, state: Self::State, parts: usize) -> Vec<Self::State> {
-        split_vec_segments(state, parts)
-    }
-
-    fn unsplit_state(&self, segments: Vec<Self::State>) -> Self::State {
-        unsplit_vec_segments(segments)
     }
 }
 

@@ -650,8 +650,8 @@ pub(crate) fn zip_slots<S, I: IntoIterator>(
 /// dispatched to the widest detected ISA.
 ///
 /// Purely elementwise — no regrouping — so this is exact for *every* type,
-/// floats included. This is the segment-combine kernel under the
-/// reduce-scatter/circulant collectives.
+/// floats included. This is the slot-combine kernel under the counting
+/// states (`Counts`, `Histogram`) and their exchange.
 #[inline]
 pub fn combine_elementwise<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T + Copy) {
     zip_slots(a, b, |x, &y| *x = f(*x, y));

@@ -71,7 +71,6 @@ pub mod split;
 pub use monoid::{InvertibleMonoid, Monoid, MonoidOp};
 pub use op::{ElementwiseState, ReduceScanOp, ScanKind};
 pub use seq::{reduce, scan};
-pub use split::SplittableState;
 
 /// Shared-memory parallel reduction; see [`par::reduce`].
 pub use par::reduce as par_reduce;
@@ -97,5 +96,4 @@ pub mod prelude {
     pub use crate::ops::topk::{TopBottom, TopBottomK};
     pub use crate::par::{reduce as par_reduce, scan as par_scan};
     pub use crate::seq::{reduce, scan};
-    pub use crate::split::SplittableState;
 }

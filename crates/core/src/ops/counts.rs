@@ -99,9 +99,7 @@ impl ElementwiseState<Vec<u64>, usize> for Counts {
     }
 }
 
-/// Bucket counts combine element-wise, so contiguous bucket ranges
-/// combine independently; every rank's state has length `k`, so chunks
-/// align across ranks.
+/// Kept for callers that name the trait ([`crate::split`]).
 impl SplittableState for Counts {
     fn split_state(&self, state: Vec<u64>, parts: usize) -> Vec<Vec<u64>> {
         split_vec_segments(state, parts)
@@ -179,7 +177,7 @@ impl ReduceScanOp for BucketRank {
     }
 }
 
-/// Same state and combine as [`Counts`], so the same chunking applies.
+/// Kept for callers that name the trait ([`crate::split`]).
 impl SplittableState for BucketRank {
     fn split_state(&self, state: Vec<u64>, parts: usize) -> Vec<Vec<u64>> {
         split_vec_segments(state, parts)
@@ -240,26 +238,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_bucket_panics() {
         seq::reduce(&Counts::new(4), &[0usize, 5]);
-    }
-
-    #[test]
-    fn split_segments_are_priced_by_what_they_carry() {
-        let k = 1000;
-        let state: Vec<u64> = (0..k as u64).collect();
-        fn check<Op>(name: &str, op: &Op, state: &Vec<u64>)
-        where
-            Op: SplittableState<State = Vec<u64>>,
-        {
-            let whole = (op.wire_size(state), op.combine_ops(state));
-            for parts in [1, 2, 20, 64] {
-                let segments = op.split_state(state.clone(), parts);
-                let wire: usize = segments.iter().map(|s| op.wire_size(s)).sum();
-                let ops: u64 = segments.iter().map(|s| op.combine_ops(s)).sum();
-                assert_eq!((wire, ops), whole, "{name} split {parts} ways");
-            }
-        }
-        check("Counts", &Counts::new(k), &state);
-        check("BucketRank", &BucketRank::new(k), &state);
     }
 
     #[test]

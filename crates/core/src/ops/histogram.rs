@@ -7,7 +7,6 @@
 //! within its bin, like the paper's particle example does for octants.
 
 use crate::op::{ElementwiseState, ReduceScanOp};
-use crate::split::{split_vec_segments, unsplit_vec_segments, SplittableState};
 
 /// Bin assignment for a value against sorted edges `e0 < e1 < … < e_{m-1}`:
 /// bin 0 is `(-∞, e0)`, bin i is `[e_{i-1}, e_i)`, bin m is `[e_{m-1}, ∞)`.
@@ -170,20 +169,6 @@ impl ElementwiseState<Vec<u64>, f64> for Histogram {
             Some((lo, step)) => bin_of_uniform(&self.edges, lo, step, *x),
             None => bin_of(&self.edges, *x),
         }
-    }
-}
-
-/// Histograms combine element-wise, so contiguous bin ranges combine
-/// independently: any chunking of the bin vector satisfies the
-/// distributivity law. All ranks share the edge vector, hence equal
-/// state lengths, hence aligned chunks.
-impl SplittableState for Histogram {
-    fn split_state(&self, state: Vec<u64>, parts: usize) -> Vec<Vec<u64>> {
-        split_vec_segments(state, parts)
-    }
-
-    fn unsplit_state(&self, segments: Vec<Vec<u64>>) -> Vec<u64> {
-        unsplit_vec_segments(segments)
     }
 }
 

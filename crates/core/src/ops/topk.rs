@@ -22,7 +22,6 @@
 
 use crate::kernel::{accum_gated, ValueGate};
 use crate::op::ReduceScanOp;
-use crate::split::{split_vec_segments, SplittableState};
 
 /// One retained extremum: a value and where it was found.
 pub type Entry<T, L> = (T, L);
@@ -192,35 +191,6 @@ where
     #[inline]
     fn admits((hi, lo): (T, T), x: T) -> bool {
         (x >= hi) | (x <= lo)
-    }
-}
-
-/// Top-k states split by chunking each best-first list: a global top-`k`
-/// entry is beaten by at most `k − 1` entries *anywhere*, so it survives
-/// the capped per-segment combine of whichever segment its chunk lands
-/// in, and the merge-on-unsplit recovers the exact global lists (the
-/// deterministic tie-break keeps the result canonical). Segment lengths
-/// may differ across ranks — the combine never assumes alignment.
-impl<T, L> SplittableState for TopBottomK<T, L>
-where
-    T: Copy + PartialOrd + std::fmt::Debug,
-    L: Copy + Ord + std::fmt::Debug,
-{
-    fn split_state(&self, state: Self::State, parts: usize) -> Vec<Self::State> {
-        let tops = split_vec_segments(state.top, parts);
-        let bottoms = split_vec_segments(state.bottom, parts);
-        tops.into_iter()
-            .zip(bottoms)
-            .map(|(top, bottom)| TopBottomState { top, bottom })
-            .collect()
-    }
-
-    fn unsplit_state(&self, segments: Vec<Self::State>) -> Self::State {
-        let mut whole = self.ident();
-        for seg in segments {
-            self.combine(&mut whole, seg);
-        }
-        whole
     }
 }
 

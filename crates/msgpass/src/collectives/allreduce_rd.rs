@@ -77,14 +77,13 @@ pub(crate) async fn allreduce_rd<T: Clone + Send + 'static, X: Exchange<T>>(
 
 #[cfg(test)]
 mod tests {
-    use crate::collectives::tree::whole;
     use crate::comm::Comm;
     use crate::cost::AllreduceAlgorithm::{self, RecursiveDoubling};
     use crate::request::Request;
     use crate::runtime::Runtime;
 
     fn sum(comm: &Comm, algo: AllreduceAlgorithm, value: u64) -> u64 {
-        comm.allreduce_by(algo, value, whole(), |_| 8, |a, b| a + b)
+        comm.allreduce_by(algo, value, |_| 8, |a, b| a + b)
     }
 
     fn isum(comm: &Comm, value: u64) -> Request<u64> {
@@ -117,7 +116,6 @@ mod tests {
                 comm.allreduce_by(
                     RecursiveDoubling,
                     format!("<{}>", comm.rank()),
-                    whole(),
                     |s: &String| s.len(),
                     |a, b| a + &b,
                 )

@@ -43,7 +43,7 @@ const UNIT_RATIO: usize = 16;
 /// even at 4 KiB and the loan 10 % ahead at 8 KiB (EXPERIMENTS.md,
 /// TXT-VIEW): below that, its signals cost what the clone saves. Partners
 /// decide alike under the SPMD convention that equal calls pass
-/// equal-shaped states, as the selector does.
+/// equal-shaped states.
 pub(crate) const LEND_MIN_BYTES: usize = 8 << 10;
 
 /// Whether `units` slot indices are the cheaper form of a partial of
@@ -58,7 +58,7 @@ pub fn ships_units(units: usize, slots: usize) -> bool {
 /// A counting operator's [`Crossing`]: `op` is the operator, by
 /// reference or shared (`Rc`) for a request, whose
 /// [`elementwise`](ReduceScanOp::elementwise) capability it reads. States
-/// are combined, sized for selection and counted into through `op`.
+/// are combined, sized and counted into through `op`.
 pub struct Counted<P: Deref<Target: ReduceScanOp>> {
     op: P,
     /// The rank's units while its partial is a list of them.
@@ -75,8 +75,8 @@ type State<P> = <<P as Deref>::Target as ReduceScanOp>::State;
 
 impl<P: Deref<Target: ReduceScanOp>> Counted<P> {
     /// `units` is the slot each input of the rank's block adds one to,
-    /// in input order, where the rank built them for a recursive-doubling
-    /// plan (the one that ships units), else `None`. A reduction's state
+    /// in input order, where the rank built them, else `None`; only
+    /// recursive doubling ships them. A reduction's state
     /// has them counted in already; a scan's is an identity they are not
     /// yet counted into.
     pub fn new(op: P, units: Option<Vec<u32>>) -> Self {
@@ -102,11 +102,6 @@ where
     fn exchange(mut self, _: impl FnMut(T, T) -> T, lends: bool) -> impl Exchange<T> {
         self.lends = lends;
         self
-    }
-
-    fn into_whole(self, comm: &Comm, mut value: T) -> T {
-        self.count(comm, &mut value, self.units.as_deref().unwrap_or_default());
-        value
     }
 }
 

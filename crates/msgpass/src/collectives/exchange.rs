@@ -12,23 +12,16 @@
 //! (EXPERIMENTS.md, TXT-VIEW). Every other schedule carries whole states.
 
 use crate::comm::Comm;
-use crate::cost::{AllreduceAlgorithm, ScanAlgorithm};
+use crate::cost::AllreduceAlgorithm;
 use crate::message::Key;
 
 /// A forced plan and how its states cross: the `plan` argument of
-/// [`Comm::allreduce_by`] and [`Comm::scan_exclusive_by`]. A bare plan
-/// converts into `By(plan, ByValue)`.
+/// [`Comm::allreduce_by`]. A bare plan converts into `By(plan, ByValue)`.
 pub struct By<P, X>(pub P, pub X);
 
 impl From<AllreduceAlgorithm> for By<AllreduceAlgorithm, ByValue> {
     fn from(algo: AllreduceAlgorithm) -> Self {
         By(algo, ByValue)
-    }
-}
-
-impl From<(ScanAlgorithm, usize)> for By<(ScanAlgorithm, usize), ByValue> {
-    fn from(plan: (ScanAlgorithm, usize)) -> Self {
-        By(plan, ByValue)
     }
 }
 
@@ -39,11 +32,6 @@ pub trait Crossing<T>: Sized {
     /// it combines by value. `lends` is false for a request: a loan waits
     /// for its partner, which a request must not do inside a poll.
     fn exchange(self, combine: impl FnMut(T, T) -> T, lends: bool) -> impl Exchange<T>;
-    /// `value` as a schedule that carries whole states takes it: a
-    /// counting scan's units counted in.
-    fn into_whole(self, _comm: &Comm, value: T) -> T {
-        value
-    }
 }
 
 /// States cross as themselves: cloned where the sender keeps one,

@@ -9,42 +9,38 @@
 //!   and the tree allreduce — one binomial tree (`tree.rs`) that carries
 //!   whole states, with rank-order combines when rooted at rank 0;
 //! * [`allgather`](crate::comm::Comm::allgather) — the circulant
-//!   allgather, ⌈log₂ p⌉ rounds at any p (`reduce_scatter.rs`, where it
-//!   is also the second half of reduce-scatter + allgather);
+//!   allgather, ⌈log₂p⌉ rounds at any p (`allgather.rs`);
 //! * [`reduce_with_branching`](crate::comm::Comm::reduce_with_branching) —
 //!   contiguous-block k-ary trees with distinct combining schedules for
 //!   commutative vs. non-commutative operators (paper §1);
-//! * [`allreduce`](crate::comm::Comm::allreduce) — cost-driven selection
-//!   between recursive doubling and (commutative splittable states) the
-//!   circulant reduce-scatter + allgather; the tree runs the commutative
-//!   requests;
+//! * [`allreduce`](crate::comm::Comm::allreduce) — recursive doubling
+//!   (`allreduce_rd.rs`), with a fold/unfold step off powers of two; a
+//!   commutative request runs the tree instead;
 //! * [`scan_inclusive`](crate::comm::Comm::scan_inclusive) /
-//!   [`scan_exclusive`](crate::comm::Comm::scan_exclusive) — cost-driven
-//!   selection among a shifted Hillis–Steele parallel prefix, a
-//!   work-efficient binomial up/down-sweep, and (for splittable states) a
-//!   segmented chain; all valid for any (also non-power-of-two) rank
-//!   count and any associative, possibly non-commutative operator;
+//!   [`scan_exclusive`](crate::comm::Comm::scan_exclusive) — a shifted
+//!   Hillis–Steele parallel prefix (`scan.rs`), valid for any rank count
+//!   and any associative, possibly non-commutative operator;
 //! * [`alltoallv`](crate::comm::Comm::alltoallv) — rotated pairwise
 //!   exchange.
 //!
-//! Which schedule runs is decided in `select.rs` alone: the selector-routed
-//! entry points price the candidates, and a caller that must run one
-//! schedule (an ablation, a test) names it to
-//! [`allreduce_by`](crate::comm::Comm::allreduce_by) or
-//! [`scan_both_by`](crate::comm::Comm::scan_both_by). Each of those
-//! schedules is an `async fn` whose only suspension point is a receive
+//! No call prices anything, so every rank of a call runs the same
+//! schedule whatever state it holds (`select.rs`). A caller that must run
+//! the tree allreduce (an ablation, a test) names it to
+//! [`allreduce_by`](crate::comm::Comm::allreduce_by). Each schedule is an
+//! `async fn` whose only suspension point is a receive
 //! (`request::recv`). Every schedule-based collective takes the one
 //! launch path in `launch.rs` and is driven on the caller's stack, except
 //! [`iallreduce`](crate::comm::Comm::iallreduce): the one non-blocking
 //! collective registers its future with the rank's progress engine
 //! (`request.rs`) and returns a request. A commutative request runs the
 //! tree rooted at its call sequence mod p, a non-commutative one the
-//! blocking call's recursive doubling (`select.rs`).
+//! blocking call's recursive doubling.
 //!
 //! Every collective must be called by all ranks of the communicator in the
 //! same order (MPI's usual rule). Combine closures always receive
 //! `(earlier, later)` in set order, making non-commutative operators safe.
 
+pub mod allgather;
 pub mod allreduce_rd;
 pub mod alltoall;
 pub mod barrier;
@@ -52,10 +48,7 @@ pub(crate) mod counting;
 mod exchange;
 pub(crate) mod launch;
 pub mod reduce;
-pub mod reduce_scatter;
 pub mod scan;
-pub mod scan_binomial;
-pub mod scan_chain;
 pub mod select;
 pub mod shift;
 pub mod tree;
@@ -105,11 +98,7 @@ tag_bases! {
     AllreduceTreeUp, "allreduce (tree up)";
     AllreduceTreeDown, "allreduce (tree down)";
     AllreduceRd, "allreduce (recursive doubling)";
-    ScanUp, "scan (binomial up-sweep)";
-    ScanDown, "scan (binomial down-sweep)";
-    ScanChain, "scan (chain)";
     Calibrate, "calibration probe";
-    ReduceScatter, "reduce-scatter (circulant)";
     Allgather, "allgather (circulant)";
 }
 

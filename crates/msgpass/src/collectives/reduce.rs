@@ -13,7 +13,7 @@
 //! `tree.rs`. The k-ary trees (branching > 2) keep a blocking
 //! implementation: their availability-order combining uses deferred-clock
 //! receives that have no incremental equivalent, and they are an ablation
-//! knob, not a selector candidate.
+//! knob that no other collective runs.
 
 use super::TagBase;
 use crate::comm::Comm;

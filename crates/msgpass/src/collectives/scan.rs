@@ -13,12 +13,9 @@
 //! 0, mirroring the paper's point that `LOCAL_XSCAN` requires the identity
 //! function while MPI instead leaves the first element undefined.
 //!
-//! This is the latency-optimal schedule and the selector's small-state
-//! default; the selector-routed entry points
+//! It is the latency-optimal schedule and the one every scan runs
 //! ([`scan_inclusive`](Comm::scan_inclusive) and friends, in
-//! `collectives/select.rs`) may instead pick the work-efficient binomial
-//! sweep (`scan_binomial.rs`) or, for splittable states, the pipelined
-//! chain (`scan_chain.rs`). All three are `async fn` schedules.
+//! `collectives/select.rs`).
 //!
 //! The rounds are one loop, generic over a rank's partials (`Partials`,
 //! `exchange.rs`): by value a round sends a clone of the inclusive
@@ -67,15 +64,7 @@ pub(crate) async fn scan_rd<T, S: Partials<T>>(
 
 #[cfg(test)]
 mod tests {
-    use crate::collectives::tree::whole;
-    use crate::comm::Comm;
-    use crate::cost::ScanAlgorithm;
     use crate::runtime::Runtime;
-
-    /// Both scans of a `u64` sum forced onto `algo` at one segment.
-    fn sum_both(comm: &Comm, algo: ScanAlgorithm, value: u64) -> (Option<u64>, u64) {
-        comm.scan_both_by((algo, 1), value, whole(), |_| 8, |a, b| a + b)
-    }
 
     #[test]
     fn inclusive_sum_scan_all_sizes() {
@@ -146,50 +135,6 @@ mod tests {
         });
         for (r, (ex, inc)) in outcome.results.iter().enumerate() {
             assert_eq!(*inc, *ex + r as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn forced_recursive_doubling_matches_selector_result() {
-        for p in [1usize, 2, 5, 8] {
-            let outcome = Runtime::new(p).run(|comm| {
-                let (ex, inc) = sum_both(
-                    comm,
-                    ScanAlgorithm::RecursiveDoubling,
-                    comm.rank() as u64 + 1,
-                );
-                let (ex2, inc2) = comm.scan_both(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
-                (ex == ex2, inc == inc2)
-            });
-            assert!(outcome.results.iter().all(|&(a, b)| a && b), "p={p}");
-        }
-    }
-
-    #[test]
-    fn linear_scan_matches_prefix_scan() {
-        for p in [1usize, 2, 5, 9] {
-            let outcome = Runtime::new(p).run(|comm| {
-                let fast = comm.scan_inclusive(comm.rank() as u64 + 1, |_| 8, |a, b| a + b);
-                let slow = sum_both(comm, ScanAlgorithm::PipelinedChain, comm.rank() as u64 + 1).1;
-                (fast, slow)
-            });
-            for (fast, slow) in outcome.results {
-                assert_eq!(fast, slow, "p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn linear_scan_preserves_order_for_noncommutative() {
-        let outcome = Runtime::new(5).run(|comm| {
-            let plan = (ScanAlgorithm::PipelinedChain, 1);
-            let mine = format!("<{}>", comm.rank());
-            comm.scan_both_by(plan, mine, whole(), |s: &String| s.len(), |a, b| a + &b)
-                .1
-        });
-        for (r, got) in outcome.results.iter().enumerate() {
-            let expected: String = (0..=r).map(|i| format!("<{i}>")).collect();
-            assert_eq!(got, &expected);
         }
     }
 

@@ -51,22 +51,6 @@ use crate::message::Key;
 use crate::request::{recv, recv_last};
 use crate::stats::CallKind;
 
-/// The `(split, unsplit)` pair of a whole, unsplittable state: its
-/// one-segment segmentation. Pass it where an entry point takes a
-/// segmentation ([`Comm::allreduce_by`], [`Comm::scan_both_by`]) and the
-/// state cannot be split; only a schedule that runs the state whole may
-/// then be named.
-pub fn whole<T>() -> (impl FnOnce(T, usize) -> Vec<T>, impl Fn(Vec<T>) -> T) {
-    fn split<T>(value: T, parts: usize) -> Vec<T> {
-        debug_assert_eq!(parts, 1, "a whole state travels as one segment");
-        vec![value]
-    }
-    fn unsplit<T>(mut segments: Vec<T>) -> T {
-        segments.pop().expect("a whole state is one segment")
-    }
-    (split, unsplit)
-}
-
 /// This rank's position in the tree rooted at `root`: its virtual rank,
 /// and the mask its walk up stops at — the lowest set vrank bit (its
 /// parent link), or one past the whole tree at the root. Its children
@@ -229,11 +213,9 @@ impl Comm {
         self.bcast_by(root, value, vec_bytes)
     }
 
-    /// [`bcast`](Self::bcast) of a state the caller could split, modeling
-    /// `bytes_of` wire bytes. The tree carries whole states, so
-    /// `wire_bytes`, `split` and `unsplit` are not used; the signature is
-    /// kept for the callers written against the segmented tree this
-    /// replaced.
+    /// [`bcast`](Self::bcast) modeling `bytes_of` wire bytes, `wire_bytes`,
+    /// `split` and `unsplit` unused: an alias the frozen benchmark adapter
+    /// calls.
     pub fn bcast_splittable<T: Clone + Send + 'static>(
         &self,
         root: usize,
@@ -283,7 +265,7 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::{vec_bytes as bytes_u64, whole};
+    use super::vec_bytes as bytes_u64;
     use crate::comm::Comm;
     use crate::cost::AllreduceAlgorithm;
     use crate::runtime::Runtime;
@@ -298,7 +280,7 @@ mod tests {
     /// The fused tree allreduce rooted at rank 0.
     fn tree_allreduce(comm: &Comm, state: Vec<u64>) -> Vec<u64> {
         let tree = AllreduceAlgorithm::ReduceBroadcast;
-        comm.allreduce_by(tree, state, whole(), bytes_u64, add)
+        comm.allreduce_by(tree, state, bytes_u64, add)
     }
 
     /// Element-wise string concatenation: associative, NOT commutative.
@@ -361,27 +343,6 @@ mod tests {
         // root's serial send overhead of its 3 children.
         assert!(deepest >= 3.0 * alpha, "deepest={deepest}");
         assert!(deepest <= 5.5 * alpha, "deepest={deepest}");
-    }
-
-    #[test]
-    fn bcast_splittable_is_the_whole_state_bcast_from_every_root() {
-        // `split` and `unsplit` are never called: one message per tree
-        // edge, of the whole state's bytes.
-        for p in 1..=9usize {
-            for root in [0, p / 2, p - 1] {
-                let outcome = Runtime::new(p).run(move |comm| {
-                    let value = (comm.rank() == root)
-                        .then(|| (0..12).map(|i| i + 100).collect::<Vec<u64>>());
-                    let unused = |_: Vec<u64>, _: usize| -> Vec<Vec<u64>> { unreachable!() };
-                    let unused_too = |_: Vec<Vec<u64>>| -> Vec<u64> { unreachable!() };
-                    comm.bcast_splittable(root, value, 96, unused, unused_too, bytes_u64)
-                });
-                let expect: Vec<u64> = (0..12).map(|i| i + 100).collect();
-                assert_eq!(outcome.results, vec![expect; p], "p={p} root={root}");
-                assert_eq!(outcome.stats.messages, p as u64 - 1, "p={p} root={root}");
-                assert_eq!(outcome.stats.bytes, 96 * (p as u64 - 1), "p={p}");
-            }
-        }
     }
 
     #[test]
@@ -455,7 +416,7 @@ mod tests {
     fn allreduce_reduce_bcast_delivers_everywhere() {
         let outcome = Runtime::new(7).run(move |comm| {
             let tree = AllreduceAlgorithm::ReduceBroadcast;
-            comm.allreduce_by(tree, comm.rank() as i64, whole(), |_| 8, |a, b| a.max(b))
+            comm.allreduce_by(tree, comm.rank() as i64, |_| 8, |a, b| a.max(b))
         });
         assert_eq!(outcome.results, vec![6; 7]);
     }
@@ -480,7 +441,7 @@ mod tests {
                 let state = vec![comm.rank().to_string(); 4];
                 let wire = |v: &Vec<String>| v.iter().map(String::len).sum();
                 let tree = AllreduceAlgorithm::ReduceBroadcast;
-                let at = comm.allreduce_by(tree, state.clone(), whole(), wire, concat);
+                let at = comm.allreduce_by(tree, state.clone(), wire, concat);
                 let rd = comm.reduce(p - 1, state, wire, concat);
                 let bc = comm.bcast(0, (comm.rank() == 0).then(|| vec!["x".to_string(); 4]));
                 (at, rd, bc)

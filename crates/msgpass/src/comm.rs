@@ -386,8 +386,7 @@ impl Comm {
         self.id
     }
 
-    /// The cost model driving the virtual clock, and the one the
-    /// selectors price schedules from.
+    /// The cost model driving the virtual clock.
     pub fn cost_model(&self) -> CostModel {
         self.core.cost
     }
@@ -673,7 +672,6 @@ mod tests {
     use crate::cost::CostModel;
     use crate::mailbox::Source;
     use crate::runtime::Runtime;
-    use gv_core::split::split_vec_segments;
 
     const MODEL: CostModel = CostModel {
         alpha: 5.0e-6,
@@ -696,8 +694,8 @@ mod tests {
         for s in [1usize, 2, 20, 64] {
             let outcome = Runtime::new(2).cost_model(MODEL).run(move |comm| {
                 if comm.rank() == 0 {
-                    for seg in split_vec_segments(vec![0u64; N / 8], s) {
-                        comm.send_vec(1, 7, seg);
+                    for seg in gv_executor::chunk_ranges(N / 8, s) {
+                        comm.send_vec(1, 7, vec![0u64; seg.len()]);
                     }
                     return 0.0;
                 }

@@ -3,11 +3,10 @@
 //!
 //! The fixed [`CostModel::cluster_2006`] constants model the *paper's*
 //! network, so that recorded figures stay comparable across revisions; a
-//! selector priced from a measured model picks this host's crossovers
-//! instead. The model is a value — the caller decides where it goes
-//! (`AllreduceAlgorithm::select`, `Runtime::cost_model`), and measuring
-//! it changes nothing the runtime does afterwards — and every rank gets
-//! the same bits, so it can drive a selection every rank must agree on.
+//! measured model prices this host instead. The model is a value — the
+//! caller decides where it goes (`Runtime::cost_model`), and measuring it
+//! changes nothing the runtime does afterwards — and every rank gets the
+//! same bits.
 
 use crate::collectives::TagBase;
 use crate::comm::Comm;
@@ -200,11 +199,9 @@ mod tests {
                     comm.measure_cost_model(ROUNDS);
                 }
                 let state = vec![comm.rank() as u64; 8 << 10]; // 64 KiB
-                comm.allreduce_splittable(
+                comm.allreduce(
                     state,
                     true,
-                    gv_core::split::split_vec_segments,
-                    gv_core::split::unsplit_vec_segments,
                     |v: &Vec<u64>| v.len() * 8,
                     |mut a, b| {
                         a.iter_mut().zip(b).for_each(|(x, y)| *x += y);

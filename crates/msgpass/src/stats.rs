@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cost::{AllreduceAlgorithm, ScanAlgorithm};
+use crate::cost::AllreduceAlgorithm;
 
 /// Kinds of communication operations the runtime counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,7 +76,6 @@ impl CallKind {
 
 const KINDS: usize = CallKind::ALL.len();
 const ALGOS: usize = AllreduceAlgorithm::ALL.len();
-const SCAN_ALGOS: usize = ScanAlgorithm::ALL.len();
 
 /// One monotone counter with a single writer.
 ///
@@ -122,7 +121,6 @@ pub struct Stats {
 pub(crate) struct RankStats {
     calls: [Counter; KINDS],
     allreduce_algorithms: [Counter; ALGOS],
-    scan_algorithms: [Counter; SCAN_ALGOS],
     messages: Counter,
     bytes: Counter,
     /// Collective schedule runs started (blocking drives and `i*`
@@ -285,13 +283,6 @@ impl RankStats {
         self.allreduce_algorithms[algo as usize].add(1);
     }
 
-    /// Records which schedule one scan call used (once per rank per
-    /// schedule run, alongside its [`CallKind::Scan`] or
-    /// [`CallKind::Exscan`] record).
-    pub(crate) fn record_scan_algorithm(&self, algo: ScanAlgorithm) {
-        self.scan_algorithms[algo as usize].add(1);
-    }
-
     /// Records one wire message of `bytes` bytes.
     pub(crate) fn record_message(&self, bytes: usize) {
         self.messages.add(1);
@@ -345,9 +336,6 @@ impl Stats {
             {
                 *sum += counter.get();
             }
-            for (sum, counter) in total.scan_algorithms.iter_mut().zip(&rank.scan_algorithms) {
-                *sum += counter.get();
-            }
             total.messages += rank.messages.get();
             total.bytes += rank.bytes.get();
             total.requests_started += rank.requests_started.get();
@@ -369,7 +357,6 @@ impl Stats {
 pub struct StatsSnapshot {
     calls: [u64; KINDS],
     allreduce_algorithms: [u64; ALGOS],
-    scan_algorithms: [u64; SCAN_ALGOS],
     /// Total wire messages.
     pub messages: u64,
     /// Total wire bytes.
@@ -395,12 +382,6 @@ impl StatsSnapshot {
     /// Number of allreduce calls that used `algo`.
     pub fn allreduce_algorithm_calls(&self, algo: AllreduceAlgorithm) -> u64 {
         self.allreduce_algorithms[algo as usize]
-    }
-
-    /// Number of scan-shaped schedule runs (inclusive, exclusive, or
-    /// both-at-once) that used `algo`.
-    pub fn scan_algorithm_calls(&self, algo: ScanAlgorithm) -> u64 {
-        self.scan_algorithms[algo as usize]
     }
 
     /// Total calls across all kinds.
@@ -439,17 +420,9 @@ impl StatsSnapshot {
         ) {
             *slot = now.saturating_sub(*then);
         }
-        let mut scan_algorithms = [0u64; SCAN_ALGOS];
-        for (slot, (now, then)) in scan_algorithms
-            .iter_mut()
-            .zip(self.scan_algorithms.iter().zip(&earlier.scan_algorithms))
-        {
-            *slot = now.saturating_sub(*then);
-        }
         StatsSnapshot {
             calls,
             allreduce_algorithms,
-            scan_algorithms,
             messages: self.messages.saturating_sub(earlier.messages),
             bytes: self.bytes.saturating_sub(earlier.bytes),
             requests_started: self
@@ -527,43 +500,17 @@ mod tests {
     fn allreduce_algorithm_counters_track_separately() {
         let stats = Stats::new(1);
         let rank = stats.rank(0);
-        rank.record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
-        rank.record_allreduce_algorithm(AllreduceAlgorithm::ReduceScatterAllgather);
         rank.record_allreduce_algorithm(AllreduceAlgorithm::ReduceBroadcast);
-        let snap = stats.snapshot();
-        assert_eq!(
-            snap.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceScatterAllgather),
-            2
-        );
-        assert_eq!(
-            snap.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceBroadcast),
-            1
-        );
-        assert_eq!(
-            snap.allreduce_algorithm_calls(AllreduceAlgorithm::RecursiveDoubling),
-            0
-        );
-    }
-
-    #[test]
-    fn scan_algorithm_counters_track_separately() {
-        let stats = Stats::new(1);
-        let rank = stats.rank(0);
-        rank.record_scan_algorithm(ScanAlgorithm::RecursiveDoubling);
-        rank.record_scan_algorithm(ScanAlgorithm::Binomial);
-        rank.record_scan_algorithm(ScanAlgorithm::Binomial);
+        rank.record_allreduce_algorithm(AllreduceAlgorithm::ReduceBroadcast);
         let before = stats.snapshot();
-        rank.record_scan_algorithm(ScanAlgorithm::PipelinedChain);
+        rank.record_allreduce_algorithm(AllreduceAlgorithm::RecursiveDoubling);
         let snap = stats.snapshot();
-        assert_eq!(
-            snap.scan_algorithm_calls(ScanAlgorithm::RecursiveDoubling),
-            1
-        );
-        assert_eq!(snap.scan_algorithm_calls(ScanAlgorithm::Binomial), 2);
-        assert_eq!(snap.scan_algorithm_calls(ScanAlgorithm::PipelinedChain), 1);
+        let calls = |s: &StatsSnapshot, algo| s.allreduce_algorithm_calls(algo);
+        assert_eq!(calls(&snap, AllreduceAlgorithm::ReduceBroadcast), 2);
+        assert_eq!(calls(&snap, AllreduceAlgorithm::RecursiveDoubling), 1);
         let delta = snap.since(&before);
-        assert_eq!(delta.scan_algorithm_calls(ScanAlgorithm::PipelinedChain), 1);
-        assert_eq!(delta.scan_algorithm_calls(ScanAlgorithm::Binomial), 0);
+        assert_eq!(calls(&delta, AllreduceAlgorithm::ReduceBroadcast), 0);
+        assert_eq!(calls(&delta, AllreduceAlgorithm::RecursiveDoubling), 1);
     }
 
     #[test]
@@ -614,7 +561,7 @@ mod tests {
             let rank = stats.rank(r);
             for _ in 0..=r {
                 rank.record_call(CallKind::Scan);
-                rank.record_scan_algorithm(ScanAlgorithm::Binomial);
+                rank.record_allreduce_algorithm(AllreduceAlgorithm::ReduceBroadcast);
                 rank.record_message(10 * (r + 1));
                 rank.record_request_started();
             }
@@ -623,7 +570,8 @@ mod tests {
         }
         let snap = stats.snapshot();
         assert_eq!(snap.calls(CallKind::Scan), 6);
-        assert_eq!(snap.scan_algorithm_calls(ScanAlgorithm::Binomial), 6);
+        let tree = AllreduceAlgorithm::ReduceBroadcast;
+        assert_eq!(snap.allreduce_algorithm_calls(tree), 6);
         assert_eq!(snap.messages, 6);
         assert_eq!(snap.bytes, 10 + 2 * 20 + 3 * 30);
         assert_eq!(snap.requests_started, 6);

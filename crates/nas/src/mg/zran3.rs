@@ -132,9 +132,8 @@ fn mpi_extrema_of(
 /// RSMPI-style extrema search: one user-defined reduction over the slab's
 /// `(value, global_index)` cells, passed located — the values and the
 /// global index of the first — so no pair is built for a cell that cannot
-/// enter a list. One `Allreduce` call per rank; the state is `2k` entries
-/// (336 bytes at k = 10), small enough that the selector runs recursive
-/// doubling for it at every p.
+/// enter a list. One `Allreduce` call per rank, by recursive doubling;
+/// the state is `2k` entries (336 bytes at k = 10).
 pub fn extrema_rsmpi(comm: &Comm, slab: &Slab, k: usize) -> TopBottom<f64, u64> {
     let cells = Located::new(&slab.data, slab.global_index(0, 0, 0));
     gv_rsmpi::reduce_all(comm, &TopBottomK::new(k), cells)

@@ -4,13 +4,12 @@
 //!
 //! Both calls are the ordinary ones over [`Elementwise`]. Each takes the
 //! row width, as MPI's `count` does: a rank that holds no rows then starts
-//! from the same `width` identities as the others, and prices the same
-//! state, so every rank picks the same schedule.
+//! from the same `width` identities as the others, so every rank's state
+//! has the same slots.
 
 use gv_core::agg::Elementwise;
 use gv_core::op::{ReduceScanOp, ScanKind};
-use gv_core::split::SplittableState;
-use gv_msgpass::{Comm, ScanAlgorithm};
+use gv_msgpass::Comm;
 
 use crate::reduce::{accumulate_local, combining, reduce_all};
 use crate::scan::rescan_block;
@@ -35,13 +34,8 @@ where
 /// Element-wise aggregated global-view scan: output row `i`, slot `j` is
 /// the scan of slot `j` over all earlier rows (earlier ranks' rows
 /// included), each row `width` slots. Each rank receives outputs for its
-/// own rows.
-///
-/// [`Elementwise`] is splittable regardless of the operator, so the
-/// cross-rank prefix may run the pipelined chain when the aggregate is
-/// wide. It is priced at `width` identities of `op`, which every rank
-/// computes alike from one, so only rank 0, whose exclusive prefix the
-/// aggregate's identity is, builds all `width`.
+/// own rows. Only rank 0, whose exclusive prefix the aggregate's identity
+/// is, builds all `width` identities.
 pub fn scan_elementwise<Op>(
     comm: &Comm,
     op: &Op,
@@ -55,16 +49,9 @@ where
 {
     let aggregate = Elementwise::new(op, width);
     let state = accumulate_local(comm, &aggregate, rows);
-    let bytes = width * op.wire_size(&op.ident());
-    let plan = ScanAlgorithm::select(&comm.cost_model(), comm.size(), bytes, true);
-    let running = comm.scan_exclusive_by(
-        plan,
+    let running = comm.scan_exclusive(
         state,
         || aggregate.ident(),
-        (
-            |s, parts| aggregate.split_state(s, parts),
-            |segments| aggregate.unsplit_state(segments),
-        ),
         |s| aggregate.wire_size(s),
         combining(comm, &aggregate),
     );
@@ -210,8 +197,8 @@ mod tests {
             (i * 7 + j * 3) as i64 % 11 - 5
         });
         check_with_empty_ranks(&min::<i64>(), 3, 2..=8, |i, j| (i * 5 + j) as i64 % 13 - 6);
-        // An aggregate past the scan selector's first crossover: the ranks
-        // with rows run the chain, so one without must price the same state.
+        // A wide aggregate: a rank without rows still holds all 8192
+        // identities, the same state as the ranks with rows.
         check_with_empty_ranks(&sum::<u64>(), 8192, [4, 8], |i, j| (i * 8192 + j) as u64);
         // Non-commutative, and its identity differs from every reachable
         // state: column 0 ascends, column 1 breaks between the two rows of
@@ -247,10 +234,8 @@ mod tests {
     }
 
     #[test]
-    fn wide_aggregated_scan_uses_the_pipelined_chain() {
-        use gv_msgpass::ScanAlgorithm;
-        // 16 Ki slots × 8 B of aggregate state: the splittable selector
-        // must route the cross-rank prefix through the pipelined chain.
+    fn wide_aggregated_scan_matches_the_column_oracle() {
+        // 16 Ki slots × 8 B of aggregate state, across eight ranks.
         let slots = 16 * 1024usize;
         let outcome = Runtime::new(8).run(move |comm| {
             let row: Vec<i64> = (0..slots)
@@ -259,12 +244,6 @@ mod tests {
             let rows: Vec<&[i64]> = vec![&row];
             scan_elementwise(comm, &sum::<i64>(), &rows, slots, ScanKind::Inclusive)
         });
-        assert_eq!(
-            outcome
-                .stats
-                .scan_algorithm_calls(ScanAlgorithm::PipelinedChain),
-            8
-        );
         // Spot-check the last rank's row against the column oracle.
         let last = &outcome.results[7][0];
         for j in [0usize, 1, slots - 1] {

@@ -22,8 +22,6 @@ use std::rc::Rc;
 use gv_core::iter::Input;
 use gv_core::op::{ElementwiseState, ReduceScanOp};
 use gv_core::split::SplittableState;
-use gv_msgpass::collectives::select::Segmentation;
-use gv_msgpass::collectives::tree::whole;
 use gv_msgpass::collectives::{ships_units, By, Counted};
 use gv_msgpass::{AllreduceAlgorithm, Comm, Request, RequestError};
 
@@ -41,37 +39,26 @@ pub(crate) fn accumulate_local<Op: ReduceScanOp>(
 }
 
 /// [`accumulate_local`] for a reduction, and for a counting operator
-/// ([`ReduceScanOp::elementwise`]) the plan its states cross by: the
-/// transport's selection at the identity's size (`splittable` as the
-/// transport is given a segmentation), asked before the accumulate, and
-/// beside it the rank's units — the slot each input adds one to — when
-/// the input is a slice, another rank may receive them, the plan is
-/// recursive doubling (the one schedule that ships units) and
-/// [`ships_units`] says they are the cheaper form of a state of that many
-/// slots.
+/// ([`ReduceScanOp::elementwise`]) how its states cross: beside the state
+/// the rank's units — the slot each input adds one to — when the input is
+/// a slice, another rank may receive them and [`ships_units`] says they
+/// are the cheaper form of a state of that many slots.
 fn accumulate_counted<'o, Op: ReduceScanOp>(
     comm: &Comm,
     op: &'o Op,
     local: impl Input<Op>,
-    splittable: bool,
-) -> (Op::State, Option<CountedPlan<'o, Op>>) {
+) -> (Op::State, Option<Counted<&'o Op>>) {
     let mut state = op.ident();
-    let plan = op.elementwise().map(|slots| {
-        let (cost, bytes) = (comm.cost_model(), op.wire_size(&state));
-        let algo =
-            AllreduceAlgorithm::select(&cost, comm.size(), bytes, Op::COMMUTATIVE, splittable);
-        let units = (comm.size() > 1 && algo == AllreduceAlgorithm::RecursiveDoubling)
+    let counted = op.elementwise().map(|slots| {
+        let units = (comm.size() > 1)
             .then(|| units_of(slots, local.as_slice()?, &mut state))
             .flatten();
-        By(algo, Counted::new(op, units))
+        Counted::new(op, units)
     });
     let count = local.accumulate(op, &mut state);
     comm.advance(count * op.accum_ops());
-    (state, plan)
+    (state, counted)
 }
-
-/// A counting operator's forced allreduce plan.
-type CountedPlan<'o, Op> = By<AllreduceAlgorithm, Counted<&'o Op>>;
 
 /// The slot each input of `block` adds one to, when [`ships_units`] says
 /// they are the cheaper form of a state like `state`.
@@ -98,44 +85,6 @@ pub(crate) fn combining<'a, Op: ReduceScanOp>(
     }
 }
 
-/// Cross-rank combine of an already-accumulated state: cost-selected
-/// allreduce with the operator's commutativity flag plumbed through —
-/// the paper's point that the declaration is the runtime's license to
-/// reorder combining. `segmentation` is a [`SplittableState`] operator's
-/// split, which the selector may answer with the bandwidth-optimal
-/// reduce-scatter + allgather (only when the operator is also
-/// commutative). A counting operator's `plan` ([`accumulate_counted`])
-/// is run as it is, its states crossing as units, views or clones.
-fn allreduce_state<Op>(
-    comm: &Comm,
-    op: &Op,
-    (state, plan): (Op::State, Option<CountedPlan<'_, Op>>),
-    segmentation: Option<Segmentation<'_, Op::State>>,
-) -> Op::State
-where
-    Op: ReduceScanOp,
-    Op::State: Clone + Send + 'static,
-{
-    let bytes_of = |s: &Op::State| op.wire_size(s);
-    let combine = combining(comm, op);
-    match (plan, segmentation) {
-        (Some(plan), Some(segmentation)) => {
-            comm.allreduce_by(plan, state, segmentation, bytes_of, combine)
-        }
-        (Some(plan), None) => comm.allreduce_by(plan, state, whole(), bytes_of, combine),
-        (None, Some(segmentation)) => {
-            // Priced at the identity, the one state every rank holds alike:
-            // a `TopBottomK` state grows with the entries a rank holds, and
-            // ranks that priced their own would pick different schedules.
-            let bytes = op.wire_size(&op.ident());
-            let cost = comm.cost_model();
-            let algo = AllreduceAlgorithm::select(&cost, comm.size(), bytes, Op::COMMUTATIVE, true);
-            comm.allreduce_by(algo, state, segmentation, bytes_of, combine)
-        }
-        (None, None) => comm.allreduce(state, Op::COMMUTATIVE, bytes_of, combine),
-    }
-}
-
 /// Global-view reduction delivering the result to every rank — the paper's
 /// `RSMPI_Reduceall`.
 ///
@@ -155,28 +104,25 @@ where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
-    let counted = accumulate_counted(comm, op, local, false);
-    op.red_gen(allreduce_state(comm, op, counted, None))
+    let (state, counted) = accumulate_counted(comm, op, local);
+    let (bytes_of, combine) = (|s: &_| op.wire_size(s), combining(comm, op));
+    let state = match counted {
+        Some(counted) => {
+            let plan = By(AllreduceAlgorithm::RecursiveDoubling, counted);
+            comm.allreduce_by(plan, state, bytes_of, combine)
+        }
+        None => comm.allreduce(state, Op::COMMUTATIVE, bytes_of, combine),
+    };
+    op.red_gen(state)
 }
 
-/// [`reduce_all`] for operators with splittable states: eligible for the
-/// reduce-scatter + allgather schedule when the cost model favors it. The
-/// selector prices the operator's identity, which every rank holds alike:
-/// for a fixed-width state (`Counts`, `Histogram`, aggregated rows) that
-/// is the state's size, and a `TopBottomK`, whose identity is its two
-/// empty lists, runs recursive doubling — at k = 1000 it models 84, 126
-/// and 168 µs at p = 4, 8 and 16 against 158, 317 and 605 for the
-/// reduce-scatter its full states priced, whose merged segments grow back
-/// to k entries each.
+/// [`reduce_all`]: an alias the frozen benchmark adapter calls.
 pub fn reduce_all_splittable<Op>(comm: &Comm, op: &Op, local: &[Op::In]) -> Op::Out
 where
     Op: SplittableState,
     Op::State: Clone + Send + 'static,
 {
-    let counted = accumulate_counted(comm, op, local, true);
-    let split = |s, parts| op.split_state(s, parts);
-    let unsplit = |segments| op.unsplit_state(segments);
-    op.red_gen(allreduce_state(comm, op, counted, Some((&split, &unsplit))))
+    reduce_all(comm, op, local)
 }
 
 /// An in-flight [`ireduce_all`]: the cross-rank combine is parked in the
@@ -403,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn splittable_reduce_all_matches_plain_reduce_all() {
+    fn counts_and_topk_reduce_all_match_sequential() {
         use gv_core::ops::counts::Counts;
         use gv_core::ops::topk::TopBottomK;
         let particles: Vec<usize> = (0..400).map(|i| (i * 7 + 3) % 16).collect();
@@ -414,17 +360,10 @@ mod tests {
             let counts_chunks: Vec<Vec<usize>> = chunk_ranges(particles.len(), p)
                 .map(|r| particles[r].to_vec())
                 .collect();
-            let outcome = Runtime::new(p).run(|comm| {
-                let op = Counts::new(16);
-                let split = reduce_all_splittable(comm, &op, &counts_chunks[comm.rank()]);
-                let plain = reduce_all(comm, &op, &counts_chunks[comm.rank()]);
-                (split, plain)
-            });
+            let outcome = Runtime::new(p)
+                .run(|comm| reduce_all(comm, &Counts::new(16), &counts_chunks[comm.rank()]));
             let expected = gv_core::seq::reduce(&Counts::new(16), &particles);
-            for (split, plain) in outcome.results {
-                assert_eq!(split, expected, "p={p}");
-                assert_eq!(plain, expected, "p={p}");
-            }
+            assert_eq!(outcome.results, vec![expected; p], "p={p}");
 
             let topk_chunks: Vec<Vec<(f64, u64)>> = chunk_ranges(samples.len(), p)
                 .map(|r| samples[r].to_vec())

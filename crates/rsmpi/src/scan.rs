@@ -17,10 +17,8 @@
 
 use gv_core::op::{ElementwiseState, ReduceScanOp, ScanKind};
 use gv_core::split::SplittableState;
-use gv_msgpass::collectives::select::Segmentation;
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::collectives::{By, Counted};
-use gv_msgpass::{Comm, ScanAlgorithm};
+use gv_msgpass::collectives::Counted;
+use gv_msgpass::Comm;
 
 use crate::reduce::{accumulate_local, combining, units_of};
 
@@ -29,21 +27,16 @@ use crate::reduce::{accumulate_local, combining, units_of};
 ///
 /// The cross-rank prefix runs as a dedicated exclusive scan, so it is
 /// accounted as one `Exscan` call per rank (see the `scan_both`
-/// convention in `gv-msgpass`). Its schedule is priced at the operator's
-/// identity, which every rank holds alike: a `TopBottomK` state grows
-/// with the entries a rank holds, and ranks that priced their own would
-/// pick different schedules. A counting operator
-/// ([`ReduceScanOp::elementwise`]) starts every rank from one identity,
-/// which prices the schedule and holds the prefix, and hands the
-/// transport its block's units where they may ship
-/// ([`counting_prefix`]).
+/// convention in `gv-msgpass`). A counting operator
+/// ([`ReduceScanOp::elementwise`]) hands the transport its block's units
+/// where they may ship ([`counting_prefix`]).
 pub fn scan<Op>(comm: &Comm, op: &Op, local: &[Op::In], kind: ScanKind) -> Vec<Op::Out>
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
     let running = match op.elementwise() {
-        Some(slots) => counting_prefix(comm, op, slots, local, None),
+        Some(slots) => counting_prefix(comm, op, slots, local),
         None => {
             // Phase 1 (Listing 3 lines 1–8): local accumulate, hooks included.
             let state = accumulate_local(comm, op, local);
@@ -56,73 +49,43 @@ where
     rescan_block(comm, op, local, kind, running)
 }
 
-/// The exclusive prefix of a counting operator's block: each rank builds
-/// one identity, which prices the schedule alike on every rank and holds
-/// the result. Where the call runs recursive doubling, the one schedule
-/// that ships units (selected by the transport's rule on a state of the
-/// identity's size), a block whose units may ship ([`units_of`]) leaves
-/// them to the transport, which counts the rank's own into a state only
-/// when a round must send slots; any other block is accumulated into it,
-/// and no units are built for it. The last rank's block is in no rank's
-/// exclusive prefix, so it is counted into nothing: at p = 1 the identity
-/// is the prefix.
+/// The exclusive prefix of a counting operator's block. A block whose
+/// units may ship ([`units_of`]) leaves them to the transport, which
+/// counts the rank's own into its identity only when a round must send
+/// slots; any other block is accumulated into the identity. The last
+/// rank's block is in no rank's exclusive prefix, so it is counted into
+/// nothing: at p = 1 the identity is the prefix.
 fn counting_prefix<Op>(
     comm: &Comm,
     op: &Op,
     slots: &dyn ElementwiseState<Op::State, Op::In>,
     local: &[Op::In],
-    segmentation: Option<Segmentation<'_, Op::State>>,
 ) -> Op::State
 where
     Op: ReduceScanOp,
     Op::State: Clone + Send + 'static,
 {
     let mut state = op.ident();
-    let cost = comm.cost_model();
-    let bytes = op.wire_size(&state);
-    let plan = ScanAlgorithm::select(&cost, comm.size(), bytes, segmentation.is_some());
-    let units = if comm.rank() + 1 == comm.size() {
-        Some(Vec::new())
-    } else if plan.0 == ScanAlgorithm::RecursiveDoubling {
-        units_of(slots, local, &mut state)
-    } else {
-        None
+    let units = match comm.rank() + 1 == comm.size() {
+        true => Some(Vec::new()),
+        false => units_of(slots, local, &mut state),
     };
     if units.is_none() {
         gv_core::op::accumulate_block(op, &mut state, local);
         comm.advance(local.len() as u64 * op.accum_ops());
     }
     let (ident, bytes_of, combine) = (|| op.ident(), |s: &_| op.wire_size(s), combining(comm, op));
-    let plan = By(plan, Counted::new(op, units));
-    match segmentation {
-        Some(split) => comm.scan_exclusive_by(plan, state, ident, split, bytes_of, combine),
-        None => comm.scan_exclusive_by(plan, state, ident, whole(), bytes_of, combine),
-    }
+    let counted = Counted::new(op, units);
+    comm.scan_exclusive_by(counted, state, ident, bytes_of, combine)
 }
 
-/// [`scan`] for operators with splittable states: the cross-rank prefix
-/// scan is additionally eligible for the pipelined chain schedule, which
-/// moves the least aggregate traffic of any scan schedule and overlaps
-/// chain latency with bandwidth — the winning choice for large states
-/// under the α–β cost model. Priced at the identity, as [`scan`] is.
+/// [`scan`]: an alias the frozen benchmark adapter calls.
 pub fn scan_splittable<Op>(comm: &Comm, op: &Op, local: &[Op::In], kind: ScanKind) -> Vec<Op::Out>
 where
     Op: SplittableState,
     Op::State: Clone + Send + 'static,
 {
-    let split = |s, parts| op.split_state(s, parts);
-    let unsplit = |segments| op.unsplit_state(segments);
-    let running = match op.elementwise() {
-        Some(slots) => counting_prefix(comm, op, slots, local, Some((&split, &unsplit))),
-        None => {
-            let state = accumulate_local(comm, op, local);
-            let (ident, bytes_of) = (|| op.ident(), |s: &_| op.wire_size(s));
-            let combine = combining(comm, op);
-            comm.scan_exclusive_splittable(state, ident, split, unsplit, bytes_of, combine)
-        }
-    };
-
-    rescan_block(comm, op, local, kind, running)
+    scan(comm, op, local, kind)
 }
 
 /// Listing 3 lines 10–13: rescan the local block from the incoming
@@ -234,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn splittable_scan_matches_plain_and_sequential() {
+    fn counts_scan_matches_sequential() {
         use gv_core::ops::counts::Counts;
         let particles: Vec<usize> = (0..240).map(|i| (i * 11 + 5) % 16).collect();
         for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
@@ -243,30 +206,17 @@ mod tests {
                 let chunks: Vec<Vec<usize>> = chunk_ranges(particles.len(), p)
                     .map(|r| particles[r].to_vec())
                     .collect();
-                let outcome = Runtime::new(p).run(|comm| {
-                    let op = Counts::new(16);
-                    (
-                        scan_splittable(comm, &op, &chunks[comm.rank()], kind),
-                        scan(comm, &op, &chunks[comm.rank()], kind),
-                    )
-                });
-                let mut split = Vec::new();
-                let mut plain = Vec::new();
-                for (s, pl) in outcome.results {
-                    split.extend(s);
-                    plain.extend(pl);
-                }
-                assert_eq!(split, expected, "splittable p={p} kind={kind:?}");
-                assert_eq!(plain, expected, "plain p={p} kind={kind:?}");
+                let outcome = Runtime::new(p)
+                    .run(|comm| scan(comm, &Counts::new(16), &chunks[comm.rank()], kind));
+                let got: Vec<_> = outcome.results.into_iter().flatten().collect();
+                assert_eq!(got, expected, "p={p} kind={kind:?}");
             }
         }
     }
 
     #[test]
-    fn splittable_scan_on_bucket_rank_matches_paper_answer() {
-        // The §3.1.3 particle ranking again, this time through the
-        // splittable prefix path: BucketRank's count-vector state chunks
-        // contiguously, so the chain schedule is legal for it.
+    fn bucket_rank_scan_matches_paper_answer() {
+        // The §3.1.3 particle ranking again, across three ranks.
         let particles: Vec<usize> = [6, 7, 6, 3, 8, 2, 8, 4, 8, 3]
             .iter()
             .map(|&o| o - 1)
@@ -275,7 +225,7 @@ mod tests {
             .map(|r| particles[r].to_vec())
             .collect();
         let outcome = Runtime::new(3).run(|comm| {
-            scan_splittable(
+            scan(
                 comm,
                 &BucketRank::new(8),
                 &chunks[comm.rank()],
@@ -284,44 +234,6 @@ mod tests {
         });
         let flat: Vec<u64> = outcome.results.into_iter().flatten().collect();
         assert_eq!(flat, vec![1, 1, 2, 1, 1, 1, 2, 1, 3, 2]);
-    }
-
-    #[test]
-    fn splittable_scan_picks_pipelined_chain_for_large_states() {
-        use gv_msgpass::ScanAlgorithm;
-        // 16 Ki buckets × 8 B = 128 KiB of state: far past the chain
-        // crossover at p = 8, so the selector must route the prefix scan
-        // through the pipelined chain and attribute it in the stats.
-        let buckets = 16 * 1024;
-        let particles: Vec<usize> = (0..512).map(|i| (i * 131) % buckets).collect();
-        let expected =
-            gv_core::seq::scan(&BucketRank::new(buckets), &particles, ScanKind::Exclusive);
-        let chunks: Vec<Vec<usize>> = chunk_ranges(particles.len(), 8)
-            .map(|r| particles[r].to_vec())
-            .collect();
-        let outcome = Runtime::new(8).run(|comm| {
-            scan_splittable(
-                comm,
-                &BucketRank::new(buckets),
-                &chunks[comm.rank()],
-                ScanKind::Exclusive,
-            )
-        });
-        let flat: Vec<u64> = outcome.results.into_iter().flatten().collect();
-        assert_eq!(flat, expected);
-        assert_eq!(
-            outcome
-                .stats
-                .scan_algorithm_calls(ScanAlgorithm::PipelinedChain),
-            8,
-            "every rank should have run the chain schedule once"
-        );
-        assert_eq!(
-            outcome
-                .stats
-                .scan_algorithm_calls(ScanAlgorithm::RecursiveDoubling),
-            0
-        );
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Allocation budget of the segmented collectives: the bytes a rank
-//! allocates in one call are a small constant times the state size `n`
-//! and do not grow with the segment count `S`.
+//! Allocation budget of the collectives: the bytes a rank allocates in
+//! one call are a small constant times the state size `n`.
 //!
-//! Per byte of state the schedules pay: split ≤ 1 move, combine in
-//! place, 1 clone per tree child (or chain successor), unsplit 1 move.
-//! A split that peels segments off the front of a `Vec` breaks this
-//! silently — it allocates ≈ S/2 · n on every rank and every result stays
-//! equal — so the budget is pinned here with a counting allocator rather
-//! than a timer. Counts are per thread, so each rank reads exactly what it
-//! allocated itself and parallel tests do not disturb each other.
+//! Per byte of state the schedules pay: combine in place, 1 clone per
+//! tree child or recursive-doubling send. An extra copy breaks this
+//! silently — every result stays equal — so the budget is pinned here
+//! with a counting allocator rather than a timer. Counts are per thread,
+//! so each rank reads exactly what it allocated itself and parallel tests
+//! do not disturb each other.
 //!
 //! The streamed reductions get the same treatment at the bottom: what a
 //! rank allocates is one staging block and the operator's state, whatever
@@ -41,8 +39,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gv_core::split::{split_vec_segments as split, unsplit_vec_segments as unsplit};
-use gv_msgpass::{AllreduceAlgorithm, Comm, Runtime, ScanAlgorithm};
+use gv_msgpass::{AllreduceAlgorithm, Comm, Runtime};
 
 struct CountingAllocator;
 
@@ -143,31 +140,6 @@ fn allocated_per_rank(p: usize, call: impl Fn(&Comm, Vec<u64>) + Sync) -> Vec<us
 }
 
 #[test]
-fn a_rank_allocates_a_few_n_whatever_the_segment_count() {
-    // The chain scan, the one segmented schedule.
-    let chain = |comm: &Comm, state, s| {
-        let plan = (ScanAlgorithm::PipelinedChain, s);
-        comm.scan_both_by(plan, state, (split, unsplit), wire, add);
-    };
-    for p in [2usize, 4] {
-        let few = allocated_per_rank(p, |comm, state| chain(comm, state, 2));
-        let many = allocated_per_rank(p, |comm, state| chain(comm, state, 64));
-        for (rank, (&few, &many)) in few.iter().zip(&many).enumerate() {
-            assert!(
-                many as f64 <= 1.25 * few as f64,
-                "p={p} rank {rank}: {many} B at S=64 vs {few} B at S=2"
-            );
-            // Split, one clone for the successor, the exclusive half's
-            // clone, two unsplits: ≤ 6 moves.
-            assert!(
-                many <= 6 * N,
-                "p={p} rank {rank}: {many} B at S=64 for a {N} B state"
-            );
-        }
-    }
-}
-
-#[test]
 fn the_tree_clones_the_state_once_per_child() {
     // By value, payloads move: a combine consumes the child's partial, a
     // state forwarded to one peer is sent by move, and the down-sweep
@@ -212,7 +184,7 @@ fn the_tree_clones_the_state_once_per_child() {
         }
         let tree = AllreduceAlgorithm::ReduceBroadcast;
         let allreduce = allocated_per_rank(p, |comm, state| {
-            comm.allreduce_by(tree, state, (split, unsplit), wire, add);
+            comm.allreduce_by(tree, state, wire, add);
         });
         for (rank, &got) in allreduce.iter().enumerate() {
             let clones = children(p, 0, rank) * N;
@@ -232,24 +204,24 @@ fn selector_routed_calls_at_two_ranks_copy_the_state_once_per_sender() {
     // root clones the state it keeps (n). Beyond that, only envelopes.
     const ENVELOPES: usize = 4 << 10;
     let allreduce: usize = allocated_per_rank(2, |comm, state| {
-        comm.allreduce_splittable(state, true, split, unsplit, wire, add);
+        comm.allreduce(state, true, wire, add);
     })
     .iter()
     .sum();
     assert!(
         allreduce <= 2 * N + ENVELOPES,
-        "allreduce_splittable allocated {allreduce} B for a {N} B state"
+        "allreduce allocated {allreduce} B for a {N} B state"
     );
 
     let bcast: usize = allocated_per_rank(2, |comm, state| {
         let value = (comm.rank() == 0).then_some(state);
-        comm.bcast_splittable(0, value, N, split, unsplit, wire);
+        comm.bcast_vec(0, value);
     })
     .iter()
     .sum();
     assert!(
         bcast <= N + ENVELOPES,
-        "bcast_splittable allocated {bcast} B for a {N} B state"
+        "bcast_vec allocated {bcast} B for a {N} B state"
     );
 }
 
@@ -315,14 +287,13 @@ fn a_counting_reduction_at_two_ranks_allocates_its_state_and_its_units() {
 
 #[test]
 fn a_slotted_scan_builds_an_identity_only_on_the_rank_that_returns_it() {
-    // An exclusive scan prices its schedule at a state every rank holds
-    // alike. The plain call builds the identity on every rank to price
-    // it; `gv_rsmpi::scan_splittable` of a slotted operator accumulates
-    // a block into the one identity it builds (the last rank's block is
-    // in no prefix), so only rank 0 — whose exclusive prefix the identity
-    // is — builds a second. Same schedule,
-    // so the difference is exactly one state on every other rank. Each
-    // rank holds more inputs than a state of `LEN` slots ships as units.
+    // An exclusive scan runs `ident` on rank 0 only, whose exclusive
+    // prefix the identity is. `gv_rsmpi::scan` of a slotted operator
+    // accumulates a block into the one identity it builds (the last
+    // rank's block is in no prefix), as the plain call's caller does, so
+    // the two allocate alike, and rank 0 one state more than rank 1.
+    // Each rank holds more inputs than a state of `LEN` slots ships as
+    // units.
     use gv_core::op::{ReduceScanOp, ScanKind};
     use gv_core::ops::counts::BucketRank;
 
@@ -335,13 +306,13 @@ fn a_slotted_scan_builds_an_identity_only_on_the_rank_that_returns_it() {
                 let local = &inputs[comm.rank() * INPUTS..][..INPUTS];
                 let before = large_bytes();
                 let out = if slotted {
-                    gv_rsmpi::scan::scan_splittable(comm, &op, local, ScanKind::Exclusive)
+                    gv_rsmpi::scan(comm, &op, local, ScanKind::Exclusive)
                 } else {
                     let mut state = op.ident();
                     for x in local {
                         op.accum(&mut state, x);
                     }
-                    comm.scan_exclusive_splittable(state, || op.ident(), split, unsplit, wire, add);
+                    comm.scan_exclusive(state, || op.ident(), wire, add);
                     Vec::new()
                 };
                 large_bytes() - before - 8 * out.capacity()
@@ -349,16 +320,11 @@ fn a_slotted_scan_builds_an_identity_only_on_the_rank_that_returns_it() {
             .results
     };
     let (slotted, plain) = (per_rank(true), per_rank(false));
+    assert_eq!(slotted, plain, "slotted and plain allocate alike");
     assert_eq!(
-        slotted[0], plain[0],
-        "rank 0 builds its identity either way"
-    );
-    assert_eq!(
+        slotted[0],
         slotted[1] + N,
-        plain[1],
-        "rank 1: {} B slotted, {} B plain",
-        slotted[1],
-        plain[1]
+        "rank 0 builds the identity it returns, rank 1 none"
     );
 }
 
@@ -379,7 +345,7 @@ fn a_counting_scan_allocates_no_state_for_its_own_block() {
     let per_rank = Runtime::new(2).run(|comm| {
         let local = &inputs[comm.rank() * INPUTS..][..INPUTS];
         let (large, all) = (large_bytes(), allocated());
-        let out = gv_rsmpi::scan::scan_splittable(comm, &op, local, ScanKind::Exclusive);
+        let out = gv_rsmpi::scan(comm, &op, local, ScanKind::Exclusive);
         let output = 8 * out.capacity();
         (large_bytes() - large - output, allocated() - all - output)
     });

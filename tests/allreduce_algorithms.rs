@@ -1,12 +1,12 @@
-//! Property tests of the three allreduce schedules and the cost-driven
-//! selector, on the in-tree `gv-testkit` runner.
+//! Property tests of the two allreduce schedules and the rule that picks
+//! between them, on the in-tree `gv-testkit` runner.
 //!
-//! The contract under test: reduce+bcast, recursive doubling, and
-//! reduce-scatter+allgather all compute the same rank-order reduction as
-//! a sequential fold — for every rank count in 1..17 (covering both
-//! powers of two and the fold/unfold edge cases), for commutative and
-//! non-commutative operators, and for splittable and scalar states —
-//! and the selector never picks an ineligible schedule.
+//! The contract under test: reduce+bcast and recursive doubling compute
+//! the same rank-order reduction as a sequential fold — for every rank
+//! count in 1..17 (covering both powers of two and the fold/unfold edge
+//! cases), for commutative and non-commutative operators, and for vector
+//! and scalar states — every blocking call runs recursive doubling, and
+//! only a commutative request runs the tree.
 //!
 //! Every failure message prints a case seed; rerun just that input with
 //! `GV_TESTKIT_SEED=<seed> cargo test <test name>`.
@@ -17,11 +17,9 @@ use gv_testkit::prop_assert_eq;
 use gv_core::iter::{Located, Staged};
 use gv_core::ops::histogram::Histogram;
 use gv_core::ops::topk::TopBottomK;
-use gv_core::split::{split_vec_segments, unsplit_vec_segments};
 use gv_executor::chunk_ranges;
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::AllreduceAlgorithm::{RecursiveDoubling, ReduceBroadcast, ReduceScatterAllgather};
-use gv_msgpass::{AllreduceAlgorithm, CostModel, Runtime};
+use gv_msgpass::AllreduceAlgorithm::{RecursiveDoubling, ReduceBroadcast};
+use gv_msgpass::{AllreduceAlgorithm, Runtime};
 
 fn cfg() -> Config {
     Config::new(128)
@@ -41,13 +39,13 @@ fn scalar_schedules_agree_with_fold_oracle() {
             let expected: i64 = per_rank.iter().sum();
             let outcome = Runtime::new(p).run(|comm| {
                 let mine = per_rank[comm.rank()];
-                let selector = comm.allreduce(mine, true, |_| 8, |a, b| a + b);
-                let rb = comm.allreduce_by(ReduceBroadcast, mine, whole(), |_| 8, |a, b| a + b);
-                let rd = comm.allreduce_by(RecursiveDoubling, mine, whole(), |_| 8, |a, b| a + b);
-                (selector, rb, rd)
+                let blocking = comm.allreduce(mine, true, |_| 8, |a, b| a + b);
+                let rb = comm.allreduce_by(ReduceBroadcast, mine, |_| 8, |a, b| a + b);
+                let rd = comm.allreduce_by(RecursiveDoubling, mine, |_| 8, |a, b| a + b);
+                (blocking, rb, rd)
             });
-            for (selector, rb, rd) in outcome.results {
-                prop_assert_eq!(selector, expected);
+            for (blocking, rb, rd) in outcome.results {
+                prop_assert_eq!(blocking, expected);
                 prop_assert_eq!(rb, expected);
                 prop_assert_eq!(rd, expected);
             }
@@ -69,13 +67,13 @@ fn noncommutative_schedules_preserve_rank_order() {
                 let mine = format!("[{}]", comm.rank());
                 let concat = |a: String, b: String| a + &b;
                 let wire = |s: &String| s.len();
-                let selector = comm.allreduce(mine.clone(), false, wire, concat);
-                let rb = comm.allreduce_by(ReduceBroadcast, mine.clone(), whole(), wire, concat);
-                let rd = comm.allreduce_by(RecursiveDoubling, mine, whole(), wire, concat);
-                (selector, rb, rd)
+                let blocking = comm.allreduce(mine.clone(), false, wire, concat);
+                let rb = comm.allreduce_by(ReduceBroadcast, mine.clone(), wire, concat);
+                let rd = comm.allreduce_by(RecursiveDoubling, mine, wire, concat);
+                (blocking, rb, rd)
             });
-            for (selector, rb, rd) in outcome.results {
-                prop_assert_eq!(&selector, &expected);
+            for (blocking, rb, rd) in outcome.results {
+                prop_assert_eq!(&blocking, &expected);
                 prop_assert_eq!(&rb, &expected);
                 prop_assert_eq!(&rd, &expected);
             }
@@ -108,27 +106,14 @@ fn splittable_schedules_agree_on_vector_states() {
                     }
                     a
                 };
-                let selected = comm.allreduce_splittable(
-                    mine.clone(),
-                    true,
-                    split_vec_segments,
-                    unsplit_vec_segments,
-                    wire,
-                    add,
-                );
-                let rsag = comm.allreduce_by(
-                    ReduceScatterAllgather,
-                    mine.clone(),
-                    (split_vec_segments, unsplit_vec_segments),
-                    wire,
-                    add,
-                );
-                let rd = comm.allreduce_by(RecursiveDoubling, mine, whole(), wire, add);
-                (selected, rsag, rd)
+                let blocking = comm.allreduce(mine.clone(), true, wire, add);
+                let rb = comm.allreduce_by(ReduceBroadcast, mine.clone(), wire, add);
+                let rd = comm.allreduce_by(RecursiveDoubling, mine, wire, add);
+                (blocking, rb, rd)
             });
-            for (selected, rsag, rd) in outcome.results {
-                prop_assert_eq!(&selected, &expected);
-                prop_assert_eq!(&rsag, &expected);
+            for (blocking, rb, rd) in outcome.results {
+                prop_assert_eq!(&blocking, &expected);
+                prop_assert_eq!(&rb, &expected);
                 prop_assert_eq!(&rd, &expected);
             }
             Ok(())
@@ -144,7 +129,7 @@ fn splittable_global_view_reductions_match_sequential_oracle() {
         &(vec_of(i64s(0..1000), 0..120), usizes(1..17)),
         |(raw, p)| {
             let p = *p;
-            // Histogram over f64 samples through reduce_all_splittable.
+            // Histogram over f64 samples.
             let samples: Vec<f64> = raw.iter().map(|&x| x as f64 / 10.0).collect();
             let hist = Histogram::uniform(0.0, 100.0, 16);
             let expected_hist = gv_core::seq::reduce(&hist, &samples);
@@ -152,10 +137,10 @@ fn splittable_global_view_reductions_match_sequential_oracle() {
                 .map(|range| samples[range].to_vec())
                 .collect();
             let outcome = Runtime::new(p).run(|comm| {
-                gv_rsmpi::reduce_all_splittable(
+                gv_rsmpi::reduce_all(
                     comm,
                     &Histogram::uniform(0.0, 100.0, 16),
-                    &chunks[comm.rank()],
+                    &chunks[comm.rank()][..],
                 )
             });
             for got in outcome.results {
@@ -294,44 +279,32 @@ fn a_located_reduction_is_the_streamed_one_on_the_wire_for_p_1_through_17() {
 
 #[test]
 fn selector_only_picks_eligible_schedules() {
+    // At any p and size a blocking call runs recursive doubling,
+    // commutative or not, and a request runs the tree only for a
+    // commutative operator (its tree is rotated, which would permute a
+    // non-commutative combine).
     check(
         "selector_only_picks_eligible_schedules",
-        &cfg(),
-        &(usizes(1..64), usizes(0..21)),
+        &Config::new(32),
+        &(usizes(1..18), usizes(0..15)),
         |(p, log_bytes)| {
-            let cost = CostModel::cluster_2006();
-            let bytes = 1usize << *log_bytes;
+            let (p, elems) = (*p, (1usize << *log_bytes) / 8 + 1);
             for commutative in [true, false] {
-                for splittable in [true, false] {
-                    let picked =
-                        AllreduceAlgorithm::select(&cost, *p, bytes, commutative, splittable);
-                    if picked == AllreduceAlgorithm::ReduceScatterAllgather
-                        && !(commutative && splittable)
-                    {
-                        return Err(format!(
-                            "rs+ag selected for commutative={commutative} \
-                             splittable={splittable} p={p} bytes={bytes}"
-                        ));
-                    }
-                    // The pick is never strictly worse than any other
-                    // eligible schedule.
-                    for other in AllreduceAlgorithm::ALL {
-                        if other == AllreduceAlgorithm::ReduceScatterAllgather
-                            && !(commutative && splittable)
-                        {
-                            continue;
-                        }
-                        let t_picked = picked.estimated_seconds(&cost, *p, bytes);
-                        let t_other = other.estimated_seconds(&cost, *p, bytes);
-                        if t_picked > t_other {
-                            return Err(format!(
-                                "{} (={t_picked}) beat by {} (={t_other}) at p={p} bytes={bytes}",
-                                picked.name(),
-                                other.name()
-                            ));
-                        }
-                    }
-                }
+                let outcome = Runtime::new(p).run(move |comm| {
+                    let wire = |v: &Vec<u64>| v.len() * 8;
+                    let add = |mut a: Vec<u64>, b: Vec<u64>| {
+                        a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+                        a
+                    };
+                    let state = vec![comm.rank() as u64; elems];
+                    comm.allreduce(state.clone(), commutative, wire, add);
+                    let mut request = comm.iallreduce(state, commutative, wire, add);
+                    request.wait().expect("transport alive")
+                });
+                let calls = |algo| outcome.stats.allreduce_algorithm_calls(algo);
+                let tree = if commutative { p as u64 } else { 0 };
+                prop_assert_eq!(calls(ReduceBroadcast), tree);
+                prop_assert_eq!(calls(RecursiveDoubling), 2 * p as u64 - tree);
             }
             Ok(())
         },
@@ -339,42 +312,10 @@ fn selector_only_picks_eligible_schedules() {
 }
 
 #[test]
-fn crossover_ring_beats_reduce_bcast_at_64kib_p8() {
-    // The acceptance pin: both in the α–β estimate and in the measured
-    // virtual clock, reduce-scatter+allgather wins for a 64 KiB
-    // splittable state at p = 8.
-    let cost = CostModel::cluster_2006();
-    let rsag = AllreduceAlgorithm::ReduceScatterAllgather.estimated_seconds(&cost, 8, 64 << 10);
-    let rb = AllreduceAlgorithm::ReduceBroadcast.estimated_seconds(&cost, 8, 64 << 10);
-    assert!(rsag < rb, "estimate: rsag={rsag} rb={rb}");
-
-    let measured = |algo: AllreduceAlgorithm| {
-        Runtime::new(8)
-            .run(move |comm| {
-                let state = vec![1u64; 8 << 10]; // 64 KiB of u64s
-                let wire = |v: &Vec<u64>| v.len() * 8;
-                let add = |mut a: Vec<u64>, b: Vec<u64>| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                };
-                let segmentation = (split_vec_segments, unsplit_vec_segments);
-                comm.allreduce_by(algo, state, segmentation, wire, add);
-            })
-            .modeled_seconds
-    };
-    let t_rsag = measured(ReduceScatterAllgather);
-    let t_rb = measured(ReduceBroadcast);
-    assert!(t_rsag < t_rb, "measured: rsag={t_rsag} reduce+bcast={t_rb}");
-}
-
-#[test]
 fn non_power_of_two_selector_matrix_stays_within_5pct_of_best() {
-    // The Issue-7 acceptance matrix: at p = 6, 12, 24 (where the old
-    // ring reduce-scatter and the mean-segment pricing degraded) every
-    // schedule still matches the oracle, and the selector's pick never
-    // loses more than 5% modeled time to the best fixed schedule.
+    // At p = 6, 12, 24, where recursive doubling folds and unfolds, every
+    // schedule still matches the oracle, and the blocking call's schedule
+    // never loses more than 5% modeled time to the best fixed one.
     let wire = |v: &Vec<u64>| v.len() * 8;
     let add = |mut a: Vec<u64>, b: Vec<u64>| {
         for (x, y) in a.iter_mut().zip(b) {
@@ -388,24 +329,16 @@ fn non_power_of_two_selector_matrix_stays_within_5pct_of_best() {
             let expected: Vec<u64> = (0..elems as u64)
                 .map(|i| (0..p as u64).map(|r| r + i).sum())
                 .collect();
-            // schedule 0 = cost-driven selector, 1..=3 fixed schedules.
-            let modeled: Vec<f64> = (0..4usize)
+            // schedule 0 = the blocking call, 1..=2 fixed schedules.
+            let modeled: Vec<f64> = (0..3usize)
                 .map(|which| {
                     let outcome = Runtime::new(p).run(move |comm| {
                         let r = comm.rank() as u64;
                         let state: Vec<u64> = (0..elems as u64).map(|i| r + i).collect();
-                        let (split, unsplit) = (split_vec_segments, unsplit_vec_segments);
                         match which {
-                            0 => comm.allreduce_splittable(state, true, split, unsplit, wire, add),
-                            1 => comm.allreduce_by(ReduceBroadcast, state, whole(), wire, add),
-                            2 => comm.allreduce_by(RecursiveDoubling, state, whole(), wire, add),
-                            _ => comm.allreduce_by(
-                                ReduceScatterAllgather,
-                                state,
-                                (split, unsplit),
-                                wire,
-                                add,
-                            ),
+                            0 => comm.allreduce(state, true, wire, add),
+                            1 => comm.allreduce_by(ReduceBroadcast, state, wire, add),
+                            _ => comm.allreduce_by(RecursiveDoubling, state, wire, add),
                         }
                     });
                     for got in &outcome.results {
@@ -417,8 +350,8 @@ fn non_power_of_two_selector_matrix_stays_within_5pct_of_best() {
             let best_fixed = modeled[1..].iter().cloned().fold(f64::INFINITY, f64::min);
             assert!(
                 modeled[0] <= 1.05 * best_fixed,
-                "selector pick loses >5% at p={p} bytes={bytes}: \
-                 selector={} best fixed={best_fixed} (all: {modeled:?})",
+                "the blocking call loses >5% at p={p} bytes={bytes}: \
+                 blocking={} best fixed={best_fixed} (all: {modeled:?})",
                 modeled[0]
             );
         }
@@ -427,9 +360,8 @@ fn non_power_of_two_selector_matrix_stays_within_5pct_of_best() {
 
 #[test]
 fn a_request_runs_the_rotating_tree_when_commutative_and_the_blocking_schedule_otherwise() {
-    // A blocking allreduce is priced by its critical path, a request by
-    // the work it leaves on each rank: a commutative request runs the
-    // tree rooted at its call sequence mod p, one rank included, and a
+    // A commutative request runs the tree rooted at its call sequence mod
+    // p, one rank included, spreading its combines over the ranks; a
     // non-commutative one the blocking call's schedule.
     let wire = |v: &Vec<u64>| v.len() * 8;
     let add = |mut a: Vec<u64>, b: Vec<u64>| {
@@ -588,22 +520,13 @@ fn ranks_agree_on_the_schedule_when_one_is_empty_and_one_holds_more_than_k() {
         let mut request = gv_rsmpi::ireduce_all(comm, op, local);
         request.wait().expect("transport alive")
     }
-    fn splittable(
-        comm: &Comm,
-        op: TopK,
-        local: &[(i64, u64)],
-    ) -> gv_core::ops::TopBottom<i64, u64> {
-        gv_rsmpi::reduce_all_splittable(comm, &op, local)
-    }
 
     for p in 2..=9usize {
         let k = AGREEMENT_K;
         let values = move |r| uneven_values(r, k);
         let pairs = move |r| uneven_pairs(r, k);
         let (mink, topk) = (MinK::<i64>::new(k), TopK::new(k));
-        // k = 1000 through the splittable reduction: rank 1's full state
-        // prices past the selector's crossover at p ≥ 4, rank 0's empty
-        // one does not.
+        // k = 1000: rank 1's state holds 3000 entries, rank 0's none.
         let wide = move |r| uneven_pairs(r, 1000);
         let calls = [
             ("MinK", schedules_of_one_call(p, mink, values, reduce_all)),
@@ -620,12 +543,8 @@ fn ranks_agree_on_the_schedule_when_one_is_empty_and_one_holds_more_than_k() {
                 schedules_of_one_call(p, topk, pairs, ireduce_all),
             ),
             (
-                "TopBottomK splittable",
-                schedules_of_one_call(p, topk, pairs, splittable),
-            ),
-            (
-                "TopBottomK k=1000 splittable",
-                schedules_of_one_call(p, TopK::new(1000), wide, splittable),
+                "TopBottomK k=1000",
+                schedules_of_one_call(p, TopK::new(1000), wide, reduce_all),
             ),
         ];
         for (name, schedules) in calls {
@@ -635,18 +554,60 @@ fn ranks_agree_on_the_schedule_when_one_is_empty_and_one_holds_more_than_k() {
             );
         }
     }
+
+    // `Comm::allreduce` of a 1 MiB state on rank 1 and 0–128 bytes on
+    // every other rank, combined by concatenation (rank order shows):
+    // every rank runs recursive doubling and holds the oracle's result.
+    for p in 2..=17usize {
+        let outcome = uneven_run(p, |comm, mine| {
+            comm.allreduce(mine, false, uneven_wire, concat_words)
+        });
+        let all: Vec<u64> = (0..p).flat_map(uneven_words).collect();
+        assert!(outcome.results.iter().all(|got| *got == all), "p={p}");
+        let rd = outcome.stats.allreduce_algorithm_calls(RecursiveDoubling);
+        assert_eq!(rd, p as u64, "p={p}");
+    }
+}
+
+/// Rank 1 holds a 1 MiB state, every other rank `r` 0–128 bytes of one.
+fn uneven_words(r: usize) -> Vec<u64> {
+    let len = match r {
+        1 => 1 << 17,
+        r => (r * 5) % 17,
+    };
+    (0..len as u64).map(|i| (r as u64) << 32 | i).collect()
+}
+
+#[allow(clippy::ptr_arg)] // passed where Fn(&Vec<u64>) -> usize is expected
+fn uneven_wire(v: &Vec<u64>) -> usize {
+    v.len() * 8
+}
+
+fn concat_words(mut earlier: Vec<u64>, later: Vec<u64>) -> Vec<u64> {
+    earlier.extend(later);
+    earlier
+}
+
+/// `call` on [`uneven_words`] at `p` ranks, under a watchdog: a rank that
+/// ran another schedule would stall its peers, and the run would fail
+/// typed instead of hanging.
+fn uneven_run<R: Send>(
+    p: usize,
+    call: impl Fn(&gv_msgpass::Comm, Vec<u64>) -> R + Sync,
+) -> gv_msgpass::RunOutcome<R> {
+    Runtime::new(p)
+        .watchdog(std::time::Duration::from_secs(30))
+        .try_run(|comm| call(comm, uneven_words(comm.rank())))
+        .unwrap_or_else(|e| panic!("p={p}: {e}"))
 }
 
 #[test]
 fn ranks_agree_on_the_scan_schedule_when_one_is_empty_and_one_holds_more_than_k() {
-    // The scans' sibling of the agreement law above: both global-view
-    // scans price the operator's identity, so a `TopBottomK` scan whose
-    // rank 0 holds nothing and whose rank 1 holds 3k pairs runs one
-    // schedule on every rank. Priced at each rank's own state, k = 1000
-    // split the ranks over two schedules at p = 4 and 8 and the run
-    // stalled.
+    // The scans' sibling of the agreement law above: a `TopBottomK` scan
+    // whose rank 0 holds nothing and whose rank 1 holds 3k pairs runs one
+    // schedule on every rank, at k = 1000 too.
     use gv_core::op::ScanKind;
-    use gv_msgpass::ScanAlgorithm;
+    use gv_msgpass::CallKind;
 
     type TopK = TopBottomK<i64, u64>;
     for p in [4usize, 8] {
@@ -655,32 +616,34 @@ fn ranks_agree_on_the_scan_schedule_when_one_is_empty_and_one_holds_more_than_k(
             let pairs = move |r| uneven_pairs(r, k);
             let all: Vec<(i64, u64)> = (0..p).flat_map(pairs).collect();
             let expected = gv_core::seq::scan(&op, &all, ScanKind::Exclusive);
-            for splittable in [false, true] {
-                let outcome = Runtime::new(p).run(move |comm| {
-                    let local = pairs(comm.rank());
-                    if splittable {
-                        gv_rsmpi::scan::scan_splittable(comm, &op, &local, ScanKind::Exclusive)
-                    } else {
-                        gv_rsmpi::scan(comm, &op, &local, ScanKind::Exclusive)
-                    }
-                });
-                let name = if splittable {
-                    "scan_splittable"
-                } else {
-                    "scan"
-                };
-                let got: Vec<_> = outcome.results.into_iter().flatten().collect();
-                assert!(got == expected, "{name} k={k} p={p}: wrong prefixes");
-                let schedules: Vec<_> = ScanAlgorithm::ALL
-                    .iter()
-                    .map(|&algo| (algo, outcome.stats.scan_algorithm_calls(algo)))
-                    .filter(|&(_, calls)| calls > 0)
-                    .collect();
-                assert!(
-                    matches!(schedules[..], [(_, calls)] if calls == p as u64),
-                    "{name} k={k} p={p}: {schedules:?}"
-                );
-            }
+            let outcome = Runtime::new(p).run(move |comm| {
+                gv_rsmpi::scan(comm, &op, &pairs(comm.rank()), ScanKind::Exclusive)
+            });
+            let got: Vec<_> = outcome.results.into_iter().flatten().collect();
+            assert!(got == expected, "k={k} p={p}: wrong prefixes");
+            let exscans = outcome.stats.calls(CallKind::Exscan);
+            assert_eq!(exscans, p as u64, "k={k} p={p}");
+        }
+    }
+
+    // `Comm::scan_inclusive` and `Comm::scan_both` of a 1 MiB state on
+    // rank 1 and 0–128 bytes on every other rank: a schedule chosen from
+    // a rank's own state would split the ranks, and the run would fail
+    // typed, "peer ranks exited without sending".
+    for p in 2..=17usize {
+        let inclusive = uneven_run(p, |comm, mine| {
+            comm.scan_inclusive(mine, uneven_wire, concat_words)
+        });
+        let both = uneven_run(p, |comm, mine| {
+            comm.scan_both(mine, uneven_wire, concat_words)
+        });
+        let mut prefix = Vec::new();
+        for r in 0..p {
+            let exclusive = (r > 0).then(|| prefix.clone());
+            prefix.extend(uneven_words(r));
+            assert!(inclusive.results[r] == prefix, "scan_inclusive p={p} r={r}");
+            assert!(both.results[r].0 == exclusive, "scan_both p={p} r={r}");
+            assert!(both.results[r].1 == prefix, "scan_both p={p} r={r}");
         }
     }
 }

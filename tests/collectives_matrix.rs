@@ -2,27 +2,26 @@
 //!
 //! Every rank count from 1 through 9 (covering the power-of-two,
 //! one-off-a-power, and odd cases every schedule special-cases) ×
-//! every collective (rooted reduce at *every* root, allreduce via the
-//! cost-driven selector, by reduce+bcast, and by recursive doubling,
-//! inclusive / exclusive / linear-chain scans, alltoallv) × a
+//! every collective (rooted reduce at *every* root, the blocking
+//! allreduce, allreduce by reduce+bcast and by recursive doubling,
+//! inclusive / exclusive / both-at-once scans, alltoallv) × a
 //! commutative payload (u64 sum) and a non-commutative one (string
 //! concatenation, which detects any out-of-rank-order combine) — all
-//! checked against a sequential oracle. A second matrix runs the
-//! three-way splittable selector over vector payloads, including
-//! shorter-than-p vectors that force empty segments.
+//! checked against a sequential oracle. A second matrix runs the blocking
+//! allreduce over vector payloads, including shorter-than-p ones.
 //!
-//! A third pins the whole-state (`S = 1`) tree and chain — `bcast`,
-//! `reduce`, the allreduce forced onto reduce+bcast, the scan forced onto
-//! the one-segment chain — and the circulant `allgather` to the closed
-//! forms of the textbook schedules for p = 1..17 and every root: message
-//! and byte totals, and every rank's modeled clock.
+//! A third pins the whole-state tree — `bcast`, `reduce`, the allreduce
+//! forced onto reduce+bcast — a linear chain scan written with
+//! point-to-point messages (TXT-PREFIX's baseline) and the circulant
+//! `allgather` to the closed forms of the textbook schedules for
+//! p = 1..17 and every root: message and byte totals, and every rank's
+//! modeled clock.
 //!
 //! A final test pins down that the virtual-clock cost model and the
 //! call/byte statistics are bit-for-bit deterministic across repeated
 //! runs of the same workload.
 
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::{AllreduceAlgorithm, CostModel, Runtime, ScanAlgorithm};
+use gv_msgpass::{AllreduceAlgorithm, CostModel, Runtime};
 
 /// Runs one communicator through every reduction/scan-shaped collective
 /// and asserts each result against the rank-order sequential oracle.
@@ -69,18 +68,17 @@ fn exercise_all_collectives<T>(
             }
         }
 
-        // The selector and both named allreduce schedules deliver the
-        // total everywhere, for either commutativity declaration.
+        // The blocking call and both named allreduce schedules deliver
+        // the total everywhere, for either commutativity declaration.
         assert_eq!(
             comm.allreduce(mine.clone(), commutative, wire, combine),
             total,
-            "allreduce (selector), p={p}, rank={r}, commutative={commutative}"
+            "allreduce, p={p}, rank={r}, commutative={commutative}"
         );
         assert_eq!(
             comm.allreduce_by(
                 AllreduceAlgorithm::ReduceBroadcast,
                 mine.clone(),
-                whole(),
                 wire,
                 combine
             ),
@@ -91,7 +89,6 @@ fn exercise_all_collectives<T>(
             comm.allreduce_by(
                 AllreduceAlgorithm::RecursiveDoubling,
                 mine.clone(),
-                whole(),
                 wire,
                 combine
             ),
@@ -100,24 +97,11 @@ fn exercise_all_collectives<T>(
         );
 
         // Scans: rank r's inclusive prefix is ranks 0..=r, exclusive is
-        // 0..r (the identity at rank 0), and the O(p) linear chain must
-        // agree with the parallel-prefix schedule.
+        // 0..r (the identity at rank 0).
         let inclusive = comm.scan_inclusive(mine.clone(), wire, combine);
         assert_eq!(inclusive, fold(0, r + 1), "scan_inclusive, p={p}, rank={r}");
         let exclusive = comm.scan_exclusive(mine.clone(), ident, wire, combine);
         assert_eq!(exclusive, fold(0, r), "scan_exclusive, p={p}, rank={r}");
-        assert_eq!(
-            comm.scan_both_by(
-                (ScanAlgorithm::PipelinedChain, 1),
-                mine.clone(),
-                whole(),
-                wire,
-                combine
-            )
-            .1,
-            inclusive,
-            "linear chain scan, p={p}, rank={r}"
-        );
         let (exc2, inc2) = comm.scan_both(mine.clone(), wire, combine);
         assert_eq!(inc2, inclusive, "scan_both inclusive half, p={p}, rank={r}");
         assert_eq!(
@@ -166,19 +150,17 @@ fn non_commutative_collectives_match_oracle_for_p_1_through_9() {
 
 #[test]
 fn splittable_selector_matches_oracle_for_p_1_through_9() {
-    // Vector payloads through the three-way selector: length 3 forces
-    // empty segments for p > 3; length 64 gives every rank a real chunk.
+    // Vector payloads through the blocking call: length 3 is shorter
+    // than p for p > 3, length 64 longer.
     for p in 1..=9usize {
         for len in [3usize, 64] {
             for commutative in [true, false] {
                 Runtime::new(p).run(move |comm| {
                     let r = comm.rank();
                     let mine: Vec<u64> = (0..len).map(|i| (r * len + i) as u64).collect();
-                    let got = comm.allreduce_splittable(
+                    let got = comm.allreduce(
                         mine,
                         commutative,
-                        gv_core::split::split_vec_segments,
-                        gv_core::split::unsplit_vec_segments,
                         |v: &Vec<u64>| v.len() * 8,
                         |mut a, b| {
                             for (x, y) in a.iter_mut().zip(b) {
@@ -392,7 +374,7 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
         // reduce+bcast: the tree up to rank 0 and straight back down.
         let got = Runtime::new(p).run(|comm| {
             let plan = AllreduceAlgorithm::ReduceBroadcast;
-            comm.allreduce_by(plan, contrib(comm.rank()), whole(), |_| BYTES, then)
+            comm.allreduce_by(plan, contrib(comm.rank()), |_| BYTES, then)
         });
         assert_eq!(got.results, vec![total; p], "reduce+bcast p={p}");
         assert_eq!(got.stats.messages, 2 * edges, "reduce+bcast messages p={p}");
@@ -411,11 +393,17 @@ fn whole_state_tree_and_chain_match_their_closed_forms_for_p_1_through_17() {
             "reduce+bcast clocks p={p}"
         );
 
-        // linear scan: p−1 chain hops.
+        // linear scan: p−1 chain hops, rank r waiting for r − 1's prefix.
         let got = Runtime::new(p).run(|comm| {
-            let plan = (ScanAlgorithm::PipelinedChain, 1);
-            comm.scan_both_by(plan, contrib(comm.rank()), whole(), |_| BYTES, then)
-                .1
+            let r = comm.rank();
+            let mut inclusive = contrib(r);
+            if r > 0 {
+                inclusive = then(comm.recv(r - 1, 9), inclusive);
+            }
+            if r + 1 < p {
+                comm.send_with_bytes(r + 1, 9, inclusive, BYTES);
+            }
+            inclusive
         });
         for (r, res) in got.results.iter().enumerate() {
             assert_eq!(Some(*res), prefix(r + 1), "linear scan p={p} r={r}");
@@ -522,7 +510,7 @@ fn cost_model_and_stats_are_deterministic_across_runs() {
             Runtime::new(p).run(|comm| {
                 let r = comm.rank() as u64;
                 let plan = AllreduceAlgorithm::RecursiveDoubling;
-                let total = comm.allreduce_by(plan, r + 1, whole(), |_| 8, |a, b| a + b);
+                let total = comm.allreduce_by(plan, r + 1, |_| 8, |a, b| a + b);
                 let prefix = comm.scan_inclusive(r + 1, |_| 8, |a, b| a + b);
                 let outgoing: Vec<Vec<u64>> = (0..comm.size())
                     .map(|d| vec![r; (r as usize + d) % 3])
@@ -569,5 +557,48 @@ fn cost_model_and_stats_are_deterministic_across_runs() {
                 "communication must cost virtual time, p={p}"
             );
         }
+    }
+}
+
+#[test]
+fn user_tags_never_match_a_collectives_messages() {
+    // A collective's match key carries a marker bit no `u32` user tag
+    // sets, so point-to-point messages waiting under tags that spell a
+    // collective's call sequence and protocol byte are never taken by it.
+    // Rank 0 posts one `u64` under each such tag for the first calls on
+    // the communicator, then every rank runs collectives of `u64`s; the
+    // posted values must all arrive by `recv`, and the collectives keep
+    // their results.
+    let tags: Vec<u32> = (0..8u32)
+        .flat_map(|seq| (0..16).map(move |base| seq << 8 | base))
+        .collect();
+    for p in [2usize, 3, 4] {
+        let tags = tags.clone();
+        Runtime::new(p).run(move |comm| {
+            let r = comm.rank() as u64;
+            if comm.rank() == 0 {
+                for (i, &tag) in tags.iter().enumerate() {
+                    for dst in 1..comm.size() {
+                        comm.send(dst, tag, 1_000_000 + i as u64);
+                    }
+                }
+            }
+            let total = (p * (p + 1) / 2) as u64;
+            for _ in 0..3 {
+                assert_eq!(comm.allreduce(r + 1, true, |_| 8, |a, b| a + b), total);
+                let prefix = comm.scan_inclusive(r + 1, |_| 8, |a, b| a + b);
+                assert_eq!(prefix, (r + 1) * (r + 2) / 2);
+                comm.barrier();
+            }
+            if comm.rank() > 0 {
+                for (i, &tag) in tags.iter().enumerate() {
+                    assert_eq!(
+                        comm.recv::<u64>(0, tag),
+                        1_000_000 + i as u64,
+                        "tag {tag:#x}"
+                    );
+                }
+            }
+        });
     }
 }

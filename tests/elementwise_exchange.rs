@@ -1,8 +1,7 @@
 //! Oracle suite for counting states (`ReduceScanOp::elementwise`) across
-//! ranks: `reduce_all`, `reduce_all_splittable`, `scan` and
-//! `scan_splittable` of `Counts`, `BucketRank` and `Histogram` against
-//! the same calls with the capability hidden, which clone the state
-//! through every round.
+//! ranks: `reduce_all` and `scan` of `Counts`, `BucketRank` and
+//! `Histogram` against the same calls with the capability hidden, which
+//! clone the state through every round.
 //!
 //! Where a rank's partial covers few inputs, recursive doubling ships
 //! their slot indices instead of the state. At every rank count 1..=17,
@@ -13,10 +12,6 @@
 //! and schedule counters. Its bytes are pinned to the closed form: 4 a
 //! unit and 4 for the kind word per units piece, the state's wire size
 //! per state.
-//!
-//! A crossing that holds units but is handed to a schedule that carries
-//! states — the binomial sweep or the chain, named by
-//! `scan_exclusive_by` — has them counted into its state first.
 //!
 //! Where every partial covers enough inputs that every round sends its
 //! state, a state past the lending threshold is lent, and the run must
@@ -53,13 +48,9 @@ use std::time::Duration;
 use gv_core::op::{ElementwiseState, ReduceScanOp, ScanKind};
 use gv_core::ops::counts::{BucketRank, Counts};
 use gv_core::ops::histogram::Histogram;
-use gv_core::split::SplittableState;
 use gv_executor::chunk_ranges;
-use gv_msgpass::collectives::{By, Counted};
-use gv_msgpass::{
-    AllreduceAlgorithm, FaultOp, FaultPlan, InjectedKill, RunError, RunOutcome, Runtime,
-    ScanAlgorithm,
-};
+use gv_msgpass::{AllreduceAlgorithm, CallKind, FaultOp, FaultPlan, InjectedKill, RunError};
+use gv_msgpass::{RunOutcome, Runtime};
 use gv_testkit::rng::TestRng;
 
 /// `Op` as it is, or with its capability hidden (`lend` false), counting
@@ -153,15 +144,6 @@ impl<Op: ReduceScanOp<State = Vec<u64>>, H: Fn(), const COMMUTES: bool> ReduceSc
     }
 }
 
-impl<Op: SplittableState<State = Vec<u64>>, H: Fn()> SplittableState for Probe<Op, H> {
-    fn split_state(&self, state: Vec<u64>, parts: usize) -> Vec<Vec<u64>> {
-        self.op.split_state(state, parts)
-    }
-    fn unsplit_state(&self, segments: Vec<Vec<u64>>) -> Vec<u64> {
-        self.op.unsplit_state(segments)
-    }
-}
-
 /// Rank `r`'s block of `data`: every third rank (from rank 1) has none.
 fn block<T>(data: &[T], p: usize, r: usize) -> &[T] {
     let holders: Vec<usize> = (0..p).filter(|q| q % 3 != 1).collect();
@@ -191,14 +173,13 @@ fn traffic<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
 /// [`traffic`] without the bytes: results, messages, schedule counters.
 fn shape<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
     let allreduces = AllreduceAlgorithm::ALL.map(|a| outcome.stats.allreduce_algorithm_calls(a));
-    let scans = ScanAlgorithm::ALL.map(|a| outcome.stats.scan_algorithm_calls(a));
     format!(
-        "results {:?}\nmessages {} allreduces {allreduces:?} scans {scans:?}",
+        "results {:?}\nmessages {} allreduces {allreduces:?}",
         outcome.results, outcome.stats.messages
     )
 }
 
-/// Runs both reductions of `op` at every rank count, every rank holding
+/// Runs a reduction of `op` at every rank count, every rank holding
 /// enough inputs that every round sends its state, with and without the
 /// capability, and holds the two records equal. Returns how many times
 /// the capable runs read a state's slots to lend it or to add a lent
@@ -207,7 +188,7 @@ fn shape<R: std::fmt::Debug>(outcome: &RunOutcome<R>) -> String {
 /// on more than one rank, one to weigh its block's units.
 fn assert_view_matches_clone<Op>(name: &str, op: impl Fn() -> Op, data: &[Op::In]) -> u64
 where
-    Op: SplittableState<State = Vec<u64>> + Sync,
+    Op: ReduceScanOp<State = Vec<u64>> + Sync,
     Op::In: Sync,
     Op::Out: std::fmt::Debug + Send,
 {
@@ -215,13 +196,8 @@ where
     for p in 1..=17 {
         let run = |lend: bool| {
             let probe = Probe::new(op(), lend);
-            let outcome = Runtime::new(p).run(|comm| {
-                let local = dense_block(data, p, comm.rank());
-                (
-                    gv_rsmpi::reduce_all(comm, &probe, local),
-                    gv_rsmpi::reduce_all_splittable(comm, &probe, local),
-                )
-            });
+            let outcome = Runtime::new(p)
+                .run(|comm| gv_rsmpi::reduce_all(comm, &probe, dense_block(data, p, comm.rank())));
             let doubling = AllreduceAlgorithm::RecursiveDoubling;
             let baseline =
                 outcome.stats.allreduce_algorithm_calls(doubling) * (1 + u64::from(p > 1));
@@ -274,25 +250,18 @@ fn small_states_are_cloned() {
     );
 }
 
-/// The counting calls one run makes: both reductions, then both scans
-/// of each kind.
-type Calls<Out> = (Out, Out, [Vec<Out>; 4]);
+/// The counting calls one run makes: the reduction, then a scan of each
+/// kind.
+type Calls<Out> = (Out, [Vec<Out>; 2]);
 
 fn counting_calls<Op>(comm: &gv_msgpass::Comm, op: &Op, local: &[Op::In]) -> Calls<Op::Out>
 where
-    Op: SplittableState<State = Vec<u64>>,
+    Op: ReduceScanOp<State = Vec<u64>>,
 {
     let scan = |kind| gv_rsmpi::scan(comm, op, local, kind);
-    let scan_splittable = |kind| gv_rsmpi::scan::scan_splittable(comm, op, local, kind);
     (
         gv_rsmpi::reduce_all(comm, op, local),
-        gv_rsmpi::reduce_all_splittable(comm, op, local),
-        [
-            scan(ScanKind::Inclusive),
-            scan(ScanKind::Exclusive),
-            scan_splittable(ScanKind::Inclusive),
-            scan_splittable(ScanKind::Exclusive),
-        ],
+        [scan(ScanKind::Inclusive), scan(ScanKind::Exclusive)],
     )
 }
 
@@ -326,7 +295,7 @@ fn assert_units_match_dense<Op>(
     mut draw: impl FnMut() -> Op::In,
 ) -> (u64, u64)
 where
-    Op: SplittableState<State = Vec<u64>> + Sync,
+    Op: ReduceScanOp<State = Vec<u64>> + Sync,
     Op::In: Clone + Sync,
     Op::Out: std::fmt::Debug + PartialEq + Send,
 {
@@ -343,8 +312,7 @@ where
             let op = op();
             let scans = [ScanKind::Inclusive, ScanKind::Exclusive];
             let scans = scans.map(|kind| gv_core::seq::scan(&op, &all, kind));
-            let reduced = || gv_core::seq::reduce(&op, &all);
-            (reduced(), reduced(), scans)
+            (gv_core::seq::reduce(&op, &all), scans)
         };
         let run = |lend: bool| {
             let probe = Probe::new(op(), lend);
@@ -355,16 +323,15 @@ where
             outcome
         };
         let (dense, units) = (run(false), run(true));
-        for (r, (a, b, scans)) in units.results.iter().enumerate() {
+        for (r, (reduced, scans)) in units.results.iter().enumerate() {
             let offset: usize = blocks[..r].iter().map(Vec::len).sum();
             let mine = offset..offset + blocks[r].len();
             assert_eq!(
-                (a, b),
-                (&oracle.0, &oracle.1),
+                reduced, &oracle.0,
                 "{name} at p = {p}, heavy rank {heavy}, rank {r}"
             );
             for (i, got) in scans.iter().enumerate() {
-                let expected = &oracle.2[i % 2][mine.clone()];
+                let expected = &oracle.1[i][mine.clone()];
                 assert_eq!(
                     got.as_slice(),
                     expected,
@@ -407,66 +374,27 @@ fn counting_calls_that_ship_units_equal_the_oracle_and_the_dense_path() {
 
 #[test]
 fn schedules_that_carry_states_build_no_units() {
-    // At p = 16 a 32 KiB state's splittable reduction runs reduce-scatter
-    // + allgather and its splittable scan the chain, which carry states:
-    // a rank holding few inputs builds no units for them, so it never
-    // reads its state's slots to weigh them, and accumulates its block.
+    // The tree a commutative request runs carries states: a rank holding
+    // few inputs builds no units for it and accumulates its block, so
+    // every tree edge carries the state's bytes, as the dense path's do.
     let (p, k) = (16, 4099);
     let data: Vec<usize> = (0..p * 40).map(|i| (i * 7919) % k).collect();
     let run = |lend: bool| {
-        let probe = Probe::new(BucketRank::new(k), lend);
         let outcome = Runtime::new(p).run(|comm| {
+            let probe = Probe::new(Counts::new(k), lend);
             let local = dense_block(&data, p, comm.rank());
-            (
-                gv_rsmpi::reduce_all_splittable(comm, &probe, local),
-                gv_rsmpi::scan::scan_splittable(comm, &probe, local, ScanKind::Exclusive),
-            )
+            let mut request = gv_rsmpi::ireduce_all(comm, probe, local);
+            request.wait().expect("transport alive")
         });
-        (traffic(&outcome), outcome.stats, probe.slot_reads())
+        (traffic(&outcome), outcome.stats)
     };
-    let (dense, _, _) = run(false);
-    let (counted, stats, reads) = run(true);
-    let rsag = AllreduceAlgorithm::ReduceScatterAllgather;
-    assert_eq!(stats.allreduce_algorithm_calls(rsag), p as u64);
-    assert_eq!(
-        stats.scan_algorithm_calls(ScanAlgorithm::PipelinedChain),
-        p as u64
-    );
-    assert_eq!(reads, 0);
+    let (dense, _) = run(false);
+    let (counted, stats) = run(true);
+    let tree = AllreduceAlgorithm::ReduceBroadcast;
+    assert_eq!(stats.allreduce_algorithm_calls(tree), p as u64);
+    let edges = 2 * (p as u64 - 1);
+    assert_eq!((stats.messages, stats.bytes), (edges, edges * 8 * k as u64));
     assert_eq!(counted, dense);
-}
-
-#[test]
-fn units_handed_to_a_schedule_that_carries_states_are_counted_first() {
-    // `scan_exclusive_by` may name the binomial sweep or the chain for a
-    // `Counted` crossing that holds units, its `value` an identity they
-    // are not counted into. Those schedules carry states, so the units
-    // must be counted into `value` before they run, or every higher
-    // rank's prefix loses the rank's block.
-    let k = 64;
-    let op = Counts::new(k);
-    for p in [2usize, 3, 5, 8] {
-        let data: Vec<usize> = (0..p * 7).map(|i| (i * 31) % k).collect();
-        for algo in [ScanAlgorithm::Binomial, ScanAlgorithm::PipelinedChain] {
-            let outcome = Runtime::new(p).run(|comm| {
-                let units = block(&data, p, comm.rank()).iter().map(|&x| x as u32);
-                let plan = By((algo, 2), Counted::new(&op, Some(units.collect())));
-                let split = (|s, n| op.split_state(s, n), |s| op.unsplit_state(s));
-                let combine = |mut a, b| {
-                    op.combine(&mut a, b);
-                    a
-                };
-                let bytes_of = |s: &_| op.wire_size(s);
-                comm.scan_exclusive_by(plan, op.ident(), || op.ident(), split, bytes_of, combine)
-            });
-            assert_eq!(outcome.stats.scan_algorithm_calls(algo), p as u64);
-            let mut want = op.ident();
-            for (r, got) in outcome.results.iter().enumerate() {
-                assert_eq!(got, &want, "{algo:?} p={p} r={r}");
-                block(&data, p, r).iter().for_each(|&x| want[x] += 1);
-            }
-        }
-    }
 }
 
 /// The bytes a `reduce_all` and an exclusive `scan` by recursive
@@ -523,16 +451,12 @@ fn units_are_priced_four_bytes_each_and_one_kind_word() {
             reduce.stats.bytes, reduced,
             "reduce_all at p = {p}, blocks {n:?}"
         );
-        // Past six ranks a scan of 32 KiB states runs the binomial sweep.
-        if p <= 6 {
-            let scan = Runtime::new(p).run(|comm| {
-                let local = &blocks[comm.rank()];
-                gv_rsmpi::scan(comm, &BucketRank::new(k), local, ScanKind::Exclusive);
-            });
-            let rd = ScanAlgorithm::RecursiveDoubling;
-            assert_eq!(scan.stats.scan_algorithm_calls(rd), p as u64);
-            assert_eq!(scan.stats.bytes, scanned, "scan at p = {p}, blocks {n:?}");
-        }
+        let scan = Runtime::new(p).run(|comm| {
+            let local = &blocks[comm.rank()];
+            gv_rsmpi::scan(comm, &BucketRank::new(k), local, ScanKind::Exclusive);
+        });
+        assert_eq!(scan.stats.calls(CallKind::Exscan), p as u64);
+        assert_eq!(scan.stats.bytes, scanned, "scan at p = {p}, blocks {n:?}");
     }
 }
 

@@ -30,7 +30,6 @@ use gv_core::ops::sorted::{Sorted, SortedPaperExact};
 use gv_core::ops::stats::MeanVar;
 use gv_core::ops::topk::TopBottomK;
 use gv_core::ops::translate::Translated;
-use gv_core::split::SplittableState;
 use gv_core::{par, seq};
 use gv_executor::{chunk_ranges, Pool};
 use gv_msgpass::Runtime;
@@ -300,51 +299,9 @@ fn translate_form_ops_obey_the_laws() {
     );
 }
 
-/// The `SplittableState` laws on each input cut in two: `parts` segments
-/// exactly, a round trip, and segment-wise combining equal to whole
-/// combining — compared through `red_gen`, like the laws above.
-fn assert_split_laws<Op>(name: &str, op: &Op, inputs: &[Vec<Op::In>])
-where
-    Op: SplittableState,
-    Op::State: Clone,
-    Op::Out: PartialEq + std::fmt::Debug,
-{
-    for (case, data) in inputs.iter().enumerate() {
-        let (head, tail) = data.split_at(data.len() / 2);
-        let (a, b) = (state_of(op, head), state_of(op, tail));
-        let mut whole = a.clone();
-        op.combine(&mut whole, b.clone());
-        let expected = op.red_gen(whole.clone());
-        for parts in 1..=5 {
-            let segments = op.split_state(whole.clone(), parts);
-            assert_eq!(segments.len(), parts, "{name}[case {case}]: segment count");
-            assert_eq!(
-                op.red_gen(op.unsplit_state(segments)),
-                expected,
-                "{name}[case {case}]: unsplit(split(s, {parts})) != s"
-            );
-            let combined = op
-                .split_state(a.clone(), parts)
-                .into_iter()
-                .zip(op.split_state(b.clone(), parts))
-                .map(|(mut earlier, later)| {
-                    op.combine(&mut earlier, later);
-                    earlier
-                })
-                .collect();
-            assert_eq!(
-                op.red_gen(op.unsplit_state(combined)),
-                expected,
-                "{name}[case {case}]: combine does not distribute over {parts} segments"
-            );
-        }
-    }
-}
-
-/// An aggregated reduction is the operator `Elementwise`: the law suite,
-/// the split laws (it is splittable whatever it lifts) and the
-/// shared-memory engine against the sequential one, over rows of four
-/// slots.
+/// An aggregated reduction is the operator `Elementwise`: the law suite
+/// and the shared-memory engine against the sequential one, over rows of
+/// four slots.
 fn assert_elementwise_laws<Op>(name: &str, op: Op, inputs: &[Vec<Vec<i64>>])
 where
     Op: ReduceScanOp<In = i64> + Sync,
@@ -353,7 +310,6 @@ where
 {
     let op = Elementwise::new(op, 4);
     assert_op_laws(name, &op, inputs);
-    assert_split_laws(name, &op, inputs);
     let pool = Pool::new(2);
     for (case, rows) in inputs.iter().enumerate() {
         for parts in 1..=5 {
@@ -1651,6 +1607,38 @@ mod kernel_laws {
             op.combine(&mut earlier, op.ident());
         });
         assert_eq!(combined, Some(32 + 1), "32 rows, then one combine");
+    }
+
+    gv_core::isa_tiers! {
+        /// The name of the tier the dispatched entry ran.
+        fn tier_that_ran() -> &'static str {
+            portable: "portable",
+            avx2: "avx2",
+            avx512: "avx512",
+        }
+    }
+
+    #[test]
+    fn the_dispatched_kernel_runs_the_widest_tier_the_host_runs() {
+        // What the host runs, read from the CPU alone: a kernel built by
+        // `isa_tiers!` must run its widest build, or every vector kernel
+        // silently falls back to the portable loop.
+        #[cfg(target_arch = "x86_64")]
+        let widest = if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+        {
+            "avx512"
+        } else if std::arch::is_x86_feature_detected!("avx2") {
+            "avx2"
+        } else {
+            "portable"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let widest = "portable";
+        assert_eq!(tier_that_ran(), widest);
+        assert_eq!(kernel::isa_tier().name(), widest);
     }
 }
 

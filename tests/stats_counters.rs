@@ -5,8 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use gv_msgpass::collectives::tree::whole;
-use gv_msgpass::{AllreduceAlgorithm, CallKind, Runtime, ScanAlgorithm, StatsSnapshot};
+use gv_msgpass::{AllreduceAlgorithm, CallKind, Runtime, StatsSnapshot};
 
 /// ⌈log₂ p⌉.
 fn log2_ceil(p: u64) -> u64 {
@@ -38,19 +37,13 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
             .run(move |comm| {
                 let rd = AllreduceAlgorithm::RecursiveDoubling;
                 for _ in 0..3 {
-                    comm.allreduce_by(rd, 1u64, whole(), |_| 8, sum);
+                    comm.allreduce_by(rd, 1u64, |_| 8, sum);
                 }
                 for _ in 0..2 {
                     comm.barrier();
                 }
                 for _ in 0..2 {
-                    comm.scan_both_by(
-                        (ScanAlgorithm::RecursiveDoubling, 1),
-                        1u64,
-                        whole(),
-                        |_| 8,
-                        sum,
-                    );
+                    comm.scan_both(1u64, |_| 8, sum);
                 }
                 if p > 1 {
                     let (next, previous) = (
@@ -105,11 +98,6 @@ fn the_summed_counters_equal_the_closed_form_of_a_known_call_mix() {
         assert_eq!(
             stats.allreduce_algorithm_calls(AllreduceAlgorithm::ReduceBroadcast),
             p,
-            "p={p}"
-        );
-        assert_eq!(
-            stats.scan_algorithm_calls(ScanAlgorithm::RecursiveDoubling),
-            2 * p,
             "p={p}"
         );
         assert_eq!(stats.messages, eight_byte + empty + large_sends, "p={p}");
@@ -170,11 +158,6 @@ fn flattened(s: &StatsSnapshot) -> Vec<u64> {
         AllreduceAlgorithm::ALL
             .iter()
             .map(|&a| s.allreduce_algorithm_calls(a)),
-    );
-    all.extend(
-        ScanAlgorithm::ALL
-            .iter()
-            .map(|&a| s.scan_algorithm_calls(a)),
     );
     all
 }
