@@ -182,9 +182,9 @@ pub trait ReduceScanOp {
 
     /// Capability: the state counts its inputs, one slot each
     /// ([`ElementwiseState`]), or `None` (the default) when it does not.
-    /// A transport that sees it may exchange the state by view, combining
-    /// part of it in place, instead of cloning it whole, or ship the slot
-    /// indices a block counted instead of the state.
+    /// A transport that sees it may ship the slot indices a block counted
+    /// instead of the state, and add a partial into a buffer it already
+    /// holds instead of cloning one.
     fn elementwise(&self) -> Option<&dyn ElementwiseState<Self::State, Self::In>> {
         None
     }

@@ -292,13 +292,6 @@ impl<T: Send> LaneSender<T> {
     }
 }
 
-impl<T> LaneSender<T> {
-    /// The parker this lane's deposits wake: the consumer's.
-    pub fn parker(&self) -> &Arc<Parker> {
-        &self.shared.parker
-    }
-}
-
 impl<T> Drop for LaneSender<T> {
     fn drop(&mut self) {
         self.shared.closed.store(true, Ordering::Release);

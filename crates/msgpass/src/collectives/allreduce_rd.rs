@@ -4,8 +4,7 @@
 //! Reduce+bcast needs ~2·⌈log₂ p⌉ sequential message hops; recursive
 //! doubling needs ⌈log₂ p⌉ exchange rounds (plus a fold/unfold round when
 //! `p` is not a power of two). Both can be forced through
-//! [`Comm::allreduce_by`], so the harnesses can show the cost model
-//! distinguishing real algorithmic choices.
+//! [`Comm::allreduce_by`].
 //!
 //! Non-commutative safety: after the fold, every surviving rank covers a
 //! contiguous, 2^k-aligned block of ranks at round `k`, and its partner
@@ -14,8 +13,8 @@
 //!
 //! The rounds are one body, generic over how a state crosses
 //! (`Exchange`, `exchange.rs`): by value each round sends a clone and
-//! combines what comes back; a counting state's round sends its units, a
-//! loan or a clone (`counting.rs`). The fold sends the partial for good,
+//! combines what comes back; a counting state's round sends its units or
+//! a clone (`counting.rs`). The fold sends the partial for good,
 //! and the unfold a clone of the result, as a state either way.
 
 use super::exchange::Exchange;
@@ -51,7 +50,7 @@ pub(crate) async fn allreduce_rd<T: Clone + Send + 'static, X: Exchange<T>>(
     // This rank's survivor id in `0..p2`.
     let s = if folded {
         let earlier = recv(&comm, r - 1, tag).await?;
-        acc = x.settle((&comm, r - 1, tag), X::hold(acc), earlier, false);
+        acc = x.settle(&comm, acc, earlier, false);
         r / 2
     } else {
         r - rem
@@ -64,9 +63,9 @@ pub(crate) async fn allreduce_rd<T: Clone + Send + 'static, X: Exchange<T>>(
         // Lower-block partial precedes the higher-block one.
         let lower = s & mask == 0;
         let bytes = bytes_of(&acc);
-        let held = x.offer((&comm, partner, tag), acc, bytes, lower, mask << 1 >= p2);
+        x.offer((&comm, partner, tag), &acc, bytes, mask << 1 >= p2);
         let theirs = recv(&comm, partner, tag).await?;
-        acc = x.settle((&comm, partner, tag), held, theirs, lower);
+        acc = x.settle(&comm, acc, theirs, lower);
         mask <<= 1;
     }
     if folded {

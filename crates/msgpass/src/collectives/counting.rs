@@ -6,16 +6,11 @@
 //! states add slot by slot, and a partial that covers few inputs is told
 //! exactly by their slot indices, one `u32` a unit. In recursive doubling
 //! (allreduce and scan) each sender picks each round's [`Piece`] alone:
-//! its units while [`ships_units`] holds, else its state — lent
-//! (`message::loan`) from `LEND_MIN_BYTES` up in a blocking allreduce,
-//! cloned otherwise. A rank that sent or received slots keeps to slots.
-//! Two lenders each add half of the slots in place from the other's
-//! buffer and copy the other half; a units sender adds both halves of the
-//! view it holds, and its lender counts the units once the view is back.
-//! In the tree a rank adds each child's partial into its own state, keeps
-//! the child's buffer and writes the result into it for the way back, so
-//! no rank clones or frees another's state. A request never lends (a loan
-//! waits for its partner, which a request must not do inside a poll).
+//! its units while [`ships_units`] holds, else a clone of its state. A
+//! rank that sent or received a state keeps to states. In the tree a rank
+//! adds each child's partial into its own state, keeps the child's buffer
+//! and writes the result into it for the way back, so no rank clones or
+//! frees another's state.
 //!
 //! A units piece costs `4` bytes a unit plus a `4`-byte kind word, and
 //! `accum_ops` a unit counted; a state costs what it does by value, so a
@@ -28,23 +23,15 @@ use gv_core::op::ReduceScanOp;
 
 use super::exchange::{Crossing, Exchange, Partials, Peer};
 use crate::comm::Comm;
-use crate::message::loan::{lend, Loan, View};
 
 /// `R`: a partial of `n` units over `m` slots ships its units while
 /// their `4·n` bytes are under the state's `8·m` divided by `R`, that is
-/// while `n < m / 8`. At p = 2 a `reduce_all` of `Counts` read units and
-/// state even near `n = m / 8` at 1 MiB and between `m / 12` and `m / 8`
-/// at 64 KiB and 8 KiB (EXPERIMENTS.md, TXT-UNITS): a unit counted into
-/// a cold slot costs what a few slots added in a stream do.
+/// while `n < m / 8`. At p = 2 a `reduce_all` of `Counts`, whose state
+/// crosses as a clone, read units and state even between `m / 12` and
+/// `m / 8` at 8 KiB, and units ahead up to `m / 4` at 64 KiB and 1 MiB
+/// (EXPERIMENTS.md, TXT-UNITS): one ratio for every width keeps to the
+/// smallest state's crossover.
 const UNIT_RATIO: usize = 16;
-
-/// The smallest state, in modeled bytes, that recursive doubling lends
-/// rather than clones. A `reduce_all` of `Counts` at p = 2 read the two
-/// even at 4 KiB and the loan 10 % ahead at 8 KiB (EXPERIMENTS.md,
-/// TXT-VIEW): below that, its signals cost what the clone saves. Partners
-/// decide alike under the SPMD convention that equal calls pass
-/// equal-shaped states.
-pub(crate) const LEND_MIN_BYTES: usize = 8 << 10;
 
 /// Whether `units` slot indices are the cheaper form of a partial of
 /// `slots` slots, `4·units < 8·slots / R` with `R` read off a measured
@@ -65,7 +52,6 @@ pub struct Counted<P: Deref<Target: ReduceScanOp>> {
     units: Option<Vec<u32>>,
     /// The state's slot count, read as recursive doubling begins.
     width: usize,
-    lends: bool,
     /// The tree children's buffers, for the way back.
     kept: Kept<State<P>>,
 }
@@ -84,7 +70,6 @@ impl<P: Deref<Target: ReduceScanOp>> Counted<P> {
             op,
             units,
             width: 0,
-            lends: true,
             kept: Kept {
                 first: None,
                 rest: Vec::new(),
@@ -99,8 +84,7 @@ where
     P: Deref<Target: ReduceScanOp<State = T>>,
 {
     /// Combines through `op`, as the caller's `combine` does.
-    fn exchange(mut self, _: impl FnMut(T, T) -> T, lends: bool) -> impl Exchange<T> {
-        self.lends = lends;
+    fn exchange(self, _: impl FnMut(T, T) -> T) -> impl Exchange<T> {
         self
     }
 }
@@ -109,8 +93,6 @@ where
 pub enum Piece<T> {
     /// The slot indices the sender's partial counted.
     Units(Vec<u32>),
-    /// The sender's partial, lent for the round (`message::loan`).
-    Lent(View<T>),
     /// A clone of the sender's partial, or the partial itself.
     Whole(T),
 }
@@ -160,30 +142,6 @@ where
             self.units.take()?
         })
     }
-
-    /// Folds `theirs` into `acc`, `mine_first` when this rank's partial
-    /// precedes theirs: units are counted (and kept, while `units` lists
-    /// the partial's), a state combined.
-    fn absorb(&mut self, comm: &Comm, mut acc: T, theirs: Piece<T>, mine_first: bool) -> T {
-        match theirs {
-            Piece::Units(theirs) => {
-                self.count(comm, &mut acc, &theirs);
-                if let Some(units) = &mut self.units {
-                    units.extend_from_slice(&theirs);
-                }
-                acc
-            }
-            Piece::Whole(theirs) => {
-                self.units = None;
-                if mine_first {
-                    self.combine(comm, acc, theirs)
-                } else {
-                    self.combine(comm, theirs, acc)
-                }
-            }
-            Piece::Lent(_) => unreachable!("a view is taken by the round that lends"),
-        }
-    }
 }
 
 /// A counting scan's partials: the exclusive `prefix` and the inclusive
@@ -204,8 +162,6 @@ where
     P: Deref<Target: ReduceScanOp<State = T>>,
 {
     type Piece = Piece<T>;
-    /// `Err` the loan this rank sent a view of, with its combine's charge.
-    type Held = Result<T, (Loan<T>, u64)>;
 
     fn begin(&mut self, state: &mut T) {
         self.width = self.slots(state).len();
@@ -218,49 +174,35 @@ where
         }
     }
 
-    fn hold(state: T) -> Self::Held {
-        Ok(state)
-    }
-
-    fn offer(&mut self, to: Peer, state: T, bytes: usize, lower: bool, last: bool) -> Self::Held {
+    fn offer(&mut self, to: Peer, state: &T, bytes: usize, last: bool) {
         let (comm, dst, key) = to;
-        if let Some(units) = self.shipping(!last) {
-            send_units::<T>(to, units);
-            return Ok(state);
+        match self.shipping(!last) {
+            Some(units) => send_units::<T>(to, units),
+            None => {
+                self.units = None;
+                comm.send_key(dst, key, Piece::Whole(state.clone()), bytes);
+            }
         }
-        self.units = None;
-        if !self.lends || bytes < LEND_MIN_BYTES {
-            comm.send_key(dst, key, Piece::Whole(state.clone()), bytes);
-            return Ok(state);
-        }
-        let ops = self.op.combine_ops(&state);
-        let (lender, borrower) = (comm.parker(), comm.parker_of(dst));
-        let (loan, view) = lend(state, |s| self.slots(s), lower, lender, borrower);
-        comm.send_key(dst, key, Piece::Lent(view), bytes);
-        Err((loan, ops))
     }
 
-    fn settle(&mut self, from: Peer, held: Self::Held, theirs: Piece<T>, lower: bool) -> T {
-        let (comm, partner, key) = from;
-        match (held, theirs) {
-            (Err((loan, ops)), Piece::Lent(theirs)) => {
-                comm.advance(ops);
-                combine_by_view(from, loan, theirs)
-            }
-            (Err((mut loan, _)), theirs) => {
-                // The partner adds both runs of this rank's state: publish
-                // the kept run as it is, and count theirs in once it lets go.
-                loan.publish();
-                comm.wait_for(partner, key, || loan.released().then_some(()));
-                self.absorb(comm, loan.reclaim(), theirs, lower)
-            }
-            (Ok(mut acc), Piece::Lent(theirs)) => {
-                comm.advance(self.op.combine_ops(&acc));
-                self.units = None;
-                add_view(from, self.slots(&mut acc), theirs, lower);
+    /// Units are counted into `acc` (and kept, while `units` lists the
+    /// partial's), a state combined.
+    fn settle(&mut self, comm: &Comm, mut acc: T, theirs: Piece<T>, lower: bool) -> T {
+        match theirs {
+            Piece::Units(theirs) => {
+                self.count(comm, &mut acc, &theirs);
+                if let Some(units) = &mut self.units {
+                    units.extend_from_slice(&theirs);
+                }
                 acc
             }
-            (Ok(acc), theirs) => self.absorb(comm, acc, theirs, lower),
+            Piece::Whole(theirs) => {
+                self.units = None;
+                match lower {
+                    true => self.combine(comm, acc, theirs),
+                    false => self.combine(comm, theirs, acc),
+                }
+            }
         }
     }
 
@@ -361,7 +303,6 @@ where
                     None => self.prefix = Some(theirs),
                 }
             }
-            Piece::Lent(_) => unreachable!("a scan lends nothing"),
         }
     }
 
@@ -373,46 +314,6 @@ where
 /// Adds `theirs` to `mine`, slot by slot: a counting state's combine.
 pub(crate) fn add_slots(mine: &mut [u64], theirs: &[u64]) {
     gv_core::kernel::combine_elementwise(mine, theirs, |a, b| a + b);
-}
-
-/// The rest of a round in which both partners lent, once the partner's
-/// view has arrived: adds the partner's given run into the half of the
-/// slots this rank keeps, in place, and copies the other half out of the
-/// partner's buffer once the partner has published it. Returns only once
-/// the partner has let go of this rank's state. Waits as a receive from
-/// the partner does.
-fn combine_by_view<T>((comm, partner, key): Peer, mut loan: Loan<T>, mut theirs: View<T>) -> T {
-    let (mine, given) = (loan.kept(), theirs.given());
-    add_slots(
-        mine.expect("the kept run is unpublished"),
-        given.expect("the given run is held"),
-    );
-    theirs.give_back();
-    loan.publish();
-    let their_run = comm.wait_for(partner, key, || theirs.kept());
-    comm.wait_for(partner, key, || loan.given_back().then_some(()));
-    let mine = loan.given().expect("the given run is back");
-    mine.copy_from_slice(their_run);
-    drop(theirs);
-    comm.wait_for(partner, key, || loan.released().then_some(()));
-    loan.reclaim()
-}
-
-/// The rest of a round in which this rank sent units, or a clone, and
-/// the partner lent: adds both runs of the partner's state into `mine`,
-/// the given run at once and the kept run once published, then lets the
-/// view go. The partner keeps the half this rank would: the upper one
-/// when this rank is the `lower`. Waits as a receive from the partner
-/// does.
-fn add_view<T>((comm, partner, key): Peer, mine: &mut [u64], mut theirs: View<T>, lower: bool) {
-    let (low, high) = mine.split_at_mut(mine.len() / 2);
-    let (to_given, to_kept) = if lower { (low, high) } else { (high, low) };
-    let given = theirs.given().expect("the given run is held");
-    debug_assert_eq!(given.len(), to_given.len(), "partners of one width");
-    add_slots(to_given, given);
-    theirs.give_back();
-    let kept = comm.wait_for(partner, key, || theirs.kept());
-    add_slots(to_kept, kept);
 }
 
 /// The buffers a rank's tree children sent up, kept to carry the result

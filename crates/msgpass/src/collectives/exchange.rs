@@ -5,10 +5,10 @@
 //! [`Exchange`]; recursive doubling's scan (`scan.rs`) is one loop,
 //! generic over a rank's [`Partials`]. [`ByValue`]'s clone the state and
 //! combine it by the call's `combine`; [`Counted`](super::Counted)'s ship
-//! units, lend or clone, and return buffers (`counting.rs`). A type
-//! parameter, not a branch: the by-value instantiation is the code a
-//! by-value schedule had on its own, where one body branching on the loan
-//! at run time read `cg_solve`'s 8-byte allreduces about 6 % slower
+//! units or clone, and return buffers (`counting.rs`). A type parameter,
+//! not a branch: the by-value instantiation is the code a by-value
+//! schedule had on its own, where one body branching on the crossing at
+//! run time read `cg_solve`'s 8-byte allreduces about 6 % slower
 //! (EXPERIMENTS.md, TXT-VIEW). Every other schedule carries whole states.
 
 use crate::comm::Comm;
@@ -29,9 +29,8 @@ impl From<AllreduceAlgorithm> for By<AllreduceAlgorithm, ByValue> {
 /// [`Counted`](super::Counted).
 pub trait Crossing<T>: Sized {
     /// The exchange a generic body drives, combining by `combine` where
-    /// it combines by value. `lends` is false for a request: a loan waits
-    /// for its partner, which a request must not do inside a poll.
-    fn exchange(self, combine: impl FnMut(T, T) -> T, lends: bool) -> impl Exchange<T>;
+    /// it combines by value.
+    fn exchange(self, combine: impl FnMut(T, T) -> T) -> impl Exchange<T>;
 }
 
 /// States cross as themselves: cloned where the sender keeps one,
@@ -39,7 +38,7 @@ pub trait Crossing<T>: Sized {
 pub struct ByValue;
 
 impl<T: Clone + Send + 'static> Crossing<T> for ByValue {
-    fn exchange(self, combine: impl FnMut(T, T) -> T, _lends: bool) -> impl Exchange<T> {
+    fn exchange(self, combine: impl FnMut(T, T) -> T) -> impl Exchange<T> {
         Cloned(combine)
     }
 }
@@ -48,25 +47,22 @@ impl<T: Clone + Send + 'static> Crossing<T> for ByValue {
 pub type Peer<'c> = (&'c Comm, usize, Key);
 
 /// How a call's states cross. Recursive doubling's allreduce uses
-/// `begin`, `give`, `hold`, `offer` and `settle`, the tree `adopt` and
+/// `begin`, `give`, `offer` and `settle`, the tree `adopt` and
 /// `hand_down`; its shifted scan starts from `partials`.
 pub trait Exchange<T>: Sized {
     /// One message of a recursive-doubling round.
     type Piece: Send + 'static;
-    /// This rank's partial while its round's piece is out.
-    type Held;
 
     /// Called once, before recursive doubling's first send.
     fn begin(&mut self, _state: &mut T) {}
     /// Sends `state`, of `bytes` modeled bytes, for good.
     fn give(&mut self, to: Peer, state: T, bytes: usize);
-    /// `state`, held by a rank that sent nothing this round.
-    fn hold(state: T) -> Self::Held;
-    /// Sends `state`'s piece and holds `state`; `lower` when this rank's
-    /// partial precedes the peer's, `last` in the last round.
-    fn offer(&mut self, to: Peer, state: T, bytes: usize, lower: bool, last: bool) -> Self::Held;
-    /// Folds the peer's piece into what this rank held.
-    fn settle(&mut self, from: Peer, held: Self::Held, theirs: Self::Piece, lower: bool) -> T;
+    /// Sends `state`'s piece, which the rank keeps; `last` in the last
+    /// round.
+    fn offer(&mut self, to: Peer, state: &T, bytes: usize, last: bool);
+    /// Folds the peer's piece into `held`, this rank's partial; `lower`
+    /// when it precedes the peer's.
+    fn settle(&mut self, comm: &Comm, held: T, theirs: Self::Piece, lower: bool) -> T;
 
     /// `acc ⊕ child` on the tree's way up, keeping what its way down needs.
     fn adopt(&mut self, comm: &Comm, acc: T, child: T) -> T;
@@ -98,22 +94,16 @@ struct Cloned<C>(C);
 
 impl<T: Clone + Send + 'static, C: FnMut(T, T) -> T> Exchange<T> for Cloned<C> {
     type Piece = T;
-    type Held = T;
 
     fn give(&mut self, (comm, dst, key): Peer, state: T, bytes: usize) {
         comm.send_key(dst, key, state, bytes);
     }
 
-    fn hold(state: T) -> T {
-        state
-    }
-
-    fn offer(&mut self, (comm, dst, key): Peer, state: T, bytes: usize, _: bool, _: bool) -> T {
+    fn offer(&mut self, (comm, dst, key): Peer, state: &T, bytes: usize, _: bool) {
         comm.send_key(dst, key, state.clone(), bytes);
-        state
     }
 
-    fn settle(&mut self, _: Peer, held: T, theirs: T, lower: bool) -> T {
+    fn settle(&mut self, _: &Comm, held: T, theirs: T, lower: bool) -> T {
         match lower {
             true => (self.0)(held, theirs),
             false => (self.0)(theirs, held),

@@ -22,7 +22,7 @@
 //! partial and combines what arrives into both halves; a counting
 //! state's round sends the units its partial covers or the state
 //! (`counting.rs`), so a partial that covers few inputs crosses as their
-//! slot indices. A counting scan is exclusive only and lends nothing.
+//! slot indices. A counting scan is exclusive only.
 
 use super::exchange::Partials;
 use super::TagBase;

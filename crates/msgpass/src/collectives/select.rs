@@ -3,7 +3,7 @@
 //! No call prices anything. Every blocking allreduce and scan runs
 //! recursive doubling (`allreduce_rd.rs`, `scan.rs`): it is
 //! latency-optimal, combines in rank order, and carries a counting
-//! state's units, views and returned buffers ([`Counted`](super::Counted)).
+//! state's units ([`Counted`](super::Counted)).
 //! Since nothing a rank holds enters the choice, ranks whose states differ
 //! in size cannot split between schedules. EXPERIMENTS.md lists the
 //! schedule of every end-to-end call (TXT-AUDIT) and what a dense large
@@ -15,9 +15,9 @@
 //! request runs the tree rooted at its call sequence mod p, spreading its
 //! `p − 1` clones and combines over the ranks, and a non-commutative one
 //! recursive doubling. On one rank the tree is an empty schedule too, and
-//! the smaller box (`a_requests_schedule_stays_small`). A request lends
-//! nothing: a loan waits for its partner, which a request must not do
-//! inside a poll.
+//! the smaller box (`a_requests_schedule_stays_small`). A counting
+//! request's tree hands each child its own buffer back with the result
+//! ([`Counted`](super::Counted)).
 //!
 //! A caller that must run the tree allreduce (an ablation, a test) names
 //! it to [`Comm::allreduce_by`], whose plan may also say how states cross,
@@ -39,7 +39,7 @@ impl Comm {
     /// The allreduce family's constructor: records the schedule and
     /// launches it. A `request` roots the tree at its call's sequence
     /// number mod p instead of rank 0, which only a commutative operator
-    /// allows, and lends nothing.
+    /// allows.
     pub(crate) fn start_allreduce<'a, M: Mode<'a>, T: Clone + Send + 'static>(
         &self,
         By(algo, crossing): By<AllreduceAlgorithm, impl Crossing<T> + 'a>,
@@ -49,15 +49,13 @@ impl Comm {
         combine: impl FnMut(T, T) -> T + 'a,
     ) -> M::Handle<T> {
         self.counters().record_allreduce_algorithm(algo);
+        let x = crossing.exchange(combine);
         match algo {
-            AllreduceAlgorithm::RecursiveDoubling => {
-                let x = crossing.exchange(combine, !request);
-                self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
+            AllreduceAlgorithm::RecursiveDoubling => self
+                .launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     allreduce_rd(comm, value, seq, bytes_of, x)
-                })
-            }
+                }),
             AllreduceAlgorithm::ReduceBroadcast => {
-                let x = crossing.exchange(combine, false);
                 self.launch::<M, _, _>(CallKind::Allreduce, |comm, seq| {
                     let root = if request {
                         (seq % comm.size() as u64) as usize
@@ -116,7 +114,7 @@ impl Comm {
 
     /// [`iallreduce`](Self::iallreduce) with its states crossing by
     /// `crossing` (a counting state's [`Counted`](super::Counted)), on the
-    /// schedule `commutative` picks. Its exchange lends nothing.
+    /// schedule `commutative` picks.
     pub fn iallreduce_by<T: Clone + Send + 'static>(
         &self,
         crossing: impl Crossing<T> + 'static,
@@ -170,7 +168,7 @@ impl Comm {
         };
         debug_assert!(exclusive || inclusive);
         let s = crossing
-            .exchange(combine, false)
+            .exchange(combine)
             .partials(value, (exclusive, inclusive));
         self.launch::<Blocking, _, _>(kind, |comm, seq| scan_rd(comm, s, seq, bytes_of))
     }
@@ -324,7 +322,7 @@ mod tests {
     /// the storage of one awaited future. The by-value tree is no larger
     /// than recursive doubling's, so a commutative request runs the tree
     /// at every rank count, one rank included. The bounds are the sizes
-    /// each schedule had as a body of its own.
+    /// each future measures, and only ever fall.
     #[test]
     fn a_requests_schedule_stays_small() {
         use crate::collectives::{ByValue, Counted, Crossing};
@@ -334,21 +332,21 @@ mod tests {
 
         Runtime::new(1).run(|comm| {
             let add = |a: u64, b: u64| a + b;
-            let x = ByValue.exchange(add, false);
+            let x = ByValue.exchange(add);
             let tree = super::tree_allreduce(comm.clone_handle(), 0, 1, 0, |_| 8, x);
-            let x = ByValue.exchange(add, false);
+            let x = ByValue.exchange(add);
             let rd = super::allreduce_rd(comm.clone_handle(), 1, 0, |_| 8, x);
             let op = Rc::new(Counts::new(8));
             let sized = Rc::clone(&op);
             let bytes_of = move |s: &Vec<u64>| sized.wire_size(s);
-            let x = Counted::new(op, None).exchange(|a, _| a, false);
+            let x = Counted::new(op, None).exchange(|a, _| a);
             let counted = super::tree_allreduce(comm.clone_handle(), 0, vec![0; 8], 0, bytes_of, x);
             let (tree, rd) = (size_of_val(&tree), size_of_val(&rd));
             let counted = size_of_val(&counted);
             assert!(tree <= 208, "the tree's future grew to {tree} bytes");
-            assert!(rd <= 232, "recursive doubling's future grew to {rd} bytes");
+            assert!(rd <= 216, "recursive doubling's future grew to {rd} bytes");
             assert!(
-                counted <= 360,
+                counted <= 352,
                 "the counted tree's future grew to {counted} bytes"
             );
         });

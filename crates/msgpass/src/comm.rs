@@ -10,8 +10,6 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gv_executor::lane::Parker;
-
 use crate::cost::CostModel;
 use crate::fault::RankFaults;
 use crate::mailbox::{self, Mailbox, PeerSender, ShutdownError, Source, WaitState};
@@ -279,42 +277,6 @@ impl Comm {
                 wait = WaitState::default();
             }
         }
-    }
-
-    /// [`wait_until`](Self::wait_until) `ready` yields, waiting as a
-    /// receive from `src` under `key` does: the stall watchdog sees the
-    /// rank blocked on that triple, and a runtime abort unwinds the rank
-    /// with the typed [`ShutdownError`]. Whatever makes `ready` yield must
-    /// unpark this rank's [`parker`](Self::parker).
-    pub(crate) fn wait_for<R>(
-        &self,
-        src: usize,
-        key: Key,
-        mut ready: impl FnMut() -> Option<R>,
-    ) -> R {
-        let monitor = &self.core.monitor;
-        self.wait_until(|| {
-            if let Some(out) = ready() {
-                return Ok(Some(out));
-            }
-            if monitor.is_aborted() {
-                let kind = mailbox::ShutdownKind::Aborted;
-                return Err(monitor.shutdown_error(self.id, Source::Rank(src), key, kind));
-            }
-            monitor.note_miss(self.id, Source::Rank(src), key);
-            Ok(None)
-        })
-    }
-
-    /// The parker that wakes this rank from a wait: every producer into
-    /// its mailbox unparks it.
-    pub(crate) fn parker(&self) -> Arc<Parker> {
-        Arc::clone(self.core.mailbox.borrow().parker())
-    }
-
-    /// The parker of this communicator's rank `dst`.
-    pub(crate) fn parker_of(&self, dst: usize) -> Arc<Parker> {
-        Arc::clone(self.core.peers[self.members[dst]].parker())
     }
 
     /// The rank's failure-machinery handle (the runtime uses it to mark

@@ -34,8 +34,7 @@ pub mod fault;
 pub mod localview;
 mod mailbox;
 mod measured;
-// The inline payload and the lent state (`message::loan`): the crate's
-// only `unsafe`.
+// The inline payload: the crate's only `unsafe`.
 #[allow(unsafe_code)]
 mod message;
 pub mod request;

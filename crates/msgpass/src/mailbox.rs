@@ -191,11 +191,6 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    /// The parker every producer into this rank wakes.
-    pub(crate) fn parker(&self) -> &Arc<Parker> {
-        &self.parker
-    }
-
     /// Takes the oldest stashed packet matching `(comm_id, key)` from the
     /// first candidate lane that has one: the index of that lane in
     /// `lanes`, and the packet.

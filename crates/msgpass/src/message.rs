@@ -9,8 +9,6 @@
 use std::any::{Any, TypeId};
 use std::mem::{ManuallyDrop, MaybeUninit};
 
-pub(crate) mod loan;
-
 /// Message tag, as in MPI. Every `u32` is the user's: a collective's
 /// messages are matched by a key no tag can spell.
 pub type Tag = u32;

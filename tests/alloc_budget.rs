@@ -20,11 +20,11 @@
 //! size: asking for huge pages under a large one (`gv_core::mem`) neither
 //! allocates nor grows anything.
 //!
-//! A reduction whose state is a run of slots lends it at two ranks
-//! instead of cloning it: no state-sized block beyond the state itself.
-//! With few inputs it ships their slot indices instead, the one block
-//! beside its state, and a scan of them builds one identity a rank and
-//! no state for the rank's own block.
+//! A counting reduction at two ranks allocates what the by-value
+//! allreduce does, its state and one clone, when its state crosses. With
+//! few inputs it ships their slot indices instead, the one block beside
+//! its state, and a scan of them builds one identity a rank and no state
+//! for the rank's own block.
 //!
 //! And the small messages: in steady state an 8-byte allreduce and an
 //! `f64` send/receive pair allocate nothing at all (the value rides in
@@ -226,13 +226,13 @@ fn selector_routed_calls_at_two_ranks_copy_the_state_once_per_sender() {
 }
 
 #[test]
-fn a_slotted_reduction_at_two_ranks_lends_its_state_instead_of_cloning_it() {
+fn a_dense_counting_reduction_at_two_ranks_allocates_its_state_and_one_clone() {
     // `reduce_all` of `Counts` runs the same recursive-doubling exchange
-    // as the allreduce above, but each rank lends its state to the other
-    // and copies half of the result out of the other's buffer: the one
-    // state-sized block a rank allocates is the state its accumulate
-    // phase builds. Beyond it, envelopes and the loan's shared cell. Each
-    // rank holds more inputs than a state of `LEN` slots ships as units.
+    // as the allreduce above, and each rank holds more inputs than a state
+    // of `LEN` slots ships as units, so its state crosses: a rank
+    // allocates the state its accumulate phase builds and one clone of it
+    // to send, as the by-value allreduce allocates its state and one
+    // clone. Beyond them, envelopes.
     const ENVELOPES: usize = 4 << 10;
     const INPUTS: usize = LEN / 2;
     let op = gv_core::ops::counts::Counts::new(LEN);
@@ -241,15 +241,19 @@ fn a_slotted_reduction_at_two_ranks_lends_its_state_instead_of_cloning_it() {
         let local = &inputs[comm.rank() * INPUTS..][..INPUTS];
         let (large, all) = (large_bytes(), allocated());
         gv_rsmpi::reduce_all(comm, &op, local);
-        (large_bytes() - large, allocated() - all)
+        let counted = (large_bytes() - large, allocated() - all);
+        let large = large_bytes();
+        comm.allreduce(vec![1u64; LEN], true, wire, add);
+        (counted, large_bytes() - large)
     });
-    for (rank, &(large, all)) in per_rank.results.iter().enumerate() {
+    for (rank, &((large, all), by_value)) in per_rank.results.iter().enumerate() {
         assert_eq!(
-            large, N,
-            "rank {rank}: {large} B in state-sized blocks, {N} B state"
+            (large, by_value),
+            (2 * N, 2 * N),
+            "rank {rank}: {large} B counted, {by_value} B by value in state-sized blocks, {N} B state"
         );
         assert!(
-            all <= N + ENVELOPES,
+            all <= 2 * N + ENVELOPES,
             "rank {rank}: {all} B for a {N} B state"
         );
     }

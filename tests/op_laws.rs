@@ -1259,6 +1259,82 @@ mod kernel_laws {
         assert_gate_admits_what_accum_takes("MaxI", &maxi(), &pairs);
     }
 
+    /// `TopBottomK(10)` over `(f64, u64)` pairs, counting the elements
+    /// that reach it one at a time and the runs that reach its kernel.
+    struct Tally {
+        op: TopBottomK<f64, u64>,
+        accums: std::cell::Cell<usize>,
+        blocks: std::cell::Cell<usize>,
+    }
+
+    type Top = TopBottomK<f64, u64>;
+
+    impl ReduceScanOp for Tally {
+        type In = (f64, u64);
+        type State = <Top as ReduceScanOp>::State;
+        type Out = <Top as ReduceScanOp>::Out;
+
+        fn ident(&self) -> Self::State {
+            self.op.ident()
+        }
+        fn accum(&self, state: &mut Self::State, x: &(f64, u64)) {
+            self.accums.set(self.accums.get() + 1);
+            self.op.accum(state, x);
+        }
+        fn accum_block(&self, state: &mut Self::State, block: &[(f64, u64)]) -> bool {
+            self.blocks.set(self.blocks.get() + 1);
+            self.op.accum_block(state, block)
+        }
+        fn combine(&self, earlier: &mut Self::State, later: Self::State) {
+            self.op.combine(earlier, later);
+        }
+        fn red_gen(&self, state: Self::State) -> Self::Out {
+            self.op.red_gen(state)
+        }
+        fn scan_gen(&self, state: &Self::State, x: &(f64, u64)) -> Self::Out {
+            self.op.scan_gen(state, x)
+        }
+    }
+
+    impl ValueGate<f64> for Tally {
+        type Gate = <Top as ValueGate<f64>>::Gate;
+
+        fn gate(&self, state: &Self::State) -> Option<Self::Gate> {
+            self.op.gate(state)
+        }
+        fn admits(gate: Self::Gate, x: f64) -> bool {
+            Top::admits(gate, x)
+        }
+    }
+
+    /// A stream and a located run reach the operator a block at a time:
+    /// a `Staged` stream hands its kernel one run a `BLOCK` window and no
+    /// element alone, and a `Located` run builds a pair only for the few
+    /// values its gate admits, not one an element.
+    #[test]
+    fn streamed_and_located_inputs_take_their_block_paths() {
+        let n = 3 * kernel::BLOCK + 7;
+        let mut rng = TestRng::new(73);
+        let values: Vec<f64> = (0..n).map(|_| rng.f64_in(-1.0..1.0)).collect();
+        let pairs: Vec<(f64, u64)> = values.iter().copied().zip(0..).collect();
+        let tally = || Tally {
+            op: TopBottomK::new(10),
+            accums: Default::default(),
+            blocks: Default::default(),
+        };
+        let (staged, located) = (tally(), tally());
+        let expected = seq::reduce(&TopBottomK::<f64, u64>::new(10), &pairs);
+        assert_eq!(
+            seq::reduce(&staged, Staged(pairs.iter().copied())),
+            expected
+        );
+        assert_eq!(seq::reduce(&located, Located::new(&values, 0u64)), expected);
+        let windows = n.div_ceil(kernel::BLOCK);
+        assert_eq!((staged.blocks.get(), staged.accums.get()), (windows, 0));
+        let built = located.accums.get();
+        assert!(built < n / 8, "{built} pairs built for {n} values");
+    }
+
     #[test]
     fn located_inputs_equal_the_staged_pairs_bit_for_bit() {
         let n = 3 * kernel::BLOCK + 7;
