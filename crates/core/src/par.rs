@@ -7,10 +7,18 @@
 //! preserves set order). The scan engine is Listing 3 verbatim: parallel
 //! accumulate, an exclusive scan over the `p` chunk states, then a parallel
 //! rescan that interleaves `scan_gen` with `accum`.
+//!
+//! Both parallel phases are one `forall processors q` loop: the `p`
+//! virtual processors are cut in order into at most `pool.threads()`
+//! shares, the calling thread runs the first and one scoped thread each of
+//! the others, so no call starts more threads than its [`Pool`] counts.
+
+use std::panic::resume_unwind;
 
 use gv_executor::chunks::chunk_ranges;
 use gv_executor::Pool;
 
+use crate::mem;
 use crate::op::{accumulate_block, rescan_block, ReduceScanOp, ScanKind};
 
 /// Combines `states` (already in set order) pairwise along an in-order
@@ -48,6 +56,34 @@ pub fn tree_combine<Op: ReduceScanOp + ?Sized>(op: &Op, states: Vec<Op::State>) 
     slots[0].take().expect("root slot filled")
 }
 
+/// Runs `visit` on each of `parts`, in order, over at most
+/// `pool.threads()` threads, and returns the results in the same order.
+/// `parts` is cut into contiguous shares ([`chunk_ranges`]); the calling
+/// thread runs the first and a scoped thread each of the others. A panic
+/// in any share resumes on the caller once every share has finished.
+fn forall<I, R>(pool: &Pool, parts: Vec<I>, visit: impl Fn(I) -> R + Sync) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+{
+    let threads = pool.threads().min(parts.len());
+    let mut parts = parts.into_iter();
+    let mut shares = chunk_ranges(parts.len(), threads)
+        .map(move |share| parts.by_ref().take(share.len()).collect::<Vec<I>>());
+    let visit = &visit;
+    pool.scope(|scope| {
+        let first = shares.next().expect("at least one share");
+        let others: Vec<_> = shares
+            .map(|share| scope.spawn(move || share.into_iter().map(visit).collect::<Vec<R>>()))
+            .collect();
+        let mut results: Vec<R> = first.into_iter().map(visit).collect();
+        for other in others {
+            results.extend(other.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        results
+    })
+}
+
 /// Runs the accumulate phase of Listing 2 in parallel: one state per chunk.
 fn accumulate_phase<Op>(pool: &Pool, parts: usize, op: &Op, input: &[Op::In]) -> Vec<Op::State>
 where
@@ -55,7 +91,10 @@ where
     Op::In: Sync,
     Op::State: Send,
 {
-    gv_executor::par_map_chunks(pool, input, parts, |_, chunk| {
+    let chunks = chunk_ranges(input.len(), parts)
+        .map(|range| &input[range])
+        .collect();
+    forall(pool, chunks, |chunk| {
         let mut state = op.ident();
         accumulate_block(op, &mut state, chunk);
         state
@@ -111,28 +150,27 @@ where
 
     // Phase 2 (lines 10–13): parallel rescan, each chunk starting from its
     // exclusive prefix state. Exclusive order is generate-then-accumulate;
-    // inclusive interchanges the two lines, as the paper prescribes.
-    let mut results: Vec<Option<Vec<Op::Out>>> = Vec::with_capacity(parts);
-    results.resize_with(parts, || None);
-    pool.scope(|scope| {
-        for ((slot, range), prefix) in results
-            .iter_mut()
-            .zip(chunk_ranges(input.len(), parts))
-            .zip(chunk_prefixes)
-        {
-            let chunk = &input[range];
-            scope.spawn(move || {
-                let mut state = prefix;
-                let mut out = Vec::with_capacity(chunk.len());
-                rescan_block(op, &mut state, chunk, kind, &mut out);
-                *slot = Some(out);
-            });
-        }
+    // inclusive interchanges the two lines, as the paper prescribes. Chunk
+    // 0 rescans straight into the output that is returned; only the later
+    // chunks' outputs are appended to it.
+    let windows = chunk_ranges(input.len(), parts)
+        .zip(chunk_prefixes)
+        .enumerate()
+        .map(|(q, (range, prefix))| (q, &input[range], prefix))
+        .collect();
+    let pieces = forall(pool, windows, |(q, chunk, mut state)| {
+        let mut out = if q == 0 {
+            mem::output_vec(input.len())
+        } else {
+            Vec::with_capacity(chunk.len())
+        };
+        rescan_block(op, &mut state, chunk, kind, &mut out);
+        out
     });
-
-    let mut out = Vec::with_capacity(input.len());
-    for piece in results {
-        out.extend(piece.expect("scan chunk produced no output"));
+    let mut pieces = pieces.into_iter();
+    let mut out = pieces.next().expect("one output per chunk");
+    for piece in pieces {
+        out.extend(piece);
     }
     out
 }

@@ -1,43 +1,43 @@
 //! # gv-executor
 //!
-//! A small, self-contained data-parallel execution substrate used by the
-//! shared-memory engine of `gv-core`.
+//! The execution substrate of the global-view engines.
 //!
 //! The paper's global-view algorithms (Listings 2 and 3) are phrased as
-//! `forall processors q in 0..p-1` loops. This crate provides exactly that
-//! shape: a persistent [`Pool`] of worker threads, a [`Pool::scope`] API for
-//! borrowing stack data into workers, and [`chunks`] helpers that split a
-//! slice into one contiguous block per *virtual processor* and run a closure
-//! on each block.
-//!
-//! The pool is deliberately simple — one shared `std::sync::mpsc`
-//! injector, no work stealing — because the engine always submits exactly
-//! `p` long-running, balanced tasks per parallel region. A work-stealing
-//! scheduler would add complexity without changing the behaviour the
-//! paper's algorithms need.
+//! `forall processors q in 0..p-1` loops. `gv_core::par` runs that loop on
+//! [`std::thread::scope`], with its threads counted by a [`Pool`], over the
+//! balanced, in-order blocks of [`chunk_ranges`]. The message-passing
+//! runtime (`gv-msgpass`) sends between its ranks over [`lane`]s, the
+//! crate's one `unsafe` module.
 //!
 //! ```
-//! use gv_executor::{Pool, chunks::par_map_chunks};
+//! use gv_executor::{chunk_ranges, Pool};
 //!
 //! let pool = Pool::new(4);
 //! let data: Vec<u64> = (1..=1000).collect();
-//! let partials = par_map_chunks(&pool, &data, 4, |_chunk_index, chunk| {
-//!     chunk.iter().sum::<u64>()
+//! let partials: Vec<u64> = pool.scope(|s| {
+//!     let jobs: Vec<_> = chunk_ranges(data.len(), pool.threads())
+//!         .map(|range| {
+//!             let chunk = &data[range];
+//!             s.spawn(move || chunk.iter().sum::<u64>())
+//!         })
+//!         .collect();
+//!     jobs.into_iter().map(|job| job.join().unwrap()).collect()
 //! });
 //! assert_eq!(partials.into_iter().sum::<u64>(), 500_500);
 //! ```
 
 #![forbid(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chunks;
+// The SPSC ring: the crate's only `unsafe`.
+#[allow(unsafe_code)]
 pub mod lane;
 pub mod pool;
-pub mod scope;
 
-pub use chunks::{chunk_ranges, par_map_chunks};
+pub use chunks::chunk_ranges;
 pub use pool::Pool;
-pub use scope::Scope;
 
 /// Returns the default number of virtual processors to use when the caller
 /// does not specify one.

@@ -50,7 +50,7 @@ fn main() {
     // ---- The same computation on virtual processors ----------------------
     // Shared-memory engine: Figure 1's accumulate + combine phases over
     // chunked virtual processors.
-    let pool = Pool::with_default_parallelism();
+    let pool = Pool::new(gv_executor::default_parallelism());
     let par_sum = par_reduce(&pool, 4, &sum::<i64>(), &data);
     println!("\nshared-memory (4 virtual processors): sum = {par_sum}");
 

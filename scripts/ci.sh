@@ -19,20 +19,27 @@ awk '
     END { if (stray) { print "ci: #[target_feature] outside gv_core::isa_tiers!"; exit 1 } }
 ' $(find crates -name '*.rs')
 
-# gv-msgpass denies `unsafe_code` and allows it on one module, `message`
-# (`message.rs`, the inline payload), whose safety argument is written
-# there. Any other `unsafe` block, fn, impl or trait, or any other
-# `allow(unsafe_code)`, under crates/msgpass is a second place that
-# argument would have to cover.
+# gv-msgpass and gv-executor deny `unsafe_code` and each allow it on one
+# module: `message` (`crates/msgpass/src/message.rs`, the inline payload)
+# and `lane` (`crates/executor/src/lane.rs`, the SPSC ring), whose safety
+# arguments are written there. Any other `unsafe` block, fn, impl or
+# trait, or any other `allow(unsafe_code)`, under either crate is a
+# second place such an argument would have to cover.
 awk '
-    FILENAME == "crates/msgpass/src/message.rs" { next }
+    BEGIN {
+        own["crates/msgpass/src/lib.rs"] = "mod message;"
+        own["crates/executor/src/lib.rs"] = "pub mod lane;"
+    }
+    FILENAME == "crates/msgpass/src/message.rs" || FILENAME == "crates/executor/src/lane.rs" { next }
     pending {
-        if ($0 !~ /^[[:space:]]*mod message;/) { print pending; stray = 1 }
+        line = $0
+        sub(/^[[:space:]]+/, "", line)
+        if (line != own[pending_file]) { print pending; stray = 1 }
         pending = ""
     }
     /allow\(unsafe_code\)/ {
         here = FILENAME ":" FNR ": " $0
-        if (FILENAME == "crates/msgpass/src/lib.rs") { pending = here } else { print here; stray = 1 }
+        if (FILENAME in own) { pending = here; pending_file = FILENAME } else { print here; stray = 1 }
         next
     }
     /(^|[^[:alnum:]_])unsafe[[:space:]]*(\{|fn[[:space:]]|impl[[:space:]<]|trait[[:space:]]|extern[[:space:]])/ {
@@ -40,9 +47,9 @@ awk '
     }
     END {
         if (pending) { print pending; stray = 1 }
-        if (stray) { print "ci: unsafe in gv-msgpass outside mod message"; exit 1 }
+        if (stray) { print "ci: unsafe in gv-msgpass or gv-executor outside mod message and mod lane"; exit 1 }
     }
-' $(find crates/msgpass -name '*.rs')
+' $(find crates/msgpass crates/executor -name '*.rs')
 
 # Every blocking allreduce and scan runs recursive doubling, so nothing
 # splits a state. The `_splittable` entry points, `SplittableState` and

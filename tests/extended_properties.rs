@@ -246,13 +246,156 @@ fn pool_survives_repeated_job_panics() {
     let pool = Pool::new(2);
     for _ in 0..5 {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| s.spawn(|| panic!("job panic")));
+            pool.scope(|s| {
+                s.spawn(|| panic!("job panic"));
+            });
         }));
         assert!(r.is_err());
     }
     // Still fully functional afterwards.
     let data: Vec<u64> = (0..100).collect();
     assert_eq!(par::reduce(&pool, 4, &sum::<u64>(), &data), 4950);
+}
+
+/// `i64` addition that panics where told to: in `accum` at one input
+/// value, in `scan_gen` at another.
+struct Bomb {
+    accum_at: i64,
+    gen_at: i64,
+}
+
+impl gv_core::op::ReduceScanOp for Bomb {
+    type In = i64;
+    type State = i64;
+    type Out = i64;
+    fn ident(&self) -> i64 {
+        0
+    }
+    fn accum(&self, s: &mut i64, x: &i64) {
+        assert!(*x != self.accum_at, "bomb in accum");
+        *s += *x;
+    }
+    fn combine(&self, a: &mut i64, b: i64) {
+        *a += b;
+    }
+    fn red_gen(&self, s: i64) -> i64 {
+        s
+    }
+    fn scan_gen(&self, s: &i64, x: &i64) -> i64 {
+        assert!(*x != self.gen_at, "bomb in scan_gen");
+        *s
+    }
+}
+
+#[test]
+fn a_panic_inside_a_chunk_resumes_on_the_caller() {
+    // Four chunks of 25 on two threads: chunks 0 and 1 run on the caller,
+    // 2 and 3 on a scoped thread.
+    let pool = Pool::new(2);
+    let data: Vec<i64> = (0..100).collect();
+    let message = |run: &dyn Fn()| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the chunk's panic must reach the caller");
+        payload.downcast_ref::<&str>().copied().unwrap_or_default()
+    };
+    for at in [13, 90] {
+        let accum = Bomb {
+            accum_at: at,
+            gen_at: -1,
+        };
+        let generate = Bomb {
+            accum_at: -1,
+            gen_at: at,
+        };
+        let reduce = message(&|| {
+            par::reduce(&pool, 4, &accum, &data);
+        });
+        assert_eq!(reduce, "bomb in accum", "reduce, chunk of {at}");
+        for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
+            let accumulate = message(&|| {
+                par::scan(&pool, 4, &accum, &data, kind);
+            });
+            assert_eq!(accumulate, "bomb in accum", "scan, chunk of {at}");
+            let rescan = message(&|| {
+                par::scan(&pool, 4, &generate, &data, kind);
+            });
+            assert_eq!(rescan, "bomb in scan_gen", "rescan, chunk of {at}");
+        }
+    }
+    // The same pool still runs both engines.
+    let calm = Bomb {
+        accum_at: -1,
+        gen_at: -1,
+    };
+    assert_eq!(par::reduce(&pool, 4, &calm, &data), 4950);
+    let expected = seq::scan(&sum::<i64>(), &data, ScanKind::Inclusive);
+    assert_eq!(
+        par::scan(&pool, 4, &calm, &data, ScanKind::Inclusive),
+        expected
+    );
+}
+
+#[test]
+fn the_par_engine_never_starts_a_thread_per_part() {
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    /// `i64` addition that records the threads its `accum` and its
+    /// `scan_gen` run on. A scan starts its rescan's threads anew, so only
+    /// `scan_gen` tells the threads of that phase apart.
+    #[derive(Default)]
+    struct Traced {
+        accum: Mutex<HashSet<ThreadId>>,
+        gen: Mutex<HashSet<ThreadId>>,
+    }
+    impl gv_core::op::ReduceScanOp for Traced {
+        type In = i64;
+        type State = i64;
+        type Out = i64;
+        fn ident(&self) -> i64 {
+            0
+        }
+        fn accum(&self, s: &mut i64, x: &i64) {
+            self.accum
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
+            *s += *x;
+        }
+        fn combine(&self, a: &mut i64, b: i64) {
+            *a += b;
+        }
+        fn red_gen(&self, s: i64) -> i64 {
+            s
+        }
+        fn scan_gen(&self, s: &i64, _x: &i64) -> i64 {
+            self.gen.lock().unwrap().insert(std::thread::current().id());
+            *s
+        }
+    }
+
+    let pool = Pool::new(2);
+    let data: Vec<i64> = (0..1000).map(|i| (i * 7) % 17 - 8).collect();
+    let threads = |seen: &Mutex<HashSet<ThreadId>>| seen.lock().unwrap().len();
+
+    let op = Traced::default();
+    assert_eq!(
+        par::reduce(&pool, 300, &op, &data),
+        seq::reduce(&sum::<i64>(), &data)
+    );
+    let accumulated = threads(&op.accum);
+    assert!(accumulated <= 2, "reduce ran on {accumulated} threads");
+
+    for kind in [ScanKind::Inclusive, ScanKind::Exclusive] {
+        let op = Traced::default();
+        assert_eq!(
+            par::scan(&pool, 300, &op, &data, kind),
+            seq::scan(&sum::<i64>(), &data, kind)
+        );
+        let rescanned = threads(&op.gen);
+        assert!(rescanned <= 2, "the rescan ran on {rescanned} threads");
+    }
 }
 
 #[test]
