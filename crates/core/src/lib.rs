@@ -68,7 +68,7 @@ pub mod par;
 pub mod seq;
 pub mod split;
 
-pub use monoid::{InvertibleMonoid, Monoid, MonoidOp};
+pub use monoid::{Monoid, MonoidOp};
 pub use op::{ElementwiseState, ReduceScanOp, ScanKind};
 pub use seq::{reduce, scan};
 

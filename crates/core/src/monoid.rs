@@ -4,10 +4,12 @@
 //! then the global-view abstraction reduces to the local-view abstraction.
 //! The identity function and combine function need to be specified by the
 //! programmer." [`Monoid`] captures exactly those two functions (plus the
-//! commutativity flag), and [`MonoidOp`] lifts any monoid into a full
-//! [`ReduceScanOp`], deriving the accumulate and generate functions.
+//! commutativity flag), and [`MonoidOp`] lifts a user's monoid into a full
+//! [`ReduceScanOp`], deriving the accumulate and generate functions. The
+//! built-ins of [`crate::ops::builtin`] are single-type operators written
+//! directly, so they can carry block kernels.
 
-use crate::op::{ReduceScanOp, ScanKind};
+use crate::op::ReduceScanOp;
 
 /// An identity element and an associative combine over a single type — the
 /// local-view operator of paper §2.
@@ -25,44 +27,6 @@ pub trait Monoid {
     /// `a = a ⊕ b`. For non-commutative monoids `a`'s elements precede
     /// `b`'s.
     fn combine(&self, a: &mut Self::T, b: &Self::T);
-
-    /// Block-kernel hook: folds a whole slice into `a` at once. Returning
-    /// `false` (the default) keeps the per-element combine loop; kernels
-    /// (see [`crate::kernel`]) must honor the pinned regrouping contract.
-    /// Only commutative monoids should install a lane kernel — the lane
-    /// fold interleaves elements across lanes.
-    fn combine_block(&self, _a: &mut Self::T, _block: &[Self::T]) -> bool {
-        false
-    }
-
-    /// Block-kernel hook for scans: appends one output per element of
-    /// `block` to `out` and leaves `carry` as the running fold through the
-    /// block. Returning `false` (the default) keeps the per-element loop.
-    fn scan_block(
-        &self,
-        _carry: &mut Self::T,
-        _block: &[Self::T],
-        _out: &mut Vec<Self::T>,
-        _kind: ScanKind,
-    ) -> bool {
-        false
-    }
-}
-
-/// A monoid whose combine can be inverted: `uncombine(a ⊕ b, b) = a`.
-///
-/// Paper §2: "Given the inclusive scan, it is impossible to compute the
-/// exclusive scan without communication **if the combine function cannot
-/// be inverted**. For example, a function that computes the minimum of two
-/// values cannot be inverted." For monoids that *can* be inverted (sum,
-/// xor, …) the exclusive scan falls out of the inclusive scan locally;
-/// `gv_msgpass::localview::local_xscan_from_scan` exploits exactly this,
-/// and `local_xscan_via_shift` is the shift-communication fallback the
-/// paper describes for the rest.
-pub trait InvertibleMonoid: Monoid {
-    /// Removes `b`'s contribution from the right of `a`:
-    /// `a = a ⊖ b` such that `uncombine(combine(x, b), b) == x`.
-    fn uncombine(&self, a: &mut Self::T, b: &Self::T);
 }
 
 /// Adapter lifting a [`Monoid`] into a [`ReduceScanOp`] with
@@ -109,20 +73,6 @@ where
 
     fn scan_gen(&self, state: &M::T, _x: &M::T) -> M::T {
         state.clone()
-    }
-
-    fn accum_block(&self, state: &mut M::T, block: &[M::T]) -> bool {
-        self.0.combine_block(state, block)
-    }
-
-    fn scan_block(
-        &self,
-        state: &mut M::T,
-        block: &[M::T],
-        out: &mut Vec<M::T>,
-        kind: ScanKind,
-    ) -> bool {
-        self.0.scan_block(state, block, out, kind)
     }
 }
 

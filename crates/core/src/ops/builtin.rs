@@ -2,46 +2,71 @@
 //! maximum, minimum, sum, product, logical and/or/xor, bit-wise and/or/xor,
 //! and maximum/minimum value-and-location.
 //!
-//! Each is a [`Monoid`] (the degenerate global-view case) lifted via
-//! [`MonoidOp`]; constructor functions at the bottom give call sites the
-//! ergonomics of `reduce(&sum::<i64>(), &data)`.
+//! Each is an ordinary [`ReduceScanOp`] whose input, state and output
+//! types coincide — the case in which, paper §3, "the global-view
+//! abstraction reduces to the local-view abstraction": the accumulate and
+//! combine functions are one function, and both generate functions pass
+//! the state through. The ten arithmetic, logical and bit-wise operators
+//! also install the block kernels of [`crate::kernel`]; constructor
+//! functions at the bottom give call sites the ergonomics of
+//! `reduce(&sum::<i64>(), &data)`.
 
 use std::marker::PhantomData;
 
 use crate::kernel;
-use crate::monoid::{Monoid, MonoidOp};
-use crate::op::ScanKind;
+use crate::op::{ReduceScanOp, ScanKind};
 use crate::ops::num::{Bits, Bounded, Num};
 
-/// Implements the two [`Monoid`] block-kernel hooks from a combine
-/// closure: lane-fold accumulate and a scan kernel chosen by `$exact`.
-/// Regrouping-exact closures (wrapping integer sums, bitwise/boolean ops,
-/// integer min/max) scan through the serial-order slice kernel: a latency-1 dependent chain already runs at
-/// ~1 element/cycle, so serial order is both bit-identical to the scalar
-/// loop *and* the fastest choice. Float closures (multi-cycle latency
-/// chains) scan through the pinned prefix-network regrouping of
-/// [`crate::kernel`] instead, which trades serial order for instruction
-/// parallelism.
-macro_rules! impl_monoid_kernels {
-    ($f:expr, $exact:expr) => {
-        fn combine_block(&self, a: &mut Self::T, block: &[Self::T]) -> bool {
-            let folded = kernel::fold_block(self.identity(), block, $f);
-            self.combine(a, &folded);
-            true
-        }
-        fn scan_block(
-            &self,
-            carry: &mut Self::T,
-            block: &[Self::T],
-            out: &mut Vec<Self::T>,
-            kind: ScanKind,
-        ) -> bool {
-            if $exact {
-                kernel::scan_block_serial(carry, block, out, $f, kind);
-            } else {
-                kernel::scan_block_network(carry, block, out, $f, kind);
+/// Implements [`ReduceScanOp`] with `In = State = Out = $t` from an
+/// identity, a combine closure and a regrouping flag: `accum` and
+/// `combine` are the closure, the accumulate kernel is the lane fold, and
+/// the scan kernel is chosen by `$exact`. Regrouping-exact closures
+/// (wrapping integer sums, bitwise/boolean ops, integer min/max) scan
+/// through the serial-order slice kernel: a latency-1 dependent chain
+/// already runs at ~1 element/cycle, so serial order is both bit-identical
+/// to the scalar loop *and* the fastest choice. Float closures
+/// (multi-cycle latency chains) scan through the pinned prefix-network
+/// regrouping of [`crate::kernel`] instead, which trades serial order for
+/// instruction parallelism.
+macro_rules! builtin {
+    ([$($g:tt)*] $op:ty, $t:ty, $ident:expr, $f:expr, $exact:expr) => {
+        impl<$($g)*> ReduceScanOp for $op {
+            type In = $t;
+            type State = $t;
+            type Out = $t;
+            fn ident(&self) -> $t {
+                $ident
             }
-            true
+            fn accum(&self, state: &mut $t, x: &$t) {
+                *state = $f(*state, *x);
+            }
+            fn combine(&self, earlier: &mut $t, later: $t) {
+                *earlier = $f(*earlier, later);
+            }
+            fn red_gen(&self, state: $t) -> $t {
+                state
+            }
+            fn scan_gen(&self, state: &$t, _x: &$t) -> $t {
+                *state
+            }
+            fn accum_block(&self, state: &mut $t, block: &[$t]) -> bool {
+                *state = $f(*state, kernel::fold_block($ident, block, $f));
+                true
+            }
+            fn scan_block(
+                &self,
+                state: &mut $t,
+                block: &[$t],
+                out: &mut Vec<$t>,
+                kind: ScanKind,
+            ) -> bool {
+                if $exact {
+                    kernel::scan_block_serial(state, block, out, $f, kind);
+                } else {
+                    kernel::scan_block_network(state, block, out, $f, kind);
+                }
+                true
+            }
         }
     };
 }
@@ -50,185 +75,61 @@ macro_rules! impl_monoid_kernels {
 /// non-associativity caveat.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Sum<T>(PhantomData<T>);
-
-impl<T: Num> Monoid for Sum<T> {
-    type T = T;
-    fn identity(&self) -> T {
-        T::ZERO
-    }
-    fn combine(&self, a: &mut T, b: &T) {
-        *a = a.add(*b);
-    }
-    impl_monoid_kernels!(|x: T, y: T| x.add(y), T::REGROUP_EXACT);
-}
-
-impl<T: Num> crate::monoid::InvertibleMonoid for Sum<T> {
-    fn uncombine(&self, a: &mut T, b: &T) {
-        // Wrapping integer sums invert exactly; float sums invert up to
-        // rounding (documented at the use sites).
-        *a = a.sub(*b);
-    }
-}
+builtin!([T: Num] Sum<T>, T, T::ZERO, |x: T, y: T| x.add(y), T::REGROUP_EXACT);
 
 /// Product (`MPI_PROD`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Prod<T>(PhantomData<T>);
-
-impl<T: Num> Monoid for Prod<T> {
-    type T = T;
-    fn identity(&self) -> T {
-        T::ONE
-    }
-    fn combine(&self, a: &mut T, b: &T) {
-        *a = a.mul(*b);
-    }
-    impl_monoid_kernels!(|x: T, y: T| x.mul(y), T::REGROUP_EXACT);
-}
+builtin!([T: Num] Prod<T>, T, T::ONE, |x: T, y: T| x.mul(y), T::REGROUP_EXACT);
 
 /// Minimum (`MPI_MIN`). Identity is the type's greatest value, matching the
 /// paper's `in_t.max` idiom.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Min<T>(PhantomData<T>);
-
-impl<T: Bounded> Monoid for Min<T> {
-    type T = T;
-    fn identity(&self) -> T {
-        T::MAX_VALUE
-    }
-    fn combine(&self, a: &mut T, b: &T) {
-        if *b < *a {
-            *a = *b;
-        }
-    }
-    // Integer min/max scans stay serial-order (regrouping-exact), so they
-    // are bit-identical to the scalar loop for every input. Float min/max
-    // use the network scan: selection never rounds, so that too is
-    // bit-identical on totally-ordered data — the pinned regrouping is
-    // observable only for NaN / mixed-zero inputs (module docs of
-    // `crate::kernel`).
-    impl_monoid_kernels!(|x: T, y: T| if y < x { y } else { x }, T::REGROUP_EXACT);
-}
+// Integer min/max scans stay serial-order (regrouping-exact), so they are
+// bit-identical to the scalar loop for every input. Float min/max use the
+// network scan: selection never rounds, so that too is bit-identical on
+// totally-ordered data — the pinned regrouping is observable only for
+// NaN / mixed-zero inputs (module docs of `crate::kernel`).
+builtin!([T: Bounded] Min<T>, T, T::MAX_VALUE,
+    |x: T, y: T| if y < x { y } else { x }, T::REGROUP_EXACT);
 
 /// Maximum (`MPI_MAX`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Max<T>(PhantomData<T>);
+builtin!([T: Bounded] Max<T>, T, T::MIN_VALUE,
+    |x: T, y: T| if y > x { y } else { x }, T::REGROUP_EXACT);
 
-impl<T: Bounded> Monoid for Max<T> {
-    type T = T;
-    fn identity(&self) -> T {
-        T::MIN_VALUE
-    }
-    fn combine(&self, a: &mut T, b: &T) {
-        if *b > *a {
-            *a = *b;
-        }
-    }
-    impl_monoid_kernels!(|x: T, y: T| if y > x { y } else { x }, T::REGROUP_EXACT);
-}
-
-/// Logical and (`MPI_LAND`).
+/// Logical and (`MPI_LAND`). `&` on bool is value-identical to `&&`; the
+/// non-short-circuit form vectorizes.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LAnd;
-
-impl Monoid for LAnd {
-    type T = bool;
-    fn identity(&self) -> bool {
-        true
-    }
-    fn combine(&self, a: &mut bool, b: &bool) {
-        *a = *a && *b;
-    }
-    // `&` on bool is value-identical to `&&`; the non-short-circuit form
-    // vectorizes.
-    impl_monoid_kernels!(|x: bool, y: bool| x & y, true);
-}
+builtin!([] LAnd, bool, true, |x: bool, y: bool| x & y, true);
 
 /// Logical or (`MPI_LOR`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LOr;
-
-impl Monoid for LOr {
-    type T = bool;
-    fn identity(&self) -> bool {
-        false
-    }
-    fn combine(&self, a: &mut bool, b: &bool) {
-        *a = *a || *b;
-    }
-    impl_monoid_kernels!(|x: bool, y: bool| x | y, true);
-}
+builtin!([] LOr, bool, false, |x: bool, y: bool| x | y, true);
 
 /// Logical xor (`MPI_LXOR`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LXor;
-
-impl Monoid for LXor {
-    type T = bool;
-    fn identity(&self) -> bool {
-        false
-    }
-    fn combine(&self, a: &mut bool, b: &bool) {
-        *a = *a != *b;
-    }
-    impl_monoid_kernels!(|x: bool, y: bool| x ^ y, true);
-}
+builtin!([] LXor, bool, false, |x: bool, y: bool| x ^ y, true);
 
 /// Bit-wise and (`MPI_BAND`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BAnd<T>(PhantomData<T>);
-
-impl<T: Bits> Monoid for BAnd<T> {
-    type T = T;
-    fn identity(&self) -> T {
-        T::ALL_ONES
-    }
-    fn combine(&self, a: &mut T, b: &T) {
-        *a = a.band(*b);
-    }
-    impl_monoid_kernels!(|x: T, y: T| x.band(y), true);
-}
+builtin!([T: Bits] BAnd<T>, T, T::ALL_ONES, |x: T, y: T| x.band(y), true);
 
 /// Bit-wise or (`MPI_BOR`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BOr<T>(PhantomData<T>);
-
-impl<T: Bits> Monoid for BOr<T> {
-    type T = T;
-    fn identity(&self) -> T {
-        T::ALL_ZEROS
-    }
-    fn combine(&self, a: &mut T, b: &T) {
-        *a = a.bor(*b);
-    }
-    impl_monoid_kernels!(|x: T, y: T| x.bor(y), true);
-}
+builtin!([T: Bits] BOr<T>, T, T::ALL_ZEROS, |x: T, y: T| x.bor(y), true);
 
 /// Bit-wise xor (`MPI_BXOR`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BXor<T>(PhantomData<T>);
-
-impl<T: Bits> Monoid for BXor<T> {
-    type T = T;
-    fn identity(&self) -> T {
-        T::ALL_ZEROS
-    }
-    fn combine(&self, a: &mut T, b: &T) {
-        *a = a.bxor(*b);
-    }
-    impl_monoid_kernels!(|x: T, y: T| x.bxor(y), true);
-}
-
-impl crate::monoid::InvertibleMonoid for LXor {
-    fn uncombine(&self, a: &mut bool, b: &bool) {
-        *a = *a != *b;
-    }
-}
-
-impl<T: Bits> crate::monoid::InvertibleMonoid for BXor<T> {
-    fn uncombine(&self, a: &mut T, b: &T) {
-        *a = a.bxor(*b);
-    }
-}
+builtin!([T: Bits] BXor<T>, T, T::ALL_ZEROS, |x: T, y: T| x.bxor(y), true);
 
 /// Minimum value and location (`MPI_MINLOC`): the element is a
 /// `(value, location)` pair; ties are broken toward the smaller location,
@@ -236,16 +137,22 @@ impl<T: Bits> crate::monoid::InvertibleMonoid for BXor<T> {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MinLoc<T, L>(PhantomData<(T, L)>);
 
-impl<T: Bounded, L: Ord + Copy + Default + std::fmt::Debug> Monoid for MinLoc<T, L> {
-    type T = (T, L);
-    fn identity(&self) -> (T, L) {
+impl<T: Bounded, L: Ord + Copy + Default> ReduceScanOp for MinLoc<T, L> {
+    type In = (T, L);
+    type State = (T, L);
+    type Out = (T, L);
+    fn ident(&self) -> (T, L) {
         (T::MAX_VALUE, L::default())
     }
-    fn combine(&self, a: &mut (T, L), b: &(T, L)) {
+    fn accum(&self, state: &mut (T, L), x: &(T, L)) {
+        self.combine(state, *x);
+    }
+    fn combine(&self, a: &mut (T, L), b: (T, L)) {
         if b.0 < a.0 || (b.0 == a.0 && b.1 < a.1) {
-            *a = *b;
+            *a = b;
         }
     }
+    crate::impl_passthrough_gen!();
 }
 
 /// Maximum value and location (`MPI_MAXLOC`); ties toward the smaller
@@ -253,32 +160,38 @@ impl<T: Bounded, L: Ord + Copy + Default + std::fmt::Debug> Monoid for MinLoc<T,
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MaxLoc<T, L>(PhantomData<(T, L)>);
 
-impl<T: Bounded, L: Ord + Copy + Default + std::fmt::Debug> Monoid for MaxLoc<T, L> {
-    type T = (T, L);
-    fn identity(&self) -> (T, L) {
+impl<T: Bounded, L: Ord + Copy + Default> ReduceScanOp for MaxLoc<T, L> {
+    type In = (T, L);
+    type State = (T, L);
+    type Out = (T, L);
+    fn ident(&self) -> (T, L) {
         (T::MIN_VALUE, L::default())
     }
-    fn combine(&self, a: &mut (T, L), b: &(T, L)) {
+    fn accum(&self, state: &mut (T, L), x: &(T, L)) {
+        self.combine(state, *x);
+    }
+    fn combine(&self, a: &mut (T, L), b: (T, L)) {
         if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
-            *a = *b;
+            *a = b;
         }
     }
+    crate::impl_passthrough_gen!();
 }
 
 macro_rules! constructor {
-    ($(#[$doc:meta] $fn_name:ident, $monoid:ident, [$($g:ident),*];)*) => {$(
+    ($(#[$doc:meta] $fn_name:ident, $op:ident, [$($g:ident),*];)*) => {$(
         #[$doc]
-        pub fn $fn_name<$($g),*>() -> MonoidOp<$monoid<$($g),*>>
+        pub fn $fn_name<$($g),*>() -> $op<$($g),*>
         where
-            $monoid<$($g),*>: Monoid + Default,
+            $op<$($g),*>: ReduceScanOp + Default,
         {
-            MonoidOp($monoid::default())
+            $op::default()
         }
     )*};
 }
 
 constructor! {
-    /// The sum operator as a ready-to-use [`crate::op::ReduceScanOp`].
+    /// The sum operator.
     sum, Sum, [T];
     /// The product operator.
     prod, Prod, [T];
@@ -292,43 +205,33 @@ constructor! {
     bor, BOr, [T];
     /// The bit-wise xor operator.
     bxor, BXor, [T];
-}
-
-/// The logical-and operator.
-pub fn land() -> MonoidOp<LAnd> {
-    MonoidOp(LAnd)
-}
-
-/// The logical-or operator.
-pub fn lor() -> MonoidOp<LOr> {
-    MonoidOp(LOr)
-}
-
-/// The logical-xor operator.
-pub fn lxor() -> MonoidOp<LXor> {
-    MonoidOp(LXor)
+    /// The logical-and operator.
+    land, LAnd, [];
+    /// The logical-or operator.
+    lor, LOr, [];
+    /// The logical-xor operator.
+    lxor, LXor, [];
 }
 
 /// The minimum-value-and-location operator over `(value, location)` pairs.
-pub fn minloc<T, L>() -> MonoidOp<MinLoc<T, L>>
+pub fn minloc<T, L>() -> MinLoc<T, L>
 where
-    MinLoc<T, L>: Monoid,
+    MinLoc<T, L>: ReduceScanOp,
 {
-    MonoidOp(MinLoc(PhantomData))
+    MinLoc(PhantomData)
 }
 
 /// The maximum-value-and-location operator over `(value, location)` pairs.
-pub fn maxloc<T, L>() -> MonoidOp<MaxLoc<T, L>>
+pub fn maxloc<T, L>() -> MaxLoc<T, L>
 where
-    MaxLoc<T, L>: Monoid,
+    MaxLoc<T, L>: ReduceScanOp,
 {
-    MonoidOp(MaxLoc(PhantomData))
+    MaxLoc(PhantomData)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::ScanKind;
     use crate::seq;
 
     const PAPER_SET: [i64; 10] = [6, 7, 6, 3, 8, 2, 8, 4, 8, 3];
@@ -336,16 +239,16 @@ mod tests {
     #[test]
     fn all_twelve_have_true_identities() {
         // x ⊕ ident == x and ident ⊕ x == x for a sample of values.
-        fn check<M: Monoid>(m: &M, samples: &[M::T])
-        where
-            M::T: Clone + PartialEq + std::fmt::Debug,
-        {
+        fn check<Op: ReduceScanOp<State = T>, T: Clone + PartialEq + std::fmt::Debug>(
+            op: &Op,
+            samples: &[T],
+        ) {
             for x in samples {
                 let mut a = x.clone();
-                m.combine(&mut a, &m.identity());
+                op.combine(&mut a, op.ident());
                 assert_eq!(&a, x, "right identity failed");
-                let mut b = m.identity();
-                m.combine(&mut b, x);
+                let mut b = op.ident();
+                op.combine(&mut b, x.clone());
                 assert_eq!(&b, x, "left identity failed");
             }
         }

@@ -3,7 +3,7 @@
 //!
 //! The paper's Chapel version takes tuples `(elt_t, integer)` built by an
 //! array expression `[i in 1..n] (A(i), i)`; this version does the same
-//! with `(T, L)` input pairs. Unlike the `MonoidOp`-based
+//! with `(T, L)` input pairs. Unlike the single-type
 //! [`crate::ops::builtin::minloc`] (the MPI built-in), the state here is an
 //! `Option`, making the identity a *true* identity even when real input
 //! values equal the type's extreme — one of the robustness improvements an
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn extreme_values_are_handled_correctly() {
-        // The Option state means i64::MAX inputs are found (the MonoidOp
+        // The Option state means i64::MAX inputs are found (the single-type
         // minloc built-in would conflate them with its identity).
         let pairs = vec![(i64::MAX, 1u32), (i64::MAX, 2)];
         assert_eq!(seq::reduce(&mini(), &pairs), Some((i64::MAX, 1)));

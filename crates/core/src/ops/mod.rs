@@ -1,5 +1,7 @@
 //! The operator library: the 12 MPI built-ins (§2.2) and the paper's
-//! user-defined operators, plus extensions.
+//! user-defined operators, plus extensions. Every operator implements
+//! [`crate::op::ReduceScanOp`] directly; the built-ins are the case where
+//! input, state and output types coincide.
 //!
 //! | Module | Operators | Paper reference |
 //! |---|---|---|
@@ -13,7 +15,7 @@
 //! | [`mod@minmax`] | `MinMax` | extension (two built-ins fused into one reduction) |
 //! | [`runs`] | `LongestRun` | extension (generalizes Listing 7's `sorted`) |
 //! | [`kadane`] | `MaxSubarray` | extension (classic mergeable-state showcase) |
-//! | [`segmented`] | `Segmented<M>` segmented scans | related work (NESL/Blelloch) expressed as a user operator |
+//! | [`segmented`] | `Segmented<M>` segmented scans over a single-type operator | related work (NESL/Blelloch) expressed as a user operator |
 //! | [`stats`] | `MeanVar` | extension (distinct accumulate/combine showcase) |
 //! | [`translate`] | `Translated` wrapper | §3 performance note (ablation TXT-TRANSLATE) |
 //! | [`num`] | capability traits for the built-ins | — |

@@ -24,8 +24,6 @@ pub trait Num: Copy + PartialOrd + std::fmt::Debug {
     const REGROUP_EXACT: bool = false;
     /// Addition.
     fn add(self, other: Self) -> Self;
-    /// Subtraction (the inverse of `add`; wrapping for integers).
-    fn sub(self, other: Self) -> Self;
     /// Multiplication.
     fn mul(self, other: Self) -> Self;
 }
@@ -67,8 +65,6 @@ macro_rules! impl_num_int {
             #[inline]
             fn add(self, other: Self) -> Self { self.wrapping_add(other) }
             #[inline]
-            fn sub(self, other: Self) -> Self { self.wrapping_sub(other) }
-            #[inline]
             fn mul(self, other: Self) -> Self { self.wrapping_mul(other) }
         }
         impl Bounded for $t {
@@ -98,8 +94,6 @@ macro_rules! impl_num_float {
             const ONE: Self = 1.0;
             #[inline]
             fn add(self, other: Self) -> Self { self + other }
-            #[inline]
-            fn sub(self, other: Self) -> Self { self - other }
             #[inline]
             fn mul(self, other: Self) -> Self { self * other }
         }

@@ -16,7 +16,6 @@
 //! of that position's own segment — with full parallel-prefix execution
 //! across segment boundaries.
 
-use crate::monoid::Monoid;
 use crate::op::ReduceScanOp;
 
 /// State of a segmented reduction: the combined suffix since the last
@@ -29,28 +28,32 @@ pub struct SegState<T> {
     pub reset: bool,
 }
 
-/// Lifts a [`Monoid`] into its segmented form over `(value, flag)` pairs,
-/// where `flag = true` starts a new segment at that element.
+/// Lifts a single-type operator (`In = State = Out`: a built-in such as
+/// `sum()`, or a user's monoid through [`crate::monoid::MonoidOp`]) into
+/// its segmented form over `(value, flag)` pairs, where `flag = true`
+/// starts a new segment at that element. Only the inner operator's
+/// identity and combine are used.
 ///
 /// * `reduce` yields the combination of the **last** segment.
 /// * An inclusive `scan` yields the running per-segment scan.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Segmented<M>(pub M);
 
-impl<M: Monoid> ReduceScanOp for Segmented<M>
+impl<T, M> ReduceScanOp for Segmented<M>
 where
-    M::T: Clone,
+    T: Clone,
+    M: ReduceScanOp<In = T, State = T, Out = T>,
 {
-    type In = (M::T, bool);
-    type State = SegState<M::T>;
-    type Out = M::T;
+    type In = (T, bool);
+    type State = SegState<T>;
+    type Out = T;
 
     // The segmented monoid is associative but never commutative.
     const COMMUTATIVE: bool = false;
 
     fn ident(&self) -> Self::State {
         SegState {
-            value: self.0.identity(),
+            value: self.0.ident(),
             reset: false,
         }
     }
@@ -60,7 +63,7 @@ where
             state.value = x.clone();
             state.reset = true;
         } else {
-            self.0.combine(&mut state.value, x);
+            self.0.combine(&mut state.value, x.clone());
         }
     }
 
@@ -69,15 +72,15 @@ where
             earlier.value = later.value;
             earlier.reset = true;
         } else {
-            self.0.combine(&mut earlier.value, &later.value);
+            self.0.combine(&mut earlier.value, later.value);
         }
     }
 
-    fn red_gen(&self, state: Self::State) -> M::T {
+    fn red_gen(&self, state: Self::State) -> T {
         state.value
     }
 
-    fn scan_gen(&self, state: &Self::State, _x: &Self::In) -> M::T {
+    fn scan_gen(&self, state: &Self::State, _x: &Self::In) -> T {
         state.value.clone()
     }
 }
@@ -98,7 +101,7 @@ pub fn flag_segments<T: Clone>(data: &[T], pred: impl Fn(&T, &T) -> bool) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monoid::Monoid;
+    use crate::monoid::{Monoid, MonoidOp};
     use crate::op::ScanKind;
     use crate::ops::builtin::Sum;
     use crate::seq;
@@ -193,7 +196,7 @@ mod tests {
                 a.push_str(b);
             }
         }
-        let op = Segmented(Concat);
+        let op = Segmented(MonoidOp(Concat));
         let data: Vec<(String, bool)> = [("a", true), ("b", false), ("c", true), ("d", false)]
             .iter()
             .map(|(s, f)| (s.to_string(), *f))

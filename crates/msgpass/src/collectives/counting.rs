@@ -126,7 +126,10 @@ where
             return;
         }
         comm.advance(units.len() as u64 * self.op.accum_ops());
-        gv_core::kernel::count_into(self.slots(state), units, |&unit| unit as usize);
+        let slots = self.slots(state);
+        for &unit in units {
+            slots[unit as usize] += 1;
+        }
     }
 
     /// This rank's units while they ship: cloned where a later round

@@ -236,7 +236,6 @@ where
 mod tests {
     use super::*;
     use gv_core::iter::Staged;
-    use gv_core::monoid::MonoidOp;
     use gv_core::ops::builtin::{max, min, sum, Min};
     use gv_core::ops::mink::MinK;
     use gv_core::ops::sorted::Sorted;
@@ -312,7 +311,7 @@ mod tests {
         for branching in [2usize, 4, 8] {
             let chunks = blocks(&data, 8);
             let outcome = Runtime::new(8).run(|comm| {
-                let commutative = <MonoidOp<Min<i64>> as ReduceScanOp>::COMMUTATIVE;
+                let commutative = <Min<i64> as ReduceScanOp>::COMMUTATIVE;
                 let local = &chunks[comm.rank()];
                 reduce_all_claiming_commutativity(comm, &min(), local, branching, commutative)
             });

@@ -7,6 +7,7 @@ use gv_testkit::prop::{bools, check, f64s, i64s, usizes, vec_of, Config};
 use gv_testkit::prop_assert_eq;
 
 use gv_core::iter::reduce_iter;
+use gv_core::monoid::{Monoid, MonoidOp};
 use gv_core::op::ScanKind;
 use gv_core::ops::builtin::{sum, Sum};
 use gv_core::ops::histogram::Histogram;
@@ -16,6 +17,24 @@ use gv_core::{par, seq};
 use gv_executor::Pool;
 use gv_msgpass::Runtime;
 use gv_rsmpi::DistVector;
+
+/// Affine maps `x ↦ a·x + b` of wrapping `i64`s as `(a, b)`, composed in
+/// order: a non-commutative user monoid.
+struct Affine;
+
+impl Monoid for Affine {
+    type T = (i64, i64);
+    const COMMUTATIVE: bool = false;
+    fn identity(&self) -> (i64, i64) {
+        (1, 0)
+    }
+    fn combine(&self, f: &mut (i64, i64), g: &(i64, i64)) {
+        *f = (
+            g.0.wrapping_mul(f.0),
+            g.0.wrapping_mul(f.1).wrapping_add(g.1),
+        );
+    }
+}
 
 fn cfg() -> Config {
     Config::new(256)
@@ -86,6 +105,17 @@ fn segmented_scan_is_chunking_invariant() {
             let op = Segmented(Sum::<i64>::default());
             let expected = seq::scan(&op, &input, ScanKind::Inclusive);
             let pool = Pool::new(2);
+            prop_assert_eq!(
+                par::scan(&pool, *parts, &op, &input, ScanKind::Inclusive),
+                expected
+            );
+            // The same segments over a non-commutative user monoid.
+            let op = Segmented(MonoidOp(Affine));
+            let input: Vec<((i64, i64), bool)> = input
+                .iter()
+                .map(|&(v, starts)| ((v % 3, v), starts))
+                .collect();
+            let expected = seq::scan(&op, &input, ScanKind::Inclusive);
             prop_assert_eq!(
                 par::scan(&pool, *parts, &op, &input, ScanKind::Inclusive),
                 expected

@@ -14,6 +14,7 @@
 //! variant at the bottom.
 
 use gv_core::agg::Elementwise;
+use gv_core::monoid::{Monoid, MonoidOp};
 use gv_core::op::{accumulate_block, combine_all, ReduceScanOp, ScanKind};
 use gv_core::ops::builtin::{
     band, bor, bxor, land, lor, lxor, max, maxloc, min, minloc, prod, sum, Sum,
@@ -187,6 +188,24 @@ where
                 "{name}[case {case}]: rsmpi::scan ({kind:?}) disagrees"
             );
         }
+    }
+}
+
+/// Affine maps `x ↦ a·x + b` of wrapping `i64`s as `(a, b)`, composed in
+/// order (`f ⊕ g` applies `f`, then `g`): a non-commutative user monoid.
+struct Affine;
+
+impl Monoid for Affine {
+    type T = (i64, i64);
+    const COMMUTATIVE: bool = false;
+    fn identity(&self) -> (i64, i64) {
+        (1, 0)
+    }
+    fn combine(&self, f: &mut (i64, i64), g: &(i64, i64)) {
+        *f = (
+            g.0.wrapping_mul(f.0),
+            g.0.wrapping_mul(f.1).wrapping_add(g.1),
+        );
     }
 }
 
@@ -444,6 +463,15 @@ fn non_commutative_ops_obey_the_laws() {
         "Segmented(Sum)",
         &Segmented(Sum::<i64>::default()),
         &cases(42, |r: &mut TestRng| (r.i64_in(-100..100), r.bool())),
+    );
+    // A user's monoid lifted by `MonoidOp`, and a non-commutative one, so
+    // a segment's combine order shows through the segmented operator.
+    assert_op_laws(
+        "Segmented(MonoidOp(Affine))",
+        &Segmented(MonoidOp(Affine)),
+        &cases(44, |r: &mut TestRng| {
+            ((r.i64_in(-3..4), r.i64_in(-100..100)), r.bool())
+        }),
     );
 
     // Sorted-ness checks see both random (almost surely unsorted) and
@@ -1642,7 +1670,7 @@ mod kernel_laws {
         let (k1, _) = kernel::dispatch_counts();
         assert!(k1 > k0, "built-in reduce should dispatch to a kernel");
         struct Opaque;
-        impl gv_core::monoid::Monoid for Opaque {
+        impl Monoid for Opaque {
             type T = i64;
             fn identity(&self) -> i64 {
                 0
@@ -1651,7 +1679,7 @@ mod kernel_laws {
                 *a += *b;
             }
         }
-        seq::reduce(&gv_core::monoid::MonoidOp(Opaque), &[1i64; 256]);
+        seq::reduce(&MonoidOp(Opaque), &[1i64; 256]);
         let (_, s2) = kernel::dispatch_counts();
         assert!(
             s2 > s0,
